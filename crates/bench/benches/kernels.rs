@@ -150,7 +150,6 @@ fn bench_extraction() {
 }
 
 fn bench_id_codec() {
-    use amada_index::codec::{decode_ids_blocked, encode_ids_blocked, BlockList};
     let ids: Vec<StructuralId> = (1..=10_000)
         .map(|i| StructuralId::new(i * 3, i * 2, (i % 12) + 1))
         .collect();
@@ -160,27 +159,6 @@ fn bench_id_codec() {
     });
     bench("id-codec", "decode-10k", None, || {
         black_box(amada_index::codec::decode_ids(black_box(&encoded)).unwrap());
-    });
-    let blocked = encode_ids_blocked(&ids);
-    bench("id-codec", "encode-blocked-10k", None, || {
-        black_box(encode_ids_blocked(black_box(&ids)));
-    });
-    bench("id-codec", "decode-blocked-10k", None, || {
-        black_box(decode_ids_blocked(black_box(&blocked)).unwrap());
-    });
-    // Selective access: build the lazy block view from the persisted
-    // headers and decode only the blocks that 16 spread-out probes land
-    // in, vs. the full materializing decode above.
-    let targets: Vec<u32> = (1..=16u32).map(|k| k * 30_000 / 17).collect();
-    bench("id-codec", "blocked-probe-16", None, || {
-        let list = BlockList::from_blocked(black_box(&blocked)).unwrap();
-        let mut cur = list.cursor();
-        let mut hits = 0usize;
-        for &t in &targets {
-            cur.skip_to_pre(t);
-            hits += cur.peek().is_some() as usize;
-        }
-        black_box(hits);
     });
 }
 

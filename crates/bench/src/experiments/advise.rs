@@ -303,20 +303,19 @@ fn run_deployment(
     let storage_per_month = w.storage_cost().total();
     let total = build + queries + maintenance + storage_billed;
     let mean_response = responses.iter().sum::<f64>() / responses.len().max(1) as f64;
-    let plan = match w.mixed_plan() {
-        Some(p) if !p.assignments().is_empty() => {
-            let parts: Vec<String> = p
-                .assignments()
-                .iter()
-                .map(|(part, s)| format!("{part}={}", s.map_or("scan", Strategy::name)))
-                .collect();
-            parts.join(",")
-        }
-        Some(p) => format!(
+    let p = w.routing_plan();
+    let plan = if p.assignments().is_empty() {
+        format!(
             "uniform:{}",
             p.default_strategy().map_or("scan", Strategy::name)
-        ),
-        None => format!("uniform:{}", w.config().strategy.name()),
+        )
+    } else {
+        let parts: Vec<String> = p
+            .assignments()
+            .iter()
+            .map(|(part, s)| format!("{part}={}", s.map_or("scan", Strategy::name)))
+            .collect();
+        parts.join(",")
     };
     let row = AdviseRow {
         label: label.to_string(),

@@ -1,22 +1,20 @@
 //! `repro perf` — hot-path microbenchmarks (beyond the paper).
 //!
-//! Self-timed before/after measurements of the four kernels the PR
-//! optimises, at the requested corpus scale (`1x`) and ten times that
-//! (`10x`):
+//! Self-timed rates of the four kernels the warehouse runs on, at the
+//! requested corpus scale (`1x`) and ten times that (`10x`). All four are
+//! absolute: no "before" implementation is kept alive to be a column —
+//! the before numbers are the cross-build kernel measurements in
+//! `EXPERIMENTS.md`.
 //!
 //! * **parse** — zero-copy XML parsing throughput (MiB/s of source).
-//! * **tokenize** — streaming [`amada_xml::for_each_word`] vs. the legacy
-//!   collecting tokenizer (MiB/s of text content).
+//! * **tokenize** — streaming [`amada_xml::for_each_word`] (MiB/s of
+//!   text content).
 //! * **decode** — full postings-list decode throughput (million IDs/s)
 //!   over the per-document ID lists the store keeps, with the one-byte
-//!   varint fast path. Absolute, like parse: an in-binary copy of the
-//!   pre-fast-path reader compiles to near-identical code (the compiler
-//!   re-optimises it), so the honest before number is the cross-build
-//!   kernel measurement in `EXPERIMENTS.md`. This rate is also the
-//!   regression-guard metric for `--enforce`.
-//! * **twig** — the holistic twig join over corpus-scale merged postings:
-//!   galloping (exponential probe + binary search) advance vs. the legacy
-//!   element-at-a-time linear advance (ns per stream entry).
+//!   varint fast path.
+//! * **twig** — the galloping (exponential probe + binary search)
+//!   holistic twig join over corpus-scale merged postings (ns per stream
+//!   entry).
 //!
 //! Host wall-clock timing makes the output nondeterministic, so `perf` is
 //! *not* part of `repro all` (which stays byte-comparable run to run).
@@ -29,7 +27,7 @@
 use crate::{Scale, TextTable};
 use amada_index::codec::{decode_ids, encode_ids, BlockList};
 use amada_pattern::parse_pattern;
-use amada_pattern::twig::{holistic_twig_join, holistic_twig_join_linear, TwigShape};
+use amada_pattern::twig::{holistic_twig_join, TwigShape};
 use amada_xml::{for_each_word, Document, StructuralId};
 use std::hint::black_box;
 use std::sync::Mutex;
@@ -97,33 +95,10 @@ fn time_per_iter(mut f: impl FnMut()) -> f64 {
 struct Axes {
     parse_mibps: f64,
     dec_label: &'static str,
-    tok_legacy_mibps: f64,
-    tok_new_mibps: f64,
+    tok_mibps: f64,
     dec_full_mids: f64,
     dec_list_len: usize,
-    twig_linear_ns: f64,
-    twig_gallop_ns: f64,
-}
-
-/// The legacy tokenizer, kept inline as the before-measurement: collects
-/// owned lowercased words char by char (one `String` per word plus the
-/// `Vec`), exactly what `tokenize` did before the streaming rewrite.
-fn legacy_tokenize(text: &str) -> Vec<String> {
-    let mut words = Vec::new();
-    let mut current = String::new();
-    for c in text.chars() {
-        if c.is_alphanumeric() {
-            for lc in c.to_lowercase() {
-                current.push(lc);
-            }
-        } else if !current.is_empty() {
-            words.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        words.push(current);
-    }
-    words
+    twig_ns: f64,
 }
 
 /// Concatenates every document's postings for `label` into one long
@@ -171,19 +146,13 @@ fn run_axes(scale: &Scale) -> Axes {
         .collect();
     let text_bytes: u64 = texts.iter().map(|t| t.len() as u64).sum();
     let per = time_per_iter(|| {
-        for t in &texts {
-            black_box(legacy_tokenize(black_box(t)));
-        }
-    });
-    let tok_legacy_mibps = text_bytes as f64 / per / MIB;
-    let per = time_per_iter(|| {
         let mut n = 0usize;
         for t in &texts {
             for_each_word(black_box(t), |w| n += w.len());
         }
         black_box(n);
     });
-    let tok_new_mibps = text_bytes as f64 / per / MIB;
+    let tok_mibps = text_bytes as f64 / per / MIB;
 
     // -- decode -----------------------------------------------------------
     // The most frequent element label gives the longest real ID list.
@@ -228,8 +197,7 @@ fn run_axes(scale: &Scale) -> Axes {
     // Corpus-scale join over the merged per-label postings (cross-document
     // entries can never be ancestor-related, so the merged join's matches
     // are exactly the union of the per-document matches). Streams come
-    // pre-decoded for both sides: this axis isolates the join algorithm —
-    // galloping skip-to-pre vs. the element-at-a-time linear advance.
+    // pre-decoded: this axis isolates the join algorithm.
     // A selective anchor over a dense descendant stream — the shape the
     // galloping advance targets: almost all `text` entries lie outside
     // `category` subtrees and are skipped in whole binary-searched runs
@@ -249,23 +217,17 @@ fn run_axes(scale: &Scale) -> Axes {
         .collect();
     let twig_entries: u64 = streams.iter().map(|s| s.len() as u64).sum();
     let per = time_per_iter(|| {
-        black_box(holistic_twig_join_linear(&shape, black_box(&streams)).len());
-    });
-    let twig_linear_ns = per * 1e9 / twig_entries.max(1) as f64;
-    let per = time_per_iter(|| {
         black_box(holistic_twig_join(&shape, black_box(&streams)).len());
     });
-    let twig_gallop_ns = per * 1e9 / twig_entries.max(1) as f64;
+    let twig_ns = per * 1e9 / twig_entries.max(1) as f64;
 
     Axes {
         parse_mibps,
         dec_label: label,
-        tok_legacy_mibps,
-        tok_new_mibps,
+        tok_mibps,
         dec_full_mids,
         dec_list_len: total_ids,
-        twig_linear_ns,
-        twig_gallop_ns,
+        twig_ns,
     }
 }
 
@@ -275,7 +237,7 @@ pub fn perf(scale: &Scale) -> String {
     let one = run_axes(scale);
     let ten = run_axes(&scale.clone().scaled(10.0));
 
-    let mut t = TextTable::new(["axis", "scale", "before", "after", "speedup"]);
+    let mut t = TextTable::new(["axis", "scale", "rate"]);
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "    \"build\": \"{}\",\n    \"axes\": [\n",
@@ -285,82 +247,25 @@ pub fn perf(scale: &Scale) -> String {
             "release"
         }
     ));
-    let push = |t: &mut TextTable,
-                json: &mut String,
-                axis: &str,
-                scale_label: &str,
-                before: Option<f64>,
-                after: f64,
-                unit: &str,
-                lower_is_better: bool,
-                last: bool| {
-        let speedup = before.map(|b| {
-            if lower_is_better {
-                b / after
-            } else {
-                after / b
-            }
-        });
-        t.row([
-            axis.to_string(),
-            scale_label.to_string(),
-            before.map_or_else(|| "-".to_string(), |b| format!("{b:.2} {unit}")),
-            format!("{after:.2} {unit}"),
-            speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
-        ]);
-        let before_json = before.map_or_else(|| "null".to_string(), |b| format!("{b:.4}"));
-        let speedup_json = speedup.map_or_else(|| "null".to_string(), |s| format!("{s:.4}"));
-        json.push_str(&format!(
-            "      {{ \"axis\": \"{axis}\", \"scale\": \"{scale_label}\", \"unit\": \"{unit}\", \
-             \"before\": {before_json}, \"after\": {after:.4}, \"speedup\": {speedup_json} }}{}\n",
-            if last { "" } else { "," }
-        ));
-    };
     for (label, a) in [("1x", &one), ("10x", &ten)] {
-        push(
-            &mut t,
-            &mut json,
-            "parse",
-            label,
-            None,
-            a.parse_mibps,
-            "MiB/s",
-            false,
-            false,
-        );
-        push(
-            &mut t,
-            &mut json,
-            "tokenize",
-            label,
-            Some(a.tok_legacy_mibps),
-            a.tok_new_mibps,
-            "MiB/s",
-            false,
-            false,
-        );
-        push(
-            &mut t,
-            &mut json,
-            "decode",
-            label,
-            None,
-            a.dec_full_mids,
-            "M IDs/s",
-            false,
-            false,
-        );
-        push(
-            &mut t,
-            &mut json,
-            "twig-join",
-            label,
-            Some(a.twig_linear_ns),
-            a.twig_gallop_ns,
-            "ns/id",
-            true,
-            label == "10x",
-        );
+        for (axis, rate, unit) in [
+            ("parse", a.parse_mibps, "MiB/s"),
+            ("tokenize", a.tok_mibps, "MiB/s"),
+            ("decode", a.dec_full_mids, "M IDs/s"),
+            ("twig-join", a.twig_ns, "ns/id"),
+        ] {
+            t.row([
+                axis.to_string(),
+                label.to_string(),
+                format!("{rate:.2} {unit}"),
+            ]);
+            let last = label == "10x" && axis == "twig-join";
+            json.push_str(&format!(
+                "      {{ \"axis\": \"{axis}\", \"scale\": \"{label}\", \"unit\": \"{unit}\", \
+                 \"rate\": {rate:.4} }}{}\n",
+                if last { "" } else { "," }
+            ));
+        }
     }
     json.push_str("    ],\n");
     json.push_str(&format!(
@@ -371,18 +276,16 @@ pub fn perf(scale: &Scale) -> String {
         json,
         parse_mibps: one.parse_mibps,
         decode_mids: one.dec_full_mids,
-        tok_mibps: one.tok_new_mibps,
-        twig_ns: one.twig_gallop_ns,
+        tok_mibps: one.tok_mibps,
+        twig_ns: one.twig_ns,
     });
 
     format!(
         "{t}\n\
-         before = legacy paths kept in-tree (collecting tokenizer, linear\n\
-         element-at-a-time join); after = the streaming / galloping code now\n\
-         used by the warehouse. parse and decode are absolute: their pre-PR\n\
-         paths are gone from the tree, so the before numbers are the\n\
-         cross-build kernel measurements in EXPERIMENTS.md. decode runs over\n\
-         the per-document '{}'-label lists the store keeps ({} IDs at 1x).",
+         All rates are absolute: the code measured is the code the warehouse\n\
+         runs; the before numbers are the cross-build kernel measurements in\n\
+         EXPERIMENTS.md. decode runs over the per-document '{}'-label lists\n\
+         the store keeps ({} IDs at 1x).",
         one.dec_label, one.dec_list_len
     )
 }

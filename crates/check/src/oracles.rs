@@ -541,24 +541,19 @@ fn oracle_round_trip(docs: &[Document], opts: ExtractOptions) -> Result<(), Viol
     Ok(())
 }
 
-/// The block layer over the same ID list agrees with the flat codec: the
-/// explicit blocked wire format round-trips, and a [`BlockList`] built
-/// from either format replays the list in full through its lazy cursor.
+/// The block layer over the same ID list agrees with the flat codec: a
+/// [`BlockList`] built from the flat bytes, or from the self-anchored
+/// chunks the store splits long lists into — the two formats look-ups
+/// actually read — replays the list in full through its lazy cursor.
 fn block_layer_agrees(ids: &[amada_xml::StructuralId]) -> bool {
-    use amada_index::codec::{decode_ids_blocked, encode_ids, encode_ids_blocked, BlockList};
-    let blocked = encode_ids_blocked(ids);
-    if decode_ids_blocked(&blocked).as_deref() != Some(ids) {
-        return false;
-    }
-    let from_blocked = match BlockList::from_blocked(&blocked) {
-        Some(l) => l,
-        None => return false,
-    };
+    use amada_index::codec::{encode_ids, encode_ids_chunked, BlockList};
     let from_flat = match BlockList::from_flat(&encode_ids(ids)) {
         Some(l) => l,
         None => return false,
     };
-    for list in [&from_blocked, &from_flat] {
+    let chunks = encode_ids_chunked(ids, 64);
+    let from_chunks = BlockList::from_chunks(chunks.iter().map(Vec::as_slice));
+    for list in [&from_flat, &from_chunks] {
         if list.len() != ids.len() || list.decode_all() != ids {
             return false;
         }

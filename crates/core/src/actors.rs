@@ -34,18 +34,17 @@
 
 use crate::autoscale::DrainSignal;
 use crate::config::{
-    WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE,
-    RESULT_BUCKET,
+    WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{QueryExecution, QueryPhases};
-use crate::retry::{delete_with_retry, send_with_retry, Lease, RetryPolicy};
+use crate::retry::{dead_letter, delete_with_retry, send_with_retry, Lease, RetryPolicy};
 use amada_cloud::{
     Actor, ActorTag, InstanceId, KvError, KvItem, Phase, S3Error, ServiceKind, SimDuration,
     SimTime, Span, SqsError, StepResult, World,
 };
 use amada_index::{
-    decode_tuples, lookup_mixed, lookup_query, partition_of, partition_tables, retarget_entries,
-    store::UuidGen, ExtractCache, ExtractOptions, ItemKey, MixedPlan, ScanPredicate, Strategy,
+    decode_tuples, lookup_mixed, partition_tables, routed_entries, store::UuidGen, ExtractCache,
+    ExtractOptions, ItemKey, MixedPlan, ScanPredicate, Strategy,
 };
 use amada_pattern::{evaluate_pattern_twig, join_pattern_results, parse_query, Query, Tuple};
 use amada_rng::StdRng;
@@ -65,11 +64,11 @@ use std::sync::Arc;
 pub type DocCache = Arc<ExtractCache>;
 
 /// Stream-derivation tags for the per-core jitter RNGs, so loader and
-/// query cores draw from independent streams under one master seed.
-/// `pub(crate)` so the warehouse's autoscale launchers derive the same
-/// stream for core *k* whether it was provisioned up-front or mid-run.
-pub(crate) const LOADER_RNG_TAG: u64 = 0x10AD_0000;
-pub(crate) const QUERY_RNG_TAG: u64 = 0x9E4F_0000;
+/// query cores draw from independent streams under one master seed. Core
+/// *k* of a pool derives the same stream whether it was provisioned
+/// up-front or launched mid-run by the autoscaler.
+const LOADER_RNG_TAG: u64 = 0x10AD_0000;
+const QUERY_RNG_TAG: u64 = 0x9E4F_0000;
 
 /// Item keys of *replaced or deleted* document versions, pending index
 /// retraction, keyed by URI. The front end records a version's keys here
@@ -105,6 +104,46 @@ pub struct LoaderTotals {
     pub retracted_items: u64,
 }
 
+/// Exits a module core: an autoscaled member reports to its drain signal
+/// (the last core out freezes the instance's billing window — a query
+/// instance has exactly one actor); a static one just bills its uptime.
+fn exit(
+    drain: &Option<DrainSignal>,
+    instance: InstanceId,
+    world: &mut World,
+    t: SimTime,
+) -> StepResult {
+    match drain {
+        Some(d) => d.core_exited(world, t),
+        None => world.ec2.extend(instance, t),
+    }
+    StepResult::Done
+}
+
+/// A document's index writes in flight: the new version's item batches
+/// first, then the replaced version's stale-key deletes.
+struct Upload {
+    lease: Lease,
+    uri: String,
+    batches: VecDeque<(&'static str, Vec<KvItem>)>,
+    /// Stale-key delete batches to issue once the writes land
+    /// (non-empty only when the document replaced an indexed version).
+    deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
+    entries: u64,
+    items: u64,
+    entry_bytes: u64,
+}
+
+/// How a burst of index-store calls ended.
+enum Burst {
+    /// Every batch was acknowledged, the last one at this time.
+    Done(SimTime),
+    /// A batch was throttled: resubmit the remaining ones at this time.
+    Retry(SimTime),
+    /// The core crashed mid-burst or abandoned the task; its step result.
+    Dropped(StepResult),
+}
+
 /// What a loader core is doing between steps.
 enum LoaderState {
     /// About to poll the task queue.
@@ -113,24 +152,10 @@ enum LoaderState {
     /// `Idle` so a throttled fetch can retry without re-receiving).
     Fetching { lease: Lease, uri: String },
     /// Writing the current document's item batches.
-    Uploading {
-        lease: Lease,
-        uri: String,
-        batches: VecDeque<(&'static str, Vec<KvItem>)>,
-        /// Stale-key delete batches to issue once the writes land
-        /// (non-empty only when the document replaced an indexed version).
-        deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
-        entries: u64,
-        items: u64,
-        entry_bytes: u64,
-    },
+    Uploading(Upload),
     /// New items written; deleting the replaced version's stale items
     /// (write-new-then-delete-stale keeps every key readable throughout).
-    Retracting {
-        lease: Lease,
-        uri: String,
-        deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
-    },
+    Retracting(Upload),
     /// All batches written; deleting the task message.
     Finishing { lease: Lease },
 }
@@ -141,8 +166,6 @@ pub struct LoaderCore {
     pub instance: InstanceId,
     /// The core's compute rating.
     pub ecu: f64,
-    /// Indexing strategy.
-    pub strategy: Strategy,
     /// Extraction options.
     pub opts: ExtractOptions,
     /// Shared totals.
@@ -169,13 +192,12 @@ pub struct LoaderCore {
     /// Pending retractions shared with the warehouse front end (empty for
     /// a static corpus, so churn-free builds take the exact same path).
     pub retractions: RetractionRegistry,
-    /// Per-partition strategy routing. `None` (the default) indexes every
-    /// document with `strategy` into the global tables — the byte-exact
-    /// pre-mixed path. `Some(plan)` routes each document by its URI's
-    /// partition: the partition's strategy extracts, the entries land in
-    /// the partition's own tables, and a partition assigned `None` indexes
-    /// nothing (its documents are answered by partition-scoped scans).
-    pub plan: Option<Rc<MixedPlan>>,
+    /// The routing plan: each document's partition picks the strategy
+    /// that extracts it and the tables its entries land in; a partition
+    /// assigned `None` indexes nothing (its documents are answered by
+    /// partition-scoped scans). The paper's single-strategy layout is the
+    /// flat plan — one partition, the global tables.
+    pub plan: Rc<MixedPlan>,
     /// Messages fully processed so far.
     pub processed: u32,
     /// Autoscaling drain signal shared with the instance's other cores
@@ -195,84 +217,42 @@ pub struct LoaderCore {
 }
 
 impl LoaderCore {
-    /// Creates an idle core. `rng_seed` seeds the backoff-jitter stream;
-    /// give each core its own seed so concurrent retries decorrelate.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates idle core number `idx` of the loader pool `cfg` describes,
+    /// running on `instance` — the one place a loader core is built,
+    /// whether the pool is static or elastic. `idx` derives the core's
+    /// backoff-jitter stream, so concurrent retries decorrelate. The
+    /// handles are shared with the warehouse front end and the pool's
+    /// other cores.
     pub fn new(
+        cfg: &WarehouseConfig,
         instance: InstanceId,
-        ecu: f64,
-        strategy: Strategy,
-        opts: ExtractOptions,
+        idx: u64,
+        plan: Rc<MixedPlan>,
+        retractions: RetractionRegistry,
         totals: Rc<RefCell<LoaderTotals>>,
         cache: DocCache,
-        visibility: SimDuration,
-        poll: SimDuration,
-        policy: RetryPolicy,
-        rng_seed: u64,
     ) -> LoaderCore {
         LoaderCore {
             instance,
-            ecu,
-            strategy,
-            opts,
+            ecu: cfg.loader_pool.itype.ecu_per_core(),
+            opts: cfg.extract,
             totals,
             cache,
-            visibility,
-            poll,
-            policy,
+            visibility: cfg.visibility,
+            poll: cfg.poll_interval,
+            policy: cfg.retry,
             crash_after: None,
             crash_after_batches: None,
             batches_written: 0,
-            retractions: Rc::default(),
-            plan: None,
+            retractions,
+            plan,
             processed: 0,
             drain: None,
             state: LoaderState::Idle,
             worked: false,
-            rng: StdRng::seed_from_u64(rng_seed),
+            rng: StdRng::seed_from_u64(cfg.faults.seed ^ (LOADER_RNG_TAG + idx)),
             attempt: 0,
         }
-    }
-
-    /// Exits the core: an autoscaled member reports to its drain signal
-    /// (the last core out freezes the instance's billing window); a
-    /// static core just bills its uptime.
-    fn exit(&self, world: &mut World, t: SimTime) -> StepResult {
-        match &self.drain {
-            Some(d) => d.core_exited(world, t),
-            None => world.ec2.extend(self.instance, t),
-        }
-        StepResult::Done
-    }
-
-    /// Builds the cores for one instance pool from a warehouse config.
-    pub fn pool(
-        cfg: &WarehouseConfig,
-        world: &mut World,
-        now: SimTime,
-        totals: &Rc<RefCell<LoaderTotals>>,
-        cache: &DocCache,
-    ) -> Vec<LoaderCore> {
-        let mut cores = Vec::new();
-        for _ in 0..cfg.loader_pool.count {
-            let instance = world.ec2.launch(cfg.loader_pool.itype, now);
-            for _ in 0..cfg.loader_pool.itype.cores() {
-                let idx = cores.len() as u64;
-                cores.push(LoaderCore::new(
-                    instance,
-                    cfg.loader_pool.itype.ecu_per_core(),
-                    cfg.strategy,
-                    cfg.extract,
-                    totals.clone(),
-                    cache.clone(),
-                    cfg.visibility,
-                    cfg.poll_interval,
-                    cfg.retry,
-                    cfg.faults.seed ^ (LOADER_RNG_TAG + idx),
-                ));
-            }
-        }
-        cores
     }
 
     /// Step 4: poll the task queue; on a message, lease it and move to
@@ -282,7 +262,7 @@ impl LoaderCore {
         // any leased message is fully processed, so draining never
         // abandons a lease.
         if self.drain.as_ref().is_some_and(|d| d.is_draining()) {
-            return self.exit(world, now);
+            return exit(&self.drain, self.instance, world, now);
         }
         let (msg, t) = match world.sqs.receive(now, LOADER_QUEUE, self.visibility) {
             Ok(out) => out,
@@ -301,7 +281,7 @@ impl LoaderCore {
                 .drained(LOADER_QUEUE)
                 .expect("loader queue exists")
             {
-                return self.exit(world, t);
+                return exit(&self.drain, self.instance, world, t);
             }
             world.ec2.extend(self.instance, t);
             return StepResult::NextAt(t + self.poll);
@@ -317,23 +297,13 @@ impl LoaderCore {
             return StepResult::Done;
         }
         if msg.receive_count > self.policy.max_receives {
-            // Poison message: every previous holder died or abandoned it.
-            // Park it on the dead-letter queue instead of recirculating.
-            let t = send_with_retry(
-                &mut world.sqs,
-                &self.policy,
-                &mut self.rng,
-                t,
-                DEAD_LETTER_QUEUE,
-                msg.body,
-            );
-            let t = delete_with_retry(
+            let t = dead_letter(
                 &mut world.sqs,
                 &self.policy,
                 &mut self.rng,
                 t,
                 LOADER_QUEUE,
-                msg.id,
+                msg,
             );
             return StepResult::NextAt(t);
         }
@@ -387,14 +357,14 @@ impl LoaderCore {
             Err(e) => panic!("loader messages reference stored documents: {e}"),
         };
         self.attempt = 0;
-        // Mixed routing: the document's partition picks the strategy. A
-        // partition assigned `None` indexes nothing — an empty extraction
-        // whose only effect is retracting whatever an earlier placement
-        // left behind for this URI.
-        let routed: Option<Strategy> = match &self.plan {
-            Some(plan) => plan.strategy_for_uri(&uri),
-            None => Some(self.strategy),
-        };
+        // The document's partition picks the strategy. A partition
+        // assigned `None` indexes nothing — an empty extraction whose only
+        // effect is retracting whatever an earlier placement left behind
+        // for this URI.
+        let partition = self.plan.partition_of(&uri);
+        let routed = self.plan.strategy_of(partition);
+        // The placement's own tables, in the strategy's order.
+        let mut tables = routed.map_or_else(Vec::new, |s| partition_tables(s, partition));
         let profile = world.kv.profile();
         let mut batches = VecDeque::new();
         let mut entry_count = 0u64;
@@ -405,17 +375,10 @@ impl LoaderCore {
             // Parse, extract, encode (memoized on the host after the
             // prewarm stage; virtually charged in full either way).
             let (_doc, cached) = self.cache.extracted(&uri, &bytes, strategy, self.opts);
-            // Under a mixed plan the entries are routed into the
-            // partition's own tables; without one they stay in the global
-            // tables untouched (no clone on the paper's path).
-            let entries: std::borrow::Cow<[amada_index::IndexEntry]> = match &self.plan {
-                Some(_) => {
-                    let mut routed = (*cached).clone();
-                    retarget_entries(&mut routed, partition_of(&uri));
-                    std::borrow::Cow::Owned(routed)
-                }
-                None => std::borrow::Cow::Borrowed(&cached[..]),
-            };
+            // Root-partition entries stay borrowed from the cache (no
+            // copy on the paper's path); other partitions' entries are
+            // routed into the partition's own tables.
+            let entries = routed_entries(&cached, partition);
             entry_count = entries.len() as u64;
             entry_bytes = entries.iter().map(|e| e.raw_bytes() as u64).sum();
             let extraction = world.work.parse(bytes.len() as u64, self.ecu)
@@ -435,15 +398,11 @@ impl LoaderCore {
                     .or_default()
                     .extend(amada_index::store::encode_entry(e, &profile, &mut uuids));
             }
-            let tables: Vec<&'static str> = match &self.plan {
-                Some(_) => partition_tables(strategy, partition_of(&uri)),
-                None => strategy.tables().to_vec(),
-            };
-            for table in tables {
+            for table in &tables {
                 if let Some(table_items) = per_table.remove(table) {
                     items += table_items.len() as u64;
                     for chunk in table_items.chunks(profile.batch_put_limit) {
-                        batches.push_back((table, chunk.to_vec()));
+                        batches.push_back((*table, chunk.to_vec()));
                     }
                 }
             }
@@ -478,44 +437,30 @@ impl LoaderCore {
             for (table, hash, range) in stale {
                 per_table.entry(table).or_default().push((hash, range));
             }
-            // Without a plan the strategy's own tables keep their legacy
-            // order; under one, a migration's stale keys reference the
-            // *previous* placement's tables, so the order comes from the
-            // keys themselves (name order — deterministic either way).
-            let mut tables: Vec<&'static str> = match &self.plan {
-                Some(_) => per_table.keys().copied().collect(),
-                None => self.strategy.tables().to_vec(),
-            };
-            // A plan switch can strand stale keys in tables outside the
-            // flat strategy's set (migrating a partition back to the flat
-            // layout); cover them after the strategy's own tables — a
-            // no-op whenever no plan was ever in force.
+            // The placement's own tables come first, in the strategy's
+            // order; a plan switch strands stale keys in the *previous*
+            // placement's tables, covered after them in name order.
             for &table in per_table.keys() {
                 if !tables.contains(&table) {
                     tables.push(table);
                 }
             }
-            for table in tables {
+            for table in &tables {
                 if let Some(keys) = per_table.remove(table) {
                     for chunk in keys.chunks(profile.batch_put_limit) {
-                        deletes.push_back((table, chunk.to_vec()));
+                        deletes.push_back((*table, chunk.to_vec()));
                     }
                 }
             }
         }
-        if self.plan.is_some() {
-            // A mixed write may target a partition table no one created
-            // yet (unnamed partitions fall back to the default strategy at
-            // write time); ensuring is a free, idempotent host-side call.
-            for (table, _) in batches.iter() {
-                world.kv.ensure_table(table);
-            }
-            for (table, _) in deletes.iter() {
-                world.kv.ensure_table(table);
-            }
+        // A write may target a partition table no one created yet (unnamed
+        // partitions fall back to the default strategy at write time);
+        // ensuring is a free, idempotent host-side call.
+        for table in tables {
+            world.kv.ensure_table(table);
         }
         lease.keep_alive(&mut world.sqs, t);
-        self.state = LoaderState::Uploading {
+        self.state = LoaderState::Uploading(Upload {
             lease,
             uri,
             batches,
@@ -523,35 +468,31 @@ impl LoaderCore {
             entries: entry_count,
             items,
             entry_bytes,
-        };
+        });
         StepResult::NextAt(t)
     }
 
-    /// Step 6: submit the document's remaining batches *at once* (the
-    /// paper's uploader is multi-threaded per instance, so batch writes
+    /// Submits the `pending` index-store batches *at once* at `now` (the
+    /// paper's uploader is multi-threaded per instance, so batch calls
     /// are in flight concurrently); the store's capacity queue serializes
-    /// them, and the core proceeds when the last acknowledgement arrives.
-    /// Submitting at one arrival time also keeps concurrent cores' writes
-    /// interleaved at their true virtual times. A throttled batch pauses
-    /// the burst; the remaining batches are resubmitted after backoff.
-    #[allow(clippy::too_many_arguments)]
-    fn step_uploading(
+    /// them, and the burst is done when the last acknowledgement arrives.
+    /// Submitting at one arrival time also keeps concurrent cores' calls
+    /// interleaved at their true virtual times. `submit` issues one
+    /// batch, handing it back with the retry time when throttled: that
+    /// pauses the burst, and the remaining batches are resubmitted after
+    /// backoff — or, past the retry budget, abandoned to redelivery
+    /// (rewrites and deletes are idempotent: deterministic range keys).
+    fn burst<B>(
         &mut self,
         now: SimTime,
         world: &mut World,
-        mut lease: Lease,
-        uri: String,
-        mut batches: VecDeque<(&'static str, Vec<KvItem>)>,
-        deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
-        entries: u64,
-        items: u64,
-        entry_bytes: u64,
-    ) -> StepResult {
+        lease: &mut Lease,
+        pending: &mut VecDeque<(&'static str, B)>,
+        mut submit: impl FnMut(&mut World, &'static str, B) -> Result<SimTime, (B, SimTime)>,
+    ) -> Burst {
         lease.keep_alive(&mut world.sqs, now);
-        let retryable = world.kv.faults_active();
         let mut last = now;
-        let mut throttled_at: Option<SimTime> = None;
-        while let Some((table, batch)) = batches.pop_front() {
+        while let Some((table, batch)) = pending.pop_front() {
             if self
                 .crash_after_batches
                 .is_some_and(|n| self.batches_written >= n)
@@ -563,70 +504,71 @@ impl LoaderCore {
                 world
                     .obs
                     .record(|_, ctx| Span::new(ServiceKind::Actor, "crash", now, last, ctx));
-                return StepResult::Done;
+                return Burst::Dropped(StepResult::Done);
             }
-            let res = if retryable {
-                // Keep a retry copy only when the store can actually
-                // throttle; fault-free runs move the batch without copying.
-                match world.kv.batch_put(now, table, batch.clone()) {
-                    Err(KvError::Throttled { available_at }) => {
-                        batches.push_front((table, batch));
-                        throttled_at = Some(available_at);
-                        break;
-                    }
-                    other => other,
+            match submit(world, table, batch) {
+                Ok(done) => {
+                    self.batches_written += 1;
+                    last = last.max(done);
                 }
-            } else {
-                world.kv.batch_put(now, table, batch)
-            };
-            let done = res.expect("index entries fit the store limits");
-            self.batches_written += 1;
-            last = last.max(done);
-        }
-        if let Some(available_at) = throttled_at {
-            self.attempt += 1;
-            if self.attempt > self.policy.max_attempts {
-                // Abandon the document; redelivery will rewrite it
-                // idempotently (deterministic range keys).
-                self.attempt = 0;
-                self.totals.borrow_mut().upload_micros += (last.max(available_at) - now).micros();
-                self.state = LoaderState::Idle;
-                return StepResult::NextAt(available_at + self.poll);
+                Err((batch, available_at)) => {
+                    pending.push_front((table, batch));
+                    self.attempt += 1;
+                    let mut totals = self.totals.borrow_mut();
+                    if self.attempt > self.policy.max_attempts {
+                        self.attempt = 0;
+                        totals.upload_micros += (last.max(available_at) - now).micros();
+                        return Burst::Dropped(StepResult::NextAt(available_at + self.poll));
+                    }
+                    let resume = available_at + self.policy.backoff(self.attempt, &mut self.rng);
+                    totals.upload_micros += (resume - now).micros();
+                    lease.keep_alive(&mut world.sqs, resume);
+                    return Burst::Retry(resume);
+                }
             }
-            let resume = available_at + self.policy.backoff(self.attempt, &mut self.rng);
-            self.totals.borrow_mut().upload_micros += (resume - now).micros();
-            lease.keep_alive(&mut world.sqs, resume);
-            self.state = LoaderState::Uploading {
-                lease,
-                uri,
-                batches,
-                deletes,
-                entries,
-                items,
-                entry_bytes,
-            };
-            return StepResult::NextAt(resume);
         }
         self.attempt = 0;
+        self.totals.borrow_mut().upload_micros += (last - now).micros();
+        Burst::Done(last)
+    }
+
+    /// Step 6: write the document's remaining item batches in one burst.
+    fn step_uploading(&mut self, now: SimTime, world: &mut World, mut up: Upload) -> StepResult {
+        let retryable = world.kv.faults_active();
+        let put = |world: &mut World, table, batch: Vec<KvItem>| {
+            if !retryable {
+                // Fault-free runs move the batch without copying.
+                let done = world.kv.batch_put(now, table, batch);
+                return Ok(done.expect("index entries fit the store limits"));
+            }
+            // Keep a retry copy only when the store can actually throttle.
+            match world.kv.batch_put(now, table, batch.clone()) {
+                Err(KvError::Throttled { available_at }) => Err((batch, available_at)),
+                other => Ok(other.expect("index entries fit the store limits")),
+            }
+        };
+        let last = match self.burst(now, world, &mut up.lease, &mut up.batches, put) {
+            Burst::Done(last) => last,
+            Burst::Retry(resume) => {
+                self.state = LoaderState::Uploading(up);
+                return StepResult::NextAt(resume);
+            }
+            Burst::Dropped(result) => return result,
+        };
         world.obs.record(|_, ctx| {
-            Span::new(ServiceKind::Actor, "upload", now, last, ctx).bytes(entry_bytes)
+            Span::new(ServiceKind::Actor, "upload", now, last, ctx).bytes(up.entry_bytes)
         });
         let mut tot = self.totals.borrow_mut();
-        tot.upload_micros += (last - now).micros();
         tot.docs += 1;
-        tot.entries += entries;
-        tot.items += items;
-        tot.entry_bytes += entry_bytes;
+        tot.entries += up.entries;
+        tot.items += up.items;
+        tot.entry_bytes += up.entry_bytes;
         drop(tot);
-        lease.keep_alive(&mut world.sqs, last);
-        self.state = if deletes.is_empty() {
-            LoaderState::Finishing { lease }
+        up.lease.keep_alive(&mut world.sqs, last);
+        self.state = if up.deletes.is_empty() {
+            LoaderState::Finishing { lease: up.lease }
         } else {
-            LoaderState::Retracting {
-                lease,
-                uri,
-                deletes,
-            }
+            LoaderState::Retracting(up)
         };
         StepResult::NextAt(last)
     }
@@ -637,75 +579,37 @@ impl LoaderCore {
     /// every key stays readable throughout; the registry entry is cleared
     /// only once every delete succeeded, so a crash (`crash_after_batches`
     /// also counts delete batches) or abandon retries the retraction on
-    /// redelivery.
-    fn step_retracting(
-        &mut self,
-        now: SimTime,
-        world: &mut World,
-        mut lease: Lease,
-        uri: String,
-        mut deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
-    ) -> StepResult {
-        lease.keep_alive(&mut world.sqs, now);
-        let mut last = now;
+    /// redelivery: the redelivered message recomputes and reissues the
+    /// remaining deletes (reissuing completed ones would be harmless too
+    /// — deletes are idempotent).
+    fn step_retracting(&mut self, now: SimTime, world: &mut World, mut up: Upload) -> StepResult {
         let mut removed = 0u64;
-        let mut throttled_at: Option<SimTime> = None;
-        while let Some((table, keys)) = deletes.pop_front() {
-            if self
-                .crash_after_batches
-                .is_some_and(|n| self.batches_written >= n)
-            {
-                world.ec2.extend(self.instance, last);
-                world
-                    .obs
-                    .record(|_, ctx| Span::new(ServiceKind::Actor, "crash", now, last, ctx));
-                return StepResult::Done;
+        let delete = |world: &mut World, table, keys: Vec<(String, String)>| match world
+            .kv
+            .batch_delete(now, table, &keys)
+        {
+            Err(KvError::Throttled { available_at }) => Err((keys, available_at)),
+            other => {
+                removed += keys.len() as u64;
+                Ok(other.expect("stale-key deletes fit the store limits"))
             }
-            match world.kv.batch_delete(now, table, &keys) {
-                Err(KvError::Throttled { available_at }) => {
-                    deletes.push_front((table, keys));
-                    throttled_at = Some(available_at);
-                    break;
-                }
-                other => {
-                    let done = other.expect("stale-key deletes fit the store limits");
-                    removed += keys.len() as u64;
-                    self.batches_written += 1;
-                    last = last.max(done);
-                }
-            }
-        }
+        };
+        let outcome = self.burst(now, world, &mut up.lease, &mut up.deletes, delete);
         self.totals.borrow_mut().retracted_items += removed;
-        if let Some(available_at) = throttled_at {
-            self.attempt += 1;
-            if self.attempt > self.policy.max_attempts {
-                // Abandon: the registry entry is still in place, so the
-                // redelivered message recomputes and reissues the
-                // remaining deletes (reissuing completed ones would be
-                // harmless too — deletes are idempotent).
-                self.attempt = 0;
-                self.totals.borrow_mut().upload_micros += (last.max(available_at) - now).micros();
-                self.state = LoaderState::Idle;
-                return StepResult::NextAt(available_at + self.poll);
+        let last = match outcome {
+            Burst::Done(last) => last,
+            Burst::Retry(resume) => {
+                self.state = LoaderState::Retracting(up);
+                return StepResult::NextAt(resume);
             }
-            let resume = available_at + self.policy.backoff(self.attempt, &mut self.rng);
-            self.totals.borrow_mut().upload_micros += (resume - now).micros();
-            lease.keep_alive(&mut world.sqs, resume);
-            self.state = LoaderState::Retracting {
-                lease,
-                uri,
-                deletes,
-            };
-            return StepResult::NextAt(resume);
-        }
-        self.attempt = 0;
-        self.retractions.borrow_mut().remove(&uri);
+            Burst::Dropped(result) => return result,
+        };
+        self.retractions.borrow_mut().remove(&up.uri);
         world
             .obs
             .record(|_, ctx| Span::new(ServiceKind::Actor, "retract", now, last, ctx));
-        self.totals.borrow_mut().upload_micros += (last - now).micros();
-        lease.keep_alive(&mut world.sqs, last);
-        self.state = LoaderState::Finishing { lease };
+        up.lease.keep_alive(&mut world.sqs, last);
+        self.state = LoaderState::Finishing { lease: up.lease };
         StepResult::NextAt(last)
     }
 
@@ -734,8 +638,8 @@ impl Actor for LoaderCore {
             c.query = None;
             c.doc = match &state {
                 LoaderState::Fetching { uri, .. }
-                | LoaderState::Uploading { uri, .. }
-                | LoaderState::Retracting { uri, .. } => Some(uri.as_str().into()),
+                | LoaderState::Uploading(Upload { uri, .. })
+                | LoaderState::Retracting(Upload { uri, .. }) => Some(uri.as_str().into()),
                 _ => None,
             };
             c.actor = Some(ActorTag {
@@ -746,30 +650,8 @@ impl Actor for LoaderCore {
         let result = match state {
             LoaderState::Idle => self.step_idle(now, world),
             LoaderState::Fetching { lease, uri } => self.step_fetching(now, world, lease, uri),
-            LoaderState::Uploading {
-                lease,
-                uri,
-                batches,
-                deletes,
-                entries,
-                items,
-                entry_bytes,
-            } => self.step_uploading(
-                now,
-                world,
-                lease,
-                uri,
-                batches,
-                deletes,
-                entries,
-                items,
-                entry_bytes,
-            ),
-            LoaderState::Retracting {
-                lease,
-                uri,
-                deletes,
-            } => self.step_retracting(now, world, lease, uri, deletes),
+            LoaderState::Uploading(up) => self.step_uploading(now, world, up),
+            LoaderState::Retracting(up) => self.step_retracting(now, world, up),
             LoaderState::Finishing { lease } => self.step_finishing(now, world, lease),
         };
         if let StepResult::NextAt(t) = result {
@@ -789,15 +671,14 @@ pub struct QueryCore {
     pub cores: usize,
     /// Compute rating per core.
     pub ecu: f64,
-    /// `Some(strategy)` to use the index, `None` for the no-index baseline
-    /// that scans the whole corpus.
+    /// What executions report: the configured strategy when the plan
+    /// indexes anything, `None` when every query scans the whole corpus.
+    /// `Some(LupPd)` also switches the fetch phase to storage-side scans.
     pub strategy: Option<Strategy>,
-    /// Per-partition routing: when set, look-ups union each indexed
-    /// partition's own-strategy answer with partition-scoped scans of the
-    /// unindexed ones, overriding `strategy` for the look-up phase (the
-    /// fetch/evaluate phase downstream is unchanged). `None` keeps the
-    /// single-strategy path byte-identically.
-    pub plan: Option<Rc<MixedPlan>>,
+    /// The routing plan: look-ups union each indexed partition's
+    /// own-strategy answer with partition-scoped scans of the unindexed
+    /// ones. The no-index baseline is the flat plan that indexes nothing.
+    pub plan: Rc<MixedPlan>,
     /// The front end's partition catalog — every partition holding live
     /// documents, known from its own upload records (free host-side
     /// metadata, like the plan). A fully indexed plan fans its look-ups
@@ -831,47 +712,69 @@ pub struct QueryCore {
 }
 
 impl QueryCore {
-    /// Builds one actor per query-pool instance.
-    pub fn pool(
+    /// Creates processor number `idx` of the query pool `cfg` describes,
+    /// running on `instance` — the one place a query core is built,
+    /// whether the pool is static or elastic. `idx` derives the
+    /// backoff-jitter stream.
+    pub fn new(
         cfg: &WarehouseConfig,
-        world: &mut World,
-        now: SimTime,
-        strategy: Option<Strategy>,
-        executions: &Rc<RefCell<Vec<QueryExecution>>>,
-        cache: &DocCache,
-    ) -> Vec<QueryCore> {
-        (0..cfg.query_pool.count)
-            .map(|i| QueryCore {
-                instance: world.ec2.launch(cfg.query_pool.itype, now),
-                cores: cfg.query_pool.itype.cores(),
-                ecu: cfg.query_pool.itype.ecu_per_core(),
-                strategy,
-                plan: None,
-                partitions: Rc::default(),
-                opts: cfg.extract,
-                cache: cache.clone(),
-                visibility: cfg.visibility,
-                poll: cfg.poll_interval,
-                executions: executions.clone(),
-                policy: cfg.retry,
-                rng: StdRng::seed_from_u64(cfg.faults.seed ^ (QUERY_RNG_TAG + i as u64)),
-                crash_after: None,
-                processed: 0,
-                attempt: 0,
-                drain: None,
-            })
-            .collect()
+        instance: InstanceId,
+        idx: u64,
+        plan: Rc<MixedPlan>,
+        partitions: Rc<BTreeSet<String>>,
+        executions: Rc<RefCell<Vec<QueryExecution>>>,
+        cache: DocCache,
+    ) -> QueryCore {
+        QueryCore {
+            instance,
+            cores: cfg.query_pool.itype.cores(),
+            ecu: cfg.query_pool.itype.ecu_per_core(),
+            strategy: (!plan.indexed_strategies().is_empty()).then_some(cfg.strategy),
+            plan,
+            partitions,
+            opts: cfg.extract,
+            cache,
+            visibility: cfg.visibility,
+            poll: cfg.poll_interval,
+            executions,
+            policy: cfg.retry,
+            rng: StdRng::seed_from_u64(cfg.faults.seed ^ (QUERY_RNG_TAG + idx)),
+            crash_after: None,
+            processed: 0,
+            attempt: 0,
+            drain: None,
+        }
     }
 
-    /// Exits the processor: an autoscaled member reports to its drain
-    /// signal (freezing the instance's billing window — a query instance
-    /// has exactly one actor); a static one just bills its uptime.
-    fn exit(&self, world: &mut World, t: SimTime) -> StepResult {
-        match &self.drain {
-            Some(d) => d.core_exited(world, t),
-            None => world.ec2.extend(self.instance, t),
-        }
-        StepResult::Done
+    /// Reads one candidate document (a GET, or a storage-side scan) issued
+    /// at `t`, retrying `SlowDown` throttles with backoff. The waits and
+    /// the response time are added to `serial` — retry waits are serial
+    /// work like the transfers they delay. `Err(resume time)` when the
+    /// retry budget is exhausted (the caller abandons the task).
+    fn read_candidate<T>(
+        &mut self,
+        t: SimTime,
+        serial: &mut SimDuration,
+        mut read: impl FnMut() -> Result<(T, SimTime), S3Error>,
+    ) -> Result<T, SimTime> {
+        let (payload, resp) = loop {
+            match read() {
+                Ok(out) => break out,
+                Err(S3Error::SlowDown { available_at }) => {
+                    self.attempt += 1;
+                    if self.attempt > self.policy.max_attempts {
+                        self.attempt = 0;
+                        return Err(available_at);
+                    }
+                    *serial +=
+                        (available_at - t) + self.policy.backoff(self.attempt, &mut self.rng);
+                }
+                Err(e) => panic!("candidate documents exist: {e}"),
+            }
+        };
+        self.attempt = 0;
+        *serial += resp - t;
+        Ok(payload)
     }
 
     /// Executes one query message. Returns `Ok(completion time)`, or
@@ -895,98 +798,72 @@ impl QueryCore {
         // Phase 1+2: index look-up and plan execution (step 10–12).
         let mut phases = QueryPhases::default();
         let mut docs_from_index = 0usize;
-        let mut index_get_ops = 0u64;
-        // Per pattern: the candidate documents to evaluate it on.
-        let per_pattern_uris: Vec<Vec<String>>;
         let mut t = t0;
-        match (self.plan.clone(), self.strategy) {
-            (plan, Some(_)) | (plan @ Some(_), None) => {
-                let strategy = self.strategy;
-                let get_ops_before = world.kv.stats().get_ops;
-                // A throttle aborts the look-up mid-flight; the whole
-                // look-up is retried (every aborted get stays billed).
-                let lookup = loop {
-                    let res = match &plan {
-                        Some(plan) => {
-                            // The corpus listing enumerates the scan
-                            // partitions' documents. `list` is billed
-                            // like a GET (LIST-class request), so a fully
-                            // indexed plan — which can never route a
-                            // query to the scan path — skips it entirely
-                            // instead of paying one billed request per
-                            // arrival for a listing it would throw away;
-                            // its look-ups fan out over the partition
-                            // catalog instead.
-                            let corpus = if plan.fully_indexed() {
-                                Vec::new()
-                            } else {
-                                world
-                                    .s3
-                                    .list(t, DOC_BUCKET)
-                                    .expect("document bucket exists")
-                            };
-                            lookup_mixed(
-                                world.kv.as_mut(),
-                                t,
-                                plan,
-                                self.opts,
-                                &query,
-                                &corpus,
-                                &self.partitions,
-                            )
-                        }
-                        None => {
-                            let strategy = strategy.expect("checked by the match arm");
-                            lookup_query(world.kv.as_mut(), t, strategy, self.opts, &query)
-                        }
-                    };
-                    match res {
-                        Ok(lookup) => break lookup,
-                        Err(KvError::Throttled { available_at }) => {
-                            self.attempt += 1;
-                            if self.attempt > self.policy.max_attempts {
-                                self.attempt = 0;
-                                return Err(available_at);
-                            }
-                            let resume =
-                                available_at + self.policy.backoff(self.attempt, &mut self.rng);
-                            lease.keep_alive(&mut world.sqs, resume);
-                            t = resume;
-                        }
-                        Err(e) => panic!("index look-up succeeds: {e}"),
+        let get_ops_before = world.kv.stats().get_ops;
+        // The corpus listing enumerates the scan partitions' documents.
+        // `list` is never throttled but is billed like a GET (LIST-class
+        // request), so a fully indexed plan — which can never route a
+        // query to the scan path — skips it entirely instead of paying
+        // one billed request per arrival for a listing it would throw
+        // away; its look-ups fan out over the partition catalog instead.
+        let corpus = if self.plan.fully_indexed() {
+            Vec::new()
+        } else {
+            world
+                .s3
+                .list(t, DOC_BUCKET)
+                .expect("document bucket exists")
+        };
+        // A throttle aborts the look-up mid-flight; the whole look-up is
+        // retried (every aborted get stays billed).
+        let lookup = loop {
+            match lookup_mixed(
+                world.kv.as_mut(),
+                t,
+                &self.plan,
+                self.opts,
+                &query,
+                &corpus,
+                &self.partitions,
+            ) {
+                Ok(lookup) => break lookup,
+                Err(KvError::Throttled { available_at }) => {
+                    self.attempt += 1;
+                    if self.attempt > self.policy.max_attempts {
+                        self.attempt = 0;
+                        return Err(available_at);
                     }
-                };
-                self.attempt = 0;
-                let t_get = lookup.ready_at();
-                phases.lookup_get = t_get - t;
-                let plan = world.work.plan(lookup.entries_processed(), self.ecu);
-                phases.plan = plan;
-                let t_lookup = t;
-                world.obs.record(|_, ctx| {
-                    Span::new(ServiceKind::Actor, "lookup_get", t_lookup, t_get, ctx)
-                });
-                world.obs.record(|_, ctx| {
-                    Span::new(ServiceKind::Actor, "plan", t_get, t_get + plan, ctx)
-                });
-                t = t_get + plan;
-                docs_from_index = lookup.total_doc_ids;
-                // `|op(q, D, I)|` counts billed ops, throttled retries
-                // included.
-                index_get_ops = world.kv.stats().get_ops - get_ops_before;
-                per_pattern_uris = lookup.per_pattern.into_iter().map(|o| o.uris).collect();
+                    let resume = available_at + self.policy.backoff(self.attempt, &mut self.rng);
+                    lease.keep_alive(&mut world.sqs, resume);
+                    t = resume;
+                }
+                Err(e) => panic!("index look-up succeeds: {e}"),
             }
-            (None, None) => {
-                // No index: every pattern is evaluated on every document.
-                // (`list` is never throttled but is billed like a GET —
-                // the no-index path pays one LIST-class request per
-                // query on top of its scans.)
-                let all = world
-                    .s3
-                    .list(t, DOC_BUCKET)
-                    .expect("document bucket exists");
-                per_pattern_uris = vec![all; query.patterns.len()];
-            }
+        };
+        self.attempt = 0;
+        // A plan that indexes nothing has no look-up phase to report: no
+        // store call was made, every pattern is evaluated on every
+        // document, and no time passed.
+        if self.strategy.is_some() {
+            let t_get = lookup.ready_at();
+            phases.lookup_get = t_get - t;
+            let plan = world.work.plan(lookup.entries_processed(), self.ecu);
+            phases.plan = plan;
+            let t_lookup = t;
+            world
+                .obs
+                .record(|_, ctx| Span::new(ServiceKind::Actor, "lookup_get", t_lookup, t_get, ctx));
+            world
+                .obs
+                .record(|_, ctx| Span::new(ServiceKind::Actor, "plan", t_get, t_get + plan, ctx));
+            t = t_get + plan;
+            docs_from_index = lookup.total_doc_ids;
         }
+        // `|op(q, D, I)|` counts billed ops, throttled retries included.
+        let index_get_ops = world.kv.stats().get_ops - get_ops_before;
+        // Per pattern: the candidate documents to evaluate it on.
+        let per_pattern_uris: Vec<Vec<String>> =
+            lookup.per_pattern.into_iter().map(|o| o.uris).collect();
 
         // Phase 3: transfer candidate documents and evaluate (steps 13–14).
         // Work is accumulated serially and divided across the cores;
@@ -1007,23 +884,9 @@ impl QueryCore {
                 let mut tuples = Vec::new();
                 for uri in uris {
                     fetched.insert(uri);
-                    let (bytes, resp) = loop {
-                        match world.s3.scan(t, DOC_BUCKET, uri, &pred) {
-                            Ok(out) => break out,
-                            Err(S3Error::SlowDown { available_at }) => {
-                                self.attempt += 1;
-                                if self.attempt > self.policy.max_attempts {
-                                    self.attempt = 0;
-                                    return Err(available_at);
-                                }
-                                serial += (available_at - t)
-                                    + self.policy.backoff(self.attempt, &mut self.rng);
-                            }
-                            Err(e) => panic!("candidate documents exist: {e}"),
-                        }
-                    };
-                    self.attempt = 0;
-                    serial += resp - t;
+                    let bytes = self.read_candidate(t, &mut serial, || {
+                        world.s3.scan(t, DOC_BUCKET, uri, &pred)
+                    })?;
                     tuples.extend(
                         decode_tuples(&bytes, uri).expect("store-encoded scan results decode"),
                     );
@@ -1037,23 +900,8 @@ impl QueryCore {
                     if !fetched.insert(uri) {
                         continue;
                     }
-                    let (bytes, resp) = loop {
-                        match world.s3.get(t, DOC_BUCKET, uri) {
-                            Ok(out) => break out,
-                            Err(S3Error::SlowDown { available_at }) => {
-                                self.attempt += 1;
-                                if self.attempt > self.policy.max_attempts {
-                                    self.attempt = 0;
-                                    return Err(available_at);
-                                }
-                                serial += (available_at - t)
-                                    + self.policy.backoff(self.attempt, &mut self.rng);
-                            }
-                            Err(e) => panic!("candidate documents exist: {e}"),
-                        }
-                    };
-                    self.attempt = 0;
-                    serial += resp - t;
+                    let bytes =
+                        self.read_candidate(t, &mut serial, || world.s3.get(t, DOC_BUCKET, uri))?;
                     serial += world.work.parse(bytes.len() as u64, self.ecu);
                     docs.insert(uri, self.cache.parsed(uri, &bytes));
                 }
@@ -1166,7 +1014,7 @@ impl Actor for QueryCore {
             });
         });
         if self.drain.as_ref().is_some_and(|d| d.is_draining()) {
-            return self.exit(world, now);
+            return exit(&self.drain, self.instance, world, now);
         }
         let (msg, t) = match world.sqs.receive(now, QUERY_QUEUE, self.visibility) {
             Ok(out) => out,
@@ -1181,7 +1029,7 @@ impl Actor for QueryCore {
         self.attempt = 0;
         let Some(msg) = msg else {
             if world.sqs.drained(QUERY_QUEUE).expect("query queue exists") {
-                return self.exit(world, t);
+                return exit(&self.drain, self.instance, world, t);
             }
             world.ec2.extend(self.instance, t);
             return StepResult::NextAt(t + self.poll);
@@ -1195,21 +1043,13 @@ impl Actor for QueryCore {
             return StepResult::Done;
         }
         if msg.receive_count > self.policy.max_receives {
-            let t = send_with_retry(
-                &mut world.sqs,
-                &self.policy,
-                &mut self.rng,
-                t,
-                DEAD_LETTER_QUEUE,
-                msg.body,
-            );
-            let t = delete_with_retry(
+            let t = dead_letter(
                 &mut world.sqs,
                 &self.policy,
                 &mut self.rng,
                 t,
                 QUERY_QUEUE,
-                msg.id,
+                msg,
             );
             world.ec2.extend(self.instance, t);
             return StepResult::NextAt(t);

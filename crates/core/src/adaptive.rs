@@ -44,7 +44,7 @@ use crate::cost::CostModel;
 use amada_cloud::{DynamoDb, KvStore, Money, SimDuration, SimTime, S3};
 use amada_index::{
     extract, lookup_pattern_in, partition_lookup_tables, partition_of, partition_tables,
-    retarget_entries, write_entries, MixedPlan, Strategy,
+    routed_entries, write_entries, MixedPlan, Strategy,
 };
 use amada_obs::Attribution;
 use amada_pattern::{evaluate_pattern_twig, join_pattern_results, Query, Tuple};
@@ -356,8 +356,8 @@ impl<'a> Scenario<'a> {
             let mut serial_doc = self.fetch[uri] + work.parse(self.doc_bytes[uri], lecu);
             let mut doc_puts = 0u64;
             if let Some(s) = strategy {
-                let mut entries = extract(&self.docs[uri], s, self.base.extract);
-                retarget_entries(&mut entries, partition);
+                let entries = extract(&self.docs[uri], s, self.base.extract);
+                let entries = routed_entries(&entries, partition);
                 let entry_bytes: u64 = entries.iter().map(|e| e.raw_bytes() as u64).sum();
                 serial_doc += work.extract(entry_bytes, lecu);
                 let before = kv.stats().put_ops;

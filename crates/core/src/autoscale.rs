@@ -25,9 +25,10 @@
 //! Everything is deterministic: the controller is an ordinary engine
 //! actor woken at virtual times, new cores are adopted through the
 //! engine's FIFO spawn queue, and scale-in picks victims in LIFO launch
-//! order. With the policy absent (`None` in the config) none of this
-//! code runs and the warehouse is bit-identical to the static-pool
-//! version — asserted by `tests/autoscale.rs`.
+//! order. A static pool is the same launcher called `count` times up
+//! front with no controller, so a `min == max` elastic pool executes
+//! exactly like the static pool of that size — asserted by
+//! `tests/autoscale.rs`.
 //!
 //! Correctness under drain leans entirely on the queue's at-least-once
 //! contract: a drained core never abandons a lease (it completes the
@@ -234,29 +235,23 @@ impl Actor for AutoscaleController<'_> {
         };
         self.attempt = 0;
         let desired = self.policy.desired(depth);
-        while self.members.len() < desired {
-            let sig = (self.launcher)(world, t, self.policy.boot_latency);
-            self.members.push(sig);
+        while self.members.len() != desired {
+            let (direction, instance) = if self.members.len() < desired {
+                let sig = (self.launcher)(world, t, self.policy.boot_latency);
+                let id = sig.instance();
+                self.members.push(sig);
+                (ScaleDirection::Out, id)
+            } else {
+                let victim = self.members.pop().expect("len > desired >= min >= 1");
+                victim.drain();
+                (ScaleDirection::In, victim.instance())
+            };
             self.record_event(
                 world,
                 ScaleEvent {
                     at: t,
-                    direction: ScaleDirection::Out,
-                    instance: self.members.last().expect("just pushed").instance(),
-                    depth,
-                    pool_size: self.members.len(),
-                },
-            );
-        }
-        while self.members.len() > desired {
-            let victim = self.members.pop().expect("len > desired >= min >= 1");
-            victim.drain();
-            self.record_event(
-                world,
-                ScaleEvent {
-                    at: t,
-                    direction: ScaleDirection::In,
-                    instance: victim.instance(),
+                    direction,
+                    instance,
                     depth,
                     pool_size: self.members.len(),
                 },
@@ -266,11 +261,14 @@ impl Actor for AutoscaleController<'_> {
     }
 }
 
-/// A front-end actor that releases query messages in timed bursts (the
-/// `repro scale` workload): each burst's messages are sent back-to-back
-/// at their scheduled instant, and the queue is closed after the last
-/// send so the pool (and its controller) can wind down.
-pub struct BurstSender {
+/// The front end's one traffic sender: releases a prepared
+/// `(send at, query name, message body)` schedule and closes the queue
+/// after the last send so the pool (and its controller) can wind down.
+/// As an engine actor it sends each message at its scheduled instant —
+/// timed bursts, an open-loop [`ArrivalProcess`] — regardless of
+/// completions; [`ArrivalSender::send_all`] is the paper's closed batch,
+/// the whole schedule sent before the engine starts.
+pub struct ArrivalSender {
     queue: &'static str,
     /// `(send at, query name, message body)`, in send order.
     pending: VecDeque<(SimTime, String, String)>,
@@ -278,15 +276,15 @@ pub struct BurstSender {
     tag: ActorTag,
 }
 
-impl BurstSender {
+impl ArrivalSender {
     /// A sender for a prepared schedule (must be non-decreasing in time).
     pub fn new(
         queue: &'static str,
         pending: VecDeque<(SimTime, String, String)>,
         retry: RetryPolicy,
         tag: ActorTag,
-    ) -> BurstSender {
-        BurstSender {
+    ) -> ArrivalSender {
+        ArrivalSender {
             queue,
             pending,
             retry,
@@ -298,29 +296,51 @@ impl BurstSender {
     pub fn first_send(&self) -> Option<SimTime> {
         self.pending.front().map(|(at, _, _)| *at)
     }
-}
 
-impl Actor for BurstSender {
-    fn step(&mut self, now: SimTime, world: &mut World) -> StepResult {
+    /// Sends the next message at `now` and returns when the send
+    /// completed. A spent schedule (zero bursts, an empty workload, or
+    /// the wake-up after the last send) closes the queue instead, so
+    /// consumers stop polling rather than wait forever, and returns
+    /// `None`.
+    fn send_next(&mut self, now: SimTime, world: &mut World) -> Option<SimTime> {
         let Some((_, name, body)) = self.pending.pop_front() else {
-            // Empty schedule (zero bursts / empty workload) or the final
-            // wake-up after the last send: close the queue so consumers
-            // stop polling instead of waiting forever.
             world.sqs.close(self.queue);
-            return StepResult::Done;
+            return None;
         };
+        // Tagged per query so Figure-12-style attribution charges each
+        // query its own request.
         world.obs.with_ctx(|c| {
             c.phase = Phase::Query;
             c.query = Some(name.into());
             c.doc = None;
             c.actor = Some(self.tag);
         });
-        let t = crate::retry::frontend_send(&mut world.sqs, &self.retry, now, self.queue, body);
-        match self.pending.front() {
-            Some((at, _, _)) => StepResult::NextAt(t.max(*at)),
-            // One more wake-up to close the queue, at the time the last
-            // send completed.
-            None => StepResult::NextAt(t),
+        Some(crate::retry::frontend_send(
+            &mut world.sqs,
+            &self.retry,
+            now,
+            self.queue,
+            body,
+        ))
+    }
+
+    /// The closed batch: sends the whole schedule back-to-back from
+    /// `now`, ignoring the scheduled instants, and closes the queue.
+    pub fn send_all(mut self, now: SimTime, world: &mut World) {
+        let mut t = now;
+        while let Some(done) = self.send_next(t, world) {
+            t = done;
+        }
+    }
+}
+
+impl Actor for ArrivalSender {
+    fn step(&mut self, now: SimTime, world: &mut World) -> StepResult {
+        match self.send_next(now, world) {
+            // The next message waits for its instant; after the last one,
+            // one more wake-up closes the queue when that send completed.
+            Some(t) => StepResult::NextAt(self.pending.front().map_or(t, |(at, _, _)| t.max(*at))),
+            None => StepResult::Done,
         }
     }
 }
@@ -418,41 +438,6 @@ impl ArrivalProcess {
             out.push((amada_cloud::SimDuration::from_micros(t_micros), idx));
         }
         out
-    }
-}
-
-/// An open-loop front-end actor: generalizes [`BurstSender`] from "all
-/// messages of a burst at one instant" to an arbitrary pre-computed
-/// arrival schedule. Release times come from an [`ArrivalProcess`], so
-/// sends never wait for completions; the queue is closed after the last
-/// arrival (inheriting the empty-schedule close from `BurstSender`).
-pub struct OpenLoopSender {
-    inner: BurstSender,
-}
-
-impl OpenLoopSender {
-    /// A sender over a prepared `(send at, query name, body)` schedule
-    /// (non-decreasing in time — [`ArrivalProcess::offsets`] output is).
-    pub fn new(
-        queue: &'static str,
-        schedule: VecDeque<(SimTime, String, String)>,
-        retry: RetryPolicy,
-        tag: ActorTag,
-    ) -> OpenLoopSender {
-        OpenLoopSender {
-            inner: BurstSender::new(queue, schedule, retry, tag),
-        }
-    }
-
-    /// When the first arrival is due (spawn the actor there).
-    pub fn first_send(&self) -> Option<SimTime> {
-        self.inner.first_send()
-    }
-}
-
-impl Actor for OpenLoopSender {
-    fn step(&mut self, now: SimTime, world: &mut World) -> StepResult {
-        self.inner.step(now, world)
     }
 }
 

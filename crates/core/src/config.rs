@@ -40,9 +40,10 @@ impl Pool {
 }
 
 /// Queue-depth autoscaling policy for one instance pool (the loader or
-/// query-processor module). `None` in the config keeps today's static
-/// pools bit-identically; `Some(policy)` puts an
-/// [`crate::autoscale::AutoscaleController`] in charge of the pool:
+/// query-processor module). With `None` in the config the warehouse
+/// launches the static pool of [`Pool::count`] instances up front;
+/// `Some(policy)` puts an [`crate::autoscale::AutoscaleController`] in
+/// charge of the same instance launcher:
 /// every `sample_interval` it issues a *billed* SQS depth probe and
 /// resizes the pool toward `ceil(depth / backlog_per_instance)`, clamped
 /// to `min..=max`. Scale-out launches instances whose billing starts at
@@ -144,7 +145,7 @@ pub struct WarehouseConfig {
     /// Instances running the query processor (paper: 1 unless stated).
     pub query_pool: Pool,
     /// Queue-depth autoscaling for the loader pool; `None` (the default)
-    /// keeps the static pool, bit-identically.
+    /// runs the static pool.
     pub loader_autoscale: Option<AutoscalePolicy>,
     /// Queue-depth autoscaling for the query-processor pool.
     pub query_autoscale: Option<AutoscalePolicy>,
@@ -179,12 +180,13 @@ pub struct WarehouseConfig {
     /// A sharded plan changes service times and throttle exposure only —
     /// never answers or billed units.
     pub shard_plan: Option<amada_cloud::ShardPlan>,
-    /// Per-partition strategy routing: `None` (the default) indexes the
-    /// whole corpus with `strategy`, bit-identically to the paper's
-    /// layout. `Some(plan)` routes each document by its URI's partition —
-    /// hot partitions can take the ID-granularity index while cold ones
-    /// take a cheap one or none at all — and
-    /// [`crate::Warehouse::apply_plan`] migrates between plans
+    /// Per-partition strategy routing. The warehouse always runs under a
+    /// routing plan: `None` (the default) resolves to the *flat* plan —
+    /// the paper's layout, the whole corpus in the global tables under
+    /// `strategy`, whatever prefix a URI carries. `Some(plan)` routes each
+    /// document by its URI's partition — hot partitions can take the
+    /// ID-granularity index while cold ones take a cheap one or none at
+    /// all — and [`crate::Warehouse::apply_plan`] migrates between plans
     /// incrementally.
     pub mixed_plan: Option<MixedPlan>,
 }

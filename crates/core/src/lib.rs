@@ -26,8 +26,7 @@ pub use adaptive::{
 pub use advisor::{advise, advise_churn, advise_queries, Advice, AdviseError, StrategyEstimate};
 pub use amortization::{Amortization, AmortizationPoint};
 pub use autoscale::{
-    ArrivalProcess, AutoscaleController, BurstSender, DrainSignal, OpenLoopSender, ScaleDirection,
-    ScaleEvent,
+    ArrivalProcess, ArrivalSender, AutoscaleController, DrainSignal, ScaleDirection, ScaleEvent,
 };
 pub use config::{AutoscalePolicy, Pool, WarehouseConfig};
 pub use config::{

@@ -26,7 +26,8 @@
 //! Every retry is a billed request: resilience shows up in the cost
 //! ledger as real dollars, which is the point of the fault experiment.
 
-use amada_cloud::{KvError, KvStore, S3Error, SimDuration, SimTime, Sqs, SqsError, S3};
+use crate::config::DEAD_LETTER_QUEUE;
+use amada_cloud::{KvError, KvStore, Message, S3Error, SimDuration, SimTime, Sqs, SqsError, S3};
 use amada_rng::StdRng;
 use std::sync::Arc;
 
@@ -181,6 +182,22 @@ pub fn send_with_retry(
             Err(e) => panic!("send to {queue}: {e}"),
         }
     }
+}
+
+/// Parks a poison message — delivered more than
+/// [`RetryPolicy::max_receives`] times, every previous holder having died
+/// or abandoned it — on the dead-letter queue instead of recirculating
+/// it. Returns the completion time.
+pub fn dead_letter(
+    sqs: &mut Sqs,
+    policy: &RetryPolicy,
+    rng: &mut StdRng,
+    now: SimTime,
+    queue: &str,
+    msg: Message,
+) -> SimTime {
+    let t = send_with_retry(sqs, policy, rng, now, DEAD_LETTER_QUEUE, msg.body);
+    delete_with_retry(sqs, policy, rng, t, queue, msg.id)
 }
 
 /// Deletes message `id` from `queue`, retrying throttles with jittered

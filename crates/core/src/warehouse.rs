@@ -1,16 +1,14 @@
 //! The warehouse façade: the full architecture of the paper's Figure 1,
 //! steps 1–18, over the simulated cloud.
 
-use crate::actors::{
-    DocCache, LoaderCore, LoaderTotals, QueryCore, RetractionRegistry, LOADER_RNG_TAG,
-    QUERY_RNG_TAG,
-};
+use crate::actors::{DocCache, LoaderCore, LoaderTotals, QueryCore, RetractionRegistry};
 use crate::autoscale::{
-    ArrivalProcess, AutoscaleController, BurstSender, DrainSignal, OpenLoopSender, ScaleEvents,
+    ArrivalProcess, ArrivalSender, AutoscaleController, DrainSignal, Launcher, ScaleEvent,
+    ScaleEvents,
 };
 use crate::config::{
-    AutoscalePolicy, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE,
-    RESPONSE_QUEUE, RESULT_BUCKET,
+    AutoscalePolicy, Pool, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER_QUEUE,
+    QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{CostedQuery, IndexBuildReport, QueryExecution, WorkloadReport};
 use crate::retry::{
@@ -18,15 +16,14 @@ use crate::retry::{
     frontend_put_object, frontend_receive, frontend_send,
 };
 use amada_cloud::{
-    ActorTag, CostReport, CostSnapshot, Engine, Money, Phase, ServiceKind, SimDuration, SimTime,
-    Span, StorageCost, World,
+    Actor, ActorTag, CostReport, CostSnapshot, Engine, InstanceId, Money, Phase, ServiceKind,
+    SimDuration, SimTime, Span, StorageCost, World,
 };
 use amada_index::{
-    entry_item_keys, partition_of, retarget_entries, CacheStats, ExtractCache, ItemKey, MixedPlan,
-    PrewarmReport, Strategy,
+    entry_item_keys, routed_entries, CacheStats, ExtractCache, ItemKey, MixedPlan, PrewarmReport,
+    Strategy,
 };
 use amada_pattern::Query;
-use amada_rng::StdRng;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -46,9 +43,10 @@ pub struct Warehouse {
     /// retraction, shared with the loader cores (see
     /// [`RetractionRegistry`]).
     retractions: RetractionRegistry,
-    /// The per-partition routing plan shared with the module cores
-    /// (mirrors `cfg.mixed_plan`; `None` keeps the flat layout).
-    plan: Option<Rc<MixedPlan>>,
+    /// The routing plan shared with the module cores: `cfg.mixed_plan`,
+    /// or — when the configuration names none — the flat plan that keeps
+    /// the whole corpus in the global tables under `cfg.strategy`.
+    plan: Rc<MixedPlan>,
     /// Recorded-span index of the last [`Warehouse::readvise`]: each
     /// cadence step advises from the traffic observed *since the
     /// previous one* (the observation window), so a drifting workload
@@ -74,16 +72,35 @@ pub struct Readvice {
     pub migrated: u64,
 }
 
-/// How a workload run releases its query messages.
-enum SendPlan<'a> {
-    /// All messages enqueued before the engine starts (the paper's
-    /// batch experiments).
-    Inline,
-    /// Timed bursts released inside the engine by a [`BurstSender`].
-    Bursts { bursts: usize, gap: SimDuration },
-    /// A seeded open-loop arrival schedule released by an
-    /// [`OpenLoopSender`].
-    OpenLoop(&'a ArrivalProcess),
+/// A workload's `(send at, query name, message body)` arrival schedule.
+type Schedule = VecDeque<(SimTime, String, String)>;
+
+/// One arrival of `q` at `at`. An unnamed query is called
+/// `query-{ordinal}`; `seq` makes the name unique per arrival
+/// (`{query}#{seq}`), so per-arrival latency can be read back from spans
+/// even when the same query is drawn many times.
+fn arrival(
+    at: SimTime,
+    q: &Query,
+    ordinal: usize,
+    seq: Option<usize>,
+) -> (SimTime, String, String) {
+    let mut name = q.name.clone().unwrap_or_else(|| format!("query-{ordinal}"));
+    if let Some(seq) = seq {
+        name = format!("{name}#{seq}");
+    }
+    let body = format!("{name}\n{q}");
+    (at, name, body)
+}
+
+/// The plan a configuration runs under: its mixed plan, or the flat plan
+/// of its strategy. Not [`MixedPlan::uniform`] — that would move
+/// `hot/doc.xml` out of the global tables into `amada-index@hot`.
+fn resolve_plan(plan: &Option<MixedPlan>, strategy: Strategy) -> Rc<MixedPlan> {
+    Rc::new(
+        plan.clone()
+            .unwrap_or_else(|| MixedPlan::flat(Some(strategy))),
+    )
 }
 
 /// Fault-visibility deltas since a snapshot: (throttled billed requests
@@ -148,26 +165,17 @@ impl Warehouse {
         if let Some(plan) = &cfg.shard_plan {
             world.kv.set_shard_plan(plan.clone());
         }
-        match &cfg.mixed_plan {
-            // Named partitions' tables are known up-front; unnamed ones
-            // are discovered at write time and ensured on demand by the
-            // loader cores.
-            Some(plan) => {
-                for table in plan.known_tables() {
-                    world.kv.ensure_table(table);
-                }
-            }
-            None => {
-                for table in cfg.strategy.tables() {
-                    world.kv.ensure_table(table);
-                }
-            }
+        let plan = resolve_plan(&cfg.mixed_plan, cfg.strategy);
+        // Named partitions' tables are known up-front; unnamed ones are
+        // discovered at write time and ensured on demand by the loader
+        // cores.
+        for table in plan.known_tables() {
+            world.kv.ensure_table(table);
         }
         world.install_faults(&cfg.faults);
         if cfg.host.record {
             world.enable_recording();
         }
-        let plan = cfg.mixed_plan.clone().map(Rc::new);
         Warehouse {
             cfg,
             engine: Engine::new(world),
@@ -238,15 +246,27 @@ impl Warehouse {
 
     /// The partitions currently holding live documents — the front end's
     /// own catalog, derived from its upload records (no cloud call). A
-    /// fully indexed mixed plan's query processors fan their look-ups out
-    /// over this instead of paying the billed per-query corpus LIST.
-    fn partition_catalog(&self) -> Rc<std::collections::BTreeSet<String>> {
+    /// fully indexed plan's query processors fan their look-ups out over
+    /// this instead of paying the billed per-query corpus LIST. Public
+    /// for tests that hand-build query processors.
+    pub fn partition_catalog(&self) -> Rc<BTreeSet<String>> {
         Rc::new(
             self.doc_uris
                 .iter()
-                .map(|u| partition_of(u).to_string())
+                .map(|u| self.plan.partition_of(u).to_string())
                 .collect(),
         )
+    }
+
+    /// Tags the front end's next requests: the spans they record carry
+    /// its lane plus the phase, query and document in hand.
+    fn tag_frontend(&self, phase: Phase, query: Option<&str>, doc: Option<&str>) {
+        self.engine.world.obs.with_ctx(|c| {
+            c.phase = phase;
+            c.query = query.map(Into::into);
+            c.doc = doc.map(Into::into);
+            c.actor = Some(self.frontend);
+        });
     }
 
     /// Total corpus size in bytes (`s(D)`).
@@ -280,13 +300,7 @@ impl Warehouse {
             let (uri, xml) = (uri.into(), xml.into());
             let body = xml.into_bytes();
             bytes += body.len() as u64;
-            let frontend = self.frontend;
-            self.engine.world.obs.with_ctx(|c| {
-                c.phase = Phase::Upload;
-                c.query = None;
-                c.doc = Some(uri.as_str().into());
-                c.actor = Some(frontend);
-            });
+            self.tag_frontend(Phase::Upload, None, Some(&uri));
             // Re-uploading an existing URI replaces the object: record
             // the replaced version's item keys for retraction *before*
             // the overwrite destroys the only copy of its bytes (the
@@ -297,12 +311,7 @@ impl Warehouse {
             let replaced = self.engine.world.s3.peek(DOC_BUCKET, &uri);
             if let Some(old) = &replaced {
                 if **old != body {
-                    let keys = self.item_keys_of(&uri, old);
-                    self.retractions
-                        .borrow_mut()
-                        .entry(uri.clone())
-                        .or_default()
-                        .extend(keys);
+                    self.retract_later(&uri, self.item_keys_under(&self.plan, &uri, old));
                 }
             }
             // Hash the content once, here; every later cache probe for
@@ -341,35 +350,32 @@ impl Warehouse {
         }
     }
 
-    /// The index item keys the current configuration derives for this
-    /// document content (host-side replay of the loader's deterministic
-    /// encoding — no requests, no virtual time).
-    fn item_keys_of(&self, uri: &str, bytes: &[u8]) -> Vec<ItemKey> {
-        self.item_keys_under(self.cfg.mixed_plan.as_ref(), uri, bytes)
+    /// Records item keys of a replaced version or placement for
+    /// retraction by the loader that next rebuilds `uri` (the registry
+    /// unions with any retraction already pending for it).
+    fn retract_later(&self, uri: &str, keys: Vec<ItemKey>) {
+        if !keys.is_empty() {
+            self.retractions
+                .borrow_mut()
+                .entry(uri.to_string())
+                .or_default()
+                .extend(keys);
+        }
     }
 
-    /// Like [`Warehouse::item_keys_of`] but under an explicit routing
-    /// plan (`None` = the flat configured strategy into the global
-    /// tables) — what [`Warehouse::apply_plan`] replays to find the *old*
-    /// placement's keys before switching.
-    fn item_keys_under(&self, plan: Option<&MixedPlan>, uri: &str, bytes: &[u8]) -> Vec<ItemKey> {
-        let strategy = match plan {
-            Some(p) => match p.strategy_for_uri(uri) {
-                Some(s) => s,
-                // An unindexed partition holds nothing to replay.
-                None => return Vec::new(),
-            },
-            None => self.cfg.strategy,
+    /// The index item keys a routing plan derives for this document
+    /// content (host-side replay of the loader's deterministic encoding —
+    /// no requests, no virtual time): under the plan in force for churn,
+    /// under the *old* plan when [`Warehouse::apply_plan`] switches.
+    fn item_keys_under(&self, plan: &MixedPlan, uri: &str, bytes: &[u8]) -> Vec<ItemKey> {
+        let partition = plan.partition_of(uri);
+        // An unindexed partition holds nothing to replay.
+        let Some(strategy) = plan.strategy_of(partition) else {
+            return Vec::new();
         };
         let (_doc, entries) = self.cache.extracted(uri, bytes, strategy, self.cfg.extract);
         let profile = self.engine.world.kv.profile();
-        if plan.is_some() {
-            let mut routed = (*entries).clone();
-            retarget_entries(&mut routed, partition_of(uri));
-            entry_item_keys(&routed, &profile, uri)
-        } else {
-            entry_item_keys(&entries, &profile, uri)
-        }
+        entry_item_keys(&routed_entries(&entries, partition), &profile, uri)
     }
 
     /// Front end, churn maintenance: removes documents from the file
@@ -393,13 +399,7 @@ impl Warehouse {
         let mut removed = 0u64;
         for uri in uris {
             let uri = uri.into();
-            let frontend = self.frontend;
-            self.engine.world.obs.with_ctx(|c| {
-                c.phase = Phase::Upload;
-                c.query = None;
-                c.doc = Some(uri.as_str().into());
-                c.actor = Some(frontend);
-            });
+            self.tag_frontend(Phase::Upload, None, Some(&uri));
             // Everything any version of this document may still hold in
             // the index: pending retractions from earlier replaces, plus
             // the stored version's keys.
@@ -409,7 +409,7 @@ impl Warehouse {
                 .remove(&uri)
                 .unwrap_or_default();
             if let Some(old) = self.engine.world.s3.peek(DOC_BUCKET, &uri) {
-                keys.extend(self.item_keys_of(&uri, &old));
+                keys.extend(self.item_keys_under(&self.plan, &uri, &old));
                 bytes += old.len() as u64;
                 self.corpus_bytes -= old.len() as u64;
                 self.doc_uris.retain(|u| u != &uri);
@@ -466,97 +466,72 @@ impl Warehouse {
     /// time. Returns the number of documents migrating (piggybacked ones
     /// included).
     pub fn apply_plan(&mut self, new_plan: Option<MixedPlan>) -> u64 {
-        let flat = self.cfg.strategy;
         // A URI's placement: (strategy, partition the tables belong to).
-        // Without a plan everything lives in the root partition's global
-        // tables; the root partition of a plan is physically identical.
-        fn placement(
-            plan: Option<&MixedPlan>,
-            flat: Strategy,
-            uri: &str,
-        ) -> Option<(Strategy, String)> {
-            match plan {
-                Some(p) => p
-                    .strategy_for_uri(uri)
-                    .map(|s| (s, partition_of(uri).to_string())),
-                None => Some((flat, String::new())),
-            }
+        // The flat plan keeps everything in the root partition's global
+        // tables; the root partition of a mixed plan is physically
+        // identical.
+        fn placement<'a>(plan: &MixedPlan, uri: &'a str) -> Option<(Strategy, &'a str)> {
+            let partition = plan.partition_of(uri);
+            plan.strategy_of(partition).map(|s| (s, partition))
         }
-        let old_plan = self.cfg.mixed_plan.clone();
+        let old_plan = self.plan.clone();
+        let new = resolve_plan(&new_plan, self.cfg.strategy);
         let mut migrated = 0u64;
         let mut t = self.engine.now();
         let uris: Vec<String> = self.doc_uris.clone();
         for uri in uris {
-            if placement(old_plan.as_ref(), flat, &uri) == placement(new_plan.as_ref(), flat, &uri)
-            {
+            if placement(&old_plan, &uri) == placement(&new, &uri) {
                 continue;
             }
             let Some(bytes) = self.engine.world.s3.peek(DOC_BUCKET, &uri) else {
                 continue;
             };
-            if self.pending_load.contains(&uri) {
-                // A rebuild is already queued (churn, typically): the
-                // loader reads the routing plan at processing time, so the
-                // pending message rebuilds under the *new* placement — no
-                // second message needed. Stale keys: whoever enqueued the
-                // pending rebuild recorded the replaced version's exact
-                // key set; when the registry holds nothing the stored
-                // entries match the current bytes, so replaying them under
-                // the old placement retracts precisely what exists.
-                if !self.retractions.borrow().contains_key(&uri) {
-                    let keys = self.item_keys_under(old_plan.as_ref(), &uri, &bytes);
-                    if !keys.is_empty() {
-                        self.retractions
-                            .borrow_mut()
-                            .entry(uri.clone())
-                            .or_default()
-                            .extend(keys);
-                    }
-                }
-                migrated += 1;
-                continue;
-            }
+            // A rebuild may already be queued (churn, typically): the
+            // loader reads the routing plan at processing time, so the
+            // pending message rebuilds under the *new* placement — no
+            // second message needed.
+            let pending = self.pending_load.contains(&uri);
             // Record the old placement's keys *before* the switch makes
             // them unreachable; the registry unions with any retraction
-            // already pending for this URI.
-            let keys = self.item_keys_under(old_plan.as_ref(), &uri, &bytes);
-            if !keys.is_empty() {
-                self.retractions
-                    .borrow_mut()
-                    .entry(uri.clone())
-                    .or_default()
-                    .extend(keys);
+            // already pending for this URI. Under a pending rebuild,
+            // whoever enqueued it recorded the replaced version's exact
+            // key set; only when the registry holds nothing do the stored
+            // entries match the current bytes, so replaying them under
+            // the old placement retracts precisely what exists.
+            if !(pending && self.retractions.borrow().contains_key(&uri)) {
+                self.retract_later(&uri, self.item_keys_under(&old_plan, &uri, &bytes));
             }
-            let frontend = self.frontend;
-            self.engine.world.obs.with_ctx(|c| {
-                c.phase = Phase::Build;
-                c.query = None;
-                c.doc = Some(uri.as_str().into());
-                c.actor = Some(frontend);
-            });
+            migrated += 1;
+            if pending {
+                continue;
+            }
+            self.tag_frontend(Phase::Build, None, Some(&uri));
             t = frontend_send(
                 &mut self.engine.world.sqs,
                 &self.cfg.retry,
                 t,
                 LOADER_QUEUE,
-                uri.clone(),
+                uri,
             );
-            migrated += 1;
         }
         self.engine.world.obs.with_ctx(|c| *c = Default::default());
-        if let Some(p) = &new_plan {
-            for table in p.known_tables() {
-                self.engine.world.kv.ensure_table(table);
-            }
+        for table in new.known_tables() {
+            self.engine.world.kv.ensure_table(table);
         }
         self.cfg.mixed_plan = new_plan;
-        self.plan = self.cfg.mixed_plan.clone().map(Rc::new);
+        self.plan = new;
         migrated
     }
 
-    /// The routing plan in force (`None` = the flat configured strategy).
+    /// The configured mixed plan (`None` = the flat configured strategy).
     pub fn mixed_plan(&self) -> Option<&MixedPlan> {
         self.cfg.mixed_plan.as_ref()
+    }
+
+    /// The routing plan in force, as shared with the module cores (test
+    /// access — custom actors must share it to route like the pool).
+    pub fn routing_plan(&self) -> Rc<MixedPlan> {
+        self.plan.clone()
     }
 
     /// Front end, adaptive switching: re-advises from **live
@@ -616,14 +591,12 @@ impl Warehouse {
     /// the query paths when `cfg.host.prewarm` is set.
     pub fn prewarm(&self) -> PrewarmReport {
         let docs = self.engine.world.s3.peek_all(DOC_BUCKET);
-        let combos: Vec<(Strategy, amada_index::ExtractOptions)> = match &self.cfg.mixed_plan {
-            Some(plan) => plan
-                .indexed_strategies()
-                .into_iter()
-                .map(|s| (s, self.cfg.extract))
-                .collect(),
-            None => vec![(self.cfg.strategy, self.cfg.extract)],
-        };
+        let combos: Vec<(Strategy, amada_index::ExtractOptions)> = self
+            .plan
+            .indexed_strategies()
+            .into_iter()
+            .map(|s| (s, self.cfg.extract))
+            .collect();
         amada_index::parallel::prewarm(&self.cache, &docs, &combos)
     }
 
@@ -639,35 +612,29 @@ impl Warehouse {
         self.cache.stats()
     }
 
-    /// A [`crate::autoscale::Launcher`] for loader instances: launches
-    /// the instance at the decision time, records the boot as a span on
-    /// the instance's own lane, and schedules one [`LoaderCore`] per core
-    /// at `launch + boot` through the engine's deferred-spawn queue. The
-    /// closure owns the core counter, so RNG streams continue the exact
-    /// numbering the static pool uses — a `min == max` autoscaled pool
-    /// draws the same backoff jitter as a static one.
-    fn loader_launcher(
-        &self,
-        totals: &Rc<RefCell<LoaderTotals>>,
-    ) -> crate::autoscale::Launcher<'static> {
-        let pool = self.cfg.loader_pool;
-        let strategy = self.cfg.strategy;
-        let extract = self.cfg.extract;
-        let visibility = self.cfg.visibility;
-        let poll = self.cfg.poll_interval;
-        let retry = self.cfg.retry;
-        let seed = self.cfg.faults.seed;
-        let totals = totals.clone();
-        let cache = self.cache.clone();
-        let retractions = self.retractions.clone();
-        let plan = self.plan.clone();
-        let mut next_core: u64 = 0;
+    /// The one instance launcher, for either module: launches an instance
+    /// of `pool` at the decision time, records the boot as a span on the
+    /// instance's own `kind` lane, and schedules its `actors` cores at
+    /// `launch + boot` through the engine's deferred-spawn queue. `core`
+    /// builds one actor per call from the instance and the core's number;
+    /// cores are numbered in launch order whether the pool is static or
+    /// elastic, so a `min == max` autoscaled pool draws the same backoff
+    /// jitter as a static one. Only an `elastic` pool's cores hold the
+    /// drain signal: a static instance is billed to the end of its phase.
+    fn launcher(
+        kind: &'static str,
+        pool: Pool,
+        actors: usize,
+        elastic: bool,
+        mut core: impl FnMut(InstanceId, u64, Option<DrainSignal>) -> Box<dyn Actor> + 'static,
+    ) -> Launcher<'static> {
+        let mut next_core = 0u64;
         Box::new(move |world: &mut World, t: SimTime, boot: SimDuration| {
             let id = world.ec2.launch(pool.itype, t);
             if boot > SimDuration::ZERO {
                 world.obs.with_ctx(|c| {
                     c.actor = Some(ActorTag {
-                        kind: "loader",
+                        kind,
                         instance: id.0,
                     });
                 });
@@ -675,99 +642,71 @@ impl Warehouse {
                     .obs
                     .record(|_, ctx| Span::new(ServiceKind::Actor, "boot", t, t + boot, ctx));
             }
-            let sig = DrainSignal::new(id, pool.itype.cores());
-            for _ in 0..pool.itype.cores() {
-                let idx = next_core;
+            let sig = DrainSignal::new(id, actors);
+            for _ in 0..actors {
+                let drain = elastic.then(|| sig.clone());
+                world.spawn_actor(t + boot, core(id, next_core, drain));
                 next_core += 1;
-                let mut core = LoaderCore::new(
-                    id,
-                    pool.itype.ecu_per_core(),
-                    strategy,
-                    extract,
-                    totals.clone(),
-                    cache.clone(),
-                    visibility,
-                    poll,
-                    retry,
-                    seed ^ (LOADER_RNG_TAG + idx),
+            }
+            sig
+        })
+    }
+
+    /// Runs one module phase to completion: provisions the pool over
+    /// `queue` — `pool.count` instances up front, or an
+    /// [`AutoscaleController`] resizing it when `autoscale` is set — runs
+    /// the engine dry, and releases the instances. Returns the phase's
+    /// end time, the instances it used and the autoscaler's decisions.
+    fn run_pool(
+        &mut self,
+        queue: &'static str,
+        phase: Phase,
+        pool: Pool,
+        autoscale: Option<AutoscalePolicy>,
+        mut launcher: Launcher<'static>,
+    ) -> (SimTime, usize, Vec<ScaleEvent>) {
+        let start = self.engine.now();
+        let first_instance = self.engine.world.ec2.records().len();
+        let scale_events: ScaleEvents = Rc::new(RefCell::new(Vec::new()));
+        match autoscale {
+            None => {
+                for _ in 0..pool.count {
+                    launcher(&mut self.engine.world, start, SimDuration::ZERO);
+                }
+            }
+            Some(policy) => {
+                let tag = ActorTag {
+                    kind: "autoscaler",
+                    instance: self.controllers,
+                };
+                self.controllers += 1;
+                let mut ctrl = AutoscaleController::new(
+                    queue,
+                    policy,
+                    phase,
+                    tag,
+                    self.cfg.retry,
+                    launcher,
+                    scale_events.clone(),
                 );
-                core.drain = Some(sig.clone());
-                core.retractions = retractions.clone();
-                core.plan = plan.clone();
-                world.spawn_actor(t + boot, Box::new(core));
+                ctrl.provision(&mut self.engine.world, start);
+                self.engine
+                    .spawn(Box::new(ctrl), start + policy.sample_interval);
             }
-            sig
-        })
-    }
-
-    /// A [`crate::autoscale::Launcher`] for query-processor instances
-    /// (one actor per instance, so the drain signal counts one core).
-    fn query_launcher(
-        &self,
-        strategy: Option<amada_index::Strategy>,
-        executions: &Rc<RefCell<Vec<QueryExecution>>>,
-    ) -> crate::autoscale::Launcher<'static> {
-        let pool = self.cfg.query_pool;
-        let extract = self.cfg.extract;
-        let visibility = self.cfg.visibility;
-        let poll = self.cfg.poll_interval;
-        let retry = self.cfg.retry;
-        let seed = self.cfg.faults.seed;
-        let executions = executions.clone();
-        let cache = self.cache.clone();
-        // The no-index baseline bypasses routing, so the plan rides along
-        // only when the pool queries the index at all.
-        let plan = strategy.and(self.plan.clone());
-        let partitions = self.partition_catalog();
-        let mut next: u64 = 0;
-        Box::new(move |world: &mut World, t: SimTime, boot: SimDuration| {
-            let id = world.ec2.launch(pool.itype, t);
-            if boot > SimDuration::ZERO {
-                world.obs.with_ctx(|c| {
-                    c.actor = Some(ActorTag {
-                        kind: "query",
-                        instance: id.0,
-                    });
-                });
-                world
-                    .obs
-                    .record(|_, ctx| Span::new(ServiceKind::Actor, "boot", t, t + boot, ctx));
-            }
-            let sig = DrainSignal::new(id, 1);
-            let i = next;
-            next += 1;
-            let core = QueryCore {
-                instance: id,
-                cores: pool.itype.cores(),
-                ecu: pool.itype.ecu_per_core(),
-                strategy,
-                plan: plan.clone(),
-                partitions: partitions.clone(),
-                opts: extract,
-                cache: cache.clone(),
-                visibility,
-                poll,
-                executions: executions.clone(),
-                policy: retry,
-                rng: StdRng::seed_from_u64(seed ^ (QUERY_RNG_TAG + i)),
-                crash_after: None,
-                processed: 0,
-                attempt: 0,
-                drain: Some(sig.clone()),
-            };
-            world.spawn_actor(t + boot, Box::new(core));
-            sig
-        })
-    }
-
-    /// The autoscaler's span lane for the next controller.
-    fn controller_tag(&mut self) -> ActorTag {
-        let tag = ActorTag {
-            kind: "autoscaler",
-            instance: self.controllers,
-        };
-        self.controllers += 1;
-        tag
+        }
+        let end = self.engine.run();
+        // Instances are released when the whole phase completes (the
+        // paper's `VM$_h × t_idx` bills the pool for the phase); stopped
+        // scale-in victims keep their frozen windows.
+        let instances = self.engine.world.ec2.records().len();
+        for i in first_instance..instances {
+            self.engine.world.ec2.extend(InstanceId(i), end);
+        }
+        self.engine.world.sqs.open(queue);
+        let scale_events = Rc::try_unwrap(scale_events)
+            .expect("controller is gone")
+            .into_inner();
+        (end, instances - first_instance, scale_events)
     }
 
     /// Runs the indexing module over everything currently queued
@@ -781,49 +720,35 @@ impl Warehouse {
         let start = self.engine.now();
         let totals = Rc::new(RefCell::new(LoaderTotals::default()));
         self.engine.world.sqs.close(LOADER_QUEUE);
-        let first_instance = self.engine.world.ec2.records().len();
-        let scale_events: ScaleEvents = Rc::new(RefCell::new(Vec::new()));
-        match self.cfg.loader_autoscale {
-            None => {
-                let cores = LoaderCore::pool(
-                    &self.cfg,
-                    &mut self.engine.world,
-                    start,
-                    &totals,
-                    &self.cache,
+        let pool = self.cfg.loader_pool;
+        let autoscale = self.cfg.loader_autoscale;
+        let (cfg, plan, retractions) = (
+            self.cfg.clone(),
+            self.plan.clone(),
+            self.retractions.clone(),
+        );
+        let (core_totals, cache) = (totals.clone(), self.cache.clone());
+        let launcher = Self::launcher(
+            "loader",
+            pool,
+            pool.itype.cores(),
+            autoscale.is_some(),
+            move |instance, idx, drain| {
+                let mut core = LoaderCore::new(
+                    &cfg,
+                    instance,
+                    idx,
+                    plan.clone(),
+                    retractions.clone(),
+                    core_totals.clone(),
+                    cache.clone(),
                 );
-                for mut core in cores {
-                    core.retractions = self.retractions.clone();
-                    core.plan = self.plan.clone();
-                    self.engine.spawn(Box::new(core), start);
-                }
-            }
-            Some(policy) => {
-                let tag = self.controller_tag();
-                let mut ctrl = AutoscaleController::new(
-                    LOADER_QUEUE,
-                    policy,
-                    Phase::Build,
-                    tag,
-                    self.cfg.retry,
-                    self.loader_launcher(&totals),
-                    scale_events.clone(),
-                );
-                ctrl.provision(&mut self.engine.world, start);
-                self.engine
-                    .spawn(Box::new(ctrl), start + policy.sample_interval);
-            }
-        }
-        let end = self.engine.run();
-        // Instances are released when the whole indexing phase completes
-        // (the paper's `VM$_h × t_idx` bills the pool for the phase).
-        for i in first_instance..self.engine.world.ec2.records().len() {
-            self.engine
-                .world
-                .ec2
-                .extend(amada_cloud::InstanceId(i), end);
-        }
-        self.engine.world.sqs.open(LOADER_QUEUE);
+                core.drain = drain;
+                Box::new(core)
+            },
+        );
+        let (end, instances, scale_events) =
+            self.run_pool(LOADER_QUEUE, Phase::Build, pool, autoscale, launcher);
         // The loader queue is drained: every pending rebuild has been
         // processed under the plan in force.
         self.pending_load.clear();
@@ -842,7 +767,6 @@ impl Warehouse {
         let workers = totals.active_cores.max(1);
         let per_core =
             |sum_micros: u64| SimDuration::from_micros((sum_micros + workers / 2) / workers);
-        let instances = self.engine.world.ec2.records().len() - first_instance;
         IndexBuildReport {
             strategy: self.cfg.strategy,
             instances,
@@ -867,27 +791,26 @@ impl Warehouse {
             throttled_requests,
             lease_renewals,
             redelivered,
-            scale_events: Rc::try_unwrap(scale_events)
-                .expect("controller is gone")
-                .into_inner(),
+            scale_events,
         }
     }
 
     /// Runs one query through the full pipeline (steps 7–18) on the
     /// configured query pool, using the index.
     pub fn run_query(&mut self, query: &Query) -> CostedQuery {
-        self.run_one(query, Some(self.cfg.strategy))
+        self.run_one(query, self.plan.clone())
     }
 
     /// Runs one query without any index: the processor fetches and
     /// evaluates the entire corpus (the paper's no-index baseline).
     pub fn run_query_no_index(&mut self, query: &Query) -> CostedQuery {
-        self.run_one(query, None)
+        self.run_one(query, Rc::new(MixedPlan::flat(None)))
     }
 
-    fn run_one(&mut self, query: &Query, strategy: Option<amada_index::Strategy>) -> CostedQuery {
+    fn run_one(&mut self, query: &Query, plan: Rc<MixedPlan>) -> CostedQuery {
         let before = self.engine.world.snapshot();
-        let report = self.run_batch(std::slice::from_ref(query), 1, strategy, SendPlan::Inline);
+        let schedule = self.bursts(std::slice::from_ref(query), 1, 1, SimDuration::ZERO);
+        let report = self.run_batch(schedule, false, plan);
         let mut executions = report.executions;
         assert_eq!(executions.len(), 1, "one query in, one execution out");
         CostedQuery {
@@ -896,16 +819,42 @@ impl Warehouse {
         }
     }
 
+    /// The schedule of `bursts` copies of the workload released `gap`
+    /// apart, each burst sending all `queries × repeats` messages (in
+    /// round-robin order: q1…qn, q1…qn, …) at its instant. The paper's
+    /// closed batch is the one-burst schedule.
+    fn bursts(
+        &self,
+        queries: &[Query],
+        repeats: usize,
+        bursts: usize,
+        gap: SimDuration,
+    ) -> Schedule {
+        let start = self.engine.now();
+        let mut schedule = Schedule::new();
+        for b in 0..bursts {
+            let at = start + SimDuration::from_micros(gap.micros() * b as u64);
+            for _ in 0..repeats {
+                for q in queries {
+                    schedule.push_back(arrival(at, q, schedule.len(), None));
+                }
+            }
+        }
+        schedule
+    }
+
     /// Runs a workload of queries, each repeated `repeats` times
     /// (sent in round-robin order: q1…qn, q1…qn, …), across the query
     /// pool. Used for the paper's Figure 10 scaling experiment.
     pub fn run_workload(&mut self, queries: &[Query], repeats: usize) -> WorkloadReport {
-        self.run_batch(queries, repeats, Some(self.cfg.strategy), SendPlan::Inline)
+        let schedule = self.bursts(queries, repeats, 1, SimDuration::ZERO);
+        self.run_batch(schedule, false, self.plan.clone())
     }
 
     /// Like [`Warehouse::run_workload`] but without any index.
     pub fn run_workload_no_index(&mut self, queries: &[Query], repeats: usize) -> WorkloadReport {
-        self.run_batch(queries, repeats, None, SendPlan::Inline)
+        let schedule = self.bursts(queries, repeats, 1, SimDuration::ZERO);
+        self.run_batch(schedule, false, Rc::new(MixedPlan::flat(None)))
     }
 
     /// Releases queries open-loop from a seeded [`ArrivalProcess`]: each
@@ -918,12 +867,14 @@ impl Warehouse {
         queries: &[Query],
         process: &ArrivalProcess,
     ) -> WorkloadReport {
-        self.run_batch(
-            queries,
-            1,
-            Some(self.cfg.strategy),
-            SendPlan::OpenLoop(process),
-        )
+        let start = self.engine.now();
+        let schedule = process
+            .offsets(queries.len())
+            .into_iter()
+            .enumerate()
+            .map(|(seq, (offset, idx))| arrival(start + offset, &queries[idx], idx, Some(seq)))
+            .collect();
+        self.run_batch(schedule, true, self.plan.clone())
     }
 
     /// Runs `bursts` copies of the workload, released `gap` apart: each
@@ -939,20 +890,19 @@ impl Warehouse {
         bursts: usize,
         gap: SimDuration,
     ) -> WorkloadReport {
-        self.run_batch(
-            queries,
-            repeats,
-            Some(self.cfg.strategy),
-            SendPlan::Bursts { bursts, gap },
-        )
+        let schedule = self.bursts(queries, repeats, bursts, gap);
+        self.run_batch(schedule, true, self.plan.clone())
     }
 
+    /// Runs one workload: the front end enqueues `schedule` (steps 7–8) —
+    /// `timed` inside the engine, each message at its scheduled instant;
+    /// otherwise as the paper's closed batch, all of it before the engine
+    /// starts — and the query pool answers it under `plan`.
     fn run_batch(
         &mut self,
-        queries: &[Query],
-        repeats: usize,
-        strategy: Option<amada_index::Strategy>,
-        plan: SendPlan<'_>,
+        schedule: Schedule,
+        timed: bool,
+        plan: Rc<MixedPlan>,
     ) -> WorkloadReport {
         if self.cfg.host.prewarm {
             // Queries parse candidate documents; after an indexed build
@@ -962,127 +912,45 @@ impl Warehouse {
         }
         let before = self.engine.world.snapshot();
         let start = self.engine.now();
-        // Front end, steps 7–8: enqueue the query messages. The sends are
-        // tagged per query so Figure-12-style attribution charges each
-        // query its own request.
-        let frontend = self.frontend;
-        match plan {
-            SendPlan::Inline => {
-                let mut t = start;
-                for r in 0..repeats {
-                    for (i, q) in queries.iter().enumerate() {
-                        let name = q
-                            .name
-                            .clone()
-                            .unwrap_or_else(|| format!("query-{}", r * queries.len() + i));
-                        self.engine.world.obs.with_ctx(|c| {
-                            c.phase = Phase::Query;
-                            c.query = Some(name.as_str().into());
-                            c.doc = None;
-                            c.actor = Some(frontend);
-                        });
-                        t = frontend_send(
-                            &mut self.engine.world.sqs,
-                            &self.cfg.retry,
-                            t,
-                            QUERY_QUEUE,
-                            format!("{name}\n{q}"),
-                        );
-                    }
-                }
-                self.engine.world.sqs.close(QUERY_QUEUE);
-            }
-            SendPlan::Bursts { bursts, gap } => {
-                // The sends happen inside the engine: a BurstSender actor
-                // releases each burst at its scheduled instant and closes
-                // the queue after the last one.
-                let mut schedule = VecDeque::new();
-                for b in 0..bursts {
-                    let at = start + SimDuration::from_micros(gap.micros() * b as u64);
-                    for r in 0..repeats {
-                        for (i, q) in queries.iter().enumerate() {
-                            let name = q.name.clone().unwrap_or_else(|| {
-                                format!("query-{}", (b * repeats + r) * queries.len() + i)
-                            });
-                            let body = format!("{name}\n{q}");
-                            schedule.push_back((at, name, body));
-                        }
-                    }
-                }
-                let sender = BurstSender::new(QUERY_QUEUE, schedule, self.cfg.retry, frontend);
-                let first = sender.first_send().unwrap_or(start);
-                self.engine.spawn(Box::new(sender), first);
-            }
-            SendPlan::OpenLoop(process) => {
-                // Arrival names are unique per arrival (`{query}#{seq}`)
-                // so per-arrival latency can be read back from spans even
-                // when the same query is drawn many times.
-                let mut schedule = VecDeque::new();
-                for (seq, (offset, idx)) in process.offsets(queries.len()).into_iter().enumerate() {
-                    let q = &queries[idx];
-                    let base = q.name.clone().unwrap_or_else(|| format!("query-{idx}"));
-                    let name = format!("{base}#{seq}");
-                    let body = format!("{name}\n{q}");
-                    schedule.push_back((start + offset, name, body));
-                }
-                let sender = OpenLoopSender::new(QUERY_QUEUE, schedule, self.cfg.retry, frontend);
-                let first = sender.first_send().unwrap_or(start);
-                self.engine.spawn(Box::new(sender), first);
-            }
+        let sender = ArrivalSender::new(QUERY_QUEUE, schedule, self.cfg.retry, self.frontend);
+        if timed {
+            let first = sender.first_send().unwrap_or(start);
+            self.engine.spawn(Box::new(sender), first);
+        } else {
+            sender.send_all(start, &mut self.engine.world);
         }
         // Steps 9–15: the query-processor pool — static, or elastic when
         // `cfg.query_autoscale` is set.
         let executions: Rc<RefCell<Vec<QueryExecution>>> = Rc::new(RefCell::new(Vec::new()));
-        let first_instance = self.engine.world.ec2.records().len();
-        let scale_events: ScaleEvents = Rc::new(RefCell::new(Vec::new()));
-        match self.cfg.query_autoscale {
-            None => {
-                for mut core in QueryCore::pool(
-                    &self.cfg,
-                    &mut self.engine.world,
-                    start,
-                    strategy,
-                    &executions,
-                    &self.cache,
-                ) {
-                    // The no-index baseline (strategy None) bypasses
-                    // routing even under a mixed plan.
-                    core.plan = strategy.and(self.plan.clone());
-                    core.partitions = self.partition_catalog();
-                    self.engine.spawn(Box::new(core), start);
-                }
-            }
-            Some(policy) => {
-                let tag = self.controller_tag();
-                let mut ctrl = AutoscaleController::new(
-                    QUERY_QUEUE,
-                    policy,
-                    Phase::Query,
-                    tag,
-                    self.cfg.retry,
-                    self.query_launcher(strategy, &executions),
-                    scale_events.clone(),
+        let pool = self.cfg.query_pool;
+        let autoscale = self.cfg.query_autoscale;
+        let (cfg, partitions) = (self.cfg.clone(), self.partition_catalog());
+        let (core_executions, cache) = (executions.clone(), self.cache.clone());
+        // One actor per instance, so the drain signal counts one core.
+        let launcher = Self::launcher(
+            "query",
+            pool,
+            1,
+            autoscale.is_some(),
+            move |instance, idx, drain| {
+                let mut core = QueryCore::new(
+                    &cfg,
+                    instance,
+                    idx,
+                    plan.clone(),
+                    partitions.clone(),
+                    core_executions.clone(),
+                    cache.clone(),
                 );
-                ctrl.provision(&mut self.engine.world, start);
-                self.engine
-                    .spawn(Box::new(ctrl), start + policy.sample_interval);
-            }
-        }
-        let end = self.engine.run();
-        for i in first_instance..self.engine.world.ec2.records().len() {
-            self.engine
-                .world
-                .ec2
-                .extend(amada_cloud::InstanceId(i), end);
-        }
-        self.engine.world.sqs.open(QUERY_QUEUE);
+                core.drain = drain;
+                Box::new(core)
+            },
+        );
+        let (end, _, scale_events) =
+            self.run_pool(QUERY_QUEUE, Phase::Query, pool, autoscale, launcher);
         // Front end, steps 16–18: fetch each response, download the
         // results out of the cloud.
-        self.engine.world.obs.with_ctx(|c| {
-            *c = Default::default();
-            c.phase = Phase::Frontend;
-            c.actor = Some(frontend);
-        });
+        self.tag_frontend(Phase::Frontend, None, None);
         let mut t = end;
         loop {
             let (msg, t2) = frontend_receive(
@@ -1122,9 +990,7 @@ impl Warehouse {
             throttled_requests,
             lease_renewals,
             redelivered,
-            scale_events: Rc::try_unwrap(scale_events)
-                .expect("controller is gone")
-                .into_inner(),
+            scale_events,
         }
     }
 

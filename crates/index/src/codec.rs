@@ -168,23 +168,14 @@ pub fn encode_ids_chunked(ids: &[StructuralId], max_bytes: usize) -> Vec<Vec<u8>
 // cursor then *gallops* across block headers and decodes only the blocks a
 // join actually lands in.
 //
-// Two representations share this metadata:
-//
-// * [`BlockList`] — in-memory: built by skip-scanning the flat wire bytes
-//   fetched from a store (no stored-format change; stored bytes still drive
-//   per-item billing and must stay byte-identical).
-// * `encode_ids_blocked` / `decode_ids_blocked` — an *explicit* serialized
-//   format (`[version][count][headers…][flat body]`) whose body is
-//   byte-identical to [`encode_ids`] output, for stores or caches that want
-//   the skip pointers persisted.
+// [`BlockList`] is in-memory only: built by skip-scanning the flat wire
+// bytes fetched from a store (no stored-format change; stored bytes still
+// drive per-item billing and must stay byte-identical).
 
 /// Number of IDs per block. 128 keeps a block's decoded form (1.5 KiB)
 /// well inside L1 while making header overhead (~2–6 bytes per block)
 /// negligible next to the ~3-byte-per-ID body.
 pub const BLOCK_IDS: usize = 128;
-
-/// Version byte prefixed to the serialized blocked format.
-pub const BLOCKED_FORMAT_VERSION: u8 = 0x01;
 
 /// Per-block metadata: delta anchor, skip pointer, and body byte range.
 #[derive(Debug, Clone, Copy)]
@@ -240,56 +231,6 @@ impl BlockList {
             }
         }
         list
-    }
-
-    /// Builds a block list from the serialized blocked format, using the
-    /// persisted headers for block boundaries (no delta re-scan; the body
-    /// is still validated varint-by-varint so cursors can decode
-    /// infallibly). `None` on malformed input.
-    pub fn from_blocked(bytes: &[u8]) -> Option<BlockList> {
-        let (count, headers, body_start) = parse_blocked_headers(bytes)?;
-        let body = &bytes[body_start..];
-        let mut list = BlockList {
-            body: body.to_vec(),
-            blocks: Vec::with_capacity(headers.len()),
-            len: count as usize,
-        };
-        let mut remaining = count;
-        let mut anchor = 0u32;
-        let mut start = 0usize;
-        for (max_pre, body_len) in headers {
-            let end = start.checked_add(body_len as usize)?;
-            if end > body.len() {
-                return None;
-            }
-            let block_ids = remaining.min(BLOCK_IDS as u32);
-            // Validate the body bytes and the header's skip pointer.
-            let mut pos = start;
-            let mut prev_pre = anchor;
-            for _ in 0..block_ids {
-                let dpre = read_varint(body, &mut pos)?;
-                skip_varint(body, &mut pos)?;
-                skip_varint(body, &mut pos)?;
-                prev_pre = prev_pre.checked_add(dpre)?;
-            }
-            if pos != end || prev_pre != max_pre {
-                return None;
-            }
-            list.blocks.push(BlockMeta {
-                anchor_pre: anchor,
-                max_pre,
-                start: start as u32,
-                end: end as u32,
-                count: block_ids,
-            });
-            remaining -= block_ids;
-            anchor = max_pre;
-            start = end;
-        }
-        if remaining != 0 || start != body.len() {
-            return None;
-        }
-        Some(list)
     }
 
     /// Total number of IDs across all blocks.
@@ -477,71 +418,6 @@ impl amada_pattern::TwigStream<()> for BlockCursor<'_> {
     fn reset(&mut self) {
         BlockCursor::reset(self);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Serialized blocked format
-// ---------------------------------------------------------------------------
-
-/// Encodes a `pre`-sorted ID list in the blocked format:
-///
-/// ```text
-/// [0x01][count varint][(Δmax_pre varint, body_len varint) × ⌈count/128⌉][flat body]
-/// ```
-///
-/// The body is byte-identical to [`encode_ids`] output; the headers add
-/// `max_pre` skip pointers (delta-coded across blocks) and per-block byte
-/// offsets, so a reader can seek without scanning.
-pub fn encode_ids_blocked(ids: &[StructuralId]) -> Vec<u8> {
-    let body = encode_ids(ids);
-    let mut out = Vec::with_capacity(body.len() + ids.len().div_ceil(BLOCK_IDS) * 6 + 8);
-    out.push(BLOCKED_FORMAT_VERSION);
-    write_varint(ids.len() as u32, &mut out);
-    // Per-block headers: walk the body to find each block's byte length.
-    let mut pos = 0usize;
-    let mut prev_max = 0u32;
-    for chunk in ids.chunks(BLOCK_IDS) {
-        let start = pos;
-        for _ in 0..chunk.len() * 3 {
-            skip_varint(&body, &mut pos).expect("encode_ids output is well-formed");
-        }
-        let max_pre = chunk.last().expect("chunks are non-empty").pre;
-        write_varint(max_pre - prev_max, &mut out);
-        write_varint((pos - start) as u32, &mut out);
-        prev_max = max_pre;
-    }
-    out.extend_from_slice(&body);
-    out
-}
-
-/// Decodes the blocked format, validating the version byte, every block
-/// header against the body, and overall length; `None` on any mismatch.
-/// Yields the same ID list as [`decode_ids`] on the flat body.
-pub fn decode_ids_blocked(bytes: &[u8]) -> Option<Vec<StructuralId>> {
-    BlockList::from_blocked(bytes).map(|list| list.decode_all())
-}
-
-/// Parsed blocked-format prefix: (ID count, per-block `(max_pre,
-/// body_len)` pairs, body start offset).
-type BlockedHeaders = (u32, Vec<(u32, u32)>, usize);
-
-/// Parses the blocked-format prefix.
-fn parse_blocked_headers(bytes: &[u8]) -> Option<BlockedHeaders> {
-    if bytes.first() != Some(&BLOCKED_FORMAT_VERSION) {
-        return None;
-    }
-    let mut pos = 1usize;
-    let count = read_varint(bytes, &mut pos)?;
-    let num_blocks = (count as usize).div_ceil(BLOCK_IDS);
-    let mut headers = Vec::with_capacity(num_blocks);
-    let mut max_pre = 0u32;
-    for _ in 0..num_blocks {
-        let d_max = read_varint(bytes, &mut pos)?;
-        let body_len = read_varint(bytes, &mut pos)?;
-        max_pre = max_pre.checked_add(d_max)?;
-        headers.push((max_pre, body_len));
-    }
-    Some((count, headers, pos))
 }
 
 // ---------------------------------------------------------------------------
@@ -738,38 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_round_trip_matches_flat() {
-        for n in [0usize, 1, 2, 127, 128, 129, 500, 1000] {
-            let list: Vec<StructuralId> = (0..n as u32)
-                .map(|i| StructuralId::new(i * 3 + 1, i * 2 + 1, (i % 9) + 1))
-                .collect();
-            let blocked = encode_ids_blocked(&list);
-            assert_eq!(decode_ids_blocked(&blocked).unwrap(), list, "n={n}");
-            // The body after the headers is byte-identical to the flat
-            // encoding, preserving the sorted-order contract.
-            let flat = encode_ids(&list);
-            assert!(blocked.ends_with(&flat), "n={n}");
-        }
-    }
-
-    #[test]
-    fn blocked_rejects_malformed() {
-        let list: Vec<StructuralId> = (1..=300).map(|i| StructuralId::new(i, i, 2)).collect();
-        let good = encode_ids_blocked(&list);
-        assert!(decode_ids_blocked(&good).is_some());
-        assert!(decode_ids_blocked(&[]).is_none());
-        assert!(decode_ids_blocked(&[0x02]).is_none()); // wrong version
-        assert!(decode_ids_blocked(&good[..good.len() - 1]).is_none()); // truncated
-        let mut extra = good.clone();
-        extra.push(0x00); // trailing junk
-        assert!(decode_ids_blocked(&extra).is_none());
-        // Corrupt a skip pointer: header no longer matches the body.
-        let mut bad = good.clone();
-        bad[2] ^= 0x01;
-        assert!(decode_ids_blocked(&bad).is_none());
-    }
-
-    #[test]
     fn block_list_from_flat_matches_decode_ids() {
         let list: Vec<StructuralId> = (0..777u32)
             .map(|i| StructuralId::new(i * 5 + 1, i + 1, (i % 6) + 1))
@@ -824,8 +668,7 @@ mod tests {
     }
 
     /// Seeded property test: adversarial lists round-trip identically
-    /// through the flat codec, the blocked codec, and every [`BlockList`]
-    /// construction path, and cursors agree with a reference scan.
+    /// through the flat codec and every [`BlockList`] construction path, and cursors agree with a reference scan.
     #[test]
     fn block_codec_property_equivalence() {
         use amada_rng::StdRng;
@@ -834,19 +677,15 @@ mod tests {
             let list = random_adversarial_list(&mut rng);
             let flat = encode_ids(&list);
             assert_eq!(decode_ids(&flat).unwrap(), list, "seed {seed}");
-            let blocked = encode_ids_blocked(&list);
-            assert_eq!(decode_ids_blocked(&blocked).unwrap(), list, "seed {seed}");
             let from_flat = BlockList::from_flat(&flat).unwrap();
             assert_eq!(from_flat.decode_all(), list, "seed {seed}");
             assert_eq!(from_flat.len(), list.len(), "seed {seed}");
-            let from_blocked = BlockList::from_blocked(&blocked).unwrap();
-            assert_eq!(from_blocked.decode_all(), list, "seed {seed}");
             let chunks = encode_ids_chunked(&list, rng.gen_range(15..200usize));
             let from_chunks = BlockList::from_chunks(chunks.iter().map(Vec::as_slice));
             assert_eq!(from_chunks.decode_all(), list, "seed {seed}");
             // Random monotone skip/advance sequence vs a reference scan
             // over the plain list, on each construction path.
-            for bl in [&from_flat, &from_blocked, &from_chunks] {
+            for bl in [&from_flat, &from_chunks] {
                 let mut cur = bl.cursor();
                 let mut ref_pos = 0usize;
                 let mut target = 0u32;

@@ -49,7 +49,7 @@ pub use lookup::{
 pub use parallel::{prewarm, PrewarmReport};
 pub use partition::{
     index_documents_mixed, lookup_mixed, partition_lookup_tables, partition_of, partition_table,
-    partition_tables, retarget_entries, MixedPlan,
+    partition_tables, routed_entries, MixedPlan,
 };
 pub use pushdown::{decode_tuples, encode_tuples, ScanPredicate};
 pub use shard::{hottest_keys, key_frequencies, skew_aware_plan};

@@ -25,9 +25,16 @@
 //! [`QueryLookup`] shape as the single-strategy path, so everything
 //! downstream (fetch, evaluate, join, bill) is unchanged.
 //!
-//! LUP-PD is deliberately not routable: its *fetch* side (storage-side
-//! scans instead of GETs) is a per-query-core decision, not a
-//! per-partition one, so a mixed plan rejects it.
+//! The paper's own layout is the **flat** plan ([`MixedPlan::flat`]): one
+//! strategy (or none) for the whole corpus, every URI routed to the root
+//! partition's global tables *whatever its prefix*. That is not
+//! [`MixedPlan::uniform`], which gives `hot/doc.xml` its own
+//! `amada-index@hot` tables. The warehouse always runs under a plan; a
+//! configuration that names none runs under the flat one.
+//!
+//! LUP-PD is deliberately not routable per partition: its *fetch* side
+//! (storage-side scans instead of GETs) is a per-query-core decision, so
+//! only a flat plan may carry it.
 
 use crate::loadutil::{write_entries, DocIndexing};
 use crate::lookup::{lookup_pattern_in, LookupOutcome, QueryLookup, StrategyTables};
@@ -37,6 +44,7 @@ use crate::strategy::{
 use amada_cloud::{KvError, KvStore, SimTime};
 use amada_pattern::Query;
 use amada_xml::Document;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 
@@ -95,14 +103,18 @@ pub fn partition_tables(strategy: Strategy, partition: &str) -> Vec<&'static str
         .collect()
 }
 
-/// Redirects freshly-extracted entries into their partition's tables.
-pub fn retarget_entries(entries: &mut [IndexEntry], partition: &str) {
+/// Freshly-extracted entries, redirected into their partition's tables.
+/// The root partition keeps the global tables, so its entries stay
+/// borrowed — no per-document copy on the paper's path.
+pub fn routed_entries<'a>(entries: &'a [IndexEntry], partition: &str) -> Cow<'a, [IndexEntry]> {
     if partition.is_empty() {
-        return;
+        return Cow::Borrowed(entries);
     }
-    for e in entries {
+    let mut routed = entries.to_vec();
+    for e in &mut routed {
         e.table = partition_table(e.table, partition);
     }
+    Cow::Owned(routed)
 }
 
 /// A per-partition strategy assignment: named partitions map to a
@@ -112,10 +124,13 @@ pub fn retarget_entries(entries: &mut [IndexEntry], partition: &str) {
 pub struct MixedPlan {
     assignments: BTreeMap<String, Option<Strategy>>,
     default: Option<Strategy>,
+    /// A flat plan has one partition: URI prefixes do not route.
+    flat: bool,
 }
 
 impl MixedPlan {
-    /// A plan whose every partition uses `default`.
+    /// A plan whose every partition uses `default`, each in its own
+    /// tables.
     pub fn uniform(default: Option<Strategy>) -> MixedPlan {
         assert_ne!(
             default,
@@ -125,6 +140,28 @@ impl MixedPlan {
         MixedPlan {
             assignments: BTreeMap::new(),
             default,
+            flat: false,
+        }
+    }
+
+    /// The paper's layout: the whole corpus in the root partition's
+    /// global tables under one `strategy` — `None` indexes nothing, so
+    /// every query scans the corpus (the no-index baseline).
+    pub fn flat(strategy: Option<Strategy>) -> MixedPlan {
+        MixedPlan {
+            assignments: BTreeMap::new(),
+            default: strategy,
+            flat: true,
+        }
+    }
+
+    /// The partition this plan routes a document to: its URI's directory
+    /// prefix, or always the root partition under a flat plan.
+    pub fn partition_of<'a>(&self, uri: &'a str) -> &'a str {
+        if self.flat {
+            ""
+        } else {
+            partition_of(uri)
         }
     }
 
@@ -136,6 +173,7 @@ impl MixedPlan {
 
     /// Assigns a partition its strategy.
     pub fn assign(&mut self, partition: &str, strategy: Option<Strategy>) {
+        assert!(!self.flat, "a flat plan has no partitions to assign");
         assert_ne!(
             strategy,
             Some(Strategy::LupPd),
@@ -154,7 +192,7 @@ impl MixedPlan {
 
     /// The strategy routing a document.
     pub fn strategy_for_uri(&self, uri: &str) -> Option<Strategy> {
-        self.strategy_of(partition_of(uri))
+        self.strategy_of(self.partition_of(uri))
     }
 
     /// The default strategy of unnamed partitions.
@@ -175,19 +213,14 @@ impl MixedPlan {
     }
 
     /// The distinct strategies any partition indexes with (for cache
-    /// prewarming).
-    pub fn indexed_strategies(&self) -> Vec<Strategy> {
-        let set: BTreeSet<&'static str> = self
-            .assignments
+    /// prewarming); empty when the plan indexes nothing.
+    pub fn indexed_strategies(&self) -> BTreeSet<Strategy> {
+        self.assignments
             .values()
             .copied()
             .chain([self.default])
             .flatten()
-            .map(Strategy::name)
-            .collect();
-        let mut out: Vec<Strategy> = set.into_iter().filter_map(Strategy::parse).collect();
-        out.sort_by_key(|s| s.name());
-        out
+            .collect()
     }
 
     /// Every table a *named* partition's strategy stores entries in
@@ -220,14 +253,13 @@ pub fn index_documents_mixed(
     let mut total = DocIndexing::default();
     let mut t = SimTime::ZERO;
     for d in docs {
-        let partition = partition_of(d.uri());
+        let partition = plan.partition_of(d.uri());
         let Some(strategy) = plan.strategy_of(partition) else {
             continue;
         };
-        let mut entries = extract(d, strategy, opts);
-        retarget_entries(&mut entries, partition);
-        let (m, ready) =
-            write_entries(store, t, &entries, d.uri()).expect("mixed indexing must succeed");
+        let entries = extract(d, strategy, opts);
+        let (m, ready) = write_entries(store, t, &routed_entries(&entries, partition), d.uri())
+            .expect("mixed indexing must succeed");
         t = ready;
         total.entries += m.entries;
         total.items += m.items;
@@ -237,8 +269,11 @@ pub fn index_documents_mixed(
     total
 }
 
-/// Looks up a full query under a mixed plan: each indexed partition
-/// answers with its own strategy against its own tables. Partitions are
+/// Looks up a full query under a routing plan — the one look-up entry
+/// point: a flat plan is the single-strategy chain of
+/// [`crate::lookup_query`] over the global tables, a plan that indexes
+/// nothing issues no store call at all. Each indexed partition answers
+/// with its own strategy against its own tables. Partitions are
 /// independent tables, so their look-ups for one pattern are issued
 /// *concurrently* in virtual time — each starts at the pattern's start
 /// time and the pattern completes when the slowest partition responds
@@ -272,10 +307,13 @@ pub fn lookup_mixed(
         by_partition.entry(partition.as_str()).or_default();
     }
     for uri in corpus_uris {
-        by_partition.entry(partition_of(uri)).or_default().push(uri);
+        by_partition
+            .entry(plan.partition_of(uri))
+            .or_default()
+            .push(uri);
     }
     let mut indexed: Vec<(&str, Strategy)> = Vec::new();
-    let mut scanned: BTreeSet<String> = BTreeSet::new();
+    let mut scanned: Vec<String> = Vec::new();
     for (&partition, uris) in &by_partition {
         match plan.strategy_of(partition) {
             Some(s) => {
@@ -293,8 +331,10 @@ pub fn lookup_mixed(
     let mut per_pattern = Vec::with_capacity(query.patterns.len());
     let mut t = now;
     for p in &query.patterns {
-        let mut uris: BTreeSet<String> = scanned.clone();
-        let mut merged = LookupOutcome::default();
+        let mut merged = LookupOutcome {
+            uris: scanned.clone(),
+            ..Default::default()
+        };
         // Fan out: every partition's look-up is issued at the pattern's
         // start time; the pattern is ready when the slowest responds.
         let mut ready = t;
@@ -304,11 +344,14 @@ pub fn lookup_mixed(
             ready = ready.max(outcome.ready_at);
             merged.entries_processed += outcome.entries_processed;
             merged.get_ops += outcome.get_ops;
-            uris.extend(outcome.uris);
+            merged.uris.extend(outcome.uris);
         }
         t = ready;
         merged.ready_at = t;
-        merged.uris = uris.into_iter().collect();
+        // One sorted source (the flat plan, a whole-corpus scan) is
+        // already in order, which makes this a linear pass.
+        merged.uris.sort_unstable();
+        merged.uris.dedup();
         per_pattern.push(merged);
     }
     let mut uris: Vec<String> = per_pattern
@@ -369,11 +412,17 @@ mod tests {
         assert_eq!(plan.strategy_for_uri("cold/c.xml"), None);
         assert_eq!(plan.strategy_for_uri("d.xml"), Some(Strategy::Lup));
         assert_eq!(plan.strategy_for_uri("other/e.xml"), Some(Strategy::Lup));
-        // Distinct indexed strategies, in name order ("2LUPI" < "LUP").
         assert_eq!(
             plan.indexed_strategies(),
-            vec![Strategy::TwoLupi, Strategy::Lup]
+            BTreeSet::from([Strategy::Lup, Strategy::TwoLupi])
         );
+        // A flat plan ignores prefixes; a uniform one does not.
+        let flat = MixedPlan::flat(Some(Strategy::Lup));
+        assert_eq!(flat.partition_of("hot/a.xml"), "");
+        assert_eq!(flat.strategy_for_uri("hot/a.xml"), Some(Strategy::Lup));
+        let uniform = MixedPlan::uniform(Some(Strategy::Lup));
+        assert_eq!(uniform.partition_of("hot/a.xml"), "hot");
+        assert_ne!(flat, uniform);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// An indexing strategy (paper Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Strategy {
     /// Label–URI.
     Lu,

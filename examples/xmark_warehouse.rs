@@ -16,10 +16,21 @@ use amada::xmark::{generate_corpus, workload, CorpusConfig};
 fn main() {
     let mut args = std::env::args().skip(1);
     let docs: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(500);
-    let strategy = args
-        .next()
-        .and_then(|a| Strategy::parse(&a))
-        .unwrap_or(Strategy::Lup);
+    let strategy = match args.next() {
+        None => Strategy::Lup,
+        Some(name) => Strategy::parse(&name).unwrap_or_else(|| {
+            let valid: Vec<&str> = Strategy::ALL
+                .into_iter()
+                .chain([Strategy::LupPd])
+                .map(Strategy::name)
+                .collect();
+            eprintln!(
+                "unknown strategy '{name}'; valid names: {}",
+                valid.join(", ")
+            );
+            std::process::exit(2);
+        }),
+    };
 
     let corpus_cfg = CorpusConfig {
         num_documents: docs,

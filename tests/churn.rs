@@ -4,11 +4,11 @@
 //! deletes, mid-replace loader crashes) must converge to the exact same
 //! index bytes as a fault-free run — at strictly higher cost.
 
-use amada::cloud::{FaultConfig, InstanceType, SimDuration};
+use amada::cloud::{FaultConfig, SimDuration};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada_core::actors::{DocCache, LoaderCore, LoaderTotals};
-use amada_core::{RetryPolicy, DOC_BUCKET, LOADER_QUEUE};
+use amada_core::{DOC_BUCKET, LOADER_QUEUE};
 use amada_rng::StdRng;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -185,24 +185,20 @@ fn mid_replace_crash_converges_to_the_new_version() {
     let totals = Rc::new(RefCell::new(LoaderTotals::default()));
     let cache: DocCache = w.cache().clone();
     let registry = w.retraction_registry();
+    let plan = w.routing_plan();
     let start = w.now();
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
-    let mk = |engine: &mut amada::cloud::Engine, seed: u64| {
-        let mut core = LoaderCore::new(
-            engine.world.ec2.launch(InstanceType::Large, start),
-            2.0,
-            cfg.strategy,
-            cfg.extract,
+    let mk = |engine: &mut amada::cloud::Engine, idx: u64| {
+        LoaderCore::new(
+            &cfg,
+            engine.world.ec2.launch(cfg.loader_pool.itype, start),
+            idx,
+            plan.clone(),
+            registry.clone(),
             totals.clone(),
             cache.clone(),
-            cfg.visibility,
-            cfg.poll_interval,
-            RetryPolicy::default(),
-            seed,
-        );
-        core.retractions = registry.clone();
-        core
+        )
     };
     let mut crashing = mk(engine, 1);
     crashing.crash_after_batches = Some(1);

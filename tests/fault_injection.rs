@@ -7,7 +7,7 @@ use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
 use amada_core::actors::{DocCache, LoaderCore, LoaderTotals};
-use amada_core::{RetryPolicy, LOADER_QUEUE};
+use amada_core::LOADER_QUEUE;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -90,21 +90,19 @@ fn mid_upload_crash_rewrites_the_index_idempotently() {
 
     let totals = Rc::new(RefCell::new(LoaderTotals::default()));
     let cache: DocCache = amada_index::ExtractCache::shared();
+    let (plan, registry) = (w.routing_plan(), w.retraction_registry());
     let start = w.now();
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
-    let mk = |engine: &mut amada::cloud::Engine, seed: u64| {
+    let mk = |engine: &mut amada::cloud::Engine, idx: u64| {
         LoaderCore::new(
-            engine.world.ec2.launch(InstanceType::Large, start),
-            2.0,
-            vis_cfg.strategy,
-            vis_cfg.extract,
+            &vis_cfg,
+            engine.world.ec2.launch(vis_cfg.loader_pool.itype, start),
+            idx,
+            plan.clone(),
+            registry.clone(),
             totals.clone(),
             cache.clone(),
-            vis_cfg.visibility,
-            vis_cfg.poll_interval,
-            RetryPolicy::default(),
-            seed,
         )
     };
     let mut crashing = mk(engine, 1);

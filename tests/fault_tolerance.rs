@@ -2,13 +2,12 @@
 //! Section 3) that a crashed virtual instance loses its message lease and
 //! another instance takes the job over, so the pipeline completes anyway.
 
-use amada::cloud::{InstanceType, SimDuration, SimTime};
+use amada::cloud::{SimDuration, SimTime};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
 use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, QueryCore};
-use amada_core::{RetryPolicy, LOADER_QUEUE, QUERY_QUEUE};
-use amada_rng::StdRng;
+use amada_core::{LOADER_QUEUE, QUERY_QUEUE};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -38,21 +37,19 @@ fn loader_crash_is_recovered_through_lease_expiry() {
     // Hand-build the loader pool: one crashing core, one healthy core.
     let totals = Rc::new(RefCell::new(LoaderTotals::default()));
     let cache: DocCache = amada_index::ExtractCache::shared();
+    let (plan, registry) = (w.routing_plan(), w.retraction_registry());
     let start = w.now();
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
-    let mk = |engine: &mut amada::cloud::Engine, crash: Option<u32>, seed: u64| {
+    let mk = |engine: &mut amada::cloud::Engine, crash: Option<u32>, idx: u64| {
         let mut core = LoaderCore::new(
-            engine.world.ec2.launch(InstanceType::Large, start),
-            2.0,
-            cfg.strategy,
-            cfg.extract,
+            &cfg,
+            engine.world.ec2.launch(cfg.loader_pool.itype, start),
+            idx,
+            plan.clone(),
+            registry.clone(),
             totals.clone(),
             cache.clone(),
-            cfg.visibility,
-            cfg.poll_interval,
-            RetryPolicy::default(),
-            seed,
         );
         core.crash_after = crash;
         core
@@ -105,6 +102,7 @@ fn query_processor_crash_is_recovered() {
     let start = w.now();
     let executions = Rc::new(RefCell::new(Vec::new()));
     let cache: DocCache = amada_index::ExtractCache::shared();
+    let (plan, partitions) = (w.routing_plan(), w.partition_catalog());
     let engine = w.engine_mut();
     let t = engine
         .world
@@ -112,24 +110,18 @@ fn query_processor_crash_is_recovered() {
         .send(start, QUERY_QUEUE, format!("q1\n{q}"))
         .unwrap();
     engine.world.sqs.close(QUERY_QUEUE);
-    let mk = |engine: &mut amada::cloud::Engine, crash: Option<u32>, seed: u64| QueryCore {
-        instance: engine.world.ec2.launch(InstanceType::Large, t),
-        cores: 2,
-        ecu: 2.0,
-        strategy: Some(Strategy::Lu),
-        plan: None,
-        partitions: Rc::default(),
-        opts: cfg.extract,
-        cache: cache.clone(),
-        visibility: cfg.visibility,
-        poll: cfg.poll_interval,
-        executions: executions.clone(),
-        policy: RetryPolicy::default(),
-        rng: StdRng::seed_from_u64(seed),
-        crash_after: crash,
-        processed: 0,
-        attempt: 0,
-        drain: None,
+    let mk = |engine: &mut amada::cloud::Engine, crash: Option<u32>, idx: u64| {
+        let mut core = QueryCore::new(
+            &cfg,
+            engine.world.ec2.launch(cfg.query_pool.itype, t),
+            idx,
+            plan.clone(),
+            partitions.clone(),
+            executions.clone(),
+            cache.clone(),
+        );
+        core.crash_after = crash;
+        core
     };
     // The crashing processor receives the message first (spawned first).
     let crashing = mk(engine, Some(0), 1);
