@@ -13,9 +13,12 @@
 //!   not change the bill (recorder on/off, prewarm on/off, explicit
 //!   zero fault rates) or must not change billed index operations and
 //!   answers (batching off).
+//! * [`isolation_oracle`] — two live warehouses holding *different bytes
+//!   under the same URIs*, stepped in lock-step on two threads, must each
+//!   end up exactly where a warehouse with no neighbour does.
 
 use crate::gen::Case;
-use amada_cloud::{FaultConfig, Money, ServiceKind, Span, World};
+use amada_cloud::{FaultConfig, KvItem, Money, ServiceKind, Span, World};
 use amada_core::{Warehouse, WarehouseConfig};
 use amada_index::ExtractOptions;
 use amada_pattern::Query;
@@ -187,6 +190,75 @@ pub fn billing_oracle(case: &Case, query: &Query) -> Result<(), String> {
         return Err(format!(
             "batching off changed answers: {base_answers:?} vs {unbatched_answers:?}"
         ));
+    }
+    Ok(())
+}
+
+/// The index contents and the canonical answers of one warehouse.
+type Observed = (Vec<(String, KvItem)>, Vec<Vec<String>>);
+
+/// Runs two warehouses on two threads over colliding URIs: neighbour `k`
+/// uploads and indexes the corpus with every document's content moved
+/// `k` URIs along, then replaces all of it with the content moved `k + 2`
+/// along, rebuilds and answers `queries` — a barrier before every step,
+/// so uploads, builds, retractions and queries of the two interleave on
+/// the process-wide extraction cache. Each must hold the index of, and
+/// answer like, a fresh warehouse given only its own final corpus.
+pub fn isolation_oracle(
+    docs: &[(String, String)],
+    cfg: &WarehouseConfig,
+    queries: &[Query],
+) -> Result<(), String> {
+    let corpus = |shift: usize| -> Vec<(String, String)> {
+        (0..docs.len())
+            .map(|i| (docs[i].0.clone(), docs[(i + shift) % docs.len()].1.clone()))
+            .collect()
+    };
+    let observe = |w: &mut Warehouse| -> Observed {
+        let answers = queries
+            .iter()
+            .map(|q| crate::oracles::canon_joined(&w.run_query(q).exec.results))
+            .collect();
+        (w.world().kv.peek_all(), answers)
+    };
+    let step = std::sync::Barrier::new(2);
+    let neighbour = |k: usize| -> Observed {
+        let mut w = Warehouse::new(cfg.clone());
+        step.wait();
+        w.upload_documents(corpus(k));
+        step.wait();
+        w.build_index();
+        step.wait();
+        w.upload_documents(corpus(k + 2));
+        step.wait();
+        w.build_index();
+        step.wait();
+        observe(&mut w)
+    };
+    let lived = std::thread::scope(|s| {
+        let other = s.spawn(|| neighbour(1));
+        [neighbour(0), other.join().expect("neighbour thread")]
+    });
+    for (k, lived) in lived.into_iter().enumerate() {
+        let mut fresh = Warehouse::new(cfg.clone());
+        fresh.upload_documents(corpus(k + 2));
+        fresh.build_index();
+        let alone = observe(&mut fresh);
+        if lived.0 != alone.0 {
+            return Err(format!(
+                "warehouse {k}: index differs from a fresh build of its own corpus \
+                 ({} items vs {})",
+                lived.0.len(),
+                alone.0.len()
+            ));
+        }
+        if lived.1 != alone.1 {
+            return Err(format!(
+                "warehouse {k}: answers differ from a fresh build of its own corpus\n  \
+                 alone:      {:?}\n  neighbours: {:?}",
+                alone.1, lived.1
+            ));
+        }
     }
     Ok(())
 }

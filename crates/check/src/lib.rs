@@ -25,6 +25,9 @@
 //!   deletes, delete-then-re-add), replaying it against a warehouse must
 //!   converge — index bytes, file store, accounting and answers — to a
 //!   fresh build of the surviving corpus.
+//! * **G — isolation** (sampled with E): two warehouses holding different
+//!   bytes under the same URIs, stepped in lock-step on two threads, each
+//!   converge to what a warehouse with no neighbour holds and answers.
 //!
 //! On a violation the failing case is *shrunk* — fewer documents, fewer
 //! churn operations, smaller documents, smaller query — and printed as a
@@ -81,7 +84,8 @@ pub struct CheckConfig {
     pub seed: u64,
     /// Number of cases to run.
     pub cases: usize,
-    /// Run the (heavier) billing oracle on every Nth case; 0 disables it.
+    /// Run the (heavier) billing and isolation oracles on every Nth case;
+    /// 0 disables them.
     pub billing_every: usize,
     /// Injected bug, for harness self-validation.
     pub mutation: Mutation,

@@ -31,7 +31,7 @@ use std::fmt;
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Oracle name (`answers`, `containment`, `twig-vs-naive`,
-    /// `round-trip`, `sharding`, `billing`).
+    /// `round-trip`, `sharding`, `billing`, `isolation`).
     pub oracle: &'static str,
     /// What disagreed, with the per-strategy outputs involved.
     pub detail: String,
@@ -91,6 +91,10 @@ pub fn check_case(case: &Case, mutation: Mutation, billing: bool) -> Result<(), 
 
     if billing {
         invariants::billing_oracle(case, &query).map_err(|d| violation("billing", d))?;
+        let mut cfg = WarehouseConfig::with_strategy(crate::case_strategy(case.index));
+        cfg.extract = opts;
+        invariants::isolation_oracle(&case.docs, &cfg, std::slice::from_ref(&query))
+            .map_err(|d| violation("isolation", d))?;
     }
     Ok(())
 }

@@ -51,7 +51,7 @@ pub use kv::{KvError, KvItem, KvProfile, KvStats, KvStore, KvValue};
 pub use money::Money;
 pub use obs::{ActorTag, Ctx, Outcome, Phase, Recorder, ServiceKind, Span};
 pub use pricing::{InstanceType, PriceTable};
-pub use s3::{ObjectPredicate, S3Error, S3Stats, S3};
+pub use s3::{content_hash, Blob, ObjectPredicate, S3Error, S3Stats, S3};
 pub use shard::ShardPlan;
 pub use sim::{Actor, CostReport, CostSnapshot, Engine, KvBackend, StepResult, StorageCost, World};
 pub use simpledb::{SimpleDb, SimpleDbConfig};

@@ -44,6 +44,47 @@ impl fmt::Display for S3Error {
 
 impl std::error::Error for S3Error {}
 
+/// FNV-1a over `bytes` — the cheap, deterministic content hash behind
+/// object ETags, cache validation and shard routing.
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// A stored object: its bytes plus their [`content_hash`], computed once
+/// when the object is stored (S3's ETag). Whoever holds the object can
+/// validate a host-side cache entry against it without rehashing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Blob {
+    bytes: Vec<u8>,
+    etag: u64,
+}
+
+impl Blob {
+    /// Wraps `bytes`, hashing them once.
+    pub fn new(bytes: Vec<u8>) -> Blob {
+        let etag = content_hash(&bytes);
+        Blob { bytes, etag }
+    }
+
+    /// The content hash of the bytes.
+    pub fn etag(&self) -> u64 {
+        self.etag
+    }
+}
+
+impl std::ops::Deref for Blob {
+    type Target = Vec<u8>;
+
+    fn deref(&self) -> &Vec<u8> {
+        &self.bytes
+    }
+}
+
 /// A compiled predicate the store can evaluate server-side (the
 /// S3-Select analog). The store stays format-agnostic: it hands the
 /// predicate the raw object bytes and ships back whatever bytes the
@@ -89,7 +130,7 @@ pub struct S3Stats {
 
 /// The simulated file store.
 pub struct S3 {
-    buckets: HashMap<String, HashMap<String, Arc<Vec<u8>>>>,
+    buckets: HashMap<String, HashMap<String, Arc<Blob>>>,
     stats: S3Stats,
     transfer: ServiceQueue,
     faults: FaultInjector,
@@ -182,7 +223,7 @@ impl S3 {
         let b = self.buckets.get_mut(bucket).expect("checked above");
         let len = data.len() as u64;
         self.stats.bytes_in += len;
-        if let Some(old) = b.insert(key.to_string(), Arc::new(data)) {
+        if let Some(old) = b.insert(key.to_string(), Arc::new(Blob::new(data))) {
             self.stats.stored_bytes -= old.len() as u64;
         }
         self.stats.stored_bytes += len;
@@ -241,7 +282,7 @@ impl S3 {
         now: SimTime,
         bucket: &str,
         key: &str,
-    ) -> Result<(Arc<Vec<u8>>, SimTime), S3Error> {
+    ) -> Result<(Arc<Blob>, SimTime), S3Error> {
         if !self.buckets.contains_key(bucket) {
             return Err(S3Error::NoSuchBucket(bucket.to_string()));
         }
@@ -357,11 +398,11 @@ impl S3 {
     /// Host-side snapshot of a bucket's objects, in key order. No request
     /// is billed and no virtual time passes — this exists for the host's
     /// cache-prewarm stage, which must not perturb the simulation.
-    pub fn peek_all(&self, bucket: &str) -> Vec<(String, Arc<Vec<u8>>)> {
+    pub fn peek_all(&self, bucket: &str) -> Vec<(String, Arc<Blob>)> {
         let Some(b) = self.buckets.get(bucket) else {
             return Vec::new();
         };
-        let mut objects: Vec<(String, Arc<Vec<u8>>)> =
+        let mut objects: Vec<(String, Arc<Blob>)> =
             b.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         objects.sort_by(|(a, _), (b, _)| a.cmp(b));
         objects
@@ -371,7 +412,7 @@ impl S3 {
     /// is billed and no virtual time passes — the front end uses this to
     /// capture the *old* version of a document before a replace or delete
     /// destroys it, so stale index entries stay derivable.
-    pub fn peek(&self, bucket: &str, key: &str) -> Option<Arc<Vec<u8>>> {
+    pub fn peek(&self, bucket: &str, key: &str) -> Option<Arc<Blob>> {
         self.buckets.get(bucket)?.get(key).cloned()
     }
 

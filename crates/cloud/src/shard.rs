@@ -16,6 +16,7 @@
 //! decided per item / per key exactly as in the unsharded store, so a
 //! faults-off run bills byte-identical capacity with any plan.
 
+use crate::s3::content_hash;
 use std::collections::BTreeMap;
 
 /// How a table's hash-key space is partitioned into provisioned shards.
@@ -34,16 +35,6 @@ impl Default for ShardPlan {
     fn default() -> Self {
         ShardPlan::single()
     }
-}
-
-/// FNV-1a, 64-bit: stable across platforms and runs, cheap per key.
-fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl ShardPlan {
@@ -106,7 +97,7 @@ impl ShardPlan {
     pub fn route(&self, hash_key: &str) -> usize {
         match self.hot.get(hash_key) {
             Some(&shard) => shard,
-            None => (fnv1a(hash_key) % self.cold_shards as u64) as usize,
+            None => (content_hash(hash_key.as_bytes()) % self.cold_shards as u64) as usize,
         }
     }
 }

@@ -55,10 +55,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 /// Host-side cache of parsed documents and memoized extraction results,
-/// keyed by URI and validated by a content hash computed once per upload,
-/// so that re-uploading a changed document under the same URI is
-/// re-parsed (virtual time still charges every parse and extraction —
-/// cloud instances are stateless across tasks; the cache only spares the
+/// keyed by URI and content hash (the stored object's ETag), so that
+/// re-uploading a changed document under the same URI is re-parsed
+/// (virtual time still charges every parse and extraction — cloud
+/// instances are stateless across tasks; the cache only spares the
 /// simulation host). Sharded and `Send + Sync`: the warehouse prewarms it
 /// across all host cores before the single-threaded engine runs.
 pub type DocCache = Arc<ExtractCache>;

@@ -372,7 +372,7 @@ pub fn frontend_get_object(
     now: SimTime,
     bucket: &str,
     key: &str,
-) -> (Arc<Vec<u8>>, SimTime) {
+) -> (Arc<amada_cloud::Blob>, SimTime) {
     let mut t = now;
     let mut attempt = 0u32;
     loop {

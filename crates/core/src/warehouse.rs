@@ -16,7 +16,7 @@ use crate::retry::{
     frontend_put_object, frontend_receive, frontend_send,
 };
 use amada_cloud::{
-    Actor, ActorTag, CostReport, CostSnapshot, Engine, InstanceId, Money, Phase, ServiceKind,
+    Actor, ActorTag, Blob, CostReport, CostSnapshot, Engine, InstanceId, Money, Phase, ServiceKind,
     SimDuration, SimTime, Span, StorageCost, World,
 };
 use amada_index::{
@@ -306,18 +306,13 @@ impl Warehouse {
             // the overwrite destroys the only copy of its bytes (the
             // registry unions across repeated replaces, so intermediate
             // versions cannot leak entries), account for the replaced
-            // bytes, and keep the URI listed once. Must happen before
-            // `note_upload` rebinds the cache to the new content hash.
+            // bytes, and keep the URI listed once.
             let replaced = self.engine.world.s3.peek(DOC_BUCKET, &uri);
             if let Some(old) = &replaced {
-                if **old != body {
+                if ***old != body {
                     self.retract_later(&uri, self.item_keys_under(&self.plan, &uri, old));
                 }
             }
-            // Hash the content once, here; every later cache probe for
-            // this URI compares against the recorded hash instead of
-            // re-hashing megabytes of XML per loader step.
-            self.cache.note_upload(&uri, &body);
             t = frontend_put_object(
                 &mut self.engine.world.s3,
                 &self.cfg.retry,
@@ -367,7 +362,7 @@ impl Warehouse {
     /// content (host-side replay of the loader's deterministic encoding —
     /// no requests, no virtual time): under the plan in force for churn,
     /// under the *old* plan when [`Warehouse::apply_plan`] switches.
-    fn item_keys_under(&self, plan: &MixedPlan, uri: &str, bytes: &[u8]) -> Vec<ItemKey> {
+    fn item_keys_under(&self, plan: &MixedPlan, uri: &str, bytes: &Blob) -> Vec<ItemKey> {
         let partition = plan.partition_of(uri);
         // An unindexed partition holds nothing to replay.
         let Some(strategy) = plan.strategy_of(partition) else {
@@ -571,8 +566,8 @@ impl Warehouse {
             .peek_all(DOC_BUCKET)
             .into_iter()
             .map(|(uri, bytes)| {
-                let xml = String::from_utf8(bytes.as_ref().clone())
-                    .expect("stored documents are UTF-8 XML");
+                let xml =
+                    String::from_utf8(bytes.to_vec()).expect("stored documents are UTF-8 XML");
                 (uri, xml)
             })
             .collect();

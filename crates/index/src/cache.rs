@@ -19,15 +19,18 @@
 //!   [`Document`] *and* the extraction output per `(Strategy,
 //!   ExtractOptions)` — a loader core's entire CPU-heavy step becomes two
 //!   map probes.
-//! * **Hash once per upload.** Validating a cached parse against the
-//!   stored bytes used to re-FNV the full document on every loader step.
-//!   [`ExtractCache::note_upload`] computes the content hash once, when
-//!   the warehouse stores the object; later probes compare the cached
-//!   entry's hash against that *expected* hash without touching the
-//!   bytes. Callers that bypass the upload path still get the hashing
-//!   fallback.
+//! * **Content-addressed.** An entry is identified by *(URI, content
+//!   hash)*, never by URI alone: every probe names the hash of the bytes
+//!   in hand and a cached parse or extraction of other bytes is a miss.
+//!   Two live warehouses holding different documents under one URI
+//!   therefore never see each other's parses. Stored objects carry their
+//!   hash ([`amada_cloud::Blob::etag`], computed once in `S3::put`), so a
+//!   probe from inside the warehouse touches no bytes; loose bytes are
+//!   hashed on the spot ([`Content`]). One version per URI is resident:
+//!   a probe for other bytes replaces it.
 
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
+use amada_cloud::Blob;
 use amada_xml::Document;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,15 +41,49 @@ use std::sync::{Arc, Mutex};
 /// contention negligible.
 const SHARDS: usize = 32;
 
-/// FNV-1a over the document bytes — cheap, deterministic cache
-/// validation.
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+pub use amada_cloud::content_hash;
+
+/// Document bytes that know their content hash.
+pub trait Content {
+    /// The document bytes.
+    fn bytes(&self) -> &[u8];
+
+    /// Their [`content_hash`]; computed here unless the value carries it.
+    fn hash(&self) -> u64 {
+        content_hash(self.bytes())
     }
-    h
+}
+
+impl Content for [u8] {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+}
+
+impl Content for Vec<u8> {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+}
+
+impl Content for Blob {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+
+    fn hash(&self) -> u64 {
+        self.etag()
+    }
+}
+
+impl<T: Content + ?Sized> Content for Arc<T> {
+    fn bytes(&self) -> &[u8] {
+        (**self).bytes()
+    }
+
+    fn hash(&self) -> u64 {
+        (**self).hash()
+    }
 }
 
 /// FNV-1a over the URI, used only to pick a shard.
@@ -62,14 +99,8 @@ struct DocEntry {
     extracts: HashMap<(Strategy, ExtractOptions), Arc<Vec<IndexEntry>>>,
 }
 
-#[derive(Default)]
-struct Shard {
-    /// URI → cached parse + extractions.
-    docs: HashMap<String, DocEntry>,
-    /// URI → content hash of the *currently stored* object, recorded at
-    /// upload time so probes need not rehash the bytes.
-    expected: HashMap<String, u64>,
-}
+/// URI → the resident version's parse + extractions.
+type Shard = HashMap<String, DocEntry>;
 
 /// Cumulative cache statistics (monotonic counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -172,58 +203,45 @@ impl ExtractCache {
         }
     }
 
-    /// Records that `bytes` are now the stored content of `uri`, hashing
-    /// them exactly once. A stale cached parse (from a replaced object
-    /// under the same URI) is dropped here rather than lingering until the
-    /// next probe. Returns the content hash.
-    pub fn note_upload(&self, uri: &str, bytes: &[u8]) -> u64 {
-        let hash = content_hash(bytes);
+    /// Notes that `bytes` are now the content of `uri`: a cached parse of
+    /// other bytes is dropped here rather than lingering until the next
+    /// probe. Returns the content hash.
+    pub fn note_upload<C: Content + ?Sized>(&self, uri: &str, bytes: &C) -> u64 {
+        let hash = bytes.hash();
         let mut shard = self.shards[shard_of(uri)].lock().unwrap();
-        if shard.docs.get(uri).is_some_and(|e| e.hash != hash) {
-            shard.docs.remove(uri);
+        if shard.get(uri).is_some_and(|e| e.hash != hash) {
+            shard.remove(uri);
         }
-        shard.expected.insert(uri.to_string(), hash);
         hash
     }
 
-    /// The expected content hash of `uri`: the one recorded by
-    /// [`ExtractCache::note_upload`], or a fresh hash of `bytes` for
-    /// callers that bypass the upload path.
-    fn expected_hash(shard: &Shard, uri: &str, bytes: &[u8]) -> u64 {
-        shard
-            .expected
-            .get(uri)
-            .copied()
-            .unwrap_or_else(|| content_hash(bytes))
-    }
-
-    /// The parsed form of `uri`/`bytes`, from cache when the content
-    /// still matches.
+    /// The parsed form of `uri`/`bytes`, from cache when the resident
+    /// version has the same content.
     ///
     /// # Panics
     /// Panics if `bytes` are not well-formed XML (stored documents always
     /// are; the warehouse validated them on the way in).
-    pub fn parsed(&self, uri: &str, bytes: &[u8]) -> Arc<Document> {
-        let idx = shard_of(uri);
-        {
-            let shard = self.shards[idx].lock().unwrap();
-            let expected = Self::expected_hash(&shard, uri, bytes);
-            if let Some(e) = shard.docs.get(uri) {
-                if e.hash == expected {
-                    let doc = e.doc.clone();
-                    drop(shard);
-                    self.bump(0);
-                    return doc;
-                }
-            }
+    pub fn parsed<C: Content + ?Sized>(&self, uri: &str, bytes: &C) -> Arc<Document> {
+        self.parsed_at(uri, bytes.bytes(), bytes.hash())
+    }
+
+    fn parsed_at(&self, uri: &str, bytes: &[u8], hash: u64) -> Arc<Document> {
+        let shard = &self.shards[shard_of(uri)];
+        let cached = shard
+            .lock()
+            .unwrap()
+            .get(uri)
+            .filter(|e| e.hash == hash)
+            .map(|e| e.doc.clone());
+        if let Some(doc) = cached {
+            self.bump(0);
+            return doc;
         }
         self.bump(1);
         // Parse outside the lock: this is the expensive part, and the
         // prewarm stage runs it concurrently across shard-colliding URIs.
         let doc = Arc::new(Document::parse(uri, bytes).expect("stored documents are well-formed"));
-        let mut shard = self.shards[idx].lock().unwrap();
-        let hash = Self::expected_hash(&shard, uri, bytes);
-        shard.docs.insert(
+        shard.lock().unwrap().insert(
             uri.to_string(),
             DocEntry {
                 hash,
@@ -236,44 +254,44 @@ impl ExtractCache {
 
     /// The parsed form *and* the extraction output of `uri`/`bytes` under
     /// `(strategy, opts)`, both memoized.
-    pub fn extracted(
+    pub fn extracted<C: Content + ?Sized>(
         &self,
         uri: &str,
-        bytes: &[u8],
+        bytes: &C,
         strategy: Strategy,
         opts: ExtractOptions,
     ) -> (Arc<Document>, Arc<Vec<IndexEntry>>) {
-        let doc = self.parsed(uri, bytes);
-        let idx = shard_of(uri);
-        {
-            let shard = self.shards[idx].lock().unwrap();
-            if let Some(e) = shard.docs.get(uri) {
-                if let Some(entries) = e.extracts.get(&(strategy, opts)) {
-                    let entries = entries.clone();
-                    drop(shard);
-                    self.bump(2);
-                    return (doc, entries);
-                }
-            }
+        let hash = bytes.hash();
+        let doc = self.parsed_at(uri, bytes.bytes(), hash);
+        let shard = &self.shards[shard_of(uri)];
+        // The resident version may have been replaced since `parsed_at`
+        // (another warehouse, other bytes, same URI): its memo is not ours.
+        let cached = shard
+            .lock()
+            .unwrap()
+            .get(uri)
+            .filter(|e| e.hash == hash)
+            .and_then(|e| e.extracts.get(&(strategy, opts)).cloned());
+        if let Some(entries) = cached {
+            self.bump(2);
+            return (doc, entries);
         }
         self.bump(3);
         // Extract outside the lock, then publish. Two threads may race to
         // extract the same key; both produce identical output (extraction
         // is deterministic), so last-write-wins is correct.
         let entries = Arc::new(extract(&doc, strategy, opts));
-        let mut shard = self.shards[idx].lock().unwrap();
-        if let Some(e) = shard.docs.get_mut(uri) {
-            e.extracts.insert((strategy, opts), entries.clone());
+        if let Some(e) = shard.lock().unwrap().get_mut(uri) {
+            if e.hash == hash {
+                e.extracts.insert((strategy, opts), entries.clone());
+            }
         }
         (doc, entries)
     }
 
     /// Number of cached documents.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().docs.len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
     }
 
     /// True when no document is cached.
@@ -281,11 +299,10 @@ impl ExtractCache {
         self.len() == 0
     }
 
-    /// Drops every cached parse and extraction (upload hashes are kept:
-    /// they describe the stored objects, not the cache contents).
+    /// Drops every cached parse and extraction.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            shard.lock().unwrap().docs.clear();
+            shard.lock().unwrap().clear();
         }
     }
 }
@@ -353,14 +370,24 @@ mod tests {
     }
 
     #[test]
-    fn uncached_probe_falls_back_to_hashing() {
-        // No note_upload: the probe hashes the bytes itself and still
-        // works, including invalidation on changed content.
+    fn one_uri_two_contents_never_cross() {
+        // Two warehouses holding different bytes under one URI share this
+        // cache; however their probes interleave, each gets a parse and an
+        // extraction of *its own* bytes — with or without a carried hash.
         let cache = ExtractCache::default();
-        let d1 = cache.parsed("d.xml", XML_A);
-        let d2 = cache.parsed("d.xml", XML_B);
-        assert!(!Arc::ptr_eq(&d1, &d2));
-        assert_eq!(cache.len(), 1);
+        let opts = ExtractOptions::default();
+        let (a, b) = (Blob::new(XML_A.to_vec()), Blob::new(XML_B.to_vec()));
+        cache.note_upload("d.xml", &a);
+        for _ in 0..3 {
+            let (da, ea) = cache.extracted("d.xml", &a, Strategy::Lu, opts);
+            let (db, eb) = cache.extracted("d.xml", XML_B, Strategy::Lu, opts);
+            assert_eq!(da.elements_named("b").len(), 1);
+            assert_eq!(db.elements_named("c").len(), 1);
+            assert_eq!(*ea, extract(&da, Strategy::Lu, opts));
+            assert_eq!(*eb, extract(&db, Strategy::Lu, opts));
+            assert_eq!(cache.parsed("d.xml", &b).elements_named("c").len(), 1);
+        }
+        assert_eq!(cache.len(), 1, "one resident version per URI");
     }
 
     #[test]

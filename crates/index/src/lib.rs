@@ -37,7 +37,7 @@ pub mod store;
 pub mod strategy;
 pub mod summary;
 
-pub use cache::{content_hash, CacheStats, ExtractCache};
+pub use cache::{content_hash, CacheStats, Content, ExtractCache};
 pub use explain::explain;
 pub use loadutil::{
     entry_item_keys, index_document, index_documents, retract_keys, stale_keys, write_entries,

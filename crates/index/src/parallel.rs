@@ -9,7 +9,7 @@
 //! the engine still charges each core the full parse + extract cost at
 //! its own virtual arrival time.
 
-use crate::cache::ExtractCache;
+use crate::cache::{Content, ExtractCache};
 use crate::strategy::{ExtractOptions, Strategy};
 
 /// What one prewarm pass did.
@@ -32,21 +32,20 @@ pub struct PrewarmReport {
 ///
 /// Pass an empty `combos` slice to prewarm parses only (useful for the
 /// query path, which parses candidate documents but never extracts).
-pub fn prewarm<B: AsRef<Vec<u8>> + Sync>(
+pub fn prewarm<B: Content + Sync>(
     cache: &ExtractCache,
     docs: &[(String, B)],
     combos: &[(Strategy, ExtractOptions)],
 ) -> PrewarmReport {
     let threads = amada_par::num_threads();
     let per_doc = amada_par::par_map_with(threads, docs, |_, (uri, bytes)| {
-        let bytes: &[u8] = bytes.as_ref().as_slice();
         if combos.is_empty() {
             cache.parsed(uri, bytes);
         }
         for &(strategy, opts) in combos {
             cache.extracted(uri, bytes, strategy, opts);
         }
-        bytes.len() as u64
+        bytes.bytes().len() as u64
     });
     PrewarmReport {
         documents: docs.len(),
