@@ -193,9 +193,9 @@ fn bench_kv_store() {
         bench("dynamodb-host-ops", "batch_put-25", None, || {
             let items: Vec<amada_cloud::KvItem> = (0..25)
                 .map(|k| amada_cloud::KvItem {
-                    hash_key: format!("key{}", k % 7),
-                    range_key: format!("r{i}-{k}"),
-                    attrs: vec![("doc.xml".into(), vec![amada_cloud::KvValue::S("v".into())])],
+                    hash_key: format!("key{}", k % 7).into(),
+                    range_key: format!("r{i}-{k}").into(),
+                    attrs: [("doc.xml".into(), vec![amada_cloud::KvValue::S("v".into())])].into(),
                 })
                 .collect();
             i += 1;
@@ -211,11 +211,12 @@ fn bench_kv_store() {
                 "t",
                 vec![amada_cloud::KvItem {
                     hash_key: "ename".into(),
-                    range_key: format!("r{i}"),
-                    attrs: vec![(
-                        format!("doc{i}.xml"),
+                    range_key: format!("r{i}").into(),
+                    attrs: [(
+                        format!("doc{i}.xml").into(),
                         vec![amada_cloud::KvValue::S(String::new())],
-                    )],
+                    )]
+                    .into(),
                 }],
             )
             .unwrap();

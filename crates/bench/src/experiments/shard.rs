@@ -152,7 +152,7 @@ fn storm_key_load(
     let mut bytes: BTreeMap<String, u64> = BTreeMap::new();
     for (table, item) in w.engine_mut().world.kv.peek_all() {
         if table == TABLE_MAIN {
-            *bytes.entry(item.hash_key.clone()).or_default() += item.byte_size() as u64;
+            *bytes.entry(item.hash_key.to_string()).or_default() += item.byte_size() as u64;
         }
     }
     // The same Zipf ranks the arrival process draws from (rank = position

@@ -511,15 +511,15 @@ fn oracle_round_trip(docs: &[Document], opts: ExtractOptions) -> Result<(), Viol
                     let items = encode_entry(&entry, profile, &mut uuids);
                     let ok = match &entry.payload {
                         Payload::Presence => {
-                            decode_presence_uris(&items) == vec![entry.uri.clone()]
+                            decode_presence_uris(&items) == [entry.uri.to_string()]
                         }
                         Payload::Paths(paths) => {
-                            decode_path_lists(&items, profile).get(&entry.uri) == Some(paths)
+                            decode_path_lists(&items, profile).get(&*entry.uri) == Some(paths)
                         }
                         Payload::Ids(ids) => {
-                            decode_id_lists(&items, profile).get(&entry.uri) == Some(ids)
+                            decode_id_lists(&items, profile).get(&*entry.uri) == Some(ids)
                                 && decode_id_postings(&items, profile)
-                                    .get(&entry.uri)
+                                    .get(&*entry.uri)
                                     .is_some_and(|l| l.decode_all() == *ids)
                                 && block_layer_agrees(ids)
                         }

@@ -23,8 +23,8 @@ use crate::clock::{SimDuration, SimTime};
 use crate::fault::FaultInjector;
 #[cfg(test)]
 use crate::kv::KvValue;
-use crate::kv::{KvError, KvItem, KvProfile, KvStats, KvStore};
-use crate::obs::{Outcome, Recorder, ServiceKind, Span};
+use crate::kv::{peek_tables, throttle, ItemTable, KvError, KvItem, KvProfile, KvStats, KvStore};
+use crate::obs::{Recorder, ServiceKind, Span};
 use crate::service::ServiceQueue;
 use crate::shard::ShardPlan;
 use std::collections::{BTreeMap, HashMap};
@@ -64,8 +64,6 @@ impl Default for DynamoConfig {
     }
 }
 
-type Table = HashMap<String, BTreeMap<String, KvItem>>;
-
 /// The write/read service queues of one provisioned shard: an
 /// independent slice of throughput at the configured per-shard rates.
 #[derive(Debug, Clone)]
@@ -102,7 +100,7 @@ struct ShardAgg {
 
 /// The simulated DynamoDB service.
 pub struct DynamoDb {
-    tables: HashMap<String, Table>,
+    tables: HashMap<String, ItemTable>,
     stats: KvStats,
     writes: ServiceQueue,
     reads: ServiceQueue,
@@ -157,127 +155,91 @@ impl DynamoDb {
         }
     }
 
-    /// Groups a batch's per-item `(service units, billed units, bytes)`
-    /// contributions by destination shard, in shard-id order. The sums
-    /// over all shards equal the unsharded aggregates exactly (the
-    /// fractional unit models decompose per item / per key), which is
-    /// what keeps sharded billing byte-identical.
-    fn group_by_shard<'a, I>(&self, parts: I) -> BTreeMap<usize, ShardAgg>
-    where
-        I: Iterator<Item = (&'a str, f64, u64, u64)>,
-    {
-        let mut groups: BTreeMap<usize, ShardAgg> = BTreeMap::new();
-        for (hash_key, units, billed, bytes) in parts {
-            let agg = groups.entry(self.plan.route(hash_key)).or_default();
+    /// The shard to tag a request's spans with: the one shard every key
+    /// routes to, `None` when the batch fans out (or the store is
+    /// unsharded).
+    fn shard_hint<'a>(&self, mut hash_keys: impl Iterator<Item = &'a str>) -> Option<usize> {
+        if !self.plan.is_sharded() {
+            return None;
+        }
+        let first = self.plan.route(hash_keys.next()?);
+        hash_keys
+            .all(|k| self.plan.route(k) == first)
+            .then_some(first)
+    }
+
+    /// Adds one item's (or key's) service units, billed units and bytes
+    /// to its shard's share of the request. The sums over all shards
+    /// equal the unsharded aggregates exactly (the fractional unit models
+    /// decompose per item / per key), which is what keeps sharded billing
+    /// byte-identical.
+    fn add_share(
+        plan: &ShardPlan,
+        groups: &mut BTreeMap<usize, ShardAgg>,
+        hash_key: &str,
+        (units, billed, bytes): (f64, u64, u64),
+    ) {
+        if plan.is_sharded() {
+            let agg = groups.entry(plan.route(hash_key)).or_default();
             agg.units += units;
             agg.billed += billed;
             agg.bytes += bytes;
         }
-        groups
     }
 
-    /// The shard to tag a request's spans with: the routed shard for a
-    /// single shard group, `None` when the batch fans out (or the store
-    /// is unsharded).
-    fn shard_hint(groups: &BTreeMap<usize, ShardAgg>) -> Option<usize> {
-        if groups.len() == 1 {
-            groups.keys().next().copied()
-        } else {
-            None
-        }
-    }
-
-    /// Rolls the fault injector for a request that reached the service; a
-    /// throttled attempt bills one capacity unit (the minimum charge for a
-    /// rejected request) and one API round trip, and its failure response
-    /// arrives after the request latency. `shard` tags the throttle span
-    /// when the rejected request resolves to one shard, so hot shards are
-    /// visible in the throttle series.
+    /// Rolls the fault injector for a request that reached the service
+    /// ([`crate::kv::throttle`]). `shard` tags the throttle span when the
+    /// rejected request resolves to one shard, so hot shards are visible
+    /// in the throttle series.
     fn maybe_throttle(
         &mut self,
         now: SimTime,
         is_write: bool,
         shard: Option<usize>,
     ) -> Result<(), KvError> {
-        if self.faults.roll() {
-            self.stats.throttled += 1;
-            self.stats.api_requests += 1;
-            let queue = if is_write { &self.writes } else { &self.reads };
-            let available_at = now + queue.latency;
-            if is_write {
-                self.stats.put_ops += 1;
+        let queue = if is_write { &self.writes } else { &self.reads };
+        let available_at = now + queue.latency;
+        throttle(
+            &mut self.faults,
+            &mut self.stats,
+            &self.obs,
+            (now, available_at),
+            is_write,
+            shard,
+        )
+    }
+
+    /// Serves one batch's shard groups: each touched shard's write (or
+    /// read) lane serves its subset as one request, and the batch
+    /// completes when the slowest shard responds. One span per shard,
+    /// tagged.
+    fn serve_shards(
+        &mut self,
+        now: SimTime,
+        table: &str,
+        op: &'static str,
+        is_write: bool,
+        groups: &BTreeMap<usize, ShardAgg>,
+    ) -> SimTime {
+        let lanes = self.lanes.get_mut(table).expect("ensure_lanes ran");
+        let mut ready = now;
+        for (&s, agg) in groups {
+            let lane = if is_write {
+                &mut lanes[s].writes
             } else {
-                self.stats.get_ops += 1;
-            }
-            self.obs.record(|p, ctx| {
-                let (op, price) = if is_write {
-                    ("put", p.idx_put)
-                } else {
-                    ("get", p.idx_get)
-                };
-                Span::new(ServiceKind::Kv, op, now, available_at, ctx)
-                    .units(1.0)
-                    .billed(price)
-                    .outcome(Outcome::Throttled)
-                    .shard(shard)
-            });
-            return Err(KvError::Throttled { available_at });
-        }
-        Ok(())
-    }
-
-    /// Serves one write batch's shard groups: each touched shard's write
-    /// lane serves its subset as one request, and the batch completes
-    /// when the slowest shard responds. One span per shard, tagged.
-    fn serve_write_shards(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        op: &'static str,
-        groups: &BTreeMap<usize, ShardAgg>,
-    ) -> SimTime {
-        let lanes = self.lanes.get_mut(table).expect("ensure_lanes ran");
-        let mut ready = now;
-        for (&s, agg) in groups {
-            let lane = &mut lanes[s].writes;
+                &mut lanes[s].reads
+            };
             let done = lane.serve(now, agg.units);
             ready = ready.max(done);
             let busy = lane.service_time(agg.units);
             let (units, billed, bytes) = (agg.units, agg.billed, agg.bytes);
             self.obs.record(|p, ctx| {
+                let price = if is_write { p.idx_put } else { p.idx_get };
                 Span::new(ServiceKind::Kv, op, now, done, ctx)
                     .bytes(bytes)
                     .units(units)
                     .busy(busy)
-                    .billed(p.idx_put * billed)
-                    .shard(Some(s))
-            });
-        }
-        ready
-    }
-
-    /// Read-side counterpart of [`DynamoDb::serve_write_shards`].
-    fn serve_read_shards(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        op: &'static str,
-        groups: &BTreeMap<usize, ShardAgg>,
-    ) -> SimTime {
-        let lanes = self.lanes.get_mut(table).expect("ensure_lanes ran");
-        let mut ready = now;
-        for (&s, agg) in groups {
-            let lane = &mut lanes[s].reads;
-            let done = lane.serve(now, agg.units);
-            ready = ready.max(done);
-            let busy = lane.service_time(agg.units);
-            let (units, billed, bytes) = (agg.units, agg.billed, agg.bytes);
-            self.obs.record(|p, ctx| {
-                Span::new(ServiceKind::Kv, op, now, done, ctx)
-                    .bytes(bytes)
-                    .units(units)
-                    .busy(busy)
-                    .billed(p.idx_get * billed)
+                    .billed(price * billed)
                     .shard(Some(s))
             });
         }
@@ -301,7 +263,8 @@ impl DynamoDb {
         0.25 + bytes as f64 / 4096.0 / 2.0
     }
 
-    fn validate(&self, item: &KvItem) -> Result<(), KvError> {
+    /// Checks the key and item limits; returns the item's size.
+    fn validate(item: &KvItem) -> Result<usize, KvError> {
         if item.hash_key.len() > MAX_HASH_KEY_BYTES {
             return Err(KvError::KeyTooLarge {
                 limit: MAX_HASH_KEY_BYTES,
@@ -321,10 +284,69 @@ impl DynamoDb {
                 got: size,
             });
         }
-        Ok(())
+        Ok(size)
     }
 
-    fn table_mut(&mut self, table: &str) -> Result<&mut Table, KvError> {
+    /// One read request for all items under `hash_keys` (a `get` is the
+    /// one-key case), recorded as `op`.
+    fn read<K: AsRef<str>>(
+        &mut self,
+        now: SimTime,
+        table: &str,
+        op: &'static str,
+        hash_keys: &[K],
+    ) -> Result<(Vec<KvItem>, SimTime), KvError> {
+        if !self.tables.contains_key(table) {
+            return Err(KvError::NoSuchTable(table.to_string()));
+        }
+        let hint = self.shard_hint(hash_keys.iter().map(AsRef::as_ref));
+        self.maybe_throttle(now, false, hint)?;
+        let t = self.tables.get(table).expect("checked above");
+        let mut items = Vec::new();
+        let mut bytes = 0usize;
+        let mut billed_units = 0u64;
+        let mut groups = BTreeMap::new();
+        for k in hash_keys {
+            let first = items.len();
+            items.extend(t.rows(k.as_ref()));
+            // Billed read capacity rounds up *per key* (min 1 unit), so a
+            // batch get bills exactly what the same keys fetched one by
+            // one would — batching saves API round trips, not capacity.
+            let key_bytes: usize = items[first..].iter().map(KvItem::byte_size).sum();
+            let key_billed = (Self::read_units(key_bytes).ceil() as u64).max(1);
+            bytes += key_bytes;
+            billed_units += key_billed;
+            // The aggregate service units below decompose exactly per
+            // key — read_units(B) + 0.25·(k−1) = Σ_k read_units(b_k) —
+            // so routing each key's share to its shard conserves both
+            // total service time and billed capacity.
+            let share = (Self::read_units(key_bytes), key_billed, key_bytes as u64);
+            Self::add_share(&self.plan, &mut groups, k.as_ref(), share);
+        }
+        // Service time keeps the fractional aggregate: one request's worth
+        // of overhead plus a per-key share plus volume.
+        let units = Self::read_units(bytes) + 0.25 * (hash_keys.len().saturating_sub(1)) as f64;
+        self.stats.get_ops += billed_units;
+        self.stats.api_requests += 1;
+        self.stats.bytes_read += bytes as u64;
+        let ready = if !groups.is_empty() {
+            self.ensure_lanes(table);
+            self.serve_shards(now, table, op, false, &groups)
+        } else {
+            let ready = self.reads.serve(now, units);
+            self.obs.record(|p, ctx| {
+                Span::new(ServiceKind::Kv, op, now, ready, ctx)
+                    .bytes(bytes as u64)
+                    .units(units)
+                    .busy(self.reads.service_time(units))
+                    .billed(p.idx_get * billed_units)
+            });
+            ready
+        };
+        Ok((items, ready))
+    }
+
+    fn table_mut(&mut self, table: &str) -> Result<&mut ItemTable, KvError> {
         self.tables
             .get_mut(table)
             .ok_or_else(|| KvError::NoSuchTable(table.to_string()))
@@ -381,36 +403,28 @@ impl KvStore for DynamoDb {
         let mut units = 0.0;
         let mut billed_units = 0u64;
         let mut bytes_written = 0u64;
+        let mut groups = BTreeMap::new();
         for item in &items {
-            self.validate(item)?;
-            bytes_written += item.byte_size() as u64;
-            let item_units = Self::write_units(item.byte_size());
+            let size = Self::validate(item)?;
+            bytes_written += size as u64;
+            let item_units = Self::write_units(size);
             units += item_units;
             // Billed capacity rounds up *per item* (min 1 unit), as real
             // DynamoDB does: batching packs items into one API round trip
             // but never changes the provisioned capacity they consume.
-            billed_units += (item_units.ceil() as u64).max(1);
+            let item_billed = (item_units.ceil() as u64).max(1);
+            billed_units += item_billed;
+            let share = (item_units, item_billed, size as u64);
+            Self::add_share(&self.plan, &mut groups, &item.hash_key, share);
         }
-        let groups = self.plan.is_sharded().then(|| {
-            self.group_by_shard(items.iter().map(|item| {
-                let size = item.byte_size();
-                let u = Self::write_units(size);
-                (
-                    item.hash_key.as_str(),
-                    u,
-                    (u.ceil() as u64).max(1),
-                    size as u64,
-                )
-            }))
-        });
-        self.maybe_throttle(now, true, groups.as_ref().and_then(Self::shard_hint))?;
+        let hint = self.shard_hint(items.iter().map(|item| &*item.hash_key));
+        self.maybe_throttle(now, true, hint)?;
         let t = self.table_mut(table)?;
         let mut raw_delta: i64 = 0;
         let mut ovh_delta: i64 = 0;
         for item in items {
             let size = item.byte_size() as i64;
-            let rows = t.entry(item.hash_key.clone()).or_default();
-            if let Some(old) = rows.insert(item.range_key.clone(), item) {
+            if let Some(old) = t.put(item) {
                 raw_delta -= old.byte_size() as i64;
                 ovh_delta -= ITEM_OVERHEAD_BYTES as i64;
             }
@@ -426,22 +440,19 @@ impl KvStore for DynamoDb {
         // aggregate so throughput still tracks index bytes (Figure 10).
         self.stats.put_ops += billed_units;
         self.stats.api_requests += 1;
-        let ready = match &groups {
-            Some(g) => {
-                self.ensure_lanes(table);
-                self.serve_write_shards(now, table, "batch_put", g)
-            }
-            None => {
-                let ready = self.writes.serve(now, units);
-                self.obs.record(|p, ctx| {
-                    Span::new(ServiceKind::Kv, "batch_put", now, ready, ctx)
-                        .bytes(bytes_written)
-                        .units(units)
-                        .busy(self.writes.service_time(units))
-                        .billed(p.idx_put * billed_units)
-                });
-                ready
-            }
+        let ready = if self.plan.is_sharded() {
+            self.ensure_lanes(table);
+            self.serve_shards(now, table, "batch_put", true, &groups)
+        } else {
+            let ready = self.writes.serve(now, units);
+            self.obs.record(|p, ctx| {
+                Span::new(ServiceKind::Kv, "batch_put", now, ready, ctx)
+                    .bytes(bytes_written)
+                    .units(units)
+                    .busy(self.writes.service_time(units))
+                    .billed(p.idx_put * billed_units)
+            });
+            ready
         };
         Ok(ready)
     }
@@ -461,35 +472,16 @@ impl KvStore for DynamoDb {
         if !self.tables.contains_key(table) {
             return Err(KvError::NoSuchTable(table.to_string()));
         }
-        // Routes are decided by hash key alone, so they can be fixed
-        // before the mutation loop takes the table borrow.
-        let routes: Vec<usize> = if self.plan.is_sharded() {
-            keys.iter().map(|(h, _)| self.plan.route(h)).collect()
-        } else {
-            Vec::new()
-        };
-        let hint = routes
-            .first()
-            .copied()
-            .filter(|&f| routes.iter().all(|&s| s == f));
+        let hint = self.shard_hint(keys.iter().map(|(hash, _)| hash.as_str()));
         self.maybe_throttle(now, true, hint)?;
-        let t = self.table_mut(table)?;
         let mut units = 0.0;
         let mut billed_units = 0u64;
         let mut raw_delta: i64 = 0;
         let mut ovh_delta: i64 = 0;
-        let mut parts: Vec<(usize, f64, u64)> = Vec::with_capacity(routes.len());
-        for (i, (hash, range)) in keys.iter().enumerate() {
-            let removed = match t.get_mut(hash) {
-                Some(rows) => {
-                    let old = rows.remove(range);
-                    if rows.is_empty() {
-                        t.remove(hash);
-                    }
-                    old
-                }
-                None => None,
-            };
+        let mut groups = BTreeMap::new();
+        let t = self.tables.get_mut(table).expect("checked above");
+        for (hash, range) in keys {
+            let removed = t.remove(hash, range);
             // DeleteItem consumes write capacity sized by the *deleted*
             // item — and a delete of a nonexistent item still consumes
             // one write unit, which is what keeps retried deletes billed
@@ -506,15 +498,13 @@ impl KvStore for DynamoDb {
             units += item_units;
             let item_billed = (item_units.ceil() as u64).max(1);
             billed_units += item_billed;
-            if !routes.is_empty() {
-                parts.push((routes[i], item_units, item_billed));
-            }
+            Self::add_share(&self.plan, &mut groups, hash, (item_units, item_billed, 0));
         }
         self.stats.raw_bytes = (self.stats.raw_bytes as i64 + raw_delta) as u64;
         self.stats.overhead_bytes = (self.stats.overhead_bytes as i64 + ovh_delta) as u64;
         self.stats.put_ops += billed_units;
         self.stats.api_requests += 1;
-        let ready = if routes.is_empty() {
+        let ready = if groups.is_empty() {
             let ready = self.writes.serve(now, units);
             self.obs.record(|p, ctx| {
                 Span::new(ServiceKind::Kv, "batch_delete", now, ready, ctx)
@@ -524,14 +514,8 @@ impl KvStore for DynamoDb {
             });
             ready
         } else {
-            let mut groups: BTreeMap<usize, ShardAgg> = BTreeMap::new();
-            for (s, u, b) in parts {
-                let agg = groups.entry(s).or_default();
-                agg.units += u;
-                agg.billed += b;
-            }
             self.ensure_lanes(table);
-            self.serve_write_shards(now, table, "batch_delete", &groups)
+            self.serve_shards(now, table, "batch_delete", true, &groups)
         };
         Ok(ready)
     }
@@ -542,50 +526,7 @@ impl KvStore for DynamoDb {
         table: &str,
         hash_key: &str,
     ) -> Result<(Vec<KvItem>, SimTime), KvError> {
-        if !self.tables.contains_key(table) {
-            return Err(KvError::NoSuchTable(table.to_string()));
-        }
-        let shard = self.plan.is_sharded().then(|| self.plan.route(hash_key));
-        self.maybe_throttle(now, false, shard)?;
-        let t = self.tables.get(table).expect("checked above");
-        let items: Vec<KvItem> = t
-            .get(hash_key)
-            .map(|rows| rows.values().cloned().collect())
-            .unwrap_or_default();
-        let bytes: usize = items.iter().map(KvItem::byte_size).sum();
-        let units = Self::read_units(bytes);
-        // Single-key request: the per-request ceil *is* the per-key ceil.
-        let billed_units = (units.ceil() as u64).max(1);
-        self.stats.get_ops += billed_units;
-        self.stats.api_requests += 1;
-        self.stats.bytes_read += bytes as u64;
-        let ready = match shard {
-            Some(s) => {
-                let mut groups: BTreeMap<usize, ShardAgg> = BTreeMap::new();
-                groups.insert(
-                    s,
-                    ShardAgg {
-                        units,
-                        billed: billed_units,
-                        bytes: bytes as u64,
-                    },
-                );
-                self.ensure_lanes(table);
-                self.serve_read_shards(now, table, "get", &groups)
-            }
-            None => {
-                let ready = self.reads.serve(now, units);
-                self.obs.record(|p, ctx| {
-                    Span::new(ServiceKind::Kv, "get", now, ready, ctx)
-                        .bytes(bytes as u64)
-                        .units(units)
-                        .busy(self.reads.service_time(units))
-                        .billed(p.idx_get * billed_units)
-                });
-                ready
-            }
-        };
-        Ok((items, ready))
+        self.read(now, table, "get", &[hash_key])
     }
 
     fn batch_get(
@@ -600,66 +541,7 @@ impl KvStore for DynamoDb {
                 got: hash_keys.len(),
             });
         }
-        if !self.tables.contains_key(table) {
-            return Err(KvError::NoSuchTable(table.to_string()));
-        }
-        let sharded = self.plan.is_sharded();
-        let hint = if sharded {
-            let mut shards = hash_keys.iter().map(|k| self.plan.route(k));
-            let first = shards.next();
-            first.filter(|&f| shards.all(|s| s == f))
-        } else {
-            None
-        };
-        self.maybe_throttle(now, false, hint)?;
-        let t = self.tables.get(table).expect("checked above");
-        let mut items = Vec::new();
-        let mut billed_units = 0u64;
-        let mut groups: BTreeMap<usize, ShardAgg> = BTreeMap::new();
-        for k in hash_keys {
-            let first = items.len();
-            if let Some(rows) = t.get(k) {
-                items.extend(rows.values().cloned());
-            }
-            // Billed read capacity rounds up *per key* (min 1 unit), so a
-            // batch get bills exactly what the same keys fetched one by
-            // one would — batching saves API round trips, not capacity.
-            let key_bytes: usize = items[first..].iter().map(KvItem::byte_size).sum();
-            let key_billed = (Self::read_units(key_bytes).ceil() as u64).max(1);
-            billed_units += key_billed;
-            if sharded {
-                // The aggregate service units below decompose exactly per
-                // key — read_units(B) + 0.25·(k−1) = Σ_k read_units(b_k) —
-                // so routing each key's share to its shard conserves both
-                // total service time and billed capacity.
-                let agg = groups.entry(self.plan.route(k)).or_default();
-                agg.units += Self::read_units(key_bytes);
-                agg.billed += key_billed;
-                agg.bytes += key_bytes as u64;
-            }
-        }
-        let bytes: usize = items.iter().map(KvItem::byte_size).sum();
-        // Service time keeps the fractional aggregate: one request's worth
-        // of overhead plus a per-key share plus volume.
-        let units = Self::read_units(bytes) + 0.25 * (hash_keys.len().saturating_sub(1)) as f64;
-        self.stats.get_ops += billed_units;
-        self.stats.api_requests += 1;
-        self.stats.bytes_read += bytes as u64;
-        let ready = if sharded && !groups.is_empty() {
-            self.ensure_lanes(table);
-            self.serve_read_shards(now, table, "batch_get", &groups)
-        } else {
-            let ready = self.reads.serve(now, units);
-            self.obs.record(|p, ctx| {
-                Span::new(ServiceKind::Kv, "batch_get", now, ready, ctx)
-                    .bytes(bytes as u64)
-                    .units(units)
-                    .busy(self.reads.service_time(units))
-                    .billed(p.idx_get * billed_units)
-            });
-            ready
-        };
-        Ok((items, ready))
+        self.read(now, table, "batch_get", hash_keys)
     }
 
     fn stats(&self) -> KvStats {
@@ -679,19 +561,7 @@ impl KvStore for DynamoDb {
     }
 
     fn peek_all(&self) -> Vec<(String, KvItem)> {
-        let mut names: Vec<&String> = self.tables.keys().collect();
-        names.sort();
-        let mut out = Vec::new();
-        for name in names {
-            let mut hashes: Vec<&String> = self.tables[name].keys().collect();
-            hashes.sort();
-            for h in hashes {
-                for item in self.tables[name][h].values() {
-                    out.push((name.clone(), item.clone()));
-                }
-            }
-        }
-        out
+        peek_tables(&self.tables)
     }
 }
 
@@ -703,7 +573,7 @@ mod tests {
         KvItem {
             hash_key: hash.into(),
             range_key: range.into(),
-            attrs: vec![(uri.into(), vec![val])],
+            attrs: [(uri.into(), vec![val])].into(),
         }
     }
 
@@ -745,7 +615,7 @@ mod tests {
         .unwrap();
         let (items, _) = db.get(SimTime::ZERO, "t", "k").unwrap();
         assert_eq!(items.len(), 1);
-        assert_eq!(items[0].attrs[0].0, "b");
+        assert_eq!(&*items[0].attrs[0].0, "b");
         // Storage reflects only the replacement item (+ one overhead).
         let st = db.stats();
         assert_eq!(st.raw_bytes, items[0].byte_size() as u64);
@@ -1047,7 +917,7 @@ mod tests {
         assert_eq!(db.stats(), before, "peek_all must not bill anything");
         let keys: Vec<(String, String)> = all
             .iter()
-            .map(|(_, i)| (i.hash_key.clone(), i.range_key.clone()))
+            .map(|(_, i)| (i.hash_key.to_string(), i.range_key.to_string()))
             .collect();
         assert_eq!(
             keys,
@@ -1296,7 +1166,7 @@ mod tests {
         let throttle_shards: Vec<Option<usize>> = rec
             .spans()
             .iter()
-            .filter(|s| s.outcome == Outcome::Throttled)
+            .filter(|s| s.outcome == crate::Outcome::Throttled)
             .map(|s| s.shard)
             .collect();
         assert_eq!(throttle_shards.len() as u64, tagged);

@@ -23,8 +23,12 @@
 
 use crate::clock::SimTime;
 use crate::fault::FaultInjector;
-use crate::obs::Recorder;
+use crate::obs::{Outcome, Recorder, ServiceKind, Span};
+use std::borrow::Borrow;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// A value stored under an attribute name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -56,18 +60,24 @@ impl KvValue {
 }
 
 /// One item: a composite primary key plus named multi-valued attributes
-/// (paper Figure 6).
+/// (paper Figure 6). Immutable and shared: the keys, the attribute names
+/// and the attribute list are reference-counted, so the store, every
+/// `get` result and the extraction that produced the hash key all hold
+/// the same bytes, and a clone is three counter bumps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KvItem {
     /// Hash key (the index entry key, e.g. `ename`).
-    pub hash_key: String,
+    pub hash_key: Arc<str>,
     /// Range key (a UUID at indexing time, so concurrent writers never
     /// overwrite each other — Section 6).
-    pub range_key: String,
+    pub range_key: Arc<str>,
     /// `(attribute name, values)` pairs; for index entries the attribute
     /// name is a document URI.
-    pub attrs: Vec<(String, Vec<KvValue>)>,
+    pub attrs: KvAttrs,
 }
+
+/// An item's shared `(attribute name, values)` list.
+pub type KvAttrs = Arc<[(Arc<str>, Vec<KvValue>)]>;
 
 impl KvItem {
     /// Total payload size: keys + attribute names + attribute values.
@@ -80,6 +90,154 @@ impl KvItem {
                 .map(|(n, vs)| n.len() + vs.iter().map(KvValue::len).sum::<usize>())
                 .sum::<usize>()
     }
+}
+
+/// A range key as the item table orders it: the key's first bytes sit
+/// inline, so the comparisons of an insert read the tree's own nodes
+/// instead of chasing every row's key pointer. Zero-padded prefix order,
+/// ties broken by the whole key (the derived order), *is* the key's byte
+/// order — which is what lets a row be found by `&str`.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct RangeKey {
+    prefix: [u8; 16],
+    key: Arc<str>,
+}
+
+impl RangeKey {
+    fn new(key: Arc<str>) -> RangeKey {
+        let mut prefix = [0; 16];
+        let head = &key.as_bytes()[..key.len().min(16)];
+        prefix[..head.len()].copy_from_slice(head);
+        RangeKey { prefix, key }
+    }
+}
+
+impl Borrow<str> for RangeKey {
+    fn borrow(&self) -> &str {
+        &self.key
+    }
+}
+
+/// The items of one table — hash key → range key → attributes, rows in
+/// range-key order. Both backends keep their tables in this; they differ
+/// in limits, billing and service times, not in what a table is. A row
+/// keeps only what is its own (range key, attributes): every row of a
+/// hash key shares the table's one copy of that key, and storing an item
+/// allocates nothing.
+#[derive(Default)]
+pub struct ItemTable {
+    rows: HashMap<Arc<str>, BTreeMap<RangeKey, KvAttrs>>,
+}
+
+impl ItemTable {
+    /// Stores `item`; returns the item with the same `(hash, range)` key
+    /// it replaced.
+    pub fn put(&mut self, item: KvItem) -> Option<KvItem> {
+        let KvItem {
+            hash_key,
+            range_key,
+            attrs,
+        } = item;
+        let Some(rows) = self.rows.get_mut(&*hash_key) else {
+            let row = (RangeKey::new(range_key), attrs);
+            self.rows.insert(hash_key, BTreeMap::from([row]));
+            return None;
+        };
+        match rows.entry(RangeKey::new(range_key)) {
+            Entry::Vacant(slot) => {
+                slot.insert(attrs);
+                None
+            }
+            Entry::Occupied(mut slot) => Some(KvItem {
+                hash_key,
+                range_key: slot.key().key.clone(),
+                attrs: slot.insert(attrs),
+            }),
+        }
+    }
+
+    /// Removes and returns the item under `(hash, range)`.
+    pub fn remove(&mut self, hash: &str, range: &str) -> Option<KvItem> {
+        let rows = self.rows.get_mut(hash)?;
+        let (range_key, attrs) = rows.remove_entry(range)?;
+        let hash_key = if rows.is_empty() {
+            self.rows.remove_entry(hash)?.0
+        } else {
+            self.rows.get_key_value(hash)?.0.clone()
+        };
+        Some(KvItem {
+            hash_key,
+            range_key: range_key.key,
+            attrs,
+        })
+    }
+
+    /// The items under `hash`, in range-key order.
+    pub fn rows(&self, hash: &str) -> impl Iterator<Item = KvItem> + '_ {
+        self.rows
+            .get_key_value(hash)
+            .into_iter()
+            .flat_map(|(hash_key, rows)| {
+                rows.iter().map(move |(range_key, attrs)| KvItem {
+                    hash_key: hash_key.clone(),
+                    range_key: range_key.key.clone(),
+                    attrs: attrs.clone(),
+                })
+            })
+    }
+}
+
+/// [`KvStore::peek_all`] over a backend's tables.
+pub fn peek_tables(tables: &HashMap<String, ItemTable>) -> Vec<(String, KvItem)> {
+    let mut names: Vec<&String> = tables.keys().collect();
+    names.sort();
+    let mut out = Vec::new();
+    for name in names {
+        let mut hashes: Vec<&Arc<str>> = tables[name].rows.keys().collect();
+        hashes.sort();
+        for hash in hashes {
+            out.extend(tables[name].rows(hash).map(|item| (name.clone(), item)));
+        }
+    }
+    out
+}
+
+/// Rolls `faults` for a request that reached a backend at `span.0`. A
+/// throttled attempt bills one unit (the minimum charge for a rejected
+/// request) and one API round trip, moves no data, and its failure
+/// response arrives at `span.1`, after the request latency.
+pub(crate) fn throttle(
+    faults: &mut FaultInjector,
+    stats: &mut KvStats,
+    obs: &Recorder,
+    span: (SimTime, SimTime),
+    is_write: bool,
+    shard: Option<usize>,
+) -> Result<(), KvError> {
+    if !faults.roll() {
+        return Ok(());
+    }
+    let (now, available_at) = span;
+    stats.throttled += 1;
+    stats.api_requests += 1;
+    if is_write {
+        stats.put_ops += 1;
+    } else {
+        stats.get_ops += 1;
+    }
+    obs.record(|p, ctx| {
+        let (op, price) = if is_write {
+            ("put", p.idx_put)
+        } else {
+            ("get", p.idx_get)
+        };
+        Span::new(ServiceKind::Kv, op, now, available_at, ctx)
+            .units(1.0)
+            .billed(price)
+            .outcome(Outcome::Throttled)
+            .shard(shard)
+    });
+    Err(KvError::Throttled { available_at })
 }
 
 /// Static capabilities and limits of a key-value backend.
@@ -285,16 +443,6 @@ pub trait KvStore: Send {
     fn peek_all(&self) -> Vec<(String, KvItem)>;
 }
 
-/// Convenience: a single-item put.
-pub fn put_one(
-    store: &mut dyn KvStore,
-    now: SimTime,
-    table: &str,
-    item: KvItem,
-) -> Result<SimTime, KvError> {
-    store.batch_put(now, table, vec![item])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,12 +452,68 @@ mod tests {
         let item = KvItem {
             hash_key: "ename".into(), // 5
             range_key: "u1".into(),   // 2
-            attrs: vec![(
+            attrs: [(
                 "doc.xml".into(),                                        // 7
                 vec![KvValue::S("x".into()), KvValue::B(vec![1, 2, 3])], // 1 + 3
-            )],
+            )]
+            .into(),
         };
         assert_eq!(item.byte_size(), 5 + 2 + 7 + 1 + 3);
+    }
+
+    fn row(hash: &str, range: &str, value: &str) -> KvItem {
+        KvItem {
+            hash_key: hash.into(),
+            range_key: range.into(),
+            attrs: [("d".into(), vec![KvValue::S(value.into())])].into(),
+        }
+    }
+
+    #[test]
+    fn item_table_orders_rows_by_whole_range_key() {
+        // Keys shorter than the inline prefix, keys that tie on it, and
+        // embedded NULs: rows come back in plain byte order.
+        let mut keys = vec![
+            "r10",
+            "r1",
+            "r2",
+            "r",
+            "r\0",
+            "0123456789abcdef",
+            "0123456789abcdef-b",
+            "0123456789abcdef-a",
+            "0123456789abcde",
+            "",
+        ];
+        let mut table = ItemTable::default();
+        for k in &keys {
+            assert!(table.put(row("h", k, "v")).is_none());
+        }
+        keys.sort_unstable();
+        let stored: Vec<KvItem> = table.rows("h").collect();
+        let ranges: Vec<&str> = stored.iter().map(|i| &*i.range_key).collect();
+        assert_eq!(ranges, keys);
+        assert!(table.rows("other").next().is_none());
+    }
+
+    #[test]
+    fn item_table_replaces_and_removes_by_full_key() {
+        let mut table = ItemTable::default();
+        table.put(row("h", "0123456789abcdef-a", "1"));
+        table.put(row("h", "0123456789abcdef-b", "2"));
+        let old = table.put(row("h", "0123456789abcdef-a", "3")).unwrap();
+        assert_eq!(old, row("h", "0123456789abcdef-a", "1"));
+        assert_eq!(table.rows("h").count(), 2);
+        assert!(table.remove("h", "0123456789abcdef").is_none());
+        assert!(table.remove("x", "0123456789abcdef-a").is_none());
+        let gone = table.remove("h", "0123456789abcdef-a").unwrap();
+        assert_eq!(gone, row("h", "0123456789abcdef-a", "3"));
+        assert_eq!(
+            table.remove("h", "0123456789abcdef-b"),
+            Some(row("h", "0123456789abcdef-b", "2"))
+        );
+        // The last row takes the hash key with it.
+        assert!(table.rows.is_empty());
     }
 
     #[test]

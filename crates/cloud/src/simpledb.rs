@@ -17,10 +17,10 @@
 
 use crate::clock::{SimDuration, SimTime};
 use crate::fault::FaultInjector;
-use crate::kv::{KvError, KvItem, KvProfile, KvStats, KvStore};
-use crate::obs::{Outcome, Recorder, ServiceKind, Span};
+use crate::kv::{peek_tables, throttle, ItemTable, KvError, KvItem, KvProfile, KvStats, KvStore};
+use crate::obs::{Recorder, ServiceKind, Span};
 use crate::service::ServiceQueue;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Maximum attribute-value size (strings only).
 pub const MAX_VALUE_BYTES: usize = 1024;
@@ -58,11 +58,9 @@ impl Default for SimpleDbConfig {
     }
 }
 
-type Domain = HashMap<String, BTreeMap<String, KvItem>>;
-
 /// The simulated SimpleDB service.
 pub struct SimpleDb {
-    domains: HashMap<String, Domain>,
+    domains: HashMap<String, ItemTable>,
     stats: KvStats,
     writes: ServiceQueue,
     reads: ServiceQueue,
@@ -91,35 +89,19 @@ impl SimpleDb {
         }
     }
 
-    /// Rolls the fault injector; a throttled attempt (SimpleDB's
-    /// `ServiceUnavailable`) still bills one box-usage operation and one
-    /// API round trip, and its failure response arrives after the request
-    /// latency.
+    /// Rolls the fault injector ([`crate::kv::throttle`]); a throttled
+    /// attempt is SimpleDB's `ServiceUnavailable`.
     fn maybe_throttle(&mut self, now: SimTime, is_write: bool) -> Result<(), KvError> {
-        if self.faults.roll() {
-            self.stats.throttled += 1;
-            self.stats.api_requests += 1;
-            let queue = if is_write { &self.writes } else { &self.reads };
-            let available_at = now + queue.latency;
-            if is_write {
-                self.stats.put_ops += 1;
-            } else {
-                self.stats.get_ops += 1;
-            }
-            self.obs.record(|p, ctx| {
-                let (op, price) = if is_write {
-                    ("put", p.idx_put)
-                } else {
-                    ("get", p.idx_get)
-                };
-                Span::new(ServiceKind::Kv, op, now, available_at, ctx)
-                    .units(1.0)
-                    .billed(price)
-                    .outcome(Outcome::Throttled)
-            });
-            return Err(KvError::Throttled { available_at });
-        }
-        Ok(())
+        let queue = if is_write { &self.writes } else { &self.reads };
+        let available_at = now + queue.latency;
+        throttle(
+            &mut self.faults,
+            &mut self.stats,
+            &self.obs,
+            (now, available_at),
+            is_write,
+            None,
+        )
     }
 
     fn validate(&self, item: &KvItem) -> Result<(), KvError> {
@@ -130,7 +112,7 @@ impl SimpleDb {
                 got: attr_count,
             });
         }
-        for (_, vs) in &item.attrs {
+        for (_, vs) in item.attrs.iter() {
             for v in vs {
                 if v.is_binary() {
                     return Err(KvError::BinaryNotSupported);
@@ -209,8 +191,7 @@ impl KvStore for SimpleDb {
                 .map(|(_, vs)| vs.len() as i64)
                 .sum::<i64>();
             total_attr_values += attr_values as u64;
-            let rows = d.entry(item.hash_key.clone()).or_default();
-            if let Some(old) = rows.insert(item.range_key.clone(), item) {
+            if let Some(old) = d.put(item) {
                 raw_delta -= old.byte_size() as i64;
                 ovh_delta -= ATTR_OVERHEAD_BYTES as i64
                     * old.attrs.iter().map(|(_, vs)| vs.len() as i64).sum::<i64>();
@@ -258,16 +239,7 @@ impl KvStore for SimpleDb {
         let mut raw_delta: i64 = 0;
         let mut ovh_delta: i64 = 0;
         for (hash, range) in keys {
-            let removed = match d.get_mut(hash) {
-                Some(rows) => {
-                    let old = rows.remove(range);
-                    if rows.is_empty() {
-                        d.remove(hash);
-                    }
-                    old
-                }
-                None => None,
-            };
+            let removed = d.remove(hash, range);
             // DeleteAttributes box usage scales with the attribute-value
             // pairs removed, mirroring batch_put; an absent key still
             // bills the one-operation minimum, keeping retried deletes
@@ -309,10 +281,7 @@ impl KvStore for SimpleDb {
         }
         self.maybe_throttle(now, false)?;
         let d = self.domains.get(table).expect("checked above");
-        let items: Vec<KvItem> = d
-            .get(hash_key)
-            .map(|rows| rows.values().cloned().collect())
-            .unwrap_or_default();
+        let items: Vec<KvItem> = d.rows(hash_key).collect();
         let bytes: usize = items.iter().map(KvItem::byte_size).sum();
         self.stats.get_ops += 1;
         self.stats.api_requests += 1;
@@ -362,19 +331,7 @@ impl KvStore for SimpleDb {
     }
 
     fn peek_all(&self) -> Vec<(String, KvItem)> {
-        let mut names: Vec<&String> = self.domains.keys().collect();
-        names.sort();
-        let mut out = Vec::new();
-        for name in names {
-            let mut hashes: Vec<&String> = self.domains[name].keys().collect();
-            hashes.sort();
-            for h in hashes {
-                for item in self.domains[name][h].values() {
-                    out.push((name.clone(), item.clone()));
-                }
-            }
-        }
-        out
+        peek_tables(&self.domains)
     }
 }
 
@@ -387,7 +344,7 @@ mod tests {
         KvItem {
             hash_key: hash.into(),
             range_key: range.into(),
-            attrs: vec![("doc.xml".into(), vec![val])],
+            attrs: [("doc.xml".into(), vec![val])].into(),
         }
     }
 
@@ -427,7 +384,7 @@ mod tests {
         let it = KvItem {
             hash_key: "k".into(),
             range_key: "r".into(),
-            attrs: vec![("a".into(), vals)],
+            attrs: [("a".into(), vals)].into(),
         };
         let err = db.batch_put(SimTime::ZERO, "t", vec![it]).unwrap_err();
         assert!(matches!(err, KvError::TooManyAttributes { limit: 256, .. }));
@@ -533,10 +490,11 @@ mod tests {
         let it = KvItem {
             hash_key: "k".into(),
             range_key: "r".into(),
-            attrs: vec![(
+            attrs: [(
                 "a".into(),
                 vec![KvValue::S("1".into()), KvValue::S("2".into())],
-            )],
+            )]
+            .into(),
         };
         db.batch_put(SimTime::ZERO, "t", vec![it]).unwrap();
         let before = db.stats();
@@ -562,10 +520,11 @@ mod tests {
         let it = KvItem {
             hash_key: "k".into(),
             range_key: "r".into(),
-            attrs: vec![(
+            attrs: [(
                 "a".into(),
                 vec![KvValue::S("1".into()), KvValue::S("2".into())],
-            )],
+            )]
+            .into(),
         };
         db.batch_put(SimTime::ZERO, "t", vec![it]).unwrap();
         assert_eq!(db.stats().overhead_bytes, 2 * ATTR_OVERHEAD_BYTES);

@@ -89,7 +89,7 @@ impl KvStore for TunedKvStore {
         if self.tuning.force_string_values {
             let profile = self.profile();
             for item in &items {
-                for (_, vs) in &item.attrs {
+                for (_, vs) in item.attrs.iter() {
                     for v in vs {
                         if v.is_binary() {
                             return Err(KvError::BinaryNotSupported);
@@ -174,8 +174,8 @@ mod tests {
     fn item(i: usize) -> KvItem {
         KvItem {
             hash_key: "k".into(),
-            range_key: format!("r{i}"),
-            attrs: vec![("d".into(), vec![KvValue::S(String::new())])],
+            range_key: format!("r{i}").into(),
+            attrs: [("d".into(), vec![KvValue::S(String::new())])].into(),
         }
     }
 
@@ -227,7 +227,7 @@ mod tests {
         let bin = KvItem {
             hash_key: "k".into(),
             range_key: "r".into(),
-            attrs: vec![("d".into(), vec![KvValue::B(vec![1])])],
+            attrs: [("d".into(), vec![KvValue::B(vec![1])])].into(),
         };
         assert!(matches!(
             t.batch_put(SimTime::ZERO, "t", vec![bin]),
@@ -236,7 +236,7 @@ mod tests {
         let long = KvItem {
             hash_key: "k".into(),
             range_key: "r".into(),
-            attrs: vec![("d".into(), vec![KvValue::S("x".repeat(2000))])],
+            attrs: [("d".into(), vec![KvValue::S("x".repeat(2000))])].into(),
         };
         assert!(matches!(
             t.batch_put(SimTime::ZERO, "t", vec![long]),

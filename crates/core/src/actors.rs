@@ -43,14 +43,15 @@ use amada_cloud::{
     SimTime, Span, SqsError, StepResult, World,
 };
 use amada_index::{
-    decode_tuples, lookup_mixed, partition_tables, routed_entries, store::UuidGen, ExtractCache,
-    ExtractOptions, ItemKey, MixedPlan, ScanPredicate, Strategy,
+    decode_tuples, delete_batches, into_batches, lookup_mixed, partition_tables, routed_entries,
+    store::{encode_entry_into, UuidGen},
+    ExtractCache, ExtractOptions, ItemKey, MixedPlan, ScanPredicate, Strategy,
 };
 use amada_pattern::{evaluate_pattern_twig, join_pattern_results, parse_query, Query, Tuple};
 use amada_rng::StdRng;
 use amada_xml::Document;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -390,21 +391,21 @@ impl LoaderCore {
                     .bytes(bytes.len() as u64)
             });
             self.totals.borrow_mut().extraction_micros += extraction.micros();
+            // Every entry is encoded straight into its table's vector and
+            // the vectors are cut into batches by moving: from here to the
+            // store an item is never copied.
             let mut uuids = UuidGen::for_document(&uri);
-            let mut per_table: HashMap<&'static str, Vec<KvItem>> = HashMap::new();
+            let mut per_table: Vec<(&'static str, Vec<KvItem>)> =
+                tables.iter().map(|&table| (table, Vec::new())).collect();
             for e in entries.iter() {
-                per_table
-                    .entry(e.table)
-                    .or_default()
-                    .extend(amada_index::store::encode_entry(e, &profile, &mut uuids));
-            }
-            for table in &tables {
-                if let Some(table_items) = per_table.remove(table) {
-                    items += table_items.len() as u64;
-                    for chunk in table_items.chunks(profile.batch_put_limit) {
-                        batches.push_back((*table, chunk.to_vec()));
-                    }
+                if let Some((_, table_items)) = per_table.iter_mut().find(|(t, _)| *t == e.table) {
+                    encode_entry_into(e, &profile, &mut uuids, table_items);
                 }
+            }
+            for (table, table_items) in per_table {
+                items += table_items.len() as u64;
+                batches
+                    .extend(into_batches(table_items, profile.batch_put_limit).map(|b| (table, b)));
             }
         }
         // If this URI replaced an indexed version, the keys its old
@@ -416,14 +417,18 @@ impl LoaderCore {
         let stale: Vec<ItemKey> = match self.retractions.borrow().get(&uri) {
             None => Vec::new(),
             Some(old) => {
-                let mut fresh: BTreeSet<ItemKey> = BTreeSet::new();
-                for (table, batch) in &batches {
-                    for item in batch {
-                        fresh.insert((*table, item.hash_key.clone(), item.range_key.clone()));
-                    }
-                }
+                // Borrowed keys of what was just encoded: only the stale
+                // keys are copied out of the registry.
+                let fresh: HashSet<(&str, &str, &str)> = batches
+                    .iter()
+                    .flat_map(|(table, batch)| {
+                        batch
+                            .iter()
+                            .map(move |item| (*table, &*item.hash_key, &*item.range_key))
+                    })
+                    .collect();
                 old.iter()
-                    .filter(|k| !fresh.contains(*k))
+                    .filter(|(table, hash, range)| !fresh.contains(&(*table, hash, range)))
                     .cloned()
                     .collect()
             }
@@ -433,25 +438,20 @@ impl LoaderCore {
             // retract; drop the registry entry now.
             self.retractions.borrow_mut().remove(&uri);
         } else {
-            let mut per_table: BTreeMap<&'static str, Vec<(String, String)>> = BTreeMap::new();
-            for (table, hash, range) in stale {
-                per_table.entry(table).or_default().push((hash, range));
-            }
             // The placement's own tables come first, in the strategy's
             // order; a plan switch strands stale keys in the *previous*
             // placement's tables, covered after them in name order.
-            for &table in per_table.keys() {
-                if !tables.contains(&table) {
+            let mut batches = delete_batches(stale, profile.batch_put_limit);
+            batches.sort_by_key(|(table, _)| {
+                let own = tables.iter().position(|t| t == table);
+                own.unwrap_or(usize::MAX)
+            });
+            for (table, _) in &batches {
+                if !tables.contains(table) {
                     tables.push(table);
                 }
             }
-            for table in &tables {
-                if let Some(keys) = per_table.remove(table) {
-                    for chunk in keys.chunks(profile.batch_put_limit) {
-                        deletes.push_back((*table, chunk.to_vec()));
-                    }
-                }
-            }
+            deletes = batches.into();
         }
         // A write may target a partition table no one created yet (unnamed
         // partitions fall back to the default strategy at write time);

@@ -20,12 +20,12 @@ use amada_cloud::{
     SimDuration, SimTime, Span, StorageCost, World,
 };
 use amada_index::{
-    entry_item_keys, routed_entries, CacheStats, ExtractCache, ItemKey, MixedPlan, PrewarmReport,
-    Strategy,
+    delete_batches, entry_item_keys, routed_entries, CacheStats, ExtractCache, ItemKey, MixedPlan,
+    PrewarmReport, Strategy,
 };
 use amada_pattern::Query;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 /// A cloud-hosted XML warehouse (one simulated deployment).
@@ -309,7 +309,7 @@ impl Warehouse {
             // bytes, and keep the URI listed once.
             let replaced = self.engine.world.s3.peek(DOC_BUCKET, &uri);
             if let Some(old) = &replaced {
-                if ***old != body {
+                if old[..] != body[..] {
                     self.retract_later(&uri, self.item_keys_under(&self.plan, &uri, old));
                 }
             }
@@ -419,21 +419,15 @@ impl Warehouse {
             }
             removed += keys.len() as u64;
             let limit = self.engine.world.kv.profile().batch_put_limit;
-            let mut per_table: BTreeMap<&'static str, Vec<(String, String)>> = BTreeMap::new();
-            for (table, hash, range) in keys {
-                per_table.entry(table).or_default().push((hash, range));
-            }
-            for (table, table_keys) in per_table {
+            for (table, chunk) in delete_batches(keys, limit) {
                 self.engine.world.kv.ensure_table(table);
-                for chunk in table_keys.chunks(limit) {
-                    t = frontend_batch_delete(
-                        self.engine.world.kv.as_mut(),
-                        &self.cfg.retry,
-                        t,
-                        table,
-                        chunk,
-                    );
-                }
+                t = frontend_batch_delete(
+                    self.engine.world.kv.as_mut(),
+                    &self.cfg.retry,
+                    t,
+                    table,
+                    &chunk,
+                );
             }
         }
         self.engine.world.obs.with_ctx(|c| *c = Default::default());

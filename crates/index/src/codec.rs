@@ -100,13 +100,29 @@ fn write_id(prev_pre: u32, id: &StructuralId, out: &mut Vec<u8>) {
     write_varint(id.depth, out);
 }
 
+/// Bytes [`write_varint`] emits for `v`.
+fn varint_len(v: u32) -> usize {
+    (32 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Length of [`encode_ids`]' output, without encoding.
+pub fn encoded_ids_len(ids: &[StructuralId]) -> usize {
+    let mut prev_pre = 0u32;
+    let mut len = 0;
+    for id in ids {
+        len += varint_len(id.pre - prev_pre) + varint_len(id.post) + varint_len(id.depth);
+        prev_pre = id.pre;
+    }
+    len
+}
+
 /// Encodes a `pre`-sorted ID list. Panics in debug builds if unsorted.
 pub fn encode_ids(ids: &[StructuralId]) -> Vec<u8> {
     debug_assert!(
         ids.windows(2).all(|w| w[0].pre <= w[1].pre),
         "ID list must be pre-sorted"
     );
-    let mut out = Vec::with_capacity(ids.len() * 4);
+    let mut out = Vec::with_capacity(encoded_ids_len(ids));
     let mut prev_pre = 0u32;
     for id in ids {
         write_id(prev_pre, id, &mut out);
@@ -131,28 +147,33 @@ pub fn decode_ids(bytes: &[u8]) -> Option<Vec<StructuralId>> {
 }
 
 /// Splits a `pre`-sorted ID list into chunks whose *encoded* size does not
-/// exceed `max_bytes`, preserving order. Each chunk re-anchors its delta
-/// encoding, so chunks decode independently.
-pub fn encode_ids_chunked(ids: &[StructuralId], max_bytes: usize) -> Vec<Vec<u8>> {
+/// exceed `max_bytes`, preserving order, and hands each to `emit`. Each
+/// chunk re-anchors its delta encoding, so chunks decode independently.
+pub fn for_each_id_chunk(ids: &[StructuralId], max_bytes: usize, mut emit: impl FnMut(Vec<u8>)) {
     assert!(max_bytes >= 15, "chunk limit must fit at least one ID");
-    let mut chunks = Vec::new();
-    let mut current: Vec<u8> = Vec::new();
+    // The common list fits one chunk: size it exactly.
+    let mut current: Vec<u8> = Vec::with_capacity(encoded_ids_len(ids).min(max_bytes));
     let mut prev_pre = 0u32;
     for id in ids {
-        let mut enc = Vec::with_capacity(15);
-        write_id(prev_pre, id, &mut enc);
-        if current.len() + enc.len() > max_bytes && !current.is_empty() {
-            chunks.push(std::mem::take(&mut current));
+        let start = current.len();
+        write_id(prev_pre, id, &mut current);
+        if current.len() > max_bytes && start > 0 {
+            current.truncate(start);
+            emit(std::mem::take(&mut current));
             // Re-anchor the delta for a self-contained chunk.
-            enc.clear();
-            write_id(0, id, &mut enc);
+            write_id(0, id, &mut current);
         }
-        current.extend_from_slice(&enc);
         prev_pre = id.pre;
     }
     if !current.is_empty() {
-        chunks.push(current);
+        emit(current);
     }
+}
+
+/// The chunks of [`for_each_id_chunk`], collected.
+pub fn encode_ids_chunked(ids: &[StructuralId], max_bytes: usize) -> Vec<Vec<u8>> {
+    let mut chunks = Vec::new();
+    for_each_id_chunk(ids, max_bytes, |chunk| chunks.push(chunk));
     chunks
 }
 

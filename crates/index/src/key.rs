@@ -13,7 +13,7 @@
 //!
 //! Data paths (`inPath(n)`) are encoded as `/`-separated sequences of node
 //! keys, e.g. `/epainting/ename/wOlympia`, exactly as in the paper's LUP
-//! examples.
+//! examples; extraction ([`crate::strategy`]) builds them incrementally.
 
 use amada_xml::{Document, NodeId, NodeKind};
 
@@ -24,14 +24,16 @@ pub const ATTRIBUTE_PREFIX: char = 'a';
 /// Prefix for word keys.
 pub const WORD_PREFIX: char = 'w';
 
-/// `e‖label`.
-pub fn element_key(label: &str) -> String {
-    format!("{ELEMENT_PREFIX}{label}")
+/// Appends `e‖label`.
+pub fn push_element_key(out: &mut String, label: &str) {
+    out.push(ELEMENT_PREFIX);
+    out.push_str(label);
 }
 
-/// `a‖name`.
-pub fn attribute_key(name: &str) -> String {
-    format!("{ATTRIBUTE_PREFIX}{name}")
+/// Appends `a‖name`.
+pub fn push_attribute_key(out: &mut String, name: &str) {
+    out.push(ATTRIBUTE_PREFIX);
+    out.push_str(name);
 }
 
 /// Longest value / word fragment embedded in a key. Index keys become
@@ -41,38 +43,76 @@ pub fn attribute_key(name: &str) -> String {
 /// the index alone — evaluation on the fetched documents stays exact.
 pub const MAX_KEY_VALUE_BYTES: usize = 512;
 
-fn truncated(value: &str) -> &str {
-    if value.len() <= MAX_KEY_VALUE_BYTES {
-        return value;
+/// Cuts what was appended to `out` since `start` down to
+/// [`MAX_KEY_VALUE_BYTES`], on a character boundary.
+fn truncate_value(out: &mut String, start: usize) {
+    if out.len() - start > MAX_KEY_VALUE_BYTES {
+        let mut end = start + MAX_KEY_VALUE_BYTES;
+        while !out.is_char_boundary(end) {
+            end -= 1;
+        }
+        out.truncate(end);
     }
-    let mut end = MAX_KEY_VALUE_BYTES;
-    while !value.is_char_boundary(end) {
-        end -= 1;
-    }
-    &value[..end]
 }
 
-/// `a‖name value` — the attribute *value* key (name and value separated by
-/// one space, as in the paper's `aid 1863-1`). Values are truncated to
-/// [`MAX_KEY_VALUE_BYTES`] and `/` is escaped (`%2F`, with `%` as `%25`):
-/// value keys are embedded as components of `/`-separated data paths, and
-/// an unescaped slash would corrupt LUP path matching. The escaping is
-/// applied identically at extraction and look-up, so equality matching is
+/// Appends `a‖name value` — the attribute *value* key (name and value
+/// separated by one space, as in the paper's `aid 1863-1`). Values are
+/// truncated to [`MAX_KEY_VALUE_BYTES`] and `/` is escaped (`%2F`, with
+/// `%` as `%25`): value keys are embedded as components of `/`-separated
+/// data paths, and an unescaped slash would corrupt LUP path matching.
+/// `\n` is escaped too: LUP path lists are newline-joined when they must
+/// fall back to the string-blob encoding. The escaping is applied
+/// identically at extraction and look-up, so equality matching is
 /// unaffected.
-pub fn attribute_value_key(name: &str, value: &str) -> String {
-    // '\n' is escaped too: LUP path lists are newline-joined when they
-    // must fall back to the string-blob encoding.
-    let escaped = value
-        .replace('%', "%25")
-        .replace('/', "%2F")
-        .replace('\n', "%0A");
-    format!("{ATTRIBUTE_PREFIX}{name} {}", truncated(&escaped))
+pub fn push_attribute_value_key(out: &mut String, name: &str, value: &str) {
+    push_attribute_key(out, name);
+    out.push(' ');
+    let start = out.len();
+    for c in value.chars() {
+        match c {
+            '%' => out.push_str("%25"),
+            '/' => out.push_str("%2F"),
+            '\n' => out.push_str("%0A"),
+            c => out.push(c),
+        }
+    }
+    truncate_value(out, start);
 }
 
-/// `w‖word` (the word must already be tokenized/lowercased; truncated to
-/// [`MAX_KEY_VALUE_BYTES`]).
+/// Appends `w‖word` (the word must already be tokenized/lowercased;
+/// truncated to [`MAX_KEY_VALUE_BYTES`]).
+pub fn push_word_key(out: &mut String, word: &str) {
+    out.push(WORD_PREFIX);
+    let start = out.len();
+    out.push_str(word);
+    truncate_value(out, start);
+}
+
+/// What `push` appends, as a fresh string.
+fn pushed(push: impl FnOnce(&mut String)) -> String {
+    let mut key = String::new();
+    push(&mut key);
+    key
+}
+
+/// `e‖label`.
+pub fn element_key(label: &str) -> String {
+    pushed(|k| push_element_key(k, label))
+}
+
+/// `a‖name`.
+pub fn attribute_key(name: &str) -> String {
+    pushed(|k| push_attribute_key(k, name))
+}
+
+/// `a‖name value`, see [`push_attribute_value_key`].
+pub fn attribute_value_key(name: &str, value: &str) -> String {
+    pushed(|k| push_attribute_value_key(k, name, value))
+}
+
+/// `w‖word`, see [`push_word_key`].
 pub fn word_key(word: &str) -> String {
-    format!("{WORD_PREFIX}{}", truncated(word))
+    pushed(|k| push_word_key(k, word))
 }
 
 /// The key of a non-word node (element or attribute name key).
@@ -84,53 +124,10 @@ pub fn node_key(doc: &Document, n: NodeId) -> Option<String> {
     }
 }
 
-/// Encodes `inPath(n)` for an element/attribute node: `/ek1/ek2/...`.
-pub fn encode_path(doc: &Document, n: NodeId) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    let mut cur = Some(n);
-    while let Some(x) = cur {
-        if let Some(k) = node_key(doc, x) {
-            parts.push(k);
-        }
-        cur = doc.parent(x);
-    }
-    parts.reverse();
-    let mut s = String::new();
-    for p in &parts {
-        s.push('/');
-        s.push_str(p);
-    }
-    s
-}
-
-/// Encodes the path of a *word* occurring in the text node `text_node`:
-/// the element path extended by the word key, e.g.
-/// `/epainting/ename/wOlympia`.
-pub fn encode_word_path(doc: &Document, text_node: NodeId, word: &str) -> String {
-    let parent = doc.parent(text_node).expect("text nodes have parents");
-    format!("{}/{}", encode_path(doc, parent), word_key(word))
-}
-
-/// Encodes the path of an attribute under its *value* key, e.g.
-/// `/epainting/aid 1863-1` (paper Figure 4, row `aid 1863-1`).
-pub fn encode_attr_value_path(doc: &Document, attr: NodeId) -> String {
-    let parent = doc.parent(attr).expect("attributes have parents");
-    let name = doc.name(attr).expect("attributes have names");
-    let value = doc.value(attr).unwrap_or_default();
-    format!(
-        "{}/{}",
-        encode_path(doc, parent),
-        attribute_value_key(name, value)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use amada_xml::Document;
-
-    const MANET: &str = "<painting id=\"1863-1\"><name>Olympia</name>\
-        <painter><name><first>Edouard</first><last>Manet</last></name></painter></painting>";
 
     #[test]
     fn key_constructors_match_paper_examples() {
@@ -138,30 +135,6 @@ mod tests {
         assert_eq!(attribute_key("id"), "aid");
         assert_eq!(attribute_value_key("id", "1863-1"), "aid 1863-1");
         assert_eq!(word_key("olympia"), "wolympia");
-    }
-
-    #[test]
-    fn paths_match_paper_figure4() {
-        let d = Document::parse_str("manet.xml", MANET).unwrap();
-        let names = d.elements_named("name");
-        assert_eq!(encode_path(&d, names[0]), "/epainting/ename");
-        assert_eq!(encode_path(&d, names[1]), "/epainting/epainter/ename");
-        let id = d.attributes_named("id")[0];
-        assert_eq!(encode_path(&d, id), "/epainting/aid");
-        assert_eq!(encode_attr_value_path(&d, id), "/epainting/aid 1863-1");
-    }
-
-    #[test]
-    fn word_paths_extend_element_paths() {
-        let d = Document::parse_str("manet.xml", MANET).unwrap();
-        let text = d
-            .all_nodes()
-            .find(|&n| d.value(n) == Some("Olympia"))
-            .unwrap();
-        assert_eq!(
-            encode_word_path(&d, text, "olympia"),
-            "/epainting/ename/wolympia"
-        );
     }
 
     #[test]

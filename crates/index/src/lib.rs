@@ -40,8 +40,8 @@ pub mod summary;
 pub use cache::{content_hash, CacheStats, Content, ExtractCache};
 pub use explain::explain;
 pub use loadutil::{
-    entry_item_keys, index_document, index_documents, retract_keys, stale_keys, write_entries,
-    DocIndexing, ItemKey,
+    delete_batches, entry_item_keys, index_document, index_documents, into_batches, retract_keys,
+    stale_keys, write_entries, DocIndexing, ItemKey,
 };
 pub use lookup::{
     lookup_pattern, lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup, StrategyTables,

@@ -3,7 +3,7 @@
 //! minimize the number of calls needed to load the index into DynamoDB"
 //! (paper Section 8.1): items are grouped into maximal `batch_put` calls.
 
-use crate::store::{encode_entry, UuidGen};
+use crate::store::{encode_entry_into, UuidGen};
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
 use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
 use amada_xml::Document;
@@ -55,20 +55,33 @@ pub fn write_entries(
     let mut per_table: BTreeMap<&'static str, Vec<KvItem>> = BTreeMap::new();
     for e in entries {
         metrics.entry_bytes += e.raw_bytes() as u64;
-        for item in encode_entry(e, &profile, &mut uuids) {
-            per_table.entry(e.table).or_default().push(item);
-        }
+        encode_entry_into(
+            e,
+            &profile,
+            &mut uuids,
+            per_table.entry(e.table).or_default(),
+        );
     }
     let mut t = now;
     for (table, items) in per_table {
         store.ensure_table(table);
         metrics.items += items.len() as u64;
-        for batch in items.chunks(profile.batch_put_limit) {
+        for batch in into_batches(items, profile.batch_put_limit) {
             metrics.batches += 1;
-            t = store.batch_put(t, table, batch.to_vec())?;
+            t = store.batch_put(t, table, batch)?;
         }
     }
     Ok((metrics, t))
+}
+
+/// Splits `items` into batches of at most `limit`, moving every element
+/// into an exact-size vector: nothing is cloned on the way to the store.
+pub fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<T>> {
+    let mut rest = items.into_iter();
+    std::iter::from_fn(move || {
+        let batch: Vec<T> = rest.by_ref().take(limit).collect();
+        (!batch.is_empty()).then_some(batch)
+    })
 }
 
 /// The `(table, hash_key, range_key)` item keys that [`write_entries`]
@@ -80,11 +93,17 @@ pub fn write_entries(
 /// an old and a new version's keys.
 pub fn entry_item_keys(entries: &[IndexEntry], profile: &KvProfile, uri: &str) -> Vec<ItemKey> {
     let mut uuids = UuidGen::for_document(uri);
-    let mut keys = Vec::new();
+    let mut keys = Vec::with_capacity(entries.len());
+    let mut items = Vec::new();
     for e in entries {
-        for item in encode_entry(e, profile, &mut uuids) {
-            keys.push((e.table, item.hash_key, item.range_key));
-        }
+        encode_entry_into(e, profile, &mut uuids, &mut items);
+        keys.extend(items.drain(..).map(|item| {
+            (
+                e.table,
+                item.hash_key.to_string(),
+                item.range_key.to_string(),
+            )
+        }));
     }
     keys
 }
@@ -110,23 +129,30 @@ pub fn retract_keys(
     keys: &[ItemKey],
 ) -> Result<(u64, SimTime), KvError> {
     let limit = store.profile().batch_put_limit;
-    let mut per_table: BTreeMap<&'static str, Vec<(String, String)>> = BTreeMap::new();
-    for (table, hash, range) in keys {
-        per_table
-            .entry(table)
-            .or_default()
-            .push((hash.clone(), range.clone()));
-    }
     let mut batches = 0;
     let mut t = now;
-    for (table, keys) in per_table {
+    for (table, chunk) in delete_batches(keys.iter().cloned(), limit) {
         store.ensure_table(table);
-        for chunk in keys.chunks(limit) {
-            batches += 1;
-            t = store.batch_delete(t, table, chunk)?;
-        }
+        batches += 1;
+        t = store.batch_delete(t, table, &chunk)?;
     }
     Ok((batches, t))
+}
+
+/// Groups item keys per table, in table-name order, and cuts each group
+/// into `batch_delete` batches of at most `limit` keys.
+pub fn delete_batches(
+    keys: impl IntoIterator<Item = ItemKey>,
+    limit: usize,
+) -> Vec<(&'static str, Vec<(String, String)>)> {
+    let mut per_table: BTreeMap<&'static str, Vec<(String, String)>> = BTreeMap::new();
+    for (table, hash, range) in keys {
+        per_table.entry(table).or_default().push((hash, range));
+    }
+    per_table
+        .into_iter()
+        .flat_map(|(table, keys)| into_batches(keys, limit).map(move |batch| (table, batch)))
+        .collect()
 }
 
 /// Indexes a whole document set sequentially (test / example convenience;
@@ -231,7 +257,7 @@ mod tests {
         let mut stored: Vec<(String, String, String)> = store
             .peek_all()
             .into_iter()
-            .map(|(t, i)| (t, i.hash_key, i.range_key))
+            .map(|(t, i)| (t, i.hash_key.to_string(), i.range_key.to_string()))
             .collect();
         let mut derived: Vec<(String, String, String)> = keys
             .into_iter()

@@ -28,6 +28,7 @@ use amada_pattern::twig::{twig_streams_have_match, TwigShape};
 use amada_pattern::{Axis, Predicate, Query, TreePattern, TwigStream};
 use amada_xml::{tokenize, StructuralId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// The result of looking up one tree pattern.
 #[derive(Debug, Clone, Default)]
@@ -236,7 +237,7 @@ pub fn pattern_keys(pattern: &TreePattern, opts: ExtractOptions) -> Vec<NodeKeys
 // ---------------------------------------------------------------------------
 
 /// Items grouped per hash key, the completion time, and the billed gets.
-type Fetched = (HashMap<String, Vec<KvItem>>, SimTime, u64);
+type Fetched = (HashMap<Arc<str>, Vec<KvItem>>, SimTime, u64);
 
 /// Fetches all `keys` (deduplicated) with batch gets, returning items
 /// grouped per key and the completion time.
@@ -250,7 +251,7 @@ fn fetch_keys(
     unique.sort();
     unique.dedup();
     let limit = store.profile().batch_get_limit.max(1);
-    let mut by_key: HashMap<String, Vec<KvItem>> = HashMap::new();
+    let mut by_key: HashMap<Arc<str>, Vec<KvItem>> = HashMap::new();
     let mut t = now;
     let ops_before = store.stats().get_ops;
     for chunk in unique.chunks(limit) {
@@ -291,7 +292,7 @@ fn lookup_lu(
     sorted_keys.dedup();
     for k in sorted_keys {
         let uris: BTreeSet<String> = by_key
-            .get(k)
+            .get(k.as_str())
             .map(|items| decode_presence_uris(items).into_iter().collect())
             .unwrap_or_default();
         entries += uris.len() as u64;
@@ -434,7 +435,7 @@ fn lookup_lup(
     for terminal in paths.iter().map(|qp| &qp.last().expect("non-empty").1) {
         if !decoded.contains_key(terminal) {
             let map = by_key
-                .get(terminal)
+                .get(terminal.as_str())
                 .map(|items| decode_path_lists(items, &profile))
                 .unwrap_or_default();
             entries += map.values().map(|v| v.len() as u64).sum::<u64>();
@@ -509,7 +510,7 @@ fn lookup_lui(
     for k in &stream_keys {
         if !memo.contains_key(k) {
             let map = by_key
-                .get(k)
+                .get(k.as_str())
                 .map(|items| decode_id_postings(items, &profile))
                 .unwrap_or_default();
             entries += map.values().map(|v| v.len() as u64).sum::<u64>();

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 pub fn key_frequencies(entries: &[IndexEntry]) -> BTreeMap<String, u64> {
     let mut freqs: BTreeMap<String, u64> = BTreeMap::new();
     for e in entries {
-        *freqs.entry(e.key.clone()).or_default() += 1;
+        *freqs.entry(e.key.to_string()).or_default() += 1;
     }
     freqs
 }

@@ -20,12 +20,13 @@
 //! sequence number, so a plain `get` returns chunks in order per document.
 
 use crate::codec::{
-    base64_decode, base64_encode, decode_ids, encode_ids, encode_ids_chunked, BlockList,
+    base64_decode, base64_encode, decode_ids, encode_ids, for_each_id_chunk, BlockList,
 };
 use crate::strategy::{IndexEntry, Payload};
-use amada_cloud::{KvItem, KvProfile, KvValue};
+use amada_cloud::{content_hash, KvItem, KvProfile, KvValue};
 use amada_xml::StructuralId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Deterministic UUID-shaped range-key generator (splitmix64 over a seed
 /// derived from the document URI, so re-indexing a document is stable).
@@ -34,19 +35,25 @@ pub struct UuidGen {
     state: u64,
 }
 
+/// Writes the low `out.len()` hex digits of `v`, zero-padded.
+fn write_hex(out: &mut [u8], mut v: u64) {
+    for digit in out.iter_mut().rev() {
+        *digit = b"0123456789abcdef"[(v & 0xf) as usize];
+        v >>= 4;
+    }
+}
+
 impl UuidGen {
     /// Seeds the generator from a document URI.
     pub fn for_document(uri: &str) -> UuidGen {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in uri.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
+        UuidGen {
+            state: content_hash(uri.as_bytes()),
         }
-        UuidGen { state: h }
     }
 
-    /// Produces the next UUID-shaped token.
-    pub fn next_uuid(&mut self) -> String {
+    /// Writes the next UUID-shaped token (`8-4-4-4-12` hex digits) into
+    /// the 36 bytes of `out`.
+    fn write_uuid(&mut self, out: &mut [u8]) {
         let mut z = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         self.state = z;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -56,14 +63,14 @@ impl UuidGen {
         self.state = z2;
         z2 = (z2 ^ (z2 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         let b = z2 ^ (z2 >> 27);
-        format!(
-            "{:08x}-{:04x}-{:04x}-{:04x}-{:012x}",
-            (a >> 32) as u32,
-            (a >> 16) as u16,
-            a as u16,
-            (b >> 48) as u16,
-            b & 0xffff_ffff_ffff
-        )
+        write_hex(&mut out[..8], a >> 32);
+        write_hex(&mut out[9..13], a >> 16);
+        write_hex(&mut out[14..18], a);
+        write_hex(&mut out[19..23], b >> 48);
+        write_hex(&mut out[24..36], b);
+        for dash in [8, 13, 18, 23] {
+            out[dash] = b'-';
+        }
     }
 
     /// Chunk sequence numbers the fixed-width range-key prefix can order.
@@ -77,16 +84,30 @@ impl UuidGen {
     /// get here, far past any per-document payload the pipeline produces.
     pub const MAX_CHUNK_SEQ: usize = 1_000_000;
 
-    fn range_key(&mut self, seq: usize) -> String {
+    /// The range key of an entry's chunk number `seq`: `{seq:06}-{uuid}`,
+    /// written digit by digit into one buffer — the single allocation is
+    /// the shared key itself.
+    pub(crate) fn range_key(&mut self, mut seq: usize) -> Arc<str> {
         assert!(
             seq < Self::MAX_CHUNK_SEQ,
             "range-key sequence {seq} overflows the fixed {}-digit prefix: \
              lexicographic chunk order would corrupt reassembly",
             6
         );
-        format!("{seq:06}-{}", self.next_uuid())
+        let mut key = [b'-'; RANGE_KEY_BYTES];
+        for digit in key[..6].iter_mut().rev() {
+            *digit = b'0' + (seq % 10) as u8;
+            seq /= 10;
+        }
+        self.write_uuid(&mut key[7..]);
+        std::str::from_utf8(&key)
+            .expect("decimal and hex digits and dashes")
+            .into()
     }
 }
+
+/// Length of every range key: six sequence digits, a dash, a UUID.
+const RANGE_KEY_BYTES: usize = 6 + 1 + 36;
 
 /// Base64 chunk size: the largest multiple of 4 not exceeding the 1 KB
 /// SimpleDB value cap, so chunks concatenate into valid base64.
@@ -102,7 +123,22 @@ const ITEM_SLACK: usize = 128;
 
 /// Encodes one extracted entry into store items for the given backend.
 pub fn encode_entry(entry: &IndexEntry, profile: &KvProfile, uuids: &mut UuidGen) -> Vec<KvItem> {
-    let fixed = entry.key.len() + 43 /* range key */ + entry.uri.len() + ITEM_SLACK;
+    let mut items = Vec::with_capacity(1);
+    encode_entry_into(entry, profile, uuids, &mut items);
+    items
+}
+
+/// [`encode_entry`], appending to `items` (the loader encodes a whole
+/// document into one vector). An item shares its hash key and attribute
+/// name with the entry; what it allocates is its range key, its
+/// attribute list and its values.
+pub fn encode_entry_into(
+    entry: &IndexEntry,
+    profile: &KvProfile,
+    uuids: &mut UuidGen,
+    items: &mut Vec<KvItem>,
+) {
+    let fixed = entry.key.len() + RANGE_KEY_BYTES + entry.uri.len() + ITEM_SLACK;
     let budget = profile.max_item_bytes.saturating_sub(fixed).max(256);
     let values: Vec<KvValue> = match &entry.payload {
         Payload::Presence => vec![KvValue::S(String::new())],
@@ -126,46 +162,49 @@ pub fn encode_entry(entry: &IndexEntry, profile: &KvProfile, uuids: &mut UuidGen
         }
         Payload::Ids(ids) => {
             if profile.supports_binary {
-                encode_ids_chunked(ids, budget)
-                    .into_iter()
-                    .map(KvValue::B)
-                    .collect()
+                let mut values = Vec::with_capacity(1);
+                for_each_id_chunk(ids, budget, |chunk| values.push(KvValue::B(chunk)));
+                values
             } else {
                 blob_to_string_values(&encode_ids(ids))
             }
         }
     };
     // Group values into items within the backend's item budget and
-    // attribute-count limit.
-    let mut items = Vec::new();
-    let mut current: Vec<KvValue> = Vec::new();
-    let mut current_bytes = 0usize;
-    let mut seq = 0usize;
-    let flush =
-        |vals: &mut Vec<KvValue>, seq: &mut usize, items: &mut Vec<KvItem>, uuids: &mut UuidGen| {
-            if vals.is_empty() {
-                return;
-            }
-            items.push(KvItem {
-                hash_key: entry.key.clone(),
-                range_key: uuids.range_key(*seq),
-                attrs: vec![(entry.uri.clone(), std::mem::take(vals))],
-            });
-            *seq += 1;
-        };
-    for v in values {
-        let vlen = v.len();
-        if !current.is_empty()
-            && (current_bytes + vlen > budget || current.len() >= profile.max_attrs_per_item)
-        {
-            flush(&mut current, &mut seq, &mut items, uuids);
-            current_bytes = 0;
+    // attribute-count limit: `cuts` are the positions where an item is
+    // full. The common entry fits one item, which takes `values` whole.
+    let mut cuts = Vec::new();
+    let (mut count, mut bytes) = (0usize, 0usize);
+    for (i, v) in values.iter().enumerate() {
+        if count > 0 && (bytes + v.len() > budget || count >= profile.max_attrs_per_item) {
+            cuts.push(i);
+            (count, bytes) = (0, 0);
         }
-        current_bytes += vlen;
-        current.push(v);
+        count += 1;
+        bytes += v.len();
     }
-    flush(&mut current, &mut seq, &mut items, uuids);
-    items
+    let mut seq = 0;
+    let mut item = |values: Vec<KvValue>| {
+        items.push(KvItem {
+            hash_key: entry.key.clone(),
+            range_key: uuids.range_key(seq),
+            attrs: Arc::new([(entry.uri.clone(), values)]),
+        });
+        seq += 1;
+    };
+    if cuts.is_empty() {
+        if !values.is_empty() {
+            item(values);
+        }
+        return;
+    }
+    cuts.push(values.len());
+    let mut rest = values.into_iter();
+    let mut start = 0;
+    for cut in cuts {
+        item(rest.by_ref().take(cut - start).collect());
+        start = cut;
+    }
 }
 
 fn blob_to_string_values(blob: &[u8]) -> Vec<KvValue> {
@@ -184,11 +223,11 @@ fn blob_to_string_values(blob: &[u8]) -> Vec<KvValue> {
 fn group_by_uri(items: &[KvItem]) -> BTreeMap<String, Vec<(&str, &[KvValue])>> {
     let mut by_uri: BTreeMap<String, Vec<(&str, &[KvValue])>> = BTreeMap::new();
     for item in items {
-        for (uri, values) in &item.attrs {
+        for (uri, values) in item.attrs.iter() {
             by_uri
-                .entry(uri.clone())
+                .entry(uri.to_string())
                 .or_default()
-                .push((item.range_key.as_str(), values.as_slice()));
+                .push((&item.range_key, values.as_slice()));
         }
     }
     for chunks in by_uri.values_mut() {
@@ -220,24 +259,6 @@ pub fn decode_path_lists(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Stri
                         KvValue::B(_) => None,
                     })
                     .collect()
-            } else if is_marked_blob {
-                let mut b64 = String::new();
-                for (_, vs) in &chunks {
-                    for v in *vs {
-                        if let KvValue::S(s) = v {
-                            b64.push_str(s.strip_prefix(BLOB_MARKER).unwrap_or(s));
-                        }
-                    }
-                }
-                let blob = base64_decode(&b64).unwrap_or_default();
-                if blob.is_empty() {
-                    Vec::new()
-                } else {
-                    String::from_utf8_lossy(&blob)
-                        .split('\n')
-                        .map(String::from)
-                        .collect()
-                }
             } else {
                 let blob = reassemble_blob(&chunks);
                 if blob.is_empty() {
@@ -306,12 +327,14 @@ pub fn decode_id_postings(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Str
         .collect()
 }
 
+/// The blob a chunk sequence's string values spell in base64 (less the
+/// marker a binary-capable backend's first chunk carries).
 fn reassemble_blob(chunks: &[(&str, &[KvValue])]) -> Vec<u8> {
     let mut b64 = String::new();
     for (_, vs) in chunks {
         for v in *vs {
             if let KvValue::S(s) = v {
-                b64.push_str(s);
+                b64.push_str(s.strip_prefix(BLOB_MARKER).unwrap_or(s));
             }
         }
     }
@@ -351,12 +374,12 @@ mod tests {
     fn uuids_are_unique_and_deterministic() {
         let mut a = UuidGen::for_document("doc.xml");
         let mut b = UuidGen::for_document("doc.xml");
-        let u1 = a.next_uuid();
-        assert_eq!(u1, b.next_uuid());
-        assert_ne!(u1, a.next_uuid());
-        assert_eq!(u1.len(), 36);
+        let u1 = a.range_key(0);
+        assert_eq!(u1, b.range_key(0));
+        assert_ne!(u1, a.range_key(0));
+        assert_eq!(u1.len(), 6 + 1 + 36);
         let mut other = UuidGen::for_document("other.xml");
-        assert_ne!(u1, other.next_uuid());
+        assert_ne!(u1, other.range_key(0));
     }
 
     #[test]
@@ -369,6 +392,44 @@ mod tests {
             "chunk order must follow sequence order at the edge"
         );
         assert_eq!(last.len(), 6 + 1 + 36);
+    }
+
+    /// The digit-by-digit writer emits byte for byte what the parent's
+    /// doubly-`format!`ted range key did.
+    #[test]
+    fn range_key_writer_matches_the_format_reference() {
+        fn reference_uuid(state: &mut u64) -> String {
+            let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            *state = z;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let a = z ^ (z >> 31);
+            let mut z2 = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            *state = z2;
+            z2 = (z2 ^ (z2 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let b = z2 ^ (z2 >> 27);
+            format!(
+                "{:08x}-{:04x}-{:04x}-{:04x}-{:012x}",
+                (a >> 32) as u32,
+                (a >> 16) as u16,
+                a as u16,
+                (b >> 48) as u16,
+                b & 0xffff_ffff_ffff
+            )
+        }
+        for i in 0..1000 {
+            let uri = format!("auctions/doc{i}.xml");
+            let mut uuids = UuidGen::for_document(&uri);
+            let mut state = 0xcbf2_9ce4_8422_2325u64;
+            for b in uri.bytes() {
+                state ^= b as u64;
+                state = state.wrapping_mul(0x100_0000_01b3);
+            }
+            for seq in [0, 1, 999_999] {
+                let reference = format!("{seq:06}-{}", reference_uuid(&mut state));
+                assert_eq!(&*uuids.range_key(seq), reference, "{uri} seq {seq}");
+            }
+        }
     }
 
     #[test]
@@ -409,7 +470,7 @@ mod tests {
             "expected many chunks, got {total_values}"
         );
         for item in &items {
-            for (_, vs) in &item.attrs {
+            for (_, vs) in item.attrs.iter() {
                 for v in vs {
                     assert!(!v.is_binary());
                     assert!(v.len() <= 1024);

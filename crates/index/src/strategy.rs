@@ -10,12 +10,17 @@
 //!
 //! Extraction walks the document once, grouping nodes by key; word keys
 //! come from tokenized text content, attribute nodes contribute both their
-//! name key and their value key (Section 5).
+//! name key and their value key (Section 5). The walk is strategy-aware:
+//! it gathers paths only for LUP/2LUPI and IDs only for LUI/2LUPI, builds
+//! every key and path in a reused buffer, and allocates only what the
+//! entries keep — one shared key per (key, document), one string per
+//! distinct path.
 
 use crate::key;
 use amada_xml::{for_each_word, Document, NodeKind, StructuralId};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An indexing strategy (paper Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -126,10 +131,12 @@ pub enum Payload {
 pub struct IndexEntry {
     /// Destination table.
     pub table: &'static str,
-    /// The index key (hash key in the store).
-    pub key: String,
-    /// The document URI (attribute name in the store).
-    pub uri: String,
+    /// The index key (hash key in the store); every item encoded from
+    /// this entry shares it.
+    pub key: Arc<str>,
+    /// The document URI (attribute name in the store), shared by all of
+    /// the document's entries and items.
+    pub uri: Arc<str>,
     /// The values.
     pub payload: Payload,
 }
@@ -141,115 +148,175 @@ impl IndexEntry {
         let payload = match &self.payload {
             Payload::Presence => 0,
             Payload::Paths(ps) => ps.iter().map(String::len).sum(),
-            Payload::Ids(ids) => crate::codec::encode_ids(ids).len(),
+            Payload::Ids(ids) => crate::codec::encoded_ids_len(ids),
         };
         self.key.len() + self.uri.len() + payload
     }
 }
 
-/// Per-key collected node information (one document).
-#[derive(Debug, Default)]
+/// What one document holds under one key.
+#[derive(Debug)]
 struct KeyAcc {
-    paths: BTreeMap<String, ()>,
+    key: Arc<str>,
+    /// The distinct data paths of the key's nodes, sorted.
+    paths: Vec<String>,
+    /// The `pre`-sorted IDs of the key's nodes, filled (exactly sized)
+    /// once the walk has counted them.
     ids: Vec<StructuralId>,
+    id_count: usize,
+}
+
+/// The single extraction pass: per key, the paths and IDs the strategy
+/// stores (and nothing it does not).
+struct Collector {
+    want_paths: bool,
+    want_ids: bool,
+    /// Key → position in `keys`.
+    slots: HashMap<Arc<str>, usize>,
+    keys: Vec<KeyAcc>,
+    /// Every `(key position, node ID)` met, in document order.
+    ids: Vec<(usize, StructuralId)>,
+    /// The key of the node in hand.
+    key: String,
+    /// The encoded path of the element in hand, extended in place by one
+    /// component for its attributes and words.
+    path: String,
+    /// `path` length of the open element at each depth (`[0]` = 0: the
+    /// root's parent has the empty path). Preorder keeps it current.
+    path_len: Vec<usize>,
+}
+
+impl Collector {
+    /// Records a node with `self.key` and `sid` under the element open at
+    /// `sid.depth - 1`; `extend` keeps the node's path as the open path
+    /// at its own depth (elements).
+    fn note(&mut self, sid: StructuralId, extend: bool) {
+        let slot = match self.slots.get(self.key.as_str()) {
+            Some(&slot) => slot,
+            None => {
+                let key: Arc<str> = self.key.as_str().into();
+                self.slots.insert(key.clone(), self.keys.len());
+                self.keys.push(KeyAcc {
+                    key,
+                    paths: Vec::new(),
+                    ids: Vec::new(),
+                    id_count: 0,
+                });
+                self.keys.len() - 1
+            }
+        };
+        let acc = &mut self.keys[slot];
+        if self.want_paths {
+            let depth = sid.depth as usize;
+            let parent_len = self.path_len[depth - 1];
+            self.path.truncate(parent_len);
+            self.path.push('/');
+            self.path.push_str(&self.key);
+            if let Err(at) = acc.paths.binary_search_by(|p| p.as_str().cmp(&self.path)) {
+                if acc.paths.is_empty() {
+                    acc.paths.reserve_exact(1);
+                }
+                acc.paths.insert(at, self.path.clone());
+            }
+            if extend {
+                self.path_len.truncate(depth);
+                self.path_len.push(self.path.len());
+            }
+        }
+        if self.want_ids {
+            acc.id_count += 1;
+            self.ids.push((slot, sid));
+        }
+    }
 }
 
 /// Walks the document once and groups, per key, the node IDs and data
-/// paths. IDs come out `pre`-sorted because the walk is in document order.
-fn collect(doc: &Document, opts: ExtractOptions) -> BTreeMap<String, KeyAcc> {
-    let mut acc: BTreeMap<String, KeyAcc> = BTreeMap::new();
-    // Paths are built incrementally: a node's encoded path is its parent's
-    // plus one component (preorder guarantees parents precede children),
-    // instead of re-walking the ancestor chain per node.
-    let mut paths: Vec<String> = vec![String::new(); doc.node_count()];
+/// paths the strategy stores. IDs come out `pre`-sorted because the walk
+/// is in document order; a node's path is its parent's plus one component
+/// (preorder guarantees parents precede children).
+fn collect(doc: &Document, opts: ExtractOptions, want_paths: bool, want_ids: bool) -> Vec<KeyAcc> {
+    // About every other node brings a new key.
+    let distinct = doc.node_count() / 2;
+    let mut c = Collector {
+        want_paths,
+        want_ids,
+        slots: HashMap::with_capacity(distinct),
+        keys: Vec::with_capacity(distinct),
+        ids: Vec::with_capacity(if want_ids { doc.node_count() } else { 0 }),
+        key: String::new(),
+        path: String::new(),
+        path_len: vec![0],
+    };
     for n in doc.all_nodes() {
-        let parent_path: &str = match doc.parent(n) {
-            Some(p) => &paths[p.index()],
-            None => "",
-        };
+        let sid = doc.sid(n);
+        c.key.clear();
         match doc.kind(n) {
             NodeKind::Element => {
-                let k = key::element_key(doc.name(n).expect("elements have names"));
-                let path = format!("{parent_path}/{k}");
-                let e = acc.entry(k).or_default();
-                e.paths.insert(path.clone(), ());
-                e.ids.push(doc.sid(n));
-                paths[n.index()] = path;
+                key::push_element_key(&mut c.key, doc.name(n).expect("elements have names"));
+                c.note(sid, true);
             }
             NodeKind::Attribute => {
                 let name = doc.name(n).expect("attributes have names");
-                let value = doc.value(n).unwrap_or_default();
-                let sid = doc.sid(n);
-                let name_key = key::attribute_key(name);
-                let value_key = key::attribute_value_key(name, value);
-                let e = acc.entry(name_key.clone()).or_default();
-                e.paths.insert(format!("{parent_path}/{name_key}"), ());
-                e.ids.push(sid);
-                let ev = acc.entry(value_key.clone()).or_default();
-                ev.paths.insert(format!("{parent_path}/{value_key}"), ());
-                ev.ids.push(sid);
+                key::push_attribute_key(&mut c.key, name);
+                c.note(sid, false);
+                c.key.clear();
+                key::push_attribute_value_key(&mut c.key, name, doc.value(n).unwrap_or_default());
+                c.note(sid, false);
             }
-            NodeKind::Text => {
-                if !opts.index_words {
-                    continue;
-                }
-                let sid = doc.sid(n);
+            NodeKind::Text if opts.index_words => {
                 for_each_word(doc.value(n).unwrap_or_default(), |word| {
-                    let wk = key::word_key(word);
-                    let e = acc.entry(wk.clone()).or_default();
-                    e.paths.insert(format!("{parent_path}/{wk}"), ());
-                    // The same word may occur twice in one text node; the
-                    // ID list stores the node once.
-                    if e.ids.last() != Some(&sid) {
-                        e.ids.push(sid);
-                    }
+                    c.key.clear();
+                    key::push_word_key(&mut c.key, word);
+                    c.note(sid, false);
                 });
             }
+            NodeKind::Text => {}
         }
     }
-    acc
+    for acc in &mut c.keys {
+        acc.ids.reserve_exact(acc.id_count);
+    }
+    for (slot, sid) in c.ids {
+        // A word may occur twice in one text node; the ID list stores the
+        // node once.
+        let ids = &mut c.keys[slot].ids;
+        if ids.last() != Some(&sid) {
+            ids.push(sid);
+        }
+    }
+    c.keys
 }
 
 /// Runs a strategy's extraction function `I(d)` over one document.
 pub fn extract(doc: &Document, strategy: Strategy, opts: ExtractOptions) -> Vec<IndexEntry> {
-    let acc = collect(doc, opts);
-    let uri = doc.uri().to_string();
-    let mut out = Vec::with_capacity(acc.len() * strategy.tables().len());
-    for (k, v) in acc {
+    // LUP-PD stores exactly the LUP index; only query execution differs
+    // (candidates resolve via storage-side scans).
+    let (want_paths, want_ids) = match strategy {
+        Strategy::Lu => (false, false),
+        Strategy::Lup | Strategy::LupPd => (true, false),
+        Strategy::Lui => (false, true),
+        Strategy::TwoLupi => (true, true),
+    };
+    let mut keys = collect(doc, opts, want_paths, want_ids);
+    keys.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+    let uri: Arc<str> = doc.uri().into();
+    let entry = |table, key, payload| IndexEntry {
+        table,
+        key,
+        uri: uri.clone(),
+        payload,
+    };
+    let mut out = Vec::with_capacity(keys.len() * strategy.tables().len());
+    for k in keys {
         match strategy {
-            Strategy::Lu => out.push(IndexEntry {
-                table: TABLE_MAIN,
-                key: k,
-                uri: uri.clone(),
-                payload: Payload::Presence,
-            }),
-            // LUP-PD stores exactly the LUP index; only query execution
-            // differs (candidates resolve via storage-side scans).
-            Strategy::Lup | Strategy::LupPd => out.push(IndexEntry {
-                table: TABLE_MAIN,
-                key: k,
-                uri: uri.clone(),
-                payload: Payload::Paths(v.paths.into_keys().collect()),
-            }),
-            Strategy::Lui => out.push(IndexEntry {
-                table: TABLE_MAIN,
-                key: k,
-                uri: uri.clone(),
-                payload: Payload::Ids(v.ids),
-            }),
+            Strategy::Lu => out.push(entry(TABLE_MAIN, k.key, Payload::Presence)),
+            Strategy::Lup | Strategy::LupPd => {
+                out.push(entry(TABLE_MAIN, k.key, Payload::Paths(k.paths)))
+            }
+            Strategy::Lui => out.push(entry(TABLE_MAIN, k.key, Payload::Ids(k.ids))),
             Strategy::TwoLupi => {
-                out.push(IndexEntry {
-                    table: TABLE_PATH,
-                    key: k.clone(),
-                    uri: uri.clone(),
-                    payload: Payload::Paths(v.paths.into_keys().collect()),
-                });
-                out.push(IndexEntry {
-                    table: TABLE_ID,
-                    key: k,
-                    uri: uri.clone(),
-                    payload: Payload::Ids(v.ids),
-                });
+                out.push(entry(TABLE_PATH, k.key.clone(), Payload::Paths(k.paths)));
+                out.push(entry(TABLE_ID, k.key, Payload::Ids(k.ids)));
             }
         }
     }
@@ -271,7 +338,7 @@ mod tests {
     fn find<'a>(entries: &'a [IndexEntry], key: &str) -> &'a IndexEntry {
         entries
             .iter()
-            .find(|e| e.key == key)
+            .find(|e| &*e.key == key)
             .unwrap_or_else(|| panic!("no entry {key}"))
     }
 
@@ -280,12 +347,12 @@ mod tests {
         let entries = extract(&doc(), Strategy::Lu, ExtractOptions::default());
         let e = find(&entries, "ename");
         assert_eq!(e.payload, Payload::Presence);
-        assert_eq!(e.uri, "delacroix.xml");
+        assert_eq!(&*e.uri, "delacroix.xml");
         // Attribute name and value keys both exist.
-        assert!(entries.iter().any(|e| e.key == "aid"));
-        assert!(entries.iter().any(|e| e.key == "aid 1854-1"));
+        assert!(entries.iter().any(|e| &*e.key == "aid"));
+        assert!(entries.iter().any(|e| &*e.key == "aid 1854-1"));
         // Word keys.
-        assert!(entries.iter().any(|e| e.key == "wlion"));
+        assert!(entries.iter().any(|e| &*e.key == "wlion"));
     }
 
     #[test]
@@ -301,6 +368,11 @@ mod tests {
         );
         let id = find(&entries, "aid");
         assert_eq!(id.payload, Payload::Paths(vec!["/epainting/aid".into()]));
+        let value = find(&entries, "aid 1854-1");
+        assert_eq!(
+            value.payload,
+            Payload::Paths(vec!["/epainting/aid 1854-1".into()])
+        );
         let w = find(&entries, "wlion");
         assert_eq!(
             w.payload,
@@ -344,7 +416,7 @@ mod tests {
         let entries = extract(&doc(), Strategy::Lu, ExtractOptions { index_words: false });
         assert!(!entries.iter().any(|e| e.key.starts_with('w')));
         // Attribute value keys are kept: they are not full-text.
-        assert!(entries.iter().any(|e| e.key == "aid 1854-1"));
+        assert!(entries.iter().any(|e| &*e.key == "aid 1854-1"));
     }
 
     #[test]
@@ -380,6 +452,150 @@ mod tests {
         let lup = extract(&doc(), Strategy::Lup, ExtractOptions::default());
         let pd = extract(&doc(), Strategy::LupPd, ExtractOptions::default());
         assert_eq!(lup, pd, "LUP-PD stores exactly the LUP index");
+    }
+
+    /// The parent commit's extraction, kept as the reference: every key
+    /// and path `format!`ted per node, paths and IDs accumulated for every
+    /// strategy whether it stores them or not.
+    mod reference {
+        use super::super::*;
+        use std::collections::BTreeMap;
+
+        fn truncated(value: &str) -> &str {
+            if value.len() <= key::MAX_KEY_VALUE_BYTES {
+                return value;
+            }
+            let mut end = key::MAX_KEY_VALUE_BYTES;
+            while !value.is_char_boundary(end) {
+                end -= 1;
+            }
+            &value[..end]
+        }
+
+        fn attribute_value_key(name: &str, value: &str) -> String {
+            let escaped = value
+                .replace('%', "%25")
+                .replace('/', "%2F")
+                .replace('\n', "%0A");
+            format!("a{name} {}", truncated(&escaped))
+        }
+
+        #[derive(Debug, Default)]
+        struct KeyAcc {
+            paths: BTreeMap<String, ()>,
+            ids: Vec<StructuralId>,
+        }
+
+        fn collect(doc: &Document, opts: ExtractOptions) -> BTreeMap<String, KeyAcc> {
+            let mut acc: BTreeMap<String, KeyAcc> = BTreeMap::new();
+            let mut paths: Vec<String> = vec![String::new(); doc.node_count()];
+            for n in doc.all_nodes() {
+                let parent_path: &str = match doc.parent(n) {
+                    Some(p) => &paths[p.index()],
+                    None => "",
+                };
+                match doc.kind(n) {
+                    NodeKind::Element => {
+                        let k = format!("e{}", doc.name(n).expect("elements have names"));
+                        let path = format!("{parent_path}/{k}");
+                        let e = acc.entry(k).or_default();
+                        e.paths.insert(path.clone(), ());
+                        e.ids.push(doc.sid(n));
+                        paths[n.index()] = path;
+                    }
+                    NodeKind::Attribute => {
+                        let name = doc.name(n).expect("attributes have names");
+                        let value = doc.value(n).unwrap_or_default();
+                        let sid = doc.sid(n);
+                        let name_key = format!("a{name}");
+                        let value_key = attribute_value_key(name, value);
+                        let e = acc.entry(name_key.clone()).or_default();
+                        e.paths.insert(format!("{parent_path}/{name_key}"), ());
+                        e.ids.push(sid);
+                        let ev = acc.entry(value_key.clone()).or_default();
+                        ev.paths.insert(format!("{parent_path}/{value_key}"), ());
+                        ev.ids.push(sid);
+                    }
+                    NodeKind::Text => {
+                        if !opts.index_words {
+                            continue;
+                        }
+                        let sid = doc.sid(n);
+                        for_each_word(doc.value(n).unwrap_or_default(), |word| {
+                            let wk = format!("w{}", truncated(word));
+                            let e = acc.entry(wk.clone()).or_default();
+                            e.paths.insert(format!("{parent_path}/{wk}"), ());
+                            if e.ids.last() != Some(&sid) {
+                                e.ids.push(sid);
+                            }
+                        });
+                    }
+                }
+            }
+            acc
+        }
+
+        pub fn extract(
+            doc: &Document,
+            strategy: Strategy,
+            opts: ExtractOptions,
+        ) -> Vec<IndexEntry> {
+            let uri: Arc<str> = doc.uri().into();
+            let mut out = Vec::new();
+            for (k, v) in collect(doc, opts) {
+                let mut entry = |table, payload| {
+                    out.push(IndexEntry {
+                        table,
+                        key: k.as_str().into(),
+                        uri: uri.clone(),
+                        payload,
+                    })
+                };
+                let paths = || Payload::Paths(v.paths.keys().cloned().collect());
+                match strategy {
+                    Strategy::Lu => entry(TABLE_MAIN, Payload::Presence),
+                    Strategy::Lup | Strategy::LupPd => entry(TABLE_MAIN, paths()),
+                    Strategy::Lui => entry(TABLE_MAIN, Payload::Ids(v.ids.clone())),
+                    Strategy::TwoLupi => {
+                        entry(TABLE_PATH, paths());
+                        entry(TABLE_ID, Payload::Ids(v.ids.clone()));
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// The strategy-aware extraction produces exactly what the parent's
+    /// full-accumulation extraction did: all five strategies, words on and
+    /// off, over an XMark corpus and the checker's adversarial documents.
+    #[test]
+    fn extraction_equals_the_full_accumulation_reference() {
+        let xmark = amada_xmark::generate_corpus(&amada_xmark::CorpusConfig {
+            num_documents: 200,
+            target_doc_bytes: 3000,
+            ..Default::default()
+        })
+        .into_iter()
+        .map(|d| (d.uri, d.xml));
+        let generated = (0..60).flat_map(|i| amada_check::generate_case(0xE8, i).docs);
+        let mut documents = 0;
+        for (uri, xml) in xmark.chain(generated) {
+            let d = Document::parse_str(uri, &xml).unwrap();
+            documents += 1;
+            for strategy in Strategy::ALL.into_iter().chain([Strategy::LupPd]) {
+                for index_words in [true, false] {
+                    let opts = ExtractOptions { index_words };
+                    assert_eq!(
+                        extract(&d, strategy, opts),
+                        reference::extract(&d, strategy, opts),
+                        "{} under {strategy}, words {index_words}",
+                        d.uri()
+                    );
+                }
+            }
+        }
+        assert!(documents > 260, "{documents} documents compared");
     }
 
     #[test]

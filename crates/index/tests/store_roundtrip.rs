@@ -93,9 +93,9 @@ fn round_trips(entry: &IndexEntry, profile: &KvProfile) -> Result<(), String> {
         }
     }
     let ok = match &entry.payload {
-        Payload::Presence => decode_presence_uris(&items) == vec![entry.uri.clone()],
-        Payload::Paths(paths) => decode_path_lists(&items, profile).get(&entry.uri) == Some(paths),
-        Payload::Ids(ids) => decode_id_lists(&items, profile).get(&entry.uri) == Some(ids),
+        Payload::Presence => decode_presence_uris(&items) == [entry.uri.to_string()],
+        Payload::Paths(paths) => decode_path_lists(&items, profile).get(&*entry.uri) == Some(paths),
+        Payload::Ids(ids) => decode_id_lists(&items, profile).get(&*entry.uri) == Some(ids),
     };
     if ok {
         Ok(())
@@ -111,8 +111,8 @@ fn random_payloads_round_trip_across_profiles_and_budgets() {
     for case in 0..400 {
         let entry = IndexEntry {
             table: TABLE_MAIN,
-            key: format!("e{}", random_label(&mut rng, 24)),
-            uri: format!("{}.xml", random_label(&mut rng, 16)),
+            key: format!("e{}", random_label(&mut rng, 24)).into(),
+            uri: format!("{}.xml", random_label(&mut rng, 16)).into(),
             payload: random_payload(&mut rng),
         };
         let profile = profiles[rng.gen_range(0..profiles.len())];
@@ -136,8 +136,8 @@ fn random_payloads_round_trip_through_real_stores() {
     for case in 0..60 {
         let entry = IndexEntry {
             table: TABLE_MAIN,
-            key: format!("e{}", random_label(&mut rng, 16)),
-            uri: format!("{}.xml", random_label(&mut rng, 12)),
+            key: format!("e{}", random_label(&mut rng, 16)).into(),
+            uri: format!("{}.xml", random_label(&mut rng, 12)).into(),
             payload: random_payload(&mut rng),
         };
         for (mut store, profile) in [
@@ -160,12 +160,12 @@ fn random_payloads_round_trip_through_real_stores() {
             }
             let (fetched, _) = store.get(SimTime::ZERO, TABLE_MAIN, &entry.key).unwrap();
             let ok = match &entry.payload {
-                Payload::Presence => decode_presence_uris(&fetched) == vec![entry.uri.clone()],
+                Payload::Presence => decode_presence_uris(&fetched) == [entry.uri.to_string()],
                 Payload::Paths(paths) => {
-                    decode_path_lists(&fetched, &profile).get(&entry.uri) == Some(paths)
+                    decode_path_lists(&fetched, &profile).get(&*entry.uri) == Some(paths)
                 }
                 Payload::Ids(ids) => {
-                    decode_id_lists(&fetched, &profile).get(&entry.uri) == Some(ids)
+                    decode_id_lists(&fetched, &profile).get(&*entry.uri) == Some(ids)
                 }
             };
             assert!(
