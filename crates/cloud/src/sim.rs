@@ -27,6 +27,7 @@ use crate::pricing::PriceTable;
 use crate::s3::{S3Stats, S3};
 use crate::simpledb::{SimpleDb, SimpleDbConfig};
 use crate::sqs::{Sqs, SqsStats};
+use crate::tuning::{KvTuning, TunedKvStore};
 use crate::workmodel::WorkModel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,6 +44,22 @@ pub enum KvBackend {
 impl Default for KvBackend {
     fn default() -> Self {
         KvBackend::Dynamo(DynamoConfig::default())
+    }
+}
+
+impl KvBackend {
+    /// Opens the index store this backend describes, with `tuning`'s
+    /// capabilities withheld — the one way a store is opened.
+    pub fn open(self, tuning: KvTuning) -> Box<dyn KvStore> {
+        let store: Box<dyn KvStore> = match self {
+            KvBackend::Dynamo(cfg) => Box::new(DynamoDb::new(cfg)),
+            KvBackend::Simple(cfg) => Box::new(SimpleDb::new(cfg)),
+        };
+        if tuning.is_active() {
+            Box::new(TunedKvStore::new(store, tuning))
+        } else {
+            store
+        }
     }
 }
 
@@ -74,13 +91,9 @@ impl World {
     /// Creates a world with the given index backend and default pricing
     /// (the paper's Table 3).
     pub fn new(backend: KvBackend) -> World {
-        let kv: Box<dyn KvStore> = match backend {
-            KvBackend::Dynamo(cfg) => Box::new(DynamoDb::new(cfg)),
-            KvBackend::Simple(cfg) => Box::new(SimpleDb::new(cfg)),
-        };
         World {
             s3: S3::new(),
-            kv,
+            kv: backend.open(KvTuning::NONE),
             sqs: Sqs::new(),
             ec2: Ec2::new(),
             work: WorkModel::default(),
