@@ -10,7 +10,10 @@ use crate::gen::{final_docs, Case, ChurnOp};
 use crate::invariants;
 use crate::Mutation;
 use amada_cloud::ObjectPredicate;
-use amada_cloud::{DynamoDb, KvError, KvProfile, KvStore, SimTime, SimpleDb};
+use amada_cloud::{
+    DynamoConfig, DynamoDb, KvBackend, KvError, KvProfile, KvStore, KvTuning, SimTime, SimpleDb,
+    SimpleDbConfig,
+};
 use amada_core::{Warehouse, WarehouseConfig, DOC_BUCKET};
 use amada_index::lookup::query_paths;
 use amada_index::store::{
@@ -151,10 +154,11 @@ impl Backend {
     }
 
     fn store(self) -> Box<dyn KvStore> {
-        match self {
-            Backend::Dynamo => Box::new(DynamoDb::default()),
-            Backend::Simple => Box::new(SimpleDb::default()),
-        }
+        let backend = match self {
+            Backend::Dynamo => KvBackend::Dynamo(DynamoConfig::default()),
+            Backend::Simple => KvBackend::Simple(SimpleDbConfig::default()),
+        };
+        backend.open(KvTuning::NONE)
     }
 }
 

@@ -1,46 +1,19 @@
-//! The simulated DynamoDB key-value store (paper Section 6).
-//!
-//! Modelled behaviour, matching the aspects the paper's indexing relies on:
-//!
-//! * tables of items, composite hash + range primary key, items ≤ 64 KB,
-//!   hash key ≤ 2 KB, range key ≤ 1 KB;
-//! * multi-valued attributes whose values may be **binary** (the feature
-//!   the paper exploits "to store compressed (encoded) sets of IDs in a
-//!   single DynamoDB value");
-//! * `get(T, k)` returns all items with hash key `k`; `batchGet` covers
-//!   100 keys per API call; `put` replaces wholesale; `batchPut` writes
-//!   25 items per call;
-//! * *provisioned throughput*: reads and writes consume capacity units
-//!   (1 write unit per KB written, 1 read unit per 4 KB read) served by a
-//!   rate-limited queue — the source of the saturation visible in the
-//!   paper's Figure 10;
-//! * a fixed per-item storage overhead (DynamoDB bills 100 bytes of index
-//!   overhead per item), the paper's `ovh(D, I)` — "noticeable, especially
-//!   if keywords are not indexed", because small items pay it relatively
-//!   more.
+//! DynamoDB (paper Section 6), as a [`Service`] description of the one
+//! [`Store`]: composite-key items of up to 64 KB whose values may be
+//! **binary** (the feature the paper exploits "to store compressed
+//! (encoded) sets of IDs in a single DynamoDB value"), batch APIs, and
+//! *provisioned throughput* — reads and writes consume capacity units
+//! served by a rate-limited queue, the source of the saturation visible
+//! in the paper's Figure 10. The numbers are the DynamoDB column of the
+//! table in [`crate::kv`].
 
-use crate::clock::{SimDuration, SimTime};
-use crate::fault::FaultInjector;
-#[cfg(test)]
-use crate::kv::KvValue;
-use crate::kv::{peek_tables, throttle, ItemTable, KvError, KvItem, KvProfile, KvStats, KvStore};
-use crate::obs::{Recorder, ServiceKind, Span};
+use crate::clock::SimDuration;
+use crate::kv::KvProfile;
 use crate::service::ServiceQueue;
-use crate::shard::ShardPlan;
-use std::collections::{BTreeMap, HashMap};
+use crate::store::{Footprint, Lanes, Meter, Service, Store};
 
 /// Per-item storage overhead billed by DynamoDB.
 pub const ITEM_OVERHEAD_BYTES: u64 = 100;
-/// Maximum item size.
-pub const MAX_ITEM_BYTES: usize = 64 * 1024;
-/// Maximum hash-key size.
-pub const MAX_HASH_KEY_BYTES: usize = 2048;
-/// Maximum range-key size.
-pub const MAX_RANGE_KEY_BYTES: usize = 1024;
-/// Items per batch put.
-pub const BATCH_PUT_LIMIT: usize = 25;
-/// Keys per batch get.
-pub const BATCH_GET_LIMIT: usize = 100;
 
 /// Provisioned-throughput and latency parameters.
 #[derive(Debug, Clone)]
@@ -64,510 +37,91 @@ impl Default for DynamoConfig {
     }
 }
 
-/// The write/read service queues of one provisioned shard: an
-/// independent slice of throughput at the configured per-shard rates.
-#[derive(Debug, Clone)]
-struct ShardLanes {
-    writes: ServiceQueue,
-    reads: ServiceQueue,
-}
-
-impl ShardLanes {
-    fn new(config: &DynamoConfig) -> ShardLanes {
-        ShardLanes {
-            writes: ServiceQueue::new(
-                SimDuration::from_micros(300),
-                config.write_units_per_sec,
-                config.latency,
-            ),
-            reads: ServiceQueue::new(
-                SimDuration::from_micros(300),
-                config.read_units_per_sec,
-                config.latency,
-            ),
-        }
+/// `units` of capacity, fractional for the lane and rounded up (min 1)
+/// for the bill.
+fn capacity(units: f64) -> Meter {
+    Meter {
+        service: units,
+        billed: (units.ceil() as u64).max(1),
     }
-}
-
-/// Per-shard aggregation of one batch request's subset: service-time
-/// units, billed capacity units, and payload bytes.
-#[derive(Debug, Clone, Copy, Default)]
-struct ShardAgg {
-    units: f64,
-    billed: u64,
-    bytes: u64,
 }
 
 /// The simulated DynamoDB service.
-pub struct DynamoDb {
-    tables: HashMap<String, ItemTable>,
-    stats: KvStats,
-    writes: ServiceQueue,
-    reads: ServiceQueue,
-    faults: FaultInjector,
-    obs: Recorder,
-    config: DynamoConfig,
-    /// Shard routing. [`ShardPlan::single`] (the default) keeps the
-    /// service-wide `writes`/`reads` queues above serving every request —
-    /// the unsharded store, byte-identical to the pre-sharding build.
-    plan: ShardPlan,
-    /// Per-table shard lanes, `plan.shards()` per table; populated only
-    /// while the plan is sharded.
-    lanes: HashMap<String, Vec<ShardLanes>>,
-}
+pub type DynamoDb = Store<Dynamo>;
 
-impl DynamoDb {
-    /// Creates a store with the given provisioning.
-    pub fn new(config: DynamoConfig) -> DynamoDb {
-        DynamoDb {
-            tables: HashMap::new(),
-            stats: KvStats::default(),
-            writes: ServiceQueue::new(
-                SimDuration::from_micros(300),
-                config.write_units_per_sec,
-                config.latency,
-            ),
-            reads: ServiceQueue::new(
-                SimDuration::from_micros(300),
-                config.read_units_per_sec,
-                config.latency,
-            ),
-            faults: FaultInjector::off(),
-            obs: Recorder::off(),
-            config,
-            plan: ShardPlan::single(),
-            lanes: HashMap::new(),
+/// DynamoDB, described.
+pub struct Dynamo;
+
+impl Service for Dynamo {
+    type Config = DynamoConfig;
+
+    const PROFILE: KvProfile = KvProfile {
+        name: "DynamoDB",
+        supports_binary: true,
+        max_value_bytes: 64 * 1024, // bounded by the item cap
+        max_item_bytes: 64 * 1024,
+        max_attrs_per_item: usize::MAX,
+        max_hash_key_bytes: 2048,
+        max_range_key_bytes: 1024,
+        batch_put_limit: 25,
+        batch_get_limit: 100,
+    };
+    const BATCH_GET_IS_ONE_REQUEST: bool = true;
+    const SPANS_REPORT_BILLED_UNITS: bool = false;
+
+    /// Each lane is an independent slice of provisioned throughput at
+    /// the configured rates.
+    fn lanes(config: &DynamoConfig) -> Lanes {
+        let lane = |units_per_sec| {
+            ServiceQueue::new(SimDuration::from_micros(300), units_per_sec, config.latency)
+        };
+        Lanes {
+            writes: lane(config.write_units_per_sec),
+            reads: lane(config.read_units_per_sec),
         }
-    }
-
-    /// The shard plan in force.
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Makes sure `table` has one lane pair per shard of the current plan.
-    fn ensure_lanes(&mut self, table: &str) {
-        if self.plan.is_sharded() && !self.lanes.contains_key(table) {
-            let lanes = (0..self.plan.shards())
-                .map(|_| ShardLanes::new(&self.config))
-                .collect();
-            self.lanes.insert(table.to_string(), lanes);
-        }
-    }
-
-    /// The shard to tag a request's spans with: the one shard every key
-    /// routes to, `None` when the batch fans out (or the store is
-    /// unsharded).
-    fn shard_hint<'a>(&self, mut hash_keys: impl Iterator<Item = &'a str>) -> Option<usize> {
-        if !self.plan.is_sharded() {
-            return None;
-        }
-        let first = self.plan.route(hash_keys.next()?);
-        hash_keys
-            .all(|k| self.plan.route(k) == first)
-            .then_some(first)
-    }
-
-    /// Adds one item's (or key's) service units, billed units and bytes
-    /// to its shard's share of the request. The sums over all shards
-    /// equal the unsharded aggregates exactly (the fractional unit models
-    /// decompose per item / per key), which is what keeps sharded billing
-    /// byte-identical.
-    fn add_share(
-        plan: &ShardPlan,
-        groups: &mut BTreeMap<usize, ShardAgg>,
-        hash_key: &str,
-        (units, billed, bytes): (f64, u64, u64),
-    ) {
-        if plan.is_sharded() {
-            let agg = groups.entry(plan.route(hash_key)).or_default();
-            agg.units += units;
-            agg.billed += billed;
-            agg.bytes += bytes;
-        }
-    }
-
-    /// Rolls the fault injector for a request that reached the service
-    /// ([`crate::kv::throttle`]). `shard` tags the throttle span when the
-    /// rejected request resolves to one shard, so hot shards are visible
-    /// in the throttle series.
-    fn maybe_throttle(
-        &mut self,
-        now: SimTime,
-        is_write: bool,
-        shard: Option<usize>,
-    ) -> Result<(), KvError> {
-        let queue = if is_write { &self.writes } else { &self.reads };
-        let available_at = now + queue.latency;
-        throttle(
-            &mut self.faults,
-            &mut self.stats,
-            &self.obs,
-            (now, available_at),
-            is_write,
-            shard,
-        )
-    }
-
-    /// Serves one batch's shard groups: each touched shard's write (or
-    /// read) lane serves its subset as one request, and the batch
-    /// completes when the slowest shard responds. One span per shard,
-    /// tagged.
-    fn serve_shards(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        op: &'static str,
-        is_write: bool,
-        groups: &BTreeMap<usize, ShardAgg>,
-    ) -> SimTime {
-        let lanes = self.lanes.get_mut(table).expect("ensure_lanes ran");
-        let mut ready = now;
-        for (&s, agg) in groups {
-            let lane = if is_write {
-                &mut lanes[s].writes
-            } else {
-                &mut lanes[s].reads
-            };
-            let done = lane.serve(now, agg.units);
-            ready = ready.max(done);
-            let busy = lane.service_time(agg.units);
-            let (units, billed, bytes) = (agg.units, agg.billed, agg.bytes);
-            self.obs.record(|p, ctx| {
-                let price = if is_write { p.idx_put } else { p.idx_get };
-                Span::new(ServiceKind::Kv, op, now, done, ctx)
-                    .bytes(bytes)
-                    .units(units)
-                    .busy(busy)
-                    .billed(price * billed)
-                    .shard(Some(s))
-            });
-        }
-        ready
     }
 
     /// Write capacity consumed by one item: a fixed per-item processing
-    /// share plus its size in KB. (Real DynamoDB *bills* ceil(KB) per
-    /// item; for service *time* the fractional-byte model matches the
-    /// paper's observation that DynamoDB throughput was the indexing
-    /// bottleneck — upload time tracks index bytes, with a per-item
-    /// floor.)
-    fn write_units(item_bytes: usize) -> f64 {
-        0.05 + item_bytes as f64 / 1024.0
+    /// share plus its size in KB. For service *time* the fractional-byte
+    /// model matches the paper's observation that DynamoDB throughput
+    /// was the indexing bottleneck — upload time tracks index bytes, with
+    /// a per-item floor (Figure 10).
+    ///
+    /// DynamoDB *bills* provisioned write capacity units, which is what
+    /// the cost model's `IDXput$ × |op(D, I)|` term multiplies — the
+    /// paper's Table 6 / Figure 12 DynamoDB charges track data volume,
+    /// not request counts. Billed capacity rounds up *per item* (min 1
+    /// unit), as real DynamoDB does: batching packs items into one API
+    /// round trip but never changes the provisioned capacity they
+    /// consume.
+    fn written(item: Footprint) -> Meter {
+        capacity(0.05 + item.bytes as f64 / 1024.0)
     }
 
-    /// Read capacity consumed: a per-request share plus size in 4 KB
-    /// units, halved for eventually-consistent reads (what index look-ups
-    /// use).
-    fn read_units(bytes: usize) -> f64 {
-        0.25 + bytes as f64 / 4096.0 / 2.0
+    /// Read capacity consumed by one key: a per-key share plus size in
+    /// 4 KB units, halved for eventually-consistent reads (what index
+    /// look-ups use). Billed read capacity rounds up *per key* (min 1
+    /// unit).
+    fn read(bytes: usize) -> Meter {
+        capacity(0.25 + bytes as f64 / 4096.0 / 2.0)
     }
 
-    /// Checks the key and item limits; returns the item's size.
-    fn validate(item: &KvItem) -> Result<usize, KvError> {
-        if item.hash_key.len() > MAX_HASH_KEY_BYTES {
-            return Err(KvError::KeyTooLarge {
-                limit: MAX_HASH_KEY_BYTES,
-                got: item.hash_key.len(),
-            });
-        }
-        if item.range_key.len() > MAX_RANGE_KEY_BYTES {
-            return Err(KvError::KeyTooLarge {
-                limit: MAX_RANGE_KEY_BYTES,
-                got: item.range_key.len(),
-            });
-        }
-        let size = item.byte_size();
-        if size > MAX_ITEM_BYTES {
-            return Err(KvError::ItemTooLarge {
-                limit: MAX_ITEM_BYTES,
-                got: size,
-            });
-        }
-        Ok(size)
-    }
-
-    /// One read request for all items under `hash_keys` (a `get` is the
-    /// one-key case), recorded as `op`.
-    fn read<K: AsRef<str>>(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        op: &'static str,
-        hash_keys: &[K],
-    ) -> Result<(Vec<KvItem>, SimTime), KvError> {
-        if !self.tables.contains_key(table) {
-            return Err(KvError::NoSuchTable(table.to_string()));
-        }
-        let hint = self.shard_hint(hash_keys.iter().map(AsRef::as_ref));
-        self.maybe_throttle(now, false, hint)?;
-        let t = self.tables.get(table).expect("checked above");
-        let mut items = Vec::new();
-        let mut bytes = 0usize;
-        let mut billed_units = 0u64;
-        let mut groups = BTreeMap::new();
-        for k in hash_keys {
-            let first = items.len();
-            items.extend(t.rows(k.as_ref()));
-            // Billed read capacity rounds up *per key* (min 1 unit), so a
-            // batch get bills exactly what the same keys fetched one by
-            // one would — batching saves API round trips, not capacity.
-            let key_bytes: usize = items[first..].iter().map(KvItem::byte_size).sum();
-            let key_billed = (Self::read_units(key_bytes).ceil() as u64).max(1);
-            bytes += key_bytes;
-            billed_units += key_billed;
-            // The aggregate service units below decompose exactly per
-            // key — read_units(B) + 0.25·(k−1) = Σ_k read_units(b_k) —
-            // so routing each key's share to its shard conserves both
-            // total service time and billed capacity.
-            let share = (Self::read_units(key_bytes), key_billed, key_bytes as u64);
-            Self::add_share(&self.plan, &mut groups, k.as_ref(), share);
-        }
-        // Service time keeps the fractional aggregate: one request's worth
-        // of overhead plus a per-key share plus volume.
-        let units = Self::read_units(bytes) + 0.25 * (hash_keys.len().saturating_sub(1)) as f64;
-        self.stats.get_ops += billed_units;
-        self.stats.api_requests += 1;
-        self.stats.bytes_read += bytes as u64;
-        let ready = if !groups.is_empty() {
-            self.ensure_lanes(table);
-            self.serve_shards(now, table, op, false, &groups)
-        } else {
-            let ready = self.reads.serve(now, units);
-            self.obs.record(|p, ctx| {
-                Span::new(ServiceKind::Kv, op, now, ready, ctx)
-                    .bytes(bytes as u64)
-                    .units(units)
-                    .busy(self.reads.service_time(units))
-                    .billed(p.idx_get * billed_units)
-            });
-            ready
-        };
-        Ok((items, ready))
-    }
-
-    fn table_mut(&mut self, table: &str) -> Result<&mut ItemTable, KvError> {
-        self.tables
-            .get_mut(table)
-            .ok_or_else(|| KvError::NoSuchTable(table.to_string()))
-    }
-}
-
-impl Default for DynamoDb {
-    fn default() -> Self {
-        Self::new(DynamoConfig::default())
-    }
-}
-
-impl KvStore for DynamoDb {
-    fn profile(&self) -> KvProfile {
-        KvProfile {
-            name: "DynamoDB",
-            supports_binary: true,
-            max_value_bytes: MAX_ITEM_BYTES, // bounded by the item cap
-            max_item_bytes: MAX_ITEM_BYTES,
-            max_attrs_per_item: usize::MAX,
-            batch_put_limit: BATCH_PUT_LIMIT,
-            batch_get_limit: BATCH_GET_LIMIT,
-        }
-    }
-
-    fn ensure_table(&mut self, table: &str) {
-        self.tables.entry(table.to_string()).or_default();
-        self.ensure_lanes(table);
-    }
-
-    fn set_shard_plan(&mut self, plan: ShardPlan) {
-        self.plan = plan;
-        self.lanes.clear();
-        if self.plan.is_sharded() {
-            let tables: Vec<String> = self.tables.keys().cloned().collect();
-            for t in tables {
-                self.ensure_lanes(&t);
-            }
-        }
-    }
-
-    fn batch_put(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        items: Vec<KvItem>,
-    ) -> Result<SimTime, KvError> {
-        if items.len() > BATCH_PUT_LIMIT {
-            return Err(KvError::BatchTooLarge {
-                limit: BATCH_PUT_LIMIT,
-                got: items.len(),
-            });
-        }
-        let mut units = 0.0;
-        let mut billed_units = 0u64;
-        let mut bytes_written = 0u64;
-        let mut groups = BTreeMap::new();
-        for item in &items {
-            let size = Self::validate(item)?;
-            bytes_written += size as u64;
-            let item_units = Self::write_units(size);
-            units += item_units;
-            // Billed capacity rounds up *per item* (min 1 unit), as real
-            // DynamoDB does: batching packs items into one API round trip
-            // but never changes the provisioned capacity they consume.
-            let item_billed = (item_units.ceil() as u64).max(1);
-            billed_units += item_billed;
-            let share = (item_units, item_billed, size as u64);
-            Self::add_share(&self.plan, &mut groups, &item.hash_key, share);
-        }
-        let hint = self.shard_hint(items.iter().map(|item| &*item.hash_key));
-        self.maybe_throttle(now, true, hint)?;
-        let t = self.table_mut(table)?;
-        let mut raw_delta: i64 = 0;
-        let mut ovh_delta: i64 = 0;
-        for item in items {
-            let size = item.byte_size() as i64;
-            if let Some(old) = t.put(item) {
-                raw_delta -= old.byte_size() as i64;
-                ovh_delta -= ITEM_OVERHEAD_BYTES as i64;
-            }
-            raw_delta += size;
-            ovh_delta += ITEM_OVERHEAD_BYTES as i64;
-        }
-        self.stats.raw_bytes = (self.stats.raw_bytes as i64 + raw_delta) as u64;
-        self.stats.overhead_bytes = (self.stats.overhead_bytes as i64 + ovh_delta) as u64;
-        // DynamoDB bills by provisioned *write capacity units*, which is
-        // what the cost model's `IDXput$ × |op(D, I)|` term multiplies —
-        // the paper's Table 6 / Figure 12 DynamoDB charges track data
-        // volume, not request counts. Service *time* keeps the fractional
-        // aggregate so throughput still tracks index bytes (Figure 10).
-        self.stats.put_ops += billed_units;
-        self.stats.api_requests += 1;
-        let ready = if self.plan.is_sharded() {
-            self.ensure_lanes(table);
-            self.serve_shards(now, table, "batch_put", true, &groups)
-        } else {
-            let ready = self.writes.serve(now, units);
-            self.obs.record(|p, ctx| {
-                Span::new(ServiceKind::Kv, "batch_put", now, ready, ctx)
-                    .bytes(bytes_written)
-                    .units(units)
-                    .busy(self.writes.service_time(units))
-                    .billed(p.idx_put * billed_units)
-            });
-            ready
-        };
-        Ok(ready)
-    }
-
-    fn batch_delete(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        keys: &[(String, String)],
-    ) -> Result<SimTime, KvError> {
-        if keys.len() > BATCH_PUT_LIMIT {
-            return Err(KvError::BatchTooLarge {
-                limit: BATCH_PUT_LIMIT,
-                got: keys.len(),
-            });
-        }
-        if !self.tables.contains_key(table) {
-            return Err(KvError::NoSuchTable(table.to_string()));
-        }
-        let hint = self.shard_hint(keys.iter().map(|(hash, _)| hash.as_str()));
-        self.maybe_throttle(now, true, hint)?;
-        let mut units = 0.0;
-        let mut billed_units = 0u64;
-        let mut raw_delta: i64 = 0;
-        let mut ovh_delta: i64 = 0;
-        let mut groups = BTreeMap::new();
-        let t = self.tables.get_mut(table).expect("checked above");
-        for (hash, range) in keys {
-            let removed = t.remove(hash, range);
-            // DeleteItem consumes write capacity sized by the *deleted*
-            // item — and a delete of a nonexistent item still consumes
-            // one write unit, which is what keeps retried deletes billed
-            // (and idempotent) rather than free no-ops.
-            let item_units = match &removed {
-                Some(old) => {
-                    let size = old.byte_size();
-                    raw_delta -= size as i64;
-                    ovh_delta -= ITEM_OVERHEAD_BYTES as i64;
-                    Self::write_units(size)
-                }
-                None => Self::write_units(0),
-            };
-            units += item_units;
-            let item_billed = (item_units.ceil() as u64).max(1);
-            billed_units += item_billed;
-            Self::add_share(&self.plan, &mut groups, hash, (item_units, item_billed, 0));
-        }
-        self.stats.raw_bytes = (self.stats.raw_bytes as i64 + raw_delta) as u64;
-        self.stats.overhead_bytes = (self.stats.overhead_bytes as i64 + ovh_delta) as u64;
-        self.stats.put_ops += billed_units;
-        self.stats.api_requests += 1;
-        let ready = if groups.is_empty() {
-            let ready = self.writes.serve(now, units);
-            self.obs.record(|p, ctx| {
-                Span::new(ServiceKind::Kv, "batch_delete", now, ready, ctx)
-                    .units(units)
-                    .busy(self.writes.service_time(units))
-                    .billed(p.idx_put * billed_units)
-            });
-            ready
-        } else {
-            self.ensure_lanes(table);
-            self.serve_shards(now, table, "batch_delete", true, &groups)
-        };
-        Ok(ready)
-    }
-
-    fn get(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        hash_key: &str,
-    ) -> Result<(Vec<KvItem>, SimTime), KvError> {
-        self.read(now, table, "get", &[hash_key])
-    }
-
-    fn batch_get(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        hash_keys: &[String],
-    ) -> Result<(Vec<KvItem>, SimTime), KvError> {
-        if hash_keys.len() > BATCH_GET_LIMIT {
-            return Err(KvError::BatchTooLarge {
-                limit: BATCH_GET_LIMIT,
-                got: hash_keys.len(),
-            });
-        }
-        self.read(now, table, "batch_get", hash_keys)
-    }
-
-    fn stats(&self) -> KvStats {
-        self.stats
-    }
-
-    fn set_faults(&mut self, faults: FaultInjector) {
-        self.faults = faults;
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        self.obs = recorder;
-    }
-
-    fn faults_active(&self) -> bool {
-        self.faults.is_active()
-    }
-
-    fn peek_all(&self) -> Vec<(String, KvItem)> {
-        peek_tables(&self.tables)
+    /// A fixed 100 bytes of index overhead per item — the paper's
+    /// `ovh(D, I)`, "noticeable, especially if keywords are not
+    /// indexed", because small items pay it relatively more.
+    fn overhead(_item: Footprint) -> u64 {
+        ITEM_OVERHEAD_BYTES
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::SimTime;
+    use crate::fault::FaultInjector;
+    use crate::kv::{KvError, KvItem, KvStore, KvValue};
+    use crate::obs::Recorder;
+    use crate::shard::ShardPlan;
 
     fn item(hash: &str, range: &str, uri: &str, val: KvValue) -> KvItem {
         KvItem {
@@ -575,51 +129,6 @@ mod tests {
             range_key: range.into(),
             attrs: [(uri.into(), vec![val])].into(),
         }
-    }
-
-    #[test]
-    fn put_then_get_by_hash_key() {
-        let mut db = DynamoDb::default();
-        db.ensure_table("idx");
-        db.batch_put(
-            SimTime::ZERO,
-            "idx",
-            vec![
-                item("ename", "u1", "delacroix.xml", KvValue::S(String::new())),
-                item("ename", "u2", "manet.xml", KvValue::S(String::new())),
-                item("aid", "u3", "delacroix.xml", KvValue::S(String::new())),
-            ],
-        )
-        .unwrap();
-        let (items, _) = db.get(SimTime::ZERO, "idx", "ename").unwrap();
-        assert_eq!(items.len(), 2);
-        let (items, _) = db.get(SimTime::ZERO, "idx", "missing").unwrap();
-        assert!(items.is_empty());
-    }
-
-    #[test]
-    fn same_primary_key_replaces() {
-        let mut db = DynamoDb::default();
-        db.ensure_table("t");
-        db.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![item("k", "r", "a", KvValue::S("1".into()))],
-        )
-        .unwrap();
-        db.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![item("k", "r", "b", KvValue::S("22".into()))],
-        )
-        .unwrap();
-        let (items, _) = db.get(SimTime::ZERO, "t", "k").unwrap();
-        assert_eq!(items.len(), 1);
-        assert_eq!(&*items[0].attrs[0].0, "b");
-        // Storage reflects only the replacement item (+ one overhead).
-        let st = db.stats();
-        assert_eq!(st.raw_bytes, items[0].byte_size() as u64);
-        assert_eq!(st.overhead_bytes, ITEM_OVERHEAD_BYTES);
     }
 
     #[test]
@@ -641,7 +150,12 @@ mod tests {
         let mut db = DynamoDb::default();
         db.ensure_table("t");
         // Oversized item.
-        let big = item("k", "r", "doc", KvValue::B(vec![0; MAX_ITEM_BYTES + 1]));
+        let big = item(
+            "k",
+            "r",
+            "doc",
+            KvValue::B(vec![0; Dynamo::PROFILE.max_item_bytes + 1]),
+        );
         assert!(matches!(
             db.batch_put(SimTime::ZERO, "t", vec![big]),
             Err(KvError::ItemTooLarge { .. })
@@ -752,86 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_bills_write_units_and_frees_storage() {
-        let mut db = DynamoDb::default();
-        db.ensure_table("t");
-        // An 8 KB item bills ceil(0.05 + 8) = 9 units to write — and the
-        // same 9 units to delete (DeleteItem is billed by the size of the
-        // removed item).
-        db.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![item("k", "r", "doc", KvValue::B(vec![0; 8192]))],
-        )
-        .unwrap();
-        let st = db.stats();
-        assert_eq!(st.put_ops, 9);
-        assert!(st.raw_bytes > 0);
-        assert_eq!(st.overhead_bytes, ITEM_OVERHEAD_BYTES);
-        let done = db
-            .batch_delete(SimTime(3), "t", &[("k".into(), "r".into())])
-            .unwrap();
-        assert!(done > SimTime(3));
-        let st = db.stats();
-        assert_eq!(st.put_ops, 18, "delete bills like the put did");
-        assert_eq!(st.raw_bytes, 0);
-        assert_eq!(st.overhead_bytes, 0);
-        assert!(db.peek_all().is_empty());
-    }
-
-    #[test]
-    fn deleting_a_missing_key_bills_the_minimum_and_is_idempotent() {
-        let mut db = DynamoDb::default();
-        db.ensure_table("t");
-        db.batch_delete(SimTime::ZERO, "t", &[("k".into(), "r".into())])
-            .unwrap();
-        db.batch_delete(SimTime::ZERO, "t", &[("k".into(), "r".into())])
-            .unwrap();
-        let st = db.stats();
-        assert_eq!(st.put_ops, 2, "each attempt bills one write unit");
-        assert_eq!(st.api_requests, 2);
-        assert_eq!(st.raw_bytes, 0);
-        assert_eq!(st.overhead_bytes, 0);
-        // Limits still apply.
-        let many: Vec<(String, String)> = (0..26).map(|i| ("k".into(), format!("r{i}"))).collect();
-        assert!(matches!(
-            db.batch_delete(SimTime::ZERO, "t", &many),
-            Err(KvError::BatchTooLarge { .. })
-        ));
-        assert!(matches!(
-            db.batch_delete(SimTime::ZERO, "nope", &[("k".into(), "r".into())]),
-            Err(KvError::NoSuchTable(_))
-        ));
-    }
-
-    #[test]
-    fn throttled_deletes_leave_items_in_place() {
-        let mut db = DynamoDb::default();
-        db.ensure_table("t");
-        db.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![item("k", "r", "d", KvValue::S(String::new()))],
-        )
-        .unwrap();
-        db.set_faults(FaultInjector::new(1.0, 17)); // clamped to 0.95
-        let mut throttles = 0;
-        for _ in 0..50 {
-            match db.batch_delete(SimTime(55), "t", &[("k".into(), "r".into())]) {
-                Ok(_) => {}
-                Err(KvError::Throttled { available_at }) => {
-                    assert!(available_at > SimTime(55));
-                    throttles += 1;
-                }
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        assert!(throttles > 0, "a 95% rate throttles within 50 calls");
-        assert_eq!(db.stats().throttled, throttles);
-        assert!(db.peek_all().is_empty(), "a non-throttled attempt landed");
-    }
-
-    #[test]
     fn saturation_grows_completion_times() {
         // A provisioned write rate of 100 units/s given 1000 small items
         // must take roughly a second (capacity + per-request overhead).
@@ -868,65 +302,6 @@ mod tests {
                 .unwrap();
         }
         assert!(last2.micros() > 5 * last.micros());
-    }
-
-    #[test]
-    fn throttled_requests_bill_a_unit_and_leave_data_untouched() {
-        let mut db = DynamoDb::default();
-        db.ensure_table("t");
-        db.set_faults(FaultInjector::new(1.0, 11)); // clamped to 0.95
-        let mut throttles = 0;
-        for i in 0..50 {
-            match db.batch_put(
-                SimTime(55),
-                "t",
-                vec![item("k", &format!("r{i}"), "d", KvValue::S(String::new()))],
-            ) {
-                Ok(_) => {}
-                Err(KvError::Throttled { available_at }) => {
-                    assert!(available_at > SimTime(55));
-                    throttles += 1;
-                }
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        assert!(throttles > 0, "a 95% rate throttles within 50 calls");
-        let st = db.stats();
-        assert_eq!(st.throttled, throttles);
-        assert_eq!(st.api_requests, 50);
-        // Only the successful puts landed.
-        assert_eq!(db.peek_all().len(), 50 - throttles as usize);
-    }
-
-    #[test]
-    fn peek_all_is_sorted_and_free() {
-        let mut db = DynamoDb::default();
-        db.ensure_table("t");
-        db.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![
-                item("b", "r", "d", KvValue::S(String::new())),
-                item("a", "r2", "d", KvValue::S(String::new())),
-                item("a", "r1", "d", KvValue::S(String::new())),
-            ],
-        )
-        .unwrap();
-        let before = db.stats();
-        let all = db.peek_all();
-        assert_eq!(db.stats(), before, "peek_all must not bill anything");
-        let keys: Vec<(String, String)> = all
-            .iter()
-            .map(|(_, i)| (i.hash_key.to_string(), i.range_key.to_string()))
-            .collect();
-        assert_eq!(
-            keys,
-            vec![
-                ("a".into(), "r1".into()),
-                ("a".into(), "r2".into()),
-                ("b".into(), "r".into()),
-            ]
-        );
     }
 
     #[test]
@@ -1020,8 +395,8 @@ mod tests {
         // batch across shards without changing total service demand.
         for k in [1usize, 2, 7, 100] {
             let total_bytes: usize = (0..k).map(|i| mix(7, i as u64)).sum();
-            let aggregate = DynamoDb::read_units(total_bytes) + 0.25 * (k.saturating_sub(1)) as f64;
-            let per_key: f64 = (0..k).map(|i| DynamoDb::read_units(mix(7, i as u64))).sum();
+            let aggregate = Dynamo::read(total_bytes).service + 0.25 * (k.saturating_sub(1)) as f64;
+            let per_key: f64 = (0..k).map(|i| Dynamo::read(mix(7, i as u64)).service).sum();
             assert!(
                 (aggregate - per_key).abs() < 1e-9,
                 "k={k}: {aggregate} vs {per_key}"

@@ -11,19 +11,33 @@
 //! | | DynamoDB | SimpleDB |
 //! |---|---|---|
 //! | value type | string **or binary** | string only |
-//! | max value  | ~64 KB (item cap)     | 1 KB |
-//! | max item   | 64 KB                | 256 attribute-values |
-//! | batch put  | 25 items             | 25 items |
-//! | batch get  | 100 keys             | — (modelled as 1) |
+//! | max value  | 64 KB (the item cap)  | 1 KB |
+//! | max item   | 64 KB                 | 256 attribute-values of 1 KB |
+//! | max key    | hash 2 KB, range 1 KB | hash 1 KB |
+//! | batch put / delete | 25 items      | 25 items |
+//! | batch get  | 100 keys, one request | one key per request: sequential `get`s |
+//! | write bills | capacity units: ⌈0.05 + KB⌉ per item, min 1 | one per attribute-value written |
+//! | delete bills | as the write of the removed item, min 1 — also for an absent key | the same |
+//! | read bills | capacity units: ⌈0.25 + KB/8⌉ per hash key, min 1 | one per hash key |
+//! | a throttled request bills | 1 | 1 |
+//! | storage overhead | 100 B per item   | 45 B per attribute-value |
+//! | service unit | capacity unit, fractional (0.05 + KB written, 0.25 + KB/8 read) | byte |
+//! | span `units` | service units         | billed units |
+//! | lane rate (default) | 10 000 write / 20 000 read units/s | 384 KB/s write, 1 536 KB/s read |
+//! | lane overhead per request | 300 µs    | 4 ms |
+//! | latency (default) | 8 ms             | 60 ms |
 //!
 //! The binary-value capability is what lets the DynamoDB backend store the
 //! compressed structural-ID lists that make LUI/2LUPI competitive
 //! (Section 8.4 credits exactly this for the 1–2 order-of-magnitude
-//! speedup over \[8\]).
+//! speedup over \[8\]). Each column is one [`crate::store::Service`]
+//! description ([`crate::dynamodb::Dynamo`], [`crate::simpledb::Simple`]);
+//! the store they describe is written once, in [`crate::store`].
 
 use crate::clock::SimTime;
 use crate::fault::FaultInjector;
-use crate::obs::{Outcome, Recorder, ServiceKind, Span};
+use crate::obs::Recorder;
+use crate::shard::ShardPlan;
 use std::borrow::Borrow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -119,7 +133,7 @@ impl Borrow<str> for RangeKey {
 }
 
 /// The items of one table — hash key → range key → attributes, rows in
-/// range-key order. Both backends keep their tables in this; they differ
+/// range-key order. Both services keep their tables in this; they differ
 /// in limits, billing and service times, not in what a table is. A row
 /// keeps only what is its own (range key, attributes): every row of a
 /// hash key shares the table's one copy of that key, and storing an item
@@ -185,59 +199,13 @@ impl ItemTable {
                 })
             })
     }
-}
 
-/// [`KvStore::peek_all`] over a backend's tables.
-pub fn peek_tables(tables: &HashMap<String, ItemTable>) -> Vec<(String, KvItem)> {
-    let mut names: Vec<&String> = tables.keys().collect();
-    names.sort();
-    let mut out = Vec::new();
-    for name in names {
-        let mut hashes: Vec<&Arc<str>> = tables[name].rows.keys().collect();
+    /// Every item, sorted by `(hash_key, range_key)`.
+    pub fn all(&self) -> impl Iterator<Item = KvItem> + '_ {
+        let mut hashes: Vec<&Arc<str>> = self.rows.keys().collect();
         hashes.sort();
-        for hash in hashes {
-            out.extend(tables[name].rows(hash).map(|item| (name.clone(), item)));
-        }
+        hashes.into_iter().flat_map(|hash| self.rows(hash))
     }
-    out
-}
-
-/// Rolls `faults` for a request that reached a backend at `span.0`. A
-/// throttled attempt bills one unit (the minimum charge for a rejected
-/// request) and one API round trip, moves no data, and its failure
-/// response arrives at `span.1`, after the request latency.
-pub(crate) fn throttle(
-    faults: &mut FaultInjector,
-    stats: &mut KvStats,
-    obs: &Recorder,
-    span: (SimTime, SimTime),
-    is_write: bool,
-    shard: Option<usize>,
-) -> Result<(), KvError> {
-    if !faults.roll() {
-        return Ok(());
-    }
-    let (now, available_at) = span;
-    stats.throttled += 1;
-    stats.api_requests += 1;
-    if is_write {
-        stats.put_ops += 1;
-    } else {
-        stats.get_ops += 1;
-    }
-    obs.record(|p, ctx| {
-        let (op, price) = if is_write {
-            ("put", p.idx_put)
-        } else {
-            ("get", p.idx_get)
-        };
-        Span::new(ServiceKind::Kv, op, now, available_at, ctx)
-            .units(1.0)
-            .billed(price)
-            .outcome(Outcome::Throttled)
-            .shard(shard)
-    });
-    Err(KvError::Throttled { available_at })
 }
 
 /// Static capabilities and limits of a key-value backend.
@@ -253,7 +221,11 @@ pub struct KvProfile {
     pub max_item_bytes: usize,
     /// Maximum attribute-value pairs per item.
     pub max_attrs_per_item: usize,
-    /// Items per `batch_put` call.
+    /// Maximum size of a hash key.
+    pub max_hash_key_bytes: usize,
+    /// Maximum size of a range key.
+    pub max_range_key_bytes: usize,
+    /// Items per `batch_put` call, and keys per `batch_delete` call.
     pub batch_put_limit: usize,
     /// Keys per `batch_get` call.
     pub batch_get_limit: usize,
@@ -293,6 +265,24 @@ impl KvStats {
     /// Total stored size `s(D, I) = sr + ovh` (paper Section 7.1).
     pub fn stored_bytes(&self) -> u64 {
         self.raw_bytes + self.overhead_bytes
+    }
+
+    /// Applies one request's change in stored bytes. `raw_bytes` is the
+    /// summed size of the items in the store and `overhead_bytes` the
+    /// service's overhead rule over the same items, so a request can take
+    /// away at most what is there.
+    ///
+    /// # Panics
+    /// Panics if a counter would go below zero: the store freed bytes it
+    /// never counted, and carrying on would bill ~2⁶⁴ bytes of storage.
+    pub fn adjust_stored(&mut self, raw_delta: i64, overhead_delta: i64) {
+        let apply = |bytes: u64, delta: i64| {
+            bytes
+                .checked_add_signed(delta)
+                .expect("stored bytes cover every stored item")
+        };
+        self.raw_bytes = apply(self.raw_bytes, raw_delta);
+        self.overhead_bytes = apply(self.overhead_bytes, overhead_delta);
     }
 }
 
@@ -358,9 +348,10 @@ impl fmt::Display for KvError {
 impl std::error::Error for KvError {}
 
 /// The index-store interface the warehouse codes against; implemented by
-/// [`crate::dynamodb::DynamoDb`] and [`crate::simpledb::SimpleDb`].
+/// [`crate::store::Store`], for every service.
 pub trait KvStore: Send {
-    /// Static limits and capabilities.
+    /// Limits and capabilities, as narrowed by the tuning the store was
+    /// opened with — what the store advertises is what it enforces.
     fn profile(&self) -> KvProfile;
 
     /// Creates a table if it does not exist.
@@ -379,13 +370,11 @@ pub trait KvStore: Send {
     /// Deletes items by full `(hash, range)` primary key, up to
     /// `batch_put_limit` keys per API call (deletes ride the write path
     /// and consume write capacity, exactly like real DynamoDB's
-    /// `DeleteItem`). Billing mirrors each backend's write billing:
-    /// DynamoDB bills the removed item's size in write units (min 1 unit,
-    /// charged even when the key does not exist), SimpleDB bills per
-    /// removed attribute-value pair (min 1 per key). Deleting an absent
-    /// key is an idempotent success — the property that makes retraction
-    /// retries and queue redeliveries safe without tombstones. Returns
-    /// the virtual completion time.
+    /// `DeleteItem`). A delete bills as the write of the item it removed
+    /// did, and at least one unit — also when the key does not exist.
+    /// Deleting an absent key is an idempotent success — the property
+    /// that makes retraction retries and queue redeliveries safe without
+    /// tombstones. Returns the virtual completion time.
     fn batch_delete(
         &mut self,
         now: SimTime,
@@ -414,27 +403,23 @@ pub trait KvStore: Send {
     fn stats(&self) -> KvStats;
 
     /// Installs a fault injector: subsequent operations may fail with
-    /// [`KvError::Throttled`]. The default implementation ignores it (a
-    /// backend that opts out of fault injection simply never throttles).
-    fn set_faults(&mut self, _faults: FaultInjector) {}
+    /// [`KvError::Throttled`].
+    fn set_faults(&mut self, faults: FaultInjector);
 
     /// Installs a span recorder: subsequent operations are recorded as
-    /// [`crate::obs::Span`]s. The default implementation ignores it (a
-    /// backend that opts out simply records nothing).
-    fn set_recorder(&mut self, _recorder: Recorder) {}
+    /// [`crate::obs::Span`]s.
+    fn set_recorder(&mut self, recorder: Recorder);
 
     /// True when a fault injector is installed and active — callers that
     /// must hand over owned data (e.g. `batch_put` payloads) use this to
     /// decide whether to keep a retry copy.
-    fn faults_active(&self) -> bool {
-        false
-    }
+    fn faults_active(&self) -> bool;
 
     /// Installs a shard plan: subsequent operations queue on per-shard
-    /// provisioned capacity routed by hash key. The default implementation
-    /// ignores it (a backend that opts out keeps one table-level queue —
-    /// billing is identical either way, only service times differ).
-    fn set_shard_plan(&mut self, _plan: crate::shard::ShardPlan) {}
+    /// lanes, `plan.shards()` per table, routed by hash key
+    /// ([`ShardPlan::single`] restores the one service-wide pair).
+    /// Billing is identical either way, only service times differ.
+    fn set_shard_plan(&mut self, plan: ShardPlan);
 
     /// Host-side snapshot of every item in every table, sorted by
     /// `(table, hash_key, range_key)`. No request is billed and no

@@ -40,6 +40,7 @@ pub mod shard;
 pub mod sim;
 pub mod simpledb;
 pub mod sqs;
+pub mod store;
 pub mod tuning;
 pub mod workmodel;
 
@@ -56,5 +57,5 @@ pub use shard::ShardPlan;
 pub use sim::{Actor, CostReport, CostSnapshot, Engine, KvBackend, StepResult, StorageCost, World};
 pub use simpledb::{SimpleDb, SimpleDbConfig};
 pub use sqs::{Message, Sqs, SqsError, SqsStats};
-pub use tuning::{KvTuning, TunedKvStore};
+pub use tuning::KvTuning;
 pub use workmodel::WorkModel;

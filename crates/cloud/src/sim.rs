@@ -27,7 +27,7 @@ use crate::pricing::PriceTable;
 use crate::s3::{S3Stats, S3};
 use crate::simpledb::{SimpleDb, SimpleDbConfig};
 use crate::sqs::{Sqs, SqsStats};
-use crate::tuning::{KvTuning, TunedKvStore};
+use crate::tuning::KvTuning;
 use crate::workmodel::WorkModel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,14 +51,9 @@ impl KvBackend {
     /// Opens the index store this backend describes, with `tuning`'s
     /// capabilities withheld — the one way a store is opened.
     pub fn open(self, tuning: KvTuning) -> Box<dyn KvStore> {
-        let store: Box<dyn KvStore> = match self {
-            KvBackend::Dynamo(cfg) => Box::new(DynamoDb::new(cfg)),
-            KvBackend::Simple(cfg) => Box::new(SimpleDb::new(cfg)),
-        };
-        if tuning.is_active() {
-            Box::new(TunedKvStore::new(store, tuning))
-        } else {
-            store
+        match self {
+            KvBackend::Dynamo(cfg) => Box::new(DynamoDb::open(cfg, tuning)),
+            KvBackend::Simple(cfg) => Box::new(SimpleDb::open(cfg, tuning)),
         }
     }
 }
@@ -91,9 +86,15 @@ impl World {
     /// Creates a world with the given index backend and default pricing
     /// (the paper's Table 3).
     pub fn new(backend: KvBackend) -> World {
+        World::open(backend, KvTuning::NONE)
+    }
+
+    /// [`World::new`] with `tuning`'s capabilities withheld from the
+    /// index store.
+    pub fn open(backend: KvBackend, tuning: KvTuning) -> World {
         World {
             s3: S3::new(),
-            kv: backend.open(KvTuning::NONE),
+            kv: backend.open(tuning),
             sqs: Sqs::new(),
             ec2: Ec2::new(),
             work: WorkModel::default(),

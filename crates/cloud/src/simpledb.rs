@@ -1,35 +1,20 @@
-//! The simulated SimpleDB key-value store — the index backend of the
-//! paper's preliminary work \[8\], kept as a baseline for the Tables 7–8
-//! comparison.
-//!
-//! The two modelled handicaps relative to DynamoDB, which the paper
-//! identifies as the source of its 1–2 order-of-magnitude disadvantage
-//! (Section 8.4):
-//!
-//! * **string-only attribute values of at most 1 KB** — structural-ID
-//!   lists cannot be stored as compact binary blobs; the index layer must
-//!   base64-encode and chunk them into many small values (and therefore
-//!   many more items and requests);
-//! * **lower throughput and higher per-request latency** — SimpleDB
-//!   processes requests more slowly and tolerates much less concurrency
-//!   (the paper: "DynamoDB has a shorter response time and can handle more
-//!   concurrent requests than SimpleDB").
+//! SimpleDB — the index backend of the paper's preliminary work \[8\],
+//! kept as a baseline for the Tables 7–8 comparison — as a [`Service`]
+//! description of the one [`Store`]. Its two handicaps relative to
+//! DynamoDB, which the paper identifies as the source of its 1–2
+//! order-of-magnitude disadvantage (Section 8.4): **string-only values of
+//! at most 1 KB**, so the index layer must base64-encode ID lists and
+//! chunk them into many small values (and therefore many more items and
+//! requests); and **lower throughput and higher per-request latency**
+//! ("DynamoDB has a shorter response time and can handle more concurrent
+//! requests than SimpleDB"). The numbers are the SimpleDB column of the
+//! table in [`crate::kv`].
 
-use crate::clock::{SimDuration, SimTime};
-use crate::fault::FaultInjector;
-use crate::kv::{peek_tables, throttle, ItemTable, KvError, KvItem, KvProfile, KvStats, KvStore};
-use crate::obs::{Recorder, ServiceKind, Span};
+use crate::clock::SimDuration;
+use crate::kv::KvProfile;
 use crate::service::ServiceQueue;
-use std::collections::HashMap;
+use crate::store::{Footprint, Lanes, Meter, Service, Store};
 
-/// Maximum attribute-value size (strings only).
-pub const MAX_VALUE_BYTES: usize = 1024;
-/// Maximum attribute-value pairs per item.
-pub const MAX_ATTRS_PER_ITEM: usize = 256;
-/// Items per batch put.
-pub const BATCH_PUT_LIMIT: usize = 25;
-/// SimpleDB has no batch get; one key per request.
-pub const BATCH_GET_LIMIT: usize = 1;
 /// Storage overhead billed per attribute-value pair (45 bytes per name
 /// plus per value, per the SimpleDB pricing formula).
 pub const ATTR_OVERHEAD_BYTES: u64 = 45;
@@ -59,286 +44,67 @@ impl Default for SimpleDbConfig {
 }
 
 /// The simulated SimpleDB service.
-pub struct SimpleDb {
-    domains: HashMap<String, ItemTable>,
-    stats: KvStats,
-    writes: ServiceQueue,
-    reads: ServiceQueue,
-    faults: FaultInjector,
-    obs: Recorder,
-}
+pub type SimpleDb = Store<Simple>;
 
-impl SimpleDb {
-    /// Creates a store with the given service parameters.
-    pub fn new(config: SimpleDbConfig) -> SimpleDb {
-        SimpleDb {
-            domains: HashMap::new(),
-            stats: KvStats::default(),
-            writes: ServiceQueue::new(
-                SimDuration::from_millis(4),
-                config.write_bytes_per_sec,
-                config.latency,
-            ),
-            reads: ServiceQueue::new(
-                SimDuration::from_millis(4),
-                config.read_bytes_per_sec,
-                config.latency,
-            ),
-            faults: FaultInjector::off(),
-            obs: Recorder::off(),
+/// SimpleDB, described.
+pub struct Simple;
+
+impl Service for Simple {
+    type Config = SimpleDbConfig;
+
+    const PROFILE: KvProfile = KvProfile {
+        name: "SimpleDB",
+        supports_binary: false,
+        max_value_bytes: 1024,
+        max_item_bytes: 1024 * 256,
+        max_attrs_per_item: 256,
+        max_hash_key_bytes: 1024,
+        max_range_key_bytes: usize::MAX,
+        batch_put_limit: 25,
+        // No native batch get; one key per request.
+        batch_get_limit: 1,
+    };
+    const BATCH_GET_IS_ONE_REQUEST: bool = false;
+    const SPANS_REPORT_BILLED_UNITS: bool = true;
+
+    fn lanes(config: &SimpleDbConfig) -> Lanes {
+        let lane = |bytes_per_sec| {
+            ServiceQueue::new(SimDuration::from_millis(4), bytes_per_sec, config.latency)
+        };
+        Lanes {
+            writes: lane(config.write_bytes_per_sec),
+            reads: lane(config.read_bytes_per_sec),
         }
     }
 
-    /// Rolls the fault injector ([`crate::kv::throttle`]); a throttled
-    /// attempt is SimpleDB's `ServiceUnavailable`.
-    fn maybe_throttle(&mut self, now: SimTime, is_write: bool) -> Result<(), KvError> {
-        let queue = if is_write { &self.writes } else { &self.reads };
-        let available_at = now + queue.latency;
-        throttle(
-            &mut self.faults,
-            &mut self.stats,
-            &self.obs,
-            (now, available_at),
-            is_write,
-            None,
-        )
-    }
-
-    fn validate(&self, item: &KvItem) -> Result<(), KvError> {
-        let attr_count: usize = item.attrs.iter().map(|(_, vs)| vs.len()).sum();
-        if attr_count > MAX_ATTRS_PER_ITEM {
-            return Err(KvError::TooManyAttributes {
-                limit: MAX_ATTRS_PER_ITEM,
-                got: attr_count,
-            });
-        }
-        for (_, vs) in item.attrs.iter() {
-            for v in vs {
-                if v.is_binary() {
-                    return Err(KvError::BinaryNotSupported);
-                }
-                if v.len() > MAX_VALUE_BYTES {
-                    return Err(KvError::ValueTooLarge {
-                        limit: MAX_VALUE_BYTES,
-                        got: v.len(),
-                    });
-                }
-            }
-        }
-        if item.hash_key.len() > MAX_VALUE_BYTES {
-            return Err(KvError::KeyTooLarge {
-                limit: MAX_VALUE_BYTES,
-                got: item.hash_key.len(),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Default for SimpleDb {
-    fn default() -> Self {
-        Self::new(SimpleDbConfig::default())
-    }
-}
-
-impl KvStore for SimpleDb {
-    fn profile(&self) -> KvProfile {
-        KvProfile {
-            name: "SimpleDB",
-            supports_binary: false,
-            max_value_bytes: MAX_VALUE_BYTES,
-            max_item_bytes: MAX_VALUE_BYTES * MAX_ATTRS_PER_ITEM,
-            max_attrs_per_item: MAX_ATTRS_PER_ITEM,
-            batch_put_limit: BATCH_PUT_LIMIT,
-            batch_get_limit: BATCH_GET_LIMIT,
+    /// Box-usage billing scales with the attribute-value pairs written,
+    /// not the item count — the billing-side half of the Tables 7–8
+    /// amplification (chunked values each pay their way). Service time
+    /// is by the byte.
+    fn written(item: Footprint) -> Meter {
+        Meter {
+            service: item.bytes as f64,
+            billed: item.values as u64,
         }
     }
 
-    fn ensure_table(&mut self, table: &str) {
-        self.domains.entry(table.to_string()).or_default();
+    fn read(bytes: usize) -> Meter {
+        Meter {
+            service: bytes as f64,
+            billed: 1,
+        }
     }
 
-    fn batch_put(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        items: Vec<KvItem>,
-    ) -> Result<SimTime, KvError> {
-        if items.len() > BATCH_PUT_LIMIT {
-            return Err(KvError::BatchTooLarge {
-                limit: BATCH_PUT_LIMIT,
-                got: items.len(),
-            });
-        }
-        for item in &items {
-            self.validate(item)?;
-        }
-        if !self.domains.contains_key(table) {
-            return Err(KvError::NoSuchTable(table.to_string()));
-        }
-        self.maybe_throttle(now, true)?;
-        let d = self.domains.get_mut(table).expect("checked above");
-        let mut bytes = 0usize;
-        let mut total_attr_values = 0u64;
-        let mut raw_delta: i64 = 0;
-        let mut ovh_delta: i64 = 0;
-        for item in items {
-            bytes += item.byte_size();
-            let size = item.byte_size() as i64;
-            let attr_values: i64 = item
-                .attrs
-                .iter()
-                .map(|(_, vs)| vs.len() as i64)
-                .sum::<i64>();
-            total_attr_values += attr_values as u64;
-            if let Some(old) = d.put(item) {
-                raw_delta -= old.byte_size() as i64;
-                ovh_delta -= ATTR_OVERHEAD_BYTES as i64
-                    * old.attrs.iter().map(|(_, vs)| vs.len() as i64).sum::<i64>();
-            }
-            raw_delta += size;
-            ovh_delta += ATTR_OVERHEAD_BYTES as i64 * attr_values;
-        }
-        self.stats.raw_bytes = (self.stats.raw_bytes as i64 + raw_delta) as u64;
-        self.stats.overhead_bytes = (self.stats.overhead_bytes as i64 + ovh_delta) as u64;
-        // SimpleDB's box-usage billing scales with the attribute-value
-        // pairs written, not the item count — the billing-side half of the
-        // Tables 7–8 amplification (chunked values each pay their way).
-        self.stats.put_ops += total_attr_values;
-        self.stats.api_requests += 1;
-        let ready = self.writes.serve(now, bytes as f64);
-        self.obs.record(|p, ctx| {
-            Span::new(ServiceKind::Kv, "batch_put", now, ready, ctx)
-                .bytes(bytes as u64)
-                .units(total_attr_values as f64)
-                .busy(self.writes.service_time(bytes as f64))
-                .billed(p.idx_put * total_attr_values)
-        });
-        Ok(ready)
-    }
-
-    fn batch_delete(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        keys: &[(String, String)],
-    ) -> Result<SimTime, KvError> {
-        if keys.len() > BATCH_PUT_LIMIT {
-            return Err(KvError::BatchTooLarge {
-                limit: BATCH_PUT_LIMIT,
-                got: keys.len(),
-            });
-        }
-        if !self.domains.contains_key(table) {
-            return Err(KvError::NoSuchTable(table.to_string()));
-        }
-        self.maybe_throttle(now, true)?;
-        let d = self.domains.get_mut(table).expect("checked above");
-        let mut bytes = 0usize;
-        let mut billed = 0u64;
-        let mut raw_delta: i64 = 0;
-        let mut ovh_delta: i64 = 0;
-        for (hash, range) in keys {
-            let removed = d.remove(hash, range);
-            // DeleteAttributes box usage scales with the attribute-value
-            // pairs removed, mirroring batch_put; an absent key still
-            // bills the one-operation minimum, keeping retried deletes
-            // idempotent but never free.
-            match &removed {
-                Some(old) => {
-                    let attr_values: i64 =
-                        old.attrs.iter().map(|(_, vs)| vs.len() as i64).sum::<i64>();
-                    bytes += old.byte_size();
-                    raw_delta -= old.byte_size() as i64;
-                    ovh_delta -= ATTR_OVERHEAD_BYTES as i64 * attr_values;
-                    billed += (attr_values as u64).max(1);
-                }
-                None => billed += 1,
-            }
-        }
-        self.stats.raw_bytes = (self.stats.raw_bytes as i64 + raw_delta) as u64;
-        self.stats.overhead_bytes = (self.stats.overhead_bytes as i64 + ovh_delta) as u64;
-        self.stats.put_ops += billed;
-        self.stats.api_requests += 1;
-        let ready = self.writes.serve(now, bytes as f64);
-        self.obs.record(|p, ctx| {
-            Span::new(ServiceKind::Kv, "batch_delete", now, ready, ctx)
-                .units(billed as f64)
-                .busy(self.writes.service_time(bytes as f64))
-                .billed(p.idx_put * billed)
-        });
-        Ok(ready)
-    }
-
-    fn get(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        hash_key: &str,
-    ) -> Result<(Vec<KvItem>, SimTime), KvError> {
-        if !self.domains.contains_key(table) {
-            return Err(KvError::NoSuchTable(table.to_string()));
-        }
-        self.maybe_throttle(now, false)?;
-        let d = self.domains.get(table).expect("checked above");
-        let items: Vec<KvItem> = d.rows(hash_key).collect();
-        let bytes: usize = items.iter().map(KvItem::byte_size).sum();
-        self.stats.get_ops += 1;
-        self.stats.api_requests += 1;
-        self.stats.bytes_read += bytes as u64;
-        let ready = self.reads.serve(now, bytes as f64);
-        self.obs.record(|p, ctx| {
-            Span::new(ServiceKind::Kv, "get", now, ready, ctx)
-                .bytes(bytes as u64)
-                .units(1.0)
-                .busy(self.reads.service_time(bytes as f64))
-                .billed(p.idx_get)
-        });
-        Ok((items, ready))
-    }
-
-    fn batch_get(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        hash_keys: &[String],
-    ) -> Result<(Vec<KvItem>, SimTime), KvError> {
-        // No native batch get: issue sequential gets.
-        let mut items = Vec::new();
-        let mut ready = now;
-        for k in hash_keys {
-            let (mut batch, t) = self.get(ready, table, k)?;
-            items.append(&mut batch);
-            ready = t;
-        }
-        Ok((items, ready))
-    }
-
-    fn stats(&self) -> KvStats {
-        self.stats
-    }
-
-    fn set_faults(&mut self, faults: FaultInjector) {
-        self.faults = faults;
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        self.obs = recorder;
-    }
-
-    fn faults_active(&self) -> bool {
-        self.faults.is_active()
-    }
-
-    fn peek_all(&self) -> Vec<(String, KvItem)> {
-        peek_tables(&self.domains)
+    fn overhead(item: Footprint) -> u64 {
+        ATTR_OVERHEAD_BYTES * item.values as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::KvValue;
+    use crate::clock::SimTime;
+    use crate::kv::{KvError, KvItem, KvStore, KvValue};
 
     fn item(hash: &str, range: &str, val: KvValue) -> KvItem {
         KvItem {
@@ -391,26 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn accepts_and_returns_string_values() {
-        let mut db = SimpleDb::default();
-        db.ensure_table("t");
-        db.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![item("ename", "r1", KvValue::S("p1".into()))],
-        )
-        .unwrap();
-        db.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![item("ename", "r2", KvValue::S("p2".into()))],
-        )
-        .unwrap();
-        let (items, _) = db.get(SimTime::ZERO, "t", "ename").unwrap();
-        assert_eq!(items.len(), 2);
-    }
-
-    #[test]
     fn slower_than_dynamodb_for_equal_work() {
         use crate::dynamodb::DynamoDb;
         use crate::kv::KvStore as _;
@@ -454,79 +200,5 @@ mod tests {
             .batch_get(SimTime::ZERO, "t", &["a".to_string(), "b".to_string()])
             .unwrap();
         assert_eq!(db.stats().api_requests, before + 2);
-    }
-
-    #[test]
-    fn throttled_requests_are_billed_but_store_nothing() {
-        let mut db = SimpleDb::default();
-        db.ensure_table("t");
-        db.set_faults(FaultInjector::new(1.0, 13)); // clamped to 0.95
-        let mut throttles = 0;
-        for i in 0..50 {
-            match db.batch_put(
-                SimTime(99),
-                "t",
-                vec![item("k", &format!("r{i}"), KvValue::S(String::new()))],
-            ) {
-                Ok(_) => {}
-                Err(KvError::Throttled { available_at }) => {
-                    assert!(available_at > SimTime(99));
-                    throttles += 1;
-                }
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        assert!(throttles > 0, "a 95% rate throttles within 50 calls");
-        let st = db.stats();
-        assert_eq!(st.throttled, throttles);
-        assert_eq!(st.api_requests, 50);
-        assert_eq!(db.peek_all().len(), 50 - throttles as usize);
-    }
-
-    #[test]
-    fn delete_bills_per_attribute_value_and_frees_overhead() {
-        let mut db = SimpleDb::default();
-        db.ensure_table("t");
-        let it = KvItem {
-            hash_key: "k".into(),
-            range_key: "r".into(),
-            attrs: [(
-                "a".into(),
-                vec![KvValue::S("1".into()), KvValue::S("2".into())],
-            )]
-            .into(),
-        };
-        db.batch_put(SimTime::ZERO, "t", vec![it]).unwrap();
-        let before = db.stats();
-        assert_eq!(before.put_ops, 2);
-        assert_eq!(before.overhead_bytes, 2 * ATTR_OVERHEAD_BYTES);
-        db.batch_delete(SimTime::ZERO, "t", &[("k".into(), "r".into())])
-            .unwrap();
-        let st = db.stats();
-        assert_eq!(st.put_ops, 4, "two attribute-values billed to remove");
-        assert_eq!(st.raw_bytes, 0);
-        assert_eq!(st.overhead_bytes, 0);
-        assert!(db.peek_all().is_empty());
-        // A missing key bills the one-operation minimum and stays a success.
-        db.batch_delete(SimTime::ZERO, "t", &[("k".into(), "r".into())])
-            .unwrap();
-        assert_eq!(db.stats().put_ops, 5);
-    }
-
-    #[test]
-    fn storage_overhead_is_per_attribute_value() {
-        let mut db = SimpleDb::default();
-        db.ensure_table("t");
-        let it = KvItem {
-            hash_key: "k".into(),
-            range_key: "r".into(),
-            attrs: [(
-                "a".into(),
-                vec![KvValue::S("1".into()), KvValue::S("2".into())],
-            )]
-            .into(),
-        };
-        db.batch_put(SimTime::ZERO, "t", vec![it]).unwrap();
-        assert_eq!(db.stats().overhead_bytes, 2 * ATTR_OVERHEAD_BYTES);
     }
 }

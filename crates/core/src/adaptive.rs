@@ -7,8 +7,10 @@
 //! partition its own strategy, or none) **without running a deployment**:
 //!
 //! * exact operation counts come from *host-side micro-execution* — the
-//!   candidate plan's index is actually built into a scratch
-//!   [`DynamoDb`] with [`index-layer write path`](amada_index::partition)
+//!   candidate plan's index is actually built into a scratch index
+//!   store — the deployment's own backend and tuning, opened as
+//!   [`crate::Warehouse::new`] opens it — with
+//!   [`index-layer write path`](amada_index::partition)
 //!   semantics, and each workload query is actually looked up against it,
 //!   so `|op(D, I)|`, `|op(q, D, I)|`, `s(D, I)`, `|D_q|` and `|r(q)|`
 //!   are measured, not guessed;
@@ -41,7 +43,7 @@
 use crate::advisor::months_scaled;
 use crate::config::WarehouseConfig;
 use crate::cost::CostModel;
-use amada_cloud::{DynamoDb, KvStore, Money, SimDuration, SimTime, S3};
+use amada_cloud::{KvStore, Money, SimDuration, SimTime, S3};
 use amada_index::{
     extract, lookup_pattern_in, partition_lookup_tables, partition_of, partition_tables,
     routed_entries, write_entries, MixedPlan, Strategy,
@@ -212,7 +214,7 @@ fn routable_default(base: &WarehouseConfig) -> Strategy {
 /// every plan that assigns it the same strategy.
 struct PartitionBuild {
     /// The partition's own scratch index (empty for "scan").
-    kv: RefCell<DynamoDb>,
+    kv: RefCell<Box<dyn KvStore>>,
     /// Virtual end of the build — look-ups start here.
     built_at: SimTime,
     /// Index put operations.
@@ -344,7 +346,7 @@ impl<'a> Scenario<'a> {
         }
         let work = &self.base.work;
         let lecu = self.base.loader_pool.itype.ecu_per_core();
-        let mut kv = DynamoDb::default();
+        let mut kv = self.base.backend.clone().open(self.base.kv_tuning);
         let mut t = SimTime::ZERO;
         let mut serial = SimDuration::ZERO;
         let mut puts = 0u64;
@@ -362,7 +364,7 @@ impl<'a> Scenario<'a> {
                 serial_doc += work.extract(entry_bytes, lecu);
                 let before = kv.stats().put_ops;
                 let (_m, ready) =
-                    write_entries(&mut kv, t, &entries, uri).expect("micro-indexing succeeds");
+                    write_entries(kv.as_mut(), t, &entries, uri).expect("micro-indexing succeeds");
                 serial_doc += ready - t;
                 t = ready;
                 doc_puts = kv.stats().put_ops - before;
@@ -417,7 +419,7 @@ impl<'a> Scenario<'a> {
             .patterns
             .iter()
             .map(|p| {
-                let o = lookup_pattern_in(&mut *kv, t0, strategy, self.base.extract, p, tables)
+                let o = lookup_pattern_in(kv.as_mut(), t0, strategy, self.base.extract, p, tables)
                     .expect("micro-lookup succeeds");
                 PatternLookup {
                     latency: o.ready_at.max(t0) - t0,
@@ -848,10 +850,15 @@ mod tests {
         }
     }
 
-    /// Measures a real deployment of `plan` end to end: build-phase bill,
-    /// monthly storage, and one arrival-weighted workload run.
-    fn measured(plan: &MixedPlan, workload: &[FamilyLoad]) -> (Money, Money, Money) {
-        let mut cfg = WarehouseConfig::default();
+    /// Measures a real deployment of `plan` on `base` end to end:
+    /// build-phase bill, monthly storage, and one arrival-weighted
+    /// workload run.
+    fn measured(
+        base: &WarehouseConfig,
+        plan: &MixedPlan,
+        workload: &[FamilyLoad],
+    ) -> (Money, Money, Money) {
+        let mut cfg = base.clone();
         cfg.strategy = routable_default(&cfg);
         cfg.mixed_plan = Some(plan.clone());
         let mut w = Warehouse::new(cfg);
@@ -891,7 +898,7 @@ mod tests {
                 &horizon(10, None),
                 &base,
             );
-            let (build, storage, run) = measured(plan, &workload);
+            let (build, storage, run) = measured(&base, plan, &workload);
             assert!(
                 rel_diff(est.storage_per_month, storage) <= 0.02,
                 "{}: storage est {} vs measured {}",
@@ -914,6 +921,52 @@ mod tests {
                 run
             );
         }
+    }
+
+    /// The scratch index is the deployment's own store, so the storage
+    /// estimate follows the measured deployment wherever the service
+    /// takes it — and the default DynamoDB's estimate, which is what
+    /// every deployment used to be priced on, misses both. A string-only
+    /// DynamoDB stores more (ID lists become base64 chunks under the same
+    /// 100 B per item); SimpleDB stores *less* on a sample this small,
+    /// where one-value items pay 45 B of overhead instead of 100 B.
+    #[test]
+    fn estimates_price_the_deployments_own_store() {
+        let workload = workload();
+        let plan = MixedPlan::uniform(Some(Strategy::TwoLupi)).with("cold", None);
+        let estimate = |base: &WarehouseConfig| {
+            let horizon = horizon(10, None);
+            estimate_plan(
+                &sample(),
+                &plan,
+                &workload,
+                &BTreeMap::new(),
+                &horizon,
+                base,
+            )
+            .storage_per_month
+        };
+        let on_default = estimate(&WarehouseConfig::default());
+        let simple = WarehouseConfig {
+            backend: amada_cloud::KvBackend::Simple(Default::default()),
+            ..WarehouseConfig::default()
+        };
+        let mut strings = WarehouseConfig::default();
+        strings.kv_tuning.force_string_values = true;
+        for (name, base) in [("SimpleDB", &simple), ("string-only DynamoDB", &strings)] {
+            let est = estimate(base);
+            let (_, storage, _) = measured(base, &plan, &workload);
+            assert!(
+                rel_diff(est, storage) <= 0.02,
+                "{name}: storage est {est} vs measured {storage}"
+            );
+            assert!(
+                rel_diff(on_default, storage) > 0.02,
+                "{name}: default DynamoDB's {on_default} vs measured {storage}"
+            );
+        }
+        assert!(estimate(&strings) > on_default);
+        assert!(estimate(&simple) < on_default);
     }
 
     /// With ≤ 4 partitions the search is exhaustive, so the chosen plan

@@ -147,12 +147,7 @@ pub struct DeleteReport {
 impl Warehouse {
     /// Provisions a warehouse: buckets, queues and index tables.
     pub fn new(cfg: WarehouseConfig) -> Warehouse {
-        let mut world = World::new(cfg.backend.clone());
-        if cfg.kv_tuning.is_active() {
-            let inner =
-                std::mem::replace(&mut world.kv, Box::new(amada_cloud::DynamoDb::default()));
-            world.kv = Box::new(amada_cloud::TunedKvStore::new(inner, cfg.kv_tuning));
-        }
+        let mut world = World::open(cfg.backend.clone(), cfg.kv_tuning);
         world.prices = cfg.prices.clone();
         world.work = cfg.work.clone();
         world.ec2.set_granularity(cfg.ec2_billing);
