@@ -15,14 +15,15 @@
 //! *net* benefit per run (query savings − maintenance). The tests pin the
 //! crossover: every strategy's net is positive on the static corpus and
 //! negative at full churn, so somewhere in between the index stops paying
-//! — and the advisor ([`amada_core::advise_churn`]), fed the same churn
-//! rate, flips its recommendation to the "index nothing" candidate.
+//! — and the advisor ([`amada_core::advise_adaptive`]), fed the same churn
+//! rate, flips its recommendation to the "index nothing" layout.
 
 use crate::{corpus, strategy_warehouse, Scale, TextTable};
 use amada_cloud::{InstanceType, Money};
-use amada_core::{advise_churn, Pool, WarehouseConfig};
+use amada_core::{advise_adaptive, FamilyLoad, Horizon, Pool, WarehouseConfig};
 use amada_index::Strategy;
 use amada_xmark::generate_document;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sweep points run (for `BENCH_repro.json`).
@@ -89,8 +90,13 @@ pub fn churn_rows(scale: &Scale) -> Vec<ChurnRow> {
         fleet.push((strategy, w, baseline.signed_diff(indexed)));
     }
 
-    // The advisor prices the same trade on a small sample.
+    // The advisor prices the same trade on a small one-partition sample.
     let sample: Vec<(String, String)> = docs.iter().take(docs.len().min(30)).cloned().collect();
+    let families: Vec<FamilyLoad> = queries
+        .iter()
+        .cloned()
+        .map(|query| FamilyLoad { query, arrivals: 1 })
+        .collect();
 
     let mut rows = Vec::new();
     let mut retracted_total = 0u64;
@@ -128,15 +134,22 @@ pub fn churn_rows(scale: &Scale) -> Vec<ChurnRow> {
             .filter(|(_, _, net)| *net > 0)
             .max_by_key(|(_, _, net)| *net)
             .map_or("none", |(name, _, _)| name);
-        let advice = advise_churn(
+        let churned = (sample.len() as u64 * rate_pct).div_ceil(100);
+        let advice = advise_adaptive(
             &sample,
-            &queries,
-            ADVISOR_RUNS,
-            1.0,
-            rate_pct as f64 / 100.0,
+            &families,
+            &BTreeMap::from([(String::new(), churned)]),
+            &Horizon {
+                expected_runs: ADVISOR_RUNS,
+                months: 1.0,
+                budget_per_month: None,
+                response_slo: None,
+            },
             &WarehouseConfig::default(),
-        );
-        let advisor = advice.best().strategy.map_or("none", |s| s.name());
+        )
+        .expect("the generated sample is well-formed and within the store's limits");
+        let winner = advice.chosen.plan.strategy_of("");
+        let advisor = winner.map_or("none", Strategy::name);
         if advisor == "none" && advisor_flip == 0 {
             // Rate 0 can't flip: the advisor charges no maintenance there.
             advisor_flip = rate_pct.max(1);

@@ -4,12 +4,11 @@
 //! indexing module and a query-processor module running on simulated cloud
 //! instances, glued by queues, storing documents in a file store and the
 //! index in a key-value store — plus the Section 7 monetary cost model,
-//! the index amortization analysis (Figure 13), and the strategy advisor
+//! the index amortization analysis (Figure 13), and the index advisor
 //! sketched as future work in the paper's conclusion.
 
 pub mod actors;
 pub mod adaptive;
-pub mod advisor;
 pub mod amortization;
 pub mod autoscale;
 pub mod config;
@@ -20,10 +19,9 @@ pub mod warehouse;
 
 pub use actors::RetractionRegistry;
 pub use adaptive::{
-    advise_adaptive, estimate_plan, observed_families, AdaptiveAdvice, FamilyLoad, Horizon,
-    PlanEstimate, ESTIMATE_TOLERANCE,
+    advise_adaptive, estimate_plan, observed_families, AdaptiveAdvice, AdviseError, FamilyLoad,
+    Horizon, PlanEstimate, ESTIMATE_TOLERANCE,
 };
-pub use advisor::{advise, advise_churn, advise_queries, Advice, AdviseError, StrategyEstimate};
 pub use amortization::{Amortization, AmortizationPoint};
 pub use autoscale::{
     ArrivalProcess, ArrivalSender, AutoscaleController, DrainSignal, ScaleDirection, ScaleEvent,

@@ -536,34 +536,35 @@ impl Warehouse {
     /// peek, free). The chosen plan is applied via
     /// [`Warehouse::apply_plan`]: only documents whose placement changes
     /// are re-enqueued, so a re-advise that confirms the current plan
-    /// migrates nothing and costs nothing.
+    /// migrates nothing and costs nothing. A stored document the advisor
+    /// cannot price fails the call with the typed error; the plan in
+    /// force and the observation window are left as they were.
     pub fn readvise(
         &mut self,
         catalog: &[Query],
         churn: &std::collections::BTreeMap<String, u64>,
         horizon: &crate::adaptive::Horizon,
-    ) -> Readvice {
+    ) -> Result<Readvice, crate::adaptive::AdviseError> {
         let spans = self.spans();
         let base = self.advise_span_base.min(spans.len());
-        self.advise_span_base = spans.len();
         let attr = amada_obs::Attribution::attribute(&spans[base..]);
         let families = crate::adaptive::observed_families(&attr, catalog);
-        let sample: Vec<(String, String)> = self
+        let sample = self
             .engine
             .world
             .s3
             .peek_all(DOC_BUCKET)
             .into_iter()
-            .map(|(uri, bytes)| {
-                let xml =
-                    String::from_utf8(bytes.to_vec()).expect("stored documents are UTF-8 XML");
-                (uri, xml)
+            .map(|(uri, bytes)| match String::from_utf8(bytes.to_vec()) {
+                Ok(xml) => Ok((uri, xml)),
+                Err(_) => Err(crate::adaptive::AdviseError::NotUtf8(uri)),
             })
-            .collect();
+            .collect::<Result<Vec<(String, String)>, _>>()?;
         let advice =
-            crate::adaptive::advise_adaptive(&sample, &families, churn, horizon, &self.cfg);
+            crate::adaptive::advise_adaptive(&sample, &families, churn, horizon, &self.cfg)?;
+        self.advise_span_base = spans.len();
         let migrated = self.apply_plan(Some(advice.chosen.plan.clone()));
-        Readvice { advice, migrated }
+        Ok(Readvice { advice, migrated })
     }
 
     /// Parses and extracts every stored document across all host cores,
@@ -1547,7 +1548,7 @@ mod tests {
             budget_per_month: None,
             response_slo: None,
         };
-        let first = w.readvise(&catalog, &churn, &horizon);
+        let first = w.readvise(&catalog, &churn, &horizon).unwrap();
         // The observed families reflect the traffic actually served.
         assert!(first.advice.budget_met);
         assert!(!first.advice.ranked.is_empty());
@@ -1567,7 +1568,7 @@ mod tests {
         w.run_query(&catalog[1]);
         // Steady state: an unchanged traffic window re-advises to the
         // same plan and migrates nothing.
-        let second = w.readvise(&catalog, &churn, &horizon);
+        let second = w.readvise(&catalog, &churn, &horizon).unwrap();
         assert_eq!(second.advice.chosen.label, first.advice.chosen.label);
         assert_eq!(second.migrated, 0, "confirming the plan is free");
         // Answers survived the migration.
@@ -1577,6 +1578,57 @@ mod tests {
         with.sort_by(|x, y| x.columns.cmp(&y.columns));
         without.sort_by(|x, y| x.columns.cmp(&y.columns));
         assert_eq!(with, without, "answers unchanged after migration");
+    }
+
+    /// A stored object the advisor cannot price — truncated XML, bytes
+    /// that are not UTF-8, an element name over the index store's key
+    /// limit — fails the re-advise with a typed error naming the object;
+    /// the plan in force and the observation window stay as they were,
+    /// so the same call succeeds once the object is gone.
+    #[test]
+    fn readvise_reports_a_poison_object_instead_of_panicking() {
+        use crate::adaptive::AdviseError;
+        let long_name = "n".repeat(3 * 1024);
+        let poisons: [(&str, Vec<u8>); 3] = [
+            ("hot/truncated.xml", b"<open><unclosed>".to_vec()),
+            ("hot/binary.xml", vec![b'<', b'a', 0xff, 0xfe, b'>']),
+            (
+                "hot/longname.xml",
+                format!("<{long_name}>x</{long_name}>").into_bytes(),
+            ),
+        ];
+        let catalog = vec![workload_query("q1").unwrap()];
+        let churn = std::collections::BTreeMap::new();
+        let horizon = crate::adaptive::Horizon {
+            expected_runs: 200,
+            months: 1.0,
+            budget_per_month: None,
+            response_slo: None,
+        };
+        for (uri, bytes) in poisons {
+            let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
+            cfg.host.record = true;
+            let mut w = Warehouse::new(cfg);
+            w.upload_documents(partitioned_corpus());
+            w.build_index();
+            w.run_query(&catalog[0]);
+            let t = w.engine.now();
+            w.engine.world.s3.put(t, DOC_BUCKET, uri, bytes).unwrap();
+            let err = w.readvise(&catalog, &churn, &horizon).unwrap_err();
+            assert!(err.to_string().contains(uri), "{err}");
+            match (uri, &err) {
+                ("hot/truncated.xml", AdviseError::Parse(..))
+                | ("hot/binary.xml", AdviseError::NotUtf8(_))
+                | ("hot/longname.xml", AdviseError::Store(..)) => {}
+                _ => panic!("{uri}: unexpected {err:?}"),
+            }
+            assert_eq!(w.mixed_plan(), None, "{uri}: no plan was applied");
+            // The window was not consumed: with the object gone the same
+            // call sees the query that ran before the failure.
+            w.engine.world.s3.delete(t, DOC_BUCKET, uri).unwrap();
+            let advice = w.readvise(&catalog, &churn, &horizon).unwrap().advice;
+            assert!(advice.chosen.run_cost > Money::ZERO, "{uri}");
+        }
     }
 
     #[test]

@@ -404,6 +404,44 @@ mod tests {
     }
 
     #[test]
+    fn per_query_hints_cover_the_workload() {
+        let cfg = amada_xmark::CorpusConfig {
+            num_documents: 25,
+            target_doc_bytes: 1200,
+            ..Default::default()
+        };
+        let sample: Vec<Document> = amada_xmark::generate_corpus(&cfg)
+            .into_iter()
+            .map(|d| Document::parse_str(d.uri, &d.xml).unwrap())
+            .collect();
+        let s = PathSummary::build(sample.iter());
+        let workload = amada_xmark::workload();
+        assert_eq!(workload.len(), 10);
+        // Every pattern of every query receives a hint with a sane
+        // selectivity estimate.
+        let hints: Vec<Vec<StrategyHint>> = workload
+            .iter()
+            .map(|q| {
+                let patterns = q.patterns.iter();
+                patterns
+                    .map(|p| s.recommend(p, ExtractOptions::default()))
+                    .collect()
+            })
+            .collect();
+        for (q, pattern_hints) in workload.iter().zip(&hints) {
+            assert!(!pattern_hints.is_empty(), "{:?}", q.name);
+            for h in pattern_hints {
+                assert!(h.estimated_selectivity >= 0.0 && h.estimated_selectivity <= 1.0);
+                assert!(h.branches >= 1);
+            }
+        }
+        // q1 is a two-branch point query: its estimate must be far more
+        // selective than the linear bulk of the corpus.
+        let q1 = &hints[0][0];
+        assert!(q1.estimated_selectivity < 0.1, "{q1:?}");
+    }
+
+    #[test]
     fn incremental_build_matches_batch_build() {
         let parsed = docs();
         let batch = PathSummary::build(parsed.iter());

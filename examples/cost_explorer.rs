@@ -8,9 +8,11 @@
 //! ```
 
 use amada::cloud::{InstanceType, PriceTable, SimDuration};
-use amada::index::{explain, ExtractOptions, Strategy};
-use amada::warehouse::{advise, advise_queries, CostModel, WarehouseConfig};
+use amada::index::{explain, ExtractOptions, PathSummary, Strategy};
+use amada::warehouse::{advise_adaptive, CostModel, FamilyLoad, Horizon, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
+use amada::xml::Document;
+use std::collections::BTreeMap;
 
 fn main() {
     // ----- 1. The paper's own scenario, through the symbolic cost model.
@@ -93,23 +95,46 @@ fn main() {
         .map(|d| (d.uri, d.xml))
         .collect();
     let queries = workload();
+    // The paper's question — one strategy, or none, for the whole corpus —
+    // is the advisor asked about a sample with one partition: every query
+    // once per run, no churn, no constraints.
+    let families: Vec<FamilyLoad> = queries
+        .iter()
+        .map(|q| FamilyLoad {
+            query: q.clone(),
+            arrivals: 1,
+        })
+        .collect();
     for expected_runs in [5u32, 500] {
-        let advice = advise(
-            &sample,
-            &queries,
+        let horizon = Horizon {
             expected_runs,
-            1.0,
+            months: 1.0,
+            budget_per_month: None,
+            response_slo: None,
+        };
+        let advice = advise_adaptive(
+            &sample,
+            &families,
+            &BTreeMap::new(),
+            &horizon,
             &WarehouseConfig::default(),
-        );
+        )
+        .expect("sample corpus parses and fits the store's limits");
         println!("\nexpected workload runs: {expected_runs}");
         println!(
-            "  {:<8} {:>14} {:>14} {:>14} {:>14}",
-            "strategy", "build", "$/run", "storage/mo", "projected"
+            "  {:<14} {:>14} {:>14} {:>14} {:>14}",
+            "layout", "build", "$/run", "storage/mo", "projected"
         );
-        for e in &advice.ranked {
+        // With one partition the searched winner (`/=LUI`) is a uniform
+        // layout under another name; print the uniform rows only.
+        let uniform = advice
+            .ranked
+            .iter()
+            .filter(|e| e.plan.assignments().is_empty());
+        for e in uniform {
             println!(
-                "  {:<8} {:>14} {:>14} {:>14} {:>14}",
-                e.strategy.map_or("none", |s| s.name()),
+                "  {:<14} {:>14} {:>14} {:>14} {:>14}",
+                e.label,
                 e.build_cost.to_string(),
                 e.run_cost.to_string(),
                 e.storage_per_month.to_string(),
@@ -117,9 +142,9 @@ fn main() {
             );
         }
         println!(
-            "  no-index baseline projected: {} -> indexing {}",
-            advice.no_index_total,
-            if advice.indexing_pays_off() {
+            "  advised: {} -> indexing {}",
+            advice.chosen.label,
+            if advice.chosen.plan.strategy_of("").is_some() {
                 "pays off"
             } else {
                 "does not pay off yet"
@@ -130,8 +155,15 @@ fn main() {
     // ----- 5. Per-query structural hints from the DataGuide summary
     // (the paper's Section 8.5 criterion for LUI/2LUPI).
     println!("\n== Per-query strategy hints (DataGuide summary) ==");
-    for (name, hints) in advise_queries(&sample, &queries).expect("sample corpus parses") {
-        for (i, h) in hints.iter().enumerate() {
+    let docs: Vec<Document> = sample
+        .iter()
+        .map(|(uri, xml)| Document::parse_str(uri.clone(), xml).expect("sample corpus parses"))
+        .collect();
+    let summary = PathSummary::build(docs.iter());
+    for q in &queries {
+        let name = q.name.as_deref().unwrap_or_default();
+        for (i, p) in q.patterns.iter().enumerate() {
+            let h = summary.recommend(p, ExtractOptions::default());
             println!(
                 "  {name} pattern {}: {} branch(es), est. selectivity {:.3}, \
                  co-occurrence gap {:.2} -> {}",
