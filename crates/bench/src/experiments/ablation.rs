@@ -61,9 +61,8 @@ pub fn ablation_rows(scale: &Scale) -> Vec<AblationRow> {
     for (label, tuning) in configs {
         let mut cfg = WarehouseConfig::with_strategy(Strategy::Lui);
         cfg.kv_tuning = tuning;
-        let api_before = 0u64;
         let (mut w, build) = build_warehouse(cfg, &docs);
-        let api_requests = w.world().kv.stats().api_requests - api_before;
+        let api_requests = w.world().kv.stats().api_requests;
         let mut query_secs = 0.0;
         for q in &queries {
             query_secs += w.run_query(q).exec.response_time.as_secs_f64();

@@ -54,7 +54,7 @@
 //! agree with the measured static deployments within 8 % on the
 //! horizon total.
 
-use crate::{corpus, Scale, TextTable};
+use crate::{corpus, Outcome, Scale, TextTable};
 use amada_cloud::{Money, SimDuration};
 use amada_core::{
     advise_adaptive, AdaptiveAdvice, ArrivalProcess, FamilyLoad, Horizon, Warehouse,
@@ -64,25 +64,6 @@ use amada_index::{MixedPlan, Strategy};
 use amada_pattern::Query;
 use amada_xmark::{generate_document, kind_for, workload_query, DocKind};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Workload rounds (months) in the measured horizon.
-pub static ADVISE_ROUNDS_RUN: AtomicU64 = AtomicU64::new(0);
-/// Adaptive deployment's horizon total (micro-dollars).
-pub static ADVISE_ADAPTIVE_TOTAL_UDOLLARS: AtomicU64 = AtomicU64::new(0);
-/// Cheapest static deployment's horizon total (micro-dollars).
-pub static ADVISE_BEST_STATIC_TOTAL_UDOLLARS: AtomicU64 = AtomicU64::new(0);
-/// Adaptive deployment's mean response time (µs).
-pub static ADVISE_ADAPTIVE_MEAN_RESPONSE_US: AtomicU64 = AtomicU64::new(0);
-/// Best static mean response time (µs) across the five static rows.
-pub static ADVISE_BEST_STATIC_MEAN_RESPONSE_US: AtomicU64 = AtomicU64::new(0);
-/// Documents migrated when the cadence detected the drift.
-pub static ADVISE_MIGRATED_DOCS: AtomicU64 = AtomicU64::new(0);
-/// Documents migrated by all the *confirming* cadence re-advises — 0 at
-/// steady state.
-pub static ADVISE_CONFIRM_MIGRATED_DOCS: AtomicU64 = AtomicU64::new(0);
-/// Whether the chosen plan met the declared constraints (1/0).
-pub static ADVISE_BUDGET_MET: AtomicU64 = AtomicU64::new(0);
 
 /// Workload rounds in the horizon — one per month. Each round releases
 /// the same seeded open-loop storm; between rounds the churning partition
@@ -138,14 +119,11 @@ fn catalog() -> Vec<Query> {
 /// The storm catalog of one round: in season the auction query rides
 /// mid-rank; after the drift only the person queries remain.
 fn round_catalog(round: usize) -> Vec<Query> {
-    if round < DRIFT_AT {
-        catalog()
-    } else {
-        vec![
-            workload_query("q6").expect("q6 exists"),
-            workload_query("q7").expect("q7 exists"),
-        ]
+    let mut queries = catalog();
+    if round >= DRIFT_AT {
+        queries.retain(|q| q.name.as_deref() != Some("q5"));
     }
+    queries
 }
 
 /// The workload the operator declares at deploy time: the season mix,
@@ -228,8 +206,6 @@ pub struct AdviseRow {
     pub storage_billed: Money,
     /// Mean response time across every arrival of every round (seconds).
     pub mean_response: f64,
-    /// Whether the end-of-horizon footprint fits the declared budget.
-    pub fits_budget: bool,
     /// `build + queries + maintenance + storage_billed`.
     pub total: Money,
 }
@@ -249,17 +225,16 @@ pub struct AdviseOutcome {
     pub cadence_migrations: Vec<u64>,
 }
 
-/// Runs one deployment through the whole horizon. `constraints` (budget,
-/// SLO) steer the adaptive row's re-advises; admissibility of static rows
-/// is judged by the caller once the budget is known.
+/// Runs one deployment through the whole horizon. `readvise` — the
+/// declared churn and the horizon with its budget and SLO — makes it the
+/// adaptive one, re-advising monthly.
 fn run_deployment(
     label: &str,
     cfg: WarehouseConfig,
     scale: &Scale,
     docs: &[(String, String)],
     victims: &[(usize, String)],
-    budget: Option<Money>,
-    adaptive: bool,
+    readvise: Option<(&BTreeMap<String, u64>, &Horizon)>,
 ) -> (AdviseRow, Vec<u64>) {
     let process = storm();
     let mut w = Warehouse::new(cfg);
@@ -280,21 +255,15 @@ fn run_deployment(
         if round + 1 < ROUNDS {
             let before = w.total_cost().total();
             churn_upload(&mut w, scale, victims, round);
-            if adaptive {
+            if let Some((churn, horizon)) = readvise {
                 // The monthly cadence, deliberately *after* the churn
                 // upload: a migration the re-advise orders piggybacks on
                 // the rebuild already queued for the churned documents.
                 // Each window is one month of observed traffic; the
                 // horizon the advisor prices is the deployment's own.
-                let mut churn = BTreeMap::new();
-                churn.insert("auc".to_string(), victims.len() as u64);
-                let h = Horizon {
-                    expected_runs: ROUNDS as u32,
-                    months: ROUNDS as f64,
-                    budget_per_month: budget,
-                    response_slo: Some(RESPONSE_SLO_SECS),
-                };
-                let readvice = w.readvise(&catalog(), &churn, &h).expect("corpus parses");
+                let readvice = w
+                    .readvise(&catalog(), churn, horizon)
+                    .expect("corpus parses");
                 cadence.push(readvice.migrated);
             }
             w.build_index();
@@ -327,7 +296,6 @@ fn run_deployment(
         storage_per_month,
         storage_billed,
         mean_response,
-        fits_budget: true, // judged by the caller once the budget is known
         total,
     };
     (row, cadence)
@@ -348,13 +316,12 @@ pub fn advise_outcome(scale: &Scale) -> AdviseOutcome {
             &docs,
             &victims,
             None,
-            false,
         );
         rows.push(row);
     }
     let mut scan_cfg = WarehouseConfig::with_strategy(Strategy::Lup);
     scan_cfg.mixed_plan = Some(MixedPlan::uniform(None));
-    let (row, _) = run_deployment("no index", scan_cfg, scale, &docs, &victims, None, false);
+    let (row, _) = run_deployment("no index", scan_cfg, scale, &docs, &victims, None);
     rows.push(row);
 
     // The declared budget: just below the uniform-2LUPI footprint, so
@@ -392,39 +359,9 @@ pub fn advise_outcome(scale: &Scale) -> AdviseOutcome {
         scale,
         &docs,
         &victims,
-        Some(budget),
-        true,
+        Some((&churn, &horizon)),
     );
     rows.push(row);
-
-    for r in &mut rows {
-        r.fits_budget = r.storage_per_month <= budget;
-    }
-
-    let adaptive = rows.last().expect("six rows");
-    let best_static = rows[..rows.len() - 1]
-        .iter()
-        .min_by_key(|r| r.total)
-        .expect("five static rows");
-    let best_response = rows[..rows.len() - 1]
-        .iter()
-        .map(|r| r.mean_response)
-        .fold(f64::INFINITY, f64::min);
-    let drift_migrated: u64 = cadence_migrations.iter().copied().max().unwrap_or(0);
-    let confirm_migrated: u64 = cadence_migrations.iter().sum::<u64>() - drift_migrated;
-    ADVISE_ROUNDS_RUN.store(ROUNDS as u64, Ordering::Relaxed);
-    ADVISE_ADAPTIVE_TOTAL_UDOLLARS
-        .store((adaptive.total.dollars() * 1e6) as u64, Ordering::Relaxed);
-    ADVISE_BEST_STATIC_TOTAL_UDOLLARS.store(
-        (best_static.total.dollars() * 1e6) as u64,
-        Ordering::Relaxed,
-    );
-    ADVISE_ADAPTIVE_MEAN_RESPONSE_US
-        .store((adaptive.mean_response * 1e6) as u64, Ordering::Relaxed);
-    ADVISE_BEST_STATIC_MEAN_RESPONSE_US.store((best_response * 1e6) as u64, Ordering::Relaxed);
-    ADVISE_MIGRATED_DOCS.store(drift_migrated, Ordering::Relaxed);
-    ADVISE_CONFIRM_MIGRATED_DOCS.store(confirm_migrated, Ordering::Relaxed);
-    ADVISE_BUDGET_MET.store(advice.budget_met as u64, Ordering::Relaxed);
 
     AdviseOutcome {
         rows,
@@ -434,9 +371,38 @@ pub fn advise_outcome(scale: &Scale) -> AdviseOutcome {
     }
 }
 
-/// The `repro advise` artifact.
-pub fn advise(scale: &Scale) -> TextTable {
-    render(&advise_outcome(scale))
+/// The `repro advise` artifact. Headline numbers: horizon totals
+/// (micro-dollars) and mean response times (µs) of the adaptive deployment
+/// and of the best static one on each axis, the documents the drift
+/// re-advise migrated, those all the *confirming* re-advises migrated
+/// (0 at steady state), and whether the chosen plan met the declared
+/// constraints (1/0).
+pub fn advise(scale: &Scale) -> Outcome {
+    let o = advise_outcome(scale);
+    let (adaptive, statics) = o.rows.split_last().expect("six rows");
+    let best_total = statics.iter().map(|r| r.total).min();
+    let best_response = statics
+        .iter()
+        .map(|r| r.mean_response)
+        .fold(f64::INFINITY, f64::min);
+    let drift_migrated = o.cadence_migrations.iter().copied().max().unwrap_or(0);
+    let confirm_migrated = o.cadence_migrations.iter().sum::<u64>() - drift_migrated;
+    Outcome {
+        body: render(&o).to_string(),
+        numbers: vec![
+            ("rounds", ROUNDS as f64),
+            ("adaptive_total_udollars", adaptive.total.dollars() * 1e6),
+            (
+                "best_static_total_udollars",
+                best_total.expect("five static rows").dollars() * 1e6,
+            ),
+            ("adaptive_mean_response_us", adaptive.mean_response * 1e6),
+            ("best_static_mean_response_us", best_response * 1e6),
+            ("migrated_docs", drift_migrated as f64),
+            ("confirm_migrated_docs", confirm_migrated as f64),
+            ("budget_met", f64::from(u8::from(o.advice.budget_met))),
+        ],
+    }
 }
 
 /// Renders already-computed rows.
@@ -453,6 +419,7 @@ pub fn render(o: &AdviseOutcome) -> TextTable {
         "total ($)",
     ]);
     for r in &o.rows {
+        let fits_budget = r.storage_per_month <= o.budget;
         t.row([
             r.label.clone(),
             r.plan.clone(),
@@ -461,7 +428,7 @@ pub fn render(o: &AdviseOutcome) -> TextTable {
             format!("${:.6}", r.maintenance.dollars()),
             format!("${:.6}", r.storage_billed.dollars()),
             format!("{:.3}", r.mean_response),
-            if r.fits_budget { "yes" } else { "NO" }.to_string(),
+            if fits_budget { "yes" } else { "NO" }.to_string(),
             format!("${:.6}", r.total.dollars()),
         ]);
     }
@@ -548,8 +515,11 @@ mod tests {
         // The budget binds: uniform 2LUPI is inadmissible, the chosen
         // plan fits, and the advisor reported its constraints met.
         let two_lupi = statics.iter().find(|r| r.plan == "uniform:2LUPI").unwrap();
-        assert!(!two_lupi.fits_budget, "the budget must exclude 2LUPI");
-        assert!(adaptive.fits_budget);
+        assert!(
+            two_lupi.storage_per_month > o.budget,
+            "the budget must exclude 2LUPI"
+        );
+        assert!(adaptive.storage_per_month <= o.budget);
         assert!(o.advice.budget_met);
         assert!(o.advice.chosen.within_budget(o.budget));
 

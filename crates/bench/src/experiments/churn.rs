@@ -18,35 +18,16 @@
 //! — and the advisor ([`amada_core::advise_adaptive`]), fed the same churn
 //! rate, flips its recommendation to the "index nothing" layout.
 
-use crate::{corpus, strategy_warehouse, Scale, TextTable};
+pub use super::pushdown::STRATEGIES;
+use crate::{corpus, strategy_warehouse, Outcome, Scale, TextTable};
 use amada_cloud::{InstanceType, Money};
 use amada_core::{advise_adaptive, FamilyLoad, Horizon, Pool, WarehouseConfig};
 use amada_index::Strategy;
 use amada_xmark::generate_document;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Sweep points run (for `BENCH_repro.json`).
-pub static CHURN_POINTS: AtomicU64 = AtomicU64::new(0);
-/// Strategies whose net benefit flipped negative within the sweep.
-pub static CHURN_FLIPS: AtomicU64 = AtomicU64::new(0);
-/// Stale index items retracted across all maintenance rounds.
-pub static CHURN_RETRACTED_ITEMS: AtomicU64 = AtomicU64::new(0);
-/// First churn rate (percent) at which the advisor picked "index
-/// nothing"; 0 when it never flipped.
-pub static CHURN_ADVISOR_FLIP_PCT: AtomicU64 = AtomicU64::new(0);
 
 /// Churn rates swept: percent of the corpus replaced per workload run.
 pub const RATES: [u64; 6] = [0, 5, 10, 25, 50, 100];
-
-/// The five competitors, in column order.
-pub const STRATEGIES: [Strategy; 5] = [
-    Strategy::Lu,
-    Strategy::Lup,
-    Strategy::Lui,
-    Strategy::TwoLupi,
-    Strategy::LupPd,
-];
 
 /// Advisor horizon: enough workload runs that indexing clearly pays on
 /// the static corpus, so any "index nothing" verdict is churn's doing.
@@ -64,6 +45,9 @@ pub struct ChurnRow {
     /// [`STRATEGIES`] order; net = query savings − maintenance, signed
     /// because maintenance overtakes the savings along the sweep.
     pub per_strategy: Vec<(&'static str, Money, i128)>,
+    /// Stale index items this round's maintenance retracted, all
+    /// strategies together.
+    pub retracted: u64,
     /// The strategy with the best positive net, or `"none"` when every
     /// index loses money per run at this rate.
     pub best: &'static str,
@@ -99,11 +83,10 @@ pub fn churn_rows(scale: &Scale) -> Vec<ChurnRow> {
         .collect();
 
     let mut rows = Vec::new();
-    let mut retracted_total = 0u64;
-    let mut advisor_flip = 0u64;
     for (round, &rate_pct) in RATES.iter().enumerate() {
         let replaced = (docs.len() as u64 * rate_pct).div_ceil(100) as usize;
         let mut per_strategy = Vec::new();
+        let mut retracted = 0u64;
         for (strategy, w, benefit) in fleet.iter_mut() {
             let maintenance = if replaced == 0 {
                 Money::ZERO
@@ -120,7 +103,7 @@ pub fn churn_rows(scale: &Scale) -> Vec<ChurnRow> {
                         .map(|(i, (uri, _))| (uri.clone(), generate_document(&cc, i).xml)),
                 );
                 let report = w.build_index();
-                retracted_total += report.retracted_items;
+                retracted += report.retracted_items;
                 report.cost.total()
             };
             per_strategy.push((
@@ -150,37 +133,51 @@ pub fn churn_rows(scale: &Scale) -> Vec<ChurnRow> {
         .expect("the generated sample is well-formed and within the store's limits");
         let winner = advice.chosen.plan.strategy_of("");
         let advisor = winner.map_or("none", Strategy::name);
-        if advisor == "none" && advisor_flip == 0 {
-            // Rate 0 can't flip: the advisor charges no maintenance there.
-            advisor_flip = rate_pct.max(1);
-        }
         rows.push(ChurnRow {
             rate_pct,
             replaced,
             per_strategy,
+            retracted,
             best,
             advisor,
         });
     }
-
-    let flips = STRATEGIES
-        .iter()
-        .enumerate()
-        .filter(|(si, _)| {
-            rows.first().is_some_and(|r| r.per_strategy[*si].2 > 0)
-                && rows.last().is_some_and(|r| r.per_strategy[*si].2 <= 0)
-        })
-        .count() as u64;
-    CHURN_POINTS.store(rows.len() as u64, Ordering::Relaxed);
-    CHURN_FLIPS.store(flips, Ordering::Relaxed);
-    CHURN_RETRACTED_ITEMS.store(retracted_total, Ordering::Relaxed);
-    CHURN_ADVISOR_FLIP_PCT.store(advisor_flip, Ordering::Relaxed);
     rows
 }
 
+/// The rendered sweep with its headline numbers: points run, strategies
+/// whose net benefit flipped negative within the sweep, stale items
+/// retracted across all maintenance rounds, and the first churn rate
+/// (percent) at which the advisor picked "index nothing" (0 when it never
+/// did).
+pub fn outcome(rows: &[ChurnRow]) -> Outcome {
+    let flips = (0..STRATEGIES.len())
+        .filter(|&si| {
+            rows.first().is_some_and(|r| r.per_strategy[si].2 > 0)
+                && rows.last().is_some_and(|r| r.per_strategy[si].2 <= 0)
+        })
+        .count();
+    // Rate 0 can't flip (the advisor charges no maintenance there), so a
+    // flip always reports a non-zero rate.
+    let advisor_flip = rows
+        .iter()
+        .find(|r| r.advisor == "none")
+        .map_or(0, |r| r.rate_pct.max(1));
+    let retracted: u64 = rows.iter().map(|r| r.retracted).sum();
+    Outcome {
+        body: render(rows).to_string(),
+        numbers: vec![
+            ("sweep_points", rows.len() as f64),
+            ("strategy_flips", flips as f64),
+            ("retracted_items", retracted as f64),
+            ("advisor_flip_pct", advisor_flip as f64),
+        ],
+    }
+}
+
 /// The `repro churn` artifact.
-pub fn churn(scale: &Scale) -> TextTable {
-    render(&churn_rows(scale))
+pub fn churn(scale: &Scale) -> Outcome {
+    outcome(&churn_rows(scale))
 }
 
 /// Renders already-computed rows.
@@ -257,11 +254,16 @@ mod tests {
                 );
             }
         }
-        assert_eq!(CHURN_FLIPS.load(Ordering::Relaxed), STRATEGIES.len() as u64);
-        assert!(CHURN_RETRACTED_ITEMS.load(Ordering::Relaxed) > 0);
-        let flip = CHURN_ADVISOR_FLIP_PCT.load(Ordering::Relaxed);
+        let outcome = outcome(&rows);
+        assert_eq!(outcome.number("sweep_points"), Some(RATES.len() as f64));
+        assert_eq!(
+            outcome.number("strategy_flips"),
+            Some(STRATEGIES.len() as f64)
+        );
+        assert!(outcome.number("retracted_items").unwrap() > 0.0);
+        let flip = outcome.number("advisor_flip_pct").unwrap();
         assert!(
-            (1..=100).contains(&flip),
+            (1.0..=100.0).contains(&flip),
             "the advisor must flip to index-nothing within the sweep (got {flip})"
         );
     }

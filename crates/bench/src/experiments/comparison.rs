@@ -28,8 +28,6 @@ pub struct BackendRow {
 pub struct ComparisonSuite {
     /// `(backend label, strategy)` → measurements.
     pub rows: HashMap<(&'static str, Strategy), BackendRow>,
-    /// Corpus size in MB.
-    pub corpus_mb: f64,
 }
 
 /// Runs both backends across all strategies — eight independent
@@ -84,7 +82,7 @@ pub fn comparison_suite(scale: &Scale) -> ComparisonSuite {
     )
     .into_iter()
     .collect();
-    ComparisonSuite { rows, corpus_mb }
+    ComparisonSuite { rows }
 }
 
 const BACKENDS: [&str; 2] = ["SimpleDB [8]", "DynamoDB (this work)"];

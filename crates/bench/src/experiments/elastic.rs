@@ -18,18 +18,10 @@
 //! inequalities, and the autoscaler's decisions are reported as scale
 //! events.
 
-use crate::{corpus, strategy_warehouse, Scale, TextTable};
+use crate::{corpus, strategy_warehouse, Outcome, Scale, TextTable};
 use amada_cloud::{InstanceType, Money, SimDuration};
 use amada_core::{AutoscalePolicy, Pool, ScaleDirection, Warehouse};
 use amada_index::Strategy;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Scale-out decisions of the autoscaled run (for `BENCH_repro.json`).
-pub static SCALE_OUT_EVENTS: AtomicU64 = AtomicU64::new(0);
-/// Scale-in decisions of the autoscaled run.
-pub static SCALE_IN_EVENTS: AtomicU64 = AtomicU64::new(0);
-/// Peak active pool size the autoscaler reached.
-pub static SCALE_PEAK_POOL: AtomicU64 = AtomicU64::new(0);
 
 /// Pool floor shared by the static-min and autoscaled rows.
 pub const POOL_MIN: usize = 1;
@@ -125,12 +117,10 @@ fn run_bursts(w: &mut Warehouse, label: &str, prof: &ElasticProfile) -> ElasticR
         .filter(|e| e.direction == ScaleDirection::Out)
         .count();
     let in_ = report.scale_events.len() - out;
-    let peak = report
-        .scale_events
-        .iter()
-        .map(|e| e.pool_size)
-        .max()
-        .unwrap_or(w.config().query_pool.count);
+    // Instances provisioned up-front: the configured pool, which
+    // `elastic_rows` sets to the policy floor for the autoscaled row.
+    let initial = w.config().query_pool.count;
+    let peak = report.scale_events.iter().map(|e| e.pool_size).max();
     ElasticRow {
         label: label.to_string(),
         total_time: report.total_time,
@@ -139,18 +129,9 @@ fn run_bursts(w: &mut Warehouse, label: &str, prof: &ElasticProfile) -> ElasticR
         total: report.cost.total(),
         scale_out: out,
         scale_in: in_,
-        peak_pool: peak,
-        launched: out + initial_pool(w),
+        peak_pool: peak.unwrap_or(initial),
+        launched: out + initial,
         queries_done: report.executions.len(),
-    }
-}
-
-/// Instances provisioned up-front for the run: the configured pool when
-/// static, the policy floor when autoscaled.
-fn initial_pool(w: &Warehouse) -> usize {
-    match w.config().query_autoscale {
-        Some(p) => p.min,
-        None => w.config().query_pool.count,
     }
 }
 
@@ -169,18 +150,28 @@ pub fn elastic_rows(scale: &Scale) -> Vec<ElasticRow> {
 
     w.set_query_pool(Pool::new(POOL_MIN, InstanceType::Large));
     w.set_query_autoscale(Some(prof.policy));
-    let row = run_bursts(&mut w, &format!("autoscaled {POOL_MIN}-{POOL_MAX}"), &prof);
-    SCALE_OUT_EVENTS.store(row.scale_out as u64, Ordering::Relaxed);
-    SCALE_IN_EVENTS.store(row.scale_in as u64, Ordering::Relaxed);
-    SCALE_PEAK_POOL.store(row.peak_pool as u64, Ordering::Relaxed);
-    rows.push(row);
+    rows.push(run_bursts(
+        &mut w,
+        &format!("autoscaled {POOL_MIN}-{POOL_MAX}"),
+        &prof,
+    ));
     w.set_query_autoscale(None);
     rows
 }
 
-/// The `repro scale` artifact.
-pub fn elastic(scale: &Scale) -> TextTable {
-    render(&elastic_rows(scale))
+/// The `repro scale` artifact; the headline numbers are the autoscaled
+/// run's decisions.
+pub fn elastic(scale: &Scale) -> Outcome {
+    let rows = elastic_rows(scale);
+    let autoscaled = rows.last().expect("three rows");
+    Outcome {
+        body: render(&rows).to_string(),
+        numbers: vec![
+            ("out_events", autoscaled.scale_out as f64),
+            ("in_events", autoscaled.scale_in as f64),
+            ("peak_pool", autoscaled.peak_pool as f64),
+        ],
+    }
 }
 
 /// Renders already-computed rows.

@@ -14,7 +14,7 @@
 //! `0xFA117`) fixes the entire schedule of throttles and backoff jitter,
 //! so two runs with the same seed produce identical tables.
 
-use crate::{build_warehouse, corpus, secs, workload, Scale, TextTable};
+use crate::{build_warehouse, corpus, workload, Scale, TextTable};
 use amada_cloud::{FaultConfig, Money, SimDuration};
 use amada_core::{WarehouseConfig, DEAD_LETTER_QUEUE};
 use amada_index::Strategy;
@@ -122,9 +122,9 @@ pub fn render(rows: &[FaultRow]) -> TextTable {
     for r in rows {
         t.row([
             format!("{:.2}", r.rate),
-            secs(r.build_time),
+            format!("{:.3}", r.build_time.as_secs_f64()),
             format!("${:.6}", r.build_cost.dollars()),
-            secs(r.workload_time),
+            format!("{:.3}", r.workload_time.as_secs_f64()),
             format!("${:.6}", r.workload_cost.dollars()),
             r.throttled.to_string(),
             r.renewals.to_string(),

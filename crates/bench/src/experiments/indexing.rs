@@ -2,15 +2,13 @@
 //! time vs. data size), Figure 8 (index size and monthly storage cost),
 //! Table 6 (indexing monetary costs by service).
 
-use crate::{corpus, mb, strategy_warehouse, strategy_warehouse_no_words, Scale, TextTable};
-use amada_core::IndexBuildReport;
-use amada_index::Strategy;
+use crate::{build_warehouse, corpus, mb, strategy_warehouse, Scale, TextTable};
+use amada_core::{IndexBuildReport, WarehouseConfig};
+use amada_index::{ExtractOptions, Strategy};
 
 /// The four per-strategy index builds every indexing artifact reads from,
 /// with and without full-text word keys.
 pub struct IndexingSuite {
-    /// Scale used.
-    pub scale: Scale,
     /// `(strategy, report)` with full-text indexing.
     pub full_text: Vec<(Strategy, IndexBuildReport)>,
     /// `(strategy, report)` without word keys.
@@ -34,18 +32,15 @@ pub fn indexing_suite(scale: &Scale) -> IndexingSuite {
             .map(|&(s, full)| {
                 let docs = &docs;
                 move || {
-                    if full {
-                        (s, strategy_warehouse(s, docs).1)
-                    } else {
-                        (s, strategy_warehouse_no_words(s, docs).1)
-                    }
+                    let mut cfg = WarehouseConfig::with_strategy(s);
+                    cfg.extract = ExtractOptions { index_words: full };
+                    (s, build_warehouse(cfg, docs).1)
                 }
             })
             .collect(),
     );
     let no_words = reports.split_off(Strategy::ALL.len());
     IndexingSuite {
-        scale: scale.clone(),
         full_text: reports,
         no_words,
     }
@@ -90,15 +85,12 @@ pub fn fig7(scale: &Scale) -> TextTable {
             .collect(),
     );
     let mut t = TextTable::new(["Documents size (MB)", "LU", "LUP", "LUI", "2LUPI"]);
-    for quarter in 1..=4 {
+    // `units` is quarter-major: one chunk of times per row.
+    for (quarter, times) in (1..=4).zip(times.chunks(Strategy::ALL.len())) {
         let n = docs.len() * quarter / 4;
         let bytes: u64 = docs[..n].iter().map(|(_, x)| x.len() as u64).sum();
         let mut cells = vec![mb(bytes)];
-        for (i, _) in units.iter().enumerate() {
-            if units[i].0 == quarter {
-                cells.push(format!("{:.1}s", times[i].as_secs_f64()));
-            }
-        }
+        cells.extend(times.iter().map(|t| format!("{:.1}s", t.as_secs_f64())));
         t.row(cells);
     }
     t

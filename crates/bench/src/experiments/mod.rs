@@ -8,24 +8,8 @@ pub mod comparison;
 pub mod elastic;
 pub mod fault;
 pub mod indexing;
-pub mod perf;
 pub mod pushdown;
 pub mod querying;
 pub mod scaling;
 pub mod shard;
 pub mod trace;
-
-pub use ablation::ablation;
-pub use advise::advise;
-pub use amortize::fig13;
-pub use churn::churn;
-pub use comparison::{comparison_suite, table7, table8, ComparisonSuite};
-pub use elastic::elastic;
-pub use fault::fault;
-pub use indexing::{fig7, fig8, indexing_suite, table4, table6, IndexingSuite};
-pub use perf::perf;
-pub use pushdown::pushdown;
-pub use querying::{fig11, fig12, fig9, query_suite, table5, QuerySuite};
-pub use scaling::fig10;
-pub use shard::shard;
-pub use trace::trace;

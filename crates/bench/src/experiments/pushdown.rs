@@ -21,20 +21,10 @@
 //! visible. The tests pin the crossover: LUP-PD strictly cheapest at the
 //! most selective bound, beaten by plain LUP at the least selective one.
 
-use crate::{corpus, mb, strategy_warehouse, Scale, TextTable};
+use crate::{corpus, mb, strategy_warehouse, Outcome, Scale, TextTable};
 use amada_cloud::{Money, SimDuration};
 use amada_index::Strategy;
 use amada_pattern::{parse_query, Query};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Sweep points run (for `BENCH_repro.json`).
-pub static PUSHDOWN_POINTS: AtomicU64 = AtomicU64::new(0);
-/// Sweep points where LUP-PD was strictly cheapest.
-pub static PUSHDOWN_WINS: AtomicU64 = AtomicU64::new(0);
-/// Bytes the store scanned across all LUP-PD runs.
-pub static PUSHDOWN_SCANNED_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Filtered result bytes the scans returned (billed as egress).
-pub static PUSHDOWN_RETURNED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Upper bounds on `initial` swept low to high. Initial prices are
 /// uniform in 5.00–100.00, so these land at ≈ 0 / 25 / 50 / 75 / 100 %
@@ -89,7 +79,6 @@ pub fn pushdown_rows(scale: &Scale) -> Vec<PushdownRow> {
         .map(|&s| (s, strategy_warehouse(s, &docs).0))
         .collect();
     let mut rows = Vec::new();
-    let (mut wins, mut scanned_total, mut returned_total) = (0u64, 0u64, 0u64);
     for bound in BOUNDS {
         let q = sweep_query(bound);
         let mut per_strategy = Vec::new();
@@ -110,11 +99,6 @@ pub fn pushdown_rows(scale: &Scale) -> Vec<PushdownRow> {
             .min_by_key(|(_, _, total)| *total)
             .expect("five strategies ran")
             .0;
-        if cheapest == Strategy::LupPd.name() {
-            wins += 1;
-        }
-        scanned_total += scanned;
-        returned_total += returned;
         rows.push(PushdownRow {
             bound,
             results,
@@ -124,16 +108,30 @@ pub fn pushdown_rows(scale: &Scale) -> Vec<PushdownRow> {
             cheapest,
         });
     }
-    PUSHDOWN_POINTS.store(rows.len() as u64, Ordering::Relaxed);
-    PUSHDOWN_WINS.store(wins, Ordering::Relaxed);
-    PUSHDOWN_SCANNED_BYTES.store(scanned_total, Ordering::Relaxed);
-    PUSHDOWN_RETURNED_BYTES.store(returned_total, Ordering::Relaxed);
     rows
 }
 
-/// The `repro pushdown` artifact.
-pub fn pushdown(scale: &Scale) -> TextTable {
-    render(&pushdown_rows(scale))
+/// The `repro pushdown` artifact; the headline numbers are the sweep's
+/// totals: points run, points where LUP-PD was strictly cheapest, bytes
+/// the store scanned and filtered bytes it returned (billed as egress).
+pub fn pushdown(scale: &Scale) -> Outcome {
+    let rows = pushdown_rows(scale);
+    let wins = rows.iter().filter(|r| r.cheapest == Strategy::LupPd.name());
+    Outcome {
+        body: render(&rows).to_string(),
+        numbers: vec![
+            ("sweep_points", rows.len() as f64),
+            ("pushdown_wins", wins.count() as f64),
+            (
+                "bytes_scanned",
+                rows.iter().map(|r| r.scanned).sum::<u64>() as f64,
+            ),
+            (
+                "bytes_returned",
+                rows.iter().map(|r| r.returned).sum::<u64>() as f64,
+            ),
+        ],
+    }
 }
 
 /// Renders already-computed rows.

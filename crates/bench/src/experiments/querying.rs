@@ -3,7 +3,7 @@
 //! (workload cost decomposition).
 
 use crate::{corpus, strategy_warehouse, Scale, TextTable};
-use amada_cloud::{CostReport, InstanceType, Money};
+use amada_cloud::{CostReport, InstanceType};
 use amada_core::{CostedQuery, Pool};
 use amada_index::Strategy;
 use amada_pattern::Query;
@@ -12,14 +12,11 @@ use std::collections::HashMap;
 /// All per-query runs the querying artifacts read from: every query ×
 /// {no-index, LU, LUP, LUI, 2LUPI} × {large, extra-large} query instance.
 pub struct QuerySuite {
-    /// Scale used.
-    pub scale: Scale,
     /// The workload, in order.
     pub queries: Vec<Query>,
-    /// `(query name, instance label)` → baseline run.
-    pub no_index: HashMap<(String, &'static str), CostedQuery>,
-    /// `(query name, strategy, instance label)` → indexed run.
-    pub indexed: HashMap<(String, Strategy, &'static str), CostedQuery>,
+    /// `(query name, strategy, instance label)` → run; no strategy is the
+    /// no-index baseline.
+    pub runs: HashMap<(String, Option<Strategy>, &'static str), CostedQuery>,
 }
 
 const ITYPES: [InstanceType; 2] = [InstanceType::Large, InstanceType::ExtraLarge];
@@ -32,52 +29,41 @@ const ITYPES: [InstanceType; 2] = [InstanceType::Large, InstanceType::ExtraLarge
 pub fn query_suite(scale: &Scale) -> QuerySuite {
     let docs = corpus(scale);
     let queries = crate::workload();
-    type Indexed = Vec<((String, Strategy, &'static str), CostedQuery)>;
-    type Baseline = Vec<((String, &'static str), CostedQuery)>;
-    let per_strategy: Vec<(Indexed, Baseline)> = amada_par::par_run(
+    type Runs = Vec<((String, Option<Strategy>, &'static str), CostedQuery)>;
+    let per_strategy: Vec<Runs> = amada_par::par_run(
         Strategy::ALL
             .iter()
             .map(|&strategy| {
                 let docs = &docs;
                 let queries = &queries;
                 move || {
-                    let mut indexed = Vec::new();
-                    let mut no_index = Vec::new();
+                    let mut runs = Vec::new();
                     let (mut w, _) = strategy_warehouse(strategy, docs);
+                    let name = |q: &Query| q.name.clone().expect("workload queries are named");
                     for itype in ITYPES {
                         w.set_query_pool(Pool::new(1, itype));
                         for q in queries {
-                            let name = q.name.clone().expect("workload queries are named");
                             let run = w.run_query(q);
-                            indexed.push(((name, strategy, itype.label()), run));
+                            runs.push(((name(q), Some(strategy), itype.label()), run));
                         }
                         // The no-index baseline is strategy-independent; run
                         // it once, piggybacking on the LU warehouse (the
                         // index is not touched).
                         if strategy == Strategy::Lu {
                             for q in queries {
-                                let name = q.name.clone().expect("workload queries are named");
                                 let run = w.run_query_no_index(q);
-                                no_index.push(((name, itype.label()), run));
+                                runs.push(((name(q), None, itype.label()), run));
                             }
                         }
                     }
-                    (indexed, no_index)
+                    runs
                 }
             })
             .collect(),
     );
-    let mut no_index = HashMap::new();
-    let mut indexed = HashMap::new();
-    for (idx, base) in per_strategy {
-        indexed.extend(idx);
-        no_index.extend(base);
-    }
     QuerySuite {
-        scale: scale.clone(),
         queries,
-        no_index,
-        indexed,
+        runs: per_strategy.into_iter().flatten().collect(),
     }
 }
 
@@ -90,12 +76,12 @@ impl QuerySuite {
 
     /// The indexed run for `(query, strategy, itype)`.
     pub fn run(&self, name: &str, s: Strategy, itype: &'static str) -> &CostedQuery {
-        &self.indexed[&(name.to_string(), s, itype)]
+        &self.runs[&(name.to_string(), Some(s), itype)]
     }
 
     /// The baseline run for `(query, itype)`.
     pub fn baseline(&self, name: &str, itype: &'static str) -> &CostedQuery {
-        &self.no_index[&(name.to_string(), itype)]
+        &self.runs[&(name.to_string(), None, itype)]
     }
 }
 
@@ -114,32 +100,32 @@ pub fn table5(suite: &QuerySuite) -> TextTable {
     ]);
     for name in suite.names() {
         let base = suite.baseline(name, "l");
-        let cells = vec![
-            name.to_string(),
-            suite
-                .run(name, Strategy::Lu, "l")
-                .exec
-                .docs_from_index
-                .to_string(),
-            suite
-                .run(name, Strategy::Lup, "l")
-                .exec
-                .docs_from_index
-                .to_string(),
-            suite
-                .run(name, Strategy::Lui, "l")
-                .exec
-                .docs_from_index
-                .to_string(),
-            suite
-                .run(name, Strategy::TwoLupi, "l")
-                .exec
-                .docs_from_index
-                .to_string(),
-            base.exec.docs_with_results.to_string(),
-            format!("{:.2}", base.exec.result_bytes as f64 / 1024.0),
-        ];
+        let mut cells = vec![name.to_string()];
+        for s in Strategy::ALL {
+            cells.push(suite.run(name, s, "l").exec.docs_from_index.to_string());
+        }
+        cells.push(base.exec.docs_with_results.to_string());
+        cells.push(format!("{:.2}", base.exec.result_bytes as f64 / 1024.0));
         t.row(cells);
+    }
+    t
+}
+
+/// One row per query and instance type, one column for the no-index
+/// baseline and one per strategy, each cell `cell(run)` — the shape
+/// Figures 9a and 11 share.
+fn per_query_table(suite: &QuerySuite, cell: impl Fn(&CostedQuery) -> String) -> TextTable {
+    let mut t = TextTable::new(["Query", "Instance", "No index", "LU", "LUP", "LUI", "2LUPI"]);
+    for name in suite.names() {
+        for itype in ITYPES {
+            let l = itype.label();
+            let mut cells = vec![name.to_string(), l.to_uppercase()];
+            cells.push(cell(suite.baseline(name, l)));
+            for s in Strategy::ALL {
+                cells.push(cell(suite.run(name, s, l)));
+            }
+            t.row(cells);
+        }
     }
     t
 }
@@ -149,24 +135,9 @@ pub fn table5(suite: &QuerySuite) -> TextTable {
 /// (look-up get / plan execution / transfer + evaluation).
 pub fn fig9(suite: &QuerySuite) -> String {
     let mut out = String::new();
-    let mut a = TextTable::new(["Query", "Instance", "No index", "LU", "LUP", "LUI", "2LUPI"]);
-    for name in suite.names() {
-        for itype in ITYPES {
-            let l = itype.label();
-            let mut cells = vec![name.to_string(), l.to_uppercase()];
-            cells.push(format!(
-                "{:.3}s",
-                suite.baseline(name, l).exec.response_time.as_secs_f64()
-            ));
-            for s in Strategy::ALL {
-                cells.push(format!(
-                    "{:.3}s",
-                    suite.run(name, s, l).exec.response_time.as_secs_f64()
-                ));
-            }
-            a.row(cells);
-        }
-    }
+    let a = per_query_table(suite, |run| {
+        format!("{:.3}s", run.exec.response_time.as_secs_f64())
+    });
     out.push_str("Figure 9a — response time (s) per query and strategy\n");
     out.push_str(&a.to_string());
     for itype in ITYPES {
@@ -203,36 +174,12 @@ pub fn fig9(suite: &QuerySuite) -> String {
 /// Paper Figure 11: monetary cost per query, no-index and per strategy,
 /// on large and extra-large instances.
 pub fn fig11(suite: &QuerySuite) -> TextTable {
-    let mut t = TextTable::new(["Query", "Instance", "No index", "LU", "LUP", "LUI", "2LUPI"]);
-    for name in suite.names() {
-        for itype in ITYPES {
-            let l = itype.label();
-            let mut cells = vec![name.to_string(), l.to_uppercase()];
-            cells.push(format!(
-                "${:.6}",
-                suite.baseline(name, l).cost.total().dollars()
-            ));
-            for s in Strategy::ALL {
-                cells.push(format!(
-                    "${:.6}",
-                    suite.run(name, s, l).cost.total().dollars()
-                ));
-            }
-            t.row(cells);
-        }
-    }
-    t
+    per_query_table(suite, |run| format!("${:.6}", run.cost.total().dollars()))
 }
 
 /// Sums a set of cost reports component-wise.
 fn sum_costs<'a>(costs: impl Iterator<Item = &'a CostReport>) -> CostReport {
-    let mut total = CostReport {
-        s3: Money::ZERO,
-        kv: Money::ZERO,
-        ec2: Money::ZERO,
-        sqs: Money::ZERO,
-        egress: Money::ZERO,
-    };
+    let mut total = CostReport::default();
     for c in costs {
         total.s3 += c.s3;
         total.kv += c.kv;

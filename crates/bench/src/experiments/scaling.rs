@@ -8,20 +8,9 @@ use amada_core::Pool;
 use amada_index::Strategy;
 use std::collections::HashMap;
 
-/// One measured cell of the Figure 10 chart.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalingCell {
-    /// Total workload response time.
-    pub total_time: SimDuration,
-}
-
-/// The Figure 10 measurement grid.
-pub struct ScalingGrid {
-    /// `(strategy, instance label, instance count)` → cell.
-    pub cells: HashMap<(Strategy, &'static str, usize), ScalingCell>,
-    /// Repeats used (paper: 16).
-    pub repeats: usize,
-}
+/// The Figure 10 measurement grid: `(strategy, instance label, instance
+/// count)` → total workload response time.
+pub type ScalingGrid = HashMap<(Strategy, &'static str, usize), SimDuration>;
 
 /// Runs the grid.
 pub fn scaling_grid(scale: &Scale) -> ScalingGrid {
@@ -34,19 +23,11 @@ pub fn scaling_grid(scale: &Scale) -> ScalingGrid {
             for count in [1usize, 8] {
                 w.set_query_pool(Pool::new(count, itype));
                 let report = w.run_workload(&queries, scale.workload_repeats);
-                cells.insert(
-                    (strategy, itype.label(), count),
-                    ScalingCell {
-                        total_time: report.total_time,
-                    },
-                );
+                cells.insert((strategy, itype.label(), count), report.total_time);
             }
         }
     }
-    ScalingGrid {
-        cells,
-        repeats: scale.workload_repeats,
-    }
+    cells
 }
 
 /// Paper Figure 10: workload time on 1 vs. 8 instances.
@@ -66,8 +47,8 @@ pub fn render(grid: &ScalingGrid) -> TextTable {
     ]);
     for itype in ["l", "xl"] {
         for s in Strategy::ALL {
-            let one = grid.cells[&(s, itype, 1)].total_time;
-            let eight = grid.cells[&(s, itype, 8)].total_time;
+            let one = grid[&(s, itype, 1)];
+            let eight = grid[&(s, itype, 8)];
             t.row([
                 s.name().to_string(),
                 itype.to_uppercase(),
@@ -89,8 +70,8 @@ mod tests {
         let grid = scaling_grid(&Scale::tiny());
         for itype in ["l", "xl"] {
             for s in Strategy::ALL {
-                let one = grid.cells[&(s, itype, 1)].total_time;
-                let eight = grid.cells[&(s, itype, 8)].total_time;
+                let one = grid[&(s, itype, 1)];
+                let eight = grid[&(s, itype, 8)];
                 assert!(
                     eight.micros() * 2 < one.micros(),
                     "{s}/{itype}: 8 instances {eight} vs 1 {one}"

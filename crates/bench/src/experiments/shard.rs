@@ -23,68 +23,46 @@
 //! — sharding changes *where* requests wait, never what they cost in
 //! Table 3 terms (pinned by `tests/sharding.rs`).
 
-use crate::{build_warehouse, corpus, Scale, TextTable};
+use crate::{build_warehouse, corpus, Outcome, Scale, TextTable};
 use amada_cloud::{DynamoConfig, InstanceType, KvBackend, Money, ShardPlan, SimDuration};
 use amada_core::{ArrivalProcess, Pool, Warehouse, WarehouseConfig};
 use amada_index::{hottest_keys, lookup::query_paths, ExtractOptions, Strategy, TABLE_MAIN};
 use amada_obs::LatencySummary;
 use amada_pattern::Query;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// p99 virtual latency (µs) of the single-table row.
-pub static SHARD_SINGLE_P99_US: AtomicU64 = AtomicU64::new(0);
-/// p99 virtual latency (µs) of the skew-aware sharded row.
-pub static SHARD_SKEW_P99_US: AtomicU64 = AtomicU64::new(0);
-/// $/1k queries (micro-dollars) of the single-table row.
-pub static SHARD_SINGLE_PER1K_UDOLLARS: AtomicU64 = AtomicU64::new(0);
-/// $/1k queries (micro-dollars) of the skew-aware sharded row.
-pub static SHARD_SKEW_PER1K_UDOLLARS: AtomicU64 = AtomicU64::new(0);
-/// Arrivals released per row.
-pub static SHARD_ARRIVALS: AtomicU64 = AtomicU64::new(0);
 
 /// Total shards in the sharded rows.
 pub const SHARDS: usize = 4;
 /// Hot keys pinned to dedicated shards in the skew-aware row.
 pub const HOT_SHARDS: usize = 2;
 
-/// Storm shape and provisioning for one scale.
-#[derive(Debug, Clone)]
-pub struct ShardProfile {
-    /// Provisioned read units/sec — per table for the single row, per
-    /// *shard* for the sharded rows (each shard is an independently
-    /// provisioned partition, the real-DynamoDB semantics).
-    pub read_units_per_sec: f64,
-    /// Query-processor instances (enough concurrency that the KV read
-    /// lane, not the pool, is the bottleneck).
-    pub pool: usize,
-    /// The open-loop storm.
-    pub process: ArrivalProcess,
-}
+/// Provisioned read units/sec — per table for the single row, per
+/// *shard* for the sharded rows (each shard is an independently
+/// provisioned partition, the real-DynamoDB semantics).
+pub const READ_UNITS_PER_SEC: f64 = 12.0;
+/// Query-processor instances (enough concurrency that the KV read lane,
+/// not the pool, is the bottleneck).
+pub const POOL: usize = 8;
 
-/// Storm profile for `scale`: the arrival rate is chosen so the hot-key
-/// read load exceeds one table-level lane but fits comfortably within
-/// [`SHARDS`] per-shard lanes.
-pub fn profile(scale: &Scale) -> ShardProfile {
+/// The open-loop storm for `scale`: the arrival rate is chosen so the
+/// hot-key read load exceeds one table-level lane but fits comfortably
+/// within [`SHARDS`] per-shard lanes.
+pub fn storm(scale: &Scale) -> ArrivalProcess {
     let arrivals = if scale.workload_repeats >= 16 {
         600
     } else {
         150
     };
-    ShardProfile {
-        read_units_per_sec: 12.0,
-        pool: 8,
-        process: ArrivalProcess {
-            seed: 0xA3ADA5EED,
-            arrivals,
-            base_rate_per_sec: 4.0,
-            diurnal_amplitude: 0.4,
-            diurnal_period: SimDuration::from_secs(40),
-            burst_every: SimDuration::from_secs(15),
-            burst_len: SimDuration::from_secs(5),
-            burst_factor: 8.0,
-            zipf_exponent: 1.2,
-        },
+    ArrivalProcess {
+        seed: 0xA3ADA5EED,
+        arrivals,
+        base_rate_per_sec: 4.0,
+        diurnal_amplitude: 0.4,
+        diurnal_period: SimDuration::from_secs(40),
+        burst_every: SimDuration::from_secs(15),
+        burst_len: SimDuration::from_secs(5),
+        burst_factor: 8.0,
+        zipf_exponent: 1.2,
     }
 }
 
@@ -181,49 +159,55 @@ fn storm_key_load(
 /// Runs the storm against every shard configuration over one shared
 /// warehouse and index.
 pub fn shard_rows(scale: &Scale) -> Vec<ShardRow> {
-    let prof = profile(scale);
+    let storm = storm(scale);
     let docs = corpus(scale);
     let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
     cfg.backend = KvBackend::Dynamo(DynamoConfig {
-        read_units_per_sec: prof.read_units_per_sec,
+        read_units_per_sec: READ_UNITS_PER_SEC,
         ..DynamoConfig::default()
     });
-    cfg.query_pool = Pool::new(prof.pool, InstanceType::Large);
+    cfg.query_pool = Pool::new(POOL, InstanceType::Large);
     cfg.host.record = true;
     let extract = cfg.extract;
     let (mut w, _) = build_warehouse(cfg, &docs);
     let queries = crate::workload();
-    let load = storm_key_load(&mut w, &queries, &prof.process, extract);
+    let load = storm_key_load(&mut w, &queries, &storm, extract);
     let hot = hottest_keys(&load, HOT_SHARDS);
 
     let mut rows = Vec::new();
-    rows.push(run_row(&mut w, "single table", None, &prof.process));
+    rows.push(run_row(&mut w, "single table", None, &storm));
     rows.push(run_row(
         &mut w,
         &format!("hashed {SHARDS}"),
         Some(ShardPlan::hashed(SHARDS)),
-        &prof.process,
+        &storm,
     ));
-    let skew = run_row(
+    rows.push(run_row(
         &mut w,
         &format!("skew-aware {SHARDS}"),
         Some(ShardPlan::with_hot_keys(SHARDS - hot.len(), hot)),
-        &prof.process,
-    );
-    let single = &rows[0];
-    SHARD_SINGLE_P99_US.store(single.p99.micros(), Ordering::Relaxed);
-    SHARD_SKEW_P99_US.store(skew.p99.micros(), Ordering::Relaxed);
-    SHARD_SINGLE_PER1K_UDOLLARS.store((single.per_1k * 1e6) as u64, Ordering::Relaxed);
-    SHARD_SKEW_PER1K_UDOLLARS.store((skew.per_1k * 1e6) as u64, Ordering::Relaxed);
-    SHARD_ARRIVALS.store(prof.process.arrivals as u64, Ordering::Relaxed);
-    rows.push(skew);
+        &storm,
+    ));
     w.set_shard_plan(None);
     rows
 }
 
-/// The `repro shard` artifact.
-pub fn shard(scale: &Scale) -> TextTable {
-    render(&shard_rows(scale))
+/// The `repro shard` artifact; the headline numbers are the arrivals each
+/// row completed and the p99 virtual latency (µs) and $/1k queries
+/// (micro-dollars) of the single-table and the skew-aware rows.
+pub fn shard(scale: &Scale) -> Outcome {
+    let rows = shard_rows(scale);
+    let (single, skew) = (&rows[0], rows.last().expect("three rows"));
+    Outcome {
+        body: render(&rows).to_string(),
+        numbers: vec![
+            ("arrivals", single.completed as f64),
+            ("single_p99_us", single.p99.micros() as f64),
+            ("skew_p99_us", skew.p99.micros() as f64),
+            ("single_per_1k_udollars", single.per_1k * 1e6),
+            ("skew_per_1k_udollars", skew.per_1k * 1e6),
+        ],
+    }
 }
 
 /// Renders already-computed rows.
@@ -265,7 +249,7 @@ mod tests {
         let rows = shard_rows(&scale);
         assert_eq!(rows.len(), 3);
         let (single, hashed, skew) = (&rows[0], &rows[1], &rows[2]);
-        let arrivals = profile(&scale).process.arrivals;
+        let arrivals = storm(&scale).arrivals;
         for r in &rows {
             assert_eq!(
                 r.completed, arrivals,

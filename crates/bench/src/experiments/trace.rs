@@ -12,31 +12,24 @@
 //! warehouse phase, and a per-service saturation series in one-second
 //! virtual-time buckets.
 
-use crate::{build_warehouse, corpus, workload, Scale, TextTable};
+use crate::{build_warehouse, corpus, workload, Outcome, Scale, TextTable};
 use amada_cloud::{ServiceKind, SimDuration, Span};
 use amada_core::WarehouseConfig;
 use amada_index::Strategy;
 use amada_obs::{
     chrome_trace, render_summary, summarize, validate_json, Attribution, ServiceSeries,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File the Chrome trace is exported to (working directory).
 pub const TRACE_PATH: &str = "TRACE_repro.json";
 
-/// Spans recorded by the last `trace` run (surfaced in
-/// `BENCH_repro.json`; zero when the artifact was not selected).
-pub static TRACE_SPANS: AtomicU64 = AtomicU64::new(0);
-
-/// Non-empty series buckets derived by the last `trace` run.
-pub static TRACE_BUCKETS: AtomicU64 = AtomicU64::new(0);
-
 /// Width of the saturation-series buckets (virtual time).
 pub const BUCKET_WIDTH: SimDuration = SimDuration::from_secs(1);
 
-/// Runs the recorded pipeline and returns `(report body, trace JSON)`
-/// without touching the filesystem (tests call this directly).
-pub fn trace_parts(scale: &Scale) -> (String, String) {
+/// Runs the recorded pipeline and returns `(outcome, trace JSON)` without
+/// touching the filesystem (tests call this directly). The headline
+/// numbers are the spans recorded and the non-empty series buckets.
+pub fn trace_parts(scale: &Scale) -> (Outcome, String) {
     let docs = corpus(scale);
     let queries = workload();
     let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
@@ -48,9 +41,6 @@ pub fn trace_parts(scale: &Scale) -> (String, String) {
     let world = w.world();
     let json = chrome_trace(&spans, world.ec2.records(), &world.prices);
     validate_json(&json).expect("exported trace must be valid JSON");
-
-    TRACE_SPANS.store(spans.len() as u64, Ordering::Relaxed);
-    TRACE_BUCKETS.store(bucket_count(&spans), Ordering::Relaxed);
 
     let mut body = String::new();
     body.push_str(&format!(
@@ -65,14 +55,20 @@ pub fn trace_parts(scale: &Scale) -> (String, String) {
     body.push_str("\n-- billed cost by phase and service --\n");
     body.push_str(&Attribution::attribute(&spans).render_by_phase());
     body.push_str("\n-- saturation series (1s virtual-time buckets) --\n");
-    body.push_str(&series_table(&spans).to_string());
-    (body, json)
+    let (series, buckets) = series_table(&spans);
+    body.push_str(&series.to_string());
+    let numbers = vec![
+        ("spans", spans.len() as f64),
+        ("series_buckets", buckets as f64),
+    ];
+    (Outcome { body, numbers }, json)
 }
 
 /// The trace artifact: runs the recorded pipeline, writes [`TRACE_PATH`],
 /// and returns the summary tables.
-pub fn trace(scale: &Scale) -> String {
-    let (mut body, json) = trace_parts(scale);
+pub fn trace(scale: &Scale) -> Outcome {
+    let (mut outcome, json) = trace_parts(scale);
+    let body = &mut outcome.body;
     match std::fs::write(TRACE_PATH, &json) {
         Ok(()) => body.push_str(&format!(
             "\nwrote {TRACE_PATH} ({} bytes) - open in chrome://tracing or Perfetto\n",
@@ -80,26 +76,13 @@ pub fn trace(scale: &Scale) -> String {
         )),
         Err(e) => body.push_str(&format!("\nwarning: could not write {TRACE_PATH}: {e}\n")),
     }
-    body
+    outcome
 }
 
-/// Non-empty buckets across all per-service series.
-fn bucket_count(spans: &[Span]) -> u64 {
-    ServiceKind::ALL
-        .iter()
-        .map(|&svc| {
-            ServiceSeries::build(spans, svc, BUCKET_WIDTH)
-                .buckets
-                .iter()
-                .filter(|b| b.requests > 0 || b.in_flight > 0)
-                .count() as u64
-        })
-        .sum()
-}
-
-/// Per-service series roll-up: bucket counts, peak request rate, peak
-/// utilization and worst throttle rate.
-fn series_table(spans: &[Span]) -> TextTable {
+/// Per-service series roll-up — bucket counts, peak request rate, peak
+/// utilization and worst throttle rate — and the non-empty buckets across
+/// all the series.
+fn series_table(spans: &[Span]) -> (TextTable, usize) {
     let mut t = TextTable::new([
         "Service",
         "Buckets",
@@ -109,11 +92,17 @@ fn series_table(spans: &[Span]) -> TextTable {
         "Peak util",
         "Peak throttle",
     ]);
+    let mut non_empty = 0;
     for svc in ServiceKind::ALL {
         let s = ServiceSeries::build(spans, svc, BUCKET_WIDTH);
         if s.buckets.is_empty() {
             continue;
         }
+        let busy = s
+            .buckets
+            .iter()
+            .filter(|b| b.requests > 0 || b.in_flight > 0);
+        non_empty += busy.count();
         let peak_req = s.buckets.iter().map(|b| b.requests).max().unwrap_or(0);
         let peak_inflight = s.buckets.iter().map(|b| b.in_flight).max().unwrap_or(0);
         let peak_util = (0..s.buckets.len())
@@ -132,7 +121,7 @@ fn series_table(spans: &[Span]) -> TextTable {
             format!("{peak_throttle:.3}"),
         ]);
     }
-    t
+    (t, non_empty)
 }
 
 #[cfg(test)]
@@ -143,12 +132,12 @@ mod tests {
     #[test]
     fn trace_artifact_is_valid_and_attributed() {
         let scale = Scale::tiny();
-        let (body, json) = trace_parts(&scale);
+        let (outcome, json) = trace_parts(&scale);
         validate_json(&json).expect("trace JSON validates");
         assert!(json.contains("\"traceEvents\""));
-        assert!(body.contains("service x operation summary"));
-        assert!(TRACE_SPANS.load(Ordering::Relaxed) > 0);
-        assert!(TRACE_BUCKETS.load(Ordering::Relaxed) > 0);
+        assert!(outcome.body.contains("service x operation summary"));
+        assert!(outcome.number("spans").unwrap() > 0.0);
+        assert!(outcome.number("series_buckets").unwrap() > 0.0);
 
         // The pipeline touches every phase the warehouse tags; attribution
         // must see money in upload, build and query.

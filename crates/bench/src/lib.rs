@@ -2,8 +2,8 @@
 //!
 //! The reproduction harness: one module per table / figure of the paper's
 //! evaluation (Section 8), regenerating the same rows and series over the
-//! simulated cloud, plus self-timed microbenchmarks of the hot kernels
-//! (`cargo bench -p amada-bench`).
+//! simulated cloud, and one [`registry`] row per artifact from which the
+//! `repro` binary derives everything it does with it.
 //!
 //! Run everything with
 //!
@@ -17,21 +17,22 @@
 //!
 //! The paper's corpus is 20 000 XMark documents totalling 40 GB on real
 //! AWS hardware; the default reproduction scale is 1/10 the documents at
-//! 1/1000 the bytes (2 000 documents ≈ 4 MB), which preserves every
-//! *relative* effect the paper reports (strategy orderings, index/no-index
-//! gaps, crossover points) while running in seconds. `--scale N`
-//! multiplies the document count.
+//! 1/250 the bytes each (2 000 documents × 8 KB ≈ 17 MB), which preserves
+//! every *relative* effect the paper reports (strategy orderings,
+//! index/no-index gaps, crossover points) while `repro all` runs in
+//! minutes. `--scale N` multiplies the document count.
 
 pub mod experiments;
+pub mod registry;
 pub mod scale;
 pub mod table;
 
+pub use registry::Outcome;
 pub use scale::Scale;
 pub use table::TextTable;
 
 use amada_core::{IndexBuildReport, Warehouse, WarehouseConfig};
-use amada_index::{ExtractOptions, Strategy};
-use amada_pattern::Query;
+use amada_index::Strategy;
 
 /// Generates the experiment corpus for a scale.
 pub fn corpus(scale: &Scale) -> Vec<(String, String)> {
@@ -42,9 +43,7 @@ pub fn corpus(scale: &Scale) -> Vec<(String, String)> {
 }
 
 /// The ten workload queries (paper Section 8.2).
-pub fn workload() -> Vec<Query> {
-    amada_xmark::workload()
-}
+pub use amada_xmark::workload;
 
 /// Builds a warehouse over `docs` with the given configuration, returning
 /// it together with the index-build report.
@@ -67,23 +66,7 @@ pub fn strategy_warehouse(
     build_warehouse(WarehouseConfig::with_strategy(strategy), docs)
 }
 
-/// Convenience: a warehouse whose extraction skips full-text word keys
-/// (the "without keywords" variant of Figure 8).
-pub fn strategy_warehouse_no_words(
-    strategy: Strategy,
-    docs: &[(String, String)],
-) -> (Warehouse, IndexBuildReport) {
-    let mut cfg = WarehouseConfig::with_strategy(strategy);
-    cfg.extract = ExtractOptions { index_words: false };
-    build_warehouse(cfg, docs)
-}
-
 /// Formats a byte count as mebibytes with two decimals.
 pub fn mb(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
-}
-
-/// Formats seconds with millisecond resolution.
-pub fn secs(d: amada_cloud::SimDuration) -> String {
-    format!("{:.3}", d.as_secs_f64())
 }

@@ -16,7 +16,16 @@
 //! [`FaultConfig::default()`] is *bit-identical* to one predating fault
 //! injection — no extra RNG state, requests, or virtual time anywhere.
 
+use crate::SimTime;
 use amada_rng::StdRng;
+
+/// A service error that may be a throttle.
+pub trait RetryAfter {
+    /// When the failure response of a throttled request — retryable, and
+    /// billed all the same — reaches the caller; `None` for every error
+    /// that retrying cannot cure.
+    fn retry_after(&self) -> Option<SimTime>;
+}
 
 /// Per-service transient-fault rates, plus the master seed deriving every
 /// service's fault stream. `Default` is all-off.

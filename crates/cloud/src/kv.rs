@@ -347,6 +347,15 @@ impl fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
+impl crate::fault::RetryAfter for KvError {
+    fn retry_after(&self) -> Option<SimTime> {
+        match self {
+            KvError::Throttled { available_at } => Some(*available_at),
+            _ => None,
+        }
+    }
+}
+
 /// The index-store interface the warehouse codes against; implemented by
 /// [`crate::store::Store`], for every service.
 pub trait KvStore: Send {

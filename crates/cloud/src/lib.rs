@@ -47,7 +47,7 @@ pub mod workmodel;
 pub use clock::{SimDuration, SimTime};
 pub use dynamodb::{DynamoConfig, DynamoDb};
 pub use ec2::{BillingGranularity, Ec2, InstanceId, InstanceRecord};
-pub use fault::{FaultConfig, FaultInjector};
+pub use fault::{FaultConfig, FaultInjector, RetryAfter};
 pub use kv::{KvError, KvItem, KvProfile, KvStats, KvStore, KvValue};
 pub use money::Money;
 pub use obs::{ActorTag, Ctx, Outcome, Phase, Recorder, ServiceKind, Span};

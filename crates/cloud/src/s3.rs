@@ -44,6 +44,15 @@ impl fmt::Display for S3Error {
 
 impl std::error::Error for S3Error {}
 
+impl crate::fault::RetryAfter for S3Error {
+    fn retry_after(&self) -> Option<SimTime> {
+        match self {
+            S3Error::SlowDown { available_at } => Some(*available_at),
+            _ => None,
+        }
+    }
+}
+
 /// FNV-1a over `bytes` — the cheap, deterministic content hash behind
 /// object ETags, cache validation and shard routing.
 pub fn content_hash(bytes: &[u8]) -> u64 {

@@ -222,7 +222,7 @@ pub struct CostSnapshot {
 
 /// Charges decomposed by service — the decomposition of the paper's
 /// Figure 12 (DynamoDB / S3 / EC2 / SQS / AWSDown).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CostReport {
     /// File-store request charges.
     pub s3: Money,

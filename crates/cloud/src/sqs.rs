@@ -60,6 +60,15 @@ impl fmt::Display for SqsError {
 
 impl std::error::Error for SqsError {}
 
+impl crate::fault::RetryAfter for SqsError {
+    fn retry_after(&self) -> Option<SimTime> {
+        match self {
+            SqsError::Throttled { available_at } => Some(*available_at),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Stored {
     id: u64,

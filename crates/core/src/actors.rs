@@ -37,7 +37,7 @@ use crate::config::{
     WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{QueryExecution, QueryPhases};
-use crate::retry::{dead_letter, delete_with_retry, send_with_retry, Lease, RetryPolicy};
+use crate::retry::{dead_letter, until_ok, Backoff, Lease, RetryPolicy};
 use amada_cloud::{
     Actor, ActorTag, InstanceId, KvError, KvItem, Phase, S3Error, ServiceKind, SimDuration,
     SimTime, Span, SqsError, StepResult, World,
@@ -617,13 +617,12 @@ impl LoaderCore {
     /// fully indexed; losing the delete would cause a duplicate rewrite).
     fn step_finishing(&mut self, now: SimTime, world: &mut World, mut lease: Lease) -> StepResult {
         lease.keep_alive(&mut world.sqs, now);
-        let t = delete_with_retry(
-            &mut world.sqs,
+        let t = until_ok(
             &self.policy,
-            &mut self.rng,
+            Backoff::Jittered(&mut self.rng),
             now,
-            LOADER_QUEUE,
-            lease.msg_id,
+            format_args!("delete from {LOADER_QUEUE}"),
+            |t| world.sqs.delete(t, LOADER_QUEUE, lease.msg_id),
         );
         self.state = LoaderState::Idle;
         StepResult::NextAt(t)
@@ -951,35 +950,26 @@ impl QueryCore {
         // duplicate the response, whereas extra retries only cost money.
         let result_key = format!("{name}-{msg_id}.results");
         let payload = payload.into_bytes();
-        let t = {
-            let mut t = t;
-            let mut attempt = 0u32;
-            loop {
-                match world.s3.put(t, RESULT_BUCKET, &result_key, payload.clone()) {
-                    Ok(done) => break done,
-                    Err(S3Error::SlowDown { available_at }) => {
-                        attempt = (attempt + 1).min(self.policy.max_attempts);
-                        t = available_at + self.policy.backoff(attempt, &mut self.rng);
-                    }
-                    Err(e) => panic!("result bucket exists: {e}"),
-                }
-            }
-        };
-        let t = send_with_retry(
-            &mut world.sqs,
+        let t = until_ok(
             &self.policy,
-            &mut self.rng,
+            Backoff::Jittered(&mut self.rng),
             t,
-            RESPONSE_QUEUE,
-            result_key,
+            format_args!("result bucket exists"),
+            |t| world.s3.put(t, RESULT_BUCKET, &result_key, payload.clone()),
         );
-        let t_done = delete_with_retry(
-            &mut world.sqs,
+        let t = until_ok(
             &self.policy,
-            &mut self.rng,
+            Backoff::Jittered(&mut self.rng),
             t,
-            QUERY_QUEUE,
-            msg_id,
+            format_args!("send to {RESPONSE_QUEUE}"),
+            |t| world.sqs.send(t, RESPONSE_QUEUE, result_key.clone()),
+        );
+        let t_done = until_ok(
+            &self.policy,
+            Backoff::Jittered(&mut self.rng),
+            t,
+            format_args!("delete from {QUERY_QUEUE}"),
+            |t| world.sqs.delete(t, QUERY_QUEUE, msg_id),
         );
 
         let docs_with_results: BTreeSet<&str> = results

@@ -315,12 +315,12 @@ impl ArrivalSender {
             c.doc = None;
             c.actor = Some(self.tag);
         });
-        Some(crate::retry::frontend_send(
-            &mut world.sqs,
+        Some(crate::retry::until_ok(
             &self.retry,
+            crate::retry::Backoff::Linear,
             now,
-            self.queue,
-            body,
+            format_args!("front-end send to {}", self.queue),
+            |t| world.sqs.send(t, self.queue, body.clone()),
         ))
     }
 

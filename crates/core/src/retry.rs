@@ -27,9 +27,9 @@
 //! ledger as real dollars, which is the point of the fault experiment.
 
 use crate::config::DEAD_LETTER_QUEUE;
-use amada_cloud::{KvError, KvStore, Message, S3Error, SimDuration, SimTime, Sqs, SqsError, S3};
+use amada_cloud::{Message, RetryAfter, SimDuration, SimTime, Sqs, SqsError, S3};
 use amada_rng::StdRng;
-use std::sync::Arc;
+use std::fmt;
 
 /// How a warehouse component behaves when a service throttles it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,18 +83,8 @@ impl RetryPolicy {
 
     fn uncapped(&self, attempt: u32) -> SimDuration {
         let shift = attempt.clamp(1, 21) - 1; // 2^20 × base already dwarfs any cap
-        let exp = self.base_backoff.micros().saturating_shl(shift);
+        let exp = self.base_backoff.micros().saturating_mul(1 << shift);
         SimDuration::from_micros(exp.min(self.max_backoff.micros()).max(2))
-    }
-}
-
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        self.checked_shl(shift).unwrap_or(u64::MAX)
     }
 }
 
@@ -159,28 +149,45 @@ impl Lease {
     }
 }
 
-/// Sends `body` to `queue`, retrying throttles with jittered backoff until
-/// it succeeds (a commit-side operation; see [`RetryPolicy::max_attempts`]
-/// for why it is unbounded). Returns the completion time.
-pub fn send_with_retry(
-    sqs: &mut Sqs,
+/// Which backoff schedule a caller waits on between attempts.
+pub enum Backoff<'a> {
+    /// [`RetryPolicy::backoff`], jittered from the module core's own
+    /// generator.
+    Jittered(&'a mut StdRng),
+    /// [`RetryPolicy::backoff_linear`], for the front end.
+    Linear,
+}
+
+/// Issues `call` at `now` and again after every throttle — resuming at
+/// the failure response plus backoff — until it succeeds, and returns
+/// what it returned. For commit-side and front-end operations, which
+/// retry without bound (see [`RetryPolicy::max_attempts`] for why; it
+/// still caps the backoff growth). Any other error means the caller's
+/// own set-up is broken (the queue, bucket or table it names exists):
+/// panics with `what`.
+pub fn until_ok<T, E: RetryAfter + fmt::Display>(
     policy: &RetryPolicy,
-    rng: &mut StdRng,
+    mut backoff: Backoff<'_>,
     now: SimTime,
-    queue: &str,
-    body: String,
-) -> SimTime {
+    what: fmt::Arguments<'_>,
+    mut call: impl FnMut(SimTime) -> Result<T, E>,
+) -> T {
     let mut t = now;
     let mut attempt = 0u32;
     loop {
-        match sqs.send(t, queue, body.clone()) {
-            Ok(done) => return done,
-            Err(SqsError::Throttled { available_at }) => {
-                attempt = (attempt + 1).min(policy.max_attempts);
-                t = available_at + policy.backoff(attempt, rng);
-            }
-            Err(e) => panic!("send to {queue}: {e}"),
-        }
+        let error = match call(t) {
+            Ok(out) => return out,
+            Err(e) => e,
+        };
+        let Some(available_at) = error.retry_after() else {
+            panic!("{what}: {error}");
+        };
+        attempt = (attempt + 1).min(policy.max_attempts);
+        t = available_at
+            + match &mut backoff {
+                Backoff::Jittered(rng) => policy.backoff(attempt, rng),
+                Backoff::Linear => policy.backoff_linear(attempt),
+            };
     }
 }
 
@@ -196,102 +203,24 @@ pub fn dead_letter(
     queue: &str,
     msg: Message,
 ) -> SimTime {
-    let t = send_with_retry(sqs, policy, rng, now, DEAD_LETTER_QUEUE, msg.body);
-    delete_with_retry(sqs, policy, rng, t, queue, msg.id)
+    let t = until_ok(
+        policy,
+        Backoff::Jittered(rng),
+        now,
+        format_args!("send to {DEAD_LETTER_QUEUE}"),
+        |t| sqs.send(t, DEAD_LETTER_QUEUE, msg.body.clone()),
+    );
+    until_ok(
+        policy,
+        Backoff::Jittered(rng),
+        t,
+        format_args!("delete from {queue}"),
+        |t| sqs.delete(t, queue, msg.id),
+    )
 }
 
-/// Deletes message `id` from `queue`, retrying throttles with jittered
-/// backoff until it succeeds. Returns the completion time.
-pub fn delete_with_retry(
-    sqs: &mut Sqs,
-    policy: &RetryPolicy,
-    rng: &mut StdRng,
-    now: SimTime,
-    queue: &str,
-    id: u64,
-) -> SimTime {
-    let mut t = now;
-    let mut attempt = 0u32;
-    loop {
-        match sqs.delete(t, queue, id) {
-            Ok(done) => return done,
-            Err(SqsError::Throttled { available_at }) => {
-                attempt = (attempt + 1).min(policy.max_attempts);
-                t = available_at + policy.backoff(attempt, rng);
-            }
-            Err(e) => panic!("delete from {queue}: {e}"),
-        }
-    }
-}
-
-/// Front-end send: linear backoff, no jitter, unbounded.
-pub fn frontend_send(
-    sqs: &mut Sqs,
-    policy: &RetryPolicy,
-    now: SimTime,
-    queue: &str,
-    body: String,
-) -> SimTime {
-    let mut t = now;
-    let mut attempt = 0u32;
-    loop {
-        match sqs.send(t, queue, body.clone()) {
-            Ok(done) => return done,
-            Err(SqsError::Throttled { available_at }) => {
-                attempt = (attempt + 1).min(policy.max_attempts);
-                t = available_at + policy.backoff_linear(attempt);
-            }
-            Err(e) => panic!("front-end send to {queue}: {e}"),
-        }
-    }
-}
-
-/// Front-end receive: linear backoff, no jitter, unbounded.
-pub fn frontend_receive(
-    sqs: &mut Sqs,
-    policy: &RetryPolicy,
-    now: SimTime,
-    queue: &str,
-    visibility: SimDuration,
-) -> (Option<amada_cloud::Message>, SimTime) {
-    let mut t = now;
-    let mut attempt = 0u32;
-    loop {
-        match sqs.receive(t, queue, visibility) {
-            Ok(out) => return out,
-            Err(SqsError::Throttled { available_at }) => {
-                attempt = (attempt + 1).min(policy.max_attempts);
-                t = available_at + policy.backoff_linear(attempt);
-            }
-            Err(e) => panic!("front-end receive from {queue}: {e}"),
-        }
-    }
-}
-
-/// Front-end delete: linear backoff, no jitter, unbounded.
-pub fn frontend_delete(
-    sqs: &mut Sqs,
-    policy: &RetryPolicy,
-    now: SimTime,
-    queue: &str,
-    id: u64,
-) -> SimTime {
-    let mut t = now;
-    let mut attempt = 0u32;
-    loop {
-        match sqs.delete(t, queue, id) {
-            Ok(done) => return done,
-            Err(SqsError::Throttled { available_at }) => {
-                attempt = (attempt + 1).min(policy.max_attempts);
-                t = available_at + policy.backoff_linear(attempt);
-            }
-            Err(e) => panic!("front-end delete from {queue}: {e}"),
-        }
-    }
-}
-
-/// Front-end object upload: linear backoff, no jitter, unbounded. Keeps a
-/// retry copy of the payload only when the store can actually throttle.
+/// Front-end object upload. Keeps a retry copy of the payload only when
+/// the store can actually throttle.
 pub fn frontend_put_object(
     s3: &mut S3,
     policy: &RetryPolicy,
@@ -300,91 +229,15 @@ pub fn frontend_put_object(
     key: &str,
     body: Vec<u8>,
 ) -> SimTime {
+    let what = format_args!("front-end put of {bucket}/{key}");
     if !s3.faults_active() {
         return s3
             .put(now, bucket, key, body)
-            .unwrap_or_else(|e| panic!("front-end put of {bucket}/{key}: {e}"));
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
     }
-    let mut t = now;
-    let mut attempt = 0u32;
-    loop {
-        match s3.put(t, bucket, key, body.clone()) {
-            Ok(done) => return done,
-            Err(S3Error::SlowDown { available_at }) => {
-                attempt = (attempt + 1).min(policy.max_attempts);
-                t = available_at + policy.backoff_linear(attempt);
-            }
-            Err(e) => panic!("front-end put of {bucket}/{key}: {e}"),
-        }
-    }
-}
-
-/// Front-end object delete: linear backoff, no jitter, unbounded. No
-/// payload to preserve, so no retry copy is ever needed.
-pub fn frontend_delete_object(
-    s3: &mut S3,
-    policy: &RetryPolicy,
-    now: SimTime,
-    bucket: &str,
-    key: &str,
-) -> SimTime {
-    let mut t = now;
-    let mut attempt = 0u32;
-    loop {
-        match s3.delete(t, bucket, key) {
-            Ok(done) => return done,
-            Err(S3Error::SlowDown { available_at }) => {
-                attempt = (attempt + 1).min(policy.max_attempts);
-                t = available_at + policy.backoff_linear(attempt);
-            }
-            Err(e) => panic!("front-end delete of {bucket}/{key}: {e}"),
-        }
-    }
-}
-
-/// Front-end index-item delete: linear backoff, no jitter, unbounded.
-/// Deletes are idempotent at the store, so an over-retry only costs money.
-pub fn frontend_batch_delete(
-    kv: &mut dyn KvStore,
-    policy: &RetryPolicy,
-    now: SimTime,
-    table: &str,
-    keys: &[(String, String)],
-) -> SimTime {
-    let mut t = now;
-    let mut attempt = 0u32;
-    loop {
-        match kv.batch_delete(t, table, keys) {
-            Ok(done) => return done,
-            Err(KvError::Throttled { available_at }) => {
-                attempt = (attempt + 1).min(policy.max_attempts);
-                t = available_at + policy.backoff_linear(attempt);
-            }
-            Err(e) => panic!("front-end delete from table {table}: {e}"),
-        }
-    }
-}
-
-/// Front-end object download: linear backoff, no jitter, unbounded.
-pub fn frontend_get_object(
-    s3: &mut S3,
-    policy: &RetryPolicy,
-    now: SimTime,
-    bucket: &str,
-    key: &str,
-) -> (Arc<amada_cloud::Blob>, SimTime) {
-    let mut t = now;
-    let mut attempt = 0u32;
-    loop {
-        match s3.get(t, bucket, key) {
-            Ok(out) => return out,
-            Err(S3Error::SlowDown { available_at }) => {
-                attempt = (attempt + 1).min(policy.max_attempts);
-                t = available_at + policy.backoff_linear(attempt);
-            }
-            Err(e) => panic!("front-end get of {bucket}/{key}: {e}"),
-        }
-    }
+    until_ok(policy, Backoff::Linear, now, what, |t| {
+        s3.put(t, bucket, key, body.clone())
+    })
 }
 
 #[cfg(test)]
@@ -458,12 +311,19 @@ mod tests {
         let mut sqs = Sqs::new();
         sqs.create_queue("q");
         sqs.set_faults(FaultInjector::new(0.9, 77));
-        let t = send_with_retry(&mut sqs, &p, &mut rng, SimTime::ZERO, "q", "m".into());
+        let what = format_args!("queue q exists");
+        let t = until_ok(&p, Backoff::Jittered(&mut rng), SimTime::ZERO, what, |t| {
+            sqs.send(t, "q", "m")
+        });
         assert_eq!(sqs.stats().sent, 1);
         assert!(sqs.stats().requests >= 1);
-        let (msg, t) = frontend_receive(&mut sqs, &p, t, "q", SimDuration::from_secs(30));
+        let (msg, t) = until_ok(&p, Backoff::Linear, t, what, |t| {
+            sqs.receive(t, "q", SimDuration::from_secs(30))
+        });
         let id = msg.expect("sent message is delivered").id;
-        delete_with_retry(&mut sqs, &p, &mut rng, t, "q", id);
+        until_ok(&p, Backoff::Jittered(&mut rng), t, what, |t| {
+            sqs.delete(t, "q", id)
+        });
         assert_eq!(sqs.len("q").unwrap(), 0);
         // Each throttle was billed on top of the successful requests.
         assert_eq!(

@@ -11,10 +11,7 @@ use crate::config::{
     QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{CostedQuery, IndexBuildReport, QueryExecution, WorkloadReport};
-use crate::retry::{
-    frontend_batch_delete, frontend_delete, frontend_delete_object, frontend_get_object,
-    frontend_put_object, frontend_receive, frontend_send,
-};
+use crate::retry::{frontend_put_object, until_ok, Backoff};
 use amada_cloud::{
     Actor, ActorTag, Blob, CostReport, CostSnapshot, Engine, InstanceId, Money, Phase, ServiceKind,
     SimDuration, SimTime, Span, StorageCost, World,
@@ -316,12 +313,12 @@ impl Warehouse {
                 &uri,
                 body,
             );
-            t = frontend_send(
-                &mut self.engine.world.sqs,
+            t = until_ok(
                 &self.cfg.retry,
+                Backoff::Linear,
                 t,
-                LOADER_QUEUE,
-                uri.clone(),
+                format_args!("front-end send to {LOADER_QUEUE}"),
+                |t| self.engine.world.sqs.send(t, LOADER_QUEUE, uri.clone()),
             );
             self.pending_load.insert(uri.clone());
             match replaced {
@@ -404,24 +401,26 @@ impl Warehouse {
                 self.corpus_bytes -= old.len() as u64;
                 self.doc_uris.retain(|u| u != &uri);
                 n += 1;
-                t = frontend_delete_object(
-                    &mut self.engine.world.s3,
+                t = until_ok(
                     &self.cfg.retry,
+                    Backoff::Linear,
                     t,
-                    DOC_BUCKET,
-                    &uri,
+                    format_args!("front-end delete of {DOC_BUCKET}/{uri}"),
+                    |t| self.engine.world.s3.delete(t, DOC_BUCKET, &uri),
                 );
             }
             removed += keys.len() as u64;
             let limit = self.engine.world.kv.profile().batch_put_limit;
             for (table, chunk) in delete_batches(keys, limit) {
                 self.engine.world.kv.ensure_table(table);
-                t = frontend_batch_delete(
-                    self.engine.world.kv.as_mut(),
+                // Deletes are idempotent at the store, so an over-retry
+                // only costs money.
+                t = until_ok(
                     &self.cfg.retry,
+                    Backoff::Linear,
                     t,
-                    table,
-                    &chunk,
+                    format_args!("front-end delete from table {table}"),
+                    |t| self.engine.world.kv.batch_delete(t, table, &chunk),
                 );
             }
         }
@@ -490,12 +489,12 @@ impl Warehouse {
                 continue;
             }
             self.tag_frontend(Phase::Build, None, Some(&uri));
-            t = frontend_send(
-                &mut self.engine.world.sqs,
+            t = until_ok(
                 &self.cfg.retry,
+                Backoff::Linear,
                 t,
-                LOADER_QUEUE,
-                uri,
+                format_args!("front-end send to {LOADER_QUEUE}"),
+                |t| self.engine.world.sqs.send(t, LOADER_QUEUE, uri.clone()),
             );
         }
         self.engine.world.obs.with_ctx(|c| *c = Default::default());
@@ -937,29 +936,30 @@ impl Warehouse {
         // results out of the cloud.
         self.tag_frontend(Phase::Frontend, None, None);
         let mut t = end;
+        let (world, cfg) = (&mut self.engine.world, &self.cfg);
         loop {
-            let (msg, t2) = frontend_receive(
-                &mut self.engine.world.sqs,
-                &self.cfg.retry,
+            let (msg, t2) = until_ok(
+                &cfg.retry,
+                Backoff::Linear,
                 t,
-                RESPONSE_QUEUE,
-                self.cfg.visibility,
+                format_args!("front-end receive from {RESPONSE_QUEUE}"),
+                |t| world.sqs.receive(t, RESPONSE_QUEUE, cfg.visibility),
             );
             let Some(msg) = msg else { break };
-            let (data, t3) = frontend_get_object(
-                &mut self.engine.world.s3,
-                &self.cfg.retry,
+            let (data, t3) = until_ok(
+                &cfg.retry,
+                Backoff::Linear,
                 t2,
-                RESULT_BUCKET,
-                &msg.body,
+                format_args!("front-end get of {RESULT_BUCKET}/{}", msg.body),
+                |t| world.s3.get(t, RESULT_BUCKET, &msg.body),
             );
-            self.engine.world.egress(t3, data.len() as u64);
-            t = frontend_delete(
-                &mut self.engine.world.sqs,
-                &self.cfg.retry,
+            world.egress(t3, data.len() as u64);
+            t = until_ok(
+                &cfg.retry,
+                Backoff::Linear,
                 t3,
-                RESPONSE_QUEUE,
-                msg.id,
+                format_args!("front-end delete from {RESPONSE_QUEUE}"),
+                |t| world.sqs.delete(t, RESPONSE_QUEUE, msg.id),
             );
         }
         self.engine.world.obs.with_ctx(|c| *c = Default::default());

@@ -50,9 +50,8 @@ pub use parser::{parse_pattern, parse_pattern_component, parse_query, ParseError
 pub use stream::{SliceStream, TwigStream};
 pub use structural::{semijoin_descendants, structural_join};
 pub use twig::{
-    evaluate_pattern_twig, holistic_twig_join, holistic_twig_join_linear,
-    holistic_twig_join_streams, twig_has_match, twig_has_match_linear, twig_streams_have_match,
-    TwigShape,
+    evaluate_pattern_twig, holistic_twig_join, holistic_twig_join_streams, twig_has_match,
+    twig_streams_have_match, TwigShape,
 };
 pub use valuejoin::{join_pattern_results, JoinedTuple};
 pub use xquery::parse_xquery;

@@ -127,23 +127,6 @@ pub fn twig_streams_have_match<T: Copy, S: TwigStream<T>>(
     !join_streams_inner(shape, streams, true).is_empty()
 }
 
-/// The original element-at-a-time join, kept as the reference
-/// implementation for equivalence tests and before/after benchmarks.
-pub fn holistic_twig_join_linear<T: Copy>(
-    shape: &TwigShape,
-    streams: &[Vec<(StructuralId, T)>],
-) -> Vec<Assignment<T>> {
-    join_inner_linear(shape, streams, false)
-}
-
-/// Existence check via the element-at-a-time reference join.
-pub fn twig_has_match_linear<T: Copy>(
-    shape: &TwigShape,
-    streams: &[Vec<(StructuralId, T)>],
-) -> bool {
-    !join_inner_linear(shape, streams, true).is_empty()
-}
-
 fn join_streams_inner<T: Copy, S: TwigStream<T>>(
     shape: &TwigShape,
     streams: &mut [S],
@@ -262,128 +245,6 @@ fn path_stack_streams<T: Copy, S: TwigStream<T>>(
             break;
         };
         streams[path[level]].advance();
-
-        // Pop, from every stack, elements that end before the incoming
-        // element starts (disjoint predecessors — they can never be
-        // ancestors of it or of anything arriving later). Elements equal to
-        // `next` (the same document node feeding another query level) must
-        // stay: `precedes` is false for them.
-        for st in stacks.iter_mut() {
-            while st.last().is_some_and(|(sid, _, _)| sid.precedes(&next)) {
-                st.pop();
-            }
-        }
-
-        // Push only when the parent chain is alive.
-        if level == 0 || !stacks[level - 1].is_empty() {
-            let ptr = if level == 0 {
-                -1
-            } else {
-                stacks[level - 1].len() as isize - 1
-            };
-            if level == k - 1 {
-                // Leaf: expand solutions immediately; no need to push.
-                expand(
-                    shape,
-                    path,
-                    &stacks,
-                    (next, payload, ptr),
-                    level,
-                    &mut solutions,
-                );
-            } else {
-                stacks[level].push((next, payload, ptr));
-            }
-        }
-    }
-    solutions
-}
-
-fn join_inner_linear<T: Copy>(
-    shape: &TwigShape,
-    streams: &[Vec<(StructuralId, T)>],
-    early_exit: bool,
-) -> Vec<Assignment<T>> {
-    assert_eq!(shape.len(), streams.len(), "one stream per query node");
-    // Empty stream on any node: no solutions.
-    if streams.iter().any(Vec::is_empty) {
-        return Vec::new();
-    }
-    let paths = shape.paths();
-    let mut acc: Option<Vec<Sparse<T>>> = None;
-    for path in &paths {
-        let sols = path_stack_linear(shape, streams, path);
-        if sols.is_empty() {
-            return Vec::new();
-        }
-        // Convert path solutions into sparse assignments.
-        let sparse: Vec<Sparse<T>> = sols
-            .into_iter()
-            .map(|sol| {
-                let mut a = vec![None; shape.len()];
-                for (k, &qi) in path.iter().enumerate() {
-                    a[qi] = Some(sol[k]);
-                }
-                a
-            })
-            .collect();
-        acc = Some(match acc {
-            None => sparse,
-            Some(prev) => merge_assignments(shape.len(), prev, sparse),
-        });
-        if acc.as_ref().is_some_and(Vec::is_empty) {
-            return Vec::new();
-        }
-        if early_exit && paths.len() == 1 {
-            break;
-        }
-    }
-    let mut out: Vec<Assignment<T>> = acc
-        .unwrap_or_default()
-        .into_iter()
-        .map(|a| {
-            a.into_iter()
-                .map(|x| x.expect("all nodes assigned"))
-                .collect()
-        })
-        .collect();
-    if early_exit {
-        out.truncate(1);
-    }
-    out
-}
-
-/// Element-at-a-time PathStack over one root-to-leaf path. Returns
-/// solutions aligned with `path` (root first).
-fn path_stack_linear<T: Copy>(
-    shape: &TwigShape,
-    streams: &[Vec<(StructuralId, T)>],
-    path: &[usize],
-) -> Vec<Vec<(StructuralId, T)>> {
-    let k = path.len();
-    // Per path-level stacks: (sid, payload, pointer-to-top-of-parent-stack).
-    let mut stacks: Vec<Vec<(StructuralId, T, isize)>> = vec![Vec::new(); k];
-    let mut cursors = vec![0usize; k];
-    let mut solutions = Vec::new();
-
-    loop {
-        // qmin: the path level whose stream's next element has minimal pre.
-        let mut qmin: Option<usize> = None;
-        for (level, &q) in path.iter().enumerate() {
-            if cursors[level] < streams[q].len() {
-                let pre = streams[q][cursors[level]].0.pre;
-                // Ties (same document node feeding several query nodes) go
-                // to the level closest to the root, so ancestors are pushed
-                // before their descendants arrive.
-                if qmin.is_none_or(|m| pre < streams[path[m]][cursors[m]].0.pre) {
-                    qmin = Some(level);
-                }
-            }
-        }
-        let Some(level) = qmin else { break };
-        let q = path[level];
-        let (next, payload) = streams[q][cursors[level]];
-        cursors[level] += 1;
 
         // Pop, from every stack, elements that end before the incoming
         // element starts (disjoint predecessors — they can never be
@@ -564,8 +425,10 @@ pub fn twig_doc_has_match(doc: &Document, pattern: &TreePattern) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::{NodeTest, Output, PatternNode, Predicate};
     use crate::eval::naive_matches;
     use crate::parser::parse_pattern;
+    use amada_rng::StdRng;
     use amada_xml::Document;
     use std::collections::HashSet;
 
@@ -662,5 +525,326 @@ mod tests {
         assert_eq!(paths[0], [0, 1, 2]);
         assert_eq!(paths[1], [0, 1, 3]);
         assert_eq!(paths[2], [0, 4]);
+    }
+
+    // ---- Seeded equivalence properties -----------------------------------
+    //
+    // The galloping join against the element-at-a-time reference join, and
+    // the twig evaluator against the naive backtracking evaluator, on
+    // random documents, shapes and patterns over one small vocabulary.
+    // Cases derive deterministically from `(fixed master seed, case index)`
+    // via `amada-rng`, so failures reproduce exactly.
+
+    /// The original element-at-a-time join: the reference the galloping
+    /// join is compared against.
+    fn holistic_twig_join_linear<T: Copy>(
+        shape: &TwigShape,
+        streams: &[Vec<(StructuralId, T)>],
+    ) -> Vec<Assignment<T>> {
+        join_inner_linear(shape, streams, false)
+    }
+
+    /// Existence check via the element-at-a-time reference join.
+    fn twig_has_match_linear<T: Copy>(
+        shape: &TwigShape,
+        streams: &[Vec<(StructuralId, T)>],
+    ) -> bool {
+        !join_inner_linear(shape, streams, true).is_empty()
+    }
+
+    fn join_inner_linear<T: Copy>(
+        shape: &TwigShape,
+        streams: &[Vec<(StructuralId, T)>],
+        early_exit: bool,
+    ) -> Vec<Assignment<T>> {
+        assert_eq!(shape.len(), streams.len(), "one stream per query node");
+        // Empty stream on any node: no solutions.
+        if streams.iter().any(Vec::is_empty) {
+            return Vec::new();
+        }
+        let paths = shape.paths();
+        let mut acc: Option<Vec<Sparse<T>>> = None;
+        for path in &paths {
+            let sols = path_stack_linear(shape, streams, path);
+            if sols.is_empty() {
+                return Vec::new();
+            }
+            // Convert path solutions into sparse assignments.
+            let sparse: Vec<Sparse<T>> = sols
+                .into_iter()
+                .map(|sol| {
+                    let mut a = vec![None; shape.len()];
+                    for (k, &qi) in path.iter().enumerate() {
+                        a[qi] = Some(sol[k]);
+                    }
+                    a
+                })
+                .collect();
+            acc = Some(match acc {
+                None => sparse,
+                Some(prev) => merge_assignments(shape.len(), prev, sparse),
+            });
+            if acc.as_ref().is_some_and(Vec::is_empty) {
+                return Vec::new();
+            }
+            if early_exit && paths.len() == 1 {
+                break;
+            }
+        }
+        let mut out: Vec<Assignment<T>> = acc
+            .unwrap_or_default()
+            .into_iter()
+            .map(|a| {
+                a.into_iter()
+                    .map(|x| x.expect("all nodes assigned"))
+                    .collect()
+            })
+            .collect();
+        if early_exit {
+            out.truncate(1);
+        }
+        out
+    }
+
+    /// Element-at-a-time PathStack over one root-to-leaf path. Returns
+    /// solutions aligned with `path` (root first).
+    fn path_stack_linear<T: Copy>(
+        shape: &TwigShape,
+        streams: &[Vec<(StructuralId, T)>],
+        path: &[usize],
+    ) -> Vec<Vec<(StructuralId, T)>> {
+        let k = path.len();
+        // Per path-level stacks: (sid, payload, pointer-to-top-of-parent-stack).
+        let mut stacks: Vec<Vec<(StructuralId, T, isize)>> = vec![Vec::new(); k];
+        let mut cursors = vec![0usize; k];
+        let mut solutions = Vec::new();
+
+        loop {
+            // qmin: the path level whose stream's next element has minimal pre.
+            let mut qmin: Option<usize> = None;
+            for (level, &q) in path.iter().enumerate() {
+                if cursors[level] < streams[q].len() {
+                    let pre = streams[q][cursors[level]].0.pre;
+                    // Ties (same document node feeding several query nodes) go
+                    // to the level closest to the root, so ancestors are pushed
+                    // before their descendants arrive.
+                    if qmin.is_none_or(|m| pre < streams[path[m]][cursors[m]].0.pre) {
+                        qmin = Some(level);
+                    }
+                }
+            }
+            let Some(level) = qmin else { break };
+            let q = path[level];
+            let (next, payload) = streams[q][cursors[level]];
+            cursors[level] += 1;
+
+            // Pop, from every stack, elements that end before the incoming
+            // element starts (disjoint predecessors — they can never be
+            // ancestors of it or of anything arriving later). Elements equal to
+            // `next` (the same document node feeding another query level) must
+            // stay: `precedes` is false for them.
+            for st in stacks.iter_mut() {
+                while st.last().is_some_and(|(sid, _, _)| sid.precedes(&next)) {
+                    st.pop();
+                }
+            }
+
+            // Push only when the parent chain is alive.
+            if level == 0 || !stacks[level - 1].is_empty() {
+                let ptr = if level == 0 {
+                    -1
+                } else {
+                    stacks[level - 1].len() as isize - 1
+                };
+                if level == k - 1 {
+                    // Leaf: expand solutions immediately; no need to push.
+                    expand(
+                        shape,
+                        path,
+                        &stacks,
+                        (next, payload, ptr),
+                        level,
+                        &mut solutions,
+                    );
+                } else {
+                    stacks[level].push((next, payload, ptr));
+                }
+            }
+        }
+        solutions
+    }
+
+    const LABELS: &[&str] = &["a", "b", "c", "d"];
+    const WORDS: &[&str] = &["lion", "hunt", "olympia", "sun"];
+
+    /// Random document over the small vocabulary, rendered directly to XML.
+    fn gen_doc(rng: &mut StdRng) -> String {
+        fn elem(rng: &mut StdRng, depth: u32) -> String {
+            let label = *rng.choose(LABELS);
+            let attr = if rng.gen_bool(0.5) {
+                format!(" k=\"{}\"", rng.choose(WORDS))
+            } else {
+                String::new()
+            };
+            if depth == 0 {
+                return format!("<{label}{attr}>{}</{label}>", rng.choose(WORDS));
+            }
+            let kids: String = (0..rng.gen_range(0..4usize))
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        elem(rng, depth - 1)
+                    } else {
+                        rng.choose(WORDS).to_string()
+                    }
+                })
+                .collect();
+            format!("<{label}{attr}>{kids}</{label}>")
+        }
+        elem(rng, 3)
+    }
+
+    /// Random pattern over the same vocabulary: a flat spec per node
+    /// (label, axis, parent choice, predicate?, output?, attribute?),
+    /// retried until no attribute node has children.
+    fn gen_pattern(rng: &mut StdRng) -> TreePattern {
+        loop {
+            let n = rng.gen_range(1..5usize);
+            let mut nodes: Vec<PatternNode> = Vec::new();
+            for i in 0..n {
+                let label = *rng.choose(LABELS);
+                let desc = rng.gen_bool(0.5);
+                let pchoice = rng.gen_range(0..=255u8) as usize;
+                let pred = if rng.gen_bool(0.5) {
+                    let w = *rng.choose(WORDS);
+                    Some(if rng.gen_bool(0.5) {
+                        Predicate::Contains(w.into())
+                    } else {
+                        Predicate::Eq(w.into())
+                    })
+                } else {
+                    None
+                };
+                let out = rng.gen_bool(0.5);
+                let parent = if i == 0 { None } else { Some(pchoice % i) };
+                // Attribute leaf nodes use name "k"; elements use the label.
+                let is_attr = rng.gen_bool(0.5) && i > 0;
+                let test = if is_attr {
+                    NodeTest::Attribute("k".into())
+                } else {
+                    NodeTest::Element(label.to_string())
+                };
+                let axis = if desc { Axis::Descendant } else { Axis::Child };
+                let outputs = if out || i == 0 {
+                    vec![Output::Val { join_var: None }]
+                } else {
+                    vec![]
+                };
+                if let Some(p) = parent {
+                    nodes[p].children.push(i);
+                }
+                nodes.push(PatternNode {
+                    test,
+                    axis,
+                    parent,
+                    children: Vec::new(),
+                    outputs,
+                    predicate: pred,
+                });
+            }
+            let pattern = TreePattern { nodes };
+            // Attributes cannot have children.
+            if pattern
+                .nodes
+                .iter()
+                .all(|n| !n.test.is_attribute() || n.children.is_empty())
+            {
+                return pattern;
+            }
+        }
+    }
+
+    /// Random twig shape: a rooted tree of up to 5 nodes with random axes.
+    fn gen_shape(rng: &mut StdRng) -> TwigShape {
+        let n = rng.gen_range(1..6usize);
+        let mut shape = TwigShape {
+            parent: vec![None],
+            axis: vec![Axis::Descendant],
+            children: vec![Vec::new()],
+        };
+        for i in 1..n {
+            let p = rng.gen_range(0..i);
+            shape.parent.push(Some(p));
+            shape.axis.push(if rng.gen_bool(0.5) {
+                Axis::Descendant
+            } else {
+                Axis::Child
+            });
+            shape.children.push(Vec::new());
+            shape.children[p].push(i);
+        }
+        shape
+    }
+
+    /// Per-node candidate streams drawn from a real document's label postings
+    /// (genuine ancestor structure, so matches exist), occasionally replaced
+    /// by an empty or synthetic sparse stream to hit the exhaustion paths.
+    fn gen_streams(rng: &mut StdRng, doc: &Document, n: usize) -> Vec<Vec<(StructuralId, u32)>> {
+        (0..n)
+            .map(|i| {
+                if rng.gen_bool(0.1) {
+                    return Vec::new();
+                }
+                let label = *rng.choose(LABELS);
+                doc.elements_named(label)
+                    .iter()
+                    .map(|&node| (doc.sid(node), i as u32))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The galloping join must return exactly what the element-at-a-time
+    /// linear reference join returns — same assignments, same order — and
+    /// the early-exit existence checks must agree with both.
+    #[test]
+    fn galloping_equals_linear() {
+        for case in 0..512u64 {
+            let mut rng = StdRng::seed_from_u64(0x6a11_0000 + case);
+            let xml = gen_doc(&mut rng);
+            let doc = Document::parse_str("prop.xml", &xml).unwrap();
+            let shape = gen_shape(&mut rng);
+            let streams = gen_streams(&mut rng, &doc, shape.len());
+            let linear = holistic_twig_join_linear(&shape, &streams);
+            let gallop = holistic_twig_join(&shape, &streams);
+            assert_eq!(
+                linear, gallop,
+                "case {case}: shape {shape:?} streams {streams:?} on {xml}"
+            );
+            assert_eq!(
+                twig_has_match_linear(&shape, &streams),
+                !linear.is_empty(),
+                "case {case}"
+            );
+            assert_eq!(
+                twig_has_match(&shape, &streams),
+                !linear.is_empty(),
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn twig_equals_naive() {
+        for case in 0..512u64 {
+            let mut rng = StdRng::seed_from_u64(0x7716_0000 + case);
+            let xml = gen_doc(&mut rng);
+            let pattern = gen_pattern(&mut rng);
+            let doc = Document::parse_str("prop.xml", &xml).unwrap();
+            let (naive, _) = naive_matches(&doc, &pattern);
+            let (twig, _) = evaluate_pattern_twig(&doc, &pattern);
+            let a: HashSet<_> = naive.into_iter().collect();
+            let b: HashSet<_> = twig.into_iter().collect();
+            assert_eq!(a, b, "case {case}: pattern {pattern:?} on {xml}");
+        }
     }
 }
