@@ -117,19 +117,15 @@ pub fn pushdown_rows(scale: &Scale) -> Vec<PushdownRow> {
 pub fn pushdown(scale: &Scale) -> Outcome {
     let rows = pushdown_rows(scale);
     let wins = rows.iter().filter(|r| r.cheapest == Strategy::LupPd.name());
+    let scanned: u64 = rows.iter().map(|r| r.scanned).sum();
+    let returned: u64 = rows.iter().map(|r| r.returned).sum();
     Outcome {
         body: render(&rows).to_string(),
         numbers: vec![
             ("sweep_points", rows.len() as f64),
             ("pushdown_wins", wins.count() as f64),
-            (
-                "bytes_scanned",
-                rows.iter().map(|r| r.scanned).sum::<u64>() as f64,
-            ),
-            (
-                "bytes_returned",
-                rows.iter().map(|r| r.returned).sum::<u64>() as f64,
-            ),
+            ("bytes_scanned", scanned as f64),
+            ("bytes_returned", returned as f64),
         ],
     }
 }
