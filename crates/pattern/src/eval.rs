@@ -197,6 +197,7 @@ pub fn naive_has_match(doc: &Document, pattern: &TreePattern) -> bool {
 mod tests {
     use super::*;
     use crate::parser::parse_pattern;
+    use amada_rng::StdRng;
 
     const DELACROIX: &str = "<painting id=\"1854-1\">\
         <name>The Lion Hunt</name>\
@@ -303,5 +304,162 @@ mod tests {
         assert!(!naive_has_match(&d, &p));
         let p = parse_pattern("//painting[/name]").unwrap();
         assert!(naive_has_match(&d, &p));
+    }
+
+    // ---- Seeded reference property ----------------------------------------
+    //
+    // The benchmark's oracle, `repro check` and `naive_matches` all go
+    // through `materialize`, so nothing independent checks it. The body it
+    // had before the read path's allocation diet stays here as the
+    // reference: same tuples, same first-occurrence order.
+
+    /// `materialize` as first written: every tuple's `(columns, joins)`
+    /// cloned into a `HashSet` to remember it.
+    fn materialize_reference(
+        doc: &Document,
+        pattern: &TreePattern,
+        embeddings: &[Vec<NodeId>],
+    ) -> Vec<Tuple> {
+        let uri: Arc<str> = doc.uri().into();
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        for emb in embeddings {
+            let mut columns = Vec::with_capacity(pattern.arity());
+            let mut joins = Vec::new();
+            for (i, n) in pattern.nodes.iter().enumerate() {
+                for o in &n.outputs {
+                    match o {
+                        Output::Val { join_var } => {
+                            let v = node_value(doc, emb[i]);
+                            if let Some(var) = join_var {
+                                joins.push((var.clone(), v.clone()));
+                            }
+                            columns.push(v);
+                        }
+                        Output::Cont => columns.push(doc.serialize_subtree(emb[i])),
+                    }
+                }
+            }
+            let t = Tuple {
+                uri: uri.clone(),
+                columns,
+                joins,
+            };
+            if seen.insert((t.columns.clone(), t.joins.clone())) {
+                out.push(t);
+            }
+        }
+        out
+    }
+
+    const LABELS: &[&str] = &["a", "b"];
+    const WORDS: &[&str] = &["lion", "hunt"];
+
+    /// Random document over a small vocabulary (repeated values, so
+    /// distinct embeddings project onto equal tuples).
+    fn gen_doc(rng: &mut StdRng) -> String {
+        fn elem(rng: &mut StdRng, depth: u32) -> String {
+            let label = *rng.choose(LABELS);
+            let attr = if rng.gen_bool(0.5) {
+                format!(" k=\"{}\"", rng.choose(WORDS))
+            } else {
+                String::new()
+            };
+            if depth == 0 {
+                return format!("<{label}{attr}>{}</{label}>", rng.choose(WORDS));
+            }
+            let kids: String = (0..rng.gen_range(1..4usize))
+                .map(|_| {
+                    if rng.gen_bool(0.7) {
+                        elem(rng, depth - 1)
+                    } else {
+                        rng.choose(WORDS).to_string()
+                    }
+                })
+                .collect();
+            format!("<{label}{attr}>{kids}</{label}>")
+        }
+        elem(rng, 3)
+    }
+
+    /// Random pattern of 1–4 element nodes (attribute leaves now and
+    /// then), each with 0–2 outputs drawn from `val`, `val as $x|$y` (so a
+    /// variable may repeat inside the pattern) and `cont`.
+    fn gen_pattern(rng: &mut StdRng) -> TreePattern {
+        let n = rng.gen_range(1..5usize);
+        let mut nodes: Vec<PatternNode> = Vec::new();
+        for i in 0..n {
+            // An attribute cannot have children: hang the node off the
+            // root (never an attribute) instead.
+            let parent = (i > 0).then(|| {
+                let p = rng.gen_range(0..i);
+                if nodes[p].test.is_attribute() {
+                    0
+                } else {
+                    p
+                }
+            });
+            let test = if i > 0 && rng.gen_bool(0.25) {
+                NodeTest::Attribute("k".into())
+            } else {
+                NodeTest::Element(rng.choose(LABELS).to_string())
+            };
+            let outputs = (0..rng.gen_range(0..3usize))
+                .map(|_| match rng.gen_range(0..4u32) {
+                    0 => Output::Cont,
+                    1 => Output::Val { join_var: None },
+                    2 => Output::Val {
+                        join_var: Some("x".into()),
+                    },
+                    _ => Output::Val {
+                        join_var: Some("y".into()),
+                    },
+                })
+                .collect();
+            if let Some(p) = parent {
+                nodes[p].children.push(i);
+            }
+            nodes.push(PatternNode {
+                test,
+                axis: if rng.gen_bool(0.8) {
+                    Axis::Descendant
+                } else {
+                    Axis::Child
+                },
+                parent,
+                children: Vec::new(),
+                outputs,
+                predicate: None,
+            });
+        }
+        TreePattern { nodes }
+    }
+
+    #[test]
+    fn materialize_equals_its_reference_in_order() {
+        let mut with_duplicates = 0;
+        for case in 0..512u64 {
+            let mut rng = StdRng::seed_from_u64(0x3A7E_0000 + case);
+            let xml = gen_doc(&mut rng);
+            let pattern = gen_pattern(&mut rng);
+            let doc = Document::parse_str("prop.xml", &xml).unwrap();
+            let (mut embeddings, _) = naive_embeddings(&doc, &pattern);
+            // Now and then the same embeddings twice over: duplicates far
+            // apart, not only adjacent ones.
+            if rng.gen_bool(0.25) {
+                embeddings.extend(embeddings.clone());
+            }
+            let reference = materialize_reference(&doc, &pattern, &embeddings);
+            with_duplicates += usize::from(reference.len() < embeddings.len());
+            assert_eq!(
+                materialize(&doc, &pattern, &embeddings),
+                reference,
+                "case {case}: pattern {pattern:?} on {xml}"
+            );
+        }
+        assert!(
+            with_duplicates > 150,
+            "the cases must exercise dedup: {with_duplicates}"
+        );
     }
 }

@@ -145,6 +145,7 @@ mod tests {
     use super::*;
     use crate::eval::naive_matches;
     use crate::parser::parse_query;
+    use amada_rng::StdRng;
     use amada_xml::Document;
 
     fn tuples_for(query: &Query, docs: &[&Document]) -> Vec<Vec<Tuple>> {
@@ -255,5 +256,184 @@ mod tests {
         // result is a single tuple either way.
         let joined = join_pattern_results(&q, &per_pattern);
         assert_eq!(joined.len(), 1);
+    }
+
+    // ---- Seeded reference property ----------------------------------------
+    //
+    // The benchmark's oracle, `repro check` and every evaluator end in
+    // `join_pattern_results`, so nothing independent checks it. The body it
+    // had before the read path's allocation diet stays here as the
+    // reference: same joined tuples, same first-occurrence order.
+
+    /// `join_pattern_results` as first written: a `HashMap<String, String>`
+    /// of bindings per accumulated row, the accumulated columns cloned at
+    /// every pattern, each `JoinedTuple` cloned again to deduplicate.
+    fn join_pattern_results_reference(
+        query: &Query,
+        per_pattern: &[Vec<Tuple>],
+    ) -> Vec<JoinedTuple> {
+        assert_eq!(
+            query.patterns.len(),
+            per_pattern.len(),
+            "one tuple set per pattern"
+        );
+        let consistent = |t: &&Tuple| {
+            t.joins.iter().all(|(var, val)| {
+                t.joins
+                    .iter()
+                    .filter(|(v2, _)| v2 == var)
+                    .all(|(_, v)| v == val)
+            })
+        };
+        struct Acc {
+            uris: Vec<Arc<str>>,
+            columns: Vec<String>,
+            bindings: std::collections::HashMap<String, String>,
+        }
+        let mut acc: Vec<Acc> = vec![Acc {
+            uris: Vec::new(),
+            columns: Vec::new(),
+            bindings: std::collections::HashMap::new(),
+        }];
+        for tuples in per_pattern {
+            let shared: Vec<&String> = tuples
+                .first()
+                .map(|t| {
+                    t.joins
+                        .iter()
+                        .map(|(var, _)| var)
+                        .filter(|var| acc.first().is_some_and(|a| a.bindings.contains_key(*var)))
+                        .collect()
+                })
+                .unwrap_or_default();
+            let key_of_acc = |a: &Acc| -> Vec<String> {
+                shared.iter().map(|v| a.bindings[*v].clone()).collect()
+            };
+            let key_of_tuple = |t: &Tuple| -> Vec<String> {
+                shared
+                    .iter()
+                    .map(|v| {
+                        t.joins
+                            .iter()
+                            .find(|(var, _)| var == *v)
+                            .map(|(_, val)| val.clone())
+                            .expect("shared variable bound by tuple")
+                    })
+                    .collect()
+            };
+            let mut table: std::collections::HashMap<Vec<String>, Vec<usize>> = Default::default();
+            for (i, a) in acc.iter().enumerate() {
+                table.entry(key_of_acc(a)).or_default().push(i);
+            }
+            let mut next: Vec<Acc> = Vec::new();
+            for t in tuples.iter().filter(consistent) {
+                let Some(matches) = table.get(&key_of_tuple(t)) else {
+                    continue;
+                };
+                for &ai in matches {
+                    let a = &acc[ai];
+                    let mut bindings = a.bindings.clone();
+                    for (var, val) in &t.joins {
+                        bindings.insert(var.clone(), val.clone());
+                    }
+                    let mut uris = a.uris.clone();
+                    uris.push(t.uri.clone());
+                    let mut columns = a.columns.clone();
+                    columns.extend(t.columns.iter().cloned());
+                    next.push(Acc {
+                        uris,
+                        columns,
+                        bindings,
+                    });
+                }
+            }
+            acc = next;
+            if acc.is_empty() {
+                return Vec::new();
+            }
+        }
+        let mut seen = std::collections::HashSet::new();
+        acc.into_iter()
+            .map(|a| JoinedTuple {
+                uris: a.uris,
+                columns: a.columns,
+            })
+            .filter(|t| seen.insert(t.clone()))
+            .collect()
+    }
+
+    const VARS: &[&str] = &["x", "y", "z"];
+    const VALUES: &[&str] = &["1", "2", "lion"];
+    const URIS: &[&str] = &["a.xml", "b.xml", "c.xml"];
+
+    /// 1–3 patterns' tuple sets over a three-value vocabulary. Each
+    /// pattern binds 0–3 variables drawn with replacement (so a variable
+    /// may repeat inside a pattern, agreeing or not) and every tuple of a
+    /// pattern binds the same list, as `materialize` guarantees; a side is
+    /// empty now and then, and tuples are repeated.
+    fn gen_case(rng: &mut StdRng) -> (Query, Vec<Vec<Tuple>>) {
+        let n = rng.gen_range(1..4usize);
+        let per_pattern = (0..n)
+            .map(|_| {
+                let vars: Vec<&str> = (0..rng.gen_range(0..4usize))
+                    .map(|_| *rng.choose(VARS))
+                    .collect();
+                let extra = rng.gen_range(0..3usize);
+                let count = if rng.gen_bool(0.1) {
+                    0
+                } else {
+                    rng.gen_range(1..7usize)
+                };
+                let mut tuples: Vec<Tuple> = Vec::new();
+                for _ in 0..count {
+                    if !tuples.is_empty() && rng.gen_bool(0.2) {
+                        tuples.push(rng.choose(&tuples).clone());
+                        continue;
+                    }
+                    let joins: Vec<(String, String)> = vars
+                        .iter()
+                        .map(|v| (v.to_string(), rng.choose(VALUES).to_string()))
+                        .collect();
+                    let columns = joins
+                        .iter()
+                        .map(|(_, val)| val.clone())
+                        .chain((0..extra).map(|_| rng.choose(VALUES).to_string()))
+                        .collect();
+                    tuples.push(Tuple {
+                        uri: (*rng.choose(URIS)).into(),
+                        columns,
+                        joins,
+                    });
+                }
+                tuples
+            })
+            .collect();
+        let query = Query {
+            patterns: (0..n)
+                .map(|_| crate::parser::parse_pattern("//a").unwrap())
+                .collect(),
+            name: None,
+        };
+        (query, per_pattern)
+    }
+
+    #[test]
+    fn join_equals_its_reference_in_order() {
+        let (mut non_empty, mut deduplicated) = (0, 0);
+        for case in 0..512u64 {
+            let mut rng = StdRng::seed_from_u64(0x7A1E_0000 + case);
+            let (query, per_pattern) = gen_case(&mut rng);
+            let reference = join_pattern_results_reference(&query, &per_pattern);
+            non_empty += usize::from(!reference.is_empty());
+            let product: usize = per_pattern.iter().map(Vec::len).product();
+            deduplicated += usize::from(!reference.is_empty() && reference.len() < product);
+            assert_eq!(
+                join_pattern_results(&query, &per_pattern),
+                reference,
+                "case {case}: {per_pattern:?}"
+            );
+        }
+        assert!(non_empty > 150, "the cases must produce joined tuples");
+        assert!(deduplicated > 50, "the cases must exercise dedup");
     }
 }
