@@ -29,6 +29,7 @@ use amada_pattern::{join_pattern_results, naive_matches, parse_query, Query, Tre
 use amada_xml::Document;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// One oracle violation: which oracle, and a self-contained account.
 #[derive(Debug, Clone)]
@@ -187,7 +188,7 @@ fn strategy_candidates(
                 lookup_query(store.as_mut(), SimTime::ZERO, strategy, opts, query)?
                     .per_pattern
                     .into_iter()
-                    .map(|o| o.uris.into_iter().collect())
+                    .map(|o| o.uris.iter().map(|u| u.to_string()).collect())
                     .collect()
             };
         out.push(per_pattern);
@@ -208,7 +209,10 @@ fn lup_candidates_without_path_filter(
     for qp in query_paths(pattern, opts) {
         let terminal = &qp.last().expect("query paths are non-empty").1;
         let (items, _) = store.get(SimTime::ZERO, TABLE_MAIN, terminal)?;
-        let uris: BTreeSet<String> = decode_path_lists(&items, &profile).into_keys().collect();
+        let uris: BTreeSet<String> = decode_path_lists(&items, &profile)
+            .keys()
+            .map(|u| u.to_string())
+            .collect();
         result = Some(match result {
             None => uris,
             Some(prev) => prev.intersection(&uris).cloned().collect(),
@@ -359,7 +363,7 @@ fn oracle_pushdown_answers(
                 let (_, xml) = case
                     .docs
                     .iter()
-                    .find(|(u, _)| u == uri)
+                    .find(|(u, _)| **u == **uri)
                     .expect("candidate URIs come from the corpus");
                 tuples.extend(
                     decode_tuples(&pred.filter(xml.as_bytes()), uri)
@@ -514,12 +518,10 @@ fn oracle_round_trip(docs: &[Document], opts: ExtractOptions) -> Result<(), Viol
                     let mut uuids = UuidGen::for_document(&entry.uri);
                     let items = encode_entry(&entry, profile, &mut uuids);
                     let ok = match &entry.payload {
-                        Payload::Presence => {
-                            decode_presence_uris(&items) == [entry.uri.to_string()]
-                        }
-                        Payload::Paths(paths) => {
-                            decode_path_lists(&items, profile).get(&*entry.uri) == Some(paths)
-                        }
+                        Payload::Presence => decode_presence_uris(&items) == [entry.uri.clone()],
+                        Payload::Paths(paths) => decode_path_lists(&items, profile)
+                            .get(&entry.uri)
+                            .is_some_and(|decoded| decoded == paths),
                         Payload::Ids(ids) => {
                             decode_id_lists(&items, profile).get(&*entry.uri) == Some(ids)
                                 && decode_id_postings(&items, profile)
@@ -691,7 +693,7 @@ fn oracle_mixed(case: &Case, query: &Query, opts: ExtractOptions) -> Result<(), 
     let plan = MixedPlan::uniform(Some(Strategy::Lup))
         .with("hot", Some(Strategy::TwoLupi))
         .with("cold", None);
-    let corpus: Vec<String> = rehomed.iter().map(|d| d.uri().to_string()).collect();
+    let corpus: Vec<Arc<str>> = rehomed.iter().map(|d| d.shared_uri().clone()).collect();
 
     // Truth: the no-index scan of the re-homed corpus.
     let truth_tuples: Vec<Vec<Tuple>> = query
@@ -711,7 +713,7 @@ fn oracle_mixed(case: &Case, query: &Query, opts: ExtractOptions) -> Result<(), 
         // Fully indexed plans must answer from the catalog alone — the
         // warehouse skips the billed corpus LIST for them, so hand the
         // oracle's look-up the same inputs that path gets.
-        let listing: &[String] = if plan.fully_indexed() { &[] } else { &corpus };
+        let listing: &[Arc<str>] = if plan.fully_indexed() { &[] } else { &corpus };
         let mixed = lookup_mixed(
             store.as_mut(),
             SimTime::ZERO,
@@ -756,7 +758,7 @@ fn oracle_mixed(case: &Case, query: &Query, opts: ExtractOptions) -> Result<(), 
                         },
                     )?;
                     for (pi, o) in lk.per_pattern.into_iter().enumerate() {
-                        unions[pi].extend(o.uris);
+                        unions[pi].extend(o.uris.iter().map(|u| u.to_string()));
                     }
                 }
                 None => {
@@ -767,7 +769,9 @@ fn oracle_mixed(case: &Case, query: &Query, opts: ExtractOptions) -> Result<(), 
             }
         }
         for (pi, union) in unions.iter().enumerate() {
-            let got: BTreeSet<String> = mixed.per_pattern[pi].uris.iter().cloned().collect();
+            let got: BTreeSet<String> = (mixed.per_pattern[pi].uris.iter())
+                .map(|u| u.to_string())
+                .collect();
             if &got != union {
                 return Err(violation(
                     "mixed",
@@ -786,7 +790,7 @@ fn oracle_mixed(case: &Case, query: &Query, opts: ExtractOptions) -> Result<(), 
             .iter()
             .zip(&mixed.per_pattern)
             .map(|(p, o)| {
-                let set: BTreeSet<String> = o.uris.iter().cloned().collect();
+                let set: BTreeSet<String> = o.uris.iter().map(|u| u.to_string()).collect();
                 eval_pattern(&rehomed, Some(&set), p)
             })
             .collect();

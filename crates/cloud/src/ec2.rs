@@ -16,6 +16,7 @@
 use crate::clock::{SimDuration, SimTime};
 use crate::money::Money;
 use crate::pricing::{InstanceType, PriceTable};
+use std::cell::Cell;
 
 /// Handle to a launched instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,6 +62,13 @@ pub struct Ec2 {
     /// Parallel to `records`: instances whose billing window is frozen.
     stopped: Vec<bool>,
     granularity: BillingGranularity,
+    /// The `(large rate, extra-large rate, total)` of the last
+    /// [`Ec2::total_cost`], kept current by every launch and extension
+    /// since: a cost snapshot prices what changed, not every instance ever
+    /// launched.
+    bill: Cell<Option<(Money, Money, Money)>>,
+    /// Records priced so far — the host work billing has done.
+    priced: Cell<u64>,
 }
 
 impl Ec2 {
@@ -74,6 +82,7 @@ impl Ec2 {
     /// of an individual launch).
     pub fn set_granularity(&mut self, granularity: BillingGranularity) {
         self.granularity = granularity;
+        self.bill.set(None);
     }
 
     /// The billing granularity in force.
@@ -83,24 +92,40 @@ impl Ec2 {
 
     /// Launches an instance at `now`.
     pub fn launch(&mut self, itype: InstanceType, now: SimTime) -> InstanceId {
-        self.records.push(InstanceRecord {
+        let launched = InstanceRecord {
             itype,
             start: now,
             end: now,
-        });
+        };
+        self.records.push(launched);
         self.stopped.push(false);
+        self.rebill(None, launched);
         InstanceId(self.records.len() - 1)
+    }
+
+    /// Moves the running bill, if there is one, from what `old` cost to
+    /// what `new` costs.
+    fn rebill(&mut self, old: Option<InstanceRecord>, new: InstanceRecord) {
+        if let Some((large, xlarge, total)) = self.bill.get() {
+            let rate = match new.itype {
+                InstanceType::Large => large,
+                InstanceType::ExtraLarge => xlarge,
+            };
+            let before = old.map_or(Money::ZERO, |r| self.charge(rate, &r));
+            let total = total - before + self.charge(rate, &new);
+            self.bill.set(Some((large, xlarge, total)));
+        }
     }
 
     /// Extends an instance's busy window to cover `now` (called by actors
     /// as their operations complete; the final call fixes shutdown time).
     /// A stopped instance's window is frozen: extending it is a no-op.
     pub fn extend(&mut self, id: InstanceId, now: SimTime) {
-        if self.stopped[id.0] {
-            return;
+        let old = self.records[id.0];
+        if !self.stopped[id.0] && now > old.end {
+            self.records[id.0].end = now;
+            self.rebill(Some(old), self.records[id.0]);
         }
-        let r = &mut self.records[id.0];
-        r.end = r.end.max(now);
     }
 
     /// Stops an instance at `now`: the billing window is extended to
@@ -108,11 +133,7 @@ impl Ec2 {
     /// calls (e.g. the warehouse's phase-end pool extension) are no-ops.
     /// Idempotent; a second stop cannot grow the window.
     pub fn stop(&mut self, id: InstanceId, now: SimTime) {
-        if self.stopped[id.0] {
-            return;
-        }
-        let r = &mut self.records[id.0];
-        r.end = r.end.max(now);
+        self.extend(id, now);
         self.stopped[id.0] = true;
     }
 
@@ -134,7 +155,12 @@ impl Ec2 {
 
     /// What one record costs under `prices` and the current granularity.
     pub fn record_cost(&self, r: &InstanceRecord, prices: &PriceTable) -> Money {
-        let rate = prices.vm_hour(r.itype);
+        self.charge(prices.vm_hour(r.itype), r)
+    }
+
+    /// What one record costs at `rate` per hour.
+    fn charge(&self, rate: Money, r: &InstanceRecord) -> Money {
+        self.priced.set(self.priced.get() + 1);
         match self.granularity {
             BillingGranularity::Fractional => rate.per_hour(r.uptime().micros()),
             BillingGranularity::PerStartedHour => {
@@ -145,12 +171,21 @@ impl Ec2 {
     }
 
     /// Total EC2 charge under a price table (fractional-hour billing by
-    /// default, as in the paper's `VM$_h × t` terms).
+    /// default, as in the paper's `VM$_h × t` terms): the sum of
+    /// [`Ec2::record_cost`] over every record, to the picodollar. Only the
+    /// first call under a pair of rates walks the records.
     pub fn total_cost(&self, prices: &PriceTable) -> Money {
-        self.records
-            .iter()
-            .map(|r| self.record_cost(r, prices))
-            .sum()
+        let (large, xlarge) = (prices.vm_hour_large, prices.vm_hour_xlarge);
+        match self.bill.get() {
+            Some((l, xl, total)) if (l, xl) == (large, xlarge) => total,
+            _ => {
+                let total = (self.records.iter())
+                    .map(|r| self.record_cost(r, prices))
+                    .sum();
+                self.bill.set(Some((large, xlarge, total)));
+                total
+            }
+        }
     }
 
     /// Total instance-hours (for reports).
@@ -243,6 +278,59 @@ mod tests {
             ec2.record_cost(&ec2.record(c), &prices).pico(),
             340_000_000_000
         );
+    }
+
+    /// A cost snapshot prices what was launched or extended since the last
+    /// one — nothing, here — however many instances came before, and the
+    /// running bill is the record-by-record sum to the picodollar under
+    /// either granularity, through stops and a change of price table.
+    #[test]
+    fn a_snapshot_after_ten_thousand_launches_costs_what_one_after_ten_does() {
+        let prices = PriceTable::default();
+        let records_priced_by_a_snapshot = |launches: u64, granularity| {
+            let mut rng = StdRng::seed_from_u64(0x5AA9 + launches);
+            let mut ec2 = Ec2::new();
+            ec2.set_granularity(granularity);
+            assert_eq!(ec2.total_cost(&prices), Money::ZERO);
+            for i in 0..launches {
+                let itype = [InstanceType::Large, InstanceType::ExtraLarge][(i % 2) as usize];
+                let id = ec2.launch(itype, SimTime(i * 1_000));
+                for _ in 0..rng.gen_range(0..3) {
+                    let victim = InstanceId(rng.gen_range(0..=id.0));
+                    let until = SimTime(i * 1_000 + rng.gen_range(0u64..9_000_000_000));
+                    if rng.gen_bool(0.1) {
+                        ec2.stop(victim, until);
+                    } else {
+                        ec2.extend(victim, until);
+                    }
+                }
+            }
+            let before = ec2.priced.get();
+            let running = ec2.total_cost(&prices);
+            let priced = ec2.priced.get() - before;
+            let summed: Money = ec2
+                .records()
+                .iter()
+                .map(|r| ec2.record_cost(r, &prices))
+                .sum();
+            assert_eq!(running, summed, "{launches} launches, {granularity:?}");
+            // Another provider's rates: priced from the records again.
+            let other = PriceTable::google_cloud_2012();
+            let summed: Money = ec2
+                .records()
+                .iter()
+                .map(|r| ec2.record_cost(r, &other))
+                .sum();
+            assert_eq!(ec2.total_cost(&other), summed);
+            priced
+        };
+        for granularity in [
+            BillingGranularity::Fractional,
+            BillingGranularity::PerStartedHour,
+        ] {
+            assert_eq!(records_priced_by_a_snapshot(10, granularity), 0);
+            assert_eq!(records_priced_by_a_snapshot(10_000, granularity), 0);
+        }
     }
 
     /// Property (issue's satellite): for any schedule of launches and

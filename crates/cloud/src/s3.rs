@@ -139,7 +139,8 @@ pub struct S3Stats {
 
 /// The simulated file store.
 pub struct S3 {
-    buckets: HashMap<String, HashMap<String, Arc<Blob>>>,
+    /// Object keys are shared: a listing hands out the store's own.
+    buckets: HashMap<String, HashMap<Arc<str>, Arc<Blob>>>,
     stats: S3Stats,
     transfer: ServiceQueue,
     faults: FaultInjector,
@@ -232,7 +233,7 @@ impl S3 {
         let b = self.buckets.get_mut(bucket).expect("checked above");
         let len = data.len() as u64;
         self.stats.bytes_in += len;
-        if let Some(old) = b.insert(key.to_string(), Arc::new(Blob::new(data))) {
+        if let Some(old) = b.insert(key.into(), Arc::new(Blob::new(data))) {
             self.stats.stored_bytes -= old.len() as u64;
         }
         self.stats.stored_bytes += len;
@@ -390,13 +391,13 @@ impl S3 {
     /// Lists the keys of a bucket, in sorted order. Billed as one get-class
     /// request (AWS prices LIST like GET). `now` stamps the request in the
     /// span recorder; the listing itself advances no virtual time.
-    pub fn list(&mut self, now: SimTime, bucket: &str) -> Result<Vec<String>, S3Error> {
+    pub fn list(&mut self, now: SimTime, bucket: &str) -> Result<Vec<Arc<str>>, S3Error> {
         let b = self
             .buckets
             .get(bucket)
             .ok_or_else(|| S3Error::NoSuchBucket(bucket.to_string()))?;
-        let mut keys: Vec<String> = b.keys().cloned().collect();
-        keys.sort();
+        let mut keys: Vec<Arc<str>> = b.keys().cloned().collect();
+        keys.sort_unstable();
         self.stats.get_requests += 1;
         let end = now + self.transfer.latency;
         self.obs
@@ -412,7 +413,7 @@ impl S3 {
             return Vec::new();
         };
         let mut objects: Vec<(String, Arc<Blob>)> =
-            b.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            b.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
         objects.sort_by(|(a, _), (b, _)| a.cmp(b));
         objects
     }
@@ -518,7 +519,10 @@ mod tests {
         s3.create_bucket("b");
         s3.put(SimTime::ZERO, "b", "z", vec![]).unwrap();
         s3.put(SimTime::ZERO, "b", "a", vec![]).unwrap();
-        assert_eq!(s3.list(SimTime::ZERO, "b").unwrap(), ["a", "z"]);
+        assert_eq!(
+            s3.list(SimTime::ZERO, "b").unwrap(),
+            ["a".into(), "z".into()]
+        );
     }
 
     #[test]

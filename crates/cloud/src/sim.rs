@@ -370,6 +370,9 @@ impl Engine {
             }
             self.adopt_pending();
         }
+        // Every actor has finished: their slots go, so an engine that runs
+        // one pool per query does not carry a slot per query ever run.
+        self.actors.clear();
         self.now
     }
 

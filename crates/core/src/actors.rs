@@ -37,7 +37,7 @@ use crate::config::{
     WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{QueryExecution, QueryPhases};
-use crate::retry::{dead_letter, until_ok, Backoff, Lease, RetryPolicy};
+use crate::retry::{dead_letter, put_object, until_ok, Backoff, Lease, RetryPolicy};
 use amada_cloud::{
     Actor, ActorTag, InstanceId, KvError, KvItem, Phase, S3Error, ServiceKind, SimDuration,
     SimTime, Span, SqsError, StepResult, World,
@@ -47,7 +47,7 @@ use amada_index::{
     store::{encode_entry_into, UuidGen},
     ExtractCache, ExtractOptions, ItemKey, MixedPlan, ScanPredicate, Strategy,
 };
-use amada_pattern::{evaluate_pattern_twig, join_pattern_results, parse_query, Query, Tuple};
+use amada_pattern::{join_pattern_results, parse_query, Query, Tuple, TwigEvaluator};
 use amada_rng::StdRng;
 use amada_xml::Document;
 use std::cell::RefCell;
@@ -860,15 +860,11 @@ impl QueryCore {
         }
         // `|op(q, D, I)|` counts billed ops, throttled retries included.
         let index_get_ops = world.kv.stats().get_ops - get_ops_before;
-        // Per pattern: the candidate documents to evaluate it on.
-        let per_pattern_uris: Vec<Vec<String>> =
-            lookup.per_pattern.into_iter().map(|o| o.uris).collect();
 
         // Phase 3: transfer candidate documents and evaluate (steps 13–14).
         // Work is accumulated serially and divided across the cores;
         // retry waits are serial work like the transfers they delay.
         let mut serial = SimDuration::ZERO;
-        let mut fetched: BTreeSet<&String> = BTreeSet::new();
         let mut per_pattern: Vec<Vec<Tuple>> = Vec::with_capacity(query.patterns.len());
         if self.strategy == Some(Strategy::LupPd) {
             // Pushdown: the post-filter runs *inside* the store. Each
@@ -876,13 +872,12 @@ impl QueryCore {
             // only the matching tuples travel back, and the instance never
             // parses or evaluates the document — that work is what the
             // per-GB scan charge buys.
-            for (p, uris) in query.patterns.iter().zip(&per_pattern_uris) {
+            for (p, candidates) in query.patterns.iter().zip(&lookup.per_pattern) {
                 // Compiling round-trips the predicate through its wire
                 // form once per pattern, exactly what ships to the store.
                 let pred = ScanPredicate::compile(p);
                 let mut tuples = Vec::new();
-                for uri in uris {
-                    fetched.insert(uri);
+                for uri in &candidates.uris {
                     let bytes = self.read_candidate(t, &mut serial, || {
                         world.s3.scan(t, DOC_BUCKET, uri, &pred)
                     })?;
@@ -893,23 +888,33 @@ impl QueryCore {
                 per_pattern.push(tuples);
             }
         } else {
-            let mut docs: HashMap<&String, Arc<Document>> = HashMap::new();
-            for uris in &per_pattern_uris {
-                for uri in uris {
-                    if !fetched.insert(uri) {
-                        continue;
-                    }
+            // `lookup.uris` lists, in order, every document any pattern
+            // is evaluated on: each is fetched once, by the first pattern
+            // that names it.
+            let slot = |uri| {
+                lookup
+                    .uris
+                    .binary_search(uri)
+                    .expect("every candidate is listed")
+            };
+            let mut docs: Vec<Option<Arc<Document>>> = vec![None; lookup.uris.len()];
+            for uri in lookup.per_pattern.iter().flat_map(|o| &o.uris) {
+                let at = slot(uri);
+                if docs[at].is_none() {
                     let bytes =
                         self.read_candidate(t, &mut serial, || world.s3.get(t, DOC_BUCKET, uri))?;
                     serial += world.work.parse(bytes.len() as u64, self.ecu);
-                    docs.insert(uri, self.cache.parsed(uri, &bytes));
+                    docs[at] = Some(self.cache.parsed(uri, &bytes));
                 }
             }
-            for (p, uris) in query.patterns.iter().zip(&per_pattern_uris) {
+            for (p, candidates) in query.patterns.iter().zip(&lookup.per_pattern) {
+                let mut evaluator = TwigEvaluator::new(p);
                 let mut tuples = Vec::new();
-                for uri in uris {
-                    let doc = &docs[uri];
-                    let (t_p, stats) = evaluate_pattern_twig(doc, p);
+                for uri in &candidates.uris {
+                    let doc = docs[slot(uri)]
+                        .as_ref()
+                        .expect("every candidate was fetched");
+                    let (t_p, stats) = evaluator.evaluate(doc);
                     serial += world.work.eval(stats.candidates, self.ecu);
                     tuples.extend(t_p);
                 }
@@ -923,7 +928,12 @@ impl QueryCore {
         // same bytes stored in the file store and later egressed.
         let mut payload = String::new();
         for r in &results {
-            payload.push_str(&r.columns.join("\t"));
+            for (i, column) in r.columns.iter().enumerate() {
+                if i > 0 {
+                    payload.push('\t');
+                }
+                payload.push_str(column);
+            }
             payload.push('\n');
         }
         let result_bytes = payload.len() as u64;
@@ -949,13 +959,14 @@ impl QueryCore {
         // retries without bound — completing twice (via redelivery) would
         // duplicate the response, whereas extra retries only cost money.
         let result_key = format!("{name}-{msg_id}.results");
-        let payload = payload.into_bytes();
-        let t = until_ok(
+        let t = put_object(
+            &mut world.s3,
             &self.policy,
             Backoff::Jittered(&mut self.rng),
             t,
-            format_args!("result bucket exists"),
-            |t| world.s3.put(t, RESULT_BUCKET, &result_key, payload.clone()),
+            RESULT_BUCKET,
+            &result_key,
+            payload.into_bytes(),
         );
         let t = until_ok(
             &self.policy,
@@ -982,7 +993,7 @@ impl QueryCore {
             response_time: t_done - t0,
             phases,
             docs_from_index,
-            docs_fetched: fetched.len(),
+            docs_fetched: lookup.uris.len(),
             docs_with_results: docs_with_results.len(),
             result_bytes,
             results,
@@ -1046,7 +1057,7 @@ impl Actor for QueryCore {
         }
         self.processed += 1;
         let mut lease = Lease::new(QUERY_QUEUE, msg.id, self.visibility, now);
-        match self.process(msg.id, &msg.body.clone(), t, world, &mut lease) {
+        match self.process(msg.id, &msg.body, t, world, &mut lease) {
             Ok(t_done) => {
                 world.ec2.extend(self.instance, t_done);
                 StepResult::NextAt(t_done)

@@ -58,6 +58,7 @@ use amada_xml::{Document, XmlError};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Stated relative tolerance of the micro-execution estimates against a
 /// measured deployment: build-phase, per-run and maintenance costs each
@@ -271,7 +272,7 @@ struct PartitionBuild {
 /// [`amada_index::lookup_mixed`] merges per partition when it fans a
 /// pattern out.
 struct PatternLookup {
-    uris: Vec<String>,
+    uris: Vec<Arc<str>>,
     entries_processed: u64,
     get_ops: u64,
     latency: SimDuration,
@@ -583,7 +584,7 @@ impl<'a> Scenario<'a> {
                     slowest = slowest.max(o.latency);
                     get_ops += o.get_ops;
                     entries_processed += o.entries_processed;
-                    uris.extend(o.uris.iter().map(String::as_str));
+                    uris.extend(o.uris.iter().map(|u| &**u));
                 }
                 lookup_get += slowest;
                 per_pattern_uris.push(uris);

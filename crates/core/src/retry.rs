@@ -219,23 +219,25 @@ pub fn dead_letter(
     )
 }
 
-/// Front-end object upload. Keeps a retry copy of the payload only when
-/// the store can actually throttle.
-pub fn frontend_put_object(
+/// Object upload, by the front end or as a module's commit: retried
+/// until it succeeds. Keeps a retry copy of the payload only when the
+/// store can actually throttle.
+pub fn put_object(
     s3: &mut S3,
     policy: &RetryPolicy,
+    backoff: Backoff<'_>,
     now: SimTime,
     bucket: &str,
     key: &str,
     body: Vec<u8>,
 ) -> SimTime {
-    let what = format_args!("front-end put of {bucket}/{key}");
+    let what = format_args!("put of {bucket}/{key}");
     if !s3.faults_active() {
         return s3
             .put(now, bucket, key, body)
             .unwrap_or_else(|e| panic!("{what}: {e}"));
     }
-    until_ok(policy, Backoff::Linear, now, what, |t| {
+    until_ok(policy, backoff, now, what, |t| {
         s3.put(t, bucket, key, body.clone())
     })
 }

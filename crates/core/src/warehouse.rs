@@ -11,7 +11,7 @@ use crate::config::{
     QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{CostedQuery, IndexBuildReport, QueryExecution, WorkloadReport};
-use crate::retry::{frontend_put_object, until_ok, Backoff};
+use crate::retry::{put_object, until_ok, Backoff};
 use amada_cloud::{
     Actor, ActorTag, Blob, CostReport, CostSnapshot, Engine, InstanceId, Money, Phase, ServiceKind,
     SimDuration, SimTime, Span, StorageCost, World,
@@ -21,7 +21,7 @@ use amada_index::{
     PrewarmReport, Strategy,
 };
 use amada_pattern::Query;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
@@ -56,6 +56,14 @@ pub struct Warehouse {
     /// second message or a second key sweep — which makes re-planning a
     /// churning partition nearly free when timed with its churn.
     pending_load: BTreeSet<String>,
+    /// Read-path state kept from one query to the next and dropped by
+    /// [`Warehouse::corpus_changed`]: the partition catalog…
+    catalog: OnceCell<Rc<BTreeSet<String>>>,
+    /// …and whether the parse cache has been probed for every stored
+    /// document. The flag only spares the probe pass: a query core parses
+    /// whatever the cache no longer holds, so a neighbour evicting an
+    /// entry costs host time, never an answer.
+    parses_warm: bool,
 }
 
 /// Outcome of one [`Warehouse::readvise`] cadence step.
@@ -183,7 +191,16 @@ impl Warehouse {
             plan,
             advise_span_base: 0,
             pending_load: BTreeSet::new(),
+            catalog: OnceCell::new(),
+            parses_warm: false,
         }
+    }
+
+    /// Drops the state the read path derived from the stored documents and
+    /// their routing: called by upload, delete and plan switch.
+    fn corpus_changed(&mut self) {
+        self.catalog.take();
+        self.parses_warm = false;
     }
 
     /// The configuration in force.
@@ -242,12 +259,11 @@ impl Warehouse {
     /// this instead of paying the billed per-query corpus LIST. Public
     /// for tests that hand-build query processors.
     pub fn partition_catalog(&self) -> Rc<BTreeSet<String>> {
-        Rc::new(
-            self.doc_uris
-                .iter()
-                .map(|u| self.plan.partition_of(u).to_string())
-                .collect(),
-        )
+        let catalog = self.catalog.get_or_init(|| {
+            let partitions = self.doc_uris.iter().map(|u| self.plan.partition_of(u));
+            Rc::new(partitions.map(String::from).collect())
+        });
+        catalog.clone()
     }
 
     /// Tags the front end's next requests: the spans they record carry
@@ -284,6 +300,7 @@ impl Warehouse {
         I: IntoIterator<Item = (S, S)>,
         S: Into<String>,
     {
+        self.corpus_changed();
         let before = self.engine.world.snapshot();
         let mut t = self.engine.now();
         let mut n = 0u64;
@@ -305,9 +322,10 @@ impl Warehouse {
                     self.retract_later(&uri, self.item_keys_under(&self.plan, &uri, old));
                 }
             }
-            t = frontend_put_object(
+            t = put_object(
                 &mut self.engine.world.s3,
                 &self.cfg.retry,
+                Backoff::Linear,
                 t,
                 DOC_BUCKET,
                 &uri,
@@ -379,13 +397,14 @@ impl Warehouse {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
+        self.corpus_changed();
         let before = self.engine.world.snapshot();
         let mut t = self.engine.now();
-        let mut n = 0u64;
         let mut bytes = 0u64;
         let mut removed = 0u64;
+        let mut gone: BTreeSet<String> = BTreeSet::new();
         for uri in uris {
-            let uri = uri.into();
+            let uri: String = uri.into();
             self.tag_frontend(Phase::Upload, None, Some(&uri));
             // Everything any version of this document may still hold in
             // the index: pending retractions from earlier replaces, plus
@@ -399,8 +418,6 @@ impl Warehouse {
                 keys.extend(self.item_keys_under(&self.plan, &uri, &old));
                 bytes += old.len() as u64;
                 self.corpus_bytes -= old.len() as u64;
-                self.doc_uris.retain(|u| u != &uri);
-                n += 1;
                 t = until_ok(
                     &self.cfg.retry,
                     Backoff::Linear,
@@ -408,6 +425,7 @@ impl Warehouse {
                     format_args!("front-end delete of {DOC_BUCKET}/{uri}"),
                     |t| self.engine.world.s3.delete(t, DOC_BUCKET, &uri),
                 );
+                gone.insert(uri);
             }
             removed += keys.len() as u64;
             let limit = self.engine.world.kv.profile().batch_put_limit;
@@ -425,8 +443,10 @@ impl Warehouse {
             }
         }
         self.engine.world.obs.with_ctx(|c| *c = Default::default());
+        // One pass over the listing however many documents went.
+        self.doc_uris.retain(|u| !gone.contains(u));
         DeleteReport {
-            documents: n,
+            documents: gone.len() as u64,
             bytes,
             index_items_removed: removed,
             cost: self.engine.world.cost_since(&before).total(),
@@ -503,6 +523,7 @@ impl Warehouse {
         }
         self.cfg.mixed_plan = new_plan;
         self.plan = new;
+        self.corpus_changed();
         migrated
     }
 
@@ -888,11 +909,12 @@ impl Warehouse {
         timed: bool,
         plan: Rc<MixedPlan>,
     ) -> WorkloadReport {
-        if self.cfg.host.prewarm {
+        if self.cfg.host.prewarm && !self.parses_warm {
             // Queries parse candidate documents; after an indexed build
             // these are already cached, and the no-index baseline (which
             // fetches the whole corpus) benefits the most.
             self.prewarm_parses();
+            self.parses_warm = true;
         }
         let before = self.engine.world.snapshot();
         let start = self.engine.now();

@@ -348,7 +348,16 @@ pub struct BlockCursor<'a> {
     pos: usize,
 }
 
-impl BlockCursor<'_> {
+impl<'a> BlockCursor<'a> {
+    /// Points the cursor at the first ID of another list, keeping its
+    /// decode buffer: a look-up walks one set of cursors over every
+    /// candidate document.
+    pub fn open(&mut self, list: &'a BlockList) {
+        self.list = list;
+        self.block = 0;
+        self.load_block();
+    }
+
     /// The ID under the cursor, or `None` when exhausted.
     #[inline]
     pub fn peek(&self) -> Option<StructuralId> {
@@ -402,10 +411,15 @@ impl BlockCursor<'_> {
         self.pos = 0;
     }
 
-    /// Rewinds to the first ID.
+    /// Rewinds to the first ID. The first block is decoded again only if
+    /// the cursor has left it.
     pub fn reset(&mut self) {
-        self.block = 0;
-        self.load_block();
+        if self.block == 0 {
+            self.pos = 0;
+        } else {
+            self.block = 0;
+            self.load_block();
+        }
     }
 
     /// Decodes the block at `self.block` into `buf` (empty if exhausted).

@@ -18,23 +18,25 @@
 //! Value joins are handled per tree pattern: each pattern is looked up
 //! independently and evaluated independently; the join runs on the tuple
 //! results (Section 5.5).
+//!
+//! URIs are the `Arc<str>` the fetched items already hold, from
+//! `batch_get` to the [`LookupOutcome`]: candidate sets are ascending
+//! vectors of them, intersected by merging.
 
 use crate::codec::{BlockCursor, BlockList};
 use crate::key;
 use crate::store::{decode_id_postings, decode_path_lists, decode_presence_uris};
 use crate::strategy::{ExtractOptions, Strategy, TABLE_ID, TABLE_MAIN, TABLE_PATH};
 use amada_cloud::{KvError, KvItem, KvStore, SimTime};
-use amada_pattern::twig::{twig_streams_have_match, TwigShape};
-use amada_pattern::{Axis, Predicate, Query, TreePattern, TwigStream};
+use amada_pattern::{Axis, Predicate, Query, TreePattern, TwigJoin, TwigShape, TwigStream};
 use amada_xml::{tokenize, StructuralId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// The result of looking up one tree pattern.
 #[derive(Debug, Clone, Default)]
 pub struct LookupOutcome {
     /// Candidate document URIs, sorted.
-    pub uris: Vec<String>,
+    pub uris: Vec<Arc<str>>,
     /// Index entries (URIs, paths or IDs) processed by the look-up plan —
     /// the work metric for the "plan execution" phase of Figure 9b/9c.
     pub entries_processed: u64,
@@ -50,7 +52,7 @@ pub struct QueryLookup {
     /// Per-pattern outcomes, in pattern order.
     pub per_pattern: Vec<LookupOutcome>,
     /// Union of candidate URIs across patterns, sorted and deduplicated.
-    pub uris: Vec<String>,
+    pub uris: Vec<Arc<str>>,
     /// Sum of per-pattern candidate counts — the paper's Table 5 counts
     /// ("for queries featuring value joins, Table 5 sums the numbers of
     /// document IDs retrieved for each tree pattern").
@@ -58,6 +60,23 @@ pub struct QueryLookup {
 }
 
 impl QueryLookup {
+    /// The look-up of a query whose patterns had these outcomes.
+    pub fn of(per_pattern: Vec<LookupOutcome>) -> QueryLookup {
+        let mut uris: Vec<Arc<str>> = per_pattern
+            .iter()
+            .flat_map(|o| o.uris.iter().cloned())
+            .collect();
+        // One pattern's candidates are already in order: a linear pass.
+        uris.sort_unstable();
+        uris.dedup();
+        let total_doc_ids = per_pattern.iter().map(|o| o.uris.len()).sum();
+        QueryLookup {
+            per_pattern,
+            uris,
+            total_doc_ids,
+        }
+    }
+
     /// Total entries processed across patterns.
     pub fn entries_processed(&self) -> u64 {
         self.per_pattern.iter().map(|p| p.entries_processed).sum()
@@ -93,18 +112,7 @@ pub fn lookup_query(
         t = outcome.ready_at;
         per_pattern.push(outcome);
     }
-    let mut uris: Vec<String> = per_pattern
-        .iter()
-        .flat_map(|o| o.uris.iter().cloned())
-        .collect();
-    uris.sort();
-    uris.dedup();
-    let total = per_pattern.iter().map(|o| o.uris.len()).sum();
-    Ok(QueryLookup {
-        per_pattern,
-        uris,
-        total_doc_ids: total,
-    })
+    Ok(QueryLookup::of(per_pattern))
 }
 
 /// The physical tables a strategy's look-up reads. Defaults to the
@@ -171,9 +179,8 @@ pub fn lookup_pattern_in(
             if r1.uris.is_empty() {
                 return Ok(r1);
             }
-            let reduce: BTreeSet<String> = r1.uris.iter().cloned().collect();
             // Phase 2: ID twig join reduced to R1.
-            let mut r2 = lookup_lui(store, r1.ready_at, opts, pattern, tables.id, Some(&reduce))?;
+            let mut r2 = lookup_lui(store, r1.ready_at, opts, pattern, tables.id, Some(&r1.uris))?;
             r2.entries_processed += r1.entries_processed;
             r2.get_ops += r1.get_ops;
             Ok(r2)
@@ -236,36 +243,93 @@ pub fn pattern_keys(pattern: &TreePattern, opts: ExtractOptions) -> Vec<NodeKeys
 // Shared fetching
 // ---------------------------------------------------------------------------
 
-/// Items grouped per hash key, the completion time, and the billed gets.
-type Fetched = (HashMap<Arc<str>, Vec<KvItem>>, SimTime, u64);
+/// What [`fetch_keys`] fetched.
+struct Fetched {
+    /// The distinct keys asked for, ascending.
+    keys: Vec<String>,
+    /// Their items: each key's one run, keys ascending.
+    items: Vec<KvItem>,
+    /// When the last response arrived.
+    ready_at: SimTime,
+    /// Billed get operations.
+    get_ops: u64,
+}
 
-/// Fetches all `keys` (deduplicated) with batch gets, returning items
-/// grouped per key and the completion time.
+impl Fetched {
+    /// The items under `key`.
+    fn of(&self, key: &str) -> &[KvItem] {
+        let rest = &self.items[self.items.partition_point(|i| &*i.hash_key < key)..];
+        &rest[..rest.partition_point(|i| &*i.hash_key == key)]
+    }
+
+    /// Position of `key` among the distinct keys.
+    fn position(&self, key: &str) -> usize {
+        let at = self.keys.binary_search_by(|k| k.as_str().cmp(key));
+        at.expect("every look-up key was fetched")
+    }
+
+    /// The outcome of the look-up these fetches served.
+    fn outcome(self, uris: Vec<Arc<str>>, entries_processed: u64) -> LookupOutcome {
+        LookupOutcome {
+            uris,
+            entries_processed,
+            get_ops: self.get_ops,
+            ready_at: self.ready_at,
+        }
+    }
+}
+
+/// Fetches all `keys` (deduplicated) with batch gets.
 fn fetch_keys(
     store: &mut dyn KvStore,
     now: SimTime,
     table: &str,
-    keys: &[String],
+    mut keys: Vec<String>,
 ) -> Result<Fetched, KvError> {
-    let mut unique: Vec<String> = keys.to_vec();
-    unique.sort();
-    unique.dedup();
+    keys.sort_unstable();
+    keys.dedup();
     let limit = store.profile().batch_get_limit.max(1);
-    let mut by_key: HashMap<Arc<str>, Vec<KvItem>> = HashMap::new();
+    let mut items: Vec<KvItem> = Vec::new();
     let mut t = now;
     let ops_before = store.stats().get_ops;
-    for chunk in unique.chunks(limit) {
-        let (items, ready) = store.batch_get(t, table, chunk)?;
+    for chunk in keys.chunks(limit) {
+        // A batch get answers key by key, in the order asked.
+        let (batch, ready) = store.batch_get(t, table, chunk)?;
         t = ready;
-        for item in items {
-            by_key.entry(item.hash_key.clone()).or_default().push(item);
+        if items.is_empty() {
+            items = batch;
+        } else {
+            items.extend(batch);
         }
     }
+    debug_assert!(items.is_sorted_by(|a, b| a.hash_key <= b.hash_key));
     // Billed get operations, as the backend itself accounts them (capacity
     // units on DynamoDB, key look-ups on SimpleDB) — the cost model's
     // `|op(q, D, I)|`.
-    let ops = store.stats().get_ops - ops_before;
-    Ok((by_key, t, ops))
+    let get_ops = store.stats().get_ops - ops_before;
+    Ok(Fetched {
+        keys,
+        items,
+        ready_at: t,
+        get_ops,
+    })
+}
+
+/// Narrows `result` (`None`: every document) to the URIs `next` lists too,
+/// by merging — both are ascending. True when no document is left.
+fn narrow<'a>(
+    result: &mut Option<Vec<Arc<str>>>,
+    next: impl Iterator<Item = &'a Arc<str>>,
+) -> bool {
+    let mut next = next.peekable();
+    match result {
+        None => *result = Some(next.cloned().collect()),
+        Some(kept) => kept.retain(|uri| {
+            while next.next_if(|o| *o < uri).is_some() {}
+            next.peek().is_some_and(|o| *o == uri)
+        }),
+    }
+    result.as_ref().is_some_and(Vec::is_empty)
 }
 
 // ---------------------------------------------------------------------------
@@ -279,37 +343,21 @@ fn lookup_lu(
     pattern: &TreePattern,
     table: &str,
 ) -> Result<LookupOutcome, KvError> {
-    let node_keys = pattern_keys(pattern, opts);
-    let keys: Vec<String> = node_keys
-        .iter()
-        .flat_map(|nk| std::iter::once(nk.main_key.clone()).chain(nk.word_keys.iter().cloned()))
+    let keys: Vec<String> = pattern_keys(pattern, opts)
+        .into_iter()
+        .flat_map(|nk| std::iter::once(nk.main_key).chain(nk.word_keys))
         .collect();
-    let (by_key, ready_at, get_ops) = fetch_keys(store, now, table, &keys)?;
+    let fetched = fetch_keys(store, now, table, keys)?;
     let mut entries = 0u64;
-    let mut result: Option<BTreeSet<String>> = None;
-    let mut sorted_keys: Vec<&String> = keys.iter().collect();
-    sorted_keys.sort();
-    sorted_keys.dedup();
-    for k in sorted_keys {
-        let uris: BTreeSet<String> = by_key
-            .get(k.as_str())
-            .map(|items| decode_presence_uris(items).into_iter().collect())
-            .unwrap_or_default();
+    let mut result: Option<Vec<Arc<str>>> = None;
+    for key in &fetched.keys {
+        let uris = decode_presence_uris(fetched.of(key));
         entries += uris.len() as u64;
-        result = Some(match result {
-            None => uris,
-            Some(prev) => prev.intersection(&uris).cloned().collect(),
-        });
-        if result.as_ref().is_some_and(BTreeSet::is_empty) {
+        if narrow(&mut result, uris.iter()) {
             break;
         }
     }
-    Ok(LookupOutcome {
-        uris: result.unwrap_or_default().into_iter().collect(),
-        entries_processed: entries,
-        get_ops,
-        ready_at,
-    })
+    Ok(fetched.outcome(result.unwrap_or_default(), entries))
 }
 
 // ---------------------------------------------------------------------------
@@ -374,44 +422,39 @@ pub fn query_paths(pattern: &TreePattern, opts: ExtractOptions) -> Vec<QueryPath
 /// anchored: the last query step must map to the last data component, and
 /// a leading `/` step must map to the first.
 pub fn data_path_matches(query: &[(Axis, String)], data: &str) -> bool {
-    let comps: Vec<&str> = data.split('/').filter(|c| !c.is_empty()).collect();
-    // Memoized over `(qi, ci)`: without it, adversarial descendant chains
-    // (`//a//a//a…` against `/a/a/…/b`) backtrack exponentially, since the
-    // same suffix pair is re-explored once per way of reaching it.
-    const UNKNOWN: u8 = 0;
-    const NO: u8 = 1;
-    const YES: u8 = 2;
-    let mut memo = vec![UNKNOWN; (query.len() + 1) * (comps.len() + 1)];
-    fn rec(
-        query: &[(Axis, String)],
-        comps: &[&str],
-        qi: usize,
-        ci: usize,
-        memo: &mut [u8],
-    ) -> bool {
-        let slot = qi * (comps.len() + 1) + ci;
-        match memo[slot] {
-            NO => return false,
-            YES => return true,
-            _ => {}
-        }
-        let matched = if qi == query.len() {
-            ci == comps.len()
-        } else {
-            let (axis, ref k) = query[qi];
-            match axis {
-                Axis::Child => {
-                    comps.get(ci) == Some(&k.as_str()) && rec(query, comps, qi + 1, ci + 1, memo)
-                }
-                Axis::Descendant => (ci..comps.len())
-                    .any(|j| comps[j] == k.as_str() && rec(query, comps, qi + 1, j + 1, memo)),
+    path_matches(query, data, &mut Vec::new())
+}
+
+/// [`data_path_matches`], in a scratch vector the caller keeps across data
+/// paths. The query path is a chain automaton — state `s` means "the first
+/// `s` steps are matched" — run over the data path's components with the
+/// set of live states in `live`: linear in steps × components whatever the
+/// path (adversarial descendant chains, `//a//a//a…` against `/a/a/…/b`,
+/// make a backtracking matcher exponential).
+fn path_matches(query: &[(Axis, String)], data: &str, live: &mut Vec<bool>) -> bool {
+    let steps = query.len();
+    live.clear();
+    live.resize(steps + 1, false);
+    live[0] = true;
+    for comp in data.split('/').filter(|c| !c.is_empty()) {
+        // The final state has no step left to consume a component.
+        live[steps] = false;
+        // Downwards, so a state's survival is settled before the state
+        // below advances into it.
+        for s in (0..steps).rev() {
+            if !live[s] {
+                continue;
             }
-        };
-        memo[slot] = if matched { YES } else { NO };
-        matched
+            let (axis, key) = &query[s];
+            // A `//` step may let the component pass; a `/` step must
+            // take it.
+            live[s] = *axis == Axis::Descendant;
+            if key == comp {
+                live[s + 1] = true;
+            }
+        }
     }
-    // The final component must be consumed exactly; `rec` enforces both.
-    rec(query, &comps, 0, 0, &mut memo)
+    live[steps]
 }
 
 fn lookup_lup(
@@ -422,49 +465,36 @@ fn lookup_lup(
     table: &str,
 ) -> Result<LookupOutcome, KvError> {
     let paths = query_paths(pattern, opts);
-    let terminal_keys: Vec<String> = paths
-        .iter()
-        .map(|p| p.last().expect("non-empty").1.clone())
-        .collect();
-    let (by_key, ready_at, get_ops) = fetch_keys(store, now, table, &terminal_keys)?;
+    fn terminal(qp: &QueryPath) -> &str {
+        &qp.last().expect("non-empty").1
+    }
+    let terminals: Vec<String> = paths.iter().map(|qp| terminal(qp).to_string()).collect();
+    let fetched = fetch_keys(store, now, table, terminals)?;
     let profile = store.profile();
     // Decode each distinct terminal key once; several query paths may share
     // a terminal (e.g. two branches ending in the same label).
-    let mut decoded: HashMap<&String, BTreeMap<String, Vec<String>>> = HashMap::new();
-    let mut entries = 0u64;
-    for terminal in paths.iter().map(|qp| &qp.last().expect("non-empty").1) {
-        if !decoded.contains_key(terminal) {
-            let map = by_key
-                .get(terminal.as_str())
-                .map(|items| decode_path_lists(items, &profile))
-                .unwrap_or_default();
-            entries += map.values().map(|v| v.len() as u64).sum::<u64>();
-            decoded.insert(terminal, map);
-        }
-    }
-    let mut result: Option<BTreeSet<String>> = None;
+    let decoded: Vec<_> = fetched
+        .keys
+        .iter()
+        .map(|k| decode_path_lists(fetched.of(k), &profile))
+        .collect();
+    let entries = decoded
+        .iter()
+        .flat_map(|lists| lists.values())
+        .map(|paths| paths.len() as u64)
+        .sum();
+    let mut result: Option<Vec<Arc<str>>> = None;
+    let mut live = Vec::new();
     for qp in &paths {
-        let terminal = &qp.last().expect("non-empty").1;
-        let mut uris = BTreeSet::new();
-        for (uri, data_paths) in &decoded[terminal] {
-            if data_paths.iter().any(|dp| data_path_matches(qp, dp)) {
-                uris.insert(uri.clone());
-            }
-        }
-        result = Some(match result {
-            None => uris,
-            Some(prev) => prev.intersection(&uris).cloned().collect(),
-        });
-        if result.as_ref().is_some_and(BTreeSet::is_empty) {
+        let matching = decoded[fetched.position(terminal(qp))]
+            .iter()
+            .filter(|(_, data)| data.iter().any(|dp| path_matches(qp, dp, &mut live)))
+            .map(|(uri, _)| uri);
+        if narrow(&mut result, matching) {
             break;
         }
     }
-    Ok(LookupOutcome {
-        uris: result.unwrap_or_default().into_iter().collect(),
-        entries_processed: entries,
-        get_ops,
-        ready_at,
-    })
+    Ok(fetched.outcome(result.unwrap_or_default(), entries))
 }
 
 // ---------------------------------------------------------------------------
@@ -477,14 +507,14 @@ fn lookup_lui(
     opts: ExtractOptions,
     pattern: &TreePattern,
     table: &str,
-    reduce_to: Option<&BTreeSet<String>>,
+    reduce_to: Option<&[Arc<str>]>,
 ) -> Result<LookupOutcome, KvError> {
     let node_keys = pattern_keys(pattern, opts);
     // The twig run over index streams: base pattern nodes plus one extra
     // child node per predicate word (its stream is the word key's IDs).
     let mut shape = TwigShape::from_pattern(pattern);
     // stream_keys[i] = the key feeding twig node i.
-    let mut stream_keys: Vec<String> = node_keys.iter().map(|nk| nk.main_key.clone()).collect();
+    let mut stream_keys: Vec<&str> = node_keys.iter().map(|nk| &*nk.main_key).collect();
     for nk in &node_keys {
         for w in &nk.word_keys {
             let idx = shape.parent.len();
@@ -496,70 +526,61 @@ fn lookup_lui(
             shape.axis.push(Axis::Descendant);
             shape.children.push(Vec::new());
             shape.children[nk.node].push(idx);
-            stream_keys.push(w.clone());
+            stream_keys.push(w);
         }
     }
-    let (by_key, ready_at, get_ops) = fetch_keys(store, now, table, &stream_keys)?;
+    let keys = stream_keys.iter().map(|k| k.to_string()).collect();
+    let fetched = fetch_keys(store, now, table, keys)?;
     let profile = store.profile();
     // Group each distinct key's wire bytes once, as `lookup_lup` does: a
     // pattern with repeated labels feeds several twig nodes from the same
     // key, and regrouping would double-count `entries_processed`. The IDs
     // stay block-compressed; only the blocks the join lands in are decoded.
-    let mut memo: HashMap<&String, BTreeMap<String, BlockList>> = HashMap::new();
-    let mut entries = 0u64;
-    for k in &stream_keys {
-        if !memo.contains_key(k) {
-            let map = by_key
-                .get(k.as_str())
-                .map(|items| decode_id_postings(items, &profile))
-                .unwrap_or_default();
-            entries += map.values().map(|v| v.len() as u64).sum::<u64>();
-            memo.insert(k, map);
-        }
-    }
-    // Per-stream view: stream i reads the postings of its key.
-    let decoded: Vec<&BTreeMap<String, BlockList>> = stream_keys.iter().map(|k| &memo[k]).collect();
-    // Candidate URIs: documents contributing IDs to *every* stream,
-    // optionally reduced by the 2LUPI semijoin set.
-    let mut candidates: Option<BTreeSet<String>> = reduce_to.cloned();
-    for map in &decoded {
-        let uris: BTreeSet<String> = map.keys().cloned().collect();
-        candidates = Some(match candidates {
-            None => uris,
-            Some(prev) => prev.intersection(&uris).cloned().collect(),
-        });
-    }
-    let candidates = candidates.unwrap_or_default();
-    // Per candidate document, run the holistic twig join on lazy cursors
-    // over its posting lists.
+    let decoded: Vec<_> = fetched
+        .keys
+        .iter()
+        .map(|k| decode_id_postings(fetched.of(k), &profile))
+        .collect();
+    let entries = decoded
+        .iter()
+        .flat_map(|lists| lists.values())
+        .map(|list| list.len() as u64)
+        .sum();
+    // One join, one cursor per stream and one walk over each stream's
+    // documents (URIs ascending) serve every candidate.
+    let mut join: TwigJoin<()> = TwigJoin::new(shape);
     let root_is_anchored = pattern.nodes[0].axis == Axis::Child;
+    let mut walks: Vec<_> = stream_keys
+        .iter()
+        .map(|k| decoded[fetched.position(k)].iter().peekable())
+        .collect();
+    let unopened = BlockList::default();
+    let mut streams: Vec<LuiStream<'_>> = (0..walks.len())
+        .map(|i| LuiStream {
+            cur: unopened.cursor(),
+            depth1_only: root_is_anchored && i == 0,
+        })
+        .collect();
+    // Candidate URIs: documents contributing IDs to *every* stream,
+    // optionally reduced by the 2LUPI semijoin set. Per candidate, run
+    // the holistic twig join on lazy cursors over its posting lists.
+    let candidates: Box<dyn Iterator<Item = &Arc<str>>> = match reduce_to {
+        Some(reduce_to) => Box::new(reduce_to.iter()),
+        None => Box::new(decoded[fetched.position(stream_keys[0])].keys()),
+    };
     let mut uris = Vec::new();
     for uri in candidates {
-        let mut streams: Vec<LuiStream<'_>> = Vec::with_capacity(stream_keys.len());
-        let mut ok = true;
-        for (i, map) in decoded.iter().enumerate() {
-            let Some(list) = map.get(&uri) else {
-                ok = false;
-                break;
-            };
-            streams.push(LuiStream {
-                cur: list.cursor(),
-                depth1_only: root_is_anchored && i == 0,
-            });
-        }
-        if !ok {
-            continue;
-        }
-        if twig_streams_have_match(&shape, &mut streams) {
-            uris.push(uri);
+        let in_every_stream = walks.iter_mut().zip(&mut streams).all(|(walk, stream)| {
+            while walk.next_if(|(u, _)| *u < uri).is_some() {}
+            walk.next_if(|(u, _)| *u == uri)
+                .map(|(_, list)| stream.cur.open(list))
+                .is_some()
+        });
+        if in_every_stream && join.join(&mut streams) > 0 {
+            uris.push(uri.clone());
         }
     }
-    Ok(LookupOutcome {
-        uris,
-        entries_processed: entries,
-        get_ops,
-        ready_at,
-    })
+    Ok(fetched.outcome(uris, entries))
 }
 
 /// [`TwigStream`] over a lazy block cursor, optionally restricted to
@@ -618,6 +639,7 @@ mod tests {
     use amada_cloud::{DynamoDb, KvStore};
     use amada_pattern::parse_pattern;
     use amada_xml::Document;
+    use std::collections::BTreeSet;
 
     fn docs() -> Vec<Document> {
         vec![
@@ -673,6 +695,9 @@ mod tests {
         )
         .unwrap()
         .uris
+        .iter()
+        .map(|u| u.to_string())
+        .collect()
     }
 
     const Q1_LIKE: &str = "//painting[/name{val}, //painter[/name{val}]]";

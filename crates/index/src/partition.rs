@@ -46,7 +46,7 @@ use amada_pattern::Query;
 use amada_xml::Document;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The partition a document belongs to: its URI's directory prefix
 /// (`hot/doc3.xml` → `hot`), or the root partition `""` for a bare name.
@@ -297,12 +297,12 @@ pub fn lookup_mixed(
     plan: &MixedPlan,
     opts: ExtractOptions,
     query: &Query,
-    corpus_uris: &[String],
+    corpus_uris: &[Arc<str>],
     catalog: &BTreeSet<String>,
 ) -> Result<QueryLookup, KvError> {
     // Partition the corpus listing once; catalog partitions exist even
     // when the listing (or their slice of it) is empty.
-    let mut by_partition: BTreeMap<&str, Vec<&String>> = BTreeMap::new();
+    let mut by_partition: BTreeMap<&str, Vec<&Arc<str>>> = BTreeMap::new();
     for partition in catalog {
         by_partition.entry(partition.as_str()).or_default();
     }
@@ -313,7 +313,7 @@ pub fn lookup_mixed(
             .push(uri);
     }
     let mut indexed: Vec<(&str, Strategy)> = Vec::new();
-    let mut scanned: Vec<String> = Vec::new();
+    let mut scanned: Vec<Arc<str>> = Vec::new();
     for (&partition, uris) in &by_partition {
         match plan.strategy_of(partition) {
             Some(s) => {
@@ -324,7 +324,7 @@ pub fn lookup_mixed(
                 }
                 indexed.push((partition, s));
             }
-            None => scanned.extend(uris.iter().map(|u| (*u).clone())),
+            None => scanned.extend(uris.iter().copied().cloned()),
         }
     }
 
@@ -354,18 +354,7 @@ pub fn lookup_mixed(
         merged.uris.dedup();
         per_pattern.push(merged);
     }
-    let mut uris: Vec<String> = per_pattern
-        .iter()
-        .flat_map(|o| o.uris.iter().cloned())
-        .collect();
-    uris.sort();
-    uris.dedup();
-    let total = per_pattern.iter().map(|o| o.uris.len()).sum();
-    Ok(QueryLookup {
-        per_pattern,
-        uris,
-        total_doc_ids: total,
-    })
+    Ok(QueryLookup::of(per_pattern))
 }
 
 #[cfg(test)]
@@ -447,7 +436,7 @@ mod tests {
         assert!(tables.contains("amada-index"), "root partition: {tables:?}");
         assert!(!tables.iter().any(|t| t.contains("@cold")), "{tables:?}");
 
-        let corpus: Vec<String> = docs.iter().map(|d| d.uri().to_string()).collect();
+        let corpus: Vec<Arc<str>> = docs.iter().map(|d| d.shared_uri().clone()).collect();
         let q = parse_query("//painting[/name{contains(Hunt)}]").unwrap();
         let lookup = lookup_mixed(
             &mut store,
@@ -466,7 +455,7 @@ mod tests {
         // word match) is pruned by the word key.
         assert_eq!(
             lookup.uris,
-            vec!["cold/c.xml", "hot/a.xml", "hot/b.xml"],
+            ["cold/c.xml".into(), "hot/a.xml".into(), "hot/b.xml".into()],
             "per-partition union"
         );
         assert!(lookup.get_ops() > 0);
@@ -488,7 +477,7 @@ mod tests {
         .collect();
         let opts = ExtractOptions::default();
         let q = parse_query("//painting[/name]").unwrap();
-        let corpus: Vec<String> = docs.iter().map(|d| d.uri().to_string()).collect();
+        let corpus: Vec<Arc<str>> = docs.iter().map(|d| d.shared_uri().clone()).collect();
 
         let plan = MixedPlan::uniform(Some(Strategy::Lu));
         let mut store = DynamoDb::default();
@@ -549,7 +538,7 @@ mod tests {
             crate::loadutil::index_documents(&mut plain, &docs, strategy, opts);
             assert_eq!(mixed.peek_all(), plain.peek_all(), "{strategy:?}");
 
-            let corpus: Vec<String> = docs.iter().map(|d| d.uri().to_string()).collect();
+            let corpus: Vec<Arc<str>> = docs.iter().map(|d| d.shared_uri().clone()).collect();
             let q = parse_query("//painting[/name]").unwrap();
             let a = lookup_mixed(
                 &mut mixed,

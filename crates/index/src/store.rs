@@ -25,6 +25,7 @@ use crate::codec::{
 use crate::strategy::{IndexEntry, Payload};
 use amada_cloud::{content_hash, KvItem, KvProfile, KvValue};
 use amada_xml::StructuralId;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -218,59 +219,72 @@ fn blob_to_string_values(blob: &[u8]) -> Vec<KvValue> {
         .collect()
 }
 
-/// Groups fetched items per document URI, with values ordered by range key
-/// (i.e. chunk sequence).
-fn group_by_uri(items: &[KvItem]) -> BTreeMap<String, Vec<(&str, &[KvValue])>> {
-    let mut by_uri: BTreeMap<String, Vec<(&str, &[KvValue])>> = BTreeMap::new();
+/// One attribute row of a fetched item: the document URI it is named
+/// after, the item's range key, the values.
+type Row<'a> = (&'a Arc<str>, &'a str, &'a [KvValue]);
+
+/// The fetched items' attribute rows, ordered by document URI and, per
+/// document, by range key (i.e. chunk sequence): each document's rows are
+/// one run of the vector, and its URI is the `Arc<str>` the items hold.
+fn rows_by_uri(items: &[KvItem]) -> Vec<Row<'_>> {
+    let mut rows: Vec<Row<'_>> = Vec::with_capacity(items.len());
     for item in items {
         for (uri, values) in item.attrs.iter() {
-            by_uri
-                .entry(uri.to_string())
-                .or_default()
-                .push((&item.range_key, values.as_slice()));
+            rows.push((uri, &item.range_key, values.as_slice()));
         }
     }
-    for chunks in by_uri.values_mut() {
-        chunks.sort_by(|a, b| a.0.cmp(b.0));
-    }
-    by_uri
+    rows.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    rows
 }
 
-/// Decodes LU presence items into the set of document URIs.
-pub fn decode_presence_uris(items: &[KvItem]) -> Vec<String> {
-    group_by_uri(items).into_keys().collect()
+/// The runs of [`rows_by_uri`]: one per document, URIs ascending.
+fn documents<'r, 'a>(rows: &'r [Row<'a>]) -> impl Iterator<Item = &'r [Row<'a>]> {
+    rows.chunk_by(|a, b| a.0 == b.0)
 }
 
-/// Decodes LUP items into per-URI path lists.
-pub fn decode_path_lists(items: &[KvItem], profile: &KvProfile) -> BTreeMap<String, Vec<String>> {
-    group_by_uri(items)
-        .into_iter()
-        .map(|(uri, chunks)| {
+/// Every value of a document's rows, in chunk order.
+fn values<'r, 'a>(rows: &'r [Row<'a>]) -> impl Iterator<Item = &'a KvValue> + 'r {
+    rows.iter().flat_map(|(_, _, vs)| vs.iter())
+}
+
+/// Decodes LU presence items into the document URIs, ascending.
+pub fn decode_presence_uris(items: &[KvItem]) -> Vec<Arc<str>> {
+    documents(&rows_by_uri(items))
+        .map(|rows| rows[0].0.clone())
+        .collect()
+}
+
+/// Decodes LUP items into per-URI path lists; a path is borrowed from
+/// its item wherever the item stores it as a value of its own.
+pub fn decode_path_lists<'a>(
+    items: &'a [KvItem],
+    profile: &KvProfile,
+) -> BTreeMap<Arc<str>, Vec<Cow<'a, str>>> {
+    documents(&rows_by_uri(items))
+        .map(|rows| {
             let is_marked_blob = matches!(
-                chunks.first().and_then(|(_, vs)| vs.first()),
+                rows[0].2.first(),
                 Some(KvValue::S(s)) if s.starts_with(BLOB_MARKER)
             );
-            let paths: Vec<String> = if profile.supports_binary && !is_marked_blob {
-                chunks
-                    .iter()
-                    .flat_map(|(_, vs)| vs.iter())
+            let paths: Vec<Cow<'a, str>> = if profile.supports_binary && !is_marked_blob {
+                values(rows)
                     .filter_map(|v| match v {
-                        KvValue::S(s) => Some(s.clone()),
+                        KvValue::S(s) => Some(Cow::Borrowed(s.as_str())),
                         KvValue::B(_) => None,
                     })
                     .collect()
             } else {
-                let blob = reassemble_blob(&chunks);
+                let blob = reassemble_blob(rows);
                 if blob.is_empty() {
                     Vec::new()
                 } else {
                     String::from_utf8_lossy(&blob)
                         .split('\n')
-                        .map(String::from)
+                        .map(|p| Cow::Owned(p.to_string()))
                         .collect()
                 }
             };
-            (uri, paths)
+            (rows[0].0.clone(), paths)
         })
         .collect()
 }
@@ -279,14 +293,11 @@ pub fn decode_path_lists(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Stri
 pub fn decode_id_lists(
     items: &[KvItem],
     profile: &KvProfile,
-) -> BTreeMap<String, Vec<StructuralId>> {
-    group_by_uri(items)
-        .into_iter()
-        .map(|(uri, chunks)| {
+) -> BTreeMap<Arc<str>, Vec<StructuralId>> {
+    documents(&rows_by_uri(items))
+        .map(|rows| {
             let ids: Vec<StructuralId> = if profile.supports_binary {
-                chunks
-                    .iter()
-                    .flat_map(|(_, vs)| vs.iter())
+                values(rows)
                     .filter_map(|v| match v {
                         KvValue::B(b) => decode_ids(b),
                         KvValue::S(_) => None,
@@ -294,9 +305,9 @@ pub fn decode_id_lists(
                     .flatten()
                     .collect()
             } else {
-                decode_ids(&reassemble_blob(&chunks)).unwrap_or_default()
+                decode_ids(&reassemble_blob(rows)).unwrap_or_default()
             };
-            (uri, ids)
+            (rows[0].0.clone(), ids)
         })
         .collect()
 }
@@ -308,34 +319,29 @@ pub fn decode_id_lists(
 /// empty list), but the IDs stay in their wire bytes behind
 /// [`BlockList`] skip metadata: the twig join decodes only the blocks it
 /// lands in.
-pub fn decode_id_postings(items: &[KvItem], profile: &KvProfile) -> BTreeMap<String, BlockList> {
-    group_by_uri(items)
-        .into_iter()
-        .map(|(uri, chunks)| {
+pub fn decode_id_postings(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Arc<str>, BlockList> {
+    documents(&rows_by_uri(items))
+        .map(|rows| {
             let list = if profile.supports_binary {
-                BlockList::from_chunks(chunks.iter().flat_map(|(_, vs)| vs.iter()).filter_map(
-                    |v| match v {
-                        KvValue::B(b) => Some(b.as_slice()),
-                        KvValue::S(_) => None,
-                    },
-                ))
+                BlockList::from_chunks(values(rows).filter_map(|v| match v {
+                    KvValue::B(b) => Some(b.as_slice()),
+                    KvValue::S(_) => None,
+                }))
             } else {
-                BlockList::from_flat(&reassemble_blob(&chunks)).unwrap_or_default()
+                BlockList::from_flat(&reassemble_blob(rows)).unwrap_or_default()
             };
-            (uri, list)
+            (rows[0].0.clone(), list)
         })
         .collect()
 }
 
 /// The blob a chunk sequence's string values spell in base64 (less the
 /// marker a binary-capable backend's first chunk carries).
-fn reassemble_blob(chunks: &[(&str, &[KvValue])]) -> Vec<u8> {
+fn reassemble_blob(rows: &[Row<'_>]) -> Vec<u8> {
     let mut b64 = String::new();
-    for (_, vs) in chunks {
-        for v in *vs {
-            if let KvValue::S(s) = v {
-                b64.push_str(s.strip_prefix(BLOB_MARKER).unwrap_or(s));
-            }
+    for v in values(rows) {
+        if let KvValue::S(s) = v {
+            b64.push_str(s.strip_prefix(BLOB_MARKER).unwrap_or(s));
         }
     }
     base64_decode(&b64).unwrap_or_default()
@@ -559,7 +565,10 @@ mod tests {
             };
             items.extend(encode_entry(&e, &dynamo_profile(), &mut uuids));
         }
-        assert_eq!(decode_presence_uris(&items), ["a.xml", "b.xml"]);
+        assert_eq!(
+            decode_presence_uris(&items),
+            ["a.xml".into(), "b.xml".into()]
+        );
     }
 
     #[test]

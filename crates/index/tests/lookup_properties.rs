@@ -132,7 +132,7 @@ fn containment_and_no_false_negatives() {
             let mut store: Box<dyn KvStore> = Box::new(DynamoDb::default());
             index_documents(store.as_mut(), &docs, s, opts);
             let out = lookup_pattern(store.as_mut(), SimTime::ZERO, s, opts, &pattern).unwrap();
-            per_strategy.push(out.uris.into_iter().collect());
+            per_strategy.push(out.uris.iter().map(|u| u.to_string()).collect());
         }
         let (lu, lup, lui, lupi) = (
             &per_strategy[0],

@@ -93,8 +93,10 @@ fn round_trips(entry: &IndexEntry, profile: &KvProfile) -> Result<(), String> {
         }
     }
     let ok = match &entry.payload {
-        Payload::Presence => decode_presence_uris(&items) == [entry.uri.to_string()],
-        Payload::Paths(paths) => decode_path_lists(&items, profile).get(&*entry.uri) == Some(paths),
+        Payload::Presence => decode_presence_uris(&items) == [entry.uri.clone()],
+        Payload::Paths(paths) => decode_path_lists(&items, profile)
+            .get(&entry.uri)
+            .is_some_and(|decoded| decoded == paths),
         Payload::Ids(ids) => decode_id_lists(&items, profile).get(&*entry.uri) == Some(ids),
     };
     if ok {
@@ -160,10 +162,10 @@ fn random_payloads_round_trip_through_real_stores() {
             }
             let (fetched, _) = store.get(SimTime::ZERO, TABLE_MAIN, &entry.key).unwrap();
             let ok = match &entry.payload {
-                Payload::Presence => decode_presence_uris(&fetched) == [entry.uri.to_string()],
-                Payload::Paths(paths) => {
-                    decode_path_lists(&fetched, &profile).get(&*entry.uri) == Some(paths)
-                }
+                Payload::Presence => decode_presence_uris(&fetched) == [entry.uri.clone()],
+                Payload::Paths(paths) => decode_path_lists(&fetched, &profile)
+                    .get(&entry.uri)
+                    .is_some_and(|decoded| decoded == paths),
                 Payload::Ids(ids) => {
                     decode_id_lists(&fetched, &profile).get(&*entry.uri) == Some(ids)
                 }

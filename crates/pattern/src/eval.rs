@@ -10,7 +10,8 @@
 
 use crate::ast::{Axis, NodeTest, Output, PatternNode, TreePattern};
 use amada_xml::{Document, NodeId};
-use std::collections::HashSet;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
 /// One result tuple of a tree pattern on one document.
@@ -140,6 +141,123 @@ fn extend(
     }
 }
 
+/// Keeps the first occurrence of each item of a sequence, told only the
+/// items' hashes: no item is copied to be remembered.
+#[derive(Debug, Default)]
+pub(crate) struct FirstSeen {
+    /// Hash → the last kept item with it…
+    last: HashMap<u64, u32>,
+    /// …and per kept item, the kept item before it with the same hash.
+    chain: Vec<Option<u32>>,
+}
+
+impl FirstSeen {
+    pub(crate) fn clear(&mut self) {
+        self.last.clear();
+        self.chain.clear();
+    }
+
+    /// Keeps the item hashing to `hash` — as number `kept so far` — unless
+    /// it is the `same` as an earlier kept one; says whether it was kept.
+    pub(crate) fn insert(&mut self, hash: u64, same: impl Fn(usize) -> bool) -> bool {
+        let mut at = self.last.get(&hash).copied();
+        while let Some(i) = at {
+            if same(i as usize) {
+                return false;
+            }
+            at = self.chain[i as usize];
+        }
+        let before = self.last.insert(hash, self.chain.len() as u32);
+        self.chain.push(before);
+        true
+    }
+}
+
+/// The output side of a pattern, prepared once: which pattern node and
+/// annotation feeds each result column, plus the scratch a projection
+/// reuses from one embedding (and one document) to the next. A value is
+/// written into the scratch first and copied into a tuple cell only when
+/// its tuple turns out to be new.
+#[derive(Debug)]
+pub(crate) struct Materializer<'p> {
+    /// One `(pattern node, annotation)` per result column (preorder of
+    /// pattern nodes; annotation order within a node).
+    columns: Vec<(usize, &'p Output)>,
+    /// The tuple being built: its column values back to back…
+    text: String,
+    /// …and where each one ends.
+    ends: Vec<usize>,
+    hasher: RandomState,
+    seen: FirstSeen,
+}
+
+impl<'p> Materializer<'p> {
+    pub(crate) fn new(pattern: &'p TreePattern) -> Materializer<'p> {
+        let nodes = pattern.nodes.iter().enumerate();
+        Materializer {
+            columns: nodes
+                .flat_map(|(i, n)| n.outputs.iter().map(move |o| (i, o)))
+                .collect(),
+            text: String::new(),
+            ends: Vec::new(),
+            hasher: RandomState::new(),
+            seen: FirstSeen::default(),
+        }
+    }
+
+    /// Projects the embeddings of one document (each a map from pattern
+    /// node to document node) onto the annotated nodes, materializes
+    /// column values and join keys, and keeps the first occurrence of
+    /// each tuple, in order.
+    pub(crate) fn run<E: Fn(usize) -> NodeId>(
+        &mut self,
+        doc: &Document,
+        embeddings: impl Iterator<Item = E>,
+    ) -> Vec<Tuple> {
+        self.seen.clear();
+        let mut out: Vec<Tuple> = Vec::new();
+        for emb in embeddings {
+            self.text.clear();
+            self.ends.clear();
+            for &(node, output) in &self.columns {
+                match output {
+                    Output::Val { .. } => doc.push_string_value(emb(node), &mut self.text),
+                    Output::Cont => doc.push_subtree(emb(node), &mut self.text),
+                }
+                self.ends.push(self.text.len());
+            }
+            // The scratch split at `ends`: the tuple's columns.
+            let (text, ends) = (&self.text, &self.ends);
+            let start = |c: usize| c.checked_sub(1).map_or(0, |before| ends[before]);
+            let cells = (0..ends.len()).map(|c| &text[start(c)..ends[c]]);
+            // Equal columns imply equal join keys: a key is a copy of its
+            // column.
+            let hash = self.hasher.hash_one((&self.text, &self.ends));
+            if !self
+                .seen
+                .insert(hash, |i| cells.clone().eq(&out[i].columns))
+            {
+                continue;
+            }
+            let mut joins = Vec::new();
+            for (&(_, output), cell) in self.columns.iter().zip(cells.clone()) {
+                if let Output::Val {
+                    join_var: Some(var),
+                } = output
+                {
+                    joins.push((var.clone(), cell.to_string()));
+                }
+            }
+            out.push(Tuple {
+                uri: doc.shared_uri().clone(),
+                columns: cells.map(String::from).collect(),
+                joins,
+            });
+        }
+        out
+    }
+}
+
 /// Projects embeddings onto annotated nodes, materializes column values and
 /// join keys, and deduplicates.
 pub fn materialize(
@@ -147,36 +265,7 @@ pub fn materialize(
     pattern: &TreePattern,
     embeddings: &[Vec<NodeId>],
 ) -> Vec<Tuple> {
-    let uri: Arc<str> = doc.uri().into();
-    let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    for emb in embeddings {
-        let mut columns = Vec::with_capacity(pattern.arity());
-        let mut joins = Vec::new();
-        for (i, n) in pattern.nodes.iter().enumerate() {
-            for o in &n.outputs {
-                match o {
-                    Output::Val { join_var } => {
-                        let v = node_value(doc, emb[i]);
-                        if let Some(var) = join_var {
-                            joins.push((var.clone(), v.clone()));
-                        }
-                        columns.push(v);
-                    }
-                    Output::Cont => columns.push(doc.serialize_subtree(emb[i])),
-                }
-            }
-        }
-        let t = Tuple {
-            uri: uri.clone(),
-            columns,
-            joins,
-        };
-        if seen.insert((t.columns.clone(), t.joins.clone())) {
-            out.push(t);
-        }
-    }
-    out
+    Materializer::new(pattern).run(doc, embeddings.iter().map(|emb| move |i: usize| emb[i]))
 }
 
 /// Evaluates a pattern on a document with the naive evaluator.

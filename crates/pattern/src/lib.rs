@@ -15,7 +15,8 @@
 //!   gallops over (exponential probe + binary search);
 //! * [`twig`] — the holistic twig join over *(pre, post, depth)* streams
 //!   (PathStack + path-solution merging), generic over stream payloads so
-//!   the index look-up layer can run it on bare ID lists;
+//!   the index look-up layer can run it on bare ID lists, and built once
+//!   per pattern ([`TwigEvaluator`]) to be run on every candidate document;
 //! * [`valuejoin`] — joining per-pattern tuple sets into query results.
 //!
 //! ## Example
@@ -49,10 +50,7 @@ pub use eval::{naive_matches, EvalStats, Tuple};
 pub use parser::{parse_pattern, parse_pattern_component, parse_query, ParseError};
 pub use stream::{SliceStream, TwigStream};
 pub use structural::{semijoin_descendants, structural_join};
-pub use twig::{
-    evaluate_pattern_twig, holistic_twig_join, holistic_twig_join_streams, twig_has_match,
-    twig_streams_have_match, TwigShape,
-};
+pub use twig::{evaluate_pattern_twig, TwigEvaluator, TwigJoin, TwigShape};
 pub use valuejoin::{join_pattern_results, JoinedTuple};
 pub use xquery::parse_xquery;
 
@@ -73,9 +71,10 @@ pub fn evaluate_query_on_documents<'a>(
         .patterns
         .iter()
         .map(|p| {
+            let mut evaluator = TwigEvaluator::new(p);
             let mut tuples = Vec::new();
             for d in docs.clone() {
-                let (t, s) = evaluate_pattern_twig(d, p);
+                let (t, s) = evaluator.evaluate(d);
                 stats.merge(s);
                 tuples.extend(t);
             }

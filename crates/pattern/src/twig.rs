@@ -15,17 +15,21 @@
 //! * index-lookup document selection uses `T = ()` (only existence and the
 //!   IDs themselves matter).
 //!
+//! A query runs the same twig over many documents, so the join is a value
+//! built once per shape ([`TwigJoin`]; [`TwigEvaluator`] adds a pattern's
+//! streams and output plan) whose paths, stacks, path solutions and merged
+//! assignments are flat buffers reused from one document to the next.
+//!
 //! Parent–child edges are handled by relaxing them to ancestor–descendant
 //! during stack construction and filtering on `depth` at solution-expansion
 //! time; this enumerates a superset of chains and keeps exactly the valid
 //! ones, which is correct (if not always optimal — the same trade-off the
 //! original paper makes for child axes).
 
-use crate::ast::{Axis, TreePattern};
-use crate::eval::{candidates, materialize, EvalStats, Tuple};
+use crate::ast::{Axis, NodeTest, PatternNode, TreePattern};
+use crate::eval::{EvalStats, Materializer, Tuple};
 use crate::stream::{SliceStream, TwigStream};
 use amada_xml::{Document, NodeId, StructuralId};
-use std::collections::HashMap;
 
 /// The shape of a twig: a rooted tree of query nodes with edge axes.
 /// Node 0 is the root; `parent[0]` is `None`.
@@ -83,343 +87,377 @@ impl TwigShape {
     }
 }
 
-/// A full twig match: one `(StructuralId, T)` per query node, indexed like
-/// the shape's nodes.
-pub type Assignment<T> = Vec<(StructuralId, T)>;
+/// One stream element: a structural ID and its payload.
+type Elem<T> = (StructuralId, T);
 
-/// A partial assignment: `None` for query nodes not yet covered.
-type Sparse<T> = Vec<Option<(StructuralId, T)>>;
-
-/// Runs the holistic twig join with galloping stream advance.
-///
-/// `streams[i]` is the candidate stream for query node `i`, sorted by `pre`
-/// (document order). Returns every distinct assignment of query nodes to
-/// stream elements satisfying all edges.
-pub fn holistic_twig_join<T: Copy>(
-    shape: &TwigShape,
-    streams: &[Vec<(StructuralId, T)>],
-) -> Vec<Assignment<T>> {
-    let mut s: Vec<SliceStream<'_, T>> = streams.iter().map(|v| SliceStream::new(v)).collect();
-    join_streams_inner(shape, &mut s, false)
+/// The holistic twig join of one shape, built once and run on any number
+/// of stream sets (one per document): its scratch is emptied, not freed,
+/// between runs.
+#[derive(Debug)]
+pub struct TwigJoin<T> {
+    shape: TwigShape,
+    /// Root-to-leaf paths, in the shape's preorder: the nodes a path shares
+    /// with the earlier ones are the prefix it shares with the one before.
+    paths: Vec<Vec<usize>>,
+    /// PathStack stacks, one per path level: `(sid, payload,
+    /// pointer-to-top-of-parent-stack)`.
+    stacks: Vec<Vec<(StructuralId, T, isize)>>,
+    /// The chain [`expand`] is building, leaf first.
+    chain: Vec<Elem<T>>,
+    /// Solutions of the path in hand, back to back, root first.
+    sols: Vec<Elem<T>>,
+    /// Assignments over the paths merged so far, `shape.len()` elements
+    /// each, indexed by query node (a node no merged path covers yet
+    /// holds a filler).
+    rows: Vec<Elem<T>>,
+    /// The merge's output, swapped with `rows`.
+    merged: Vec<Elem<T>>,
+    /// Row numbers ordered by merge key.
+    order: Vec<u32>,
 }
 
-/// Like [`holistic_twig_join`] but stops as soon as one match is found.
-/// Used for index-side document selection, where only existence matters.
-pub fn twig_has_match<T: Copy>(shape: &TwigShape, streams: &[Vec<(StructuralId, T)>]) -> bool {
-    let mut s: Vec<SliceStream<'_, T>> = streams.iter().map(|v| SliceStream::new(v)).collect();
-    !join_streams_inner(shape, &mut s, true).is_empty()
-}
-
-/// [`holistic_twig_join`] over arbitrary [`TwigStream`]s — e.g. lazy block
-/// cursors that decode postings on demand.
-pub fn holistic_twig_join_streams<T: Copy, S: TwigStream<T>>(
-    shape: &TwigShape,
-    streams: &mut [S],
-) -> Vec<Assignment<T>> {
-    join_streams_inner(shape, streams, false)
-}
-
-/// Existence check over arbitrary [`TwigStream`]s.
-pub fn twig_streams_have_match<T: Copy, S: TwigStream<T>>(
-    shape: &TwigShape,
-    streams: &mut [S],
-) -> bool {
-    !join_streams_inner(shape, streams, true).is_empty()
-}
-
-fn join_streams_inner<T: Copy, S: TwigStream<T>>(
-    shape: &TwigShape,
-    streams: &mut [S],
-    early_exit: bool,
-) -> Vec<Assignment<T>> {
-    assert_eq!(shape.len(), streams.len(), "one stream per query node");
-    // Empty stream on any node: no solutions.
-    for s in streams.iter_mut() {
-        s.reset();
-    }
-    if streams.iter().any(|s| s.peek().is_none()) {
-        return Vec::new();
-    }
-    let paths = shape.paths();
-    let mut acc: Option<Vec<Sparse<T>>> = None;
-    for path in &paths {
-        let sols = path_stack_streams(shape, streams, path);
-        if sols.is_empty() {
-            return Vec::new();
-        }
-        // Convert path solutions into sparse assignments.
-        let sparse: Vec<Sparse<T>> = sols
-            .into_iter()
-            .map(|sol| {
-                let mut a = vec![None; shape.len()];
-                for (k, &qi) in path.iter().enumerate() {
-                    a[qi] = Some(sol[k]);
-                }
-                a
-            })
-            .collect();
-        acc = Some(match acc {
-            None => sparse,
-            Some(prev) => merge_assignments(shape.len(), prev, sparse),
-        });
-        if acc.as_ref().is_some_and(Vec::is_empty) {
-            return Vec::new();
-        }
-        if early_exit && paths.len() == 1 {
-            break;
+impl<T: Copy> TwigJoin<T> {
+    /// Prepares the join of `shape`.
+    pub fn new(shape: TwigShape) -> TwigJoin<T> {
+        let paths = shape.paths();
+        TwigJoin {
+            stacks: vec![Vec::new(); paths.iter().map(Vec::len).max().unwrap_or(0)],
+            shape,
+            paths,
+            chain: Vec::new(),
+            sols: Vec::new(),
+            rows: Vec::new(),
+            merged: Vec::new(),
+            order: Vec::new(),
         }
     }
-    let mut out: Vec<Assignment<T>> = acc
-        .unwrap_or_default()
-        .into_iter()
-        .map(|a| {
-            a.into_iter()
-                .map(|x| x.expect("all nodes assigned"))
-                .collect()
-        })
-        .collect();
-    if early_exit {
-        out.truncate(1);
-    }
-    out
-}
 
-/// PathStack over one root-to-leaf path with galloping stream advance.
-/// Returns solutions aligned with `path` (root first).
-///
-/// Produces exactly the solutions of the element-at-a-time variant, in the
-/// same order: skipping only drops elements that can never appear in a
-/// chain, and while stacks may retain entries the reference run would have
-/// popped, solution expansion applies exact structural checks, and a
-/// retained entry that would have been popped at a skipped element can
-/// never be an ancestor of anything arriving after it.
-fn path_stack_streams<T: Copy, S: TwigStream<T>>(
-    shape: &TwigShape,
-    streams: &mut [S],
-    path: &[usize],
-) -> Vec<Vec<(StructuralId, T)>> {
-    let k = path.len();
-    for &q in path {
-        streams[q].reset();
-    }
-    // Per path-level stacks: (sid, payload, pointer-to-top-of-parent-stack).
-    let mut stacks: Vec<Vec<(StructuralId, T, isize)>> = vec![Vec::new(); k];
-    let mut solutions = Vec::new();
-
-    loop {
-        // Galloping skips: while a level's parent stack is empty, nothing
-        // can be pushed at this level before the parent stream's head is,
-        // and any future parent-level element has `pre >=` that head's
-        // `pre` while an ancestor needs strictly smaller `pre` — so every
-        // element at this level with `pre <=` the head's can never gain an
-        // ancestor and is skipped (whole blocks at a time for block
-        // cursors). An exhausted parent stream with an empty parent stack
-        // kills the level outright; iterating root-to-leaf propagates
-        // death down the path in one pass.
-        for level in 1..k {
-            if !stacks[level - 1].is_empty() {
-                continue;
-            }
-            match streams[path[level - 1]].peek() {
-                None => streams[path[level]].skip_to_end(),
-                Some((psid, _)) => match psid.pre.checked_add(1) {
-                    Some(p) => streams[path[level]].skip_to_pre(p),
-                    None => streams[path[level]].skip_to_end(),
-                },
+    /// Runs the join with galloping stream advance. `streams[i]` is the
+    /// candidate stream for query node `i`, sorted by `pre` (document
+    /// order). Returns the number of distinct assignments of query nodes
+    /// to stream elements satisfying all edges; [`TwigJoin::matches`]
+    /// reads them until the next run.
+    pub fn join<S: TwigStream<T>>(&mut self, streams: &mut [S]) -> usize {
+        let n = self.shape.len();
+        assert_eq!(n, streams.len(), "one stream per query node");
+        self.rows.clear();
+        // Empty stream on any node: no solutions.
+        for s in streams.iter_mut() {
+            s.reset();
+        }
+        if streams.iter().any(|s| s.peek().is_none()) {
+            return 0;
+        }
+        // One row covering no node yet (any element fills it): the first
+        // path shares nothing with it, so each of its solutions becomes a
+        // row; the later paths merge on the nodes they share.
+        let filler = streams[0].peek().expect("no stream is empty");
+        self.rows.resize(n, filler);
+        for p in 0..self.paths.len() {
+            self.path_stack(p, streams);
+            self.merge(p);
+            if self.rows.is_empty() {
+                return 0;
             }
         }
+        self.rows.len() / n
+    }
 
-        // qmin: the path level whose stream's next element has minimal pre.
-        let mut qmin: Option<(usize, StructuralId, T)> = None;
-        for (level, &q) in path.iter().enumerate() {
-            if let Some((sid, payload)) = streams[q].peek() {
-                // Ties (same document node feeding several query nodes) go
-                // to the level closest to the root, so ancestors are pushed
-                // before their descendants arrive.
-                if qmin.is_none_or(|(_, m, _)| sid.pre < m.pre) {
-                    qmin = Some((level, sid, payload));
-                }
-            }
+    /// PathStack over root-to-leaf path number `p` with galloping stream
+    /// advance. Leaves the solutions in `sols`, back to back, each aligned
+    /// with the path (root first).
+    ///
+    /// Produces exactly the solutions of the element-at-a-time variant, in the
+    /// same order: skipping only drops elements that can never appear in a
+    /// chain, and while stacks may retain entries the reference run would have
+    /// popped, solution expansion applies exact structural checks, and a
+    /// retained entry that would have been popped at a skipped element can
+    /// never be an ancestor of anything arriving after it.
+    fn path_stack<S: TwigStream<T>>(&mut self, p: usize, streams: &mut [S]) {
+        let (shape, path) = (&self.shape, &self.paths[p][..]);
+        let (chain, sols) = (&mut self.chain, &mut self.sols);
+        let k = path.len();
+        for &q in path {
+            streams[q].reset();
         }
-        let Some((level, next, payload)) = qmin else {
-            break;
-        };
-        streams[path[level]].advance();
-
-        // Pop, from every stack, elements that end before the incoming
-        // element starts (disjoint predecessors — they can never be
-        // ancestors of it or of anything arriving later). Elements equal to
-        // `next` (the same document node feeding another query level) must
-        // stay: `precedes` is false for them.
+        let stacks = &mut self.stacks[..k];
         for st in stacks.iter_mut() {
-            while st.last().is_some_and(|(sid, _, _)| sid.precedes(&next)) {
-                st.pop();
-            }
+            st.clear();
         }
+        sols.clear();
 
-        // Push only when the parent chain is alive.
-        if level == 0 || !stacks[level - 1].is_empty() {
-            let ptr = if level == 0 {
-                -1
-            } else {
-                stacks[level - 1].len() as isize - 1
+        loop {
+            // Galloping skips: while a level's parent stack is empty, nothing
+            // can be pushed at this level before the parent stream's head is,
+            // and any future parent-level element has `pre >=` that head's
+            // `pre` while an ancestor needs strictly smaller `pre` — so every
+            // element at this level with `pre <=` the head's can never gain an
+            // ancestor and is skipped (whole blocks at a time for block
+            // cursors). An exhausted parent stream with an empty parent stack
+            // kills the level outright; iterating root-to-leaf propagates
+            // death down the path in one pass.
+            for level in 1..k {
+                if !stacks[level - 1].is_empty() {
+                    continue;
+                }
+                match streams[path[level - 1]].peek() {
+                    None => streams[path[level]].skip_to_end(),
+                    Some((psid, _)) => match psid.pre.checked_add(1) {
+                        Some(after) => streams[path[level]].skip_to_pre(after),
+                        None => streams[path[level]].skip_to_end(),
+                    },
+                }
+            }
+
+            // qmin: the path level whose stream's next element has minimal pre.
+            let mut qmin: Option<(usize, StructuralId, T)> = None;
+            for (level, &q) in path.iter().enumerate() {
+                if let Some((sid, payload)) = streams[q].peek() {
+                    // Ties (same document node feeding several query nodes) go
+                    // to the level closest to the root, so ancestors are pushed
+                    // before their descendants arrive.
+                    if qmin.is_none_or(|(_, m, _)| sid.pre < m.pre) {
+                        qmin = Some((level, sid, payload));
+                    }
+                }
+            }
+            let Some((level, next, payload)) = qmin else {
+                break;
             };
-            if level == k - 1 {
-                // Leaf: expand solutions immediately; no need to push.
-                expand(
-                    shape,
-                    path,
-                    &stacks,
-                    (next, payload, ptr),
-                    level,
-                    &mut solutions,
-                );
-            } else {
-                stacks[level].push((next, payload, ptr));
+            streams[path[level]].advance();
+
+            // Pop, from every stack, elements that end before the incoming
+            // element starts (disjoint predecessors — they can never be
+            // ancestors of it or of anything arriving later). Elements equal to
+            // `next` (the same document node feeding another query level) must
+            // stay: `precedes` is false for them.
+            for st in stacks.iter_mut() {
+                while st.last().is_some_and(|(sid, _, _)| sid.precedes(&next)) {
+                    st.pop();
+                }
+            }
+
+            // Push only when the parent chain is alive.
+            if level == 0 || !stacks[level - 1].is_empty() {
+                let ptr = if level == 0 {
+                    -1
+                } else {
+                    stacks[level - 1].len() as isize - 1
+                };
+                if level == k - 1 {
+                    // Leaf: expand solutions immediately; no need to push.
+                    expand(
+                        shape,
+                        path,
+                        stacks,
+                        (next, payload, ptr),
+                        level,
+                        chain,
+                        sols,
+                    );
+                } else {
+                    stacks[level].push((next, payload, ptr));
+                }
             }
         }
     }
-    solutions
+
+    /// Joins the assignments merged so far (`rows`) with the solutions of
+    /// path number `p` on the nodes both cover — the prefix the path shares
+    /// with the one before — leaving the result in `rows`: per solution in
+    /// order, every agreeing row in row order, which is the order a hash join
+    /// probing with the solutions emits. Rows are found by sorting their
+    /// numbers on the shared nodes' `pre`s, so no key is ever built.
+    fn merge(&mut self, p: usize) {
+        let (n, path, rows) = (self.shape.len(), &self.paths[p][..], &self.rows);
+        let before = p.checked_sub(1).map_or(&[][..], |b| &self.paths[b][..]);
+        let shared = path.iter().zip(before).take_while(|(a, b)| a == b).count();
+        let row_key = |r: u32| {
+            let row = &rows[r as usize * n..][..n];
+            path[..shared].iter().map(move |&q| row[q].0.pre)
+        };
+        self.order.clear();
+        self.order.extend(0..(rows.len() / n) as u32);
+        self.order
+            .sort_unstable_by(|&a, &b| row_key(a).cmp(row_key(b)).then(a.cmp(&b)));
+        self.merged.clear();
+        for sol in self.sols.chunks_exact(path.len()) {
+            let key = || sol[..shared].iter().map(|e| e.0.pre);
+            let first = self.order.partition_point(|&r| row_key(r).lt(key()));
+            for &r in self.order[first..]
+                .iter()
+                .take_while(|&&r| row_key(r).eq(key()))
+            {
+                let base = self.merged.len();
+                self.merged.extend_from_slice(&rows[r as usize * n..][..n]);
+                // The shared nodes keep the row's elements; the path fills in
+                // the nodes it is the first to cover.
+                for (&q, &elem) in path.iter().zip(sol).skip(shared) {
+                    self.merged[base + q] = elem;
+                }
+            }
+        }
+        std::mem::swap(&mut self.rows, &mut self.merged);
+    }
+
+    /// The assignments the last [`TwigJoin::join`] found, in the order the
+    /// join produced them, each indexed like the shape's nodes.
+    pub fn matches(&self) -> std::slice::ChunksExact<'_, Elem<T>> {
+        self.rows.chunks_exact(self.shape.len().max(1))
+    }
 }
 
 /// Expands the chained-stack encoding into explicit path solutions ending
 /// at `elem` (which sits at `level`), filtering parent–child edges by the
-/// structural-ID parent test.
+/// structural-ID parent test. `chain` holds the elements chosen so far,
+/// leaf first; a chain that reaches the root is appended to `out` root
+/// first.
 fn expand<T: Copy>(
     shape: &TwigShape,
     path: &[usize],
     stacks: &[Vec<(StructuralId, T, isize)>],
     elem: (StructuralId, T, isize),
     level: usize,
-    out: &mut Vec<Vec<(StructuralId, T)>>,
+    chain: &mut Vec<Elem<T>>,
+    out: &mut Vec<Elem<T>>,
 ) {
-    // Build chains bottom-up; `partial` holds (sid, payload) leaf-first.
-    fn rec<T: Copy>(
-        shape: &TwigShape,
-        path: &[usize],
-        stacks: &[Vec<(StructuralId, T, isize)>],
-        elem: (StructuralId, T, isize),
-        level: usize,
-        partial: &mut Vec<(StructuralId, T)>,
-        out: &mut Vec<Vec<(StructuralId, T)>>,
-    ) {
-        partial.push((elem.0, elem.1));
-        if level == 0 {
-            let mut sol = partial.clone();
-            sol.reverse();
-            out.push(sol);
-        } else {
-            let q = path[level];
-            let axis = shape.axis[q];
-            for idx in 0..=elem.2 {
-                let cand = stacks[level - 1][idx as usize];
-                let ok = match axis {
-                    Axis::Descendant => cand.0.is_ancestor_of(&elem.0),
-                    Axis::Child => cand.0.is_parent_of(&elem.0),
-                };
-                if ok {
-                    rec(shape, path, stacks, cand, level - 1, partial, out);
-                }
-            }
-        }
-        partial.pop();
-    }
-    let mut partial = Vec::with_capacity(path.len());
-    rec(shape, path, stacks, elem, level, &mut partial, out);
-}
-
-/// Hash-joins two sparse assignment sets on their shared (assigned-in-both)
-/// query nodes.
-fn merge_assignments<T: Copy>(
-    n: usize,
-    left: Vec<Sparse<T>>,
-    right: Vec<Sparse<T>>,
-) -> Vec<Sparse<T>> {
-    // Shared nodes: assigned in both sides (same for every row by
-    // construction — sides are unions of whole paths).
-    let shared: Vec<usize> = (0..n)
-        .filter(|&i| left[0][i].is_some() && right[0][i].is_some())
-        .collect();
-    let key = |a: &Sparse<T>| -> Vec<u32> {
-        shared
-            .iter()
-            .map(|&i| a[i].expect("shared node assigned").0.pre)
-            .collect()
-    };
-    let mut table: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-    for (i, l) in left.iter().enumerate() {
-        table.entry(key(l)).or_default().push(i);
-    }
-    let mut out = Vec::new();
-    for r in &right {
-        if let Some(ls) = table.get(&key(r)) {
-            for &li in ls {
-                let mut merged = left[li].clone();
-                for i in 0..n {
-                    if merged[i].is_none() {
-                        merged[i] = r[i];
-                    }
-                }
-                out.push(merged);
+    chain.push((elem.0, elem.1));
+    if level == 0 {
+        out.extend(chain.iter().rev());
+    } else {
+        let axis = shape.axis[path[level]];
+        for &cand in &stacks[level - 1][..=elem.2 as usize] {
+            let ok = match axis {
+                Axis::Descendant => cand.0.is_ancestor_of(&elem.0),
+                Axis::Child => cand.0.is_parent_of(&elem.0),
+            };
+            if ok {
+                expand(shape, path, stacks, cand, level - 1, chain, out);
             }
         }
     }
-    out
+    chain.pop();
 }
 
 // ---------------------------------------------------------------------------
 // Document-level evaluation through the twig join.
 // ---------------------------------------------------------------------------
 
-/// Evaluates a tree pattern on a document using the holistic twig join;
-/// equivalent to [`crate::eval::naive_matches`] (property-tested).
+/// The document nodes bearing a pattern node's label, in document order.
+fn postings<'d>(doc: &'d Document, pnode: &PatternNode) -> &'d [NodeId] {
+    match &pnode.test {
+        NodeTest::Element(l) => doc.elements_named(l),
+        NodeTest::Attribute(l) => doc.attributes_named(l),
+    }
+}
+
+/// Counts every pattern node's label postings into `stats.candidates` —
+/// the evaluation's billed work, whatever happens next — and says whether
+/// every node has any.
+fn count_postings(doc: &Document, pattern: &TreePattern, stats: &mut EvalStats) -> bool {
+    let mut all_present = true;
+    for pn in &pattern.nodes {
+        let base = postings(doc, pn);
+        stats.candidates += base.len() as u64;
+        all_present &= !base.is_empty();
+    }
+    all_present
+}
+
+/// A tree pattern prepared for evaluation on many documents: the twig
+/// join of its shape, one reusable candidate stream per pattern node and
+/// the output plan. The query core builds one per pattern after parsing
+/// the query and calls it per candidate document.
+#[derive(Debug)]
+pub struct TwigEvaluator<'p> {
+    pattern: &'p TreePattern,
+    join: TwigJoin<NodeId>,
+    /// Per pattern node, its candidates on the document in hand.
+    streams: Vec<Vec<Elem<NodeId>>>,
+    /// The string value a predicate is being tested on.
+    value: String,
+    materializer: Materializer<'p>,
+}
+
+impl<'p> TwigEvaluator<'p> {
+    /// Prepares `pattern` for evaluation.
+    pub fn new(pattern: &'p TreePattern) -> TwigEvaluator<'p> {
+        TwigEvaluator {
+            pattern,
+            join: TwigJoin::new(TwigShape::from_pattern(pattern)),
+            streams: vec![Vec::new(); pattern.len()],
+            value: String::new(),
+            materializer: Materializer::new(pattern),
+        }
+    }
+
+    /// Evaluates the pattern on `doc`; equivalent to
+    /// [`crate::eval::naive_matches`] (property-tested).
+    pub fn evaluate(&mut self, doc: &Document) -> (Vec<Tuple>, EvalStats) {
+        let mut stats = EvalStats::default();
+        if !self.fill_streams(doc, &mut stats) {
+            return (Vec::new(), stats);
+        }
+        // Payload = document node, to materialize values from.
+        let mut cursors: Vec<SliceStream<'_, NodeId>> =
+            self.streams.iter().map(|v| SliceStream::new(v)).collect();
+        stats.embeddings = self.join.join(&mut cursors) as u64;
+        let embeddings = self.join.matches().map(|row| move |i: usize| row[i].1);
+        let tuples = self.materializer.run(doc, embeddings);
+        stats.tuples = tuples.len() as u64;
+        (tuples, stats)
+    }
+
+    /// Builds every pattern node's candidate stream (label + predicate
+    /// match, in document order); `false` as soon as one is empty, and
+    /// before anything is copied if the document lacks a label.
+    fn fill_streams(&mut self, doc: &Document, stats: &mut EvalStats) -> bool {
+        if !count_postings(doc, self.pattern, stats) {
+            return false;
+        }
+        for (i, (pn, stream)) in self.pattern.nodes.iter().zip(&mut self.streams).enumerate() {
+            // Root axis: `/` anchors at the document root element.
+            let anchored = i == 0 && pn.axis == Axis::Child;
+            stream.clear();
+            for &n in postings(doc, pn) {
+                if anchored && n != doc.root() {
+                    continue;
+                }
+                if let Some(p) = &pn.predicate {
+                    let holds = match doc.value(n) {
+                        // Attributes (and text) carry their value directly — no
+                        // string-value concatenation needed.
+                        Some(v) => p.matches(v),
+                        None => {
+                            self.value.clear();
+                            doc.push_string_value(n, &mut self.value);
+                            p.matches(&self.value)
+                        }
+                    };
+                    if !holds {
+                        continue;
+                    }
+                }
+                stream.push((doc.sid(n), n));
+            }
+            if stream.is_empty() {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Evaluates a tree pattern on one document using the holistic twig join:
+/// builds the pattern's [`TwigEvaluator`] and calls it once — unless the
+/// document lacks one of the pattern's labels, which is known before
+/// anything is built.
 pub fn evaluate_pattern_twig(doc: &Document, pattern: &TreePattern) -> (Vec<Tuple>, EvalStats) {
-    let (assignments, mut stats) = twig_embeddings(doc, pattern);
-    let tuples = materialize(doc, pattern, &assignments);
-    stats.tuples = tuples.len() as u64;
-    (tuples, stats)
-}
-
-/// Enumerates embeddings via the twig join (payload = document node).
-pub fn twig_embeddings(doc: &Document, pattern: &TreePattern) -> (Vec<Vec<NodeId>>, EvalStats) {
     let mut stats = EvalStats::default();
-    let shape = TwigShape::from_pattern(pattern);
-    let mut streams: Vec<Vec<(StructuralId, NodeId)>> = Vec::with_capacity(pattern.len());
-    for (i, pn) in pattern.nodes.iter().enumerate() {
-        let mut s: Vec<(StructuralId, NodeId)> = candidates(doc, pn, &mut stats)
-            .into_iter()
-            .map(|n| (doc.sid(n), n))
-            .collect();
-        if i == 0 && pn.axis == Axis::Child {
-            s.retain(|(_, n)| *n == doc.root());
-        }
-        streams.push(s);
+    if !count_postings(doc, pattern, &mut stats) {
+        return (Vec::new(), stats);
     }
-    let sols = holistic_twig_join(&shape, &streams);
-    stats.embeddings = sols.len() as u64;
-    let embeddings = sols
-        .into_iter()
-        .map(|a| a.into_iter().map(|(_, n)| n).collect())
-        .collect();
-    (embeddings, stats)
-}
-
-/// Existence check via the twig join.
-pub fn twig_doc_has_match(doc: &Document, pattern: &TreePattern) -> bool {
-    let mut stats = EvalStats::default();
-    let shape = TwigShape::from_pattern(pattern);
-    let mut streams: Vec<Vec<(StructuralId, ())>> = Vec::with_capacity(pattern.len());
-    for (i, pn) in pattern.nodes.iter().enumerate() {
-        let mut s: Vec<(StructuralId, ())> = candidates(doc, pn, &mut stats)
-            .into_iter()
-            .map(|n| (doc.sid(n), ()))
-            .collect();
-        if i == 0 && pn.axis == Axis::Child {
-            s.retain(|(sid, _)| sid.depth == 1);
-        }
-        streams.push(s);
-    }
-    twig_has_match(&shape, &streams)
+    TwigEvaluator::new(pattern).evaluate(doc)
 }
 
 #[cfg(test)]
@@ -430,7 +468,7 @@ mod tests {
     use crate::parser::parse_pattern;
     use amada_rng::StdRng;
     use amada_xml::Document;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     const DELACROIX: &str = "<painting id=\"1854-1\">\
         <name>The Lion Hunt</name>\
@@ -495,7 +533,7 @@ mod tests {
     }
 
     #[test]
-    fn has_match_agrees_with_eval() {
+    fn a_pattern_without_outputs_still_says_whether_it_matches() {
         let doc = Document::parse_str("t.xml", DELACROIX).unwrap();
         for (p, expect) in [
             ("//painting[/name]", true),
@@ -504,7 +542,11 @@ mod tests {
             ("//painter[/name[/last{=Manet}]]", false),
         ] {
             let pat = parse_pattern(p).unwrap();
-            assert_eq!(twig_doc_has_match(&doc, &pat), expect, "{p}");
+            assert_eq!(
+                !evaluate_pattern_twig(&doc, &pat).0.is_empty(),
+                expect,
+                "{p}"
+            );
         }
     }
 
@@ -535,27 +577,114 @@ mod tests {
     // Cases derive deterministically from `(fixed master seed, case index)`
     // via `amada-rng`, so failures reproduce exactly.
 
-    /// The original element-at-a-time join: the reference the galloping
-    /// join is compared against.
-    fn holistic_twig_join_linear<T: Copy>(
+    /// A full twig match: one `(StructuralId, T)` per query node, indexed
+    /// like the shape's nodes.
+    type Assignment<T> = Vec<(StructuralId, T)>;
+
+    /// A partial assignment: `None` for query nodes not yet covered.
+    type Sparse<T> = Vec<Option<(StructuralId, T)>>;
+
+    /// One run of a fresh [`TwigJoin`] over in-memory streams: every match.
+    fn holistic_twig_join<T: Copy>(
         shape: &TwigShape,
         streams: &[Vec<(StructuralId, T)>],
     ) -> Vec<Assignment<T>> {
-        join_inner_linear(shape, streams, false)
+        let mut s: Vec<SliceStream<'_, T>> = streams.iter().map(|v| SliceStream::new(v)).collect();
+        let mut join = TwigJoin::new(shape.clone());
+        join.join(&mut s);
+        join.matches().map(<[_]>::to_vec).collect()
     }
 
-    /// Existence check via the element-at-a-time reference join.
-    fn twig_has_match_linear<T: Copy>(
+    /// Solution expansion as first written: one vector per path solution.
+    fn expand<T: Copy>(
         shape: &TwigShape,
-        streams: &[Vec<(StructuralId, T)>],
-    ) -> bool {
-        !join_inner_linear(shape, streams, true).is_empty()
+        path: &[usize],
+        stacks: &[Vec<(StructuralId, T, isize)>],
+        elem: (StructuralId, T, isize),
+        level: usize,
+        out: &mut Vec<Vec<(StructuralId, T)>>,
+    ) {
+        // Build chains bottom-up; `partial` holds (sid, payload) leaf-first.
+        fn rec<T: Copy>(
+            shape: &TwigShape,
+            path: &[usize],
+            stacks: &[Vec<(StructuralId, T, isize)>],
+            elem: (StructuralId, T, isize),
+            level: usize,
+            partial: &mut Vec<(StructuralId, T)>,
+            out: &mut Vec<Vec<(StructuralId, T)>>,
+        ) {
+            partial.push((elem.0, elem.1));
+            if level == 0 {
+                let mut sol = partial.clone();
+                sol.reverse();
+                out.push(sol);
+            } else {
+                let q = path[level];
+                let axis = shape.axis[q];
+                for idx in 0..=elem.2 {
+                    let cand = stacks[level - 1][idx as usize];
+                    let ok = match axis {
+                        Axis::Descendant => cand.0.is_ancestor_of(&elem.0),
+                        Axis::Child => cand.0.is_parent_of(&elem.0),
+                    };
+                    if ok {
+                        rec(shape, path, stacks, cand, level - 1, partial, out);
+                    }
+                }
+            }
+            partial.pop();
+        }
+        let mut partial = Vec::with_capacity(path.len());
+        rec(shape, path, stacks, elem, level, &mut partial, out);
     }
 
-    fn join_inner_linear<T: Copy>(
+    /// The path merge as first written: a hash join of two sparse
+    /// assignment sets on their shared (assigned-in-both) query nodes,
+    /// one key vector per row.
+    fn merge_assignments<T: Copy>(
+        n: usize,
+        left: Vec<Sparse<T>>,
+        right: Vec<Sparse<T>>,
+    ) -> Vec<Sparse<T>> {
+        // Shared nodes: assigned in both sides (same for every row by
+        // construction — sides are unions of whole paths).
+        let shared: Vec<usize> = (0..n)
+            .filter(|&i| left[0][i].is_some() && right[0][i].is_some())
+            .collect();
+        let key = |a: &Sparse<T>| -> Vec<u32> {
+            shared
+                .iter()
+                .map(|&i| a[i].expect("shared node assigned").0.pre)
+                .collect()
+        };
+        let mut table: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
+        for (i, l) in left.iter().enumerate() {
+            table.entry(key(l)).or_default().push(i);
+        }
+        let mut out = Vec::new();
+        for r in &right {
+            if let Some(ls) = table.get(&key(r)) {
+                for &li in ls {
+                    let mut merged = left[li].clone();
+                    for i in 0..n {
+                        if merged[i].is_none() {
+                            merged[i] = r[i];
+                        }
+                    }
+                    out.push(merged);
+                }
+            }
+        }
+        out
+    }
+
+    /// The original element-at-a-time join, on the original vector-per-row
+    /// representation: the reference the galloping, flat-buffered join is
+    /// compared against.
+    fn holistic_twig_join_linear<T: Copy>(
         shape: &TwigShape,
         streams: &[Vec<(StructuralId, T)>],
-        early_exit: bool,
     ) -> Vec<Assignment<T>> {
         assert_eq!(shape.len(), streams.len(), "one stream per query node");
         // Empty stream on any node: no solutions.
@@ -587,23 +716,15 @@ mod tests {
             if acc.as_ref().is_some_and(Vec::is_empty) {
                 return Vec::new();
             }
-            if early_exit && paths.len() == 1 {
-                break;
-            }
         }
-        let mut out: Vec<Assignment<T>> = acc
-            .unwrap_or_default()
+        acc.unwrap_or_default()
             .into_iter()
             .map(|a| {
                 a.into_iter()
                     .map(|x| x.expect("all nodes assigned"))
                     .collect()
             })
-            .collect();
-        if early_exit {
-            out.truncate(1);
-        }
-        out
+            .collect()
     }
 
     /// Element-at-a-time PathStack over one root-to-leaf path. Returns
@@ -804,8 +925,7 @@ mod tests {
     }
 
     /// The galloping join must return exactly what the element-at-a-time
-    /// linear reference join returns — same assignments, same order — and
-    /// the early-exit existence checks must agree with both.
+    /// linear reference join returns — same assignments, same order.
     #[test]
     fn galloping_equals_linear() {
         for case in 0..512u64 {
@@ -819,16 +939,6 @@ mod tests {
             assert_eq!(
                 linear, gallop,
                 "case {case}: shape {shape:?} streams {streams:?} on {xml}"
-            );
-            assert_eq!(
-                twig_has_match_linear(&shape, &streams),
-                !linear.is_empty(),
-                "case {case}"
-            );
-            assert_eq!(
-                twig_has_match(&shape, &streams),
-                !linear.is_empty(),
-                "case {case}"
             );
         }
     }

@@ -11,8 +11,8 @@
 //! evaluated documents, and hash-joins them on the shared join variables.
 
 use crate::ast::Query;
-use crate::eval::Tuple;
-use std::collections::HashMap;
+use crate::eval::{FirstSeen, Tuple};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::Arc;
 
 /// A joined result tuple of a multi-pattern query.
@@ -38,7 +38,13 @@ impl JoinedTuple {
 /// relevant documents). Patterns are joined left to right; two tuples are
 /// compatible when they agree on every join variable they share. Patterns
 /// without shared variables combine by cartesian product (not used by the
-/// paper's workload, but well-defined).
+/// paper's workload, but well-defined). Joined tuples come out in the
+/// order a hash join probing with each pattern's tuples emits them, the
+/// first occurrence of each kept.
+///
+/// The join runs over the tuples where they are: a joined row is one tuple
+/// *number* per pattern, keys are compared as `&str`, and a cell is copied
+/// exactly once — into the result that hands it out.
 pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<JoinedTuple> {
     assert_eq!(
         query.patterns.len(),
@@ -47,7 +53,7 @@ pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<Jo
     );
     // A variable bound at two sites *within one pattern* is itself an
     // equality constraint; tuples whose sites disagree are not results.
-    let consistent = |t: &&Tuple| {
+    let consistent = |t: &Tuple| {
         t.joins.iter().all(|(var, val)| {
             t.joins
                 .iter()
@@ -55,89 +61,96 @@ pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<Jo
                 .all(|(_, v)| v == val)
         })
     };
-    // Accumulated: (uris so far, columns so far, var -> value bindings).
-    struct Acc {
-        uris: Vec<Arc<str>>,
-        columns: Vec<String>,
-        bindings: HashMap<String, String>,
+    fn value_of<'t>(t: &'t Tuple, var: &str) -> &'t str {
+        let bound = t.joins.iter().find(|(v, _)| v == var);
+        &bound
+            .expect("every tuple of a pattern binds its variables")
+            .1
     }
-    let mut acc: Vec<Acc> = vec![Acc {
-        uris: Vec::new(),
-        columns: Vec::new(),
-        bindings: HashMap::new(),
-    }];
-    for tuples in per_pattern {
+    let hasher = RandomState::new();
+    // Accumulated rows: `width` tuple numbers each (one per pattern joined
+    // so far), back to back. Before the first pattern: one empty row.
+    let mut rows: Vec<u32> = Vec::new();
+    let mut count = 1usize;
+    let mut next: Vec<u32> = Vec::new();
+    // The variables the accumulated side binds, each with the first
+    // pattern binding it. (Each pattern binds the same variable set in
+    // every tuple, so its first tuple is representative.)
+    let mut bound: Vec<(&str, usize)> = Vec::new();
+    // (key hash, row number), sorted: the probe side of the hash join.
+    let mut order: Vec<(u64, u32)> = Vec::new();
+    for (width, tuples) in per_pattern.iter().enumerate() {
+        let vars = tuples.first().map_or(&[][..], |t| &t.joins[..]);
         // Shared variables between the accumulated side and this pattern:
-        // bound on both sides. (Each pattern binds the same variable set in
-        // every tuple, so the first tuple is representative.)
-        let shared: Vec<&String> = tuples
-            .first()
-            .map(|t| {
-                t.joins
-                    .iter()
-                    .map(|(var, _)| var)
-                    // Accumulated rows all bind the same variable set
-                    // (pattern annotations are fixed), so the first row is
-                    // representative.
-                    .filter(|var| acc.first().is_some_and(|a| a.bindings.contains_key(*var)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        // Hash join on the shared variables (cartesian when none shared).
-        let key_of_acc =
-            |a: &Acc| -> Vec<String> { shared.iter().map(|v| a.bindings[*v].clone()).collect() };
-        let key_of_tuple = |t: &Tuple| -> Vec<String> {
-            shared
-                .iter()
-                .map(|v| {
-                    t.joins
-                        .iter()
-                        .find(|(var, _)| var == *v)
-                        .map(|(_, val)| val.clone())
-                        .expect("shared variable bound by tuple")
-                })
-                .collect()
+        // bound on both sides.
+        let shared: Vec<(&str, usize)> = bound
+            .iter()
+            .copied()
+            .filter(|(var, _)| vars.iter().any(|(v, _)| v == var))
+            .collect();
+        let row_value = |r: u32, var: &str, pattern: usize| -> &str {
+            let t = rows[r as usize * width + pattern];
+            value_of(&per_pattern[pattern][t as usize], var)
         };
-        let mut table: HashMap<Vec<String>, Vec<usize>> = HashMap::new();
-        for (i, a) in acc.iter().enumerate() {
-            table.entry(key_of_acc(a)).or_default().push(i);
-        }
-        let mut next: Vec<Acc> = Vec::new();
-        for t in tuples.iter().filter(consistent) {
-            let Some(matches) = table.get(&key_of_tuple(t)) else {
-                continue;
-            };
-            for &ai in matches {
-                let a = &acc[ai];
-                // Shared variables already agree; merge the rest.
-                let mut bindings = a.bindings.clone();
-                for (var, val) in &t.joins {
-                    bindings.insert(var.clone(), val.clone());
+        let hash_of = |values: &mut dyn Iterator<Item = &str>| {
+            let mut h = hasher.build_hasher();
+            values.for_each(|v| v.hash(&mut h));
+            h.finish()
+        };
+        // Hash join on the shared variables (cartesian when none shared).
+        order.clear();
+        order.extend((0..count as u32).map(|r| {
+            let key = hash_of(&mut shared.iter().map(|&(var, p)| row_value(r, var, p)));
+            (key, r)
+        }));
+        order.sort_unstable();
+        next.clear();
+        count = 0;
+        for (ti, t) in tuples.iter().enumerate().filter(|(_, t)| consistent(t)) {
+            let key = hash_of(&mut shared.iter().map(|&(var, _)| value_of(t, var)));
+            let first = order.partition_point(|&(k, _)| k < key);
+            for &(_, r) in order[first..].iter().take_while(|&&(k, _)| k == key) {
+                if shared
+                    .iter()
+                    .all(|&(var, p)| row_value(r, var, p) == value_of(t, var))
+                {
+                    next.extend_from_slice(&rows[r as usize * width..][..width]);
+                    next.push(ti as u32);
+                    count += 1;
                 }
-                let mut uris = a.uris.clone();
-                uris.push(t.uri.clone());
-                let mut columns = a.columns.clone();
-                columns.extend(t.columns.iter().cloned());
-                next.push(Acc {
-                    uris,
-                    columns,
-                    bindings,
-                });
             }
         }
-        acc = next;
-        if acc.is_empty() {
+        std::mem::swap(&mut rows, &mut next);
+        if count == 0 {
             return Vec::new();
         }
+        for (var, _) in vars {
+            if !bound.iter().any(|(v, _)| v == var) {
+                bound.push((var, width));
+            }
+        }
     }
-    let mut seen = std::collections::HashSet::new();
-    acc.into_iter()
-        .map(|a| JoinedTuple {
-            uris: a.uris,
-            columns: a.columns,
-        })
-        .filter(|t| seen.insert(t.clone()))
-        .collect()
+    // Emit each distinct row once.
+    let width = per_pattern.len();
+    let mut seen = FirstSeen::default();
+    let mut out: Vec<JoinedTuple> = Vec::new();
+    for r in 0..count {
+        let row = &rows[r * width..][..width];
+        let tuples = || row.iter().zip(per_pattern).map(|(&t, of)| &of[t as usize]);
+        let columns = || tuples().flat_map(|t| t.columns.iter());
+        let mut h = hasher.build_hasher();
+        tuples().for_each(|t| t.uri.hash(&mut h));
+        columns().for_each(|c| c.hash(&mut h));
+        let same =
+            |i: usize| tuples().map(|t| &t.uri).eq(&out[i].uris) && columns().eq(&out[i].columns);
+        if seen.insert(h.finish(), same) {
+            out.push(JoinedTuple {
+                uris: tuples().map(|t| t.uri.clone()).collect(),
+                columns: columns().cloned().collect(),
+            });
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -20,11 +20,13 @@ impl Document {
     /// * Text: the escaped text.
     pub fn serialize_subtree(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.write_subtree(id, &mut out);
+        self.push_subtree(id, &mut out);
         out
     }
 
-    fn write_subtree(&self, id: NodeId, out: &mut String) {
+    /// Appends the [serialized subtree](Document::serialize_subtree) of
+    /// `id` to `out`.
+    pub fn push_subtree(&self, id: NodeId, out: &mut String) {
         match self.kind(id) {
             NodeKind::Text => escape_text(self.value(id).unwrap_or_default(), out),
             NodeKind::Attribute => {
@@ -37,24 +39,18 @@ impl Document {
                 let name = self.name(id).unwrap_or_default();
                 out.push('<');
                 out.push_str(name);
-                let mut content = Vec::new();
-                for c in self.children(id) {
-                    if self.kind(c) == NodeKind::Attribute {
-                        out.push(' ');
-                        out.push_str(self.name(c).unwrap_or_default());
-                        out.push_str("=\"");
-                        escape_attr(self.value(c).unwrap_or_default(), out);
-                        out.push('"');
-                    } else {
-                        content.push(c);
-                    }
+                // Attributes come first among the children.
+                let mut children = self.children(id).peekable();
+                while let Some(a) = children.next_if(|&c| self.kind(c) == NodeKind::Attribute) {
+                    out.push(' ');
+                    self.push_subtree(a, out);
                 }
-                if content.is_empty() {
+                if children.peek().is_none() {
                     out.push_str("/>");
                 } else {
                     out.push('>');
-                    for c in content {
-                        self.write_subtree(c, out);
+                    for c in children {
+                        self.push_subtree(c, out);
                     }
                     out.push_str("</");
                     out.push_str(name);

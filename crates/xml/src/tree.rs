@@ -5,6 +5,7 @@ use crate::interner::{Interner, Sym};
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::parser::Parser;
 use crate::sid::StructuralId;
+use std::sync::Arc;
 
 /// A parsed, immutable XML document.
 ///
@@ -14,7 +15,8 @@ use crate::sid::StructuralId;
 /// extraction and as the per-label input streams of the holistic twig join.
 #[derive(Debug, Clone)]
 pub struct Document {
-    uri: String,
+    /// Shared with every result tuple evaluated on this document.
+    uri: Arc<str>,
     nodes: Vec<NodeData>,
     interner: Interner,
     /// Shared text arena: attribute values and text content of all nodes,
@@ -35,7 +37,7 @@ impl Document {
     pub fn parse(uri: impl Into<String>, input: &[u8]) -> Result<Document, XmlError> {
         let (nodes, interner, text) = Parser::new(input).parse()?;
         Ok(Self::assemble(
-            uri.into(),
+            uri.into().into(),
             nodes,
             interner,
             text,
@@ -49,7 +51,7 @@ impl Document {
     }
 
     fn assemble(
-        uri: String,
+        uri: Arc<str>,
         nodes: Vec<NodeData>,
         interner: Interner,
         text: String,
@@ -80,6 +82,12 @@ impl Document {
 
     /// The document's URI (its object name in the cloud file store).
     pub fn uri(&self) -> &str {
+        &self.uri
+    }
+
+    /// The URI as the document itself holds it: cloning it shares the one
+    /// allocation instead of copying the name.
+    pub fn shared_uri(&self) -> &Arc<str> {
         &self.uri
     }
 
@@ -236,21 +244,23 @@ impl Document {
     /// descendant text, in document order. This is what a `val`-annotated
     /// pattern node returns (Section 4).
     pub fn string_value(&self, id: NodeId) -> String {
-        match self.kind(id) {
-            NodeKind::Text | NodeKind::Attribute => self.value(id).unwrap_or_default().to_string(),
-            NodeKind::Element => {
-                let mut out = String::new();
-                self.collect_text(id, &mut out);
-                out
-            }
-        }
+        let mut out = String::new();
+        self.push_string_value(id, &mut out);
+        out
     }
 
-    fn collect_text(&self, id: NodeId, out: &mut String) {
+    /// Appends the [string value](Document::string_value) of `id` to
+    /// `out` — for callers that compare or hash a value before deciding to
+    /// keep it.
+    pub fn push_string_value(&self, id: NodeId, out: &mut String) {
+        if let Some(v) = self.value(id) {
+            out.push_str(v);
+            return;
+        }
         for c in self.children(id) {
             match self.kind(c) {
                 NodeKind::Text => out.push_str(self.value(c).unwrap_or_default()),
-                NodeKind::Element => self.collect_text(c, out),
+                NodeKind::Element => self.push_string_value(c, out),
                 NodeKind::Attribute => {}
             }
         }

@@ -1,7 +1,14 @@
-//! The loader path's allocation budget: heap allocations per stored index
-//! item over a `build_index` — extract, encode, `batch_put` and the
-//! simulator around them (documents are parsed beforehand: parsing is
-//! upstream of this path) — counted by a counting global allocator.
+//! Allocation budgets of the two paths, counted by a counting global
+//! allocator.
+//!
+//! The loader path: heap allocations per stored index item over a
+//! `build_index` — extract, encode, `batch_put` and the simulator around
+//! them (documents are parsed beforehand: parsing is upstream of this
+//! path). The read path: heap allocations of the ten workload queries
+//! through `run_query` per strategy and through `run_query_no_index` —
+//! look-up, decode, twig join, fetch, evaluate, value join and the
+//! simulator around them — on the warehouse that build left, parse cache
+//! warm; and one query run 200 times must cost the same every time.
 //!
 //! Who owns what (DESIGN.md §5l). Per stored item, at most five: the
 //! entry's key (shared with the item), the item's range key, its
@@ -12,8 +19,9 @@
 //! the ID list). LU's ε owns none, so an LU item costs at most five.
 
 use amada::index::{extract, Payload, Strategy};
-use amada::warehouse::{Warehouse, WarehouseConfig};
-use amada::xmark::{generate_corpus, CorpusConfig};
+use amada::pattern::Query;
+use amada::warehouse::{CostedQuery, Warehouse, WarehouseConfig};
+use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -101,5 +109,70 @@ fn a_stored_item_costs_at_most_five_allocations_plus_its_values() {
              the String-keyed, clone-per-hop loader path this replaced spent \
              31.7 (LU), 35.1 (LUP), 38.1 (LUI) and 31.5 (2LUPI) on this corpus"
         );
+        read_path_budget(&mut w, strategy);
     }
+}
+
+/// Heap allocations of `run` over the ten workload queries, after a
+/// warm-up pass over the same queries.
+fn ten_queries(w: &mut Warehouse, run: fn(&mut Warehouse, &Query) -> CostedQuery) -> u64 {
+    let queries = workload();
+    for q in &queries {
+        run(w, q);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for q in &queries {
+        run(w, q);
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// The read path's budget: the ten queries through `run_query` (and, on
+/// the LU warehouse, `run_query_no_index`) allocate at most half of what
+/// the String-keyed, clone-per-hop read path did, and a query costs the
+/// same on an old warehouse as on a new one.
+fn read_path_budget(w: &mut Warehouse, strategy: Strategy) {
+    // The parent's totals on this corpus, by `Strategy::ALL` position.
+    const PARENT: [u64; 4] = [16_146, 16_992, 23_732, 28_020];
+    const PARENT_NO_INDEX: u64 = 19_303;
+    let parent = PARENT[Strategy::ALL
+        .iter()
+        .position(|s| *s == strategy)
+        .expect("one of the four")];
+    let indexed = ten_queries(w, Warehouse::run_query);
+    println!("{strategy}: {indexed} allocations over the ten queries (parent {parent})");
+    assert!(
+        2 * indexed <= parent,
+        "{strategy}: {indexed} allocations over the ten workload queries on a 40-document \
+         warehouse, budget {} — half of the {parent} the String-keyed read path spent \
+         (LU 16 146, LUP 16 992, LUI 23 732, 2LUPI 28 020, no index 19 303)",
+        parent / 2
+    );
+    if strategy != Strategy::Lu {
+        return;
+    }
+    let scanned = ten_queries(w, Warehouse::run_query_no_index);
+    println!("no index: {scanned} allocations over the ten queries (parent {PARENT_NO_INDEX})");
+    assert!(
+        2 * scanned <= PARENT_NO_INDEX,
+        "no index: {scanned} allocations over the ten workload queries on a 40-document \
+         warehouse, budget {} — half of the {PARENT_NO_INDEX} the String-keyed read path spent",
+        PARENT_NO_INDEX / 2
+    );
+    // A query's host cost must not grow with the warehouse's age.
+    let q = workload_query("q8").expect("a workload query");
+    let mut one = || {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        w.run_query(&q);
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    let first = one();
+    let mut last = first;
+    for _ in 1..200 {
+        last = one();
+    }
+    assert_eq!(
+        first, last,
+        "the 1st and the 200th run of q8 on one warehouse must allocate the same number"
+    );
 }
