@@ -250,7 +250,7 @@ impl Span {
 
 #[derive(Debug)]
 struct Inner {
-    spans: Vec<Span>,
+    spans: Arc<Vec<Span>>,
     ctx: Ctx,
     prices: PriceTable,
 }
@@ -274,7 +274,7 @@ impl Recorder {
     /// An enabled recorder billing spans under `prices`.
     pub fn enabled(prices: PriceTable) -> Recorder {
         Recorder(Some(Arc::new(Mutex::new(Inner {
-            spans: Vec::new(),
+            spans: Arc::default(),
             ctx: Ctx::default(),
             prices,
         }))))
@@ -292,7 +292,7 @@ impl Recorder {
         if let Some(inner) = &self.0 {
             let mut g = inner.lock().expect("recorder lock");
             let span = f(&g.prices, &g.ctx);
-            g.spans.push(span);
+            Arc::make_mut(&mut g.spans).push(span);
         }
     }
 
@@ -305,11 +305,12 @@ impl Recorder {
         }
     }
 
-    /// A copy of every span recorded so far (empty when disabled).
-    pub fn spans(&self) -> Vec<Span> {
+    /// Every span recorded so far (empty when disabled): a snapshot sharing
+    /// the buffer, which a span recorded while it is held copies first.
+    pub fn spans(&self) -> Arc<Vec<Span>> {
         match &self.0 {
             Some(inner) => inner.lock().expect("recorder lock").spans.clone(),
-            None => Vec::new(),
+            None => Arc::default(),
         }
     }
 
@@ -359,6 +360,28 @@ mod tests {
         assert_eq!(spans[0].bytes, 42);
         assert_eq!(spans[0].billed, PriceTable::default().st_put);
         assert_eq!(spans[0].duration(), SimDuration::from_micros(12));
+    }
+
+    #[test]
+    fn a_snapshot_shares_the_buffer_and_never_changes() {
+        let rec = Recorder::enabled(PriceTable::default());
+        let put = |at| {
+            rec.record(|_, ctx| Span::new(ServiceKind::S3, "put", SimTime(at), SimTime(at), ctx))
+        };
+        put(1);
+        // Two snapshots with nothing recorded in between are one buffer…
+        let (first, again) = (rec.spans(), rec.spans());
+        assert!(Arc::ptr_eq(&first, &again));
+        drop(again);
+        // …a span recorded while one is held leaves it as it was…
+        put(2);
+        assert_eq!((first.len(), rec.span_count()), (1, 2));
+        drop(first);
+        // …and with none held, recording appends in place.
+        let before = rec.spans().as_ptr();
+        put(3);
+        assert_eq!(rec.spans().as_ptr(), before);
+        assert_eq!(rec.spans().len(), 3);
     }
 
     #[test]

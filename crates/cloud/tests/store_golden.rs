@@ -256,7 +256,7 @@ fn transcript(opening: &Opening) -> (String, String, String, String) {
     let contents = format!("{:?}", store.peek_all());
     assert_eq!(format!("{:?}", store.stats()), stats, "peek_all is free");
     let mut spans = String::new();
-    for s in recorder.spans() {
+    for s in recorder.spans().iter() {
         writeln!(
             spans,
             "{} {} {} {} {} {:016x} {} {:?} {:?}",

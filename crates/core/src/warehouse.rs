@@ -1014,7 +1014,7 @@ impl Warehouse {
 
     /// Every span recorded so far (empty unless `cfg.host.record` was
     /// set when the warehouse was provisioned).
-    pub fn spans(&self) -> Vec<Span> {
+    pub fn spans(&self) -> std::sync::Arc<Vec<Span>> {
         self.engine.world.obs.spans()
     }
 
