@@ -5,9 +5,9 @@
 use amada::cloud::{FaultConfig, InstanceType, Money, SimDuration, Sqs, SqsError};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
-use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
+use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
 use amada_core::actors::{DocCache, LoaderCore, LoaderTotals};
-use amada_core::LOADER_QUEUE;
+use amada_core::{IndexBuildReport, WorkloadReport, DEAD_LETTER_QUEUE, LOADER_QUEUE};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -329,4 +329,164 @@ fn throttled_scans_are_billed_stateless_and_answers_identical() {
         faulty_cost > clean_cost,
         "billed throttles must surface in the bill: faulty {faulty_cost} vs clean {clean_cost}"
     );
+}
+
+/// The seed the give-up digests below were captured at (also
+/// [`fault_seed`]'s default).
+const PINNED_SEED: u64 = 0xFA117;
+
+/// `(throttle rate, max_attempts, max_receives)`: budgets small enough,
+/// against rates high enough, that pre-commit operations exhaust their
+/// retries and abandon their tasks, and abandoned messages run out of
+/// deliveries and are dead-lettered. The first row redelivers but parks
+/// nothing; the last dead-letters on the first redelivery.
+const GIVE_UP_CASES: [(f64, u32, u32); 3] = [(0.3, 1, 5), (0.5, 1, 2), (0.4, 2, 1)];
+
+const GIVE_UP_STRATEGIES: [Strategy; 3] = [Strategy::Lup, Strategy::LupPd, Strategy::TwoLupi];
+
+/// Both reports of each case x strategy at [`PINNED_SEED`], in
+/// [`give_up_digest`]'s rendering, captured from the tree this test was
+/// introduced against: the abandon and dead-letter branches' jitter draws
+/// are pinned like every other one.
+const GIVE_UP_DIGESTS: [[&str; 3]; 3] = [
+    [
+        "build 8304179us 8853773421p thr=540 ren=0 red=17 docs=24 dead=0 | workload 11509764us 1761012644p thr=139 ren=0 red=11 done=20 dead=0",
+        "build 8304179us 8853773421p thr=540 ren=0 red=17 docs=24 dead=0 | workload 11503733us 1761680114p thr=139 ren=0 red=11 done=20 dead=0",
+        "build 10333782us 11805264178p thr=735 ren=0 red=54 docs=15 dead=9 | workload 11157737us 1617096550p thr=115 ren=0 red=12 done=19 dead=1",
+    ],
+    [
+        "build 4427740us 4919041330p thr=562 ren=0 red=33 docs=10 dead=14 | workload 9412416us 1661561398p thr=220 ren=0 red=12 done=17 dead=3",
+        "build 4427740us 4919041330p thr=562 ren=0 red=33 docs=10 dead=14 | workload 9409735us 1662064888p thr=220 ren=0 red=12 done=17 dead=3",
+        "build 4460652us 5010488178p thr=578 ren=0 red=40 docs=6 dead=18 | workload 9362191us 1508200706p thr=206 ren=0 red=12 done=15 dead=5",
+    ],
+    [
+        "build 2534000us 2985655554p thr=248 ren=0 red=10 docs=14 dead=10 | workload 5121129us 1218705841p thr=133 ren=0 red=1 done=19 dead=1",
+        "build 2534000us 2985655554p thr=248 ren=0 red=10 docs=14 dead=10 | workload 5115976us 1219225003p thr=133 ren=0 red=1 done=19 dead=1",
+        "build 2626402us 3248610402p thr=263 ren=0 red=16 docs=8 dead=16 | workload 6772983us 1117627274p thr=133 ren=0 red=6 done=14 dead=6",
+    ],
+];
+
+/// Everything in the two reports that a moved jitter draw, a lost message
+/// or an extra request would change.
+fn give_up_digest(
+    build: &IndexBuildReport,
+    dead_docs: usize,
+    run: &WorkloadReport,
+    dead_queries: usize,
+) -> String {
+    format!(
+        "build {}us {}p thr={} ren={} red={} docs={} dead={} | workload {}us {}p thr={} ren={} red={} done={} dead={}",
+        build.total_time.micros(),
+        build.cost.total().pico(),
+        build.throttled_requests,
+        build.lease_renewals,
+        build.redelivered,
+        build.documents,
+        dead_docs,
+        run.total_time.micros(),
+        run.cost.total().pico(),
+        run.throttled_requests,
+        run.lease_renewals,
+        run.redelivered,
+        run.executions.len(),
+        dead_queries,
+    )
+}
+
+/// Every answer of a workload run, as `(query name, sorted result rows)`,
+/// sorted: what was answered, however the arrivals were interleaved.
+fn sorted_answers(run: &WorkloadReport) -> Vec<(String, Vec<Vec<String>>)> {
+    let mut answers: Vec<_> = run
+        .executions
+        .iter()
+        .map(|e| {
+            let mut rows: Vec<Vec<String>> = e.results.iter().map(|r| r.columns.to_vec()).collect();
+            rows.sort();
+            (e.name.clone(), rows)
+        })
+        .collect();
+    answers.sort();
+    answers
+}
+
+/// The give-up branches: a pre-commit operation past `max_attempts`
+/// abandons its task to redelivery, and a message past `max_receives` is
+/// parked on the dead-letter queue. Under any fault seed messages are
+/// conserved — every document is indexed or dead-lettered, every arrival
+/// answered once or dead-lettered — and whatever completed is exactly what
+/// a fault-free warehouse holds and answers.
+#[test]
+fn exhausted_budgets_abandon_and_dead_letter_but_conserve_every_message() {
+    let docs = corpus(24);
+    let queries: Vec<_> = workload().into_iter().take(5).collect();
+    let arrivals = queries.len() * 4;
+    let mut seeds = vec![fault_seed()];
+    if seeds[0] != PINNED_SEED {
+        seeds.push(PINNED_SEED);
+    }
+    for (s, strategy) in GIVE_UP_STRATEGIES.into_iter().enumerate() {
+        let mut clean = Warehouse::new(WarehouseConfig::with_strategy(strategy));
+        upload(&mut clean, &docs);
+        assert_eq!(clean.build_index().documents, 24);
+        let clean_index = clean.world().kv.peek_all();
+        let clean_answers = sorted_answers(&clean.run_workload(&queries, 4));
+
+        for &seed in &seeds {
+            for (c, (rate, max_attempts, max_receives)) in GIVE_UP_CASES.into_iter().enumerate() {
+                let row = format!(
+                    "{strategy} rate {rate} max_attempts {max_attempts} \
+                     max_receives {max_receives} seed {seed:#x}"
+                );
+                let mut cfg = faulty_config(rate);
+                cfg.faults.seed = seed;
+                cfg.strategy = strategy;
+                cfg.visibility = SimDuration::from_secs(2);
+                cfg.retry.max_attempts = max_attempts;
+                cfg.retry.max_receives = max_receives;
+                let mut w = Warehouse::new(cfg);
+                upload(&mut w, &docs);
+                let dead = |w: &Warehouse| w.world().sqs.len(DEAD_LETTER_QUEUE).unwrap();
+
+                let build = w.build_index();
+                let dead_docs = dead(&w);
+                assert_eq!(
+                    build.documents as usize + dead_docs,
+                    docs.len(),
+                    "{row}: every document is indexed once or dead-lettered"
+                );
+                assert!(build.redelivered > 0, "{row}: loaders abandoned tasks");
+                if dead_docs == 0 {
+                    assert_eq!(
+                        w.world().kv.peek_all(),
+                        clean_index,
+                        "{row}: abandoned and redelivered builds rewrite the same items"
+                    );
+                }
+
+                let run = w.run_workload(&queries, 4);
+                let dead_queries = dead(&w) - dead_docs;
+                assert_eq!(
+                    run.executions.len() + dead_queries,
+                    arrivals,
+                    "{row}: every arrival is answered once or dead-lettered"
+                );
+                assert!(run.redelivered > 0, "{row}: processors abandoned tasks");
+                if dead_docs == 0 && dead_queries == 0 {
+                    assert_eq!(
+                        sorted_answers(&run),
+                        clean_answers,
+                        "{row}: abandoned and redelivered queries answer the same"
+                    );
+                }
+
+                if seed == PINNED_SEED {
+                    assert_eq!(
+                        give_up_digest(&build, dead_docs, &run, dead_queries),
+                        GIVE_UP_DIGESTS[c][s],
+                        "{row}: a virtual microsecond, a picodollar or a counter moved"
+                    );
+                }
+            }
+        }
+    }
 }
