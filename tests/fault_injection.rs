@@ -222,11 +222,13 @@ fn zero_rate_faults_are_bit_identical_to_no_faults() {
 
 /// Under injected faults the pipeline still produces exactly the right
 /// answers — and the resilience is visible in the ledger: throttled
-/// requests were billed and retried, so the run costs strictly more than
-/// the fault-free one.
+/// requests were billed and retried, so the services whose request count
+/// the work fixes charge strictly more than in the fault-free run. (The
+/// corpus is large enough that some file-store or index-store request is
+/// throttled under any seed the chaos matrix uses.)
 #[test]
 fn faulty_pipeline_is_correct_and_costs_more() {
-    let docs = corpus(12);
+    let docs = corpus(60);
     let queries = ["q1", "q4", "q6"];
 
     let mut clean = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lup));
@@ -245,11 +247,13 @@ fn faulty_pipeline_is_correct_and_costs_more() {
         faulty_build.throttled_requests > 0,
         "5% faults must throttle"
     );
+    // Not the total: instance hours and idle polls follow the makespan,
+    // which backoff jitter can shorten as well as lengthen.
     assert!(
-        faulty_build.cost.total() > clean_build.cost.total(),
+        faulty_build.cost.kv + faulty_build.cost.s3 > clean_build.cost.kv + clean_build.cost.s3,
         "every retry is a billed request: faulty {} vs clean {}",
-        faulty_build.cost.total(),
-        clean_build.cost.total()
+        faulty_build.cost,
+        clean_build.cost
     );
 
     for name in queries {
@@ -292,8 +296,10 @@ fn throttled_scans_are_billed_stateless_and_answers_identical() {
     let clean_bytes_before = clean.world().s3.stats().bytes_scanned;
     let throttled_before = faulty.world().s3.stats().throttled;
 
+    // Enough rounds that some scan is throttled under any seed the chaos
+    // matrix uses (three queries scan six candidates between them).
     let (mut clean_cost, mut faulty_cost) = (Money::ZERO, Money::ZERO);
-    for name in queries {
+    for name in queries.iter().cycle().take(25 * queries.len()) {
         let q = workload_query(name).unwrap();
         let a = clean.run_query(&q);
         let b = faulty.run_query(&q);
