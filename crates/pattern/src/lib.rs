@@ -9,8 +9,6 @@
 //!   notation (Figure 2);
 //! * [`eval`] — a naive backtracking evaluator (correctness oracle) and
 //!   tuple materialization (`val` = string value, `cont` = subtree);
-//! * [`structural`] — binary structural joins (Al-Khalifa et al., the
-//!   paper's \[3\]) on sorted ID streams;
 //! * [`stream`] — skippable sorted-stream inputs ([`TwigStream`]) the join
 //!   gallops over (exponential probe + binary search);
 //! * [`twig`] — the holistic twig join over *(pre, post, depth)* streams
@@ -40,7 +38,6 @@ pub mod ast;
 pub mod eval;
 pub mod parser;
 pub mod stream;
-pub mod structural;
 pub mod twig;
 pub mod valuejoin;
 pub mod xquery;
@@ -49,7 +46,6 @@ pub use ast::{Axis, Bound, NodeTest, Output, PatternNode, Predicate, Query, Tree
 pub use eval::{naive_matches, EvalStats, Tuple};
 pub use parser::{parse_pattern, parse_pattern_component, parse_query, ParseError};
 pub use stream::{SliceStream, TwigStream};
-pub use structural::{semijoin_descendants, structural_join};
 pub use twig::{evaluate_pattern_twig, TwigEvaluator, TwigJoin, TwigShape};
 pub use valuejoin::{join_pattern_results, JoinedTuple};
 pub use xquery::parse_xquery;
