@@ -1,5 +1,12 @@
 //! The warehouse's module programs, as discrete-event actors.
 //!
+//! * [`Worker`] — what both programs are before they do anything with a
+//!   message, written once: the core's place in its pool, its module's
+//!   queue, span lane and phase ([`Module`]), its throttle handling
+//!   ([`Retry`]) and [`Worker::receive`], the single receive step — stop
+//!   if drained, receive, back off if throttled, exit or poll if empty,
+//!   crash if told to, dead-letter a poison message, else lease it. Each
+//!   core embeds one and adds what it does *with* a message.
 //! * [`LoaderCore`] — one per core of each indexing-module instance
 //!   (architecture steps 4–6): lease a document message, fetch the
 //!   document from the file store, extract index entries, batch-write them
@@ -27,17 +34,20 @@
 //! message reappears for another core. Transient service throttles
 //! (`amada_cloud::fault`) are retried with capped exponential backoff and
 //! deterministic jitter; a *pre-commit* operation that exhausts its retry
-//! budget abandons the task to redelivery, while commit operations retry
-//! without bound so each task completes exactly once. A message delivered
-//! more than `RetryPolicy::max_receives` times is dead-lettered. Every
-//! retry is a billed request.
+//! budget ([`Retry::again`] returns `None`) abandons the task to
+//! redelivery, while commit operations retry without bound
+//! ([`Retry::until_ok`]) so each task completes exactly once. A message
+//! delivered more than `RetryPolicy::max_receives` times is dead-lettered.
+//! Every retry is a billed request. An instance is billed up to each of
+//! its cores' next wake-up: it is up — working, backing off or polling —
+//! until then.
 
 use crate::autoscale::DrainSignal;
 use crate::config::{
     WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{QueryExecution, QueryPhases};
-use crate::retry::{dead_letter, put_object, until_ok, Backoff, Lease, RetryPolicy};
+use crate::retry::{dead_letter, put_object, Lease, Retry};
 use amada_cloud::{
     Actor, ActorTag, InstanceId, KvError, KvItem, Phase, S3Error, ServiceKind, SimDuration,
     SimTime, Span, SqsError, StepResult, World,
@@ -63,13 +73,6 @@ use std::sync::Arc;
 /// simulation host). Sharded and `Send + Sync`: the warehouse prewarms it
 /// across all host cores before the single-threaded engine runs.
 pub type DocCache = Arc<ExtractCache>;
-
-/// Stream-derivation tags for the per-core jitter RNGs, so loader and
-/// query cores draw from independent streams under one master seed. Core
-/// *k* of a pool derives the same stream whether it was provisioned
-/// up-front or launched mid-run by the autoscaler.
-const LOADER_RNG_TAG: u64 = 0x10AD_0000;
-const QUERY_RNG_TAG: u64 = 0x9E4F_0000;
 
 /// Item keys of *replaced or deleted* document versions, pending index
 /// retraction, keyed by URI. The front end records a version's keys here
@@ -105,20 +108,178 @@ pub struct LoaderTotals {
     pub retracted_items: u64,
 }
 
-/// Exits a module core: an autoscaled member reports to its drain signal
-/// (the last core out freezes the instance's billing window — a query
-/// instance has exactly one actor); a static one just bills its uptime.
-fn exit(
-    drain: &Option<DrainSignal>,
-    instance: InstanceId,
-    world: &mut World,
-    t: SimTime,
-) -> StepResult {
-    match drain {
-        Some(d) => d.core_exited(world, t),
-        None => world.ec2.extend(instance, t),
+/// What is fixed about a module, whichever core runs it.
+#[derive(Debug, Clone, Copy)]
+pub struct Module {
+    /// The task queue its cores consume.
+    pub queue: &'static str,
+    /// Its instances' span lane (the `kind` of their [`ActorTag`]).
+    pub kind: &'static str,
+    /// The phase its work is attributed to.
+    pub phase: Phase,
+    /// Stream-derivation tag of its cores' jitter generators, so loader
+    /// and query cores draw from independent streams under one master
+    /// seed.
+    rng_tag: u64,
+}
+
+/// The indexing module (architecture steps 4–6).
+pub const LOADER: Module = Module {
+    queue: LOADER_QUEUE,
+    kind: "loader",
+    phase: Phase::Build,
+    rng_tag: 0x10AD_0000,
+};
+
+/// The query-processor module (architecture steps 9–15).
+pub const QUERY: Module = Module {
+    queue: QUERY_QUEUE,
+    kind: "query",
+    phase: Phase::Query,
+    rng_tag: 0x9E4F_0000,
+};
+
+/// The queue worker inside every module core: the paper's Section 3
+/// contract — a task starts from a leased queue message — and what can
+/// happen before there is a task.
+pub struct Worker {
+    /// The instance this core belongs to (for uptime billing).
+    pub instance: InstanceId,
+    module: Module,
+    /// Message lease duration.
+    visibility: SimDuration,
+    /// Idle poll interval.
+    poll: SimDuration,
+    /// Throttle handling: the policy, the core's own jitter stream and
+    /// the consecutive-throttle count of the operation in hand.
+    retry: Retry,
+    /// Fault injection: crash (stop deleting leases) after this many
+    /// messages.
+    pub crash_after: Option<u32>,
+    /// Messages leased for processing so far.
+    processed: u32,
+    /// Autoscaling drain signal shared with the instance's other cores
+    /// (`None` for a static pool). A draining core finishes its leased
+    /// message, then exits instead of receiving again; the last core out
+    /// freezes the instance's billing window.
+    drain: Option<DrainSignal>,
+}
+
+impl Worker {
+    /// Core number `idx`, in launch order, of `module`'s pool, running on
+    /// `instance`. `idx` derives the core's backoff-jitter stream, so
+    /// concurrent retries decorrelate — and core *k* draws the same
+    /// stream whether it was provisioned up-front or launched mid-run by
+    /// the autoscaler.
+    pub fn new(
+        cfg: &WarehouseConfig,
+        module: Module,
+        instance: InstanceId,
+        idx: u64,
+        drain: Option<DrainSignal>,
+    ) -> Worker {
+        let rng = StdRng::seed_from_u64(cfg.faults.seed ^ (module.rng_tag + idx));
+        Worker {
+            instance,
+            module,
+            visibility: cfg.visibility,
+            poll: cfg.poll_interval,
+            retry: Retry::new(cfg.retry, Some(rng)),
+            crash_after: None,
+            processed: 0,
+            drain,
+        }
     }
-    StepResult::Done
+
+    /// Tags the spans of the step that begins: the module's phase, the
+    /// core's lane and the document in hand.
+    fn tag(&self, world: &World, doc: Option<&str>) {
+        world.obs.with_ctx(|c| {
+            c.phase = self.module.phase;
+            c.query = None;
+            c.doc = doc.map(Into::into);
+            c.actor = Some(ActorTag {
+                kind: self.module.kind,
+                instance: self.instance.0,
+            });
+        });
+    }
+
+    /// The single receive step (architecture steps 4 and 9): the leased
+    /// message — its lease, its body and the receive's response time — or
+    /// the step result of a core that has no task to start.
+    fn receive(
+        &mut self,
+        now: SimTime,
+        world: &mut World,
+    ) -> Result<(Lease, String, SimTime), StepResult> {
+        // A scale-in victim stops *receiving*; it only gets here once any
+        // leased message is fully processed, so draining never abandons a
+        // lease.
+        if self.drain.as_ref().is_some_and(|d| d.is_draining()) {
+            return Err(self.exit(world, now));
+        }
+        let queue = self.module.queue;
+        let (msg, t) = match world.sqs.receive(now, queue, self.visibility) {
+            Ok(out) => out,
+            Err(SqsError::Throttled { available_at }) => {
+                return Err(StepResult::NextAt(self.retry.again_capped(available_at)));
+            }
+            Err(e) => panic!("module queues exist: {e}"),
+        };
+        self.retry.reset();
+        let Some(msg) = msg else {
+            if world.sqs.drained(queue).expect("module queues exist") {
+                return Err(self.exit(world, t));
+            }
+            return Err(StepResult::NextAt(t + self.poll));
+        };
+        if self.crash_after.is_some_and(|n| self.processed >= n) {
+            // Simulated crash after lease acquisition: the message is
+            // neither processed nor deleted; SQS will redeliver it. The
+            // instance was up for the receive — bill it.
+            world.ec2.extend(self.instance, t);
+            world
+                .obs
+                .record(|_, ctx| Span::new(ServiceKind::Actor, "crash", now, t, ctx));
+            return Err(StepResult::Done);
+        }
+        if msg.receive_count > self.retry.max_receives() {
+            let t = dead_letter(&mut world.sqs, &mut self.retry, t, queue, msg);
+            return Err(StepResult::NextAt(t));
+        }
+        self.processed += 1;
+        let lease = Lease::new(queue, msg.id, self.visibility, now);
+        Ok((lease, msg.body, t))
+    }
+
+    /// The step result of a task abandoned when a throttle's failure
+    /// response arrived at `available_at`: the core drops the lease — the
+    /// message expires and is redelivered, to this core or another — and
+    /// polls again after the usual interval.
+    fn abandon(&self, available_at: SimTime) -> StepResult {
+        StepResult::NextAt(available_at + self.poll)
+    }
+
+    /// Exits the core: an autoscaled member reports to its drain signal
+    /// (the last core out freezes the instance's billing window — a query
+    /// instance has exactly one actor); a static one just bills its
+    /// uptime.
+    fn exit(&self, world: &mut World, t: SimTime) -> StepResult {
+        match &self.drain {
+            Some(d) => d.core_exited(world, t),
+            None => world.ec2.extend(self.instance, t),
+        }
+        StepResult::Done
+    }
+
+    /// Ends a step: bills the instance up to the core's next wake-up.
+    fn billed(&self, world: &mut World, result: StepResult) -> StepResult {
+        if let StepResult::NextAt(t) = result {
+            world.ec2.extend(self.instance, t);
+        }
+        result
+    }
 }
 
 /// A document's index writes in flight: the new version's item batches
@@ -163,8 +324,8 @@ enum LoaderState {
 
 /// One core of an indexing-module instance.
 pub struct LoaderCore {
-    /// The instance this core belongs to (for uptime billing).
-    pub instance: InstanceId,
+    /// The queue worker this core is.
+    pub worker: Worker,
     /// The core's compute rating.
     pub ecu: f64,
     /// Extraction options.
@@ -173,15 +334,6 @@ pub struct LoaderCore {
     pub totals: Rc<RefCell<LoaderTotals>>,
     /// Host document cache.
     pub cache: DocCache,
-    /// Message lease duration.
-    pub visibility: SimDuration,
-    /// Idle poll interval.
-    pub poll: SimDuration,
-    /// Retry/backoff/dead-letter policy.
-    pub policy: RetryPolicy,
-    /// Fault injection: crash (stop deleting leases) after this many
-    /// messages.
-    pub crash_after: Option<u32>,
     /// Fault injection: crash *mid-upload*, after writing this many index
     /// batches (across all documents) — the already-written batches stay
     /// in the store, the message lease expires, and the document is
@@ -199,124 +351,52 @@ pub struct LoaderCore {
     /// partition-scoped scans). The paper's single-strategy layout is the
     /// flat plan — one partition, the global tables.
     pub plan: Rc<MixedPlan>,
-    /// Messages fully processed so far.
-    pub processed: u32,
-    /// Autoscaling drain signal shared with the instance's other cores
-    /// (`None` for a static pool). A draining core finishes its leased
-    /// message, then exits instead of polling again; the last core out
-    /// freezes the instance's billing window.
-    pub drain: Option<DrainSignal>,
     state: LoaderState,
     /// Whether this core has received a document yet (first receipt
     /// increments `LoaderTotals::active_cores`).
     worked: bool,
-    /// Backoff-jitter stream (only drawn from when a retry happens, so
-    /// fault-free runs consume no randomness).
-    rng: StdRng,
-    /// Consecutive throttles of the current operation.
-    attempt: u32,
 }
 
 impl LoaderCore {
-    /// Creates idle core number `idx` of the loader pool `cfg` describes,
-    /// running on `instance` — the one place a loader core is built,
-    /// whether the pool is static or elastic. `idx` derives the core's
-    /// backoff-jitter stream, so concurrent retries decorrelate. The
-    /// handles are shared with the warehouse front end and the pool's
+    /// Creates an idle core of the loader pool `cfg` describes around
+    /// `worker`, a [`LOADER`] one — the one place a loader core is built.
+    /// The handles are shared with the warehouse front end and the pool's
     /// other cores.
     pub fn new(
         cfg: &WarehouseConfig,
-        instance: InstanceId,
-        idx: u64,
+        worker: Worker,
         plan: Rc<MixedPlan>,
         retractions: RetractionRegistry,
         totals: Rc<RefCell<LoaderTotals>>,
         cache: DocCache,
     ) -> LoaderCore {
         LoaderCore {
-            instance,
+            worker,
             ecu: cfg.loader_pool.itype.ecu_per_core(),
             opts: cfg.extract,
             totals,
             cache,
-            visibility: cfg.visibility,
-            poll: cfg.poll_interval,
-            policy: cfg.retry,
-            crash_after: None,
             crash_after_batches: None,
             batches_written: 0,
             retractions,
             plan,
-            processed: 0,
-            drain: None,
             state: LoaderState::Idle,
             worked: false,
-            rng: StdRng::seed_from_u64(cfg.faults.seed ^ (LOADER_RNG_TAG + idx)),
-            attempt: 0,
         }
     }
 
-    /// Step 4: poll the task queue; on a message, lease it and move to
+    /// Step 4: receive from the task queue; on a message, move to
     /// [`LoaderState::Fetching`].
     fn step_idle(&mut self, now: SimTime, world: &mut World) -> StepResult {
-        // A scale-in victim stops *receiving*; it only reaches Idle once
-        // any leased message is fully processed, so draining never
-        // abandons a lease.
-        if self.drain.as_ref().is_some_and(|d| d.is_draining()) {
-            return exit(&self.drain, self.instance, world, now);
-        }
-        let (msg, t) = match world.sqs.receive(now, LOADER_QUEUE, self.visibility) {
-            Ok(out) => out,
-            Err(SqsError::Throttled { available_at }) => {
-                self.attempt = (self.attempt + 1).min(self.policy.max_attempts);
-                return StepResult::NextAt(
-                    available_at + self.policy.backoff(self.attempt, &mut self.rng),
-                );
-            }
-            Err(e) => panic!("loader queue exists: {e}"),
+        let (lease, uri, t) = match self.worker.receive(now, world) {
+            Ok(leased) => leased,
+            Err(result) => return result,
         };
-        self.attempt = 0;
-        let Some(msg) = msg else {
-            if world
-                .sqs
-                .drained(LOADER_QUEUE)
-                .expect("loader queue exists")
-            {
-                return exit(&self.drain, self.instance, world, t);
-            }
-            world.ec2.extend(self.instance, t);
-            return StepResult::NextAt(t + self.poll);
-        };
-        if self.crash_after.is_some_and(|n| self.processed >= n) {
-            // Simulated crash after lease acquisition: the message is
-            // neither processed nor deleted; SQS will redeliver it. The
-            // instance was up for the receive — bill it.
-            world.ec2.extend(self.instance, t);
-            world
-                .obs
-                .record(|_, ctx| Span::new(ServiceKind::Actor, "crash", now, t, ctx));
-            return StepResult::Done;
-        }
-        if msg.receive_count > self.policy.max_receives {
-            let t = dead_letter(
-                &mut world.sqs,
-                &self.policy,
-                &mut self.rng,
-                t,
-                LOADER_QUEUE,
-                msg,
-            );
-            return StepResult::NextAt(t);
-        }
-        self.processed += 1;
         if !self.worked {
             self.worked = true;
             self.totals.borrow_mut().active_cores += 1;
         }
-        self.state = LoaderState::Fetching {
-            lease: Lease::new(LOADER_QUEUE, msg.id, self.visibility, now),
-            uri: msg.body,
-        };
+        self.state = LoaderState::Fetching { lease, uri };
         StepResult::NextAt(t)
     }
 
@@ -333,15 +413,10 @@ impl LoaderCore {
         let (bytes, t) = match world.s3.get(now, DOC_BUCKET, &uri) {
             Ok(out) => out,
             Err(S3Error::SlowDown { available_at }) => {
-                self.attempt += 1;
-                if self.attempt > self.policy.max_attempts {
-                    // Abandon: drop the lease; the message expires and is
-                    // redelivered to (possibly) another core.
-                    self.attempt = 0;
-                    self.state = LoaderState::Idle;
-                    return StepResult::NextAt(available_at + self.poll);
-                }
-                let resume = available_at + self.policy.backoff(self.attempt, &mut self.rng);
+                let Some(resume) = self.worker.retry.again(available_at) else {
+                    // The core is `Idle` again: the lease goes with `lease`.
+                    return self.worker.abandon(available_at);
+                };
                 lease.keep_alive(&mut world.sqs, resume);
                 self.state = LoaderState::Fetching { lease, uri };
                 return StepResult::NextAt(resume);
@@ -351,13 +426,13 @@ impl LoaderCore {
                 // enqueued; the front end retracted its index entries at
                 // delete time. Nothing is left to index — commit the
                 // message (the GET miss was still a billed request).
-                self.attempt = 0;
+                self.worker.retry.reset();
                 self.state = LoaderState::Finishing { lease };
                 return StepResult::NextAt(now);
             }
             Err(e) => panic!("loader messages reference stored documents: {e}"),
         };
-        self.attempt = 0;
+        self.worker.retry.reset();
         // The document's partition picks the strategy. A partition
         // assigned `None` indexes nothing — an empty extraction whose only
         // effect is retracting whatever an earlier placement left behind
@@ -500,7 +575,7 @@ impl LoaderCore {
                 // Mid-upload crash: the batches already written stay in
                 // the store; the lease expires and the document is
                 // redelivered. Bill the uptime this step consumed.
-                world.ec2.extend(self.instance, last);
+                world.ec2.extend(self.worker.instance, last);
                 world
                     .obs
                     .record(|_, ctx| Span::new(ServiceKind::Actor, "crash", now, last, ctx));
@@ -513,21 +588,18 @@ impl LoaderCore {
                 }
                 Err((batch, available_at)) => {
                     pending.push_front((table, batch));
-                    self.attempt += 1;
                     let mut totals = self.totals.borrow_mut();
-                    if self.attempt > self.policy.max_attempts {
-                        self.attempt = 0;
+                    let Some(resume) = self.worker.retry.again(available_at) else {
                         totals.upload_micros += (last.max(available_at) - now).micros();
-                        return Burst::Dropped(StepResult::NextAt(available_at + self.poll));
-                    }
-                    let resume = available_at + self.policy.backoff(self.attempt, &mut self.rng);
+                        return Burst::Dropped(self.worker.abandon(available_at));
+                    };
                     totals.upload_micros += (resume - now).micros();
                     lease.keep_alive(&mut world.sqs, resume);
                     return Burst::Retry(resume);
                 }
             }
         }
-        self.attempt = 0;
+        self.worker.retry.reset();
         self.totals.borrow_mut().upload_micros += (last - now).micros();
         Burst::Done(last)
     }
@@ -617,35 +689,26 @@ impl LoaderCore {
     /// fully indexed; losing the delete would cause a duplicate rewrite).
     fn step_finishing(&mut self, now: SimTime, world: &mut World, mut lease: Lease) -> StepResult {
         lease.keep_alive(&mut world.sqs, now);
-        let t = until_ok(
-            &self.policy,
-            Backoff::Jittered(&mut self.rng),
-            now,
-            format_args!("delete from {LOADER_QUEUE}"),
-            |t| world.sqs.delete(t, LOADER_QUEUE, lease.msg_id),
-        );
-        self.state = LoaderState::Idle;
+        let what = format_args!("delete from {LOADER_QUEUE}");
+        let t = self.worker.retry.until_ok(now, what, |t| {
+            world.sqs.delete(t, LOADER_QUEUE, lease.msg_id)
+        });
         StepResult::NextAt(t)
     }
 }
 
 impl Actor for LoaderCore {
     fn step(&mut self, now: SimTime, world: &mut World) -> StepResult {
+        // `Idle` unless the stage in hand says otherwise: a finished,
+        // abandoned or crashed task leaves nothing to put back.
         let state = std::mem::replace(&mut self.state, LoaderState::Idle);
-        world.obs.with_ctx(|c| {
-            c.phase = Phase::Build;
-            c.query = None;
-            c.doc = match &state {
-                LoaderState::Fetching { uri, .. }
-                | LoaderState::Uploading(Upload { uri, .. })
-                | LoaderState::Retracting(Upload { uri, .. }) => Some(uri.as_str().into()),
-                _ => None,
-            };
-            c.actor = Some(ActorTag {
-                kind: "loader",
-                instance: self.instance.0,
-            });
-        });
+        let doc = match &state {
+            LoaderState::Fetching { uri, .. }
+            | LoaderState::Uploading(Upload { uri, .. })
+            | LoaderState::Retracting(Upload { uri, .. }) => Some(uri.as_str()),
+            _ => None,
+        };
+        self.worker.tag(world, doc);
         let result = match state {
             LoaderState::Idle => self.step_idle(now, world),
             LoaderState::Fetching { lease, uri } => self.step_fetching(now, world, lease, uri),
@@ -653,10 +716,7 @@ impl Actor for LoaderCore {
             LoaderState::Retracting(up) => self.step_retracting(now, world, up),
             LoaderState::Finishing { lease } => self.step_finishing(now, world, lease),
         };
-        if let StepResult::NextAt(t) = result {
-            world.ec2.extend(self.instance, t);
-        }
-        result
+        self.worker.billed(world, result)
     }
 }
 
@@ -664,8 +724,11 @@ impl Actor for LoaderCore {
 /// is divided across its cores, per the paper's intra-machine
 /// parallelism).
 pub struct QueryCore {
-    /// The instance (for uptime billing).
-    pub instance: InstanceId,
+    /// The queue worker this processor is. It holds no lease between
+    /// steps, so a draining one exits at its next wake-up — the query it
+    /// was mid-way through (if any) was completed within the previous
+    /// step.
+    pub worker: Worker,
     /// Cores on the instance.
     pub cores: usize,
     /// Compute rating per core.
@@ -687,45 +750,24 @@ pub struct QueryCore {
     pub opts: ExtractOptions,
     /// Host document cache.
     pub cache: DocCache,
-    /// Message lease duration.
-    pub visibility: SimDuration,
-    /// Idle poll interval.
-    pub poll: SimDuration,
     /// Completed executions (shared with the warehouse).
     pub executions: Rc<RefCell<Vec<QueryExecution>>>,
-    /// Retry/backoff/dead-letter policy.
-    pub policy: RetryPolicy,
-    /// Backoff-jitter stream (only drawn from on a retry).
-    pub rng: StdRng,
-    /// Fault injection: crash after this many messages.
-    pub crash_after: Option<u32>,
-    /// Messages fully processed so far.
-    pub processed: u32,
-    /// Consecutive throttles of the current operation.
-    pub attempt: u32,
-    /// Autoscaling drain signal (`None` for a static pool). A query
-    /// processor holds no lease between steps, so a draining one exits at
-    /// its next wake-up — the query it was mid-way through (if any) was
-    /// completed within the previous step.
-    pub drain: Option<DrainSignal>,
 }
 
 impl QueryCore {
-    /// Creates processor number `idx` of the query pool `cfg` describes,
-    /// running on `instance` — the one place a query core is built,
-    /// whether the pool is static or elastic. `idx` derives the
-    /// backoff-jitter stream.
+    /// Creates a processor of the query pool `cfg` describes around
+    /// `worker`, a [`QUERY`] one — the one place a query core is built,
+    /// whether the pool is static or elastic.
     pub fn new(
         cfg: &WarehouseConfig,
-        instance: InstanceId,
-        idx: u64,
+        worker: Worker,
         plan: Rc<MixedPlan>,
         partitions: Rc<BTreeSet<String>>,
         executions: Rc<RefCell<Vec<QueryExecution>>>,
         cache: DocCache,
     ) -> QueryCore {
         QueryCore {
-            instance,
+            worker,
             cores: cfg.query_pool.itype.cores(),
             ecu: cfg.query_pool.itype.ecu_per_core(),
             strategy: (!plan.indexed_strategies().is_empty()).then_some(cfg.strategy),
@@ -733,15 +775,7 @@ impl QueryCore {
             partitions,
             opts: cfg.extract,
             cache,
-            visibility: cfg.visibility,
-            poll: cfg.poll_interval,
             executions,
-            policy: cfg.retry,
-            rng: StdRng::seed_from_u64(cfg.faults.seed ^ (QUERY_RNG_TAG + idx)),
-            crash_after: None,
-            processed: 0,
-            attempt: 0,
-            drain: None,
         }
     }
 
@@ -760,18 +794,13 @@ impl QueryCore {
             match read() {
                 Ok(out) => break out,
                 Err(S3Error::SlowDown { available_at }) => {
-                    self.attempt += 1;
-                    if self.attempt > self.policy.max_attempts {
-                        self.attempt = 0;
-                        return Err(available_at);
-                    }
-                    *serial +=
-                        (available_at - t) + self.policy.backoff(self.attempt, &mut self.rng);
+                    let resume = self.worker.retry.again(available_at);
+                    *serial += resume.ok_or(available_at)? - t;
                 }
                 Err(e) => panic!("candidate documents exist: {e}"),
             }
         };
-        self.attempt = 0;
+        self.worker.retry.reset();
         *serial += resp - t;
         Ok(payload)
     }
@@ -782,7 +811,6 @@ impl QueryCore {
     /// and the message is redelivered).
     fn process(
         &mut self,
-        msg_id: u64,
         body: &str,
         t0: SimTime,
         world: &mut World,
@@ -827,19 +855,13 @@ impl QueryCore {
             ) {
                 Ok(lookup) => break lookup,
                 Err(KvError::Throttled { available_at }) => {
-                    self.attempt += 1;
-                    if self.attempt > self.policy.max_attempts {
-                        self.attempt = 0;
-                        return Err(available_at);
-                    }
-                    let resume = available_at + self.policy.backoff(self.attempt, &mut self.rng);
-                    lease.keep_alive(&mut world.sqs, resume);
-                    t = resume;
+                    t = self.worker.retry.again(available_at).ok_or(available_at)?;
+                    lease.keep_alive(&mut world.sqs, t);
                 }
                 Err(e) => panic!("index look-up succeeds: {e}"),
             }
         };
-        self.attempt = 0;
+        self.worker.retry.reset();
         // A plan that indexes nothing has no look-up phase to report: no
         // store call was made, every pattern is evaluated on every
         // document, and no time passed.
@@ -958,30 +980,17 @@ impl QueryCore {
         // These are the commit: the work is done, so every operation
         // retries without bound — completing twice (via redelivery) would
         // duplicate the response, whereas extra retries only cost money.
+        let msg_id = lease.msg_id;
+        let retry = &mut self.worker.retry;
         let result_key = format!("{name}-{msg_id}.results");
-        let t = put_object(
-            &mut world.s3,
-            &self.policy,
-            Backoff::Jittered(&mut self.rng),
-            t,
-            RESULT_BUCKET,
-            &result_key,
-            payload.into_bytes(),
-        );
-        let t = until_ok(
-            &self.policy,
-            Backoff::Jittered(&mut self.rng),
-            t,
-            format_args!("send to {RESPONSE_QUEUE}"),
-            |t| world.sqs.send(t, RESPONSE_QUEUE, result_key.clone()),
-        );
-        let t_done = until_ok(
-            &self.policy,
-            Backoff::Jittered(&mut self.rng),
-            t,
-            format_args!("delete from {QUERY_QUEUE}"),
-            |t| world.sqs.delete(t, QUERY_QUEUE, msg_id),
-        );
+        let body = payload.into_bytes();
+        let t = put_object(&mut world.s3, retry, t, RESULT_BUCKET, &result_key, body);
+        let t = retry.until_ok(t, format_args!("send to {RESPONSE_QUEUE}"), |t| {
+            world.sqs.send(t, RESPONSE_QUEUE, result_key.clone())
+        });
+        let t_done = retry.until_ok(t, format_args!("delete from {QUERY_QUEUE}"), |t| {
+            world.sqs.delete(t, QUERY_QUEUE, msg_id)
+        });
 
         let docs_with_results: BTreeSet<&str> = results
             .iter()
@@ -1005,70 +1014,140 @@ impl QueryCore {
 
 impl Actor for QueryCore {
     fn step(&mut self, now: SimTime, world: &mut World) -> StepResult {
-        world.obs.with_ctx(|c| {
-            c.phase = Phase::Query;
-            c.query = None;
-            c.doc = None;
-            c.actor = Some(ActorTag {
-                kind: "query",
-                instance: self.instance.0,
-            });
-        });
-        if self.drain.as_ref().is_some_and(|d| d.is_draining()) {
-            return exit(&self.drain, self.instance, world, now);
-        }
-        let (msg, t) = match world.sqs.receive(now, QUERY_QUEUE, self.visibility) {
-            Ok(out) => out,
-            Err(SqsError::Throttled { available_at }) => {
-                self.attempt = (self.attempt + 1).min(self.policy.max_attempts);
-                let resume = available_at + self.policy.backoff(self.attempt, &mut self.rng);
-                world.ec2.extend(self.instance, available_at);
-                return StepResult::NextAt(resume);
-            }
-            Err(e) => panic!("query queue exists: {e}"),
+        self.worker.tag(world, None);
+        let result = match self.worker.receive(now, world) {
+            Ok((mut lease, body, t)) => match self.process(&body, t, world, &mut lease) {
+                Ok(t_done) => StepResult::NextAt(t_done),
+                Err(available_at) => self.worker.abandon(available_at),
+            },
+            Err(result) => result,
         };
-        self.attempt = 0;
-        let Some(msg) = msg else {
-            if world.sqs.drained(QUERY_QUEUE).expect("query queue exists") {
-                return exit(&self.drain, self.instance, world, t);
-            }
-            world.ec2.extend(self.instance, t);
-            return StepResult::NextAt(t + self.poll);
-        };
-        if self.crash_after.is_some_and(|n| self.processed >= n) {
-            // The instance was up for the final receive — bill it.
-            world.ec2.extend(self.instance, t);
-            world
-                .obs
-                .record(|_, ctx| Span::new(ServiceKind::Actor, "crash", now, t, ctx));
-            return StepResult::Done;
+        self.worker.billed(world, result)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::DEAD_LETTER_QUEUE;
+    use amada_cloud::{InstanceType, KvBackend};
+
+    /// A bare world holding the queues a worker touches, and core 0 of
+    /// `module` on a fresh instance: a member of an elastic pool (its
+    /// instance's only core) or of a static one.
+    fn worker(cfg: &WarehouseConfig, module: Module, elastic: bool) -> (World, Worker) {
+        let mut world = World::new(KvBackend::default());
+        for queue in [LOADER_QUEUE, QUERY_QUEUE, DEAD_LETTER_QUEUE] {
+            world.sqs.create_queue(queue);
         }
-        if msg.receive_count > self.policy.max_receives {
-            let t = dead_letter(
-                &mut world.sqs,
-                &self.policy,
-                &mut self.rng,
-                t,
-                QUERY_QUEUE,
-                msg,
+        let instance = world.ec2.launch(InstanceType::Large, SimTime::ZERO);
+        let drain = elastic.then(|| DrainSignal::new(instance, 1));
+        (world, Worker::new(cfg, module, instance, 0, drain))
+    }
+
+    /// Every shape of pool member the warehouse launches.
+    fn members() -> impl Iterator<Item = (Module, bool)> {
+        [LOADER, QUERY]
+            .into_iter()
+            .flat_map(|module| [(module, false), (module, true)])
+    }
+
+    #[test]
+    fn an_empty_queue_is_polled_while_open_and_left_once_closed() {
+        let cfg = WarehouseConfig::default();
+        for (module, elastic) in members() {
+            let (mut world, mut w) = worker(&cfg, module, elastic);
+            let Err(StepResult::NextAt(again)) = w.receive(SimTime::ZERO, &mut world) else {
+                panic!("{}: an open, empty queue is polled again", module.kind);
+            };
+            assert!(again > SimTime::ZERO + cfg.poll_interval);
+            world.sqs.close(module.queue);
+            assert!(matches!(
+                w.receive(again, &mut world),
+                Err(StepResult::Done)
+            ));
+            assert_eq!(world.sqs.stats().requests, 2, "both receives were served");
+            // Billed through the last receive; only a drained member's
+            // window is frozen there, a static one rides to the phase's end.
+            assert!(world.ec2.record(w.instance).end > again);
+            assert_eq!(world.ec2.is_stopped(w.instance), elastic, "{}", module.kind);
+        }
+    }
+
+    #[test]
+    fn a_draining_member_exits_without_receiving() {
+        let cfg = WarehouseConfig::default();
+        for module in [LOADER, QUERY] {
+            let (mut world, mut w) = worker(&cfg, module, true);
+            world.sqs.send(SimTime::ZERO, module.queue, "m").unwrap();
+            w.drain.as_ref().expect("elastic").drain();
+            let at = SimTime(5_000_000);
+            assert!(matches!(w.receive(at, &mut world), Err(StepResult::Done)));
+            assert_eq!(world.sqs.stats().requests, 1, "the send and nothing else");
+            assert!(world.ec2.is_stopped(w.instance));
+            assert_eq!(world.ec2.record(w.instance).end, at);
+        }
+    }
+
+    #[test]
+    fn a_crash_leaves_the_message_leased() {
+        let cfg = WarehouseConfig::default();
+        for (module, elastic) in members() {
+            let (mut world, mut w) = worker(&cfg, module, elastic);
+            let sent = world.sqs.send(SimTime::ZERO, module.queue, "m").unwrap();
+            w.crash_after = Some(0);
+            assert!(matches!(w.receive(sent, &mut world), Err(StepResult::Done)));
+            assert_eq!(w.processed, 0);
+            assert!(
+                world.ec2.record(w.instance).end > sent,
+                "the receive is billed"
             );
-            world.ec2.extend(self.instance, t);
-            return StepResult::NextAt(t);
+            assert!(!world.ec2.is_stopped(w.instance), "a crash is not a drain");
+            // Neither deleted nor visible: only lease expiry frees it.
+            assert_eq!(world.sqs.len(module.queue).unwrap(), 1);
+            let within = sent + SimDuration::from_secs(60);
+            let (msg, _) = world
+                .sqs
+                .receive(within, module.queue, cfg.visibility)
+                .unwrap();
+            assert!(msg.is_none());
+            let after = sent + cfg.visibility + SimDuration::from_secs(60);
+            let (msg, _) = world
+                .sqs
+                .receive(after, module.queue, cfg.visibility)
+                .unwrap();
+            assert_eq!(msg.expect("redelivered").receive_count, 2);
         }
-        self.processed += 1;
-        let mut lease = Lease::new(QUERY_QUEUE, msg.id, self.visibility, now);
-        match self.process(msg.id, &msg.body, t, world, &mut lease) {
-            Ok(t_done) => {
-                world.ec2.extend(self.instance, t_done);
-                StepResult::NextAt(t_done)
-            }
-            Err(resume) => {
-                // Abandoned: the lease expires on its own and the message
-                // is redelivered (to this instance or another).
-                let resume = resume + self.poll;
-                world.ec2.extend(self.instance, resume);
-                StepResult::NextAt(resume)
-            }
+    }
+
+    #[test]
+    fn a_message_past_its_deliveries_is_parked_on_the_dead_letter_queue() {
+        let mut cfg = WarehouseConfig::default();
+        cfg.retry.max_receives = 1;
+        for (module, elastic) in members() {
+            let (mut world, mut w) = worker(&cfg, module, elastic);
+            let sent = world
+                .sqs
+                .send(SimTime::ZERO, module.queue, "poison")
+                .unwrap();
+            // The first delivery is a task; its holder never commits it.
+            let (lease, body, t) = w.receive(sent, &mut world).ok().expect("first delivery");
+            assert_eq!(
+                (lease.queue, body.as_str(), w.processed),
+                (module.queue, "poison", 1)
+            );
+            let expired = t + cfg.visibility;
+            let Err(StepResult::NextAt(parked)) = w.receive(expired, &mut world) else {
+                panic!("{}: the second delivery is one too many", module.kind);
+            };
+            assert!(parked > expired);
+            assert_eq!(w.processed, 1, "a parked message is not a task");
+            assert_eq!(world.sqs.len(module.queue).unwrap(), 0);
+            let (msg, _) = world
+                .sqs
+                .receive(parked, DEAD_LETTER_QUEUE, cfg.visibility)
+                .unwrap();
+            assert_eq!(msg.expect("parked").body, "poison");
         }
     }
 }

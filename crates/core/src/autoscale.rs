@@ -1,9 +1,10 @@
-//! Queue-depth autoscaling for the warehouse's instance pools.
+//! Queue-depth autoscaling for the warehouse's query-processor pool.
 //!
 //! The paper provisions fixed pools per experiment and bills
 //! `VM$_h × t_phase`; a deployed warehouse serving bursty traffic must
-//! instead grow and shrink the loader and query-processor pools at
-//! runtime. [`AutoscaleController`] is a control-plane actor (it runs on
+//! instead grow and shrink the pool that answers it at runtime (the
+//! loader pool, which works through a closed queue, stays static).
+//! [`AutoscaleController`] is a control-plane actor (it runs on
 //! the front end — no EC2 instance of its own) that every
 //! `sample_interval`:
 //!
@@ -36,8 +37,9 @@
 //! crash racing the drain — simply stops renewing, so the message
 //! reappears and another member processes it exactly once.
 
+use crate::actors::Module;
 use crate::config::AutoscalePolicy;
-use crate::retry::RetryPolicy;
+use crate::retry::{Retry, RetryPolicy};
 use amada_cloud::{
     Actor, ActorTag, InstanceId, Phase, ServiceKind, SimDuration, SimTime, Span, SqsError,
     StepResult, World,
@@ -142,27 +144,25 @@ pub type Launcher<'a> =
 /// The deterministic, virtual-time autoscaling controller (one per
 /// elastic pool per phase). See the module docs for the control loop.
 pub struct AutoscaleController<'a> {
-    queue: &'static str,
+    /// The module whose queue it samples and whose pool it resizes.
+    module: Module,
     policy: AutoscalePolicy,
-    phase: Phase,
     tag: ActorTag,
-    retry: RetryPolicy,
+    /// Throttle handling of the depth probe.
+    retry: Retry,
     launcher: Launcher<'a>,
     /// Active (non-draining) members, in launch order; scale-in drains
     /// from the back (newest first).
     members: Vec<DrainSignal>,
     events: ScaleEvents,
-    /// Consecutive throttles of the depth probe.
-    attempt: u32,
 }
 
 impl<'a> AutoscaleController<'a> {
-    /// A controller over `queue` with no members yet; call
+    /// A controller of `module`'s pool with no members yet; call
     /// [`AutoscaleController::provision`] before spawning it.
     pub fn new(
-        queue: &'static str,
+        module: Module,
         policy: AutoscalePolicy,
-        phase: Phase,
         tag: ActorTag,
         retry: RetryPolicy,
         launcher: Launcher<'a>,
@@ -170,15 +170,13 @@ impl<'a> AutoscaleController<'a> {
     ) -> AutoscaleController<'a> {
         policy.validate();
         AutoscaleController {
-            queue,
+            module,
             policy,
-            phase,
             tag,
-            retry,
+            retry: Retry::new(retry, None),
             launcher,
             members: Vec::new(),
             events,
-            attempt: 0,
         }
     }
 
@@ -214,7 +212,7 @@ impl<'a> AutoscaleController<'a> {
 impl Actor for AutoscaleController<'_> {
     fn step(&mut self, now: SimTime, world: &mut World) -> StepResult {
         world.obs.with_ctx(|c| {
-            c.phase = self.phase;
+            c.phase = self.module.phase;
             c.query = None;
             c.doc = None;
             c.actor = Some(self.tag);
@@ -222,18 +220,18 @@ impl Actor for AutoscaleController<'_> {
         // The members exit by themselves once the queue is drained (same
         // unbilled host probe the static pools use); the controller's job
         // is over then too.
-        if world.sqs.drained(self.queue).expect("pool queue exists") {
+        let queue = self.module.queue;
+        if world.sqs.drained(queue).expect("pool queue exists") {
             return StepResult::Done;
         }
-        let (depth, t) = match world.sqs.depth(now, self.queue) {
+        let (depth, t) = match world.sqs.depth(now, queue) {
             Ok(out) => out,
             Err(SqsError::Throttled { available_at }) => {
-                self.attempt = (self.attempt + 1).min(self.retry.max_attempts);
-                return StepResult::NextAt(available_at + self.retry.backoff_linear(self.attempt));
+                return StepResult::NextAt(self.retry.again_capped(available_at));
             }
             Err(e) => panic!("pool queue exists: {e}"),
         };
-        self.attempt = 0;
+        self.retry.reset();
         let desired = self.policy.desired(depth);
         while self.members.len() != desired {
             let (direction, instance) = if self.members.len() < desired {
@@ -272,7 +270,7 @@ pub struct ArrivalSender {
     queue: &'static str,
     /// `(send at, query name, message body)`, in send order.
     pending: VecDeque<(SimTime, String, String)>,
-    retry: RetryPolicy,
+    retry: Retry,
     tag: ActorTag,
 }
 
@@ -287,7 +285,7 @@ impl ArrivalSender {
         ArrivalSender {
             queue,
             pending,
-            retry,
+            retry: Retry::new(retry, None),
             tag,
         }
     }
@@ -315,13 +313,11 @@ impl ArrivalSender {
             c.doc = None;
             c.actor = Some(self.tag);
         });
-        Some(crate::retry::until_ok(
-            &self.retry,
-            crate::retry::Backoff::Linear,
-            now,
-            format_args!("front-end send to {}", self.queue),
-            |t| world.sqs.send(t, self.queue, body.clone()),
-        ))
+        let what = format_args!("front-end send to {}", self.queue);
+        Some(
+            self.retry
+                .until_ok(now, what, |t| world.sqs.send(t, self.queue, body.clone())),
+        )
     }
 
     /// The closed batch: sends the whole schedule back-to-back from

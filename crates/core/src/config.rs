@@ -39,11 +39,11 @@ impl Pool {
     }
 }
 
-/// Queue-depth autoscaling policy for one instance pool (the loader or
-/// query-processor module). With `None` in the config the warehouse
-/// launches the static pool of [`Pool::count`] instances up front;
-/// `Some(policy)` puts an [`crate::autoscale::AutoscaleController`] in
-/// charge of the same instance launcher:
+/// Queue-depth autoscaling policy for the query-processor pool. With
+/// `None` in the config the warehouse launches the static pool of
+/// [`Pool::count`] instances up front; `Some(policy)` puts an
+/// [`crate::autoscale::AutoscaleController`] in charge of the same
+/// instance launcher:
 /// every `sample_interval` it issues a *billed* SQS depth probe and
 /// resizes the pool toward `ceil(depth / backlog_per_instance)`, clamped
 /// to `min..=max`. Scale-out launches instances whose billing starts at
@@ -144,10 +144,8 @@ pub struct WarehouseConfig {
     pub loader_pool: Pool,
     /// Instances running the query processor (paper: 1 unless stated).
     pub query_pool: Pool,
-    /// Queue-depth autoscaling for the loader pool; `None` (the default)
-    /// runs the static pool.
-    pub loader_autoscale: Option<AutoscalePolicy>,
-    /// Queue-depth autoscaling for the query-processor pool.
+    /// Queue-depth autoscaling for the query-processor pool; `None` (the
+    /// default) runs the static pool. The loader pool is always static.
     pub query_autoscale: Option<AutoscalePolicy>,
     /// EC2 billing granularity: fractional hours (the paper's formulas,
     /// default) or per started hour (real 2012 EC2 invoicing).
@@ -200,7 +198,6 @@ impl Default for WarehouseConfig {
             kv_tuning: KvTuning::NONE,
             loader_pool: Pool::new(8, InstanceType::Large),
             query_pool: Pool::new(1, InstanceType::Large),
-            loader_autoscale: None,
             query_autoscale: None,
             ec2_billing: BillingGranularity::Fractional,
             prices: PriceTable::default(),
@@ -238,7 +235,6 @@ mod tests {
         assert_eq!(c.query_pool.count, 1);
         // Elasticity and started-hour billing are opt-in: the defaults
         // must reproduce the paper's static-pool, fractional-hour setup.
-        assert!(c.loader_autoscale.is_none());
         assert!(c.query_autoscale.is_none());
         assert!(c.mixed_plan.is_none(), "mixed routing is opt-in");
         assert_eq!(c.ec2_billing, BillingGranularity::Fractional);

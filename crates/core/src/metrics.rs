@@ -53,8 +53,6 @@ pub struct IndexBuildReport {
     /// Task messages redelivered after a lease expired (crashed or
     /// abandoning consumer).
     pub redelivered: u64,
-    /// Autoscaler decisions during the build (empty for a static pool).
-    pub scale_events: Vec<ScaleEvent>,
 }
 
 /// Timing decomposition of one query execution (Figures 9b / 9c): the

@@ -1,7 +1,9 @@
 //! The warehouse façade: the full architecture of the paper's Figure 1,
 //! steps 1–18, over the simulated cloud.
 
-use crate::actors::{DocCache, LoaderCore, LoaderTotals, QueryCore, RetractionRegistry};
+use crate::actors::{
+    DocCache, LoaderCore, Module, QueryCore, RetractionRegistry, Worker, LOADER, QUERY,
+};
 use crate::autoscale::{
     ArrivalProcess, ArrivalSender, AutoscaleController, DrainSignal, Launcher, ScaleEvent,
     ScaleEvents,
@@ -10,8 +12,8 @@ use crate::config::{
     AutoscalePolicy, Pool, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER_QUEUE,
     QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
-use crate::metrics::{CostedQuery, IndexBuildReport, QueryExecution, WorkloadReport};
-use crate::retry::{put_object, until_ok, Backoff};
+use crate::metrics::{CostedQuery, IndexBuildReport, WorkloadReport};
+use crate::retry::{put_object, Retry};
 use amada_cloud::{
     Actor, ActorTag, Blob, CostReport, CostSnapshot, Engine, InstanceId, Money, Phase, ServiceKind,
     SimDuration, SimTime, Span, StorageCost, World,
@@ -34,6 +36,9 @@ pub struct Warehouse {
     corpus_bytes: u64,
     /// The front end's span lane (one logical front-end machine).
     frontend: ActorTag,
+    /// The front end's throttle handling: one client, so linear backoff
+    /// and no jitter; every call it retries, it retries until it succeeds.
+    retry: Retry,
     /// Autoscale controllers spawned so far (numbers their span lanes).
     controllers: usize,
     /// Item keys of replaced document versions awaiting index
@@ -177,6 +182,7 @@ impl Warehouse {
             world.enable_recording();
         }
         Warehouse {
+            retry: Retry::new(cfg.retry, None),
             cfg,
             engine: Engine::new(world),
             cache: ExtractCache::shared(),
@@ -230,12 +236,6 @@ impl Warehouse {
     /// (`Some(policy)`) or off (`None`) for subsequent workload runs.
     pub fn set_query_autoscale(&mut self, policy: Option<AutoscalePolicy>) {
         self.cfg.query_autoscale = policy;
-    }
-
-    /// Switches queue-depth autoscaling of the loader pool for subsequent
-    /// [`Warehouse::build_index`] calls.
-    pub fn set_loader_autoscale(&mut self, policy: Option<AutoscalePolicy>) {
-        self.cfg.loader_autoscale = policy;
     }
 
     /// The simulated cloud (for inspection and cost reporting).
@@ -322,22 +322,9 @@ impl Warehouse {
                     self.retract_later(&uri, self.item_keys_under(&self.plan, &uri, old));
                 }
             }
-            t = put_object(
-                &mut self.engine.world.s3,
-                &self.cfg.retry,
-                Backoff::Linear,
-                t,
-                DOC_BUCKET,
-                &uri,
-                body,
-            );
-            t = until_ok(
-                &self.cfg.retry,
-                Backoff::Linear,
-                t,
-                format_args!("front-end send to {LOADER_QUEUE}"),
-                |t| self.engine.world.sqs.send(t, LOADER_QUEUE, uri.clone()),
-            );
+            let s3 = &mut self.engine.world.s3;
+            t = put_object(s3, &mut self.retry, t, DOC_BUCKET, &uri, body);
+            t = self.enqueue_load(t, &uri);
             self.pending_load.insert(uri.clone());
             match replaced {
                 Some(old) => self.corpus_bytes -= old.len() as u64,
@@ -353,6 +340,15 @@ impl Warehouse {
             bytes,
             cost,
         }
+    }
+
+    /// Front end, step 3: enqueues a loading request for `uri` at `t`.
+    /// Returns when the send completed.
+    fn enqueue_load(&mut self, t: SimTime, uri: &str) -> SimTime {
+        let what = format_args!("front-end send to {LOADER_QUEUE}");
+        self.retry.until_ok(t, what, |t| {
+            self.engine.world.sqs.send(t, LOADER_QUEUE, uri)
+        })
     }
 
     /// Records item keys of a replaced version or placement for
@@ -418,13 +414,10 @@ impl Warehouse {
                 keys.extend(self.item_keys_under(&self.plan, &uri, &old));
                 bytes += old.len() as u64;
                 self.corpus_bytes -= old.len() as u64;
-                t = until_ok(
-                    &self.cfg.retry,
-                    Backoff::Linear,
-                    t,
-                    format_args!("front-end delete of {DOC_BUCKET}/{uri}"),
-                    |t| self.engine.world.s3.delete(t, DOC_BUCKET, &uri),
-                );
+                let what = format_args!("front-end delete of {DOC_BUCKET}/{uri}");
+                t = self.retry.until_ok(t, what, |t| {
+                    self.engine.world.s3.delete(t, DOC_BUCKET, &uri)
+                });
                 gone.insert(uri);
             }
             removed += keys.len() as u64;
@@ -433,13 +426,10 @@ impl Warehouse {
                 self.engine.world.kv.ensure_table(table);
                 // Deletes are idempotent at the store, so an over-retry
                 // only costs money.
-                t = until_ok(
-                    &self.cfg.retry,
-                    Backoff::Linear,
-                    t,
-                    format_args!("front-end delete from table {table}"),
-                    |t| self.engine.world.kv.batch_delete(t, table, &chunk),
-                );
+                let what = format_args!("front-end delete from table {table}");
+                t = self.retry.until_ok(t, what, |t| {
+                    self.engine.world.kv.batch_delete(t, table, &chunk)
+                });
             }
         }
         self.engine.world.obs.with_ctx(|c| *c = Default::default());
@@ -509,13 +499,7 @@ impl Warehouse {
                 continue;
             }
             self.tag_frontend(Phase::Build, None, Some(&uri));
-            t = until_ok(
-                &self.cfg.retry,
-                Backoff::Linear,
-                t,
-                format_args!("front-end send to {LOADER_QUEUE}"),
-                |t| self.engine.world.sqs.send(t, LOADER_QUEUE, uri.clone()),
-            );
+            t = self.enqueue_load(t, &uri);
         }
         self.engine.world.obs.with_ctx(|c| *c = Default::default());
         for table in new.known_tables() {
@@ -617,67 +601,65 @@ impl Warehouse {
         self.cache.stats()
     }
 
-    /// The one instance launcher, for either module: launches an instance
-    /// of `pool` at the decision time, records the boot as a span on the
-    /// instance's own `kind` lane, and schedules its `actors` cores at
+    /// Runs one module phase to completion, for either module: provisions
+    /// `pool` over the module's queue — `pool.count` instances up front,
+    /// or an [`AutoscaleController`] resizing it when `autoscale` is set —
+    /// runs the engine dry, and releases the instances. Returns what the
+    /// cores left in their shared sink, the phase's end time, the
+    /// instances it used and the autoscaler's decisions.
+    ///
+    /// Static or elastic, an instance comes from the one launcher: it is
+    /// launched at the decision time, its boot is recorded as a span on
+    /// its own lane, and its `actors` cores are scheduled at
     /// `launch + boot` through the engine's deferred-spawn queue. `core`
-    /// builds one actor per call from the instance and the core's number;
-    /// cores are numbered in launch order whether the pool is static or
-    /// elastic, so a `min == max` autoscaled pool draws the same backoff
-    /// jitter as a static one. Only an `elastic` pool's cores hold the
-    /// drain signal: a static instance is billed to the end of its phase.
-    fn launcher(
-        kind: &'static str,
+    /// builds one actor per call from the configuration, the module's
+    /// queue [`Worker`] it embeds and the sink; cores are numbered in
+    /// launch order whether the pool is static or elastic, so a
+    /// `min == max` autoscaled pool draws the same backoff jitter as a
+    /// static one. Only an elastic pool's cores hold the drain signal: a
+    /// static instance is billed to the end of its phase.
+    fn run_pool<S: Default + 'static>(
+        &mut self,
+        module: Module,
         pool: Pool,
         actors: usize,
-        elastic: bool,
-        mut core: impl FnMut(InstanceId, u64, Option<DrainSignal>) -> Box<dyn Actor> + 'static,
-    ) -> Launcher<'static> {
-        let mut next_core = 0u64;
-        Box::new(move |world: &mut World, t: SimTime, boot: SimDuration| {
-            let id = world.ec2.launch(pool.itype, t);
-            if boot > SimDuration::ZERO {
-                world.obs.with_ctx(|c| {
-                    c.actor = Some(ActorTag {
-                        kind,
-                        instance: id.0,
-                    });
-                });
-                world
-                    .obs
-                    .record(|_, ctx| Span::new(ServiceKind::Actor, "boot", t, t + boot, ctx));
-            }
-            let sig = DrainSignal::new(id, actors);
-            for _ in 0..actors {
-                let drain = elastic.then(|| sig.clone());
-                world.spawn_actor(t + boot, core(id, next_core, drain));
-                next_core += 1;
-            }
-            sig
-        })
-    }
-
-    /// Runs one module phase to completion: provisions the pool over
-    /// `queue` — `pool.count` instances up front, or an
-    /// [`AutoscaleController`] resizing it when `autoscale` is set — runs
-    /// the engine dry, and releases the instances. Returns the phase's
-    /// end time, the instances it used and the autoscaler's decisions.
-    fn run_pool(
-        &mut self,
-        queue: &'static str,
-        phase: Phase,
-        pool: Pool,
         autoscale: Option<AutoscalePolicy>,
-        mut launcher: Launcher<'static>,
-    ) -> (SimTime, usize, Vec<ScaleEvent>) {
+        core: impl Fn(&WarehouseConfig, Worker, Rc<RefCell<S>>) -> Box<dyn Actor> + 'static,
+    ) -> (S, SimTime, usize, Vec<ScaleEvent>) {
         let start = self.engine.now();
         let first_instance = self.engine.world.ec2.records().len();
-        let scale_events: ScaleEvents = Rc::new(RefCell::new(Vec::new()));
+        let sink: Rc<RefCell<S>> = Rc::default();
+        let scale_events: ScaleEvents = Rc::default();
+        let (cfg, core_sink, mut next_core) = (self.cfg.clone(), sink.clone(), 0u64);
+        let mut launcher: Launcher<'static> =
+            Box::new(move |world: &mut World, t: SimTime, boot: SimDuration| {
+                let instance = world.ec2.launch(pool.itype, t);
+                if boot > SimDuration::ZERO {
+                    world.obs.with_ctx(|c| {
+                        c.actor = Some(ActorTag {
+                            kind: module.kind,
+                            instance: instance.0,
+                        });
+                    });
+                    world
+                        .obs
+                        .record(|_, ctx| Span::new(ServiceKind::Actor, "boot", t, t + boot, ctx));
+                }
+                let sig = DrainSignal::new(instance, actors);
+                for _ in 0..actors {
+                    let drain = autoscale.is_some().then(|| sig.clone());
+                    let worker = Worker::new(&cfg, module, instance, next_core, drain);
+                    world.spawn_actor(t + boot, core(&cfg, worker, core_sink.clone()));
+                    next_core += 1;
+                }
+                sig
+            });
         match autoscale {
             None => {
                 for _ in 0..pool.count {
                     launcher(&mut self.engine.world, start, SimDuration::ZERO);
                 }
+                drop(launcher);
             }
             Some(policy) => {
                 let tag = ActorTag {
@@ -686,9 +668,8 @@ impl Warehouse {
                 };
                 self.controllers += 1;
                 let mut ctrl = AutoscaleController::new(
-                    queue,
+                    module,
                     policy,
-                    phase,
                     tag,
                     self.cfg.retry,
                     launcher,
@@ -707,59 +688,46 @@ impl Warehouse {
         for i in first_instance..instances {
             self.engine.world.ec2.extend(InstanceId(i), end);
         }
-        self.engine.world.sqs.open(queue);
-        let scale_events = Rc::try_unwrap(scale_events)
-            .expect("controller is gone")
-            .into_inner();
-        (end, instances - first_instance, scale_events)
+        self.engine.world.sqs.open(module.queue);
+        let unwrap = "the engine ran dry: cores, controller and launcher are gone";
+        (
+            Rc::try_unwrap(sink).ok().expect(unwrap).into_inner(),
+            end,
+            instances - first_instance,
+            Rc::try_unwrap(scale_events).expect(unwrap).into_inner(),
+        )
     }
 
     /// Runs the indexing module over everything currently queued
-    /// (steps 4–6), with the configured loader pool — static, or elastic
-    /// when `cfg.loader_autoscale` is set.
+    /// (steps 4–6), with the configured (static) loader pool.
     pub fn build_index(&mut self) -> IndexBuildReport {
         if self.cfg.host.prewarm {
             self.prewarm();
         }
         let before = self.engine.world.snapshot();
         let start = self.engine.now();
-        let totals = Rc::new(RefCell::new(LoaderTotals::default()));
         self.engine.world.sqs.close(LOADER_QUEUE);
         let pool = self.cfg.loader_pool;
-        let autoscale = self.cfg.loader_autoscale;
-        let (cfg, plan, retractions) = (
-            self.cfg.clone(),
+        let (plan, retractions, cache) = (
             self.plan.clone(),
             self.retractions.clone(),
+            self.cache.clone(),
         );
-        let (core_totals, cache) = (totals.clone(), self.cache.clone());
-        let launcher = Self::launcher(
-            "loader",
-            pool,
-            pool.itype.cores(),
-            autoscale.is_some(),
-            move |instance, idx, drain| {
-                let mut core = LoaderCore::new(
-                    &cfg,
-                    instance,
-                    idx,
-                    plan.clone(),
-                    retractions.clone(),
-                    core_totals.clone(),
-                    cache.clone(),
-                );
-                core.drain = drain;
-                Box::new(core)
-            },
-        );
-        let (end, instances, scale_events) =
-            self.run_pool(LOADER_QUEUE, Phase::Build, pool, autoscale, launcher);
+        let core = move |cfg: &WarehouseConfig, worker, totals| -> Box<dyn Actor> {
+            Box::new(LoaderCore::new(
+                cfg,
+                worker,
+                plan.clone(),
+                retractions.clone(),
+                totals,
+                cache.clone(),
+            ))
+        };
+        let (totals, end, instances, _) =
+            self.run_pool(LOADER, pool, pool.itype.cores(), None, core);
         // The loader queue is drained: every pending rebuild has been
         // processed under the plan in force.
         self.pending_load.clear();
-        let totals = Rc::try_unwrap(totals)
-            .expect("actors are gone")
-            .into_inner();
         let cost = self.engine.world.cost_since(&before);
         let (throttled_requests, lease_renewals, redelivered) =
             fault_deltas(&self.engine.world, &before);
@@ -796,7 +764,6 @@ impl Warehouse {
             throttled_requests,
             lease_renewals,
             redelivered,
-            scale_events,
         }
     }
 
@@ -926,68 +893,37 @@ impl Warehouse {
             sender.send_all(start, &mut self.engine.world);
         }
         // Steps 9–15: the query-processor pool — static, or elastic when
-        // `cfg.query_autoscale` is set.
-        let executions: Rc<RefCell<Vec<QueryExecution>>> = Rc::new(RefCell::new(Vec::new()));
-        let pool = self.cfg.query_pool;
-        let autoscale = self.cfg.query_autoscale;
-        let (cfg, partitions) = (self.cfg.clone(), self.partition_catalog());
-        let (core_executions, cache) = (executions.clone(), self.cache.clone());
-        // One actor per instance, so the drain signal counts one core.
-        let launcher = Self::launcher(
-            "query",
-            pool,
-            1,
-            autoscale.is_some(),
-            move |instance, idx, drain| {
-                let mut core = QueryCore::new(
-                    &cfg,
-                    instance,
-                    idx,
-                    plan.clone(),
-                    partitions.clone(),
-                    core_executions.clone(),
-                    cache.clone(),
-                );
-                core.drain = drain;
-                Box::new(core)
-            },
-        );
-        let (end, _, scale_events) =
-            self.run_pool(QUERY_QUEUE, Phase::Query, pool, autoscale, launcher);
+        // `cfg.query_autoscale` is set. One actor per instance, so the
+        // drain signal counts one core.
+        let (partitions, cache) = (self.partition_catalog(), self.cache.clone());
+        let core = move |cfg: &WarehouseConfig, worker, executions| -> Box<dyn Actor> {
+            let (plan, partitions, cache) = (plan.clone(), partitions.clone(), cache.clone());
+            Box::new(QueryCore::new(
+                cfg, worker, plan, partitions, executions, cache,
+            ))
+        };
+        let (pool, autoscale) = (self.cfg.query_pool, self.cfg.query_autoscale);
+        let (executions, end, _, scale_events) = self.run_pool(QUERY, pool, 1, autoscale, core);
         // Front end, steps 16–18: fetch each response, download the
         // results out of the cloud.
         self.tag_frontend(Phase::Frontend, None, None);
         let mut t = end;
-        let (world, cfg) = (&mut self.engine.world, &self.cfg);
+        let (world, retry, visibility) =
+            (&mut self.engine.world, &mut self.retry, self.cfg.visibility);
         loop {
-            let (msg, t2) = until_ok(
-                &cfg.retry,
-                Backoff::Linear,
-                t,
-                format_args!("front-end receive from {RESPONSE_QUEUE}"),
-                |t| world.sqs.receive(t, RESPONSE_QUEUE, cfg.visibility),
-            );
+            let what = format_args!("front-end receive from {RESPONSE_QUEUE}");
+            let (msg, t2) = retry.until_ok(t, what, |t| {
+                world.sqs.receive(t, RESPONSE_QUEUE, visibility)
+            });
             let Some(msg) = msg else { break };
-            let (data, t3) = until_ok(
-                &cfg.retry,
-                Backoff::Linear,
-                t2,
-                format_args!("front-end get of {RESULT_BUCKET}/{}", msg.body),
-                |t| world.s3.get(t, RESULT_BUCKET, &msg.body),
-            );
+            let what = format_args!("front-end get of {RESULT_BUCKET}/{}", msg.body);
+            let (data, t3) =
+                retry.until_ok(t2, what, |t| world.s3.get(t, RESULT_BUCKET, &msg.body));
             world.egress(t3, data.len() as u64);
-            t = until_ok(
-                &cfg.retry,
-                Backoff::Linear,
-                t3,
-                format_args!("front-end delete from {RESPONSE_QUEUE}"),
-                |t| world.sqs.delete(t, RESPONSE_QUEUE, msg.id),
-            );
+            let what = format_args!("front-end delete from {RESPONSE_QUEUE}");
+            t = retry.until_ok(t3, what, |t| world.sqs.delete(t, RESPONSE_QUEUE, msg.id));
         }
         self.engine.world.obs.with_ctx(|c| *c = Default::default());
-        let executions = Rc::try_unwrap(executions)
-            .expect("actors are gone")
-            .into_inner();
         let (throttled_requests, lease_renewals, redelivered) =
             fault_deltas(&self.engine.world, &before);
         WorkloadReport {

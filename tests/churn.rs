@@ -7,7 +7,7 @@
 use amada::cloud::{FaultConfig, SimDuration};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
-use amada_core::actors::{DocCache, LoaderCore, LoaderTotals};
+use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, Worker, LOADER};
 use amada_core::{DOC_BUCKET, LOADER_QUEUE};
 use amada_rng::StdRng;
 use std::cell::RefCell;
@@ -190,10 +190,10 @@ fn mid_replace_crash_converges_to_the_new_version() {
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
     let mk = |engine: &mut amada::cloud::Engine, idx: u64| {
+        let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
         LoaderCore::new(
             &cfg,
-            engine.world.ec2.launch(cfg.loader_pool.itype, start),
-            idx,
+            Worker::new(&cfg, LOADER, instance, idx, None),
             plan.clone(),
             registry.clone(),
             totals.clone(),

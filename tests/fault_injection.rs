@@ -6,7 +6,7 @@ use amada::cloud::{FaultConfig, InstanceType, Money, SimDuration, Sqs, SqsError}
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
-use amada_core::actors::{DocCache, LoaderCore, LoaderTotals};
+use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, Worker, LOADER};
 use amada_core::{IndexBuildReport, WorkloadReport, DEAD_LETTER_QUEUE, LOADER_QUEUE};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -95,10 +95,10 @@ fn mid_upload_crash_rewrites_the_index_idempotently() {
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
     let mk = |engine: &mut amada::cloud::Engine, idx: u64| {
+        let instance = engine.world.ec2.launch(vis_cfg.loader_pool.itype, start);
         LoaderCore::new(
             &vis_cfg,
-            engine.world.ec2.launch(vis_cfg.loader_pool.itype, start),
-            idx,
+            Worker::new(&vis_cfg, LOADER, instance, idx, None),
             plan.clone(),
             registry.clone(),
             totals.clone(),

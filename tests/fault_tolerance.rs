@@ -6,7 +6,7 @@ use amada::cloud::{SimDuration, SimTime};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
-use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, QueryCore};
+use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, QueryCore, Worker, LOADER, QUERY};
 use amada_core::{LOADER_QUEUE, QUERY_QUEUE};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -42,20 +42,20 @@ fn loader_crash_is_recovered_through_lease_expiry() {
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
     let mk = |engine: &mut amada::cloud::Engine, crash: Option<u32>, idx: u64| {
+        let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
         let mut core = LoaderCore::new(
             &cfg,
-            engine.world.ec2.launch(cfg.loader_pool.itype, start),
-            idx,
+            Worker::new(&cfg, LOADER, instance, idx, None),
             plan.clone(),
             registry.clone(),
             totals.clone(),
             cache.clone(),
         );
-        core.crash_after = crash;
+        core.worker.crash_after = crash;
         core
     };
     let crashing = mk(engine, Some(2), 1);
-    let crashed_instance = crashing.instance;
+    let crashed_instance = crashing.worker.instance;
     engine.spawn(Box::new(crashing), start);
     let healthy = mk(engine, None, 2);
     engine.spawn(Box::new(healthy), start);
@@ -111,21 +111,21 @@ fn query_processor_crash_is_recovered() {
         .unwrap();
     engine.world.sqs.close(QUERY_QUEUE);
     let mk = |engine: &mut amada::cloud::Engine, crash: Option<u32>, idx: u64| {
+        let instance = engine.world.ec2.launch(cfg.query_pool.itype, t);
         let mut core = QueryCore::new(
             &cfg,
-            engine.world.ec2.launch(cfg.query_pool.itype, t),
-            idx,
+            Worker::new(&cfg, QUERY, instance, idx, None),
             plan.clone(),
             partitions.clone(),
             executions.clone(),
             cache.clone(),
         );
-        core.crash_after = crash;
+        core.worker.crash_after = crash;
         core
     };
     // The crashing processor receives the message first (spawned first).
     let crashing = mk(engine, Some(0), 1);
-    let crashed_instance = crashing.instance;
+    let crashed_instance = crashing.worker.instance;
     engine.spawn(Box::new(crashing), t);
     let healthy = mk(engine, None, 2);
     engine.spawn(Box::new(healthy), t + SimDuration::from_millis(1));
