@@ -313,11 +313,9 @@ impl ArrivalSender {
             c.doc = None;
             c.actor = Some(self.tag);
         });
-        let what = format_args!("front-end send to {}", self.queue);
-        Some(
-            self.retry
-                .until_ok(now, what, |t| world.sqs.send(t, self.queue, body.clone())),
-        )
+        let (queue, what) = (self.queue, format_args!("front-end send to {}", self.queue));
+        let send = |t| world.sqs.send(t, queue, body.clone());
+        Some(self.retry.until_ok(now, what, send))
     }
 
     /// The closed batch: sends the whole schedule back-to-back from

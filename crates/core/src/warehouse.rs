@@ -618,7 +618,7 @@ impl Warehouse {
     /// `min == max` autoscaled pool draws the same backoff jitter as a
     /// static one. Only an elastic pool's cores hold the drain signal: a
     /// static instance is billed to the end of its phase.
-    fn run_pool<S: Default + 'static>(
+    fn run_pool<S: Default + std::fmt::Debug + 'static>(
         &mut self,
         module: Module,
         pool: Pool,
@@ -689,12 +689,12 @@ impl Warehouse {
             self.engine.world.ec2.extend(InstanceId(i), end);
         }
         self.engine.world.sqs.open(module.queue);
-        let unwrap = "the engine ran dry: cores, controller and launcher are gone";
+        let gone = "the engine ran dry: cores, controller and launcher are gone";
         (
-            Rc::try_unwrap(sink).ok().expect(unwrap).into_inner(),
+            Rc::try_unwrap(sink).expect(gone).into_inner(),
             end,
             instances - first_instance,
-            Rc::try_unwrap(scale_events).expect(unwrap).into_inner(),
+            Rc::try_unwrap(scale_events).expect(gone).into_inner(),
         )
     }
 
