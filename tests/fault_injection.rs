@@ -222,13 +222,11 @@ fn zero_rate_faults_are_bit_identical_to_no_faults() {
 
 /// Under injected faults the pipeline still produces exactly the right
 /// answers — and the resilience is visible in the ledger: throttled
-/// requests were billed and retried, so the services whose request count
-/// the work fixes charge strictly more than in the fault-free run. (The
-/// corpus is large enough that some file-store or index-store request is
-/// throttled under any seed the chaos matrix uses.)
+/// requests were billed and retried, so the run costs strictly more than
+/// the fault-free one.
 #[test]
 fn faulty_pipeline_is_correct_and_costs_more() {
-    let docs = corpus(60);
+    let docs = corpus(12);
     let queries = ["q1", "q4", "q6"];
 
     let mut clean = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lup));
@@ -247,14 +245,25 @@ fn faulty_pipeline_is_correct_and_costs_more() {
         faulty_build.throttled_requests > 0,
         "5% faults must throttle"
     );
-    // Not the total: instance hours and idle polls follow the makespan,
-    // which backoff jitter can shorten as well as lengthen.
+    // At any seed the stores, whose request count the work fixes, charge
+    // strictly more. The whole bill also holds instance hours and idle
+    // polls, which follow a makespan that backoff jitter can shorten (at
+    // the chaos matrix's seed 1025299 it does: $0.000516484359 against a
+    // clean $0.000520262497), so the total is compared at the fixed seed.
     assert!(
         faulty_build.cost.kv + faulty_build.cost.s3 > clean_build.cost.kv + clean_build.cost.s3,
-        "every retry is a billed request: faulty {} vs clean {}",
+        "the stores bill every retry: faulty {} vs clean {}",
         faulty_build.cost,
         clean_build.cost
     );
+    if std::env::var_os("AMADA_FAULT_SEED").is_none() {
+        assert!(
+            faulty_build.cost.total() > clean_build.cost.total(),
+            "every retry is a billed request: faulty {} vs clean {}",
+            faulty_build.cost.total(),
+            clean_build.cost.total()
+        );
+    }
 
     for name in queries {
         let q = workload_query(name).unwrap();
