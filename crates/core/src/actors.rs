@@ -44,13 +44,13 @@
 
 use crate::autoscale::DrainSignal;
 use crate::config::{
-    WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
+    Module, WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{QueryExecution, QueryPhases};
 use crate::retry::{dead_letter, put_object, Lease, Retry};
 use amada_cloud::{
-    Actor, ActorTag, InstanceId, KvError, KvItem, Phase, S3Error, ServiceKind, SimDuration,
-    SimTime, Span, SqsError, StepResult, World,
+    Actor, ActorTag, InstanceId, KvError, KvItem, S3Error, ServiceKind, SimDuration, SimTime, Span,
+    SqsError, StepResult, World,
 };
 use amada_index::{
     decode_tuples, delete_batches, into_batches, lookup_mixed, partition_tables, routed_entries,
@@ -108,37 +108,6 @@ pub struct LoaderTotals {
     pub retracted_items: u64,
 }
 
-/// What is fixed about a module, whichever core runs it.
-#[derive(Debug, Clone, Copy)]
-pub struct Module {
-    /// The task queue its cores consume.
-    pub queue: &'static str,
-    /// Its instances' span lane (the `kind` of their [`ActorTag`]).
-    pub kind: &'static str,
-    /// The phase its work is attributed to.
-    pub phase: Phase,
-    /// Stream-derivation tag of its cores' jitter generators, so loader
-    /// and query cores draw from independent streams under one master
-    /// seed.
-    rng_tag: u64,
-}
-
-/// The indexing module (architecture steps 4–6).
-pub const LOADER: Module = Module {
-    queue: LOADER_QUEUE,
-    kind: "loader",
-    phase: Phase::Build,
-    rng_tag: 0x10AD_0000,
-};
-
-/// The query-processor module (architecture steps 9–15).
-pub const QUERY: Module = Module {
-    queue: QUERY_QUEUE,
-    kind: "query",
-    phase: Phase::Query,
-    rng_tag: 0x9E4F_0000,
-};
-
 /// The queue worker inside every module core: the paper's Section 3
 /// contract — a task starts from a leased queue message — and what can
 /// happen before there is a task.
@@ -158,10 +127,9 @@ pub struct Worker {
     pub crash_after: Option<u32>,
     /// Messages leased for processing so far.
     processed: u32,
-    /// Autoscaling drain signal shared with the instance's other cores
-    /// (`None` for a static pool). A draining core finishes its leased
-    /// message, then exits instead of receiving again; the last core out
-    /// freezes the instance's billing window.
+    /// The autoscaler's drain signal (`None` in a static pool). A draining
+    /// member finishes its leased message, then exits instead of
+    /// receiving again and freezes its instance's billing window.
     drain: Option<DrainSignal>,
 }
 
@@ -244,7 +212,7 @@ impl Worker {
                 .record(|_, ctx| Span::new(ServiceKind::Actor, "crash", now, t, ctx));
             return Err(StepResult::Done);
         }
-        if msg.receive_count > self.retry.max_receives() {
+        if msg.receive_count > self.retry.policy.max_receives {
             let t = dead_letter(&mut world.sqs, &mut self.retry, t, queue, msg);
             return Err(StepResult::NextAt(t));
         }
@@ -253,21 +221,12 @@ impl Worker {
         Ok((lease, msg.body, t))
     }
 
-    /// The step result of a task abandoned when a throttle's failure
-    /// response arrived at `available_at`: the core drops the lease — the
-    /// message expires and is redelivered, to this core or another — and
-    /// polls again after the usual interval.
-    fn abandon(&self, available_at: SimTime) -> StepResult {
-        StepResult::NextAt(available_at + self.poll)
-    }
-
-    /// Exits the core: an autoscaled member reports to its drain signal
-    /// (the last core out freezes the instance's billing window — a query
-    /// instance has exactly one actor); a static one just bills its
-    /// uptime.
+    /// Exits the core: an elastic pool's member — its instance's one
+    /// actor — stops the instance, freezing the billing window; a static
+    /// one just bills its uptime.
     fn exit(&self, world: &mut World, t: SimTime) -> StepResult {
-        match &self.drain {
-            Some(d) => d.core_exited(world, t),
+        match self.drain {
+            Some(_) => world.ec2.stop(self.instance, t),
             None => world.ec2.extend(self.instance, t),
         }
         StepResult::Done
@@ -359,7 +318,7 @@ pub struct LoaderCore {
 
 impl LoaderCore {
     /// Creates an idle core of the loader pool `cfg` describes around
-    /// `worker`, a [`LOADER`] one — the one place a loader core is built.
+    /// `worker`, a [`crate::config::LOADER`] one — the one place a loader core is built.
     /// The handles are shared with the warehouse front end and the pool's
     /// other cores.
     pub fn new(
@@ -414,8 +373,10 @@ impl LoaderCore {
             Ok(out) => out,
             Err(S3Error::SlowDown { available_at }) => {
                 let Some(resume) = self.worker.retry.again(available_at) else {
-                    // The core is `Idle` again: the lease goes with `lease`.
-                    return self.worker.abandon(available_at);
+                    // Abandon: the core is `Idle` again and the lease goes
+                    // with `lease`; the message expires and is redelivered
+                    // to (possibly) another core.
+                    return StepResult::NextAt(available_at + self.worker.poll);
                 };
                 lease.keep_alive(&mut world.sqs, resume);
                 self.state = LoaderState::Fetching { lease, uri };
@@ -591,7 +552,8 @@ impl LoaderCore {
                     let mut totals = self.totals.borrow_mut();
                     let Some(resume) = self.worker.retry.again(available_at) else {
                         totals.upload_micros += (last.max(available_at) - now).micros();
-                        return Burst::Dropped(self.worker.abandon(available_at));
+                        let again = available_at + self.worker.poll;
+                        return Burst::Dropped(StepResult::NextAt(again));
                     };
                     totals.upload_micros += (resume - now).micros();
                     lease.keep_alive(&mut world.sqs, resume);
@@ -756,7 +718,7 @@ pub struct QueryCore {
 
 impl QueryCore {
     /// Creates a processor of the query pool `cfg` describes around
-    /// `worker`, a [`QUERY`] one — the one place a query core is built,
+    /// `worker`, a [`crate::config::QUERY`] one — the one place a query core is built,
     /// whether the pool is static or elastic.
     pub fn new(
         cfg: &WarehouseConfig,
@@ -1018,7 +980,9 @@ impl Actor for QueryCore {
         let result = match self.worker.receive(now, world) {
             Ok((mut lease, body, t)) => match self.process(&body, t, world, &mut lease) {
                 Ok(t_done) => StepResult::NextAt(t_done),
-                Err(available_at) => self.worker.abandon(available_at),
+                // Abandoned: the lease expires on its own and the message
+                // is redelivered (to this instance or another).
+                Err(available_at) => StepResult::NextAt(available_at + self.worker.poll),
             },
             Err(result) => result,
         };
@@ -1029,27 +993,26 @@ impl Actor for QueryCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DEAD_LETTER_QUEUE;
+    use crate::config::{DEAD_LETTER_QUEUE, LOADER, QUERY};
     use amada_cloud::{InstanceType, KvBackend};
 
     /// A bare world holding the queues a worker touches, and core 0 of
-    /// `module` on a fresh instance: a member of an elastic pool (its
-    /// instance's only core) or of a static one.
+    /// `module` on a fresh instance: a member of an elastic pool or of a
+    /// static one.
     fn worker(cfg: &WarehouseConfig, module: Module, elastic: bool) -> (World, Worker) {
         let mut world = World::new(KvBackend::default());
-        for queue in [LOADER_QUEUE, QUERY_QUEUE, DEAD_LETTER_QUEUE] {
+        for queue in [LOADER.queue, QUERY.queue, DEAD_LETTER_QUEUE] {
             world.sqs.create_queue(queue);
         }
         let instance = world.ec2.launch(InstanceType::Large, SimTime::ZERO);
-        let drain = elastic.then(|| DrainSignal::new(instance, 1));
+        let drain = elastic.then(DrainSignal::default);
         (world, Worker::new(cfg, module, instance, 0, drain))
     }
 
-    /// Every shape of pool member the warehouse launches.
-    fn members() -> impl Iterator<Item = (Module, bool)> {
-        [LOADER, QUERY]
-            .into_iter()
-            .flat_map(|module| [(module, false), (module, true)])
+    /// Every shape of pool member the warehouse launches: only the query
+    /// pool can be elastic.
+    fn members() -> [(Module, bool); 3] {
+        [(LOADER, false), (QUERY, false), (QUERY, true)]
     }
 
     #[test]
@@ -1077,16 +1040,14 @@ mod tests {
     #[test]
     fn a_draining_member_exits_without_receiving() {
         let cfg = WarehouseConfig::default();
-        for module in [LOADER, QUERY] {
-            let (mut world, mut w) = worker(&cfg, module, true);
-            world.sqs.send(SimTime::ZERO, module.queue, "m").unwrap();
-            w.drain.as_ref().expect("elastic").drain();
-            let at = SimTime(5_000_000);
-            assert!(matches!(w.receive(at, &mut world), Err(StepResult::Done)));
-            assert_eq!(world.sqs.stats().requests, 1, "the send and nothing else");
-            assert!(world.ec2.is_stopped(w.instance));
-            assert_eq!(world.ec2.record(w.instance).end, at);
-        }
+        let (mut world, mut w) = worker(&cfg, QUERY, true);
+        world.sqs.send(SimTime::ZERO, QUERY.queue, "m").unwrap();
+        w.drain.as_ref().expect("elastic").drain();
+        let at = SimTime(5_000_000);
+        assert!(matches!(w.receive(at, &mut world), Err(StepResult::Done)));
+        assert_eq!(world.sqs.stats().requests, 1, "the send and nothing else");
+        assert!(world.ec2.is_stopped(w.instance));
+        assert_eq!(world.ec2.record(w.instance).end, at);
     }
 
     #[test]

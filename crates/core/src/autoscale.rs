@@ -17,9 +17,9 @@
 //! 3. **scales out** by launching instances whose billing window opens at
 //!    the decision instant while their cores start polling only
 //!    `boot_latency` later (you pay for the boot, as on real EC2); or
-//! 4. **scales in** by draining the newest instances: a drained core
-//!    finishes the message it holds a lease on, stops receiving, and the
-//!    last core to exit freezes the instance's billing window with
+//! 4. **scales in** by draining the newest instances: a drained member
+//!    finishes the message it holds a lease on, stops receiving, and as
+//!    it exits freezes its instance's billing window with
 //!    [`amada_cloud::Ec2::stop`] — so a scale-in victim is billed
 //!    launch → last useful work, not to the end of the phase.
 //!
@@ -37,8 +37,7 @@
 //! crash racing the drain — simply stops renewing, so the message
 //! reappears and another member processes it exactly once.
 
-use crate::actors::Module;
-use crate::config::AutoscalePolicy;
+use crate::config::{AutoscalePolicy, Module};
 use crate::retry::{Retry, RetryPolicy};
 use amada_cloud::{
     Actor, ActorTag, InstanceId, Phase, ServiceKind, SimDuration, SimTime, Span, SqsError,
@@ -48,62 +47,23 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// Shared drain/termination state of one pool instance, cloned into each
-/// of its cores and held by the controller.
-#[derive(Debug)]
-struct DrainShared {
-    instance: InstanceId,
-    draining: Cell<bool>,
-    live_cores: Cell<usize>,
-}
-
-/// Handle to one pool member: the autoscaler flips it to *draining*; the
-/// member's cores poll it between tasks and exit gracefully, and the last
-/// core out freezes the instance's billing window.
-#[derive(Debug, Clone)]
-pub struct DrainSignal(Rc<DrainShared>);
+/// The controller's handle on one elastic pool member: the autoscaler
+/// flips it to *draining*; the member polls it between tasks, exits
+/// instead of receiving again and stops its instance, so the billing
+/// window is frozen at its final useful instant.
+#[derive(Debug, Clone, Default)]
+pub struct DrainSignal(Rc<Cell<bool>>);
 
 impl DrainSignal {
-    /// A fresh signal for an instance with `cores` cores.
-    pub fn new(instance: InstanceId, cores: usize) -> DrainSignal {
-        DrainSignal(Rc::new(DrainShared {
-            instance,
-            draining: Cell::new(false),
-            live_cores: Cell::new(cores),
-        }))
-    }
-
-    /// The instance this signal controls.
-    pub fn instance(&self) -> InstanceId {
-        self.0.instance
-    }
-
-    /// Asks the instance's cores to stop receiving new work. Leased
-    /// messages are finished first — draining never abandons a lease.
+    /// Asks the member to stop receiving new work. A leased message is
+    /// finished first — draining never abandons a lease.
     pub fn drain(&self) {
-        self.0.draining.set(true);
+        self.0.set(true);
     }
 
     /// True once [`DrainSignal::drain`] was called.
     pub fn is_draining(&self) -> bool {
-        self.0.draining.get()
-    }
-
-    /// Cores still running on the instance.
-    pub fn live_cores(&self) -> usize {
-        self.0.live_cores.get()
-    }
-
-    /// Called by a core as it exits (drained, or out of work): bills the
-    /// instance to `now`, and the last core out stops the instance so the
-    /// billing window is frozen at its final useful instant.
-    pub fn core_exited(&self, world: &mut World, now: SimTime) {
-        world.ec2.extend(self.0.instance, now);
-        let left = self.0.live_cores.get().saturating_sub(1);
-        self.0.live_cores.set(left);
-        if left == 0 {
-            world.ec2.stop(self.0.instance, now);
-        }
+        self.0.get()
     }
 }
 
@@ -135,11 +95,12 @@ pub struct ScaleEvent {
 pub type ScaleEvents = Rc<RefCell<Vec<ScaleEvent>>>;
 
 /// Launches one pool instance and its core actors: called with the world,
-/// the launch time and the boot latency (zero for the up-front `min`
-/// pool), it must bill the instance from the launch time, schedule the
-/// cores at `launch + boot`, and return the instance's drain signal.
+/// the launch time, the boot latency (zero for an up-front pool) and the
+/// drain signal its cores watch (none in a static pool), it must bill the
+/// instance from the launch time, schedule the cores at `launch + boot`,
+/// and return the instance.
 pub type Launcher<'a> =
-    Box<dyn FnMut(&mut World, SimTime, amada_cloud::SimDuration) -> DrainSignal + 'a>;
+    Box<dyn FnMut(&mut World, SimTime, SimDuration, Option<DrainSignal>) -> InstanceId + 'a>;
 
 /// The deterministic, virtual-time autoscaling controller (one per
 /// elastic pool per phase). See the module docs for the control loop.
@@ -153,7 +114,7 @@ pub struct AutoscaleController<'a> {
     launcher: Launcher<'a>,
     /// Active (non-draining) members, in launch order; scale-in drains
     /// from the back (newest first).
-    members: Vec<DrainSignal>,
+    members: Vec<(InstanceId, DrainSignal)>,
     events: ScaleEvents,
 }
 
@@ -184,9 +145,16 @@ impl<'a> AutoscaleController<'a> {
     /// pool, the floor is provisioned before the phase starts).
     pub fn provision(&mut self, world: &mut World, now: SimTime) {
         for _ in 0..self.policy.min {
-            let sig = (self.launcher)(world, now, amada_cloud::SimDuration::ZERO);
-            self.members.push(sig);
+            self.launch(world, now, SimDuration::ZERO);
         }
+    }
+
+    /// Launches one member and keeps its drain signal.
+    fn launch(&mut self, world: &mut World, t: SimTime, boot: SimDuration) -> InstanceId {
+        let signal = DrainSignal::default();
+        let instance = (self.launcher)(world, t, boot, Some(signal.clone()));
+        self.members.push((instance, signal));
+        instance
     }
 
     /// Active (non-draining) pool size.
@@ -235,14 +203,12 @@ impl Actor for AutoscaleController<'_> {
         let desired = self.policy.desired(depth);
         while self.members.len() != desired {
             let (direction, instance) = if self.members.len() < desired {
-                let sig = (self.launcher)(world, t, self.policy.boot_latency);
-                let id = sig.instance();
-                self.members.push(sig);
-                (ScaleDirection::Out, id)
+                let boot = self.policy.boot_latency;
+                (ScaleDirection::Out, self.launch(world, t, boot))
             } else {
-                let victim = self.members.pop().expect("len > desired >= min >= 1");
-                victim.drain();
-                (ScaleDirection::In, victim.instance())
+                let (instance, signal) = self.members.pop().expect("len > desired >= min >= 1");
+                signal.drain();
+                (ScaleDirection::In, instance)
             };
             self.record_event(
                 world,
@@ -432,31 +398,5 @@ impl ArrivalProcess {
             out.push((amada_cloud::SimDuration::from_micros(t_micros), idx));
         }
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn drain_signal_stops_instance_when_last_core_exits() {
-        let mut world = World::new(amada_cloud::KvBackend::default());
-        let id = world
-            .ec2
-            .launch(amada_cloud::InstanceType::Large, SimTime::ZERO);
-        let sig = DrainSignal::new(id, 2);
-        assert!(!sig.is_draining());
-        sig.drain();
-        assert!(sig.is_draining());
-        sig.core_exited(&mut world, SimTime(1_000_000));
-        assert!(!world.ec2.is_stopped(id), "one core still running");
-        assert_eq!(sig.live_cores(), 1);
-        sig.core_exited(&mut world, SimTime(2_000_000));
-        assert!(world.ec2.is_stopped(id), "last core out stops the clock");
-        assert_eq!(world.ec2.record(id).end, SimTime(2_000_000));
-        // Later phase-end extensions cannot resurrect the window.
-        world.ec2.extend(id, SimTime(9_000_000));
-        assert_eq!(world.ec2.record(id).end, SimTime(2_000_000));
     }
 }

@@ -2,8 +2,8 @@
 
 use crate::retry::RetryPolicy;
 use amada_cloud::{
-    BillingGranularity, FaultConfig, InstanceType, KvBackend, KvTuning, PriceTable, SimDuration,
-    WorkModel,
+    BillingGranularity, FaultConfig, InstanceType, KvBackend, KvTuning, Phase, PriceTable,
+    SimDuration, WorkModel,
 };
 use amada_index::{ExtractOptions, MixedPlan, Strategy};
 
@@ -21,6 +21,37 @@ pub const RESPONSE_QUEUE: &str = "amada-query-responses";
 /// deliveries without being completed (poison messages / repeated
 /// abandonment) instead of recirculating forever.
 pub const DEAD_LETTER_QUEUE: &str = "amada-dead-letter";
+
+/// What is fixed about a module, whichever core runs it.
+#[derive(Debug, Clone, Copy)]
+pub struct Module {
+    /// The task queue its cores consume.
+    pub queue: &'static str,
+    /// Its instances' span lane (the `kind` of their [`amada_cloud::ActorTag`]).
+    pub kind: &'static str,
+    /// The phase its work is attributed to.
+    pub phase: Phase,
+    /// Stream-derivation tag of its cores' jitter generators, so loader
+    /// and query cores draw from independent streams under one master
+    /// seed.
+    pub(crate) rng_tag: u64,
+}
+
+/// The indexing module (architecture steps 4–6).
+pub const LOADER: Module = Module {
+    queue: LOADER_QUEUE,
+    kind: "loader",
+    phase: Phase::Build,
+    rng_tag: 0x10AD_0000,
+};
+
+/// The query-processor module (architecture steps 9–15).
+pub const QUERY: Module = Module {
+    queue: QUERY_QUEUE,
+    kind: "query",
+    phase: Phase::Query,
+    rng_tag: 0x9E4F_0000,
+};
 
 /// An instance pool: how many virtual machines of which flavor run a
 /// module.

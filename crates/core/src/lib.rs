@@ -26,7 +26,7 @@ pub use amortization::{Amortization, AmortizationPoint};
 pub use autoscale::{
     ArrivalProcess, ArrivalSender, AutoscaleController, DrainSignal, ScaleDirection, ScaleEvent,
 };
-pub use config::{AutoscalePolicy, Pool, WarehouseConfig};
+pub use config::{AutoscalePolicy, Module, Pool, WarehouseConfig, LOADER, QUERY};
 pub use config::{
     DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };

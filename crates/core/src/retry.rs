@@ -138,7 +138,7 @@ impl Lease {
 /// how many times in a row the operation in hand has been throttled.
 #[derive(Debug)]
 pub struct Retry {
-    policy: RetryPolicy,
+    pub(crate) policy: RetryPolicy,
     /// A module core's own jitter stream (only drawn from when a retry
     /// happens, so fault-free runs consume no randomness); `None` waits
     /// on the jitter-free linear schedule.
@@ -156,11 +156,6 @@ impl Retry {
             jitter,
             attempt: 0,
         }
-    }
-
-    /// Deliveries after which a message is dead-lettered, not processed.
-    pub fn max_receives(&self) -> u32 {
-        self.policy.max_receives
     }
 
     /// The wait before retry number `self.attempt` (1-based).

@@ -1,16 +1,14 @@
 //! The warehouse façade: the full architecture of the paper's Figure 1,
 //! steps 1–18, over the simulated cloud.
 
-use crate::actors::{
-    DocCache, LoaderCore, Module, QueryCore, RetractionRegistry, Worker, LOADER, QUERY,
-};
+use crate::actors::{DocCache, LoaderCore, QueryCore, RetractionRegistry, Worker};
 use crate::autoscale::{
     ArrivalProcess, ArrivalSender, AutoscaleController, DrainSignal, Launcher, ScaleEvent,
     ScaleEvents,
 };
 use crate::config::{
-    AutoscalePolicy, Pool, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER_QUEUE,
-    QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
+    AutoscalePolicy, Module, Pool, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER,
+    LOADER_QUEUE, QUERY, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{CostedQuery, IndexBuildReport, WorkloadReport};
 use crate::retry::{put_object, Retry};
@@ -616,8 +614,9 @@ impl Warehouse {
     /// queue [`Worker`] it embeds and the sink; cores are numbered in
     /// launch order whether the pool is static or elastic, so a
     /// `min == max` autoscaled pool draws the same backoff jitter as a
-    /// static one. Only an elastic pool's cores hold the drain signal: a
-    /// static instance is billed to the end of its phase.
+    /// static one. Only an elastic pool's members hold a drain signal — a
+    /// static instance is billed to the end of its phase — and a member is
+    /// its instance's one actor: it stops the instance as it exits.
     fn run_pool<S: Default + std::fmt::Debug + 'static>(
         &mut self,
         module: Module,
@@ -626,13 +625,14 @@ impl Warehouse {
         autoscale: Option<AutoscalePolicy>,
         core: impl Fn(&WarehouseConfig, Worker, Rc<RefCell<S>>) -> Box<dyn Actor> + 'static,
     ) -> (S, SimTime, usize, Vec<ScaleEvent>) {
+        assert!(autoscale.is_none() || actors == 1, "one actor per member");
         let start = self.engine.now();
         let first_instance = self.engine.world.ec2.records().len();
         let sink: Rc<RefCell<S>> = Rc::default();
         let scale_events: ScaleEvents = Rc::default();
         let (cfg, core_sink, mut next_core) = (self.cfg.clone(), sink.clone(), 0u64);
-        let mut launcher: Launcher<'static> =
-            Box::new(move |world: &mut World, t: SimTime, boot: SimDuration| {
+        let mut launcher: Launcher<'static> = Box::new(
+            move |world: &mut World, t: SimTime, boot: SimDuration, drain: Option<DrainSignal>| {
                 let instance = world.ec2.launch(pool.itype, t);
                 if boot > SimDuration::ZERO {
                     world.obs.with_ctx(|c| {
@@ -645,19 +645,18 @@ impl Warehouse {
                         .obs
                         .record(|_, ctx| Span::new(ServiceKind::Actor, "boot", t, t + boot, ctx));
                 }
-                let sig = DrainSignal::new(instance, actors);
                 for _ in 0..actors {
-                    let drain = autoscale.is_some().then(|| sig.clone());
-                    let worker = Worker::new(&cfg, module, instance, next_core, drain);
+                    let worker = Worker::new(&cfg, module, instance, next_core, drain.clone());
                     world.spawn_actor(t + boot, core(&cfg, worker, core_sink.clone()));
                     next_core += 1;
                 }
-                sig
-            });
+                instance
+            },
+        );
         match autoscale {
             None => {
                 for _ in 0..pool.count {
-                    launcher(&mut self.engine.world, start, SimDuration::ZERO);
+                    launcher(&mut self.engine.world, start, SimDuration::ZERO, None);
                 }
                 drop(launcher);
             }

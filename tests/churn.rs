@@ -7,8 +7,8 @@
 use amada::cloud::{FaultConfig, SimDuration};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
-use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, Worker, LOADER};
-use amada_core::{DOC_BUCKET, LOADER_QUEUE};
+use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, Worker};
+use amada_core::{DOC_BUCKET, LOADER, LOADER_QUEUE};
 use amada_rng::StdRng;
 use std::cell::RefCell;
 use std::collections::BTreeMap;

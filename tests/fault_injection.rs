@@ -6,7 +6,8 @@ use amada::cloud::{FaultConfig, InstanceType, Money, SimDuration, Sqs, SqsError}
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
-use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, Worker, LOADER};
+use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, Worker};
+use amada_core::config::LOADER;
 use amada_core::{IndexBuildReport, WorkloadReport, DEAD_LETTER_QUEUE, LOADER_QUEUE};
 use std::cell::RefCell;
 use std::rc::Rc;

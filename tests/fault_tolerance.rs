@@ -6,8 +6,8 @@ use amada::cloud::{SimDuration, SimTime};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
-use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, QueryCore, Worker, LOADER, QUERY};
-use amada_core::{LOADER_QUEUE, QUERY_QUEUE};
+use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, QueryCore, Worker};
+use amada_core::{LOADER, LOADER_QUEUE, QUERY, QUERY_QUEUE};
 use std::cell::RefCell;
 use std::rc::Rc;
 
