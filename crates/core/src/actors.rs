@@ -3,7 +3,7 @@
 //! * [`Worker`] — what both programs are before they do anything with a
 //!   message, written once: the core's place in its pool, its module's
 //!   queue, span lane and phase ([`Module`]), its throttle handling
-//!   ([`Retry`]) and [`Worker::receive`], the single receive step — stop
+//!   ([`Retry`]) and `Worker::receive`, the single receive step — stop
 //!   if drained, receive, back off if throttled, exit or poll if empty,
 //!   crash if told to, dead-letter a poison message, else lease it. Each
 //!   core embeds one and adds what it does *with* a message.
