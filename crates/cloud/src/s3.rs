@@ -9,7 +9,9 @@
 
 use crate::clock::{SimDuration, SimTime};
 use crate::fault::FaultInjector;
+use crate::money::Money;
 use crate::obs::{Outcome, Recorder, ServiceKind, Span};
+use crate::pricing::PriceTable;
 use crate::service::ServiceQueue;
 use std::collections::HashMap;
 use std::fmt;
@@ -174,37 +176,40 @@ impl S3 {
         self.obs = obs;
     }
 
-    /// Records a throttled request span (billed, no data moved).
-    fn record_throttle(&self, now: SimTime, op: &'static str) {
-        let end = now + self.transfer.latency;
-        self.obs.record(|p, ctx| {
-            // DELETEs carry no request charge even when throttled.
-            let billed = match op {
-                "put" => p.st_put,
-                "delete" => crate::money::Money::ZERO,
-                _ => p.st_get,
-            };
-            Span::new(ServiceKind::S3, op, now, end, ctx)
-                .billed(billed)
-                .outcome(Outcome::Throttled)
-        });
-    }
-
     /// True when a fault injector with a non-zero rate is installed
     /// (lets callers skip keeping retry copies of payloads otherwise).
     pub fn faults_active(&self) -> bool {
         self.faults.is_active()
     }
 
-    /// Rolls the fault injector for a data-plane request; on a throttle the
-    /// error response arrives after the request-latency floor (no payload
-    /// was transferred).
-    fn maybe_throttle(&mut self, now: SimTime) -> Result<(), S3Error> {
+    /// The single admission step of a data-plane request. An unknown
+    /// bucket is a client-side error: it bills nothing, counts nothing and
+    /// draws nothing from the fault stream. Otherwise the request is
+    /// counted (`count` picks its counter) and the fault injector rolled;
+    /// a throttled request moved no payload, its error response arrives
+    /// after the request-latency floor and it bills `throttled_bill` — what
+    /// a request of its kind costs (nothing for a DELETE).
+    fn admit(
+        &mut self,
+        now: SimTime,
+        bucket: &str,
+        op: &'static str,
+        count: fn(&mut S3Stats) -> &mut u64,
+        throttled_bill: fn(&PriceTable) -> Money,
+    ) -> Result<(), S3Error> {
+        if !self.buckets.contains_key(bucket) {
+            return Err(S3Error::NoSuchBucket(bucket.to_string()));
+        }
+        *count(&mut self.stats) += 1;
         if self.faults.roll() {
             self.stats.throttled += 1;
-            return Err(S3Error::SlowDown {
-                available_at: now + self.transfer.latency,
+            let available_at = now + self.transfer.latency;
+            self.obs.record(|p, ctx| {
+                Span::new(ServiceKind::S3, op, now, available_at, ctx)
+                    .billed(throttled_bill(p))
+                    .outcome(Outcome::Throttled)
             });
+            return Err(S3Error::SlowDown { available_at });
         }
         Ok(())
     }
@@ -222,15 +227,8 @@ impl S3 {
         key: &str,
         data: Vec<u8>,
     ) -> Result<SimTime, S3Error> {
-        if !self.buckets.contains_key(bucket) {
-            return Err(S3Error::NoSuchBucket(bucket.to_string()));
-        }
-        self.stats.put_requests += 1;
-        if let Err(e) = self.maybe_throttle(now) {
-            self.record_throttle(now, "put");
-            return Err(e);
-        }
-        let b = self.buckets.get_mut(bucket).expect("checked above");
+        self.admit(now, bucket, "put", |s| &mut s.put_requests, |p| p.st_put)?;
+        let b = self.buckets.get_mut(bucket).expect("checked by admit");
         let len = data.len() as u64;
         self.stats.bytes_in += len;
         if let Some(old) = b.insert(key.into(), Arc::new(Blob::new(data))) {
@@ -256,15 +254,14 @@ impl S3 {
     /// redeliveries lean on. Throttles still happen: a delete is a
     /// data-plane request and the injector treats it like any other.
     pub fn delete(&mut self, now: SimTime, bucket: &str, key: &str) -> Result<SimTime, S3Error> {
-        if !self.buckets.contains_key(bucket) {
-            return Err(S3Error::NoSuchBucket(bucket.to_string()));
-        }
-        self.stats.delete_requests += 1;
-        if let Err(e) = self.maybe_throttle(now) {
-            self.record_throttle(now, "delete");
-            return Err(e);
-        }
-        let b = self.buckets.get_mut(bucket).expect("checked above");
+        self.admit(
+            now,
+            bucket,
+            "delete",
+            |s| &mut s.delete_requests,
+            |_| Money::ZERO,
+        )?;
+        let b = self.buckets.get_mut(bucket).expect("checked by admit");
         let removed = b.remove(key);
         if let Some(old) = &removed {
             self.stats.stored_bytes -= old.len() as u64;
@@ -293,15 +290,8 @@ impl S3 {
         bucket: &str,
         key: &str,
     ) -> Result<(Arc<Blob>, SimTime), S3Error> {
-        if !self.buckets.contains_key(bucket) {
-            return Err(S3Error::NoSuchBucket(bucket.to_string()));
-        }
-        self.stats.get_requests += 1;
-        if let Err(e) = self.maybe_throttle(now) {
-            self.record_throttle(now, "get");
-            return Err(e);
-        }
-        let b = self.buckets.get(bucket).expect("checked above");
+        self.admit(now, bucket, "get", |s| &mut s.get_requests, |p| p.st_get)?;
+        let b = self.buckets.get(bucket).expect("checked by admit");
         let Some(data) = b.get(key).cloned() else {
             let end = now + self.transfer.latency;
             self.obs.record(|p, ctx| {
@@ -341,15 +331,8 @@ impl S3 {
         key: &str,
         predicate: &dyn ObjectPredicate,
     ) -> Result<(Vec<u8>, SimTime), S3Error> {
-        if !self.buckets.contains_key(bucket) {
-            return Err(S3Error::NoSuchBucket(bucket.to_string()));
-        }
-        self.stats.scan_requests += 1;
-        if let Err(e) = self.maybe_throttle(now) {
-            self.record_throttle(now, "scan");
-            return Err(e);
-        }
-        let b = self.buckets.get(bucket).expect("checked above");
+        self.admit(now, bucket, "scan", |s| &mut s.scan_requests, |p| p.st_get)?;
+        let b = self.buckets.get(bucket).expect("checked by admit");
         let Some(data) = b.get(key).cloned() else {
             let end = now + self.transfer.latency;
             self.obs.record(|p, ctx| {
@@ -688,6 +671,76 @@ mod tests {
             Err(S3Error::NoSuchBucket(_))
         ));
         assert_eq!(s3.stats().delete_requests, 2);
+    }
+
+    #[test]
+    fn every_request_kind_is_admitted_by_the_same_step() {
+        use crate::fault::FaultInjector;
+        let prices = PriceTable::default();
+        type Call = fn(&mut S3, &str) -> Option<S3Error>;
+        let calls: [(&str, Call, Money); 4] = [
+            (
+                "put",
+                |s3, b| s3.put(SimTime(5), b, "k", vec![1]).err(),
+                prices.st_put,
+            ),
+            (
+                "get",
+                |s3, b| s3.get(SimTime(5), b, "k").err(),
+                prices.st_get,
+            ),
+            (
+                "scan",
+                |s3, b| s3.scan(SimTime(5), b, "k", &Needle("x")).err(),
+                prices.st_get,
+            ),
+            (
+                "delete",
+                |s3, b| s3.delete(SimTime(5), b, "k").err(),
+                Money::ZERO,
+            ),
+        ];
+        for (op, call, throttled_bill) in calls {
+            let mut s3 = S3::new();
+            s3.create_bucket("b");
+            s3.set_faults(FaultInjector::new(1.0, 9)); // clamped to 0.95
+            s3.set_recorder(Recorder::enabled(prices.clone()));
+            // An unknown bucket bills nothing, counts nothing and draws
+            // nothing from the fault stream…
+            for _ in 0..20 {
+                assert!(matches!(
+                    call(&mut s3, "nope"),
+                    Some(S3Error::NoSuchBucket(_))
+                ));
+            }
+            assert_eq!(s3.stats(), S3Stats::default(), "{op}");
+            assert_eq!(s3.obs.span_count(), 0, "{op}");
+            // …so the known bucket's requests meet the stream from its start.
+            let mut stream = FaultInjector::new(1.0, 9);
+            let mut throttles = 0;
+            for i in 0..30 {
+                let throttled = matches!(call(&mut s3, "b"), Some(S3Error::SlowDown { .. }));
+                assert_eq!(throttled, stream.roll(), "{op} request {i}");
+                throttles += throttled as u64;
+            }
+            assert!(throttles > 0, "{op}: a 95% rate throttles within 30 calls");
+            let st = s3.stats();
+            assert_eq!(st.throttled, throttles, "{op}");
+            let counted = st.put_requests + st.get_requests + st.scan_requests + st.delete_requests;
+            assert_eq!(counted, 30, "{op}: throttled requests are counted too");
+            let spans = s3.obs.spans();
+            let throttled: Vec<&Span> = spans
+                .iter()
+                .filter(|s| s.outcome == Outcome::Throttled)
+                .collect();
+            assert_eq!(throttled.len() as u64, throttles, "{op}");
+            for span in throttled {
+                assert_eq!((span.service, span.op), (ServiceKind::S3, op));
+                assert_eq!(span.billed, throttled_bill, "{op}");
+                assert_eq!(span.end, SimTime(5) + s3.transfer.latency, "{op}");
+                assert_eq!(span.bytes, 0, "{op}");
+            }
+        }
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //!   core embeds one and adds what it does *with* a message.
 //! * [`LoaderCore`] — one per core of each indexing-module instance
 //!   (architecture steps 4–6): lease a document message, fetch the
-//!   document from the file store, extract index entries, batch-write them
-//!   to the index store, delete the message. The core is a state machine
-//!   issuing **one index-store call per engine step**, so that concurrent
-//!   cores interleave their writes at their true virtual arrival times and
-//!   the store's provisioned-throughput queue sees the real concurrency
-//!   (this is what makes the multi-instance indexing of Table 4 /
-//!   Figure 10 behave like the paper's).
+//!   document from the file store, extract index entries, issue the calls
+//!   of their write plan ([`amada_index::plan_document`] — which items, in
+//!   which tables and batches, which stale keys after them: the format's
+//!   own crate says that, not this one), delete the message. The core is
+//!   a state machine issuing **one index-store call per engine step**, so
+//!   that concurrent cores interleave their writes at their true virtual
+//!   arrival times and the store's provisioned-throughput queue sees the
+//!   real concurrency (this is what makes the multi-instance indexing of
+//!   Table 4 / Figure 10 behave like the paper's).
 //! * [`QueryCore`] — one per query-processor instance (steps 9–15): lease
 //!   a query message, look the query up in the index, fetch the candidate
 //!   documents, evaluate, store results, respond. The paper treats one
@@ -44,7 +46,8 @@
 
 use crate::autoscale::DrainSignal;
 use crate::config::{
-    Module, WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
+    Module, WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, POLL_INTERVAL, QUERY_QUEUE, RESPONSE_QUEUE,
+    RESULT_BUCKET,
 };
 use crate::metrics::{QueryExecution, QueryPhases};
 use crate::retry::{dead_letter, put_object, Lease, Retry};
@@ -53,15 +56,15 @@ use amada_cloud::{
     SqsError, StepResult, World,
 };
 use amada_index::{
-    decode_tuples, delete_batches, into_batches, lookup_mixed, partition_tables, routed_entries,
-    store::{encode_entry_into, UuidGen},
-    ExtractCache, ExtractOptions, ItemKey, MixedPlan, ScanPredicate, Strategy,
+    decode_tuples, lookup_mixed, plan_document, routed_entries, ExtractCache, ExtractOptions,
+    ItemKey, MixedPlan, ScanPredicate, Strategy,
 };
 use amada_pattern::{join_pattern_results, parse_query, Query, Tuple, TwigEvaluator};
 use amada_rng::StdRng;
 use amada_xml::Document;
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -117,8 +120,6 @@ pub struct Worker {
     module: Module,
     /// Message lease duration.
     visibility: SimDuration,
-    /// Idle poll interval.
-    poll: SimDuration,
     /// Throttle handling: the policy, the core's own jitter stream and
     /// the consecutive-throttle count of the operation in hand.
     retry: Retry,
@@ -151,7 +152,6 @@ impl Worker {
             instance,
             module,
             visibility: cfg.visibility,
-            poll: cfg.poll_interval,
             retry: Retry::new(cfg.retry, Some(rng)),
             crash_after: None,
             processed: 0,
@@ -200,7 +200,7 @@ impl Worker {
             if world.sqs.drained(queue).expect("module queues exist") {
                 return Err(self.exit(world, t));
             }
-            return Err(StepResult::NextAt(t + self.poll));
+            return Err(StepResult::NextAt(t + POLL_INTERVAL));
         };
         if self.crash_after.is_some_and(|n| self.processed >= n) {
             // Simulated crash after lease acquisition: the message is
@@ -359,8 +359,8 @@ impl LoaderCore {
         StepResult::NextAt(t)
     }
 
-    /// Step 5 plus extraction: fetch and parse the document, extract and
-    /// encode the entries, batch them for upload.
+    /// Step 5 plus extraction: fetch the document, charge its parse and
+    /// extraction, plan its index-store calls.
     fn step_fetching(
         &mut self,
         now: SimTime,
@@ -376,7 +376,7 @@ impl LoaderCore {
                     // Abandon: the core is `Idle` again and the lease goes
                     // with `lease`; the message expires and is redelivered
                     // to (possibly) another core.
-                    return StepResult::NextAt(available_at + self.worker.poll);
+                    return StepResult::NextAt(available_at + POLL_INTERVAL);
                 };
                 lease.keep_alive(&mut world.sqs, resume);
                 self.state = LoaderState::Fetching { lease, uri };
@@ -399,25 +399,21 @@ impl LoaderCore {
         // effect is retracting whatever an earlier placement left behind
         // for this URI.
         let partition = self.plan.partition_of(&uri);
-        let routed = self.plan.strategy_of(partition);
-        // The placement's own tables, in the strategy's order.
-        let mut tables = routed.map_or_else(Vec::new, |s| partition_tables(s, partition));
-        let profile = world.kv.profile();
-        let mut batches = VecDeque::new();
-        let mut entry_count = 0u64;
-        let mut items = 0u64;
-        let mut entry_bytes = 0u64;
+        // Parse, extract (memoized on the host after the prewarm stage;
+        // virtually charged in full either way).
+        let cached = self
+            .plan
+            .strategy_of(partition)
+            .map(|strategy| self.cache.extracted(&uri, &bytes, strategy, self.opts).1);
+        // Root-partition entries stay borrowed from the cache (no copy on
+        // the paper's path); other partitions' entries are routed into the
+        // partition's own tables.
+        let entries = cached.as_ref().map_or(Cow::Borrowed(&[][..]), |cached| {
+            routed_entries(cached, partition)
+        });
+        let entry_bytes: u64 = entries.iter().map(|e| e.raw_bytes() as u64).sum();
         let mut t = t;
-        if let Some(strategy) = routed {
-            // Parse, extract, encode (memoized on the host after the
-            // prewarm stage; virtually charged in full either way).
-            let (_doc, cached) = self.cache.extracted(&uri, &bytes, strategy, self.opts);
-            // Root-partition entries stay borrowed from the cache (no
-            // copy on the paper's path); other partitions' entries are
-            // routed into the partition's own tables.
-            let entries = routed_entries(&cached, partition);
-            entry_count = entries.len() as u64;
-            entry_bytes = entries.iter().map(|e| e.raw_bytes() as u64).sum();
+        if cached.is_some() {
             let extraction = world.work.parse(bytes.len() as u64, self.ecu)
                 + world.work.extract(entry_bytes, self.ecu);
             let fetched_at = t;
@@ -427,83 +423,35 @@ impl LoaderCore {
                     .bytes(bytes.len() as u64)
             });
             self.totals.borrow_mut().extraction_micros += extraction.micros();
-            // Every entry is encoded straight into its table's vector and
-            // the vectors are cut into batches by moving: from here to the
-            // store an item is never copied.
-            let mut uuids = UuidGen::for_document(&uri);
-            let mut per_table: Vec<(&'static str, Vec<KvItem>)> =
-                tables.iter().map(|&table| (table, Vec::new())).collect();
-            for e in entries.iter() {
-                if let Some((_, table_items)) = per_table.iter_mut().find(|(t, _)| *t == e.table) {
-                    encode_entry_into(e, &profile, &mut uuids, table_items);
-                }
-            }
-            for (table, table_items) in per_table {
-                items += table_items.len() as u64;
-                batches
-                    .extend(into_batches(table_items, profile.batch_put_limit).map(|b| (table, b)));
-            }
         }
-        // If this URI replaced an indexed version, the keys its old
-        // versions held but the current one does not must be deleted
-        // after the writes land. The registry entry stays in place until
-        // the deletes complete, so a crash or abandon retries them on
-        // redelivery (idempotently).
-        let mut deletes = VecDeque::new();
-        let stale: Vec<ItemKey> = match self.retractions.borrow().get(&uri) {
-            None => Vec::new(),
-            Some(old) => {
-                // Borrowed keys of what was just encoded: only the stale
-                // keys are copied out of the registry.
-                let fresh: HashSet<(&str, &str, &str)> = batches
-                    .iter()
-                    .flat_map(|(table, batch)| {
-                        batch
-                            .iter()
-                            .map(move |item| (*table, &*item.hash_key, &*item.range_key))
-                    })
-                    .collect();
-                old.iter()
-                    .filter(|(table, hash, range)| !fresh.contains(&(*table, hash, range)))
-                    .cloned()
-                    .collect()
-            }
-        };
-        if stale.is_empty() {
-            // An identical or purely-growing rewrite leaves nothing to
-            // retract; drop the registry entry now.
+        // The puts, and — if this URI replaced an indexed version — the
+        // deletes of what its old versions held and the current one does
+        // not. The registry entry stays in place until the deletes
+        // complete, so a crash or abandon retries them on redelivery
+        // (idempotently); an identical or purely-growing rewrite leaves
+        // nothing to retract and drops it now.
+        let profile = world.kv.profile();
+        let plan = plan_document(
+            &entries,
+            &profile,
+            &uri,
+            self.retractions.borrow().get(&uri),
+        );
+        if plan.deletes.is_empty() {
             self.retractions.borrow_mut().remove(&uri);
-        } else {
-            // The placement's own tables come first, in the strategy's
-            // order; a plan switch strands stale keys in the *previous*
-            // placement's tables, covered after them in name order.
-            let mut batches = delete_batches(stale, profile.batch_put_limit);
-            batches.sort_by_key(|(table, _)| {
-                let own = tables.iter().position(|t| t == table);
-                own.unwrap_or(usize::MAX)
-            });
-            for (table, _) in &batches {
-                if !tables.contains(table) {
-                    tables.push(table);
-                }
-            }
-            deletes = batches.into();
         }
-        // A write may target a partition table no one created yet (unnamed
-        // partitions fall back to the default strategy at write time);
-        // ensuring is a free, idempotent host-side call.
-        for table in tables {
+        for table in &plan.tables {
             world.kv.ensure_table(table);
         }
         lease.keep_alive(&mut world.sqs, t);
         self.state = LoaderState::Uploading(Upload {
             lease,
             uri,
-            batches,
-            deletes,
-            entries: entry_count,
-            items,
+            entries: entries.len() as u64,
+            items: plan.items(),
             entry_bytes,
+            batches: plan.puts,
+            deletes: plan.deletes,
         });
         StepResult::NextAt(t)
     }
@@ -552,7 +500,7 @@ impl LoaderCore {
                     let mut totals = self.totals.borrow_mut();
                     let Some(resume) = self.worker.retry.again(available_at) else {
                         totals.upload_micros += (last.max(available_at) - now).micros();
-                        let again = available_at + self.worker.poll;
+                        let again = available_at + POLL_INTERVAL;
                         return Burst::Dropped(StepResult::NextAt(again));
                     };
                     totals.upload_micros += (resume - now).micros();
@@ -982,7 +930,7 @@ impl Actor for QueryCore {
                 Ok(t_done) => StepResult::NextAt(t_done),
                 // Abandoned: the lease expires on its own and the message
                 // is redelivered (to this instance or another).
-                Err(available_at) => StepResult::NextAt(available_at + self.worker.poll),
+                Err(available_at) => StepResult::NextAt(available_at + POLL_INTERVAL),
             },
             Err(result) => result,
         };
@@ -1023,7 +971,7 @@ mod tests {
             let Err(StepResult::NextAt(again)) = w.receive(SimTime::ZERO, &mut world) else {
                 panic!("{}: an open, empty queue is polled again", module.kind);
             };
-            assert!(again > SimTime::ZERO + cfg.poll_interval);
+            assert!(again > SimTime::ZERO + POLL_INTERVAL);
             world.sqs.close(module.queue);
             assert!(matches!(
                 w.receive(again, &mut world),

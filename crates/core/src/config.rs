@@ -21,6 +21,9 @@ pub const RESPONSE_QUEUE: &str = "amada-query-responses";
 /// deliveries without being completed (poison messages / repeated
 /// abandonment) instead of recirculating forever.
 pub const DEAD_LETTER_QUEUE: &str = "amada-dead-letter";
+/// How long a module core waits before it receives again — after an empty
+/// receive on an open queue, or after abandoning a task to redelivery.
+pub const POLL_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// What is fixed about a module, whichever core runs it.
 #[derive(Debug, Clone, Copy)]
@@ -193,8 +196,6 @@ pub struct WarehouseConfig {
     /// then counts exactly the receive + delete per message the paper's
     /// cost formulas assume.
     pub visibility: SimDuration,
-    /// How often an idle module core polls an empty queue.
-    pub poll_interval: SimDuration,
     /// Seeded transient-fault injection for the simulated services.
     /// Off by default; the identity tests pin that a default `faults`
     /// leaves every virtual time and cost bit-identical to a world with
@@ -234,7 +235,6 @@ impl Default for WarehouseConfig {
             prices: PriceTable::default(),
             work: WorkModel::default(),
             visibility: SimDuration::from_secs(4 * 3600),
-            poll_interval: SimDuration::from_millis(100),
             faults: FaultConfig::default(),
             retry: RetryPolicy::default(),
             host: HostConfig::default(),

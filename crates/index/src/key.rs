@@ -15,8 +15,6 @@
 //! keys, e.g. `/epainting/ename/wOlympia`, exactly as in the paper's LUP
 //! examples; extraction ([`crate::strategy`]) builds them incrementally.
 
-use amada_xml::{Document, NodeId, NodeKind};
-
 /// Prefix for element keys.
 pub const ELEMENT_PREFIX: char = 'e';
 /// Prefix for attribute keys.
@@ -115,19 +113,9 @@ pub fn word_key(word: &str) -> String {
     pushed(|k| push_word_key(k, word))
 }
 
-/// The key of a non-word node (element or attribute name key).
-pub fn node_key(doc: &Document, n: NodeId) -> Option<String> {
-    match doc.kind(n) {
-        NodeKind::Element => Some(element_key(doc.name(n)?)),
-        NodeKind::Attribute => Some(attribute_key(doc.name(n)?)),
-        NodeKind::Text => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amada_xml::Document;
 
     #[test]
     fn key_constructors_match_paper_examples() {
@@ -161,12 +149,5 @@ mod tests {
         let uni = "é".repeat(5000);
         let k = word_key(&uni);
         assert!(std::str::from_utf8(k.as_bytes()).is_ok());
-    }
-
-    #[test]
-    fn text_nodes_have_no_node_key() {
-        let d = Document::parse_str("t.xml", "<a>x</a>").unwrap();
-        let text = d.all_nodes().find(|&n| d.value(n) == Some("x")).unwrap();
-        assert_eq!(node_key(&d, text), None);
     }
 }

@@ -11,17 +11,15 @@
 //!   base64 / 1 KB-chunk fallback for string-only stores;
 //! * [`store`] — mapping entries onto key-value items (UUID range keys,
 //!   per-backend encoding, chunk ordering);
-//! * [`loadutil`] — batched writing of extracted entries;
+//! * [`loadutil`] — the document write plan (entries → batched puts,
+//!   stale keys → batched deletes) and its sequential and key-only uses;
 //! * [`lookup`] — the per-strategy look-up planners, including the LUP
 //!   query-path matcher and the 2LUPI semijoin + ID twig join plan of the
 //!   paper's Figure 5;
 //! * [`explain`] — textual look-up plans (the Figure 5 outline, for every
 //!   strategy);
 //! * [`pushdown`] — the wire-serializable scan predicate behind the
-//!   LUP-PD strategy (storage-side post-filtering, the S3-Select analog);
-//! * [`summary`] — DataGuide-style path summaries, selectivity estimation
-//!   and the Section 8.5 per-query strategy hint (the paper's future
-//!   work).
+//!   LUP-PD strategy (storage-side post-filtering, the S3-Select analog).
 
 pub mod cache;
 pub mod codec;
@@ -35,25 +33,23 @@ pub mod pushdown;
 pub mod shard;
 pub mod store;
 pub mod strategy;
-pub mod summary;
 
 pub use cache::{content_hash, CacheStats, Content, ExtractCache};
 pub use explain::explain;
 pub use loadutil::{
-    delete_batches, entry_item_keys, index_document, index_documents, into_batches, retract_keys,
-    stale_keys, write_entries, DocIndexing, ItemKey,
+    delete_batches, entry_item_keys, plan_document, retract_keys, stale_keys, write_entries,
+    DocIndexing, ItemKey, WritePlan,
 };
 pub use lookup::{
     lookup_pattern, lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup, StrategyTables,
 };
 pub use parallel::{prewarm, PrewarmReport};
 pub use partition::{
-    index_documents_mixed, lookup_mixed, partition_lookup_tables, partition_of, partition_table,
-    partition_tables, routed_entries, MixedPlan,
+    index_documents, index_documents_mixed, lookup_mixed, partition_lookup_tables, partition_of,
+    partition_table, partition_tables, routed_entries, MixedPlan,
 };
 pub use pushdown::{decode_tuples, encode_tuples, ScanPredicate};
 pub use shard::{hottest_keys, key_frequencies, skew_aware_plan};
 pub use store::UuidGen;
 pub use strategy::{extract, ExtractOptions, IndexEntry, Payload, Strategy};
 pub use strategy::{TABLE_ID, TABLE_MAIN, TABLE_PATH};
-pub use summary::{PathSummary, StrategyHint};

@@ -2,12 +2,21 @@
 //! half of the indexing module. The documents are "batched … in order to
 //! minimize the number of calls needed to load the index into DynamoDB"
 //! (paper Section 8.1): items are grouped into maximal `batch_put` calls.
+//!
+//! [`plan_document`] is the one statement of what a document version asks
+//! of the store — which items, in which tables, cut into which calls, and
+//! which stale keys of a replaced version go after them. The warehouse's
+//! loader bursts the plan's calls concurrently; [`write_entries`] (the
+//! advisor's micro-builds and, through [`crate::index_documents_mixed`],
+//! the oracles) issues them one after another. [`entry_item_keys`] (the
+//! front end's retraction replay) runs the same encoding loop an entry at
+//! a time: holding a document's items to read their keys off a plan cost
+//! it 75 % and `churn_mixed` 6 %.
 
 use crate::store::{encode_entry_into, UuidGen};
-use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
+use crate::strategy::IndexEntry;
 use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
-use amada_xml::Document;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 /// A full item primary key: `(table, hash_key, range_key)`.
 pub type ItemKey = (&'static str, String, String);
@@ -25,58 +34,138 @@ pub struct DocIndexing {
     pub batches: u64,
 }
 
-/// Extracts and stores the index entries of one document; returns the
-/// metrics and the virtual completion time of the last write.
-pub fn index_document(
-    store: &mut dyn KvStore,
-    now: SimTime,
-    doc: &Document,
-    strategy: Strategy,
-    opts: ExtractOptions,
-) -> Result<(DocIndexing, SimTime), KvError> {
-    let entries = extract(doc, strategy, opts);
-    write_entries(store, now, &entries, doc.uri())
+/// The index-store calls that bring one document's placement up to date,
+/// each queue in issue order.
+#[derive(Debug, Default)]
+pub struct WritePlan {
+    /// `batch_put` calls: the current version's items, table by table.
+    pub puts: VecDeque<(&'static str, Vec<KvItem>)>,
+    /// `batch_delete` calls, to issue once the puts have landed
+    /// (write-new-then-delete-stale keeps every key readable throughout):
+    /// what a pending retraction holds and the current version does not.
+    pub deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
+    /// Every table a call names — the placement's own, then the ones a
+    /// previous placement stranded stale keys in. A write may be the first
+    /// to name a table; ensuring it is a free, idempotent host-side call.
+    pub tables: Vec<&'static str>,
 }
 
-/// Encodes and batch-writes pre-extracted entries.
+impl WritePlan {
+    /// Items the puts store.
+    pub fn items(&self) -> u64 {
+        self.puts.iter().map(|(_, batch)| batch.len() as u64).sum()
+    }
+}
+
+/// Plans the index-store calls for one document version: its `entries`
+/// (already routed to their placement's tables; none when the placement
+/// indexes nothing) and the keys `pending` retraction for its URI.
+///
+/// Every entry's items are moved, in entry order, into their table's
+/// vector and the vectors are cut into batches by moving: from here to
+/// the store an item is never cloned. The tables keep the order in which
+/// the extraction first names them, which is the strategy's own — 2LUPI
+/// writes `[path, id]`. Stale keys are diffed against *borrowed* keys of
+/// what was just encoded, so only they are copied out of `pending`; their
+/// deletes cover the placement's own tables first, in that order, and
+/// then — after a plan switch — the previous placement's, in name order.
+pub fn plan_document(
+    entries: &[IndexEntry],
+    profile: &KvProfile,
+    uri: &str,
+    pending: Option<&BTreeSet<ItemKey>>,
+) -> WritePlan {
+    let mut per_table: Vec<(&'static str, Vec<KvItem>)> = Vec::new();
+    encode_each(entries, profile, uri, |table, items| {
+        let at = per_table
+            .iter()
+            .position(|(t, _)| *t == table)
+            .unwrap_or_else(|| {
+                per_table.push((table, Vec::new()));
+                per_table.len() - 1
+            });
+        per_table[at].1.append(items);
+    });
+    let mut plan = WritePlan::default();
+    for (table, items) in per_table {
+        plan.tables.push(table);
+        plan.puts
+            .extend(into_batches(items, profile.batch_put_limit).map(|batch| (table, batch)));
+    }
+    let Some(old) = pending else {
+        return plan;
+    };
+    let fresh: HashSet<(&str, &str, &str)> = plan
+        .puts
+        .iter()
+        .flat_map(|(table, batch)| {
+            batch
+                .iter()
+                .map(move |item| (*table, &*item.hash_key, &*item.range_key))
+        })
+        .collect();
+    let stale = old
+        .iter()
+        .filter(|(table, hash, range)| !fresh.contains(&(*table, hash, range)))
+        .cloned();
+    let mut deletes = delete_batches(stale, profile.batch_put_limit);
+    let own = |table: &&'static str| plan.tables.iter().position(|t| t == table);
+    deletes.sort_by_key(|(table, _)| own(table).unwrap_or(usize::MAX));
+    for (table, _) in &deletes {
+        if !plan.tables.contains(table) {
+            plan.tables.push(table);
+        }
+    }
+    plan.deletes = deletes.into();
+    plan
+}
+
+/// The one encoding loop: a document version's entries, in entry order
+/// under the one UUID stream its URI seeds (what makes every version's
+/// item keys derivable from its bytes). `each` is handed an entry's table
+/// and its items, and takes them out of the buffer.
+fn encode_each(
+    entries: &[IndexEntry],
+    profile: &KvProfile,
+    uri: &str,
+    mut each: impl FnMut(&'static str, &mut Vec<KvItem>),
+) {
+    let mut uuids = UuidGen::for_document(uri);
+    let mut items = Vec::new();
+    for e in entries {
+        encode_entry_into(e, profile, &mut uuids, &mut items);
+        each(e.table, &mut items);
+    }
+}
+
+/// Stores pre-extracted entries: [`plan_document`]'s puts, issued one
+/// after another (each starts when the previous one is acknowledged).
 pub fn write_entries(
     store: &mut dyn KvStore,
     now: SimTime,
     entries: &[IndexEntry],
     uri: &str,
 ) -> Result<(DocIndexing, SimTime), KvError> {
-    let profile = store.profile();
-    let mut uuids = UuidGen::for_document(uri);
-    let mut metrics = DocIndexing {
+    let plan = plan_document(entries, &store.profile(), uri, None);
+    let metrics = DocIndexing {
         entries: entries.len() as u64,
-        ..Default::default()
+        items: plan.items(),
+        entry_bytes: entries.iter().map(|e| e.raw_bytes() as u64).sum(),
+        batches: plan.puts.len() as u64,
     };
-    // Group items per destination table, preserving order.
-    let mut per_table: BTreeMap<&'static str, Vec<KvItem>> = BTreeMap::new();
-    for e in entries {
-        metrics.entry_bytes += e.raw_bytes() as u64;
-        encode_entry_into(
-            e,
-            &profile,
-            &mut uuids,
-            per_table.entry(e.table).or_default(),
-        );
+    for table in plan.tables {
+        store.ensure_table(table);
     }
     let mut t = now;
-    for (table, items) in per_table {
-        store.ensure_table(table);
-        metrics.items += items.len() as u64;
-        for batch in into_batches(items, profile.batch_put_limit) {
-            metrics.batches += 1;
-            t = store.batch_put(t, table, batch)?;
-        }
+    for (table, batch) in plan.puts {
+        t = store.batch_put(t, table, batch)?;
     }
     Ok((metrics, t))
 }
 
 /// Splits `items` into batches of at most `limit`, moving every element
 /// into an exact-size vector: nothing is cloned on the way to the store.
-pub fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<T>> {
+fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<T>> {
     let mut rest = items.into_iter();
     std::iter::from_fn(move || {
         let batch: Vec<T> = rest.by_ref().take(limit).collect();
@@ -84,27 +173,22 @@ pub fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<
     })
 }
 
-/// The `(table, hash_key, range_key)` item keys that [`write_entries`]
-/// produces for these entries — derived *without* touching the store, by
-/// replaying the same per-document UUID sequence over the same encoding.
+/// The `(table, hash_key, range_key)` item keys [`plan_document`]'s puts
+/// store for these entries, in entry order — derived *without* touching
+/// the store, by the same encoding loop.
 /// Because range keys are deterministic per document (seeded from its
 /// URI), the keys of any version of a document can be reconstructed from
 /// its bytes alone; stale-entry retraction is the set difference between
 /// an old and a new version's keys.
 pub fn entry_item_keys(entries: &[IndexEntry], profile: &KvProfile, uri: &str) -> Vec<ItemKey> {
-    let mut uuids = UuidGen::for_document(uri);
     let mut keys = Vec::with_capacity(entries.len());
-    let mut items = Vec::new();
-    for e in entries {
-        encode_entry_into(e, profile, &mut uuids, &mut items);
-        keys.extend(items.drain(..).map(|item| {
-            (
-                e.table,
-                item.hash_key.to_string(),
-                item.range_key.to_string(),
-            )
-        }));
-    }
+    encode_each(entries, profile, uri, |table, items| {
+        keys.extend(
+            items
+                .drain(..)
+                .map(|i| (table, i.hash_key.to_string(), i.range_key.to_string())),
+        );
+    });
     keys
 }
 
@@ -155,32 +239,23 @@ pub fn delete_batches(
         .collect()
 }
 
-/// Indexes a whole document set sequentially (test / example convenience;
-/// the warehouse's loader module parallelizes this across instances).
-pub fn index_documents(
-    store: &mut dyn KvStore,
-    docs: &[Document],
-    strategy: Strategy,
-    opts: ExtractOptions,
-) -> DocIndexing {
-    let mut total = DocIndexing::default();
-    let mut t = SimTime::ZERO;
-    for d in docs {
-        let (m, ready) =
-            index_document(store, t, d, strategy, opts).expect("indexing must succeed");
-        t = ready;
-        total.entries += m.entries;
-        total.items += m.items;
-        total.entry_bytes += m.entry_bytes;
-        total.batches += m.batches;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{extract, ExtractOptions, Strategy};
     use amada_cloud::{DynamoDb, SimpleDb};
+    use amada_xml::Document;
+
+    /// Extracts and stores one document's entries.
+    fn index_document(
+        store: &mut dyn KvStore,
+        now: SimTime,
+        doc: &Document,
+        strategy: Strategy,
+        opts: ExtractOptions,
+    ) -> Result<(DocIndexing, SimTime), KvError> {
+        write_entries(store, now, &extract(doc, strategy, opts), doc.uri())
+    }
 
     fn doc() -> Document {
         Document::parse_str(
@@ -247,25 +322,210 @@ mod tests {
         assert!(store.stats().put_ops > 0);
     }
 
+    /// The paper's four strategies and the pushdown variant.
+    const FIVE: [Strategy; 5] = [
+        Strategy::Lu,
+        Strategy::Lup,
+        Strategy::Lui,
+        Strategy::TwoLupi,
+        Strategy::LupPd,
+    ];
+
+    /// Enough distinct keys for several batches per table, and ID lists
+    /// long enough to chunk under SimpleDB's 1 KB values.
+    fn wide_doc(uri: &str, sections: usize) -> Document {
+        let mut x = String::from("<catalog>");
+        for i in 0..sections {
+            x.push_str(&format!("<s{i} n=\"{i}\"><t>word{i} gold</t></s{i}>"));
+        }
+        for _ in 0..400 {
+            x.push_str("<a>gold</a>");
+        }
+        x.push_str("</catalog>");
+        Document::parse_str(uri, &x).unwrap()
+    }
+
+    /// The keys the puts store, sorted (the plan groups them by table,
+    /// `entry_item_keys` lists them in entry order).
+    fn put_keys(plan: &WritePlan) -> Vec<ItemKey> {
+        let keys = plan.puts.iter().flat_map(|(table, batch)| {
+            batch
+                .iter()
+                .map(|i| (*table, i.hash_key.to_string(), i.range_key.to_string()))
+        });
+        sorted(keys.collect())
+    }
+
+    fn sorted(mut keys: Vec<ItemKey>) -> Vec<ItemKey> {
+        keys.sort();
+        keys
+    }
+
+    fn delete_keys(plan: &WritePlan) -> Vec<ItemKey> {
+        let keys = plan.deletes.iter().flat_map(|(table, batch)| {
+            batch
+                .iter()
+                .map(|(hash, range)| (*table, hash.clone(), range.clone()))
+        });
+        keys.collect()
+    }
+
+    /// The tables a queue of calls names, in call order.
+    fn call_tables<B>(calls: &VecDeque<(&'static str, B)>) -> Vec<&'static str> {
+        let mut tables: Vec<&'static str> = calls.iter().map(|(table, _)| *table).collect();
+        tables.dedup();
+        tables
+    }
+
     #[test]
-    fn entry_item_keys_match_what_write_entries_stored() {
-        let mut store = DynamoDb::default();
+    fn the_plan_is_what_write_entries_stores_and_entry_item_keys_names() {
+        let d = wide_doc("wide.xml", 40);
+        for strategy in FIVE {
+            let stores: [Box<dyn KvStore>; 2] =
+                [Box::<DynamoDb>::default(), Box::<SimpleDb>::default()];
+            for mut store in stores {
+                let profile = store.profile();
+                let what = format!("{strategy} on {}", profile.name);
+                let entries = extract(&d, strategy, ExtractOptions::default());
+                let plan = plan_document(&entries, &profile, d.uri(), None);
+                assert!(plan.deletes.is_empty(), "{what}");
+                // One table order, the strategy's own: 2LUPI is [path, id].
+                assert_eq!(plan.tables, strategy.tables(), "{what}");
+                assert_eq!(call_tables(&plan.puts), strategy.tables(), "{what}");
+                // Maximal batches: only a table's last one may be short.
+                for (i, (table, batch)) in plan.puts.iter().enumerate() {
+                    let last_of_table = plan.puts.get(i + 1).is_none_or(|(t, _)| t != table);
+                    assert!(batch.len() <= profile.batch_put_limit, "{what}");
+                    assert!(
+                        last_of_table || batch.len() == profile.batch_put_limit,
+                        "{what}"
+                    );
+                }
+                assert!(
+                    plan.puts.len() > plan.tables.len(),
+                    "{what}: several batches"
+                );
+                assert_eq!(
+                    put_keys(&plan),
+                    sorted(entry_item_keys(&entries, &profile, d.uri())),
+                    "{what}"
+                );
+                let mut planned: Vec<(String, KvItem)> = plan
+                    .puts
+                    .iter()
+                    .flat_map(|(table, batch)| batch.iter().map(|i| (table.to_string(), i.clone())))
+                    .collect();
+                planned.sort_by(|(ta, a), (tb, b)| {
+                    (ta, &a.hash_key, &a.range_key).cmp(&(tb, &b.hash_key, &b.range_key))
+                });
+                let (m, _) = write_entries(store.as_mut(), SimTime::ZERO, &entries, d.uri())
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(store.peek_all(), planned, "{what}");
+                assert_eq!(m.items, plan.items(), "{what}");
+                assert_eq!(m.batches, plan.puts.len() as u64, "{what}");
+                assert_eq!(store.stats().api_requests, m.batches, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_lupi_is_planned_path_table_first() {
         let d = doc();
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
-        write_entries(&mut store, SimTime::ZERO, &entries, d.uri()).unwrap();
-        let keys = entry_item_keys(&entries, &store.profile(), d.uri());
-        let mut stored: Vec<(String, String, String)> = store
-            .peek_all()
+        let profile = DynamoDb::default().profile();
+        let plan = plan_document(&entries, &profile, d.uri(), None);
+        let path_then_id = [crate::strategy::TABLE_PATH, crate::strategy::TABLE_ID];
+        assert_eq!(plan.tables, path_then_id);
+        assert_eq!(call_tables(&plan.puts), path_then_id);
+        // The same under a named partition's tables.
+        let routed = crate::partition::routed_entries(&entries, "hot");
+        let plan = plan_document(&routed, &profile, "hot/d.xml", None);
+        assert_eq!(
+            plan.tables,
+            crate::partition::partition_tables(Strategy::TwoLupi, "hot")
+        );
+    }
+
+    #[test]
+    fn a_pending_retraction_is_planned_as_exactly_the_stale_keys_own_tables_first() {
+        let opts = ExtractOptions::default();
+        let v1 = wide_doc("d.xml", 60);
+        let v2 = wide_doc("d.xml", 20);
+        for profile in [DynamoDb::default().profile(), SimpleDb::default().profile()] {
+            // The document is 2LUPI in the root tables now; its replaced
+            // version was too, and before a plan switch it was LU in the
+            // root's main table and LUP in a partition's.
+            let new = extract(&v2, Strategy::TwoLupi, opts);
+            let mut old =
+                entry_item_keys(&extract(&v1, Strategy::TwoLupi, opts), &profile, "d.xml");
+            old.extend(entry_item_keys(
+                &extract(&v1, Strategy::Lu, opts),
+                &profile,
+                "d.xml",
+            ));
+            let lup = extract(&v1, Strategy::Lup, opts);
+            let stranded = crate::partition::routed_entries(&lup, "hot");
+            old.extend(entry_item_keys(&stranded, &profile, "d.xml"));
+            let pending: BTreeSet<ItemKey> = old.iter().cloned().collect();
+
+            let plan = plan_document(&new, &profile, "d.xml", Some(&pending));
+            let fresh = entry_item_keys(&new, &profile, "d.xml");
+            assert_eq!(
+                put_keys(&plan),
+                sorted(fresh.clone()),
+                "{}: the puts ignore `pending`",
+                profile.name
+            );
+            let expected = stale_keys(&old, &fresh);
+            assert!(
+                expected.len() < old.len(),
+                "{}: some keys survive",
+                profile.name
+            );
+            let mut deleted = delete_keys(&plan);
+            deleted.sort();
+            assert_eq!(deleted, expected, "{}", profile.name);
+            // Own tables in the strategy's order — not name order, which
+            // would put the ID table first — then the stranded ones by name.
+            let order = [
+                crate::strategy::TABLE_PATH,
+                crate::strategy::TABLE_ID,
+                crate::strategy::TABLE_MAIN,
+                "amada-index@hot",
+            ];
+            assert_eq!(call_tables(&plan.deletes), order, "{}", profile.name);
+            assert_eq!(plan.tables, order, "{}", profile.name);
+            assert!(plan
+                .deletes
+                .iter()
+                .all(|(_, batch)| batch.len() <= profile.batch_put_limit));
+
+            // Nothing pending that the new version does not hold: no deletes.
+            let same: BTreeSet<ItemKey> = fresh.iter().cloned().collect();
+            let plan = plan_document(&new, &profile, "d.xml", Some(&same));
+            assert!(plan.deletes.is_empty(), "{}", profile.name);
+            assert_eq!(plan.tables, Strategy::TwoLupi.tables(), "{}", profile.name);
+        }
+    }
+
+    #[test]
+    fn a_placement_that_indexes_nothing_plans_no_puts_and_retracts_everything_pending() {
+        let d = doc();
+        let profile = DynamoDb::default().profile();
+        let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
+        let pending: BTreeSet<ItemKey> = entry_item_keys(&entries, &profile, d.uri())
             .into_iter()
-            .map(|(t, i)| (t, i.hash_key.to_string(), i.range_key.to_string()))
             .collect();
-        let mut derived: Vec<(String, String, String)> = keys
-            .into_iter()
-            .map(|(t, h, r)| (t.to_string(), h, r))
-            .collect();
-        stored.sort();
-        derived.sort();
-        assert_eq!(stored, derived);
+        let plan = plan_document(&[], &profile, d.uri(), Some(&pending));
+        assert!(plan.puts.is_empty());
+        assert_eq!(plan.items(), 0);
+        assert_eq!(delete_keys(&plan), Vec::from_iter(pending));
+        // No table is the placement's own: all are stranded, in name order.
+        let id_then_path = [crate::strategy::TABLE_ID, crate::strategy::TABLE_PATH];
+        assert_eq!(plan.tables, id_then_path);
+        // And with nothing pending there is nothing to do at all.
+        let idle = plan_document(&[], &profile, d.uri(), None);
+        assert!(idle.puts.is_empty() && idle.deletes.is_empty() && idle.tables.is_empty());
     }
 
     #[test]

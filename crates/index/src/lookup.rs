@@ -634,7 +634,7 @@ impl TwigStream<()> for LuiStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loadutil::index_documents;
+    use crate::partition::index_documents;
     use crate::store::decode_id_lists;
     use amada_cloud::{DynamoDb, KvStore};
     use amada_pattern::parse_pattern;

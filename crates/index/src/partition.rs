@@ -190,11 +190,6 @@ impl MixedPlan {
             .unwrap_or(self.default)
     }
 
-    /// The strategy routing a document.
-    pub fn strategy_for_uri(&self, uri: &str) -> Option<Strategy> {
-        self.strategy_of(self.partition_of(uri))
-    }
-
     /// The default strategy of unnamed partitions.
     pub fn default_strategy(&self) -> Option<Strategy> {
         self.default
@@ -240,10 +235,10 @@ impl MixedPlan {
     }
 }
 
-/// Indexes a document set under a mixed plan, sequentially (host-side
-/// convenience for the estimator, oracles and tests; the warehouse's
-/// loader pool routes per document the same way). Documents in unindexed
-/// partitions contribute nothing to the store.
+/// Indexes a document set under a routing plan, sequentially (host-side
+/// convenience for the oracles and tests; the warehouse's loader pool
+/// routes per document the same way and bursts each document's writes).
+/// Documents in unindexed partitions contribute nothing to the store.
 pub fn index_documents_mixed(
     store: &mut dyn KvStore,
     docs: &[Document],
@@ -267,6 +262,17 @@ pub fn index_documents_mixed(
         total.batches += m.batches;
     }
     total
+}
+
+/// Indexes a document set the paper's way — one strategy, the global
+/// tables: [`index_documents_mixed`] under the flat plan.
+pub fn index_documents(
+    store: &mut dyn KvStore,
+    docs: &[Document],
+    strategy: Strategy,
+    opts: ExtractOptions,
+) -> DocIndexing {
+    index_documents_mixed(store, docs, &MixedPlan::flat(Some(strategy)), opts)
 }
 
 /// Looks up a full query under a routing plan — the one look-up entry
@@ -397,10 +403,11 @@ mod tests {
         let plan = MixedPlan::uniform(Some(Strategy::Lup))
             .with("hot", Some(Strategy::TwoLupi))
             .with("cold", None);
-        assert_eq!(plan.strategy_for_uri("hot/a.xml"), Some(Strategy::TwoLupi));
-        assert_eq!(plan.strategy_for_uri("cold/c.xml"), None);
-        assert_eq!(plan.strategy_for_uri("d.xml"), Some(Strategy::Lup));
-        assert_eq!(plan.strategy_for_uri("other/e.xml"), Some(Strategy::Lup));
+        let route = |plan: &MixedPlan, uri| plan.strategy_of(plan.partition_of(uri));
+        assert_eq!(route(&plan, "hot/a.xml"), Some(Strategy::TwoLupi));
+        assert_eq!(route(&plan, "cold/c.xml"), None);
+        assert_eq!(route(&plan, "d.xml"), Some(Strategy::Lup));
+        assert_eq!(route(&plan, "other/e.xml"), Some(Strategy::Lup));
         assert_eq!(
             plan.indexed_strategies(),
             BTreeSet::from([Strategy::Lup, Strategy::TwoLupi])
@@ -408,7 +415,7 @@ mod tests {
         // A flat plan ignores prefixes; a uniform one does not.
         let flat = MixedPlan::flat(Some(Strategy::Lup));
         assert_eq!(flat.partition_of("hot/a.xml"), "");
-        assert_eq!(flat.strategy_for_uri("hot/a.xml"), Some(Strategy::Lup));
+        assert_eq!(route(&flat, "hot/a.xml"), Some(Strategy::Lup));
         let uniform = MixedPlan::uniform(Some(Strategy::Lup));
         assert_eq!(uniform.partition_of("hot/a.xml"), "hot");
         assert_ne!(flat, uniform);
@@ -535,7 +542,7 @@ mod tests {
             let mut mixed = DynamoDb::default();
             index_documents_mixed(&mut mixed, &docs, &plan, opts);
             let mut plain = DynamoDb::default();
-            crate::loadutil::index_documents(&mut plain, &docs, strategy, opts);
+            index_documents(&mut plain, &docs, strategy, opts);
             assert_eq!(mixed.peek_all(), plain.peek_all(), "{strategy:?}");
 
             let corpus: Vec<Arc<str>> = docs.iter().map(|d| d.shared_uri().clone()).collect();

@@ -40,7 +40,6 @@ pub mod parser;
 pub mod stream;
 pub mod twig;
 pub mod valuejoin;
-pub mod xquery;
 
 pub use ast::{Axis, Bound, NodeTest, Output, PatternNode, Predicate, Query, TreePattern};
 pub use eval::{naive_matches, EvalStats, Tuple};
@@ -48,7 +47,6 @@ pub use parser::{parse_pattern, parse_pattern_component, parse_query, ParseError
 pub use stream::{SliceStream, TwigStream};
 pub use twig::{evaluate_pattern_twig, TwigEvaluator, TwigJoin, TwigShape};
 pub use valuejoin::{join_pattern_results, JoinedTuple};
-pub use xquery::parse_xquery;
 
 use amada_xml::Document;
 

@@ -8,10 +8,9 @@
 //! ```
 
 use amada::cloud::{InstanceType, PriceTable, SimDuration};
-use amada::index::{explain, ExtractOptions, PathSummary, Strategy};
+use amada::index::{explain, ExtractOptions, Strategy};
 use amada::warehouse::{advise_adaptive, CostModel, FamilyLoad, Horizon, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
-use amada::xml::Document;
 use std::collections::BTreeMap;
 
 fn main() {
@@ -152,31 +151,41 @@ fn main() {
         );
     }
 
-    // ----- 5. Per-query structural hints from the DataGuide summary
-    // (the paper's Section 8.5 criterion for LUI/2LUPI).
-    println!("\n== Per-query strategy hints (DataGuide summary) ==");
-    let docs: Vec<Document> = sample
-        .iter()
-        .map(|(uri, xml)| Document::parse_str(uri.clone(), xml).expect("sample corpus parses"))
-        .collect();
-    let summary = PathSummary::build(docs.iter());
-    for q in &queries {
-        let name = q.name.as_deref().unwrap_or_default();
-        for (i, p) in q.patterns.iter().enumerate() {
-            let h = summary.recommend(p, ExtractOptions::default());
-            println!(
-                "  {name} pattern {}: {} branch(es), est. selectivity {:.3}, \
-                 co-occurrence gap {:.2} -> {}",
-                i + 1,
-                h.branches,
-                h.estimated_selectivity,
-                h.cooccurrence_gap,
-                if h.use_fine_granularity {
-                    "LUI/2LUPI"
-                } else {
-                    "LU/LUP"
-                }
-            );
-        }
+    // ----- 5. The same advisor asked the per-query question (the paper's
+    // Section 8.5: which queries want the ID-granularity strategies): the
+    // same one-partition sample, a workload of that one family.
+    println!("\n== Per-query advice (one-family workloads, 500 runs) ==");
+    let horizon = Horizon {
+        expected_runs: 500,
+        months: 1.0,
+        budget_per_month: None,
+        response_slo: None,
+    };
+    for q in queries {
+        let name = q.name.clone().unwrap_or_default();
+        let family = [FamilyLoad {
+            query: q,
+            arrivals: 1,
+        }];
+        let advice = advise_adaptive(
+            &sample,
+            &family,
+            &BTreeMap::new(),
+            &horizon,
+            &WarehouseConfig::default(),
+        )
+        .expect("sample corpus parses and fits the store's limits");
+        let scan = advice
+            .ranked
+            .iter()
+            .find(|e| e.plan.assignments().is_empty() && e.plan.default_strategy().is_none())
+            .expect("the unindexed layout always competes");
+        println!(
+            "  {name:<4} advised: {:<8} {} / run (scan: {} / run), projected {}",
+            advice.chosen.label,
+            advice.chosen.run_cost,
+            scan.run_cost,
+            advice.chosen.projected_total,
+        );
     }
 }
