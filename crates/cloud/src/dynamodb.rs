@@ -124,11 +124,7 @@ mod tests {
     use crate::shard::ShardPlan;
 
     fn item(hash: &str, range: &str, uri: &str, val: KvValue) -> KvItem {
-        KvItem {
-            hash_key: hash.into(),
-            range_key: range.into(),
-            attrs: [(uri.into(), vec![val])].into(),
-        }
+        KvItem::new(hash.into(), range, uri.into(), [val].into_iter())
     }
 
     #[test]
@@ -138,11 +134,11 @@ mod tests {
         db.batch_put(
             SimTime::ZERO,
             "t",
-            vec![item("k", "r", "doc", KvValue::B(vec![1, 2, 3]))],
+            vec![item("k", "r", "doc", KvValue::B(&[1, 2, 3]))],
         )
         .unwrap();
         let (items, _) = db.get(SimTime::ZERO, "t", "k").unwrap();
-        assert!(items[0].attrs[0].1[0].is_binary());
+        assert!(items[0].values().all(|v| v.is_binary()));
     }
 
     #[test]
@@ -154,21 +150,21 @@ mod tests {
             "k",
             "r",
             "doc",
-            KvValue::B(vec![0; Dynamo::PROFILE.max_item_bytes + 1]),
+            KvValue::B(&vec![0; Dynamo::PROFILE.max_item_bytes + 1]),
         );
         assert!(matches!(
             db.batch_put(SimTime::ZERO, "t", vec![big]),
             Err(KvError::ItemTooLarge { .. })
         ));
         // Oversized hash key.
-        let long_key = item(&"k".repeat(3000), "r", "doc", KvValue::S(String::new()));
+        let long_key = item(&"k".repeat(3000), "r", "doc", KvValue::S(""));
         assert!(matches!(
             db.batch_put(SimTime::ZERO, "t", vec![long_key]),
             Err(KvError::KeyTooLarge { .. })
         ));
         // Oversized batch.
         let many = (0..26)
-            .map(|i| item("k", &format!("r{i}"), "doc", KvValue::S(String::new())))
+            .map(|i| item("k", &format!("r{i}"), "doc", KvValue::S("")))
             .collect();
         assert!(matches!(
             db.batch_put(SimTime::ZERO, "t", many),
@@ -186,7 +182,7 @@ mod tests {
         let mut db = DynamoDb::default();
         db.ensure_table("t");
         let items: Vec<KvItem> = (0..25)
-            .map(|i| item("k", &format!("r{i}"), "doc", KvValue::S(String::new())))
+            .map(|i| item("k", &format!("r{i}"), "doc", KvValue::S("")))
             .collect();
         db.batch_put(SimTime::ZERO, "t", items).unwrap();
         let st = db.stats();
@@ -200,7 +196,7 @@ mod tests {
         db2.batch_put(
             SimTime::ZERO,
             "t",
-            vec![item("k", "r", "doc", KvValue::B(vec![0; 8192]))],
+            vec![item("k", "r", "doc", KvValue::B(&vec![0; 8192]))],
         )
         .unwrap();
         assert_eq!(db2.stats().put_ops, 9);
@@ -217,7 +213,7 @@ mod tests {
                     "k",
                     &format!("r{i}"),
                     "doc",
-                    KvValue::B(vec![0; (i * 700) % 9000]),
+                    KvValue::B(&vec![0; (i * 700) % 9000]),
                 )
             })
             .collect();
@@ -248,7 +244,7 @@ mod tests {
                     &format!("k{i}"),
                     "r",
                     "d",
-                    KvValue::B(vec![0; (i * 1500) % 12_000]),
+                    KvValue::B(&vec![0; (i * 1500) % 12_000]),
                 )],
             )
             .unwrap();
@@ -280,7 +276,7 @@ mod tests {
                 .batch_put(
                     SimTime::ZERO,
                     "t",
-                    vec![item("k", &format!("r{i}"), "d", KvValue::S(String::new()))],
+                    vec![item("k", &format!("r{i}"), "d", KvValue::S(""))],
                 )
                 .unwrap();
         }
@@ -297,7 +293,7 @@ mod tests {
                 .batch_put(
                     SimTime::ZERO,
                     "t",
-                    vec![item("k", &format!("r{i}"), "d", KvValue::B(vec![0; 2048]))],
+                    vec![item("k", &format!("r{i}"), "d", KvValue::B(&vec![0; 2048]))],
                 )
                 .unwrap();
         }
@@ -312,7 +308,7 @@ mod tests {
             db.batch_put(
                 SimTime::ZERO,
                 "t",
-                vec![item(&format!("k{i}"), "r", "d", KvValue::S(String::new()))],
+                vec![item(&format!("k{i}"), "r", "d", KvValue::S(""))],
             )
             .unwrap();
         }
@@ -355,7 +351,7 @@ mod tests {
                             &format!("k{i}"),
                             "r",
                             "d",
-                            KvValue::B(vec![0; mix(seed, i)]),
+                            KvValue::B(&vec![0; mix(seed, i)]),
                         )],
                     )
                     .unwrap();
@@ -419,7 +415,7 @@ mod tests {
                     &format!("k{}", i % 7),
                     &format!("r{i}"),
                     "d",
-                    KvValue::B(vec![0; mix(3, i)]),
+                    KvValue::B(&vec![0; mix(3, i)]),
                 )
             })
             .collect();
@@ -454,8 +450,8 @@ mod tests {
             SimTime::ZERO,
             "t",
             vec![
-                item("hot", "r1", "d", KvValue::S(String::new())),
-                item("cold-a", "r2", "d", KvValue::S(String::new())),
+                item("hot", "r1", "d", KvValue::S("")),
+                item("cold-a", "r2", "d", KvValue::S("")),
             ],
         )
         .unwrap();
@@ -478,7 +474,7 @@ mod tests {
         flat.batch_put(
             SimTime::ZERO,
             "t",
-            vec![item("k", "r", "d", KvValue::S(String::new()))],
+            vec![item("k", "r", "d", KvValue::S(""))],
         )
         .unwrap();
         assert!(rec2.spans().iter().all(|s| s.shard.is_none()));
@@ -506,7 +502,7 @@ mod tests {
                         "hot",
                         &format!("r{i}"),
                         "d",
-                        KvValue::B(vec![0; 2048]),
+                        KvValue::B(&vec![0; 2048]),
                     )],
                 )
                 .unwrap();
@@ -515,7 +511,7 @@ mod tests {
             .batch_put(
                 SimTime::ZERO,
                 "t",
-                vec![item("cold", "r", "d", KvValue::B(vec![0; 2048]))],
+                vec![item("cold", "r", "d", KvValue::B(&vec![0; 2048]))],
             )
             .unwrap();
         assert!(

@@ -39,21 +39,22 @@ use crate::fault::FaultInjector;
 use crate::obs::Recorder;
 use crate::shard::ShardPlan;
 use std::borrow::Borrow;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-/// A value stored under an attribute name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum KvValue {
+/// A value stored under an attribute name, borrowed from the item that
+/// holds it or from what an item is being built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KvValue<'a> {
     /// A UTF-8 string value.
-    S(String),
+    S(&'a str),
     /// A binary value (DynamoDB only).
-    B(Vec<u8>),
+    B(&'a [u8]),
 }
 
-impl KvValue {
+impl KvValue<'_> {
     /// Payload size in bytes.
     pub fn len(&self) -> usize {
         match self {
@@ -73,117 +74,266 @@ impl KvValue {
     }
 }
 
+/// One field of an item's block, in stored order: a value of the current
+/// attribute, or the name that starts a further one. An index item has one
+/// attribute — [`KvItem::uri`] names it — and so only values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvField<'a> {
+    /// The name of a further attribute; the values after it are its own.
+    Attr(&'a str),
+    /// A value of the attribute named last.
+    Value(KvValue<'a>),
+}
+
+impl<'a> KvField<'a> {
+    fn tagged(&self) -> (u8, &'a [u8]) {
+        match self {
+            KvField::Value(KvValue::S(s)) => (TAG_S, s.as_bytes()),
+            KvField::Value(KvValue::B(b)) => (TAG_B, b),
+            KvField::Attr(name) => (TAG_ATTR, name.as_bytes()),
+        }
+    }
+}
+
+/// Bytes of a block's header: range-key length, value count and payload
+/// size (values and further attribute names), a little-endian `u32` each.
+const HEADER: usize = 12;
+/// Bytes in front of a field's own: its tag, then its length as a
+/// little-endian `u32`.
+const FIELD: usize = 5;
+const TAG_S: u8 = 0;
+const TAG_B: u8 = 1;
+const TAG_ATTR: u8 = 2;
+
+fn len32(len: usize) -> [u8; 4] {
+    u32::try_from(len)
+        .expect("an item field is shorter than 4 GB")
+        .to_le_bytes()
+}
+
+/// The `word`-th `u32` of a block's header.
+fn header(block: &[u8], word: usize) -> usize {
+    let bytes = block[4 * word..][..4].try_into().expect("four bytes");
+    u32::from_le_bytes(bytes) as usize
+}
+
+/// The range key a block starts with, after its header.
+fn range_of(block: &[u8]) -> &[u8] {
+    &block[HEADER..HEADER + header(block, 0)]
+}
+
 /// One item: a composite primary key plus named multi-valued attributes
-/// (paper Figure 6). Immutable and shared: the keys, the attribute names
-/// and the attribute list are reference-counted, so the store, every
-/// `get` result and the extraction that produced the hash key all hold
-/// the same bytes, and a clone is three counter bumps.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// (paper Figure 6). Immutable and shared: beside the hash key and the
+/// name of its first attribute — the document URI, for an index item —
+/// which it shares with the extraction that produced them, an item is
+/// *one* reference-counted block: a header (range-key length, value
+/// count, payload size), the range key, then every value as tag, length,
+/// bytes. The store, every `get` result and a retry copy hold the same
+/// block, a clone is three counter bumps, and the sizes the services bill
+/// by are read off the header.
+#[derive(Clone, PartialEq, Eq)]
 pub struct KvItem {
     /// Hash key (the index entry key, e.g. `ename`).
     pub hash_key: Arc<str>,
-    /// Range key (a UUID at indexing time, so concurrent writers never
-    /// overwrite each other — Section 6).
-    pub range_key: Arc<str>,
-    /// `(attribute name, values)` pairs; for index entries the attribute
-    /// name is a document URI.
-    pub attrs: KvAttrs,
+    /// Name of the item's first attribute; for index entries, the
+    /// document URI.
+    pub uri: Arc<str>,
+    block: Arc<[u8]>,
 }
-
-/// An item's shared `(attribute name, values)` list.
-pub type KvAttrs = Arc<[(Arc<str>, Vec<KvValue>)]>;
 
 impl KvItem {
+    /// The item `(hash_key, range_key)` whose one attribute, `uri`, holds
+    /// `values`. The range key is a UUID at indexing time, so concurrent
+    /// writers never overwrite each other (Section 6).
+    pub fn new<'v>(
+        hash_key: Arc<str>,
+        range_key: &str,
+        uri: Arc<str>,
+        values: impl Iterator<Item = KvValue<'v>> + Clone,
+    ) -> KvItem {
+        KvItem::from_fields(hash_key, range_key, uri, values.map(KvField::Value))
+    }
+
+    /// [`KvItem::new`] for an item that may carry further attributes. The
+    /// block is sized from a first pass over `fields` and written by a
+    /// second: one allocation, and both passes must yield the same.
+    pub fn from_fields<'v>(
+        hash_key: Arc<str>,
+        range_key: &str,
+        uri: Arc<str>,
+        fields: impl Iterator<Item = KvField<'v>> + Clone,
+    ) -> KvItem {
+        let (mut size, mut values, mut payload) = (HEADER + range_key.len(), 0, 0);
+        for field in fields.clone() {
+            size += FIELD + field.tagged().1.len();
+            values += usize::from(matches!(field, KvField::Value(_)));
+            payload += field.tagged().1.len();
+        }
+        let mut block: Arc<[u8]> = std::iter::repeat_n(0, size).collect();
+        let mut rest = Arc::get_mut(&mut block).expect("a new block is not shared");
+        let mut write = |bytes: &[u8]| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(bytes.len());
+            head.copy_from_slice(bytes);
+            rest = tail;
+        };
+        for len in [range_key.len(), values, payload] {
+            write(&len32(len));
+        }
+        write(range_key.as_bytes());
+        for field in fields {
+            let (tag, bytes) = field.tagged();
+            write(&[tag]);
+            write(&len32(bytes.len()));
+            write(bytes);
+        }
+        KvItem {
+            hash_key,
+            uri,
+            block,
+        }
+    }
+
+    /// Range key.
+    pub fn range_key(&self) -> &str {
+        std::str::from_utf8(range_of(&self.block)).expect("written from a str")
+    }
+
+    /// Attribute values over all attribute names.
+    pub fn value_count(&self) -> usize {
+        header(&self.block, 1)
+    }
+
     /// Total payload size: keys + attribute names + attribute values.
     pub fn byte_size(&self) -> usize {
-        self.hash_key.len()
-            + self.range_key.len()
-            + self
-                .attrs
-                .iter()
-                .map(|(n, vs)| n.len() + vs.iter().map(KvValue::len).sum::<usize>())
-                .sum::<usize>()
+        self.hash_key.len() + self.uri.len() + header(&self.block, 0) + header(&self.block, 2)
+    }
+
+    /// The one borrowing iterator over the block: its fields, in stored
+    /// order.
+    pub fn fields(&self) -> impl Iterator<Item = KvField<'_>> {
+        let mut rest = &self.block[HEADER + header(&self.block, 0)..];
+        std::iter::from_fn(move || {
+            let ([tag, len @ ..], tail) = rest.split_first_chunk::<FIELD>()?;
+            let (bytes, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
+            rest = tail;
+            let text = || std::str::from_utf8(bytes).expect("written from a str");
+            Some(match *tag {
+                TAG_B => KvField::Value(KvValue::B(bytes)),
+                TAG_S => KvField::Value(KvValue::S(text())),
+                _ => KvField::Attr(text()),
+            })
+        })
+    }
+
+    /// Every value, in stored order (of an index item: the URI's values).
+    pub fn values(&self) -> impl Iterator<Item = KvValue<'_>> {
+        self.fields().filter_map(|field| match field {
+            KvField::Value(value) => Some(value),
+            KvField::Attr(_) => None,
+        })
     }
 }
 
-/// A range key as the item table orders it: the key's first bytes sit
-/// inline, so the comparisons of an insert read the tree's own nodes
-/// instead of chasing every row's key pointer. Zero-padded prefix order,
-/// ties broken by the whole key (the derived order), *is* the key's byte
-/// order — which is what lets a row be found by `&str`.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct RangeKey {
+impl fmt::Debug for KvItem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KvItem")
+            .field("hash_key", &self.hash_key)
+            .field("range_key", &self.range_key())
+            .field("uri", &self.uri)
+            .field("fields", &self.fields().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// A stored item as the item table orders it: by range key. The key's
+/// first bytes sit inline, so the comparisons of an insert read the
+/// tree's own nodes instead of chasing every row's block pointer.
+/// Zero-padded prefix order, ties broken by the whole key, *is* the key's
+/// byte order — which is what lets a row be found by the key's bytes.
+struct Row {
     prefix: [u8; 16],
-    key: Arc<str>,
+    block: Arc<[u8]>,
+    uri: Arc<str>,
 }
 
-impl RangeKey {
-    fn new(key: Arc<str>) -> RangeKey {
+impl Row {
+    fn new(block: Arc<[u8]>, uri: Arc<str>) -> Row {
         let mut prefix = [0; 16];
-        let head = &key.as_bytes()[..key.len().min(16)];
+        let range = range_of(&block);
+        let head = &range[..range.len().min(16)];
         prefix[..head.len()].copy_from_slice(head);
-        RangeKey { prefix, key }
+        Row { prefix, block, uri }
+    }
+
+    fn item(&self, hash_key: &Arc<str>) -> KvItem {
+        KvItem {
+            hash_key: hash_key.clone(),
+            uri: self.uri.clone(),
+            block: self.block.clone(),
+        }
     }
 }
 
-impl Borrow<str> for RangeKey {
-    fn borrow(&self) -> &str {
-        &self.key
+impl Ord for Row {
+    fn cmp(&self, other: &Row) -> Ordering {
+        let by_prefix = self.prefix.cmp(&other.prefix);
+        by_prefix.then_with(|| range_of(&self.block).cmp(range_of(&other.block)))
     }
 }
 
-/// The items of one table — hash key → range key → attributes, rows in
-/// range-key order. Both services keep their tables in this; they differ
-/// in limits, billing and service times, not in what a table is. A row
-/// keeps only what is its own (range key, attributes): every row of a
-/// hash key shares the table's one copy of that key, and storing an item
-/// allocates nothing.
+impl PartialOrd for Row {
+    fn partial_cmp(&self, other: &Row) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Row) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Row {}
+
+impl Borrow<[u8]> for Row {
+    fn borrow(&self) -> &[u8] {
+        range_of(&self.block)
+    }
+}
+
+/// The items of one table — hash key → rows in range-key order. Both
+/// services keep their tables in this; they differ in limits, billing and
+/// service times, not in what a table is. A row keeps only what is its
+/// own (its block) and the URI it shares: every row of a hash key shares
+/// the table's one copy of that key, and storing an item allocates
+/// nothing.
 #[derive(Default)]
 pub struct ItemTable {
-    rows: HashMap<Arc<str>, BTreeMap<RangeKey, KvAttrs>>,
+    rows: HashMap<Arc<str>, BTreeSet<Row>>,
 }
 
 impl ItemTable {
     /// Stores `item`; returns the item with the same `(hash, range)` key
     /// it replaced.
     pub fn put(&mut self, item: KvItem) -> Option<KvItem> {
-        let KvItem {
-            hash_key,
-            range_key,
-            attrs,
-        } = item;
-        let Some(rows) = self.rows.get_mut(&*hash_key) else {
-            let row = (RangeKey::new(range_key), attrs);
-            self.rows.insert(hash_key, BTreeMap::from([row]));
+        let row = Row::new(item.block, item.uri);
+        let Some(rows) = self.rows.get_mut(&*item.hash_key) else {
+            self.rows.insert(item.hash_key, BTreeSet::from([row]));
             return None;
         };
-        match rows.entry(RangeKey::new(range_key)) {
-            Entry::Vacant(slot) => {
-                slot.insert(attrs);
-                None
-            }
-            Entry::Occupied(mut slot) => Some(KvItem {
-                hash_key,
-                range_key: slot.key().key.clone(),
-                attrs: slot.insert(attrs),
-            }),
-        }
+        rows.replace(row).map(|old| old.item(&item.hash_key))
     }
 
     /// Removes and returns the item under `(hash, range)`.
     pub fn remove(&mut self, hash: &str, range: &str) -> Option<KvItem> {
         let rows = self.rows.get_mut(hash)?;
-        let (range_key, attrs) = rows.remove_entry(range)?;
+        let row = rows.take(range.as_bytes())?;
         let hash_key = if rows.is_empty() {
             self.rows.remove_entry(hash)?.0
         } else {
             self.rows.get_key_value(hash)?.0.clone()
         };
-        Some(KvItem {
-            hash_key,
-            range_key: range_key.key,
-            attrs,
-        })
+        Some(row.item(&hash_key))
     }
 
     /// The items under `hash`, in range-key order.
@@ -191,13 +341,7 @@ impl ItemTable {
         self.rows
             .get_key_value(hash)
             .into_iter()
-            .flat_map(|(hash_key, rows)| {
-                rows.iter().map(move |(range_key, attrs)| KvItem {
-                    hash_key: hash_key.clone(),
-                    range_key: range_key.key.clone(),
-                    attrs: attrs.clone(),
-                })
-            })
+            .flat_map(|(hash_key, rows)| rows.iter().map(move |row| row.item(hash_key)))
     }
 
     /// Every item, sorted by `(hash_key, range_key)`.
@@ -229,6 +373,52 @@ pub struct KvProfile {
     pub batch_put_limit: usize,
     /// Keys per `batch_get` call.
     pub batch_get_limit: usize,
+}
+
+impl KvProfile {
+    /// Checks `item` against these limits — what a store opened with them
+    /// enforces on every put, and what a write plan checks before it
+    /// promises one. The sizes are the block header's; the values are
+    /// walked only where a single one could still break a limit.
+    pub fn check(&self, item: &KvItem) -> Result<(), KvError> {
+        let range = header(&item.block, 0);
+        for (got, limit) in [
+            (item.hash_key.len(), self.max_hash_key_bytes),
+            (range, self.max_range_key_bytes),
+        ] {
+            if got > limit {
+                return Err(KvError::KeyTooLarge { limit, got });
+            }
+        }
+        let (bytes, values) = (item.byte_size(), item.value_count());
+        if bytes > self.max_item_bytes {
+            return Err(KvError::ItemTooLarge {
+                limit: self.max_item_bytes,
+                got: bytes,
+            });
+        }
+        if values > self.max_attrs_per_item {
+            return Err(KvError::TooManyAttributes {
+                limit: self.max_attrs_per_item,
+                got: values,
+            });
+        }
+        if self.supports_binary && bytes <= self.max_value_bytes {
+            return Ok(());
+        }
+        for value in item.values() {
+            if value.is_binary() && !self.supports_binary {
+                return Err(KvError::BinaryNotSupported);
+            }
+            if value.len() > self.max_value_bytes {
+                return Err(KvError::ValueTooLarge {
+                    limit: self.max_value_bytes,
+                    got: value.len(),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Usage counters read by the cost model. `put_ops` / `get_ops` follow the
@@ -443,24 +633,21 @@ mod tests {
 
     #[test]
     fn item_byte_size_counts_everything() {
-        let item = KvItem {
-            hash_key: "ename".into(), // 5
-            range_key: "u1".into(),   // 2
-            attrs: [(
-                "doc.xml".into(),                                        // 7
-                vec![KvValue::S("x".into()), KvValue::B(vec![1, 2, 3])], // 1 + 3
-            )]
-            .into(),
-        };
+        // Keys of 5 and 2 bytes, a 7-byte name, values of 1 and 3 bytes.
+        let values = [KvValue::S("x"), KvValue::B(&[1, 2, 3])];
+        let item = KvItem::new("ename".into(), "u1", "doc.xml".into(), values.into_iter());
         assert_eq!(item.byte_size(), 5 + 2 + 7 + 1 + 3);
+        assert_eq!(item.value_count(), 2);
+        assert_eq!(item.values().collect::<Vec<_>>(), values);
     }
 
     fn row(hash: &str, range: &str, value: &str) -> KvItem {
-        KvItem {
-            hash_key: hash.into(),
-            range_key: range.into(),
-            attrs: [("d".into(), vec![KvValue::S(value.into())])].into(),
-        }
+        KvItem::new(
+            hash.into(),
+            range,
+            "d".into(),
+            [KvValue::S(value)].into_iter(),
+        )
     }
 
     #[test]
@@ -485,7 +672,7 @@ mod tests {
         }
         keys.sort_unstable();
         let stored: Vec<KvItem> = table.rows("h").collect();
-        let ranges: Vec<&str> = stored.iter().map(|i| &*i.range_key).collect();
+        let ranges: Vec<&str> = stored.iter().map(|i| i.range_key()).collect();
         assert_eq!(ranges, keys);
         assert!(table.rows("other").next().is_none());
     }
@@ -512,10 +699,10 @@ mod tests {
 
     #[test]
     fn value_helpers() {
-        assert!(KvValue::B(vec![]).is_empty());
-        assert!(KvValue::B(vec![0]).is_binary());
-        assert!(!KvValue::S("x".into()).is_binary());
-        assert_eq!(KvValue::S("abc".into()).len(), 3);
+        assert!(KvValue::B(&[]).is_empty());
+        assert!(KvValue::B(&[0]).is_binary());
+        assert!(!KvValue::S("x").is_binary());
+        assert_eq!(KvValue::S("abc").len(), 3);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use clock::{SimDuration, SimTime};
 pub use dynamodb::{DynamoConfig, DynamoDb};
 pub use ec2::{BillingGranularity, Ec2, InstanceId, InstanceRecord};
 pub use fault::{FaultConfig, FaultInjector, RetryAfter};
-pub use kv::{KvError, KvItem, KvProfile, KvStats, KvStore, KvValue};
+pub use kv::{KvError, KvField, KvItem, KvProfile, KvStats, KvStore, KvValue};
 pub use money::Money;
 pub use obs::{ActorTag, Ctx, Outcome, Phase, Recorder, ServiceKind, Span};
 pub use pricing::{InstanceType, PriceTable};

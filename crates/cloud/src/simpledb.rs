@@ -107,11 +107,7 @@ mod tests {
     use crate::kv::{KvError, KvItem, KvStore, KvValue};
 
     fn item(hash: &str, range: &str, val: KvValue) -> KvItem {
-        KvItem {
-            hash_key: hash.into(),
-            range_key: range.into(),
-            attrs: [("doc.xml".into(), vec![val])].into(),
-        }
+        KvItem::new(hash.into(), range, "doc.xml".into(), [val].into_iter())
     }
 
     #[test]
@@ -119,11 +115,7 @@ mod tests {
         let mut db = SimpleDb::default();
         db.ensure_table("t");
         let err = db
-            .batch_put(
-                SimTime::ZERO,
-                "t",
-                vec![item("k", "r", KvValue::B(vec![1]))],
-            )
+            .batch_put(SimTime::ZERO, "t", vec![item("k", "r", KvValue::B(&[1]))])
             .unwrap_err();
         assert_eq!(err, KvError::BinaryNotSupported);
     }
@@ -136,7 +128,7 @@ mod tests {
             .batch_put(
                 SimTime::ZERO,
                 "t",
-                vec![item("k", "r", KvValue::S("x".repeat(1025)))],
+                vec![item("k", "r", KvValue::S(&"x".repeat(1025)))],
             )
             .unwrap_err();
         assert!(matches!(err, KvError::ValueTooLarge { limit: 1024, .. }));
@@ -146,12 +138,8 @@ mod tests {
     fn rejects_too_many_attribute_values() {
         let mut db = SimpleDb::default();
         db.ensure_table("t");
-        let vals: Vec<KvValue> = (0..257).map(|i| KvValue::S(format!("v{i}"))).collect();
-        let it = KvItem {
-            hash_key: "k".into(),
-            range_key: "r".into(),
-            attrs: [("a".into(), vals)].into(),
-        };
+        let vals = std::iter::repeat_n(KvValue::S("v"), 257);
+        let it = KvItem::new("k".into(), "r", "a".into(), vals);
         let err = db.batch_put(SimTime::ZERO, "t", vec![it]).unwrap_err();
         assert!(matches!(err, KvError::TooManyAttributes { limit: 256, .. }));
     }
@@ -164,7 +152,7 @@ mod tests {
         let mut ddb = DynamoDb::default();
         sdb.ensure_table("t");
         ddb.ensure_table("t");
-        let mk = |i: usize| item("k", &format!("r{i}"), KvValue::S("x".repeat(500)));
+        let mk = |i: usize| item("k", &format!("r{i}"), KvValue::S(&"x".repeat(500)));
         let mut t_s = SimTime::ZERO;
         let mut t_d = SimTime::ZERO;
         for i in 0..200 {
@@ -183,18 +171,10 @@ mod tests {
     fn batch_get_issues_sequential_requests() {
         let mut db = SimpleDb::default();
         db.ensure_table("t");
-        db.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![item("a", "r", KvValue::S(String::new()))],
-        )
-        .unwrap();
-        db.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![item("b", "r", KvValue::S(String::new()))],
-        )
-        .unwrap();
+        db.batch_put(SimTime::ZERO, "t", vec![item("a", "r", KvValue::S(""))])
+            .unwrap();
+        db.batch_put(SimTime::ZERO, "t", vec![item("b", "r", KvValue::S(""))])
+            .unwrap();
         let before = db.stats().api_requests;
         let (_, _) = db
             .batch_get(SimTime::ZERO, "t", &["a".to_string(), "b".to_string()])

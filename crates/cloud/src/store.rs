@@ -41,7 +41,7 @@ impl Footprint {
     fn of(item: &KvItem) -> Footprint {
         Footprint {
             bytes: item.byte_size(),
-            values: item.attrs.iter().map(|(_, vs)| vs.len()).sum(),
+            values: item.value_count(),
         }
     }
 }
@@ -218,47 +218,6 @@ impl<S: Service> Store<S> {
         Ok(())
     }
 
-    /// Checks `item` against the profile in force.
-    fn validate(&self, item: &KvItem) -> Result<(), KvError> {
-        let p = &self.profile;
-        for (key, limit) in [
-            (&item.hash_key, p.max_hash_key_bytes),
-            (&item.range_key, p.max_range_key_bytes),
-        ] {
-            if key.len() > limit {
-                return Err(KvError::KeyTooLarge {
-                    limit,
-                    got: key.len(),
-                });
-            }
-        }
-        let Footprint { bytes, values } = Footprint::of(item);
-        if bytes > p.max_item_bytes {
-            return Err(KvError::ItemTooLarge {
-                limit: p.max_item_bytes,
-                got: bytes,
-            });
-        }
-        if values > p.max_attrs_per_item {
-            return Err(KvError::TooManyAttributes {
-                limit: p.max_attrs_per_item,
-                got: values,
-            });
-        }
-        for value in item.attrs.iter().flat_map(|(_, vs)| vs) {
-            if value.is_binary() && !p.supports_binary {
-                return Err(KvError::BinaryNotSupported);
-            }
-            if value.len() > p.max_value_bytes {
-                return Err(KvError::ValueTooLarge {
-                    limit: p.max_value_bytes,
-                    got: value.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// The shard to tag a throttle span with: the one shard every key
     /// routes to, `None` when the batch fans out (or the store is
     /// unsharded, or cannot throttle) — so hot shards are visible in the
@@ -426,7 +385,7 @@ impl<S: Service> KvStore for Store<S> {
     ) -> Result<SimTime, KvError> {
         Self::check_batch(items.len(), self.profile.batch_put_limit)?;
         for item in &items {
-            self.validate(item)?;
+            self.profile.check(item)?;
         }
         let hint = self.shard_hint(items.iter().map(|item| &*item.hash_key));
         let ((), ready) = self.request(now, table, ("batch_put", &WRITE), hint, |t, demand| {
@@ -588,12 +547,8 @@ mod tests {
     }
 
     fn item(hash: &str, range: &str, uri: &str, values: &[&str]) -> KvItem {
-        let values = values.iter().map(|v| KvValue::S(v.to_string())).collect();
-        KvItem {
-            hash_key: hash.into(),
-            range_key: range.into(),
-            attrs: [(uri.into(), values)].into(),
-        }
+        let values = values.iter().map(|v| KvValue::S(v));
+        KvItem::new(hash.into(), range, uri.into(), values)
     }
 
     /// A 3 KB item of three values that every opening stores.
@@ -629,7 +584,7 @@ mod tests {
             );
             let (items, ready) = store.get(SimTime(5), "t", "ename").unwrap();
             assert_eq!(items.len(), 2, "{name}");
-            assert_eq!(&*items[1].attrs[0].0, "manet.xml", "{name}");
+            assert_eq!(&*items[1].uri, "manet.xml", "{name}");
             assert!(ready > SimTime(5), "{name}");
             let (items, _) = store.get(SimTime::ZERO, "t", "missing").unwrap();
             assert!(items.is_empty(), "{name}");
@@ -883,7 +838,7 @@ mod tests {
             assert_eq!(store.stats(), before, "{name}: peek_all bills nothing");
             let keys: Vec<(&str, &str, &str)> = all
                 .iter()
-                .map(|(t, i)| (t.as_str(), &*i.hash_key, &*i.range_key))
+                .map(|(t, i)| (t.as_str(), &*i.hash_key, i.range_key()))
                 .collect();
             assert_eq!(
                 keys,

@@ -61,12 +61,12 @@ mod tests {
         DynamoDb::open(DynamoConfig::default(), tuning)
     }
 
+    fn one(hash: &str, range: &str, value: KvValue) -> KvItem {
+        KvItem::new(hash.into(), range, "d".into(), [value].into_iter())
+    }
+
     fn item(i: usize) -> KvItem {
-        KvItem {
-            hash_key: "k".into(),
-            range_key: format!("r{i}").into(),
-            attrs: [("d".into(), vec![KvValue::S(String::new())])].into(),
-        }
+        one("k", &format!("r{i}"), KvValue::S(""))
     }
 
     #[test]
@@ -105,20 +105,12 @@ mod tests {
             disable_batching: false,
         });
         t.ensure_table("t");
-        let bin = KvItem {
-            hash_key: "k".into(),
-            range_key: "r".into(),
-            attrs: [("d".into(), vec![KvValue::B(vec![1])])].into(),
-        };
+        let bin = one("k", "r", KvValue::B(&[1]));
         assert!(matches!(
             t.batch_put(SimTime::ZERO, "t", vec![bin]),
             Err(KvError::BinaryNotSupported)
         ));
-        let long = KvItem {
-            hash_key: "k".into(),
-            range_key: "r".into(),
-            attrs: [("d".into(), vec![KvValue::S("x".repeat(2000))])].into(),
-        };
+        let long = one("k", "r", KvValue::S(&"x".repeat(2000)));
         assert!(matches!(
             t.batch_put(SimTime::ZERO, "t", vec![long]),
             Err(KvError::ValueTooLarge { .. })

@@ -15,7 +15,7 @@
 //! request draws nothing from the fault stream.
 
 use amada_cloud::{
-    content_hash, FaultInjector, KvBackend, KvError, KvItem, KvStore, KvTuning, KvValue,
+    content_hash, FaultInjector, KvBackend, KvError, KvField, KvItem, KvStore, KvTuning, KvValue,
     PriceTable, Recorder, ShardPlan, SimTime, SimpleDbConfig,
 };
 use amada_rng::StdRng;
@@ -131,32 +131,46 @@ fn hash_key(rng: &mut StdRng, span: usize) -> String {
     }
 }
 
+/// An attribute value, owned: a string, or `Err` a binary one.
+type Value = Result<String, Vec<u8>>;
+
 /// An attribute value; `plain` ones every opening accepts.
-fn value(rng: &mut StdRng, plain: bool) -> KvValue {
+fn value(rng: &mut StdRng, plain: bool) -> Value {
     match rng.gen_range(if plain { 2..20u32 } else { 0..20u32 }) {
         // What a string-only opening rejects: binary, and over 1 KB.
-        0 => KvValue::B(vec![7; rng.gen_range(0..3000usize)]),
-        1 => KvValue::S("v".repeat(rng.gen_range(1025..1400usize))),
-        2 => KvValue::S(String::new()),
+        0 => Err(vec![7; rng.gen_range(0..3000usize)]),
+        1 => Ok("v".repeat(rng.gen_range(1025..1400usize))),
+        2 => Ok(String::new()),
         // Sizes on both sides of the 1 KB write unit and the 4 KB read unit.
-        _ => KvValue::S("s".repeat(rng.gen_range(0..1025usize))),
+        _ => Ok("s".repeat(rng.gen_range(0..1025usize))),
     }
 }
 
 fn item(rng: &mut StdRng, plain: bool) -> KvItem {
-    let attrs: Vec<_> = (0..rng.gen_range(1..=3usize))
+    let attrs: Vec<(String, Vec<Value>)> = (0..rng.gen_range(1..=3usize))
         .map(|a| {
             let values = (0..rng.gen_range(1..=3usize))
                 .map(|_| value(rng, plain))
                 .collect();
-            (format!("doc{a}.xml").into(), values)
+            (format!("doc{a}.xml"), values)
         })
         .collect();
-    KvItem {
-        hash_key: hash_key(rng, 16).into(),
-        range_key: format!("r{}", rng.gen_range(0..6u32)).into(),
-        attrs: attrs.into(),
-    }
+    let hash_key = hash_key(rng, 16).into();
+    let range_key = format!("r{}", rng.gen_range(0..6u32));
+    // The first attribute's name is the item's own; the others' are fields.
+    let fields = attrs.iter().flat_map(|(name, values)| {
+        let values = values.iter().map(|v| match v {
+            Ok(s) => KvField::Value(KvValue::S(s)),
+            Err(b) => KvField::Value(KvValue::B(b)),
+        });
+        std::iter::once(KvField::Attr(name)).chain(values)
+    });
+    KvItem::from_fields(
+        hash_key,
+        &range_key,
+        attrs[0].0.as_str().into(),
+        fields.skip(1),
+    )
 }
 
 /// A batch size: one half the time (so an unbatched opening still gets
@@ -180,7 +194,30 @@ fn outcome<T>(log: &mut String, r: &Result<T, KvError>, ok: impl FnOnce(&T) -> S
     .unwrap();
 }
 
+/// An item as the transcripts digest it: what `{:?}` printed while an item
+/// was a range key and an `(attribute name, values)` list.
+struct Shown<'a>(&'a KvItem);
+
+impl std::fmt::Debug for Shown<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let item = self.0;
+        let mut attrs: Vec<(&str, Vec<KvValue>)> = vec![(&item.uri, Vec::new())];
+        for field in item.fields() {
+            match field {
+                KvField::Attr(name) => attrs.push((name, Vec::new())),
+                KvField::Value(value) => attrs.last_mut().unwrap().1.push(value),
+            }
+        }
+        f.debug_struct("KvItem")
+            .field("hash_key", &item.hash_key)
+            .field("range_key", &item.range_key())
+            .field("attrs", &attrs)
+            .finish()
+    }
+}
+
 fn items_digest((items, ready): &(Vec<KvItem>, SimTime)) -> String {
+    let items: Vec<Shown> = items.iter().map(Shown).collect();
     format!(
         "{} {} {:016x}",
         ready.micros(),
@@ -253,7 +290,9 @@ fn transcript(opening: &Opening) -> (String, String, String, String) {
     assert!(store.faults_active());
     let ops = run_script(store.as_mut());
     let stats = format!("{:?}", store.stats());
-    let contents = format!("{:?}", store.peek_all());
+    let contents: Vec<(String, KvItem)> = store.peek_all();
+    let contents: Vec<(&String, Shown)> = contents.iter().map(|(t, i)| (t, Shown(i))).collect();
+    let contents = format!("{contents:?}");
     assert_eq!(format!("{:?}", store.stats()), stats, "peek_all is free");
     let mut spans = String::new();
     for s in recorder.spans().iter() {

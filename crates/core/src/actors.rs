@@ -52,8 +52,8 @@ use crate::config::{
 use crate::metrics::{QueryExecution, QueryPhases};
 use crate::retry::{dead_letter, put_object, Lease, Retry};
 use amada_cloud::{
-    Actor, ActorTag, InstanceId, KvError, KvItem, S3Error, ServiceKind, SimDuration, SimTime, Span,
-    SqsError, StepResult, World,
+    Actor, ActorTag, InstanceId, KvError, KvItem, RetryAfter, S3Error, ServiceKind, SimDuration,
+    SimTime, Span, SqsError, StepResult, World,
 };
 use amada_index::{
     decode_tuples, lookup_mixed, plan_document, routed_entries, ExtractCache, ExtractOptions,
@@ -213,7 +213,7 @@ impl Worker {
             return Err(StepResult::Done);
         }
         if msg.receive_count > self.retry.policy.max_receives {
-            let t = dead_letter(&mut world.sqs, &mut self.retry, t, queue, msg);
+            let t = dead_letter(&mut world.sqs, &mut self.retry, t, queue, msg.id, &msg.body);
             return Err(StepResult::NextAt(t));
         }
         self.processed += 1;
@@ -429,14 +429,17 @@ impl LoaderCore {
         // not. The registry entry stays in place until the deletes
         // complete, so a crash or abandon retries them on redelivery
         // (idempotently); an identical or purely-growing rewrite leaves
-        // nothing to retract and drops it now.
+        // nothing to retract and drops it now. A document the store's
+        // limits cannot hold (an entry key over the hash-key limit) will
+        // not fit on redelivery either: its message is parked at once.
         let profile = world.kv.profile();
-        let plan = plan_document(
-            &entries,
-            &profile,
-            &uri,
-            self.retractions.borrow().get(&uri),
-        );
+        let pending = self.retractions.borrow();
+        let Ok(plan) = plan_document(&entries, &profile, &uri, pending.get(&uri)) else {
+            let retry = &mut self.worker.retry;
+            let t = dead_letter(&mut world.sqs, retry, t, LOADER_QUEUE, lease.msg_id, &uri);
+            return StepResult::NextAt(t);
+        };
+        drop(pending);
         if plan.deletes.is_empty() {
             self.retractions.borrow_mut().remove(&uri);
         }
@@ -461,22 +464,24 @@ impl LoaderCore {
     /// are in flight concurrently); the store's capacity queue serializes
     /// them, and the burst is done when the last acknowledgement arrives.
     /// Submitting at one arrival time also keeps concurrent cores' calls
-    /// interleaved at their true virtual times. `submit` issues one
-    /// batch, handing it back with the retry time when throttled: that
-    /// pauses the burst, and the remaining batches are resubmitted after
-    /// backoff — or, past the retry budget, abandoned to redelivery
-    /// (rewrites and deletes are idempotent: deterministic range keys).
+    /// interleaved at their true virtual times. `submit` issues the
+    /// front batch, which stays queued until it is acknowledged: a
+    /// throttle pauses the burst, and the remaining batches are
+    /// resubmitted after backoff — or, past the retry budget, abandoned to
+    /// redelivery (rewrites and deletes are idempotent: deterministic
+    /// range keys). So is a call the store rejects, which a write plan
+    /// rules out: the message recirculates to the dead-letter queue.
     fn burst<B>(
         &mut self,
         now: SimTime,
         world: &mut World,
         lease: &mut Lease,
         pending: &mut VecDeque<(&'static str, B)>,
-        mut submit: impl FnMut(&mut World, &'static str, B) -> Result<SimTime, (B, SimTime)>,
+        mut submit: impl FnMut(&mut World, &'static str, &mut B) -> Result<SimTime, KvError>,
     ) -> Burst {
         lease.keep_alive(&mut world.sqs, now);
         let mut last = now;
-        while let Some((table, batch)) = pending.pop_front() {
+        while let Some((table, batch)) = pending.front_mut() {
             if self
                 .crash_after_batches
                 .is_some_and(|n| self.batches_written >= n)
@@ -492,13 +497,15 @@ impl LoaderCore {
             }
             match submit(world, table, batch) {
                 Ok(done) => {
+                    pending.pop_front();
                     self.batches_written += 1;
                     last = last.max(done);
                 }
-                Err((batch, available_at)) => {
-                    pending.push_front((table, batch));
+                Err(e) => {
                     let mut totals = self.totals.borrow_mut();
-                    let Some(resume) = self.worker.retry.again(available_at) else {
+                    let throttled = e.retry_after();
+                    let available_at = throttled.unwrap_or(last);
+                    let Some(resume) = throttled.and_then(|at| self.worker.retry.again(at)) else {
                         totals.upload_micros += (last.max(available_at) - now).micros();
                         let again = available_at + POLL_INTERVAL;
                         return Burst::Dropped(StepResult::NextAt(again));
@@ -517,17 +524,14 @@ impl LoaderCore {
     /// Step 6: write the document's remaining item batches in one burst.
     fn step_uploading(&mut self, now: SimTime, world: &mut World, mut up: Upload) -> StepResult {
         let retryable = world.kv.faults_active();
-        let put = |world: &mut World, table, batch: Vec<KvItem>| {
-            if !retryable {
-                // Fault-free runs move the batch without copying.
-                let done = world.kv.batch_put(now, table, batch);
-                return Ok(done.expect("index entries fit the store limits"));
-            }
-            // Keep a retry copy only when the store can actually throttle.
-            match world.kv.batch_put(now, table, batch.clone()) {
-                Err(KvError::Throttled { available_at }) => Err((batch, available_at)),
-                other => Ok(other.expect("index entries fit the store limits")),
-            }
+        let put = |world: &mut World, table, batch: &mut Vec<KvItem>| {
+            // Keep a retry copy only when the store can actually throttle:
+            // fault-free runs move the batch without copying.
+            let items = match retryable {
+                true => batch.clone(),
+                false => std::mem::take(batch),
+            };
+            world.kv.batch_put(now, table, items)
         };
         let last = match self.burst(now, world, &mut up.lease, &mut up.batches, put) {
             Burst::Done(last) => last,
@@ -566,15 +570,10 @@ impl LoaderCore {
     /// — deletes are idempotent).
     fn step_retracting(&mut self, now: SimTime, world: &mut World, mut up: Upload) -> StepResult {
         let mut removed = 0u64;
-        let delete = |world: &mut World, table, keys: Vec<(String, String)>| match world
-            .kv
-            .batch_delete(now, table, &keys)
-        {
-            Err(KvError::Throttled { available_at }) => Err((keys, available_at)),
-            other => {
-                removed += keys.len() as u64;
-                Ok(other.expect("stale-key deletes fit the store limits"))
-            }
+        let delete = |world: &mut World, table, keys: &mut Vec<(String, String)>| {
+            let done = world.kv.batch_delete(now, table, keys);
+            removed += done.as_ref().map_or(0, |_| keys.len() as u64);
+            done
         };
         let outcome = self.burst(now, world, &mut up.lease, &mut up.deletes, delete);
         self.totals.borrow_mut().retracted_items += removed;

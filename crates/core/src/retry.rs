@@ -40,7 +40,7 @@
 //! ledger as real dollars, which is the point of the fault experiment.
 
 use crate::config::DEAD_LETTER_QUEUE;
-use amada_cloud::{Message, RetryAfter, SimDuration, SimTime, Sqs, SqsError, S3};
+use amada_cloud::{RetryAfter, SimDuration, SimTime, Sqs, SqsError, S3};
 use amada_rng::StdRng;
 use std::fmt;
 
@@ -236,21 +236,23 @@ impl Retry {
 
 /// Parks a poison message — delivered more than
 /// [`RetryPolicy::max_receives`] times, every previous holder having died
-/// or abandoned it — on the dead-letter queue instead of recirculating
-/// it. Returns the completion time.
+/// or abandoned it, or naming a document the index store's limits cannot
+/// hold — on the dead-letter queue instead of recirculating it. Returns
+/// the completion time.
 pub fn dead_letter(
     sqs: &mut Sqs,
     retry: &mut Retry,
     now: SimTime,
     queue: &str,
-    msg: Message,
+    msg_id: u64,
+    body: &str,
 ) -> SimTime {
     let what = format_args!("send to {DEAD_LETTER_QUEUE}");
     let t = retry.until_ok(now, what, |t| {
-        sqs.send(t, DEAD_LETTER_QUEUE, msg.body.clone())
+        sqs.send(t, DEAD_LETTER_QUEUE, body.to_string())
     });
     retry.until_ok(t, format_args!("delete from {queue}"), |t| {
-        sqs.delete(t, queue, msg.id)
+        sqs.delete(t, queue, msg_id)
     })
 }
 

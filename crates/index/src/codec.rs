@@ -147,33 +147,41 @@ pub fn decode_ids(bytes: &[u8]) -> Option<Vec<StructuralId>> {
 }
 
 /// Splits a `pre`-sorted ID list into chunks whose *encoded* size does not
-/// exceed `max_bytes`, preserving order, and hands each to `emit`. Each
-/// chunk re-anchors its delta encoding, so chunks decode independently.
-pub fn for_each_id_chunk(ids: &[StructuralId], max_bytes: usize, mut emit: impl FnMut(Vec<u8>)) {
+/// exceed `max_bytes`, preserving order, and hands each to `emit`; the
+/// chunks are encoded one after another into `chunk`, whose buffer a
+/// caller reuses. Each chunk re-anchors its delta encoding, so chunks
+/// decode independently.
+pub fn for_each_id_chunk(
+    ids: &[StructuralId],
+    max_bytes: usize,
+    chunk: &mut Vec<u8>,
+    mut emit: impl FnMut(&[u8]),
+) {
     assert!(max_bytes >= 15, "chunk limit must fit at least one ID");
-    // The common list fits one chunk: size it exactly.
-    let mut current: Vec<u8> = Vec::with_capacity(encoded_ids_len(ids).min(max_bytes));
+    chunk.clear();
     let mut prev_pre = 0u32;
     for id in ids {
-        let start = current.len();
-        write_id(prev_pre, id, &mut current);
-        if current.len() > max_bytes && start > 0 {
-            current.truncate(start);
-            emit(std::mem::take(&mut current));
+        let start = chunk.len();
+        write_id(prev_pre, id, chunk);
+        if chunk.len() > max_bytes && start > 0 {
+            emit(&chunk[..start]);
+            chunk.clear();
             // Re-anchor the delta for a self-contained chunk.
-            write_id(0, id, &mut current);
+            write_id(0, id, chunk);
         }
         prev_pre = id.pre;
     }
-    if !current.is_empty() {
-        emit(current);
+    if !chunk.is_empty() {
+        emit(chunk);
     }
 }
 
 /// The chunks of [`for_each_id_chunk`], collected.
 pub fn encode_ids_chunked(ids: &[StructuralId], max_bytes: usize) -> Vec<Vec<u8>> {
     let mut chunks = Vec::new();
-    for_each_id_chunk(ids, max_bytes, |chunk| chunks.push(chunk));
+    for_each_id_chunk(ids, max_bytes, &mut Vec::new(), |chunk| {
+        chunks.push(chunk.to_vec())
+    });
     chunks
 }
 

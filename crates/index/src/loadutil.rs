@@ -69,12 +69,16 @@ impl WritePlan {
 /// what was just encoded, so only they are copied out of `pending`; their
 /// deletes cover the placement's own tables first, in that order, and
 /// then — after a plan switch — the previous placement's, in name order.
+///
+/// A plan is a promise the store keeps: an item `profile` would reject —
+/// an entry key longer than its hash-key limit, say — is the typed error
+/// here, before any call is issued.
 pub fn plan_document(
     entries: &[IndexEntry],
     profile: &KvProfile,
     uri: &str,
     pending: Option<&BTreeSet<ItemKey>>,
-) -> WritePlan {
+) -> Result<WritePlan, KvError> {
     let mut per_table: Vec<(&'static str, Vec<KvItem>)> = Vec::new();
     encode_each(entries, profile, uri, |table, items| {
         let at = per_table
@@ -88,12 +92,13 @@ pub fn plan_document(
     });
     let mut plan = WritePlan::default();
     for (table, items) in per_table {
+        items.iter().try_for_each(|item| profile.check(item))?;
         plan.tables.push(table);
         plan.puts
             .extend(into_batches(items, profile.batch_put_limit).map(|batch| (table, batch)));
     }
     let Some(old) = pending else {
-        return plan;
+        return Ok(plan);
     };
     let fresh: HashSet<(&str, &str, &str)> = plan
         .puts
@@ -101,7 +106,7 @@ pub fn plan_document(
         .flat_map(|(table, batch)| {
             batch
                 .iter()
-                .map(move |item| (*table, &*item.hash_key, &*item.range_key))
+                .map(move |item| (*table, &*item.hash_key, item.range_key()))
         })
         .collect();
     let stale = old
@@ -117,7 +122,7 @@ pub fn plan_document(
         }
     }
     plan.deletes = deletes.into();
-    plan
+    Ok(plan)
 }
 
 /// The one encoding loop: a document version's entries, in entry order
@@ -131,9 +136,10 @@ fn encode_each(
     mut each: impl FnMut(&'static str, &mut Vec<KvItem>),
 ) {
     let mut uuids = UuidGen::for_document(uri);
+    let mut scratch = Vec::new();
     let mut items = Vec::new();
     for e in entries {
-        encode_entry_into(e, profile, &mut uuids, &mut items);
+        encode_entry_into(e, profile, &mut uuids, &mut scratch, &mut items);
         each(e.table, &mut items);
     }
 }
@@ -146,7 +152,7 @@ pub fn write_entries(
     entries: &[IndexEntry],
     uri: &str,
 ) -> Result<(DocIndexing, SimTime), KvError> {
-    let plan = plan_document(entries, &store.profile(), uri, None);
+    let plan = plan_document(entries, &store.profile(), uri, None)?;
     let metrics = DocIndexing {
         entries: entries.len() as u64,
         items: plan.items(),
@@ -186,7 +192,7 @@ pub fn entry_item_keys(entries: &[IndexEntry], profile: &KvProfile, uri: &str) -
         keys.extend(
             items
                 .drain(..)
-                .map(|i| (table, i.hash_key.to_string(), i.range_key.to_string())),
+                .map(|i| (table, i.hash_key.to_string(), i.range_key().to_string())),
         );
     });
     keys
@@ -351,7 +357,7 @@ mod tests {
         let keys = plan.puts.iter().flat_map(|(table, batch)| {
             batch
                 .iter()
-                .map(|i| (*table, i.hash_key.to_string(), i.range_key.to_string()))
+                .map(|i| (*table, i.hash_key.to_string(), i.range_key().to_string()))
         });
         sorted(keys.collect())
     }
@@ -387,7 +393,7 @@ mod tests {
                 let profile = store.profile();
                 let what = format!("{strategy} on {}", profile.name);
                 let entries = extract(&d, strategy, ExtractOptions::default());
-                let plan = plan_document(&entries, &profile, d.uri(), None);
+                let plan = plan_document(&entries, &profile, d.uri(), None).unwrap();
                 assert!(plan.deletes.is_empty(), "{what}");
                 // One table order, the strategy's own: 2LUPI is [path, id].
                 assert_eq!(plan.tables, strategy.tables(), "{what}");
@@ -416,7 +422,7 @@ mod tests {
                     .flat_map(|(table, batch)| batch.iter().map(|i| (table.to_string(), i.clone())))
                     .collect();
                 planned.sort_by(|(ta, a), (tb, b)| {
-                    (ta, &a.hash_key, &a.range_key).cmp(&(tb, &b.hash_key, &b.range_key))
+                    (ta, &a.hash_key, a.range_key()).cmp(&(tb, &b.hash_key, b.range_key()))
                 });
                 let (m, _) = write_entries(store.as_mut(), SimTime::ZERO, &entries, d.uri())
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
@@ -433,13 +439,13 @@ mod tests {
         let d = doc();
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
         let profile = DynamoDb::default().profile();
-        let plan = plan_document(&entries, &profile, d.uri(), None);
+        let plan = plan_document(&entries, &profile, d.uri(), None).unwrap();
         let path_then_id = [crate::strategy::TABLE_PATH, crate::strategy::TABLE_ID];
         assert_eq!(plan.tables, path_then_id);
         assert_eq!(call_tables(&plan.puts), path_then_id);
         // The same under a named partition's tables.
         let routed = crate::partition::routed_entries(&entries, "hot");
-        let plan = plan_document(&routed, &profile, "hot/d.xml", None);
+        let plan = plan_document(&routed, &profile, "hot/d.xml", None).unwrap();
         assert_eq!(
             plan.tables,
             crate::partition::partition_tables(Strategy::TwoLupi, "hot")
@@ -468,7 +474,7 @@ mod tests {
             old.extend(entry_item_keys(&stranded, &profile, "d.xml"));
             let pending: BTreeSet<ItemKey> = old.iter().cloned().collect();
 
-            let plan = plan_document(&new, &profile, "d.xml", Some(&pending));
+            let plan = plan_document(&new, &profile, "d.xml", Some(&pending)).unwrap();
             let fresh = entry_item_keys(&new, &profile, "d.xml");
             assert_eq!(
                 put_keys(&plan),
@@ -502,7 +508,7 @@ mod tests {
 
             // Nothing pending that the new version does not hold: no deletes.
             let same: BTreeSet<ItemKey> = fresh.iter().cloned().collect();
-            let plan = plan_document(&new, &profile, "d.xml", Some(&same));
+            let plan = plan_document(&new, &profile, "d.xml", Some(&same)).unwrap();
             assert!(plan.deletes.is_empty(), "{}", profile.name);
             assert_eq!(plan.tables, Strategy::TwoLupi.tables(), "{}", profile.name);
         }
@@ -516,7 +522,7 @@ mod tests {
         let pending: BTreeSet<ItemKey> = entry_item_keys(&entries, &profile, d.uri())
             .into_iter()
             .collect();
-        let plan = plan_document(&[], &profile, d.uri(), Some(&pending));
+        let plan = plan_document(&[], &profile, d.uri(), Some(&pending)).unwrap();
         assert!(plan.puts.is_empty());
         assert_eq!(plan.items(), 0);
         assert_eq!(delete_keys(&plan), Vec::from_iter(pending));
@@ -524,8 +530,39 @@ mod tests {
         let id_then_path = [crate::strategy::TABLE_ID, crate::strategy::TABLE_PATH];
         assert_eq!(plan.tables, id_then_path);
         // And with nothing pending there is nothing to do at all.
-        let idle = plan_document(&[], &profile, d.uri(), None);
+        let idle = plan_document(&[], &profile, d.uri(), None).unwrap();
         assert!(idle.puts.is_empty() && idle.deletes.is_empty() && idle.tables.is_empty());
+    }
+
+    #[test]
+    fn an_entry_the_store_limits_reject_is_a_typed_error_not_a_plan() {
+        // A 3 KB element name: its entry key is over DynamoDB's 2 KB hash
+        // key. SimpleDB's 1 KB limit rejects it too; a short name fits.
+        let name = "n".repeat(3000);
+        let long = Document::parse_str("d.xml", &format!("<r><{name}/></r>")).unwrap();
+        for profile in [DynamoDb::default().profile(), SimpleDb::default().profile()] {
+            for strategy in FIVE {
+                let entries = extract(&long, strategy, ExtractOptions::default());
+                let pending =
+                    BTreeSet::from([(crate::strategy::TABLE_MAIN, "k".into(), "r".into())]);
+                for pending in [None, Some(&pending)] {
+                    assert_eq!(
+                        plan_document(&entries, &profile, "d.xml", pending).err(),
+                        Some(KvError::KeyTooLarge {
+                            limit: profile.max_hash_key_bytes,
+                            got: name.len() + 1,
+                        }),
+                        "{strategy} on {}",
+                        profile.name
+                    );
+                }
+                let mut store = DynamoDb::default();
+                assert!(write_entries(&mut store, SimTime::ZERO, &entries, "d.xml").is_err());
+                assert!(store.peek_all().is_empty(), "{strategy}: nothing was put");
+                let entries = extract(&doc(), strategy, ExtractOptions::default());
+                assert!(plan_document(&entries, &profile, "d.xml", None).is_ok());
+            }
+        }
     }
 
     #[test]

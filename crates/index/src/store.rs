@@ -34,6 +34,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct UuidGen {
     state: u64,
+    /// The range key made last.
+    key: [u8; RANGE_KEY_BYTES],
 }
 
 /// Writes the low `out.len()` hex digits of `v`, zero-padded.
@@ -49,12 +51,14 @@ impl UuidGen {
     pub fn for_document(uri: &str) -> UuidGen {
         UuidGen {
             state: content_hash(uri.as_bytes()),
+            key: [b'-'; RANGE_KEY_BYTES],
         }
     }
 
-    /// Writes the next UUID-shaped token (`8-4-4-4-12` hex digits) into
-    /// the 36 bytes of `out`.
-    fn write_uuid(&mut self, out: &mut [u8]) {
+    /// Writes the next UUID-shaped token (`8-4-4-4-12` hex digits) after
+    /// the sequence prefix of `key`.
+    fn write_uuid(&mut self) {
+        let out = &mut self.key[7..];
         let mut z = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         self.state = z;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -86,24 +90,21 @@ impl UuidGen {
     pub const MAX_CHUNK_SEQ: usize = 1_000_000;
 
     /// The range key of an entry's chunk number `seq`: `{seq:06}-{uuid}`,
-    /// written digit by digit into one buffer — the single allocation is
-    /// the shared key itself.
-    pub(crate) fn range_key(&mut self, mut seq: usize) -> Arc<str> {
+    /// written digit by digit into the generator's own buffer — the item
+    /// that takes it copies it into its block.
+    pub(crate) fn range_key(&mut self, mut seq: usize) -> &str {
         assert!(
             seq < Self::MAX_CHUNK_SEQ,
             "range-key sequence {seq} overflows the fixed {}-digit prefix: \
              lexicographic chunk order would corrupt reassembly",
             6
         );
-        let mut key = [b'-'; RANGE_KEY_BYTES];
-        for digit in key[..6].iter_mut().rev() {
+        for digit in self.key[..6].iter_mut().rev() {
             *digit = b'0' + (seq % 10) as u8;
             seq /= 10;
         }
-        self.write_uuid(&mut key[7..]);
-        std::str::from_utf8(&key)
-            .expect("decimal and hex digits and dashes")
-            .into()
+        self.write_uuid();
+        std::str::from_utf8(&self.key).expect("decimal and hex digits and dashes")
     }
 }
 
@@ -125,114 +126,128 @@ const ITEM_SLACK: usize = 128;
 /// Encodes one extracted entry into store items for the given backend.
 pub fn encode_entry(entry: &IndexEntry, profile: &KvProfile, uuids: &mut UuidGen) -> Vec<KvItem> {
     let mut items = Vec::with_capacity(1);
-    encode_entry_into(entry, profile, uuids, &mut items);
+    encode_entry_into(entry, profile, uuids, &mut Vec::new(), &mut items);
     items
 }
 
 /// [`encode_entry`], appending to `items` (the loader encodes a whole
-/// document into one vector). An item shares its hash key and attribute
-/// name with the entry; what it allocates is its range key, its
-/// attribute list and its values.
+/// document into one vector, its ID lists through one `scratch` buffer).
+/// An item shares its hash key and attribute name with the entry; what it
+/// allocates is its block, which the entry's values are written straight
+/// into.
 pub fn encode_entry_into(
     entry: &IndexEntry,
     profile: &KvProfile,
     uuids: &mut UuidGen,
+    scratch: &mut Vec<u8>,
     items: &mut Vec<KvItem>,
 ) {
     let fixed = entry.key.len() + RANGE_KEY_BYTES + entry.uri.len() + ITEM_SLACK;
     let budget = profile.max_item_bytes.saturating_sub(fixed).max(256);
-    let values: Vec<KvValue> = match &entry.payload {
-        Payload::Presence => vec![KvValue::S(String::new())],
+    let mut cut = Cut {
+        entry,
+        uuids,
+        items,
+        budget,
+        max_values: profile.max_attrs_per_item,
+        seq: 0,
+    };
+    match &entry.payload {
+        Payload::Presence => cut.items_of(std::iter::once(KvValue::S(""))),
+        Payload::Paths(paths)
+            if profile.supports_binary && paths.iter().all(|p| p.len() <= budget) =>
+        {
+            cut.items_of(paths.iter().map(|p| KvValue::S(p)))
+        }
         Payload::Paths(paths) => {
-            if profile.supports_binary && paths.iter().all(|p| p.len() <= budget) {
-                paths.iter().map(|p| KvValue::S(p.clone())).collect()
+            // Either a string-only backend, or a single path exceeds
+            // what one item can hold: fall back to the newline-joined
+            // blob, chunked into in-budget string values. On a
+            // binary-capable backend the first chunk carries a marker so
+            // the decoder can tell blob chunks from native path values.
+            let marker = if profile.supports_binary {
+                BLOB_MARKER
             } else {
-                // Either a string-only backend, or a single path exceeds
-                // what one item can hold: fall back to the newline-joined
-                // blob, chunked into in-budget string values. The first
-                // chunk carries a marker so the decoder can tell blob
-                // chunks from native path values.
-                let mut values = blob_to_string_values(paths.join("\n").as_bytes());
-                if profile.supports_binary {
-                    if let Some(KvValue::S(first)) = values.first_mut() {
-                        first.insert_str(0, BLOB_MARKER);
-                    }
+                ""
+            };
+            let text = format!("{marker}{}", base64_encode(paths.join("\n").as_bytes()));
+            cut.items_of(blob_values(&text, marker.len()))
+        }
+        // A chunk closes when the next ID would overflow the budget, and
+        // the next chunk starts with that ID, anchored anew: no two
+        // chunks fit one item, so each is cut on its own.
+        Payload::Ids(ids) if profile.supports_binary => {
+            for_each_id_chunk(ids, budget, scratch, |chunk| {
+                cut.items_of(std::iter::once(KvValue::B(chunk)))
+            })
+        }
+        Payload::Ids(ids) => cut.items_of(blob_values(&base64_encode(&encode_ids(ids)), 0)),
+    }
+}
+
+/// Where an entry's values become items.
+struct Cut<'a> {
+    entry: &'a IndexEntry,
+    uuids: &'a mut UuidGen,
+    items: &'a mut Vec<KvItem>,
+    budget: usize,
+    max_values: usize,
+    /// Items made so far: the next one's chunk sequence number.
+    seq: usize,
+}
+
+impl Cut<'_> {
+    /// Groups `values` into items within the backend's item budget and
+    /// attribute-count limit. An item takes values until it is full —
+    /// counted from their lengths, before its block is made; the common
+    /// entry fits one item.
+    fn items_of<'v>(&mut self, mut values: impl Iterator<Item = KvValue<'v>> + Clone) {
+        loop {
+            let (mut count, mut bytes) = (0usize, 0usize);
+            for v in values.clone() {
+                if count > 0 && (bytes + v.len() > self.budget || count >= self.max_values) {
+                    break;
                 }
-                values
+                count += 1;
+                bytes += v.len();
             }
-        }
-        Payload::Ids(ids) => {
-            if profile.supports_binary {
-                let mut values = Vec::with_capacity(1);
-                for_each_id_chunk(ids, budget, |chunk| values.push(KvValue::B(chunk)));
-                values
-            } else {
-                blob_to_string_values(&encode_ids(ids))
+            if count == 0 {
+                return;
             }
+            self.items.push(KvItem::new(
+                self.entry.key.clone(),
+                self.uuids.range_key(self.seq),
+                self.entry.uri.clone(),
+                values.clone().take(count),
+            ));
+            self.seq += 1;
+            values.nth(count - 1);
         }
-    };
-    // Group values into items within the backend's item budget and
-    // attribute-count limit: `cuts` are the positions where an item is
-    // full. The common entry fits one item, which takes `values` whole.
-    let mut cuts = Vec::new();
-    let (mut count, mut bytes) = (0usize, 0usize);
-    for (i, v) in values.iter().enumerate() {
-        if count > 0 && (bytes + v.len() > budget || count >= profile.max_attrs_per_item) {
-            cuts.push(i);
-            (count, bytes) = (0, 0);
-        }
-        count += 1;
-        bytes += v.len();
-    }
-    let mut seq = 0;
-    let mut item = |values: Vec<KvValue>| {
-        items.push(KvItem {
-            hash_key: entry.key.clone(),
-            range_key: uuids.range_key(seq),
-            attrs: Arc::new([(entry.uri.clone(), values)]),
-        });
-        seq += 1;
-    };
-    if cuts.is_empty() {
-        if !values.is_empty() {
-            item(values);
-        }
-        return;
-    }
-    cuts.push(values.len());
-    let mut rest = values.into_iter();
-    let mut start = 0;
-    for cut in cuts {
-        item(rest.by_ref().take(cut - start).collect());
-        start = cut;
     }
 }
 
-fn blob_to_string_values(blob: &[u8]) -> Vec<KvValue> {
-    let b64 = base64_encode(blob);
-    if b64.is_empty() {
-        return vec![KvValue::S(String::new())];
-    }
-    b64.as_bytes()
-        .chunks(B64_CHUNK)
-        .map(|c| KvValue::S(String::from_utf8(c.to_vec()).expect("base64 is ASCII")))
-        .collect()
+/// The string values a blob is stored as: its base64 `text` in chunks of
+/// [`B64_CHUNK`], the first one longer by the marker `text` starts with.
+fn blob_values(text: &str, marker_len: usize) -> impl Iterator<Item = KvValue<'_>> + Clone {
+    let head = (marker_len + B64_CHUNK).min(text.len());
+    let tail = (head..text.len())
+        .step_by(B64_CHUNK)
+        .map(move |at| &text[at..(at + B64_CHUNK).min(text.len())]);
+    std::iter::once(&text[..head]).chain(tail).map(KvValue::S)
 }
 
-/// One attribute row of a fetched item: the document URI it is named
-/// after, the item's range key, the values.
-type Row<'a> = (&'a Arc<str>, &'a str, &'a [KvValue]);
+/// One fetched item as the decoders see it: the document URI it is named
+/// after, its range key, the item.
+type Row<'a> = (&'a Arc<str>, &'a str, &'a KvItem);
 
-/// The fetched items' attribute rows, ordered by document URI and, per
-/// document, by range key (i.e. chunk sequence): each document's rows are
-/// one run of the vector, and its URI is the `Arc<str>` the items hold.
+/// The fetched items, ordered by document URI and, per document, by range
+/// key (i.e. chunk sequence): each document's rows are one run of the
+/// vector, and its URI is the `Arc<str>` the items hold.
 fn rows_by_uri(items: &[KvItem]) -> Vec<Row<'_>> {
-    let mut rows: Vec<Row<'_>> = Vec::with_capacity(items.len());
-    for item in items {
-        for (uri, values) in item.attrs.iter() {
-            rows.push((uri, &item.range_key, values.as_slice()));
-        }
-    }
+    let mut rows: Vec<Row<'_>> = items
+        .iter()
+        .map(|item| (&item.uri, item.range_key(), item))
+        .collect();
     rows.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
     rows
 }
@@ -243,8 +258,8 @@ fn documents<'r, 'a>(rows: &'r [Row<'a>]) -> impl Iterator<Item = &'r [Row<'a>]>
 }
 
 /// Every value of a document's rows, in chunk order.
-fn values<'r, 'a>(rows: &'r [Row<'a>]) -> impl Iterator<Item = &'a KvValue> + 'r {
-    rows.iter().flat_map(|(_, _, vs)| vs.iter())
+fn values<'r, 'a>(rows: &'r [Row<'a>]) -> impl Iterator<Item = KvValue<'a>> + 'r {
+    rows.iter().flat_map(|&(_, _, item)| item.values())
 }
 
 /// Decodes LU presence items into the document URIs, ascending.
@@ -263,13 +278,13 @@ pub fn decode_path_lists<'a>(
     documents(&rows_by_uri(items))
         .map(|rows| {
             let is_marked_blob = matches!(
-                rows[0].2.first(),
+                rows[0].2.values().next(),
                 Some(KvValue::S(s)) if s.starts_with(BLOB_MARKER)
             );
             let paths: Vec<Cow<'a, str>> = if profile.supports_binary && !is_marked_blob {
                 values(rows)
                     .filter_map(|v| match v {
-                        KvValue::S(s) => Some(Cow::Borrowed(s.as_str())),
+                        KvValue::S(s) => Some(Cow::Borrowed(s)),
                         KvValue::B(_) => None,
                     })
                     .collect()
@@ -324,7 +339,7 @@ pub fn decode_id_postings(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Arc
         .map(|rows| {
             let list = if profile.supports_binary {
                 BlockList::from_chunks(values(rows).filter_map(|v| match v {
-                    KvValue::B(b) => Some(b.as_slice()),
+                    KvValue::B(b) => Some(b),
                     KvValue::S(_) => None,
                 }))
             } else {
@@ -380,7 +395,7 @@ mod tests {
     fn uuids_are_unique_and_deterministic() {
         let mut a = UuidGen::for_document("doc.xml");
         let mut b = UuidGen::for_document("doc.xml");
-        let u1 = a.range_key(0);
+        let u1 = a.range_key(0).to_string();
         assert_eq!(u1, b.range_key(0));
         assert_ne!(u1, a.range_key(0));
         assert_eq!(u1.len(), 6 + 1 + 36);
@@ -391,10 +406,10 @@ mod tests {
     #[test]
     fn range_keys_order_lexicographically_up_to_the_cap() {
         let mut g = UuidGen::for_document("doc.xml");
-        let penultimate = g.range_key(UuidGen::MAX_CHUNK_SEQ - 2);
+        let penultimate = g.range_key(UuidGen::MAX_CHUNK_SEQ - 2).to_string();
         let last = g.range_key(UuidGen::MAX_CHUNK_SEQ - 1);
         assert!(
-            penultimate < last,
+            *penultimate < *last,
             "chunk order must follow sequence order at the edge"
         );
         assert_eq!(last.len(), 6 + 1 + 36);
@@ -433,7 +448,7 @@ mod tests {
             }
             for seq in [0, 1, 999_999] {
                 let reference = format!("{seq:06}-{}", reference_uuid(&mut state));
-                assert_eq!(&*uuids.range_key(seq), reference, "{uri} seq {seq}");
+                assert_eq!(uuids.range_key(seq), reference, "{uri} seq {seq}");
             }
         }
     }
@@ -454,8 +469,8 @@ mod tests {
             &mut uuids,
         );
         assert_eq!(items.len(), 1);
-        assert_eq!(items[0].attrs[0].1.len(), 1);
-        assert!(items[0].attrs[0].1[0].is_binary());
+        assert_eq!(items[0].value_count(), 1);
+        assert!(items[0].values().all(|v| v.is_binary()));
         let decoded = decode_id_lists(&items, &dynamo_profile());
         assert_eq!(decoded["doc.xml"], ids(100));
     }
@@ -470,17 +485,15 @@ mod tests {
             &mut uuids,
         );
         assert!(!items.is_empty());
-        let total_values: usize = items.iter().map(|i| i.attrs[0].1.len()).sum();
+        let total_values: usize = items.iter().map(KvItem::value_count).sum();
         assert!(
             total_values > 10,
             "expected many chunks, got {total_values}"
         );
         for item in &items {
-            for (_, vs) in item.attrs.iter() {
-                for v in vs {
-                    assert!(!v.is_binary());
-                    assert!(v.len() <= 1024);
-                }
+            for v in item.values() {
+                assert!(!v.is_binary());
+                assert!(v.len() <= 1024);
             }
         }
         let decoded = decode_id_lists(&items, &simple_profile());
@@ -498,8 +511,8 @@ mod tests {
             &mut u1,
         );
         let s = encode_entry(&entry(Payload::Ids(list)), &simple_profile(), &mut u2);
-        let d_values: usize = d.iter().map(|i| i.attrs[0].1.len()).sum();
-        let s_values: usize = s.iter().map(|i| i.attrs[0].1.len()).sum();
+        let d_values: usize = d.iter().map(KvItem::value_count).sum();
+        let s_values: usize = s.iter().map(KvItem::value_count).sum();
         assert!(
             s_values > 20 * d_values,
             "SimpleDB values {s_values} vs DynamoDB values {d_values}"
@@ -515,7 +528,7 @@ mod tests {
             &dynamo_profile(),
             &mut u1,
         );
-        assert_eq!(d[0].attrs[0].1.len(), 2);
+        assert_eq!(d[0].value_count(), 2);
         let decoded = decode_path_lists(&d, &dynamo_profile());
         assert_eq!(decoded["doc.xml"], paths);
 

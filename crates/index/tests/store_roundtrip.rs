@@ -3,13 +3,16 @@
 //! payload shape, on both backend profiles, including profiles with
 //! shrunken `max_item_bytes` / `max_attrs_per_item` budgets that force
 //! aggressive chunking. Until now only the integration paths exercised
-//! these combinations.
+//! these combinations. And for the block an item is stored as: any range
+//! key and value list round-trips, and the header's sizes are the values'.
 
-use amada_cloud::{DynamoDb, KvProfile, KvStore, SimTime, SimpleDb};
+use amada_cloud::kv::ItemTable;
+use amada_cloud::{DynamoDb, KvItem, KvProfile, KvStore, KvValue, SimTime, SimpleDb};
 use amada_index::store::{decode_id_lists, decode_path_lists, decode_presence_uris, encode_entry};
 use amada_index::{IndexEntry, Payload, UuidGen, TABLE_MAIN};
 use amada_rng::StdRng;
 use amada_xml::StructuralId;
+use std::collections::BTreeMap;
 
 /// The two real profiles plus shrunken-budget variants of each.
 fn profiles_under_test() -> Vec<KvProfile> {
@@ -84,10 +87,10 @@ fn round_trips(entry: &IndexEntry, profile: &KvProfile) -> Result<(), String> {
     let mut uuids = UuidGen::for_document(&entry.uri);
     let items = encode_entry(entry, profile, &mut uuids);
     for item in &items {
-        if item.attrs[0].1.len() > profile.max_attrs_per_item {
+        if item.value_count() > profile.max_attrs_per_item {
             return Err(format!(
                 "item holds {} values, profile allows {}",
-                item.attrs[0].1.len(),
+                item.value_count(),
                 profile.max_attrs_per_item
             ));
         }
@@ -187,4 +190,128 @@ fn kind(p: &Payload) -> &'static str {
         Payload::Paths(_) => "paths",
         Payload::Ids(_) => "ids",
     }
+}
+
+/// What `encode_entry` makes of 1 500 random entries under the shrunken
+/// budgets — every range key, value and cut between items — digested.
+/// The constant was taken from the encoder that built a `Vec<KvValue>`
+/// per entry and cut it afterwards: `tests/item_layout.rs` pins the
+/// workload's one-item entries, this pins the many-item ones.
+#[test]
+fn many_item_encodings_are_pinned() {
+    let profiles = profiles_under_test();
+    let mut rng = StdRng::seed_from_u64(0x00D1_6E57);
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut field = |tag: u8, data: &[u8]| {
+        bytes.push(tag);
+        bytes.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(data);
+    };
+    let (mut entries, mut items) = (0, 0);
+    for _ in 0..1500 {
+        let entry = IndexEntry {
+            table: TABLE_MAIN,
+            key: format!("e{}", random_label(&mut rng, 24)).into(),
+            uri: format!("{}.xml", random_label(&mut rng, 16)).into(),
+            payload: random_payload(&mut rng),
+        };
+        let profile = profiles[rng.gen_range(0..profiles.len())];
+        let mut uuids = UuidGen::for_document(&entry.uri);
+        entries += 1;
+        for item in encode_entry(&entry, &profile, &mut uuids) {
+            items += 1;
+            field(b'h', item.hash_key.as_bytes());
+            field(b'r', item.range_key().as_bytes());
+            field(b'a', item.uri.as_bytes());
+            for value in item.values() {
+                match value {
+                    KvValue::S(s) => field(b's', s.as_bytes()),
+                    KvValue::B(b) => field(b'b', b),
+                }
+            }
+        }
+    }
+    assert_eq!((entries, items), (1500, 7290));
+    assert_eq!(amada_cloud::content_hash(&bytes), 0xcf9e_91df_5d74_c0e4);
+}
+
+/// A generated value: a string, or `Err` a binary one.
+type Value = Result<String, Vec<u8>>;
+
+fn view(value: &Value) -> KvValue<'_> {
+    match value {
+        Ok(s) => KvValue::S(s),
+        Err(b) => KvValue::B(b),
+    }
+}
+
+/// Empty, non-ASCII, short random and — rarely — 64 KB values, of both kinds.
+fn random_value(rng: &mut StdRng) -> Value {
+    let bytes = match rng.gen_range(0..40u32) {
+        0 => 64 * 1024,
+        1..=9 => 0,
+        _ => rng.gen_range(1..=48usize),
+    };
+    match rng.gen_range(0..3u32) {
+        0 => Err((0..bytes).map(|_| rng.next_u64() as u8).collect()),
+        1 => Ok("päth/日本"
+            .chars()
+            .cycle()
+            .take(bytes.div_ceil(2))
+            .collect()),
+        _ => Ok(random_label(rng, bytes.max(1))[..bytes.min(1)].repeat(bytes)),
+    }
+}
+
+#[test]
+fn a_block_round_trips_any_range_key_and_values_and_orders_by_the_key() {
+    // The item table keeps a range key's first 16 bytes inline: keys
+    // shorter than that, exactly that, tying on it, and not ASCII.
+    const PREFIX: &str = "0123456789abcdef";
+    let mut rng = StdRng::seed_from_u64(0xB10C_0001);
+    let mut table = ItemTable::default();
+    let mut expected: BTreeMap<String, Vec<Value>> = BTreeMap::new();
+    for case in 0..400 {
+        let range = match rng.gen_range(0..4u32) {
+            0 => PREFIX[..rng.gen_range(0..=16usize)].to_string(),
+            1 => format!("{PREFIX}{}", random_label(&mut rng, 3)),
+            2 => format!("{}\0{}", &PREFIX[..8], random_label(&mut rng, 12)),
+            _ => format!("é{}", random_label(&mut rng, 40)),
+        };
+        let count = *rng.choose(&[0usize, 1, 1, 2, 3, 7, 256]);
+        let values: Vec<Value> = (0..count).map(|_| random_value(&mut rng)).collect();
+        let item = KvItem::new(
+            "hash".into(),
+            &range,
+            "doc.xml".into(),
+            values.iter().map(view),
+        );
+        assert_eq!(item.range_key(), range, "case {case}");
+        let views: Vec<KvValue> = values.iter().map(view).collect();
+        assert!(item.values().eq(views.iter().copied()), "case {case}");
+        assert_eq!(item.value_count(), count, "case {case}");
+        let payload: usize = views.iter().map(KvValue::len).sum();
+        let size = "hash".len() + range.len() + "doc.xml".len() + payload;
+        assert_eq!(item.byte_size(), size, "case {case}");
+        // Same key, same item out; a stored range key is replaced whole.
+        let replaced = table.put(item.clone()).is_some();
+        assert_eq!(
+            replaced,
+            expected.insert(range, values).is_some(),
+            "case {case}"
+        );
+    }
+    // Plain byte order of the range keys — `String`'s own.
+    let stored: Vec<KvItem> = table.rows("hash").collect();
+    assert!(stored
+        .iter()
+        .map(KvItem::range_key)
+        .eq(expected.keys().map(String::as_str)));
+    for (item, values) in stored.iter().zip(expected.values()) {
+        assert!(item.values().eq(values.iter().map(view)));
+    }
+    assert!(
+        (100..400).contains(&expected.len()),
+        "some keys were replaced"
+    );
 }

@@ -4,7 +4,7 @@
 //! reference-counted values (PR 14); any representation change that moves
 //! a stored byte moves them.
 
-use amada::cloud::{content_hash, KvValue};
+use amada::cloud::{content_hash, KvField, KvValue};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, CorpusConfig};
@@ -21,14 +21,13 @@ fn index_digest(w: &Warehouse) -> u64 {
     for (table, item) in w.world().kv.peek_all() {
         field(b't', table.as_bytes());
         field(b'h', item.hash_key.as_bytes());
-        field(b'r', item.range_key.as_bytes());
-        for (name, values) in item.attrs.iter() {
-            field(b'a', name.as_bytes());
-            for value in values {
-                match value {
-                    KvValue::S(s) => field(b's', s.as_bytes()),
-                    KvValue::B(b) => field(b'b', b),
-                }
+        field(b'r', item.range_key().as_bytes());
+        field(b'a', item.uri.as_bytes());
+        for f in item.fields() {
+            match f {
+                KvField::Attr(name) => field(b'a', name.as_bytes()),
+                KvField::Value(KvValue::S(s)) => field(b's', s.as_bytes()),
+                KvField::Value(KvValue::B(b)) => field(b'b', b),
             }
         }
     }
