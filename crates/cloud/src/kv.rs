@@ -163,12 +163,13 @@ impl KvItem {
         uri: Arc<str>,
         fields: impl Iterator<Item = KvField<'v>> + Clone,
     ) -> KvItem {
-        let (mut size, mut values, mut payload) = (HEADER + range_key.len(), 0, 0);
+        let (mut count, mut values, mut payload) = (0, 0, 0);
         for field in fields.clone() {
-            size += FIELD + field.tagged().1.len();
+            count += 1;
             values += usize::from(matches!(field, KvField::Value(_)));
             payload += field.tagged().1.len();
         }
+        let size = HEADER + range_key.len() + FIELD * count + payload;
         let mut block: Arc<[u8]> = std::iter::repeat_n(0, size).collect();
         let mut rest = Arc::get_mut(&mut block).expect("a new block is not shared");
         let mut write = |bytes: &[u8]| {

@@ -85,7 +85,12 @@ pub fn plan_document(
             .iter()
             .position(|(t, _)| *t == table)
             .unwrap_or_else(|| {
-                per_table.push((table, Vec::new()));
+                // About an item per entry: sized once, the vector never
+                // regrows among the document's blocks. Blocks refill the
+                // buffers a regrowth frees there, but not exactly, and the
+                // slivers left in a warehouse's heap cost the read path
+                // 12 % (EXPERIMENTS.md, "Loader path").
+                per_table.push((table, Vec::with_capacity(entries.len())));
                 per_table.len() - 1
             });
         per_table[at].1.append(items);
