@@ -225,19 +225,18 @@ pub struct AdviseOutcome {
     pub cadence_migrations: Vec<u64>,
 }
 
-/// Runs one deployment through the whole horizon. `readvise` — the
-/// declared churn and the horizon with its budget and SLO — makes it the
-/// adaptive one, re-advising monthly.
+/// Runs one deployment — an empty warehouse, its starting plan applied —
+/// through the whole horizon. `readvise` — the declared churn and the
+/// horizon with its budget and SLO — makes it the monthly re-advising one.
 fn run_deployment(
     label: &str,
-    cfg: WarehouseConfig,
+    mut w: Warehouse,
     scale: &Scale,
     docs: &[(String, String)],
     victims: &[(usize, String)],
     readvise: Option<(&BTreeMap<String, u64>, &Horizon)>,
 ) -> (AdviseRow, Vec<u64>) {
     let process = storm();
-    let mut w = Warehouse::new(cfg);
     w.upload_documents(docs.iter().cloned());
     let build = w.build_index().cost.total();
     let mut queries = Money::ZERO;
@@ -311,7 +310,7 @@ pub fn advise_outcome(scale: &Scale) -> AdviseOutcome {
     for s in STATICS {
         let (row, _) = run_deployment(
             &format!("static {}", s.name()),
-            WarehouseConfig::with_strategy(s),
+            Warehouse::new(WarehouseConfig::with_strategy(s)),
             scale,
             &docs,
             &victims,
@@ -319,9 +318,9 @@ pub fn advise_outcome(scale: &Scale) -> AdviseOutcome {
         );
         rows.push(row);
     }
-    let mut scan_cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-    scan_cfg.mixed_plan = Some(MixedPlan::uniform(None));
-    let (row, _) = run_deployment("no index", scan_cfg, scale, &docs, &victims, None);
+    let mut scan = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lup));
+    scan.apply_plan(MixedPlan::uniform(None));
+    let (row, _) = run_deployment("no index", scan, scale, &docs, &victims, None);
     rows.push(row);
 
     // The declared budget: just below the uniform-2LUPI footprint, so
@@ -351,11 +350,12 @@ pub fn advise_outcome(scale: &Scale) -> AdviseOutcome {
         .expect("the generated corpus is well-formed");
 
     let mut adaptive_cfg = WarehouseConfig::with_strategy(Strategy::Lu);
-    adaptive_cfg.mixed_plan = Some(advice.chosen.plan.clone());
     adaptive_cfg.host.record = true;
+    let mut adaptive = Warehouse::new(adaptive_cfg);
+    adaptive.apply_plan(advice.chosen.plan.clone());
     let (row, cadence_migrations) = run_deployment(
         "adaptive",
-        adaptive_cfg,
+        adaptive,
         scale,
         &docs,
         &victims,

@@ -49,20 +49,19 @@ use crate::config::{
     Module, WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, POLL_INTERVAL, QUERY_QUEUE, RESPONSE_QUEUE,
     RESULT_BUCKET,
 };
-use crate::metrics::{QueryExecution, QueryPhases};
+use crate::metrics::{result_payload, QueryExecution, QueryPhases};
 use crate::retry::{dead_letter, put_object, Lease, Retry};
 use amada_cloud::{
     Actor, ActorTag, InstanceId, KvError, KvItem, RetryAfter, S3Error, ServiceKind, SimDuration,
     SimTime, Span, SqsError, StepResult, World,
 };
 use amada_index::{
-    decode_tuples, lookup_mixed, plan_document, routed_entries, ExtractCache, ExtractOptions,
-    ItemKey, MixedPlan, ScanPredicate, Strategy,
+    decode_tuples, lookup_mixed, plan_document, ExtractCache, ExtractOptions, IndexEntry, ItemKey,
+    MixedPlan, ScanPredicate, Strategy,
 };
 use amada_pattern::{join_pattern_results, parse_query, Query, Tuple, TwigEvaluator};
 use amada_rng::StdRng;
 use amada_xml::Document;
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
@@ -304,11 +303,8 @@ pub struct LoaderCore {
     /// Pending retractions shared with the warehouse front end (empty for
     /// a static corpus, so churn-free builds take the exact same path).
     pub retractions: RetractionRegistry,
-    /// The routing plan: each document's partition picks the strategy
-    /// that extracts it and the tables its entries land in; a partition
-    /// assigned `None` indexes nothing (its documents are answered by
-    /// partition-scoped scans). The paper's single-strategy layout is the
-    /// flat plan — one partition, the global tables.
+    /// The routing plan in force, read per document at processing time
+    /// ([`MixedPlan::placement`]).
     pub plan: Rc<MixedPlan>,
     state: LoaderState,
     /// Whether this core has received a document yet (first receipt
@@ -394,23 +390,16 @@ impl LoaderCore {
             Err(e) => panic!("loader messages reference stored documents: {e}"),
         };
         self.worker.retry.reset();
-        // The document's partition picks the strategy. A partition
-        // assigned `None` indexes nothing — an empty extraction whose only
-        // effect is retracting whatever an earlier placement left behind
-        // for this URI.
-        let partition = self.plan.partition_of(&uri);
+        // The document's placement picks the strategy that extracts it and
+        // the tables its entries land in. A plan that indexes nothing for
+        // it leaves an empty extraction whose only effect is retracting
+        // whatever an earlier placement left behind for this URI.
+        let placement = self.plan.placement(&uri);
         // Parse, extract (memoized on the host after the prewarm stage;
-        // virtually charged in full either way).
-        let cached = self
-            .plan
-            .strategy_of(partition)
-            .map(|strategy| self.cache.extracted(&uri, &bytes, strategy, self.opts).1);
-        // Root-partition entries stay borrowed from the cache (no copy on
-        // the paper's path); other partitions' entries are routed into the
-        // partition's own tables.
-        let entries = cached.as_ref().map_or(Cow::Borrowed(&[][..]), |cached| {
-            routed_entries(cached, partition)
-        });
+        // virtually charged in full either way); the entries stay borrowed
+        // from the cache.
+        let cached = placement.map(|p| self.cache.extracted(&uri, &bytes, p.strategy, self.opts).1);
+        let entries: &[IndexEntry] = cached.as_ref().map_or(&[], |cached| cached);
         let entry_bytes: u64 = entries.iter().map(|e| e.raw_bytes() as u64).sum();
         let mut t = t;
         if cached.is_some() {
@@ -434,7 +423,8 @@ impl LoaderCore {
         // not fit on redelivery either: its message is parked at once.
         let profile = world.kv.profile();
         let pending = self.retractions.borrow();
-        let Ok(plan) = plan_document(&entries, &profile, &uri, pending.get(&uri)) else {
+        let planned = plan_document(entries, placement, &profile, &uri, pending.get(&uri));
+        let Ok(plan) = planned else {
             let retry = &mut self.worker.retry;
             let t = dead_letter(&mut world.sqs, retry, t, LOADER_QUEUE, lease.msg_id, &uri);
             return StepResult::NextAt(t);
@@ -855,18 +845,7 @@ impl QueryCore {
         let tuple_count: u64 = per_pattern.iter().map(|v| v.len() as u64).sum();
         let results = join_pattern_results(&query, &per_pattern);
         serial += world.work.plan(tuple_count, self.ecu);
-        // `|r(q)|` is the size of the materialized result object — the
-        // same bytes stored in the file store and later egressed.
-        let mut payload = String::new();
-        for r in &results {
-            for (i, column) in r.columns.iter().enumerate() {
-                if i > 0 {
-                    payload.push('\t');
-                }
-                payload.push_str(column);
-            }
-            payload.push('\n');
-        }
+        let payload = result_payload(&results);
         let result_bytes = payload.len() as u64;
         serial += world.work.materialize(result_bytes, self.ecu);
         let wall = SimDuration::from_micros(serial.micros() / self.cores as u64);

@@ -47,10 +47,11 @@
 
 use crate::config::WarehouseConfig;
 use crate::cost::CostModel;
+use crate::metrics::result_payload;
 use amada_cloud::{KvError, KvStore, Money, SimDuration, SimTime, S3};
 use amada_index::{
-    extract, lookup_pattern_in, partition_lookup_tables, partition_of, partition_tables,
-    routed_entries, write_entries, MixedPlan, Strategy,
+    extract, lookup_pattern_in, merge_fan_out, partition_of, write_entries, LookupOutcome,
+    MixedPlan, Placement, QueryLookup, Strategy,
 };
 use amada_obs::Attribution;
 use amada_pattern::{evaluate_pattern_twig, join_pattern_results, Query, Tuple};
@@ -168,6 +169,9 @@ pub struct PlanEstimate {
     pub run_cost: Money,
     /// Index get operations one workload run issues.
     pub index_get_ops: u64,
+    /// Size of the result object one execution of each workload family
+    /// materializes (`|r(q)|`), in workload order.
+    pub result_bytes: Vec<u64>,
     /// Index maintenance per run at the declared churn: stale-entry
     /// retraction plus re-indexing of the replaced documents. Unindexed
     /// partitions churn free.
@@ -268,16 +272,6 @@ struct PartitionBuild {
     per_doc: BTreeMap<String, (u64, SimDuration)>,
 }
 
-/// One pattern's look-up against one partition's index: what
-/// [`amada_index::lookup_mixed`] merges per partition when it fans a
-/// pattern out.
-struct PatternLookup {
-    uris: Vec<Arc<str>>,
-    entries_processed: u64,
-    get_ops: u64,
-    latency: SimDuration,
-}
-
 /// The scenario state every plan scored against it shares: parsed sample
 /// documents, the partition each one routes to, their micro-measured
 /// fetch latencies, the cost model, and the memoized
@@ -298,7 +292,7 @@ struct Scenario<'a> {
     /// `(partition, strategy label)` → micro-build.
     builds: RefCell<BTreeMap<(String, &'static str), Rc<PartitionBuild>>>,
     /// `(partition, strategy label, workload family index)` → per-pattern
-    /// look-up outcomes.
+    /// look-up outcomes, each as if issued at [`SimTime::ZERO`].
     lookups: RefCell<LookupMemo>,
     /// `(family index, pattern index, uri)` → twig tuples and candidate
     /// count. Strategy-independent: the index only decides *which*
@@ -306,7 +300,7 @@ struct Scenario<'a> {
     evals: RefCell<EvalMemo>,
 }
 
-type LookupMemo = BTreeMap<(String, &'static str, usize), Rc<Vec<PatternLookup>>>;
+type LookupMemo = BTreeMap<(String, &'static str, usize), Rc<Vec<LookupOutcome>>>;
 type EvalMemo = BTreeMap<(usize, usize, String), Rc<(Vec<Tuple>, u64)>>;
 
 impl<'a> Scenario<'a> {
@@ -401,6 +395,10 @@ impl<'a> Scenario<'a> {
         }
         let work = &self.base.work;
         let lecu = self.base.loader_pool.itype.ecu_per_core();
+        let placement = strategy.map(|strategy| Placement {
+            strategy,
+            partition,
+        });
         let mut kv = self.base.backend.clone().open(self.base.kv_tuning);
         let mut t = SimTime::ZERO;
         let mut serial = SimDuration::ZERO;
@@ -409,13 +407,12 @@ impl<'a> Scenario<'a> {
         for (uri, _) in self.uris.iter().filter(|(_, p)| p == partition) {
             let mut serial_doc = self.fetch[uri] + work.parse(self.doc_bytes[uri], lecu);
             let mut doc_puts = 0u64;
-            if let Some(s) = strategy {
-                let entries = extract(&self.docs[uri], s, self.base.extract);
-                let entries = routed_entries(&entries, partition);
+            if let Some(placement) = placement {
+                let entries = extract(&self.docs[uri], placement.strategy, self.base.extract);
                 let entry_bytes: u64 = entries.iter().map(|e| e.raw_bytes() as u64).sum();
                 serial_doc += work.extract(entry_bytes, lecu);
                 let before = kv.stats().put_ops;
-                let (_m, ready) = write_entries(kv.as_mut(), t, &entries, uri)
+                let (_m, ready) = write_entries(kv.as_mut(), t, placement, &entries, uri)
                     .map_err(|e| AdviseError::Store(uri.clone(), e))?;
                 serial_doc += ready - t;
                 t = ready;
@@ -424,13 +421,6 @@ impl<'a> Scenario<'a> {
             }
             serial += serial_doc;
             per_doc.insert(uri.clone(), (doc_puts, serial_doc));
-        }
-        if let Some(s) = strategy {
-            // The strategy's tables may be empty but must exist for
-            // look-ups to run — same guarantee lookup_mixed gives.
-            for table in partition_tables(s, partition) {
-                kv.ensure_table(table);
-            }
         }
         let b = Rc::new(PartitionBuild {
             puts,
@@ -454,7 +444,7 @@ impl<'a> Scenario<'a> {
         strategy: Strategy,
         fam_idx: usize,
         query: &Query,
-    ) -> Result<Rc<Vec<PatternLookup>>, AdviseError> {
+    ) -> Result<Rc<Vec<LookupOutcome>>, AdviseError> {
         let key = (
             partition.to_string(),
             strategy_label(Some(strategy)),
@@ -465,23 +455,24 @@ impl<'a> Scenario<'a> {
         }
         let build = self.partition_build(partition, Some(strategy))?;
         let mut kv = build.kv.borrow_mut();
-        let tables = partition_lookup_tables(partition);
+        let placement = Placement {
+            strategy,
+            partition,
+        };
         let t0 = build.built_at;
         let name = query.name.clone().unwrap_or_default();
         let out = query
             .patterns
             .iter()
             .map(|p| {
-                let o = lookup_pattern_in(kv.as_mut(), t0, strategy, self.base.extract, p, tables)
+                let o = lookup_pattern_in(kv.as_mut(), t0, placement, self.base.extract, p)
                     .map_err(|e| AdviseError::Lookup(name.clone(), e))?;
-                Ok(PatternLookup {
-                    latency: o.ready_at.max(t0) - t0,
-                    entries_processed: o.entries_processed,
-                    get_ops: o.get_ops,
-                    uris: o.uris,
+                Ok(LookupOutcome {
+                    ready_at: SimTime::ZERO + (o.ready_at.max(t0) - t0),
+                    ..o
                 })
             })
-            .collect::<Result<Vec<PatternLookup>, AdviseError>>()?;
+            .collect::<Result<Vec<LookupOutcome>, AdviseError>>()?;
         let out = Rc::new(out);
         self.lookups.borrow_mut().insert(key, out.clone());
         Ok(out)
@@ -509,11 +500,9 @@ impl<'a> Scenario<'a> {
 
     /// Scores one candidate plan by composing the memoized per-partition
     /// micro-executions (see the module docs for exactly what is measured
-    /// and what is modeled). Composition is faithful to the runtime:
-    /// partitions own disjoint tables, so a pattern's look-up fans out and
-    /// completes with the slowest partition, billed operations sum, and
-    /// candidate URI sets union (scan partitions contribute all their
-    /// documents to every pattern).
+    /// and what is modeled). Composition is the runtime's own:
+    /// [`merge_fan_out`] merges each pattern's per-partition look-ups as
+    /// [`amada_index::lookup_mixed`] does.
     fn estimate(
         &self,
         plan: &MixedPlan,
@@ -553,58 +542,47 @@ impl<'a> Scenario<'a> {
         let storage_per_month = self.cost.monthly_storage(self.corpus_bytes, stored_bytes);
 
         // Scan partitions contribute every document to every pattern.
-        let scanned: Vec<&String> = self
+        let scanned: Vec<Arc<str>> = self
             .uris
             .iter()
             .filter(|(_, p)| plan.strategy_of(p).is_none())
-            .map(|(uri, _)| uri)
+            .map(|(uri, _)| Arc::from(uri.as_str()))
             .collect();
 
         // ---- Queries: compose each family from the per-partition
         // look-ups and the memoized twig evaluations. ----
         let mut run_cost = Money::ZERO;
         let mut index_get_ops = 0u64;
+        let mut result_sizes = Vec::with_capacity(workload.len());
         let mut response_weighted = 0.0f64;
         let mut arrivals_total = 0u64;
         for (fam_idx, fam) in workload.iter().enumerate() {
             let npat = fam.query.patterns.len();
-            let indexed: Vec<Rc<Vec<PatternLookup>>> = assigned
+            let indexed: Vec<Rc<Vec<LookupOutcome>>> = assigned
                 .iter()
                 .filter_map(|(p, s)| s.map(|s| self.partition_lookup(p, s, fam_idx, &fam.query)))
                 .collect::<Result<_, _>>()?;
             let mut lookup_get = SimDuration::ZERO;
-            let mut get_ops = 0u64;
-            let mut entries_processed = 0u64;
-            let mut per_pattern_uris: Vec<BTreeSet<&str>> = Vec::with_capacity(npat);
+            let mut merged = Vec::with_capacity(npat);
             for i in 0..npat {
-                let mut uris: BTreeSet<&str> = scanned.iter().map(|u| u.as_str()).collect();
-                let mut slowest = SimDuration::ZERO;
-                for part in &indexed {
-                    let o = &part[i];
-                    slowest = slowest.max(o.latency);
-                    get_ops += o.get_ops;
-                    entries_processed += o.entries_processed;
-                    uris.extend(o.uris.iter().map(|u| &**u));
-                }
-                lookup_get += slowest;
-                per_pattern_uris.push(uris);
+                let answers = indexed.iter().map(|part| Ok(part[i].clone()));
+                let pattern: LookupOutcome = merge_fan_out(SimTime::ZERO, &scanned, answers)?;
+                lookup_get += pattern.ready_at - SimTime::ZERO;
+                merged.push(pattern);
             }
-            let plan_time = work.plan(entries_processed, qecu);
+            let lookup = QueryLookup::of(merged);
+            let get_ops = lookup.get_ops();
+            let plan_time = work.plan(lookup.entries_processed(), qecu);
             // Transfer + evaluate, serialized then divided across cores —
             // the same accounting as the query processor.
             let mut serial = SimDuration::ZERO;
-            let mut fetched: BTreeSet<&str> = BTreeSet::new();
-            for uris in &per_pattern_uris {
-                for uri in uris {
-                    if fetched.insert(uri) {
-                        serial += self.fetch[*uri] + work.parse(self.doc_bytes[*uri], qecu);
-                    }
-                }
+            for uri in &lookup.uris {
+                serial += self.fetch[&**uri] + work.parse(self.doc_bytes[&**uri], qecu);
             }
             let mut per_pattern: Vec<Vec<Tuple>> = Vec::with_capacity(npat);
-            for (i, uris) in per_pattern_uris.iter().enumerate() {
+            for (i, candidates) in lookup.per_pattern.iter().enumerate() {
                 let mut tuples = Vec::new();
-                for uri in uris {
+                for uri in &candidates.uris {
                     let ev = self.eval_doc(fam_idx, i, uri, &fam.query);
                     serial += work.eval(ev.1, qecu);
                     tuples.extend(ev.0.iter().cloned());
@@ -614,19 +592,16 @@ impl<'a> Scenario<'a> {
             let tuple_count: u64 = per_pattern.iter().map(|v| v.len() as u64).sum();
             let results = join_pattern_results(&fam.query, &per_pattern);
             serial += work.plan(tuple_count, qecu);
-            let result_bytes: u64 = results
-                .iter()
-                .map(|r| {
-                    r.columns.iter().map(String::len).sum::<usize>() as u64 + r.columns.len() as u64
-                })
-                .sum();
+            let result_bytes = result_payload(&results).len() as u64;
             serial += work.materialize(result_bytes, qecu);
             let wall = SimDuration::from_micros(serial.micros() / qcores as u64);
             let ptq = lookup_get + plan_time + wall;
-            let per_query =
-                self.cost
-                    .query_indexed(result_bytes, get_ops, fetched.len() as u64, ptq, qitype);
+            let fetched = lookup.uris.len() as u64;
+            let per_query = self
+                .cost
+                .query_indexed(result_bytes, get_ops, fetched, ptq, qitype);
             run_cost += per_query * fam.arrivals;
+            result_sizes.push(result_bytes);
             index_get_ops += get_ops * fam.arrivals;
             response_weighted += ptq.as_secs_f64() * fam.arrivals as f64;
             arrivals_total += fam.arrivals;
@@ -666,6 +641,7 @@ impl<'a> Scenario<'a> {
             storage_per_month,
             run_cost,
             index_get_ops,
+            result_bytes: result_sizes,
             maintenance_per_run: maintenance,
             mean_response_secs,
             projected_total,
@@ -702,8 +678,9 @@ pub fn estimate_plan(
         .estimate(plan, workload, churn, horizon)
 }
 
-fn better(a: &PlanEstimate, b: &PlanEstimate) -> bool {
-    (a.projected_total, a.label.as_str()) < (b.projected_total, b.label.as_str())
+/// The ranking key: ascending projected total, ties in label order.
+fn rank(e: &PlanEstimate) -> (Money, &str) {
+    (e.projected_total, e.label.as_str())
 }
 
 /// Runs the adaptive advisor: searches per-partition strategy assignments
@@ -755,7 +732,7 @@ pub fn advise_adaptive(
     // over the searched space, not a fallback to uniform layouts.
     fn consider(est: &PlanEstimate, slot: &mut Option<PlanEstimate>) {
         match slot {
-            Some(b) if !better(est, b) => {}
+            Some(b) if rank(est) >= rank(b) => {}
             _ => *slot = Some(est.clone()),
         }
     }
@@ -789,9 +766,7 @@ pub fn advise_adaptive(
         // Coordinate descent from the best uniform layout.
         let seed = uniform
             .iter()
-            .min_by(|a, b| {
-                (a.projected_total, a.label.as_str()).cmp(&(b.projected_total, b.label.as_str()))
-            })
+            .min_by_key(|e| rank(e))
             .expect("five uniform candidates")
             .plan
             .clone();
@@ -810,7 +785,7 @@ pub fn advise_adaptive(
                     trial[i] = cand;
                     let est = score(&assemble(&trial))?;
                     weigh(&est, &mut best, &mut fitting);
-                    if better(&est, &current) {
+                    if rank(&est) < rank(&current) {
                         assignment = trial;
                         current = est;
                         improved = true;
@@ -843,9 +818,7 @@ pub fn advise_adaptive(
 
     uniform.push(chosen.clone());
     uniform.push(best);
-    uniform.sort_by(|a, b| {
-        (a.projected_total, a.label.as_str()).cmp(&(b.projected_total, b.label.as_str()))
-    });
+    uniform.sort_by(|a, b| rank(a).cmp(&rank(b)));
     uniform.dedup_by(|a, b| a.label == b.label);
     Ok(AdaptiveAdvice {
         chosen,
@@ -926,13 +899,15 @@ mod tests {
         storage: Money,
         run: Money,
         index_get_ops: u64,
+        /// Per workload family, its first execution's `result_bytes`.
+        result_bytes: Vec<u64>,
         maintenance: Money,
     }
 
     /// Measures a real deployment of `plan` on `base` end to end, `churn`
     /// read as the estimator reads it (per partition, the first so many
     /// documents in sample order). A flat plan is deployed the way every
-    /// flat deployment is: no mixed plan, the strategy configured.
+    /// flat deployment is: the strategy configured, no plan applied.
     fn measured(
         base: &WarehouseConfig,
         plan: &MixedPlan,
@@ -940,24 +915,29 @@ mod tests {
         churn: &BTreeMap<String, u64>,
     ) -> Measured {
         let mut cfg = base.clone();
-        if *plan == MixedPlan::flat(plan.default_strategy()) {
-            cfg.strategy = plan.default_strategy().expect("an indexed flat plan");
-            cfg.mixed_plan = None;
-        } else {
-            cfg.strategy = routable_default(&cfg);
-            cfg.mixed_plan = Some(plan.clone());
-        }
+        let flat = *plan == MixedPlan::flat(plan.default_strategy());
+        cfg.strategy = match flat {
+            true => plan.default_strategy().expect("an indexed flat plan"),
+            false => routable_default(&cfg),
+        };
         let mut w = Warehouse::new(cfg);
+        if !flat {
+            w.apply_plan(plan.clone());
+        }
         w.upload_documents(sample());
         let build = w.build_index().cost.total();
         let storage = w.storage_cost().total();
         let mut run = Money::ZERO;
         let mut index_get_ops = 0;
+        let mut result_bytes = Vec::new();
         for fam in workload {
-            for _ in 0..fam.arrivals {
+            for arrival in 0..fam.arrivals {
                 let r = w.run_query(&fam.query);
                 run += r.cost.total();
                 index_get_ops += r.exec.index_get_ops;
+                if arrival == 0 {
+                    result_bytes.push(r.exec.result_bytes);
+                }
             }
         }
         // New versions of the churned documents (the same slots under
@@ -980,6 +960,7 @@ mod tests {
             storage,
             run,
             index_get_ops,
+            result_bytes,
             maintenance,
         }
     }
@@ -1047,6 +1028,9 @@ mod tests {
                 );
             }
             assert_eq!(est.index_get_ops, m.index_get_ops, "{label}");
+            // One function states the result payload for both sides.
+            assert_eq!(est.result_bytes, m.result_bytes, "{label}");
+            assert!(est.result_bytes.iter().any(|&b| b > 0), "{label}");
             gets.push(est.index_get_ops);
         }
         assert_eq!(gets[0], 3 * gets[2], "three partitions, three look-ups");

@@ -5,7 +5,7 @@ use amada_cloud::{
     BillingGranularity, FaultConfig, InstanceType, KvBackend, KvTuning, Phase, PriceTable,
     SimDuration, WorkModel,
 };
-use amada_index::{ExtractOptions, MixedPlan, Strategy};
+use amada_index::{ExtractOptions, Strategy};
 
 /// S3 bucket holding the XML documents.
 pub const DOC_BUCKET: &str = "amada-documents";
@@ -166,7 +166,9 @@ impl Default for HostConfig {
 /// Full warehouse configuration.
 #[derive(Debug, Clone)]
 pub struct WarehouseConfig {
-    /// Indexing strategy (paper Table 2).
+    /// Indexing strategy (paper Table 2). The warehouse starts under its
+    /// flat plan — the whole corpus in the global tables, whatever prefix
+    /// a URI carries; [`crate::Warehouse::apply_plan`] switches from there.
     pub strategy: Strategy,
     /// Extraction options (full-text on/off).
     pub extract: ExtractOptions,
@@ -210,15 +212,6 @@ pub struct WarehouseConfig {
     /// A sharded plan changes service times and throttle exposure only —
     /// never answers or billed units.
     pub shard_plan: Option<amada_cloud::ShardPlan>,
-    /// Per-partition strategy routing. The warehouse always runs under a
-    /// routing plan: `None` (the default) resolves to the *flat* plan —
-    /// the paper's layout, the whole corpus in the global tables under
-    /// `strategy`, whatever prefix a URI carries. `Some(plan)` routes each
-    /// document by its URI's partition — hot partitions can take the
-    /// ID-granularity index while cold ones take a cheap one or none at
-    /// all — and [`crate::Warehouse::apply_plan`] migrates between plans
-    /// incrementally.
-    pub mixed_plan: Option<MixedPlan>,
 }
 
 impl Default for WarehouseConfig {
@@ -239,7 +232,6 @@ impl Default for WarehouseConfig {
             retry: RetryPolicy::default(),
             host: HostConfig::default(),
             shard_plan: None,
-            mixed_plan: None,
         }
     }
 }
@@ -267,7 +259,6 @@ mod tests {
         // Elasticity and started-hour billing are opt-in: the defaults
         // must reproduce the paper's static-pool, fractional-hour setup.
         assert!(c.query_autoscale.is_none());
-        assert!(c.mixed_plan.is_none(), "mixed routing is opt-in");
         assert_eq!(c.ec2_billing, BillingGranularity::Fractional);
     }
 

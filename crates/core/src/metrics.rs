@@ -96,11 +96,21 @@ pub struct QueryExecution {
     pub index_get_ops: u64,
 }
 
-impl QueryExecution {
-    /// Number of result tuples.
-    pub fn result_count(&self) -> usize {
-        self.results.len()
+/// The result object a query materializes: a line per result tuple, its
+/// columns tab-separated. These are the bytes stored in the file store,
+/// egressed to the front end and counted as `|r(q)|`.
+pub(crate) fn result_payload(results: &[JoinedTuple]) -> String {
+    let mut payload = String::new();
+    for r in results {
+        for (i, column) in r.columns.iter().enumerate() {
+            if i > 0 {
+                payload.push('\t');
+            }
+            payload.push_str(column);
+        }
+        payload.push('\n');
     }
+    payload
 }
 
 /// A query execution together with its isolated cost delta (Figures 11–12).

@@ -17,8 +17,8 @@ use amada_cloud::{
     SimDuration, SimTime, Span, StorageCost, World,
 };
 use amada_index::{
-    delete_batches, entry_item_keys, routed_entries, CacheStats, ExtractCache, ItemKey, MixedPlan,
-    PrewarmReport, Strategy,
+    delete_batches, placed_item_keys, CacheStats, ExtractCache, ItemKey, MixedPlan, PrewarmReport,
+    Strategy,
 };
 use amada_pattern::Query;
 use std::cell::{OnceCell, RefCell};
@@ -43,9 +43,8 @@ pub struct Warehouse {
     /// retraction, shared with the loader cores (see
     /// [`RetractionRegistry`]).
     retractions: RetractionRegistry,
-    /// The routing plan shared with the module cores: `cfg.mixed_plan`,
-    /// or — when the configuration names none — the flat plan that keeps
-    /// the whole corpus in the global tables under `cfg.strategy`.
+    /// The routing plan in force, shared with the module cores: the flat
+    /// plan of `cfg.strategy` until [`Warehouse::apply_plan`] changes it.
     plan: Rc<MixedPlan>,
     /// Recorded-span index of the last [`Warehouse::readvise`]: each
     /// cadence step advises from the traffic observed *since the
@@ -101,16 +100,6 @@ fn arrival(
     (at, name, body)
 }
 
-/// The plan a configuration runs under: its mixed plan, or the flat plan
-/// of its strategy. Not [`MixedPlan::uniform`] — that would move
-/// `hot/doc.xml` out of the global tables into `amada-index@hot`.
-fn resolve_plan(plan: &Option<MixedPlan>, strategy: Strategy) -> Rc<MixedPlan> {
-    Rc::new(
-        plan.clone()
-            .unwrap_or_else(|| MixedPlan::flat(Some(strategy))),
-    )
-}
-
 /// Fault-visibility deltas since a snapshot: (throttled billed requests
 /// across all services, lease renewals, redeliveries).
 fn fault_deltas(world: &World, before: &CostSnapshot) -> (u64, u64, u64) {
@@ -153,7 +142,8 @@ pub struct DeleteReport {
 }
 
 impl Warehouse {
-    /// Provisions a warehouse: buckets, queues and index tables.
+    /// Provisions a warehouse: buckets and queues (an index table exists
+    /// from the first call that names it).
     pub fn new(cfg: WarehouseConfig) -> Warehouse {
         let mut world = World::open(cfg.backend.clone(), cfg.kv_tuning);
         world.prices = cfg.prices.clone();
@@ -168,19 +158,15 @@ impl Warehouse {
         if let Some(plan) = &cfg.shard_plan {
             world.kv.set_shard_plan(plan.clone());
         }
-        let plan = resolve_plan(&cfg.mixed_plan, cfg.strategy);
-        // Named partitions' tables are known up-front; unnamed ones are
-        // discovered at write time and ensured on demand by the loader
-        // cores.
-        for table in plan.known_tables() {
-            world.kv.ensure_table(table);
-        }
         world.install_faults(&cfg.faults);
         if cfg.host.record {
             world.enable_recording();
         }
         Warehouse {
             retry: Retry::new(cfg.retry, None),
+            // The paper's layout; under `MixedPlan::uniform` a URI's prefix
+            // would route it out of the global tables.
+            plan: Rc::new(MixedPlan::flat(Some(cfg.strategy))),
             cfg,
             engine: Engine::new(world),
             cache: ExtractCache::shared(),
@@ -192,7 +178,6 @@ impl Warehouse {
             },
             controllers: 0,
             retractions: Rc::default(),
-            plan,
             advise_span_base: 0,
             pending_load: BTreeSet::new(),
             catalog: OnceCell::new(),
@@ -367,14 +352,15 @@ impl Warehouse {
     /// no requests, no virtual time): under the plan in force for churn,
     /// under the *old* plan when [`Warehouse::apply_plan`] switches.
     fn item_keys_under(&self, plan: &MixedPlan, uri: &str, bytes: &Blob) -> Vec<ItemKey> {
-        let partition = plan.partition_of(uri);
-        // An unindexed partition holds nothing to replay.
-        let Some(strategy) = plan.strategy_of(partition) else {
+        // A plan that indexes nothing for the document holds nothing to
+        // replay.
+        let Some(placement) = plan.placement(uri) else {
             return Vec::new();
         };
-        let (_doc, entries) = self.cache.extracted(uri, bytes, strategy, self.cfg.extract);
+        let (strategy, opts) = (placement.strategy, self.cfg.extract);
+        let (_doc, entries) = self.cache.extracted(uri, bytes, strategy, opts);
         let profile = self.engine.world.kv.profile();
-        entry_item_keys(&routed_entries(&entries, partition), &profile, uri)
+        placed_item_keys(&entries, placement, &profile, uri)
     }
 
     /// Front end, churn maintenance: removes documents from the file
@@ -442,36 +428,29 @@ impl Warehouse {
     }
 
     /// Front end, plan maintenance: switches the warehouse to a new
-    /// per-partition routing plan (`None` restores the flat configured
-    /// strategy) *incrementally*. Every stored document whose placement —
-    /// effective strategy or partition tables — changes has its current
-    /// placement's item keys recorded in the retraction registry and its
-    /// loading message re-enqueued; the next [`Warehouse::build_index`]
-    /// rewrites those documents under the new plan and then deletes the
-    /// old entries (write-new-then-delete-stale, the exact machinery
-    /// churn replaces use, so a crash mid-migration retries idempotently
-    /// on redelivery). Documents whose placement is unchanged are not
-    /// touched, re-sent or re-billed; documents that already have a
-    /// rebuild pending (an unprocessed loader message — churn, typically)
-    /// piggyback on it, since the loader reads the plan at processing
-    /// time. Returns the number of documents migrating (piggybacked ones
-    /// included).
-    pub fn apply_plan(&mut self, new_plan: Option<MixedPlan>) -> u64 {
-        // A URI's placement: (strategy, partition the tables belong to).
-        // The flat plan keeps everything in the root partition's global
-        // tables; the root partition of a mixed plan is physically
-        // identical.
-        fn placement<'a>(plan: &MixedPlan, uri: &'a str) -> Option<(Strategy, &'a str)> {
-            let partition = plan.partition_of(uri);
-            plan.strategy_of(partition).map(|s| (s, partition))
-        }
-        let old_plan = self.plan.clone();
-        let new = resolve_plan(&new_plan, self.cfg.strategy);
+    /// routing plan *incrementally* — the one way to change the plan, and
+    /// free on an empty warehouse ([`MixedPlan::flat`] of the configured
+    /// strategy restores the paper's layout). Every stored document whose
+    /// [`amada_index::Placement`] — strategy or partition tables — changes
+    /// has its current placement's item keys recorded in the retraction
+    /// registry and its loading message re-enqueued; the next
+    /// [`Warehouse::build_index`] rewrites those documents under the new
+    /// plan and then deletes the old entries (write-new-then-delete-stale,
+    /// the exact machinery churn replaces use, so a crash mid-migration
+    /// retries idempotently on redelivery). Documents whose placement is
+    /// unchanged are not touched, re-sent or re-billed — the root
+    /// partition of a mixed plan is physically the flat plan's — and
+    /// documents that already have a rebuild pending (an unprocessed
+    /// loader message — churn, typically) piggyback on it, since the
+    /// loader reads the plan at processing time. Returns the number of
+    /// documents migrating (piggybacked ones included).
+    pub fn apply_plan(&mut self, plan: MixedPlan) -> u64 {
+        let (old_plan, new) = (self.plan.clone(), Rc::new(plan));
         let mut migrated = 0u64;
         let mut t = self.engine.now();
         let uris: Vec<String> = self.doc_uris.clone();
         for uri in uris {
-            if placement(&old_plan, &uri) == placement(&new, &uri) {
+            if old_plan.placement(&uri) == new.placement(&uri) {
                 continue;
             }
             let Some(bytes) = self.engine.world.s3.peek(DOC_BUCKET, &uri) else {
@@ -500,22 +479,13 @@ impl Warehouse {
             t = self.enqueue_load(t, &uri);
         }
         self.engine.world.obs.with_ctx(|c| *c = Default::default());
-        for table in new.known_tables() {
-            self.engine.world.kv.ensure_table(table);
-        }
-        self.cfg.mixed_plan = new_plan;
         self.plan = new;
         self.corpus_changed();
         migrated
     }
 
-    /// The configured mixed plan (`None` = the flat configured strategy).
-    pub fn mixed_plan(&self) -> Option<&MixedPlan> {
-        self.cfg.mixed_plan.as_ref()
-    }
-
-    /// The routing plan in force, as shared with the module cores (test
-    /// access — custom actors must share it to route like the pool).
+    /// The routing plan in force, as shared with the module cores
+    /// (custom actors must share it to route like the pool).
     pub fn routing_plan(&self) -> Rc<MixedPlan> {
         self.plan.clone()
     }
@@ -565,7 +535,7 @@ impl Warehouse {
         let advice =
             crate::adaptive::advise_adaptive(&sample, &families, churn, horizon, &self.cfg)?;
         self.advise_span_base = spans.len();
-        let migrated = self.apply_plan(Some(advice.chosen.plan.clone()));
+        let migrated = self.apply_plan(advice.chosen.plan.clone());
         Ok(Readvice { advice, migrated })
     }
 
@@ -1274,11 +1244,16 @@ mod tests {
             .with("cold", None)
     }
 
+    /// An empty warehouse configured with `strategy`, switched to `plan`.
+    fn planned(strategy: Strategy, plan: amada_index::MixedPlan) -> Warehouse {
+        let mut w = Warehouse::new(WarehouseConfig::with_strategy(strategy));
+        assert_eq!(w.apply_plan(plan), 0, "an empty warehouse migrates nothing");
+        w
+    }
+
     #[test]
     fn mixed_plan_answers_match_the_no_index_baseline() {
-        let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        cfg.mixed_plan = Some(mixed_plan());
-        let mut w = Warehouse::new(cfg);
+        let mut w = planned(Strategy::Lup, mixed_plan());
         w.upload_documents(partitioned_corpus());
         let build = w.build_index();
         assert!(build.items > 0);
@@ -1317,9 +1292,7 @@ mod tests {
             .with("hot", Some(Strategy::TwoLupi))
             .with("cold", Some(Strategy::Lui));
         assert!(plan.fully_indexed());
-        let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        cfg.mixed_plan = Some(plan);
-        let mut w = Warehouse::new(cfg);
+        let mut w = planned(Strategy::Lup, plan);
         w.upload_documents(partitioned_corpus());
         w.build_index();
         for qname in ["q1", "q4", "q6"] {
@@ -1356,16 +1329,14 @@ mod tests {
         let mut migrated = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lu));
         migrated.upload_documents(partitioned_corpus());
         migrated.build_index();
-        let moved = migrated.apply_plan(Some(mixed_plan()));
+        let moved = migrated.apply_plan(mixed_plan());
         assert!(moved > 0, "every placement changed");
         let build = migrated.build_index();
         assert!(
             build.retracted_items > 0,
             "migration must retract the old placement"
         );
-        let mut cfg = WarehouseConfig::with_strategy(Strategy::Lu);
-        cfg.mixed_plan = Some(mixed_plan());
-        let mut fresh = Warehouse::new(cfg);
+        let mut fresh = planned(Strategy::Lu, mixed_plan());
         fresh.upload_documents(partitioned_corpus());
         fresh.build_index();
         assert_eq!(
@@ -1373,8 +1344,9 @@ mod tests {
             fresh.world().kv.peek_all(),
             "migrated mixed index != fresh mixed build"
         );
-        // And back: dropping the plan restores the flat layout.
-        migrated.apply_plan(None);
+        // And back: the configured strategy's flat plan restores the
+        // paper's layout.
+        migrated.apply_plan(amada_index::MixedPlan::flat(Some(Strategy::Lu)));
         migrated.build_index();
         let mut flat = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lu));
         flat.upload_documents(partitioned_corpus());
@@ -1398,8 +1370,6 @@ mod tests {
             amada_index::MixedPlan::uniform(Some(Strategy::Lup)).with("hot", Some(Strategy::Lui));
         let plan_b =
             amada_index::MixedPlan::uniform(Some(Strategy::Lup)).with("hot", Some(Strategy::Lu));
-        let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        cfg.mixed_plan = Some(plan_a);
         // The churn round: every hot document replaced with new content
         // (its neighbour's, which parses and differs).
         let originals = partitioned_corpus();
@@ -1413,12 +1383,12 @@ mod tests {
 
         // Piggybacked: upload the churn, then switch plans while those
         // rebuilds are still queued, then process the queue once.
-        let mut piggy = Warehouse::new(cfg.clone());
+        let mut piggy = planned(Strategy::Lup, plan_a.clone());
         piggy.upload_documents(originals.clone());
         piggy.build_index();
         piggy.upload_documents(replacements.clone());
         assert_eq!(
-            piggy.apply_plan(Some(plan_b.clone())),
+            piggy.apply_plan(plan_b.clone()),
             replacements.len() as u64,
             "every hot document's placement changed"
         );
@@ -1430,10 +1400,10 @@ mod tests {
 
         // Eager: migrate first (its own rebuild), then pay the churn
         // rebuild on top — two queue round-trips per hot document.
-        let mut eager = Warehouse::new(cfg.clone());
+        let mut eager = planned(Strategy::Lup, plan_a);
         eager.upload_documents(originals.clone());
         eager.build_index();
-        eager.apply_plan(Some(plan_b.clone()));
+        eager.apply_plan(plan_b.clone());
         eager.build_index();
         eager.upload_documents(replacements.clone());
         eager.build_index();
@@ -1443,9 +1413,7 @@ mod tests {
         let mut final_docs: std::collections::BTreeMap<String, String> =
             originals.into_iter().collect();
         final_docs.extend(replacements);
-        let mut fresh_cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        fresh_cfg.mixed_plan = Some(plan_b);
-        let mut fresh = Warehouse::new(fresh_cfg);
+        let mut fresh = planned(Strategy::Lup, plan_b);
         fresh.upload_documents(final_docs);
         fresh.build_index();
         assert_eq!(piggy.world().kv.peek_all(), fresh.world().kv.peek_all());
@@ -1463,19 +1431,17 @@ mod tests {
     /// differently, so nothing is enqueued or retracted.
     #[test]
     fn reapplying_the_same_plan_migrates_nothing() {
-        let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        cfg.mixed_plan = Some(mixed_plan());
-        let mut w = Warehouse::new(cfg);
+        let mut w = planned(Strategy::Lup, mixed_plan());
         w.upload_documents(partitioned_corpus());
         w.build_index();
-        assert_eq!(w.apply_plan(Some(mixed_plan())), 0);
+        assert_eq!(w.apply_plan(mixed_plan()), 0);
         // A flat warehouse adopting the uniform root plan is also free:
         // the root partition keeps the global tables.
         let mut flat = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lup));
         flat.upload_documents(small_corpus());
         flat.build_index();
         assert_eq!(
-            flat.apply_plan(Some(amada_index::MixedPlan::uniform(Some(Strategy::Lup)))),
+            flat.apply_plan(amada_index::MixedPlan::uniform(Some(Strategy::Lup))),
             0
         );
     }
@@ -1510,8 +1476,8 @@ mod tests {
         assert!(first.advice.budget_met);
         assert!(!first.advice.ranked.is_empty());
         assert_eq!(
-            w.mixed_plan(),
-            Some(&first.advice.chosen.plan),
+            *w.routing_plan(),
+            first.advice.chosen.plan,
             "the chosen plan is in force"
         );
         // Apply the migration, then serve the same traffic profile in
@@ -1579,7 +1545,8 @@ mod tests {
                 | ("hot/longname.xml", AdviseError::Store(..)) => {}
                 _ => panic!("{uri}: unexpected {err:?}"),
             }
-            assert_eq!(w.mixed_plan(), None, "{uri}: no plan was applied");
+            let configured = amada_index::MixedPlan::flat(Some(Strategy::Lup));
+            assert_eq!(*w.routing_plan(), configured, "{uri}: no plan was applied");
             // The window was not consumed: with the object gone the same
             // call sees the query that ran before the failure.
             w.engine.world.s3.delete(t, DOC_BUCKET, uri).unwrap();

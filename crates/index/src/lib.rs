@@ -37,16 +37,14 @@ pub mod strategy;
 pub use cache::{content_hash, CacheStats, Content, ExtractCache};
 pub use explain::explain;
 pub use loadutil::{
-    delete_batches, entry_item_keys, plan_document, retract_keys, stale_keys, write_entries,
-    DocIndexing, ItemKey, WritePlan,
+    delete_batches, entry_item_keys, placed_item_keys, plan_document, retract_keys, stale_keys,
+    write_entries, DocIndexing, ItemKey, WritePlan,
 };
-pub use lookup::{
-    lookup_pattern, lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup, StrategyTables,
-};
+pub use lookup::{lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup};
 pub use parallel::{prewarm, PrewarmReport};
 pub use partition::{
-    index_documents, index_documents_mixed, lookup_mixed, partition_lookup_tables, partition_of,
-    partition_table, partition_tables, routed_entries, MixedPlan,
+    index_documents, index_documents_mixed, lookup_mixed, merge_fan_out, partition_of, MixedPlan,
+    Placement,
 };
 pub use pushdown::{decode_tuples, encode_tuples, ScanPredicate};
 pub use shard::{hottest_keys, key_frequencies, skew_aware_plan};

@@ -4,15 +4,16 @@
 //! (paper Section 8.1): items are grouped into maximal `batch_put` calls.
 //!
 //! [`plan_document`] is the one statement of what a document version asks
-//! of the store — which items, in which tables, cut into which calls, and
-//! which stale keys of a replaced version go after them. The warehouse's
-//! loader bursts the plan's calls concurrently; [`write_entries`] (the
-//! advisor's micro-builds and, through [`crate::index_documents_mixed`],
-//! the oracles) issues them one after another. [`entry_item_keys`] (the
-//! front end's retraction replay) runs the same encoding loop an entry at
-//! a time: holding a document's items to read their keys off a plan cost
-//! it 75 % and `churn_mixed` 6 %.
+//! of the store — which items, in which of its [`Placement`]'s tables, cut
+//! into which calls, and which stale keys of a replaced version go after
+//! them. The warehouse's loader bursts the plan's calls concurrently;
+//! [`write_entries`] (the advisor's micro-builds and, through
+//! [`crate::index_documents_mixed`], the oracles) issues them one after
+//! another. [`placed_item_keys`] (the front end's retraction replay) runs
+//! the same encoding loop an entry at a time: holding a document's items
+//! to read their keys off a plan cost it 75 % and `churn_mixed` 6 %.
 
+use crate::partition::Placement;
 use crate::store::{encode_entry_into, UuidGen};
 use crate::strategy::IndexEntry;
 use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
@@ -28,8 +29,6 @@ pub struct DocIndexing {
     pub entries: u64,
     /// Store items written.
     pub items: u64,
-    /// Raw entry bytes (the paper's `sr` contribution).
-    pub entry_bytes: u64,
     /// API batches issued.
     pub batches: u64,
 }
@@ -57,16 +56,18 @@ impl WritePlan {
     }
 }
 
-/// Plans the index-store calls for one document version: its `entries`
-/// (already routed to their placement's tables; none when the placement
-/// indexes nothing) and the keys `pending` retraction for its URI.
+/// Plans the index-store calls for one document version: the `entries`
+/// its `placement`'s strategy extracted (`None`, and no entries, when the
+/// plan indexes nothing for the document) and the keys `pending`
+/// retraction for its URI.
 ///
 /// Every entry's items are moved, in entry order, into their table's
 /// vector and the vectors are cut into batches by moving: from here to
 /// the store an item is never cloned. The tables keep the order in which
 /// the extraction first names them, which is the strategy's own — 2LUPI
-/// writes `[path, id]`. Stale keys are diffed against *borrowed* keys of
-/// what was just encoded, so only they are copied out of `pending`; their
+/// writes `[path, id]` — and the placement names each of them once, not
+/// once per entry. Stale keys are diffed against *borrowed* keys of what
+/// was just encoded, so only they are copied out of `pending`; their
 /// deletes cover the placement's own tables first, in that order, and
 /// then — after a plan switch — the previous placement's, in name order.
 ///
@@ -75,29 +76,32 @@ impl WritePlan {
 /// here, before any call is issued.
 pub fn plan_document(
     entries: &[IndexEntry],
+    placement: Option<Placement<'_>>,
     profile: &KvProfile,
     uri: &str,
     pending: Option<&BTreeSet<ItemKey>>,
 ) -> Result<WritePlan, KvError> {
     let mut per_table: Vec<(&'static str, Vec<KvItem>)> = Vec::new();
-    encode_each(entries, profile, uri, |table, items| {
+    encode_each(entries, profile, uri, |base, items| {
         let at = per_table
             .iter()
-            .position(|(t, _)| *t == table)
+            .position(|(t, _)| *t == base)
             .unwrap_or_else(|| {
                 // About an item per entry: sized once, the vector never
                 // regrows among the document's blocks. Blocks refill the
                 // buffers a regrowth frees there, but not exactly, and the
                 // slivers left in a warehouse's heap cost the read path
                 // 12 % (EXPERIMENTS.md, "Loader path").
-                per_table.push((table, Vec::with_capacity(entries.len())));
+                per_table.push((base, Vec::with_capacity(entries.len())));
                 per_table.len() - 1
             });
         per_table[at].1.append(items);
     });
     let mut plan = WritePlan::default();
-    for (table, items) in per_table {
+    for (base, items) in per_table {
         items.iter().try_for_each(|item| profile.check(item))?;
+        // Only a placement has entries; it names their table once.
+        let table = placement.map_or(base, |p| p.table(base));
         plan.tables.push(table);
         plan.puts
             .extend(into_batches(items, profile.batch_put_limit).map(|batch| (table, batch)));
@@ -132,8 +136,9 @@ pub fn plan_document(
 
 /// The one encoding loop: a document version's entries, in entry order
 /// under the one UUID stream its URI seeds (what makes every version's
-/// item keys derivable from its bytes). `each` is handed an entry's table
-/// and its items, and takes them out of the buffer.
+/// item keys derivable from its bytes). `each` is handed the global table
+/// an entry was extracted for and its items, and takes them out of the
+/// buffer.
 fn encode_each(
     entries: &[IndexEntry],
     profile: &KvProfile,
@@ -149,19 +154,20 @@ fn encode_each(
     }
 }
 
-/// Stores pre-extracted entries: [`plan_document`]'s puts, issued one
-/// after another (each starts when the previous one is acknowledged).
+/// Stores pre-extracted entries under `placement`: [`plan_document`]'s
+/// puts, issued one after another (each starts when the previous one is
+/// acknowledged).
 pub fn write_entries(
     store: &mut dyn KvStore,
     now: SimTime,
+    placement: Placement<'_>,
     entries: &[IndexEntry],
     uri: &str,
 ) -> Result<(DocIndexing, SimTime), KvError> {
-    let plan = plan_document(entries, &store.profile(), uri, None)?;
+    let plan = plan_document(entries, Some(placement), &store.profile(), uri, None)?;
     let metrics = DocIndexing {
         entries: entries.len() as u64,
         items: plan.items(),
-        entry_bytes: entries.iter().map(|e| e.raw_bytes() as u64).sum(),
         batches: plan.puts.len() as u64,
     };
     for table in plan.tables {
@@ -185,7 +191,8 @@ fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<T>> 
 }
 
 /// The `(table, hash_key, range_key)` item keys [`plan_document`]'s puts
-/// store for these entries, in entry order — derived *without* touching
+/// store for these entries under the root placement — the global tables
+/// they were extracted for — in entry order, derived *without* touching
 /// the store, by the same encoding loop.
 /// Because range keys are deterministic per document (seeded from its
 /// URI), the keys of any version of a document can be reconstructed from
@@ -200,6 +207,28 @@ pub fn entry_item_keys(entries: &[IndexEntry], profile: &KvProfile, uri: &str) -
                 .map(|i| (table, i.hash_key.to_string(), i.range_key().to_string())),
         );
     });
+    keys
+}
+
+/// [`entry_item_keys`] under any placement: the same keys, in the tables
+/// the placement names — each of the document's tables once, not once per
+/// key.
+pub fn placed_item_keys(
+    entries: &[IndexEntry],
+    placement: Placement<'_>,
+    profile: &KvProfile,
+    uri: &str,
+) -> Vec<ItemKey> {
+    let mut keys = entry_item_keys(entries, profile, uri);
+    let mut named: Vec<(&'static str, &'static str)> = Vec::new();
+    for (table, ..) in &mut keys {
+        let base = *table;
+        let known = named.iter().find(|(b, _)| *b == base);
+        *table = known.map(|(_, physical)| *physical).unwrap_or_else(|| {
+            named.push((base, placement.table(base)));
+            named[named.len() - 1].1
+        });
+    }
     keys
 }
 
@@ -265,7 +294,8 @@ mod tests {
         strategy: Strategy,
         opts: ExtractOptions,
     ) -> Result<(DocIndexing, SimTime), KvError> {
-        write_entries(store, now, &extract(doc, strategy, opts), doc.uri())
+        let entries = extract(doc, strategy, opts);
+        write_entries(store, now, Placement::root(strategy), &entries, doc.uri())
     }
 
     fn doc() -> Document {
@@ -398,7 +428,8 @@ mod tests {
                 let profile = store.profile();
                 let what = format!("{strategy} on {}", profile.name);
                 let entries = extract(&d, strategy, ExtractOptions::default());
-                let plan = plan_document(&entries, &profile, d.uri(), None).unwrap();
+                let root = Some(Placement::root(strategy));
+                let plan = plan_document(&entries, root, &profile, d.uri(), None).unwrap();
                 assert!(plan.deletes.is_empty(), "{what}");
                 // One table order, the strategy's own: 2LUPI is [path, id].
                 assert_eq!(plan.tables, strategy.tables(), "{what}");
@@ -429,7 +460,8 @@ mod tests {
                 planned.sort_by(|(ta, a), (tb, b)| {
                     (ta, &a.hash_key, a.range_key()).cmp(&(tb, &b.hash_key, b.range_key()))
                 });
-                let (m, _) = write_entries(store.as_mut(), SimTime::ZERO, &entries, d.uri())
+                let root = Placement::root(strategy);
+                let (m, _) = write_entries(store.as_mut(), SimTime::ZERO, root, &entries, d.uri())
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(store.peek_all(), planned, "{what}");
                 assert_eq!(m.items, plan.items(), "{what}");
@@ -444,17 +476,19 @@ mod tests {
         let d = doc();
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
         let profile = DynamoDb::default().profile();
-        let plan = plan_document(&entries, &profile, d.uri(), None).unwrap();
+        let root = Some(Placement::root(Strategy::TwoLupi));
+        let plan = plan_document(&entries, root, &profile, d.uri(), None).unwrap();
         let path_then_id = [crate::strategy::TABLE_PATH, crate::strategy::TABLE_ID];
         assert_eq!(plan.tables, path_then_id);
         assert_eq!(call_tables(&plan.puts), path_then_id);
         // The same under a named partition's tables.
-        let routed = crate::partition::routed_entries(&entries, "hot");
-        let plan = plan_document(&routed, &profile, "hot/d.xml", None).unwrap();
-        assert_eq!(
-            plan.tables,
-            crate::partition::partition_tables(Strategy::TwoLupi, "hot")
-        );
+        let hot = Placement {
+            strategy: Strategy::TwoLupi,
+            partition: "hot",
+        };
+        let plan = plan_document(&entries, Some(hot), &profile, "hot/d.xml", None).unwrap();
+        assert_eq!(plan.tables, ["amada-index-path@hot", "amada-index-id@hot"]);
+        assert_eq!(call_tables(&plan.puts), plan.tables);
     }
 
     #[test]
@@ -474,12 +508,16 @@ mod tests {
                 &profile,
                 "d.xml",
             ));
-            let lup = extract(&v1, Strategy::Lup, opts);
-            let stranded = crate::partition::routed_entries(&lup, "hot");
-            old.extend(entry_item_keys(&stranded, &profile, "d.xml"));
+            let hot = Placement {
+                strategy: Strategy::Lup,
+                partition: "hot",
+            };
+            let stranded = extract(&v1, hot.strategy, opts);
+            old.extend(placed_item_keys(&stranded, hot, &profile, "d.xml"));
             let pending: BTreeSet<ItemKey> = old.iter().cloned().collect();
 
-            let plan = plan_document(&new, &profile, "d.xml", Some(&pending)).unwrap();
+            let root = Some(Placement::root(Strategy::TwoLupi));
+            let plan = plan_document(&new, root, &profile, "d.xml", Some(&pending)).unwrap();
             let fresh = entry_item_keys(&new, &profile, "d.xml");
             assert_eq!(
                 put_keys(&plan),
@@ -513,7 +551,7 @@ mod tests {
 
             // Nothing pending that the new version does not hold: no deletes.
             let same: BTreeSet<ItemKey> = fresh.iter().cloned().collect();
-            let plan = plan_document(&new, &profile, "d.xml", Some(&same)).unwrap();
+            let plan = plan_document(&new, root, &profile, "d.xml", Some(&same)).unwrap();
             assert!(plan.deletes.is_empty(), "{}", profile.name);
             assert_eq!(plan.tables, Strategy::TwoLupi.tables(), "{}", profile.name);
         }
@@ -527,7 +565,7 @@ mod tests {
         let pending: BTreeSet<ItemKey> = entry_item_keys(&entries, &profile, d.uri())
             .into_iter()
             .collect();
-        let plan = plan_document(&[], &profile, d.uri(), Some(&pending)).unwrap();
+        let plan = plan_document(&[], None, &profile, d.uri(), Some(&pending)).unwrap();
         assert!(plan.puts.is_empty());
         assert_eq!(plan.items(), 0);
         assert_eq!(delete_keys(&plan), Vec::from_iter(pending));
@@ -535,7 +573,7 @@ mod tests {
         let id_then_path = [crate::strategy::TABLE_ID, crate::strategy::TABLE_PATH];
         assert_eq!(plan.tables, id_then_path);
         // And with nothing pending there is nothing to do at all.
-        let idle = plan_document(&[], &profile, d.uri(), None).unwrap();
+        let idle = plan_document(&[], None, &profile, d.uri(), None).unwrap();
         assert!(idle.puts.is_empty() && idle.deletes.is_empty() && idle.tables.is_empty());
     }
 
@@ -548,11 +586,12 @@ mod tests {
         for profile in [DynamoDb::default().profile(), SimpleDb::default().profile()] {
             for strategy in FIVE {
                 let entries = extract(&long, strategy, ExtractOptions::default());
+                let root = Some(Placement::root(strategy));
                 let pending =
                     BTreeSet::from([(crate::strategy::TABLE_MAIN, "k".into(), "r".into())]);
                 for pending in [None, Some(&pending)] {
                     assert_eq!(
-                        plan_document(&entries, &profile, "d.xml", pending).err(),
+                        plan_document(&entries, root, &profile, "d.xml", pending).err(),
                         Some(KvError::KeyTooLarge {
                             limit: profile.max_hash_key_bytes,
                             got: name.len() + 1,
@@ -562,10 +601,17 @@ mod tests {
                     );
                 }
                 let mut store = DynamoDb::default();
-                assert!(write_entries(&mut store, SimTime::ZERO, &entries, "d.xml").is_err());
+                let written = write_entries(
+                    &mut store,
+                    SimTime::ZERO,
+                    Placement::root(strategy),
+                    &entries,
+                    "d.xml",
+                );
+                assert!(written.is_err());
                 assert!(store.peek_all().is_empty(), "{strategy}: nothing was put");
                 let entries = extract(&doc(), strategy, ExtractOptions::default());
-                assert!(plan_document(&entries, &profile, "d.xml", None).is_ok());
+                assert!(plan_document(&entries, root, &profile, "d.xml", None).is_ok());
             }
         }
     }
@@ -603,8 +649,9 @@ mod tests {
             let mut churned = DynamoDb::default();
             let old = extract(&v1, strategy, opts);
             let new = extract(&v2, strategy, opts);
-            write_entries(&mut churned, SimTime::ZERO, &old, v1.uri()).unwrap();
-            write_entries(&mut churned, SimTime::ZERO, &new, v2.uri()).unwrap();
+            let root = Placement::root(strategy);
+            write_entries(&mut churned, SimTime::ZERO, root, &old, v1.uri()).unwrap();
+            write_entries(&mut churned, SimTime::ZERO, root, &new, v2.uri()).unwrap();
             let p = churned.profile();
             let stale = stale_keys(
                 &entry_item_keys(&old, &p, v1.uri()),
@@ -617,7 +664,7 @@ mod tests {
             retract_keys(&mut churned, SimTime::ZERO, &stale).unwrap();
             // Fresh store: index only v2.
             let mut fresh = DynamoDb::default();
-            write_entries(&mut fresh, SimTime::ZERO, &new, v2.uri()).unwrap();
+            write_entries(&mut fresh, SimTime::ZERO, root, &new, v2.uri()).unwrap();
             for t in strategy.tables() {
                 fresh.ensure_table(t);
             }
@@ -634,7 +681,8 @@ mod tests {
         let mut store = DynamoDb::default();
         let d = doc();
         let entries = extract(&d, Strategy::Lu, ExtractOptions::default());
-        write_entries(&mut store, SimTime::ZERO, &entries, d.uri()).unwrap();
+        let root = Placement::root(Strategy::Lu);
+        write_entries(&mut store, SimTime::ZERO, root, &entries, d.uri()).unwrap();
         let keys = entry_item_keys(&entries, &store.profile(), d.uri());
         retract_keys(&mut store, SimTime::ZERO, &keys).unwrap();
         assert!(store.peek_all().is_empty());

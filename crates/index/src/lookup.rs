@@ -25,6 +25,7 @@
 
 use crate::codec::{BlockCursor, BlockList};
 use crate::key;
+use crate::partition::Placement;
 use crate::store::{decode_id_postings, decode_path_lists, decode_presence_uris};
 use crate::strategy::{ExtractOptions, Strategy, TABLE_ID, TABLE_MAIN, TABLE_PATH};
 use amada_cloud::{KvError, KvItem, KvStore, SimTime};
@@ -97,7 +98,8 @@ impl QueryLookup {
     }
 }
 
-/// Looks up a full query: each tree pattern independently (Section 5.5).
+/// Looks up a full query the paper's way — one strategy over the global
+/// tables — each tree pattern independently (Section 5.5).
 pub fn lookup_query(
     store: &mut dyn KvStore,
     now: SimTime,
@@ -108,79 +110,39 @@ pub fn lookup_query(
     let mut per_pattern = Vec::with_capacity(query.patterns.len());
     let mut t = now;
     for p in &query.patterns {
-        let outcome = lookup_pattern(store, t, strategy, opts, p)?;
+        let outcome = lookup_pattern_in(store, t, Placement::root(strategy), opts, p)?;
         t = outcome.ready_at;
         per_pattern.push(outcome);
     }
     Ok(QueryLookup::of(per_pattern))
 }
 
-/// The physical tables a strategy's look-up reads. Defaults to the
-/// global table constants; per-partition routing ([`crate::partition`])
-/// points them at a partition's own tables instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StrategyTables {
-    /// Single-table strategies (LU / LUP / LUI / LUP-PD).
-    pub main: &'static str,
-    /// 2LUPI path sub-index.
-    pub path: &'static str,
-    /// 2LUPI ID sub-index.
-    pub id: &'static str,
-}
-
-impl Default for StrategyTables {
-    fn default() -> Self {
-        StrategyTables {
-            main: TABLE_MAIN,
-            path: TABLE_PATH,
-            id: TABLE_ID,
-        }
-    }
-}
-
-/// Looks up a single tree pattern.
-pub fn lookup_pattern(
-    store: &mut dyn KvStore,
-    now: SimTime,
-    strategy: Strategy,
-    opts: ExtractOptions,
-    pattern: &TreePattern,
-) -> Result<LookupOutcome, KvError> {
-    lookup_pattern_in(
-        store,
-        now,
-        strategy,
-        opts,
-        pattern,
-        StrategyTables::default(),
-    )
-}
-
-/// Looks up a single tree pattern against an explicit table set (the
-/// default tables, or one partition's tables under a mixed plan).
+/// Looks up a single tree pattern with a placement's strategy against
+/// its tables (the global ones, or one partition's under a mixed plan).
 pub fn lookup_pattern_in(
     store: &mut dyn KvStore,
     now: SimTime,
-    strategy: Strategy,
+    placement: Placement<'_>,
     opts: ExtractOptions,
     pattern: &TreePattern,
-    tables: StrategyTables,
 ) -> Result<LookupOutcome, KvError> {
-    match strategy {
-        Strategy::Lu => lookup_lu(store, now, opts, pattern, tables.main),
+    let table = |base| placement.table(base);
+    match placement.strategy {
+        Strategy::Lu => lookup_lu(store, now, opts, pattern, table(TABLE_MAIN)),
         // LUP-PD narrows candidates exactly like LUP; only the fetch side
         // differs (the query core scans candidates server-side instead of
         // GET-ing them).
-        Strategy::Lup | Strategy::LupPd => lookup_lup(store, now, opts, pattern, tables.main),
-        Strategy::Lui => lookup_lui(store, now, opts, pattern, tables.main, None),
+        Strategy::Lup | Strategy::LupPd => lookup_lup(store, now, opts, pattern, table(TABLE_MAIN)),
+        Strategy::Lui => lookup_lui(store, now, opts, pattern, table(TABLE_MAIN), None),
         Strategy::TwoLupi => {
             // Phase 1: LUP on the path table → R1(URI).
-            let r1 = lookup_lup(store, now, opts, pattern, tables.path)?;
+            let r1 = lookup_lup(store, now, opts, pattern, table(TABLE_PATH))?;
             if r1.uris.is_empty() {
                 return Ok(r1);
             }
             // Phase 2: ID twig join reduced to R1.
-            let mut r2 = lookup_lui(store, r1.ready_at, opts, pattern, tables.id, Some(&r1.uris))?;
+            let id = table(TABLE_ID);
+            let mut r2 = lookup_lui(store, r1.ready_at, opts, pattern, id, Some(&r1.uris))?;
             r2.entries_processed += r1.entries_processed;
             r2.get_ops += r1.get_ops;
             Ok(r2)
@@ -686,10 +648,10 @@ mod tests {
     fn run(strategy: Strategy, pattern: &str) -> Vec<String> {
         let mut store = store_with(strategy);
         let p = parse_pattern(pattern).unwrap();
-        lookup_pattern(
+        lookup_pattern_in(
             store.as_mut(),
             SimTime::ZERO,
-            strategy,
+            Placement::root(strategy),
             ExtractOptions::default(),
             &p,
         )
@@ -859,10 +821,10 @@ mod tests {
                 .sum()
         };
         let run = |store: &mut dyn KvStore, strategy: Strategy| {
-            lookup_pattern(
+            lookup_pattern_in(
                 store,
                 SimTime::ZERO,
-                strategy,
+                Placement::root(strategy),
                 ExtractOptions::default(),
                 &repeated,
             )
@@ -913,10 +875,10 @@ mod tests {
     fn missing_key_short_circuits_to_empty() {
         let mut store = store_with(Strategy::Lu);
         let p = parse_pattern("//nonexistent[/name]").unwrap();
-        let out = lookup_pattern(
+        let out = lookup_pattern_in(
             store.as_mut(),
             SimTime::ZERO,
-            Strategy::Lu,
+            Placement::root(Strategy::Lu),
             ExtractOptions::default(),
             &p,
         )

@@ -6,11 +6,13 @@
 //! partition wants the ID-granularity index, a cold scan-heavy partition
 //! wants the cheapest path index — or no index at all. A [`MixedPlan`]
 //! assigns every *partition* (the URI's directory prefix) its own
-//! strategy, or `None` for "index nothing, scan".
+//! strategy, or `None` for "index nothing, scan", and answers the one
+//! routing question — which strategy indexes this document, into whose
+//! tables — as a [`Placement`] ([`MixedPlan::placement`]).
 //!
 //! Physically, each indexed partition owns its own tables —
-//! `amada-index@hot`, `amada-index-path@hot`, … — derived from the global
-//! table constants by [`partition_table`]. Separate tables are not an
+//! `amada-index@hot`, `amada-index-path@hot`, … — named from the global
+//! table constants by [`Placement::table`]. Separate tables are not an
 //! implementation convenience: LU, LUP and LUI all write the *same* main
 //! table with incompatible payload encodings, so two partitions on
 //! different single-table strategies must not share it; and per-table
@@ -26,25 +28,22 @@
 //! downstream (fetch, evaluate, join, bill) is unchanged.
 //!
 //! The paper's own layout is the **flat** plan ([`MixedPlan::flat`]): one
-//! strategy (or none) for the whole corpus, every URI routed to the root
+//! strategy (or none) for the whole corpus, every URI placed in the root
 //! partition's global tables *whatever its prefix*. That is not
 //! [`MixedPlan::uniform`], which gives `hot/doc.xml` its own
-//! `amada-index@hot` tables. The warehouse always runs under a plan; a
-//! configuration that names none runs under the flat one.
+//! `amada-index@hot` tables. The warehouse always runs under a plan; it
+//! starts under the flat one of its configured strategy.
 //!
 //! LUP-PD is deliberately not routable per partition: its *fetch* side
 //! (storage-side scans instead of GETs) is a per-query-core decision, so
 //! only a flat plan may carry it.
 
 use crate::loadutil::{write_entries, DocIndexing};
-use crate::lookup::{lookup_pattern_in, LookupOutcome, QueryLookup, StrategyTables};
-use crate::strategy::{
-    extract, ExtractOptions, IndexEntry, Strategy, TABLE_ID, TABLE_MAIN, TABLE_PATH,
-};
+use crate::lookup::{lookup_pattern_in, LookupOutcome, QueryLookup};
+use crate::strategy::{extract, ExtractOptions, Strategy};
 use amada_cloud::{KvError, KvStore, SimTime};
 use amada_pattern::Query;
 use amada_xml::Document;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -73,48 +72,38 @@ fn interned(name: String) -> &'static str {
     leaked
 }
 
-/// The partition-local variant of a global table: `amada-index@hot` for
-/// (`amada-index`, `hot`). The root partition keeps the global name, so a
-/// plan that assigns only the root partition is physically identical to
-/// the paper's single-strategy layout.
-pub fn partition_table(base: &'static str, partition: &str) -> &'static str {
-    if partition.is_empty() {
-        base
-    } else {
-        interned(format!("{base}@{partition}"))
-    }
+/// Where a plan puts one document: the strategy that indexes it and the
+/// partition whose tables hold its entries. Everything that routes —
+/// the loader's writes, the front end's key replay, a look-up, a
+/// migration's "did this document move" — routes by this pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement<'a> {
+    /// The strategy that extracts and looks up the document.
+    pub strategy: Strategy,
+    /// The partition whose tables hold its entries (`""`: the root).
+    pub partition: &'a str,
 }
 
-/// The look-up tables of one `(strategy, partition)` pair.
-pub fn partition_lookup_tables(partition: &str) -> StrategyTables {
-    StrategyTables {
-        main: partition_table(TABLE_MAIN, partition),
-        path: partition_table(TABLE_PATH, partition),
-        id: partition_table(TABLE_ID, partition),
+impl Placement<'_> {
+    /// The paper's placement: `strategy` over the global tables.
+    pub const fn root(strategy: Strategy) -> Placement<'static> {
+        Placement {
+            strategy,
+            partition: "",
+        }
     }
-}
 
-/// The physical tables `strategy` stores a partition's entries in.
-pub fn partition_tables(strategy: Strategy, partition: &str) -> Vec<&'static str> {
-    strategy
-        .tables()
-        .iter()
-        .map(|t| partition_table(t, partition))
-        .collect()
-}
-
-/// Freshly-extracted entries, redirected into their partition's tables.
-/// The root partition keeps the global tables, so its entries stay
-/// borrowed — no per-document copy on the paper's path.
-pub fn routed_entries<'a>(entries: &'a [IndexEntry], partition: &str) -> Cow<'a, [IndexEntry]> {
-    if partition.is_empty() {
-        return Cow::Borrowed(entries);
+    /// The physical table behind a global one: `amada-index@hot` for
+    /// `amada-index` in partition `hot`. The root partition keeps the
+    /// global name, so a plan that assigns only the root partition is
+    /// physically identical to the paper's single-strategy layout.
+    pub fn table(&self, base: &'static str) -> &'static str {
+        if self.partition.is_empty() {
+            base
+        } else {
+            interned(format!("{base}@{}", self.partition))
+        }
     }
-    let mut routed = entries.to_vec();
-    for e in &mut routed {
-        e.table = partition_table(e.table, partition);
-    }
-    Cow::Owned(routed)
 }
 
 /// A per-partition strategy assignment: named partitions map to a
@@ -163,6 +152,17 @@ impl MixedPlan {
         } else {
             partition_of(uri)
         }
+    }
+
+    /// Where this plan puts a document; `None` when it indexes nothing
+    /// for it (the document's partition is scanned).
+    pub fn placement<'a>(&self, uri: &'a str) -> Option<Placement<'a>> {
+        let partition = self.partition_of(uri);
+        let strategy = self.strategy_of(partition)?;
+        Some(Placement {
+            strategy,
+            partition,
+        })
     }
 
     /// Assigns a partition its strategy (builder form).
@@ -217,28 +217,12 @@ impl MixedPlan {
             .flatten()
             .collect()
     }
-
-    /// Every table a *named* partition's strategy stores entries in
-    /// (unnamed partitions are discovered at write time and their tables
-    /// ensured on demand).
-    pub fn known_tables(&self) -> Vec<&'static str> {
-        let mut out: BTreeSet<&'static str> = BTreeSet::new();
-        for (partition, strategy) in &self.assignments {
-            if let Some(s) = strategy {
-                out.extend(partition_tables(*s, partition));
-            }
-        }
-        if let Some(s) = self.default {
-            out.extend(s.tables().iter().copied());
-        }
-        out.into_iter().collect()
-    }
 }
 
 /// Indexes a document set under a routing plan, sequentially (host-side
 /// convenience for the oracles and tests; the warehouse's loader pool
-/// routes per document the same way and bursts each document's writes).
-/// Documents in unindexed partitions contribute nothing to the store.
+/// places each document the same way and bursts its writes). Documents
+/// the plan indexes nothing for contribute nothing to the store.
 pub fn index_documents_mixed(
     store: &mut dyn KvStore,
     docs: &[Document],
@@ -248,17 +232,15 @@ pub fn index_documents_mixed(
     let mut total = DocIndexing::default();
     let mut t = SimTime::ZERO;
     for d in docs {
-        let partition = plan.partition_of(d.uri());
-        let Some(strategy) = plan.strategy_of(partition) else {
+        let Some(placement) = plan.placement(d.uri()) else {
             continue;
         };
-        let entries = extract(d, strategy, opts);
-        let (m, ready) = write_entries(store, t, &routed_entries(&entries, partition), d.uri())
+        let entries = extract(d, placement.strategy, opts);
+        let (m, ready) = write_entries(store, t, placement, &entries, d.uri())
             .expect("mixed indexing must succeed");
         t = ready;
         total.entries += m.entries;
         total.items += m.items;
-        total.entry_bytes += m.entry_bytes;
         total.batches += m.batches;
     }
     total
@@ -275,24 +257,51 @@ pub fn index_documents(
     index_documents_mixed(store, docs, &MixedPlan::flat(Some(strategy)), opts)
 }
 
+/// One pattern's fan-out, merged. Partitions are independent tables, so
+/// their look-ups for one pattern are issued *concurrently* in virtual
+/// time: every one of `answers` started at `start`, and the pattern is
+/// ready when the slowest responds (round-trip latencies overlap; only
+/// the per-request service overheads serialise through the shared front
+/// door). Billed gets and processed entries sum; the candidates are the
+/// `scanned` partitions' documents — candidates for every pattern, the
+/// no-index scan scoped to those partitions — and every answer's, sorted.
+/// The first answer that failed fails the fan-out.
+pub fn merge_fan_out<E>(
+    start: SimTime,
+    scanned: &[Arc<str>],
+    answers: impl IntoIterator<Item = Result<LookupOutcome, E>>,
+) -> Result<LookupOutcome, E> {
+    let mut merged = LookupOutcome {
+        uris: scanned.to_vec(),
+        ready_at: start,
+        ..Default::default()
+    };
+    for answer in answers {
+        let answer = answer?;
+        merged.ready_at = merged.ready_at.max(answer.ready_at);
+        merged.entries_processed += answer.entries_processed;
+        merged.get_ops += answer.get_ops;
+        merged.uris.extend(answer.uris);
+    }
+    // One sorted source (the flat plan, a whole-corpus scan) is already
+    // in order, which makes this a linear pass.
+    merged.uris.sort_unstable();
+    merged.uris.dedup();
+    Ok(merged)
+}
+
 /// Looks up a full query under a routing plan — the one look-up entry
 /// point: a flat plan is the single-strategy chain of
 /// [`crate::lookup_query`] over the global tables, a plan that indexes
 /// nothing issues no store call at all. Each indexed partition answers
-/// with its own strategy against its own tables. Partitions are
-/// independent tables, so their look-ups for one pattern are issued
-/// *concurrently* in virtual time — each starts at the pattern's start
-/// time and the pattern completes when the slowest partition responds
-/// (round-trip latencies overlap; only the per-request service overheads
-/// serialise through the shared front door). Patterns still chain on one
-/// another like the per-pattern chain of [`crate::lookup_query`]. Every
-/// document of an unindexed partition is a candidate for every pattern —
-/// the no-index scan scoped to that partition. `corpus_uris` is the
-/// document listing; it determines which documents the scan partitions
+/// with its own placement and every pattern's answers are merged by
+/// [`merge_fan_out`]; patterns chain on one another like the per-pattern
+/// chain of [`crate::lookup_query`]. `corpus_uris` is the document
+/// listing; it determines which documents the scan partitions
 /// contribute. `catalog` names the partitions the front end knows exist
 /// without consulting the listing — the warehouse's own upload records,
 /// free host-side metadata like the plan itself. A fully indexed plan
-/// routes every partition to an index look-up and never needs the
+/// places every document under an index and never needs the
 /// per-document listing, so its caller can pass an empty `corpus_uris`
 /// (skipping the billed LIST) as long as the catalog covers every
 /// partition that holds documents; a plan with scan partitions still
@@ -306,58 +315,43 @@ pub fn lookup_mixed(
     corpus_uris: &[Arc<str>],
     catalog: &BTreeSet<String>,
 ) -> Result<QueryLookup, KvError> {
-    // Partition the corpus listing once; catalog partitions exist even
-    // when the listing (or their slice of it) is empty.
-    let mut by_partition: BTreeMap<&str, Vec<&Arc<str>>> = BTreeMap::new();
+    // Catalog partitions exist even when the listing (or their slice of
+    // it) is empty; a listed document is placed or scanned.
+    let mut indexed: BTreeMap<&str, Placement<'_>> = BTreeMap::new();
     for partition in catalog {
-        by_partition.entry(partition.as_str()).or_default();
+        if let Some(strategy) = plan.strategy_of(partition) {
+            let placement = Placement {
+                strategy,
+                partition,
+            };
+            indexed.insert(partition, placement);
+        }
     }
-    for uri in corpus_uris {
-        by_partition
-            .entry(plan.partition_of(uri))
-            .or_default()
-            .push(uri);
-    }
-    let mut indexed: Vec<(&str, Strategy)> = Vec::new();
     let mut scanned: Vec<Arc<str>> = Vec::new();
-    for (&partition, uris) in &by_partition {
-        match plan.strategy_of(partition) {
-            Some(s) => {
-                // The partition's tables may be empty (nothing indexed
-                // yet) but must exist for the look-up to run.
-                for t in partition_tables(s, partition) {
-                    store.ensure_table(t);
-                }
-                indexed.push((partition, s));
+    for uri in corpus_uris {
+        match plan.placement(uri) {
+            Some(placement) => {
+                indexed.insert(placement.partition, placement);
             }
-            None => scanned.extend(uris.iter().copied().cloned()),
+            None => scanned.push(uri.clone()),
+        }
+    }
+    // A partition's tables may be empty (nothing indexed yet) but must
+    // exist for the look-up to run.
+    for placement in indexed.values() {
+        for base in placement.strategy.tables() {
+            store.ensure_table(placement.table(base));
         }
     }
 
     let mut per_pattern = Vec::with_capacity(query.patterns.len());
     let mut t = now;
     for p in &query.patterns {
-        let mut merged = LookupOutcome {
-            uris: scanned.clone(),
-            ..Default::default()
-        };
-        // Fan out: every partition's look-up is issued at the pattern's
-        // start time; the pattern is ready when the slowest responds.
-        let mut ready = t;
-        for &(partition, strategy) in &indexed {
-            let tables = partition_lookup_tables(partition);
-            let outcome = lookup_pattern_in(store, t, strategy, opts, p, tables)?;
-            ready = ready.max(outcome.ready_at);
-            merged.entries_processed += outcome.entries_processed;
-            merged.get_ops += outcome.get_ops;
-            merged.uris.extend(outcome.uris);
-        }
-        t = ready;
-        merged.ready_at = t;
-        // One sorted source (the flat plan, a whole-corpus scan) is
-        // already in order, which makes this a linear pass.
-        merged.uris.sort_unstable();
-        merged.uris.dedup();
+        let answers = indexed
+            .values()
+            .map(|&placement| lookup_pattern_in(store, t, placement, opts, p));
+        let merged = merge_fan_out(t, &scanned, answers)?;
+        t = merged.ready_at;
         per_pattern.push(merged);
     }
     Ok(QueryLookup::of(per_pattern))
@@ -366,6 +360,7 @@ pub fn lookup_mixed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{TABLE_MAIN, TABLE_PATH};
     use amada_cloud::DynamoDb;
     use amada_pattern::parse_query;
 
@@ -390,12 +385,17 @@ mod tests {
 
     #[test]
     fn partition_tables_intern_to_stable_statics() {
-        let a = partition_table(TABLE_MAIN, "hot");
-        let b = partition_table(TABLE_MAIN, "hot");
+        let hot = Placement {
+            strategy: Strategy::TwoLupi,
+            partition: "hot",
+        };
+        let (a, b) = (hot.table(TABLE_MAIN), hot.table(TABLE_MAIN));
         assert_eq!(a, "amada-index@hot");
         assert!(std::ptr::eq(a, b), "same partition, same static");
+        assert_eq!(hot.table(TABLE_PATH), "amada-index-path@hot");
         // The root partition keeps the paper's global layout.
-        assert!(std::ptr::eq(partition_table(TABLE_MAIN, ""), TABLE_MAIN));
+        let root = Placement::root(Strategy::Lu);
+        assert!(std::ptr::eq(root.table(TABLE_MAIN), TABLE_MAIN));
     }
 
     #[test]
@@ -403,7 +403,7 @@ mod tests {
         let plan = MixedPlan::uniform(Some(Strategy::Lup))
             .with("hot", Some(Strategy::TwoLupi))
             .with("cold", None);
-        let route = |plan: &MixedPlan, uri| plan.strategy_of(plan.partition_of(uri));
+        let route = |plan: &MixedPlan, uri| plan.placement(uri).map(|p| p.strategy);
         assert_eq!(route(&plan, "hot/a.xml"), Some(Strategy::TwoLupi));
         assert_eq!(route(&plan, "cold/c.xml"), None);
         assert_eq!(route(&plan, "d.xml"), Some(Strategy::Lup));
@@ -415,9 +415,13 @@ mod tests {
         // A flat plan ignores prefixes; a uniform one does not.
         let flat = MixedPlan::flat(Some(Strategy::Lup));
         assert_eq!(flat.partition_of("hot/a.xml"), "");
-        assert_eq!(route(&flat, "hot/a.xml"), Some(Strategy::Lup));
+        assert_eq!(
+            flat.placement("hot/a.xml"),
+            Some(Placement::root(Strategy::Lup))
+        );
         let uniform = MixedPlan::uniform(Some(Strategy::Lup));
         assert_eq!(uniform.partition_of("hot/a.xml"), "hot");
+        assert_eq!(uniform.placement("hot/a.xml").unwrap().partition, "hot");
         assert_ne!(flat, uniform);
     }
 

@@ -10,7 +10,9 @@
 //! via `amada-rng`, so failures reproduce exactly.
 
 use amada_cloud::{DynamoDb, KvStore, SimTime};
-use amada_index::{index_documents, lookup_pattern, ExtractOptions, Strategy as IndexStrategy};
+use amada_index::{
+    index_documents, lookup_pattern_in, ExtractOptions, Placement, Strategy as IndexStrategy,
+};
 use amada_pattern::ast::{Axis, NodeTest, Output, PatternNode, Predicate, TreePattern};
 use amada_pattern::eval::naive_has_match;
 use amada_rng::StdRng;
@@ -131,7 +133,14 @@ fn containment_and_no_false_negatives() {
         for s in IndexStrategy::ALL {
             let mut store: Box<dyn KvStore> = Box::new(DynamoDb::default());
             index_documents(store.as_mut(), &docs, s, opts);
-            let out = lookup_pattern(store.as_mut(), SimTime::ZERO, s, opts, &pattern).unwrap();
+            let out = lookup_pattern_in(
+                store.as_mut(),
+                SimTime::ZERO,
+                Placement::root(s),
+                opts,
+                &pattern,
+            )
+            .unwrap();
             per_strategy.push(out.uris.iter().map(|u| u.to_string()).collect());
         }
         let (lu, lup, lui, lupi) = (

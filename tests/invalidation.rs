@@ -36,9 +36,12 @@ fn queries() -> Vec<Query> {
 
 fn warehouse(plan: &Option<MixedPlan>) -> Warehouse {
     let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-    cfg.mixed_plan = plan.clone();
     cfg.host.record = true;
-    Warehouse::new(cfg)
+    let mut w = Warehouse::new(cfg);
+    if let Some(plan) = plan {
+        w.apply_plan(plan.clone());
+    }
+    w
 }
 
 fn batch_gets(spans: &[Span]) -> usize {
@@ -163,7 +166,8 @@ fn every_mutation_drops_the_hoisted_read_path_state() {
         // then stop existing.
         for next in [all_lui.clone(), None] {
             plan = next;
-            assert!(w.apply_plan(plan.clone()) > 0);
+            let flat = MixedPlan::flat(Some(Strategy::Lup));
+            assert!(w.apply_plan(plan.clone().unwrap_or(flat)) > 0);
             w.build_index();
             assert_like_fresh(&mut w, &state, &plan, "a plan switch");
         }

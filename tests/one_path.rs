@@ -34,13 +34,16 @@ fn named(text: &str, name: &str) -> Query {
 fn deployed(strategy: Strategy, plan: Option<MixedPlan>) -> Warehouse {
     let mut cfg = WarehouseConfig::with_strategy(strategy);
     cfg.host.record = true;
-    cfg.mixed_plan = plan;
-    Warehouse::new(cfg)
+    let mut w = Warehouse::new(cfg);
+    if let Some(plan) = plan {
+        w.apply_plan(plan);
+    }
+    w
 }
 
 /// Switches a live warehouse to `plan`; returns the documents migrating.
 fn replan(w: &mut Warehouse, plan: MixedPlan) -> u64 {
-    w.apply_plan(Some(plan))
+    w.apply_plan(plan)
 }
 
 fn recording(strategy: Strategy, plan: Option<MixedPlan>) -> Warehouse {
