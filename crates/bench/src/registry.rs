@@ -307,7 +307,7 @@ pub fn bench_json(computed: &Computed, scale: &Scale, threads: usize) -> String 
             "null".to_string()
         }
     };
-    let cache = amada_index::cache::global_stats();
+    let cache = amada_index::ExtractCache::shared().stats();
     let numbers: Vec<String> = computed
         .outcome
         .numbers

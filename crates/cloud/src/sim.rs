@@ -375,11 +375,6 @@ impl Engine {
         self.actors.clear();
         self.now
     }
-
-    /// Consumes the engine, returning the world (for post-run reporting).
-    pub fn into_world(self) -> World {
-        self.world
-    }
 }
 
 #[cfg(test)]

@@ -124,26 +124,6 @@ impl CacheStats {
     }
 }
 
-/// Process-wide counters aggregated across every cache instance, so a
-/// harness (e.g. the `repro` binary) can report an overall hit rate
-/// without threading handles through each experiment.
-static GLOBAL: [AtomicU64; 4] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-
-/// Snapshot of the process-wide counters (all caches since start-up).
-pub fn global_stats() -> CacheStats {
-    CacheStats {
-        parse_hits: GLOBAL[0].load(Ordering::Relaxed),
-        parse_misses: GLOBAL[1].load(Ordering::Relaxed),
-        extract_hits: GLOBAL[2].load(Ordering::Relaxed),
-        extract_misses: GLOBAL[3].load(Ordering::Relaxed),
-    }
-}
-
 /// A sharded, `Send + Sync` cache of parsed documents and their
 /// extraction results. Cheap to clone the handle via [`Arc`].
 pub struct ExtractCache {
@@ -190,7 +170,6 @@ impl ExtractCache {
 
     fn bump(&self, i: usize) {
         self.stats[i].fetch_add(1, Ordering::Relaxed);
-        GLOBAL[i].fetch_add(1, Ordering::Relaxed);
     }
 
     /// This cache's statistics.

@@ -179,11 +179,6 @@ impl TreePattern {
         (0..self.nodes.len()).filter(|&i| self.nodes[i].children.is_empty())
     }
 
-    /// Indices of nodes carrying at least one output annotation, preorder.
-    pub fn output_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.nodes.len()).filter(|&i| !self.nodes[i].outputs.is_empty())
-    }
-
     /// The root-to-leaf label paths with edge types — the "query paths" of
     /// the LUP look-up (Section 5.2). Each path is the list of
     /// `(axis, node index)` from the root down to a leaf.

@@ -230,15 +230,6 @@ impl Document {
             .map(|(i, v)| (self.interner.resolve(Sym(i as u32)), v.as_slice()))
     }
 
-    /// Iterates `(name, nodes)` for every distinct attribute name.
-    pub fn attribute_labels(&self) -> impl Iterator<Item = (&str, &[NodeId])> {
-        self.attribute_postings
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(i, v)| (self.interner.resolve(Sym(i as u32)), v.as_slice()))
-    }
-
     /// The *string value* of a node (XQuery data model): for text and
     /// attribute nodes their content; for elements the concatenation of all
     /// descendant text, in document order. This is what a `val`-annotated
