@@ -563,14 +563,14 @@ impl<'a> Scenario<'a> {
                 .filter_map(|(p, s)| s.map(|s| self.partition_lookup(p, s, fam_idx, &fam.query)))
                 .collect::<Result<_, _>>()?;
             let mut lookup_get = SimDuration::ZERO;
-            let mut merged = Vec::with_capacity(npat);
+            let mut looked_up = Vec::with_capacity(npat);
             for i in 0..npat {
                 let answers = indexed.iter().map(|part| Ok(part[i].clone()));
-                let pattern: LookupOutcome = merge_fan_out(SimTime::ZERO, &scanned, answers)?;
-                lookup_get += pattern.ready_at - SimTime::ZERO;
-                merged.push(pattern);
+                let merged: LookupOutcome = merge_fan_out(SimTime::ZERO, &scanned, answers)?;
+                lookup_get += merged.ready_at - SimTime::ZERO;
+                looked_up.push(merged);
             }
-            let lookup = QueryLookup::of(merged);
+            let lookup = QueryLookup::of(looked_up);
             let get_ops = lookup.get_ops();
             let plan_time = work.plan(lookup.entries_processed(), qecu);
             // Transfer + evaluate, serialized then divided across cores —

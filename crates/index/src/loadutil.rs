@@ -223,11 +223,13 @@ pub fn placed_item_keys(
     let mut named: Vec<(&'static str, &'static str)> = Vec::new();
     for (table, ..) in &mut keys {
         let base = *table;
-        let known = named.iter().find(|(b, _)| *b == base);
-        *table = known.map(|(_, physical)| *physical).unwrap_or_else(|| {
-            named.push((base, placement.table(base)));
-            named[named.len() - 1].1
-        });
+        *table = match named.iter().find(|(b, _)| *b == base) {
+            Some(&(_, physical)) => physical,
+            None => {
+                named.push((base, placement.table(base)));
+                named[named.len() - 1].1
+            }
+        };
     }
     keys
 }
