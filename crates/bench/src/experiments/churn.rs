@@ -21,7 +21,7 @@
 pub use super::pushdown::STRATEGIES;
 use crate::{corpus, strategy_warehouse, Outcome, Scale, TextTable};
 use amada_cloud::{InstanceType, Money};
-use amada_core::{advise_adaptive, FamilyLoad, Horizon, Pool, WarehouseConfig};
+use amada_core::{advise_adaptive, Churn, FamilyLoad, Horizon, Pool, WarehouseConfig};
 use amada_index::Strategy;
 use amada_xmark::generate_document;
 use std::collections::BTreeMap;
@@ -59,8 +59,11 @@ pub struct ChurnRow {
 /// Runs the sweep. Each strategy keeps one warehouse alive across the
 /// whole sweep: its query savings are measured once on the fresh corpus,
 /// then every rate applies one churn round (replace + incremental
-/// rebuild) and bills it.
-pub fn churn_rows(scale: &Scale) -> Vec<ChurnRow> {
+/// rebuild) and bills it. Last, a twentieth of the corpus is replaced
+/// once more and then re-uploaded unchanged: the second value is what that
+/// identical re-upload retracted, all strategies together — nothing,
+/// while a range key names its entry and not its place in the document.
+pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, u64) {
     let docs = corpus(scale);
     let queries = crate::workload();
 
@@ -82,25 +85,29 @@ pub fn churn_rows(scale: &Scale) -> Vec<ChurnRow> {
         .map(|query| FamilyLoad { query, arrivals: 1 })
         .collect();
 
+    // New versions: the same document slots regenerated under a
+    // round-specific seed, so every replaced document truly changes and
+    // the keys it lost go stale.
+    let versions_of = |round: usize| {
+        let mut cc = scale.corpus_config();
+        cc.seed = scale.seed ^ (round as u64).wrapping_mul(0x9E37_79B9) ^ 0xC0DE;
+        move |i: usize| generate_document(&cc, i).xml
+    };
     let mut rows = Vec::new();
     for (round, &rate_pct) in RATES.iter().enumerate() {
         let replaced = (docs.len() as u64 * rate_pct).div_ceil(100) as usize;
+        let next = versions_of(round);
         let mut per_strategy = Vec::new();
         let mut retracted = 0u64;
         for (strategy, w, benefit) in fleet.iter_mut() {
             let maintenance = if replaced == 0 {
                 Money::ZERO
             } else {
-                // New versions: the same document slots regenerated under
-                // a round-specific seed, so every replaced document truly
-                // changes and old entries go stale.
-                let mut cc = scale.corpus_config();
-                cc.seed = scale.seed ^ (round as u64).wrapping_mul(0x9E37_79B9) ^ 0xC0DE;
                 w.upload_documents(
                     docs.iter()
                         .take(replaced)
                         .enumerate()
-                        .map(|(i, (uri, _))| (uri.clone(), generate_document(&cc, i).xml)),
+                        .map(|(i, (uri, _))| (uri.clone(), next(i))),
                 );
                 let report = w.build_index();
                 retracted += report.retracted_items;
@@ -117,18 +124,29 @@ pub fn churn_rows(scale: &Scale) -> Vec<ChurnRow> {
             .filter(|(_, _, net)| *net > 0)
             .max_by_key(|(_, _, net)| *net)
             .map_or("none", |(name, _, _)| name);
+        // The advisor is told the traffic: how many of its sample's
+        // documents a round replaces, and the share of their keys the
+        // round's versions drop.
         let churned = (sample.len() as u64 * rate_pct).div_ceil(100);
+        let base = WarehouseConfig::default();
+        let next_versions: Vec<String> = (0..churned as usize).map(&next).collect();
+        let versions = sample
+            .iter()
+            .zip(&next_versions)
+            .map(|((uri, old), next)| (uri.as_str(), old.as_str(), next.as_str()));
+        let churn =
+            Churn::measured(churned, versions, &base).expect("the generated sample is well-formed");
         let advice = advise_adaptive(
             &sample,
             &families,
-            &BTreeMap::from([(String::new(), churned)]),
+            &BTreeMap::from([(String::new(), churn)]),
             &Horizon {
                 expected_runs: ADVISOR_RUNS,
                 months: 1.0,
                 budget_per_month: None,
                 response_slo: None,
             },
-            &WarehouseConfig::default(),
+            &base,
         )
         .expect("the generated sample is well-formed and within the store's limits");
         let winner = advice.chosen.plan.strategy_of("");
@@ -142,15 +160,29 @@ pub fn churn_rows(scale: &Scale) -> Vec<ChurnRow> {
             advisor,
         });
     }
-    rows
+
+    let next = versions_of(RATES.len());
+    let again = || {
+        let some = docs.iter().take(docs.len().div_ceil(20)).enumerate();
+        some.map(|(i, (uri, _))| (uri.clone(), next(i)))
+    };
+    let mut identical_retracted = 0;
+    for (_, w, _) in fleet.iter_mut() {
+        w.upload_documents(again());
+        w.build_index();
+        w.upload_documents(again());
+        identical_retracted += w.build_index().retracted_items;
+    }
+    (rows, identical_retracted)
 }
 
 /// The rendered sweep with its headline numbers: points run, strategies
 /// whose net benefit flipped negative within the sweep, stale items
 /// retracted across all maintenance rounds, and the first churn rate
 /// (percent) at which the advisor picked "index nothing" (0 when it never
-/// did).
-pub fn outcome(rows: &[ChurnRow]) -> Outcome {
+/// did), and the items the closing identical re-upload retracted (CI
+/// fails the smoke run unless it is 0).
+pub fn outcome(rows: &[ChurnRow], identical_retracted: u64) -> Outcome {
     let flips = (0..STRATEGIES.len())
         .filter(|&si| {
             rows.first().is_some_and(|r| r.per_strategy[si].2 > 0)
@@ -171,13 +203,15 @@ pub fn outcome(rows: &[ChurnRow]) -> Outcome {
             ("strategy_flips", flips as f64),
             ("retracted_items", retracted as f64),
             ("advisor_flip_pct", advisor_flip as f64),
+            ("identical_reupload_retracted", identical_retracted as f64),
         ],
     }
 }
 
 /// The `repro churn` artifact.
 pub fn churn(scale: &Scale) -> Outcome {
-    outcome(&churn_rows(scale))
+    let (rows, identical_retracted) = churn_rows(scale);
+    outcome(&rows, identical_retracted)
 }
 
 /// Renders already-computed rows.
@@ -216,9 +250,12 @@ pub fn render(rows: &[ChurnRow]) -> TextTable {
 mod tests {
     use super::*;
 
+    /// Twice tiny's documents: at tiny itself the measured nets at 25 %
+    /// are within a tenth of a millidollar of zero, and which side of it an
+    /// estimate falls on says nothing.
     #[test]
     fn every_strategy_crosses_over_and_the_advisor_flips() {
-        let rows = churn_rows(&Scale::tiny());
+        let (rows, identical_retracted) = churn_rows(&Scale::tiny().scaled(2.0));
         assert_eq!(rows.len(), RATES.len());
         let (first, last) = (&rows[0], rows.last().unwrap());
 
@@ -254,25 +291,32 @@ mod tests {
                 );
             }
         }
-        let outcome = outcome(&rows);
+        assert_eq!(identical_retracted, 0, "an identical re-upload retracts");
+        let outcome = outcome(&rows, identical_retracted);
         assert_eq!(outcome.number("sweep_points"), Some(RATES.len() as f64));
         assert_eq!(
             outcome.number("strategy_flips"),
             Some(STRATEGIES.len() as f64)
         );
         assert!(outcome.number("retracted_items").unwrap() > 0.0);
-        let flip = outcome.number("advisor_flip_pct").unwrap();
+        // The advisor, told how many documents a round replaces and the
+        // share of keys they drop, flips inside the measured bracket:
+        // after the last rate at which some index still pays, no later
+        // than the first at which none does.
+        let flip = outcome.number("advisor_flip_pct").unwrap() as u64;
+        let still_pays = rows.iter().rfind(|r| r.best != "none").unwrap().rate_pct;
+        let none_pays = rows.iter().find(|r| r.best == "none").unwrap().rate_pct;
         assert!(
-            (1.0..=100.0).contains(&flip),
-            "the advisor must flip to index-nothing within the sweep (got {flip})"
+            still_pays < flip && flip <= none_pays,
+            "the advisor flips at {flip} %, the measurement in ({still_pays}, {none_pays}] %"
         );
     }
 
     #[test]
     fn same_scale_same_table() {
         let scale = Scale::tiny();
-        let a = render(&churn_rows(&scale));
-        let b = render(&churn_rows(&scale));
+        let a = render(&churn_rows(&scale).0);
+        let b = render(&churn_rows(&scale).0);
         assert_eq!(a.to_string(), b.to_string());
     }
 }

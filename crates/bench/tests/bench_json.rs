@@ -44,7 +44,7 @@ fn one_report_per_artifact_in_one_process_or_two() {
         "\"sweep_points\": 6",
         "\"strategy_flips\": 5",
         "\"retracted_items\": ",
-        "\"advisor_flip_pct\": 25",
+        "\"advisor_flip_pct\": 50",
     ] {
         assert!(churn.contains(number), "{number} missing from {churn}");
     }

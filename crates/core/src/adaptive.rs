@@ -50,8 +50,8 @@ use crate::cost::CostModel;
 use crate::metrics::result_payload;
 use amada_cloud::{KvError, KvStore, Money, SimDuration, SimTime, S3};
 use amada_index::{
-    extract, lookup_pattern_in, merge_fan_out, partition_of, write_entries, LookupOutcome,
-    MixedPlan, Placement, QueryLookup, Strategy,
+    entry_item_keys, extract, lookup_pattern_in, merge_fan_out, partition_of, stale_keys,
+    write_entries, LookupOutcome, MixedPlan, Placement, QueryLookup, Strategy,
 };
 use amada_obs::Attribution;
 use amada_pattern::{evaluate_pattern_twig, join_pattern_results, Query, Tuple};
@@ -128,6 +128,48 @@ pub fn observed_families(attr: &Attribution, catalog: &[Query]) -> Vec<FamilyLoa
             })
         })
         .collect()
+}
+
+/// One partition's declared churn per workload run — traffic, like
+/// [`FamilyLoad::arrivals`], not a knob.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Churn {
+    /// Documents replaced.
+    pub documents: u64,
+    /// The share of a replaced version's index items its next version
+    /// holds no key for, `0.0..=1.0`. A range key names its entry, so the
+    /// rewrite overwrites every kept item in place and only the dropped
+    /// ones are billed a delete.
+    pub dropped: f64,
+}
+
+impl Churn {
+    /// Measures `dropped` over `(uri, replaced xml, next xml)` versions: a
+    /// key is kept or dropped whatever a strategy stores under it, so the
+    /// presence index's keys stand for every strategy's.
+    pub fn measured<'a>(
+        documents: u64,
+        versions: impl IntoIterator<Item = (&'a str, &'a str, &'a str)>,
+        base: &WarehouseConfig,
+    ) -> Result<Churn, AdviseError> {
+        let profile = base.backend.clone().open(base.kv_tuning).profile();
+        let (mut dropped, mut held) = (0usize, 0usize);
+        for (uri, replaced, next) in versions {
+            let keys = |xml| {
+                let doc = Document::parse_str(uri, xml)
+                    .map_err(|e| AdviseError::Parse(uri.to_string(), e))?;
+                let entries = extract(&doc, Strategy::Lu, base.extract);
+                Ok(entry_item_keys(&entries, &profile, uri))
+            };
+            let old = keys(replaced)?;
+            dropped += stale_keys(&old, &keys(next)?).len();
+            held += old.len();
+        }
+        Ok(Churn {
+            documents,
+            dropped: dropped as f64 / held.max(1) as f64,
+        })
+    }
 }
 
 /// The projection horizon and the operator's constraints.
@@ -507,7 +549,7 @@ impl<'a> Scenario<'a> {
         &self,
         plan: &MixedPlan,
         workload: &[FamilyLoad],
-        churn: &BTreeMap<String, u64>,
+        churn: &BTreeMap<String, Churn>,
         horizon: &Horizon,
     ) -> Result<PlanEstimate, AdviseError> {
         let work = &self.base.work;
@@ -613,18 +655,22 @@ impl<'a> Scenario<'a> {
         };
 
         // ---- Maintenance: per run, the declared churn re-indexes its
-        // documents (new entries written, stale ones retracted — both
-        // billed as index writes) wherever the partition is indexed. ----
+        // documents wherever the partition is indexed: the next version's
+        // entries written — over the kept ones, in place — and the dropped
+        // share retracted, both billed as index writes. ----
         let mut maintenance = Money::ZERO;
-        for (partition, &count) in churn {
+        for (partition, churn) in churn {
             let build = self.partition_build(partition, plan.strategy_of(partition))?;
             let members = self.uris.iter().filter(|(_, p)| p == partition);
-            for (uri, _) in members.take(count as usize) {
+            let dropped_ppm = (churn.dropped * 1e6).round() as u64;
+            for (uri, _) in members.take(churn.documents as usize) {
                 let (puts, serial_doc) = build.per_doc[uri];
                 if puts == 0 {
                     continue; // unindexed partitions churn free
                 }
-                maintenance += self.cost.prices.idx_put * (2 * puts)
+                let rewrite = self.cost.prices.idx_put * puts;
+                maintenance += rewrite
+                    + rewrite.scaled(dropped_ppm, 1_000_000)
                     + self.cost.prices.st_get
                     + self.cost.prices.qs_request * 2
                     + self.vm(serial_doc, lpool.itype, lcores);
@@ -670,7 +716,7 @@ pub fn estimate_plan(
     sample: &[(String, String)],
     plan: &MixedPlan,
     workload: &[FamilyLoad],
-    churn: &BTreeMap<String, u64>,
+    churn: &BTreeMap<String, Churn>,
     horizon: &Horizon,
     base: &WarehouseConfig,
 ) -> Result<PlanEstimate, AdviseError> {
@@ -691,7 +737,8 @@ fn rank(e: &PlanEstimate) -> (Money, &str) {
 ///   prefix;
 /// * `workload` — the observed query families with arrival weights
 ///   (typically [`observed_families`] over live attribution);
-/// * `churn` — documents replaced per workload run, per partition;
+/// * `churn` — per partition, the documents replaced per workload run and
+///   the share of keys a next version drops;
 /// * `horizon` — runs, months and the optional monthly budget;
 /// * `base` — deployment parameters (pools, prices, work model).
 ///
@@ -702,7 +749,7 @@ fn rank(e: &PlanEstimate) -> (Money, &str) {
 pub fn advise_adaptive(
     sample: &[(String, String)],
     workload: &[FamilyLoad],
-    churn: &BTreeMap<String, u64>,
+    churn: &BTreeMap<String, Churn>,
     horizon: &Horizon,
     base: &WarehouseConfig,
 ) -> Result<AdaptiveAdvice, AdviseError> {
@@ -891,6 +938,18 @@ mod tests {
         }
     }
 
+    /// `documents` replaced per run, dropping the share of keys the
+    /// sample's next versions (the same slots under another seed — what
+    /// [`measured`] uploads) drop.
+    fn regenerated(documents: u64) -> Churn {
+        let (old, next) = (sample(), sample_seeded(0xC0DE));
+        let versions = old
+            .iter()
+            .zip(&next)
+            .map(|((uri, old), (_, next))| (uri.as_str(), old.as_str(), next.as_str()));
+        Churn::measured(documents, versions, &WarehouseConfig::default()).unwrap()
+    }
+
     /// One measured deployment: build-phase bill, monthly storage, one
     /// arrival-weighted workload run with the index gets it issued, and
     /// the rebuild bill of one churn round.
@@ -912,7 +971,7 @@ mod tests {
         base: &WarehouseConfig,
         plan: &MixedPlan,
         workload: &[FamilyLoad],
-        churn: &BTreeMap<String, u64>,
+        churn: &BTreeMap<String, Churn>,
     ) -> Measured {
         let mut cfg = base.clone();
         let flat = *plan == MixedPlan::flat(plan.default_strategy());
@@ -947,8 +1006,8 @@ mod tests {
         let mut remaining = churn.clone();
         w.upload_documents(sample_seeded(0xC0DE).into_iter().filter(|(uri, _)| {
             match remaining.get_mut(plan.partition_of(uri)) {
-                Some(left) if *left > 0 => {
-                    *left -= 1;
+                Some(left) if left.documents > 0 => {
+                    left.documents -= 1;
                     true
                 }
                 _ => false,
@@ -981,12 +1040,15 @@ mod tests {
         let whole = |plan: &MixedPlan| {
             let mut churn = BTreeMap::new();
             for (uri, _) in sample() {
-                *churn
+                churn
                     .entry(plan.partition_of(&uri).to_string())
-                    .or_insert(0) += 1;
+                    .or_insert(regenerated(0))
+                    .documents += 1;
             }
             churn
         };
+        let dropped = regenerated(0).dropped;
+        assert!(0.0 < dropped && dropped < 1.0, "{dropped}");
         let plans = [
             (MixedPlan::uniform(Some(Strategy::Lup)), "uniform:LUP"),
             (
@@ -1040,7 +1102,7 @@ mod tests {
         // deployment bills every loader instance for the whole rebuild
         // phase while the estimate bills only the cores the work fills.
         let (plan, label) = &plans[0];
-        let few = BTreeMap::from([("hot".to_string(), 2)]);
+        let few = BTreeMap::from([("hot".to_string(), regenerated(2))]);
         let est = estimate_plan(&sample(), plan, &[], &few, &horizon(10, None), &base).unwrap();
         let m = measured(&base, plan, &[], &few);
         assert!(
@@ -1108,7 +1170,7 @@ mod tests {
     #[test]
     fn adaptive_plan_beats_every_uniform_layout() {
         let mut churn = BTreeMap::new();
-        churn.insert("churn".to_string(), 6u64);
+        churn.insert("churn".to_string(), regenerated(6));
         let advice = advise_adaptive(
             &sample(),
             &workload(),
@@ -1304,7 +1366,7 @@ mod tests {
             })
             .collect();
         let replaced = (sample.len() as f64 * churn_per_run).ceil() as u64;
-        let churn = BTreeMap::from([(String::new(), replaced)]);
+        let churn = BTreeMap::from([(String::new(), regenerated(replaced))]);
         advise_adaptive(
             &sample,
             &workload,

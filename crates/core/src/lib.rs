@@ -19,8 +19,8 @@ pub mod warehouse;
 
 pub use actors::RetractionRegistry;
 pub use adaptive::{
-    advise_adaptive, estimate_plan, observed_families, AdaptiveAdvice, AdviseError, FamilyLoad,
-    Horizon, PlanEstimate, ESTIMATE_TOLERANCE,
+    advise_adaptive, estimate_plan, observed_families, AdaptiveAdvice, AdviseError, Churn,
+    FamilyLoad, Horizon, PlanEstimate, ESTIMATE_TOLERANCE,
 };
 pub use amortization::{Amortization, AmortizationPoint};
 pub use autoscale::{

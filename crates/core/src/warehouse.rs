@@ -270,14 +270,15 @@ impl Warehouse {
     /// is incremental; follow each batch with [`Warehouse::build_index`].
     ///
     /// Re-uploading an existing URI replaces the stored document and
-    /// re-indexes it (deterministic range keys make that idempotent per
-    /// key). Index entries for keys that no longer occur in the new
-    /// version *are* retracted: the front end records the replaced
-    /// version's item keys before overwriting the object, and the loader
-    /// deletes the stale ones right after writing the new version — so a
-    /// shrunk re-upload stops billing look-ups and document GETs for its
-    /// removed keys as soon as the next [`Warehouse::build_index`]
-    /// completes. See also [`Warehouse::delete_documents`].
+    /// re-indexes it (a range key names its entry, so a key the new
+    /// version keeps is overwritten in place). Index entries for keys that
+    /// no longer occur in the new version *are* retracted: the front end
+    /// records the replaced version's item keys before overwriting the
+    /// object, and the loader deletes the stale ones right after writing
+    /// the new version — so a shrunk re-upload stops billing look-ups and
+    /// document GETs for its removed keys as soon as the next
+    /// [`Warehouse::build_index`] completes. See also
+    /// [`Warehouse::delete_documents`].
     pub fn upload_documents<I, S>(&mut self, docs: I) -> UploadReport
     where
         I: IntoIterator<Item = (S, S)>,
@@ -295,13 +296,15 @@ impl Warehouse {
             self.tag_frontend(Phase::Upload, None, Some(&uri));
             // Re-uploading an existing URI replaces the object: record
             // the replaced version's item keys for retraction *before*
-            // the overwrite destroys the only copy of its bytes (the
-            // registry unions across repeated replaces, so intermediate
-            // versions cannot leak entries), account for the replaced
-            // bytes, and keep the URI listed once.
+            // the overwrite destroys the only copy of its bytes, account
+            // for the replaced bytes, and keep the URI listed once. A
+            // version still awaiting its rebuild was never indexed: the
+            // registry already holds what the last indexed one left, and
+            // keys recorded for this one would be billed deletes of
+            // nothing.
             let replaced = self.engine.world.s3.peek(DOC_BUCKET, &uri);
             if let Some(old) = &replaced {
-                if old[..] != body[..] {
+                if !self.pending_load.contains(&uri) {
                     self.retract_later(&uri, self.item_keys_under(&self.plan, &uri, old));
                 }
             }
@@ -463,11 +466,11 @@ impl Warehouse {
             let pending = self.pending_load.contains(&uri);
             // Record the old placement's keys *before* the switch makes
             // them unreachable; the registry unions with any retraction
-            // already pending for this URI. Under a pending rebuild,
-            // whoever enqueued it recorded the replaced version's exact
-            // key set; only when the registry holds nothing do the stored
-            // entries match the current bytes, so replaying them under
-            // the old placement retracts precisely what exists.
+            // already pending for this URI. Under a pending rebuild the
+            // upload that queued it recorded what the last indexed
+            // version left; when the registry holds nothing, the stored
+            // bytes replayed under the old placement name every key the
+            // index can hold for this URI.
             if !(pending && self.retractions.borrow().contains_key(&uri)) {
                 self.retract_later(&uri, self.item_keys_under(&old_plan, &uri, &bytes));
             }
@@ -514,7 +517,7 @@ impl Warehouse {
     pub fn readvise(
         &mut self,
         catalog: &[Query],
-        churn: &std::collections::BTreeMap<String, u64>,
+        churn: &std::collections::BTreeMap<String, crate::adaptive::Churn>,
         horizon: &crate::adaptive::Horizon,
     ) -> Result<Readvice, crate::adaptive::AdviseError> {
         let spans = self.spans();

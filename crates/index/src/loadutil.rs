@@ -9,12 +9,12 @@
 //! them. The warehouse's loader bursts the plan's calls concurrently;
 //! [`write_entries`] (the advisor's micro-builds and, through
 //! [`crate::index_documents_mixed`], the oracles) issues them one after
-//! another. [`placed_item_keys`] (the front end's retraction replay) runs
-//! the same encoding loop an entry at a time: holding a document's items
-//! to read their keys off a plan cost it 75 % and `churn_mixed` 6 %.
+//! another. [`placed_item_keys`] (the front end's retraction replay) makes
+//! no item: a range key names its entry and chunk, not a place in the item
+//! sequence, so the replay counts an entry's chunks and derives the keys.
 
 use crate::partition::Placement;
-use crate::store::{encode_entry_into, UuidGen};
+use crate::store::{encode_entry_into, for_each_range_key, UuidGen};
 use crate::strategy::IndexEntry;
 use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
@@ -61,9 +61,9 @@ impl WritePlan {
 /// plan indexes nothing for the document) and the keys `pending`
 /// retraction for its URI.
 ///
-/// Every entry's items are moved, in entry order, into their table's
-/// vector and the vectors are cut into batches by moving: from here to
-/// the store an item is never cloned. The tables keep the order in which
+/// Every entry's items are encoded, in entry order, into their table's
+/// vector, each under the range key that names it, and the vectors are cut
+/// into batches by moving: from here to the store an item is never cloned. The tables keep the order in which
 /// the extraction first names them, which is the strategy's own — 2LUPI
 /// writes `[path, id]` — and the placement names each of them once, not
 /// once per entry. Stale keys are diffed against *borrowed* keys of what
@@ -82,21 +82,28 @@ pub fn plan_document(
     pending: Option<&BTreeSet<ItemKey>>,
 ) -> Result<WritePlan, KvError> {
     let mut per_table: Vec<(&'static str, Vec<KvItem>)> = Vec::new();
-    encode_each(entries, profile, uri, |base, items| {
+    let uuids = UuidGen::for_document(uri);
+    let mut scratch = Vec::new();
+    for e in entries {
         let at = per_table
             .iter()
-            .position(|(t, _)| *t == base)
+            .position(|(t, _)| *t == e.table)
             .unwrap_or_else(|| {
                 // About an item per entry: sized once, the vector never
                 // regrows among the document's blocks. Blocks refill the
                 // buffers a regrowth frees there, but not exactly, and the
                 // slivers left in a warehouse's heap cost the read path
                 // 12 % (EXPERIMENTS.md, "Loader path").
-                per_table.push((base, Vec::with_capacity(entries.len())));
+                per_table.push((e.table, Vec::with_capacity(entries.len())));
                 per_table.len() - 1
             });
-        per_table[at].1.append(items);
-    });
+        encode_entry_into(
+            e,
+            profile,
+            &mut scratch,
+            Some((&uuids, &mut per_table[at].1)),
+        );
+    }
     let mut plan = WritePlan::default();
     for (base, items) in per_table {
         items.iter().try_for_each(|item| profile.check(item))?;
@@ -132,26 +139,6 @@ pub fn plan_document(
     }
     plan.deletes = deletes.into();
     Ok(plan)
-}
-
-/// The one encoding loop: a document version's entries, in entry order
-/// under the one UUID stream its URI seeds (what makes every version's
-/// item keys derivable from its bytes). `each` is handed the global table
-/// an entry was extracted for and its items, and takes them out of the
-/// buffer.
-fn encode_each(
-    entries: &[IndexEntry],
-    profile: &KvProfile,
-    uri: &str,
-    mut each: impl FnMut(&'static str, &mut Vec<KvItem>),
-) {
-    let mut uuids = UuidGen::for_document(uri);
-    let mut scratch = Vec::new();
-    let mut items = Vec::new();
-    for e in entries {
-        encode_entry_into(e, profile, &mut uuids, &mut scratch, &mut items);
-        each(e.table, &mut items);
-    }
 }
 
 /// Stores pre-extracted entries under `placement`: [`plan_document`]'s
@@ -193,20 +180,20 @@ fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<T>> 
 /// The `(table, hash_key, range_key)` item keys [`plan_document`]'s puts
 /// store for these entries under the root placement — the global tables
 /// they were extracted for — in entry order, derived *without* touching
-/// the store, by the same encoding loop.
-/// Because range keys are deterministic per document (seeded from its
-/// URI), the keys of any version of a document can be reconstructed from
-/// its bytes alone; stale-entry retraction is the set difference between
-/// an old and a new version's keys.
+/// the store or making an item.
+/// Because a range key names (URI, table, key, chunk), the keys of any
+/// version of a document can be reconstructed from its bytes alone;
+/// stale-entry retraction is the set difference between an old and a new
+/// version's keys — the keys the new version lost, no others.
 pub fn entry_item_keys(entries: &[IndexEntry], profile: &KvProfile, uri: &str) -> Vec<ItemKey> {
+    let uuids = UuidGen::for_document(uri);
+    let mut scratch = Vec::new();
     let mut keys = Vec::with_capacity(entries.len());
-    encode_each(entries, profile, uri, |table, items| {
-        keys.extend(
-            items
-                .drain(..)
-                .map(|i| (table, i.hash_key.to_string(), i.range_key().to_string())),
-        );
-    });
+    for e in entries {
+        for_each_range_key(e, profile, &uuids, &mut scratch, |range| {
+            keys.push((e.table, e.key.to_string(), range.to_string()))
+        });
+    }
     keys
 }
 

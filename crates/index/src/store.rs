@@ -1,10 +1,10 @@
 //! Mapping index entries onto key-value items, per backend.
 //!
 //! Paper Section 6: an entry becomes one or more items whose hash key is
-//! the entry key and whose range key is a UUID "generated at indexing
-//! time", so that concurrently-indexing instances can never overwrite each
-//! other's items; the document URI becomes the attribute name and the
-//! entry values the attribute values.
+//! the entry key and whose range key is a UUID that keeps different
+//! documents' items apart under it — here derived from what the item is
+//! ([`UuidGen`]), so a re-indexed document overwrites its own; the document
+//! URI becomes the attribute name and the entry values the attribute values.
 //!
 //! Encoding differs by backend capability:
 //!
@@ -29,20 +29,31 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Deterministic UUID-shaped range-key generator (splitmix64 over a seed
-/// derived from the document URI, so re-indexing a document is stable).
+/// Names a document's items by what they are — document URI, entry table,
+/// entry key, chunk number — never by their position in the document: a
+/// version that keeps a key puts it over the item the last version wrote,
+/// and a replace leaves stale only the keys the new version lost.
 #[derive(Debug, Clone)]
 pub struct UuidGen {
-    state: u64,
-    /// The range key made last.
-    key: [u8; RANGE_KEY_BYTES],
+    /// Hash of the document URI.
+    seed: u64,
 }
 
-/// Writes the low `out.len()` hex digits of `v`, zero-padded.
-fn write_hex(out: &mut [u8], mut v: u64) {
+/// splitmix64's output function over `h + v`, a bijection of `h` for every
+/// `v`: chained, components stay ordered and cannot cancel as XOR-ed hashes
+/// could, and two documents' keys collide only if their URI hashes do.
+fn mix(h: u64, v: u64) -> u64 {
+    let mut z = h.wrapping_add(v).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Writes the low `out.len()` digits of `v` in `radix`, zero-padded.
+fn write_digits(out: &mut [u8], mut v: u64, radix: u64) {
     for digit in out.iter_mut().rev() {
-        *digit = b"0123456789abcdef"[(v & 0xf) as usize];
-        v >>= 4;
+        *digit = b"0123456789abcdef"[(v % radix) as usize];
+        v /= radix;
     }
 }
 
@@ -50,31 +61,7 @@ impl UuidGen {
     /// Seeds the generator from a document URI.
     pub fn for_document(uri: &str) -> UuidGen {
         UuidGen {
-            state: content_hash(uri.as_bytes()),
-            key: [b'-'; RANGE_KEY_BYTES],
-        }
-    }
-
-    /// Writes the next UUID-shaped token (`8-4-4-4-12` hex digits) after
-    /// the sequence prefix of `key`.
-    fn write_uuid(&mut self) {
-        let out = &mut self.key[7..];
-        let mut z = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        self.state = z;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let a = z ^ (z >> 31);
-        let mut z2 = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        self.state = z2;
-        z2 = (z2 ^ (z2 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let b = z2 ^ (z2 >> 27);
-        write_hex(&mut out[..8], a >> 32);
-        write_hex(&mut out[9..13], a >> 16);
-        write_hex(&mut out[14..18], a);
-        write_hex(&mut out[19..23], b >> 48);
-        write_hex(&mut out[24..36], b);
-        for dash in [8, 13, 18, 23] {
-            out[dash] = b'-';
+            seed: content_hash(uri.as_bytes()),
         }
     }
 
@@ -89,23 +76,32 @@ impl UuidGen {
     /// get here, far past any per-document payload the pipeline produces.
     pub const MAX_CHUNK_SEQ: usize = 1_000_000;
 
-    /// The range key of an entry's chunk number `seq`: `{seq:06}-{uuid}`,
-    /// written digit by digit into the generator's own buffer — the item
-    /// that takes it copies it into its block.
-    pub(crate) fn range_key(&mut self, mut seq: usize) -> &str {
+    /// The range key of `entry`'s chunk number `seq`, `{seq:06}-{uuid}`: the
+    /// UUID-shaped token (`8-4-4-4-12` hex digits) is the URI seed mixed with
+    /// the entry's table, its key and `seq`, written digit by digit.
+    fn range_key(&self, entry: &IndexEntry, seq: usize) -> [u8; RANGE_KEY_BYTES] {
         assert!(
             seq < Self::MAX_CHUNK_SEQ,
-            "range-key sequence {seq} overflows the fixed {}-digit prefix: \
-             lexicographic chunk order would corrupt reassembly",
-            6
+            "range-key sequence {seq} overflows the six-digit prefix"
         );
-        for digit in self.key[..6].iter_mut().rev() {
-            *digit = b'0' + (seq % 10) as u8;
-            seq /= 10;
-        }
-        self.write_uuid();
-        std::str::from_utf8(&self.key).expect("decimal and hex digits and dashes")
+        let table = mix(self.seed, content_hash(entry.table.as_bytes()));
+        let a = mix(mix(table, content_hash(entry.key.as_bytes())), seq as u64);
+        let b = mix(a, 0);
+        let mut key = [b'-'; RANGE_KEY_BYTES];
+        write_digits(&mut key[..6], seq as u64, 10);
+        let out = &mut key[7..];
+        write_digits(&mut out[..8], a >> 32, 16);
+        write_digits(&mut out[9..13], a >> 16, 16);
+        write_digits(&mut out[14..18], a, 16);
+        write_digits(&mut out[19..23], b >> 48, 16);
+        write_digits(&mut out[24..36], b, 16);
+        key
     }
+}
+
+/// A range key as the string it is.
+fn key_str(key: &[u8; RANGE_KEY_BYTES]) -> &str {
+    std::str::from_utf8(key).expect("decimal and hex digits and dashes")
 }
 
 /// Length of every range key: six sequence digits, a dash, a UUID.
@@ -123,31 +119,45 @@ const BLOB_MARKER: &str = "\u{1}b64\u{1}";
 /// Slack reserved per item for store bookkeeping when computing budgets.
 const ITEM_SLACK: usize = 128;
 
-/// Encodes one extracted entry into store items for the given backend.
+/// Encodes one extracted entry into store items for the given backend
+/// (`&mut`: the signature `benchmark/` calls; the generator steps nothing).
 pub fn encode_entry(entry: &IndexEntry, profile: &KvProfile, uuids: &mut UuidGen) -> Vec<KvItem> {
     let mut items = Vec::with_capacity(1);
-    encode_entry_into(entry, profile, uuids, &mut Vec::new(), &mut items);
+    encode_entry_into(entry, profile, &mut Vec::new(), Some((&*uuids, &mut items)));
     items
 }
 
-/// [`encode_entry`], appending to `items` (the loader encodes a whole
-/// document into one vector, its ID lists through one `scratch` buffer).
-/// An item shares its hash key and attribute name with the entry; what it
-/// allocates is its block, which the entry's values are written straight
-/// into.
+/// The range keys of the items [`encode_entry_into`] makes of `entry`, in
+/// chunk order, with no item made: the cut counts, the generator names.
+pub(crate) fn for_each_range_key(
+    entry: &IndexEntry,
+    profile: &KvProfile,
+    uuids: &UuidGen,
+    scratch: &mut Vec<u8>,
+    mut each: impl FnMut(&str),
+) {
+    for seq in 0..encode_entry_into(entry, profile, scratch, None) {
+        each(key_str(&uuids.range_key(entry, seq)));
+    }
+}
+
+/// Cuts `entry`'s values into items and returns how many. With `make`
+/// they are made — named by its generator, appended to its vector (the
+/// loader encodes a whole document, its ID lists through one `scratch`
+/// buffer); without, only counted. An item shares its hash key and
+/// attribute name with the entry; what it allocates is its block, which
+/// the entry's values are written straight into.
 pub fn encode_entry_into(
     entry: &IndexEntry,
     profile: &KvProfile,
-    uuids: &mut UuidGen,
     scratch: &mut Vec<u8>,
-    items: &mut Vec<KvItem>,
-) {
+    make: Option<(&UuidGen, &mut Vec<KvItem>)>,
+) -> usize {
     let fixed = entry.key.len() + RANGE_KEY_BYTES + entry.uri.len() + ITEM_SLACK;
     let budget = profile.max_item_bytes.saturating_sub(fixed).max(256);
     let mut cut = Cut {
         entry,
-        uuids,
-        items,
+        make,
         budget,
         max_values: profile.max_attrs_per_item,
         seq: 0,
@@ -183,16 +193,17 @@ pub fn encode_entry_into(
         }
         Payload::Ids(ids) => cut.items_of(blob_values(&base64_encode(&encode_ids(ids)), 0)),
     }
+    cut.seq
 }
 
 /// Where an entry's values become items.
 struct Cut<'a> {
     entry: &'a IndexEntry,
-    uuids: &'a mut UuidGen,
-    items: &'a mut Vec<KvItem>,
+    /// What names the items and where they go; `None` only counts them.
+    make: Option<(&'a UuidGen, &'a mut Vec<KvItem>)>,
     budget: usize,
     max_values: usize,
-    /// Items made so far: the next one's chunk sequence number.
+    /// Items cut so far: the next one's chunk sequence number.
     seq: usize,
 }
 
@@ -214,12 +225,14 @@ impl Cut<'_> {
             if count == 0 {
                 return;
             }
-            self.items.push(KvItem::new(
-                self.entry.key.clone(),
-                self.uuids.range_key(self.seq),
-                self.entry.uri.clone(),
-                values.clone().take(count),
-            ));
+            if let Some((uuids, items)) = &mut self.make {
+                items.push(KvItem::new(
+                    self.entry.key.clone(),
+                    key_str(&uuids.range_key(self.entry, self.seq)),
+                    self.entry.uri.clone(),
+                    values.clone().take(count),
+                ));
+            }
             self.seq += 1;
             values.nth(count - 1);
         }
@@ -391,64 +404,83 @@ mod tests {
             .collect()
     }
 
+    fn named(key: &str) -> IndexEntry {
+        IndexEntry {
+            key: key.into(),
+            ..entry(Payload::Presence)
+        }
+    }
+
+    fn range_key(uuids: &UuidGen, entry: &IndexEntry, seq: usize) -> String {
+        key_str(&uuids.range_key(entry, seq)).to_string()
+    }
+
     #[test]
-    fn uuids_are_unique_and_deterministic() {
-        let mut a = UuidGen::for_document("doc.xml");
-        let mut b = UuidGen::for_document("doc.xml");
-        let u1 = a.range_key(0).to_string();
-        assert_eq!(u1, b.range_key(0));
-        assert_ne!(u1, a.range_key(0));
-        assert_eq!(u1.len(), 6 + 1 + 36);
-        let mut other = UuidGen::for_document("other.xml");
-        assert_ne!(u1, other.range_key(0));
+    fn range_keys_name_uri_table_key_and_chunk_and_nothing_else() {
+        let doc = UuidGen::for_document("doc.xml");
+        let ename = named("ename");
+        let key = range_key(&doc, &ename, 0);
+        assert_eq!(key.len(), 6 + 1 + 36);
+        // Stateless: asking again, or of another generator of the same
+        // URI, after any number of other keys, names the same item.
+        let _ = range_key(&doc, &named("wgold"), 3);
+        assert_eq!(key, range_key(&doc, &ename, 0));
+        assert_eq!(key, range_key(&UuidGen::for_document("doc.xml"), &ename, 0));
+        // Each of the four components moves the UUID.
+        let uuid = |k: &str| k[7..].to_string();
+        let other_table = IndexEntry {
+            table: crate::strategy::TABLE_PATH,
+            ..named("ename")
+        };
+        for other in [
+            range_key(&UuidGen::for_document("other.xml"), &ename, 0),
+            range_key(&doc, &other_table, 0),
+            range_key(&doc, &named("wgold"), 0),
+            range_key(&doc, &ename, 1),
+        ] {
+            assert_ne!(uuid(&key), uuid(&other));
+        }
+        // Swapped components do not cancel: (table, key) is ordered.
+        let swapped = IndexEntry {
+            table: "ename",
+            ..named(TABLE_MAIN)
+        };
+        assert_ne!(uuid(&key), uuid(&range_key(&doc, &swapped, 0)));
     }
 
     #[test]
     fn range_keys_order_lexicographically_up_to_the_cap() {
-        let mut g = UuidGen::for_document("doc.xml");
-        let penultimate = g.range_key(UuidGen::MAX_CHUNK_SEQ - 2).to_string();
-        let last = g.range_key(UuidGen::MAX_CHUNK_SEQ - 1);
+        let g = UuidGen::for_document("doc.xml");
+        let e = named("ename");
+        let penultimate = range_key(&g, &e, UuidGen::MAX_CHUNK_SEQ - 2);
+        let last = range_key(&g, &e, UuidGen::MAX_CHUNK_SEQ - 1);
         assert!(
-            *penultimate < *last,
+            penultimate < last,
             "chunk order must follow sequence order at the edge"
         );
         assert_eq!(last.len(), 6 + 1 + 36);
     }
 
-    /// The digit-by-digit writer emits byte for byte what the parent's
-    /// doubly-`format!`ted range key did.
+    /// The digit-by-digit writer emits byte for byte what `format!` makes
+    /// of the same two words.
     #[test]
     fn range_key_writer_matches_the_format_reference() {
-        fn reference_uuid(state: &mut u64) -> String {
-            let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            *state = z;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            let a = z ^ (z >> 31);
-            let mut z2 = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            *state = z2;
-            z2 = (z2 ^ (z2 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let b = z2 ^ (z2 >> 27);
-            format!(
-                "{:08x}-{:04x}-{:04x}-{:04x}-{:012x}",
-                (a >> 32) as u32,
-                (a >> 16) as u16,
-                a as u16,
-                (b >> 48) as u16,
-                b & 0xffff_ffff_ffff
-            )
-        }
-        for i in 0..1000 {
-            let uri = format!("auctions/doc{i}.xml");
-            let mut uuids = UuidGen::for_document(&uri);
-            let mut state = 0xcbf2_9ce4_8422_2325u64;
-            for b in uri.bytes() {
-                state ^= b as u64;
-                state = state.wrapping_mul(0x100_0000_01b3);
-            }
-            for seq in [0, 1, 999_999] {
-                let reference = format!("{seq:06}-{}", reference_uuid(&mut state));
-                assert_eq!(uuids.range_key(seq), reference, "{uri} seq {seq}");
+        for i in 0..250 {
+            let uuids = UuidGen::for_document(&format!("auctions/doc{i}.xml"));
+            let e = named(&format!("wword{i}"));
+            for seq in [0, 1, 42, 999_999] {
+                let table = mix(uuids.seed, content_hash(e.table.as_bytes()));
+                let a = mix(mix(table, content_hash(e.key.as_bytes())), seq as u64);
+                let b = mix(a, 0);
+                let reference = format!(
+                    "{seq:06}-{:08x}-{:04x}-{:04x}-{:04x}-{:012x}",
+                    (a >> 32) as u32,
+                    (a >> 16) as u16,
+                    a as u16,
+                    (b >> 48) as u16,
+                    b & 0xffff_ffff_ffff
+                );
+                assert_eq!(range_key(&uuids, &e, seq), reference);
             }
         }
     }
@@ -456,8 +488,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "range-key sequence")]
     fn range_key_hard_errors_past_the_sequence_cap() {
-        let mut g = UuidGen::for_document("doc.xml");
-        let _ = g.range_key(UuidGen::MAX_CHUNK_SEQ);
+        let g = UuidGen::for_document("doc.xml");
+        let _ = range_key(&g, &named("ename"), UuidGen::MAX_CHUNK_SEQ);
+    }
+
+    /// The key replay names exactly the items the encoder makes, in chunk
+    /// order, on both backends and for chunked entries.
+    #[test]
+    fn the_key_replay_names_the_items_the_encoder_makes() {
+        let deep = format!("/e{}", "a/e".repeat(40_000));
+        let payloads = [
+            Payload::Presence,
+            Payload::Paths(vec!["/ea/eb".into(), "/ea/ec/ed".into()]),
+            Payload::Paths(vec!["/ea/eb".into(), deep]),
+            Payload::Ids(ids(100)),
+            Payload::Ids(ids(40_000)),
+        ];
+        for profile in [dynamo_profile(), simple_profile()] {
+            for payload in &payloads {
+                let e = entry(payload.clone());
+                let mut uuids = UuidGen::for_document("doc.xml");
+                let items = encode_entry(&e, &profile, &mut uuids);
+                let mut replayed = Vec::new();
+                for_each_range_key(&e, &profile, &uuids, &mut Vec::new(), |k| {
+                    replayed.push(k.to_string())
+                });
+                let made: Vec<&str> = items.iter().map(KvItem::range_key).collect();
+                assert_eq!(replayed, made, "{}", profile.name);
+                assert!(made.windows(2).all(|w| w[0] < w[1]), "chunk order");
+            }
+        }
     }
 
     #[test]

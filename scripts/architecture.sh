@@ -64,10 +64,10 @@ one_queue_worker_one_throttle_step() {
 # Which items a document version stores, in which tables and batches, and
 # which stale keys are deleted after them, is said once — by
 # `amada_index::loadutil::plan_document`; the loader bursts its calls,
-# `write_entries` issues them in sequence, `entry_item_keys` runs the
-# plan's encoding loop for the keys alone. An encoder call or a
-# per-document UUID stream anywhere else in the warehouse's crates
-# (amada-check's codec round-trip oracle re-derives on purpose), the
+# `write_entries` issues them in sequence, `entry_item_keys` counts each
+# entry's chunks with the plan's encoder and names the keys. An encoder
+# call or a per-document key generator anywhere else in the warehouse's
+# crates (amada-check's codec round-trip oracle re-derives on purpose), the
 # poll-interval field, the per-query path-trie advisor or the XQuery front
 # end is a copy coming back. (`mod summary` is amada-obs's span roll-up;
 # only amada-index's is gone.)
@@ -109,6 +109,20 @@ one_placement() {
     test "$(grep -E '^crates/core/src/adaptive\.rs:' <<<"$src" | grep -c 'slowest')" -eq 0
 }
 
+# A range key names what its item is — document URI, entry table, entry
+# key, chunk number — so a replaced document overwrites what it keeps and
+# deletes only what it lost. A generator that steps (a field beside the
+# URI's seed, a `&mut self` method), a generator the encoding loop holds
+# mutably, or a key derived outside `store.rs` is the positional UUID
+# stream coming back: one gained key would again shift every key after it.
+range_keys_name_the_entry() {
+    store=crates/index/src/store.rs
+    test "$(sed -n '/^pub struct UuidGen/,/^}/p' $store | grep -cE '^ +[a-z_]+: ')" -eq 1
+    test "$(sed -n '/^impl UuidGen/,/^}/p' $store | grep -c '&mut self')" -eq 0
+    test "$(grep -v '^crates/check/' <<<"$src" | grep -c 'mut uuids')" -eq 0
+    test "$(grep -E '(^|[^_a-z])range_key\([^)&]' <<<"$src" | grep -cvE "^$store:")" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -118,6 +132,7 @@ rules=(
     one_document_write_plan
     one_measurement_path
     one_placement
+    range_keys_name_the_entry
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do

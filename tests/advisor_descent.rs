@@ -6,7 +6,9 @@
 //! first four partitions what the exhaustive search gives them alone.
 
 use amada::index::partition_of;
-use amada::warehouse::{advise_adaptive, AdaptiveAdvice, FamilyLoad, Horizon, WarehouseConfig};
+use amada::warehouse::{
+    advise_adaptive, AdaptiveAdvice, Churn, FamilyLoad, Horizon, WarehouseConfig,
+};
 use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
 use std::collections::BTreeMap;
 
@@ -29,12 +31,16 @@ fn sample() -> Vec<(String, String)> {
 
 fn advise(sample: &[(String, String)]) -> AdaptiveAdvice {
     // Selective traffic dominates, a low-selectivity query trickles in,
-    // and partition `c` is replaced between runs.
+    // and partition `c` is replaced between runs, no key kept.
     let workload = [("q1", 6), ("q6", 1)].map(|(name, arrivals)| FamilyLoad {
         query: workload_query(name).expect("a workload query"),
         arrivals,
     });
-    let churn = BTreeMap::from([("c".to_string(), 3)]);
+    let replaced = Churn {
+        documents: 3,
+        dropped: 1.0,
+    };
+    let churn = BTreeMap::from([("c".to_string(), replaced)]);
     let horizon = Horizon {
         expected_runs: 200,
         months: 1.0,

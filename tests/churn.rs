@@ -237,3 +237,43 @@ fn mid_replace_crash_converges_to_the_new_version() {
     fresh.build_index();
     assert_eq!(clean_index, fresh.world().kv.peek_all());
 }
+
+/// A version that is replaced before any loader ran was never indexed:
+/// the registry already holds what the last *indexed* version left, and
+/// recording the unindexed one's keys too would bill a delete per key that
+/// is not there. Two replaces between builds cost the build what the one
+/// from the indexed version to the final one costs — also when the first
+/// replace re-uploads the indexed bytes unchanged. (The baseline uploads
+/// the final version twice: every upload queues a loader message, and two
+/// cores working one document's two messages at once each retract.)
+#[test]
+fn a_version_replaced_before_it_was_indexed_leaves_nothing_to_retract() {
+    let xml = |id: u64, v: usize| format!("<item><v{v}>only{v}</v{v}><name>doc {id}</name></item>");
+    let docs = move |v: usize| (0..6u64).map(move |i| (format!("doc{i}.xml"), xml(i, v)));
+    // v0 indexed, then two uploads and the build under test.
+    let build = |uploads: [usize; 2]| {
+        let mut w = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lup));
+        w.upload_documents(docs(0));
+        w.build_index();
+        for v in uploads {
+            w.upload_documents(docs(v));
+        }
+        let report = w.build_index();
+        (w, report)
+    };
+    let (direct, v0_to_v2) = build([2, 2]);
+    assert!(v0_to_v2.retracted_items > 0, "v0's own keys go");
+    let mut fresh = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lup));
+    fresh.upload_documents(docs(2));
+    fresh.build_index();
+    assert_eq!(direct.world().kv.peek_all(), fresh.world().kv.peek_all());
+    for uploads in [[1, 2], [0, 2]] {
+        let (w, report) = build(uploads);
+        assert_eq!(
+            (report.retracted_items, report.cost),
+            (v0_to_v2.retracted_items, v0_to_v2.cost),
+            "{uploads:?}: retracts what v0 → v2 alone retracts"
+        );
+        assert_eq!(w.world().kv.peek_all(), fresh.world().kv.peek_all());
+    }
+}

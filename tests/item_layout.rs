@@ -1,8 +1,9 @@
 //! The stored index is a byte-level contract: range keys, item sizes,
 //! `peek_all()` order and values feed every virtual second and picodollar.
-//! These digests were taken at the commit before items became shared,
-//! reference-counted values (PR 14); any representation change that moves
-//! a stored byte moves them.
+//! Any representation change that moves a stored byte moves these digests.
+//! They were last taken when range keys became name-based (PR 23): the
+//! item counts and stored bytes beside them are the parent's, unmoved —
+//! only range-key bytes, and with them the order under a hash key, changed.
 
 use amada::cloud::{content_hash, KvField, KvValue};
 use amada::index::Strategy;
@@ -47,22 +48,26 @@ fn stored_index_bytes_are_pinned_per_strategy() {
     .into_iter()
     .map(|d| (d.uri, d.xml))
     .collect();
+    // (digest, items, stored bytes)
     let pinned = [
-        (Strategy::Lu, 0xeafa_1b27_5c31_a9fcu64),
-        (Strategy::Lup, 0x9c7b_84a0_3044_f5e6),
-        (Strategy::Lui, 0xdde6_d390_eb2a_e8cc),
-        (Strategy::TwoLupi, 0x36ab_2dee_c4c5_c39b),
+        (Strategy::Lu, (0x1607_9fb0_15b2_7066u64, 12_595, 2_070_575)),
+        (Strategy::Lup, (0x0fb3_5e1e_8d3c_0e92, 12_595, 3_066_623)),
+        (Strategy::Lui, (0xc771_3144_3a20_3e5e, 12_595, 2_263_273)),
+        (
+            Strategy::TwoLupi,
+            (0xa4a0_7fd1_86d8_5adf, 25_190, 5_329_896),
+        ),
     ];
-    for (strategy, digest) in pinned {
+    for (strategy, expected) in pinned {
         let mut w = Warehouse::new(WarehouseConfig::with_strategy(strategy));
         w.upload_documents(docs.clone());
         let report = w.build_index();
+        let stored = w.world().kv.stats().stored_bytes();
         assert_eq!(
-            index_digest(&w),
-            digest,
-            "{strategy}: {:#018x} over {} items",
-            index_digest(&w),
-            report.items
+            (index_digest(&w), report.items, stored),
+            expected,
+            "{strategy}: {:#018x}",
+            index_digest(&w)
         );
     }
 }

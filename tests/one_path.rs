@@ -272,10 +272,13 @@ impl Digest {
     }
 }
 
-/// Every stored item in `peek_all()` order, *with its table name*.
-fn index_digest(w: &Warehouse) -> u64 {
+/// Every stored item in `peek_all()` order, *with its table name*; then
+/// how many there are and the bytes they are stored in — the parent's,
+/// when only range-key bytes move.
+fn index_digest(w: &Warehouse) -> (u64, usize, u64) {
     let mut d = Digest::default();
-    for (table, item) in w.world().kv.peek_all() {
+    let stored = w.world().kv.peek_all();
+    for (table, item) in &stored {
         d.field(b't', table.as_bytes());
         d.field(b'h', item.hash_key.as_bytes());
         d.field(b'r', item.range_key().as_bytes());
@@ -288,7 +291,8 @@ fn index_digest(w: &Warehouse) -> u64 {
             }
         }
     }
-    d.finish()
+    let bytes = w.world().kv.stats().stored_bytes();
+    (d.finish(), stored.len(), bytes)
 }
 
 /// The delete batches in issue order: table, then every key.
@@ -337,11 +341,13 @@ fn partitioned_corpus(target_doc_bytes: usize) -> Vec<(String, String)> {
         .collect()
 }
 
-/// A mixed plan end to end, pinned at the commit before placement became
-/// one answer (`MixedPlan::placement`): which bytes land in which table,
-/// what three queries ask of the index, fetch, take and cost, and which
+/// A mixed plan end to end, pinned: which bytes land in which table, what
+/// three queries ask of the index, fetch, take and cost, and which
 /// `(table, keys)` delete batches a churn round and a plan switch issue,
 /// in which order. `item_layout` and `read_path_golden` pin the flat plans.
+/// The digests and the churn round's deletes were last taken when range
+/// keys became name-based; item counts, stored bytes, the query pins and
+/// the plan switch's delete runs are the parent's, unmoved.
 #[test]
 fn a_mixed_plan_is_pinned_from_stored_bytes_to_delete_batches() {
     let plan = MixedPlan::uniform(Some(Strategy::Lup))
@@ -377,9 +383,9 @@ fn a_mixed_plan_is_pinned_from_stored_bytes_to_delete_batches() {
     assert_eq!(tables, ["amada-index@items", "amada-index@people"]);
     assert_eq!(
         index_digest(&w),
-        0xd8d7_d238_466f_b546,
+        (0xbef1_8cc9_5860_d685, 2_021, 349_684),
         "{:#018x}",
-        index_digest(&w)
+        index_digest(&w).0
     );
 
     // (index gets, documents fetched, response µs, bill in picodollars)
@@ -401,7 +407,8 @@ fn a_mixed_plan_is_pinned_from_stored_bytes_to_delete_batches() {
     }
 
     // Churn: the first five documents shrink (the same slots of a smaller
-    // corpus); only the indexed partitions' ones leave stale keys.
+    // corpus); only the indexed partitions' ones leave stale keys, and
+    // only for the keys they lost — 92 deletes, 2 021 − 92 items left.
     w.upload_documents(partitioned_corpus(700).into_iter().take(5));
     let build = w.build_index();
     let churned = std::mem::take(&mut *log.lock().unwrap());
@@ -416,22 +423,22 @@ fn a_mixed_plan_is_pinned_from_stored_bytes_to_delete_batches() {
     assert_eq!(
         delete_runs(&churned),
         [
-            ("amada-index@people", 3, 61),
-            ("amada-index@items", 6, 122),
-            ("amada-index@people", 5, 123),
+            ("amada-index@people", 1, 22),
+            ("amada-index@items", 2, 23),
+            ("amada-index@people", 2, 47),
         ]
     );
     assert_eq!(
         delete_digest(&churned),
-        0xe687_97c6_9416_4bb1,
+        0xdfc1_33e1_5ff6_b5f0,
         "{:#018x}",
         delete_digest(&churned)
     );
     assert_eq!(
         index_digest(&w),
-        0xc68f_08eb_8ecd_56d3,
+        (0xf4ad_25f4_5bae_e20b, 1_929, 333_451),
         "{:#018x}",
-        index_digest(&w)
+        index_digest(&w).0
     );
 
     // A plan switch that moves every partition: people LUI → LU in place,
@@ -459,14 +466,14 @@ fn a_mixed_plan_is_pinned_from_stored_bytes_to_delete_batches() {
     assert_eq!(delete_runs(&switched), [("amada-index@items", 41, 968)]);
     assert_eq!(
         delete_digest(&switched),
-        0x66c4_cac6_f23e_896a,
+        0xca78_223e_c027_83e0,
         "{:#018x}",
         delete_digest(&switched)
     );
     assert_eq!(
         index_digest(&w),
-        0x3fb0_e78b_0fc5_62ca,
+        (0x6b62_4502_ceea_5ec8, 1_815, 312_119),
         "{:#018x}",
-        index_digest(&w)
+        index_digest(&w).0
     );
 }
