@@ -5,9 +5,10 @@
 //! itself on a *static* corpus. Under churn the question inverts: each
 //! workload run is now accompanied by a churn round replacing a fraction
 //! of the documents, and every replaced document costs an incremental
-//! index maintenance bill — the loader re-fetches and re-indexes the new
-//! version and retracts the old version's stale entries (billed deletes
-//! on DynamoDB, free on S3). The no-index scan pays none of that: new
+//! index maintenance bill — the loader re-fetches the new version, writes
+//! the index items whose key is new or whose value changed and retracts
+//! the old version's stale entries (billed deletes on DynamoDB, free on
+//! S3). The no-index scan pays none of that: new
 //! versions simply overwrite their objects.
 //!
 //! The sweep raises the churn rate from 0% to 100% of the corpus per
@@ -45,6 +46,10 @@ pub struct ChurnRow {
     /// [`STRATEGIES`] order; net = query savings − maintenance, signed
     /// because maintenance overtakes the savings along the sweep.
     pub per_strategy: Vec<(&'static str, Money, i128)>,
+    /// Items of the replaced documents this round's maintenance left as
+    /// the store held them — written by no one, billed to no one — in
+    /// [`STRATEGIES`] order.
+    pub unchanged: Vec<u64>,
     /// Stale index items this round's maintenance retracted, all
     /// strategies together.
     pub retracted: u64,
@@ -61,9 +66,10 @@ pub struct ChurnRow {
 /// then every rate applies one churn round (replace + incremental
 /// rebuild) and bills it. Last, a twentieth of the corpus is replaced
 /// once more and then re-uploaded unchanged: the second value is what that
-/// identical re-upload retracted, all strategies together — nothing,
-/// while a range key names its entry and not its place in the document.
-pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, u64) {
+/// identical re-upload retracted and what it wrote, all strategies
+/// together — nothing and nothing, while a range key names its entry and
+/// not its place in the document and a rebuild writes what changed.
+pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, [u64; 2]) {
     let docs = corpus(scale);
     let queries = crate::workload();
 
@@ -98,9 +104,11 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, u64) {
         let replaced = (docs.len() as u64 * rate_pct).div_ceil(100) as usize;
         let next = versions_of(round);
         let mut per_strategy = Vec::new();
+        let mut unchanged = Vec::new();
         let mut retracted = 0u64;
         for (strategy, w, benefit) in fleet.iter_mut() {
             let maintenance = if replaced == 0 {
+                unchanged.push(0);
                 Money::ZERO
             } else {
                 w.upload_documents(
@@ -110,6 +118,7 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, u64) {
                         .map(|(i, (uri, _))| (uri.clone(), next(i))),
                 );
                 let report = w.build_index();
+                unchanged.push(report.unchanged_items);
                 retracted += report.retracted_items;
                 report.cost.total()
             };
@@ -155,6 +164,7 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, u64) {
             rate_pct,
             replaced,
             per_strategy,
+            unchanged,
             retracted,
             best,
             advisor,
@@ -166,23 +176,25 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, u64) {
         let some = docs.iter().take(docs.len().div_ceil(20)).enumerate();
         some.map(|(i, (uri, _))| (uri.clone(), next(i)))
     };
-    let mut identical_retracted = 0;
+    let mut identical = [0; 2];
     for (_, w, _) in fleet.iter_mut() {
         w.upload_documents(again());
         w.build_index();
         w.upload_documents(again());
-        identical_retracted += w.build_index().retracted_items;
+        let report = w.build_index();
+        identical[0] += report.retracted_items;
+        identical[1] += report.items;
     }
-    (rows, identical_retracted)
+    (rows, identical)
 }
 
 /// The rendered sweep with its headline numbers: points run, strategies
 /// whose net benefit flipped negative within the sweep, stale items
 /// retracted across all maintenance rounds, and the first churn rate
 /// (percent) at which the advisor picked "index nothing" (0 when it never
-/// did), and the items the closing identical re-upload retracted (CI
-/// fails the smoke run unless it is 0).
-pub fn outcome(rows: &[ChurnRow], identical_retracted: u64) -> Outcome {
+/// did), and the items the closing identical re-upload retracted and
+/// wrote (CI fails the smoke run unless both are 0).
+pub fn outcome(rows: &[ChurnRow], [identical_retracted, identical_written]: [u64; 2]) -> Outcome {
     let flips = (0..STRATEGIES.len())
         .filter(|&si| {
             rows.first().is_some_and(|r| r.per_strategy[si].2 > 0)
@@ -204,14 +216,15 @@ pub fn outcome(rows: &[ChurnRow], identical_retracted: u64) -> Outcome {
             ("retracted_items", retracted as f64),
             ("advisor_flip_pct", advisor_flip as f64),
             ("identical_reupload_retracted", identical_retracted as f64),
+            ("identical_reupload_written", identical_written as f64),
         ],
     }
 }
 
 /// The `repro churn` artifact.
 pub fn churn(scale: &Scale) -> Outcome {
-    let (rows, identical_retracted) = churn_rows(scale);
-    outcome(&rows, identical_retracted)
+    let (rows, identical) = churn_rows(scale);
+    outcome(&rows, identical)
 }
 
 /// Renders already-computed rows.
@@ -225,6 +238,7 @@ pub fn render(rows: &[ChurnRow]) -> TextTable {
         "2LUPI net ($)",
         "LUP-PD net ($)",
         "LUP maint ($)",
+        "unchanged items",
         "best",
         "advisor",
     ]);
@@ -239,6 +253,12 @@ pub fn render(rows: &[ChurnRow]) -> TextTable {
             net(3),
             net(4),
             format!("${:.4}", r.per_strategy[1].1.dollars()),
+            // In the net columns' order.
+            r.unchanged
+                .iter()
+                .map(u64::to_string)
+                .collect::<Vec<_>>()
+                .join("/"),
             r.best.to_string(),
             r.advisor.to_string(),
         ]);
@@ -255,7 +275,7 @@ mod tests {
     /// estimate falls on says nothing.
     #[test]
     fn every_strategy_crosses_over_and_the_advisor_flips() {
-        let (rows, identical_retracted) = churn_rows(&Scale::tiny().scaled(2.0));
+        let (rows, identical) = churn_rows(&Scale::tiny().scaled(2.0));
         assert_eq!(rows.len(), RATES.len());
         let (first, last) = (&rows[0], rows.last().unwrap());
 
@@ -291,8 +311,21 @@ mod tests {
                 );
             }
         }
-        assert_eq!(identical_retracted, 0, "an identical re-upload retracts");
-        let outcome = outcome(&rows, identical_retracted);
+        // A rebuild writes what changed: of every strategy's replaced
+        // documents some items stay as they are, most of them under LU —
+        // a presence item has no value to change — and an identical
+        // re-upload neither retracts nor writes.
+        for r in &rows[1..] {
+            assert!(r.unchanged.iter().all(|&n| n > 0), "{r:?}");
+            assert_eq!(r.unchanged.iter().max(), r.unchanged.first(), "{r:?}");
+        }
+        assert_eq!(
+            identical,
+            [0, 0],
+            "an identical re-upload [retracts, writes]"
+        );
+        let outcome = outcome(&rows, identical);
+        assert_eq!(outcome.number("identical_reupload_written"), Some(0.0));
         assert_eq!(outcome.number("sweep_points"), Some(RATES.len() as f64));
         assert_eq!(
             outcome.number("strategy_flips"),

@@ -75,6 +75,12 @@ pub enum Mutation {
     /// Breaks the churn oracle (churned index ≠ fresh build) on any
     /// key-changing re-upload.
     DropRetractions,
+    /// The registry vouches for every key a replaced document keeps:
+    /// before each index build it claims the store already holds the
+    /// stored version's value there, so the loader rewrites none of them.
+    /// Breaks the churn oracle on any re-upload that changes a value
+    /// under a key it keeps (a path list, an ID list).
+    VouchForKeptKeys,
 }
 
 /// Harness configuration for one seed.

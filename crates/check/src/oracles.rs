@@ -21,8 +21,8 @@ use amada_index::store::{
 };
 use amada_index::{
     decode_tuples, extract, index_documents, index_documents_mixed, key_frequencies, lookup_mixed,
-    lookup_query, skew_aware_plan, ExtractOptions, MixedPlan, Payload, ScanPredicate, Strategy,
-    UuidGen, TABLE_MAIN,
+    lookup_query, placed_item_keys, skew_aware_plan, ExtractOptions, MixedPlan, Payload, Placement,
+    ScanPredicate, Strategy, UuidGen, TABLE_MAIN,
 };
 use amada_pattern::twig::evaluate_pattern_twig;
 use amada_pattern::{join_pattern_results, naive_matches, parse_query, Query, TreePattern, Tuple};
@@ -406,11 +406,29 @@ fn oracle_churn(case: &Case, query: &Query, mutation: Mutation) -> Result<(), Vi
         };
         Warehouse::new(cfg)
     };
-    // The injected `DropRetractions` bug: pending retractions vanish
+    // The injected bugs. `DropRetractions`: pending retractions vanish
     // before every build, so stale entries survive any replace.
+    // `VouchForKeptKeys`: every key the registry holds that the stored
+    // version still has is recorded as holding that version's value, so
+    // a value that changed is never written.
     let build = |w: &mut Warehouse| {
         if mutation == Mutation::DropRetractions {
             w.retraction_registry().borrow_mut().clear();
+        }
+        if mutation == Mutation::VouchForKeptKeys {
+            let (registry, profile) = (w.retraction_registry(), w.world().kv.profile());
+            let root = Some(Placement::root(strategy));
+            for (uri, bytes) in w.world().s3.peek_all(DOC_BUCKET) {
+                let mut registry = registry.borrow_mut();
+                let Some(held) = registry.get_mut(&uri) else {
+                    continue;
+                };
+                let doc = Document::parse(&*uri, &bytes).expect("uploaded documents parse");
+                let entries = extract(&doc, strategy, w.config().extract);
+                for (key, value) in placed_item_keys(&entries, root, &profile, &uri) {
+                    held.items.entry(key).and_modify(|held| *held = Some(value));
+                }
+            }
         }
         w.build_index();
     };

@@ -56,23 +56,22 @@ fn injected_mutation_is_caught_and_shrunk() {
     );
 }
 
-#[test]
-fn dropped_retractions_are_caught_by_the_churn_oracle() {
-    // If the front end forgets pending retractions, any key-changing
-    // re-upload leaves stale index entries behind; the churn oracle must
-    // see the churned index diverge from a fresh build of the survivors.
+/// The first churn violation `mutation` produces within the seeds and
+/// cases the harness spends on a churn mutation, shrunk.
+fn caught_by_the_churn_oracle(mutation: Mutation) -> amada_check::Reproducer {
     let mut caught = None;
     for seed in 1u64..=6 {
         let mut cfg = CheckConfig::new(seed, 40);
         cfg.billing_every = 0;
-        cfg.mutation = Mutation::DropRetractions;
+        cfg.mutation = mutation;
         let outcome = run_check(&cfg);
         if let Some(repro) = outcome.failure {
             caught = Some(repro);
             break;
         }
     }
-    let repro = caught.expect("DropRetractions must be caught within 6 seeds x 40 cases");
+    let repro =
+        caught.unwrap_or_else(|| panic!("{mutation:?} must be caught within 6 seeds x 40 cases"));
     assert_eq!(repro.violation.oracle, "churn");
     assert!(
         !repro.case.churn.is_empty(),
@@ -80,4 +79,29 @@ fn dropped_retractions_are_caught_by_the_churn_oracle() {
     );
     let rendered = repro.to_string();
     assert!(rendered.contains("churn ("), "{rendered}");
+    repro
+}
+
+#[test]
+fn dropped_retractions_are_caught_by_the_churn_oracle() {
+    // If the front end forgets pending retractions, any key-changing
+    // re-upload leaves stale index entries behind; the churn oracle must
+    // see the churned index diverge from a fresh build of the survivors.
+    caught_by_the_churn_oracle(Mutation::DropRetractions);
+}
+
+#[test]
+fn a_registry_that_vouches_for_every_kept_key_is_caught_by_the_churn_oracle() {
+    // If the registry says the store already holds what a replaced
+    // document now stores under the keys it kept, the loader writes none
+    // of them and a changed path or ID list stays as it was: the churned
+    // index holds bytes a fresh build does not. One document, replaced
+    // once, is all it takes.
+    let repro = caught_by_the_churn_oracle(Mutation::VouchForKeptKeys);
+    assert!(repro.violation.detail.contains("missing (fresh only)"));
+    assert!(
+        repro.case.docs.len() <= 2,
+        "shrinker left {} documents",
+        repro.case.docs.len()
+    );
 }

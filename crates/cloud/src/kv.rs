@@ -55,12 +55,17 @@ pub enum KvValue<'a> {
 }
 
 impl KvValue<'_> {
+    /// The payload's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            KvValue::S(s) => s.as_bytes(),
+            KvValue::B(b) => b,
+        }
+    }
+
     /// Payload size in bytes.
     pub fn len(&self) -> usize {
-        match self {
-            KvValue::S(s) => s.len(),
-            KvValue::B(b) => b.len(),
-        }
+        self.as_bytes().len()
     }
 
     /// True when the payload is empty (the paper's ε value).

@@ -56,14 +56,14 @@ use amada_cloud::{
     SimTime, Span, SqsError, StepResult, World,
 };
 use amada_index::{
-    decode_tuples, lookup_mixed, plan_document, ExtractCache, ExtractOptions, IndexEntry, ItemKey,
+    decode_tuples, lookup_mixed, plan_document, ExtractCache, ExtractOptions, Held, IndexEntry,
     MixedPlan, ScanPredicate, Strategy,
 };
 use amada_pattern::{join_pattern_results, parse_query, Query, Tuple, TwigEvaluator};
 use amada_rng::StdRng;
 use amada_xml::Document;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -76,16 +76,18 @@ use std::sync::Arc;
 /// across all host cores before the single-threaded engine runs.
 pub type DocCache = Arc<ExtractCache>;
 
-/// Item keys of *replaced or deleted* document versions, pending index
-/// retraction, keyed by URI. The front end records a version's keys here
-/// *before* overwriting the object (the loader only ever sees the current
-/// bytes); the loader deletes `recorded − current` after rewriting a
-/// churned document and then clears the entry. Entries survive crashes
-/// and abandons untouched, so a redelivered message retries the same
-/// retraction — deletes are idempotent, making the whole scheme
-/// exactly-once without tombstones. Per-URI sets are unioned across
-/// repeated replaces, so no intermediate version can leak entries.
-pub type RetractionRegistry = Rc<RefCell<HashMap<String, BTreeSet<ItemKey>>>>;
+/// What the index store holds for every URI whose rebuild is pending. The
+/// front end makes the entry — an empty one for a new document — with the
+/// first loader message it queues since the URI's last completed rebuild,
+/// recording the stored version's index items *before* overwriting the
+/// object (the loader only ever sees the current bytes): recorded once,
+/// from a fully indexed version, and from then on only voided. The loader
+/// plans the current version against it, rewrites what changed, deletes
+/// what the version lost and drops the entry when the last call has
+/// landed. A crash or abandon leaves it in place, so a redelivered message
+/// re-plans against it — rewrites and deletes are idempotent, making the
+/// whole scheme exactly-once without tombstones.
+pub type RetractionRegistry = Rc<RefCell<BTreeMap<String, Held>>>;
 
 /// Aggregated loader-side totals (shared across all loader cores).
 #[derive(Debug, Default)]
@@ -96,6 +98,8 @@ pub struct LoaderTotals {
     pub entries: u64,
     /// Items written.
     pub items: u64,
+    /// Items left as the store held them.
+    pub unchanged_items: u64,
     /// Raw entry bytes.
     pub entry_bytes: u64,
     /// Cores that actually received at least one document (the divisor
@@ -251,6 +255,7 @@ struct Upload {
     deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
     entries: u64,
     items: u64,
+    unchanged: u64,
     entry_bytes: u64,
 }
 
@@ -300,8 +305,8 @@ pub struct LoaderCore {
     /// Index batches (puts *and* stale-key deletes) written so far by
     /// this core.
     pub batches_written: u64,
-    /// Pending retractions shared with the warehouse front end (empty for
-    /// a static corpus, so churn-free builds take the exact same path).
+    /// What the store holds for every pending URI, shared with the front
+    /// end (nothing for a new document: a cold build plans against that).
     pub retractions: RetractionRegistry,
     /// The routing plan in force, read per document at processing time
     /// ([`MixedPlan::placement`]).
@@ -413,26 +418,22 @@ impl LoaderCore {
             });
             self.totals.borrow_mut().extraction_micros += extraction.micros();
         }
-        // The puts, and — if this URI replaced an indexed version — the
-        // deletes of what its old versions held and the current one does
-        // not. The registry entry stays in place until the deletes
-        // complete, so a crash or abandon retries them on redelivery
-        // (idempotently); an identical or purely-growing rewrite leaves
-        // nothing to retract and drops it now. A document the store's
-        // limits cannot hold (an entry key over the hash-key limit) will
-        // not fit on redelivery either: its message is parked at once.
+        // The puts of what is new or changed and — if this URI replaced an
+        // indexed version — the deletes of what that version held and the
+        // current one does not, planned against the registry entry. It
+        // stays in place until the last call has landed, so a crash or
+        // abandon re-plans on redelivery (idempotently). A document the
+        // store's limits cannot hold (an entry key over the hash-key limit)
+        // will not fit on redelivery either: its message is parked at once.
         let profile = world.kv.profile();
-        let pending = self.retractions.borrow();
-        let planned = plan_document(entries, placement, &profile, &uri, pending.get(&uri));
+        let mut pending = self.retractions.borrow_mut();
+        let planned = plan_document(entries, placement, &profile, &uri, pending.get_mut(&uri));
+        drop(pending);
         let Ok(plan) = planned else {
             let retry = &mut self.worker.retry;
             let t = dead_letter(&mut world.sqs, retry, t, LOADER_QUEUE, lease.msg_id, &uri);
             return StepResult::NextAt(t);
         };
-        drop(pending);
-        if plan.deletes.is_empty() {
-            self.retractions.borrow_mut().remove(&uri);
-        }
         for table in &plan.tables {
             world.kv.ensure_table(table);
         }
@@ -442,6 +443,7 @@ impl LoaderCore {
             uri,
             entries: entries.len() as u64,
             items: plan.items(),
+            unchanged: plan.unchanged,
             entry_bytes,
             batches: plan.puts,
             deletes: plan.deletes,
@@ -538,10 +540,12 @@ impl LoaderCore {
         tot.docs += 1;
         tot.entries += up.entries;
         tot.items += up.items;
+        tot.unchanged_items += up.unchanged;
         tot.entry_bytes += up.entry_bytes;
         drop(tot);
         up.lease.keep_alive(&mut world.sqs, last);
         self.state = if up.deletes.is_empty() {
+            self.retractions.borrow_mut().remove(&up.uri);
             LoaderState::Finishing { lease: up.lease }
         } else {
             LoaderState::Retracting(up)

@@ -50,14 +50,14 @@ use crate::cost::CostModel;
 use crate::metrics::result_payload;
 use amada_cloud::{KvError, KvStore, Money, SimDuration, SimTime, S3};
 use amada_index::{
-    entry_item_keys, extract, lookup_pattern_in, merge_fan_out, partition_of, stale_keys,
-    write_entries, LookupOutcome, MixedPlan, Placement, QueryLookup, Strategy,
+    extract, lookup_pattern_in, merge_fan_out, partition_of, placed_item_keys, write_entries,
+    LookupOutcome, MixedPlan, Placement, QueryLookup, Strategy,
 };
 use amada_obs::Attribution;
 use amada_pattern::{evaluate_pattern_twig, join_pattern_results, Query, Tuple};
 use amada_xml::{Document, XmlError};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -137,16 +137,19 @@ pub struct Churn {
     /// Documents replaced.
     pub documents: u64,
     /// The share of a replaced version's index items its next version
-    /// holds no key for, `0.0..=1.0`. A range key names its entry, so the
-    /// rewrite overwrites every kept item in place and only the dropped
-    /// ones are billed a delete.
+    /// holds no key for, `0.0..=1.0`: a range key names its entry, so only
+    /// these are billed a delete.
     pub dropped: f64,
+    /// The share of the next version's items a rebuild writes (new key or
+    /// changed value; the rest is not billed), in [`Strategy::ALL`] order.
+    pub rewritten: [f64; 4],
 }
 
 impl Churn {
-    /// Measures `dropped` over `(uri, replaced xml, next xml)` versions: a
-    /// key is kept or dropped whatever a strategy stores under it, so the
-    /// presence index's keys stand for every strategy's.
+    /// Measures both over `(uri, replaced xml, next xml)` versions. A key is
+    /// kept or dropped whatever a strategy stores under it, so the presence
+    /// index's keys stand for every strategy's `dropped` — but not for
+    /// `rewritten`: what is stored under a kept key decides that.
     pub fn measured<'a>(
         documents: u64,
         versions: impl IntoIterator<Item = (&'a str, &'a str, &'a str)>,
@@ -154,20 +157,31 @@ impl Churn {
     ) -> Result<Churn, AdviseError> {
         let profile = base.backend.clone().open(base.kv_tuning).profile();
         let (mut dropped, mut held) = (0usize, 0usize);
+        let (mut written, mut stored) = ([0usize; 4], [0usize; 4]);
         for (uri, replaced, next) in versions {
-            let keys = |xml| {
-                let doc = Document::parse_str(uri, xml)
-                    .map_err(|e| AdviseError::Parse(uri.to_string(), e))?;
-                let entries = extract(&doc, Strategy::Lu, base.extract);
-                Ok(entry_item_keys(&entries, &profile, uri))
+            let parse = |xml| {
+                Document::parse_str(uri, xml).map_err(|e| AdviseError::Parse(uri.to_string(), e))
             };
-            let old = keys(replaced)?;
-            dropped += stale_keys(&old, &keys(next)?).len();
-            held += old.len();
+            let (replaced, next) = (parse(replaced)?, parse(next)?);
+            for (at, strategy) in Strategy::ALL.into_iter().enumerate() {
+                let items = |doc| -> HashMap<_, _> {
+                    let entries = extract(doc, strategy, base.extract);
+                    HashMap::from_iter(placed_item_keys(&entries, None, &profile, uri))
+                };
+                let (old, new) = (items(&replaced), items(&next));
+                written[at] += new.iter().filter(|(k, v)| old.get(*k) != Some(*v)).count();
+                stored[at] += new.len();
+                if strategy == Strategy::Lu {
+                    dropped += old.keys().filter(|k| !new.contains_key(*k)).count();
+                    held += old.len();
+                }
+            }
         }
+        let share = |part: usize, of: usize| part as f64 / of.max(1) as f64;
         Ok(Churn {
             documents,
-            dropped: dropped as f64 / held.max(1) as f64,
+            dropped: share(dropped, held),
+            rewritten: std::array::from_fn(|at| share(written[at], stored[at])),
         })
     }
 }
@@ -655,22 +669,24 @@ impl<'a> Scenario<'a> {
         };
 
         // ---- Maintenance: per run, the declared churn re-indexes its
-        // documents wherever the partition is indexed: the next version's
-        // entries written — over the kept ones, in place — and the dropped
-        // share retracted, both billed as index writes. ----
+        // documents wherever the partition is indexed: the rewritten share
+        // of the next version's entries put (a kept item of unchanged value
+        // is left alone), the dropped share retracted, both index writes. ----
         let mut maintenance = Money::ZERO;
         for (partition, churn) in churn {
-            let build = self.partition_build(partition, plan.strategy_of(partition))?;
+            let strategy = plan.strategy_of(partition);
+            let build = self.partition_build(partition, strategy)?;
             let members = self.uris.iter().filter(|(_, p)| p == partition);
-            let dropped_ppm = (churn.dropped * 1e6).round() as u64;
+            let at = Strategy::ALL.iter().position(|s| Some(*s) == strategy);
+            let written = at.map_or(1.0, |at| churn.rewritten[at]) + churn.dropped;
+            let written_ppm = (written * 1e6).round() as u64;
             for (uri, _) in members.take(churn.documents as usize) {
                 let (puts, serial_doc) = build.per_doc[uri];
                 if puts == 0 {
                     continue; // unindexed partitions churn free
                 }
                 let rewrite = self.cost.prices.idx_put * puts;
-                maintenance += rewrite
-                    + rewrite.scaled(dropped_ppm, 1_000_000)
+                maintenance += rewrite.scaled(written_ppm, 1_000_000)
                     + self.cost.prices.st_get
                     + self.cost.prices.qs_request * 2
                     + self.vm(serial_doc, lpool.itype, lcores);

@@ -24,6 +24,8 @@ pub struct IndexBuildReport {
     pub entries: u64,
     /// Store items written.
     pub items: u64,
+    /// Items the store already held, value and all: not written, not billed.
+    pub unchanged_items: u64,
     /// Raw entry bytes (`sr(D, I)`).
     pub entry_bytes: u64,
     /// Average per-core time spent extracting entries (Table 4 column

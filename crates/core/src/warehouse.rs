@@ -18,7 +18,7 @@ use amada_cloud::{
 };
 use amada_index::{
     delete_batches, placed_item_keys, CacheStats, ExtractCache, ItemKey, MixedPlan, PrewarmReport,
-    Strategy,
+    Strategy, ValueId,
 };
 use amada_pattern::Query;
 use std::cell::{OnceCell, RefCell};
@@ -39,9 +39,9 @@ pub struct Warehouse {
     retry: Retry,
     /// Autoscale controllers spawned so far (numbers their span lanes).
     controllers: usize,
-    /// Item keys of replaced document versions awaiting index
-    /// retraction, shared with the loader cores (see
-    /// [`RetractionRegistry`]).
+    /// What the index store holds for every URI with a loader message
+    /// enqueued but not yet processed (a pending rebuild), shared with the
+    /// loader cores (see [`RetractionRegistry`]).
     retractions: RetractionRegistry,
     /// The routing plan in force, shared with the module cores: the flat
     /// plan of `cfg.strategy` until [`Warehouse::apply_plan`] changes it.
@@ -51,13 +51,6 @@ pub struct Warehouse {
     /// previous one* (the observation window), so a drifting workload
     /// re-plans from what changed, not a stale average.
     advise_span_base: usize,
-    /// URIs with a loader message enqueued but not yet processed (a
-    /// pending rebuild). [`Warehouse::apply_plan`] piggybacks placement
-    /// changes on these: the loader reads the routing plan at processing
-    /// time, so a document already awaiting a rebuild migrates without a
-    /// second message or a second key sweep — which makes re-planning a
-    /// churning partition nearly free when timed with its churn.
-    pending_load: BTreeSet<String>,
     /// Read-path state kept from one query to the next and dropped by
     /// [`Warehouse::corpus_changed`]: the partition catalog…
     catalog: OnceCell<Rc<BTreeSet<String>>>,
@@ -179,7 +172,6 @@ impl Warehouse {
             controllers: 0,
             retractions: Rc::default(),
             advise_span_base: 0,
-            pending_load: BTreeSet::new(),
             catalog: OnceCell::new(),
             parses_warm: false,
         }
@@ -295,23 +287,14 @@ impl Warehouse {
             bytes += body.len() as u64;
             self.tag_frontend(Phase::Upload, None, Some(&uri));
             // Re-uploading an existing URI replaces the object: record
-            // the replaced version's item keys for retraction *before*
-            // the overwrite destroys the only copy of its bytes, account
-            // for the replaced bytes, and keep the URI listed once. A
-            // version still awaiting its rebuild was never indexed: the
-            // registry already holds what the last indexed one left, and
-            // keys recorded for this one would be billed deletes of
-            // nothing.
+            // what the replaced version has in the index *before* the
+            // overwrite destroys the only copy of its bytes, account for
+            // the replaced bytes, and keep the URI listed once.
             let replaced = self.engine.world.s3.peek(DOC_BUCKET, &uri);
-            if let Some(old) = &replaced {
-                if !self.pending_load.contains(&uri) {
-                    self.retract_later(&uri, self.item_keys_under(&self.plan, &uri, old));
-                }
-            }
+            self.mark_pending(&self.plan, &uri, replaced.as_deref());
             let s3 = &mut self.engine.world.s3;
             t = put_object(s3, &mut self.retry, t, DOC_BUCKET, &uri, body);
             t = self.enqueue_load(t, &uri);
-            self.pending_load.insert(uri.clone());
             match replaced {
                 Some(old) => self.corpus_bytes -= old.len() as u64,
                 None => self.doc_uris.push(uri),
@@ -337,33 +320,42 @@ impl Warehouse {
         })
     }
 
-    /// Records item keys of a replaced version or placement for
-    /// retraction by the loader that next rebuilds `uri` (the registry
-    /// unions with any retraction already pending for it).
-    fn retract_later(&self, uri: &str, keys: Vec<ItemKey>) {
-        if !keys.is_empty() {
-            self.retractions
-                .borrow_mut()
-                .entry(uri.to_string())
-                .or_default()
-                .extend(keys);
+    /// Marks `uri`'s rebuild pending and says whether it was already. The
+    /// first mark since its last completed rebuild records what the index
+    /// holds for it: the items `plan` — the one in force for churn, the
+    /// *old* one when [`Warehouse::apply_plan`] switches — derives from the
+    /// `stored` bytes, each with its value. A later mark finds a version no
+    /// loader finished, whose keys would be billed deletes of nothing —
+    /// unless one started: then the store may hold any, value unknown.
+    fn mark_pending(&self, plan: &MixedPlan, uri: &str, stored: Option<&Blob>) -> bool {
+        let mut registry = self.retractions.borrow_mut();
+        let first = !registry.contains_key(uri);
+        let held = registry.entry(uri.to_string()).or_default();
+        if first || std::mem::take(&mut held.attempted) {
+            for (key, value) in self.item_keys_under(plan, uri, stored) {
+                held.items.entry(key).or_insert(first.then_some(value));
+            }
         }
+        !first
     }
 
-    /// The index item keys a routing plan derives for this document
-    /// content (host-side replay of the loader's deterministic encoding —
-    /// no requests, no virtual time): under the plan in force for churn,
-    /// under the *old* plan when [`Warehouse::apply_plan`] switches.
-    fn item_keys_under(&self, plan: &MixedPlan, uri: &str, bytes: &Blob) -> Vec<ItemKey> {
-        // A plan that indexes nothing for the document holds nothing to
-        // replay.
-        let Some(placement) = plan.placement(uri) else {
+    /// The index items a routing plan derives for this document content
+    /// (host-side replay of the loader's deterministic encoding — no
+    /// requests, no virtual time): none when nothing is stored or the plan
+    /// indexes nothing for the document.
+    fn item_keys_under(
+        &self,
+        plan: &MixedPlan,
+        uri: &str,
+        stored: Option<&Blob>,
+    ) -> Vec<(ItemKey, ValueId)> {
+        let Some((bytes, placement)) = stored.zip(plan.placement(uri)) else {
             return Vec::new();
         };
         let (strategy, opts) = (placement.strategy, self.cfg.extract);
         let (_doc, entries) = self.cache.extracted(uri, bytes, strategy, opts);
         let profile = self.engine.world.kv.profile();
-        placed_item_keys(&entries, placement, &profile, uri)
+        placed_item_keys(&entries, Some(placement), &profile, uri)
     }
 
     /// Front end, churn maintenance: removes documents from the file
@@ -392,13 +384,11 @@ impl Warehouse {
             // Everything any version of this document may still hold in
             // the index: pending retractions from earlier replaces, plus
             // the stored version's keys.
-            let mut keys: BTreeSet<ItemKey> = self
-                .retractions
-                .borrow_mut()
-                .remove(&uri)
-                .unwrap_or_default();
+            let held = self.retractions.borrow_mut().remove(&uri);
+            let mut keys = held.map_or_else(BTreeSet::new, |h| h.items.into_keys().collect());
             if let Some(old) = self.engine.world.s3.peek(DOC_BUCKET, &uri) {
-                keys.extend(self.item_keys_under(&self.plan, &uri, &old));
+                let stored = self.item_keys_under(&self.plan, &uri, Some(&old));
+                keys.extend(stored.into_iter().map(|(key, _)| key));
                 bytes += old.len() as u64;
                 self.corpus_bytes -= old.len() as u64;
                 let what = format_args!("front-end delete of {DOC_BUCKET}/{uri}");
@@ -459,23 +449,16 @@ impl Warehouse {
             let Some(bytes) = self.engine.world.s3.peek(DOC_BUCKET, &uri) else {
                 continue;
             };
-            // A rebuild may already be queued (churn, typically): the
-            // loader reads the routing plan at processing time, so the
-            // pending message rebuilds under the *new* placement — no
-            // second message needed.
-            let pending = self.pending_load.contains(&uri);
-            // Record the old placement's keys *before* the switch makes
-            // them unreachable; the registry unions with any retraction
-            // already pending for this URI. Under a pending rebuild the
-            // upload that queued it recorded what the last indexed
-            // version left; when the registry holds nothing, the stored
-            // bytes replayed under the old placement name every key the
-            // index can hold for this URI.
-            if !(pending && self.retractions.borrow().contains_key(&uri)) {
-                self.retract_later(&uri, self.item_keys_under(&old_plan, &uri, &bytes));
-            }
+            // Record the old placement's items *before* the switch makes
+            // them unreachable. A rebuild may already be queued (churn,
+            // typically): its registry entry holds what the last indexed
+            // version left, and the loader reads the routing plan at
+            // processing time, so the pending message rebuilds under the
+            // *new* placement — no second message, no second key sweep,
+            // which makes re-planning a churning partition nearly free
+            // when timed with its churn.
             migrated += 1;
-            if pending {
+            if self.mark_pending(&old_plan, &uri, Some(&bytes)) {
                 continue;
             }
             self.tag_frontend(Phase::Build, None, Some(&uri));
@@ -550,7 +533,11 @@ impl Warehouse {
     /// Idempotent; called automatically by [`Warehouse::build_index`] and
     /// the query paths when `cfg.host.prewarm` is set.
     pub fn prewarm(&self) -> PrewarmReport {
-        let docs = self.engine.world.s3.peek_all(DOC_BUCKET);
+        self.prewarm_extractions(self.engine.world.s3.peek_all(DOC_BUCKET))
+    }
+
+    /// [`Warehouse::prewarm`] over `docs` only.
+    fn prewarm_extractions(&self, docs: Vec<(String, std::sync::Arc<Blob>)>) -> PrewarmReport {
         let combos: Vec<(Strategy, amada_index::ExtractOptions)> = self
             .plan
             .indexed_strategies()
@@ -674,7 +661,11 @@ impl Warehouse {
     /// (steps 4–6), with the configured (static) loader pool.
     pub fn build_index(&mut self) -> IndexBuildReport {
         if self.cfg.host.prewarm {
-            self.prewarm();
+            // What is queued, not what is stored: a one-document rebuild
+            // extracts one document (in URI order, as the store lists them).
+            let (s3, queued) = (&self.engine.world.s3, self.retractions.borrow());
+            let stored = |uri: &String| Some((uri.clone(), s3.peek(DOC_BUCKET, uri)?));
+            self.prewarm_extractions(queued.keys().filter_map(stored).collect());
         }
         let before = self.engine.world.snapshot();
         let start = self.engine.now();
@@ -697,9 +688,6 @@ impl Warehouse {
         };
         let (totals, end, instances, _) =
             self.run_pool(LOADER, pool, pool.itype.cores(), None, core);
-        // The loader queue is drained: every pending rebuild has been
-        // processed under the plan in force.
-        self.pending_load.clear();
         let cost = self.engine.world.cost_since(&before);
         let (throttled_requests, lease_renewals, redelivered) =
             fault_deltas(&self.engine.world, &before);
@@ -720,6 +708,7 @@ impl Warehouse {
             corpus_bytes: self.corpus_bytes,
             entries: totals.entries,
             items: totals.items,
+            unchanged_items: totals.unchanged_items,
             entry_bytes: totals.entry_bytes,
             avg_extraction_time: per_core(totals.extraction_micros),
             avg_upload_time: per_core(totals.upload_micros),

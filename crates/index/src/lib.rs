@@ -38,7 +38,7 @@ pub use cache::{content_hash, CacheStats, Content, ExtractCache};
 pub use explain::explain;
 pub use loadutil::{
     delete_batches, entry_item_keys, placed_item_keys, plan_document, retract_keys, stale_keys,
-    write_entries, DocIndexing, ItemKey, WritePlan,
+    write_entries, DocIndexing, Held, ItemKey, WritePlan,
 };
 pub use lookup::{lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup};
 pub use parallel::{prewarm, PrewarmReport};
@@ -48,6 +48,6 @@ pub use partition::{
 };
 pub use pushdown::{decode_tuples, encode_tuples, ScanPredicate};
 pub use shard::{hottest_keys, key_frequencies, skew_aware_plan};
-pub use store::UuidGen;
+pub use store::{UuidGen, ValueId};
 pub use strategy::{extract, ExtractOptions, IndexEntry, Payload, Strategy};
 pub use strategy::{TABLE_ID, TABLE_MAIN, TABLE_PATH};

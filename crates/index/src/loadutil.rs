@@ -4,20 +4,21 @@
 //! (paper Section 8.1): items are grouped into maximal `batch_put` calls.
 //!
 //! [`plan_document`] is the one statement of what a document version asks
-//! of the store — which items, in which of its [`Placement`]'s tables, cut
-//! into which calls, and which stale keys of a replaced version go after
-//! them. The warehouse's loader bursts the plan's calls concurrently;
-//! [`write_entries`] (the advisor's micro-builds and, through
-//! [`crate::index_documents_mixed`], the oracles) issues them one after
-//! another. [`placed_item_keys`] (the front end's retraction replay) makes
-//! no item: a range key names its entry and chunk, not a place in the item
-//! sequence, so the replay counts an entry's chunks and derives the keys.
+//! of the store — which items (those the store does not hold already), in
+//! which of its [`Placement`]'s tables, cut into which calls, and which
+//! stale keys of a replaced version go after them. The warehouse's loader
+//! bursts the plan's calls concurrently; [`write_entries`] (the advisor's
+//! micro-builds and, through [`crate::index_documents_mixed`], the oracles)
+//! issues them one after another. [`placed_item_keys`] (the front end's
+//! record of what a version left in the store) makes no item: a range key
+//! names its entry and chunk, not a place in the item sequence, so the
+//! replay cuts an entry's chunks and derives each key and [`ValueId`].
 
 use crate::partition::Placement;
-use crate::store::{encode_entry_into, for_each_range_key, UuidGen};
+use crate::store::{encode_entry_into, Only, UuidGen, ValueId};
 use crate::strategy::IndexEntry;
 use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// A full item primary key: `(table, hash_key, range_key)`.
 pub type ItemKey = (&'static str, String, String);
@@ -33,20 +34,34 @@ pub struct DocIndexing {
     pub batches: u64,
 }
 
+/// What the index store holds for one URI while its rebuild is pending.
+#[derive(Debug, Default)]
+pub struct Held {
+    /// Every key it may hold, with the value it holds there *now* — `None`
+    /// once a write that may or may not have landed has made that unknown.
+    pub items: BTreeMap<ItemKey, Option<ValueId>>,
+    /// A plan for the stored version has gone out to a loader: the store
+    /// may also hold any key of *that* version, which only its bytes name.
+    pub attempted: bool,
+}
+
 /// The index-store calls that bring one document's placement up to date,
 /// each queue in issue order.
 #[derive(Debug, Default)]
 pub struct WritePlan {
-    /// `batch_put` calls: the current version's items, table by table.
+    /// `batch_put` calls: the current version's items whose key is new or
+    /// whose value changed, table by table.
     pub puts: VecDeque<(&'static str, Vec<KvItem>)>,
     /// `batch_delete` calls, to issue once the puts have landed
     /// (write-new-then-delete-stale keeps every key readable throughout):
-    /// what a pending retraction holds and the current version does not.
+    /// what the store holds and the current version does not.
     pub deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
     /// Every table a call names — the placement's own, then the ones a
     /// previous placement stranded stale keys in. A write may be the first
     /// to name a table; ensuring it is a free, idempotent host-side call.
     pub tables: Vec<&'static str>,
+    /// Items the store already holds, value and all: not made, not put.
+    pub unchanged: u64,
 }
 
 impl WritePlan {
@@ -58,18 +73,20 @@ impl WritePlan {
 
 /// Plans the index-store calls for one document version: the `entries`
 /// its `placement`'s strategy extracted (`None`, and no entries, when the
-/// plan indexes nothing for the document) and the keys `pending`
-/// retraction for its URI.
+/// plan indexes nothing for the document) against what the store `held`
+/// for its URI.
 ///
 /// Every entry's items are encoded, in entry order, into their table's
 /// vector, each under the range key that names it, and the vectors are cut
 /// into batches by moving: from here to the store an item is never cloned. The tables keep the order in which
 /// the extraction first names them, which is the strategy's own — 2LUPI
 /// writes `[path, id]` — and the placement names each of them once, not
-/// once per entry. Stale keys are diffed against *borrowed* keys of what
-/// was just encoded, so only they are copied out of `pending`; their
-/// deletes cover the placement's own tables first, in that order, and
-/// then — after a plan switch — the previous placement's, in name order.
+/// once per entry. An item `held` records under its key with its value is
+/// not made at all; any other held key the version has is put and its
+/// record voided — the put may or may not land before the record is next
+/// read (a redelivered message plans the same puts). Held keys no item
+/// claims are stale; their deletes cover the placement's own tables first,
+/// in that order, then — after a plan switch — the previous one's, by name.
 ///
 /// A plan is a promise the store keeps: an item `profile` would reject —
 /// an entry key longer than its hash-key limit, say — is the typed error
@@ -79,56 +96,67 @@ pub fn plan_document(
     placement: Option<Placement<'_>>,
     profile: &KvProfile,
     uri: &str,
-    pending: Option<&BTreeSet<ItemKey>>,
+    held: Option<&mut Held>,
 ) -> Result<WritePlan, KvError> {
-    let mut per_table: Vec<(&'static str, Vec<KvItem>)> = Vec::new();
+    // (table as extracted, table as placed, its items)
+    let mut per_table: Vec<(&'static str, &'static str, Vec<KvItem>)> = Vec::new();
     let uuids = UuidGen::for_document(uri);
     let mut scratch = Vec::new();
+    let mut plan = WritePlan::default();
+    // What is held, by range key (one key, or one in each of two tables
+    // after a move between partitions): what no item claims is stale.
+    let mut unclaimed: HashMap<&str, Vec<(&'static str, &str, _)>> = HashMap::new();
+    if let Some(held) = held {
+        held.attempted = true;
+        for ((table, hash, range), value) in &mut held.items {
+            let named = unclaimed.entry(range).or_default();
+            named.push((*table, hash.as_str(), value));
+        }
+    }
+    // With nothing held every item is new, and none is asked about.
+    let compare = !unclaimed.is_empty();
     for e in entries {
         let at = per_table
             .iter()
-            .position(|(t, _)| *t == e.table)
+            .position(|(base, ..)| *base == e.table)
             .unwrap_or_else(|| {
+                // Only a placement has entries; it names their table once.
+                let table = placement.map_or(e.table, |p| p.table(e.table));
                 // About an item per entry: sized once, the vector never
                 // regrows among the document's blocks. Blocks refill the
                 // buffers a regrowth frees there, but not exactly, and the
                 // slivers left in a warehouse's heap cost the read path
                 // 12 % (EXPERIMENTS.md, "Loader path").
-                per_table.push((e.table, Vec::with_capacity(entries.len())));
+                per_table.push((e.table, table, Vec::with_capacity(entries.len())));
                 per_table.len() - 1
             });
-        encode_entry_into(
-            e,
-            profile,
-            &mut scratch,
-            Some((&uuids, &mut per_table[at].1)),
-        );
+        let (_, table, items) = &mut per_table[at];
+        let mut changed = |range: &str, value| {
+            let mine = |(t, h, _): &(_, &str, _)| t == table && **h == *e.key;
+            let named = unclaimed.get_mut(range);
+            let held = named.and_then(|n| Some(n.swap_remove(n.iter().position(mine)?)));
+            let Some((.., known)) = held else { return true };
+            let same = *known == Some(value);
+            *known = same.then_some(value);
+            plan.unchanged += u64::from(same);
+            !same
+        };
+        let only = compare.then_some(&mut changed as Only<'_>);
+        encode_entry_into(e, profile, &mut scratch, &uuids, items, only);
     }
-    let mut plan = WritePlan::default();
-    for (base, items) in per_table {
+    for (_, table, items) in per_table {
         items.iter().try_for_each(|item| profile.check(item))?;
-        // Only a placement has entries; it names their table once.
-        let table = placement.map_or(base, |p| p.table(base));
         plan.tables.push(table);
         plan.puts
             .extend(into_batches(items, profile.batch_put_limit).map(|batch| (table, batch)));
     }
-    let Some(old) = pending else {
-        return Ok(plan);
-    };
-    let fresh: HashSet<(&str, &str, &str)> = plan
-        .puts
-        .iter()
-        .flat_map(|(table, batch)| {
-            batch
-                .iter()
-                .map(move |item| (*table, &*item.hash_key, item.range_key()))
-        })
-        .collect();
-    let stale = old
-        .iter()
-        .filter(|(table, hash, range)| !fresh.contains(&(*table, hash, range)))
-        .cloned();
+    let stale = unclaimed.into_iter().flat_map(|(range, held)| {
+        let keys = held.into_iter();
+        keys.map(move |(table, hash, _)| (table, hash.to_string(), range.to_string()))
+    });
+    // Batches are cut in key order, whatever order the map gave.
+    let mut stale: Vec<ItemKey> = stale.collect();
+    stale.sort_unstable();
     let mut deletes = delete_batches(stale, profile.batch_put_limit);
     let own = |table: &&'static str| plan.tables.iter().position(|t| t == table);
     deletes.sort_by_key(|(table, _)| own(table).unwrap_or(usize::MAX));
@@ -186,37 +214,43 @@ fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<T>> 
 /// stale-entry retraction is the set difference between an old and a new
 /// version's keys — the keys the new version lost, no others.
 pub fn entry_item_keys(entries: &[IndexEntry], profile: &KvProfile, uri: &str) -> Vec<ItemKey> {
-    let uuids = UuidGen::for_document(uri);
-    let mut scratch = Vec::new();
-    let mut keys = Vec::with_capacity(entries.len());
-    for e in entries {
-        for_each_range_key(e, profile, &uuids, &mut scratch, |range| {
-            keys.push((e.table, e.key.to_string(), range.to_string()))
-        });
-    }
-    keys
+    let held = placed_item_keys(entries, None, profile, uri);
+    held.into_iter().map(|(key, _)| key).collect()
 }
 
-/// [`entry_item_keys`] under any placement: the same keys, in the tables
-/// the placement names — each of the document's tables once, not once per
-/// key.
+/// [`entry_item_keys`] under any placement (`None`: the root's), each key
+/// with what its item stores: the same keys, in the tables the placement
+/// names — each of the document's tables once, not once per key.
 pub fn placed_item_keys(
     entries: &[IndexEntry],
-    placement: Placement<'_>,
+    placement: Option<Placement<'_>>,
     profile: &KvProfile,
     uri: &str,
-) -> Vec<ItemKey> {
-    let mut keys = entry_item_keys(entries, profile, uri);
+) -> Vec<(ItemKey, ValueId)> {
+    let uuids = UuidGen::for_document(uri);
+    let (mut scratch, mut unmade) = (Vec::new(), Vec::new());
+    let mut keys = Vec::with_capacity(entries.len());
     let mut named: Vec<(&'static str, &'static str)> = Vec::new();
-    for (table, ..) in &mut keys {
-        let base = *table;
-        *table = match named.iter().find(|(b, _)| *b == base) {
-            Some(&(_, physical)) => physical,
+    for e in entries {
+        let table = match named.iter().find(|(base, _)| *base == e.table) {
+            Some(&(_, placed)) => placed,
             None => {
-                named.push((base, placement.table(base)));
+                named.push((e.table, placement.map_or(e.table, |p| p.table(e.table))));
                 named[named.len() - 1].1
             }
         };
+        let mut name = |range: &str, value| {
+            keys.push(((table, e.key.to_string(), range.to_string()), value));
+            false
+        };
+        encode_entry_into(
+            e,
+            profile,
+            &mut scratch,
+            &uuids,
+            &mut unmade,
+            Some(&mut name),
+        );
     }
     keys
 }
@@ -386,6 +420,22 @@ mod tests {
         sorted(keys.collect())
     }
 
+    /// A registry entry holding `keys`, their values unknown.
+    fn held(keys: impl IntoIterator<Item = ItemKey>) -> Held {
+        Held {
+            items: keys.into_iter().map(|key| (key, None)).collect(),
+            attempted: false,
+        }
+    }
+
+    /// A registry entry as the front end records it from an indexed version.
+    fn recorded(items: Vec<(ItemKey, ValueId)>) -> Held {
+        Held {
+            items: items.into_iter().map(|(k, v)| (k, Some(v))).collect(),
+            attempted: false,
+        }
+    }
+
     fn sorted(mut keys: Vec<ItemKey>) -> Vec<ItemKey> {
         keys.sort();
         keys
@@ -502,18 +552,20 @@ mod tests {
                 partition: "hot",
             };
             let stranded = extract(&v1, hot.strategy, opts);
-            old.extend(placed_item_keys(&stranded, hot, &profile, "d.xml"));
-            let pending: BTreeSet<ItemKey> = old.iter().cloned().collect();
+            let stranded = placed_item_keys(&stranded, Some(hot), &profile, "d.xml");
+            old.extend(stranded.into_iter().map(|(key, _)| key));
+            let mut pending = held(old.iter().cloned());
 
             let root = Some(Placement::root(Strategy::TwoLupi));
-            let plan = plan_document(&new, root, &profile, "d.xml", Some(&pending)).unwrap();
+            let plan = plan_document(&new, root, &profile, "d.xml", Some(&mut pending)).unwrap();
             let fresh = entry_item_keys(&new, &profile, "d.xml");
             assert_eq!(
                 put_keys(&plan),
                 sorted(fresh.clone()),
-                "{}: the puts ignore `pending`",
+                "{}: a key of unknown value is rewritten",
                 profile.name
             );
+            assert_eq!(plan.unchanged, 0, "{}", profile.name);
             let expected = stale_keys(&old, &fresh);
             assert!(
                 expected.len() < old.len(),
@@ -539,8 +591,8 @@ mod tests {
                 .all(|(_, batch)| batch.len() <= profile.batch_put_limit));
 
             // Nothing pending that the new version does not hold: no deletes.
-            let same: BTreeSet<ItemKey> = fresh.iter().cloned().collect();
-            let plan = plan_document(&new, root, &profile, "d.xml", Some(&same)).unwrap();
+            let mut same = held(fresh.iter().cloned());
+            let plan = plan_document(&new, root, &profile, "d.xml", Some(&mut same)).unwrap();
             assert!(plan.deletes.is_empty(), "{}", profile.name);
             assert_eq!(plan.tables, Strategy::TwoLupi.tables(), "{}", profile.name);
         }
@@ -551,13 +603,14 @@ mod tests {
         let d = doc();
         let profile = DynamoDb::default().profile();
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
-        let pending: BTreeSet<ItemKey> = entry_item_keys(&entries, &profile, d.uri())
-            .into_iter()
-            .collect();
-        let plan = plan_document(&[], None, &profile, d.uri(), Some(&pending)).unwrap();
+        let mut pending = recorded(placed_item_keys(&entries, None, &profile, d.uri()));
+        let plan = plan_document(&[], None, &profile, d.uri(), Some(&mut pending)).unwrap();
         assert!(plan.puts.is_empty());
         assert_eq!(plan.items(), 0);
-        assert_eq!(delete_keys(&plan), Vec::from_iter(pending));
+        assert_eq!(
+            delete_keys(&plan),
+            Vec::from_iter(pending.items.into_keys())
+        );
         // No table is the placement's own: all are stranded, in name order.
         let id_then_path = [crate::strategy::TABLE_ID, crate::strategy::TABLE_PATH];
         assert_eq!(plan.tables, id_then_path);
@@ -576,9 +629,8 @@ mod tests {
             for strategy in FIVE {
                 let entries = extract(&long, strategy, ExtractOptions::default());
                 let root = Some(Placement::root(strategy));
-                let pending =
-                    BTreeSet::from([(crate::strategy::TABLE_MAIN, "k".into(), "r".into())]);
-                for pending in [None, Some(&pending)] {
+                let mut pending = held([(crate::strategy::TABLE_MAIN, "k".into(), "r".into())]);
+                for pending in [None, Some(&mut pending)] {
                     assert_eq!(
                         plan_document(&entries, root, &profile, "d.xml", pending).err(),
                         Some(KvError::KeyTooLarge {

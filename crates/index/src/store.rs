@@ -123,41 +123,57 @@ const ITEM_SLACK: usize = 128;
 /// (`&mut`: the signature `benchmark/` calls; the generator steps nothing).
 pub fn encode_entry(entry: &IndexEntry, profile: &KvProfile, uuids: &mut UuidGen) -> Vec<KvItem> {
     let mut items = Vec::with_capacity(1);
-    encode_entry_into(entry, profile, &mut Vec::new(), Some((&*uuids, &mut items)));
+    encode_entry_into(entry, profile, &mut Vec::new(), uuids, &mut items, None);
     items
 }
 
-/// The range keys of the items [`encode_entry_into`] makes of `entry`, in
-/// chunk order, with no item made: the cut counts, the generator names.
-pub(crate) fn for_each_range_key(
-    entry: &IndexEntry,
-    profile: &KvProfile,
-    uuids: &UuidGen,
-    scratch: &mut Vec<u8>,
-    mut each: impl FnMut(&str),
-) {
-    for seq in 0..encode_entry_into(entry, profile, scratch, None) {
-        each(key_str(&uuids.range_key(entry, seq)));
+/// What an item stores, told without making it: 128 bits over its values'
+/// kinds, lengths and bytes, in order — two mixing lanes, because "the store
+/// already holds this" is more than one 64-bit hash can vouch for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValueId(u64, u64);
+
+impl ValueId {
+    fn of<'v>(values: impl Iterator<Item = KvValue<'v>>) -> ValueId {
+        let mut id = ValueId(0, 0x9E37_79B9_7F4A_7C15);
+        let mut word = |w: u64| id = ValueId(mix(id.0, w), mix(id.1, w.rotate_left(32)));
+        for v in values {
+            // Kind and length first: a short last word is then unambiguous.
+            word((v.len() as u64) << 1 | u64::from(v.is_binary()));
+            for chunk in v.as_bytes().chunks(8) {
+                let mut w = [0; 8];
+                w[..chunk.len()].copy_from_slice(chunk);
+                word(u64::from_le_bytes(w));
+            }
+        }
+        id
     }
 }
 
-/// Cuts `entry`'s values into items and returns how many. With `make`
-/// they are made — named by its generator, appended to its vector (the
-/// loader encodes a whole document, its ID lists through one `scratch`
-/// buffer); without, only counted. An item shares its hash key and
-/// attribute name with the entry; what it allocates is its block, which
-/// the entry's values are written straight into.
+/// Asked of an item's range key and value before it is made: `false` skips it.
+pub type Only<'a> = &'a mut dyn FnMut(&str, ValueId) -> bool;
+
+/// Cuts `entry`'s values into items named by `uuids` and appends them to
+/// `items` (the loader encodes a whole document, its ID lists through one
+/// `scratch` buffer) — all of them, or the ones `only` lets through. An
+/// item shares its hash key and attribute name with the entry; what it
+/// allocates is its block, which the entry's values are written straight
+/// into.
 pub fn encode_entry_into(
     entry: &IndexEntry,
     profile: &KvProfile,
     scratch: &mut Vec<u8>,
-    make: Option<(&UuidGen, &mut Vec<KvItem>)>,
-) -> usize {
+    uuids: &UuidGen,
+    items: &mut Vec<KvItem>,
+    only: Option<Only<'_>>,
+) {
     let fixed = entry.key.len() + RANGE_KEY_BYTES + entry.uri.len() + ITEM_SLACK;
     let budget = profile.max_item_bytes.saturating_sub(fixed).max(256);
     let mut cut = Cut {
         entry,
-        make,
+        uuids,
+        items,
+        only,
         budget,
         max_values: profile.max_attrs_per_item,
         seq: 0,
@@ -193,21 +209,21 @@ pub fn encode_entry_into(
         }
         Payload::Ids(ids) => cut.items_of(blob_values(&base64_encode(&encode_ids(ids)), 0)),
     }
-    cut.seq
 }
 
 /// Where an entry's values become items.
-struct Cut<'a> {
+struct Cut<'a, 'o> {
     entry: &'a IndexEntry,
-    /// What names the items and where they go; `None` only counts them.
-    make: Option<(&'a UuidGen, &'a mut Vec<KvItem>)>,
+    uuids: &'a UuidGen,
+    items: &'a mut Vec<KvItem>,
+    only: Option<Only<'o>>,
     budget: usize,
     max_values: usize,
     /// Items cut so far: the next one's chunk sequence number.
     seq: usize,
 }
 
-impl Cut<'_> {
+impl Cut<'_, '_> {
     /// Groups `values` into items within the backend's item budget and
     /// attribute-count limit. An item takes values until it is full —
     /// counted from their lengths, before its block is made; the common
@@ -225,13 +241,12 @@ impl Cut<'_> {
             if count == 0 {
                 return;
             }
-            if let Some((uuids, items)) = &mut self.make {
-                items.push(KvItem::new(
-                    self.entry.key.clone(),
-                    key_str(&uuids.range_key(self.entry, self.seq)),
-                    self.entry.uri.clone(),
-                    values.clone().take(count),
-                ));
+            let name = self.uuids.range_key(self.entry, self.seq);
+            let item = || values.clone().take(count);
+            if (self.only.as_mut()).is_none_or(|only| only(key_str(&name), ValueId::of(item()))) {
+                let (key, uri) = (self.entry.key.clone(), self.entry.uri.clone());
+                self.items
+                    .push(KvItem::new(key, key_str(&name), uri, item()));
             }
             self.seq += 1;
             values.nth(count - 1);
@@ -492,10 +507,11 @@ mod tests {
         let _ = range_key(&g, &named("ename"), UuidGen::MAX_CHUNK_SEQ);
     }
 
-    /// The key replay names exactly the items the encoder makes, in chunk
-    /// order, on both backends and for chunked entries.
+    /// Asked about every item, the encoder names exactly the items it makes
+    /// unasked, in chunk order, on both backends and for chunked entries —
+    /// and makes only the ones let through, which it told apart by value.
     #[test]
-    fn the_key_replay_names_the_items_the_encoder_makes() {
+    fn asked_first_the_encoder_names_every_item_and_makes_the_wanted_ones() {
         let deep = format!("/e{}", "a/e".repeat(40_000));
         let payloads = [
             Payload::Presence,
@@ -509,15 +525,52 @@ mod tests {
                 let e = entry(payload.clone());
                 let mut uuids = UuidGen::for_document("doc.xml");
                 let items = encode_entry(&e, &profile, &mut uuids);
-                let mut replayed = Vec::new();
-                for_each_range_key(&e, &profile, &uuids, &mut Vec::new(), |k| {
-                    replayed.push(k.to_string())
-                });
                 let made: Vec<&str> = items.iter().map(KvItem::range_key).collect();
-                assert_eq!(replayed, made, "{}", profile.name);
                 assert!(made.windows(2).all(|w| w[0] < w[1]), "chunk order");
+                let (mut asked, mut odd) = (Vec::new(), Vec::new());
+                let mut every_other = |k: &str, v: ValueId| {
+                    asked.push((k.to_string(), v));
+                    asked.len() % 2 == 1
+                };
+                let only: Only<'_> = &mut every_other;
+                encode_entry_into(&e, &profile, &mut Vec::new(), &uuids, &mut odd, Some(only));
+                let names: Vec<&str> = asked.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(names, made, "{}", profile.name);
+                let wanted: Vec<&KvItem> = items.iter().step_by(2).collect();
+                assert_eq!(odd.iter().collect::<Vec<_>>(), wanted, "{}", profile.name);
+                // Told apart by value: as many distinct identities as
+                // distinct value lists.
+                let mut same_id = 0;
+                let mut same_values = 0;
+                for (i, a) in items.iter().enumerate() {
+                    for (j, b) in items.iter().enumerate().skip(i + 1) {
+                        same_id += usize::from(asked[i].1 == asked[j].1);
+                        same_values += usize::from(a.values().eq(b.values()));
+                    }
+                }
+                assert_eq!(same_id, same_values, "{}", profile.name);
             }
         }
+    }
+
+    #[test]
+    fn a_value_identity_tells_kind_length_order_and_bytes() {
+        let id = |values: &[KvValue<'_>]| ValueId::of(values.iter().copied());
+        let base = id(&[KvValue::S("/ea/eb"), KvValue::S("/ea/ec")]);
+        assert_eq!(base, id(&[KvValue::S("/ea/eb"), KvValue::S("/ea/ec")]));
+        for other in [
+            id(&[KvValue::S("/ea/ec"), KvValue::S("/ea/eb")]),
+            id(&[KvValue::S("/ea/eb/ea/ec")]),
+            id(&[KvValue::S("/ea/eb"), KvValue::S("/ea/e")]),
+            id(&[KvValue::S("/ea/eb"), KvValue::B(b"/ea/ec")]),
+            id(&[KvValue::S("/ea/eb")]),
+            id(&[]),
+        ] {
+            assert_ne!(base, other);
+        }
+        // A short last word is not its zero-padded self.
+        assert_ne!(id(&[KvValue::B(b"ab")]), id(&[KvValue::B(b"ab\0")]));
+        assert_ne!(id(&[KvValue::S("")]), id(&[]));
     }
 
     #[test]

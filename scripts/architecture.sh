@@ -123,6 +123,22 @@ range_keys_name_the_entry() {
     test "$(grep -E '(^|[^_a-z])range_key\([^)&]' <<<"$src" | grep -cvE "^$store:")" -eq 0
 }
 
+# Whether an item of a rebuilt document is written is decided once, in
+# `plan_document`, against the one registry entry the front end recorded:
+# the loader and the front end neither filter a batch, nor look into the
+# store, nor compare values (the front end records them, `plan_document`
+# alone reads them back), and there is no second map from URI to what the
+# store holds.
+a_rebuild_writes_what_changed() {
+    core=$(grep -E '^crates/core/src/(actors|warehouse)\.rs:' <<<"$src" | grep -vE ':[0-9]+:[[:space:]]*//')
+    test "$(grep -cE '(puts|batch(es)?|items)\.(retain|drain|iter\(\)\.filter)|kv\.peek|peek_all\(\)|ValueId::|== Some\(value\)' <<<"$core")" -eq 0
+    test "$(grep -cE 'value(s)? *[!=]= ' <<<"$core")" -eq 0
+    test "$(grep -F 'ValueId' <<<"$src" | grep -cvE '^crates/(index/src/(store|loadutil|lib)|core/src/warehouse)\.rs:')" -eq 0
+    test "$(grep -cE 'Map<String, (Held|BTree(Set|Map)<ItemKey)' <<<"$src")" -eq 1
+    test "$(grep -cE 'pending_load|fn retract_later' <<<"$src")" -eq 0
+    test "$(grep -F 'plan_document(' <<<"$src" | grep -vE ':[0-9]+:[[:space:]]*//' | grep -cvE '^crates/index/src/loadutil\.rs:')" -eq 1
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -133,6 +149,7 @@ rules=(
     one_measurement_path
     one_placement
     range_keys_name_the_entry
+    a_rebuild_writes_what_changed
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do

@@ -39,6 +39,7 @@ fn advise(sample: &[(String, String)]) -> AdaptiveAdvice {
     let replaced = Churn {
         documents: 3,
         dropped: 1.0,
+        rewritten: [1.0; 4],
     };
     let churn = BTreeMap::from([("c".to_string(), replaced)]);
     let horizon = Horizon {

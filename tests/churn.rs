@@ -182,31 +182,8 @@ fn mid_replace_crash_converges_to_the_new_version() {
     // Rebuild with a hand-built pool: one core crashes after its first
     // index batch (mid-replace — new items partly written, stale items
     // not yet deleted), a healthy core picks up the redelivery.
-    let totals = Rc::new(RefCell::new(LoaderTotals::default()));
-    let cache: DocCache = w.cache().clone();
-    let registry = w.retraction_registry();
-    let plan = w.routing_plan();
-    let start = w.now();
+    run_crashing_pool(&mut w, &cfg, 1, true);
     let engine = w.engine_mut();
-    engine.world.sqs.close(LOADER_QUEUE);
-    let mk = |engine: &mut amada::cloud::Engine, idx: u64| {
-        let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
-        LoaderCore::new(
-            &cfg,
-            Worker::new(&cfg, LOADER, instance, idx, None),
-            plan.clone(),
-            registry.clone(),
-            totals.clone(),
-            cache.clone(),
-        )
-    };
-    let mut crashing = mk(engine, 1);
-    crashing.crash_after_batches = Some(1);
-    engine.spawn(Box::new(crashing), start);
-    let healthy = mk(engine, 2);
-    engine.spawn(Box::new(healthy), start);
-    engine.run();
-    engine.world.sqs.open(LOADER_QUEUE);
     assert!(
         engine.world.sqs.stats().redelivered >= 1,
         "the crash must lose a lease"
@@ -276,4 +253,204 @@ fn a_version_replaced_before_it_was_indexed_leaves_nothing_to_retract() {
         );
         assert_eq!(w.world().kv.peek_all(), fresh.world().kv.peek_all());
     }
+}
+
+/// A document of some thirty keys — two put batches — whose index values,
+/// not only its keys, follow `shape`: shape 1 wraps the fields, so every
+/// path and identifier under a kept key changes; shape 2 is shape 1 with a
+/// field more.
+fn shaped(id: u64, shape: usize) -> String {
+    let facets: String = (0..28).map(|j| format!("<f{j}>x</f{j}>")).collect();
+    let fields = format!("<name>painting {id}</name><year>1854</year>{facets}");
+    match shape {
+        0 => format!("<item>{fields}</item>"),
+        1 => format!("<item><wrap>{fields}</wrap></item>"),
+        _ => format!("<item><wrap>{fields}</wrap><sold>yes</sold></item>"),
+    }
+}
+
+fn shaped_docs(shape: usize) -> impl Iterator<Item = (String, String)> {
+    (0..6u64).map(move |i| (format!("doc{i}.xml"), shaped(i, shape)))
+}
+
+/// A warehouse with shape 0 of the six documents indexed.
+fn indexed(strategy: Strategy) -> Warehouse {
+    let mut w = Warehouse::new(WarehouseConfig::with_strategy(strategy));
+    w.upload_documents(shaped_docs(0));
+    w.build_index();
+    w
+}
+
+fn fresh_index(strategy: Strategy, shape: usize) -> Vec<(String, amada::cloud::KvItem)> {
+    let mut fresh = Warehouse::new(WarehouseConfig::with_strategy(strategy));
+    fresh.upload_documents(shaped_docs(shape));
+    fresh.build_index();
+    fresh.world().kv.peek_all()
+}
+
+/// A rebuild writes what changed: re-uploading indexed documents byte for
+/// byte consumes no write capacity at all — no put, no delete — and the
+/// index stays what it was.
+#[test]
+fn an_identical_re_upload_bills_no_write_unit() {
+    for strategy in Strategy::ALL {
+        let mut w = indexed(strategy);
+        let (index, kv) = (w.world().kv.peek_all(), w.world().kv.stats());
+        w.upload_documents(shaped_docs(0));
+        let report = w.build_index();
+        assert_eq!(report.documents, 6, "{strategy}: every message is worked");
+        assert_eq!((report.items, report.retracted_items), (0, 0), "{strategy}");
+        assert_eq!(report.unchanged_items as usize, index.len(), "{strategy}");
+        assert_eq!(
+            w.world().kv.stats(),
+            kv,
+            "{strategy}: not a unit, not a call"
+        );
+        assert_eq!(w.world().kv.peek_all(), index, "{strategy}");
+        assert!(w.retraction_registry().borrow().is_empty(), "{strategy}");
+    }
+}
+
+/// Skips are taken against the last *indexed* version. Shape 0 is indexed,
+/// shapes 1 and 2 are uploaded before one build: shape 2 keeps shape 1's
+/// values under every key they share, but the store holds shape 0's, so the
+/// build writes exactly what going from 0 to 2 directly writes — and ends
+/// on a fresh build's bytes.
+#[test]
+fn skips_are_taken_against_the_last_indexed_version() {
+    for strategy in Strategy::ALL {
+        let build = |uploads: [usize; 2]| {
+            let mut w = indexed(strategy);
+            for shape in uploads {
+                w.upload_documents(shaped_docs(shape));
+            }
+            let report = w.build_index();
+            (w, report)
+        };
+        let (direct, from_0) = build([2, 2]);
+        let (via_1, report) = build([1, 2]);
+        assert_eq!(
+            (report.items, report.unchanged_items, report.retracted_items),
+            (from_0.items, from_0.unchanged_items, from_0.retracted_items),
+            "{strategy}"
+        );
+        assert_eq!(report.cost, from_0.cost, "{strategy}");
+        // Wrapping the fields moves every identifier; a path or a
+        // presence mark it leaves alone is skipped.
+        assert_eq!(report.unchanged_items > 0, strategy != Strategy::Lui);
+        let fresh = fresh_index(strategy, 2);
+        assert_eq!(via_1.world().kv.peek_all(), fresh, "{strategy}");
+        assert_eq!(direct.world().kv.peek_all(), fresh, "{strategy}");
+    }
+}
+
+/// Runs the loader queue dry on a hand-built pool sharing the warehouse's
+/// registry: a core that crashes after `crash_after` index batches and,
+/// if asked for, a healthy one beside it.
+fn run_crashing_pool(w: &mut Warehouse, cfg: &WarehouseConfig, crash_after: u64, healthy: bool) {
+    let totals = Rc::new(RefCell::new(LoaderTotals::default()));
+    let cache: DocCache = w.cache().clone();
+    let (registry, plan, start) = (w.retraction_registry(), w.routing_plan(), w.now());
+    let engine = w.engine_mut();
+    engine.world.sqs.close(LOADER_QUEUE);
+    for idx in 1..=1 + u64::from(healthy) {
+        let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
+        let worker = Worker::new(cfg, LOADER, instance, idx, None);
+        let (plan, registry) = (plan.clone(), registry.clone());
+        let mut core = LoaderCore::new(cfg, worker, plan, registry, totals.clone(), cache.clone());
+        core.crash_after_batches = (idx == 1).then_some(crash_after);
+        engine.spawn(Box::new(core), start);
+    }
+    engine.run();
+    engine.world.sqs.open(LOADER_QUEUE);
+}
+
+/// A loader that crashes mid-upload of a replaced document leaves the
+/// registry entry in place, its to-be-written values voided; the
+/// redelivered message re-plans against it and the index converges on a
+/// fresh build's bytes — under throttling, at the chaos matrix's seeds,
+/// wherever in the burst the crash falls.
+#[test]
+fn a_crashed_replace_converges_on_redelivery_at_the_chaos_seeds() {
+    for seed in [1_025_299u64, 42, 7777] {
+        for (strategy, crash_after) in Strategy::ALL.into_iter().zip([1, 2, 3, 4]) {
+            let mut cfg = WarehouseConfig::with_strategy(strategy);
+            cfg.visibility = SimDuration::from_secs(30);
+            cfg.faults = FaultConfig {
+                seed,
+                s3_rate: 0.05,
+                kv_rate: 0.05,
+                sqs_rate: 0.05,
+            };
+            let mut w = Warehouse::new(cfg.clone());
+            w.upload_documents(shaped_docs(0));
+            w.build_index();
+            w.upload_documents(shaped_docs(2));
+            run_crashing_pool(&mut w, &cfg, crash_after, true);
+            let what = format!("{strategy}, seed {seed}, crash after {crash_after}");
+            assert!(w.world().sqs.stats().redelivered >= 1, "{what}");
+            assert_eq!(w.world().kv.peek_all(), fresh_index(strategy, 2), "{what}");
+            assert!(w.retraction_registry().borrow().is_empty(), "{what}");
+        }
+    }
+}
+
+/// The crash nobody redelivers in time: the pool's only core dies having
+/// written shape 1 over shape 0, and before the message comes back the
+/// documents return to shape 0. The registry still says what shape 0
+/// stored — but the crashed plan voided every value it set out to write
+/// and the front end adds the keys shape 1 may have left, so the rebuild
+/// rewrites the former and deletes the latter: a wrong skip would keep
+/// shape 1's paths, a missing key its `wrap` entries.
+#[test]
+fn a_crashed_replace_then_the_old_bytes_again_skips_nothing_it_cannot_vouch_for() {
+    for strategy in Strategy::ALL {
+        for crash_after in [1, 2] {
+            let cfg = WarehouseConfig::with_strategy(strategy);
+            let mut w = indexed(strategy);
+            w.upload_documents(shaped_docs(1));
+            run_crashing_pool(&mut w, &cfg, crash_after, false);
+            let what = format!("{strategy}, crash after {crash_after}");
+            assert_ne!(w.world().kv.peek_all(), fresh_index(strategy, 0), "{what}");
+            w.upload_documents(shaped_docs(0));
+            let report = w.build_index();
+            assert_eq!(w.world().kv.peek_all(), fresh_index(strategy, 0), "{what}");
+            // What the crashed core never reached is still vouched for.
+            assert!(report.unchanged_items > 0, "{what}");
+            assert!(w.retraction_registry().borrow().is_empty(), "{what}");
+        }
+    }
+}
+
+/// A plan switch onto the same physical table — LU to LUP at the root —
+/// keeps every key and changes every value: the rebuild writes each item
+/// over the presence item of the same name and deletes nothing.
+#[test]
+fn a_plan_switch_in_place_rewrites_every_item_whose_value_differs() {
+    let mut w = indexed(Strategy::Lu);
+    let before = w.world().kv.peek_all();
+    let moved = w.apply_plan(amada::index::MixedPlan::flat(Some(Strategy::Lup)));
+    assert_eq!(moved, 6);
+    let report = w.build_index();
+    let after = w.world().kv.peek_all();
+    assert_eq!(after, fresh_index(Strategy::Lup, 0));
+    assert_eq!(after.len(), before.len(), "LU and LUP name the same keys");
+    let rewritten = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+    assert_eq!(rewritten, after.len(), "a path list is not a presence mark");
+    assert_eq!(
+        (
+            report.items as usize,
+            report.unchanged_items,
+            report.retracted_items
+        ),
+        (rewritten, 0, 0)
+    );
+    // And back, onto the table it came from: the same again.
+    w.apply_plan(amada::index::MixedPlan::flat(Some(Strategy::Lu)));
+    let report = w.build_index();
+    assert_eq!(
+        (report.items as usize, report.unchanged_items),
+        (rewritten, 0)
+    );
+    assert_eq!(w.world().kv.peek_all(), before);
 }

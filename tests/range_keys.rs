@@ -2,12 +2,13 @@
 //! chunk number — and nothing about where the item fell in its document's
 //! entry stream. Two properties follow and are held here: within a build no
 //! two items share a primary key, and a replaced version deletes exactly
-//! the `(table, key, chunk)` triples its successor lacks.
+//! the `(table, key, chunk)` triples its successor lacks — and writes
+//! exactly the items whose key is new or whose value changed.
 
-use amada::cloud::{DynamoDb, KvProfile, KvStore, SimpleDb};
+use amada::cloud::{DynamoDb, KvItem, KvProfile, KvStore, SimpleDb};
 use amada::index::store::encode_entry;
 use amada::index::{
-    entry_item_keys, extract, plan_document, ExtractOptions, IndexEntry, ItemKey, Placement,
+    extract, placed_item_keys, plan_document, ExtractOptions, Held, IndexEntry, Placement,
     Strategy, UuidGen,
 };
 use amada::xmark::{generate_corpus, CorpusConfig};
@@ -103,12 +104,35 @@ fn triples(
         .collect()
 }
 
+/// Every item a version stores, by `(table, hash key, range key)`: the
+/// encoder's own items, made in full.
+fn items_by_key(
+    entries: &[IndexEntry],
+    profile: &KvProfile,
+    uri: &str,
+) -> BTreeMap<(&'static str, String, String), KvItem> {
+    let mut uuids = UuidGen::for_document(uri);
+    let items = entries.iter().flat_map(|e| {
+        let made = encode_entry(e, profile, &mut uuids);
+        made.into_iter().map(|i| {
+            (
+                (e.table, i.hash_key.to_string(), i.range_key().to_string()),
+                i,
+            )
+        })
+    });
+    items.collect()
+}
+
 /// amada-check's churn scripts re-upload documents grown, shrunk and
 /// byte-identical: whatever the version before, the plan of the next one
-/// deletes the triples it lacks, each once, and no other key.
+/// deletes the triples it lacks, each once, and no other key; it puts the
+/// items whose key is new or whose stored bytes differ, and an item the
+/// store already holds is in neither queue.
 #[test]
 fn a_replace_deletes_exactly_the_triples_the_new_version_lacks() {
     let (mut grown, mut shrunk, mut identical) = (0, 0, 0);
+    let mut unchanged_items = 0;
     for seed in [1u64, 2, 3] {
         for index in 0..70 {
             let case = generate_case(seed, index);
@@ -136,11 +160,41 @@ fn a_replace_deletes_exactly_the_triples_the_new_version_lacks() {
                 let (old, new) = (entries(&old_xml), entries(xml));
                 for profile in profiles() {
                     let what = format!("seed {seed} case {index} {uri} on {}", profile.name);
-                    let pending: BTreeSet<ItemKey> =
-                        entry_item_keys(&old, &profile, uri).into_iter().collect();
                     let root = Some(Placement::root(strategy));
-                    let plan = plan_document(&new, root, &profile, uri, Some(&pending))
+                    let recorded = placed_item_keys(&old, root, &profile, uri);
+                    let mut held = Held::default();
+                    held.items
+                        .extend(recorded.into_iter().map(|(k, v)| (k, Some(v))));
+                    let plan = plan_document(&new, root, &profile, uri, Some(&mut held))
                         .expect("generated documents fit the store's limits");
+                    let (before, after) = (
+                        items_by_key(&old, &profile, uri),
+                        items_by_key(&new, &profile, uri),
+                    );
+                    let put: BTreeMap<_, _> = plan
+                        .puts
+                        .iter()
+                        .flat_map(|(table, batch)| batch.iter().map(move |i| (*table, i)))
+                        .map(|(t, i)| ((t, i.hash_key.to_string(), i.range_key().to_string()), i))
+                        .collect();
+                    let turned_over: BTreeMap<_, _> = after
+                        .iter()
+                        .filter(|(key, item)| before.get(*key) != Some(*item))
+                        .map(|(key, item)| (key.clone(), item))
+                        .collect();
+                    assert_eq!(put, turned_over, "{what}: puts = new or changed");
+                    assert_eq!(plan.items() as usize, put.len(), "{what}: each once");
+                    assert_eq!(
+                        plan.unchanged as usize,
+                        after.len() - turned_over.len(),
+                        "{what}: the rest is left alone"
+                    );
+                    // What the plan leaves known is what it did not touch.
+                    for (key, value) in &held.items {
+                        let kept = before.get(key).is_some_and(|b| after.get(key) == Some(b));
+                        assert_eq!(value.is_some(), kept || !after.contains_key(key), "{what}");
+                    }
+                    unchanged_items += plan.unchanged;
                     let deleted: Vec<(&'static str, String, usize)> = plan
                         .deletes
                         .iter()
@@ -159,6 +213,7 @@ fn a_replace_deletes_exactly_the_triples_the_new_version_lacks() {
                     assert_eq!(BTreeSet::from_iter(deleted), lost, "{what}");
                     if *xml == old_xml {
                         assert!(plan.deletes.is_empty(), "{what}: identical");
+                        assert!(plan.puts.is_empty(), "{what}: identical");
                     }
                 }
                 identical += usize::from(*xml == old_xml);
@@ -168,7 +223,8 @@ fn a_replace_deletes_exactly_the_triples_the_new_version_lacks() {
         }
     }
     assert!(
-        grown > 0 && shrunk > 0 && identical > 0,
-        "{grown} grown, {shrunk} shrunk, {identical} identical re-uploads"
+        grown > 0 && shrunk > 0 && identical > 0 && unchanged_items > 0,
+        "{grown} grown, {shrunk} shrunk, {identical} identical re-uploads, \
+         {unchanged_items} items left alone"
     );
 }
