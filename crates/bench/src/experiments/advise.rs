@@ -19,23 +19,25 @@
 //!   season workload, under a monthly storage budget (chosen to exclude
 //!   the heavyweight uniform-2LUPI layout) and a mean-response SLO
 //!   (which excludes the cheap-but-scan-heavy "index nothing" plans the
-//!   dollars-only optimum would pick, and the presence index on the
-//!   auction feeds while the season queries them). It records its own spans and
+//!   dollars-only optimum would pick). It records its own spans and
 //!   re-advises monthly from live attribution
-//!   ([`amada_core::Warehouse::readvise`]): while the season lasts the
-//!   cadence confirms the plan for free; the month the auction traffic
-//!   vanishes from the observation window, the advisor demotes the
-//!   churning `auc/` partition to the cheapest index and the migration
-//!   **piggybacks on the churn rebuild already queued** — no second
-//!   message, no second key sweep ([`amada_core::Warehouse::apply_plan`]).
+//!   ([`amada_core::Warehouse::readvise`]), each time after the month's
+//!   churn upload, so that a migration it orders **piggybacks on the churn
+//!   rebuild already queued** — no second message, no second key sweep
+//!   ([`amada_core::Warehouse::apply_plan`]). It orders none: the plan
+//!   that is cheapest while the season lasts is cheapest after it, and
+//!   every month — the one the auction traffic vanishes from the
+//!   observation window included — confirms it for free.
 //!
 //! The economics the advisor has to discover: `people/` is always hot and
 //! selectively queried, so the precise ID-granularity index pays for
 //! itself there; `items/` matches no query, so anything beyond the
 //! cheapest presence index is wasted storage and decode ballast; `auc/`
-//! deserves the precise index only while the season queries it — after
-//! the drift every extra index byte is pure storage rent, rewritten by
-//! churn every month.
+//! is replaced every month, and a rebuild writes only the items whose
+//! value changed — under the presence index a feed's new keys, under a
+//! path or ID index nearly all of it — so what the season's auction query
+//! saves on a precise index is less than the churn then costs, and the
+//! presence index answers the season's mix inside the SLO.
 //!
 //! Every deployment pays the same bills on the same meter: initial index
 //! build, per-month query charges, churn maintenance (incremental
@@ -47,13 +49,12 @@
 //! (`build + runs × (run + maintenance) + months × storage`, upload-free
 //! by construction).
 //!
-//! The tests pin the headline: the adaptive deployment is the cheapest of
-//! the deployments that meet the SLO *and* has a mean response time no
-//! worse than any static layout (uniform LU alone costs less, and misses
-//! the SLO); the SLO demonstrably rejected a cheaper-but-slower plan; exactly one cadence re-advise migrated, it
-//! moved only the churning partition, and the deploy-time projections
-//! agree with the measured static deployments within 8 % on the
-//! horizon total.
+//! The tests pin the headline: the adaptive deployment lands strictly
+//! cheapest over the horizon, inside the SLO and faster than the cheapest
+//! static layout; the SLO demonstrably rejected a cheaper-but-slower
+//! plan; no cadence re-advise migrated a document, and the deploy-time
+//! projections agree with the measured static deployments within 8 % on
+//! the horizon total.
 
 use crate::{corpus, Outcome, Scale, TextTable};
 use amada_cloud::{Money, SimDuration};
@@ -78,12 +79,8 @@ pub const DRIFT_AT: usize = 3;
 /// The declared mean-response SLO (seconds). Without it the
 /// dollars-optimal plan leaves the rarely-queried partitions unindexed
 /// and every arrival scans them — cheaper on storage and maintenance,
-/// several times slower on response. It also sits between what a path or
-/// ID index on the auction feeds answers the season's mix in and what the
-/// presence index does (0.25 s and 0.27 s projected): a rebuild writes
-/// only the items whose value changed, which a presence item's never
-/// does, so on dollars alone the feeds would sit on LU all year.
-pub const RESPONSE_SLO_SECS: f64 = 0.26;
+/// several times slower on response.
+pub const RESPONSE_SLO_SECS: f64 = 0.30;
 
 /// The four uniform index strategies measured as static rows (the
 /// non-routable LUP-PD variant competes in `repro pushdown`, not here).
@@ -458,8 +455,8 @@ mod tests {
     /// against the measured static deployments (0.010–0.043 measured at
     /// the pinned scale; the per-component bound is
     /// [`amada_core::ESTIMATE_TOLERANCE`]). Still wider than the adaptive
-    /// plan's 4.7 % win over the cheapest static layout within the SLO:
-    /// that win is certified by the *measured* rows, not by this bound.
+    /// plan's 3.0 % win over the best static layout: that win is
+    /// certified by the *measured* rows, not by this bound.
     const TOTAL_TOLERANCE: f64 = 0.08;
 
     /// The pinned scale: three times tiny's document count at the default
@@ -483,15 +480,14 @@ mod tests {
         }
     }
 
-    /// The headline inequalities: the adaptive deployment undercuts every
-    /// static layout that meets the SLO, at a mean response time no worse
-    /// than any static layout's; the budget excludes uniform 2LUPI yet the
-    /// chosen plan meets it; the SLO demonstrably rejected a
-    /// cheaper-but-slower plan; the drift migration moved exactly the
-    /// churning partition (piggybacked on its churn) while every other
-    /// cadence step confirmed for free; and the advisor's projections
-    /// agree with the measured static deployments within the stated
-    /// tolerance.
+    /// The headline inequalities: the adaptive deployment is strictly
+    /// cheapest over the horizon at a mean response time inside the SLO
+    /// and below the cheapest static layout's; the budget excludes uniform
+    /// 2LUPI yet the chosen plan meets it; the SLO demonstrably rejected a
+    /// cheaper-but-slower plan; every cadence step, the drift month's
+    /// included, confirmed the plan for free; and the advisor's
+    /// projections agree with the measured static deployments within the
+    /// stated tolerance.
     #[test]
     fn adaptive_plan_beats_every_static_deployment() {
         let o = advise_outcome(&pinned_scale());
@@ -500,33 +496,32 @@ mod tests {
         assert_eq!(adaptive.label, "adaptive");
         let statics = &o.rows[..o.rows.len() - 1];
 
-        // Time against every static layout, dollars against the ones that
-        // answer within the SLO: a presence index everywhere is cheaper
-        // still — its items never change value, so its feeds rewrite only
-        // their new keys — and too slow.
-        assert!(adaptive.mean_response <= RESPONSE_SLO_SECS);
-        let lu = statics.iter().find(|r| r.plan == "uniform:LU").unwrap();
-        assert!(lu.total < adaptive.total && lu.mean_response > RESPONSE_SLO_SECS);
+        // Dollars against every static layout; time against the SLO and
+        // the runner-up on dollars. (The uniform path and ID layouts answer
+        // the season's auction query faster: the advisor buys dollars with
+        // response time down to the SLO, not below it.)
         for s in statics {
             assert!(
-                adaptive.total < s.total || s.mean_response > RESPONSE_SLO_SECS,
+                adaptive.total < s.total,
                 "adaptive {} (${:.6}) must undercut {} (${:.6})",
                 adaptive.plan,
                 adaptive.total.dollars(),
                 s.label,
                 s.total.dollars()
             );
-            assert!(
-                adaptive.mean_response <= s.mean_response,
-                "adaptive response {:.4}s vs {} {:.4}s",
-                adaptive.mean_response,
-                s.label,
-                s.mean_response
-            );
         }
+        assert!(adaptive.mean_response <= RESPONSE_SLO_SECS);
+        let runner_up = statics.iter().min_by_key(|s| s.total).unwrap();
+        assert!(
+            adaptive.mean_response <= runner_up.mean_response,
+            "adaptive response {:.4}s vs {} {:.4}s",
+            adaptive.mean_response,
+            runner_up.label,
+            runner_up.mean_response
+        );
 
-        // The plan in force at the end is genuinely mixed, and the drift
-        // demoted the churning partition below the hot one's index.
+        // The plan in force is genuinely mixed: the churning partition sits
+        // below the hot one's index.
         assert!(
             adaptive.plan.contains('='),
             "expected a per-partition plan, got {}",
@@ -565,26 +560,11 @@ mod tests {
             o.advice.chosen.mean_response_secs
         );
 
-        // Adaptation: one cadence re-advise per month boundary; exactly
-        // one of them (the drift month) migrated, it moved only the
-        // churning partition — a strict subset of the corpus — and every
-        // other month confirmed the plan for free.
-        assert_eq!(o.cadence_migrations.len(), ROUNDS - 1);
-        let victims = churn_victims(&partitioned_corpus(&pinned_scale())).len() as u64;
-        let migrated: Vec<u64> = o
-            .cadence_migrations
-            .iter()
-            .copied()
-            .filter(|&m| m > 0)
-            .collect();
-        assert_eq!(
-            migrated,
-            vec![victims],
-            "exactly the drift migration, covering the churning partition: {:?}",
-            o.cadence_migrations
-        );
-        assert_eq!(o.cadence_migrations[DRIFT_AT], victims);
-        assert!(victims < pinned_scale().docs as u64);
+        // One cadence re-advise per month boundary, and each of them — with
+        // the season's traffic in its window or without — confirmed the
+        // plan in force: nothing migrated, nothing billed for it.
+        assert_eq!(o.cadence_migrations, [0; ROUNDS - 1]);
+        assert_eq!(adaptive.plan, o.advice.chosen.label);
 
         // The advisor's projections for the uniform layouts track the
         // measured static deployments: indexed storage near-exactly,

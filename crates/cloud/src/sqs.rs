@@ -364,6 +364,14 @@ impl Sqs {
         Ok(self.queue(queue)?.live_len())
     }
 
+    /// The bodies of the messages currently in the queue (visible or
+    /// leased), oldest first. Unbilled host-side probe, like [`Sqs::len`].
+    pub fn bodies(&self, queue: &str) -> Result<impl Iterator<Item = &str>, SqsError> {
+        let q = self.queue(queue)?;
+        let live = q.messages.iter().filter(|m| !q.deleted.contains(&m.id));
+        Ok(live.map(|m| m.body.as_str()))
+    }
+
     /// True if the queue holds no messages.
     pub fn is_empty(&self, queue: &str) -> Result<bool, SqsError> {
         Ok(self.len(queue)? == 0)

@@ -84,9 +84,9 @@ pub type DocCache = Arc<ExtractCache>;
 /// from a fully indexed version, and from then on only voided. The loader
 /// plans the current version against it, rewrites what changed, deletes
 /// what the version lost and drops the entry when the last call has
-/// landed. A crash or abandon leaves it in place, so a redelivered message
-/// re-plans against it — rewrites and deletes are idempotent, making the
-/// whole scheme exactly-once without tombstones.
+/// landed. A crash, an abandon or a parked message leaves it in place, so
+/// the next message re-plans against it — rewrites and deletes are
+/// idempotent, making the whole scheme exactly-once without tombstones.
 pub type RetractionRegistry = Rc<RefCell<BTreeMap<String, Held>>>;
 
 /// Aggregated loader-side totals (shared across all loader cores).
@@ -418,13 +418,12 @@ impl LoaderCore {
             });
             self.totals.borrow_mut().extraction_micros += extraction.micros();
         }
-        // The puts of what is new or changed and — if this URI replaced an
-        // indexed version — the deletes of what that version held and the
-        // current one does not, planned against the registry entry. It
-        // stays in place until the last call has landed, so a crash or
-        // abandon re-plans on redelivery (idempotently). A document the
-        // store's limits cannot hold (an entry key over the hash-key limit)
-        // will not fit on redelivery either: its message is parked at once.
+        // The puts of what is new or changed and the deletes of what the
+        // replaced version held and this one does not, planned against the
+        // registry entry. It stays until the last call has landed, so a
+        // crash or abandon re-plans on redelivery (idempotently). A document
+        // the store's limits cannot hold (an entry key over the hash-key
+        // limit) will not fit then either: its message is parked at once.
         let profile = world.kv.profile();
         let mut pending = self.retractions.borrow_mut();
         let planned = plan_document(entries, placement, &profile, &uri, pending.get_mut(&uri));

@@ -39,9 +39,9 @@ pub struct Warehouse {
     retry: Retry,
     /// Autoscale controllers spawned so far (numbers their span lanes).
     controllers: usize,
-    /// What the index store holds for every URI with a loader message
-    /// enqueued but not yet processed (a pending rebuild), shared with the
-    /// loader cores (see [`RetractionRegistry`]).
+    /// What the index store holds for every URI whose rebuild has been
+    /// queued and has not completed, shared with the loader cores (see
+    /// [`RetractionRegistry`]).
     retractions: RetractionRegistry,
     /// The routing plan in force, shared with the module cores: the flat
     /// plan of `cfg.strategy` until [`Warehouse::apply_plan`] changes it.
@@ -320,14 +320,13 @@ impl Warehouse {
         })
     }
 
-    /// Marks `uri`'s rebuild pending and says whether it was already. The
-    /// first mark since its last completed rebuild records what the index
-    /// holds for it: the items `plan` — the one in force for churn, the
-    /// *old* one when [`Warehouse::apply_plan`] switches — derives from the
-    /// `stored` bytes, each with its value. A later mark finds a version no
-    /// loader finished, whose keys would be billed deletes of nothing —
-    /// unless one started: then the store may hold any, value unknown.
-    fn mark_pending(&self, plan: &MixedPlan, uri: &str, stored: Option<&Blob>) -> bool {
+    /// Readies `uri`'s registry entry for a loader message. The first since
+    /// its last completed rebuild records what the index holds for it: the
+    /// items `plan` (the one in force; [`Warehouse::apply_plan`]'s *old* one)
+    /// derives from the `stored` bytes, each with its value. A later one
+    /// finds a version no loader finished, whose keys would be billed deletes
+    /// of nothing — unless one started: the store may hold any, value unknown.
+    fn mark_pending(&self, plan: &MixedPlan, uri: &str, stored: Option<&Blob>) {
         let mut registry = self.retractions.borrow_mut();
         let first = !registry.contains_key(uri);
         let held = registry.entry(uri.to_string()).or_default();
@@ -336,7 +335,14 @@ impl Warehouse {
                 held.items.entry(key).or_insert(first.then_some(value));
             }
         }
-        !first
+    }
+
+    /// The documents a loader message is out for, by a host-side look at
+    /// the queue: a parked message leaves its registry entry, not this.
+    fn queued_loads(&self) -> BTreeSet<String> {
+        let bodies = self.engine.world.sqs.bodies(LOADER_QUEUE);
+        let bodies = bodies.expect("module queues exist");
+        bodies.map(String::from).collect()
     }
 
     /// The index items a routing plan derives for this document content
@@ -441,7 +447,7 @@ impl Warehouse {
         let (old_plan, new) = (self.plan.clone(), Rc::new(plan));
         let mut migrated = 0u64;
         let mut t = self.engine.now();
-        let uris: Vec<String> = self.doc_uris.clone();
+        let (uris, queued) = (self.doc_uris.clone(), self.queued_loads());
         for uri in uris {
             if old_plan.placement(&uri) == new.placement(&uri) {
                 continue;
@@ -450,15 +456,14 @@ impl Warehouse {
                 continue;
             };
             // Record the old placement's items *before* the switch makes
-            // them unreachable. A rebuild may already be queued (churn,
-            // typically): its registry entry holds what the last indexed
-            // version left, and the loader reads the routing plan at
-            // processing time, so the pending message rebuilds under the
-            // *new* placement — no second message, no second key sweep,
-            // which makes re-planning a churning partition nearly free
-            // when timed with its churn.
+            // them unreachable. A rebuild already queued (churn, typically)
+            // runs under the *new* placement — the loader reads the routing
+            // plan at processing time — so no second message, no second key
+            // sweep: re-planning a churning partition with its churn is
+            // nearly free.
             migrated += 1;
-            if self.mark_pending(&old_plan, &uri, Some(&bytes)) {
+            self.mark_pending(&old_plan, &uri, Some(&bytes));
+            if queued.contains(&uri) {
                 continue;
             }
             self.tag_frontend(Phase::Build, None, Some(&uri));
@@ -663,9 +668,9 @@ impl Warehouse {
         if self.cfg.host.prewarm {
             // What is queued, not what is stored: a one-document rebuild
             // extracts one document (in URI order, as the store lists them).
-            let (s3, queued) = (&self.engine.world.s3, self.retractions.borrow());
-            let stored = |uri: &String| Some((uri.clone(), s3.peek(DOC_BUCKET, uri)?));
-            self.prewarm_extractions(queued.keys().filter_map(stored).collect());
+            let (s3, queued) = (&self.engine.world.s3, self.queued_loads());
+            let stored = |uri: String| s3.peek(DOC_BUCKET, &uri).map(|bytes| (uri, bytes));
+            self.prewarm_extractions(queued.into_iter().filter_map(stored).collect());
         }
         let before = self.engine.world.snapshot();
         let start = self.engine.now();

@@ -34,7 +34,7 @@ pub struct DocIndexing {
     pub batches: u64,
 }
 
-/// What the index store holds for one URI while its rebuild is pending.
+/// What the index store holds for one URI until a rebuild of it completes.
 #[derive(Debug, Default)]
 pub struct Held {
     /// Every key it may hold, with the value it holds there *now* — `None`
@@ -52,9 +52,8 @@ pub struct WritePlan {
     /// `batch_put` calls: the current version's items whose key is new or
     /// whose value changed, table by table.
     pub puts: VecDeque<(&'static str, Vec<KvItem>)>,
-    /// `batch_delete` calls, to issue once the puts have landed
-    /// (write-new-then-delete-stale keeps every key readable throughout):
-    /// what the store holds and the current version does not.
+    /// `batch_delete` calls for what the store holds and the version does
+    /// not, to issue once the puts have landed (every key stays readable).
     pub deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
     /// Every table a call names — the placement's own, then the ones a
     /// previous placement stranded stale keys in. A write may be the first
@@ -78,15 +77,16 @@ impl WritePlan {
 ///
 /// Every entry's items are encoded, in entry order, into their table's
 /// vector, each under the range key that names it, and the vectors are cut
-/// into batches by moving: from here to the store an item is never cloned. The tables keep the order in which
-/// the extraction first names them, which is the strategy's own — 2LUPI
-/// writes `[path, id]` — and the placement names each of them once, not
-/// once per entry. An item `held` records under its key with its value is
-/// not made at all; any other held key the version has is put and its
-/// record voided — the put may or may not land before the record is next
-/// read (a redelivered message plans the same puts). Held keys no item
-/// claims are stale; their deletes cover the placement's own tables first,
-/// in that order, then — after a plan switch — the previous one's, by name.
+/// into batches by moving: from here to the store an item is never cloned.
+/// The tables keep the order in which the extraction first names them, the
+/// strategy's own — 2LUPI writes `[path, id]` — and the placement names
+/// each once, not once per entry. An item `held` records under its key with
+/// its value is not made at all; any other held key the version has is put,
+/// a held key no item claims is stale and deleted, and either's record is
+/// voided — the call may or may not land before the record is next read (a
+/// redelivered message plans the same calls). The deletes cover the
+/// placement's own tables first, in that order, then — after a plan switch
+/// — the previous one's, by name.
 ///
 /// A plan is a promise the store keeps: an item `profile` would reject —
 /// an entry key longer than its hash-key limit, say — is the typed error
@@ -103,8 +103,8 @@ pub fn plan_document(
     let uuids = UuidGen::for_document(uri);
     let mut scratch = Vec::new();
     let mut plan = WritePlan::default();
-    // What is held, by range key (one key, or one in each of two tables
-    // after a move between partitions): what no item claims is stale.
+    // What is held, by range key (one in each of two tables after a move
+    // between partitions): what no item claims is stale.
     let mut unclaimed: HashMap<&str, Vec<(&'static str, &str, _)>> = HashMap::new();
     if let Some(held) = held {
         held.attempted = true;
@@ -151,8 +151,10 @@ pub fn plan_document(
             .extend(into_batches(items, profile.batch_put_limit).map(|batch| (table, batch)));
     }
     let stale = unclaimed.into_iter().flat_map(|(range, held)| {
-        let keys = held.into_iter();
-        keys.map(move |(table, hash, _)| (table, hash.to_string(), range.to_string()))
+        held.into_iter().map(move |(table, hash, known)| {
+            *known = None; // like a put, a delete may or may not land
+            (table, hash.to_string(), range.to_string())
+        })
     });
     // Batches are cut in key order, whatever order the map gave.
     let mut stale: Vec<ItemKey> = stale.collect();
@@ -243,14 +245,8 @@ pub fn placed_item_keys(
             keys.push(((table, e.key.to_string(), range.to_string()), value));
             false
         };
-        encode_entry_into(
-            e,
-            profile,
-            &mut scratch,
-            &uuids,
-            &mut unmade,
-            Some(&mut name),
-        );
+        let only: Only<'_> = &mut name;
+        encode_entry_into(e, profile, &mut scratch, &uuids, &mut unmade, Some(only));
     }
     keys
 }
@@ -607,6 +603,8 @@ mod tests {
         let plan = plan_document(&[], None, &profile, d.uri(), Some(&mut pending)).unwrap();
         assert!(plan.puts.is_empty());
         assert_eq!(plan.items(), 0);
+        // A delete that went out may have landed: no value is vouched for.
+        assert!(pending.items.values().all(Option::is_none));
         assert_eq!(
             delete_keys(&plan),
             Vec::from_iter(pending.items.into_keys())

@@ -8,7 +8,7 @@ use amada::cloud::{FaultConfig, SimDuration};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, Worker};
-use amada_core::{DOC_BUCKET, LOADER, LOADER_QUEUE};
+use amada_core::{DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER, LOADER_QUEUE};
 use amada_rng::StdRng;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -422,6 +422,34 @@ fn a_crashed_replace_then_the_old_bytes_again_skips_nothing_it_cannot_vouch_for(
     }
 }
 
+/// The same crash among the deletes: the only core dies going from shape 2
+/// to shape 0, with some of the keys shape 2 alone holds deleted (2LUPI plans
+/// a delete batch per table), and the documents return to shape 2. A delete
+/// that went out voids its record as a put does, so the rebuild puts those
+/// keys back: a wrong skip would leave the index without them — for good,
+/// when the crashed message is parked instead of delivered a second time
+/// (a second delivery finds no entry and rewrites everything).
+#[test]
+fn a_crash_among_the_deletes_then_the_old_bytes_again_puts_the_deleted_keys_back() {
+    for strategy in Strategy::ALL {
+        for crash_after in 1..=6 {
+            let mut cfg = WarehouseConfig::with_strategy(strategy);
+            cfg.retry.max_receives = 1;
+            cfg.visibility = SimDuration::from_secs(30);
+            let mut w = Warehouse::new(cfg.clone());
+            w.upload_documents(shaped_docs(2));
+            w.build_index();
+            w.upload_documents(shaped_docs(0));
+            run_crashing_pool(&mut w, &cfg, crash_after, false);
+            let what = format!("{strategy}, crash after {crash_after}");
+            assert_ne!(w.world().kv.peek_all(), fresh_index(strategy, 2), "{what}");
+            w.upload_documents(shaped_docs(2));
+            w.build_index();
+            assert_eq!(w.world().kv.peek_all(), fresh_index(strategy, 2), "{what}");
+        }
+    }
+}
+
 /// A plan switch onto the same physical table — LU to LUP at the root —
 /// keeps every key and changes every value: the rebuild writes each item
 /// over the presence item of the same name and deletes nothing.
@@ -453,4 +481,37 @@ fn a_plan_switch_in_place_rewrites_every_item_whose_value_differs() {
         (rewritten, 0)
     );
     assert_eq!(w.world().kv.peek_all(), before);
+}
+
+/// A parked message leaves its registry entry — what the store may hold for
+/// the document is still worth knowing — but no rebuild queued: a plan
+/// switch sends the document a message of its own, and a build with nothing
+/// queued prewarms nothing.
+#[test]
+fn a_plan_switch_rebuilds_a_document_whose_message_was_parked() {
+    let mut cfg = WarehouseConfig::with_strategy(Strategy::Lu);
+    cfg.retry.max_receives = 1;
+    cfg.visibility = SimDuration::from_secs(30);
+    let mut w = Warehouse::new(cfg.clone());
+    w.upload_documents(shaped_docs(0));
+    w.build_index();
+    w.upload_documents(shaped_docs(2));
+    // The first document's one batch lands, the core dies with the second
+    // document planned, and that one's second delivery is one too many.
+    run_crashing_pool(&mut w, &cfg, 1, false);
+    assert_eq!(w.build_index().documents, 4);
+    assert_eq!(w.world().sqs.len(DEAD_LETTER_QUEUE).unwrap(), 1);
+    assert_eq!(w.retraction_registry().borrow().len(), 1);
+    let idle = w.cache_stats();
+    assert_eq!(w.build_index().documents, 0);
+    assert_eq!(w.cache_stats(), idle, "nothing queued, nothing prewarmed");
+
+    assert_eq!(
+        w.apply_plan(amada::index::MixedPlan::flat(Some(Strategy::Lup))),
+        6
+    );
+    assert_eq!(w.world().sqs.len(LOADER_QUEUE).unwrap(), 6);
+    assert_eq!(w.build_index().documents, 6);
+    assert_eq!(w.world().kv.peek_all(), fresh_index(Strategy::Lup, 2));
+    assert!(w.retraction_registry().borrow().is_empty());
 }

@@ -345,11 +345,9 @@ fn partitioned_corpus(target_doc_bytes: usize) -> Vec<(String, String)> {
 /// three queries ask of the index, fetch, take and cost, and which
 /// `(table, keys)` delete batches a churn round and a plan switch issue,
 /// in which order. `item_layout` and `read_path_golden` pin the flat plans.
-/// The digests were taken when range keys became name-based. The order of
-/// the churn round's delete batches follows the loader cores' timing and
-/// moved — same 92 keys — when a rebuild stopped rewriting the items the
-/// store already holds; item counts, stored bytes, the query pins and the
-/// plan switch's delete runs did not.
+/// The order of the churn round's delete batches follows the loader cores'
+/// timing: it moves with what a rebuild writes, the 92 keys they name, the
+/// item counts, the stored bytes and the query pins do not.
 #[test]
 fn a_mixed_plan_is_pinned_from_stored_bytes_to_delete_batches() {
     let plan = MixedPlan::uniform(Some(Strategy::Lup))
