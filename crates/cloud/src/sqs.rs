@@ -411,6 +411,23 @@ mod tests {
     }
 
     #[test]
+    fn bodies_lists_what_is_in_the_queue_leased_or_not_and_bills_nothing() {
+        let mut sqs = Sqs::new();
+        sqs.create_queue("loader");
+        for doc in ["a.xml", "b.xml", "c.xml"] {
+            sqs.send(SimTime::ZERO, "loader", doc).unwrap();
+        }
+        let (leased, t) = sqs.receive(SimTime::ZERO, "loader", VIS).unwrap();
+        sqs.delete(t, "loader", leased.unwrap().id).unwrap();
+        sqs.receive(t, "loader", VIS).unwrap();
+        let billed = sqs.stats();
+        let live: Vec<&str> = sqs.bodies("loader").unwrap().collect();
+        assert_eq!(live, ["b.xml", "c.xml"]);
+        assert_eq!(sqs.stats(), billed);
+        assert!(sqs.bodies("nope").is_err());
+    }
+
+    #[test]
     fn unknown_queue_is_a_typed_error_everywhere() {
         let mut sqs = Sqs::new();
         let missing = |e: SqsError| matches!(e, SqsError::NoSuchQueue(ref q) if q == "nope");
