@@ -18,8 +18,7 @@
 //!   ([`amada_core::advise_adaptive`]) recommends for the *declared*
 //!   season workload, under a monthly storage budget (chosen to exclude
 //!   the heavyweight uniform-2LUPI layout) and a mean-response SLO
-//!   (which excludes the cheap-but-scan-heavy "index nothing" plans the
-//!   dollars-only optimum would pick). It records its own spans and
+//!   (which excludes the uniform scan). It records its own spans and
 //!   re-advises monthly from live attribution
 //!   ([`amada_core::Warehouse::readvise`]), each time after the month's
 //!   churn upload, so that a migration it orders **piggybacks on the churn
@@ -33,11 +32,10 @@
 //! selectively queried, so the precise ID-granularity index pays for
 //! itself there; `items/` matches no query, so anything beyond the
 //! cheapest presence index is wasted storage and decode ballast; `auc/`
-//! is replaced every month, and a rebuild writes only the items whose
-//! value changed — under the presence index a feed's new keys, under a
-//! path or ID index nearly all of it — so what the season's auction query
-//! saves on a precise index is less than the churn then costs, and the
-//! presence index answers the season's mix inside the SLO.
+//! is replaced every month, so any index of it pays the churn's rebuild,
+//! while a query processor reads a partition's documents pipelined on its
+//! cores: scanning `auc/` costs the season's auction query less than
+//! indexing it, and answers the season's mix inside the SLO.
 //!
 //! Every deployment pays the same bills on the same meter: initial index
 //! build, per-month query charges, churn maintenance (incremental
@@ -50,11 +48,11 @@
 //! by construction).
 //!
 //! The tests pin the headline: the adaptive deployment lands strictly
-//! cheapest over the horizon, inside the SLO and faster than the cheapest
-//! static layout; the SLO demonstrably rejected a cheaper-but-slower
-//! plan; no cadence re-advise migrated a document, and the deploy-time
-//! projections agree with the measured static deployments within 8 % on
-//! the horizon total.
+//! cheapest over the horizon, inside the SLO, slower than the cheapest
+//! static layout and faster than the scan; the dollars-optimum meets the
+//! SLO, which rejects only the dearer uniform scan; no cadence re-advise
+//! migrated a document, and the deploy-time projections agree with the
+//! measured static deployments within 8 % on the horizon total.
 
 use crate::{corpus, Outcome, Scale, TextTable};
 use amada_cloud::{Money, SimDuration};
@@ -76,10 +74,9 @@ pub const ROUNDS: usize = 6;
 /// the auction query disappears from the storm.
 pub const DRIFT_AT: usize = 3;
 
-/// The declared mean-response SLO (seconds). Without it the
-/// dollars-optimal plan leaves the rarely-queried partitions unindexed
-/// and every arrival scans them — cheaper on storage and maintenance,
-/// several times slower on response.
+/// The declared mean-response SLO (seconds). The dollars-optimal plan
+/// leaves the churning partition unindexed and still answers inside it;
+/// the uniform scan, slower and dearer, does not.
 pub const RESPONSE_SLO_SECS: f64 = 0.30;
 
 /// The four uniform index strategies measured as static rows (the
@@ -452,11 +449,11 @@ mod tests {
     use super::*;
 
     /// Relative tolerance of the advisor's projected horizon totals
-    /// against the measured static deployments (0.010–0.043 measured at
+    /// against the measured static deployments (0.004–0.062 measured at
     /// the pinned scale; the per-component bound is
-    /// [`amada_core::ESTIMATE_TOLERANCE`]). Still wider than the adaptive
-    /// plan's 3.0 % win over the best static layout: that win is
-    /// certified by the *measured* rows, not by this bound.
+    /// [`amada_core::ESTIMATE_TOLERANCE`]). The adaptive plan's win over
+    /// the best static layout (10.4 %) is wider than this bound, but it is
+    /// certified by the *measured* rows, not by the bound.
     const TOTAL_TOLERANCE: f64 = 0.08;
 
     /// The pinned scale: three times tiny's document count at the default
@@ -481,13 +478,13 @@ mod tests {
     }
 
     /// The headline inequalities: the adaptive deployment is strictly
-    /// cheapest over the horizon at a mean response time inside the SLO
-    /// and below the cheapest static layout's; the budget excludes uniform
-    /// 2LUPI yet the chosen plan meets it; the SLO demonstrably rejected a
-    /// cheaper-but-slower plan; every cadence step, the drift month's
-    /// included, confirmed the plan for free; and the advisor's
-    /// projections agree with the measured static deployments within the
-    /// stated tolerance.
+    /// cheapest over the horizon at a mean response time inside the SLO,
+    /// between the cheapest static layout's and the scan's; the budget
+    /// excludes uniform 2LUPI yet the chosen plan meets it; the SLO
+    /// rejects only the uniform scan, which is dearer too; every cadence
+    /// step, the drift month's included, confirmed the plan for free; and
+    /// the advisor's projections agree with the measured static
+    /// deployments within the stated tolerance.
     #[test]
     fn adaptive_plan_beats_every_static_deployment() {
         let o = advise_outcome(&pinned_scale());
@@ -496,10 +493,11 @@ mod tests {
         assert_eq!(adaptive.label, "adaptive");
         let statics = &o.rows[..o.rows.len() - 1];
 
-        // Dollars against every static layout; time against the SLO and
-        // the runner-up on dollars. (The uniform path and ID layouts answer
-        // the season's auction query faster: the advisor buys dollars with
-        // response time down to the SLO, not below it.)
+        // Dollars against every static layout; time against the SLO, the
+        // runner-up on dollars and the scan. Pipelined candidate reads make
+        // scanning the churning partition cheaper than indexing it, so the
+        // advisor buys dollars with response time down to the SLO, not
+        // below it: slower than the runner-up, faster than indexing nothing.
         for s in statics {
             assert!(
                 adaptive.total < s.total,
@@ -512,12 +510,15 @@ mod tests {
         }
         assert!(adaptive.mean_response <= RESPONSE_SLO_SECS);
         let runner_up = statics.iter().min_by_key(|s| s.total).unwrap();
+        let scan = statics.iter().find(|r| r.plan == "uniform:scan").unwrap();
         assert!(
-            adaptive.mean_response <= runner_up.mean_response,
-            "adaptive response {:.4}s vs {} {:.4}s",
+            runner_up.mean_response < adaptive.mean_response
+                && adaptive.mean_response < scan.mean_response,
+            "adaptive response {:.4}s vs {} {:.4}s and the scan's {:.4}s",
             adaptive.mean_response,
             runner_up.label,
-            runner_up.mean_response
+            runner_up.mean_response,
+            scan.mean_response
         );
 
         // The plan in force is genuinely mixed: the churning partition sits
@@ -539,25 +540,26 @@ mod tests {
         assert!(o.advice.budget_met);
         assert!(o.advice.chosen.within_budget(o.budget));
 
-        // The SLO binds: the unconstrained dollars-optimum in the ranked
-        // table is cheaper than the chosen plan but misses the SLO — the
-        // advisor refused to buy dollars with response time.
+        // The SLO holds the chosen plan but does not bind: with pipelined
+        // reads the dollars-optimum in the ranked table already answers
+        // inside it, and the plan it rejects, the uniform scan, is dearer.
         assert!(o.advice.chosen.meets_slo(RESPONSE_SLO_SECS));
-        let unconstrained = o
-            .advice
-            .ranked
+        let ranked = &o.advice.ranked;
+        let unconstrained = ranked
             .iter()
             .min_by_key(|e| e.projected_total)
             .expect("ranked projections");
+        assert_eq!(unconstrained.label, o.advice.chosen.label);
+        let scan = ranked.iter().find(|e| e.label == "uniform:scan");
+        let scan = scan.expect("the scan is ranked");
         assert!(
-            unconstrained.projected_total < o.advice.chosen.projected_total
-                && !unconstrained.meets_slo(RESPONSE_SLO_SECS),
-            "the SLO should have rejected a cheaper-but-slower plan, \
-             unconstrained {} ({:.4}s) vs chosen {} ({:.4}s)",
-            unconstrained.label,
-            unconstrained.mean_response_secs,
+            !scan.meets_slo(RESPONSE_SLO_SECS)
+                && scan.projected_total > o.advice.chosen.projected_total,
+            "the SLO rejects the scan ({:.4}s, {}), dearer than {} ({})",
+            scan.mean_response_secs,
+            scan.projected_total,
             o.advice.chosen.label,
-            o.advice.chosen.mean_response_secs
+            o.advice.chosen.projected_total
         );
 
         // One cadence re-advise per month boundary, and each of them — with

@@ -18,8 +18,10 @@
 //! same documents at every point and only the residual-filter economics
 //! move. The `cont` output on the auction description makes matching
 //! tuples carry real payload, so the egress side of the trade is
-//! visible. The tests pin the crossover: LUP-PD strictly cheapest at the
-//! most selective bound, beaten by plain LUP at the least selective one.
+//! visible. The tests pin the crossover at the tiny scale: LUP-PD strictly
+//! cheapest at the most selective bound, beaten by plain LUP at the least
+//! selective one; at the default 8 KB scale plain LUP undercuts LUP-PD at
+//! every bound (EXPERIMENTS.md).
 
 use crate::{corpus, mb, strategy_warehouse, Outcome, Scale, TextTable};
 use amada_cloud::{Money, SimDuration};

@@ -87,6 +87,13 @@ impl Sub<SimTime> for SimTime {
     }
 }
 
+impl Sub<SimDuration> for SimTime {
+    type Output = SimTime;
+    fn sub(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.checked_sub(d.0).expect("time before the epoch"))
+    }
+}
+
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {

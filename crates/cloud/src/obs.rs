@@ -146,7 +146,8 @@ pub struct Ctx {
     pub phase: Phase,
     /// Query name, while a query is being processed.
     pub query: Option<Arc<str>>,
-    /// Document URI, while a document is being uploaded or indexed.
+    /// Document URI, while a document is being uploaded, indexed or read
+    /// as a query's candidate.
     pub doc: Option<Arc<str>>,
     /// The issuing actor.
     pub actor: Option<ActorTag>,

@@ -5,7 +5,11 @@
 //! horizontally, so requests are *not* queued against a global capacity;
 //! each request pays a latency floor plus transfer time at a per-connection
 //! bandwidth (paper Section 6 notes bucket count does not affect
-//! performance, so one namespace is as good as many).
+//! performance, so one namespace is as good as many). The queue is the
+//! client's connection: a request holds it for the `busy` time its span
+//! records (request overhead plus transfer), and its [`S3::latency`] does
+//! not, so a client sends its next request on the connection while the
+//! previous response is still on its way.
 
 use crate::clock::{SimDuration, SimTime};
 use crate::fault::FaultInjector;
@@ -180,6 +184,12 @@ impl S3 {
     /// (lets callers skip keeping retry copies of payloads otherwise).
     pub fn faults_active(&self) -> bool {
         self.faults.is_active()
+    }
+
+    /// The request latency: the tail of every response that no longer
+    /// holds the client's connection.
+    pub fn latency(&self) -> SimDuration {
+        self.transfer.latency
     }
 
     /// The single admission step of a data-plane request. An unknown

@@ -23,10 +23,12 @@
 //!   documents, evaluate, store results, respond. The paper treats one
 //!   query as an atomic unit of processing on one instance, with
 //!   intra-machine parallelism from multi-threading; the model reflects
-//!   that by dividing the transfer + evaluation phase across the
-//!   instance's cores. A query issues only a handful of index gets, so it
-//!   executes in a single step; the residual arrival-order skew across
-//!   concurrent query instances is bounded by those few calls.
+//!   that by dealing the candidates to the instance's cores, each of which
+//!   keeps its reads in flight on its own connection and evaluates what
+//!   has arrived (`fetch::fetch_timeline`). A query issues only a handful
+//!   of index gets, so it executes in a single step; the residual
+//!   arrival-order skew across concurrent query instances is bounded by
+//!   those few calls.
 //!
 //! Fault tolerance follows the paper's Section 3 contract. A working core
 //! renews the visibility lease on the message that started its task
@@ -49,19 +51,19 @@ use crate::config::{
     Module, WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, POLL_INTERVAL, QUERY_QUEUE, RESPONSE_QUEUE,
     RESULT_BUCKET,
 };
+use crate::fetch::fetch_timeline;
 use crate::metrics::{result_payload, QueryExecution, QueryPhases};
 use crate::retry::{dead_letter, put_object, Lease, Retry};
 use amada_cloud::{
     Actor, ActorTag, InstanceId, KvError, KvItem, RetryAfter, S3Error, ServiceKind, SimDuration,
-    SimTime, Span, SqsError, StepResult, World,
+    SimTime, Span, SqsError, StepResult, World, S3,
 };
 use amada_index::{
     decode_tuples, lookup_mixed, plan_document, ExtractCache, ExtractOptions, Held, IndexEntry,
     MixedPlan, ScanPredicate, Strategy,
 };
-use amada_pattern::{join_pattern_results, parse_query, Query, Tuple, TwigEvaluator};
+use amada_pattern::{join_pattern_results, parse_query, Tuple, TwigEvaluator};
 use amada_rng::StdRng;
-use amada_xml::Document;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -623,8 +625,7 @@ impl Actor for LoaderCore {
 }
 
 /// A query-processor instance (the whole instance: the transfer/eval phase
-/// is divided across its cores, per the paper's intra-machine
-/// parallelism).
+/// runs on its cores, per the paper's intra-machine parallelism).
 pub struct QueryCore {
     /// The queue worker this processor is. It holds no lease between
     /// steps, so a draining one exits at its next wake-up — the query it
@@ -681,36 +682,40 @@ impl QueryCore {
         }
     }
 
-    /// Reads one candidate document (a GET, or a storage-side scan) issued
-    /// at `t`, retrying `SlowDown` throttles with backoff. The waits and
-    /// the response time are added to `serial` — retry waits are serial
-    /// work like the transfers they delay. `Err(resume time)` when the
-    /// retry budget is exhausted (the caller abandons the task).
+    /// Reads candidate `uri` — a GET, or a storage-side scan — on its
+    /// core's connection, free from `at`: the first attempt goes out then,
+    /// the retry of each `SlowDown` at its backoff's resume time. The
+    /// read's spans carry the URI. Returns the payload and its arrival, or
+    /// `Err(resume time)` once the retry budget is spent (the caller
+    /// abandons the task).
     fn read_candidate<T>(
         &mut self,
-        t: SimTime,
-        serial: &mut SimDuration,
-        mut read: impl FnMut() -> Result<(T, SimTime), S3Error>,
-    ) -> Result<T, SimTime> {
-        let (payload, resp) = loop {
-            match read() {
-                Ok(out) => break out,
+        world: &mut World,
+        mut at: SimTime,
+        uri: &Arc<str>,
+        mut read: impl FnMut(&mut S3, SimTime) -> Result<(T, SimTime), S3Error>,
+    ) -> Result<(T, SimTime), SimTime> {
+        world.obs.with_ctx(|c| c.doc = Some(uri.clone()));
+        loop {
+            match read(&mut world.s3, at) {
+                Ok(out) => {
+                    self.worker.retry.reset();
+                    return Ok(out);
+                }
                 Err(S3Error::SlowDown { available_at }) => {
-                    let resume = self.worker.retry.again(available_at);
-                    *serial += resume.ok_or(available_at)? - t;
+                    at = self.worker.retry.again(available_at).ok_or(available_at)?;
                 }
                 Err(e) => panic!("candidate documents exist: {e}"),
             }
-        };
-        self.worker.retry.reset();
-        *serial += resp - t;
-        Ok(payload)
+        }
     }
 
-    /// Executes one query message. Returns `Ok(completion time)`, or
-    /// `Err(resume time)` when a pre-commit retry budget was exhausted and
-    /// the task was abandoned (no execution recorded; the lease expires
-    /// and the message is redelivered).
+    /// Executes one query message. Returns `Ok(the time the processor is
+    /// free again)`, or `Err(resume time)` when a pre-commit retry budget
+    /// was exhausted and the task was abandoned (no execution recorded;
+    /// the lease expires and the message is redelivered). A body without a
+    /// `name\n` line, or whose query does not parse, is parked on the
+    /// dead-letter queue at once.
     fn process(
         &mut self,
         body: &str,
@@ -718,10 +723,13 @@ impl QueryCore {
         world: &mut World,
         lease: &mut Lease,
     ) -> Result<SimTime, SimTime> {
-        let (name, text) = body
+        let parsed = body
             .split_once('\n')
-            .expect("query messages carry name\\nquery");
-        let query: Query = parse_query(text).expect("stored queries are well-formed");
+            .and_then(|(name, text)| Some((name, parse_query(text).ok()?)));
+        let Some((name, query)) = parsed else {
+            let (sqs, retry) = (&mut world.sqs, &mut self.worker.retry);
+            return Ok(dead_letter(sqs, retry, t0, QUERY_QUEUE, lease.msg_id, body));
+        };
         world.obs.with_ctx(|c| c.query = Some(name.into()));
 
         // Phase 1+2: index look-up and plan execution (step 10–12).
@@ -785,73 +793,61 @@ impl QueryCore {
         // `|op(q, D, I)|` counts billed ops, throttled retries included.
         let index_get_ops = world.kv.stats().get_ops - get_ops_before;
 
-        // Phase 3: transfer candidate documents and evaluate (steps 13–14).
-        // Work is accumulated serially and divided across the cores;
-        // retry waits are serial work like the transfers they delay.
-        let mut serial = SimDuration::ZERO;
-        let mut per_pattern: Vec<Vec<Tuple>> = Vec::with_capacity(query.patterns.len());
-        if self.strategy == Some(Strategy::LupPd) {
-            // Pushdown: the post-filter runs *inside* the store. Each
-            // candidate is scanned (per pattern — the predicate differs),
-            // only the matching tuples travel back, and the instance never
-            // parses or evaluates the document — that work is what the
-            // per-GB scan charge buys.
-            for (p, candidates) in query.patterns.iter().zip(&lookup.per_pattern) {
-                // Compiling round-trips the predicate through its wire
-                // form once per pattern, exactly what ships to the store.
-                let pred = ScanPredicate::compile(p);
-                let mut tuples = Vec::new();
-                for uri in &candidates.uris {
-                    let bytes = self.read_candidate(t, &mut serial, || {
-                        world.s3.scan(t, DOC_BUCKET, uri, &pred)
-                    })?;
-                    tuples.extend(
-                        decode_tuples(&bytes, uri).expect("store-encoded scan results decode"),
-                    );
-                }
-                per_pattern.push(tuples);
+        // Phase 3: transfer candidate documents and evaluate (steps 13–14)
+        // on the instance's cores' pipelines, then divide the value join,
+        // its plan and the materialization across the cores. Pushdown scans
+        // each candidate per pattern (the predicate differs): the post-filter
+        // runs *inside* the store, only matching tuples travel back, and the
+        // instance parses and evaluates nothing — that is what the per-GB
+        // scan charge buys (each predicate compiled once, as it ships).
+        // Otherwise each document of `lookup.uris` is fetched once and
+        // evaluated, as it arrives, by every pattern naming it (each
+        // pattern's candidates are in the same order).
+        let (cores, latency) = (self.cores, world.s3.latency());
+        let pushdown = self.strategy == Some(Strategy::LupPd);
+        let preds: Vec<ScanPredicate> = (query.patterns.iter())
+            .filter(|_| pushdown)
+            .map(ScanPredicate::compile)
+            .collect();
+        let reads: Vec<(Option<usize>, &Arc<str>)> = match pushdown {
+            true => (lookup.per_pattern.iter().enumerate())
+                .flat_map(|(p, o)| o.uris.iter().map(move |uri| (Some(p), uri)))
+                .collect(),
+            false => lookup.uris.iter().map(|uri| (None, uri)).collect(),
+        };
+        let mut per_pattern: Vec<Vec<Tuple>> = vec![Vec::new(); query.patterns.len()];
+        let mut evaluators: Vec<TwigEvaluator> =
+            query.patterns.iter().map(TwigEvaluator::new).collect();
+        let fetched = fetch_timeline(t, cores, latency, reads.len(), |i, at| {
+            let (scanned, uri) = reads[i];
+            if let Some(p) = scanned {
+                let scan = |s3: &mut S3, at| s3.scan(at, DOC_BUCKET, uri, &preds[p]);
+                let (bytes, arrived) = self.read_candidate(world, at, uri, scan)?;
+                let tuples = decode_tuples(&bytes, uri).expect("store-encoded scan results decode");
+                per_pattern[p].extend(tuples);
+                return Ok((arrived, SimDuration::ZERO));
             }
-        } else {
-            // `lookup.uris` lists, in order, every document any pattern
-            // is evaluated on: each is fetched once, by the first pattern
-            // that names it.
-            let slot = |uri| {
-                lookup
-                    .uris
-                    .binary_search(uri)
-                    .expect("every candidate is listed")
-            };
-            let mut docs: Vec<Option<Arc<Document>>> = vec![None; lookup.uris.len()];
-            for uri in lookup.per_pattern.iter().flat_map(|o| &o.uris) {
-                let at = slot(uri);
-                if docs[at].is_none() {
-                    let bytes =
-                        self.read_candidate(t, &mut serial, || world.s3.get(t, DOC_BUCKET, uri))?;
-                    serial += world.work.parse(bytes.len() as u64, self.ecu);
-                    docs[at] = Some(self.cache.parsed(uri, &bytes));
+            let get = |s3: &mut S3, at| s3.get(at, DOC_BUCKET, uri);
+            let (bytes, arrived) = self.read_candidate(world, at, uri, get)?;
+            let doc = self.cache.parsed(uri, &bytes);
+            let mut compute = world.work.parse(bytes.len() as u64, self.ecu);
+            for (p, candidates) in lookup.per_pattern.iter().enumerate() {
+                if candidates.uris.binary_search(uri).is_ok() {
+                    let (tuples, stats) = evaluators[p].evaluate(&doc);
+                    compute += world.work.eval(stats.candidates, self.ecu);
+                    per_pattern[p].extend(tuples);
                 }
             }
-            for (p, candidates) in query.patterns.iter().zip(&lookup.per_pattern) {
-                let mut evaluator = TwigEvaluator::new(p);
-                let mut tuples = Vec::new();
-                for uri in &candidates.uris {
-                    let doc = docs[slot(uri)]
-                        .as_ref()
-                        .expect("every candidate was fetched");
-                    let (t_p, stats) = evaluator.evaluate(doc);
-                    serial += world.work.eval(stats.candidates, self.ecu);
-                    tuples.extend(t_p);
-                }
-                per_pattern.push(tuples);
-            }
-        }
+            Ok((arrived, compute))
+        })?;
+        world.obs.with_ctx(|c| c.doc = None);
         let tuple_count: u64 = per_pattern.iter().map(|v| v.len() as u64).sum();
         let results = join_pattern_results(&query, &per_pattern);
-        serial += world.work.plan(tuple_count, self.ecu);
         let payload = result_payload(&results);
         let result_bytes = payload.len() as u64;
-        serial += world.work.materialize(result_bytes, self.ecu);
-        let wall = SimDuration::from_micros(serial.micros() / self.cores as u64);
+        let join =
+            world.work.plan(tuple_count, self.ecu) + world.work.materialize(result_bytes, self.ecu);
+        let wall = (fetched - t) + SimDuration::from_micros(join.micros() / cores as u64);
         phases.transfer_eval = wall;
         let t_eval = t;
         world.obs.record(|_, ctx| {

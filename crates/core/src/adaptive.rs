@@ -18,8 +18,9 @@
 //!   are measured, not guessed;
 //! * virtual durations come from the same service-time and
 //!   [`WorkModel`](amada_cloud::WorkModel) conversions the simulated
-//!   warehouse charges, serialized on one core and divided across the
-//!   configured pool;
+//!   warehouse charges: a query's reads run on the query processor's own
+//!   fetch clock, loader work is serialized on one core and divided
+//!   across the configured pool;
 //! * money comes from the Section 7.3 formulas ([`CostModel`]);
 //! * the *workload* — which queries run, how often, against which
 //!   partitions — comes from live [`Attribution`] data recorded by the
@@ -47,6 +48,7 @@
 
 use crate::config::WarehouseConfig;
 use crate::cost::CostModel;
+use crate::fetch::fetch_timeline;
 use crate::metrics::result_payload;
 use amada_cloud::{KvError, KvStore, Money, SimDuration, SimTime, S3};
 use amada_index::{
@@ -58,6 +60,7 @@ use amada_pattern::{evaluate_pattern_twig, join_pattern_results, Query, Tuple};
 use amada_xml::{Document, XmlError};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -346,6 +349,8 @@ struct Scenario<'a> {
     docs: BTreeMap<String, Document>,
     doc_bytes: BTreeMap<String, u64>,
     fetch: BTreeMap<String, SimDuration>,
+    /// The file store's latency, the tail of each fetch.
+    latency: SimDuration,
     corpus_bytes: u64,
     base: &'a WarehouseConfig,
     cost: CostModel,
@@ -399,6 +404,7 @@ impl<'a> Scenario<'a> {
             docs,
             doc_bytes,
             fetch,
+            latency: s3.latency(),
             corpus_bytes,
             base,
             cost: CostModel::new(base.prices.clone()),
@@ -633,28 +639,27 @@ impl<'a> Scenario<'a> {
             let lookup = QueryLookup::of(looked_up);
             let get_ops = lookup.get_ops();
             let plan_time = work.plan(lookup.entries_processed(), qecu);
-            // Transfer + evaluate, serialized then divided across cores —
-            // the same accounting as the query processor.
-            let mut serial = SimDuration::ZERO;
-            for uri in &lookup.uris {
-                serial += self.fetch[&**uri] + work.parse(self.doc_bytes[&**uri], qecu);
-            }
-            let mut per_pattern: Vec<Vec<Tuple>> = Vec::with_capacity(npat);
-            for (i, candidates) in lookup.per_pattern.iter().enumerate() {
-                let mut tuples = Vec::new();
-                for uri in &candidates.uris {
-                    let ev = self.eval_doc(fam_idx, i, uri, &fam.query);
-                    serial += work.eval(ev.1, qecu);
-                    tuples.extend(ev.0.iter().cloned());
+            // Transfer + evaluate on the query processor's clock, over the
+            // measured fetches; then the join, divided across the cores.
+            let mut per_pattern: Vec<Vec<Tuple>> = vec![Vec::new(); npat];
+            let (start, reads) = (SimTime::ZERO, lookup.uris.len());
+            let Ok(fetched) = fetch_timeline(start, qcores, self.latency, reads, |i, at| {
+                let uri = &lookup.uris[i];
+                let mut compute = work.parse(self.doc_bytes[&**uri], qecu);
+                for (p, candidates) in lookup.per_pattern.iter().enumerate() {
+                    if candidates.uris.binary_search(uri).is_ok() {
+                        let ev = self.eval_doc(fam_idx, p, uri, &fam.query);
+                        compute += work.eval(ev.1, qecu);
+                        per_pattern[p].extend(ev.0.iter().cloned());
+                    }
                 }
-                per_pattern.push(tuples);
-            }
+                Ok::<_, Infallible>((at + self.fetch[&**uri], compute))
+            });
             let tuple_count: u64 = per_pattern.iter().map(|v| v.len() as u64).sum();
             let results = join_pattern_results(&fam.query, &per_pattern);
-            serial += work.plan(tuple_count, qecu);
             let result_bytes = result_payload(&results).len() as u64;
-            serial += work.materialize(result_bytes, qecu);
-            let wall = SimDuration::from_micros(serial.micros() / qcores as u64);
+            let join = work.plan(tuple_count, qecu) + work.materialize(result_bytes, qecu);
+            let wall = (fetched - start) + SimDuration::from_micros(join.micros() / qcores as u64);
             let ptq = lookup_get + plan_time + wall;
             let fetched = lookup.uris.len() as u64;
             let per_query = self

@@ -13,6 +13,7 @@ pub mod amortization;
 pub mod autoscale;
 pub mod config;
 pub mod cost;
+mod fetch;
 pub mod metrics;
 pub mod retry;
 pub mod warehouse;

@@ -66,8 +66,8 @@ pub struct QueryPhases {
     /// "Lookup – Plan execution": intersections, path filtering, ID joins.
     pub plan: SimDuration,
     /// "S3 documents transfer and results extraction": fetching candidate
-    /// documents and evaluating the query on them (divided across the
-    /// instance's cores).
+    /// documents and evaluating the query on them, pipelined on the
+    /// instance's cores, then joining and materializing the results.
     pub transfer_eval: SimDuration,
 }
 

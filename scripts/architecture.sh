@@ -161,6 +161,23 @@ each_decision_once() {
     test "$(sed -n '/^pub fn lookup_query(/,/^}/p' crates/index/src/lookup.rs | grep -c 'lookup_mixed(')" -eq 1
 }
 
+# Phase 3's clock — candidates dealt round-robin to the instance's cores,
+# each core's reads back to back on its own connection, a document
+# evaluated once it has arrived — is one function, run by the query
+# processor over live reads (GETs and pushdown scans alike) and by the
+# advisor's estimate over measured ones. A second caller, or a fetch sum
+# divided by the core count, is the serial accounting coming back.
+one_fetch_timeline() {
+    test "$(grep -cF 'fn fetch_timeline' <<<"$src")" -eq 1
+    callers=$(grep -F 'fetch_timeline(' <<<"$src" | grep -vF 'fn fetch_timeline' | grep -vE ':[0-9]+:[[:space:]]*//')
+    test "$(grep -c . <<<"$callers")" -eq 2
+    for caller in actors adaptive; do
+        test "$(grep -c "^crates/core/src/$caller\.rs:" <<<"$callers")" -eq 1
+    done
+    test "$(grep -E '^crates/core/src/actors\.rs:' <<<"$src" | grep -cE '\bserial\b')" -eq 0
+    test "$(grep -E '^crates/core/src/adaptive\.rs:' <<<"$src" | grep -E '/ qcores' | grep -cvF 'join.micros()')" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -173,6 +190,7 @@ rules=(
     range_keys_name_the_entry
     a_rebuild_writes_what_changed
     each_decision_once
+    one_fetch_timeline
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do
