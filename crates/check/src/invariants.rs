@@ -10,9 +10,9 @@
 //!   implementation.
 //! * [`billing_oracle`] — metamorphic invariances checked by running the
 //!   same tiny warehouse pipeline under configuration changes that must
-//!   not change the bill (recorder on/off, prewarm on/off, explicit
-//!   zero fault rates) or must not change billed index operations and
-//!   answers (batching off).
+//!   not change the bill (recorder on/off, prewarm on/off, the host's
+//!   evaluation memo cold or warm, explicit zero fault rates) or must not
+//!   change billed index operations and answers (batching off).
 //! * [`isolation_oracle`] — two live warehouses holding *different bytes
 //!   under the same URIs*, stepped in lock-step on two threads, must each
 //!   end up exactly where a warehouse with no neighbour does.
@@ -20,7 +20,7 @@
 use crate::gen::Case;
 use amada_cloud::{FaultConfig, KvItem, Money, ServiceKind, Span, World};
 use amada_core::{Warehouse, WarehouseConfig};
-use amada_index::ExtractOptions;
+use amada_index::{ExtractCache, ExtractOptions};
 use amada_pattern::Query;
 
 /// Checks that per-service span charges reproduce the ledger.
@@ -159,6 +159,12 @@ pub fn billing_oracle(case: &Case, query: &Query) -> Result<(), String> {
     let (cold, _, _) = run_pipeline(case, query, |cfg| cfg.host.prewarm = false);
     if cold != base {
         return Err(diverged("prewarm off", &base, &cold));
+    }
+
+    // The runs above left the host's evaluation memo warm: empty it.
+    let (unmemoized, _, _) = run_pipeline(case, query, |_| ExtractCache::shared().clear());
+    if unmemoized != base {
+        return Err(diverged("evaluation memo cold vs warm", &base, &unmemoized));
     }
 
     // An explicit zero-rate fault config is identical to the default.

@@ -59,10 +59,10 @@ use amada_cloud::{
     SimTime, Span, SqsError, StepResult, World, S3,
 };
 use amada_index::{
-    decode_tuples, lookup_mixed, plan_document, ExtractCache, ExtractOptions, Held, IndexEntry,
-    MixedPlan, ScanPredicate, Strategy,
+    decode_tuples, lookup_mixed, plan_document, Evaluation, ExtractCache, ExtractOptions, Held,
+    IndexEntry, MixedPlan, PatternProbe, ScanPredicate, Strategy,
 };
-use amada_pattern::{join_pattern_results, parse_query, Tuple, TwigEvaluator};
+use amada_pattern::{join_pattern_results, parse_query, EvalStats, Tuple};
 use amada_rng::StdRng;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -800,9 +800,9 @@ impl QueryCore {
         // runs *inside* the store, only matching tuples travel back, and the
         // instance parses and evaluates nothing — that is what the per-GB
         // scan charge buys (each predicate compiled once, as it ships).
-        // Otherwise each document of `lookup.uris` is fetched once and
-        // evaluated, as it arrives, by every pattern naming it (each
-        // pattern's candidates are in the same order).
+        // Otherwise each document of `lookup.uris` is fetched once and billed
+        // an evaluation by every pattern naming it as it arrives (candidates
+        // share one order); the host asks the cache's memo, joins in place.
         let (cores, latency) = (self.cores, world.s3.latency());
         let pushdown = self.strategy == Some(Strategy::LupPd);
         let preds: Vec<ScanPredicate> = (query.patterns.iter())
@@ -815,32 +815,33 @@ impl QueryCore {
                 .collect(),
             false => lookup.uris.iter().map(|uri| (None, uri)).collect(),
         };
-        let mut per_pattern: Vec<Vec<Tuple>> = vec![Vec::new(); query.patterns.len()];
-        let mut evaluators: Vec<TwigEvaluator> =
-            query.patterns.iter().map(TwigEvaluator::new).collect();
+        let mut per_pattern: Vec<Vec<Arc<Evaluation>>> = vec![Vec::new(); query.patterns.len()];
+        let mut probes: Vec<PatternProbe> = query.patterns.iter().map(PatternProbe::new).collect();
         let fetched = fetch_timeline(t, cores, latency, reads.len(), |i, at| {
             let (scanned, uri) = reads[i];
             if let Some(p) = scanned {
                 let scan = |s3: &mut S3, at| s3.scan(at, DOC_BUCKET, uri, &preds[p]);
                 let (bytes, arrived) = self.read_candidate(world, at, uri, scan)?;
                 let tuples = decode_tuples(&bytes, uri).expect("store-encoded scan results decode");
-                per_pattern[p].extend(tuples);
+                per_pattern[p].push(Arc::new((tuples, EvalStats::default())));
                 return Ok((arrived, SimDuration::ZERO));
             }
             let get = |s3: &mut S3, at| s3.get(at, DOC_BUCKET, uri);
             let (bytes, arrived) = self.read_candidate(world, at, uri, get)?;
-            let doc = self.cache.parsed(uri, &bytes);
             let mut compute = world.work.parse(bytes.len() as u64, self.ecu);
             for (p, candidates) in lookup.per_pattern.iter().enumerate() {
                 if candidates.uris.binary_search(uri).is_ok() {
-                    let (tuples, stats) = evaluators[p].evaluate(&doc);
-                    compute += world.work.eval(stats.candidates, self.ecu);
-                    per_pattern[p].extend(tuples);
+                    let evaluated = self.cache.evaluated(uri, &bytes, &mut probes[p]);
+                    compute += world.work.eval(evaluated.1.candidates, self.ecu);
+                    per_pattern[p].push(evaluated);
                 }
             }
             Ok((arrived, compute))
         })?;
         world.obs.with_ctx(|c| c.doc = None);
+        let per_pattern: Vec<Vec<&Tuple>> = (per_pattern.iter())
+            .map(|evaluated| evaluated.iter().flat_map(|e| &e.0).collect())
+            .collect();
         let tuple_count: u64 = per_pattern.iter().map(|v| v.len() as u64).sum();
         let results = join_pattern_results(&query, &per_pattern);
         let payload = result_payload(&results);

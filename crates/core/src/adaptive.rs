@@ -50,13 +50,14 @@ use crate::config::WarehouseConfig;
 use crate::cost::CostModel;
 use crate::fetch::fetch_timeline;
 use crate::metrics::result_payload;
-use amada_cloud::{KvError, KvStore, Money, SimDuration, SimTime, S3};
+use amada_cloud::{Blob, KvError, KvStore, Money, SimDuration, SimTime, S3};
 use amada_index::{
     extract, lookup_pattern_in, merge_fan_out, partition_of, placed_item_keys, plan_document,
-    write_entries, Held, LookupOutcome, MixedPlan, Placement, QueryLookup, Strategy,
+    write_entries, Evaluation, ExtractCache, Held, LookupOutcome, MixedPlan, PatternProbe,
+    Placement, QueryLookup, Strategy,
 };
 use amada_obs::Attribution;
-use amada_pattern::{evaluate_pattern_twig, join_pattern_results, Query, Tuple};
+use amada_pattern::{join_pattern_results, Query, Tuple};
 use amada_xml::{Document, XmlError};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -335,19 +336,18 @@ struct PartitionBuild {
     per_doc: BTreeMap<String, (u64, SimDuration)>,
 }
 
-/// The scenario state every plan scored against it shares: parsed sample
-/// documents, the partition each one routes to, their micro-measured
-/// fetch latencies, the cost model, and the memoized
-/// per-`(partition, strategy)` micro-executions every scored candidate
-/// composes from.
+/// The scenario state every plan scored against it shares: stored sample
+/// documents (their extractions and twig evaluations are [`ExtractCache`]'s,
+/// as the loaders' and query cores' are), the partition each one routes to,
+/// their micro-measured fetch latencies, the cost model, and the memoized
+/// per-`(partition, strategy)` micro-executions every candidate composes.
 struct Scenario<'a> {
     /// `(uri, partition)` in sample order: the partition under the routing
     /// of the plans this scenario scores ([`MixedPlan::partition_of`] of a
     /// flat plan, the free [`partition_of`] otherwise), fixed at
     /// construction because the memos below are keyed by partition.
     uris: Vec<(String, String)>,
-    docs: BTreeMap<String, Document>,
-    doc_bytes: BTreeMap<String, u64>,
+    blobs: BTreeMap<String, Arc<Blob>>,
     fetch: BTreeMap<String, SimDuration>,
     /// The file store's latency, the tail of each fetch.
     latency: SimDuration,
@@ -359,14 +359,9 @@ struct Scenario<'a> {
     /// `(partition, strategy label, workload family index)` → per-pattern
     /// look-up outcomes, each as if issued at [`SimTime::ZERO`].
     lookups: RefCell<LookupMemo>,
-    /// `(family index, pattern index, uri)` → twig tuples and candidate
-    /// count. Strategy-independent: the index only decides *which*
-    /// documents get evaluated.
-    evals: RefCell<EvalMemo>,
 }
 
 type LookupMemo = BTreeMap<(String, &'static str, usize), Rc<Vec<LookupOutcome>>>;
-type EvalMemo = BTreeMap<(usize, usize, String), Rc<(Vec<Tuple>, u64)>>;
 
 impl<'a> Scenario<'a> {
     fn new(
@@ -377,13 +372,12 @@ impl<'a> Scenario<'a> {
         let mut s3 = S3::new();
         s3.create_bucket("sample");
         let mut uris = Vec::with_capacity(sample.len());
-        let mut docs = BTreeMap::new();
-        let mut doc_bytes = BTreeMap::new();
+        let mut blobs = BTreeMap::new();
         let mut fetch = BTreeMap::new();
         let mut corpus_bytes = 0u64;
         let mut t = SimTime::ZERO;
         for (uri, xml) in sample {
-            let doc = Document::parse_str(uri.clone(), xml)
+            Document::parse_str(uri.clone(), xml)
                 .map_err(|e| AdviseError::Parse(uri.clone(), e))?;
             t = s3
                 .put(t, "sample", uri, xml.clone().into_bytes())
@@ -395,14 +389,12 @@ impl<'a> Scenario<'a> {
             fetch.insert(uri.clone(), ready - t);
             t = ready;
             corpus_bytes += bytes.len() as u64;
-            doc_bytes.insert(uri.clone(), bytes.len() as u64);
+            blobs.insert(uri.clone(), bytes);
             uris.push((uri.clone(), route(uri).to_string()));
-            docs.insert(uri.clone(), doc);
         }
         Ok(Scenario {
             uris,
-            docs,
-            doc_bytes,
+            blobs,
             fetch,
             latency: s3.latency(),
             corpus_bytes,
@@ -410,7 +402,6 @@ impl<'a> Scenario<'a> {
             cost: CostModel::new(base.prices.clone()),
             builds: RefCell::new(BTreeMap::new()),
             lookups: RefCell::new(BTreeMap::new()),
-            evals: RefCell::new(BTreeMap::new()),
         })
     }
 
@@ -471,10 +462,12 @@ impl<'a> Scenario<'a> {
         let mut puts = 0u64;
         let mut per_doc = BTreeMap::new();
         for (uri, _) in self.uris.iter().filter(|(_, p)| p == partition) {
-            let mut serial_doc = self.fetch[uri] + work.parse(self.doc_bytes[uri], lecu);
+            let mut serial_doc = self.fetch[uri] + work.parse(self.blobs[uri].len() as u64, lecu);
             let mut doc_puts = 0u64;
             if let Some(placement) = placement {
-                let entries = extract(&self.docs[uri], placement.strategy, self.base.extract);
+                let (blob, opts) = (&self.blobs[uri], self.base.extract);
+                let (_, entries) =
+                    ExtractCache::shared().extracted(uri, blob, placement.strategy, opts);
                 let entry_bytes: u64 = entries.iter().map(|e| e.raw_bytes() as u64).sum();
                 serial_doc += work.extract(entry_bytes, lecu);
                 let before = kv.stats().put_ops;
@@ -542,26 +535,6 @@ impl<'a> Scenario<'a> {
         let out = Rc::new(out);
         self.lookups.borrow_mut().insert(key, out.clone());
         Ok(out)
-    }
-
-    /// One pattern's twig evaluation on one document (memoized). The
-    /// result is strategy-independent — the plan only decides *which*
-    /// documents are candidates.
-    fn eval_doc(
-        &self,
-        fam_idx: usize,
-        pat_idx: usize,
-        uri: &str,
-        query: &Query,
-    ) -> Rc<(Vec<Tuple>, u64)> {
-        let key = (fam_idx, pat_idx, uri.to_string());
-        if let Some(e) = self.evals.borrow().get(&key) {
-            return e.clone();
-        }
-        let (tuples, stats) = evaluate_pattern_twig(&self.docs[uri], &query.patterns[pat_idx]);
-        let e = Rc::new((tuples, stats.candidates));
-        self.evals.borrow_mut().insert(key, e.clone());
-        e
     }
 
     /// Scores one candidate plan by composing the memoized per-partition
@@ -641,20 +614,25 @@ impl<'a> Scenario<'a> {
             let plan_time = work.plan(lookup.entries_processed(), qecu);
             // Transfer + evaluate on the query processor's clock, over the
             // measured fetches; then the join, divided across the cores.
-            let mut per_pattern: Vec<Vec<Tuple>> = vec![Vec::new(); npat];
+            let mut per_pattern: Vec<Vec<Arc<Evaluation>>> = vec![Vec::new(); npat];
+            let mut probes: Vec<_> = fam.query.patterns.iter().map(PatternProbe::new).collect();
+            let cache = ExtractCache::shared();
             let (start, reads) = (SimTime::ZERO, lookup.uris.len());
             let Ok(fetched) = fetch_timeline(start, qcores, self.latency, reads, |i, at| {
-                let uri = &lookup.uris[i];
-                let mut compute = work.parse(self.doc_bytes[&**uri], qecu);
+                let (uri, blob) = (&lookup.uris[i], &self.blobs[&*lookup.uris[i]]);
+                let mut compute = work.parse(blob.len() as u64, qecu);
                 for (p, candidates) in lookup.per_pattern.iter().enumerate() {
                     if candidates.uris.binary_search(uri).is_ok() {
-                        let ev = self.eval_doc(fam_idx, p, uri, &fam.query);
-                        compute += work.eval(ev.1, qecu);
-                        per_pattern[p].extend(ev.0.iter().cloned());
+                        let evaluated = cache.evaluated(uri, blob, &mut probes[p]);
+                        compute += work.eval(evaluated.1.candidates, qecu);
+                        per_pattern[p].push(evaluated);
                     }
                 }
                 Ok::<_, Infallible>((at + self.fetch[&**uri], compute))
             });
+            let per_pattern: Vec<Vec<&Tuple>> = (per_pattern.iter())
+                .map(|evaluated| evaluated.iter().flat_map(|e| &e.0).collect())
+                .collect();
             let tuple_count: u64 = per_pattern.iter().map(|v| v.len() as u64).sum();
             let results = join_pattern_results(&fam.query, &per_pattern);
             let result_bytes = result_payload(&results).len() as u64;

@@ -1,13 +1,13 @@
-//! Thread-safe host-side cache of parsed documents and extraction
-//! results.
+//! Thread-safe host-side cache of parsed documents, extraction results and
+//! twig evaluations.
 //!
-//! The discrete-event simulation charges *virtual* time for every parse
-//! and extraction a cloud instance performs — instances are stateless
-//! across tasks, exactly as in the paper. The *host* running the
-//! simulation, however, sees the same document parsed and extracted once
-//! per strategy, per experiment, per repetition; this cache spares that
-//! redundant wall-clock work without touching a single virtual-time
-//! charge.
+//! The discrete-event simulation charges *virtual* time for every parse,
+//! extraction and evaluation a cloud instance performs — instances are
+//! stateless across tasks, exactly as in the paper. The *host* running the
+//! simulation, however, sees the same document parsed, extracted and
+//! evaluated once per strategy, query, experiment and repetition; this cache
+//! spares that redundant wall-clock work without touching a single
+//! virtual-time charge.
 //!
 //! Design:
 //!
@@ -15,10 +15,10 @@
 //!   hash of the URI, so the parallel prewarm stage
 //!   ([`crate::parallel::prewarm`]) and any future concurrent consumers
 //!   do not serialize on one lock.
-//! * **Two-level memoization.** Each document entry holds the parsed
-//!   [`Document`] *and* the extraction output per `(Strategy,
-//!   ExtractOptions)` — a loader core's entire CPU-heavy step becomes two
-//!   map probes.
+//! * **Three memos per document.** Each document entry holds the parsed
+//!   [`Document`], the extraction output per `(Strategy, ExtractOptions)`
+//!   and the twig evaluation per tree pattern ([`PatternProbe`]) — a
+//!   loader core's CPU-heavy step becomes two map probes, a query core's one.
 //! * **Content-addressed.** An entry is identified by *(URI, content
 //!   hash)*, never by URI alone: every probe names the hash of the bytes
 //!   in hand and a cached parse or extraction of other bytes is a miss.
@@ -27,12 +27,14 @@
 //!   hash ([`amada_cloud::Blob::etag`], computed once in `S3::put`), so a
 //!   probe from inside the warehouse touches no bytes; loose bytes are
 //!   hashed on the spot ([`Content`]). One version per URI is resident:
-//!   a probe for other bytes replaces it.
+//!   a probe for other bytes replaces it, memos and all.
 
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
 use amada_cloud::Blob;
+use amada_pattern::{EvalStats, TreePattern, Tuple, TwigEvaluator};
 use amada_xml::Document;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -91,21 +93,46 @@ fn shard_of(uri: &str) -> usize {
     (content_hash(uri.as_bytes()) as usize) % SHARDS
 }
 
-/// One cached document: the content hash it was parsed from, the parsed
-/// tree, and the memoized extraction per strategy/options.
+/// A pattern's tuples on one document version and the work it took.
+pub type Evaluation = (Vec<Tuple>, EvalStats);
+
+/// One cached document: its content hash, its parse, and its memoized
+/// extraction per strategy/options and evaluation per (pattern hash, pattern).
 struct DocEntry {
     hash: u64,
     doc: Arc<Document>,
     extracts: HashMap<(Strategy, ExtractOptions), Arc<Vec<IndexEntry>>>,
+    evals: Vec<(u64, Arc<TreePattern>, Arc<Evaluation>)>,
 }
 
-/// URI → the resident version's parse + extractions.
+/// URI → the resident version's parse, extractions and evaluations.
 type Shard = HashMap<String, DocEntry>;
+
+/// One pattern of a query, ready to probe the evaluation memo: hashed once;
+/// at its first miss, copied (the memo's key) and given the evaluator every
+/// later miss reuses.
+pub struct PatternProbe<'p> {
+    pattern: &'p TreePattern,
+    hash: u64,
+    filler: Option<(Arc<TreePattern>, TwigEvaluator<'p>)>,
+}
+
+impl<'p> PatternProbe<'p> {
+    /// Prepares `pattern` for probing.
+    pub fn new(pattern: &'p TreePattern) -> PatternProbe<'p> {
+        let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(pattern);
+        PatternProbe {
+            pattern,
+            hash,
+            filler: None,
+        }
+    }
+}
 
 /// Cumulative cache statistics (monotonic counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Probes answered from the cache without parsing.
+    /// Probes answered from the cache without parsing (evaluation probes too).
     pub parse_hits: u64,
     /// Probes that had to parse.
     pub parse_misses: u64,
@@ -124,11 +151,11 @@ impl CacheStats {
     }
 }
 
-/// A sharded, `Send + Sync` cache of parsed documents and their
-/// extraction results. Cheap to clone the handle via [`Arc`].
+/// A sharded, `Send + Sync` cache of parsed documents, extractions and
+/// evaluations. Cheap to clone the handle via [`Arc`].
 pub struct ExtractCache {
     shards: Box<[Mutex<Shard>; SHARDS]>,
-    stats: [AtomicU64; 4],
+    stats: [AtomicU64; 6],
 }
 
 impl Default for ExtractCache {
@@ -182,6 +209,11 @@ impl ExtractCache {
         }
     }
 
+    /// The evaluation memo's `[hits, misses]` ([`CacheStats`] is built by name).
+    pub fn eval_stats(&self) -> [u64; 2] {
+        [4, 5].map(|i| self.stats[i].load(Ordering::Relaxed))
+    }
+
     /// Notes that `bytes` are now the content of `uri`: a cached parse of
     /// other bytes is dropped here rather than lingering until the next
     /// probe. Returns the content hash.
@@ -204,15 +236,15 @@ impl ExtractCache {
         self.parsed_at(uri, bytes.bytes(), bytes.hash())
     }
 
+    /// `f` of `uri`'s resident version under its shard's lock, if hashed
+    /// `hash` (a neighbour may have replaced it: its memos are not ours).
+    fn resident<T>(&self, uri: &str, hash: u64, f: impl FnOnce(&mut DocEntry) -> T) -> Option<T> {
+        let mut shard = self.shards[shard_of(uri)].lock().unwrap();
+        shard.get_mut(uri).filter(|e| e.hash == hash).map(f)
+    }
+
     fn parsed_at(&self, uri: &str, bytes: &[u8], hash: u64) -> Arc<Document> {
-        let shard = &self.shards[shard_of(uri)];
-        let cached = shard
-            .lock()
-            .unwrap()
-            .get(uri)
-            .filter(|e| e.hash == hash)
-            .map(|e| e.doc.clone());
-        if let Some(doc) = cached {
+        if let Some(doc) = self.resident(uri, hash, |e| e.doc.clone()) {
             self.bump(0);
             return doc;
         }
@@ -220,12 +252,13 @@ impl ExtractCache {
         // Parse outside the lock: this is the expensive part, and the
         // prewarm stage runs it concurrently across shard-colliding URIs.
         let doc = Arc::new(Document::parse(uri, bytes).expect("stored documents are well-formed"));
-        shard.lock().unwrap().insert(
+        self.shards[shard_of(uri)].lock().unwrap().insert(
             uri.to_string(),
             DocEntry {
                 hash,
                 doc: doc.clone(),
                 extracts: HashMap::new(),
+                evals: Vec::new(),
             },
         );
         doc
@@ -242,16 +275,8 @@ impl ExtractCache {
     ) -> (Arc<Document>, Arc<Vec<IndexEntry>>) {
         let hash = bytes.hash();
         let doc = self.parsed_at(uri, bytes.bytes(), hash);
-        let shard = &self.shards[shard_of(uri)];
-        // The resident version may have been replaced since `parsed_at`
-        // (another warehouse, other bytes, same URI): its memo is not ours.
-        let cached = shard
-            .lock()
-            .unwrap()
-            .get(uri)
-            .filter(|e| e.hash == hash)
-            .and_then(|e| e.extracts.get(&(strategy, opts)).cloned());
-        if let Some(entries) = cached {
+        let cached = self.resident(uri, hash, |e| e.extracts.get(&(strategy, opts)).cloned());
+        if let Some(Some(entries)) = cached {
             self.bump(2);
             return (doc, entries);
         }
@@ -260,12 +285,36 @@ impl ExtractCache {
         // extract the same key; both produce identical output (extraction
         // is deterministic), so last-write-wins is correct.
         let entries = Arc::new(extract(&doc, strategy, opts));
-        if let Some(e) = shard.lock().unwrap().get_mut(uri) {
-            if e.hash == hash {
-                e.extracts.insert((strategy, opts), entries.clone());
-            }
-        }
+        let publish = |e: &mut DocEntry| e.extracts.insert((strategy, opts), entries.clone());
+        self.resident(uri, hash, publish);
         (doc, entries)
+    }
+
+    /// `probe`'s pattern evaluated on `uri`'s stored `blob`, memoized with
+    /// that version; a parse probe too. A miss parses through the parse memo
+    /// and evaluates outside the lock, as [`Self::extracted`] extracts.
+    pub fn evaluated(&self, uri: &str, blob: &Blob, probe: &mut PatternProbe) -> Arc<Evaluation> {
+        let hash = blob.etag();
+        let memo = |e: &DocEntry| {
+            let hit = (e.evals.iter()).find(|(h, p, _)| *h == probe.hash && **p == *probe.pattern);
+            hit.map(|(_, _, ev)| ev.clone())
+        };
+        if let Some(Some(ev)) = self.resident(uri, hash, |e| memo(e)) {
+            self.bump(0);
+            self.bump(4);
+            return ev;
+        }
+        self.bump(5);
+        let doc = self.parsed_at(uri, blob, hash);
+        let p = probe.pattern;
+        let fill = || (Arc::new(p.clone()), TwigEvaluator::new(p));
+        let (pattern, evaluator) = probe.filler.get_or_insert_with(fill);
+        let ev = Arc::new(evaluator.evaluate(&doc));
+        // A probe that raced this one may have published the same tuples.
+        let entry = (probe.hash, pattern.clone(), ev.clone());
+        let publish = |e: &mut DocEntry| memo(e).is_none().then(|| e.evals.push(entry));
+        self.resident(uri, hash, publish);
+        ev
     }
 
     /// Number of cached documents.
@@ -278,7 +327,7 @@ impl ExtractCache {
         self.len() == 0
     }
 
-    /// Drops every cached parse and extraction.
+    /// Drops every cached parse, extraction and evaluation.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             shard.lock().unwrap().clear();
@@ -367,6 +416,42 @@ mod tests {
             assert_eq!(cache.parsed("d.xml", &b).elements_named("c").len(), 1);
         }
         assert_eq!(cache.len(), 1, "one resident version per URI");
+    }
+
+    #[test]
+    fn evaluation_is_memoized_per_pattern_with_the_resident_version() {
+        use amada_pattern::{evaluate_pattern_twig, parse_pattern};
+        let cache = ExtractCache::default();
+        let (b, c) = (
+            parse_pattern("//a[/b{val}]").unwrap(),
+            parse_pattern("//a[/c{val}]").unwrap(),
+        );
+        let (a, b_xml) = (Blob::new(XML_A.to_vec()), Blob::new(XML_B.to_vec()));
+        let e1 = cache.evaluated("d.xml", &a, &mut PatternProbe::new(&b));
+        // An equal pattern of another query finds the same evaluation.
+        let again = b.clone();
+        let e2 = cache.evaluated("d.xml", &a, &mut PatternProbe::new(&again));
+        assert!(Arc::ptr_eq(&e1, &e2));
+        assert_eq!(
+            *e1,
+            evaluate_pattern_twig(&cache.parsed("d.xml", XML_A), &b)
+        );
+        assert!(cache
+            .evaluated("d.xml", &a, &mut PatternProbe::new(&c))
+            .0
+            .is_empty());
+        // Other bytes under the URI: their own evaluation, never the old one.
+        cache.note_upload("d.xml", XML_B);
+        let e4 = cache.evaluated("d.xml", &b_xml, &mut PatternProbe::new(&c));
+        assert_eq!(e4.0[0].columns, ["y"]);
+        cache.clear();
+        let e5 = cache.evaluated("d.xml", &b_xml, &mut PatternProbe::new(&c));
+        assert!(!Arc::ptr_eq(&e4, &e5) && e4 == e5);
+        assert_eq!(cache.eval_stats(), [1, 4]);
+        // Every evaluation probe is a parse probe too; only misses of a
+        // version not resident parse.
+        let s = cache.stats();
+        assert_eq!((s.parse_hits, s.parse_misses), (3, 3));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod shard;
 pub mod store;
 pub mod strategy;
 
-pub use cache::{content_hash, CacheStats, Content, ExtractCache};
+pub use cache::{content_hash, CacheStats, Content, Evaluation, ExtractCache, PatternProbe};
 pub use explain::explain;
 pub use loadutil::{
     entry_item_keys, placed_item_keys, plan_document, retract_keys, stale_keys, write_entries,

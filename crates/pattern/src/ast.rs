@@ -63,7 +63,7 @@ impl fmt::Display for Axis {
 }
 
 /// One endpoint of a range predicate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bound {
     /// The constant. Compared numerically when both sides parse as `f64`,
     /// lexicographically otherwise.
@@ -73,7 +73,7 @@ pub struct Bound {
 }
 
 /// A value predicate on a pattern node (Section 4).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
     /// `= c` — the node's string value equals `c`.
     Eq(String),
@@ -124,7 +124,7 @@ pub fn compare_values(a: &str, b: &str) -> std::cmp::Ordering {
 }
 
 /// An output annotation on a pattern node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Output {
     /// `val` — return the node's string value; optionally bound to a join
     /// variable (`val as $x`).
@@ -134,7 +134,7 @@ pub enum Output {
 }
 
 /// A node of a tree pattern.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PatternNode {
     /// Label test.
     pub test: NodeTest,
@@ -153,7 +153,7 @@ pub struct PatternNode {
 
 /// A single tree pattern. `nodes[0]` is the pattern root; children always
 /// have larger indices than their parent (preorder storage).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TreePattern {
     pub nodes: Vec<PatternNode>,
 }

@@ -42,10 +42,13 @@ impl JoinedTuple {
 /// order a hash join probing with each pattern's tuples emits them, the
 /// first occurrence of each kept.
 ///
-/// The join runs over the tuples where they are: a joined row is one tuple
-/// *number* per pattern, keys are compared as `&str`, and a cell is copied
-/// exactly once — into the result that hands it out.
-pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<JoinedTuple> {
+/// The join runs over the tuples where they are, owned or borrowed: a joined
+/// row is one tuple *number* per pattern, keys are compared as `&str`, and a
+/// cell is copied exactly once — into the result that hands it out.
+pub fn join_pattern_results<T: std::borrow::Borrow<Tuple>>(
+    query: &Query,
+    per_pattern: &[Vec<T>],
+) -> Vec<JoinedTuple> {
     assert_eq!(
         query.patterns.len(),
         per_pattern.len(),
@@ -80,7 +83,7 @@ pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<Jo
     // (key hash, row number), sorted: the probe side of the hash join.
     let mut order: Vec<(u64, u32)> = Vec::new();
     for (width, tuples) in per_pattern.iter().enumerate() {
-        let vars = tuples.first().map_or(&[][..], |t| &t.joins[..]);
+        let vars = tuples.first().map_or(&[][..], |t| &t.borrow().joins[..]);
         // Shared variables between the accumulated side and this pattern:
         // bound on both sides.
         let shared: Vec<(&str, usize)> = bound
@@ -90,7 +93,7 @@ pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<Jo
             .collect();
         let row_value = |r: u32, var: &str, pattern: usize| -> &str {
             let t = rows[r as usize * width + pattern];
-            value_of(&per_pattern[pattern][t as usize], var)
+            value_of(per_pattern[pattern][t as usize].borrow(), var)
         };
         let hash_of = |values: &mut dyn Iterator<Item = &str>| {
             let mut h = hasher.build_hasher();
@@ -106,7 +109,8 @@ pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<Jo
         order.sort_unstable();
         next.clear();
         count = 0;
-        for (ti, t) in tuples.iter().enumerate().filter(|(_, t)| consistent(t)) {
+        let tuples = tuples.iter().map(T::borrow);
+        for (ti, t) in tuples.enumerate().filter(|(_, t)| consistent(t)) {
             let key = hash_of(&mut shared.iter().map(|&(var, _)| value_of(t, var)));
             let first = order.partition_point(|&(k, _)| k < key);
             for &(_, r) in order[first..].iter().take_while(|&&(k, _)| k == key) {
@@ -136,7 +140,7 @@ pub fn join_pattern_results(query: &Query, per_pattern: &[Vec<Tuple>]) -> Vec<Jo
     let mut out: Vec<JoinedTuple> = Vec::new();
     for r in 0..count {
         let row = &rows[r * width..][..width];
-        let tuples = || row.iter().zip(per_pattern).map(|(&t, of)| &of[t as usize]);
+        let tuples = || (row.iter().zip(per_pattern)).map(|(&t, of)| of[t as usize].borrow());
         let columns = || tuples().flat_map(|t| t.columns.iter());
         let mut h = hasher.build_hasher();
         tuples().for_each(|t| t.uri.hash(&mut h));

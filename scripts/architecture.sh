@@ -178,6 +178,19 @@ one_fetch_timeline() {
     test "$(grep -E '^crates/core/src/adaptive\.rs:' <<<"$src" | grep -E '/ qcores' | grep -cvF 'join.micros()')" -eq 0
 }
 
+# A stored document version evaluates each pattern once on the host: the
+# memo is the document's `ExtractCache` entry (`evaluated`), asked by the
+# query core and the advisor alike, and its miss runs the one evaluator
+# built outside amada-pattern. An evaluation anywhere else — but the check
+# crate's oracles and pushdown's storage-side filter, which evaluate on
+# purpose — or the advisor's private memo is the second copy coming back.
+one_eval_memo() {
+    calls=$(grep -E 'TwigEvaluator::new|evaluate_pattern_twig\(' <<<"$src" | grep -vE '^crates/pattern/src/' | grep -vE ':[0-9]+:[[:space:]]*//')
+    test "$(grep -cvE '^crates/(index/src/(cache|pushdown)|check/src/oracles)\.rs:' <<<"$calls")" -eq 0
+    test "$(grep -c '^crates/index/src/cache\.rs:' <<<"$calls")" -eq 1
+    test "$(grep -rl 'EvalMemo' crates src examples tests | wc -l)" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -191,6 +204,7 @@ rules=(
     a_rebuild_writes_what_changed
     each_decision_once
     one_fetch_timeline
+    one_eval_memo
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do

@@ -9,7 +9,8 @@
 //! through `run_query` per strategy and through `run_query_no_index` —
 //! look-up, decode, twig join, fetch, evaluate, value join and the
 //! simulator around them — on the warehouse that build left, parse cache
-//! warm; and one query run 200 times must cost the same every time.
+//! and evaluation memo warm; and one query run 200 times must cost the
+//! same every time.
 //!
 //! Who owns what (DESIGN.md §5l). Per stored item, at most three: the
 //! entry's key (shared with the item), the item's block — range key and
@@ -136,36 +137,40 @@ fn ten_queries(w: &mut Warehouse, run: fn(&mut Warehouse, &Query) -> CostedQuery
 }
 
 /// The read path's budget: the ten queries through `run_query` (and, on
-/// the LU warehouse, `run_query_no_index`) allocate at most half of what
-/// the String-keyed, clone-per-hop read path did, and a query costs the
-/// same on an old warehouse as on a new one.
+/// the LU warehouse, `run_query_no_index`) allocate at most a tenth more
+/// than they did once a stored document version evaluated each pattern
+/// once on the host — per-query tuple cells coming back fail it — and a
+/// query costs the same on an old warehouse as on a new one.
 fn read_path_budget(w: &mut Warehouse, strategy: Strategy) {
-    // The parent's totals on this corpus, by `Strategy::ALL` position.
-    const PARENT: [u64; 4] = [16_146, 16_992, 23_732, 28_020];
-    const PARENT_NO_INDEX: u64 = 19_303;
-    let parent = PARENT[Strategy::ALL
+    // The measured totals on this corpus, by `Strategy::ALL` position; each
+    // query evaluating its candidates afresh spent 3 619, 4 299, 6 082,
+    // 7 201 and 3 228 (no index).
+    const MEASURED: [u64; 4] = [1_845, 2_537, 4_338, 5_457];
+    const MEASURED_NO_INDEX: u64 = 1_496;
+    let budget = |measured: u64| measured + measured / 10;
+    let measured = MEASURED[Strategy::ALL
         .iter()
         .position(|s| *s == strategy)
         .expect("one of the four")];
     let indexed = ten_queries(w, Warehouse::run_query);
-    println!("{strategy}: {indexed} allocations over the ten queries (parent {parent})");
+    println!("{strategy}: {indexed} allocations over the ten queries (measured {measured})");
     assert!(
-        2 * indexed <= parent,
+        indexed <= budget(measured),
         "{strategy}: {indexed} allocations over the ten workload queries on a 40-document \
-         warehouse, budget {} — half of the {parent} the String-keyed read path spent \
-         (LU 16 146, LUP 16 992, LUI 23 732, 2LUPI 28 020, no index 19 303)",
-        parent / 2
+         warehouse, budget {} — the {measured} measured plus a tenth (LU 1 845, LUP 2 537, \
+         LUI 4 338, 2LUPI 5 457, no index 1 496)",
+        budget(measured)
     );
     if strategy != Strategy::Lu {
         return;
     }
     let scanned = ten_queries(w, Warehouse::run_query_no_index);
-    println!("no index: {scanned} allocations over the ten queries (parent {PARENT_NO_INDEX})");
+    println!("no index: {scanned} allocations over the ten queries (measured {MEASURED_NO_INDEX})");
     assert!(
-        2 * scanned <= PARENT_NO_INDEX,
+        scanned <= budget(MEASURED_NO_INDEX),
         "no index: {scanned} allocations over the ten workload queries on a 40-document \
-         warehouse, budget {} — half of the {PARENT_NO_INDEX} the String-keyed read path spent",
-        PARENT_NO_INDEX / 2
+         warehouse, budget {} — the {MEASURED_NO_INDEX} measured plus a tenth",
+        budget(MEASURED_NO_INDEX)
     );
     // A query's host cost must not grow with the warehouse's age.
     let q = workload_query("q8").expect("a workload query");

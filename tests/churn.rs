@@ -6,7 +6,9 @@
 
 use amada::cloud::{FaultConfig, Money, SimDuration};
 use amada::index::Strategy;
+use amada::pattern::{evaluate_query_on_documents, parse_query};
 use amada::warehouse::{Warehouse, WarehouseConfig};
+use amada::xml::Document;
 use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, Worker};
 use amada_core::{DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER, LOADER_QUEUE};
 use amada_rng::StdRng;
@@ -104,6 +106,40 @@ fn accounting_reconciles_after_arbitrary_churn() {
             "seed {seed}: churned index differs from fresh build"
         );
     }
+}
+
+/// The host's evaluation memo lives and dies with a stored version: a
+/// document replaced under its URI is evaluated afresh — a memo miss — and
+/// the next query answers what direct evaluation of the new bytes answers.
+#[test]
+fn a_replaced_document_is_evaluated_afresh() {
+    let query = parse_query("//item[/name{val}]").expect("parses");
+    let sorted = |rows: Vec<amada::pattern::JoinedTuple>| {
+        let mut rows: Vec<Vec<String>> = rows.into_iter().map(|t| t.columns).collect();
+        rows.sort();
+        rows
+    };
+    let oracle = |live: &BTreeMap<String, String>| {
+        let docs = live
+            .iter()
+            .map(|(uri, xml)| Document::parse_str(uri.clone(), xml));
+        let docs: Vec<Document> = docs.collect::<Result<_, _>>().expect("well-formed");
+        sorted(evaluate_query_on_documents(&query, docs.iter()).0)
+    };
+    let mut live: BTreeMap<String, String> = (0..4u64)
+        .map(|id| (format!("memo-doc{id}.xml"), doc_xml(id, 1)))
+        .collect();
+    let mut w = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lup));
+    w.upload_documents(live.clone());
+    w.build_index();
+    assert_eq!(sorted(w.run_query(&query).exec.results), oracle(&live));
+    let [_, misses] = w.cache().eval_stats();
+    let replaced = ("memo-doc0.xml".to_string(), doc_xml(0, 2));
+    live.insert(replaced.0.clone(), replaced.1.clone());
+    w.upload_documents([replaced]);
+    w.build_index();
+    assert_eq!(sorted(w.run_query(&query).exec.results), oracle(&live));
+    assert!(w.cache().eval_stats()[1] > misses);
 }
 
 /// Satellite: churn under injected throttles — including throttled
@@ -486,7 +522,7 @@ fn a_plan_switch_in_place_rewrites_every_item_whose_value_differs() {
 /// A parked message leaves its registry entry — what the store may hold for
 /// the document is still worth knowing — but no rebuild queued: a plan
 /// switch sends the document a message of its own, and a build with nothing
-/// queued prewarms nothing.
+/// queued builds nothing.
 #[test]
 fn a_plan_switch_rebuilds_a_document_whose_message_was_parked() {
     let mut cfg = WarehouseConfig::with_strategy(Strategy::Lu);
@@ -502,9 +538,10 @@ fn a_plan_switch_rebuilds_a_document_whose_message_was_parked() {
     assert_eq!(w.build_index().documents, 4);
     assert_eq!(w.world().sqs.len(DEAD_LETTER_QUEUE).unwrap(), 1);
     assert_eq!(w.retraction_registry().borrow().len(), 1);
-    let idle = w.cache_stats();
+    // Nothing queued, nothing built. That such a build prewarms nothing is
+    // `tests/prewarm_pending.rs`'s to say, in a binary of its own: the
+    // cache's counters are process-wide, and the tests here probe it too.
     assert_eq!(w.build_index().documents, 0);
-    assert_eq!(w.cache_stats(), idle, "nothing queued, nothing prewarmed");
 
     assert_eq!(
         w.apply_plan(amada::index::MixedPlan::flat(Some(Strategy::Lup))),
