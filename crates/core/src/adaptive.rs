@@ -337,9 +337,9 @@ struct PartitionBuild {
 }
 
 /// The scenario state every plan scored against it shares: stored sample
-/// documents (their extractions and twig evaluations are [`ExtractCache`]'s,
-/// as the loaders' and query cores' are), the partition each one routes to,
-/// their micro-measured fetch latencies, the cost model, and the memoized
+/// documents (parsed, extracted and evaluated through [`ExtractCache`], as
+/// loaders and query cores are), the partition each routes to, their
+/// micro-measured fetch latencies, the cost model, and the memoized
 /// per-`(partition, strategy)` micro-executions every candidate composes.
 struct Scenario<'a> {
     /// `(uri, partition)` in sample order: the partition under the routing
@@ -377,7 +377,7 @@ impl<'a> Scenario<'a> {
         let mut corpus_bytes = 0u64;
         let mut t = SimTime::ZERO;
         for (uri, xml) in sample {
-            Document::parse_str(uri.clone(), xml)
+            (ExtractCache::shared().try_parsed(uri, xml.as_bytes()))
                 .map_err(|e| AdviseError::Parse(uri.clone(), e))?;
             t = s3
                 .put(t, "sample", uri, xml.clone().into_bytes())
@@ -616,14 +616,13 @@ impl<'a> Scenario<'a> {
             // measured fetches; then the join, divided across the cores.
             let mut per_pattern: Vec<Vec<Arc<Evaluation>>> = vec![Vec::new(); npat];
             let mut probes: Vec<_> = fam.query.patterns.iter().map(PatternProbe::new).collect();
-            let cache = ExtractCache::shared();
             let (start, reads) = (SimTime::ZERO, lookup.uris.len());
             let Ok(fetched) = fetch_timeline(start, qcores, self.latency, reads, |i, at| {
                 let (uri, blob) = (&lookup.uris[i], &self.blobs[&*lookup.uris[i]]);
                 let mut compute = work.parse(blob.len() as u64, qecu);
                 for (p, candidates) in lookup.per_pattern.iter().enumerate() {
                     if candidates.uris.binary_search(uri).is_ok() {
-                        let evaluated = cache.evaluated(uri, blob, &mut probes[p]);
+                        let evaluated = ExtractCache::shared().evaluated(uri, blob, &mut probes[p]);
                         compute += work.eval(evaluated.1.candidates, qecu);
                         per_pattern[p].push(evaluated);
                     }

@@ -32,7 +32,7 @@
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
 use amada_cloud::Blob;
 use amada_pattern::{EvalStats, TreePattern, Tuple, TwigEvaluator};
-use amada_xml::Document;
+use amada_xml::{Document, XmlError};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,9 +108,7 @@ struct DocEntry {
 /// URI → the resident version's parse, extractions and evaluations.
 type Shard = HashMap<String, DocEntry>;
 
-/// One pattern of a query, ready to probe the evaluation memo: hashed once;
-/// at its first miss, copied (the memo's key) and given the evaluator every
-/// later miss reuses.
+/// A query pattern hashed once for the evaluation memo; a miss makes its key and evaluator once.
 pub struct PatternProbe<'p> {
     pattern: &'p TreePattern,
     hash: u64,
@@ -120,10 +118,9 @@ pub struct PatternProbe<'p> {
 impl<'p> PatternProbe<'p> {
     /// Prepares `pattern` for probing.
     pub fn new(pattern: &'p TreePattern) -> PatternProbe<'p> {
-        let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(pattern);
         PatternProbe {
+            hash: BuildHasherDefault::<DefaultHasher>::default().hash_one(pattern),
             pattern,
-            hash,
             filler: None,
         }
     }
@@ -236,22 +233,29 @@ impl ExtractCache {
         self.parsed_at(uri, bytes.bytes(), bytes.hash())
     }
 
-    /// `f` of `uri`'s resident version under its shard's lock, if hashed
-    /// `hash` (a neighbour may have replaced it: its memos are not ours).
+    /// [`Self::parsed`] of bytes not yet known to be well-formed.
+    pub fn try_parsed(&self, uri: &str, bytes: &[u8]) -> Result<Arc<Document>, XmlError> {
+        self.try_parsed_at(uri, bytes, content_hash(bytes))
+    }
+
     fn resident<T>(&self, uri: &str, hash: u64, f: impl FnOnce(&mut DocEntry) -> T) -> Option<T> {
         let mut shard = self.shards[shard_of(uri)].lock().unwrap();
         shard.get_mut(uri).filter(|e| e.hash == hash).map(f)
     }
 
     fn parsed_at(&self, uri: &str, bytes: &[u8], hash: u64) -> Arc<Document> {
+        (self.try_parsed_at(uri, bytes, hash)).expect("stored documents are well-formed")
+    }
+
+    fn try_parsed_at(&self, uri: &str, bytes: &[u8], hash: u64) -> Result<Arc<Document>, XmlError> {
         if let Some(doc) = self.resident(uri, hash, |e| e.doc.clone()) {
             self.bump(0);
-            return doc;
+            return Ok(doc);
         }
         self.bump(1);
         // Parse outside the lock: this is the expensive part, and the
         // prewarm stage runs it concurrently across shard-colliding URIs.
-        let doc = Arc::new(Document::parse(uri, bytes).expect("stored documents are well-formed"));
+        let doc = Arc::new(Document::parse(uri, bytes)?);
         self.shards[shard_of(uri)].lock().unwrap().insert(
             uri.to_string(),
             DocEntry {
@@ -261,7 +265,7 @@ impl ExtractCache {
                 evals: Vec::new(),
             },
         );
-        doc
+        Ok(doc)
     }
 
     /// The parsed form *and* the extraction output of `uri`/`bytes` under
@@ -290,9 +294,8 @@ impl ExtractCache {
         (doc, entries)
     }
 
-    /// `probe`'s pattern evaluated on `uri`'s stored `blob`, memoized with
-    /// that version; a parse probe too. A miss parses through the parse memo
-    /// and evaluates outside the lock, as [`Self::extracted`] extracts.
+    /// `probe`'s pattern on `uri`'s `blob`, memoized with that version; a parse
+    /// probe too. A miss evaluates outside the lock, as `extracted` extracts.
     pub fn evaluated(&self, uri: &str, blob: &Blob, probe: &mut PatternProbe) -> Arc<Evaluation> {
         let hash = blob.etag();
         let memo = |e: &DocEntry| {
