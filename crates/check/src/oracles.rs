@@ -11,30 +11,34 @@ use crate::invariants;
 use crate::Mutation;
 use amada_cloud::ObjectPredicate;
 use amada_cloud::{
-    DynamoConfig, DynamoDb, KvBackend, KvError, KvProfile, KvStore, KvTuning, SimTime, SimpleDb,
-    SimpleDbConfig,
+    DynamoConfig, DynamoDb, KvBackend, KvError, KvItem, KvProfile, KvStore, KvTuning, KvValue,
+    SimTime, SimpleDb, SimpleDbConfig,
 };
 use amada_core::{Warehouse, WarehouseConfig, DOC_BUCKET};
-use amada_index::lookup::query_paths;
+use amada_index::lookup::{data_path_matches, lui_twig, pattern_keys, query_paths, QueryPath};
 use amada_index::store::{
     decode_id_lists, decode_id_postings, decode_path_lists, decode_presence_uris, encode_entry,
 };
 use amada_index::{
     decode_tuples, extract, index_documents, index_documents_mixed, key_frequencies, lookup_mixed,
-    lookup_query, placed_item_keys, skew_aware_plan, ExtractOptions, MixedPlan, Payload, Placement,
-    ScanPredicate, Strategy, UuidGen, TABLE_MAIN,
+    lookup_pattern_in, lookup_query, placed_item_keys, skew_aware_plan, ExtractOptions, IndexEntry,
+    MixedPlan, Payload, Placement, ScanPredicate, Strategy, UuidGen, TABLE_ID, TABLE_MAIN,
+    TABLE_PATH,
 };
 use amada_pattern::twig::evaluate_pattern_twig;
-use amada_pattern::{join_pattern_results, naive_matches, parse_query, Query, TreePattern, Tuple};
-use amada_xml::Document;
-use std::collections::BTreeSet;
+use amada_pattern::{
+    join_pattern_results, naive_matches, parse_query, Axis, Query, SliceStream, TreePattern, Tuple,
+    TwigJoin,
+};
+use amada_xml::{Document, StructuralId};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
 /// One oracle violation: which oracle, and a self-contained account.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Oracle name (`answers`, `containment`, `twig-vs-naive`,
+    /// Oracle name (`answers`, `containment`, `lookup`, `twig-vs-naive`,
     /// `round-trip`, `sharding`, `billing`, `isolation`).
     pub oracle: &'static str,
     /// What disagreed, with the per-strategy outputs involved.
@@ -81,6 +85,7 @@ pub fn check_case(case: &Case, mutation: Mutation, billing: bool) -> Result<(), 
                 )
             })?;
         oracle_containment(backend, &query, &candidates)?;
+        oracle_lookup_reference(backend, &docs, &query, opts)?;
         oracle_answers(backend, &docs, &query, &truth, &candidates)?;
         oracle_pushdown_answers(backend, case, &docs, &query, opts, &truth)?;
     }
@@ -280,6 +285,201 @@ fn render_candidates(
         "  LU    {:?}\n  LUP   {:?}\n  LUI   {:?}\n  2LUPI {:?}",
         lu[pi], lup[pi], lui[pi], two[pi]
     )
+}
+
+// ---------------------------------------------------------------------------
+// Oracle B, by reference — each look-up equals one that decodes in full
+// ---------------------------------------------------------------------------
+
+/// Every strategy's [`lookup_pattern_in`] outcome — candidates, entries
+/// processed, billed gets — equals [`reference_lookup`]'s, on a store that
+/// also holds what a build never writes, so the read rules are checked
+/// too: a malformed ID chunk after the first document's own (DynamoDB
+/// skips the chunk; on SimpleDB it spoils the blob, an empty list) and a
+/// document whose path list is a blob (marked, on DynamoDB).
+fn oracle_lookup_reference(
+    backend: Backend,
+    docs: &[Document],
+    query: &Query,
+    opts: ExtractOptions,
+) -> Result<(), Violation> {
+    let fail = |e: KvError| violation("lookup", format!("{}: {e:?}", backend.name()));
+    for strategy in Strategy::ALL {
+        let mut store = backend.store();
+        index_documents(store.as_mut(), docs, strategy, opts);
+        for (pi, pattern) in query.patterns.iter().enumerate() {
+            plant(store.as_mut(), strategy, docs, pattern, opts).map_err(fail)?;
+            let at = Placement::root(strategy);
+            let got = lookup_pattern_in(store.as_mut(), SimTime::ZERO, at, opts, pattern);
+            let got = got
+                .map(|o| (o.uris, o.entries_processed, o.get_ops))
+                .map_err(fail)?;
+            let want = reference_lookup(store.as_mut(), strategy, opts, pattern).map_err(fail)?;
+            if got != want {
+                let (name, strategy) = (backend.name(), strategy.name());
+                let detail = format!("{name} / {strategy}, pattern {pi}: {got:?} vs {want:?}");
+                return Err(violation("lookup", detail));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Puts [`oracle_lookup_reference`]'s two planted items under `pattern`'s
+/// keys in `strategy`'s tables.
+fn plant(
+    store: &mut dyn KvStore,
+    strategy: Strategy,
+    docs: &[Document],
+    pattern: &TreePattern,
+    opts: ExtractOptions,
+) -> Result<(), KvError> {
+    let (profile, uri) = (store.profile(), docs.first().map_or("", Document::uri));
+    let (ids, paths) = tables(strategy);
+    if let Some(table) = ids {
+        let junk = if profile.supports_binary {
+            KvValue::B(&[0x80])
+        } else {
+            KvValue::S("!")
+        };
+        let key = pattern_keys(pattern, opts).swap_remove(0).main_key;
+        let item = KvItem::new(key.into(), "999999-planted", uri.into(), [junk].into_iter());
+        store.batch_put(SimTime::ZERO, table, vec![item])?;
+    }
+    let (Some(table), Some(qp)) = (paths, query_paths(pattern, opts).pop()) else {
+        return Ok(());
+    };
+    // The query path written out, and a path past an item's budget.
+    let paths = vec![
+        qp.iter().map(|(_, k)| format!("/{k}")).collect(),
+        format!("/e{}", "a".repeat(1 << 16)),
+    ];
+    let (uri, key) = ("planted.xml", terminal(&qp).into());
+    let entry = IndexEntry {
+        table,
+        key,
+        uri: uri.into(),
+        payload: Payload::Paths(paths),
+    };
+    let items = encode_entry(&entry, &profile, &mut UuidGen::for_document(uri));
+    (items.chunks(profile.batch_put_limit)).try_for_each(|batch| {
+        store
+            .batch_put(SimTime::ZERO, table, batch.to_vec())
+            .map(drop)
+    })
+}
+
+/// The tables `strategy`'s look-up reads ID lists and path lists from.
+fn tables(strategy: Strategy) -> (Option<&'static str>, Option<&'static str>) {
+    match strategy {
+        Strategy::Lu => (None, None),
+        Strategy::Lup | Strategy::LupPd => (None, Some(TABLE_MAIN)),
+        Strategy::Lui => (Some(TABLE_MAIN), None),
+        Strategy::TwoLupi => (Some(TABLE_ID), Some(TABLE_PATH)),
+    }
+}
+
+fn terminal(qp: &QueryPath) -> &str {
+    qp.last().map_or("", |(_, key)| key)
+}
+
+/// One pattern's look-up the long way: each key got on its own, every list
+/// decoded in full ([`decode_presence_uris`], [`decode_path_lists`],
+/// [`decode_id_lists`]), a [`TwigJoin`] over [`SliceStream`]s per candidate.
+fn reference_lookup(
+    store: &mut dyn KvStore,
+    strategy: Strategy,
+    opts: ExtractOptions,
+    pattern: &TreePattern,
+) -> Result<(Vec<Arc<str>>, u64, u64), KvError> {
+    let (profile, before) = (store.profile(), store.stats().get_ops);
+    let (mut result, mut entries) = (None, 0);
+    if strategy == Strategy::Lu {
+        let keys = pattern_keys(pattern, opts).into_iter();
+        let keys = keys.flat_map(|nk| [vec![nk.main_key], nk.word_keys].concat());
+        for items in got(store, TABLE_MAIN, keys)?.values() {
+            let uris = decode_presence_uris(items);
+            entries += uris.len() as u64;
+            if intersect(&mut result, uris.into_iter().collect()) {
+                break;
+            }
+        }
+    }
+    let (ids, paths) = tables(strategy);
+    if let Some(table) = paths {
+        let paths = query_paths(pattern, opts);
+        let items = got(
+            store,
+            table,
+            paths.iter().map(|qp| terminal(qp).to_string()),
+        )?;
+        let lists: BTreeMap<_, _> = (items.iter())
+            .map(|(k, items)| (k.as_str(), decode_path_lists(items, &profile)))
+            .collect();
+        entries += lists
+            .values()
+            .flat_map(|l| l.values())
+            .map(|p| p.len() as u64)
+            .sum::<u64>();
+        for qp in &paths {
+            let owners = lists[terminal(qp)].iter();
+            let owners = owners.filter(|(_, data)| data.iter().any(|dp| data_path_matches(qp, dp)));
+            if intersect(&mut result, owners.map(|(uri, _)| uri.clone()).collect()) {
+                break;
+            }
+        }
+    }
+    // 2LUPI joins only what its path phase left, if anything.
+    if let Some(table) = ids.filter(|_| result.as_ref().is_none_or(|r| !r.is_empty())) {
+        let (shape, keys) = lui_twig(pattern, opts);
+        let items = got(store, table, keys.clone())?;
+        let lists: BTreeMap<_, _> = (items.iter())
+            .map(|(k, items)| (k.as_str(), decode_id_lists(items, &profile)))
+            .collect();
+        entries += lists
+            .values()
+            .flat_map(|l| l.values())
+            .map(|i| i.len() as u64)
+            .sum::<u64>();
+        let candidates = result.take();
+        let candidates = candidates.unwrap_or_else(|| lists[&*keys[0]].keys().cloned().collect());
+        let anchored = pattern.nodes[0].axis == Axis::Child;
+        let mut join = TwigJoin::new(shape);
+        let mut matches = |uri: &Arc<str>| {
+            // Each stream's IDs in the document, an anchored root's at depth 1.
+            let streams: Option<Vec<Vec<(StructuralId, ())>>> = (keys.iter().enumerate())
+                .map(|(i, k)| {
+                    let ids = lists[&**k].get(uri)?.iter();
+                    let ids = ids.filter(|id| i > 0 || !anchored || id.depth == 1);
+                    Some(ids.map(|&id| (id, ())).collect())
+                })
+                .collect();
+            streams.is_some_and(|s| {
+                let mut slices: Vec<_> = s.iter().map(|v| SliceStream::new(v)).collect();
+                join.join(&mut slices) > 0
+            })
+        };
+        result = Some(candidates.into_iter().filter(|uri| matches(uri)).collect());
+    }
+    let uris = result.unwrap_or_default().into_iter().collect();
+    Ok((uris, entries, store.stats().get_ops - before))
+}
+
+/// Each distinct key's items, got one key at a time.
+fn got(
+    store: &mut dyn KvStore,
+    table: &str,
+    keys: impl IntoIterator<Item = String>,
+) -> Result<BTreeMap<String, Vec<KvItem>>, KvError> {
+    let keys: BTreeSet<String> = keys.into_iter().collect();
+    let get = |k: String| Ok((k.clone(), store.get(SimTime::ZERO, table, &k)?.0));
+    keys.into_iter().map(get).collect()
+}
+
+/// Narrows `result` (`None`: every document) to `next`; true when empty.
+fn intersect(result: &mut Option<BTreeSet<Arc<str>>>, next: BTreeSet<Arc<str>>) -> bool {
+    let kept = result.take().map_or(next.clone(), |prev| &prev & &next);
+    result.insert(kept).is_empty()
 }
 
 // ---------------------------------------------------------------------------

@@ -446,7 +446,7 @@ mod tests {
         // Other bytes under the URI: their own evaluation, never the old one.
         cache.note_upload("d.xml", XML_B);
         let e4 = cache.evaluated("d.xml", &b_xml, &mut PatternProbe::new(&c));
-        assert_eq!(e4.0[0].columns, ["y"]);
+        assert_eq!(e4.0[0].columns, ["y".into()]);
         cache.clear();
         let e5 = cache.evaluated("d.xml", &b_xml, &mut PatternProbe::new(&c));
         assert!(!Arc::ptr_eq(&e4, &e5) && e4 == e5);
@@ -455,6 +455,31 @@ mod tests {
         // version not resident parse.
         let s = cache.stats();
         assert_eq!((s.parse_hits, s.parse_misses), (3, 3));
+    }
+
+    #[test]
+    fn equal_tuples_get_equal_digests_wherever_they_are_made() {
+        use crate::pushdown::{decode_tuples, ScanPredicate};
+        use amada_cloud::ObjectPredicate;
+        use amada_pattern::{naive_matches, parse_pattern};
+        let xml = b"<a><b>x</b><b>y</b><b>x</b></a>";
+        let p = parse_pattern("//a[/b{val}]").unwrap();
+        let cache = ExtractCache::default();
+        let memo = cache.evaluated(
+            "d.xml",
+            &Blob::new(xml.to_vec()),
+            &mut PatternProbe::new(&p),
+        );
+        let naive = naive_matches(&cache.parsed("d.xml", &xml[..]), &p).0;
+        let scanned = decode_tuples(&ScanPredicate::compile(&p).filter(xml), "d.xml").unwrap();
+        let digests = |tuples: &[Tuple]| tuples.iter().map(Tuple::digest).collect::<Vec<_>>();
+        assert_eq!(memo.0.len(), 2);
+        assert_eq!(digests(&memo.0), digests(&naive));
+        assert_eq!(digests(&memo.0), digests(&scanned));
+        assert_ne!(memo.0[0].digest(), memo.0[1].digest());
+        // The URI is part of what a digest tells.
+        let elsewhere = decode_tuples(&ScanPredicate::compile(&p).filter(xml), "e.xml").unwrap();
+        assert_ne!(digests(&memo.0), digests(&elsewhere));
     }
 
     #[test]

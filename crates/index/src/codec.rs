@@ -199,7 +199,8 @@ pub fn encode_ids_chunked(ids: &[StructuralId], max_bytes: usize) -> Vec<Vec<u8>
 //
 // [`BlockList`] is in-memory only: built by skip-scanning the flat wire
 // bytes fetched from a store (no stored-format change; stored bytes still
-// drive per-item billing and must stay byte-identical).
+// drive per-item billing and must stay byte-identical). A look-up refills
+// one list per stream from each candidate document's chunks.
 
 /// Number of IDs per block. 128 keeps a block's decoded form (1.5 KiB)
 /// well inside L1 while making header overhead (~2–6 bytes per block)
@@ -240,8 +241,7 @@ impl BlockList {
     /// `None` on malformed input (same rejection rules as [`decode_ids`]).
     pub fn from_flat(bytes: &[u8]) -> Option<BlockList> {
         let mut list = BlockList::default();
-        list.append_chunk(bytes)?;
-        Some(list)
+        list.push_chunk(bytes).then_some(list)
     }
 
     /// Builds a block list from the self-anchored chunks produced by
@@ -252,14 +252,29 @@ impl BlockList {
     pub fn from_chunks<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> BlockList {
         let mut list = BlockList::default();
         for chunk in chunks {
-            let (body_len, blocks_len, ids_len) = (list.body.len(), list.blocks.len(), list.len);
-            if list.append_chunk(chunk).is_none() {
-                list.body.truncate(body_len);
-                list.blocks.truncate(blocks_len);
-                list.len = ids_len;
-            }
+            list.push_chunk(chunk);
         }
         list
+    }
+
+    /// Empties the list, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.body.clear();
+        self.blocks.clear();
+        self.len = 0;
+    }
+
+    /// Appends one self-anchored chunk; a malformed one (same rejection
+    /// rules as [`decode_ids`]) leaves the list as it was: `false`.
+    pub(crate) fn push_chunk(&mut self, chunk: &[u8]) -> bool {
+        let (body_len, blocks_len, ids_len) = (self.body.len(), self.blocks.len(), self.len);
+        let appended = self.append_chunk(chunk).is_some();
+        if !appended {
+            self.body.truncate(body_len);
+            self.blocks.truncate(blocks_len);
+            self.len = ids_len;
+        }
+        appended
     }
 
     /// Total number of IDs across all blocks.
@@ -281,15 +296,10 @@ impl BlockList {
         ids
     }
 
-    /// A lazy cursor positioned at the first ID.
-    pub fn cursor(&self) -> BlockCursor<'_> {
-        let mut cur = BlockCursor {
-            list: self,
-            block: 0,
-            buf: Vec::new(),
-            pos: 0,
-        };
-        cur.load_block();
+    /// A lazy cursor over a copy of the list, positioned at the first ID.
+    pub fn cursor(&self) -> BlockCursor {
+        let mut cur = BlockCursor::default();
+        cur.refill(|list| list.clone_from(self));
         cur
     }
 
@@ -340,14 +350,14 @@ fn decode_block(body: &[u8], meta: &BlockMeta, out: &mut Vec<StructuralId>) {
     }
 }
 
-/// A lazy, forward-only cursor over a [`BlockList`].
+/// A lazy, forward-only cursor over the [`BlockList`] it holds.
 ///
 /// Only the block under the cursor is ever decoded (into a reusable
 /// buffer); `skip_to_pre` gallops over block headers via `max_pre`, so a
 /// selective probe touches `O(log n)` headers and decodes a single block.
-#[derive(Debug)]
-pub struct BlockCursor<'a> {
-    list: &'a BlockList,
+#[derive(Debug, Default)]
+pub struct BlockCursor {
+    list: BlockList,
     /// Current block index; `list.blocks.len()` once exhausted.
     block: usize,
     /// Decoded IDs of the current block.
@@ -356,12 +366,12 @@ pub struct BlockCursor<'a> {
     pos: usize,
 }
 
-impl<'a> BlockCursor<'a> {
-    /// Points the cursor at the first ID of another list, keeping its
-    /// decode buffer: a look-up walks one set of cursors over every
-    /// candidate document.
-    pub fn open(&mut self, list: &'a BlockList) {
-        self.list = list;
+impl BlockCursor {
+    /// Lets `fill` rewrite the cursor's list, then points at its first ID,
+    /// keeping every buffer: a look-up walks one cursor per stream over
+    /// every candidate document.
+    pub fn refill(&mut self, fill: impl FnOnce(&mut BlockList)) {
+        fill(&mut self.list);
         self.block = 0;
         self.load_block();
     }
@@ -440,7 +450,7 @@ impl<'a> BlockCursor<'a> {
     }
 }
 
-impl amada_pattern::TwigStream<()> for BlockCursor<'_> {
+impl amada_pattern::TwigStream<()> for BlockCursor {
     #[inline]
     fn peek(&self) -> Option<(StructuralId, ())> {
         BlockCursor::peek(self).map(|id| (id, ()))

@@ -19,14 +19,17 @@
 //! independently and evaluated independently; the join runs on the tuple
 //! results (Section 5.5).
 //!
-//! URIs are the `Arc<str>` the fetched items already hold, from
-//! `batch_get` to the [`LookupOutcome`]: candidate sets are ascending
-//! vectors of them, intersected by merging.
+//! A look-up reads the fetched items where they lie: each key's items are
+//! sorted in place into runs, one per document, and every strategy walks
+//! those runs — no per-document map or decoded copy is built. URIs are the
+//! `Arc<str>` the fetched items already hold, from `batch_get` to the
+//! [`LookupOutcome`]: candidate sets are ascending vectors of them,
+//! intersected by merging.
 
 use crate::codec::{BlockCursor, BlockList};
 use crate::key;
 use crate::partition::{lookup_mixed, MixedPlan, Placement};
-use crate::store::{decode_id_postings, decode_path_lists, decode_presence_uris};
+use crate::store::{documents, read_ids, sort_into_runs, PathList};
 use crate::strategy::{ExtractOptions, Strategy, TABLE_ID, TABLE_MAIN, TABLE_PATH};
 use amada_cloud::{KvError, KvItem, KvStore, SimTime};
 use amada_pattern::{Axis, Predicate, Query, TreePattern, TwigJoin, TwigShape, TwigStream};
@@ -206,7 +209,7 @@ pub fn pattern_keys(pattern: &TreePattern, opts: ExtractOptions) -> Vec<NodeKeys
 struct Fetched {
     /// The distinct keys asked for, ascending.
     keys: Vec<String>,
-    /// Their items: each key's one run, keys ascending.
+    /// Their items, keys ascending, each key's in runs, one per document.
     items: Vec<KvItem>,
     /// When the last response arrived.
     ready_at: SimTime,
@@ -215,20 +218,19 @@ struct Fetched {
 }
 
 impl Fetched {
-    /// The items under `key`.
-    fn of(&self, key: &str) -> &[KvItem] {
+    /// The documents under `key`, URIs ascending: one run of items each.
+    fn runs(&self, key: &str) -> impl Iterator<Item = &[KvItem]> {
         let rest = &self.items[self.items.partition_point(|i| &*i.hash_key < key)..];
-        &rest[..rest.partition_point(|i| &*i.hash_key == key)]
+        documents(&rest[..rest.partition_point(|i| &*i.hash_key == key)])
     }
 
-    /// Position of `key` among the distinct keys.
-    fn position(&self, key: &str) -> usize {
-        let at = self.keys.binary_search_by(|k| k.as_str().cmp(key));
-        at.expect("every look-up key was fetched")
+    /// Every document run of every distinct key, each once.
+    fn all_runs(&self) -> impl Iterator<Item = &[KvItem]> {
+        self.keys.iter().flat_map(|key| self.runs(key))
     }
 
     /// The outcome of the look-up these fetches served.
-    fn outcome(self, uris: Vec<Arc<str>>, entries_processed: u64) -> LookupOutcome {
+    fn outcome(&self, uris: Vec<Arc<str>>, entries_processed: u64) -> LookupOutcome {
         LookupOutcome {
             uris,
             entries_processed,
@@ -262,6 +264,9 @@ fn fetch_keys(
         }
     }
     debug_assert!(items.is_sorted_by(|a, b| a.hash_key <= b.hash_key));
+    for key_items in items.chunk_by_mut(|a, b| a.hash_key == b.hash_key) {
+        sort_into_runs(key_items);
+    }
     // Billed get operations, as the backend itself accounts them (capacity
     // units on DynamoDB, key look-ups on SimpleDB) — the cost model's
     // `|op(q, D, I)|`.
@@ -274,18 +279,27 @@ fn fetch_keys(
     })
 }
 
-/// Narrows `result` (`None`: every document) to the URIs `next` lists too,
-/// by merging — both are ascending. True when no document is left.
+/// Narrows `result` (`None`: every document) to the documents of `runs`
+/// (URIs ascending) that `keep` accepts, by merging: `keep` is asked only
+/// of documents `result` still holds. True when no document is left.
 fn narrow<'a>(
     result: &mut Option<Vec<Arc<str>>>,
-    next: impl Iterator<Item = &'a Arc<str>>,
+    runs: impl Iterator<Item = &'a [KvItem]>,
+    mut keep: impl FnMut(&'a [KvItem]) -> bool,
 ) -> bool {
-    let mut next = next.peekable();
+    let mut runs = runs.peekable();
     match result {
-        None => *result = Some(next.cloned().collect()),
+        None => {
+            *result = Some(
+                runs.filter(|run| keep(run))
+                    .map(|run| run[0].uri.clone())
+                    .collect(),
+            )
+        }
         Some(kept) => kept.retain(|uri| {
-            while next.next_if(|o| *o < uri).is_some() {}
-            next.peek().is_some_and(|o| *o == uri)
+            while runs.next_if(|run| run[0].uri < *uri).is_some() {}
+            runs.next_if(|run| run[0].uri == *uri)
+                .is_some_and(&mut keep)
         }),
     }
     result.as_ref().is_some_and(Vec::is_empty)
@@ -310,9 +324,8 @@ fn lookup_lu(
     let mut entries = 0u64;
     let mut result: Option<Vec<Arc<str>>> = None;
     for key in &fetched.keys {
-        let uris = decode_presence_uris(fetched.of(key));
-        entries += uris.len() as u64;
-        if narrow(&mut result, uris.iter()) {
+        entries += fetched.runs(key).count() as u64;
+        if narrow(&mut result, fetched.runs(key), |_| true) {
             break;
         }
     }
@@ -430,26 +443,20 @@ fn lookup_lup(
     let terminals: Vec<String> = paths.iter().map(|qp| terminal(qp).to_string()).collect();
     let fetched = fetch_keys(store, now, table, terminals)?;
     let profile = store.profile();
-    // Decode each distinct terminal key once; several query paths may share
-    // a terminal (e.g. two branches ending in the same label).
-    let decoded: Vec<_> = fetched
-        .keys
-        .iter()
-        .map(|k| decode_path_lists(fetched.of(k), &profile))
-        .collect();
-    let entries = decoded
-        .iter()
-        .flat_map(|lists| lists.values())
-        .map(|paths| paths.len() as u64)
+    // Each distinct terminal's paths count once, though several query paths
+    // may share it (e.g. two branches ending in the same label).
+    let entries = (fetched.all_runs())
+        .map(|run| PathList::read(run, &profile).paths().count() as u64)
         .sum();
     let mut result: Option<Vec<Arc<str>>> = None;
     let mut live = Vec::new();
     for qp in &paths {
-        let matching = decoded[fetched.position(terminal(qp))]
-            .iter()
-            .filter(|(_, data)| data.iter().any(|dp| path_matches(qp, dp, &mut live)))
-            .map(|(uri, _)| uri);
-        if narrow(&mut result, matching) {
+        let matches = |run| {
+            PathList::read(run, &profile)
+                .paths()
+                .any(|dp| path_matches(qp, dp, &mut live))
+        };
+        if narrow(&mut result, fetched.runs(terminal(qp)), matches) {
             break;
         }
     }
@@ -460,20 +467,13 @@ fn lookup_lup(
 // LUI (and the ID phase of 2LUPI)
 // ---------------------------------------------------------------------------
 
-fn lookup_lui(
-    store: &mut dyn KvStore,
-    now: SimTime,
-    opts: ExtractOptions,
-    pattern: &TreePattern,
-    table: &str,
-    reduce_to: Option<&[Arc<str>]>,
-) -> Result<LookupOutcome, KvError> {
+/// The twig a LUI look-up runs over index streams — the pattern's nodes
+/// plus one child node per predicate word, whose stream is the word key's
+/// IDs — and the key feeding each of its nodes.
+pub fn lui_twig(pattern: &TreePattern, opts: ExtractOptions) -> (TwigShape, Vec<String>) {
     let node_keys = pattern_keys(pattern, opts);
-    // The twig run over index streams: base pattern nodes plus one extra
-    // child node per predicate word (its stream is the word key's IDs).
     let mut shape = TwigShape::from_pattern(pattern);
-    // stream_keys[i] = the key feeding twig node i.
-    let mut stream_keys: Vec<&str> = node_keys.iter().map(|nk| &*nk.main_key).collect();
+    let mut stream_keys: Vec<String> = node_keys.iter().map(|nk| nk.main_key.clone()).collect();
     for nk in &node_keys {
         for w in &nk.word_keys {
             let idx = shape.parent.len();
@@ -485,57 +485,67 @@ fn lookup_lui(
             shape.axis.push(Axis::Descendant);
             shape.children.push(Vec::new());
             shape.children[nk.node].push(idx);
-            stream_keys.push(w);
+            stream_keys.push(w.clone());
         }
     }
-    let keys = stream_keys.iter().map(|k| k.to_string()).collect();
-    let fetched = fetch_keys(store, now, table, keys)?;
+    (shape, stream_keys)
+}
+
+fn lookup_lui(
+    store: &mut dyn KvStore,
+    now: SimTime,
+    opts: ExtractOptions,
+    pattern: &TreePattern,
+    table: &str,
+    reduce_to: Option<&[Arc<str>]>,
+) -> Result<LookupOutcome, KvError> {
+    let (shape, stream_keys) = lui_twig(pattern, opts);
+    let fetched = fetch_keys(store, now, table, stream_keys.clone())?;
     let profile = store.profile();
-    // Group each distinct key's wire bytes once, as `lookup_lup` does: a
-    // pattern with repeated labels feeds several twig nodes from the same
-    // key, and regrouping would double-count `entries_processed`. The IDs
-    // stay block-compressed; only the blocks the join lands in are decoded.
-    let decoded: Vec<_> = fetched
-        .keys
-        .iter()
-        .map(|k| decode_id_postings(fetched.of(k), &profile))
-        .collect();
-    let entries = decoded
-        .iter()
-        .flat_map(|lists| lists.values())
-        .map(|list| list.len() as u64)
-        .sum();
+    // Each distinct key's IDs count once: a pattern with repeated labels
+    // feeds several twig nodes from the same key.
+    let mut entries = 0u64;
+    let mut ids = BlockList::default();
+    for run in fetched.all_runs() {
+        read_ids(run, &profile, &mut ids);
+        entries += ids.len() as u64;
+    }
     // One join, one cursor per stream and one walk over each stream's
     // documents (URIs ascending) serve every candidate.
     let mut join: TwigJoin<()> = TwigJoin::new(shape);
     let root_is_anchored = pattern.nodes[0].axis == Axis::Child;
     let mut walks: Vec<_> = stream_keys
         .iter()
-        .map(|k| decoded[fetched.position(k)].iter().peekable())
+        .map(|k| fetched.runs(k).peekable())
         .collect();
-    let unopened = BlockList::default();
-    let mut streams: Vec<LuiStream<'_>> = (0..walks.len())
+    let mut streams: Vec<LuiStream> = (0..walks.len())
         .map(|i| LuiStream {
-            cur: unopened.cursor(),
+            cur: BlockCursor::default(),
             depth1_only: root_is_anchored && i == 0,
         })
         .collect();
     // Candidate URIs: documents contributing IDs to *every* stream,
-    // optionally reduced by the 2LUPI semijoin set. Per candidate, run
-    // the holistic twig join on lazy cursors over its posting lists.
+    // optionally reduced by the 2LUPI semijoin set. Only then are its
+    // chunks read into the streams' cursors, and the holistic twig join
+    // runs on them, decoding the blocks it lands in.
     let candidates: Box<dyn Iterator<Item = &Arc<str>>> = match reduce_to {
         Some(reduce_to) => Box::new(reduce_to.iter()),
-        None => Box::new(decoded[fetched.position(stream_keys[0])].keys()),
+        None => Box::new(fetched.runs(&stream_keys[0]).map(|run| &run[0].uri)),
     };
     let mut uris = Vec::new();
     for uri in candidates {
-        let in_every_stream = walks.iter_mut().zip(&mut streams).all(|(walk, stream)| {
-            while walk.next_if(|(u, _)| *u < uri).is_some() {}
-            walk.next_if(|(u, _)| *u == uri)
-                .map(|(_, list)| stream.cur.open(list))
-                .is_some()
+        let in_every_stream = walks.iter_mut().all(|walk| {
+            while walk.next_if(|run| run[0].uri < *uri).is_some() {}
+            walk.peek().is_some_and(|run| run[0].uri == *uri)
         });
-        if in_every_stream && join.join(&mut streams) > 0 {
+        if !in_every_stream {
+            continue;
+        }
+        for (walk, stream) in walks.iter_mut().zip(&mut streams) {
+            let run = walk.next().unwrap_or_default();
+            stream.cur.refill(|list| read_ids(run, &profile, list));
+        }
+        if join.join(&mut streams) > 0 {
             uris.push(uri.clone());
         }
     }
@@ -545,12 +555,12 @@ fn lookup_lui(
 /// [`TwigStream`] over a lazy block cursor, optionally restricted to
 /// depth-1 IDs — the anchored-root case (`/label`), where the old path
 /// materialized the list and `retain`ed document roots.
-struct LuiStream<'a> {
-    cur: BlockCursor<'a>,
+struct LuiStream {
+    cur: BlockCursor,
     depth1_only: bool,
 }
 
-impl LuiStream<'_> {
+impl LuiStream {
     /// Re-establishes the depth-1 invariant after any repositioning.
     fn settle(&mut self) {
         if self.depth1_only {
@@ -564,7 +574,7 @@ impl LuiStream<'_> {
     }
 }
 
-impl TwigStream<()> for LuiStream<'_> {
+impl TwigStream<()> for LuiStream {
     #[inline]
     fn peek(&self) -> Option<(StructuralId, ())> {
         self.cur.peek().map(|id| (id, ()))
@@ -594,7 +604,7 @@ impl TwigStream<()> for LuiStream<'_> {
 mod tests {
     use super::*;
     use crate::partition::index_documents;
-    use crate::store::decode_id_lists;
+    use crate::store::{decode_id_lists, decode_path_lists};
     use amada_cloud::{DynamoDb, KvStore};
     use amada_pattern::parse_pattern;
     use amada_xml::Document;

@@ -138,18 +138,18 @@ impl<'a> Cursor<'a> {
         Some(u32::from_le_bytes(raw.try_into().expect("4-byte slice")))
     }
 
-    fn str(&mut self) -> Option<String> {
+    fn str(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
         let end = self.pos.checked_add(len)?;
         let raw = self.bytes.get(self.pos..end)?;
         self.pos = end;
-        Some(std::str::from_utf8(raw).ok()?.to_string())
+        std::str::from_utf8(raw).ok()
     }
 }
 
 /// Decodes scan result bytes back into tuples, stamping each with `uri`
-/// (the object the caller scanned). `None` on malformed input — a store
-/// bug, never a query answer.
+/// (the object the caller scanned) and the digest a tuple made there would
+/// carry. `None` on malformed input — a store bug, never a query answer.
 pub fn decode_tuples(bytes: &[u8], uri: &str) -> Option<Vec<Tuple>> {
     if bytes.is_empty() {
         return Some(Vec::new());
@@ -162,20 +162,16 @@ pub fn decode_tuples(bytes: &[u8], uri: &str) -> Option<Vec<Tuple>> {
         let n_cols = c.u32()?;
         let mut columns = Vec::with_capacity(n_cols as usize);
         for _ in 0..n_cols {
-            columns.push(c.str()?);
+            columns.push(c.str()?.into());
         }
         let n_joins = c.u32()?;
         let mut joins = Vec::with_capacity(n_joins as usize);
         for _ in 0..n_joins {
-            let var = c.str()?;
-            let val = c.str()?;
+            let var = c.str()?.to_string();
+            let val = c.str()?.to_string();
             joins.push((var, val));
         }
-        tuples.push(Tuple {
-            uri: uri.clone(),
-            columns,
-            joins,
-        });
+        tuples.push(Tuple::new(uri.clone(), columns, joins));
     }
     (c.pos == bytes.len()).then_some(tuples)
 }

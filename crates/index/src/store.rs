@@ -25,7 +25,6 @@ use crate::codec::{
 use crate::strategy::{IndexEntry, Payload};
 use amada_cloud::{content_hash, KvItem, KvProfile, KvValue};
 use amada_xml::StructuralId;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -264,83 +263,117 @@ fn blob_values(text: &str, marker_len: usize) -> impl Iterator<Item = KvValue<'_
     std::iter::once(&text[..head]).chain(tail).map(KvValue::S)
 }
 
-/// One fetched item as the decoders see it: the document URI it is named
-/// after, its range key, the item.
-type Row<'a> = (&'a Arc<str>, &'a str, &'a KvItem);
-
-/// The fetched items, ordered by document URI and, per document, by range
-/// key (i.e. chunk sequence): each document's rows are one run of the
-/// vector, and its URI is the `Arc<str>` the items hold.
-fn rows_by_uri(items: &[KvItem]) -> Vec<Row<'_>> {
-    let mut rows: Vec<Row<'_>> = items
-        .iter()
-        .map(|item| (&item.uri, item.range_key(), item))
-        .collect();
-    rows.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-    rows
+/// Orders fetched items into runs, one per document: URIs ascending, and a
+/// document's items by range key (chunk order). The look-up sorts what it
+/// fetched in place; the collectors below sort a copy.
+pub(crate) fn sort_into_runs(items: &mut [KvItem]) {
+    items.sort_unstable_by(|a, b| {
+        (a.uri.cmp(&b.uri)).then_with(|| a.range_key().cmp(b.range_key()))
+    });
 }
 
-/// The runs of [`rows_by_uri`]: one per document, URIs ascending.
-fn documents<'r, 'a>(rows: &'r [Row<'a>]) -> impl Iterator<Item = &'r [Row<'a>]> {
-    rows.chunk_by(|a, b| a.0 == b.0)
+/// The runs of items in [`sort_into_runs`]' order: one per document, whose
+/// URI is the `Arc<str>` its items hold.
+pub(crate) fn documents(items: &[KvItem]) -> impl Iterator<Item = &[KvItem]> {
+    items.chunk_by(|a, b| a.uri == b.uri)
 }
 
-/// Every value of a document's rows, in chunk order.
-fn values<'r, 'a>(rows: &'r [Row<'a>]) -> impl Iterator<Item = KvValue<'a>> + 'r {
-    rows.iter().flat_map(|&(_, _, item)| item.values())
+/// Every value of a document's run, in chunk order.
+fn values(run: &[KvItem]) -> impl Iterator<Item = KvValue<'_>> {
+    run.iter().flat_map(KvItem::values)
 }
 
-/// Decodes LU presence items into the document URIs, ascending.
+/// One document's stored path list, read where it lies: the paths its items
+/// hold as values of their own, or — on a string-only backend, or when a
+/// path outgrew an item (the first chunk is marked) — those of the blob its
+/// chunks spell, where a malformed blob spells none.
+pub(crate) enum PathList<'a> {
+    Values(&'a [KvItem]),
+    Blob(String),
+}
+
+impl<'a> PathList<'a> {
+    pub(crate) fn read(run: &'a [KvItem], profile: &KvProfile) -> PathList<'a> {
+        let first = run[0].values().next();
+        let is_marked_blob = matches!(first, Some(KvValue::S(s)) if s.starts_with(BLOB_MARKER));
+        if profile.supports_binary && !is_marked_blob {
+            return PathList::Values(run);
+        }
+        PathList::Blob(String::from_utf8_lossy(&reassemble_blob(run)).into_owned())
+    }
+
+    /// The paths, in stored order.
+    pub(crate) fn paths(&self) -> impl Iterator<Item = &str> {
+        let (run, blob) = match self {
+            PathList::Values(run) => (*run, ""),
+            PathList::Blob(text) => (&[][..], text.as_str()),
+        };
+        let native = values(run).filter_map(|v| match v {
+            KvValue::S(s) => Some(s),
+            KvValue::B(_) => None,
+        });
+        // An empty blob holds no path, not one empty path.
+        native.chain(blob.split('\n').filter(|_| !blob.is_empty()))
+    }
+}
+
+/// Reads one document's ID list into `list`, where its items hold it: the
+/// binary chunks on a binary-capable backend (a malformed chunk is
+/// skipped), else the blob the string values spell (a malformed blob holds
+/// no ID). The IDs stay in their wire bytes behind [`BlockList`] skip
+/// metadata: a twig join decodes only the blocks it lands in.
+pub(crate) fn read_ids(run: &[KvItem], profile: &KvProfile, list: &mut BlockList) {
+    list.clear();
+    if !profile.supports_binary {
+        list.push_chunk(&reassemble_blob(run));
+        return;
+    }
+    for v in values(run) {
+        if let KvValue::B(chunk) = v {
+            list.push_chunk(chunk);
+        }
+    }
+}
+
+/// A copy of `items` in runs, for the collectors below.
+fn in_runs(items: &[KvItem]) -> Vec<KvItem> {
+    let mut items = items.to_vec();
+    sort_into_runs(&mut items);
+    items
+}
+
+/// Collects LU presence items into the document URIs, ascending.
 pub fn decode_presence_uris(items: &[KvItem]) -> Vec<Arc<str>> {
-    documents(&rows_by_uri(items))
-        .map(|rows| rows[0].0.clone())
+    documents(&in_runs(items))
+        .map(|run| run[0].uri.clone())
         .collect()
 }
 
-/// Decodes LUP items into per-URI path lists; a path is borrowed from
-/// its item wherever the item stores it as a value of its own.
-pub fn decode_path_lists<'a>(
-    items: &'a [KvItem],
-    profile: &KvProfile,
-) -> BTreeMap<Arc<str>, Vec<Cow<'a, str>>> {
-    documents(&rows_by_uri(items))
-        .map(|rows| {
-            let is_marked_blob = matches!(
-                rows[0].2.values().next(),
-                Some(KvValue::S(s)) if s.starts_with(BLOB_MARKER)
-            );
-            let paths: Vec<Cow<'a, str>> = if profile.supports_binary && !is_marked_blob {
-                values(rows)
-                    .filter_map(|v| match v {
-                        KvValue::S(s) => Some(Cow::Borrowed(s)),
-                        KvValue::B(_) => None,
-                    })
-                    .collect()
-            } else {
-                let blob = reassemble_blob(rows);
-                if blob.is_empty() {
-                    Vec::new()
-                } else {
-                    String::from_utf8_lossy(&blob)
-                        .split('\n')
-                        .map(|p| Cow::Owned(p.to_string()))
-                        .collect()
-                }
-            };
-            (rows[0].0.clone(), paths)
-        })
+/// Collects LUP items into per-URI path lists, read by [`PathList`].
+pub fn decode_path_lists(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Arc<str>, Vec<String>> {
+    let paths = |run| {
+        PathList::read(run, profile)
+            .paths()
+            .map(String::from)
+            .collect()
+    };
+    documents(&in_runs(items))
+        .map(|run| (run[0].uri.clone(), paths(run)))
         .collect()
 }
 
-/// Decodes LUI items into per-URI, `pre`-sorted ID lists.
+/// Decodes LUI items into per-URI, `pre`-sorted ID lists, value by value
+/// through [`decode_ids`] — the reference the block reader is checked
+/// against (a malformed binary chunk is dropped, a malformed string blob
+/// yields an empty list).
 pub fn decode_id_lists(
     items: &[KvItem],
     profile: &KvProfile,
 ) -> BTreeMap<Arc<str>, Vec<StructuralId>> {
-    documents(&rows_by_uri(items))
-        .map(|rows| {
+    documents(&in_runs(items))
+        .map(|run| {
             let ids: Vec<StructuralId> = if profile.supports_binary {
-                values(rows)
+                values(run)
                     .filter_map(|v| match v {
                         KvValue::B(b) => decode_ids(b),
                         KvValue::S(_) => None,
@@ -348,41 +381,31 @@ pub fn decode_id_lists(
                     .flatten()
                     .collect()
             } else {
-                decode_ids(&reassemble_blob(rows)).unwrap_or_default()
+                decode_ids(&reassemble_blob(run)).unwrap_or_default()
             };
-            (rows[0].0.clone(), ids)
+            (run[0].uri.clone(), ids)
         })
         .collect()
 }
 
-/// Decodes LUI items into per-URI block-structured postings.
-///
-/// Same grouping and per-chunk tolerance as [`decode_id_lists`] (a
-/// malformed binary chunk is dropped, a malformed string blob yields an
-/// empty list), but the IDs stay in their wire bytes behind
-/// [`BlockList`] skip metadata: the twig join decodes only the blocks it
-/// lands in.
+/// Collects LUI items into per-URI block-structured postings, read by
+/// [`read_ids`].
 pub fn decode_id_postings(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Arc<str>, BlockList> {
-    documents(&rows_by_uri(items))
-        .map(|rows| {
-            let list = if profile.supports_binary {
-                BlockList::from_chunks(values(rows).filter_map(|v| match v {
-                    KvValue::B(b) => Some(b),
-                    KvValue::S(_) => None,
-                }))
-            } else {
-                BlockList::from_flat(&reassemble_blob(rows)).unwrap_or_default()
-            };
-            (rows[0].0.clone(), list)
-        })
+    let list = |run| {
+        let mut list = BlockList::default();
+        read_ids(run, profile, &mut list);
+        list
+    };
+    documents(&in_runs(items))
+        .map(|run| (run[0].uri.clone(), list(run)))
         .collect()
 }
 
 /// The blob a chunk sequence's string values spell in base64 (less the
 /// marker a binary-capable backend's first chunk carries).
-fn reassemble_blob(rows: &[Row<'_>]) -> Vec<u8> {
+fn reassemble_blob(run: &[KvItem]) -> Vec<u8> {
     let mut b64 = String::new();
-    for v in values(rows) {
+    for v in values(run) {
         if let KvValue::S(s) = v {
             b64.push_str(s.strip_prefix(BLOB_MARKER).unwrap_or(s));
         }

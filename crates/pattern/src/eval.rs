@@ -11,8 +11,8 @@
 use crate::ast::{Axis, NodeTest, Output, PatternNode, TreePattern};
 use amada_xml::{Document, NodeId};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
-use std::sync::Arc;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash, Hasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
 /// One result tuple of a tree pattern on one document.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -21,19 +21,55 @@ pub struct Tuple {
     pub uri: Arc<str>,
     /// Output column values (preorder of pattern nodes; annotation order
     /// within a node). `val` columns hold string values, `cont` columns
-    /// hold serialized subtrees.
-    pub columns: Vec<String>,
+    /// hold serialized subtrees. Shared: a joined row points at them.
+    pub columns: Vec<Arc<str>>,
     /// Join-variable bindings `(var, value)`, in first-appearance order of
     /// the variable within this pattern.
     pub joins: Vec<(String, String)>,
+    /// The keyed hash of `uri` and `columns`, taken once, as the tuple is
+    /// made: the value join dedups rows by their tuples' digests.
+    digest: u64,
 }
 
 impl Tuple {
+    /// A tuple of `uri`'s document; its digest is taken here.
+    pub fn new(uri: Arc<str>, columns: Vec<Arc<str>>, joins: Vec<(String, String)>) -> Tuple {
+        let digest = digest(uri_state(&uri), columns.iter().map(|c| &**c));
+        Tuple {
+            uri,
+            columns,
+            joins,
+            digest,
+        }
+    }
+
     /// Total size in bytes of the materialized columns (used for the
     /// paper's `|r(q)|` result-size metric).
     pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(String::len).sum()
+        self.columns.iter().map(|c| c.len()).sum()
     }
+
+    /// The keyed hash of the tuple's URI and cells: equal tuples have equal
+    /// digests in one process, wherever they were made.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+}
+
+/// The digest hasher after a document's URI, under the one key of the
+/// process: document text comes from outside the program, so it cannot aim
+/// at collisions.
+fn uri_state(uri: &str) -> DefaultHasher {
+    static KEY: OnceLock<RandomState> = OnceLock::new();
+    let mut h = KEY.get_or_init(RandomState::new).build_hasher();
+    uri.hash(&mut h);
+    h
+}
+
+/// A tuple's digest: its cells hashed on from its URI's state.
+fn digest<'c>(mut h: DefaultHasher, cells: impl Iterator<Item = &'c str>) -> u64 {
+    cells.for_each(|c| c.hash(&mut h));
+    h.finish()
 }
 
 /// Counters describing the work an evaluation performed; these feed the
@@ -146,7 +182,7 @@ fn extend(
 #[derive(Debug, Default)]
 pub(crate) struct FirstSeen {
     /// Hash → the last kept item with it…
-    last: HashMap<u64, u32>,
+    last: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
     /// …and per kept item, the kept item before it with the same hash.
     chain: Vec<Option<u32>>,
 }
@@ -173,6 +209,27 @@ impl FirstSeen {
     }
 }
 
+/// [`FirstSeen`]'s keys are keyed hashes already: the map uses them as
+/// they are instead of hashing them a second time.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes
+            .iter()
+            .for_each(|&b| self.0 = self.0.rotate_left(8) ^ u64::from(b));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
 /// The output side of a pattern, prepared once: which pattern node and
 /// annotation feeds each result column, plus the scratch a projection
 /// reuses from one embedding (and one document) to the next. A value is
@@ -187,7 +244,6 @@ pub(crate) struct Materializer<'p> {
     text: String,
     /// …and where each one ends.
     ends: Vec<usize>,
-    hasher: RandomState,
     seen: FirstSeen,
 }
 
@@ -200,7 +256,6 @@ impl<'p> Materializer<'p> {
                 .collect(),
             text: String::new(),
             ends: Vec::new(),
-            hasher: RandomState::new(),
             seen: FirstSeen::default(),
         }
     }
@@ -208,13 +263,16 @@ impl<'p> Materializer<'p> {
     /// Projects the embeddings of one document (each a map from pattern
     /// node to document node) onto the annotated nodes, materializes
     /// column values and join keys, and keeps the first occurrence of
-    /// each tuple, in order.
+    /// each tuple, in order — told apart by digest, which each kept tuple
+    /// carries.
     pub(crate) fn run<E: Fn(usize) -> NodeId>(
         &mut self,
         doc: &Document,
         embeddings: impl Iterator<Item = E>,
     ) -> Vec<Tuple> {
         self.seen.clear();
+        let uri = doc.shared_uri();
+        let state = uri_state(uri);
         let mut out: Vec<Tuple> = Vec::new();
         for emb in embeddings {
             self.text.clear();
@@ -232,11 +290,9 @@ impl<'p> Materializer<'p> {
             let cells = (0..ends.len()).map(|c| &text[start(c)..ends[c]]);
             // Equal columns imply equal join keys: a key is a copy of its
             // column.
-            let hash = self.hasher.hash_one((&self.text, &self.ends));
-            if !self
-                .seen
-                .insert(hash, |i| cells.clone().eq(&out[i].columns))
-            {
+            let hash = digest(state.clone(), cells.clone());
+            let same = |i: usize| cells.clone().eq(out[i].columns.iter().map(|c| &**c));
+            if !self.seen.insert(hash, same) {
                 continue;
             }
             let mut joins = Vec::new();
@@ -249,9 +305,10 @@ impl<'p> Materializer<'p> {
                 }
             }
             out.push(Tuple {
-                uri: doc.shared_uri().clone(),
-                columns: cells.map(String::from).collect(),
+                uri: uri.clone(),
+                columns: cells.map(Arc::from).collect(),
                 joins,
+                digest: hash,
             });
         }
         out
@@ -303,7 +360,10 @@ mod tests {
         let p = parse_pattern("//painting[/name{val}, //painter[/name{val}]]").unwrap();
         let (tuples, stats) = naive_matches(&d, &p);
         assert_eq!(tuples.len(), 1);
-        assert_eq!(tuples[0].columns, ["The Lion Hunt", "EugeneDelacroix"]);
+        assert_eq!(
+            tuples[0].columns,
+            ["The Lion Hunt".into(), "EugeneDelacroix".into()]
+        );
         assert!(stats.candidates > 0);
         assert_eq!(stats.tuples, 1);
     }
@@ -315,7 +375,7 @@ mod tests {
         let child = parse_pattern("//painting[/name{val}]").unwrap();
         let (t, _) = naive_matches(&d, &child);
         assert_eq!(t.len(), 1);
-        assert_eq!(t[0].columns, ["The Lion Hunt"]);
+        assert_eq!(t[0].columns, ["The Lion Hunt".into()]);
         // painting//name: both names qualify.
         let desc = parse_pattern("//painting[//name{val}]").unwrap();
         let (t, _) = naive_matches(&d, &desc);
@@ -339,7 +399,7 @@ mod tests {
         let p = parse_pattern("//painting[/@id{val}]").unwrap();
         let (t, _) = naive_matches(&d, &p);
         assert_eq!(t.len(), 1);
-        assert_eq!(t[0].columns, ["1854-1"]);
+        assert_eq!(t[0].columns, ["1854-1".into()]);
     }
 
     #[test]
@@ -349,7 +409,7 @@ mod tests {
             .unwrap();
         let (t, _) = naive_matches(&d, &hit);
         assert_eq!(t.len(), 1);
-        assert_eq!(t[0].columns, ["Delacroix"]);
+        assert_eq!(t[0].columns, ["Delacroix".into()]);
         let miss = parse_pattern("//painting[/name{contains(Tiger)}]").unwrap();
         assert!(naive_matches(&d, &miss).0.is_empty());
     }
@@ -361,7 +421,7 @@ mod tests {
         let (t, _) = naive_matches(&d, &p);
         assert_eq!(
             t[0].columns,
-            ["<name><first>Eugene</first><last>Delacroix</last></name>"]
+            ["<name><first>Eugene</first><last>Delacroix</last></name>".into()]
         );
     }
 
@@ -384,6 +444,19 @@ mod tests {
         let (t, stats) = naive_matches(&d, &p);
         assert_eq!(t.len(), 1);
         assert_eq!(stats.embeddings, 2);
+    }
+
+    #[test]
+    fn first_seen_keeps_distinct_items_under_one_hash_in_order() {
+        let mut seen = FirstSeen::default();
+        let mut kept: Vec<&str> = Vec::new();
+        for item in ["a", "b", "a", "c", "b", "d", "a"] {
+            // One forced hash: only equality tells the items apart.
+            if seen.insert(7, |i| kept[i] == item) {
+                kept.push(item);
+            }
+        }
+        assert_eq!(kept, ["a", "b", "c", "d"]);
     }
 
     #[test]
@@ -429,11 +502,11 @@ mod tests {
                     }
                 }
             }
-            let t = Tuple {
-                uri: uri.clone(),
-                columns,
+            let t = Tuple::new(
+                uri.clone(),
+                columns.into_iter().map(Arc::from).collect(),
                 joins,
-            };
+            );
             if seen.insert((t.columns.clone(), t.joins.clone())) {
                 out.push(t);
             }

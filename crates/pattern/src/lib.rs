@@ -31,7 +31,7 @@
 //! ).unwrap();
 //! let q = parse_query("//painting[/name{val}, //painter[/name{val}]]").unwrap();
 //! let (results, _stats) = evaluate_query_on_documents(&q, [&doc]);
-//! assert_eq!(results[0].columns, ["The Lion Hunt", "EugeneDelacroix"]);
+//! assert_eq!(results[0].columns, ["The Lion Hunt".into(), "EugeneDelacroix".into()]);
 //! ```
 
 pub mod ast;
@@ -93,7 +93,7 @@ mod tests {
         let q = parse_query("//painting[/name{val}, /year{val}]").unwrap();
         let (res, stats) = evaluate_query_on_documents(&q, [&doc]);
         assert_eq!(res.len(), 1);
-        assert_eq!(res[0].columns, ["Olympia", "1863"]);
+        assert_eq!(res[0].columns, ["Olympia".into(), "1863".into()]);
         assert_eq!(stats.tuples, 1);
     }
 
@@ -104,6 +104,7 @@ mod tests {
         let q = parse_query("//a[/k{val as $k}, /v{val}]; //b[/k{val as $k}, /v{val}]").unwrap();
         let (res, _) = evaluate_query_on_documents(&q, [&a, &b]);
         assert_eq!(res.len(), 1);
-        assert_eq!(res[0].columns, ["1", "left", "1", "right"]);
+        let cells = ["1".into(), "left".into(), "1".into(), "right".into()];
+        assert_eq!(res[0].columns, cells);
     }
 }

@@ -21,14 +21,15 @@ pub struct JoinedTuple {
     /// The documents that contributed (one per pattern, in pattern order;
     /// duplicates possible when patterns matched the same document).
     pub uris: Vec<Arc<str>>,
-    /// Concatenated output columns, pattern by pattern.
-    pub columns: Vec<String>,
+    /// Concatenated output columns, pattern by pattern: the cells of the
+    /// joined tuples, shared with them.
+    pub columns: Vec<Arc<str>>,
 }
 
 impl JoinedTuple {
     /// Total byte size of materialized columns (the paper's `|r(q)|`).
     pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(String::len).sum()
+        self.columns.iter().map(|c| c.len()).sum()
     }
 }
 
@@ -43,8 +44,9 @@ impl JoinedTuple {
 /// first occurrence of each kept.
 ///
 /// The join runs over the tuples where they are, owned or borrowed: a joined
-/// row is one tuple *number* per pattern, keys are compared as `&str`, and a
-/// cell is copied exactly once — into the result that hands it out.
+/// row is one tuple *number* per pattern, keys are compared as `&str`, a
+/// distinct row is told by its tuples' digests, and a result shares its
+/// tuples' cells — no cell is copied or hashed again.
 pub fn join_pattern_results<T: std::borrow::Borrow<Tuple>>(
     query: &Query,
     per_pattern: &[Vec<T>],
@@ -134,7 +136,8 @@ pub fn join_pattern_results<T: std::borrow::Borrow<Tuple>>(
             }
         }
     }
-    // Emit each distinct row once.
+    // Emit each distinct row once. The tuples' digests are keyed hashes
+    // already: a row's key folds them in order.
     let width = per_pattern.len();
     let mut seen = FirstSeen::default();
     let mut out: Vec<JoinedTuple> = Vec::new();
@@ -142,12 +145,10 @@ pub fn join_pattern_results<T: std::borrow::Borrow<Tuple>>(
         let row = &rows[r * width..][..width];
         let tuples = || (row.iter().zip(per_pattern)).map(|(&t, of)| of[t as usize].borrow());
         let columns = || tuples().flat_map(|t| t.columns.iter());
-        let mut h = hasher.build_hasher();
-        tuples().for_each(|t| t.uri.hash(&mut h));
-        columns().for_each(|c| c.hash(&mut h));
+        let fold = |h: u64, t: &Tuple| (h ^ t.digest()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let same =
             |i: usize| tuples().map(|t| &t.uri).eq(&out[i].uris) && columns().eq(&out[i].columns);
-        if seen.insert(h.finish(), same) {
+        if seen.insert(tuples().fold(0, fold), same) {
             out.push(JoinedTuple {
                 uris: tuples().map(|t| t.uri.clone()).collect(),
                 columns: columns().cloned().collect(),
@@ -201,7 +202,10 @@ mod tests {
         let per_pattern = tuples_for(&q, &[&museum, &delacroix, &manet]);
         let joined = join_pattern_results(&q, &per_pattern);
         assert_eq!(joined.len(), 1);
-        assert_eq!(joined[0].columns, ["Louvre", "1854-1", "1854-1"]);
+        assert_eq!(
+            joined[0].columns,
+            ["Louvre".into(), "1854-1".into(), "1854-1".into()]
+        );
         assert_eq!(joined[0].uris.len(), 2);
         assert_eq!(&*joined[0].uris[0], "museum.xml");
         assert_eq!(&*joined[0].uris[1], "delacroix.xml");
@@ -241,7 +245,7 @@ mod tests {
         let per_pattern = tuples_for(&q, &[&a, &b, &c]);
         let joined = join_pattern_results(&q, &per_pattern);
         assert_eq!(joined.len(), 1);
-        assert_eq!(joined[0].columns.last().unwrap(), "win");
+        assert_eq!(joined[0].columns.last(), Some(&"win".into()));
     }
 
     #[test]
@@ -260,7 +264,7 @@ mod tests {
         let per_pattern = tuples_for(&q, &[&d]);
         let joined = join_pattern_results(&q, &per_pattern);
         assert_eq!(joined.len(), 1);
-        assert_eq!(joined[0].columns, ["1", "1"]);
+        assert_eq!(joined[0].columns, ["1".into(), "1".into()]);
     }
 
     #[test]
@@ -304,7 +308,7 @@ mod tests {
         };
         struct Acc {
             uris: Vec<Arc<str>>,
-            columns: Vec<String>,
+            columns: Vec<Arc<str>>,
             bindings: std::collections::HashMap<String, String>,
         }
         let mut acc: Vec<Acc> = vec![Acc {
@@ -413,14 +417,10 @@ mod tests {
                         .collect();
                     let columns = joins
                         .iter()
-                        .map(|(_, val)| val.clone())
-                        .chain((0..extra).map(|_| rng.choose(VALUES).to_string()))
+                        .map(|(_, val)| val.as_str().into())
+                        .chain((0..extra).map(|_| (*rng.choose(VALUES)).into()))
                         .collect();
-                    tuples.push(Tuple {
-                        uri: (*rng.choose(URIS)).into(),
-                        columns,
-                        joins,
-                    });
+                    tuples.push(Tuple::new((*rng.choose(URIS)).into(), columns, joins));
                 }
                 tuples
             })

@@ -166,7 +166,7 @@ mod tests {
         // paintings each, at least one museum exposes a Delacroix.
         assert!(!res.is_empty());
         for t in &res {
-            assert!(MUSEUMS.contains(&t.columns[0].as_str()));
+            assert!(MUSEUMS.contains(&&*t.columns[0]));
         }
     }
 }

@@ -67,12 +67,7 @@ fn main() {
         "museums exposing paintings by Delacroix ({} joined tuples):",
         run.exec.results.len()
     );
-    let mut museums: Vec<&str> = run
-        .exec
-        .results
-        .iter()
-        .map(|t| t.columns[0].as_str())
-        .collect();
+    let mut museums: Vec<&str> = run.exec.results.iter().map(|t| &*t.columns[0]).collect();
     museums.sort();
     museums.dedup();
     for m in museums {

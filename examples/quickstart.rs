@@ -59,7 +59,7 @@ fn main() {
     for tuple in &run.exec.results {
         println!("  painter: {}", tuple.columns.join(", "));
     }
-    assert_eq!(run.exec.results[0].columns, ["Delacroix"]);
+    assert_eq!(run.exec.results[0].columns, ["Delacroix".into()]);
 
     // 5. What would this warehouse cost to keep for a month?
     let storage = warehouse.storage_cost();

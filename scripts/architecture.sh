@@ -191,6 +191,21 @@ one_eval_memo() {
     test "$(grep -rl 'EvalMemo' crates src examples tests | wc -l)" -eq 0
 }
 
+# The query core reads its inputs where they already lie: a look-up walks
+# each key's fetched items as per-document runs through the one run reader
+# both backends share (`store.rs`: `PathList`, `read_ids`), and a joined
+# row points at its tuples' `Arc<str>` cells, told apart by their digests.
+# The look-up calling a collector, a per-document postings map outside the
+# store, a backend branch in the look-up, `String` cells, or cell bytes
+# hashed in the join's emit loop is the per-query copy coming back.
+read_in_place() {
+    lookup=$(grep -E '^crates/index/src/lookup\.rs:' <<<"$src")
+    test "$(grep -cE 'decode_id_postings\(|decode_path_lists\(|supports_binary' <<<"$lookup")" -eq 0
+    test "$(grep -F 'BTreeMap<Arc<str>, BlockList>' <<<"$src" | grep -cvE '^crates/index/src/store\.rs:')" -eq 0
+    test "$(grep -E '^crates/pattern/src/(eval|valuejoin)\.rs:' <<<"$src" | grep -cE 'columns: Vec<String>')" -eq 0
+    test "$(sed -n '/Emit each distinct row once/,/^}/p' crates/pattern/src/valuejoin.rs | grep -cE '\.hash\(|build_hasher|hash_one')" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -205,6 +220,7 @@ rules=(
     each_decision_once
     one_fetch_timeline
     one_eval_memo
+    read_in_place
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do

@@ -21,9 +21,9 @@
 //! an LU item costs at most three. Teardown frees the block and the
 //! item's share of the tree: at most one and a half per item.
 
-use amada::index::{extract, Payload, Strategy};
-use amada::pattern::Query;
-use amada::warehouse::{CostedQuery, Warehouse, WarehouseConfig};
+use amada::index::{extract, PatternProbe, Payload, Strategy};
+use amada::pattern::{join_pattern_results, Query, Tuple};
+use amada::warehouse::{CostedQuery, Warehouse, WarehouseConfig, DOC_BUCKET};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,15 +138,18 @@ fn ten_queries(w: &mut Warehouse, run: fn(&mut Warehouse, &Query) -> CostedQuery
 
 /// The read path's budget: the ten queries through `run_query` (and, on
 /// the LU warehouse, `run_query_no_index`) allocate at most a tenth more
-/// than they did once a stored document version evaluated each pattern
-/// once on the host — per-query tuple cells coming back fail it — and a
-/// query costs the same on an old warehouse as on a new one.
+/// than they did once look-ups read the fetched items in place and joined
+/// rows shared their tuples' cells — a per-document decoded copy or
+/// per-row cells coming back fail it — and a query costs the same on an
+/// old warehouse as on a new one.
 fn read_path_budget(w: &mut Warehouse, strategy: Strategy) {
-    // The measured totals on this corpus, by `Strategy::ALL` position; each
-    // query evaluating its candidates afresh spent 3 619, 4 299, 6 082,
-    // 7 201 and 3 228 (no index).
-    const MEASURED: [u64; 4] = [1_845, 2_537, 4_338, 5_457];
-    const MEASURED_NO_INDEX: u64 = 1_496;
+    // The measured totals on this corpus, by `Strategy::ALL` position; with
+    // a decoded map per look-up key and copied result cells the queries
+    // spent 1 845, 2 537, 4 338, 5 457 and 1 496 (no index), and each
+    // query evaluating its candidates afresh 3 619, 4 299, 6 082, 7 201
+    // and 3 228.
+    const MEASURED: [u64; 4] = [1_319, 1_531, 2_085, 2_521];
+    const MEASURED_NO_INDEX: u64 = 1_180;
     let budget = |measured: u64| measured + measured / 10;
     let measured = MEASURED[Strategy::ALL
         .iter()
@@ -157,8 +160,8 @@ fn read_path_budget(w: &mut Warehouse, strategy: Strategy) {
     assert!(
         indexed <= budget(measured),
         "{strategy}: {indexed} allocations over the ten workload queries on a 40-document \
-         warehouse, budget {} — the {measured} measured plus a tenth (LU 1 845, LUP 2 537, \
-         LUI 4 338, 2LUPI 5 457, no index 1 496)",
+         warehouse, budget {} — the {measured} measured plus a tenth (LU 1 319, LUP 1 531, \
+         LUI 2 085, 2LUPI 2 521, no index 1 180)",
         budget(measured)
     );
     if strategy != Strategy::Lu {
@@ -172,6 +175,7 @@ fn read_path_budget(w: &mut Warehouse, strategy: Strategy) {
          warehouse, budget {} — the {MEASURED_NO_INDEX} measured plus a tenth",
         budget(MEASURED_NO_INDEX)
     );
+    joined_rows_share_their_cells(w);
     // A query's host cost must not grow with the warehouse's age.
     let q = workload_query("q8").expect("a workload query");
     let mut one = || {
@@ -187,5 +191,42 @@ fn read_path_budget(w: &mut Warehouse, strategy: Strategy) {
     assert_eq!(
         first, last,
         "the 1st and the 200th run of q8 on one warehouse must allocate the same number"
+    );
+}
+
+/// What `join_pattern_results` may allocate besides its rows: its row
+/// numbers, probe order and first-seen map, each grown a few times.
+const JOIN_SCRATCH: u64 = 32;
+
+/// A joined row points at its tuples' cells: over q2's memoized tuples,
+/// `join_pattern_results` allocates at most a row's two vectors (URIs and
+/// cells) per result row, plus a constant for its scratch.
+fn joined_rows_share_their_cells(w: &Warehouse) {
+    let q = workload_query("q2").expect("a workload query");
+    let docs = w.world().s3.peek_all(DOC_BUCKET);
+    let mut probes: Vec<PatternProbe> = q.patterns.iter().map(PatternProbe::new).collect();
+    let memo: Vec<Vec<_>> = (probes.iter_mut())
+        .map(|probe| {
+            docs.iter()
+                .map(|(uri, blob)| w.cache().evaluated(uri, blob, probe))
+                .collect()
+        })
+        .collect();
+    let per_pattern: Vec<Vec<&Tuple>> = (memo.iter())
+        .map(|evaluated| evaluated.iter().flat_map(|e| &e.0).collect())
+        .collect();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let rows = join_pattern_results(&q, &per_pattern);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    println!(
+        "q2's join: {allocations} allocations for {} rows",
+        rows.len()
+    );
+    assert!(rows.len() > 10, "q2 joins rows on this corpus");
+    assert!(
+        allocations <= 2 * rows.len() as u64 + JOIN_SCRATCH,
+        "q2's join allocated {allocations} for {} rows: more than two per row plus {JOIN_SCRATCH} \
+         means a cell is copied again",
+        rows.len()
     );
 }

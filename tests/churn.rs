@@ -116,7 +116,7 @@ fn accounting_reconciles_after_arbitrary_churn() {
 fn a_replaced_document_is_evaluated_afresh() {
     let query = parse_query("//item[/name{val}]").expect("parses");
     let sorted = |rows: Vec<amada::pattern::JoinedTuple>| {
-        let mut rows: Vec<Vec<String>> = rows.into_iter().map(|t| t.columns).collect();
+        let mut rows: Vec<Vec<_>> = rows.into_iter().map(|t| t.columns).collect();
         rows.sort();
         rows
     };

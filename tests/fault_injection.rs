@@ -14,6 +14,7 @@ use amada_core::{IndexBuildReport, WorkloadReport, DEAD_LETTER_QUEUE, LOADER_QUE
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 fn corpus(n: usize) -> Vec<(String, String)> {
     let cfg = CorpusConfig {
@@ -467,12 +468,12 @@ fn give_up_digest(
 
 /// Every answer of a workload run, as `(query name, sorted result rows)`,
 /// sorted: what was answered, however the arrivals were interleaved.
-fn sorted_answers(run: &WorkloadReport) -> Vec<(String, Vec<Vec<String>>)> {
+fn sorted_answers(run: &WorkloadReport) -> Vec<(String, Vec<Vec<Arc<str>>>)> {
     let mut answers: Vec<_> = run
         .executions
         .iter()
         .map(|e| {
-            let mut rows: Vec<Vec<String>> = e.results.iter().map(|r| r.columns.to_vec()).collect();
+            let mut rows: Vec<Vec<_>> = e.results.iter().map(|r| r.columns.to_vec()).collect();
             rows.sort();
             (e.name.clone(), rows)
         })

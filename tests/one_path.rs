@@ -169,7 +169,7 @@ fn a_closed_batch_is_a_one_burst_schedule() {
         } else {
             w.run_workload(&queries, 2)
         };
-        let mut out: Vec<(String, Vec<Vec<String>>)> = report
+        let mut out: Vec<(String, Vec<Vec<Arc<str>>>)> = report
             .executions
             .into_iter()
             .map(|e| (e.name, e.results.into_iter().map(|r| r.columns).collect()))

@@ -8,6 +8,7 @@ use amada::pattern::evaluate_query_on_documents;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, CorpusConfig};
 use amada::xml::Document;
+use std::sync::Arc;
 
 fn corpus(n: usize) -> Vec<(String, String)> {
     let cfg = CorpusConfig {
@@ -22,14 +23,14 @@ fn corpus(n: usize) -> Vec<(String, String)> {
 }
 
 /// Ground truth: evaluate a query directly on the parsed corpus.
-fn direct_results(docs: &[(String, String)], q: &amada::pattern::Query) -> Vec<Vec<String>> {
+fn direct_results(docs: &[(String, String)], q: &amada::pattern::Query) -> Vec<Vec<Arc<str>>> {
     let parsed: Vec<Document> = docs
         .iter()
         .map(|(u, x)| Document::parse_str(u.clone(), x).unwrap())
         .collect();
     let refs: Vec<&Document> = parsed.iter().collect();
     let (res, _) = evaluate_query_on_documents(q, refs.iter().copied());
-    let mut rows: Vec<Vec<String>> = res.into_iter().map(|t| t.columns).collect();
+    let mut rows: Vec<Vec<_>> = res.into_iter().map(|t| t.columns).collect();
     rows.sort();
     rows
 }
@@ -44,8 +45,7 @@ fn warehouse_results_match_direct_evaluation_for_all_strategies() {
         for q in workload() {
             let expected = direct_results(&docs, &q);
             let run = w.run_query(&q);
-            let mut got: Vec<Vec<String>> =
-                run.exec.results.into_iter().map(|t| t.columns).collect();
+            let mut got: Vec<Vec<_>> = run.exec.results.into_iter().map(|t| t.columns).collect();
             got.sort();
             assert_eq!(got, expected, "query {:?} under {strategy}", q.name);
         }
@@ -65,8 +65,7 @@ fn warehouse_works_on_simpledb_backend() {
         for q in workload().into_iter().take(4) {
             let expected = direct_results(&docs, &q);
             let run = w.run_query(&q);
-            let mut got: Vec<Vec<String>> =
-                run.exec.results.into_iter().map(|t| t.columns).collect();
+            let mut got: Vec<Vec<_>> = run.exec.results.into_iter().map(|t| t.columns).collect();
             got.sort();
             assert_eq!(got, expected, "query {:?} on SimpleDB/{strategy}", q.name);
         }
@@ -86,7 +85,7 @@ fn fulltext_free_index_still_answers_contains_queries() {
     let q3 = amada::xmark::workload_query("q3").unwrap();
     let expected = direct_results(&docs, &q3);
     let run = w.run_query(&q3);
-    let mut got: Vec<Vec<String>> = run.exec.results.into_iter().map(|t| t.columns).collect();
+    let mut got: Vec<Vec<_>> = run.exec.results.into_iter().map(|t| t.columns).collect();
     got.sort();
     assert_eq!(got, expected);
 }
@@ -100,7 +99,7 @@ fn no_index_baseline_matches_direct_evaluation() {
     for q in workload().into_iter().take(5) {
         let expected = direct_results(&docs, &q);
         let run = w.run_query_no_index(&q);
-        let mut got: Vec<Vec<String>> = run.exec.results.into_iter().map(|t| t.columns).collect();
+        let mut got: Vec<Vec<_>> = run.exec.results.into_iter().map(|t| t.columns).collect();
         got.sort();
         assert_eq!(got, expected, "query {:?} without index", q.name);
     }

@@ -8,12 +8,13 @@ use amada::pattern::parse_query;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, CorpusConfig};
 use amada_core::{DEAD_LETTER_QUEUE, QUERY_QUEUE};
+use std::sync::Arc;
 
 /// A body with no `name\n` line and one whose query does not parse.
 const POISON: [&str; 2] = ["//painting[/name]", "q-bad\n//painting[/name{contains("];
 
 /// Each workload query's name and sorted answer rows.
-type Answers = Vec<(String, Vec<Vec<String>>)>;
+type Answers = Vec<(String, Vec<Vec<Arc<str>>>)>;
 
 /// Each workload query's sorted answer rows, in name order, and the
 /// dead-lettered bodies after the ten queries run with `poison` sent raw
@@ -33,7 +34,7 @@ fn answered(docs: &[(String, String)], poison: &[&str]) -> (Answers, Vec<String>
         .executions
         .iter()
         .map(|e| {
-            let mut rows: Vec<Vec<String>> = e.results.iter().map(|r| r.columns.to_vec()).collect();
+            let mut rows: Vec<Vec<_>> = e.results.iter().map(|r| r.columns.to_vec()).collect();
             rows.sort();
             (e.name.clone(), rows)
         })

@@ -6,6 +6,7 @@ use amada::cloud::PriceTable;
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
+use std::sync::Arc;
 
 fn corpus() -> Vec<(String, String)> {
     let cfg = CorpusConfig {
@@ -19,7 +20,7 @@ fn corpus() -> Vec<(String, String)> {
         .collect()
 }
 
-fn run_on(prices: PriceTable) -> (f64, f64, Vec<Vec<String>>) {
+fn run_on(prices: PriceTable) -> (f64, f64, Vec<Vec<Arc<str>>>) {
     let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
     cfg.prices = prices;
     let mut w = Warehouse::new(cfg);
@@ -27,7 +28,7 @@ fn run_on(prices: PriceTable) -> (f64, f64, Vec<Vec<String>>) {
     let build = w.build_index();
     let q = workload_query("q6").unwrap();
     let run = w.run_query(&q);
-    let mut rows: Vec<Vec<String>> = run.exec.results.into_iter().map(|t| t.columns).collect();
+    let mut rows: Vec<Vec<_>> = run.exec.results.into_iter().map(|t| t.columns).collect();
     rows.sort();
     (
         build.cost.total().dollars(),

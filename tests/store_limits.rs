@@ -9,20 +9,21 @@ use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, CorpusConfig};
 use amada_core::DEAD_LETTER_QUEUE;
+use std::sync::Arc;
 
 /// The index, the sorted answers of the ten workload queries and the
 /// dead-letter queue's length after indexing `docs` under `strategy`.
 fn indexed_and_answered(
     strategy: Strategy,
     docs: &[(String, String)],
-) -> (String, Vec<Vec<Vec<String>>>, usize) {
+) -> (String, Vec<Vec<Vec<Arc<str>>>>, usize) {
     let mut w = Warehouse::new(WarehouseConfig::with_strategy(strategy));
     w.upload_documents(docs.iter().cloned());
     assert_eq!(w.build_index().documents, 20, "{strategy}");
     let answers = workload()
         .iter()
         .map(|q| {
-            let mut rows: Vec<Vec<String>> = w
+            let mut rows: Vec<Vec<_>> = w
                 .run_query(q)
                 .exec
                 .results
