@@ -19,7 +19,7 @@ use crate::pricing::PriceTable;
 use crate::service::ServiceQueue;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors from the file store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,27 +70,38 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A stored object: its bytes plus their [`content_hash`], computed once
-/// when the object is stored (S3's ETag). Whoever holds the object can
-/// validate a host-side cache entry against it without rehashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A stored object: its bytes plus their [`content_hash`] (S3's ETag),
+/// computed when first asked for and kept, so a holder validates a host-side
+/// cache entry without rehashing and a query's result object is never hashed.
+#[derive(Debug, Clone)]
 pub struct Blob {
     bytes: Vec<u8>,
-    etag: u64,
+    etag: OnceLock<u64>,
 }
 
 impl Blob {
-    /// Wraps `bytes`, hashing them once.
+    /// Wraps `bytes`; their hash waits for [`Blob::etag`].
     pub fn new(bytes: Vec<u8>) -> Blob {
-        let etag = content_hash(&bytes);
-        Blob { bytes, etag }
+        Blob {
+            bytes,
+            etag: OnceLock::new(),
+        }
     }
 
     /// The content hash of the bytes.
     pub fn etag(&self) -> u64 {
-        self.etag
+        *self.etag.get_or_init(|| content_hash(&self.bytes))
     }
 }
+
+/// The ETag is a function of the bytes, so equality is theirs alone.
+impl PartialEq for Blob {
+    fn eq(&self, other: &Blob) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for Blob {}
 
 impl std::ops::Deref for Blob {
     type Target = Vec<u8>;
@@ -143,10 +154,18 @@ pub struct S3Stats {
     pub throttled: u64,
 }
 
+/// A bucket's objects, and their sorted keys while no key came or went
+/// since the last listing sorted them.
+#[derive(Default)]
+struct Bucket {
+    /// Object keys are shared: a listing hands out the store's own.
+    objects: HashMap<Arc<str>, Arc<Blob>>,
+    listing: Option<Vec<Arc<str>>>,
+}
+
 /// The simulated file store.
 pub struct S3 {
-    /// Object keys are shared: a listing hands out the store's own.
-    buckets: HashMap<String, HashMap<Arc<str>, Arc<Blob>>>,
+    buckets: HashMap<String, Bucket>,
     stats: S3Stats,
     transfer: ServiceQueue,
     faults: FaultInjector,
@@ -241,8 +260,9 @@ impl S3 {
         let b = self.buckets.get_mut(bucket).expect("checked by admit");
         let len = data.len() as u64;
         self.stats.bytes_in += len;
-        if let Some(old) = b.insert(key.into(), Arc::new(Blob::new(data))) {
-            self.stats.stored_bytes -= old.len() as u64;
+        match b.objects.insert(key.into(), Arc::new(Blob::new(data))) {
+            Some(old) => self.stats.stored_bytes -= old.len() as u64,
+            None => b.listing = None,
         }
         self.stats.stored_bytes += len;
         let ready = self.transfer.serve_unqueued(now, len as f64);
@@ -272,9 +292,10 @@ impl S3 {
             |_| Money::ZERO,
         )?;
         let b = self.buckets.get_mut(bucket).expect("checked by admit");
-        let removed = b.remove(key);
+        let removed = b.objects.remove(key);
         if let Some(old) = &removed {
             self.stats.stored_bytes -= old.len() as u64;
+            b.listing = None;
         }
         let end = now + self.transfer.latency;
         self.obs.record(|_p, ctx| {
@@ -302,7 +323,7 @@ impl S3 {
     ) -> Result<(Arc<Blob>, SimTime), S3Error> {
         self.admit(now, bucket, "get", |s| &mut s.get_requests, |p| p.st_get)?;
         let b = self.buckets.get(bucket).expect("checked by admit");
-        let Some(data) = b.get(key).cloned() else {
+        let Some(data) = b.objects.get(key).cloned() else {
             let end = now + self.transfer.latency;
             self.obs.record(|p, ctx| {
                 Span::new(ServiceKind::S3, "get", now, end, ctx)
@@ -343,7 +364,7 @@ impl S3 {
     ) -> Result<(Vec<u8>, SimTime), S3Error> {
         self.admit(now, bucket, "scan", |s| &mut s.scan_requests, |p| p.st_get)?;
         let b = self.buckets.get(bucket).expect("checked by admit");
-        let Some(data) = b.get(key).cloned() else {
+        let Some(data) = b.objects.get(key).cloned() else {
             let end = now + self.transfer.latency;
             self.obs.record(|p, ctx| {
                 Span::new(ServiceKind::S3, "scan", now, end, ctx)
@@ -387,10 +408,14 @@ impl S3 {
     pub fn list(&mut self, now: SimTime, bucket: &str) -> Result<Vec<Arc<str>>, S3Error> {
         let b = self
             .buckets
-            .get(bucket)
+            .get_mut(bucket)
             .ok_or_else(|| S3Error::NoSuchBucket(bucket.to_string()))?;
-        let mut keys: Vec<Arc<str>> = b.keys().cloned().collect();
-        keys.sort_unstable();
+        let keys = (b.listing.get_or_insert_with(|| {
+            let mut keys: Vec<Arc<str>> = b.objects.keys().cloned().collect();
+            keys.sort_unstable();
+            keys
+        }))
+        .clone();
         self.stats.get_requests += 1;
         let end = now + self.transfer.latency;
         self.obs
@@ -402,7 +427,7 @@ impl S3 {
     /// is billed and no virtual time passes — this exists for the host's
     /// cache-prewarm stage, which must not perturb the simulation.
     pub fn peek_all(&self, bucket: &str) -> Vec<(String, Arc<Blob>)> {
-        let Some(b) = self.buckets.get(bucket) else {
+        let Some(b) = self.buckets.get(bucket).map(|b| &b.objects) else {
             return Vec::new();
         };
         let mut objects: Vec<(String, Arc<Blob>)> =
@@ -416,19 +441,17 @@ impl S3 {
     /// capture the *old* version of a document before a replace or delete
     /// destroys it, so stale index entries stay derivable.
     pub fn peek(&self, bucket: &str, key: &str) -> Option<Arc<Blob>> {
-        self.buckets.get(bucket)?.get(key).cloned()
+        self.buckets.get(bucket)?.objects.get(key).cloned()
     }
 
     /// True if the object exists.
     pub fn exists(&self, bucket: &str, key: &str) -> bool {
-        self.buckets
-            .get(bucket)
-            .is_some_and(|b| b.contains_key(key))
+        self.peek(bucket, key).is_some()
     }
 
     /// Size in bytes of an object, if present.
     pub fn object_size(&self, bucket: &str, key: &str) -> Option<u64> {
-        self.buckets.get(bucket)?.get(key).map(|o| o.len() as u64)
+        self.peek(bucket, key).map(|o| o.len() as u64)
     }
 
     /// Usage counters.
@@ -516,6 +539,75 @@ mod tests {
             s3.list(SimTime::ZERO, "b").unwrap(),
             ["a".into(), "z".into()]
         );
+    }
+
+    #[test]
+    fn the_listing_is_sorted_once_per_key_that_comes_or_goes() {
+        let mut s3 = S3::new();
+        s3.create_bucket("b");
+        let list = |s3: &mut S3| s3.list(SimTime::ZERO, "b").unwrap();
+        let cached = |s3: &S3| s3.buckets["b"].listing.clone();
+        for key in ["m", "z", "a"] {
+            s3.put(SimTime::ZERO, "b", key, vec![1]).unwrap();
+        }
+        assert_eq!(cached(&s3), None);
+        assert_eq!(list(&mut s3), ["a".into(), "m".into(), "z".into()]);
+        let first = cached(&s3).unwrap();
+        // An overwrite keeps the listing, down to its shared keys.
+        s3.put(SimTime::ZERO, "b", "m", vec![2, 2]).unwrap();
+        let kept = cached(&s3).unwrap();
+        assert!(first.iter().zip(&kept).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(list(&mut s3), first);
+        // A new key and a delete each drop it; the next listing sees them.
+        s3.put(SimTime::ZERO, "b", "c", vec![]).unwrap();
+        assert_eq!(cached(&s3), None);
+        assert_eq!(
+            list(&mut s3),
+            ["a".into(), "c".into(), "m".into(), "z".into()]
+        );
+        s3.delete(SimTime::ZERO, "b", "m").unwrap();
+        assert_eq!(cached(&s3), None);
+        assert_eq!(list(&mut s3), ["a".into(), "c".into(), "z".into()]);
+        assert_eq!(s3.stats().get_requests, 4, "every listing is billed");
+    }
+
+    #[test]
+    fn listing_an_unknown_bucket_is_an_unbilled_error() {
+        let mut s3 = S3::new();
+        assert_eq!(
+            s3.list(SimTime::ZERO, "nope"),
+            Err(S3Error::NoSuchBucket("nope".into()))
+        );
+        assert_eq!(s3.stats(), S3Stats::default());
+    }
+
+    #[test]
+    fn the_etag_is_the_content_hash_computed_on_demand() {
+        let blob = Blob::new(b"<a>x</a>".to_vec());
+        assert_eq!(blob.etag.get(), None);
+        let copy = blob.clone();
+        assert_eq!(blob.etag(), content_hash(b"<a>x</a>"));
+        assert_eq!(blob.clone().etag(), blob.etag());
+        assert_eq!(
+            copy.etag.get(),
+            None,
+            "a copy made before the hash has none"
+        );
+        assert_eq!(copy.etag(), blob.etag());
+        // Equality is the bytes', whether or not either side was hashed.
+        assert_eq!(blob, Blob::new(b"<a>x</a>".to_vec()));
+        assert_ne!(blob, Blob::new(b"<a>y</a>".to_vec()));
+    }
+
+    #[test]
+    fn a_result_object_is_never_hashed() {
+        let mut s3 = S3::new();
+        s3.create_bucket("results");
+        s3.put(SimTime::ZERO, "results", "q-1.results", b"rows".to_vec())
+            .unwrap();
+        let (object, _) = s3.get(SimTime::ZERO, "results", "q-1.results").unwrap();
+        assert_eq!(object.etag.get(), None);
+        assert_eq!(s3.peek("results", "q-1.results").unwrap().etag.get(), None);
     }
 
     #[test]

@@ -880,10 +880,14 @@ impl QueryCore {
             world.sqs.delete(t, QUERY_QUEUE, msg_id)
         });
 
-        let docs_with_results: BTreeSet<&str> = results
-            .iter()
-            .flat_map(|r| r.uris.iter().map(|u| &**u))
-            .collect();
+        // The rows share their URIs' `Arc`s, so most duplicates go by
+        // address; the few left (one URI under two `Arc`s, as pushdown's
+        // decoded tuples hold) by string.
+        let mut docs_with_results: Vec<&Arc<str>> = results.iter().flat_map(|r| &r.uris).collect();
+        docs_with_results.sort_unstable_by_key(|u| Arc::as_ptr(u).cast::<u8>());
+        docs_with_results.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        docs_with_results.sort_unstable();
+        docs_with_results.dedup();
         self.executions.borrow_mut().push(QueryExecution {
             name: name.to_string(),
             strategy: self.strategy,

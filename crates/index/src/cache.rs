@@ -23,11 +23,12 @@
 //!   hash)*, never by URI alone: every probe names the hash of the bytes
 //!   in hand and a cached parse or extraction of other bytes is a miss.
 //!   Two live warehouses holding different documents under one URI
-//!   therefore never see each other's parses. Stored objects carry their
-//!   hash ([`amada_cloud::Blob::etag`], computed once in `S3::put`), so a
-//!   probe from inside the warehouse touches no bytes; loose bytes are
+//!   therefore never see each other's parses. Stored objects keep their
+//!   hash ([`amada_cloud::Blob::etag`], computed at the first probe), so a
+//!   later probe from inside the warehouse touches no bytes; loose bytes are
 //!   hashed on the spot ([`Content`]). One version per URI is resident:
-//!   a probe for other bytes replaces it, memos and all.
+//!   a probe for other bytes replaces it, memos and all. A [`PatternProbe`]
+//!   adopts the memo's `Arc` of its pattern and then matches by pointer.
 
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
 use amada_cloud::Blob;
@@ -96,23 +97,29 @@ fn shard_of(uri: &str) -> usize {
 /// A pattern's tuples on one document version and the work it took.
 pub type Evaluation = (Vec<Tuple>, EvalStats);
 
+/// A memoized evaluation: the pattern's hash, the pattern, its evaluation.
+type MemoEntry = (u64, Arc<TreePattern>, Arc<Evaluation>);
+
 /// One cached document: its content hash, its parse, and its memoized
 /// extraction per strategy/options and evaluation per (pattern hash, pattern).
 struct DocEntry {
     hash: u64,
     doc: Arc<Document>,
     extracts: HashMap<(Strategy, ExtractOptions), Arc<Vec<IndexEntry>>>,
-    evals: Vec<(u64, Arc<TreePattern>, Arc<Evaluation>)>,
+    evals: Vec<MemoEntry>,
 }
 
 /// URI → the resident version's parse, extractions and evaluations.
 type Shard = HashMap<String, DocEntry>;
 
-/// A query pattern hashed once for the evaluation memo; a miss makes its key and evaluator once.
+/// A query pattern hashed once for the evaluation memo; a miss makes its evaluator once.
 pub struct PatternProbe<'p> {
     pattern: &'p TreePattern,
     hash: u64,
-    filler: Option<(Arc<TreePattern>, TwigEvaluator<'p>)>,
+    /// The memo's `Arc` of the pattern: adopted from the first entry that
+    /// matches structurally, or made by the first miss before one did.
+    shared: Option<Arc<TreePattern>>,
+    evaluator: Option<TwigEvaluator<'p>>,
 }
 
 impl<'p> PatternProbe<'p> {
@@ -121,9 +128,21 @@ impl<'p> PatternProbe<'p> {
         PatternProbe {
             hash: BuildHasherDefault::<DefaultHasher>::default().hash_one(pattern),
             pattern,
-            filler: None,
+            shared: None,
+            evaluator: None,
         }
     }
+}
+
+/// `probe`'s evaluation in `evals`: the entry holding the `Arc` the probe
+/// adopted, else one whose pattern equals the probe's, whose `Arc` the
+/// probe then adopts if it holds none yet.
+fn memo_of<'e>(evals: &'e [MemoEntry], probe: &mut PatternProbe) -> Option<&'e Arc<Evaluation>> {
+    let adopted = |p: &Arc<TreePattern>| probe.shared.as_ref().is_some_and(|s| Arc::ptr_eq(s, p));
+    let (_, pattern, ev) = (evals.iter())
+        .find(|(h, p, _)| adopted(p) || (*h == probe.hash && **p == *probe.pattern))?;
+    probe.shared.get_or_insert_with(|| pattern.clone());
+    Some(ev)
 }
 
 /// Cumulative cache statistics (monotonic counters).
@@ -298,11 +317,7 @@ impl ExtractCache {
     /// probe too. A miss evaluates outside the lock, as `extracted` extracts.
     pub fn evaluated(&self, uri: &str, blob: &Blob, probe: &mut PatternProbe) -> Arc<Evaluation> {
         let hash = blob.etag();
-        let memo = |e: &DocEntry| {
-            let hit = (e.evals.iter()).find(|(h, p, _)| *h == probe.hash && **p == *probe.pattern);
-            hit.map(|(_, _, ev)| ev.clone())
-        };
-        if let Some(Some(ev)) = self.resident(uri, hash, |e| memo(e)) {
+        if let Some(Some(ev)) = self.resident(uri, hash, |e| memo_of(&e.evals, probe).cloned()) {
             self.bump(0);
             self.bump(4);
             return ev;
@@ -310,13 +325,13 @@ impl ExtractCache {
         self.bump(5);
         let doc = self.parsed_at(uri, blob, hash);
         let p = probe.pattern;
-        let fill = || (Arc::new(p.clone()), TwigEvaluator::new(p));
-        let (pattern, evaluator) = probe.filler.get_or_insert_with(fill);
+        let evaluator = probe.evaluator.get_or_insert_with(|| TwigEvaluator::new(p));
         let ev = Arc::new(evaluator.evaluate(&doc));
-        // A probe that raced this one may have published the same tuples.
+        let pattern = probe.shared.get_or_insert_with(|| Arc::new(p.clone()));
         let entry = (probe.hash, pattern.clone(), ev.clone());
-        let publish = |e: &mut DocEntry| memo(e).is_none().then(|| e.evals.push(entry));
-        self.resident(uri, hash, publish);
+        // A probe that raced this one may have published the same tuples.
+        let mut fresh = |e: &DocEntry| memo_of(&e.evals, probe).is_none();
+        self.resident(uri, hash, |e| fresh(e).then(|| e.evals.push(entry)));
         ev
     }
 
@@ -455,6 +470,114 @@ mod tests {
         // version not resident parse.
         let s = cache.stats();
         assert_eq!((s.parse_hits, s.parse_misses), (3, 3));
+    }
+
+    /// The `Arc` of `uri`'s memo entry for `pattern`.
+    fn memo_arc(cache: &ExtractCache, uri: &str, pattern: &TreePattern) -> Arc<TreePattern> {
+        let shard = cache.shards[shard_of(uri)].lock().unwrap();
+        let evals = &shard[uri].evals;
+        let (_, p, _) = evals.iter().find(|(_, p, _)| **p == *pattern).unwrap();
+        p.clone()
+    }
+
+    #[test]
+    fn a_probe_adopts_the_memos_arc_and_then_matches_by_pointer() {
+        use amada_pattern::parse_pattern;
+        let cache = ExtractCache::default();
+        let p = parse_pattern("//a[/b{val}]").unwrap();
+        let docs = [
+            Blob::new(XML_A.to_vec()),
+            Blob::new(b"<a><b>z</b></a>".to_vec()),
+        ];
+        let mut filler = PatternProbe::new(&p);
+        for (i, blob) in docs.iter().enumerate() {
+            cache.evaluated(&format!("d{i}.xml"), blob, &mut filler);
+        }
+        let filled = filler.shared.clone().unwrap();
+        assert!(Arc::ptr_eq(&memo_arc(&cache, "d1.xml", &p), &filled));
+        // Another query's equal pattern: structural on its first hit, then
+        // the entry's own `Arc`, which the second document's entry shares.
+        let again = p.clone();
+        let mut probe = PatternProbe::new(&again);
+        assert!(probe.shared.is_none());
+        cache.evaluated("d0.xml", &docs[0], &mut probe);
+        assert!(Arc::ptr_eq(probe.shared.as_ref().unwrap(), &filled));
+        cache.evaluated("d1.xml", &docs[1], &mut probe);
+        assert!(Arc::ptr_eq(probe.shared.as_ref().unwrap(), &filled));
+        assert_eq!(cache.eval_stats(), [2, 2]);
+    }
+
+    #[test]
+    fn a_miss_after_adoption_publishes_the_adopted_arc() {
+        use amada_pattern::parse_pattern;
+        let cache = ExtractCache::default();
+        let p = parse_pattern("//a[/b{val}]").unwrap();
+        let (a, b) = (Blob::new(XML_A.to_vec()), Blob::new(XML_B.to_vec()));
+        let mut filler = PatternProbe::new(&p);
+        cache.evaluated("d0.xml", &a, &mut filler);
+        let again = p.clone();
+        let mut probe = PatternProbe::new(&again);
+        cache.evaluated("d0.xml", &a, &mut probe);
+        let adopted = probe.shared.clone().unwrap();
+        cache.evaluated("d1.xml", &b, &mut probe);
+        assert_eq!(cache.eval_stats(), [1, 2]);
+        assert!(Arc::ptr_eq(&memo_arc(&cache, "d1.xml", &p), &adopted));
+        assert!(Arc::ptr_eq(&adopted, filler.shared.as_ref().unwrap()));
+    }
+
+    #[test]
+    fn entries_under_distinct_arcs_of_one_pattern_still_hit() {
+        use amada_pattern::parse_pattern;
+        let cache = ExtractCache::default();
+        let p = parse_pattern("//a[/b{val}]").unwrap();
+        let (a, b) = (Blob::new(XML_A.to_vec()), Blob::new(XML_B.to_vec()));
+        // Two probes, two `Arc`s of one pattern, one document each.
+        cache.evaluated("d0.xml", &a, &mut PatternProbe::new(&p));
+        cache.evaluated("d1.xml", &b, &mut PatternProbe::new(&p));
+        let (arc0, arc1) = (
+            memo_arc(&cache, "d0.xml", &p),
+            memo_arc(&cache, "d1.xml", &p),
+        );
+        assert!(!Arc::ptr_eq(&arc0, &arc1));
+        let mut probe = PatternProbe::new(&p);
+        let e0 = cache.evaluated("d0.xml", &a, &mut probe);
+        let e1 = cache.evaluated("d1.xml", &b, &mut probe);
+        assert_eq!(
+            cache.eval_stats(),
+            [2, 2],
+            "both hit, the second structurally"
+        );
+        assert!(
+            Arc::ptr_eq(probe.shared.as_ref().unwrap(), &arc0),
+            "the first adoption stays"
+        );
+        assert_eq!((e0.0.len(), e1.0.len()), (1, 0));
+    }
+
+    #[test]
+    fn unequal_patterns_under_one_hash_never_match() {
+        use amada_pattern::parse_pattern;
+        let cache = ExtractCache::default();
+        let (b, c) = (
+            parse_pattern("//a[/b{val}]").unwrap(),
+            parse_pattern("//a[/c{val}]").unwrap(),
+        );
+        let a = Blob::new(XML_A.to_vec());
+        let eb = cache.evaluated("d.xml", &a, &mut PatternProbe::new(&b));
+        let forged = PatternProbe::new(&b).hash;
+        let mut probe = PatternProbe {
+            hash: forged,
+            ..PatternProbe::new(&c)
+        };
+        let ec = cache.evaluated("d.xml", &a, &mut probe);
+        assert!(ec.0.is_empty() && eb.0.len() == 1);
+        assert!(cache.evaluated("d.xml", &a, &mut probe).0.is_empty());
+        assert_eq!(
+            cache.eval_stats(),
+            [1, 2],
+            "a miss, then the probe's own entry"
+        );
+        assert_eq!(cache.evaluated("d.xml", &a, &mut PatternProbe::new(&b)), eb);
     }
 
     #[test]

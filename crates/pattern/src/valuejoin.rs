@@ -149,9 +149,12 @@ pub fn join_pattern_results<T: std::borrow::Borrow<Tuple>>(
         let same =
             |i: usize| tuples().map(|t| &t.uri).eq(&out[i].uris) && columns().eq(&out[i].columns);
         if seen.insert(tuples().fold(0, fold), same) {
+            // Sized up front: a flattened iterator cannot tell its length.
+            let mut cells = Vec::with_capacity(tuples().map(|t| t.columns.len()).sum());
+            cells.extend(columns().cloned());
             out.push(JoinedTuple {
                 uris: tuples().map(|t| t.uri.clone()).collect(),
-                columns: columns().cloned().collect(),
+                columns: cells,
             });
         }
     }

@@ -206,6 +206,26 @@ read_in_place() {
     test "$(sed -n '/Emit each distinct row once/,/^}/p' crates/pattern/src/valuejoin.rs | grep -cE '\.hash\(|build_hasher|hash_one')" -eq 0
 }
 
+# What does not change between a query's candidates is derived once: a
+# memo probe compares its pattern structurally only until it adopts the
+# memo's `Arc` (one structural `==` in `cache.rs`), a bucket's listing is
+# sorted when a key came or went (`S3::list` sorts only inside the
+# listing's fill), an object's ETag waits for its first reader (`Blob::new`
+# hashes nothing), and the documents with results are counted over the
+# rows' shared URIs. A second structural compare, a sort per listing, a
+# hash per put or a string set in the query core is the per-candidate work
+# coming back.
+query_invariants_once() {
+    test "$(grep -E '^crates/index/src/cache\.rs:' <<<"$src" | grep -cF '== *probe.pattern')" -eq 1
+    list=$(sed -n '/^    pub fn list(/,/^    }/p' crates/cloud/src/s3.rs)
+    test "$(grep -c 'sort' <<<"$list")" -eq 1
+    test "$(sed -n '/get_or_insert_with(/,/^        })/p' <<<"$list" | grep -c 'sort')" -eq 1
+    blob_new=$(sed -n '/^    pub fn new(bytes: Vec<u8>) -> Blob/,/^    }/p' crates/cloud/src/s3.rs)
+    test "$(grep -c 'OnceLock::new()' <<<"$blob_new")" -eq 1
+    test "$(grep -c 'content_hash' <<<"$blob_new")" -eq 0
+    test "$(grep -E '^crates/core/src/actors\.rs:' <<<"$src" | grep -cF 'BTreeSet<&str>')" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -221,6 +241,7 @@ rules=(
     one_fetch_timeline
     one_eval_memo
     read_in_place
+    query_invariants_once
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do

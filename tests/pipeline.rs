@@ -4,10 +4,11 @@
 
 use amada::cloud::{KvBackend, SimpleDbConfig};
 use amada::index::Strategy;
-use amada::pattern::evaluate_query_on_documents;
-use amada::warehouse::{Warehouse, WarehouseConfig};
+use amada::pattern::{evaluate_query_on_documents, parse_query, Query};
+use amada::warehouse::{CostedQuery, Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, CorpusConfig};
 use amada::xml::Document;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn corpus(n: usize) -> Vec<(String, String)> {
@@ -117,4 +118,53 @@ fn virtual_time_is_deterministic_across_runs() {
         (b.total_time, r.exec.response_time, r.cost.total())
     };
     assert_eq!(run(), run(), "simulation must be bit-for-bit reproducible");
+}
+
+/// `queries` over `docs` on every access path `docs_with_results` is
+/// counted on — the four indexes, LUP-PD and the scan — each run labelled.
+fn on_every_access_path(
+    docs: &[(String, String)],
+    queries: &[Query],
+) -> Vec<(String, CostedQuery)> {
+    let indexes = Strategy::ALL.into_iter().chain([Strategy::LupPd]);
+    let mut runs = Vec::new();
+    for path in indexes.map(Some).chain([None]) {
+        let strategy = path.unwrap_or(Strategy::Lu);
+        let mut w = Warehouse::new(WarehouseConfig::with_strategy(strategy));
+        w.upload_documents(docs.iter().cloned());
+        w.build_index();
+        for q in queries {
+            let run = match path {
+                Some(_) => w.run_query(q),
+                None => w.run_query_no_index(q),
+            };
+            runs.push((format!("{:?} under {path:?}", q.name), run));
+        }
+    }
+    runs
+}
+
+#[test]
+fn documents_with_results_are_counted_once_on_every_access_path() {
+    for (label, run) in on_every_access_path(&corpus(20), &workload()) {
+        let reference: BTreeSet<&str> = (run.exec.results.iter())
+            .flat_map(|r| r.uris.iter().map(|u| &**u))
+            .collect();
+        assert_eq!(run.exec.docs_with_results, reference.len(), "{label}");
+    }
+}
+
+#[test]
+fn a_self_join_counts_its_one_document_once() {
+    let docs = [(
+        "d.xml".to_string(),
+        "<painting><name>Olympia</name><year>1863</year></painting>".to_string(),
+    )];
+    let q = parse_query("//painting[/name{val as $n}, /year{val}]; //painting[/name{val as $n}]")
+        .unwrap();
+    for (label, run) in on_every_access_path(&docs, &[q]) {
+        let rows: Vec<_> = run.exec.results.iter().map(|r| &r.uris[..]).collect();
+        assert_eq!(rows, [["d.xml".into(), "d.xml".into()]], "{label}");
+        assert_eq!(run.exec.docs_with_results, 1, "{label}");
+    }
 }
