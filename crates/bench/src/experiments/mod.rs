@@ -5,7 +5,6 @@ pub mod advise;
 pub mod amortize;
 pub mod churn;
 pub mod comparison;
-pub mod elastic;
 pub mod fault;
 pub mod indexing;
 pub mod pushdown;

@@ -163,12 +163,6 @@ pub const ARTIFACTS: &[Artifact] = &[
         run: Run::Alone(|s| Outcome::text(fault::fault(s))),
     },
     Artifact {
-        name: "scale",
-        title: "Scale - elastic autoscaling vs. static pools on bursty traffic (beyond the paper)",
-        in_all: false,
-        run: Run::Alone(elastic::elastic),
-    },
-    Artifact {
         name: "pushdown",
         title: "Pushdown - storage-side filtering vs. document shipping by selectivity (beyond the paper)",
         in_all: false,

@@ -50,9 +50,8 @@ fn one_report_per_artifact_in_one_process_or_two() {
     }
 
     // A second process adds its own files and touches no other.
-    repro(&dir, &["trace", "scale"]);
+    repro(&dir, &["trace"]);
     assert!(report(&dir, "trace").contains("\"spans\": "));
-    assert!(report(&dir, "scale").contains("\"peak_pool\": "));
     assert_eq!(report(&dir, "table4"), table4);
     assert_eq!(report(&dir, "churn"), churn);
 }

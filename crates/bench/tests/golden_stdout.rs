@@ -73,11 +73,6 @@ fn shard_is_byte_identical() {
 }
 
 #[test]
-fn scale_is_byte_identical() {
-    assert_matches_golden("scale");
-}
-
-#[test]
 fn pushdown_is_byte_identical() {
     assert_matches_golden("pushdown");
 }

@@ -4,11 +4,6 @@
 //! run one warehouse module across their cores, and are billed for the
 //! virtual wall-clock window they were up — `VM$_h × t`, fractional hours,
 //! exactly as the paper's cost formulas use instance time (Section 7.3).
-//!
-//! [`Ec2::stop`] freezes an instance's billing window: an autoscaler
-//! draining a scale-in victim stops it the moment its last core exits,
-//! and later `extend` calls (including the warehouse's blanket phase-end
-//! extension of its pools) no longer grow the window.
 
 use crate::clock::{SimDuration, SimTime};
 use crate::money::Money;
@@ -41,8 +36,6 @@ impl InstanceRecord {
 #[derive(Debug, Default)]
 pub struct Ec2 {
     records: Vec<InstanceRecord>,
-    /// Parallel to `records`: instances whose billing window is frozen.
-    stopped: Vec<bool>,
     /// The `(large rate, extra-large rate, total)` of the last
     /// [`Ec2::total_cost`], kept current by every launch and extension
     /// since: a cost snapshot prices what changed, not every instance ever
@@ -66,7 +59,6 @@ impl Ec2 {
             end: now,
         };
         self.records.push(launched);
-        self.stopped.push(false);
         self.rebill(None, launched);
         InstanceId(self.records.len() - 1)
     }
@@ -87,28 +79,12 @@ impl Ec2 {
 
     /// Extends an instance's busy window to cover `now` (called by actors
     /// as their operations complete; the final call fixes shutdown time).
-    /// A stopped instance's window is frozen: extending it is a no-op.
     pub fn extend(&mut self, id: InstanceId, now: SimTime) {
         let old = self.records[id.0];
-        if !self.stopped[id.0] && now > old.end {
+        if now > old.end {
             self.records[id.0].end = now;
             self.rebill(Some(old), self.records[id.0]);
         }
-    }
-
-    /// Stops an instance at `now`: the billing window is extended to
-    /// cover `now` one last time and then frozen — subsequent `extend`
-    /// calls (e.g. the warehouse's phase-end pool extension) are no-ops.
-    /// Idempotent; a second stop cannot grow the window.
-    pub fn stop(&mut self, id: InstanceId, now: SimTime) {
-        self.extend(id, now);
-        self.stopped[id.0] = true;
-    }
-
-    /// True when the instance's billing window was frozen by
-    /// [`Ec2::stop`].
-    pub fn is_stopped(&self, id: InstanceId) -> bool {
-        self.stopped[id.0]
     }
 
     /// The record of an instance.
@@ -200,28 +176,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn stop_freezes_the_billing_window() {
-        let mut ec2 = Ec2::new();
-        let prices = PriceTable::default();
-        let id = ec2.launch(InstanceType::Large, SimTime::ZERO);
-        ec2.extend(id, SimTime(1_000_000));
-        ec2.stop(id, SimTime(1_800_000_000)); // 30 virtual minutes
-        assert!(ec2.is_stopped(id));
-        // Extending a stopped instance is a no-op (the warehouse's
-        // phase-end pool extension must not resurrect it).
-        ec2.extend(id, SimTime(7_200_000_000));
-        assert_eq!(ec2.record(id).end, SimTime(1_800_000_000));
-        // A second stop cannot grow the window either.
-        ec2.stop(id, SimTime(7_200_000_000));
-        assert_eq!(ec2.record(id).end, SimTime(1_800_000_000));
-        assert_eq!(ec2.total_cost(&prices).pico(), 170_000_000_000);
-    }
-
     /// A cost snapshot prices what was launched or extended since the last
     /// one — nothing, here — however many instances came before, and the
     /// running bill is the record-by-record sum to the picodollar, through
-    /// stops and a change of price table.
+    /// a change of price table.
     #[test]
     fn a_snapshot_after_ten_thousand_launches_costs_what_one_after_ten_does() {
         let prices = PriceTable::default();
@@ -235,11 +193,7 @@ mod tests {
                 for _ in 0..rng.gen_range(0..3) {
                     let victim = InstanceId(rng.gen_range(0..=id.0));
                     let until = SimTime(i * 1_000 + rng.gen_range(0u64..9_000_000_000));
-                    if rng.gen_bool(0.1) {
-                        ec2.stop(victim, until);
-                    } else {
-                        ec2.extend(victim, until);
-                    }
+                    ec2.extend(victim, until);
                 }
             }
             let before = ec2.priced.get();

@@ -77,9 +77,6 @@ pub struct World {
     /// Span recorder (off unless [`World::enable_recording`] was called);
     /// the services hold clones sharing the same buffer.
     pub obs: Recorder,
-    /// Actors queued by [`World::spawn_actor`] from inside a step; the
-    /// engine adopts them before the next wake-up.
-    pending_spawns: Vec<(SimTime, Box<dyn Actor>)>,
 }
 
 impl World {
@@ -101,18 +98,7 @@ impl World {
             prices: PriceTable::default(),
             egress_bytes: 0,
             obs: Recorder::off(),
-            pending_spawns: Vec::new(),
         }
-    }
-
-    /// Queues an actor for the engine to adopt, first woken at `at`.
-    ///
-    /// Actors only see `&mut World` during a step, not the engine, so this
-    /// is how one actor launches another mid-run (an autoscaler booting a
-    /// new instance's cores). The engine drains the queue in FIFO order
-    /// after every step, so spawn order is deterministic.
-    pub fn spawn_actor(&mut self, at: SimTime, actor: Box<dyn Actor>) {
-        self.pending_spawns.push((at, actor));
     }
 
     /// Turns on span recording: every subsequent service call, throttle
@@ -337,22 +323,9 @@ impl Engine {
         self.now
     }
 
-    /// Adopts actors queued on the world by [`World::spawn_actor`]
-    /// (in FIFO order, for determinism).
-    fn adopt_pending(&mut self) {
-        if self.world.pending_spawns.is_empty() {
-            return;
-        }
-        for (at, actor) in std::mem::take(&mut self.world.pending_spawns) {
-            debug_assert!(at >= self.now, "spawns cannot travel back in time");
-            self.spawn(actor, at);
-        }
-    }
-
     /// Runs until no actor has a pending wake-up; returns the final
     /// virtual time.
     pub fn run(&mut self) -> SimTime {
-        self.adopt_pending();
         while let Some(Reverse((t, _, idx))) = self.heap.pop() {
             self.now = SimTime(t);
             let Some(actor) = self.actors[idx].as_mut() else {
@@ -368,7 +341,6 @@ impl Engine {
                     self.actors[idx] = None;
                 }
             }
-            self.adopt_pending();
         }
         // Every actor has finished: their slots go, so an engine that runs
         // one pool per query does not carry a slot per query ever run.
@@ -431,61 +403,6 @@ mod tests {
                 (1_000_000, "a"),
                 (1_500_000, "b"),
                 (2_000_000, "a"),
-            ]
-        );
-    }
-
-    /// An actor that spawns a [`Ticker`] mid-run through the world.
-    struct Spawner {
-        at: SimTime,
-        log: std::rc::Rc<std::cell::RefCell<Vec<(u64, &'static str)>>>,
-    }
-
-    impl Actor for Spawner {
-        fn step(&mut self, _now: SimTime, world: &mut World) -> StepResult {
-            world.spawn_actor(
-                self.at,
-                Box::new(Ticker {
-                    remaining: 1,
-                    log: self.log.clone(),
-                    name: "spawned",
-                }),
-            );
-            StepResult::Done
-        }
-    }
-
-    #[test]
-    fn actors_can_spawn_actors_mid_run() {
-        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut eng = Engine::new(World::new(KvBackend::default()));
-        eng.spawn(
-            Box::new(Spawner {
-                at: SimTime(2_500_000),
-                log: log.clone(),
-            }),
-            SimTime(1_000_000),
-        );
-        eng.spawn(
-            Box::new(Ticker {
-                remaining: 3,
-                log: log.clone(),
-                name: "a",
-            }),
-            SimTime::ZERO,
-        );
-        let end = eng.run();
-        assert_eq!(end.micros(), 3_500_000);
-        let events = log.borrow().clone();
-        assert_eq!(
-            events,
-            vec![
-                (0, "a"),
-                (1_000_000, "a"),
-                (2_000_000, "a"),
-                (2_500_000, "spawned"),
-                (3_000_000, "a"),
-                (3_500_000, "spawned"),
             ]
         );
     }

@@ -95,8 +95,6 @@ pub struct SqsStats {
     pub renewals: u64,
     /// Requests rejected by the fault injector (each one billed).
     pub throttled: u64,
-    /// Queue-depth probes served (autoscaler samples; each one billed).
-    pub depth_polls: u64,
 }
 
 /// The simulated queue service.
@@ -318,21 +316,6 @@ impl Sqs {
         Ok(now + latency)
     }
 
-    /// Samples the queue's depth — messages present, visible or leased —
-    /// as a *billed* request (real SQS exposes depth via the
-    /// `GetQueueAttributes` API, charged like any other call; the
-    /// autoscaler pays for every sample it takes). Throttleable like every
-    /// billed operation; the measurement is returned with the usual
-    /// request latency.
-    pub fn depth(&mut self, now: SimTime, queue: &str) -> Result<(usize, SimTime), SqsError> {
-        self.queue(queue)?;
-        self.billed_request(now, "depth")?;
-        self.stats.depth_polls += 1;
-        let depth = self.queue(queue)?.live_len();
-        self.record_ok(now, "depth", 0);
-        Ok((depth, now + self.latency))
-    }
-
     /// Marks the queue as complete: consumers seeing it empty may stop.
     /// (An orchestration convenience, not an SQS API call; not billed and
     /// never throttled.)
@@ -547,32 +530,6 @@ mod tests {
         let (m, _) = sqs.receive(SimTime::ZERO, "q", VIS).unwrap();
         assert!(m.is_none());
         assert_eq!(sqs.stats().requests, 1);
-    }
-
-    #[test]
-    fn depth_probe_is_billed_and_counts_leased_messages() {
-        let mut sqs = Sqs::new();
-        sqs.create_queue("q");
-        sqs.send(SimTime::ZERO, "q", "a").unwrap();
-        sqs.send(SimTime::ZERO, "q", "b").unwrap();
-        let requests_before = sqs.stats().requests;
-        let (d, t) = sqs.depth(SimTime(100), "q").unwrap();
-        assert_eq!(d, 2);
-        assert_eq!(t, SimTime(100) + SimDuration::from_millis(4));
-        // A leased (invisible) message still counts toward depth…
-        let (m, _) = sqs.receive(SimTime(200), "q", VIS).unwrap();
-        assert_eq!(sqs.depth(SimTime(300), "q").unwrap().0, 2);
-        // …a deleted one no longer does.
-        sqs.delete(SimTime(400), "q", m.unwrap().id).unwrap();
-        assert_eq!(sqs.depth(SimTime(500), "q").unwrap().0, 1);
-        let st = sqs.stats();
-        assert_eq!(st.depth_polls, 3);
-        // Three depth probes plus the receive and delete, all billed.
-        assert_eq!(st.requests, requests_before + 5);
-        assert!(matches!(
-            sqs.depth(SimTime::ZERO, "nope").unwrap_err(),
-            SqsError::NoSuchQueue(_)
-        ));
     }
 
     #[test]

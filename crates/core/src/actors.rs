@@ -3,10 +3,11 @@
 //! * [`Worker`] — what both programs are before they do anything with a
 //!   message, written once: the core's place in its pool, its module's
 //!   queue, span lane and phase ([`Module`]), its throttle handling
-//!   ([`Retry`]) and `Worker::receive`, the single receive step — stop
-//!   if drained, receive, back off if throttled, exit or poll if empty,
-//!   crash if told to, dead-letter a poison message, else lease it. Each
-//!   core embeds one and adds what it does *with* a message.
+//!   ([`Retry`]) and `Worker::receive`, the single receive step —
+//!   receive, back off if throttled, exit once the queue is drained or
+//!   poll again if it is empty, crash if told to, dead-letter a poison
+//!   message, else lease it. Each core embeds one and adds what it does
+//!   *with* a message.
 //! * [`LoaderCore`] — one per core of each indexing-module instance
 //!   (architecture steps 4–6): lease a document message, fetch the
 //!   document from the file store, extract index entries, issue the calls
@@ -46,7 +47,6 @@
 //! its cores' next wake-up: it is up — working, backing off or polling —
 //! until then.
 
-use crate::autoscale::DrainSignal;
 use crate::config::{
     Module, WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, POLL_INTERVAL, QUERY_QUEUE, RESPONSE_QUEUE,
     RESULT_BUCKET,
@@ -133,25 +133,13 @@ pub struct Worker {
     pub crash_after: Option<u32>,
     /// Messages leased for processing so far.
     processed: u32,
-    /// The autoscaler's drain signal (`None` in a static pool). A draining
-    /// member finishes its leased message, then exits instead of
-    /// receiving again and freezes its instance's billing window.
-    drain: Option<DrainSignal>,
 }
 
 impl Worker {
     /// Core number `idx`, in launch order, of `module`'s pool, running on
     /// `instance`. `idx` derives the core's backoff-jitter stream, so
-    /// concurrent retries decorrelate — and core *k* draws the same
-    /// stream whether it was provisioned up-front or launched mid-run by
-    /// the autoscaler.
-    pub fn new(
-        cfg: &WarehouseConfig,
-        module: Module,
-        instance: InstanceId,
-        idx: u64,
-        drain: Option<DrainSignal>,
-    ) -> Worker {
+    /// concurrent retries decorrelate.
+    pub fn new(cfg: &WarehouseConfig, module: Module, instance: InstanceId, idx: u64) -> Worker {
         let rng = StdRng::seed_from_u64(cfg.faults.seed ^ (module.rng_tag + idx));
         Worker {
             instance,
@@ -160,7 +148,6 @@ impl Worker {
             retry: Retry::new(cfg.retry, Some(rng)),
             crash_after: None,
             processed: 0,
-            drain,
         }
     }
 
@@ -186,12 +173,6 @@ impl Worker {
         now: SimTime,
         world: &mut World,
     ) -> Result<(Lease, String, SimTime), StepResult> {
-        // A scale-in victim stops *receiving*; it only gets here once any
-        // leased message is fully processed, so draining never abandons a
-        // lease.
-        if self.drain.as_ref().is_some_and(|d| d.is_draining()) {
-            return Err(self.exit(world, now));
-        }
         let queue = self.module.queue;
         let (msg, t) = match world.sqs.receive(now, queue, self.visibility) {
             Ok(out) => out,
@@ -203,7 +184,9 @@ impl Worker {
         self.retry.reset();
         let Some(msg) = msg else {
             if world.sqs.drained(queue).expect("module queues exist") {
-                return Err(self.exit(world, t));
+                // The last receive: bill the instance up to it.
+                world.ec2.extend(self.instance, t);
+                return Err(StepResult::Done);
             }
             return Err(StepResult::NextAt(t + POLL_INTERVAL));
         };
@@ -224,17 +207,6 @@ impl Worker {
         self.processed += 1;
         let lease = Lease::new(queue, msg.id, self.visibility, now);
         Ok((lease, msg.body, t))
-    }
-
-    /// Exits the core: an elastic pool's member — its instance's one
-    /// actor — stops the instance, freezing the billing window; a static
-    /// one just bills its uptime.
-    fn exit(&self, world: &mut World, t: SimTime) -> StepResult {
-        match self.drain {
-            Some(_) => world.ec2.stop(self.instance, t),
-            None => world.ec2.extend(self.instance, t),
-        }
-        StepResult::Done
     }
 
     /// Ends a step: bills the instance up to the core's next wake-up.
@@ -628,9 +600,7 @@ impl Actor for LoaderCore {
 /// runs on its cores, per the paper's intra-machine parallelism).
 pub struct QueryCore {
     /// The queue worker this processor is. It holds no lease between
-    /// steps, so a draining one exits at its next wake-up — the query it
-    /// was mid-way through (if any) was completed within the previous
-    /// step.
+    /// steps: a query is completed within the step that leased it.
     pub worker: Worker,
     /// Cores on the instance.
     pub cores: usize,
@@ -659,8 +629,7 @@ pub struct QueryCore {
 
 impl QueryCore {
     /// Creates a processor of the query pool `cfg` describes around
-    /// `worker`, a [`crate::config::QUERY`] one — the one place a query core is built,
-    /// whether the pool is static or elastic.
+    /// `worker`, a [`crate::config::QUERY`] one — the one place a query core is built.
     pub fn new(
         cfg: &WarehouseConfig,
         worker: Worker,
@@ -927,29 +896,26 @@ mod tests {
     use amada_cloud::{InstanceType, KvBackend};
 
     /// A bare world holding the queues a worker touches, and core 0 of
-    /// `module` on a fresh instance: a member of an elastic pool or of a
-    /// static one.
-    fn worker(cfg: &WarehouseConfig, module: Module, elastic: bool) -> (World, Worker) {
+    /// `module` on a fresh instance.
+    fn worker(cfg: &WarehouseConfig, module: Module) -> (World, Worker) {
         let mut world = World::new(KvBackend::default());
         for queue in [LOADER.queue, QUERY.queue, DEAD_LETTER_QUEUE] {
             world.sqs.create_queue(queue);
         }
         let instance = world.ec2.launch(InstanceType::Large, SimTime::ZERO);
-        let drain = elastic.then(DrainSignal::default);
-        (world, Worker::new(cfg, module, instance, 0, drain))
+        (world, Worker::new(cfg, module, instance, 0))
     }
 
-    /// Every shape of pool member the warehouse launches: only the query
-    /// pool can be elastic.
-    fn members() -> [(Module, bool); 3] {
-        [(LOADER, false), (QUERY, false), (QUERY, true)]
+    /// Every module whose pool the warehouse launches.
+    fn members() -> [Module; 2] {
+        [LOADER, QUERY]
     }
 
     #[test]
     fn an_empty_queue_is_polled_while_open_and_left_once_closed() {
         let cfg = WarehouseConfig::default();
-        for (module, elastic) in members() {
-            let (mut world, mut w) = worker(&cfg, module, elastic);
+        for module in members() {
+            let (mut world, mut w) = worker(&cfg, module);
             let Err(StepResult::NextAt(again)) = w.receive(SimTime::ZERO, &mut world) else {
                 panic!("{}: an open, empty queue is polled again", module.kind);
             };
@@ -960,31 +926,16 @@ mod tests {
                 Err(StepResult::Done)
             ));
             assert_eq!(world.sqs.stats().requests, 2, "both receives were served");
-            // Billed through the last receive; only a drained member's
-            // window is frozen there, a static one rides to the phase's end.
+            // Billed through the last receive.
             assert!(world.ec2.record(w.instance).end > again);
-            assert_eq!(world.ec2.is_stopped(w.instance), elastic, "{}", module.kind);
         }
-    }
-
-    #[test]
-    fn a_draining_member_exits_without_receiving() {
-        let cfg = WarehouseConfig::default();
-        let (mut world, mut w) = worker(&cfg, QUERY, true);
-        world.sqs.send(SimTime::ZERO, QUERY.queue, "m").unwrap();
-        w.drain.as_ref().expect("elastic").drain();
-        let at = SimTime(5_000_000);
-        assert!(matches!(w.receive(at, &mut world), Err(StepResult::Done)));
-        assert_eq!(world.sqs.stats().requests, 1, "the send and nothing else");
-        assert!(world.ec2.is_stopped(w.instance));
-        assert_eq!(world.ec2.record(w.instance).end, at);
     }
 
     #[test]
     fn a_crash_leaves_the_message_leased() {
         let cfg = WarehouseConfig::default();
-        for (module, elastic) in members() {
-            let (mut world, mut w) = worker(&cfg, module, elastic);
+        for module in members() {
+            let (mut world, mut w) = worker(&cfg, module);
             let sent = world.sqs.send(SimTime::ZERO, module.queue, "m").unwrap();
             w.crash_after = Some(0);
             assert!(matches!(w.receive(sent, &mut world), Err(StepResult::Done)));
@@ -993,7 +944,6 @@ mod tests {
                 world.ec2.record(w.instance).end > sent,
                 "the receive is billed"
             );
-            assert!(!world.ec2.is_stopped(w.instance), "a crash is not a drain");
             // Neither deleted nor visible: only lease expiry frees it.
             assert_eq!(world.sqs.len(module.queue).unwrap(), 1);
             let within = sent + SimDuration::from_secs(60);
@@ -1015,8 +965,8 @@ mod tests {
     fn a_message_past_its_deliveries_is_parked_on_the_dead_letter_queue() {
         let mut cfg = WarehouseConfig::default();
         cfg.retry.max_receives = 1;
-        for (module, elastic) in members() {
-            let (mut world, mut w) = worker(&cfg, module, elastic);
+        for module in members() {
+            let (mut world, mut w) = worker(&cfg, module);
             let sent = world
                 .sqs
                 .send(SimTime::ZERO, module.queue, "poison")

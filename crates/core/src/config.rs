@@ -72,68 +72,6 @@ impl Pool {
     }
 }
 
-/// Queue-depth autoscaling policy for the query-processor pool. With
-/// `None` in the config the warehouse launches the static pool of
-/// [`Pool::count`] instances up front; `Some(policy)` puts an
-/// [`crate::autoscale::AutoscaleController`] in charge of the same
-/// instance launcher:
-/// every `sample_interval` it issues a *billed* SQS depth probe and
-/// resizes the pool toward `ceil(depth / backlog_per_instance)`, clamped
-/// to `min..=max`. Scale-out launches instances whose billing starts at
-/// the decision instant but whose cores only begin work `boot_latency`
-/// later (you pay for the boot, as on real EC2); scale-in drains the
-/// newest instances gracefully — they finish the messages they hold a
-/// lease on, then [`amada_cloud::Ec2::stop`] freezes their billing
-/// window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AutoscalePolicy {
-    /// Pool floor (≥ 1): instances provisioned up-front and never drained.
-    pub min: usize,
-    /// Pool ceiling.
-    pub max: usize,
-    /// Time between queue-depth samples (each sample is a billed SQS
-    /// request).
-    pub sample_interval: SimDuration,
-    /// Backlog one instance is expected to absorb; the controller targets
-    /// `ceil(depth / backlog_per_instance)` instances.
-    pub backlog_per_instance: usize,
-    /// Modeled instance boot latency: a scaled-out instance is billed
-    /// from the scaling decision but its cores start polling only after
-    /// this delay.
-    pub boot_latency: SimDuration,
-}
-
-impl Default for AutoscalePolicy {
-    fn default() -> Self {
-        AutoscalePolicy {
-            min: 1,
-            max: 8,
-            sample_interval: SimDuration::from_secs(5),
-            backlog_per_instance: 4,
-            boot_latency: SimDuration::from_secs(30),
-        }
-    }
-}
-
-impl AutoscalePolicy {
-    /// Pool size the policy wants for a sampled queue depth.
-    pub fn desired(&self, depth: usize) -> usize {
-        depth
-            .div_ceil(self.backlog_per_instance.max(1))
-            .clamp(self.min, self.max)
-    }
-
-    /// Panics on a nonsensical policy (zero floor or inverted bounds).
-    pub fn validate(&self) {
-        assert!(self.min >= 1, "autoscale floor must keep one instance");
-        assert!(self.min <= self.max, "autoscale min must not exceed max");
-        assert!(
-            self.sample_interval > SimDuration::ZERO,
-            "autoscale sample interval must advance time"
-        );
-    }
-}
-
 /// Host-side execution knobs. Everything here shapes only the *wall
 /// clock* of the simulation host; no field can change virtual times,
 /// costs, or any emitted number (asserted by the
@@ -179,9 +117,6 @@ pub struct WarehouseConfig {
     pub loader_pool: Pool,
     /// Instances running the query processor (paper: 1 unless stated).
     pub query_pool: Pool,
-    /// Queue-depth autoscaling for the query-processor pool; `None` (the
-    /// default) runs the static pool. The loader pool is always static.
-    pub query_autoscale: Option<AutoscalePolicy>,
     /// Provider price table (paper Table 3 by default).
     pub prices: PriceTable,
     /// Compute work model.
@@ -219,7 +154,6 @@ impl Default for WarehouseConfig {
             kv_tuning: KvTuning::NONE,
             loader_pool: Pool::new(8, InstanceType::Large),
             query_pool: Pool::new(1, InstanceType::Large),
-            query_autoscale: None,
             prices: PriceTable::default(),
             work: WorkModel::default(),
             visibility: SimDuration::from_secs(4 * 3600),
@@ -251,34 +185,5 @@ mod tests {
         assert_eq!(c.loader_pool.count, 8);
         assert_eq!(c.loader_pool.itype, InstanceType::Large);
         assert_eq!(c.query_pool.count, 1);
-        // Elasticity is opt-in: the defaults must reproduce the paper's
-        // static-pool setup.
-        assert!(c.query_autoscale.is_none());
-    }
-
-    #[test]
-    fn autoscale_policy_targets_backlog_per_instance() {
-        let p = AutoscalePolicy {
-            min: 1,
-            max: 8,
-            backlog_per_instance: 4,
-            ..Default::default()
-        };
-        p.validate();
-        assert_eq!(p.desired(0), 1, "empty queue holds the floor");
-        assert_eq!(p.desired(4), 1);
-        assert_eq!(p.desired(5), 2, "round up: 5 messages need 2 instances");
-        assert_eq!(p.desired(32), 8);
-        assert_eq!(p.desired(10_000), 8, "ceiling clamps");
-    }
-
-    #[test]
-    #[should_panic(expected = "floor")]
-    fn zero_floor_policy_is_rejected() {
-        AutoscalePolicy {
-            min: 0,
-            ..Default::default()
-        }
-        .validate();
     }
 }

@@ -10,7 +10,7 @@
 pub mod actors;
 pub mod adaptive;
 pub mod amortization;
-pub mod autoscale;
+pub mod arrival;
 pub mod config;
 pub mod cost;
 mod fetch;
@@ -24,10 +24,8 @@ pub use adaptive::{
     FamilyLoad, Horizon, PlanEstimate, ESTIMATE_TOLERANCE,
 };
 pub use amortization::{Amortization, AmortizationPoint};
-pub use autoscale::{
-    ArrivalProcess, ArrivalSender, AutoscaleController, DrainSignal, ScaleDirection, ScaleEvent,
-};
-pub use config::{AutoscalePolicy, Module, Pool, WarehouseConfig, LOADER, QUERY};
+pub use arrival::{ArrivalProcess, ArrivalSender};
+pub use config::{Module, Pool, WarehouseConfig, LOADER, QUERY};
 pub use config::{
     DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };

@@ -1,7 +1,6 @@
 //! Report types produced by the warehouse — the raw material of every
 //! table and figure in the paper's evaluation section.
 
-use crate::autoscale::ScaleEvent;
 use amada_cloud::{CostReport, InstanceType, SimDuration, StorageCost};
 use amada_index::Strategy;
 use amada_pattern::JoinedTuple;
@@ -139,8 +138,6 @@ pub struct WorkloadReport {
     pub lease_renewals: u64,
     /// Query messages redelivered after a lease expired.
     pub redelivered: u64,
-    /// Autoscaler decisions during the run (empty for a static pool).
-    pub scale_events: Vec<ScaleEvent>,
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //!   jitter** for the module cores — jitter comes from each core's own
 //!   seeded `amada_rng::StdRng`, so a fault seed maps to exactly one retry
 //!   schedule and runs stay bit-reproducible — and **linear backoff
-//!   without jitter** for the single-threaded front end, its arrival
-//!   sender and the autoscaler: one client needs no decorrelation, and
+//!   without jitter** for the single-threaded front end and its arrival
+//!   sender: one client needs no decorrelation, and
 //!   drawing no randomness keeps the front end's faults-off path trivially
 //!   identical to the pre-fault code.
 //! * Four verbs. [`Retry::again`] is the *pre-commit* step: it names the

@@ -2,19 +2,16 @@
 //! steps 1–18, over the simulated cloud.
 
 use crate::actors::{DocCache, LoaderCore, QueryCore, RetractionRegistry, Worker};
-use crate::autoscale::{
-    ArrivalProcess, ArrivalSender, AutoscaleController, DrainSignal, Launcher, ScaleEvent,
-    ScaleEvents,
-};
+use crate::arrival::{ArrivalProcess, ArrivalSender};
 use crate::config::{
-    AutoscalePolicy, Module, Pool, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER,
-    LOADER_QUEUE, QUERY, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
+    Module, Pool, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER, LOADER_QUEUE, QUERY,
+    QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{CostedQuery, IndexBuildReport, WorkloadReport};
 use crate::retry::{put_object, Retry};
 use amada_cloud::{
-    Actor, ActorTag, Blob, CostReport, CostSnapshot, Engine, InstanceId, Money, Phase, ServiceKind,
-    SimDuration, SimTime, Span, StorageCost, World,
+    Actor, ActorTag, Blob, CostReport, CostSnapshot, Engine, InstanceId, Money, Phase, SimDuration,
+    SimTime, Span, StorageCost, World,
 };
 use amada_index::{
     placed_item_keys, plan_document, CacheStats, ExtractCache, ItemKey, MixedPlan, PrewarmReport,
@@ -37,8 +34,6 @@ pub struct Warehouse {
     /// The front end's throttle handling: one client, so linear backoff
     /// and no jitter; every call it retries, it retries until it succeeds.
     retry: Retry,
-    /// Autoscale controllers spawned so far (numbers their span lanes).
-    controllers: usize,
     /// What the index store holds for every URI whose rebuild has been
     /// queued and has not completed, shared with the loader cores (see
     /// [`RetractionRegistry`]).
@@ -168,7 +163,6 @@ impl Warehouse {
                 kind: "frontend",
                 instance: 0,
             },
-            controllers: 0,
             retractions: Rc::default(),
             advise_span_base: 0,
             catalog: OnceCell::new(),
@@ -204,12 +198,6 @@ impl Warehouse {
             .kv
             .set_shard_plan(plan.clone().unwrap_or_else(amada_cloud::ShardPlan::single));
         self.cfg.shard_plan = plan;
-    }
-
-    /// Switches queue-depth autoscaling of the query-processor pool on
-    /// (`Some(policy)`) or off (`None`) for subsequent workload runs.
-    pub fn set_query_autoscale(&mut self, policy: Option<AutoscalePolicy>) {
-        self.cfg.query_autoscale = policy;
     }
 
     /// The simulated cloud (for inspection and cost reporting).
@@ -561,102 +549,44 @@ impl Warehouse {
         self.cache.stats()
     }
 
-    /// Runs one module phase to completion, for either module: provisions
-    /// `pool` over the module's queue — `pool.count` instances up front,
-    /// or an [`AutoscaleController`] resizing it when `autoscale` is set —
-    /// runs the engine dry, and releases the instances. Returns what the
-    /// cores left in their shared sink, the phase's end time, the
-    /// instances it used and the autoscaler's decisions.
+    /// Runs one module phase to completion, for either module: launches
+    /// `pool.count` instances over the module's queue, each running
+    /// `actors` cores, runs the engine dry, and releases the instances.
+    /// Returns what the cores left in their shared sink and the phase's
+    /// end time.
     ///
-    /// Static or elastic, an instance comes from the one launcher: it is
-    /// launched at the decision time, its boot is recorded as a span on
-    /// its own lane, and its `actors` cores are scheduled at
-    /// `launch + boot` through the engine's deferred-spawn queue. `core`
-    /// builds one actor per call from the configuration, the module's
-    /// queue [`Worker`] it embeds and the sink; cores are numbered in
-    /// launch order whether the pool is static or elastic, so a
-    /// `min == max` autoscaled pool draws the same backoff jitter as a
-    /// static one. Only an elastic pool's members hold a drain signal — a
-    /// static instance is billed to the end of its phase — and a member is
-    /// its instance's one actor: it stops the instance as it exits.
-    fn run_pool<S: Default + std::fmt::Debug + 'static>(
+    /// `core` builds one actor per call from the configuration, the
+    /// module's queue [`Worker`] it embeds and the sink. Cores are
+    /// numbered in launch order; the number derives a core's backoff
+    /// jitter.
+    fn run_pool<S: Default>(
         &mut self,
         module: Module,
         pool: Pool,
         actors: usize,
-        autoscale: Option<AutoscalePolicy>,
-        core: impl Fn(&WarehouseConfig, Worker, Rc<RefCell<S>>) -> Box<dyn Actor> + 'static,
-    ) -> (S, SimTime, usize, Vec<ScaleEvent>) {
-        assert!(autoscale.is_none() || actors == 1, "one actor per member");
+        core: impl Fn(&WarehouseConfig, Worker, Rc<RefCell<S>>) -> Box<dyn Actor>,
+    ) -> (S, SimTime) {
         let start = self.engine.now();
         let first_instance = self.engine.world.ec2.records().len();
         let sink: Rc<RefCell<S>> = Rc::default();
-        let scale_events: ScaleEvents = Rc::default();
-        let (cfg, core_sink, mut next_core) = (self.cfg.clone(), sink.clone(), 0u64);
-        let mut launcher: Launcher<'static> = Box::new(
-            move |world: &mut World, t: SimTime, boot: SimDuration, drain: Option<DrainSignal>| {
-                let instance = world.ec2.launch(pool.itype, t);
-                if boot > SimDuration::ZERO {
-                    world.obs.with_ctx(|c| {
-                        c.actor = Some(ActorTag {
-                            kind: module.kind,
-                            instance: instance.0,
-                        });
-                    });
-                    world
-                        .obs
-                        .record(|_, ctx| Span::new(ServiceKind::Actor, "boot", t, t + boot, ctx));
-                }
-                for _ in 0..actors {
-                    let worker = Worker::new(&cfg, module, instance, next_core, drain.clone());
-                    world.spawn_actor(t + boot, core(&cfg, worker, core_sink.clone()));
-                    next_core += 1;
-                }
-                instance
-            },
-        );
-        match autoscale {
-            None => {
-                for _ in 0..pool.count {
-                    launcher(&mut self.engine.world, start, SimDuration::ZERO, None);
-                }
-                drop(launcher);
-            }
-            Some(policy) => {
-                let tag = ActorTag {
-                    kind: "autoscaler",
-                    instance: self.controllers,
-                };
-                self.controllers += 1;
-                let mut ctrl = AutoscaleController::new(
-                    module,
-                    policy,
-                    tag,
-                    self.cfg.retry,
-                    launcher,
-                    scale_events.clone(),
-                );
-                ctrl.provision(&mut self.engine.world, start);
+        let mut next_core = 0;
+        for _ in 0..pool.count {
+            let instance = self.engine.world.ec2.launch(pool.itype, start);
+            for _ in 0..actors {
+                let worker = Worker::new(&self.cfg, module, instance, next_core);
                 self.engine
-                    .spawn(Box::new(ctrl), start + policy.sample_interval);
+                    .spawn(core(&self.cfg, worker, sink.clone()), start);
+                next_core += 1;
             }
         }
         let end = self.engine.run();
         // Instances are released when the whole phase completes (the
-        // paper's `VM$_h × t_idx` bills the pool for the phase); stopped
-        // scale-in victims keep their frozen windows.
-        let instances = self.engine.world.ec2.records().len();
-        for i in first_instance..instances {
+        // paper's `VM$_h × t_idx` bills the pool for the phase).
+        for i in first_instance..first_instance + pool.count {
             self.engine.world.ec2.extend(InstanceId(i), end);
         }
         self.engine.world.sqs.open(module.queue);
-        let gone = "the engine ran dry: cores, controller and launcher are gone";
-        (
-            Rc::try_unwrap(sink).expect(gone).into_inner(),
-            end,
-            instances - first_instance,
-            Rc::try_unwrap(scale_events).expect(gone).into_inner(),
-        )
+        (sink.take(), end)
     }
 
     /// Runs the indexing module over everything currently queued
@@ -688,8 +618,7 @@ impl Warehouse {
                 cache.clone(),
             ))
         };
-        let (totals, end, instances, _) =
-            self.run_pool(LOADER, pool, pool.itype.cores(), None, core);
+        let (totals, end) = self.run_pool(LOADER, pool, pool.itype.cores(), core);
         let cost = self.engine.world.cost_since(&before);
         let (throttled_requests, lease_renewals, redelivered) =
             fault_deltas(&self.engine.world, &before);
@@ -704,7 +633,7 @@ impl Warehouse {
             |sum_micros: u64| SimDuration::from_micros((sum_micros + workers / 2) / workers);
         IndexBuildReport {
             strategy: self.cfg.strategy,
-            instances,
+            instances: pool.count,
             itype: self.cfg.loader_pool.itype,
             documents: totals.docs,
             corpus_bytes: self.corpus_bytes,
@@ -744,7 +673,7 @@ impl Warehouse {
 
     fn run_one(&mut self, query: &Query, plan: Rc<MixedPlan>) -> CostedQuery {
         let before = self.engine.world.snapshot();
-        let schedule = self.bursts(std::slice::from_ref(query), 1, 1, SimDuration::ZERO);
+        let schedule = self.closed_batch(std::slice::from_ref(query), 1);
         let report = self.run_batch(schedule, false, plan);
         let mut executions = report.executions;
         assert_eq!(executions.len(), 1, "one query in, one execution out");
@@ -754,25 +683,14 @@ impl Warehouse {
         }
     }
 
-    /// The schedule of `bursts` copies of the workload released `gap`
-    /// apart, each burst sending all `queries × repeats` messages (in
-    /// round-robin order: q1…qn, q1…qn, …) at its instant. The paper's
-    /// closed batch is the one-burst schedule.
-    fn bursts(
-        &self,
-        queries: &[Query],
-        repeats: usize,
-        bursts: usize,
-        gap: SimDuration,
-    ) -> Schedule {
-        let start = self.engine.now();
+    /// The paper's closed batch: all `queries × repeats` messages due
+    /// now, in round-robin order (q1…qn, q1…qn, …).
+    fn closed_batch(&self, queries: &[Query], repeats: usize) -> Schedule {
+        let at = self.engine.now();
         let mut schedule = Schedule::new();
-        for b in 0..bursts {
-            let at = start + SimDuration::from_micros(gap.micros() * b as u64);
-            for _ in 0..repeats {
-                for q in queries {
-                    schedule.push_back(arrival(at, q, schedule.len(), None));
-                }
+        for _ in 0..repeats {
+            for q in queries {
+                schedule.push_back(arrival(at, q, schedule.len(), None));
             }
         }
         schedule
@@ -782,13 +700,13 @@ impl Warehouse {
     /// (sent in round-robin order: q1…qn, q1…qn, …), across the query
     /// pool. Used for the paper's Figure 10 scaling experiment.
     pub fn run_workload(&mut self, queries: &[Query], repeats: usize) -> WorkloadReport {
-        let schedule = self.bursts(queries, repeats, 1, SimDuration::ZERO);
+        let schedule = self.closed_batch(queries, repeats);
         self.run_batch(schedule, false, self.plan.clone())
     }
 
     /// Like [`Warehouse::run_workload`] but without any index.
     pub fn run_workload_no_index(&mut self, queries: &[Query], repeats: usize) -> WorkloadReport {
-        let schedule = self.bursts(queries, repeats, 1, SimDuration::ZERO);
+        let schedule = self.closed_batch(queries, repeats);
         self.run_batch(schedule, false, Rc::new(MixedPlan::flat(None)))
     }
 
@@ -809,23 +727,6 @@ impl Warehouse {
             .enumerate()
             .map(|(seq, (offset, idx))| arrival(start + offset, &queries[idx], idx, Some(seq)))
             .collect();
-        self.run_batch(schedule, true, self.plan.clone())
-    }
-
-    /// Runs `bursts` copies of the workload, released `gap` apart: each
-    /// burst sends all `queries × repeats` messages back-to-back at its
-    /// scheduled instant, and the queue closes after the last burst. This
-    /// is the bursty-traffic scenario of the `repro scale` experiment — a
-    /// static pool idle-polls (billed) through the gaps, an autoscaled
-    /// one grows into each burst and drains back to its floor.
-    pub fn run_workload_bursts(
-        &mut self,
-        queries: &[Query],
-        repeats: usize,
-        bursts: usize,
-        gap: SimDuration,
-    ) -> WorkloadReport {
-        let schedule = self.bursts(queries, repeats, bursts, gap);
         self.run_batch(schedule, true, self.plan.clone())
     }
 
@@ -855,9 +756,7 @@ impl Warehouse {
         } else {
             sender.send_all(start, &mut self.engine.world);
         }
-        // Steps 9–15: the query-processor pool — static, or elastic when
-        // `cfg.query_autoscale` is set. One actor per instance, so the
-        // drain signal counts one core.
+        // Steps 9–15: the query-processor pool, one actor per instance.
         let (partitions, cache) = (self.partition_catalog(), self.cache.clone());
         let core = move |cfg: &WarehouseConfig, worker, executions| -> Box<dyn Actor> {
             let (plan, partitions, cache) = (plan.clone(), partitions.clone(), cache.clone());
@@ -865,8 +764,7 @@ impl Warehouse {
                 cfg, worker, plan, partitions, executions, cache,
             ))
         };
-        let (pool, autoscale) = (self.cfg.query_pool, self.cfg.query_autoscale);
-        let (executions, end, _, scale_events) = self.run_pool(QUERY, pool, 1, autoscale, core);
+        let (executions, end) = self.run_pool(QUERY, self.cfg.query_pool, 1, core);
         // Front end, steps 16–18: fetch each response, download the
         // results out of the cloud.
         self.tag_frontend(Phase::Frontend, None, None);
@@ -896,7 +794,6 @@ impl Warehouse {
             throttled_requests,
             lease_renewals,
             redelivered,
-            scale_events,
         }
     }
 

@@ -172,22 +172,20 @@ mod tests {
                 &Ctx::default(),
             )
             .outcome(Outcome::Missing),
-            // An autoscaler decision: instantaneous, tagged with the
-            // sampled queue depth as units.
+            // A query core's crash: instantaneous, on the core's lane.
             Span::new(
                 ServiceKind::Actor,
-                "scale-out",
+                "crash",
                 SimTime(40),
                 SimTime(40),
                 &Ctx {
                     actor: Some(ActorTag {
-                        kind: "autoscaler",
+                        kind: "query",
                         instance: 0,
                     }),
                     ..Default::default()
                 },
-            )
-            .units(7.0),
+            ),
         ]
     }
 
@@ -211,9 +209,9 @@ mod tests {
         assert!(t.contains("\"name\":\"batch_put\""));
         assert!(t.contains("\"cat\":\"kv\""));
         assert!(t.contains("\"name\":\"loader 0\""));
-        // Scaling decisions get their own lane like any other actor.
-        assert!(t.contains("\"name\":\"autoscaler 0\""));
-        assert!(t.contains("\"name\":\"scale-out\""));
+        // Every actor gets its own lane.
+        assert!(t.contains("\"name\":\"query 0\""));
+        assert!(t.contains("\"name\":\"crash\""));
         assert!(t.contains("\"billed_pico\":\"123456\""));
         // Escaped query name survives.
         assert!(t.contains("q\\\"uoted"));

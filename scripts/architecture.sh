@@ -50,15 +50,19 @@ one_advisor() {
 }
 
 # Both module cores embed one `Worker` whose `receive` is the only place a
-# module queue is received from, and every client's throttle handling is a
-# `retry::Retry`: backoff arithmetic or a retry budget read outside
-# `retry.rs`, a second receive loop, the loader-autoscale option or the
-# structural join is a copy coming back.
+# module queue is received from, every client's throttle handling is a
+# `retry::Retry`, and every pool is the static one `run_pool` launches
+# before the engine starts: backoff arithmetic or a retry budget read
+# outside `retry.rs`, a second receive loop, an autoscale option (loader or
+# query pool), its controller, drain signal, scale events, depth probe,
+# mid-run spawn or burst sender, or the structural join is a copy coming
+# back.
 one_queue_worker_one_throttle_step() {
     core=$(grep -E '^crates/core/src/' <<<"$src")
     test "$(grep -vE '^crates/core/src/retry\.rs:' <<<"$core" | grep -cE 'max_attempts|\.backoff\(|backoff_linear\(')" -eq 0
     test "$(grep -E '^crates/core/src/actors\.rs:' <<<"$core" | grep -cF 'sqs.receive(')" -eq 1
     test "$(grep -cE 'loader_autoscale|structural_join|enum Backoff' <<<"$src")" -eq 0
+    test "$(grep -cE 'AutoscaleController|AutoscalePolicy|DrainSignal|ScaleEvent|query_autoscale|spawn_actor|pending_spawns|depth_polls|run_workload_bursts' <<<"$src")" -eq 0
 }
 
 # Which items a document version stores, in which tables and batches, and

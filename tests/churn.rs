@@ -390,7 +390,7 @@ fn run_crashing_pool(w: &mut Warehouse, cfg: &WarehouseConfig, crash_after: u64,
     engine.world.sqs.close(LOADER_QUEUE);
     for idx in 1..=1 + u64::from(healthy) {
         let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
-        let worker = Worker::new(cfg, LOADER, instance, idx, None);
+        let worker = Worker::new(cfg, LOADER, instance, idx);
         let (plan, registry) = (plan.clone(), registry.clone());
         let mut core = LoaderCore::new(cfg, worker, plan, registry, totals.clone(), cache.clone());
         core.crash_after_batches = (idx == 1).then_some(crash_after);

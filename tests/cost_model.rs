@@ -28,6 +28,17 @@ fn close(a: Money, b: Money, tolerance: f64, what: &str) {
     );
 }
 
+/// The instance ledger reconciles: per-instance billed windows sum exactly
+/// into the EC2 total and into the cost report's instance charge.
+fn ec2_ledger_reconciles(w: &Warehouse) {
+    let world = w.world();
+    let summed: Money = (world.ec2.records().iter())
+        .map(|r| world.ec2.record_cost(r, &world.prices))
+        .sum();
+    assert_eq!(summed, world.ec2.total_cost(&world.prices));
+    assert_eq!(summed, world.cost_report().ec2);
+}
+
 #[test]
 fn upload_cost_matches_formula_exactly() {
     let docs = corpus(30);
@@ -66,6 +77,7 @@ fn indexing_cost_matches_formula() {
         );
         // The index-store component is exact by construction.
         assert_eq!(report.cost.kv, model.prices.idx_put * put_ops);
+        ec2_ledger_reconciles(&w);
     }
 }
 
@@ -96,6 +108,9 @@ fn indexed_query_cost_matches_formula() {
         run.cost.egress,
         model.prices.egress_gb.per_gb(run.exec.result_bytes)
     );
+    // The loader pool's eight instances and the query pool's one.
+    assert_eq!(w.world().ec2.records().len(), 9);
+    ec2_ledger_reconciles(&w);
 }
 
 #[test]

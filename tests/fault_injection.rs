@@ -103,7 +103,7 @@ fn mid_upload_crash_rewrites_the_index_idempotently() {
         let instance = engine.world.ec2.launch(vis_cfg.loader_pool.itype, start);
         LoaderCore::new(
             &vis_cfg,
-            Worker::new(&vis_cfg, LOADER, instance, idx, None),
+            Worker::new(&vis_cfg, LOADER, instance, idx),
             plan.clone(),
             registry.clone(),
             totals.clone(),

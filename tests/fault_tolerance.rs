@@ -45,7 +45,7 @@ fn loader_crash_is_recovered_through_lease_expiry() {
         let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
         let mut core = LoaderCore::new(
             &cfg,
-            Worker::new(&cfg, LOADER, instance, idx, None),
+            Worker::new(&cfg, LOADER, instance, idx),
             plan.clone(),
             registry.clone(),
             totals.clone(),
@@ -114,7 +114,7 @@ fn query_processor_crash_is_recovered() {
         let instance = engine.world.ec2.launch(cfg.query_pool.itype, t);
         let mut core = QueryCore::new(
             &cfg,
-            Worker::new(&cfg, QUERY, instance, idx, None),
+            Worker::new(&cfg, QUERY, instance, idx),
             plan.clone(),
             partitions.clone(),
             executions.clone(),

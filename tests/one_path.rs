@@ -5,11 +5,11 @@
 
 use amada::cloud::{
     content_hash, FaultInjector, KvBackend, KvError, KvField, KvItem, KvProfile, KvStats, KvStore,
-    KvTuning, KvValue, Recorder, ServiceKind, ShardPlan, SimDuration, SimTime, Span,
+    KvTuning, KvValue, Recorder, ServiceKind, ShardPlan, SimTime, Span,
 };
 use amada::index::{MixedPlan, Strategy};
 use amada::pattern::{parse_query, Query};
-use amada::warehouse::{Warehouse, WarehouseConfig};
+use amada::warehouse::{ArrivalProcess, Warehouse, WarehouseConfig, WorkloadReport};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
 use std::sync::{Arc, Mutex};
 
@@ -154,22 +154,16 @@ fn flat_two_lupi_retracts_the_path_table_first() {
     );
 }
 
-/// The closed batch is the one-burst schedule: same per-query names, same
-/// answers, whether the front end sends it before the engine starts or a
-/// sender actor releases it inside the engine.
+/// The closed batch is the one-burst schedule: the front end sends it
+/// before the engine starts, and a sender actor releasing the same queries
+/// inside the engine gets the same answers — every open-loop arrival
+/// `q#n` answers exactly what the closed batch's `q` answers.
 #[test]
 fn a_closed_batch_is_a_one_burst_schedule() {
     let mut queries: Vec<Query> = workload().into_iter().take(3).collect();
     queries.push(parse_query("//painting[/name{val}]").unwrap());
-    let run = |timed: bool| {
-        let mut w = recording(Strategy::Lup, None);
-        w.build_index();
-        let report = if timed {
-            w.run_workload_bursts(&queries, 2, 1, SimDuration::ZERO)
-        } else {
-            w.run_workload(&queries, 2)
-        };
-        let mut out: Vec<(String, Vec<Vec<Arc<str>>>)> = report
+    let answers = |report: WorkloadReport| -> Vec<(String, Vec<Vec<Arc<str>>>)> {
+        let mut out: Vec<_> = report
             .executions
             .into_iter()
             .map(|e| (e.name, e.results.into_iter().map(|r| r.columns).collect()))
@@ -177,12 +171,37 @@ fn a_closed_batch_is_a_one_burst_schedule() {
         out.sort();
         out
     };
-    let batch = run(false);
+    let built = || {
+        let mut w = recording(Strategy::Lup, None);
+        w.build_index();
+        w
+    };
+    let batch = answers(built().run_workload(&queries, 2));
     assert_eq!(batch.len(), 8);
     // The unnamed query is numbered by its place in the schedule.
     assert!(batch.iter().any(|(name, _)| name == "query-3"));
     assert!(batch.iter().any(|(name, _)| name == "query-7"));
-    assert_eq!(batch, run(true));
+    let answer_of = |name: &str| {
+        let mut of = batch.iter().filter(|(n, _)| n == name).map(|(_, a)| a);
+        let first = of
+            .next()
+            .unwrap_or_else(|| panic!("{name} is not in the batch"));
+        assert!(of.all(|a| a == first), "{name} answers one way");
+        first
+    };
+
+    let process = ArrivalProcess::steady(0xB0257, 16, 4.0);
+    let timed = answers(built().run_workload_open_loop(&queries, &process));
+    assert_eq!(timed.len(), 16);
+    let mut drawn = Vec::new();
+    for (arrival, answer) in &timed {
+        let (name, _seq) = arrival.split_once('#').expect("an arrival is named q#n");
+        assert_eq!(answer, answer_of(name), "{arrival}");
+        drawn.push(name);
+    }
+    drawn.sort_unstable();
+    drawn.dedup();
+    assert_eq!(drawn.len(), queries.len(), "every query arrived: {drawn:?}");
 }
 
 /// One `batch_delete` call as the index store received it.

@@ -1,17 +1,14 @@
 //! The open-loop front end's contract:
 //!
-//! 1. **Empty schedules terminate** — a burst run with zero bursts or an
-//!    empty workload still closes the query queue and returns (the
-//!    processors' receive loop would otherwise poll forever), and the
-//!    open-loop sender inherits the same guarantee for a zero-arrival
-//!    process.
+//! 1. **Empty schedules terminate** — an open-loop run with zero arrivals
+//!    or an empty workload still closes the query queue and returns (the
+//!    processors' receive loop would otherwise poll forever).
 //! 2. **Seeded determinism** — the arrival process is a pure function of
 //!    its seed, and two identical open-loop runs produce identical
 //!    reports.
 //! 3. **The storm is shaped** — arrivals are time-ordered, complete, and
 //!    Zipf-skewed toward the head of the workload.
 
-use amada::cloud::SimDuration;
 use amada::index::Strategy;
 use amada::pattern::Query;
 use amada::warehouse::{ArrivalProcess, Warehouse, WarehouseConfig};
@@ -44,7 +41,8 @@ fn built() -> Warehouse {
 #[test]
 fn zero_bursts_still_close_the_query_queue() {
     let mut w = built();
-    let report = w.run_workload_bursts(&queries(), 1, 0, SimDuration::from_secs(1));
+    let process = ArrivalProcess::steady(1, 0, 1.0);
+    let report = w.run_workload_open_loop(&queries(), &process);
     assert!(report.executions.is_empty());
     // The warehouse is still usable afterwards: the queue was closed, not
     // wedged, and a normal run completes.
@@ -55,10 +53,14 @@ fn zero_bursts_still_close_the_query_queue() {
 #[test]
 fn an_empty_workload_still_closes_the_query_queue() {
     let mut w = built();
-    let report = w.run_workload_bursts(&[], 3, 2, SimDuration::from_secs(1));
+    // Arrivals with no query to pick release nothing.
+    let process = ArrivalProcess::steady(3, 6, 1.0);
+    let report = w.run_workload_open_loop(&[], &process);
     assert!(report.executions.is_empty());
     let report = w.run_workload(&[], 5);
     assert!(report.executions.is_empty());
+    let report = w.run_workload(&queries(), 1);
+    assert_eq!(report.executions.len(), queries().len());
 }
 
 #[test]

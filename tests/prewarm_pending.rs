@@ -110,7 +110,7 @@ fn a_parked_message_leaves_nothing_to_prewarm() {
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
     let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
-    let worker = Worker::new(&cfg, LOADER, instance, 1, None);
+    let worker = Worker::new(&cfg, LOADER, instance, 1);
     let mut core = LoaderCore::new(&cfg, worker, plan, registry, totals, cache);
     core.crash_after_batches = Some(1);
     engine.spawn(Box::new(core), start);
