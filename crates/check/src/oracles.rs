@@ -22,8 +22,8 @@ use amada_index::store::{
 use amada_index::{
     decode_tuples, extract, index_documents, index_documents_mixed, key_frequencies, lookup_mixed,
     lookup_pattern_in, lookup_query, placed_item_keys, skew_aware_plan, ExtractOptions, IndexEntry,
-    MixedPlan, Payload, Placement, ScanPredicate, Strategy, UuidGen, TABLE_ID, TABLE_MAIN,
-    TABLE_PATH,
+    MixedPlan, Payload, Placement, ScanPredicate, Strategy, UuidGen, WriteSet, TABLE_ID,
+    TABLE_MAIN, TABLE_PATH,
 };
 use amada_pattern::twig::evaluate_pattern_twig;
 use amada_pattern::{
@@ -625,7 +625,8 @@ fn oracle_churn(case: &Case, query: &Query, mutation: Mutation) -> Result<(), Vi
                 };
                 let doc = Document::parse(&*uri, &bytes).expect("uploaded documents parse");
                 let entries = extract(&doc, strategy, w.config().extract);
-                for (key, value) in placed_item_keys(&entries, root, &profile, &uri) {
+                let set = WriteSet::encode(&entries, &profile, &uri);
+                for (key, value) in placed_item_keys(&set, root) {
                     held.items.entry(key).and_modify(|held| *held = Some(value));
                 }
             }

@@ -60,7 +60,7 @@ use amada_cloud::{
 };
 use amada_index::{
     decode_tuples, lookup_mixed, plan_document, Evaluation, ExtractCache, ExtractOptions, Held,
-    IndexEntry, MixedPlan, PatternProbe, ScanPredicate, Strategy,
+    MixedPlan, PatternProbe, ScanPredicate, Strategy,
 };
 use amada_pattern::{join_pattern_results, parse_query, EvalStats, Tuple};
 use amada_rng::StdRng;
@@ -374,14 +374,16 @@ impl LoaderCore {
         // it leaves an empty extraction whose only effect is retracting
         // whatever an earlier placement left behind for this URI.
         let placement = self.plan.placement(&uri);
-        // Parse, extract (memoized on the host after the prewarm stage;
-        // virtually charged in full either way); the entries stay borrowed
-        // from the cache.
-        let cached = placement.map(|p| self.cache.extracted(&uri, &bytes, p.strategy, self.opts).1);
-        let entries: &[IndexEntry] = cached.as_ref().map_or(&[], |cached| cached);
-        let entry_bytes: u64 = entries.iter().map(|e| e.raw_bytes() as u64).sum();
+        // Parse, extract and encode (memoized on the host after the prewarm
+        // stage; virtually charged in full either way); the write set's
+        // items stay in the cache, and the puts clone them. A document that
+        // is not XML is charged its parse and parked at once.
+        let profile = world.kv.profile();
+        let extracted = placement
+            .map(|p| (self.cache).write_set(&uri, &bytes, p.strategy, self.opts, &profile));
         let mut t = t;
-        if cached.is_some() {
+        if let Some(extracted) = &extracted {
+            let entry_bytes = extracted.as_ref().map_or(0, |set| set.raw_bytes);
             let extraction = world.work.parse(bytes.len() as u64, self.ecu)
                 + world.work.extract(entry_bytes, self.ecu);
             let fetched_at = t;
@@ -398,11 +400,13 @@ impl LoaderCore {
         // crash or abandon re-plans on redelivery (idempotently). A document
         // the store's limits cannot hold (an entry key over the hash-key
         // limit) will not fit then either: its message is parked at once.
-        let profile = world.kv.profile();
-        let mut pending = self.retractions.borrow_mut();
-        let planned = plan_document(entries, placement, &profile, &uri, pending.get_mut(&uri));
-        drop(pending);
-        let Ok(plan) = planned else {
+        let planned = extracted.transpose().ok().and_then(|set| {
+            let set = set.unwrap_or_default();
+            let mut pending = self.retractions.borrow_mut();
+            let plan = plan_document(&set, placement, &profile, pending.get_mut(&uri));
+            Some((set, plan.ok()?))
+        });
+        let Some((set, plan)) = planned else {
             let retry = &mut self.worker.retry;
             let t = dead_letter(&mut world.sqs, retry, t, LOADER_QUEUE, lease.msg_id, &uri);
             return StepResult::NextAt(t);
@@ -414,10 +418,10 @@ impl LoaderCore {
         self.state = LoaderState::Uploading(Upload {
             lease,
             uri,
-            entries: entries.len() as u64,
+            entries: set.entries,
             items: plan.items(),
             unchanged: plan.unchanged,
-            entry_bytes,
+            entry_bytes: set.raw_bytes,
             batches: plan.puts,
             deletes: plan.deletes,
         });

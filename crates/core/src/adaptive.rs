@@ -54,7 +54,7 @@ use amada_cloud::{Blob, KvError, KvStore, Money, SimDuration, SimTime, S3};
 use amada_index::{
     extract, lookup_pattern_in, merge_fan_out, partition_of, placed_item_keys, plan_document,
     write_entries, Evaluation, ExtractCache, Held, LookupOutcome, MixedPlan, PatternProbe,
-    Placement, QueryLookup, Strategy,
+    Placement, QueryLookup, Strategy, WriteSet,
 };
 use amada_obs::Attribution;
 use amada_pattern::{join_pattern_results, Query, Tuple};
@@ -169,12 +169,13 @@ impl Churn {
             };
             let (replaced, next) = (parse(replaced)?, parse(next)?);
             for (at, strategy) in Strategy::ALL.into_iter().enumerate() {
-                let entries = |doc| extract(doc, strategy, base.extract);
+                let set_of =
+                    |doc| WriteSet::encode(&extract(doc, strategy, base.extract), &profile, uri);
                 let (mut old, root) = (Held::default(), Some(Placement::root(strategy)));
-                let recorded = placed_item_keys(&entries(&replaced), None, &profile, uri);
+                let recorded = placed_item_keys(&set_of(&replaced), None);
                 old.items
                     .extend(recorded.into_iter().map(|(key, v)| (key, Some(v))));
-                let plan = plan_document(&entries(&next), root, &profile, uri, Some(&mut old))
+                let plan = plan_document(&set_of(&next), root, &profile, Some(&mut old))
                     .map_err(|e| AdviseError::Store(uri.to_string(), e))?;
                 written[at] += plan.items();
                 stored[at] += plan.items() + plan.unchanged;
@@ -465,13 +466,13 @@ impl<'a> Scenario<'a> {
             let mut serial_doc = self.fetch[uri] + work.parse(self.blobs[uri].len() as u64, lecu);
             let mut doc_puts = 0u64;
             if let Some(placement) = placement {
-                let (blob, opts) = (&self.blobs[uri], self.base.extract);
-                let (_, entries) =
-                    ExtractCache::shared().extracted(uri, blob, placement.strategy, opts);
-                let entry_bytes: u64 = entries.iter().map(|e| e.raw_bytes() as u64).sum();
-                serial_doc += work.extract(entry_bytes, lecu);
+                let (blob, opts, profile) = (&self.blobs[uri], self.base.extract, kv.profile());
+                let set = (ExtractCache::shared())
+                    .write_set(uri, blob, placement.strategy, opts, &profile)
+                    .map_err(|e| AdviseError::Parse(uri.clone(), e))?;
+                serial_doc += work.extract(set.raw_bytes, lecu);
                 let before = kv.stats().put_ops;
-                let (_m, ready) = write_entries(kv.as_mut(), t, placement, &entries, uri)
+                let (_m, ready) = write_entries(kv.as_mut(), t, placement, &set)
                     .map_err(|e| AdviseError::Store(uri.clone(), e))?;
                 serial_doc += ready - t;
                 t = ready;

@@ -15,7 +15,7 @@ use amada_cloud::{
 };
 use amada_index::{
     placed_item_keys, plan_document, CacheStats, ExtractCache, ItemKey, MixedPlan, PrewarmReport,
-    Strategy, ValueId,
+    Strategy, ValueId, WriteSet,
 };
 use amada_pattern::Query;
 use std::cell::{OnceCell, RefCell};
@@ -332,10 +332,10 @@ impl Warehouse {
         bodies.map(String::from).collect()
     }
 
-    /// The index items a routing plan derives for this document content
-    /// (host-side replay of the loader's deterministic encoding — no
-    /// requests, no virtual time): none when nothing is stored or the plan
-    /// indexes nothing for the document.
+    /// The index items a routing plan derives for this document content,
+    /// read off the write set the loader puts (host-side, memoized — no
+    /// requests, no virtual time): none when nothing is stored, the plan
+    /// indexes nothing for the document or its bytes are not XML.
     fn item_keys_under(
         &self,
         plan: &MixedPlan,
@@ -346,9 +346,11 @@ impl Warehouse {
             return Vec::new();
         };
         let (strategy, opts) = (placement.strategy, self.cfg.extract);
-        let (_doc, entries) = self.cache.extracted(uri, bytes, strategy, opts);
         let profile = self.engine.world.kv.profile();
-        placed_item_keys(&entries, Some(placement), &profile, uri)
+        match self.cache.write_set(uri, bytes, strategy, opts, &profile) {
+            Ok(set) => placed_item_keys(&set, Some(placement)),
+            Err(_) => Vec::new(),
+        }
     }
 
     /// Front end, churn maintenance: removes documents from the file
@@ -378,7 +380,7 @@ impl Warehouse {
             let stored = self.engine.world.s3.peek(DOC_BUCKET, &uri);
             self.mark_pending(&self.plan, &uri, stored.as_deref());
             let mut held = self.retractions.borrow_mut().remove(&uri);
-            let plan = plan_document(&[], None, &profile, &uri, held.as_mut());
+            let plan = plan_document(&WriteSet::default(), None, &profile, held.as_mut());
             let deletes = plan.expect("a plan of no entries makes no item").deletes;
             if let Some(old) = stored {
                 bytes += old.len() as u64;
@@ -534,14 +536,16 @@ impl Warehouse {
             .into_iter()
             .map(|s| (s, self.cfg.extract))
             .collect();
-        amada_index::parallel::prewarm(&self.cache, &docs, &combos)
+        let profile = self.engine.world.kv.profile();
+        amada_index::prewarm_for(&self.cache, &docs, &combos, &profile)
     }
 
     /// Like [`Warehouse::prewarm`] but parses only — what the query path
     /// needs (it evaluates patterns on parsed trees, never extracts).
     pub fn prewarm_parses(&self) -> PrewarmReport {
         let docs = self.engine.world.s3.peek_all(DOC_BUCKET);
-        amada_index::parallel::prewarm(&self.cache, &docs, &[])
+        let profile = self.engine.world.kv.profile();
+        amada_index::prewarm_for(&self.cache, &docs, &[], &profile)
     }
 
     /// Host-cache effectiveness counters (wall-clock diagnostics).

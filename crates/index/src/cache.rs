@@ -15,10 +15,15 @@
 //!   hash of the URI, so the parallel prewarm stage
 //!   ([`crate::parallel::prewarm`]) and any future concurrent consumers
 //!   do not serialize on one lock.
-//! * **Three memos per document.** Each document entry holds the parsed
-//!   [`Document`], the extraction output per `(Strategy, ExtractOptions)`
-//!   and the twig evaluation per tree pattern ([`PatternProbe`]) — a
-//!   loader core's CPU-heavy step becomes two map probes, a query core's one.
+//! * **Three memos per document.** Each document entry holds the parse
+//!   (the [`Document`], or the [`XmlError`]: a bad version is parsed once
+//!   too), the [`WriteSet`] per `(Strategy, ExtractOptions, KvProfile)` and
+//!   the twig evaluation per tree pattern ([`PatternProbe`]) — a loader
+//!   core's CPU-heavy step becomes two map probes, a query core's one.
+//! * **Shared with the store.** A write set is encoded right after
+//!   extraction, whose entries are then dropped; the loader puts clones of
+//!   its items, so the store and the cache share each item's block, and
+//!   every distinct entry key is one `Arc<str>` across documents.
 //! * **Content-addressed.** An entry is identified by *(URI, content
 //!   hash)*, never by URI alone: every probe names the hash of the bytes
 //!   in hand and a cached parse or extraction of other bytes is a miss.
@@ -30,11 +35,14 @@
 //!   a probe for other bytes replaces it, memos and all. A [`PatternProbe`]
 //!   adopts the memo's `Arc` of its pattern and then matches by pointer.
 
+use crate::loadutil::WriteSet;
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
-use amada_cloud::Blob;
+use amada_cloud::dynamodb::Dynamo;
+use amada_cloud::store::Service;
+use amada_cloud::{Blob, KvProfile};
 use amada_pattern::{EvalStats, TreePattern, Tuple, TwigEvaluator};
-use amada_xml::{Document, XmlError};
-use std::collections::HashMap;
+use amada_xml::{Document, Fnv, XmlError};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,6 +53,10 @@ use std::sync::{Arc, Mutex};
 const SHARDS: usize = 32;
 
 pub use amada_cloud::content_hash;
+
+/// The profile the default-profile forms ([`ExtractCache::extracted`],
+/// [`crate::prewarm`]) encode for: DynamoDB's, the paper's backend.
+pub(crate) const DYNAMODB: &KvProfile = &Dynamo::PROFILE;
 
 /// Document bytes that know their content hash.
 pub trait Content {
@@ -100,16 +112,20 @@ pub type Evaluation = (Vec<Tuple>, EvalStats);
 /// A memoized evaluation: the pattern's hash, the pattern, its evaluation.
 type MemoEntry = (u64, Arc<TreePattern>, Arc<Evaluation>);
 
-/// One cached document: its content hash, its parse, and its memoized
-/// extraction per strategy/options and evaluation per (pattern hash, pattern).
+/// What a write set was encoded from and for.
+type SetKey = (Strategy, ExtractOptions, KvProfile);
+
+/// One cached document: its content hash, its parse (or why it has none),
+/// and its memoized write set per [`SetKey`] and evaluation per (pattern
+/// hash, pattern).
 struct DocEntry {
     hash: u64,
-    doc: Arc<Document>,
-    extracts: HashMap<(Strategy, ExtractOptions), Arc<Vec<IndexEntry>>>,
+    doc: Result<Arc<Document>, XmlError>,
+    sets: Vec<(SetKey, Arc<WriteSet>)>,
     evals: Vec<MemoEntry>,
 }
 
-/// URI → the resident version's parse, extractions and evaluations.
+/// URI → the resident version's parse, write sets and evaluations.
 type Shard = HashMap<String, DocEntry>;
 
 /// A query pattern hashed once for the evaluation memo; a miss makes its evaluator once.
@@ -152,9 +168,9 @@ pub struct CacheStats {
     pub parse_hits: u64,
     /// Probes that had to parse.
     pub parse_misses: u64,
-    /// Extraction probes answered from the memo.
+    /// Extraction (write-set) probes answered from the memo.
     pub extract_hits: u64,
-    /// Extraction probes that had to run the extractor.
+    /// Extraction probes that had to run the extractor and the encoder.
     pub extract_misses: u64,
 }
 
@@ -167,10 +183,12 @@ impl CacheStats {
     }
 }
 
-/// A sharded, `Send + Sync` cache of parsed documents, extractions and
+/// A sharded, `Send + Sync` cache of parsed documents, write sets and
 /// evaluations. Cheap to clone the handle via [`Arc`].
 pub struct ExtractCache {
     shards: Box<[Mutex<Shard>; SHARDS]>,
+    /// Every entry key a cached write set's items name, once.
+    keys: Mutex<HashSet<Arc<str>, BuildHasherDefault<Fnv>>>,
     stats: [AtomicU64; 6],
 }
 
@@ -178,6 +196,7 @@ impl Default for ExtractCache {
     fn default() -> Self {
         ExtractCache {
             shards: Box::new(std::array::from_fn(|_| Mutex::new(Shard::default()))),
+            keys: Mutex::default(),
             stats: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -243,16 +262,13 @@ impl ExtractCache {
     }
 
     /// The parsed form of `uri`/`bytes`, from cache when the resident
-    /// version has the same content.
-    ///
-    /// # Panics
-    /// Panics if `bytes` are not well-formed XML (stored documents always
-    /// are; the warehouse validated them on the way in).
-    pub fn parsed<C: Content + ?Sized>(&self, uri: &str, bytes: &C) -> Arc<Document> {
-        self.parsed_at(uri, bytes.bytes(), bytes.hash())
+    /// version has the same content; `None` when they are not XML.
+    pub fn parsed<C: Content + ?Sized>(&self, uri: &str, bytes: &C) -> Option<Arc<Document>> {
+        self.try_parsed_at(uri, bytes.bytes(), bytes.hash()).ok()
     }
 
-    /// [`Self::parsed`] of bytes not yet known to be well-formed.
+    /// [`Self::parsed`], with the parse error of bytes that are not XML (a
+    /// failed parse is memoized like a success).
     pub fn try_parsed(&self, uri: &str, bytes: &[u8]) -> Result<Arc<Document>, XmlError> {
         self.try_parsed_at(uri, bytes, content_hash(bytes))
     }
@@ -262,59 +278,88 @@ impl ExtractCache {
         shard.get_mut(uri).filter(|e| e.hash == hash).map(f)
     }
 
-    fn parsed_at(&self, uri: &str, bytes: &[u8], hash: u64) -> Arc<Document> {
-        (self.try_parsed_at(uri, bytes, hash)).expect("stored documents are well-formed")
-    }
-
     fn try_parsed_at(&self, uri: &str, bytes: &[u8], hash: u64) -> Result<Arc<Document>, XmlError> {
         if let Some(doc) = self.resident(uri, hash, |e| e.doc.clone()) {
             self.bump(0);
-            return Ok(doc);
+            return doc;
         }
         self.bump(1);
         // Parse outside the lock: this is the expensive part, and the
         // prewarm stage runs it concurrently across shard-colliding URIs.
-        let doc = Arc::new(Document::parse(uri, bytes)?);
+        let doc = Document::parse(uri, bytes).map(Arc::new);
         self.shards[shard_of(uri)].lock().unwrap().insert(
             uri.to_string(),
             DocEntry {
                 hash,
                 doc: doc.clone(),
-                extracts: HashMap::new(),
+                sets: Vec::new(),
                 evals: Vec::new(),
             },
         );
-        Ok(doc)
+        doc
     }
 
-    /// The parsed form *and* the extraction output of `uri`/`bytes` under
-    /// `(strategy, opts)`, both memoized.
+    /// The write set of `uri`/`bytes` under `(strategy, opts)` for a store
+    /// of `profile`, memoized with its parse: a miss extracts, encodes and
+    /// drops the entries; the parse error of bytes that are not XML.
+    pub fn write_set<C: Content + ?Sized>(
+        &self,
+        uri: &str,
+        bytes: &C,
+        strategy: Strategy,
+        opts: ExtractOptions,
+        profile: &KvProfile,
+    ) -> Result<Arc<WriteSet>, XmlError> {
+        let hash = bytes.hash();
+        let doc = self.try_parsed_at(uri, bytes.bytes(), hash)?;
+        let key = (strategy, opts, *profile);
+        let set_of = |e: &DocEntry| Some(e.sets.iter().find(|(k, _)| *k == key)?.1.clone());
+        if let Some(Some(set)) = self.resident(uri, hash, |e| set_of(e)) {
+            self.bump(2);
+            return Ok(set);
+        }
+        self.bump(3);
+        // Extract and encode outside the lock, then publish. Two threads
+        // may race on one key; both make identical items (encoding is
+        // deterministic), and the first published is the one kept.
+        let mut entries = extract(&doc, strategy, opts);
+        self.share_keys(&mut entries);
+        let set = Arc::new(WriteSet::encode(&entries, profile, uri));
+        let publish = |e: &mut DocEntry| match set_of(e) {
+            Some(first) => first,
+            None => {
+                e.sets.push((key, set.clone()));
+                set.clone()
+            }
+        };
+        Ok(self.resident(uri, hash, publish).unwrap_or(set))
+    }
+
+    /// [`Self::write_set`] for DynamoDB, `None` for bytes that are not XML.
     pub fn extracted<C: Content + ?Sized>(
         &self,
         uri: &str,
         bytes: &C,
         strategy: Strategy,
         opts: ExtractOptions,
-    ) -> (Arc<Document>, Arc<Vec<IndexEntry>>) {
-        let hash = bytes.hash();
-        let doc = self.parsed_at(uri, bytes.bytes(), hash);
-        let cached = self.resident(uri, hash, |e| e.extracts.get(&(strategy, opts)).cloned());
-        if let Some(Some(entries)) = cached {
-            self.bump(2);
-            return (doc, entries);
+    ) -> Option<Arc<WriteSet>> {
+        self.write_set(uri, bytes, strategy, opts, DYNAMODB).ok()
+    }
+
+    /// Points every entry's key at the cache's one `Arc<str>` of it.
+    fn share_keys(&self, entries: &mut [IndexEntry]) {
+        let mut keys = self.keys.lock().unwrap();
+        for e in entries {
+            match keys.get(&*e.key) {
+                Some(key) => e.key = key.clone(),
+                None => _ = keys.insert(e.key.clone()),
+            }
         }
-        self.bump(3);
-        // Extract outside the lock, then publish. Two threads may race to
-        // extract the same key; both produce identical output (extraction
-        // is deterministic), so last-write-wins is correct.
-        let entries = Arc::new(extract(&doc, strategy, opts));
-        let publish = |e: &mut DocEntry| e.extracts.insert((strategy, opts), entries.clone());
-        self.resident(uri, hash, publish);
-        (doc, entries)
     }
 
     /// `probe`'s pattern on `uri`'s `blob`, memoized with that version; a parse
-    /// probe too. A miss evaluates outside the lock, as `extracted` extracts.
+    /// probe too. A miss evaluates outside the lock, as `write_set` extracts;
+    /// bytes that are not XML hold no tuples.
     pub fn evaluated(&self, uri: &str, blob: &Blob, probe: &mut PatternProbe) -> Arc<Evaluation> {
         let hash = blob.etag();
         if let Some(Some(ev)) = self.resident(uri, hash, |e| memo_of(&e.evals, probe).cloned()) {
@@ -323,10 +368,13 @@ impl ExtractCache {
             return ev;
         }
         self.bump(5);
-        let doc = self.parsed_at(uri, blob, hash);
         let p = probe.pattern;
-        let evaluator = probe.evaluator.get_or_insert_with(|| TwigEvaluator::new(p));
-        let ev = Arc::new(evaluator.evaluate(&doc));
+        let ev = Arc::new(match self.try_parsed_at(uri, blob, hash) {
+            Ok(doc) => (probe.evaluator)
+                .get_or_insert_with(|| TwigEvaluator::new(p))
+                .evaluate(&doc),
+            Err(_) => Evaluation::default(),
+        });
         let pattern = probe.shared.get_or_insert_with(|| Arc::new(p.clone()));
         let entry = (probe.hash, pattern.clone(), ev.clone());
         // A probe that raced this one may have published the same tuples.
@@ -345,11 +393,12 @@ impl ExtractCache {
         self.len() == 0
     }
 
-    /// Drops every cached parse, extraction and evaluation.
+    /// Drops every cached parse, write set, shared key and evaluation.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             shard.lock().unwrap().clear();
         }
+        self.keys.lock().unwrap().clear();
     }
 }
 
@@ -366,72 +415,157 @@ mod tests {
     const XML_A: &[u8] = b"<a><b>x</b></a>";
     const XML_B: &[u8] = b"<a><c>y</c></a>";
 
+    /// A write set's items with their keys, in set order.
+    fn items(set: &WriteSet) -> Vec<(crate::ItemKey, amada_cloud::KvItem)> {
+        set.placed(None)
+            .map(|(key, item)| (key, item.clone()))
+            .collect()
+    }
+
+    /// What encoding a fresh extraction of `xml` makes.
+    fn direct(xml: &[u8], strategy: Strategy, profile: &KvProfile) -> WriteSet {
+        let doc = Document::parse("d.xml", xml).unwrap();
+        let entries = extract(&doc, strategy, ExtractOptions::default());
+        WriteSet::encode(&entries, profile, "d.xml")
+    }
+
     #[test]
     fn parse_probe_hits_after_miss() {
         let cache = ExtractCache::default();
         cache.note_upload("d.xml", XML_A);
-        let d1 = cache.parsed("d.xml", XML_A);
-        let d2 = cache.parsed("d.xml", XML_A);
+        let d1 = cache.parsed("d.xml", XML_A).unwrap();
+        let d2 = cache.parsed("d.xml", XML_A).unwrap();
         assert!(Arc::ptr_eq(&d1, &d2));
         let s = cache.stats();
         assert_eq!((s.parse_hits, s.parse_misses), (1, 1));
     }
 
     #[test]
+    fn a_failed_parse_is_memoized_and_holds_nothing() {
+        use amada_pattern::parse_pattern;
+        let cache = ExtractCache::default();
+        for bad in [&b"<a><b>x</a>"[..], b"\xff\xfe<a/>", b""] {
+            let blob = Blob::new(bad.to_vec());
+            let error = cache.try_parsed("bad.xml", bad).unwrap_err();
+            assert_eq!(cache.try_parsed("bad.xml", bad).err(), Some(error.clone()));
+            assert!(cache.parsed("bad.xml", &blob).is_none());
+            let set = cache.write_set(
+                "bad.xml",
+                bad,
+                Strategy::Lu,
+                ExtractOptions::default(),
+                DYNAMODB,
+            );
+            assert_eq!(set.err(), Some(error));
+            assert!(cache
+                .extracted("bad.xml", bad, Strategy::Lup, ExtractOptions::default())
+                .is_none());
+            let p = parse_pattern("//a[/b{val}]").unwrap();
+            assert!(cache
+                .evaluated("bad.xml", &blob, &mut PatternProbe::new(&p))
+                .0
+                .is_empty());
+        }
+        // Each version parsed once; every other probe hit its error.
+        let s = cache.stats();
+        assert_eq!((s.parse_misses, s.parse_hits), (3, 15));
+        assert_eq!((s.extract_hits, s.extract_misses), (0, 0));
+    }
+
+    #[test]
     fn reupload_invalidates_cached_parse() {
         let cache = ExtractCache::default();
         cache.note_upload("d.xml", XML_A);
-        let d1 = cache.parsed("d.xml", XML_A);
+        let d1 = cache.parsed("d.xml", XML_A).unwrap();
         cache.note_upload("d.xml", XML_B);
-        let d2 = cache.parsed("d.xml", XML_B);
+        let d2 = cache.parsed("d.xml", XML_B).unwrap();
         assert!(!Arc::ptr_eq(&d1, &d2));
         assert_eq!(d2.elements_named("c").len(), 1);
     }
 
     #[test]
-    fn extraction_is_memoized_per_strategy_and_opts() {
+    fn a_write_set_is_memoized_per_strategy_options_and_profile() {
         let cache = ExtractCache::default();
         cache.note_upload("d.xml", XML_A);
-        let (_, e1) = cache.extracted("d.xml", XML_A, Strategy::Lu, ExtractOptions::default());
-        let (_, e2) = cache.extracted("d.xml", XML_A, Strategy::Lu, ExtractOptions::default());
+        let opts = ExtractOptions::default();
+        let e1 = cache.extracted("d.xml", XML_A, Strategy::Lu, opts).unwrap();
+        let e2 = cache
+            .write_set("d.xml", XML_A, Strategy::Lu, opts, DYNAMODB)
+            .unwrap();
         assert!(Arc::ptr_eq(&e1, &e2));
-        let (_, e3) = cache.extracted("d.xml", XML_A, Strategy::Lup, ExtractOptions::default());
+        let e3 = cache
+            .extracted("d.xml", XML_A, Strategy::Lup, opts)
+            .unwrap();
         assert!(!Arc::ptr_eq(&e1, &e3));
         let no_words = ExtractOptions { index_words: false };
-        let (_, e4) = cache.extracted("d.xml", XML_A, Strategy::Lu, no_words);
+        let e4 = cache
+            .extracted("d.xml", XML_A, Strategy::Lu, no_words)
+            .unwrap();
         assert!(!Arc::ptr_eq(&e1, &e4));
+        let simple = amada_cloud::KvStore::profile(&amada_cloud::SimpleDb::default());
+        let e5 = cache
+            .write_set("d.xml", XML_A, Strategy::Lu, opts, &simple)
+            .unwrap();
+        assert!(!Arc::ptr_eq(&e1, &e5));
         let s = cache.stats();
-        assert_eq!((s.extract_hits, s.extract_misses), (1, 3));
+        assert_eq!((s.extract_hits, s.extract_misses), (1, 4));
     }
 
     #[test]
-    fn memoized_extraction_equals_direct_extraction() {
+    fn a_memoized_write_set_is_the_encoding_of_a_fresh_extraction() {
         let cache = ExtractCache::default();
-        for strategy in Strategy::ALL {
-            let (doc, entries) =
-                cache.extracted("d.xml", XML_A, strategy, ExtractOptions::default());
-            let direct = extract(&doc, strategy, ExtractOptions::default());
-            assert_eq!(*entries, direct, "{strategy}");
+        let simple = amada_cloud::KvStore::profile(&amada_cloud::SimpleDb::default());
+        for profile in [DYNAMODB, &simple] {
+            for strategy in Strategy::ALL {
+                let opts = ExtractOptions::default();
+                let set = cache
+                    .write_set("d.xml", XML_A, strategy, opts, profile)
+                    .unwrap();
+                let fresh = direct(XML_A, strategy, profile);
+                assert_eq!(items(&set), items(&fresh), "{strategy} on {}", profile.name);
+                assert_eq!(
+                    (set.entries, set.raw_bytes),
+                    (fresh.entries, fresh.raw_bytes)
+                );
+            }
         }
+    }
+
+    #[test]
+    fn documents_share_one_arc_of_each_key() {
+        let cache = ExtractCache::default();
+        let opts = ExtractOptions::default();
+        let a = cache
+            .extracted("a.xml", XML_A, Strategy::Lup, opts)
+            .unwrap();
+        let b = cache
+            .extracted("b.xml", &b"<r><b>z</b></r>"[..], Strategy::Lui, opts)
+            .unwrap();
+        let key_of = |set: &WriteSet, key: &str| {
+            let (_, item) = set.placed(None).find(|(k, _)| k.1 == key).unwrap();
+            item.hash_key.clone()
+        };
+        assert!(Arc::ptr_eq(&key_of(&a, "eb"), &key_of(&b, "eb")));
+        cache.clear();
+        assert!(cache.keys.lock().unwrap().is_empty());
     }
 
     #[test]
     fn one_uri_two_contents_never_cross() {
         // Two warehouses holding different bytes under one URI share this
-        // cache; however their probes interleave, each gets a parse and an
-        // extraction of *its own* bytes — with or without a carried hash.
+        // cache; however their probes interleave, each gets a parse and a
+        // write set of *its own* bytes — with or without a carried hash.
         let cache = ExtractCache::default();
         let opts = ExtractOptions::default();
         let (a, b) = (Blob::new(XML_A.to_vec()), Blob::new(XML_B.to_vec()));
         cache.note_upload("d.xml", &a);
         for _ in 0..3 {
-            let (da, ea) = cache.extracted("d.xml", &a, Strategy::Lu, opts);
-            let (db, eb) = cache.extracted("d.xml", XML_B, Strategy::Lu, opts);
-            assert_eq!(da.elements_named("b").len(), 1);
-            assert_eq!(db.elements_named("c").len(), 1);
-            assert_eq!(*ea, extract(&da, Strategy::Lu, opts));
-            assert_eq!(*eb, extract(&db, Strategy::Lu, opts));
-            assert_eq!(cache.parsed("d.xml", &b).elements_named("c").len(), 1);
+            let ea = cache.extracted("d.xml", &a, Strategy::Lu, opts).unwrap();
+            let eb = cache.extracted("d.xml", XML_B, Strategy::Lu, opts).unwrap();
+            assert_eq!(items(&ea), items(&direct(XML_A, Strategy::Lu, DYNAMODB)));
+            assert_eq!(items(&eb), items(&direct(XML_B, Strategy::Lu, DYNAMODB)));
+            let parsed = cache.parsed("d.xml", &b).unwrap();
+            assert_eq!(parsed.elements_named("c").len(), 1);
         }
         assert_eq!(cache.len(), 1, "one resident version per URI");
     }
@@ -452,7 +586,7 @@ mod tests {
         assert!(Arc::ptr_eq(&e1, &e2));
         assert_eq!(
             *e1,
-            evaluate_pattern_twig(&cache.parsed("d.xml", XML_A), &b)
+            evaluate_pattern_twig(&cache.parsed("d.xml", XML_A).unwrap(), &b)
         );
         assert!(cache
             .evaluated("d.xml", &a, &mut PatternProbe::new(&c))
@@ -593,7 +727,7 @@ mod tests {
             &Blob::new(xml.to_vec()),
             &mut PatternProbe::new(&p),
         );
-        let naive = naive_matches(&cache.parsed("d.xml", &xml[..]), &p).0;
+        let naive = naive_matches(&cache.parsed("d.xml", &xml[..]).unwrap(), &p).0;
         let scanned = decode_tuples(&ScanPredicate::compile(&p).filter(xml), "d.xml").unwrap();
         let digests = |tuples: &[Tuple]| tuples.iter().map(Tuple::digest).collect::<Vec<_>>();
         assert_eq!(memo.0.len(), 2);
@@ -613,13 +747,13 @@ mod tests {
             .map(|i| format!("<a><b>{i}</b></a>").into_bytes())
             .collect();
         let results = amada_par::par_map_with(8, &uris, |i, uri| {
-            let (_, e) = cache.extracted(uri, &xml[i], Strategy::Lui, ExtractOptions::default());
-            e.len()
+            let e = cache.extracted(uri, &xml[i], Strategy::Lui, ExtractOptions::default());
+            e.unwrap().entries
         });
         // Re-probe sequentially: identical answers, all from cache.
         for (i, uri) in uris.iter().enumerate() {
-            let (_, e) = cache.extracted(uri, &xml[i], Strategy::Lui, ExtractOptions::default());
-            assert_eq!(e.len(), results[i]);
+            let e = cache.extracted(uri, &xml[i], Strategy::Lui, ExtractOptions::default());
+            assert_eq!(e.unwrap().entries, results[i]);
         }
     }
 }

@@ -11,8 +11,9 @@
 //!   base64 / 1 KB-chunk fallback for string-only stores;
 //! * [`store`] — mapping entries onto key-value items (UUID range keys,
 //!   per-backend encoding, chunk ordering);
-//! * [`loadutil`] — the document write plan (entries → batched puts,
-//!   stale keys → batched deletes) and its sequential and key-only uses;
+//! * [`loadutil`] — a document version's write set (entries → items, once)
+//!   and its write plan (items → batched puts, stale keys → batched
+//!   deletes), with its sequential and key-only uses;
 //! * [`lookup`] — the per-strategy look-up planners, including the LUP
 //!   query-path matcher and the 2LUPI semijoin + ID twig join plan of the
 //!   paper's Figure 5;
@@ -38,10 +39,10 @@ pub use cache::{content_hash, CacheStats, Content, Evaluation, ExtractCache, Pat
 pub use explain::explain;
 pub use loadutil::{
     entry_item_keys, placed_item_keys, plan_document, retract_keys, stale_keys, write_entries,
-    DocIndexing, Held, ItemKey, WritePlan,
+    DocIndexing, Held, ItemKey, WritePlan, WriteSet,
 };
 pub use lookup::{lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup};
-pub use parallel::{prewarm, PrewarmReport};
+pub use parallel::{prewarm, prewarm_for, PrewarmReport};
 pub use partition::{
     index_documents, index_documents_mixed, lookup_mixed, merge_fan_out, partition_of, MixedPlan,
     Placement,

@@ -3,19 +3,20 @@
 //! minimize the number of calls needed to load the index into DynamoDB"
 //! (paper Section 8.1): items are grouped into maximal `batch_put` calls.
 //!
-//! [`plan_document`] is the one statement of what a document version asks
-//! of the store — which items (those the store does not hold already), in
-//! which of its [`Placement`]'s tables, cut into which calls, and which
-//! stale keys of a replaced version go after them. The warehouse's loader
-//! bursts the plan's calls concurrently; [`write_entries`] (the advisor's
-//! micro-builds and, through [`crate::index_documents_mixed`], the oracles)
-//! issues them one after another. [`placed_item_keys`] (the front end's
-//! record of what a version left in the store) makes no item: a range key
-//! names its entry and chunk, not a place in the item sequence, so the
-//! replay cuts an entry's chunks and derives each key and [`ValueId`].
+//! A document version's [`WriteSet`] is its items, encoded once for a
+//! store profile ([`WriteSet::encode`], the host cache's extraction
+//! product). [`plan_document`] is the one statement of what a version asks
+//! of the store — which of its items (those the store does not hold
+//! already), in which of its [`Placement`]'s tables, cut into which calls,
+//! and which stale keys of a replaced version go after them. The
+//! warehouse's loader bursts the plan's calls concurrently; [`write_entries`]
+//! (the advisor's micro-builds and, through [`crate::index_documents_mixed`],
+//! the oracles) issues them one after another. [`placed_item_keys`] (the
+//! front end's record of what a version left in the store) reads each
+//! item's key and [`ValueId`] off the write set.
 
 use crate::partition::Placement;
-use crate::store::{encode_entry_into, Only, UuidGen, ValueId};
+use crate::store::{encode_entry_into, UuidGen, ValueId};
 use crate::strategy::IndexEntry;
 use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -32,6 +33,64 @@ pub struct DocIndexing {
     pub items: u64,
     /// API batches issued.
     pub batches: u64,
+}
+
+/// What one document version writes under one strategy, for one store
+/// profile: every item, encoded once — the tables in the order the
+/// extraction first names them (the strategy's own: 2LUPI's is
+/// `[path, id]`), each table's items in entry order. An item is its hash
+/// key, the URI and its block, three shared pointers: the store it is put
+/// into holds the same block, so a stored item's bytes exist once.
+#[derive(Debug, Default)]
+pub struct WriteSet {
+    tables: Vec<(&'static str, Box<[KvItem]>)>,
+    /// Entries extracted (`(key, document)` pairs).
+    pub entries: u64,
+    /// Their raw size, the paper's `sr(D, I)` share: what the extraction
+    /// is charged by.
+    pub raw_bytes: u64,
+}
+
+impl WriteSet {
+    /// Encodes `entries`, the extraction of the document at `uri`, into the
+    /// items `profile` stores them as, each under the range key that names
+    /// it (the ID lists through one scratch buffer).
+    pub fn encode(entries: &[IndexEntry], profile: &KvProfile, uri: &str) -> WriteSet {
+        let uuids = UuidGen::for_document(uri);
+        let mut scratch = Vec::new();
+        let mut tables: Vec<(&'static str, Vec<KvItem>)> = Vec::new();
+        for e in entries {
+            let at = match tables.iter().position(|(table, _)| *table == e.table) {
+                Some(at) => at,
+                None => {
+                    // About an item per entry: sized once, the vector never
+                    // regrows among the document's blocks.
+                    tables.push((e.table, Vec::with_capacity(entries.len())));
+                    tables.len() - 1
+                }
+            };
+            encode_entry_into(e, profile, &mut scratch, &uuids, &mut tables[at].1);
+        }
+        WriteSet {
+            tables: (tables.into_iter())
+                .map(|(table, items)| (table, items.into_boxed_slice()))
+                .collect(),
+            entries: entries.len() as u64,
+            raw_bytes: entries.iter().map(|e| e.raw_bytes() as u64).sum(),
+        }
+    }
+
+    /// Every item with its key under `placement` (`None`: the root's), table
+    /// by table — each of the document's tables placed once, not per item.
+    pub fn placed<'s>(
+        &'s self,
+        placement: Option<Placement<'s>>,
+    ) -> impl Iterator<Item = (ItemKey, &'s KvItem)> + 's {
+        self.tables.iter().flat_map(move |(table, items)| {
+            let table = placement.map_or(*table, |p| p.table(table));
+            (items.iter()).map(move |i| ((table, i.hash_key.to_string(), i.range_key().into()), i))
+        })
+    }
 }
 
 /// What the index store holds for one URI until a rebuild of it completes.
@@ -59,7 +118,7 @@ pub struct WritePlan {
     /// previous placement stranded stale keys in. A write may be the first
     /// to name a table; ensuring it is a free, idempotent host-side call.
     pub tables: Vec<&'static str>,
-    /// Items the store already holds, value and all: not made, not put.
+    /// Items the store already holds, value and all: not put.
     pub unchanged: u64,
 }
 
@@ -70,38 +129,29 @@ impl WritePlan {
     }
 }
 
-/// Plans the index-store calls for one document version: the `entries`
-/// its `placement`'s strategy extracted (`None`, and no entries, when the
-/// plan indexes nothing for the document) against what the store `held`
-/// for its URI.
+/// Plans the index-store calls for one document version: the write `set`
+/// of its `placement`'s strategy (empty, and `None`, when the plan indexes
+/// nothing for the document) against what the store `held` for its URI.
 ///
-/// Every entry's items are encoded, in entry order, into their table's
-/// vector, each under the range key that names it, and the vectors are cut
-/// into batches by moving: from here to the store an item is never cloned.
-/// The tables keep the order in which the extraction first names them, the
-/// strategy's own — 2LUPI writes `[path, id]` — and the placement names
-/// each once, not once per entry. An item `held` records under its key with
-/// its value is not made at all; any other held key the version has is put,
-/// a held key no item claims is stale and deleted, and either's record is
-/// voided — the call may or may not land before the record is next read (a
-/// redelivered message plans the same calls). The deletes cover the
-/// placement's own tables first, in that order, then — after a plan switch
-/// — the previous one's, by name.
+/// The set's items go, table by table in its order and each table's in
+/// entry order, into batches of clones — counter bumps: the store is put
+/// the set's own blocks. The placement names each table once, not once per
+/// item. An item `held` records under its key with its value is left out;
+/// any other held key the version has is put, a held key no item claims is
+/// stale and deleted, and either's record is voided — the call may or may
+/// not land before the record is next read (a redelivered message plans
+/// the same calls). The deletes cover the placement's own tables first, in
+/// that order, then — after a plan switch — the previous one's, by name.
 ///
 /// A plan is a promise the store keeps: an item `profile` would reject —
 /// an entry key longer than its hash-key limit, say — is the typed error
 /// here, before any call is issued.
 pub fn plan_document(
-    entries: &[IndexEntry],
+    set: &WriteSet,
     placement: Option<Placement<'_>>,
     profile: &KvProfile,
-    uri: &str,
     held: Option<&mut Held>,
 ) -> Result<WritePlan, KvError> {
-    // (table as extracted, table as placed, its items)
-    let mut per_table: Vec<(&'static str, &'static str, Vec<KvItem>)> = Vec::new();
-    let uuids = UuidGen::for_document(uri);
-    let mut scratch = Vec::new();
     let mut plan = WritePlan::default();
     // What is held, by range key (one in each of two tables after a move
     // between partitions): what no item claims is stale.
@@ -115,36 +165,32 @@ pub fn plan_document(
     }
     // With nothing held every item is new, and none is asked about.
     let compare = !unclaimed.is_empty();
-    for e in entries {
-        let at = per_table
-            .iter()
-            .position(|(base, ..)| *base == e.table)
-            .unwrap_or_else(|| {
-                // Only a placement has entries; it names their table once.
-                let table = placement.map_or(e.table, |p| p.table(e.table));
-                // About an item per entry: sized once, the vector never
-                // regrows among the document's blocks. Blocks refill the
-                // buffers a regrowth frees there, but not exactly, and the
-                // slivers left in a warehouse's heap cost the read path
-                // 12 % (EXPERIMENTS.md, "Loader path").
-                per_table.push((e.table, table, Vec::with_capacity(entries.len())));
-                per_table.len() - 1
-            });
-        let (_, table, items) = &mut per_table[at];
-        let mut changed = |range: &str, value| {
-            let mine = |(t, h, _): &(_, &str, _)| t == table && **h == *e.key;
-            let named = unclaimed.get_mut(range);
-            let held = named.and_then(|n| Some(n.swap_remove(n.iter().position(mine)?)));
-            let Some((.., known)) = held else { return true };
-            let same = *known == Some(value);
-            *known = same.then_some(value);
-            plan.unchanged += u64::from(same);
-            !same
-        };
-        let only = compare.then_some(&mut changed as Only<'_>);
-        encode_entry_into(e, profile, &mut scratch, &uuids, items, only);
-    }
-    for (_, table, items) in per_table {
+    let mut changed = |table: &'static str, item: &KvItem| {
+        let mine = |(t, h, _): &(_, &str, _)| *t == table && **h == *item.hash_key;
+        let named = unclaimed.get_mut(item.range_key());
+        let held = named.and_then(|n| Some(n.swap_remove(n.iter().position(mine)?)));
+        let Some((.., known)) = held else { return true };
+        let value = ValueId::of_item(item);
+        let same = *known == Some(value);
+        *known = same.then_some(value);
+        plan.unchanged += u64::from(same);
+        !same
+    };
+    let per_table: Vec<(&'static str, Vec<KvItem>)> = (set.tables.iter())
+        .map(|(table, items)| {
+            // Only a placement has items; it names their table once.
+            let table = placement.map_or(*table, |p| p.table(table));
+            let mut put = Vec::with_capacity(items.len());
+            put.extend(
+                items
+                    .iter()
+                    .filter(|i| !compare || changed(table, i))
+                    .cloned(),
+            );
+            (table, put)
+        })
+        .collect();
+    for (table, items) in per_table {
         items.iter().try_for_each(|item| profile.check(item))?;
         plan.tables.push(table);
         plan.puts
@@ -171,19 +217,17 @@ pub fn plan_document(
     Ok(plan)
 }
 
-/// Stores pre-extracted entries under `placement`: [`plan_document`]'s
-/// puts, issued one after another (each starts when the previous one is
-/// acknowledged).
+/// Stores a write set under `placement`: [`plan_document`]'s puts, issued
+/// one after another (each starts when the previous one is acknowledged).
 pub fn write_entries(
     store: &mut dyn KvStore,
     now: SimTime,
     placement: Placement<'_>,
-    entries: &[IndexEntry],
-    uri: &str,
+    set: &WriteSet,
 ) -> Result<(DocIndexing, SimTime), KvError> {
-    let plan = plan_document(entries, Some(placement), &store.profile(), uri, None)?;
+    let plan = plan_document(set, Some(placement), &store.profile(), None)?;
     let metrics = DocIndexing {
-        entries: entries.len() as u64,
+        entries: set.entries,
         items: plan.items(),
         batches: plan.puts.len() as u64,
     };
@@ -209,46 +253,26 @@ fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<T>> 
 
 /// The `(table, hash_key, range_key)` item keys [`plan_document`]'s puts
 /// store for these entries under the root placement — the global tables
-/// they were extracted for — in entry order, derived *without* touching
-/// the store or making an item.
+/// they were extracted for — table by table, each in entry order.
 /// Because a range key names (URI, table, key, chunk), the keys of any
 /// version of a document can be reconstructed from its bytes alone;
 /// stale-entry retraction is the set difference between an old and a new
 /// version's keys — the keys the new version lost, no others.
 pub fn entry_item_keys(entries: &[IndexEntry], profile: &KvProfile, uri: &str) -> Vec<ItemKey> {
-    let held = placed_item_keys(entries, None, profile, uri);
-    held.into_iter().map(|(key, _)| key).collect()
+    let set = WriteSet::encode(entries, profile, uri);
+    set.placed(None).map(|(key, _)| key).collect()
 }
 
-/// [`entry_item_keys`] under any placement (`None`: the root's), each key
-/// with what its item stores: the same keys, in the tables the placement
-/// names — each of the document's tables once, not once per key.
+/// The keys of a write set's items under any placement (`None`: the
+/// root's), each with what its item stores — read off the items, made
+/// once when the set was encoded.
 pub fn placed_item_keys(
-    entries: &[IndexEntry],
+    set: &WriteSet,
     placement: Option<Placement<'_>>,
-    profile: &KvProfile,
-    uri: &str,
 ) -> Vec<(ItemKey, ValueId)> {
-    let uuids = UuidGen::for_document(uri);
-    let (mut scratch, mut unmade) = (Vec::new(), Vec::new());
-    let mut keys = Vec::with_capacity(entries.len());
-    let mut named: Vec<(&'static str, &'static str)> = Vec::new();
-    for e in entries {
-        let table = match named.iter().find(|(base, _)| *base == e.table) {
-            Some(&(_, placed)) => placed,
-            None => {
-                named.push((e.table, placement.map_or(e.table, |p| p.table(e.table))));
-                named[named.len() - 1].1
-            }
-        };
-        let mut name = |range: &str, value| {
-            keys.push(((table, e.key.to_string(), range.to_string()), value));
-            false
-        };
-        let only: Only<'_> = &mut name;
-        encode_entry_into(e, profile, &mut scratch, &uuids, &mut unmade, Some(only));
-    }
-    keys
+    (set.placed(placement))
+        .map(|(key, item)| (key, ValueId::of_item(item)))
+        .collect()
 }
 
 /// Keys present in `old` but not in `new` — the items a replaced
@@ -314,7 +338,8 @@ mod tests {
         opts: ExtractOptions,
     ) -> Result<(DocIndexing, SimTime), KvError> {
         let entries = extract(doc, strategy, opts);
-        write_entries(store, now, Placement::root(strategy), &entries, doc.uri())
+        let set = WriteSet::encode(&entries, &store.profile(), doc.uri());
+        write_entries(store, now, Placement::root(strategy), &set)
     }
 
     fn doc() -> Document {
@@ -464,7 +489,8 @@ mod tests {
                 let what = format!("{strategy} on {}", profile.name);
                 let entries = extract(&d, strategy, ExtractOptions::default());
                 let root = Some(Placement::root(strategy));
-                let plan = plan_document(&entries, root, &profile, d.uri(), None).unwrap();
+                let set = WriteSet::encode(&entries, &profile, d.uri());
+                let plan = plan_document(&set, root, &profile, None).unwrap();
                 assert!(plan.deletes.is_empty(), "{what}");
                 // One table order, the strategy's own: 2LUPI is [path, id].
                 assert_eq!(plan.tables, strategy.tables(), "{what}");
@@ -496,9 +522,16 @@ mod tests {
                     (ta, &a.hash_key, a.range_key()).cmp(&(tb, &b.hash_key, b.range_key()))
                 });
                 let root = Placement::root(strategy);
-                let (m, _) = write_entries(store.as_mut(), SimTime::ZERO, root, &entries, d.uri())
+                let (m, _) = write_entries(store.as_mut(), SimTime::ZERO, root, &set)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(store.peek_all(), planned, "{what}");
+                // The store holds the set's own blocks: a stored item's bytes
+                // exist once.
+                let shared = |i: &KvItem| {
+                    set.placed(None)
+                        .any(|(_, s)| std::ptr::eq(s.range_key(), i.range_key()))
+                };
+                assert!(store.peek_all().iter().all(|(_, i)| shared(i)), "{what}");
                 assert_eq!(m.items, plan.items(), "{what}");
                 assert_eq!(m.batches, plan.puts.len() as u64, "{what}");
                 assert_eq!(store.stats().api_requests, m.batches, "{what}");
@@ -512,7 +545,8 @@ mod tests {
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
         let profile = DynamoDb::default().profile();
         let root = Some(Placement::root(Strategy::TwoLupi));
-        let plan = plan_document(&entries, root, &profile, d.uri(), None).unwrap();
+        let set = WriteSet::encode(&entries, &profile, d.uri());
+        let plan = plan_document(&set, root, &profile, None).unwrap();
         let path_then_id = [crate::strategy::TABLE_PATH, crate::strategy::TABLE_ID];
         assert_eq!(plan.tables, path_then_id);
         assert_eq!(call_tables(&plan.puts), path_then_id);
@@ -521,7 +555,8 @@ mod tests {
             strategy: Strategy::TwoLupi,
             partition: "hot",
         };
-        let plan = plan_document(&entries, Some(hot), &profile, "hot/d.xml", None).unwrap();
+        let set = WriteSet::encode(&entries, &profile, "hot/d.xml");
+        let plan = plan_document(&set, Some(hot), &profile, None).unwrap();
         assert_eq!(plan.tables, ["amada-index-path@hot", "amada-index-id@hot"]);
         assert_eq!(call_tables(&plan.puts), plan.tables);
     }
@@ -548,13 +583,15 @@ mod tests {
                 partition: "hot",
             };
             let stranded = extract(&v1, hot.strategy, opts);
-            let stranded = placed_item_keys(&stranded, Some(hot), &profile, "d.xml");
+            let stranded = WriteSet::encode(&stranded, &profile, "d.xml");
+            let stranded = placed_item_keys(&stranded, Some(hot));
             old.extend(stranded.into_iter().map(|(key, _)| key));
             let mut pending = held(old.iter().cloned());
 
             let root = Some(Placement::root(Strategy::TwoLupi));
-            let plan = plan_document(&new, root, &profile, "d.xml", Some(&mut pending)).unwrap();
             let fresh = entry_item_keys(&new, &profile, "d.xml");
+            let new = WriteSet::encode(&new, &profile, "d.xml");
+            let plan = plan_document(&new, root, &profile, Some(&mut pending)).unwrap();
             assert_eq!(
                 put_keys(&plan),
                 sorted(fresh.clone()),
@@ -588,7 +625,7 @@ mod tests {
 
             // Nothing pending that the new version does not hold: no deletes.
             let mut same = held(fresh.iter().cloned());
-            let plan = plan_document(&new, root, &profile, "d.xml", Some(&mut same)).unwrap();
+            let plan = plan_document(&new, root, &profile, Some(&mut same)).unwrap();
             assert!(plan.deletes.is_empty(), "{}", profile.name);
             assert_eq!(plan.tables, Strategy::TwoLupi.tables(), "{}", profile.name);
         }
@@ -599,8 +636,10 @@ mod tests {
         let d = doc();
         let profile = DynamoDb::default().profile();
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
-        let mut pending = recorded(placed_item_keys(&entries, None, &profile, d.uri()));
-        let plan = plan_document(&[], None, &profile, d.uri(), Some(&mut pending)).unwrap();
+        let set = WriteSet::encode(&entries, &profile, d.uri());
+        let mut pending = recorded(placed_item_keys(&set, None));
+        let none = WriteSet::default();
+        let plan = plan_document(&none, None, &profile, Some(&mut pending)).unwrap();
         assert!(plan.puts.is_empty());
         assert_eq!(plan.items(), 0);
         // A delete that went out may have landed: no value is vouched for.
@@ -613,7 +652,7 @@ mod tests {
         let id_then_path = [crate::strategy::TABLE_ID, crate::strategy::TABLE_PATH];
         assert_eq!(plan.tables, id_then_path);
         // And with nothing pending there is nothing to do at all.
-        let idle = plan_document(&[], None, &profile, d.uri(), None).unwrap();
+        let idle = plan_document(&none, None, &profile, None).unwrap();
         assert!(idle.puts.is_empty() && idle.deletes.is_empty() && idle.tables.is_empty());
     }
 
@@ -626,11 +665,12 @@ mod tests {
         for profile in [DynamoDb::default().profile(), SimpleDb::default().profile()] {
             for strategy in FIVE {
                 let entries = extract(&long, strategy, ExtractOptions::default());
+                let set = WriteSet::encode(&entries, &profile, "d.xml");
                 let root = Some(Placement::root(strategy));
                 let mut pending = held([(crate::strategy::TABLE_MAIN, "k".into(), "r".into())]);
                 for pending in [None, Some(&mut pending)] {
                     assert_eq!(
-                        plan_document(&entries, root, &profile, "d.xml", pending).err(),
+                        plan_document(&set, root, &profile, pending).err(),
                         Some(KvError::KeyTooLarge {
                             limit: profile.max_hash_key_bytes,
                             got: name.len() + 1,
@@ -640,17 +680,14 @@ mod tests {
                     );
                 }
                 let mut store = DynamoDb::default();
-                let written = write_entries(
-                    &mut store,
-                    SimTime::ZERO,
-                    Placement::root(strategy),
-                    &entries,
-                    "d.xml",
-                );
+                let set = WriteSet::encode(&entries, &store.profile(), "d.xml");
+                let written =
+                    write_entries(&mut store, SimTime::ZERO, Placement::root(strategy), &set);
                 assert!(written.is_err());
                 assert!(store.peek_all().is_empty(), "{strategy}: nothing was put");
                 let entries = extract(&doc(), strategy, ExtractOptions::default());
-                assert!(plan_document(&entries, root, &profile, "d.xml", None).is_ok());
+                let set = WriteSet::encode(&entries, &profile, "d.xml");
+                assert!(plan_document(&set, root, &profile, None).is_ok());
             }
         }
     }
@@ -689,9 +726,13 @@ mod tests {
             let old = extract(&v1, strategy, opts);
             let new = extract(&v2, strategy, opts);
             let root = Placement::root(strategy);
-            write_entries(&mut churned, SimTime::ZERO, root, &old, v1.uri()).unwrap();
-            write_entries(&mut churned, SimTime::ZERO, root, &new, v2.uri()).unwrap();
             let p = churned.profile();
+            let (old_set, new_set) = (
+                WriteSet::encode(&old, &p, v1.uri()),
+                WriteSet::encode(&new, &p, v2.uri()),
+            );
+            write_entries(&mut churned, SimTime::ZERO, root, &old_set).unwrap();
+            write_entries(&mut churned, SimTime::ZERO, root, &new_set).unwrap();
             let stale = stale_keys(
                 &entry_item_keys(&old, &p, v1.uri()),
                 &entry_item_keys(&new, &p, v2.uri()),
@@ -703,7 +744,7 @@ mod tests {
             retract_keys(&mut churned, SimTime::ZERO, &stale).unwrap();
             // Fresh store: index only v2.
             let mut fresh = DynamoDb::default();
-            write_entries(&mut fresh, SimTime::ZERO, root, &new, v2.uri()).unwrap();
+            write_entries(&mut fresh, SimTime::ZERO, root, &new_set).unwrap();
             for t in strategy.tables() {
                 fresh.ensure_table(t);
             }
@@ -721,7 +762,8 @@ mod tests {
         let d = doc();
         let entries = extract(&d, Strategy::Lu, ExtractOptions::default());
         let root = Placement::root(Strategy::Lu);
-        write_entries(&mut store, SimTime::ZERO, root, &entries, d.uri()).unwrap();
+        let set = WriteSet::encode(&entries, &store.profile(), d.uri());
+        write_entries(&mut store, SimTime::ZERO, root, &set).unwrap();
         let keys = entry_item_keys(&entries, &store.profile(), d.uri());
         retract_keys(&mut store, SimTime::ZERO, &keys).unwrap();
         assert!(store.peek_all().is_empty());

@@ -2,15 +2,16 @@
 //!
 //! The discrete-event engine is single-threaded by design (virtual time
 //! is a global total order), so by the time `LoaderCore`s start stepping,
-//! every parse and extraction the corpus needs should already be sitting
+//! every parse and write set the corpus needs should already be sitting
 //! in the [`ExtractCache`]. This module performs that work up front
 //! across all host cores: one task per document, dynamically balanced
 //! (document sizes vary), entirely free of virtual-time side effects —
 //! the engine still charges each core the full parse + extract cost at
 //! its own virtual arrival time.
 
-use crate::cache::{Content, ExtractCache};
+use crate::cache::{Content, ExtractCache, DYNAMODB};
 use crate::strategy::{ExtractOptions, Strategy};
+use amada_cloud::KvProfile;
 
 /// What one prewarm pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -25,17 +26,28 @@ pub struct PrewarmReport {
     pub threads: usize,
 }
 
-/// Parses every `(uri, bytes)` document and runs extraction for every
-/// `(strategy, opts)` combination, filling `cache` across all host
-/// cores. Idempotent: combinations already cached are validated and
-/// skipped at memo-probe cost.
-///
-/// Pass an empty `combos` slice to prewarm parses only (useful for the
-/// query path, which parses candidate documents but never extracts).
+/// [`prewarm_for`] a DynamoDB store.
 pub fn prewarm<B: Content + Sync>(
     cache: &ExtractCache,
     docs: &[(String, B)],
     combos: &[(Strategy, ExtractOptions)],
+) -> PrewarmReport {
+    prewarm_for(cache, docs, combos, DYNAMODB)
+}
+
+/// Parses every `(uri, bytes)` document and makes its write set for every
+/// `(strategy, opts)` combination and a store of `profile`, filling `cache`
+/// across all host cores. Idempotent: combinations already cached are
+/// validated and skipped at memo-probe cost, and so is a document that is
+/// not XML once its parse has failed (its loader parks it).
+///
+/// Pass an empty `combos` slice to prewarm parses only (useful for the
+/// query path, which parses candidate documents but never extracts).
+pub fn prewarm_for<B: Content + Sync>(
+    cache: &ExtractCache,
+    docs: &[(String, B)],
+    combos: &[(Strategy, ExtractOptions)],
+    profile: &KvProfile,
 ) -> PrewarmReport {
     let threads = amada_par::num_threads();
     let per_doc = amada_par::par_map_with(threads, docs, |_, (uri, bytes)| {
@@ -43,7 +55,7 @@ pub fn prewarm<B: Content + Sync>(
             cache.parsed(uri, bytes);
         }
         for &(strategy, opts) in combos {
-            cache.extracted(uri, bytes, strategy, opts);
+            _ = cache.write_set(uri, bytes, strategy, opts, profile);
         }
         bytes.bytes().len() as u64
     });
@@ -58,6 +70,7 @@ pub fn prewarm<B: Content + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loadutil::WriteSet;
     use crate::strategy::extract;
 
     fn docs() -> Vec<(String, Vec<u8>)> {
@@ -113,11 +126,34 @@ mod tests {
             .collect();
         prewarm(&cache, &docs, &combos);
         for (uri, bytes) in &docs {
+            let doc = amada_xml::Document::parse(uri, bytes).unwrap();
             for &(strategy, opts) in &combos {
-                let (doc, entries) = cache.extracted(uri, bytes, strategy, opts);
-                assert_eq!(*entries, extract(&doc, strategy, opts));
+                let set = cache.extracted(uri, bytes, strategy, opts).unwrap();
+                let fresh = WriteSet::encode(&extract(&doc, strategy, opts), DYNAMODB, uri);
+                let items = |set: &WriteSet| -> Vec<(crate::ItemKey, amada_cloud::KvItem)> {
+                    set.placed(None)
+                        .map(|(key, item)| (key, item.clone()))
+                        .collect()
+                };
+                assert_eq!(items(&set), items(&fresh));
             }
         }
+    }
+
+    #[test]
+    fn a_document_that_is_not_xml_is_parsed_once_and_skipped() {
+        let cache = ExtractCache::default();
+        let mut docs = docs();
+        docs.push(("bad.xml".into(), b"<a><b>x</a>".to_vec()));
+        let combos: Vec<(Strategy, ExtractOptions)> = Strategy::ALL
+            .into_iter()
+            .map(|s| (s, ExtractOptions::default()))
+            .collect();
+        let report = prewarm(&cache, &docs, &combos);
+        assert_eq!(report.documents, 41);
+        let s = cache.stats();
+        assert_eq!((s.parse_misses, s.extract_misses), (41, 160));
+        assert!(cache.try_parsed("bad.xml", b"<a><b>x</a>").is_err());
     }
 
     #[test]

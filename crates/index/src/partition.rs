@@ -38,7 +38,7 @@
 //! (storage-side scans instead of GETs) is a per-query-core decision, so
 //! only a flat plan may carry it.
 
-use crate::loadutil::{write_entries, DocIndexing};
+use crate::loadutil::{write_entries, DocIndexing, WriteSet};
 use crate::lookup::{lookup_pattern_in, LookupOutcome, QueryLookup};
 use crate::strategy::{extract, ExtractOptions, Strategy};
 use amada_cloud::{KvError, KvStore, SimTime};
@@ -236,8 +236,9 @@ pub fn index_documents_mixed(
             continue;
         };
         let entries = extract(d, placement.strategy, opts);
-        let (m, ready) = write_entries(store, t, placement, &entries, d.uri())
-            .expect("mixed indexing must succeed");
+        let set = WriteSet::encode(&entries, &store.profile(), d.uri());
+        let (m, ready) =
+            write_entries(store, t, placement, &set).expect("mixed indexing must succeed");
         t = ready;
         total.entries += m.entries;
         total.items += m.items;

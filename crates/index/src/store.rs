@@ -122,7 +122,7 @@ const ITEM_SLACK: usize = 128;
 /// (`&mut`: the signature `benchmark/` calls; the generator steps nothing).
 pub fn encode_entry(entry: &IndexEntry, profile: &KvProfile, uuids: &mut UuidGen) -> Vec<KvItem> {
     let mut items = Vec::with_capacity(1);
-    encode_entry_into(entry, profile, &mut Vec::new(), uuids, &mut items, None);
+    encode_entry_into(entry, profile, &mut Vec::new(), uuids, &mut items);
     items
 }
 
@@ -133,6 +133,11 @@ pub fn encode_entry(entry: &IndexEntry, profile: &KvProfile, uuids: &mut UuidGen
 pub struct ValueId(u64, u64);
 
 impl ValueId {
+    /// What `item` stores.
+    pub(crate) fn of_item(item: &KvItem) -> ValueId {
+        ValueId::of(item.values())
+    }
+
     fn of<'v>(values: impl Iterator<Item = KvValue<'v>>) -> ValueId {
         let mut id = ValueId(0, 0x9E37_79B9_7F4A_7C15);
         let mut word = |w: u64| id = ValueId(mix(id.0, w), mix(id.1, w.rotate_left(32)));
@@ -149,22 +154,17 @@ impl ValueId {
     }
 }
 
-/// Asked of an item's range key and value before it is made: `false` skips it.
-pub type Only<'a> = &'a mut dyn FnMut(&str, ValueId) -> bool;
-
 /// Cuts `entry`'s values into items named by `uuids` and appends them to
-/// `items` (the loader encodes a whole document, its ID lists through one
-/// `scratch` buffer) — all of them, or the ones `only` lets through. An
-/// item shares its hash key and attribute name with the entry; what it
-/// allocates is its block, which the entry's values are written straight
-/// into.
+/// `items` (a write set encodes a whole document, its ID lists through one
+/// `scratch` buffer). An item shares its hash key and attribute name with
+/// the entry; what it allocates is its block, which the entry's values are
+/// written straight into.
 pub fn encode_entry_into(
     entry: &IndexEntry,
     profile: &KvProfile,
     scratch: &mut Vec<u8>,
     uuids: &UuidGen,
     items: &mut Vec<KvItem>,
-    only: Option<Only<'_>>,
 ) {
     let fixed = entry.key.len() + RANGE_KEY_BYTES + entry.uri.len() + ITEM_SLACK;
     let budget = profile.max_item_bytes.saturating_sub(fixed).max(256);
@@ -172,7 +172,6 @@ pub fn encode_entry_into(
         entry,
         uuids,
         items,
-        only,
         budget,
         max_values: profile.max_attrs_per_item,
         seq: 0,
@@ -211,18 +210,17 @@ pub fn encode_entry_into(
 }
 
 /// Where an entry's values become items.
-struct Cut<'a, 'o> {
+struct Cut<'a> {
     entry: &'a IndexEntry,
     uuids: &'a UuidGen,
     items: &'a mut Vec<KvItem>,
-    only: Option<Only<'o>>,
     budget: usize,
     max_values: usize,
     /// Items cut so far: the next one's chunk sequence number.
     seq: usize,
 }
 
-impl Cut<'_, '_> {
+impl Cut<'_> {
     /// Groups `values` into items within the backend's item budget and
     /// attribute-count limit. An item takes values until it is full —
     /// counted from their lengths, before its block is made; the common
@@ -241,12 +239,9 @@ impl Cut<'_, '_> {
                 return;
             }
             let name = self.uuids.range_key(self.entry, self.seq);
-            let item = || values.clone().take(count);
-            if (self.only.as_mut()).is_none_or(|only| only(key_str(&name), ValueId::of(item()))) {
-                let (key, uri) = (self.entry.key.clone(), self.entry.uri.clone());
-                self.items
-                    .push(KvItem::new(key, key_str(&name), uri, item()));
-            }
+            let (key, uri) = (self.entry.key.clone(), self.entry.uri.clone());
+            let item = values.clone().take(count);
+            self.items.push(KvItem::new(key, key_str(&name), uri, item));
             self.seq += 1;
             values.nth(count - 1);
         }
@@ -530,11 +525,11 @@ mod tests {
         let _ = range_key(&g, &named("ename"), UuidGen::MAX_CHUNK_SEQ);
     }
 
-    /// Asked about every item, the encoder names exactly the items it makes
-    /// unasked, in chunk order, on both backends and for chunked entries —
-    /// and makes only the ones let through, which it told apart by value.
+    /// The encoder names an entry's items in chunk order, on both backends
+    /// and for chunked entries, and their identities tell them apart by
+    /// value: as many distinct identities as distinct value lists.
     #[test]
-    fn asked_first_the_encoder_names_every_item_and_makes_the_wanted_ones() {
+    fn items_are_named_in_chunk_order_and_told_apart_by_value() {
         let deep = format!("/e{}", "a/e".repeat(40_000));
         let payloads = [
             Payload::Presence,
@@ -550,24 +545,12 @@ mod tests {
                 let items = encode_entry(&e, &profile, &mut uuids);
                 let made: Vec<&str> = items.iter().map(KvItem::range_key).collect();
                 assert!(made.windows(2).all(|w| w[0] < w[1]), "chunk order");
-                let (mut asked, mut odd) = (Vec::new(), Vec::new());
-                let mut every_other = |k: &str, v: ValueId| {
-                    asked.push((k.to_string(), v));
-                    asked.len() % 2 == 1
-                };
-                let only: Only<'_> = &mut every_other;
-                encode_entry_into(&e, &profile, &mut Vec::new(), &uuids, &mut odd, Some(only));
-                let names: Vec<&str> = asked.iter().map(|(k, _)| k.as_str()).collect();
-                assert_eq!(names, made, "{}", profile.name);
-                let wanted: Vec<&KvItem> = items.iter().step_by(2).collect();
-                assert_eq!(odd.iter().collect::<Vec<_>>(), wanted, "{}", profile.name);
-                // Told apart by value: as many distinct identities as
-                // distinct value lists.
+                let ids: Vec<ValueId> = items.iter().map(ValueId::of_item).collect();
                 let mut same_id = 0;
                 let mut same_values = 0;
                 for (i, a) in items.iter().enumerate() {
                     for (j, b) in items.iter().enumerate().skip(i + 1) {
-                        same_id += usize::from(asked[i].1 == asked[j].1);
+                        same_id += usize::from(ids[i] == ids[j]);
                         same_values += usize::from(a.values().eq(b.values()));
                     }
                 }

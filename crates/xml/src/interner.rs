@@ -20,9 +20,10 @@ pub struct Sym(pub u32);
 
 /// FNV-1a (64-bit). Names are short — a handful of bytes — where FNV beats
 /// the default SipHash by a wide margin; interning is per-document
-/// vocabulary, not an attacker-controlled collision surface.
+/// vocabulary (and the index cache's, of entry keys), not an
+/// attacker-controlled collision surface.
 #[derive(Debug, Clone)]
-struct Fnv(u64);
+pub struct Fnv(u64);
 
 impl Default for Fnv {
     fn default() -> Self {

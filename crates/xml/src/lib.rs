@@ -39,7 +39,7 @@ pub mod tree;
 pub mod words;
 
 pub use error::{XmlError, XmlErrorKind};
-pub use interner::{Interner, Sym};
+pub use interner::{Fnv, Interner, Sym};
 pub use node::{NodeData, NodeId, NodeKind};
 pub use sid::StructuralId;
 pub use tree::Document;

@@ -230,6 +230,23 @@ query_invariants_once() {
     test "$(grep -E '^crates/core/src/actors\.rs:' <<<"$src" | grep -cF 'BTreeSet<&str>')" -eq 0
 }
 
+# A document version's items are encoded once, right after extraction,
+# into the write set the cache keeps and the store shares: the cache holds
+# no extracted entries, the planners read keys, values and items off a
+# write set instead of encoding them, and the warehouse hands the memo its
+# store's profile. An entry vector in the cache, an encoder call in the
+# planners or the DynamoDB-only forms in amada-core is the second copy of
+# every stored value coming back.
+one_write_set() {
+    test "$(grep -E '^crates/index/src/cache\.rs:' <<<"$src" | grep -cF 'Vec<IndexEntry>')" -eq 0
+    for planner in plan_document placed_item_keys; do
+        body=$(sed -n "/^pub fn $planner(/,/^}/p" crates/index/src/loadutil.rs)
+        test "$(grep -c "fn $planner(" <<<"$body")" -eq 1
+        test "$(grep -cE 'encode_entry(_into)?\(|WriteSet::encode\(|UuidGen' <<<"$body")" -eq 0
+    done
+    test "$(grep -E '^crates/core/' <<<"$src" | grep -cE '\.extracted\(|(parallel|amada_index)::prewarm\(')" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -246,6 +263,7 @@ rules=(
     one_eval_memo
     read_in_place
     query_invariants_once
+    one_write_set
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do

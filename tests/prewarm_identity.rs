@@ -9,9 +9,14 @@
 //! fields that should be *bit*-identical here, not approximately equal),
 //! so the comparison goes through their exhaustive `Debug` rendering.
 
+use amada_cloud::{KvBackend, KvItem, KvTuning, SimTime, SimpleDbConfig};
 use amada_core::{Warehouse, WarehouseConfig};
-use amada_index::Strategy;
+use amada_index::store::encode_entry;
+use amada_index::{
+    extract, write_entries, ExtractCache, ExtractOptions, Placement, Strategy, UuidGen,
+};
 use amada_xmark::{generate_corpus, CorpusConfig};
+use amada_xml::Document;
 
 fn corpus() -> Vec<(String, String)> {
     let cfg = CorpusConfig {
@@ -67,5 +72,60 @@ fn prewarm_and_thread_count_do_not_change_virtual_outcomes() {
         std::env::remove_var("AMADA_THREADS");
         assert_eq!(one_thread, baseline, "{strategy:?}: 1 host thread");
         assert_eq!(seven_threads, baseline, "{strategy:?}: 7 host threads");
+    }
+}
+
+/// The process-wide memo keys a write set by its store's profile as well:
+/// LUI and 2LUPI builds of one corpus, interleaved across DynamoDB,
+/// SimpleDB and DynamoDB with string values forced, each store what the
+/// same build stores on a cache of its own, and what the encoder makes of a
+/// fresh extraction.
+#[test]
+fn the_process_wide_memo_keeps_store_profiles_apart() {
+    let docs = corpus();
+    let opts = ExtractOptions::default();
+    let strings = KvTuning {
+        force_string_values: true,
+        ..KvTuning::NONE
+    };
+    let stores = [
+        (KvBackend::default(), KvTuning::NONE),
+        (KvBackend::Simple(SimpleDbConfig::default()), KvTuning::NONE),
+        (KvBackend::default(), strings),
+    ];
+    for strategy in [Strategy::Lui, Strategy::TwoLupi, Strategy::Lui] {
+        for (backend, tuning) in &stores {
+            let mut cfg = WarehouseConfig::with_strategy(strategy);
+            (cfg.backend, cfg.kv_tuning) = (backend.clone(), *tuning);
+            let mut w = Warehouse::new(cfg);
+            w.upload_documents(corpus());
+            w.build_index();
+            let built = w.world().kv.peek_all();
+            let profile = w.world().kv.profile();
+            let what = format!("{strategy} on {} ({tuning:?})", profile.name);
+
+            let own = ExtractCache::default();
+            let mut kv = backend.clone().open(*tuning);
+            let mut t = SimTime::ZERO;
+            let mut encoded: Vec<(String, KvItem)> = Vec::new();
+            for (uri, xml) in &docs {
+                let set = (own.write_set(uri, xml.as_bytes(), strategy, opts, &profile))
+                    .expect("generated documents parse");
+                t = (write_entries(kv.as_mut(), t, Placement::root(strategy), &set))
+                    .expect("generated documents fit the store")
+                    .1;
+                let doc = Document::parse_str(uri, xml).expect("generated documents parse");
+                let mut uuids = UuidGen::for_document(uri);
+                for e in extract(&doc, strategy, opts) {
+                    let items = encode_entry(&e, &profile, &mut uuids);
+                    encoded.extend(items.into_iter().map(|i| (e.table.to_string(), i)));
+                }
+            }
+            assert_eq!(built, kv.peek_all(), "{what}: as on a cache of its own");
+            encoded.sort_by(|(ta, a), (tb, b)| {
+                (ta, &a.hash_key, a.range_key()).cmp(&(tb, &b.hash_key, b.range_key()))
+            });
+            assert_eq!(built, encoded, "{what}: as encoded from a fresh extraction");
+        }
     }
 }

@@ -9,7 +9,7 @@ use amada::cloud::{DynamoDb, KvItem, KvProfile, KvStore, SimpleDb};
 use amada::index::store::encode_entry;
 use amada::index::{
     extract, placed_item_keys, plan_document, ExtractOptions, Held, IndexEntry, Placement,
-    Strategy, UuidGen,
+    Strategy, UuidGen, WriteSet,
 };
 use amada::xmark::{generate_corpus, CorpusConfig};
 use amada::xml::Document;
@@ -57,7 +57,8 @@ fn no_two_items_of_a_build_share_a_primary_key() {
             let mut seen: HashSet<(&'static str, String, String)> = HashSet::new();
             let mut chunked = 0usize;
             for (doc, entries) in docs.iter().zip(&per_doc) {
-                let plan = plan_document(entries, root, &profile, doc.uri(), None)
+                let set = WriteSet::encode(entries, &profile, doc.uri());
+                let plan = plan_document(&set, root, &profile, None)
                     .expect("the corpus fits the store's limits");
                 chunked += (plan.items() as usize).saturating_sub(entries.len());
                 for (table, batch) in &plan.puts {
@@ -161,11 +162,12 @@ fn a_replace_deletes_exactly_the_triples_the_new_version_lacks() {
                 for profile in profiles() {
                     let what = format!("seed {seed} case {index} {uri} on {}", profile.name);
                     let root = Some(Placement::root(strategy));
-                    let recorded = placed_item_keys(&old, root, &profile, uri);
+                    let recorded = placed_item_keys(&WriteSet::encode(&old, &profile, uri), root);
                     let mut held = Held::default();
                     held.items
                         .extend(recorded.into_iter().map(|(k, v)| (k, Some(v))));
-                    let plan = plan_document(&new, root, &profile, uri, Some(&mut held))
+                    let new_set = WriteSet::encode(&new, &profile, uri);
+                    let plan = plan_document(&new_set, root, &profile, Some(&mut held))
                         .expect("generated documents fit the store's limits");
                     let (before, after) = (
                         items_by_key(&old, &profile, uri),
