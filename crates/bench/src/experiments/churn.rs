@@ -16,16 +16,15 @@
 //! *net* benefit per run (query savings − maintenance). The tests pin the
 //! crossover: every strategy's net is positive on the static corpus and
 //! negative at full churn, so somewhere in between the index stops paying
-//! — and the advisor ([`amada_core::advise_adaptive`]), fed the same churn
-//! rate, flips its recommendation to the "index nothing" layout.
+//! — and the advisor ([`amada_core::advise`]), fed the same churn rate,
+//! flips its recommendation to the "index nothing" layout.
 
 pub use super::pushdown::STRATEGIES;
 use crate::{corpus, strategy_warehouse, Outcome, Scale, TextTable};
 use amada_cloud::{InstanceType, Money};
-use amada_core::{advise_adaptive, Churn, FamilyLoad, Horizon, Pool, WarehouseConfig};
+use amada_core::{advise, Churn, FamilyLoad, Horizon, Pool, WarehouseConfig};
 use amada_index::Strategy;
 use amada_xmark::generate_document;
-use std::collections::BTreeMap;
 
 /// Churn rates swept: percent of the corpus replaced per workload run.
 pub const RATES: [u64; 6] = [0, 5, 10, 25, 50, 100];
@@ -83,7 +82,7 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, [u64; 2]) {
         fleet.push((strategy, w, baseline.signed_diff(indexed)));
     }
 
-    // The advisor prices the same trade on a small one-partition sample.
+    // The advisor prices the same trade on a small sample.
     let sample: Vec<(String, String)> = docs.iter().take(docs.len().min(30)).cloned().collect();
     let families: Vec<FamilyLoad> = queries
         .iter()
@@ -145,21 +144,13 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, [u64; 2]) {
             .map(|((uri, old), next)| (uri.as_str(), old.as_str(), next.as_str()));
         let churn =
             Churn::measured(churned, versions, &base).expect("the generated sample is well-formed");
-        let advice = advise_adaptive(
-            &sample,
-            &families,
-            &BTreeMap::from([(String::new(), churn)]),
-            &Horizon {
-                expected_runs: ADVISOR_RUNS,
-                months: 1.0,
-                budget_per_month: None,
-                response_slo: None,
-            },
-            &base,
-        )
-        .expect("the generated sample is well-formed and within the store's limits");
-        let winner = advice.chosen.plan.strategy_of("");
-        let advisor = winner.map_or("none", Strategy::name);
+        let horizon = Horizon {
+            expected_runs: ADVISOR_RUNS,
+            months: 1.0,
+        };
+        let ranked = advise(&sample, &families, &churn, &horizon, &base)
+            .expect("the generated sample is well-formed and within the store's limits");
+        let advisor = ranked[0].strategy.map_or("none", Strategy::name);
         rows.push(ChurnRow {
             rate_pct,
             replaced,

@@ -1,7 +1,6 @@
 //! One module per evaluation artifact (table / figure) of the paper.
 
 pub mod ablation;
-pub mod advise;
 pub mod amortize;
 pub mod churn;
 pub mod comparison;

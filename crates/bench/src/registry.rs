@@ -180,12 +180,6 @@ pub const ARTIFACTS: &[Artifact] = &[
         in_all: false,
         run: Run::Alone(shard::shard),
     },
-    Artifact {
-        name: "advise",
-        title: "Advise - adaptive attribution-driven plan vs. static layouts under a budget (beyond the paper)",
-        in_all: false,
-        run: Run::Alone(advise::advise),
-    },
 ];
 
 /// Resolves command-line names to an ordered set of artifacts: first

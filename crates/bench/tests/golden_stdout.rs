@@ -77,11 +77,6 @@ fn pushdown_is_byte_identical() {
     assert_matches_golden("pushdown");
 }
 
-#[test]
-fn advise_is_byte_identical() {
-    assert_matches_golden("advise");
-}
-
 /// The one artifact whose numbers depend on the order of jitter draws, at
 /// the default fault seed (the harness removes `AMADA_FAULT_SEED`).
 #[test]

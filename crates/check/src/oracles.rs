@@ -890,7 +890,7 @@ fn oracle_sharding(
 /// 2. the answers evaluated over those candidates equal the no-index
 ///    scan of the re-homed corpus.
 ///
-/// This is the correctness contract behind the adaptive advisor's plan
+/// This is the correctness contract behind `Warehouse::apply_plan`'s
 /// migrations: splitting a corpus across per-partition strategies must
 /// never change what a query answers.
 fn oracle_mixed(case: &Case, query: &Query, opts: ExtractOptions) -> Result<(), Violation> {

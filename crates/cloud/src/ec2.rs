@@ -205,8 +205,11 @@ mod tests {
                 .map(|r| ec2.record_cost(r, &prices))
                 .sum();
             assert_eq!(running, summed, "{launches} launches");
-            // Another provider's rates: priced from the records again.
-            let other = PriceTable::google_cloud_2012();
+            // Other rates — the paper's at three halves: priced from the
+            // records again.
+            let mut other = PriceTable::default();
+            other.vm_hour_large = other.vm_hour_large.scaled(3, 2);
+            other.vm_hour_xlarge = other.vm_hour_xlarge.scaled(3, 2);
             let summed: Money = ec2
                 .records()
                 .iter()

@@ -1,11 +1,9 @@
 //! Cloud price tables (paper Section 7.2, Table 3).
 //!
-//! The default table is the paper's: AWS Asia Pacific (Singapore) as of
-//! September–October 2012. Per the paper's Table 1 portability claim, the
-//! same architecture maps onto Google Cloud and Windows Azure; alternative
-//! tables with those providers' contemporary price points are provided so
-//! the cost model can be re-evaluated under a different provider without
-//! touching any other code.
+//! The one table is the paper's: AWS Asia Pacific (Singapore) as of
+//! September–October 2012. Prices are billing-only — a warehouse given
+//! other rates bills differently and runs the same virtual timeline — so
+//! re-pricing under another provider is a table with other constants.
 
 use crate::money::Money;
 
@@ -44,8 +42,6 @@ impl InstanceType {
 /// A provider price table — the constants of Section 7.2.
 #[derive(Debug, Clone)]
 pub struct PriceTable {
-    /// Provider label for reports.
-    pub provider: &'static str,
     /// `ST$_{m,GB}` — file store, per GB-month.
     pub st_month_gb: Money,
     /// `STput$` — file store, per put request.
@@ -77,7 +73,6 @@ impl PriceTable {
     /// The paper's Table 3: AWS Singapore, October 2012.
     pub fn aws_singapore_2012() -> PriceTable {
         PriceTable {
-            provider: "AWS (Singapore, Oct 2012)",
             st_month_gb: Money::from_dollars(0.125),
             st_put: Money::from_dollars(0.000011),
             st_get: Money::from_dollars(0.0000011),
@@ -89,45 +84,6 @@ impl PriceTable {
             qs_request: Money::from_dollars(0.000001),
             egress_gb: Money::from_dollars(0.19),
             st_scan_gb: Money::from_dollars(0.002),
-        }
-    }
-
-    /// Google Cloud equivalents (Cloud Storage, High Replication
-    /// Datastore, Compute Engine, Task Queues) with era-appropriate list
-    /// prices — for the Table 1 portability experiment.
-    pub fn google_cloud_2012() -> PriceTable {
-        PriceTable {
-            provider: "Google Cloud (2012)",
-            st_month_gb: Money::from_dollars(0.12),
-            st_put: Money::from_dollars(0.00001),
-            st_get: Money::from_dollars(0.000001),
-            idx_month_gb: Money::from_dollars(0.24),
-            idx_put: Money::from_dollars(0.0000002),
-            idx_get: Money::from_dollars(0.00000007),
-            vm_hour_large: Money::from_dollars(0.29),
-            vm_hour_xlarge: Money::from_dollars(0.58),
-            qs_request: Money::from_dollars(0.000001),
-            egress_gb: Money::from_dollars(0.18),
-            st_scan_gb: Money::from_dollars(0.0018),
-        }
-    }
-
-    /// Windows Azure equivalents (BLOB Storage, Tables, Virtual Machines,
-    /// Queues) — for the Table 1 portability experiment.
-    pub fn windows_azure_2012() -> PriceTable {
-        PriceTable {
-            provider: "Windows Azure (2012)",
-            st_month_gb: Money::from_dollars(0.125),
-            st_put: Money::from_dollars(0.0000001),
-            st_get: Money::from_dollars(0.0000001),
-            idx_month_gb: Money::from_dollars(0.14),
-            idx_put: Money::from_dollars(0.0000001),
-            idx_get: Money::from_dollars(0.0000001),
-            vm_hour_large: Money::from_dollars(0.32),
-            vm_hour_xlarge: Money::from_dollars(0.64),
-            qs_request: Money::from_dollars(0.0000001),
-            egress_gb: Money::from_dollars(0.12),
-            st_scan_gb: Money::from_dollars(0.0016),
         }
     }
 
@@ -156,22 +112,10 @@ mod tests {
         assert_eq!(p.st_month_gb.dollars(), 0.125);
         assert_eq!(p.idx_get.pico(), 32_000);
         assert_eq!(p.vm_hour(InstanceType::ExtraLarge).dollars(), 0.68);
-        // The S3-Select analog: $0.002 per GB scanned.
+        // The S3-Select analog: $0.002 per GB scanned — less than
+        // egressing the GB, or pushdown could never pay off.
         assert_eq!(p.st_scan_gb.pico(), 2_000_000_000);
-    }
-
-    #[test]
-    fn every_provider_prices_scans() {
-        for p in [
-            PriceTable::aws_singapore_2012(),
-            PriceTable::google_cloud_2012(),
-            PriceTable::windows_azure_2012(),
-        ] {
-            assert!(p.st_scan_gb > Money::ZERO, "{}", p.provider);
-            // Scanning a GB must cost less than egressing it — otherwise
-            // pushdown could never pay off.
-            assert!(p.st_scan_gb < p.egress_gb, "{}", p.provider);
-        }
+        assert!(p.st_scan_gb < p.egress_gb);
     }
 
     #[test]

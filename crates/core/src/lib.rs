@@ -20,8 +20,8 @@ pub mod warehouse;
 
 pub use actors::RetractionRegistry;
 pub use adaptive::{
-    advise_adaptive, estimate_plan, observed_families, AdaptiveAdvice, AdviseError, Churn,
-    FamilyLoad, Horizon, PlanEstimate, ESTIMATE_TOLERANCE,
+    advise, estimate_plan, AdviseError, Churn, FamilyLoad, Horizon, PlanEstimate,
+    ESTIMATE_TOLERANCE,
 };
 pub use amortization::{Amortization, AmortizationPoint};
 pub use arrival::{ArrivalProcess, ArrivalSender};
@@ -32,4 +32,4 @@ pub use config::{
 pub use cost::CostModel;
 pub use metrics::{CostedQuery, IndexBuildReport, QueryExecution, QueryPhases, WorkloadReport};
 pub use retry::{Lease, RetryPolicy};
-pub use warehouse::{DeleteReport, Readvice, UploadReport, Warehouse};
+pub use warehouse::{DeleteReport, UploadReport, Warehouse};

@@ -41,11 +41,6 @@ pub struct Warehouse {
     /// The routing plan in force, shared with the module cores: the flat
     /// plan of `cfg.strategy` until [`Warehouse::apply_plan`] changes it.
     plan: Rc<MixedPlan>,
-    /// Recorded-span index of the last [`Warehouse::readvise`]: each
-    /// cadence step advises from the traffic observed *since the
-    /// previous one* (the observation window), so a drifting workload
-    /// re-plans from what changed, not a stale average.
-    advise_span_base: usize,
     /// Read-path state kept from one query to the next and dropped by
     /// [`Warehouse::corpus_changed`]: the partition catalog…
     catalog: OnceCell<Rc<BTreeSet<String>>>,
@@ -54,17 +49,6 @@ pub struct Warehouse {
     /// whatever the cache no longer holds, so a neighbour evicting an
     /// entry costs host time, never an answer.
     parses_warm: bool,
-}
-
-/// Outcome of one [`Warehouse::readvise`] cadence step.
-#[derive(Debug, Clone)]
-pub struct Readvice {
-    /// The adaptive advisor's full output (chosen plan, ranked
-    /// comparison table, budget verdict).
-    pub advice: crate::adaptive::AdaptiveAdvice,
-    /// Documents re-enqueued to migrate to the chosen plan (0 when the
-    /// recommendation confirms the current placement).
-    pub migrated: u64,
 }
 
 /// A workload's `(send at, query name, message body)` arrival schedule.
@@ -164,7 +148,6 @@ impl Warehouse {
                 instance: 0,
             },
             retractions: Rc::default(),
-            advise_span_base: 0,
             catalog: OnceCell::new(),
             parses_warm: false,
         }
@@ -466,55 +449,6 @@ impl Warehouse {
     /// (custom actors must share it to route like the pool).
     pub fn routing_plan(&self) -> Rc<MixedPlan> {
         self.plan.clone()
-    }
-
-    /// Front end, adaptive switching: re-advises from **live
-    /// attribution** and migrates to the recommendation incrementally —
-    /// the cadence step of the adaptive advisor (call it periodically;
-    /// each call is host-side analysis plus only the migration's own
-    /// billed writes).
-    ///
-    /// The observed workload comes from the warehouse's recorded spans
-    /// ([`amada_obs::Attribution::query_families`] collapses open-loop
-    /// arrival names onto their base query), so `cfg.host.record` must be
-    /// on for traffic to register — with recording off the advisor sees a
-    /// scan-only future and honestly recommends not indexing. Each call
-    /// reads only the spans recorded *since the previous call* (the
-    /// observation window), so `horizon.expected_runs` means "windows
-    /// like the one just observed" and a drifting workload re-plans from
-    /// what changed. The sample is the live corpus itself (host-side
-    /// peek, free). The chosen plan is applied via
-    /// [`Warehouse::apply_plan`]: only documents whose placement changes
-    /// are re-enqueued, so a re-advise that confirms the current plan
-    /// migrates nothing and costs nothing. A stored document the advisor
-    /// cannot price fails the call with the typed error; the plan in
-    /// force and the observation window are left as they were.
-    pub fn readvise(
-        &mut self,
-        catalog: &[Query],
-        churn: &std::collections::BTreeMap<String, crate::adaptive::Churn>,
-        horizon: &crate::adaptive::Horizon,
-    ) -> Result<Readvice, crate::adaptive::AdviseError> {
-        let spans = self.spans();
-        let base = self.advise_span_base.min(spans.len());
-        let attr = amada_obs::Attribution::attribute(&spans[base..]);
-        let families = crate::adaptive::observed_families(&attr, catalog);
-        let sample = self
-            .engine
-            .world
-            .s3
-            .peek_all(DOC_BUCKET)
-            .into_iter()
-            .map(|(uri, bytes)| match String::from_utf8(bytes.to_vec()) {
-                Ok(xml) => Ok((uri, xml)),
-                Err(_) => Err(crate::adaptive::AdviseError::NotUtf8(uri)),
-            })
-            .collect::<Result<Vec<(String, String)>, _>>()?;
-        let advice =
-            crate::adaptive::advise_adaptive(&sample, &families, churn, horizon, &self.cfg)?;
-        self.advise_span_base = spans.len();
-        let migrated = self.apply_plan(advice.chosen.plan.clone());
-        Ok(Readvice { advice, migrated })
     }
 
     /// Parses and extracts every stored document across all host cores,
@@ -1254,7 +1188,7 @@ mod tests {
     }
 
     /// A plan change ordered while documents are already queued for
-    /// rebuild (churn upload and re-advise in the same maintenance
+    /// rebuild (churn upload and a plan switch in the same maintenance
     /// window) piggybacks on the pending loader messages: the loader
     /// reads the new plan at processing time, so nothing is enqueued or
     /// rebuilt twice. Cheaper than migrating eagerly before the churn —
@@ -1339,115 +1273,6 @@ mod tests {
             flat.apply_plan(amada_index::MixedPlan::uniform(Some(Strategy::Lup))),
             0
         );
-    }
-
-    /// The adaptive cadence: a recording warehouse serves live traffic,
-    /// re-advises from its own attribution, migrates to the chosen plan
-    /// incrementally — and a second re-advise under the same traffic
-    /// confirms the plan (migrates nothing), so the cadence is cheap at
-    /// steady state.
-    #[test]
-    fn readvising_from_live_attribution_converges() {
-        let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-        cfg.host.record = true;
-        let mut w = Warehouse::new(cfg);
-        w.upload_documents(partitioned_corpus());
-        w.build_index();
-        // Live traffic: the selective query, repeatedly.
-        let catalog = vec![workload_query("q1").unwrap(), workload_query("q6").unwrap()];
-        for _ in 0..4 {
-            w.run_query(&catalog[0]);
-        }
-        w.run_query(&catalog[1]);
-        let churn = std::collections::BTreeMap::new();
-        let horizon = crate::adaptive::Horizon {
-            expected_runs: 200,
-            months: 1.0,
-            budget_per_month: None,
-            response_slo: None,
-        };
-        let first = w.readvise(&catalog, &churn, &horizon).unwrap();
-        // The observed families reflect the traffic actually served.
-        assert!(first.advice.budget_met);
-        assert!(!first.advice.ranked.is_empty());
-        assert_eq!(
-            *w.routing_plan(),
-            first.advice.chosen.plan,
-            "the chosen plan is in force"
-        );
-        // Apply the migration, then serve the same traffic profile in
-        // the next observation window.
-        if first.migrated > 0 {
-            w.build_index();
-        }
-        for _ in 0..4 {
-            w.run_query(&catalog[0]);
-        }
-        w.run_query(&catalog[1]);
-        // Steady state: an unchanged traffic window re-advises to the
-        // same plan and migrates nothing.
-        let second = w.readvise(&catalog, &churn, &horizon).unwrap();
-        assert_eq!(second.advice.chosen.label, first.advice.chosen.label);
-        assert_eq!(second.migrated, 0, "confirming the plan is free");
-        // Answers survived the migration.
-        let q = &catalog[0];
-        let mut with = w.run_query(q).exec.results;
-        let mut without = w.run_query_no_index(q).exec.results;
-        with.sort_by(|x, y| x.columns.cmp(&y.columns));
-        without.sort_by(|x, y| x.columns.cmp(&y.columns));
-        assert_eq!(with, without, "answers unchanged after migration");
-    }
-
-    /// A stored object the advisor cannot price — truncated XML, bytes
-    /// that are not UTF-8, an element name over the index store's key
-    /// limit — fails the re-advise with a typed error naming the object;
-    /// the plan in force and the observation window stay as they were,
-    /// so the same call succeeds once the object is gone.
-    #[test]
-    fn readvise_reports_a_poison_object_instead_of_panicking() {
-        use crate::adaptive::AdviseError;
-        let long_name = "n".repeat(3 * 1024);
-        let poisons: [(&str, Vec<u8>); 3] = [
-            ("hot/truncated.xml", b"<open><unclosed>".to_vec()),
-            ("hot/binary.xml", vec![b'<', b'a', 0xff, 0xfe, b'>']),
-            (
-                "hot/longname.xml",
-                format!("<{long_name}>x</{long_name}>").into_bytes(),
-            ),
-        ];
-        let catalog = vec![workload_query("q1").unwrap()];
-        let churn = std::collections::BTreeMap::new();
-        let horizon = crate::adaptive::Horizon {
-            expected_runs: 200,
-            months: 1.0,
-            budget_per_month: None,
-            response_slo: None,
-        };
-        for (uri, bytes) in poisons {
-            let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-            cfg.host.record = true;
-            let mut w = Warehouse::new(cfg);
-            w.upload_documents(partitioned_corpus());
-            w.build_index();
-            w.run_query(&catalog[0]);
-            let t = w.engine.now();
-            w.engine.world.s3.put(t, DOC_BUCKET, uri, bytes).unwrap();
-            let err = w.readvise(&catalog, &churn, &horizon).unwrap_err();
-            assert!(err.to_string().contains(uri), "{err}");
-            match (uri, &err) {
-                ("hot/truncated.xml", AdviseError::Parse(..))
-                | ("hot/binary.xml", AdviseError::NotUtf8(_))
-                | ("hot/longname.xml", AdviseError::Store(..)) => {}
-                _ => panic!("{uri}: unexpected {err:?}"),
-            }
-            let configured = amada_index::MixedPlan::flat(Some(Strategy::Lup));
-            assert_eq!(*w.routing_plan(), configured, "{uri}: no plan was applied");
-            // The window was not consumed: with the object gone the same
-            // call sees the query that ran before the failure.
-            w.engine.world.s3.delete(t, DOC_BUCKET, uri).unwrap();
-            let advice = w.readvise(&catalog, &churn, &horizon).unwrap().advice;
-            assert!(advice.chosen.run_cost > Money::ZERO, "{uri}");
-        }
     }
 
     #[test]

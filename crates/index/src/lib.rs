@@ -44,8 +44,7 @@ pub use loadutil::{
 pub use lookup::{lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup};
 pub use parallel::{prewarm, prewarm_for, PrewarmReport};
 pub use partition::{
-    index_documents, index_documents_mixed, lookup_mixed, merge_fan_out, partition_of, MixedPlan,
-    Placement,
+    index_documents, index_documents_mixed, lookup_mixed, partition_of, MixedPlan, Placement,
 };
 pub use pushdown::{decode_tuples, encode_tuples, ScanPredicate};
 pub use shard::{hottest_keys, key_frequencies, skew_aware_plan};

@@ -1,5 +1,5 @@
-//! Per-partition strategy routing — the physical layer under the
-//! adaptive advisor (ROADMAP item 1).
+//! Per-partition strategy routing — the physical layer under an
+//! operator-chosen mixed plan.
 //!
 //! The paper picks *one* of LU/LUP/LUI/2LUPI for the whole corpus.
 //! Production workloads are heterogeneous: a hot, selectively-queried
@@ -267,7 +267,7 @@ pub fn index_documents(
 /// `scanned` partitions' documents — candidates for every pattern, the
 /// no-index scan scoped to those partitions — and every answer's, sorted.
 /// The first answer that failed fails the fan-out.
-pub fn merge_fan_out<E>(
+fn merge_fan_out<E>(
     start: SimTime,
     scanned: &[Arc<str>],
     answers: impl IntoIterator<Item = Result<LookupOutcome, E>>,

@@ -10,30 +10,6 @@
 use amada_cloud::{Money, Phase, ServiceKind, Span};
 use std::collections::BTreeMap;
 
-/// The family of a query name: open-loop traffic tags each arrival
-/// `{query}#{seq}` (`q1#17`), so summing per *name* fragments one logical
-/// query over its arrivals. This strips a trailing all-digit `#seq`
-/// suffix; names without one (closed-loop runs) are their own family.
-pub fn query_family(name: &str) -> &str {
-    match name.rsplit_once('#') {
-        Some((base, seq))
-            if !base.is_empty() && !seq.is_empty() && seq.bytes().all(|b| b.is_ascii_digit()) =>
-        {
-            base
-        }
-        _ => name,
-    }
-}
-
-/// One query family's load and spend, rolled up over its arrivals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FamilyCost {
-    /// Distinct arrivals attributed to the family (one per tagged name).
-    pub arrivals: u64,
-    /// Total billed across those arrivals.
-    pub billed: Money,
-}
-
 /// Billed money decomposed along the span context tags.
 #[derive(Debug, Clone, Default)]
 pub struct Attribution {
@@ -89,21 +65,6 @@ impl Attribution {
     /// phase). Used by reconciliation tests and debug assertions.
     pub fn phases_sum_to_total(&self) -> bool {
         self.by_phase.values().copied().sum::<Money>() == self.total
-    }
-
-    /// Rolls the per-query decomposition up into query *families*:
-    /// open-loop arrival names `{query}#{seq}` collapse onto their base
-    /// query ([`query_family`]), yielding each family's arrival count and
-    /// total spend — the workload profile the adaptive advisor consumes
-    /// (how often does each query really run, and what does it cost?).
-    pub fn query_families(&self) -> BTreeMap<String, FamilyCost> {
-        let mut out: BTreeMap<String, FamilyCost> = BTreeMap::new();
-        for (name, &billed) in &self.by_query {
-            let f = out.entry(query_family(name).to_string()).or_default();
-            f.arrivals += 1;
-            f.billed += billed;
-        }
-        out
     }
 
     /// Renders the per-phase × per-service table as fixed-width text.
@@ -201,27 +162,6 @@ mod tests {
         ];
         let a = Attribution::attribute(&spans);
         assert_eq!(a.by_doc["doc-3.xml"], Money::from_pico(18));
-    }
-
-    #[test]
-    fn open_loop_arrivals_collapse_into_query_families() {
-        assert_eq!(query_family("q1#17"), "q1");
-        assert_eq!(query_family("q1"), "q1");
-        assert_eq!(query_family("q1#"), "q1#", "empty seq is not a family tag");
-        assert_eq!(query_family("q#1#2"), "q#1", "only the last suffix strips");
-        assert_eq!(query_family("#3"), "#3", "empty base is not a family tag");
-        let spans = vec![
-            span(Phase::Query, ServiceKind::Kv, Some("q1#0"), 5),
-            span(Phase::Query, ServiceKind::Kv, Some("q1#1"), 7),
-            span(Phase::Query, ServiceKind::Sqs, Some("q1#1"), 2),
-            span(Phase::Query, ServiceKind::Kv, Some("q6"), 11),
-        ];
-        let fam = Attribution::attribute(&spans).query_families();
-        assert_eq!(fam.len(), 2);
-        assert_eq!(fam["q1"].arrivals, 2, "two tagged arrivals, not 3 spans");
-        assert_eq!(fam["q1"].billed, Money::from_pico(14));
-        assert_eq!(fam["q6"].arrivals, 1);
-        assert_eq!(fam["q6"].billed, Money::from_pico(11));
     }
 
     #[test]

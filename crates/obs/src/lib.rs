@@ -27,7 +27,7 @@ pub mod series;
 pub mod summary;
 pub mod trace;
 
-pub use attrib::{query_family, Attribution, FamilyCost};
+pub use attrib::Attribution;
 pub use json::validate_json;
 pub use latency::{query_latencies, LatencySummary};
 pub use series::{Bucket, ServiceSeries};

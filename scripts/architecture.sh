@@ -40,11 +40,16 @@ shared_uris_on_the_read_path() {
     test "$(grep -E '^crates/core/src/actors\.rs:' <<<"$src" | grep -c 'Vec<Vec<String>>')" -eq 0
 }
 
-# One estimator prices every layout from per-partition micro-executions.
-# The deployment-simulating advisor's names, a second advisor module, or an
-# advisor that stands up a warehouse per candidate is the fork coming back.
+# One advisor, `advise`, ranks the paper's five flat layouts from
+# micro-executions over the whole sample. The deployment-simulating
+# advisor's names, the per-partition plan search, its budget and SLO knobs,
+# the live re-advise and the attribution roll-up that fed it, a second
+# advisor module, or an advisor that stands up a warehouse per layout is
+# the fork coming back.
 one_advisor() {
     test "$(grep -cE 'advise_churn|StrategyEstimate' <<<"$src")" -eq 0
+    test "$(grep -cE 'advise_adaptive|readvise|observed_families|AdaptiveAdvice|query_families|budget_per_month|response_slo' <<<"$src")" -eq 0
+    test "$(grep -cE 'pub fn \w*(advise|recommend)' <<<"$src")" -eq 1
     test "$(grep -cE '^crates/core/src/lib\.rs:[0-9]+:(pub )?mod (adv|adaptive)' <<<"$src")" -eq 1
     test "$(grep -E '^crates/core/src/adaptive\.rs:[0-9]+:' <<<"$src" | grep -vE ':[0-9]+:[[:space:]]*//' | grep -c 'Warehouse::new')" -eq 0
 }
@@ -99,17 +104,17 @@ one_measurement_path() {
 # answer — `MixedPlan::placement` — and `Placement::table` alone names a
 # partition's table. The plan is warehouse state (`apply_plan`), not a
 # configuration field, and the per-pattern fan-out merge is
-# `merge_fan_out`. Entries re-routed per entry, a table set handed to the
-# look-up, a plan resolved from the configuration, the loader or the front
-# end pairing `partition_of` with `strategy_of` by hand, or the advisor
-# merging a fan-out itself is a copy coming back.
+# `merge_fan_out`, private to `lookup_mixed`. Entries re-routed per entry,
+# a table set handed to the look-up, a plan resolved from the
+# configuration, the loader or the front end pairing `partition_of` with
+# `strategy_of` by hand, or a second fan-out merge is a copy coming back.
 one_placement() {
     test "$(grep -cE 'routed_entries|StrategyTables|partition_lookup_tables|fn partition_tables|resolve_plan|mixed_plan|pub fn lookup_pattern\(' <<<"$src")" -eq 0
     test "$(grep -F 'partition_table(' <<<"$src" | grep -cvE '^crates/index/src/partition\.rs:')" -eq 0
     test "$(grep -cE 'strategy_of\([^)]*partition_of\(' <<<"$src")" -eq 0
     test "$(grep -E '^crates/core/src/(actors|warehouse)\.rs:' <<<"$src" | grep -cF 'strategy_of(')" -eq 0
     test "$(grep -cF 'fn merge_fan_out' <<<"$src")" -eq 1
-    test "$(grep -E '^crates/core/src/adaptive\.rs:' <<<"$src" | grep -cE 'merge_fan_out\(')" -eq 1
+    test "$(grep -E 'merge_fan_out\(' <<<"$src" | grep -vF 'fn merge_fan_out' | grep -cvE '^crates/index/src/partition\.rs:')" -eq 0
     test "$(grep -E '^crates/core/src/adaptive\.rs:' <<<"$src" | grep -c 'slowest')" -eq 0
 }
 
@@ -247,6 +252,16 @@ one_write_set() {
     test "$(grep -E '^crates/core/' <<<"$src" | grep -cE '\.extracted\(|(parallel|amada_index)::prewarm\(')" -eq 0
 }
 
+# The paper's Table 3 is the one price table: prices are billing-only, so
+# re-pricing is a table with other constants, not a provider catalog. The
+# unmeasured Google Cloud and Windows Azure tables, or a provider label to
+# tell tables apart, are the catalog coming back.
+one_price_table() {
+    test "$(grep -cF 'pub fn aws_singapore_2012' <<<"$src")" -eq 1
+    test "$(grep -rlE 'google_cloud_2012|windows_azure_2012|prices\.provider' crates examples src tests | wc -l)" -eq 0
+    test "$(sed -n '/^pub struct PriceTable/,/^}/p' crates/cloud/src/pricing.rs | grep -c 'provider')" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -264,6 +279,7 @@ rules=(
     read_in_place
     query_invariants_once
     one_write_set
+    one_price_table
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do
