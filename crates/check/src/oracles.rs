@@ -20,10 +20,9 @@ use amada_index::store::{
     decode_id_lists, decode_id_postings, decode_path_lists, decode_presence_uris, encode_entry,
 };
 use amada_index::{
-    decode_tuples, extract, index_documents, index_documents_mixed, key_frequencies, lookup_mixed,
-    lookup_pattern_in, lookup_query, placed_item_keys, skew_aware_plan, ExtractOptions, IndexEntry,
-    MixedPlan, Payload, Placement, ScanPredicate, Strategy, UuidGen, WriteSet, TABLE_ID,
-    TABLE_MAIN, TABLE_PATH,
+    decode_tuples, extract, index_documents, key_frequencies, lookup_pattern_in, lookup_query,
+    placed_item_keys, skew_aware_plan, ExtractOptions, IndexEntry, Payload, ScanPredicate,
+    Strategy, UuidGen, WriteSet, TABLE_ID, TABLE_MAIN, TABLE_PATH,
 };
 use amada_pattern::twig::evaluate_pattern_twig;
 use amada_pattern::{
@@ -92,7 +91,6 @@ pub fn check_case(case: &Case, mutation: Mutation, billing: bool) -> Result<(), 
 
     oracle_round_trip(&docs, opts)?;
     oracle_sharding(&docs, &query, opts)?;
-    oracle_mixed(case, &query, opts)?;
 
     if !case.churn.is_empty() {
         oracle_churn(case, &query, mutation)?;
@@ -309,8 +307,7 @@ fn oracle_lookup_reference(
         index_documents(store.as_mut(), docs, strategy, opts);
         for (pi, pattern) in query.patterns.iter().enumerate() {
             plant(store.as_mut(), strategy, docs, pattern, opts).map_err(fail)?;
-            let at = Placement::root(strategy);
-            let got = lookup_pattern_in(store.as_mut(), SimTime::ZERO, at, opts, pattern);
+            let got = lookup_pattern_in(store.as_mut(), SimTime::ZERO, strategy, opts, pattern);
             let got = got
                 .map(|o| (o.uris, o.entries_processed, o.get_ops))
                 .map_err(fail)?;
@@ -617,7 +614,6 @@ fn oracle_churn(case: &Case, query: &Query, mutation: Mutation) -> Result<(), Vi
         }
         if mutation == Mutation::VouchForKeptKeys {
             let (registry, profile) = (w.retraction_registry(), w.world().kv.profile());
-            let root = Some(Placement::root(strategy));
             for (uri, bytes) in w.world().s3.peek_all(DOC_BUCKET) {
                 let mut registry = registry.borrow_mut();
                 let Some(held) = registry.get_mut(&uri) else {
@@ -626,7 +622,7 @@ fn oracle_churn(case: &Case, query: &Query, mutation: Mutation) -> Result<(), Vi
                 let doc = Document::parse(&*uri, &bytes).expect("uploaded documents parse");
                 let entries = extract(&doc, strategy, w.config().extract);
                 let set = WriteSet::encode(&entries, &profile, &uri);
-                for (key, value) in placed_item_keys(&set, root) {
+                for (key, value) in placed_item_keys(&set) {
                     held.items.entry(key).and_modify(|held| *held = Some(value));
                 }
             }
@@ -870,160 +866,6 @@ fn oracle_sharding(
                 b.get_ops()
             ),
         ));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Oracle M — a mixed plan ≡ its per-partition single-strategy parts
-// ---------------------------------------------------------------------------
-
-/// Re-homes the case's documents into three partitions (`hot/`, `cold/`
-/// and the root), routes them with a plan that exercises all three plan
-/// behaviors — an explicit heavy index (`hot` → 2LUPI), an explicit scan
-/// (`cold` → index nothing) and the default (root → LUP) — and demands,
-/// on both backends:
-///
-/// 1. the mixed look-up's per-pattern candidates equal the *union* of
-///    each partition's own single-strategy look-up (scan partitions
-///    contributing every document), and
-/// 2. the answers evaluated over those candidates equal the no-index
-///    scan of the re-homed corpus.
-///
-/// This is the correctness contract behind `Warehouse::apply_plan`'s
-/// migrations: splitting a corpus across per-partition strategies must
-/// never change what a query answers.
-fn oracle_mixed(case: &Case, query: &Query, opts: ExtractOptions) -> Result<(), Violation> {
-    const PARTS: [&str; 3] = ["hot", "cold", ""];
-    let rehomed: Vec<Document> = case
-        .docs
-        .iter()
-        .enumerate()
-        .map(|(i, (uri, xml))| {
-            let p = PARTS[i % PARTS.len()];
-            let uri = if p.is_empty() {
-                uri.clone()
-            } else {
-                format!("{p}/{uri}")
-            };
-            Document::parse_str(uri, xml).expect("re-homed case XML parses")
-        })
-        .collect();
-    let plan = MixedPlan::uniform(Some(Strategy::Lup))
-        .with("hot", Some(Strategy::TwoLupi))
-        .with("cold", None);
-    let corpus: Vec<Arc<str>> = rehomed.iter().map(|d| d.shared_uri().clone()).collect();
-
-    // Truth: the no-index scan of the re-homed corpus.
-    let truth_tuples: Vec<Vec<Tuple>> = query
-        .patterns
-        .iter()
-        .map(|p| eval_pattern(&rehomed, None, p))
-        .collect();
-    let truth = canon_joined(&join_pattern_results(query, &truth_tuples));
-
-    for backend in Backend::ALL {
-        let mut store = backend.store();
-        index_documents_mixed(store.as_mut(), &rehomed, &plan, opts);
-        let catalog: std::collections::BTreeSet<String> = corpus
-            .iter()
-            .map(|u| amada_index::partition_of(u).to_string())
-            .collect();
-        // Fully indexed plans must answer from the catalog alone — the
-        // warehouse skips the billed corpus LIST for them, so hand the
-        // oracle's look-up the same inputs that path gets.
-        let listing: &[Arc<str>] = if plan.fully_indexed() { &[] } else { &corpus };
-        let mixed = lookup_mixed(
-            store.as_mut(),
-            SimTime::ZERO,
-            &plan,
-            opts,
-            query,
-            listing,
-            &catalog,
-        )
-        .map_err(|e| {
-            violation(
-                "mixed",
-                format!("{} mixed look-up failed: {e:?}", backend.name()),
-            )
-        })?;
-
-        // Per-partition single-strategy look-ups, unioned.
-        let mut unions: Vec<BTreeSet<String>> = vec![BTreeSet::new(); query.patterns.len()];
-        for part in PARTS {
-            let members: Vec<Document> = rehomed
-                .iter()
-                .filter(|d| amada_index::partition_of(d.uri()) == part)
-                .cloned()
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            match plan.strategy_of(part) {
-                Some(s) => {
-                    let mut solo = backend.store();
-                    index_documents(solo.as_mut(), &members, s, opts);
-                    let lk = lookup_query(solo.as_mut(), SimTime::ZERO, s, opts, query).map_err(
-                        |e| {
-                            violation(
-                                "mixed",
-                                format!(
-                                    "{} solo {} look-up failed for partition {part:?}: {e:?}",
-                                    backend.name(),
-                                    s.name()
-                                ),
-                            )
-                        },
-                    )?;
-                    for (pi, o) in lk.per_pattern.into_iter().enumerate() {
-                        unions[pi].extend(o.uris.iter().map(|u| u.to_string()));
-                    }
-                }
-                None => {
-                    for u in unions.iter_mut() {
-                        u.extend(members.iter().map(|d| d.uri().to_string()));
-                    }
-                }
-            }
-        }
-        for (pi, union) in unions.iter().enumerate() {
-            let got: BTreeSet<String> = (mixed.per_pattern[pi].uris.iter())
-                .map(|u| u.to_string())
-                .collect();
-            if &got != union {
-                return Err(violation(
-                    "mixed",
-                    format!(
-                        "{}, pattern {pi}: mixed candidates differ from the per-partition \
-                         union\n  mixed: {got:?}\n  union: {union:?}",
-                        backend.name(),
-                    ),
-                ));
-            }
-        }
-
-        // Answers over the mixed candidates equal the no-index scan.
-        let per_pattern: Vec<Vec<Tuple>> = query
-            .patterns
-            .iter()
-            .zip(&mixed.per_pattern)
-            .map(|(p, o)| {
-                let set: BTreeSet<String> = o.uris.iter().map(|u| u.to_string()).collect();
-                eval_pattern(&rehomed, Some(&set), p)
-            })
-            .collect();
-        let answers = canon_joined(&join_pattern_results(query, &per_pattern));
-        if answers != truth {
-            return Err(violation(
-                "mixed",
-                format!(
-                    "{}: mixed-plan answers differ from the no-index scan\n  \
-                     no-index: {truth:?}\n  mixed: {answers:?}",
-                    backend.name(),
-                ),
-            ));
-        }
     }
     Ok(())
 }

@@ -1,20 +1,20 @@
 //! One look-up chain: `lookup_query`, the paper's single-strategy look-up,
-//! is `lookup_mixed` under the flat plan. On generated cases it answers
-//! exactly what the per-pattern chain it replaced answered — candidates,
-//! billed gets, processed entries and ready times, pattern by pattern — for
-//! every strategy on both backends. The chain is kept here as the reference.
+//! answers on generated cases exactly what the per-pattern chain answers —
+//! candidates, billed gets, processed entries and ready times, pattern by
+//! pattern — for every strategy on both backends. The chain is kept here as
+//! the reference: each pattern's `lookup_pattern_in` starts when the one
+//! before is ready.
 
 use amada_check::generate_case;
 use amada_cloud::{DynamoDb, KvError, KvStore, SimTime, SimpleDb};
 use amada_index::{
-    index_documents, lookup_pattern_in, lookup_query, ExtractOptions, Placement, QueryLookup,
-    Strategy,
+    index_documents, lookup_pattern_in, lookup_query, ExtractOptions, QueryLookup, Strategy,
 };
 use amada_pattern::{parse_query, Query};
 use amada_xml::Document;
 
-/// The chain `lookup_query` was before it became `lookup_mixed`: each
-/// pattern looked up over the global tables when the one before is ready.
+/// The reference chain: each pattern looked up over the global tables
+/// when the one before is ready.
 fn reference_chain(
     store: &mut dyn KvStore,
     strategy: Strategy,
@@ -24,7 +24,7 @@ fn reference_chain(
     let mut per_pattern = Vec::with_capacity(query.patterns.len());
     let mut t = SimTime::ZERO;
     for p in &query.patterns {
-        let outcome = lookup_pattern_in(store, t, Placement::root(strategy), opts, p)?;
+        let outcome = lookup_pattern_in(store, t, strategy, opts, p)?;
         t = outcome.ready_at;
         per_pattern.push(outcome);
     }

@@ -59,13 +59,13 @@ use amada_cloud::{
     SimTime, Span, SqsError, StepResult, World, S3,
 };
 use amada_index::{
-    decode_tuples, lookup_mixed, plan_document, Evaluation, ExtractCache, ExtractOptions, Held,
-    MixedPlan, PatternProbe, ScanPredicate, Strategy,
+    decode_tuples, lookup_query, plan_document, Evaluation, ExtractCache, ExtractOptions, Held,
+    LookupOutcome, PatternProbe, QueryLookup, ScanPredicate, Strategy,
 };
 use amada_pattern::{join_pattern_results, parse_query, EvalStats, Tuple};
 use amada_rng::StdRng;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -265,6 +265,8 @@ pub struct LoaderCore {
     pub worker: Worker,
     /// The core's compute rating.
     pub ecu: f64,
+    /// The strategy that indexes every document (`cfg.strategy`).
+    pub strategy: Strategy,
     /// Extraction options.
     pub opts: ExtractOptions,
     /// Shared totals.
@@ -282,9 +284,6 @@ pub struct LoaderCore {
     /// What the store holds for every pending URI, shared with the front
     /// end (nothing for a new document: a cold build plans against that).
     pub retractions: RetractionRegistry,
-    /// The routing plan in force, read per document at processing time
-    /// ([`MixedPlan::placement`]).
-    pub plan: Rc<MixedPlan>,
     state: LoaderState,
     /// Whether this core has received a document yet (first receipt
     /// increments `LoaderTotals::active_cores`).
@@ -299,7 +298,6 @@ impl LoaderCore {
     pub fn new(
         cfg: &WarehouseConfig,
         worker: Worker,
-        plan: Rc<MixedPlan>,
         retractions: RetractionRegistry,
         totals: Rc<RefCell<LoaderTotals>>,
         cache: DocCache,
@@ -307,13 +305,13 @@ impl LoaderCore {
         LoaderCore {
             worker,
             ecu: cfg.loader_pool.itype.ecu_per_core(),
+            strategy: cfg.strategy,
             opts: cfg.extract,
             totals,
             cache,
             crash_after_batches: None,
             batches_written: 0,
             retractions,
-            plan,
             state: LoaderState::Idle,
             worked: false,
         }
@@ -369,41 +367,29 @@ impl LoaderCore {
             Err(e) => panic!("loader messages reference stored documents: {e}"),
         };
         self.worker.retry.reset();
-        // The document's placement picks the strategy that extracts it and
-        // the tables its entries land in. A plan that indexes nothing for
-        // it leaves an empty extraction whose only effect is retracting
-        // whatever an earlier placement left behind for this URI.
-        let placement = self.plan.placement(&uri);
         // Parse, extract and encode (memoized on the host after the prewarm
         // stage; virtually charged in full either way); the write set's
         // items stay in the cache, and the puts clone them. A document that
         // is not XML is charged its parse and parked at once.
         let profile = world.kv.profile();
-        let extracted = placement
-            .map(|p| (self.cache).write_set(&uri, &bytes, p.strategy, self.opts, &profile));
-        let mut t = t;
-        if let Some(extracted) = &extracted {
-            let entry_bytes = extracted.as_ref().map_or(0, |set| set.raw_bytes);
-            let extraction = world.work.parse(bytes.len() as u64, self.ecu)
-                + world.work.extract(entry_bytes, self.ecu);
-            let fetched_at = t;
-            t = t + extraction;
-            world.obs.record(|_, ctx| {
-                Span::new(ServiceKind::Actor, "extract", fetched_at, t, ctx)
-                    .bytes(bytes.len() as u64)
-            });
-            self.totals.borrow_mut().extraction_micros += extraction.micros();
-        }
+        let extracted = (self.cache).write_set(&uri, &bytes, self.strategy, self.opts, &profile);
+        let entry_bytes = extracted.as_ref().map_or(0, |set| set.raw_bytes);
+        let extraction = world.work.parse(bytes.len() as u64, self.ecu)
+            + world.work.extract(entry_bytes, self.ecu);
+        let (fetched_at, t) = (t, t + extraction);
+        world.obs.record(|_, ctx| {
+            Span::new(ServiceKind::Actor, "extract", fetched_at, t, ctx).bytes(bytes.len() as u64)
+        });
+        self.totals.borrow_mut().extraction_micros += extraction.micros();
         // The puts of what is new or changed and the deletes of what the
         // replaced version held and this one does not, planned against the
         // registry entry. It stays until the last call has landed, so a
         // crash or abandon re-plans on redelivery (idempotently). A document
         // the store's limits cannot hold (an entry key over the hash-key
         // limit) will not fit then either: its message is parked at once.
-        let planned = extracted.transpose().ok().and_then(|set| {
-            let set = set.unwrap_or_default();
+        let planned = extracted.ok().and_then(|set| {
             let mut pending = self.retractions.borrow_mut();
-            let plan = plan_document(&set, placement, &profile, pending.get_mut(&uri));
+            let plan = plan_document(&set, &profile, pending.get_mut(&uri));
             Some((set, plan.ok()?))
         });
         let Some((set, plan)) = planned else {
@@ -610,19 +596,16 @@ pub struct QueryCore {
     pub cores: usize,
     /// Compute rating per core.
     pub ecu: f64,
-    /// What executions report: the configured strategy when the plan
-    /// indexes anything, `None` when every query scans the whole corpus.
-    /// `Some(LupPd)` also switches the fetch phase to storage-side scans.
+    /// The strategy whose index a query looks up (the warehouse's
+    /// `cfg.strategy`), or `None` for the no-index baseline: every query
+    /// lists the corpus and every listed document is a candidate. What
+    /// executions report; `Some(LupPd)` also switches the fetch phase to
+    /// storage-side scans.
     pub strategy: Option<Strategy>,
-    /// The routing plan: look-ups union each indexed partition's
-    /// own-strategy answer with partition-scoped scans of the unindexed
-    /// ones. The no-index baseline is the flat plan that indexes nothing.
-    pub plan: Rc<MixedPlan>,
-    /// The front end's partition catalog — every partition holding live
-    /// documents, known from its own upload records (free host-side
-    /// metadata, like the plan). A fully indexed plan fans its look-ups
-    /// out over these instead of paying the billed corpus LIST.
-    pub partitions: Rc<BTreeSet<String>>,
+    /// Set by the front end when it stores no live document (its own
+    /// upload records say so, free host-side metadata): an indexed query
+    /// then has nothing to look up and sends no request for candidates.
+    pub no_documents: bool,
     /// Extraction options (must match how the index was built).
     pub opts: ExtractOptions,
     /// Host document cache.
@@ -637,8 +620,7 @@ impl QueryCore {
     pub fn new(
         cfg: &WarehouseConfig,
         worker: Worker,
-        plan: Rc<MixedPlan>,
-        partitions: Rc<BTreeSet<String>>,
+        strategy: Option<Strategy>,
         executions: Rc<RefCell<Vec<QueryExecution>>>,
         cache: DocCache,
     ) -> QueryCore {
@@ -646,9 +628,8 @@ impl QueryCore {
             worker,
             cores: cfg.query_pool.itype.cores(),
             ecu: cfg.query_pool.itype.ecu_per_core(),
-            strategy: (!plan.indexed_strategies().is_empty()).then_some(cfg.strategy),
-            plan,
-            partitions,
+            strategy,
+            no_documents: false,
             opts: cfg.extract,
             cache,
             executions,
@@ -710,44 +691,41 @@ impl QueryCore {
         let mut docs_from_index = 0usize;
         let mut t = t0;
         let get_ops_before = world.kv.stats().get_ops;
-        // The corpus listing enumerates the scan partitions' documents.
-        // `list` is never throttled but is billed like a GET (LIST-class
-        // request), so a fully indexed plan — which can never route a
-        // query to the scan path — skips it entirely instead of paying
-        // one billed request per arrival for a listing it would throw
-        // away; its look-ups fan out over the partition catalog instead.
-        let corpus = if self.plan.fully_indexed() {
-            Vec::new()
-        } else {
-            world
-                .s3
-                .list(t, DOC_BUCKET)
-                .expect("document bucket exists")
-        };
-        // A throttle aborts the look-up mid-flight; the whole look-up is
-        // retried (every aborted get stays billed).
-        let lookup = loop {
-            match lookup_mixed(
-                world.kv.as_mut(),
-                t,
-                &self.plan,
-                self.opts,
-                &query,
-                &corpus,
-                &self.partitions,
-            ) {
-                Ok(lookup) => break lookup,
-                Err(KvError::Throttled { available_at }) => {
-                    t = self.worker.retry.again(available_at).ok_or(available_at)?;
-                    lease.keep_alive(&mut world.sqs, t);
+        let lookup = match self.strategy {
+            // A throttle aborts the look-up mid-flight; the whole look-up is
+            // retried (every aborted get stays billed).
+            Some(strategy) if !self.no_documents => loop {
+                match lookup_query(world.kv.as_mut(), t, strategy, self.opts, &query) {
+                    Ok(lookup) => break lookup,
+                    Err(KvError::Throttled { available_at }) => {
+                        t = self.worker.retry.again(available_at).ok_or(available_at)?;
+                        lease.keep_alive(&mut world.sqs, t);
+                    }
+                    // `lookup_query` ensures its tables before its first get,
+                    // so a get can fail only with `Throttled`.
+                    Err(e) => panic!("index look-up succeeds: {e}"),
                 }
-                Err(e) => panic!("index look-up succeeds: {e}"),
+            },
+            // Every listed document is a candidate for every pattern. The
+            // baseline lists the corpus (a LIST is never throttled but is
+            // billed like a GET); with no live document there is none.
+            strategy => {
+                let listed = match strategy {
+                    Some(_) => Vec::new(),
+                    None => (world.s3.list(t, DOC_BUCKET)).expect("document bucket exists"),
+                };
+                let scan = LookupOutcome {
+                    uris: listed,
+                    ready_at: t,
+                    ..LookupOutcome::default()
+                };
+                QueryLookup::of(vec![scan; query.patterns.len()])
             }
         };
         self.worker.retry.reset();
-        // A plan that indexes nothing has no look-up phase to report: no
-        // store call was made, every pattern is evaluated on every
-        // document, and no time passed.
+        // The baseline has no look-up phase to report: no store call was
+        // made, every pattern is evaluated on every document, and no time
+        // passed.
         if self.strategy.is_some() {
             let t_get = lookup.ready_at();
             phases.lookup_get = t_get - t;

@@ -30,9 +30,10 @@
 //! deployments, pinned by this module's tests.
 //!
 //! A cold or heavily churning workload is honestly advised not to index
-//! at all. The advisor ranks whole-corpus layouts only: a per-partition
-//! [`MixedPlan`](amada_index::MixedPlan) is the operator's to choose, and
-//! [`crate::Warehouse::apply_plan`] deploys it.
+//! at all. The advice is whole-corpus, like the warehouse it advises: a
+//! warehouse indexes every document under its one configured strategy
+//! (`WarehouseConfig::strategy`) in the global tables, and its no-index
+//! baseline scans the corpus.
 
 use crate::config::WarehouseConfig;
 use crate::cost::CostModel;
@@ -41,7 +42,7 @@ use crate::metrics::result_payload;
 use amada_cloud::{Blob, KvError, KvStore, Money, SimDuration, SimTime, S3};
 use amada_index::{
     extract, lookup_pattern_in, placed_item_keys, plan_document, write_entries, Evaluation,
-    ExtractCache, Held, LookupOutcome, PatternProbe, Placement, QueryLookup, Strategy, WriteSet,
+    ExtractCache, Held, LookupOutcome, PatternProbe, QueryLookup, Strategy, WriteSet,
 };
 use amada_pattern::{join_pattern_results, Query, Tuple};
 use amada_xml::{Document, XmlError};
@@ -141,11 +142,11 @@ impl Churn {
             for (at, strategy) in Strategy::ALL.into_iter().enumerate() {
                 let set_of =
                     |doc| WriteSet::encode(&extract(doc, strategy, base.extract), &profile, uri);
-                let (mut old, root) = (Held::default(), Some(Placement::root(strategy)));
-                let recorded = placed_item_keys(&set_of(&replaced), None);
+                let mut old = Held::default();
+                let recorded = placed_item_keys(&set_of(&replaced));
                 old.items
                     .extend(recorded.into_iter().map(|(key, v)| (key, Some(v))));
-                let plan = plan_document(&set_of(&next), root, &profile, Some(&mut old))
+                let plan = plan_document(&set_of(&next), &profile, Some(&mut old))
                     .map_err(|e| AdviseError::Store(uri.to_string(), e))?;
                 written[at] += plan.items();
                 stored[at] += plan.items() + plan.unchanged;
@@ -322,7 +323,7 @@ impl<'a> Scenario<'a> {
                     .map_err(|e| AdviseError::Parse(uri.clone(), e))?;
                 serial_doc += work.extract(set.raw_bytes, lecu);
                 let before = kv.stats().put_ops;
-                let (_m, ready) = write_entries(kv.as_mut(), t, Placement::root(strategy), &set)
+                let (_m, ready) = write_entries(kv.as_mut(), t, &set)
                     .map_err(|e| AdviseError::Store(uri.clone(), e))?;
                 serial_doc += ready - t;
                 t = ready;
@@ -366,8 +367,7 @@ impl<'a> Scenario<'a> {
         let name = query.name.clone().unwrap_or_default();
         (query.patterns.iter())
             .map(|p| {
-                let placement = Placement::root(strategy);
-                let o = lookup_pattern_in(build.kv.as_mut(), t0, placement, self.base.extract, p)
+                let o = lookup_pattern_in(build.kv.as_mut(), t0, strategy, self.base.extract, p)
                     .map_err(|e| AdviseError::Lookup(name.clone(), e))?;
                 Ok(LookupOutcome {
                     ready_at: SimTime::ZERO + (o.ready_at.max(t0) - t0),
@@ -545,8 +545,8 @@ mod tests {
     use crate::warehouse::Warehouse;
     use amada_xmark::{generate_corpus, workload_query, CorpusConfig};
 
-    /// Eighteen documents under three URI prefixes; every flat layout
-    /// places them all in the root partition's global tables.
+    /// Eighteen documents under three URI prefixes; every layout indexes
+    /// them all in the global tables.
     fn sample() -> Vec<(String, String)> {
         sample_seeded(CorpusConfig::default().seed)
     }

@@ -103,9 +103,10 @@ impl Default for HostConfig {
 /// Full warehouse configuration.
 #[derive(Debug, Clone)]
 pub struct WarehouseConfig {
-    /// Indexing strategy (paper Table 2). The warehouse starts under its
-    /// flat plan — the whole corpus in the global tables, whatever prefix
-    /// a URI carries; [`crate::Warehouse::apply_plan`] switches from there.
+    /// Indexing strategy (paper Table 2): the loader indexes every
+    /// document under it in the global tables, whatever prefix a URI
+    /// carries, and an indexed query looks it up (the no-index baseline
+    /// scans the corpus instead).
     pub strategy: Strategy,
     /// Extraction options (full-text on/off).
     pub extract: ExtractOptions,

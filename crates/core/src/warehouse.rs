@@ -14,11 +14,11 @@ use amada_cloud::{
     SimTime, Span, StorageCost, World,
 };
 use amada_index::{
-    placed_item_keys, plan_document, CacheStats, ExtractCache, ItemKey, MixedPlan, PrewarmReport,
-    Strategy, ValueId, WriteSet,
+    placed_item_keys, plan_document, CacheStats, ExtractCache, ItemKey, PrewarmReport, Strategy,
+    ValueId, WriteSet,
 };
 use amada_pattern::Query;
-use std::cell::{OnceCell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
@@ -38,16 +38,11 @@ pub struct Warehouse {
     /// queued and has not completed, shared with the loader cores (see
     /// [`RetractionRegistry`]).
     retractions: RetractionRegistry,
-    /// The routing plan in force, shared with the module cores: the flat
-    /// plan of `cfg.strategy` until [`Warehouse::apply_plan`] changes it.
-    plan: Rc<MixedPlan>,
-    /// Read-path state kept from one query to the next and dropped by
-    /// [`Warehouse::corpus_changed`]: the partition catalog…
-    catalog: OnceCell<Rc<BTreeSet<String>>>,
-    /// …and whether the parse cache has been probed for every stored
-    /// document. The flag only spares the probe pass: a query core parses
-    /// whatever the cache no longer holds, so a neighbour evicting an
-    /// entry costs host time, never an answer.
+    /// Read-path state kept from one query to the next, dropped by an
+    /// upload or a delete: whether the parse cache has been probed for
+    /// every stored document. The flag only spares the probe pass: a query
+    /// core parses whatever the cache no longer holds, so a neighbour
+    /// evicting an entry costs host time, never an answer.
     parses_warm: bool,
 }
 
@@ -135,9 +130,6 @@ impl Warehouse {
         }
         Warehouse {
             retry: Retry::new(cfg.retry, None),
-            // The paper's layout; under `MixedPlan::uniform` a URI's prefix
-            // would route it out of the global tables.
-            plan: Rc::new(MixedPlan::flat(Some(cfg.strategy))),
             cfg,
             engine: Engine::new(world),
             cache: ExtractCache::shared(),
@@ -148,16 +140,8 @@ impl Warehouse {
                 instance: 0,
             },
             retractions: Rc::default(),
-            catalog: OnceCell::new(),
             parses_warm: false,
         }
-    }
-
-    /// Drops the state the read path derived from the stored documents and
-    /// their routing: called by upload, delete and plan switch.
-    fn corpus_changed(&mut self) {
-        self.catalog.take();
-        self.parses_warm = false;
     }
 
     /// The configuration in force.
@@ -198,19 +182,6 @@ impl Warehouse {
         &self.doc_uris
     }
 
-    /// The partitions currently holding live documents — the front end's
-    /// own catalog, derived from its upload records (no cloud call). A
-    /// fully indexed plan's query processors fan their look-ups out over
-    /// this instead of paying the billed per-query corpus LIST. Public
-    /// for tests that hand-build query processors.
-    pub fn partition_catalog(&self) -> Rc<BTreeSet<String>> {
-        let catalog = self.catalog.get_or_init(|| {
-            let partitions = self.doc_uris.iter().map(|u| self.plan.partition_of(u));
-            Rc::new(partitions.map(String::from).collect())
-        });
-        catalog.clone()
-    }
-
     /// Tags the front end's next requests: the spans they record carry
     /// its lane plus the phase, query and document in hand.
     fn tag_frontend(&self, phase: Phase, query: Option<&str>, doc: Option<&str>) {
@@ -246,7 +217,7 @@ impl Warehouse {
         I: IntoIterator<Item = (S, S)>,
         S: Into<String>,
     {
-        self.corpus_changed();
+        self.parses_warm = false;
         let before = self.engine.world.snapshot();
         let mut t = self.engine.now();
         let mut n = 0u64;
@@ -261,7 +232,7 @@ impl Warehouse {
             // overwrite destroys the only copy of its bytes, account for
             // the replaced bytes, and keep the URI listed once.
             let replaced = self.engine.world.s3.peek(DOC_BUCKET, &uri);
-            self.mark_pending(&self.plan, &uri, replaced.as_deref());
+            self.mark_pending(&uri, replaced.as_deref());
             let s3 = &mut self.engine.world.s3;
             t = put_object(s3, &mut self.retry, t, DOC_BUCKET, &uri, body);
             t = self.enqueue_load(t, &uri);
@@ -292,16 +263,15 @@ impl Warehouse {
 
     /// Readies `uri`'s registry entry for a loader's or a delete's plan. The
     /// first since its last completed rebuild records what the index holds:
-    /// the items `plan` (the one in force; [`Warehouse::apply_plan`]'s *old*
-    /// one) derives from the `stored` bytes, each with its value. A later one
+    /// the items the `stored` bytes index, each with its value. A later one
     /// finds a version no loader finished, whose keys would be billed deletes
     /// of nothing — unless one started: the store may hold any, value unknown.
-    fn mark_pending(&self, plan: &MixedPlan, uri: &str, stored: Option<&Blob>) {
+    fn mark_pending(&self, uri: &str, stored: Option<&Blob>) {
         let mut registry = self.retractions.borrow_mut();
         let first = !registry.contains_key(uri);
         let held = registry.entry(uri.to_string()).or_default();
         if first || std::mem::take(&mut held.attempted) {
-            for (key, value) in self.item_keys_under(plan, uri, stored) {
+            for (key, value) in self.item_keys(uri, stored) {
                 held.items.entry(key).or_insert(first.then_some(value));
             }
         }
@@ -315,23 +285,18 @@ impl Warehouse {
         bodies.map(String::from).collect()
     }
 
-    /// The index items a routing plan derives for this document content,
+    /// The index items `cfg.strategy` derives for this document content,
     /// read off the write set the loader puts (host-side, memoized — no
-    /// requests, no virtual time): none when nothing is stored, the plan
-    /// indexes nothing for the document or its bytes are not XML.
-    fn item_keys_under(
-        &self,
-        plan: &MixedPlan,
-        uri: &str,
-        stored: Option<&Blob>,
-    ) -> Vec<(ItemKey, ValueId)> {
-        let Some((bytes, placement)) = stored.zip(plan.placement(uri)) else {
+    /// requests, no virtual time): none when nothing is stored or its bytes
+    /// are not XML.
+    fn item_keys(&self, uri: &str, stored: Option<&Blob>) -> Vec<(ItemKey, ValueId)> {
+        let Some(bytes) = stored else {
             return Vec::new();
         };
-        let (strategy, opts) = (placement.strategy, self.cfg.extract);
+        let (strategy, opts) = (self.cfg.strategy, self.cfg.extract);
         let profile = self.engine.world.kv.profile();
         match self.cache.write_set(uri, bytes, strategy, opts, &profile) {
-            Ok(set) => placed_item_keys(&set, Some(placement)),
+            Ok(set) => placed_item_keys(&set),
             Err(_) => Vec::new(),
         }
     }
@@ -350,7 +315,7 @@ impl Warehouse {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.corpus_changed();
+        self.parses_warm = false;
         let before = self.engine.world.snapshot();
         let mut t = self.engine.now();
         let mut bytes = 0u64;
@@ -361,9 +326,9 @@ impl Warehouse {
             let uri: String = uri.into();
             self.tag_frontend(Phase::Upload, None, Some(&uri));
             let stored = self.engine.world.s3.peek(DOC_BUCKET, &uri);
-            self.mark_pending(&self.plan, &uri, stored.as_deref());
+            self.mark_pending(&uri, stored.as_deref());
             let mut held = self.retractions.borrow_mut().remove(&uri);
-            let plan = plan_document(&WriteSet::default(), None, &profile, held.as_mut());
+            let plan = plan_document(&WriteSet::default(), &profile, held.as_mut());
             let deletes = plan.expect("a plan of no entries makes no item").deletes;
             if let Some(old) = stored {
                 bytes += old.len() as u64;
@@ -396,61 +361,6 @@ impl Warehouse {
         }
     }
 
-    /// Front end, plan maintenance: switches the warehouse to a new
-    /// routing plan *incrementally* — the one way to change the plan, and
-    /// free on an empty warehouse ([`MixedPlan::flat`] of the configured
-    /// strategy restores the paper's layout). Every stored document whose
-    /// [`amada_index::Placement`] — strategy or partition tables — changes
-    /// has its current placement's item keys recorded in the retraction
-    /// registry and its loading message re-enqueued; the next
-    /// [`Warehouse::build_index`] rewrites those documents under the new
-    /// plan and then deletes the old entries (write-new-then-delete-stale,
-    /// the exact machinery churn replaces use, so a crash mid-migration
-    /// retries idempotently on redelivery). Documents whose placement is
-    /// unchanged are not touched, re-sent or re-billed — the root
-    /// partition of a mixed plan is physically the flat plan's — and
-    /// documents that already have a rebuild pending (an unprocessed
-    /// loader message — churn, typically) piggyback on it, since the
-    /// loader reads the plan at processing time. Returns the number of
-    /// documents migrating (piggybacked ones included).
-    pub fn apply_plan(&mut self, plan: MixedPlan) -> u64 {
-        let (old_plan, new) = (self.plan.clone(), Rc::new(plan));
-        let mut migrated = 0u64;
-        let mut t = self.engine.now();
-        let (uris, queued) = (self.doc_uris.clone(), self.queued_loads());
-        for uri in uris {
-            if old_plan.placement(&uri) == new.placement(&uri) {
-                continue;
-            }
-            let Some(bytes) = self.engine.world.s3.peek(DOC_BUCKET, &uri) else {
-                continue;
-            };
-            // Record the old placement's items *before* the switch makes
-            // them unreachable. A rebuild already queued (churn, typically)
-            // runs under the *new* placement — the loader reads the routing
-            // plan at processing time — so no second message, no second key
-            // sweep: re-planning a churning partition with its churn is
-            // nearly free.
-            migrated += 1;
-            self.mark_pending(&old_plan, &uri, Some(&bytes));
-            if queued.contains(&uri) {
-                continue;
-            }
-            self.tag_frontend(Phase::Build, None, Some(&uri));
-            t = self.enqueue_load(t, &uri);
-        }
-        self.engine.world.obs.with_ctx(|c| *c = Default::default());
-        self.plan = new;
-        self.corpus_changed();
-        migrated
-    }
-
-    /// The routing plan in force, as shared with the module cores
-    /// (custom actors must share it to route like the pool).
-    pub fn routing_plan(&self) -> Rc<MixedPlan> {
-        self.plan.clone()
-    }
-
     /// Parses and extracts every stored document across all host cores,
     /// filling the host cache so the engine's loader steps become cache
     /// hits. Wall-clock only: reads the file store without billing and
@@ -464,12 +374,7 @@ impl Warehouse {
 
     /// [`Warehouse::prewarm`] over `docs` only.
     fn prewarm_extractions(&self, docs: Vec<(String, std::sync::Arc<Blob>)>) -> PrewarmReport {
-        let combos: Vec<(Strategy, amada_index::ExtractOptions)> = self
-            .plan
-            .indexed_strategies()
-            .into_iter()
-            .map(|s| (s, self.cfg.extract))
-            .collect();
+        let combos = [(self.cfg.strategy, self.cfg.extract)];
         let profile = self.engine.world.kv.profile();
         amada_index::prewarm_for(&self.cache, &docs, &combos, &profile)
     }
@@ -541,20 +446,10 @@ impl Warehouse {
         let start = self.engine.now();
         self.engine.world.sqs.close(LOADER_QUEUE);
         let pool = self.cfg.loader_pool;
-        let (plan, retractions, cache) = (
-            self.plan.clone(),
-            self.retractions.clone(),
-            self.cache.clone(),
-        );
+        let (retractions, cache) = (self.retractions.clone(), self.cache.clone());
         let core = move |cfg: &WarehouseConfig, worker, totals| -> Box<dyn Actor> {
-            Box::new(LoaderCore::new(
-                cfg,
-                worker,
-                plan.clone(),
-                retractions.clone(),
-                totals,
-                cache.clone(),
-            ))
+            let (retractions, cache) = (retractions.clone(), cache.clone());
+            Box::new(LoaderCore::new(cfg, worker, retractions, totals, cache))
         };
         let (totals, end) = self.run_pool(LOADER, pool, pool.itype.cores(), core);
         let cost = self.engine.world.cost_since(&before);
@@ -600,19 +495,19 @@ impl Warehouse {
     /// Runs one query through the full pipeline (steps 7–18) on the
     /// configured query pool, using the index.
     pub fn run_query(&mut self, query: &Query) -> CostedQuery {
-        self.run_one(query, self.plan.clone())
+        self.run_one(query, Some(self.cfg.strategy))
     }
 
     /// Runs one query without any index: the processor fetches and
     /// evaluates the entire corpus (the paper's no-index baseline).
     pub fn run_query_no_index(&mut self, query: &Query) -> CostedQuery {
-        self.run_one(query, Rc::new(MixedPlan::flat(None)))
+        self.run_one(query, None)
     }
 
-    fn run_one(&mut self, query: &Query, plan: Rc<MixedPlan>) -> CostedQuery {
+    fn run_one(&mut self, query: &Query, strategy: Option<Strategy>) -> CostedQuery {
         let before = self.engine.world.snapshot();
         let schedule = self.closed_batch(std::slice::from_ref(query), 1);
-        let report = self.run_batch(schedule, false, plan);
+        let report = self.run_batch(schedule, false, strategy);
         let mut executions = report.executions;
         assert_eq!(executions.len(), 1, "one query in, one execution out");
         CostedQuery {
@@ -639,13 +534,13 @@ impl Warehouse {
     /// pool. Used for the paper's Figure 10 scaling experiment.
     pub fn run_workload(&mut self, queries: &[Query], repeats: usize) -> WorkloadReport {
         let schedule = self.closed_batch(queries, repeats);
-        self.run_batch(schedule, false, self.plan.clone())
+        self.run_batch(schedule, false, Some(self.cfg.strategy))
     }
 
     /// Like [`Warehouse::run_workload`] but without any index.
     pub fn run_workload_no_index(&mut self, queries: &[Query], repeats: usize) -> WorkloadReport {
         let schedule = self.closed_batch(queries, repeats);
-        self.run_batch(schedule, false, Rc::new(MixedPlan::flat(None)))
+        self.run_batch(schedule, false, None)
     }
 
     /// Releases queries open-loop from a seeded [`ArrivalProcess`]: each
@@ -665,18 +560,19 @@ impl Warehouse {
             .enumerate()
             .map(|(seq, (offset, idx))| arrival(start + offset, &queries[idx], idx, Some(seq)))
             .collect();
-        self.run_batch(schedule, true, self.plan.clone())
+        self.run_batch(schedule, true, Some(self.cfg.strategy))
     }
 
     /// Runs one workload: the front end enqueues `schedule` (steps 7–8) —
     /// `timed` inside the engine, each message at its scheduled instant;
     /// otherwise as the paper's closed batch, all of it before the engine
-    /// starts — and the query pool answers it under `plan`.
+    /// starts — and the query pool answers it from `strategy`'s index, or
+    /// by scanning the corpus (`None`).
     fn run_batch(
         &mut self,
         schedule: Schedule,
         timed: bool,
-        plan: Rc<MixedPlan>,
+        strategy: Option<Strategy>,
     ) -> WorkloadReport {
         if self.cfg.host.prewarm && !self.parses_warm {
             // Queries parse candidate documents; after an indexed build
@@ -695,12 +591,11 @@ impl Warehouse {
             sender.send_all(start, &mut self.engine.world);
         }
         // Steps 9–15: the query-processor pool, one actor per instance.
-        let (partitions, cache) = (self.partition_catalog(), self.cache.clone());
+        let (no_documents, cache) = (self.doc_uris.is_empty(), self.cache.clone());
         let core = move |cfg: &WarehouseConfig, worker, executions| -> Box<dyn Actor> {
-            let (plan, partitions, cache) = (plan.clone(), partitions.clone(), cache.clone());
-            Box::new(QueryCore::new(
-                cfg, worker, plan, partitions, executions, cache,
-            ))
+            let mut core = QueryCore::new(cfg, worker, strategy, executions, cache.clone());
+            core.no_documents = no_documents;
+            Box::new(core)
         };
         let (executions, end) = self.run_pool(QUERY, self.cfg.query_pool, 1, core);
         // Front end, steps 16–18: fetch each response, download the
@@ -1055,224 +950,6 @@ mod tests {
         let nop = w.delete_documents(["ghost.xml"]);
         assert_eq!(nop.documents, 0);
         assert_eq!(nop.index_items_removed, 0);
-    }
-
-    /// The partitioned corpus for mixed-plan tests: a third of the
-    /// documents in `hot/`, a third in `cold/`, a third in the root.
-    fn partitioned_corpus() -> Vec<(String, String)> {
-        small_corpus()
-            .into_iter()
-            .enumerate()
-            .map(|(i, (uri, xml))| (format!("{}{uri}", ["hot/", "cold/", ""][i % 3]), xml))
-            .collect()
-    }
-
-    fn mixed_plan() -> amada_index::MixedPlan {
-        amada_index::MixedPlan::uniform(Some(Strategy::Lup))
-            .with("hot", Some(Strategy::TwoLupi))
-            .with("cold", None)
-    }
-
-    /// An empty warehouse configured with `strategy`, switched to `plan`.
-    fn planned(strategy: Strategy, plan: amada_index::MixedPlan) -> Warehouse {
-        let mut w = Warehouse::new(WarehouseConfig::with_strategy(strategy));
-        assert_eq!(w.apply_plan(plan), 0, "an empty warehouse migrates nothing");
-        w
-    }
-
-    #[test]
-    fn mixed_plan_answers_match_the_no_index_baseline() {
-        let mut w = planned(Strategy::Lup, mixed_plan());
-        w.upload_documents(partitioned_corpus());
-        let build = w.build_index();
-        assert!(build.items > 0);
-        // The hot partition got its own tables; the cold one got none.
-        let tables: std::collections::BTreeSet<String> = w
-            .world()
-            .kv
-            .peek_all()
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect();
-        assert!(tables.iter().any(|t| t.ends_with("@hot")), "{tables:?}");
-        assert!(!tables.iter().any(|t| t.ends_with("@cold")), "{tables:?}");
-        for qname in ["q1", "q2", "q4", "q8"] {
-            let q = workload_query(qname).unwrap();
-            let with = w.run_query(&q);
-            let without = w.run_query_no_index(&q);
-            let mut a = with.exec.results.clone();
-            let mut b = without.exec.results.clone();
-            a.sort_by(|x, y| x.columns.cmp(&y.columns));
-            b.sort_by(|x, y| x.columns.cmp(&y.columns));
-            assert_eq!(a, b, "{qname} under the mixed plan");
-        }
-    }
-
-    /// A *fully indexed* plan skips the billed per-query corpus LIST and
-    /// fans its look-ups out over the front end's partition catalog
-    /// instead. Regression: the catalog must cover partitions the plan
-    /// does not name (routed via the default) — deriving the fan-out from
-    /// the (skipped) listing used to return zero candidates everywhere.
-    #[test]
-    fn fully_indexed_plan_answers_without_a_corpus_listing() {
-        // Named hot/cold partitions plus the unnamed root partition,
-        // which only the catalog knows about.
-        let plan = amada_index::MixedPlan::uniform(Some(Strategy::Lu))
-            .with("hot", Some(Strategy::TwoLupi))
-            .with("cold", Some(Strategy::Lui));
-        assert!(plan.fully_indexed());
-        let mut w = planned(Strategy::Lup, plan);
-        w.upload_documents(partitioned_corpus());
-        w.build_index();
-        for qname in ["q1", "q4", "q6"] {
-            let q = workload_query(qname).unwrap();
-            let lists_before = w.world().s3.stats().get_requests;
-            let with = w.run_query(&q);
-            assert!(
-                with.exec.docs_from_index > 0 || with.exec.results.is_empty(),
-                "{qname}: candidates come from the index, not a scan"
-            );
-            // The only get-class S3 requests are the candidate fetches
-            // plus the front end retrieving the one result object — no
-            // corpus LIST rode along.
-            assert_eq!(
-                w.world().s3.stats().get_requests - lists_before,
-                with.exec.docs_fetched as u64 + 1,
-                "{qname}: a fully indexed plan pays no corpus LIST"
-            );
-            let without = w.run_query_no_index(&q);
-            let mut a = with.exec.results.clone();
-            let mut b = without.exec.results.clone();
-            a.sort_by(|x, y| x.columns.cmp(&y.columns));
-            b.sort_by(|x, y| x.columns.cmp(&y.columns));
-            assert_eq!(a, b, "{qname} under the fully indexed plan");
-            assert!(!a.is_empty() || qname != "q1", "q1 has a known answer");
-        }
-    }
-
-    /// Switching plans migrates incrementally, and the migrated index is
-    /// *byte-identical* to a fresh build under the target plan — in both
-    /// directions (flat → mixed → flat).
-    #[test]
-    fn plan_migration_matches_a_fresh_build() {
-        let mut migrated = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lu));
-        migrated.upload_documents(partitioned_corpus());
-        migrated.build_index();
-        let moved = migrated.apply_plan(mixed_plan());
-        assert!(moved > 0, "every placement changed");
-        let build = migrated.build_index();
-        assert!(
-            build.retracted_items > 0,
-            "migration must retract the old placement"
-        );
-        let mut fresh = planned(Strategy::Lu, mixed_plan());
-        fresh.upload_documents(partitioned_corpus());
-        fresh.build_index();
-        assert_eq!(
-            migrated.world().kv.peek_all(),
-            fresh.world().kv.peek_all(),
-            "migrated mixed index != fresh mixed build"
-        );
-        // And back: the configured strategy's flat plan restores the
-        // paper's layout.
-        migrated.apply_plan(amada_index::MixedPlan::flat(Some(Strategy::Lu)));
-        migrated.build_index();
-        let mut flat = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lu));
-        flat.upload_documents(partitioned_corpus());
-        flat.build_index();
-        assert_eq!(
-            migrated.world().kv.peek_all(),
-            flat.world().kv.peek_all(),
-            "unmigrated index != flat build"
-        );
-    }
-
-    /// A plan change ordered while documents are already queued for
-    /// rebuild (churn upload and a plan switch in the same maintenance
-    /// window) piggybacks on the pending loader messages: the loader
-    /// reads the new plan at processing time, so nothing is enqueued or
-    /// rebuilt twice. Cheaper than migrating eagerly before the churn —
-    /// and still byte-identical to a fresh build of the final state.
-    #[test]
-    fn plan_change_piggybacks_on_pending_rebuilds() {
-        let plan_a =
-            amada_index::MixedPlan::uniform(Some(Strategy::Lup)).with("hot", Some(Strategy::Lui));
-        let plan_b =
-            amada_index::MixedPlan::uniform(Some(Strategy::Lup)).with("hot", Some(Strategy::Lu));
-        // The churn round: every hot document replaced with new content
-        // (its neighbour's, which parses and differs).
-        let originals = partitioned_corpus();
-        let replacements: Vec<(String, String)> = originals
-            .iter()
-            .enumerate()
-            .filter(|(_, (uri, _))| uri.starts_with("hot/"))
-            .map(|(i, (uri, _))| (uri.clone(), originals[(i + 1) % originals.len()].1.clone()))
-            .collect();
-        assert!(!replacements.is_empty());
-
-        // Piggybacked: upload the churn, then switch plans while those
-        // rebuilds are still queued, then process the queue once.
-        let mut piggy = planned(Strategy::Lup, plan_a.clone());
-        piggy.upload_documents(originals.clone());
-        piggy.build_index();
-        piggy.upload_documents(replacements.clone());
-        assert_eq!(
-            piggy.apply_plan(plan_b.clone()),
-            replacements.len() as u64,
-            "every hot document's placement changed"
-        );
-        let report = piggy.build_index();
-        assert!(
-            report.retracted_items > 0,
-            "the old LUI placement must be retracted"
-        );
-
-        // Eager: migrate first (its own rebuild), then pay the churn
-        // rebuild on top — two queue round-trips per hot document.
-        let mut eager = planned(Strategy::Lup, plan_a);
-        eager.upload_documents(originals.clone());
-        eager.build_index();
-        eager.apply_plan(plan_b.clone());
-        eager.build_index();
-        eager.upload_documents(replacements.clone());
-        eager.build_index();
-
-        // Same final state, byte for byte, as building the final corpus
-        // from scratch under the target plan…
-        let mut final_docs: std::collections::BTreeMap<String, String> =
-            originals.into_iter().collect();
-        final_docs.extend(replacements);
-        let mut fresh = planned(Strategy::Lup, plan_b);
-        fresh.upload_documents(final_docs);
-        fresh.build_index();
-        assert_eq!(piggy.world().kv.peek_all(), fresh.world().kv.peek_all());
-        assert_eq!(eager.world().kv.peek_all(), fresh.world().kv.peek_all());
-        // …and the piggybacked path is strictly cheaper.
-        assert!(
-            piggy.total_cost().total() < eager.total_cost().total(),
-            "piggyback {} vs eager {}",
-            piggy.total_cost().total(),
-            eager.total_cost().total()
-        );
-    }
-
-    /// Re-applying the current plan is free: nothing is placed
-    /// differently, so nothing is enqueued or retracted.
-    #[test]
-    fn reapplying_the_same_plan_migrates_nothing() {
-        let mut w = planned(Strategy::Lup, mixed_plan());
-        w.upload_documents(partitioned_corpus());
-        w.build_index();
-        assert_eq!(w.apply_plan(mixed_plan()), 0);
-        // A flat warehouse adopting the uniform root plan is also free:
-        // the root partition keeps the global tables.
-        let mut flat = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lup));
-        flat.upload_documents(small_corpus());
-        flat.build_index();
-        assert_eq!(
-            flat.apply_plan(amada_index::MixedPlan::uniform(Some(Strategy::Lup))),
-            0
-        );
     }
 
     #[test]

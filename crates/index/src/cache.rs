@@ -417,7 +417,7 @@ mod tests {
 
     /// A write set's items with their keys, in set order.
     fn items(set: &WriteSet) -> Vec<(crate::ItemKey, amada_cloud::KvItem)> {
-        set.placed(None)
+        set.placed()
             .map(|(key, item)| (key, item.clone()))
             .collect()
     }
@@ -542,7 +542,7 @@ mod tests {
             .extracted("b.xml", &b"<r><b>z</b></r>"[..], Strategy::Lui, opts)
             .unwrap();
         let key_of = |set: &WriteSet, key: &str| {
-            let (_, item) = set.placed(None).find(|(k, _)| k.1 == key).unwrap();
+            let (_, item) = set.placed().find(|(k, _)| k.1 == key).unwrap();
             item.hash_key.clone()
         };
         assert!(Arc::ptr_eq(&key_of(&a, "eb"), &key_of(&b, "eb")));

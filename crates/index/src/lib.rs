@@ -29,7 +29,6 @@ pub mod key;
 pub mod loadutil;
 pub mod lookup;
 pub mod parallel;
-pub mod partition;
 pub mod pushdown;
 pub mod shard;
 pub mod store;
@@ -38,14 +37,11 @@ pub mod strategy;
 pub use cache::{content_hash, CacheStats, Content, Evaluation, ExtractCache, PatternProbe};
 pub use explain::explain;
 pub use loadutil::{
-    entry_item_keys, placed_item_keys, plan_document, retract_keys, stale_keys, write_entries,
-    DocIndexing, Held, ItemKey, WritePlan, WriteSet,
+    entry_item_keys, index_documents, placed_item_keys, plan_document, retract_keys, stale_keys,
+    write_entries, DocIndexing, Held, ItemKey, WritePlan, WriteSet,
 };
 pub use lookup::{lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup};
 pub use parallel::{prewarm, prewarm_for, PrewarmReport};
-pub use partition::{
-    index_documents, index_documents_mixed, lookup_mixed, partition_of, MixedPlan, Placement,
-};
 pub use pushdown::{decode_tuples, encode_tuples, ScanPredicate};
 pub use shard::{hottest_keys, key_frequencies, skew_aware_plan};
 pub use store::{UuidGen, ValueId};

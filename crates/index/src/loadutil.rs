@@ -7,18 +7,18 @@
 //! store profile ([`WriteSet::encode`], the host cache's extraction
 //! product). [`plan_document`] is the one statement of what a version asks
 //! of the store — which of its items (those the store does not hold
-//! already), in which of its [`Placement`]'s tables, cut into which calls,
+//! already), in which of the tables its entries name, cut into which calls,
 //! and which stale keys of a replaced version go after them. The
 //! warehouse's loader bursts the plan's calls concurrently; [`write_entries`]
-//! (the advisor's micro-builds and, through [`crate::index_documents_mixed`],
-//! the oracles) issues them one after another. [`placed_item_keys`] (the
-//! front end's record of what a version left in the store) reads each
-//! item's key and [`ValueId`] off the write set.
+//! (the advisor's micro-builds and, through [`index_documents`], the
+//! oracles) issues them one after another. [`placed_item_keys`] (the front
+//! end's record of what a version left in the store) reads each item's key
+//! and [`ValueId`] off the write set.
 
-use crate::partition::Placement;
 use crate::store::{encode_entry_into, UuidGen, ValueId};
-use crate::strategy::IndexEntry;
+use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
 use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
+use amada_xml::Document;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// A full item primary key: `(table, hash_key, range_key)`.
@@ -80,15 +80,10 @@ impl WriteSet {
         }
     }
 
-    /// Every item with its key under `placement` (`None`: the root's), table
-    /// by table — each of the document's tables placed once, not per item.
-    pub fn placed<'s>(
-        &'s self,
-        placement: Option<Placement<'s>>,
-    ) -> impl Iterator<Item = (ItemKey, &'s KvItem)> + 's {
-        self.tables.iter().flat_map(move |(table, items)| {
-            let table = placement.map_or(*table, |p| p.table(table));
-            (items.iter()).map(move |i| ((table, i.hash_key.to_string(), i.range_key().into()), i))
+    /// Every item with its key, table by table.
+    pub fn placed(&self) -> impl Iterator<Item = (ItemKey, &KvItem)> {
+        self.tables.iter().flat_map(|(table, items)| {
+            (items.iter()).map(move |i| ((*table, i.hash_key.to_string(), i.range_key().into()), i))
         })
     }
 }
@@ -104,8 +99,8 @@ pub struct Held {
     pub attempted: bool,
 }
 
-/// The index-store calls that bring one document's placement up to date,
-/// each queue in issue order.
+/// The index-store calls that bring one document's index up to date, each
+/// queue in issue order.
 #[derive(Debug, Default)]
 pub struct WritePlan {
     /// `batch_put` calls: the current version's items whose key is new or
@@ -114,9 +109,9 @@ pub struct WritePlan {
     /// `batch_delete` calls for what the store holds and the version does
     /// not, to issue once the puts have landed (every key stays readable).
     pub deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
-    /// Every table a call names — the placement's own, then the ones a
-    /// previous placement stranded stale keys in. A write may be the first
-    /// to name a table; ensuring it is a free, idempotent host-side call.
+    /// Every table a call names — the write set's own, then any other one
+    /// holding its stale keys. A write may be the first to name a table;
+    /// ensuring it is a free, idempotent host-side call.
     pub tables: Vec<&'static str>,
     /// Items the store already holds, value and all: not put.
     pub unchanged: u64,
@@ -129,32 +124,29 @@ impl WritePlan {
     }
 }
 
-/// Plans the index-store calls for one document version: the write `set`
-/// of its `placement`'s strategy (empty, and `None`, when the plan indexes
-/// nothing for the document) against what the store `held` for its URI.
+/// Plans the index-store calls for one document version: its write `set`
+/// (empty for a delete) against what the store `held` for its URI.
 ///
 /// The set's items go, table by table in its order and each table's in
 /// entry order, into batches of clones — counter bumps: the store is put
-/// the set's own blocks. The placement names each table once, not once per
-/// item. An item `held` records under its key with its value is left out;
-/// any other held key the version has is put, a held key no item claims is
-/// stale and deleted, and either's record is voided — the call may or may
-/// not land before the record is next read (a redelivered message plans
-/// the same calls). The deletes cover the placement's own tables first, in
-/// that order, then — after a plan switch — the previous one's, by name.
+/// the set's own blocks. An item `held` records under its key with its
+/// value is left out; any other held key the version has is put, a held
+/// key no item claims is stale and deleted, and either's record is voided —
+/// the call may or may not land before the record is next read (a
+/// redelivered message plans the same calls). The deletes cover the set's
+/// own tables first, in that order, then any other, by name.
 ///
 /// A plan is a promise the store keeps: an item `profile` would reject —
 /// an entry key longer than its hash-key limit, say — is the typed error
 /// here, before any call is issued.
 pub fn plan_document(
     set: &WriteSet,
-    placement: Option<Placement<'_>>,
     profile: &KvProfile,
     held: Option<&mut Held>,
 ) -> Result<WritePlan, KvError> {
     let mut plan = WritePlan::default();
-    // What is held, by range key (one in each of two tables after a move
-    // between partitions): what no item claims is stale.
+    // What is held, by range key (2LUPI names an entry in two tables):
+    // what no item claims is stale.
     let mut unclaimed: HashMap<&str, Vec<(&'static str, &str, _)>> = HashMap::new();
     if let Some(held) = held {
         held.attempted = true;
@@ -177,9 +169,7 @@ pub fn plan_document(
         !same
     };
     let per_table: Vec<(&'static str, Vec<KvItem>)> = (set.tables.iter())
-        .map(|(table, items)| {
-            // Only a placement has items; it names their table once.
-            let table = placement.map_or(*table, |p| p.table(table));
+        .map(|&(table, ref items)| {
             let mut put = Vec::with_capacity(items.len());
             put.extend(
                 items
@@ -217,15 +207,14 @@ pub fn plan_document(
     Ok(plan)
 }
 
-/// Stores a write set under `placement`: [`plan_document`]'s puts, issued
-/// one after another (each starts when the previous one is acknowledged).
+/// Stores a write set: [`plan_document`]'s puts, issued one after another
+/// (each starts when the previous one is acknowledged).
 pub fn write_entries(
     store: &mut dyn KvStore,
     now: SimTime,
-    placement: Placement<'_>,
     set: &WriteSet,
 ) -> Result<(DocIndexing, SimTime), KvError> {
-    let plan = plan_document(set, Some(placement), &store.profile(), None)?;
+    let plan = plan_document(set, &store.profile(), None)?;
     let metrics = DocIndexing {
         entries: set.entries,
         items: plan.items(),
@@ -241,6 +230,30 @@ pub fn write_entries(
     Ok((metrics, t))
 }
 
+/// Indexes a document set the paper's way — one strategy, the global
+/// tables — sequentially: each document's [`write_entries`] starts when
+/// the one before is stored (host-side convenience for the oracles and
+/// tests; the warehouse's loader pool bursts the same plans).
+pub fn index_documents(
+    store: &mut dyn KvStore,
+    docs: &[Document],
+    strategy: Strategy,
+    opts: ExtractOptions,
+) -> DocIndexing {
+    let mut total = DocIndexing::default();
+    let mut t = SimTime::ZERO;
+    for d in docs {
+        let entries = extract(d, strategy, opts);
+        let set = WriteSet::encode(&entries, &store.profile(), d.uri());
+        let (m, ready) = write_entries(store, t, &set).expect("indexing must succeed");
+        t = ready;
+        total.entries += m.entries;
+        total.items += m.items;
+        total.batches += m.batches;
+    }
+    total
+}
+
 /// Splits `items` into batches of at most `limit`, moving every element
 /// into an exact-size vector: nothing is cloned on the way to the store.
 fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<T>> {
@@ -252,25 +265,21 @@ fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<T>> 
 }
 
 /// The `(table, hash_key, range_key)` item keys [`plan_document`]'s puts
-/// store for these entries under the root placement — the global tables
-/// they were extracted for — table by table, each in entry order.
+/// store for these entries — in the tables they were extracted for —
+/// table by table, each in entry order.
 /// Because a range key names (URI, table, key, chunk), the keys of any
 /// version of a document can be reconstructed from its bytes alone;
 /// stale-entry retraction is the set difference between an old and a new
 /// version's keys — the keys the new version lost, no others.
 pub fn entry_item_keys(entries: &[IndexEntry], profile: &KvProfile, uri: &str) -> Vec<ItemKey> {
     let set = WriteSet::encode(entries, profile, uri);
-    set.placed(None).map(|(key, _)| key).collect()
+    set.placed().map(|(key, _)| key).collect()
 }
 
-/// The keys of a write set's items under any placement (`None`: the
-/// root's), each with what its item stores — read off the items, made
-/// once when the set was encoded.
-pub fn placed_item_keys(
-    set: &WriteSet,
-    placement: Option<Placement<'_>>,
-) -> Vec<(ItemKey, ValueId)> {
-    (set.placed(placement))
+/// The keys of a write set's items, each with what its item stores — read
+/// off the items, made once when the set was encoded.
+pub fn placed_item_keys(set: &WriteSet) -> Vec<(ItemKey, ValueId)> {
+    (set.placed())
         .map(|(key, item)| (key, ValueId::of_item(item)))
         .collect()
 }
@@ -325,9 +334,7 @@ fn delete_batches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{extract, ExtractOptions, Strategy};
     use amada_cloud::{DynamoDb, SimpleDb};
-    use amada_xml::Document;
 
     /// Extracts and stores one document's entries.
     fn index_document(
@@ -339,7 +346,7 @@ mod tests {
     ) -> Result<(DocIndexing, SimTime), KvError> {
         let entries = extract(doc, strategy, opts);
         let set = WriteSet::encode(&entries, &store.profile(), doc.uri());
-        write_entries(store, now, Placement::root(strategy), &set)
+        write_entries(store, now, &set)
     }
 
     fn doc() -> Document {
@@ -488,9 +495,8 @@ mod tests {
                 let profile = store.profile();
                 let what = format!("{strategy} on {}", profile.name);
                 let entries = extract(&d, strategy, ExtractOptions::default());
-                let root = Some(Placement::root(strategy));
                 let set = WriteSet::encode(&entries, &profile, d.uri());
-                let plan = plan_document(&set, root, &profile, None).unwrap();
+                let plan = plan_document(&set, &profile, None).unwrap();
                 assert!(plan.deletes.is_empty(), "{what}");
                 // One table order, the strategy's own: 2LUPI is [path, id].
                 assert_eq!(plan.tables, strategy.tables(), "{what}");
@@ -521,14 +527,13 @@ mod tests {
                 planned.sort_by(|(ta, a), (tb, b)| {
                     (ta, &a.hash_key, a.range_key()).cmp(&(tb, &b.hash_key, b.range_key()))
                 });
-                let root = Placement::root(strategy);
-                let (m, _) = write_entries(store.as_mut(), SimTime::ZERO, root, &set)
+                let (m, _) = write_entries(store.as_mut(), SimTime::ZERO, &set)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(store.peek_all(), planned, "{what}");
                 // The store holds the set's own blocks: a stored item's bytes
                 // exist once.
                 let shared = |i: &KvItem| {
-                    set.placed(None)
+                    set.placed()
                         .any(|(_, s)| std::ptr::eq(s.range_key(), i.range_key()))
                 };
                 assert!(store.peek_all().iter().all(|(_, i)| shared(i)), "{what}");
@@ -544,21 +549,11 @@ mod tests {
         let d = doc();
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
         let profile = DynamoDb::default().profile();
-        let root = Some(Placement::root(Strategy::TwoLupi));
         let set = WriteSet::encode(&entries, &profile, d.uri());
-        let plan = plan_document(&set, root, &profile, None).unwrap();
+        let plan = plan_document(&set, &profile, None).unwrap();
         let path_then_id = [crate::strategy::TABLE_PATH, crate::strategy::TABLE_ID];
         assert_eq!(plan.tables, path_then_id);
         assert_eq!(call_tables(&plan.puts), path_then_id);
-        // The same under a named partition's tables.
-        let hot = Placement {
-            strategy: Strategy::TwoLupi,
-            partition: "hot",
-        };
-        let set = WriteSet::encode(&entries, &profile, "hot/d.xml");
-        let plan = plan_document(&set, Some(hot), &profile, None).unwrap();
-        assert_eq!(plan.tables, ["amada-index-path@hot", "amada-index-id@hot"]);
-        assert_eq!(call_tables(&plan.puts), plan.tables);
     }
 
     #[test]
@@ -567,9 +562,9 @@ mod tests {
         let v1 = wide_doc("d.xml", 60);
         let v2 = wide_doc("d.xml", 20);
         for profile in [DynamoDb::default().profile(), SimpleDb::default().profile()] {
-            // The document is 2LUPI in the root tables now; its replaced
-            // version was too, and before a plan switch it was LU in the
-            // root's main table and LUP in a partition's.
+            // The document is 2LUPI now; its replaced version was too, and
+            // the store also holds LU keys for it in the main table, which
+            // the new version's tables do not include.
             let new = extract(&v2, Strategy::TwoLupi, opts);
             let mut old =
                 entry_item_keys(&extract(&v1, Strategy::TwoLupi, opts), &profile, "d.xml");
@@ -578,20 +573,11 @@ mod tests {
                 &profile,
                 "d.xml",
             ));
-            let hot = Placement {
-                strategy: Strategy::Lup,
-                partition: "hot",
-            };
-            let stranded = extract(&v1, hot.strategy, opts);
-            let stranded = WriteSet::encode(&stranded, &profile, "d.xml");
-            let stranded = placed_item_keys(&stranded, Some(hot));
-            old.extend(stranded.into_iter().map(|(key, _)| key));
             let mut pending = held(old.iter().cloned());
 
-            let root = Some(Placement::root(Strategy::TwoLupi));
             let fresh = entry_item_keys(&new, &profile, "d.xml");
             let new = WriteSet::encode(&new, &profile, "d.xml");
-            let plan = plan_document(&new, root, &profile, Some(&mut pending)).unwrap();
+            let plan = plan_document(&new, &profile, Some(&mut pending)).unwrap();
             assert_eq!(
                 put_keys(&plan),
                 sorted(fresh.clone()),
@@ -609,12 +595,11 @@ mod tests {
             deleted.sort();
             assert_eq!(deleted, expected, "{}", profile.name);
             // Own tables in the strategy's order — not name order, which
-            // would put the ID table first — then the stranded ones by name.
+            // would put the ID table first — then the others by name.
             let order = [
                 crate::strategy::TABLE_PATH,
                 crate::strategy::TABLE_ID,
                 crate::strategy::TABLE_MAIN,
-                "amada-index@hot",
             ];
             assert_eq!(call_tables(&plan.deletes), order, "{}", profile.name);
             assert_eq!(plan.tables, order, "{}", profile.name);
@@ -625,21 +610,21 @@ mod tests {
 
             // Nothing pending that the new version does not hold: no deletes.
             let mut same = held(fresh.iter().cloned());
-            let plan = plan_document(&new, root, &profile, Some(&mut same)).unwrap();
+            let plan = plan_document(&new, &profile, Some(&mut same)).unwrap();
             assert!(plan.deletes.is_empty(), "{}", profile.name);
             assert_eq!(plan.tables, Strategy::TwoLupi.tables(), "{}", profile.name);
         }
     }
 
     #[test]
-    fn a_placement_that_indexes_nothing_plans_no_puts_and_retracts_everything_pending() {
+    fn an_empty_write_set_plans_no_puts_and_retracts_everything_pending() {
         let d = doc();
         let profile = DynamoDb::default().profile();
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
         let set = WriteSet::encode(&entries, &profile, d.uri());
-        let mut pending = recorded(placed_item_keys(&set, None));
+        let mut pending = recorded(placed_item_keys(&set));
         let none = WriteSet::default();
-        let plan = plan_document(&none, None, &profile, Some(&mut pending)).unwrap();
+        let plan = plan_document(&none, &profile, Some(&mut pending)).unwrap();
         assert!(plan.puts.is_empty());
         assert_eq!(plan.items(), 0);
         // A delete that went out may have landed: no value is vouched for.
@@ -648,11 +633,11 @@ mod tests {
             delete_keys(&plan),
             Vec::from_iter(pending.items.into_keys())
         );
-        // No table is the placement's own: all are stranded, in name order.
+        // No table is the write set's own: all go in name order.
         let id_then_path = [crate::strategy::TABLE_ID, crate::strategy::TABLE_PATH];
         assert_eq!(plan.tables, id_then_path);
         // And with nothing pending there is nothing to do at all.
-        let idle = plan_document(&none, None, &profile, None).unwrap();
+        let idle = plan_document(&none, &profile, None).unwrap();
         assert!(idle.puts.is_empty() && idle.deletes.is_empty() && idle.tables.is_empty());
     }
 
@@ -666,11 +651,10 @@ mod tests {
             for strategy in FIVE {
                 let entries = extract(&long, strategy, ExtractOptions::default());
                 let set = WriteSet::encode(&entries, &profile, "d.xml");
-                let root = Some(Placement::root(strategy));
                 let mut pending = held([(crate::strategy::TABLE_MAIN, "k".into(), "r".into())]);
                 for pending in [None, Some(&mut pending)] {
                     assert_eq!(
-                        plan_document(&set, root, &profile, pending).err(),
+                        plan_document(&set, &profile, pending).err(),
                         Some(KvError::KeyTooLarge {
                             limit: profile.max_hash_key_bytes,
                             got: name.len() + 1,
@@ -681,13 +665,12 @@ mod tests {
                 }
                 let mut store = DynamoDb::default();
                 let set = WriteSet::encode(&entries, &store.profile(), "d.xml");
-                let written =
-                    write_entries(&mut store, SimTime::ZERO, Placement::root(strategy), &set);
+                let written = write_entries(&mut store, SimTime::ZERO, &set);
                 assert!(written.is_err());
                 assert!(store.peek_all().is_empty(), "{strategy}: nothing was put");
                 let entries = extract(&doc(), strategy, ExtractOptions::default());
                 let set = WriteSet::encode(&entries, &profile, "d.xml");
-                assert!(plan_document(&set, root, &profile, None).is_ok());
+                assert!(plan_document(&set, &profile, None).is_ok());
             }
         }
     }
@@ -725,14 +708,13 @@ mod tests {
             let mut churned = DynamoDb::default();
             let old = extract(&v1, strategy, opts);
             let new = extract(&v2, strategy, opts);
-            let root = Placement::root(strategy);
             let p = churned.profile();
             let (old_set, new_set) = (
                 WriteSet::encode(&old, &p, v1.uri()),
                 WriteSet::encode(&new, &p, v2.uri()),
             );
-            write_entries(&mut churned, SimTime::ZERO, root, &old_set).unwrap();
-            write_entries(&mut churned, SimTime::ZERO, root, &new_set).unwrap();
+            write_entries(&mut churned, SimTime::ZERO, &old_set).unwrap();
+            write_entries(&mut churned, SimTime::ZERO, &new_set).unwrap();
             let stale = stale_keys(
                 &entry_item_keys(&old, &p, v1.uri()),
                 &entry_item_keys(&new, &p, v2.uri()),
@@ -744,7 +726,7 @@ mod tests {
             retract_keys(&mut churned, SimTime::ZERO, &stale).unwrap();
             // Fresh store: index only v2.
             let mut fresh = DynamoDb::default();
-            write_entries(&mut fresh, SimTime::ZERO, root, &new_set).unwrap();
+            write_entries(&mut fresh, SimTime::ZERO, &new_set).unwrap();
             for t in strategy.tables() {
                 fresh.ensure_table(t);
             }
@@ -761,9 +743,8 @@ mod tests {
         let mut store = DynamoDb::default();
         let d = doc();
         let entries = extract(&d, Strategy::Lu, ExtractOptions::default());
-        let root = Placement::root(Strategy::Lu);
         let set = WriteSet::encode(&entries, &store.profile(), d.uri());
-        write_entries(&mut store, SimTime::ZERO, root, &set).unwrap();
+        write_entries(&mut store, SimTime::ZERO, &set).unwrap();
         let keys = entry_item_keys(&entries, &store.profile(), d.uri());
         retract_keys(&mut store, SimTime::ZERO, &keys).unwrap();
         assert!(store.peek_all().is_empty());

@@ -28,13 +28,11 @@
 
 use crate::codec::{BlockCursor, BlockList};
 use crate::key;
-use crate::partition::{lookup_mixed, MixedPlan, Placement};
 use crate::store::{documents, read_ids, sort_into_runs, PathList};
 use crate::strategy::{ExtractOptions, Strategy, TABLE_ID, TABLE_MAIN, TABLE_PATH};
 use amada_cloud::{KvError, KvItem, KvStore, SimTime};
 use amada_pattern::{Axis, Predicate, Query, TreePattern, TwigJoin, TwigShape, TwigStream};
 use amada_xml::{tokenize, StructuralId};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The result of looking up one tree pattern.
@@ -103,8 +101,9 @@ impl QueryLookup {
 }
 
 /// Looks up a full query the paper's way — one strategy over the global
-/// tables, each tree pattern independently (Section 5.5): [`lookup_mixed`]
-/// under [`MixedPlan::flat`], whose one partition is the root.
+/// tables, each tree pattern independently (Section 5.5), the next when the
+/// one before is ready. The strategy's tables are ensured first: they may
+/// be empty (nothing indexed yet) but must exist for the look-up to run.
 pub fn lookup_query(
     store: &mut dyn KvStore,
     now: SimTime,
@@ -112,37 +111,42 @@ pub fn lookup_query(
     opts: ExtractOptions,
     query: &Query,
 ) -> Result<QueryLookup, KvError> {
-    let plan = MixedPlan::flat(Some(strategy));
-    let root = BTreeSet::from([String::new()]);
-    lookup_mixed(store, now, &plan, opts, query, &[], &root)
+    for table in strategy.tables() {
+        store.ensure_table(table);
+    }
+    let mut per_pattern = Vec::with_capacity(query.patterns.len());
+    let mut t = now;
+    for p in &query.patterns {
+        let outcome = lookup_pattern_in(store, t, strategy, opts, p)?;
+        t = outcome.ready_at;
+        per_pattern.push(outcome);
+    }
+    Ok(QueryLookup::of(per_pattern))
 }
 
-/// Looks up a single tree pattern with a placement's strategy against
-/// its tables (the global ones, or one partition's under a mixed plan).
+/// Looks up a single tree pattern with `strategy` against its tables.
 pub fn lookup_pattern_in(
     store: &mut dyn KvStore,
     now: SimTime,
-    placement: Placement<'_>,
+    strategy: Strategy,
     opts: ExtractOptions,
     pattern: &TreePattern,
 ) -> Result<LookupOutcome, KvError> {
-    let table = |base| placement.table(base);
-    match placement.strategy {
-        Strategy::Lu => lookup_lu(store, now, opts, pattern, table(TABLE_MAIN)),
+    match strategy {
+        Strategy::Lu => lookup_lu(store, now, opts, pattern, TABLE_MAIN),
         // LUP-PD narrows candidates exactly like LUP; only the fetch side
         // differs (the query core scans candidates server-side instead of
         // GET-ing them).
-        Strategy::Lup | Strategy::LupPd => lookup_lup(store, now, opts, pattern, table(TABLE_MAIN)),
-        Strategy::Lui => lookup_lui(store, now, opts, pattern, table(TABLE_MAIN), None),
+        Strategy::Lup | Strategy::LupPd => lookup_lup(store, now, opts, pattern, TABLE_MAIN),
+        Strategy::Lui => lookup_lui(store, now, opts, pattern, TABLE_MAIN, None),
         Strategy::TwoLupi => {
             // Phase 1: LUP on the path table → R1(URI).
-            let r1 = lookup_lup(store, now, opts, pattern, table(TABLE_PATH))?;
+            let r1 = lookup_lup(store, now, opts, pattern, TABLE_PATH)?;
             if r1.uris.is_empty() {
                 return Ok(r1);
             }
             // Phase 2: ID twig join reduced to R1.
-            let id = table(TABLE_ID);
-            let mut r2 = lookup_lui(store, r1.ready_at, opts, pattern, id, Some(&r1.uris))?;
+            let mut r2 = lookup_lui(store, r1.ready_at, opts, pattern, TABLE_ID, Some(&r1.uris))?;
             r2.entries_processed += r1.entries_processed;
             r2.get_ops += r1.get_ops;
             Ok(r2)
@@ -603,7 +607,7 @@ impl TwigStream<()> for LuiStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::index_documents;
+    use crate::loadutil::index_documents;
     use crate::store::{decode_id_lists, decode_path_lists};
     use amada_cloud::{DynamoDb, KvStore};
     use amada_pattern::parse_pattern;
@@ -658,7 +662,7 @@ mod tests {
         lookup_pattern_in(
             store.as_mut(),
             SimTime::ZERO,
-            Placement::root(strategy),
+            strategy,
             ExtractOptions::default(),
             &p,
         )
@@ -831,7 +835,7 @@ mod tests {
             lookup_pattern_in(
                 store,
                 SimTime::ZERO,
-                Placement::root(strategy),
+                strategy,
                 ExtractOptions::default(),
                 &repeated,
             )
@@ -885,7 +889,7 @@ mod tests {
         let out = lookup_pattern_in(
             store.as_mut(),
             SimTime::ZERO,
-            Placement::root(Strategy::Lu),
+            Strategy::Lu,
             ExtractOptions::default(),
             &p,
         )

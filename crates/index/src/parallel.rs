@@ -131,7 +131,7 @@ mod tests {
                 let set = cache.extracted(uri, bytes, strategy, opts).unwrap();
                 let fresh = WriteSet::encode(&extract(&doc, strategy, opts), DYNAMODB, uri);
                 let items = |set: &WriteSet| -> Vec<(crate::ItemKey, amada_cloud::KvItem)> {
-                    set.placed(None)
+                    set.placed()
                         .map(|(key, item)| (key, item.clone()))
                         .collect()
                 };

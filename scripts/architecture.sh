@@ -6,7 +6,7 @@
 # rule under `bash -e` (a non-final `! grep` cannot).
 #
 #   scripts/architecture.sh                  every rule
-#   scripts/architecture.sh one_placement    the named rules only
+#   scripts/architecture.sh one_strategy     the named rules only
 #   bash -x scripts/architecture.sh <rule>   which line of a broken rule
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -100,21 +100,15 @@ one_measurement_path() {
     test "$(grep -cF '[[bench]]' crates/bench/Cargo.toml)" -eq 0
 }
 
-# Which strategy indexes a document, into which partition's tables, is one
-# answer — `MixedPlan::placement` — and `Placement::table` alone names a
-# partition's table. The plan is warehouse state (`apply_plan`), not a
-# configuration field, and the per-pattern fan-out merge is
-# `merge_fan_out`, private to `lookup_mixed`. Entries re-routed per entry,
-# a table set handed to the look-up, a plan resolved from the
-# configuration, the loader or the front end pairing `partition_of` with
-# `strategy_of` by hand, or a second fan-out merge is a copy coming back.
-one_placement() {
+# A warehouse indexes every document under its one configured strategy,
+# in the global tables, and an indexed query looks that strategy up with
+# `lookup_query` — called once, by the query core; the no-index baseline
+# scans. A routing plan, a per-prefix table, a migration between plans, a
+# per-partition fan-out or its catalog is the mixed plan coming back.
+one_strategy() {
+    test "$(grep -cE 'MixedPlan|Placement|lookup_mixed|index_documents_mixed|merge_fan_out|apply_plan|routing_plan|partition_catalog|partition_of|fully_indexed|indexed_strategies' <<<"$src")" -eq 0
     test "$(grep -cE 'routed_entries|StrategyTables|partition_lookup_tables|fn partition_tables|resolve_plan|mixed_plan|pub fn lookup_pattern\(' <<<"$src")" -eq 0
-    test "$(grep -F 'partition_table(' <<<"$src" | grep -cvE '^crates/index/src/partition\.rs:')" -eq 0
-    test "$(grep -cE 'strategy_of\([^)]*partition_of\(' <<<"$src")" -eq 0
-    test "$(grep -E '^crates/core/src/(actors|warehouse)\.rs:' <<<"$src" | grep -cF 'strategy_of(')" -eq 0
-    test "$(grep -cF 'fn merge_fan_out' <<<"$src")" -eq 1
-    test "$(grep -E 'merge_fan_out\(' <<<"$src" | grep -vF 'fn merge_fan_out' | grep -cvE '^crates/index/src/partition\.rs:')" -eq 0
+    test "$(grep -E '^crates/core/src/actors\.rs:' <<<"$src" | grep -vE ':[0-9]+:[[:space:]]*//' | grep -c 'lookup_query(')" -eq 1
     test "$(grep -E '^crates/core/src/adaptive\.rs:' <<<"$src" | grep -c 'slowest')" -eq 0
 }
 
@@ -158,16 +152,14 @@ a_rebuild_writes_what_changed() {
 # Each decision has one home: which keys a delete removes, in which
 # batches, is the write plan's (batches are cut in `loadutil.rs` alone);
 # an instance bills fractional hours (no second billing rule); the
-# shrinker writes XML with amada-xml's one writer; a URI's partition is
-# `partition_of`'s; and the paper's single-strategy look-up is
-# `lookup_mixed` under the flat plan.
+# shrinker writes XML with amada-xml's one writer; and the paper's
+# single-strategy look-up is the one `lookup_query`.
 each_decision_once() {
     test "$(grep -F 'delete_batches' <<<"$src" | grep -cvE '^crates/index/src/loadutil\.rs:')" -eq 0
     test "$(grep -rlE 'BillingGranularity|set_granularity|ec2_billing' crates examples src tests | wc -l)" -eq 0
     test "$(grep -E '^crates/check/' <<<"$src" | grep -cE 'fn (write_skipping|serialize_without)')" -eq 0
     test "$(grep -c 'doc_partition' <<<"$src")" -eq 0
     test "$(grep -c 'fn lookup_query(' <<<"$src")" -eq 1
-    test "$(sed -n '/^pub fn lookup_query(/,/^}/p' crates/index/src/lookup.rs | grep -c 'lookup_mixed(')" -eq 1
 }
 
 # Phase 3's clock — candidates dealt round-robin to the instance's cores,
@@ -270,7 +262,7 @@ rules=(
     one_queue_worker_one_throttle_step
     one_document_write_plan
     one_measurement_path
-    one_placement
+    one_strategy
     range_keys_name_the_entry
     a_rebuild_writes_what_changed
     each_decision_once

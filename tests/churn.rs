@@ -385,14 +385,14 @@ fn skips_are_taken_against_the_last_indexed_version() {
 fn run_crashing_pool(w: &mut Warehouse, cfg: &WarehouseConfig, crash_after: u64, healthy: bool) {
     let totals = Rc::new(RefCell::new(LoaderTotals::default()));
     let cache: DocCache = w.cache().clone();
-    let (registry, plan, start) = (w.retraction_registry(), w.routing_plan(), w.now());
+    let (registry, start) = (w.retraction_registry(), w.now());
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
     for idx in 1..=1 + u64::from(healthy) {
         let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
         let worker = Worker::new(cfg, LOADER, instance, idx);
-        let (plan, registry) = (plan.clone(), registry.clone());
-        let mut core = LoaderCore::new(cfg, worker, plan, registry, totals.clone(), cache.clone());
+        let registry = registry.clone();
+        let mut core = LoaderCore::new(cfg, worker, registry, totals.clone(), cache.clone());
         core.crash_after_batches = (idx == 1).then_some(crash_after);
         engine.spawn(Box::new(core), start);
     }
@@ -485,21 +485,32 @@ fn a_crash_among_the_deletes_then_the_old_bytes_again_puts_the_deleted_keys_back
     }
 }
 
-/// A plan switch onto the same physical table — LU to LUP at the root —
-/// keeps every key and changes every value: the rebuild writes each item
-/// over the presence item of the same name and deletes nothing.
+/// Shape 0 with its fields twice: the same keys, and under LUI a new value
+/// for each — every identifier list grows, and the root's post-order rank
+/// moves.
+fn doubled_docs() -> impl Iterator<Item = (String, String)> {
+    shaped_docs(0).map(|(uri, xml)| {
+        let fields = &xml["<item>".len()..xml.len() - "</item>".len()];
+        (uri, format!("<item>{fields}{fields}</item>"))
+    })
+}
+
+/// A re-upload that keeps every key and changes every value writes each
+/// item over the one of the same key and deletes nothing.
 #[test]
-fn a_plan_switch_in_place_rewrites_every_item_whose_value_differs() {
-    let mut w = indexed(Strategy::Lu);
+fn a_re_upload_in_place_rewrites_every_item_whose_value_differs() {
+    let mut w = indexed(Strategy::Lui);
     let before = w.world().kv.peek_all();
-    let moved = w.apply_plan(amada::index::MixedPlan::flat(Some(Strategy::Lup)));
-    assert_eq!(moved, 6);
+    w.upload_documents(doubled_docs());
     let report = w.build_index();
     let after = w.world().kv.peek_all();
-    assert_eq!(after, fresh_index(Strategy::Lup, 0));
-    assert_eq!(after.len(), before.len(), "LU and LUP name the same keys");
+    let mut fresh = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lui));
+    fresh.upload_documents(doubled_docs());
+    fresh.build_index();
+    assert_eq!(after, fresh.world().kv.peek_all());
+    assert_eq!(after.len(), before.len(), "the same keys");
     let rewritten = before.iter().zip(&after).filter(|(b, a)| b != a).count();
-    assert_eq!(rewritten, after.len(), "a path list is not a presence mark");
+    assert_eq!(rewritten, after.len(), "every identifier list changed");
     assert_eq!(
         (
             report.items as usize,
@@ -508,8 +519,8 @@ fn a_plan_switch_in_place_rewrites_every_item_whose_value_differs() {
         ),
         (rewritten, 0, 0)
     );
-    // And back, onto the table it came from: the same again.
-    w.apply_plan(amada::index::MixedPlan::flat(Some(Strategy::Lu)));
+    // And back to the first version: the same again.
+    w.upload_documents(shaped_docs(0));
     let report = w.build_index();
     assert_eq!(
         (report.items as usize, report.unchanged_items),
@@ -519,11 +530,11 @@ fn a_plan_switch_in_place_rewrites_every_item_whose_value_differs() {
 }
 
 /// A parked message leaves its registry entry — what the store may hold for
-/// the document is still worth knowing — but no rebuild queued: a plan
-/// switch sends the document a message of its own, and a build with nothing
-/// queued builds nothing.
+/// the document is still worth knowing — but no rebuild queued: a build
+/// with nothing queued builds nothing, and the document's next upload sends
+/// it a message of its own.
 #[test]
-fn a_plan_switch_rebuilds_a_document_whose_message_was_parked() {
+fn a_re_upload_rebuilds_a_document_whose_message_was_parked() {
     let mut cfg = WarehouseConfig::with_strategy(Strategy::Lu);
     cfg.retry.max_receives = 1;
     cfg.visibility = SimDuration::from_secs(30);
@@ -542,13 +553,10 @@ fn a_plan_switch_rebuilds_a_document_whose_message_was_parked() {
     // cache's counters with no other test probing the cache).
     assert_eq!(w.build_index().documents, 0);
 
-    assert_eq!(
-        w.apply_plan(amada::index::MixedPlan::flat(Some(Strategy::Lup))),
-        6
-    );
+    w.upload_documents(shaped_docs(2));
     assert_eq!(w.world().sqs.len(LOADER_QUEUE).unwrap(), 6);
     assert_eq!(w.build_index().documents, 6);
-    assert_eq!(w.world().kv.peek_all(), fresh_index(Strategy::Lup, 2));
+    assert_eq!(w.world().kv.peek_all(), fresh_index(Strategy::Lu, 2));
     assert!(w.retraction_registry().borrow().is_empty());
 }
 
@@ -599,35 +607,6 @@ fn deleting_a_queued_replace_deletes_what_the_indexed_version_stored() {
         let mut w = indexed(strategy);
         w.upload_documents(shaped_docs(2));
         let report = w.delete_documents(uris(shaped_docs(0)));
-        assert_eq!(
-            (report.index_items_removed, report.cost),
-            (expected.index_items_removed, expected.cost),
-            "{strategy}"
-        );
-        commits_into_an_empty_index(&mut w, &strategy.to_string());
-    }
-}
-
-/// A migration still queued holds nothing in its new placement: deleting
-/// the documents deletes the old placement's keys only.
-#[test]
-fn deleting_a_queued_migration_deletes_only_the_old_placements_keys() {
-    let hot = || shaped_docs(0).map(|(uri, xml)| (format!("hot/{uri}"), xml));
-    for strategy in [Strategy::Lu, Strategy::TwoLupi] {
-        let build = || {
-            let mut w = Warehouse::new(WarehouseConfig::with_strategy(strategy));
-            w.upload_documents(hot());
-            w.build_index();
-            w
-        };
-        let mut twin = build();
-        let expected = twin.delete_documents(uris(hot()));
-        let mut w = build();
-        let stored = w.world().kv.peek_all().len() as u64;
-        let partitioned = amada::index::MixedPlan::uniform(Some(strategy));
-        assert_eq!(w.apply_plan(partitioned), 6, "{strategy}");
-        let report = w.delete_documents(uris(hot()));
-        assert_eq!(report.index_items_removed, stored, "{strategy}");
         assert_eq!(
             (report.index_items_removed, report.cost),
             (expected.index_items_removed, expected.cost),

@@ -95,7 +95,7 @@ fn mid_upload_crash_rewrites_the_index_idempotently() {
 
     let totals = Rc::new(RefCell::new(LoaderTotals::default()));
     let cache: DocCache = amada_index::ExtractCache::shared();
-    let (plan, registry) = (w.routing_plan(), w.retraction_registry());
+    let registry = w.retraction_registry();
     let start = w.now();
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
@@ -104,7 +104,6 @@ fn mid_upload_crash_rewrites_the_index_idempotently() {
         LoaderCore::new(
             &vis_cfg,
             Worker::new(&vis_cfg, LOADER, instance, idx),
-            plan.clone(),
             registry.clone(),
             totals.clone(),
             cache.clone(),

@@ -37,7 +37,7 @@ fn loader_crash_is_recovered_through_lease_expiry() {
     // Hand-build the loader pool: one crashing core, one healthy core.
     let totals = Rc::new(RefCell::new(LoaderTotals::default()));
     let cache: DocCache = amada_index::ExtractCache::shared();
-    let (plan, registry) = (w.routing_plan(), w.retraction_registry());
+    let registry = w.retraction_registry();
     let start = w.now();
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
@@ -46,7 +46,6 @@ fn loader_crash_is_recovered_through_lease_expiry() {
         let mut core = LoaderCore::new(
             &cfg,
             Worker::new(&cfg, LOADER, instance, idx),
-            plan.clone(),
             registry.clone(),
             totals.clone(),
             cache.clone(),
@@ -102,7 +101,7 @@ fn query_processor_crash_is_recovered() {
     let start = w.now();
     let executions = Rc::new(RefCell::new(Vec::new()));
     let cache: DocCache = amada_index::ExtractCache::shared();
-    let (plan, partitions) = (w.routing_plan(), w.partition_catalog());
+    let strategy = Some(w.config().strategy);
     let engine = w.engine_mut();
     let t = engine
         .world
@@ -115,8 +114,7 @@ fn query_processor_crash_is_recovered() {
         let mut core = QueryCore::new(
             &cfg,
             Worker::new(&cfg, QUERY, instance, idx),
-            plan.clone(),
-            partitions.clone(),
+            strategy,
             executions.clone(),
             cache.clone(),
         );

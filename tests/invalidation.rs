@@ -1,19 +1,18 @@
-//! The read path keeps state between queries — the partition catalog, the
-//! "parses are warm" flag — so stale state is a way to be wrong that the
-//! per-query rebuild never had. One warehouse lives through every kind of
-//! mutation with queries in between (each query re-populates the hoisted
-//! state the next mutation must drop), and after each one it must answer
-//! and bill exactly like a fresh warehouse built from the same final
-//! state.
+//! The read path keeps state between queries — the "parses are warm"
+//! flag — so stale state is a way to be wrong that the per-query rebuild
+//! never had. One warehouse lives through every kind of mutation with
+//! queries in between (each query re-populates the hoisted state the next
+//! mutation must drop), and after each one it must answer and bill exactly
+//! like a fresh warehouse built from the same final state.
 //!
 //! One test function on purpose (like `prewarm_identity.rs`): it sets the
 //! process-wide `AMADA_THREADS`, which concurrent tests would race on.
 
 use amada::cloud::{ServiceKind, Span};
-use amada::index::{partition_of, MixedPlan, Strategy};
+use amada::index::Strategy;
 use amada::pattern::{parse_query, Query};
 use amada::warehouse::{Warehouse, WarehouseConfig};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 fn queries() -> Vec<Query> {
     [
@@ -34,14 +33,10 @@ fn queries() -> Vec<Query> {
     .collect()
 }
 
-fn warehouse(plan: &Option<MixedPlan>) -> Warehouse {
+fn warehouse() -> Warehouse {
     let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
     cfg.host.record = true;
-    let mut w = Warehouse::new(cfg);
-    if let Some(plan) = plan {
-        w.apply_plan(plan.clone());
-    }
-    w
+    Warehouse::new(cfg)
 }
 
 fn batch_gets(spans: &[Span]) -> usize {
@@ -52,25 +47,12 @@ fn batch_gets(spans: &[Span]) -> usize {
 }
 
 /// `w` has lived through mutations and queries; a fresh warehouse is
-/// built from `state` under `plan`. Both must agree on everything a query
-/// reports and costs, with and without the index.
-fn assert_like_fresh(
-    w: &mut Warehouse,
-    state: &BTreeMap<String, String>,
-    plan: &Option<MixedPlan>,
-    after: &str,
-) {
-    let mut fresh = warehouse(plan);
+/// built from `state`. Both must agree on everything a query reports and
+/// costs, with and without the index.
+fn assert_like_fresh(w: &mut Warehouse, state: &BTreeMap<String, String>, after: &str) {
+    let mut fresh = warehouse();
     fresh.upload_documents(state.clone());
     fresh.build_index();
-
-    // The catalog lists exactly the partitions holding documents.
-    let routing = w.routing_plan();
-    let live: BTreeSet<String> = state
-        .keys()
-        .map(|uri| routing.partition_of(uri).to_string())
-        .collect();
-    assert_eq!(*w.partition_catalog(), live, "catalog after {after}");
 
     for q in queries() {
         let name = q.name.clone().unwrap();
@@ -102,7 +84,7 @@ fn assert_like_fresh(
                 ),
                 "execution of {what}"
             );
-            // No look-up goes to a partition that holds nothing.
+            // No look-up goes out for documents that are gone.
             assert_eq!(lived_gets, new_gets, "batch gets of {what}");
         }
     }
@@ -116,14 +98,9 @@ fn every_mutation_drops_the_hoisted_read_path_state() {
     let sculpture = |name: &str, year: u32| {
         format!("<sculpture><name>{name}</name><year>{year}</year></sculpture>")
     };
-    // Fully indexed: no query may fall back on a corpus listing.
-    let by_partition =
-        Some(MixedPlan::uniform(Some(Strategy::Lup)).with("hot", Some(Strategy::TwoLupi)));
-    let all_lui = Some(MixedPlan::uniform(Some(Strategy::Lui)));
     for threads in ["1", "2"] {
         std::env::set_var("AMADA_THREADS", threads);
-        let mut plan = by_partition.clone();
-        let mut w = warehouse(&plan);
+        let mut w = warehouse();
         let mut state: BTreeMap<String, String> = BTreeMap::from([
             ("hot/lion.xml".into(), painting("Lion Hunt", 1854)),
             ("hot/tiger.xml".into(), painting("Tiger Hunt", 1854)),
@@ -132,45 +109,42 @@ fn every_mutation_drops_the_hoisted_read_path_state() {
         ]);
         w.upload_documents(state.clone());
         w.build_index();
-        assert_like_fresh(&mut w, &state, &plan, "the first build");
+        assert_like_fresh(&mut w, &state, "the first build");
 
-        // A new document, in a partition of its own.
+        // A new document.
         let uri = "new/thinker.xml".to_string();
         state.insert(uri.clone(), sculpture("The Thinker", 1854));
         w.upload_documents([(uri.clone(), state[&uri].clone())]);
         w.build_index();
-        assert_like_fresh(&mut w, &state, &plan, "an upload");
+        assert_like_fresh(&mut w, &state, "an upload");
 
         // The same URI, different bytes.
         let uri = "hot/lion.xml".to_string();
         state.insert(uri.clone(), painting("Lion at Rest", 1504));
         w.upload_documents([(uri.clone(), state[&uri].clone())]);
         w.build_index();
-        assert_like_fresh(&mut w, &state, &plan, "a replace");
+        assert_like_fresh(&mut w, &state, "a replace");
 
-        // The last document of its partition goes…
+        // A document goes…
         let uri = "cold/david.xml".to_string();
         let david = state.remove(&uri).unwrap();
-        assert_eq!(partition_of(&uri), "cold");
         assert_eq!(w.delete_documents([uri.clone()]).documents, 1);
-        assert!(!w.partition_catalog().contains("cold"));
-        assert_like_fresh(&mut w, &state, &plan, "a delete");
+        assert_like_fresh(&mut w, &state, "a delete");
 
         // …and comes back.
         state.insert(uri.clone(), david.clone());
         w.upload_documents([(uri, david)]);
         w.build_index();
-        assert_like_fresh(&mut w, &state, &plan, "a re-upload");
+        assert_like_fresh(&mut w, &state, "a re-upload");
 
-        // Another routing plan, then the flat one: partitions move tables,
-        // then stop existing.
-        for next in [all_lui.clone(), None] {
-            plan = next;
-            let flat = MixedPlan::flat(Some(Strategy::Lup));
-            assert!(w.apply_plan(plan.clone().unwrap_or(flat)) > 0);
-            w.build_index();
-            assert_like_fresh(&mut w, &state, &plan, "a plan switch");
-        }
+        // Every document goes, then all come back.
+        let all = std::mem::take(&mut state);
+        assert_eq!(w.delete_documents(all.keys()).documents, all.len() as u64);
+        assert_like_fresh(&mut w, &state, "deleting everything");
+        state = all;
+        w.upload_documents(state.clone());
+        w.build_index();
+        assert_like_fresh(&mut w, &state, "re-uploading everything");
     }
     std::env::remove_var("AMADA_THREADS");
 }

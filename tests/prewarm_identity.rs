@@ -12,9 +12,7 @@
 use amada_cloud::{KvBackend, KvItem, KvTuning, SimTime, SimpleDbConfig};
 use amada_core::{Warehouse, WarehouseConfig};
 use amada_index::store::encode_entry;
-use amada_index::{
-    extract, write_entries, ExtractCache, ExtractOptions, Placement, Strategy, UuidGen,
-};
+use amada_index::{extract, write_entries, ExtractCache, ExtractOptions, Strategy, UuidGen};
 use amada_xmark::{generate_corpus, CorpusConfig};
 use amada_xml::Document;
 
@@ -111,7 +109,7 @@ fn the_process_wide_memo_keeps_store_profiles_apart() {
             for (uri, xml) in &docs {
                 let set = (own.write_set(uri, xml.as_bytes(), strategy, opts, &profile))
                     .expect("generated documents parse");
-                t = (write_entries(kv.as_mut(), t, Placement::root(strategy), &set))
+                t = (write_entries(kv.as_mut(), t, &set))
                     .expect("generated documents fit the store")
                     .1;
                 let doc = Document::parse_str(uri, xml).expect("generated documents parse");

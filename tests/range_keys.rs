@@ -8,8 +8,8 @@
 use amada::cloud::{DynamoDb, KvItem, KvProfile, KvStore, SimpleDb};
 use amada::index::store::encode_entry;
 use amada::index::{
-    extract, placed_item_keys, plan_document, ExtractOptions, Held, IndexEntry, Placement,
-    Strategy, UuidGen, WriteSet,
+    extract, placed_item_keys, plan_document, ExtractOptions, Held, IndexEntry, Strategy, UuidGen,
+    WriteSet,
 };
 use amada::xmark::{generate_corpus, CorpusConfig};
 use amada::xml::Document;
@@ -53,12 +53,11 @@ fn no_two_items_of_a_build_share_a_primary_key() {
             ..p
         });
         for profile in profiles().into_iter().chain(small) {
-            let root = Some(Placement::root(strategy));
             let mut seen: HashSet<(&'static str, String, String)> = HashSet::new();
             let mut chunked = 0usize;
             for (doc, entries) in docs.iter().zip(&per_doc) {
                 let set = WriteSet::encode(entries, &profile, doc.uri());
-                let plan = plan_document(&set, root, &profile, None)
+                let plan = plan_document(&set, &profile, None)
                     .expect("the corpus fits the store's limits");
                 chunked += (plan.items() as usize).saturating_sub(entries.len());
                 for (table, batch) in &plan.puts {
@@ -161,13 +160,12 @@ fn a_replace_deletes_exactly_the_triples_the_new_version_lacks() {
                 let (old, new) = (entries(&old_xml), entries(xml));
                 for profile in profiles() {
                     let what = format!("seed {seed} case {index} {uri} on {}", profile.name);
-                    let root = Some(Placement::root(strategy));
-                    let recorded = placed_item_keys(&WriteSet::encode(&old, &profile, uri), root);
+                    let recorded = placed_item_keys(&WriteSet::encode(&old, &profile, uri));
                     let mut held = Held::default();
                     held.items
                         .extend(recorded.into_iter().map(|(k, v)| (k, Some(v))));
                     let new_set = WriteSet::encode(&new, &profile, uri);
-                    let plan = plan_document(&new_set, root, &profile, Some(&mut held))
+                    let plan = plan_document(&new_set, &profile, Some(&mut held))
                         .expect("generated documents fit the store's limits");
                     let (before, after) = (
                         items_by_key(&old, &profile, uri),
