@@ -9,5 +9,4 @@ pub mod indexing;
 pub mod pushdown;
 pub mod querying;
 pub mod scaling;
-pub mod shard;
 pub mod trace;

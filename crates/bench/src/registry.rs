@@ -174,12 +174,6 @@ pub const ARTIFACTS: &[Artifact] = &[
         in_all: false,
         run: Run::Alone(churn::churn),
     },
-    Artifact {
-        name: "shard",
-        title: "Shard - skew-aware sharded index vs. one table under an open-loop storm (beyond the paper)",
-        in_all: false,
-        run: Run::Alone(shard::shard),
-    },
 ];
 
 /// Resolves command-line names to an ordered set of artifacts: first

@@ -68,11 +68,6 @@ fn churn_is_byte_identical() {
 }
 
 #[test]
-fn shard_is_byte_identical() {
-    assert_matches_golden("shard");
-}
-
-#[test]
 fn pushdown_is_byte_identical() {
     assert_matches_golden("pushdown");
 }

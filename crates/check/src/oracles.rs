@@ -20,9 +20,9 @@ use amada_index::store::{
     decode_id_lists, decode_id_postings, decode_path_lists, decode_presence_uris, encode_entry,
 };
 use amada_index::{
-    decode_tuples, extract, index_documents, key_frequencies, lookup_pattern_in, lookup_query,
-    placed_item_keys, skew_aware_plan, ExtractOptions, IndexEntry, Payload, ScanPredicate,
-    Strategy, UuidGen, WriteSet, TABLE_ID, TABLE_MAIN, TABLE_PATH,
+    decode_tuples, extract, index_documents, lookup_pattern_in, lookup_query, placed_item_keys,
+    ExtractOptions, IndexEntry, Payload, ScanPredicate, Strategy, UuidGen, WriteSet, TABLE_ID,
+    TABLE_MAIN, TABLE_PATH,
 };
 use amada_pattern::twig::evaluate_pattern_twig;
 use amada_pattern::{
@@ -38,7 +38,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Oracle name (`answers`, `containment`, `lookup`, `twig-vs-naive`,
-    /// `round-trip`, `sharding`, `billing`, `isolation`).
+    /// `round-trip`, `billing`, `isolation`).
     pub oracle: &'static str,
     /// What disagreed, with the per-strategy outputs involved.
     pub detail: String,
@@ -90,7 +90,6 @@ pub fn check_case(case: &Case, mutation: Mutation, billing: bool) -> Result<(), 
     }
 
     oracle_round_trip(&docs, opts)?;
-    oracle_sharding(&docs, &query, opts)?;
 
     if !case.churn.is_empty() {
         oracle_churn(case, &query, mutation)?;
@@ -794,80 +793,6 @@ fn block_layer_agrees(ids: &[amada_xml::StructuralId]) -> bool {
         }
     }
     true
-}
-
-// ---------------------------------------------------------------------------
-// Oracle S — sharding is invisible to contents, bills and answers
-// ---------------------------------------------------------------------------
-
-/// Indexes the case twice on DynamoDB — unsharded vs. a skew-aware plan
-/// derived from the case's own key frequencies — and demands identical
-/// stored items, identical billed units, and identical look-up answers
-/// with identical billed gets. Sharding may only move *waiting*, never
-/// what is stored, answered or billed.
-fn oracle_sharding(
-    docs: &[Document],
-    query: &Query,
-    opts: ExtractOptions,
-) -> Result<(), Violation> {
-    let strategy = Strategy::Lup;
-    let entries: Vec<_> = docs
-        .iter()
-        .flat_map(|d| extract(d, strategy, opts))
-        .collect();
-    let freqs = key_frequencies(&entries);
-    if freqs.is_empty() {
-        return Ok(());
-    }
-    let plan = skew_aware_plan(&freqs, 4, 2);
-
-    let mut plain: Box<dyn KvStore> = Box::new(DynamoDb::default());
-    index_documents(plain.as_mut(), docs, strategy, opts);
-    let mut sharded: Box<dyn KvStore> = Box::new(DynamoDb::default());
-    sharded.set_shard_plan(plan);
-    index_documents(sharded.as_mut(), docs, strategy, opts);
-
-    if plain.peek_all() != sharded.peek_all() {
-        return Err(violation(
-            "sharding",
-            "sharded index contents differ from the unsharded build".to_string(),
-        ));
-    }
-    if plain.stats() != sharded.stats() {
-        return Err(violation(
-            "sharding",
-            format!(
-                "sharded bills diverge: unsharded {:?} vs sharded {:?}",
-                plain.stats(),
-                sharded.stats()
-            ),
-        ));
-    }
-
-    let a = lookup_query(plain.as_mut(), SimTime::ZERO, strategy, opts, query)
-        .map_err(|e| violation("sharding", format!("unsharded look-up failed: {e:?}")))?;
-    let b = lookup_query(sharded.as_mut(), SimTime::ZERO, strategy, opts, query)
-        .map_err(|e| violation("sharding", format!("sharded look-up failed: {e:?}")))?;
-    if a.uris != b.uris {
-        return Err(violation(
-            "sharding",
-            format!(
-                "sharded answers diverge: unsharded {:?} vs sharded {:?}",
-                a.uris, b.uris
-            ),
-        ));
-    }
-    if a.get_ops() != b.get_ops() {
-        return Err(violation(
-            "sharding",
-            format!(
-                "sharded look-up bills diverge: {} vs {} billed gets",
-                a.get_ops(),
-                b.get_ops()
-            ),
-        ));
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------

@@ -118,10 +118,7 @@ impl Service for Dynamo {
 mod tests {
     use super::*;
     use crate::clock::SimTime;
-    use crate::fault::FaultInjector;
     use crate::kv::{KvError, KvItem, KvStore, KvValue};
-    use crate::obs::Recorder;
-    use crate::shard::ShardPlan;
 
     fn item(hash: &str, range: &str, uri: &str, val: KvValue) -> KvItem {
         KvItem::new(hash.into(), range, uri.into(), [val].into_iter())
@@ -387,8 +384,8 @@ mod tests {
     fn batch_get_service_units_decompose_per_key() {
         // The audited service-time aggregate read_units(B) + 0.25·(k−1)
         // equals the sum of per-key fractional units Σ (0.25 + b_k/8192)
-        // exactly — the identity the sharded store relies on to split a
-        // batch across shards without changing total service demand.
+        // exactly: the store's one rule for a k-key read is the per-key
+        // metering, associated differently.
         for k in [1usize, 2, 7, 100] {
             let total_bytes: usize = (0..k).map(|i| mix(7, i as u64)).sum();
             let aggregate = Dynamo::read(total_bytes).service + 0.25 * (k.saturating_sub(1)) as f64;
@@ -398,149 +395,5 @@ mod tests {
                 "k={k}: {aggregate} vs {per_key}"
             );
         }
-    }
-
-    fn shard_fixture(plan: ShardPlan) -> DynamoDb {
-        let mut db = DynamoDb::default();
-        db.set_shard_plan(plan);
-        db.ensure_table("t");
-        db
-    }
-
-    #[test]
-    fn sharding_preserves_contents_billing_and_answers() {
-        let items: Vec<KvItem> = (0..20)
-            .map(|i| {
-                item(
-                    &format!("k{}", i % 7),
-                    &format!("r{i}"),
-                    "d",
-                    KvValue::B(&vec![0; mix(3, i)]),
-                )
-            })
-            .collect();
-        let mut flat = shard_fixture(ShardPlan::single());
-        let mut sharded = shard_fixture(ShardPlan::with_hot_keys(3, ["k0", "k1"]));
-        for chunk in items.chunks(5) {
-            flat.batch_put(SimTime::ZERO, "t", chunk.to_vec()).unwrap();
-            sharded
-                .batch_put(SimTime::ZERO, "t", chunk.to_vec())
-                .unwrap();
-        }
-        let keys: Vec<String> = (0..7).map(|i| format!("k{i}")).collect();
-        let (a, _) = flat.batch_get(SimTime::ZERO, "t", &keys).unwrap();
-        let (b, _) = sharded.batch_get(SimTime::ZERO, "t", &keys).unwrap();
-        assert_eq!(a, b, "answers are routing-independent");
-        flat.batch_delete(SimTime::ZERO, "t", &[("k0".into(), "r0".into())])
-            .unwrap();
-        sharded
-            .batch_delete(SimTime::ZERO, "t", &[("k0".into(), "r0".into())])
-            .unwrap();
-        assert_eq!(flat.stats(), sharded.stats(), "billing is plan-blind");
-        assert_eq!(flat.peek_all(), sharded.peek_all());
-    }
-
-    #[test]
-    fn sharded_spans_carry_shard_ids() {
-        use crate::pricing::PriceTable;
-        let mut db = shard_fixture(ShardPlan::with_hot_keys(2, ["hot"]));
-        let rec = Recorder::enabled(PriceTable::default());
-        db.set_recorder(rec.clone());
-        db.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![
-                item("hot", "r1", "d", KvValue::S("")),
-                item("cold-a", "r2", "d", KvValue::S("")),
-            ],
-        )
-        .unwrap();
-        db.get(SimTime::ZERO, "t", "hot").unwrap();
-        let spans = rec.spans();
-        let put_shards: Vec<Option<usize>> = spans
-            .iter()
-            .filter(|s| s.op == "batch_put")
-            .map(|s| s.shard)
-            .collect();
-        assert_eq!(put_shards.len(), 2, "one span per touched shard");
-        assert!(put_shards.contains(&Some(2)), "hot key owns shard 2");
-        let get_span = spans.iter().find(|s| s.op == "get").unwrap();
-        assert_eq!(get_span.shard, Some(2));
-        // Unsharded spans stay untagged.
-        let mut flat = DynamoDb::default();
-        flat.ensure_table("t");
-        let rec2 = Recorder::enabled(PriceTable::default());
-        flat.set_recorder(rec2.clone());
-        flat.batch_put(
-            SimTime::ZERO,
-            "t",
-            vec![item("k", "r", "d", KvValue::S(""))],
-        )
-        .unwrap();
-        assert!(rec2.spans().iter().all(|s| s.shard.is_none()));
-    }
-
-    #[test]
-    fn a_hot_shard_saturates_alone() {
-        // 100 writes to the hot key and 1 to a cold key: the hot shard's
-        // queue stretches while the cold shard answers at first-request
-        // speed — per-shard provisioning isolates the victim.
-        let cfg = DynamoConfig {
-            write_units_per_sec: 100.0,
-            ..Default::default()
-        };
-        let mut db = DynamoDb::new(cfg);
-        db.set_shard_plan(ShardPlan::with_hot_keys(1, ["hot"]));
-        db.ensure_table("t");
-        let mut hot_done = SimTime::ZERO;
-        for i in 0..100 {
-            hot_done = db
-                .batch_put(
-                    SimTime::ZERO,
-                    "t",
-                    vec![item(
-                        "hot",
-                        &format!("r{i}"),
-                        "d",
-                        KvValue::B(&vec![0; 2048]),
-                    )],
-                )
-                .unwrap();
-        }
-        let cold_done = db
-            .batch_put(
-                SimTime::ZERO,
-                "t",
-                vec![item("cold", "r", "d", KvValue::B(&vec![0; 2048]))],
-            )
-            .unwrap();
-        assert!(
-            hot_done.micros() > 10 * cold_done.micros(),
-            "hot {hot_done:?} vs cold {cold_done:?}"
-        );
-    }
-
-    #[test]
-    fn throttles_on_a_sharded_store_tag_the_routed_shard() {
-        use crate::pricing::PriceTable;
-        let mut db = shard_fixture(ShardPlan::with_hot_keys(1, ["hot"]));
-        let rec = Recorder::enabled(PriceTable::default());
-        db.set_recorder(rec.clone());
-        db.set_faults(FaultInjector::new(1.0, 5)); // clamped to 0.95
-        let mut tagged = 0;
-        for _ in 0..50 {
-            if db.get(SimTime::ZERO, "t", "hot").is_err() {
-                tagged += 1;
-            }
-        }
-        assert!(tagged > 0);
-        let throttle_shards: Vec<Option<usize>> = rec
-            .spans()
-            .iter()
-            .filter(|s| s.outcome == crate::Outcome::Throttled)
-            .map(|s| s.shard)
-            .collect();
-        assert_eq!(throttle_shards.len() as u64, tagged);
-        assert!(throttle_shards.iter().all(|&s| s == Some(1)));
     }
 }

@@ -37,7 +37,6 @@
 use crate::clock::SimTime;
 use crate::fault::FaultInjector;
 use crate::obs::Recorder;
-use crate::shard::ShardPlan;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -619,12 +618,6 @@ pub trait KvStore: Send {
     /// must hand over owned data (e.g. `batch_put` payloads) use this to
     /// decide whether to keep a retry copy.
     fn faults_active(&self) -> bool;
-
-    /// Installs a shard plan: subsequent operations queue on per-shard
-    /// lanes, `plan.shards()` per table, routed by hash key
-    /// ([`ShardPlan::single`] restores the one service-wide pair).
-    /// Billing is identical either way, only service times differ.
-    fn set_shard_plan(&mut self, plan: ShardPlan);
 
     /// Host-side snapshot of every item in every table, sorted by
     /// `(table, hash_key, range_key)`. No request is billed and no

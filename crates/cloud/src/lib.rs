@@ -36,7 +36,6 @@ pub mod obs;
 pub mod pricing;
 pub mod s3;
 pub mod service;
-pub mod shard;
 pub mod sim;
 pub mod simpledb;
 pub mod sqs;
@@ -53,7 +52,6 @@ pub use money::Money;
 pub use obs::{ActorTag, Ctx, Outcome, Phase, Recorder, ServiceKind, Span};
 pub use pricing::{InstanceType, PriceTable};
 pub use s3::{content_hash, Blob, ObjectPredicate, S3Error, S3Stats, S3};
-pub use shard::ShardPlan;
 pub use sim::{Actor, CostReport, CostSnapshot, Engine, KvBackend, StepResult, StorageCost, World};
 pub use simpledb::{SimpleDb, SimpleDbConfig};
 pub use sqs::{Message, Sqs, SqsError, SqsStats};

@@ -174,10 +174,6 @@ pub struct Span {
     pub billed: Money,
     /// How the request ended.
     pub outcome: Outcome,
-    /// Index-store shard that served the request, when the store is
-    /// sharded and the shard is determined (`None` otherwise — unsharded
-    /// stores, non-KV services, multi-shard batch throttles).
-    pub shard: Option<usize>,
     /// Context current when the span was recorded.
     pub ctx: Ctx,
 }
@@ -202,7 +198,6 @@ impl Span {
             units: 0.0,
             billed: Money::ZERO,
             outcome: Outcome::Ok,
-            shard: None,
             ctx: ctx.clone(),
         }
     }
@@ -234,12 +229,6 @@ impl Span {
     /// Sets the outcome.
     pub fn outcome(mut self, outcome: Outcome) -> Span {
         self.outcome = outcome;
-        self
-    }
-
-    /// Tags the span with the index-store shard that served it.
-    pub fn shard(mut self, shard: Option<usize>) -> Span {
-        self.shard = shard;
         self
     }
 

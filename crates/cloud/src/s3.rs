@@ -60,7 +60,7 @@ impl crate::fault::RetryAfter for S3Error {
 }
 
 /// FNV-1a over `bytes` — the cheap, deterministic content hash behind
-/// object ETags, cache validation and shard routing.
+/// object ETags and cache validation.
 pub fn content_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -22,9 +22,9 @@ use crate::money::Money;
 use crate::obs::{Outcome, Recorder, ServiceKind, Span};
 use crate::pricing::PriceTable;
 use crate::service::ServiceQueue;
-use crate::shard::ShardPlan;
 use crate::tuning::KvTuning;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::marker::PhantomData;
 
 /// What the services measure an item by: its payload size and how many
 /// attribute values it carries. The default is the item that is not
@@ -57,8 +57,8 @@ pub struct Meter {
     pub billed: u64,
 }
 
-/// A write queue and a read queue: the service as a whole, or one
-/// provisioned shard of one table.
+/// A write queue and a read queue: the service as a whole, shared by
+/// every table of the store.
 #[derive(Debug, Clone)]
 pub struct Lanes {
     /// Serves `batch_put` and `batch_delete`.
@@ -120,38 +120,23 @@ pub trait Service: Send + 'static {
     fn overhead(item: Footprint) -> u64;
 }
 
-/// One lane's part of a request.
-#[derive(Debug, Clone, Copy, Default)]
-struct Share {
+/// What one request asks of its lane — service units, billed units and
+/// bytes moved, metered per item and per key — plus the change in stored
+/// bytes it caused.
+#[derive(Default)]
+struct Demand {
     service: f64,
     billed: u64,
     bytes: u64,
-}
-
-/// What one request asks of the service, by the lane that serves it, plus
-/// the change in stored bytes it caused. Metering is per item and per
-/// key, so the shares of a sharded request sum to exactly what the
-/// unsharded request bills — a shard plan moves queueing, never money.
-struct Demand<'p> {
-    plan: &'p ShardPlan,
-    /// The whole request, while the plan is a single shard.
-    whole: Share,
-    /// Per shard, while it is not.
-    by_shard: BTreeMap<usize, Share>,
     raw_delta: i64,
     overhead_delta: i64,
 }
 
-impl Demand<'_> {
-    fn add(&mut self, hash_key: &str, meter: Meter, bytes: usize) {
-        let share = if self.plan.is_sharded() {
-            self.by_shard.entry(self.plan.route(hash_key)).or_default()
-        } else {
-            &mut self.whole
-        };
-        share.service += meter.service;
-        share.billed += meter.billed;
-        share.bytes += bytes as u64;
+impl Demand {
+    fn add(&mut self, meter: Meter, bytes: usize) {
+        self.service += meter.service;
+        self.billed += meter.billed;
+        self.bytes += bytes as u64;
     }
 
     /// Counts `item` into (`sign` 1) or out of (`sign` −1) storage.
@@ -161,24 +146,16 @@ impl Demand<'_> {
     }
 }
 
-struct Table {
-    items: ItemTable,
-    /// One pair of lanes per shard while the plan is sharded, else none.
-    shards: Vec<Lanes>,
-}
-
 /// The simulated index store of service `S`.
 pub struct Store<S: Service> {
-    config: S::Config,
     profile: KvProfile,
-    tables: HashMap<String, Table>,
+    tables: HashMap<String, ItemTable>,
     stats: KvStats,
     faults: FaultInjector,
     obs: Recorder,
-    /// The service-wide lanes: they serve every request while the plan is
-    /// [`ShardPlan::single`], and none while it is sharded.
+    /// The service-wide lanes: they serve every request of every table.
     service: Lanes,
-    plan: ShardPlan,
+    _kind: PhantomData<S>,
 }
 
 impl<S: Service> Store<S> {
@@ -192,23 +169,13 @@ impl<S: Service> Store<S> {
     pub fn open(config: S::Config, tuning: KvTuning) -> Store<S> {
         Store {
             service: S::lanes(&config),
-            config,
             profile: tuning.narrow(S::PROFILE),
             tables: HashMap::new(),
             stats: KvStats::default(),
             faults: FaultInjector::off(),
             obs: Recorder::off(),
-            plan: ShardPlan::single(),
+            _kind: PhantomData,
         }
-    }
-
-    fn shard_lanes(&self) -> Vec<Lanes> {
-        let shards = if self.plan.is_sharded() {
-            self.plan.shards()
-        } else {
-            0
-        };
-        (0..shards).map(|_| S::lanes(&self.config)).collect()
     }
 
     fn check_batch(got: usize, limit: usize) -> Result<(), KvError> {
@@ -216,20 +183,6 @@ impl<S: Service> Store<S> {
             return Err(KvError::BatchTooLarge { limit, got });
         }
         Ok(())
-    }
-
-    /// The shard to tag a throttle span with: the one shard every key
-    /// routes to, `None` when the batch fans out (or the store is
-    /// unsharded, or cannot throttle) — so hot shards are visible in the
-    /// throttle series.
-    fn shard_hint<'k>(&self, mut hash_keys: impl Iterator<Item = &'k str>) -> Option<usize> {
-        if !self.plan.is_sharded() || !self.faults.is_active() {
-            return None;
-        }
-        let first = self.plan.route(hash_keys.next()?);
-        hash_keys
-            .all(|k| self.plan.route(k) == first)
-            .then_some(first)
     }
 
     /// One request against `table`, from the table look-up on: `body`
@@ -241,7 +194,6 @@ impl<S: Service> Store<S> {
         now: SimTime,
         table: &str,
         (op, dir): (&'static str, &Dir),
-        shard_hint: Option<usize>,
         body: impl FnOnce(&mut ItemTable, &mut Demand) -> R,
     ) -> Result<(R, SimTime), KvError> {
         let Some(t) = self.tables.get_mut(table) else {
@@ -260,53 +212,31 @@ impl<S: Service> Store<S> {
                     .units(1.0)
                     .billed((dir.price)(p))
                     .outcome(Outcome::Throttled)
-                    .shard(shard_hint)
             });
             return Err(KvError::Throttled { available_at });
         }
-        let mut demand = Demand {
-            plan: &self.plan,
-            whole: Share::default(),
-            by_shard: BTreeMap::new(),
-            raw_delta: 0,
-            overhead_delta: 0,
-        };
-        let out = body(&mut t.items, &mut demand);
+        let mut demand = Demand::default();
+        let out = body(t, &mut demand);
         self.stats
             .adjust_stored(demand.raw_delta, demand.overhead_delta);
         self.stats.api_requests += 1;
-        // Each touched lane serves its share as one request; the request
-        // completes when the slowest lane responds. One span per lane.
-        let whole = (!self.plan.is_sharded()).then_some((None, demand.whole));
-        let by_shard = demand
-            .by_shard
-            .into_iter()
-            .map(|(s, share)| (Some(s), share));
-        let mut ready = now;
-        for (shard, share) in whole.into_iter().chain(by_shard) {
-            let lane = (dir.lane)(match shard {
-                None => &mut self.service,
-                Some(s) => &mut t.shards[s],
-            });
-            let done = lane.serve(now, share.service);
-            ready = ready.max(done);
-            *(dir.billed_ops)(&mut self.stats) += share.billed;
-            (dir.count_bytes)(&mut self.stats, share.bytes);
-            self.obs.record(|p, ctx| {
-                let units = if S::SPANS_REPORT_BILLED_UNITS {
-                    share.billed as f64
-                } else {
-                    share.service
-                };
-                Span::new(ServiceKind::Kv, op, now, done, ctx)
-                    .bytes(share.bytes)
-                    .units(units)
-                    .busy(lane.service_time(share.service))
-                    .billed((dir.price)(p) * share.billed)
-                    .shard(shard)
-            });
-        }
-        Ok((out, ready))
+        let lane = (dir.lane)(&mut self.service);
+        let done = lane.serve(now, demand.service);
+        *(dir.billed_ops)(&mut self.stats) += demand.billed;
+        (dir.count_bytes)(&mut self.stats, demand.bytes);
+        self.obs.record(|p, ctx| {
+            let units = if S::SPANS_REPORT_BILLED_UNITS {
+                demand.billed as f64
+            } else {
+                demand.service
+            };
+            Span::new(ServiceKind::Kv, op, now, done, ctx)
+                .bytes(demand.bytes)
+                .units(units)
+                .busy(lane.service_time(demand.service))
+                .billed((dir.price)(p) * demand.billed)
+        });
+        Ok((out, done))
     }
 
     /// One read request for all items under `hash_keys` (a `get` is the
@@ -318,31 +248,25 @@ impl<S: Service> Store<S> {
         op: &'static str,
         hash_keys: &[K],
     ) -> Result<(Vec<KvItem>, SimTime), KvError> {
-        let keys = hash_keys.iter().map(AsRef::as_ref);
-        let hint = self.shard_hint(keys.clone());
-        self.request(now, table, (op, &READ), hint, |t, demand| {
+        self.request(now, table, (op, &READ), |t, demand| {
             let mut items = Vec::new();
-            for k in keys {
+            for k in hash_keys {
                 let first = items.len();
-                items.extend(t.rows(k));
+                items.extend(t.rows(k.as_ref()));
                 // Metered per key, so a batch get bills exactly what the
                 // same keys fetched one by one would — batching saves API
                 // round trips, not capacity.
                 let key_bytes: usize = items[first..].iter().map(KvItem::byte_size).sum();
-                demand.add(k, S::read(key_bytes), key_bytes);
+                demand.add(S::read(key_bytes), key_bytes);
             }
-            if !demand.plan.is_sharded() {
-                // The service-wide lane serves the request as its whole
-                // volume plus a per-key share — an empty key's worth —
-                // for every key after the first. That equals the sum of
-                // the per-key units (which is what lets a shard plan
-                // split a batch without changing total service demand),
-                // but only up to floating-point association, and a lane's
-                // clock is built from these bits.
-                let per_key = S::read(0).service;
-                demand.whole.service = S::read(demand.whole.bytes as usize).service
-                    + per_key * hash_keys.len().saturating_sub(1) as f64;
-            }
+            // A k-key read occupies the lane for `read(B) + read(0)·(k−1)`
+            // units, B its bytes: its whole volume plus an empty key's
+            // worth for every key after the first. That equals the sum of
+            // the per-key units up to floating-point association, and a
+            // lane's clock is built from these bits, so this is the one
+            // rule.
+            demand.service = S::read(demand.bytes as usize).service
+                + S::read(0).service * hash_keys.len().saturating_sub(1) as f64;
             items
         })
     }
@@ -361,19 +285,7 @@ impl<S: Service> KvStore for Store<S> {
 
     fn ensure_table(&mut self, table: &str) {
         if !self.tables.contains_key(table) {
-            let t = Table {
-                items: ItemTable::default(),
-                shards: self.shard_lanes(),
-            };
-            self.tables.insert(table.to_string(), t);
-        }
-    }
-
-    fn set_shard_plan(&mut self, plan: ShardPlan) {
-        self.plan = plan;
-        let lanes = self.shard_lanes();
-        for t in self.tables.values_mut() {
-            t.shards = lanes.clone();
+            self.tables.insert(table.to_string(), ItemTable::default());
         }
     }
 
@@ -387,11 +299,10 @@ impl<S: Service> KvStore for Store<S> {
         for item in &items {
             self.profile.check(item)?;
         }
-        let hint = self.shard_hint(items.iter().map(|item| &*item.hash_key));
-        let ((), ready) = self.request(now, table, ("batch_put", &WRITE), hint, |t, demand| {
+        let ((), ready) = self.request(now, table, ("batch_put", &WRITE), |t, demand| {
             for item in items {
                 let new = Footprint::of(&item);
-                demand.add(&item.hash_key, S::written(new), new.bytes);
+                demand.add(S::written(new), new.bytes);
                 demand.stock::<S>(1, new);
                 // An item with an existing (hash, range) key is replaced
                 // wholesale: the old item's bytes are no longer stored.
@@ -411,24 +322,21 @@ impl<S: Service> KvStore for Store<S> {
     ) -> Result<SimTime, KvError> {
         // Deletes ride the write path: same batch limit, same lane.
         Self::check_batch(keys.len(), self.profile.batch_put_limit)?;
-        let hint = self.shard_hint(keys.iter().map(|(hash, _)| hash.as_str()));
-        let ((), ready) =
-            self.request(now, table, ("batch_delete", &WRITE), hint, |t, demand| {
-                for (hash, range) in keys {
-                    let removed = t.remove(hash, range).map(|old| Footprint::of(&old));
-                    // A delete is billed by what it removed, as the write
-                    // of that item was — and a delete of an absent key
-                    // still bills one unit, which is what keeps retried
-                    // deletes billed (and idempotent) rather than free
-                    // no-ops.
-                    let mut meter = S::written(removed.unwrap_or_default());
-                    meter.billed = meter.billed.max(1);
-                    demand.add(hash, meter, 0);
-                    if let Some(old) = removed {
-                        demand.stock::<S>(-1, old);
-                    }
+        let ((), ready) = self.request(now, table, ("batch_delete", &WRITE), |t, demand| {
+            for (hash, range) in keys {
+                let removed = t.remove(hash, range).map(|old| Footprint::of(&old));
+                // A delete is billed by what it removed, as the write of
+                // that item was — and a delete of an absent key still
+                // bills one unit, which is what keeps retried deletes
+                // billed (and idempotent) rather than free no-ops.
+                let mut meter = S::written(removed.unwrap_or_default());
+                meter.billed = meter.billed.max(1);
+                demand.add(meter, 0);
+                if let Some(old) = removed {
+                    demand.stock::<S>(-1, old);
                 }
-            })?;
+            }
+        })?;
         Ok(ready)
     }
 
@@ -482,7 +390,7 @@ impl<S: Service> KvStore for Store<S> {
         names.sort();
         let mut out = Vec::new();
         for name in names {
-            out.extend(self.tables[name].items.all().map(|i| (name.clone(), i)));
+            out.extend(self.tables[name].all().map(|i| (name.clone(), i)));
         }
         out
     }
@@ -520,15 +428,12 @@ mod tests {
     fn openings() -> Vec<Opening> {
         let dynamo = || KvBackend::Dynamo(DynamoConfig::default());
         let simple = || KvBackend::Simple(SimpleDbConfig::default());
-        let mut sharded = dynamo().open(KvTuning::NONE);
-        sharded.set_shard_plan(ShardPlan::with_hot_keys(2, ["k"]));
         // ⌈0.05 + 3.0 KB⌉ capacity units and 100 B for the item, against
         // one operation and 45 B for each of its three values.
         let on_dynamo = (4, ITEM_OVERHEAD_BYTES);
         let on_simple = (3, 3 * ATTR_OVERHEAD_BYTES);
         [
             ("dynamodb", dynamo().open(KvTuning::NONE), on_dynamo),
-            ("dynamodb-sharded", sharded, on_dynamo),
             ("simpledb", simple().open(KvTuning::NONE), on_simple),
             ("dynamodb-strings", dynamo().open(STRINGS), on_dynamo),
             ("dynamodb-unbatched", dynamo().open(UNBATCHED), on_dynamo),

@@ -4,7 +4,7 @@
 //! index store; the digests below pin, per opening, every returned
 //! `SimTime`, every `Result` variant, the final `KvStats`, `peek_all()`
 //! and every recorded span (bytes, units, busy, billed picodollars,
-//! outcome, shard tag). The constants were produced by the two-backend,
+//! outcome). The constants were produced by the two-backend,
 //! one-wrapper implementation this file was introduced against; whatever
 //! replaces it reproduces them bit for bit or is not a refactor.
 //!
@@ -16,7 +16,7 @@
 
 use amada_cloud::{
     content_hash, FaultInjector, KvBackend, KvError, KvField, KvItem, KvStore, KvTuning, KvValue,
-    PriceTable, Recorder, ShardPlan, SimTime, SimpleDbConfig,
+    PriceTable, Recorder, SimTime, SimpleDbConfig,
 };
 use amada_rng::StdRng;
 use std::fmt::Write;
@@ -33,7 +33,6 @@ struct Opening {
     name: &'static str,
     backend: fn() -> KvBackend,
     tuning: KvTuning,
-    sharded: bool,
     golden: Golden<'static>,
 }
 
@@ -50,7 +49,7 @@ struct Golden<'a> {
     spans: u64,
 }
 
-fn openings() -> [Opening; 5] {
+fn openings() -> [Opening; 4] {
     let strings = KvTuning {
         force_string_values: true,
         disable_batching: false,
@@ -64,7 +63,6 @@ fn openings() -> [Opening; 5] {
             name: "dynamodb",
             backend: KvBackend::default,
             tuning: KvTuning::NONE,
-            sharded: false,
             golden: Golden {
                 ops: 0x5484_f30a_1fd0_027d,
                 stats: "KvStats { put_ops: 4807, get_ops: 3390, api_requests: 561, raw_bytes: 390519, overhead_bytes: 17100, bytes_read: 7980946, throttled: 170 }",
@@ -73,22 +71,9 @@ fn openings() -> [Opening; 5] {
             },
         },
         Opening {
-            name: "dynamodb-sharded",
-            backend: KvBackend::default,
-            tuning: KvTuning::NONE,
-            sharded: true,
-            golden: Golden {
-                ops: 0x53a9_6522_0876_ef74,
-                stats: "KvStats { put_ops: 4807, get_ops: 3390, api_requests: 561, raw_bytes: 390519, overhead_bytes: 17100, bytes_read: 7980946, throttled: 170 }",
-                contents: 0xd7ed_8d28_3717_c289,
-                spans: 0xe2e6_a5ef_5cdf_347d,
-            },
-        },
-        Opening {
             name: "simpledb",
             backend: || KvBackend::Simple(SimpleDbConfig::default()),
             tuning: KvTuning::NONE,
-            sharded: false,
             golden: Golden {
                 ops: 0xf754_6fe4_5cf3_4b5b,
                 stats: "KvStats { put_ops: 1194, get_ops: 414, api_requests: 617, raw_bytes: 49874, overhead_bytes: 4590, bytes_read: 160873, throttled: 181 }",
@@ -100,7 +85,6 @@ fn openings() -> [Opening; 5] {
             name: "dynamodb-strings",
             backend: KvBackend::default,
             tuning: strings,
-            sharded: false,
             golden: Golden {
                 ops: 0xbba5_4399_5315_55d7,
                 stats: "KvStats { put_ops: 1004, get_ops: 1988, api_requests: 401, raw_bytes: 46465, overhead_bytes: 2400, bytes_read: 572856, throttled: 130 }",
@@ -112,7 +96,6 @@ fn openings() -> [Opening; 5] {
             name: "dynamodb-unbatched",
             backend: KvBackend::default,
             tuning: unbatched,
-            sharded: false,
             golden: Golden {
                 ops: 0x84f3_6c6c_5aee_83cd,
                 stats: "KvStats { put_ops: 326, get_ops: 2338, api_requests: 370, raw_bytes: 157560, overhead_bytes: 5800, bytes_read: 1900804, throttled: 125 }",
@@ -278,12 +261,7 @@ fn run_script(store: &mut dyn KvStore) -> String {
 fn transcript(opening: &Opening) -> (String, String, String, String) {
     let mut store = (opening.backend)().open(opening.tuning);
     let recorder = Recorder::enabled(PriceTable::default());
-    // One table before the shard plan and one after it: lanes appear both
-    // when a plan meets existing tables and when a table meets a plan.
     store.ensure_table(TABLES[0]);
-    if opening.sharded {
-        store.set_shard_plan(ShardPlan::with_hot_keys(2, HOT));
-    }
     store.ensure_table(TABLES[1]);
     store.set_recorder(recorder.clone());
     store.set_faults(FaultInjector::new(FAULT_RATE, FAULT_SEED));
@@ -296,9 +274,11 @@ fn transcript(opening: &Opening) -> (String, String, String, String) {
     assert_eq!(format!("{:?}", store.stats()), stats, "peek_all is free");
     let mut spans = String::new();
     for s in recorder.spans().iter() {
+        // The last column is what `{:?}` printed while a span carried an
+        // index-shard tag: `None`, on every opening here.
         writeln!(
             spans,
-            "{} {} {} {} {} {:016x} {} {:?} {:?}",
+            "{} {} {} {} {} {:016x} {} {:?} None",
             s.op,
             s.start.micros(),
             s.end.micros(),
@@ -307,7 +287,6 @@ fn transcript(opening: &Opening) -> (String, String, String, String) {
             s.units.to_bits(),
             s.billed.pico(),
             s.outcome,
-            s.shard
         )
         .unwrap();
     }
@@ -343,15 +322,10 @@ fn every_opening_reproduces_its_golden_transcript() {
 
 #[test]
 fn openings_differ_where_the_services_do() {
-    // The digests are not five copies of one transcript: each opening
+    // The digests are not four copies of one transcript: each opening
     // disagrees with plain DynamoDB somewhere the paper says it should.
     let all = openings();
-    let [plain, sharded, simple, strings, unbatched] = [0, 1, 2, 3, 4].map(|i| transcript(&all[i]));
-    // Sharding moves queueing and span tags, never bills or contents.
-    assert_eq!(plain.1, sharded.1);
-    assert_eq!(plain.2, sharded.2);
-    assert_ne!(plain.3, sharded.3);
-    assert!(sharded.3.contains("Some(3)"), "hot keys own shards 2 and 3");
+    let [plain, simple, strings, unbatched] = [0, 1, 2, 3].map(|i| transcript(&all[i]));
     // The string-only openings reject what DynamoDB stores.
     for (ops, ..) in [&simple, &strings] {
         assert!(ops.contains("err BinaryNotSupported"));

@@ -88,10 +88,10 @@ impl Actor for ArrivalSender {
 /// A seeded open-loop arrival process: inter-arrival gaps are exponential
 /// around a time-varying rate (diurnal sinusoid × periodic burst factor),
 /// and each arrival picks its query by a Zipf draw over the workload —
-/// the hot-key skew that drives one index shard much harder than the
-/// rest. Open-loop means the release times are fixed up-front: arrivals
-/// never wait for completions, so queue growth under saturation is real,
-/// not throttled by the sender.
+/// so a few hot queries reach the shared key-value read lane far more
+/// often than the rest. Open-loop means the release times are fixed
+/// up-front: arrivals never wait for completions, so queue growth under
+/// saturation is real, not throttled by the sender.
 ///
 /// Everything is derived from `seed` through the project RNG — no host
 /// randomness, no wall clock — so a process generates the identical

@@ -139,11 +139,6 @@ pub struct WarehouseConfig {
     pub retry: RetryPolicy,
     /// Host-side (wall-clock only) execution knobs.
     pub host: HostConfig,
-    /// Shard plan for the index store: `None` (the default) keeps the
-    /// single table-level queue, bit-identically to the unsharded build.
-    /// A sharded plan changes service times and throttle exposure only —
-    /// never answers or billed units.
-    pub shard_plan: Option<amada_cloud::ShardPlan>,
 }
 
 impl Default for WarehouseConfig {
@@ -161,7 +156,6 @@ impl Default for WarehouseConfig {
             faults: FaultConfig::default(),
             retry: RetryPolicy::default(),
             host: HostConfig::default(),
-            shard_plan: None,
         }
     }
 }

@@ -121,9 +121,6 @@ impl Warehouse {
         world.sqs.create_queue(QUERY_QUEUE);
         world.sqs.create_queue(RESPONSE_QUEUE);
         world.sqs.create_queue(DEAD_LETTER_QUEUE);
-        if let Some(plan) = &cfg.shard_plan {
-            world.kv.set_shard_plan(plan.clone());
-        }
         world.install_faults(&cfg.faults);
         if cfg.host.record {
             world.enable_recording();
@@ -153,18 +150,6 @@ impl Warehouse {
     /// instance count and flavor between runs; the index is unaffected).
     pub fn set_query_pool(&mut self, pool: crate::config::Pool) {
         self.cfg.query_pool = pool;
-    }
-
-    /// Re-partitions the index store for subsequent runs: `Some(plan)`
-    /// gives every table per-shard provisioned capacity routed by hash
-    /// key, `None` restores the single table-level queue. Contents,
-    /// answers and billed units are unaffected — only queueing changes.
-    pub fn set_shard_plan(&mut self, plan: Option<amada_cloud::ShardPlan>) {
-        self.engine
-            .world
-            .kv
-            .set_shard_plan(plan.clone().unwrap_or_else(amada_cloud::ShardPlan::single));
-        self.cfg.shard_plan = plan;
     }
 
     /// The simulated cloud (for inspection and cost reporting).

@@ -30,7 +30,6 @@ pub mod loadutil;
 pub mod lookup;
 pub mod parallel;
 pub mod pushdown;
-pub mod shard;
 pub mod store;
 pub mod strategy;
 
@@ -43,7 +42,6 @@ pub use loadutil::{
 pub use lookup::{lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup};
 pub use parallel::{prewarm, prewarm_for, PrewarmReport};
 pub use pushdown::{decode_tuples, encode_tuples, ScanPredicate};
-pub use shard::{hottest_keys, key_frequencies, skew_aware_plan};
 pub use store::{UuidGen, ValueId};
 pub use strategy::{extract, ExtractOptions, IndexEntry, Payload, Strategy};
 pub use strategy::{TABLE_ID, TABLE_MAIN, TABLE_PATH};

@@ -254,6 +254,18 @@ one_price_table() {
     test "$(sed -n '/^pub struct PriceTable/,/^}/p' crates/cloud/src/pricing.rs | grep -c 'provider')" -eq 0
 }
 
+# A key-value service serves every table on its one write lane and one
+# read lane, as the paper provisions each table as one throughput lane: a
+# shard plan, per-shard lanes, a skew-aware planner or a second `serve`
+# call in the store is the partitioned store coming back (`ExtractCache`'s
+# lock stripes, `shards` / `shard_of` in `cache.rs`, are not this).
+one_kv_lane() {
+    test "$(grep -cE 'ShardPlan|set_shard_plan|shard_plan|skew_aware_plan|key_frequencies|hottest_keys|shard_hint|by_shard' <<<"$src")" -eq 0
+    test "$(grep -E '^crates/cloud/src/store\.rs:' <<<"$src" | grep -cF 'Vec<Lanes>')" -eq 0
+    test "$(grep -E '^crates/cloud/src/store\.rs:' <<<"$src" | grep -cF '.serve(')" -eq 1
+    test "$(grep -cE '^crates/[a-z]+/src/(lib|experiments/mod)\.rs:[0-9]+:(pub )?mod shard;' <<<"$src")" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -272,6 +284,7 @@ rules=(
     query_invariants_once
     one_write_set
     one_price_table
+    one_kv_lane
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do
