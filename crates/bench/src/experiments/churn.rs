@@ -16,13 +16,14 @@
 //! *net* benefit per run (query savings − maintenance). The tests pin the
 //! crossover: every strategy's net is positive on the static corpus and
 //! negative at full churn, so somewhere in between the index stops paying
-//! — and the advisor ([`amada_core::advise`]), fed the same churn rate,
+//! — and the advisor ([`amada_core::advise`]), which deploys each layout on
+//! the same corpus and rebuilds it after the round's own new versions,
 //! flips its recommendation to the "index nothing" layout.
 
 pub use super::pushdown::STRATEGIES;
 use crate::{corpus, strategy_warehouse, Outcome, Scale, TextTable};
 use amada_cloud::{InstanceType, Money};
-use amada_core::{advise, Churn, FamilyLoad, Horizon, Pool, WarehouseConfig};
+use amada_core::{advise, FamilyLoad, Horizon, Pool, WarehouseConfig};
 use amada_index::Strategy;
 use amada_xmark::generate_document;
 
@@ -82,8 +83,7 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, [u64; 2]) {
         fleet.push((strategy, w, baseline.signed_diff(indexed)));
     }
 
-    // The advisor prices the same trade on a small sample.
-    let sample: Vec<(String, String)> = docs.iter().take(docs.len().min(30)).cloned().collect();
+    // The advisor prices the same trade on the same corpus.
     let families: Vec<FamilyLoad> = queries
         .iter()
         .cloned()
@@ -102,6 +102,9 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, [u64; 2]) {
     for (round, &rate_pct) in RATES.iter().enumerate() {
         let replaced = (docs.len() as u64 * rate_pct).div_ceil(100) as usize;
         let next = versions_of(round);
+        let versions: Vec<(String, String)> = (docs.iter().take(replaced).enumerate())
+            .map(|(i, (uri, _))| (uri.clone(), next(i)))
+            .collect();
         let mut per_strategy = Vec::new();
         let mut unchanged = Vec::new();
         let mut retracted = 0u64;
@@ -110,12 +113,7 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, [u64; 2]) {
                 unchanged.push(0);
                 Money::ZERO
             } else {
-                w.upload_documents(
-                    docs.iter()
-                        .take(replaced)
-                        .enumerate()
-                        .map(|(i, (uri, _))| (uri.clone(), next(i))),
-                );
+                w.upload_documents(versions.iter().cloned());
                 let report = w.build_index();
                 unchanged.push(report.unchanged_items);
                 retracted += report.retracted_items;
@@ -132,23 +130,13 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, [u64; 2]) {
             .filter(|(_, _, net)| *net > 0)
             .max_by_key(|(_, _, net)| *net)
             .map_or("none", |(name, _, _)| name);
-        // The advisor is told the traffic: how many of its sample's
-        // documents a round replaces, and the share of their keys the
-        // round's versions drop.
-        let churned = (sample.len() as u64 * rate_pct).div_ceil(100);
-        let base = WarehouseConfig::default();
-        let next_versions: Vec<String> = (0..churned as usize).map(&next).collect();
-        let versions = sample
-            .iter()
-            .zip(&next_versions)
-            .map(|((uri, old), next)| (uri.as_str(), old.as_str(), next.as_str()));
-        let churn =
-            Churn::measured(churned, versions, &base).expect("the generated sample is well-formed");
+        // The advisor is told the traffic: the round's own versions.
         let horizon = Horizon {
             expected_runs: ADVISOR_RUNS,
             months: 1.0,
         };
-        let ranked = advise(&sample, &families, &churn, &horizon, &base)
+        let base = WarehouseConfig::default();
+        let ranked = advise(&docs, &families, &versions, &horizon, &base)
             .expect("the generated sample is well-formed and within the store's limits");
         let advisor = ranked[0].strategy.map_or("none", Strategy::name);
         rows.push(ChurnRow {

@@ -5,29 +5,13 @@
 //!
 //! [`advise`] scores the five flat layouts — LU, LUP, LUI, 2LUPI and no
 //! index at all (scan), each over the whole corpus — for a sample of the
-//! corpus, a weighted workload and a declared churn, and ranks them by
-//! their projected cost over a horizon, **without running a deployment**:
-//!
-//! * exact operation counts come from *host-side micro-execution* — the
-//!   layout's index is actually built into a scratch index store — the
-//!   deployment's own backend and tuning, opened as
-//!   [`crate::Warehouse::new`] opens it — with the loader's write path, and
-//!   each workload query is actually looked up against it, so
-//!   `|op(D, I)|`, `|op(q, D, I)|`, `s(D, I)`, `|D_q|` and `|r(q)|` are
-//!   measured, not guessed;
-//! * virtual durations come from the same service-time and
-//!   [`WorkModel`](amada_cloud::WorkModel) conversions the simulated
-//!   warehouse charges: a query's reads run on the query processor's own
-//!   fetch clock, loader work is serialized on one core and divided
-//!   across the configured pool;
-//! * money comes from the Section 7.3 formulas ([`CostModel`]).
-//!
-//! What micro-execution deliberately leaves out: queue contention between
-//! pool cores, SQS round-trip latencies, and commit-path retries. Those
-//! are second-order for cost (the bill is dominated by operation counts
-//! and compute time, both exact here), which is why the estimates carry a
-//! stated tolerance — [`ESTIMATE_TOLERANCE`] — against measured
-//! deployments, pinned by this module's tests.
+//! corpus, a weighted workload and the next versions of the sample
+//! documents one workload run replaces, and ranks them by their projected
+//! cost over a horizon. It prices a layout by deploying it on the sample:
+//! a [`Warehouse`] on the caller's configuration uploads the sample, builds
+//! the layout's index, runs each query family once and rebuilds after the
+//! replaced versions, and the projection is what that deployment was
+//! billed. There is no second model of the warehouse to drift from it.
 //!
 //! A cold or heavily churning workload is honestly advised not to index
 //! at all. The advice is whole-corpus, like the warehouse it advises: a
@@ -36,43 +20,24 @@
 //! baseline scans the corpus.
 
 use crate::config::WarehouseConfig;
-use crate::cost::CostModel;
-use crate::fetch::fetch_timeline;
-use crate::metrics::result_payload;
-use amada_cloud::{Blob, KvError, KvStore, Money, SimDuration, SimTime, S3};
-use amada_index::{
-    extract, lookup_pattern_in, placed_item_keys, plan_document, write_entries, Evaluation,
-    ExtractCache, Held, LookupOutcome, PatternProbe, QueryLookup, Strategy, WriteSet,
-};
-use amada_pattern::{join_pattern_results, Query, Tuple};
-use amada_xml::{Document, XmlError};
-use std::collections::BTreeMap;
-use std::convert::Infallible;
-use std::sync::Arc;
+use crate::warehouse::Warehouse;
+use amada_cloud::{KvError, Money};
+use amada_index::{plan_document, ExtractCache, Strategy};
+use amada_pattern::Query;
+use amada_xml::XmlError;
 
-/// Stated relative tolerance of the micro-execution estimates against a
-/// measured deployment: build-phase, per-run and maintenance costs each
-/// agree within this fraction (storage agrees near-exactly — both sides
-/// count the same stored bytes). The maintenance bound holds once a churn
-/// round replaces at least as many documents as the loader pool has
-/// cores: a deployment bills every loader instance for the whole rebuild
-/// phase, the estimate a perfectly balanced pool, so a smaller round is
-/// under-estimated. `estimates_track_measured_deployments` pins both
-/// sides of that regime.
-pub const ESTIMATE_TOLERANCE: f64 = 0.20;
-
-/// Why the advisor could not price a sample. Every micro-execution must
-/// succeed for a ranking to mean anything: a layout that could not be
-/// priced fails the request, it is never a silently cheaper choice.
+/// Why the advisor could not price a sample. A document the deployment's
+/// loader would dead-letter fails the request: a layout that could not be
+/// priced is never a silently cheaper choice.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdviseError {
-    /// The sample document at this URI is not well-formed XML.
+    /// The sample document (or replaced version) at this URI is not
+    /// well-formed XML.
     Parse(String, XmlError),
-    /// The index store rejected the entries of the sample document at
-    /// this URI (a key or an item over the deployment's store limits).
+    /// The index store cannot hold the entries of the sample document (or
+    /// replaced version) at this URI (a key or an item over the
+    /// deployment's store limits).
     Store(String, KvError),
-    /// The index store rejected the look-up of the query of this name.
-    Lookup(String, KvError),
     /// The horizon's months are negative, NaN or infinite.
     Horizon(f64),
 }
@@ -82,7 +47,6 @@ impl std::fmt::Display for AdviseError {
         match self {
             Self::Parse(uri, error) => write!(f, "document {uri} does not parse: {error}"),
             Self::Store(uri, error) => write!(f, "document {uri} cannot be indexed: {error}"),
-            Self::Lookup(query, error) => write!(f, "query {query} cannot be looked up: {error}"),
             Self::Horizon(months) => {
                 write!(
                     f,
@@ -105,67 +69,6 @@ pub struct FamilyLoad {
     pub arrivals: u64,
 }
 
-/// The sample's declared churn per workload run — traffic, like
-/// [`FamilyLoad::arrivals`], not a knob. The default replaces nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Churn {
-    /// Documents replaced.
-    pub documents: u64,
-    /// The share of a replaced version's index items its next version
-    /// holds no key for, `0.0..=1.0`: a range key names its entry, so only
-    /// these are billed a delete.
-    pub dropped: f64,
-    /// The share of the next version's items a rebuild writes (new key or
-    /// changed value; the rest is not billed), in [`Strategy::ALL`] order.
-    pub rewritten: [f64; 4],
-}
-
-impl Churn {
-    /// Measures both over `(uri, replaced xml, next xml)` versions: the write
-    /// plan of the next version against what the replaced one stored. A key
-    /// is kept or dropped whatever a strategy stores under it, so the
-    /// presence index's deletes stand for every strategy's `dropped` — but
-    /// not for `rewritten`: what is stored under a kept key decides that.
-    pub fn measured<'a>(
-        documents: u64,
-        versions: impl IntoIterator<Item = (&'a str, &'a str, &'a str)>,
-        base: &WarehouseConfig,
-    ) -> Result<Churn, AdviseError> {
-        let profile = base.backend.clone().open(base.kv_tuning).profile();
-        let (mut dropped, mut held) = (0u64, 0u64);
-        let (mut written, mut stored) = ([0u64; 4], [0u64; 4]);
-        for (uri, replaced, next) in versions {
-            let parse = |xml| {
-                Document::parse_str(uri, xml).map_err(|e| AdviseError::Parse(uri.to_string(), e))
-            };
-            let (replaced, next) = (parse(replaced)?, parse(next)?);
-            for (at, strategy) in Strategy::ALL.into_iter().enumerate() {
-                let set_of =
-                    |doc| WriteSet::encode(&extract(doc, strategy, base.extract), &profile, uri);
-                let mut old = Held::default();
-                let recorded = placed_item_keys(&set_of(&replaced));
-                old.items
-                    .extend(recorded.into_iter().map(|(key, v)| (key, Some(v))));
-                let plan = plan_document(&set_of(&next), &profile, Some(&mut old))
-                    .map_err(|e| AdviseError::Store(uri.to_string(), e))?;
-                written[at] += plan.items();
-                stored[at] += plan.items() + plan.unchanged;
-                if strategy == Strategy::Lu {
-                    let deleted = plan.deletes.iter().map(|(_, keys)| keys.len() as u64);
-                    dropped += deleted.sum::<u64>();
-                    held += old.items.len() as u64;
-                }
-            }
-        }
-        let share = |part: u64, of: u64| part as f64 / of.max(1) as f64;
-        Ok(Churn {
-            documents,
-            dropped: share(dropped, held),
-            rewritten: std::array::from_fn(|at| share(written[at], stored[at])),
-        })
-    }
-}
-
 /// The projection horizon.
 #[derive(Debug, Clone, Copy)]
 pub struct Horizon {
@@ -182,9 +85,9 @@ pub struct Horizon {
 pub struct PlanEstimate {
     /// The strategy indexing the whole corpus, `None` for no index.
     pub strategy: Option<Strategy>,
-    /// Build-phase bill (`ci$` minus the upload term every layout pays
-    /// identically): index puts, document fetches, loader compute, task
-    /// messaging.
+    /// What building the sample's index billed (`ci$` minus the upload
+    /// term every layout pays identically): index puts, document fetches,
+    /// the loader pool, task messaging. The scan layout builds nothing.
     pub build_cost: Money,
     /// Monthly storage (file store + index store).
     pub storage_per_month: Money,
@@ -195,8 +98,8 @@ pub struct PlanEstimate {
     /// Size of the result object one execution of each workload family
     /// materializes (`|r(q)|`), in workload order.
     pub result_bytes: Vec<u64>,
-    /// Index maintenance per run at the declared churn: stale-entry
-    /// retraction plus re-indexing of the replaced documents. The scan
+    /// Index maintenance per run: what rebuilding after the replaced
+    /// versions billed (stale-entry retraction plus re-indexing). The scan
     /// layout churns free.
     pub maintenance_per_run: Money,
     /// `build + runs × (run + maintenance) + months × storage`.
@@ -211,306 +114,97 @@ impl PlanEstimate {
     }
 }
 
-/// One layout's micro-build over the whole sample: its scratch index store
-/// and the loader-side numbers.
-struct Build {
-    /// The layout's scratch index (empty for "scan").
-    kv: Box<dyn KvStore>,
-    /// Virtual end of the build — look-ups start here.
-    built_at: SimTime,
-    /// Index put operations.
-    puts: u64,
-    /// Bytes stored in the index tables.
-    stored_bytes: u64,
-    /// Loader serial time (fetch + parse + extract + write) for the
-    /// sample.
-    serial: SimDuration,
-    /// Per document, in sample order, `(index puts, loader serial)`, for
-    /// the churn math.
-    per_doc: Vec<(u64, SimDuration)>,
-}
-
-/// The scenario state every layout scored against it shares: stored sample
-/// documents (parsed, extracted and evaluated through [`ExtractCache`], as
-/// loaders and query cores are), their micro-measured fetch latencies, the
-/// horizon and the cost model.
-struct Scenario<'a> {
-    /// The sample's URIs, in sample order.
-    uris: Vec<String>,
-    blobs: BTreeMap<String, Arc<Blob>>,
-    fetch: BTreeMap<String, SimDuration>,
-    /// The file store's latency, the tail of each fetch.
-    latency: SimDuration,
-    corpus_bytes: u64,
-    base: &'a WarehouseConfig,
-    horizon: Horizon,
-    cost: CostModel,
-}
-
-impl<'a> Scenario<'a> {
-    fn new(
-        sample: &[(String, String)],
-        horizon: &Horizon,
-        base: &'a WarehouseConfig,
-    ) -> Result<Scenario<'a>, AdviseError> {
-        if !(horizon.months >= 0.0 && horizon.months.is_finite()) {
-            return Err(AdviseError::Horizon(horizon.months));
-        }
-        let mut s3 = S3::new();
-        s3.create_bucket("sample");
-        let mut uris = Vec::with_capacity(sample.len());
-        let mut blobs = BTreeMap::new();
-        let mut fetch = BTreeMap::new();
-        let mut corpus_bytes = 0u64;
-        let mut t = SimTime::ZERO;
-        for (uri, xml) in sample {
-            (ExtractCache::shared().try_parsed(uri, xml.as_bytes()))
-                .map_err(|e| AdviseError::Parse(uri.clone(), e))?;
-            t = s3
-                .put(t, "sample", uri, xml.clone().into_bytes())
-                .expect("scratch bucket exists");
-            // Micro-measure the fetch latency each loader / query core
-            // will pay for this document, with the same service-time
-            // model the simulation charges (uncontended).
-            let (bytes, ready) = s3.get(t, "sample", uri).expect("just stored");
-            fetch.insert(uri.clone(), ready - t);
-            t = ready;
-            corpus_bytes += bytes.len() as u64;
-            blobs.insert(uri.clone(), bytes);
-            uris.push(uri.clone());
-        }
-        Ok(Scenario {
-            uris,
-            blobs,
-            fetch,
-            latency: s3.latency(),
-            corpus_bytes,
-            base,
-            horizon: *horizon,
-            cost: CostModel::new(base.prices.clone()),
-        })
-    }
-
-    /// The VM bill for `serial` compute, perfectly balanced across a
-    /// pool: rate × serial ÷ cores, independent of the instance count.
-    fn vm(&self, serial: SimDuration, itype: amada_cloud::InstanceType, cores: usize) -> Money {
-        self.cost
-            .prices
-            .vm_hour(itype)
-            .per_hour(serial.micros() / cores as u64)
-    }
-
-    /// Micro-builds the sample under one strategy (or none): every
-    /// document flows through the loader (fetch + parse) even when the
-    /// layout indexes nothing; an indexed layout also extracts and writes
-    /// its entries into the global tables of its own scratch store.
-    fn build(&self, strategy: Option<Strategy>) -> Result<Build, AdviseError> {
-        let work = &self.base.work;
-        let lecu = self.base.loader_pool.itype.ecu_per_core();
-        let mut kv = self.base.backend.clone().open(self.base.kv_tuning);
-        let mut t = SimTime::ZERO;
-        let mut serial = SimDuration::ZERO;
-        let mut puts = 0u64;
-        let mut per_doc = Vec::with_capacity(self.uris.len());
-        for uri in &self.uris {
-            let blob = &self.blobs[uri];
-            let mut serial_doc = self.fetch[uri] + work.parse(blob.len() as u64, lecu);
-            let mut doc_puts = 0u64;
-            if let Some(strategy) = strategy {
-                let (opts, profile) = (self.base.extract, kv.profile());
-                let set = (ExtractCache::shared())
-                    .write_set(uri, blob, strategy, opts, &profile)
-                    .map_err(|e| AdviseError::Parse(uri.clone(), e))?;
-                serial_doc += work.extract(set.raw_bytes, lecu);
-                let before = kv.stats().put_ops;
-                let (_m, ready) = write_entries(kv.as_mut(), t, &set)
-                    .map_err(|e| AdviseError::Store(uri.clone(), e))?;
-                serial_doc += ready - t;
-                t = ready;
-                doc_puts = kv.stats().put_ops - before;
-                puts += doc_puts;
-            }
-            serial += serial_doc;
-            per_doc.push((doc_puts, serial_doc));
-        }
-        Ok(Build {
-            puts,
-            stored_bytes: kv.stats().stored_bytes(),
-            built_at: t,
-            kv,
-            serial,
-            per_doc,
-        })
-    }
-
-    /// One query's per-pattern look-ups, each issued when the build ended
-    /// and timed as if from [`SimTime::ZERO`]: against the layout's
-    /// scratch index, or — for the scan — every sample document a
-    /// candidate of every pattern, with no store call.
-    fn lookup(
-        &self,
-        build: &mut Build,
-        strategy: Option<Strategy>,
-        query: &Query,
-    ) -> Result<Vec<LookupOutcome>, AdviseError> {
-        let Some(strategy) = strategy else {
-            let mut uris: Vec<Arc<str>> = self.uris.iter().map(|u| Arc::from(u.as_str())).collect();
-            uris.sort_unstable();
-            uris.dedup();
-            let scan = LookupOutcome {
-                uris,
-                ..Default::default()
-            };
-            return Ok(vec![scan; query.patterns.len()]);
-        };
-        let t0 = build.built_at;
-        let name = query.name.clone().unwrap_or_default();
-        (query.patterns.iter())
-            .map(|p| {
-                let o = lookup_pattern_in(build.kv.as_mut(), t0, strategy, self.base.extract, p)
-                    .map_err(|e| AdviseError::Lookup(name.clone(), e))?;
-                Ok(LookupOutcome {
-                    ready_at: SimTime::ZERO + (o.ready_at.max(t0) - t0),
-                    ..o
-                })
-            })
-            .collect()
-    }
-
-    /// Scores one layout (see the module docs for exactly what is measured
-    /// and what is modeled).
-    fn estimate(
-        &self,
-        strategy: Option<Strategy>,
-        workload: &[FamilyLoad],
-        churn: &Churn,
-    ) -> Result<PlanEstimate, AdviseError> {
-        let work = &self.base.work;
-        let lpool = self.base.loader_pool;
-        let lcores = lpool.itype.cores();
-        let qitype = self.base.query_pool.itype;
-        let (qcores, qecu) = (qitype.cores(), qitype.ecu_per_core());
-
-        // ---- Build + storage. ----
-        let mut build = self.build(strategy)?;
-        let n_docs = self.uris.len() as u64;
-        let build_cost = self.cost.prices.idx_put * build.puts
-            + self.cost.prices.st_get * n_docs
-            + self.vm(build.serial, lpool.itype, lcores)
-            + self.cost.prices.qs_request * (2 * n_docs);
-        let storage_per_month = self
-            .cost
-            .monthly_storage(self.corpus_bytes, build.stored_bytes);
-
-        // ---- Queries: each family's look-ups and the memoized twig
-        // evaluations of its candidates. ----
-        let mut run_cost = Money::ZERO;
-        let mut index_get_ops = 0u64;
-        let mut result_sizes = Vec::with_capacity(workload.len());
-        for fam in workload {
-            let npat = fam.query.patterns.len();
-            let looked_up = self.lookup(&mut build, strategy, &fam.query)?;
-            let mut lookup_get = SimDuration::ZERO;
-            for o in &looked_up {
-                lookup_get += o.ready_at - SimTime::ZERO;
-            }
-            let lookup = QueryLookup::of(looked_up);
-            let get_ops = lookup.get_ops();
-            let plan_time = work.plan(lookup.entries_processed(), qecu);
-            // Transfer + evaluate on the query processor's clock, over the
-            // measured fetches; then the join, divided across the cores.
-            let mut per_pattern: Vec<Vec<Arc<Evaluation>>> = vec![Vec::new(); npat];
-            let mut probes: Vec<_> = fam.query.patterns.iter().map(PatternProbe::new).collect();
-            let (start, reads) = (SimTime::ZERO, lookup.uris.len());
-            let Ok(fetched) = fetch_timeline(start, qcores, self.latency, reads, |i, at| {
-                let (uri, blob) = (&lookup.uris[i], &self.blobs[&*lookup.uris[i]]);
-                let mut compute = work.parse(blob.len() as u64, qecu);
-                for (p, candidates) in lookup.per_pattern.iter().enumerate() {
-                    if candidates.uris.binary_search(uri).is_ok() {
-                        let evaluated = ExtractCache::shared().evaluated(uri, blob, &mut probes[p]);
-                        compute += work.eval(evaluated.1.candidates, qecu);
-                        per_pattern[p].push(evaluated);
-                    }
-                }
-                Ok::<_, Infallible>((at + self.fetch[&**uri], compute))
-            });
-            let per_pattern: Vec<Vec<&Tuple>> = (per_pattern.iter())
-                .map(|evaluated| evaluated.iter().flat_map(|e| &e.0).collect())
-                .collect();
-            let tuple_count: u64 = per_pattern.iter().map(|v| v.len() as u64).sum();
-            let results = join_pattern_results(&fam.query, &per_pattern);
-            let result_bytes = result_payload(&results).len() as u64;
-            let join = work.plan(tuple_count, qecu) + work.materialize(result_bytes, qecu);
-            let wall = (fetched - start) + SimDuration::from_micros(join.micros() / qcores as u64);
-            let ptq = lookup_get + plan_time + wall;
-            let fetched = lookup.uris.len() as u64;
-            let per_query = self
-                .cost
-                .query_indexed(result_bytes, get_ops, fetched, ptq, qitype);
-            run_cost += per_query * fam.arrivals;
-            result_sizes.push(result_bytes);
-            index_get_ops += get_ops * fam.arrivals;
-        }
-
-        // ---- Maintenance: per run, the declared churn re-indexes the
-        // first `churn.documents` sample documents: the rewritten share of
-        // the next version's entries put (a kept item of unchanged value
-        // is left alone), the dropped share retracted, both index
-        // writes. ----
-        let at = Strategy::ALL.iter().position(|s| Some(*s) == strategy);
-        let written = at.map_or(1.0, |at| churn.rewritten[at]) + churn.dropped;
-        let written_ppm = (written * 1e6).round() as u64;
-        let mut maintenance = Money::ZERO;
-        for &(puts, serial_doc) in build.per_doc.iter().take(churn.documents as usize) {
-            if puts == 0 {
-                continue; // the scan layout churns free
-            }
-            let rewrite = self.cost.prices.idx_put * puts;
-            maintenance += rewrite.scaled(written_ppm, 1_000_000)
-                + self.cost.prices.st_get
-                + self.cost.prices.qs_request * 2
-                + self.vm(serial_doc, lpool.itype, lcores);
-        }
-
-        let projected_total = build_cost
-            + (run_cost + maintenance) * self.horizon.expected_runs as u64
-            + months_scaled(storage_per_month, self.horizon.months);
-        Ok(PlanEstimate {
-            strategy,
-            build_cost,
-            storage_per_month,
-            run_cost,
-            index_get_ops,
-            result_bytes: result_sizes,
-            maintenance_per_run: maintenance,
-            projected_total,
-        })
-    }
-}
-
 /// Scales a monthly charge to a fractional-month horizon exactly: the
 /// horizon resolves to micro-months and applies with round-half-up
 /// integer scaling ([`Money::scaled`]), so a horizon billed in N slices
 /// sums within a pico per slice of the aggregate. (Scaling through an
 /// `f64` cast truncated and drifted above ~2⁵³ pico — ~$9k/month.)
-/// `months` is finite and non-negative: [`Scenario::new`] checked it.
+/// `months` is finite and non-negative: [`estimate_plan`] checked it.
 fn months_scaled(per_month: Money, months: f64) -> Money {
     per_month.scaled((months * 1e6).round() as u64, 1_000_000)
 }
 
+/// What the deployment's loader would dead-letter, as a typed error naming
+/// the document: bytes that are not XML and, for an indexed layout, a write
+/// plan over the store's limits — asked of the memo the loader reads, just
+/// before the upload, so the loader finds it warm.
+fn check(
+    docs: &[(String, String)],
+    strategy: Option<Strategy>,
+    w: &Warehouse,
+) -> Result<(), AdviseError> {
+    let (cache, profile) = (ExtractCache::shared(), w.world().kv.profile());
+    for (uri, xml) in docs {
+        let parse = |e| AdviseError::Parse(uri.clone(), e);
+        cache.try_parsed(uri, xml.as_bytes()).map_err(parse)?;
+        if let Some(strategy) = strategy {
+            let opts = w.config().extract;
+            let set = cache.write_set(uri, xml.as_bytes(), strategy, opts, &profile);
+            let set = set.map_err(parse)?;
+            plan_document(&set, &profile, None).map_err(|e| AdviseError::Store(uri.clone(), e))?;
+        }
+    }
+    Ok(())
+}
+
 /// Scores one layout — `strategy` over the whole corpus, `None` for no
-/// index — against a sample and weighted workload without running a
-/// deployment. See the module docs for the method and
-/// [`ESTIMATE_TOLERANCE`] for the accuracy contract.
-pub fn estimate_plan(
+/// index — by deploying it on `base`: uploads the sample, builds the index
+/// (not for the scan layout), reads the monthly storage, runs each family
+/// once and bills it `arrivals` times, then uploads the `replaced`
+/// versions and bills the rebuild. Each batch is checked before its upload.
+fn estimate_plan(
     sample: &[(String, String)],
     strategy: Option<Strategy>,
     workload: &[FamilyLoad],
-    churn: &Churn,
+    replaced: &[(String, String)],
     horizon: &Horizon,
     base: &WarehouseConfig,
 ) -> Result<PlanEstimate, AdviseError> {
-    Scenario::new(sample, horizon, base)?.estimate(strategy, workload, churn)
+    if !(horizon.months >= 0.0 && horizon.months.is_finite()) {
+        return Err(AdviseError::Horizon(horizon.months));
+    }
+    let mut cfg = base.clone();
+    cfg.strategy = strategy.unwrap_or(cfg.strategy);
+    let mut w = Warehouse::new(cfg);
+    check(sample, strategy, &w)?;
+    w.upload_documents(sample.iter().cloned());
+    let build_cost = match strategy {
+        Some(_) => w.build_index().cost.total(),
+        None => Money::ZERO,
+    };
+    let storage_per_month = w.storage_cost().total();
+    let (mut run_cost, mut index_get_ops) = (Money::ZERO, 0);
+    let mut result_bytes = Vec::with_capacity(workload.len());
+    for fam in workload {
+        let r = match strategy {
+            Some(_) => w.run_query(&fam.query),
+            None => w.run_query_no_index(&fam.query),
+        };
+        run_cost += r.cost.total() * fam.arrivals;
+        index_get_ops += r.exec.index_get_ops * fam.arrivals;
+        result_bytes.push(r.exec.result_bytes);
+    }
+    check(replaced, strategy, &w)?;
+    let maintenance_per_run = match strategy {
+        Some(_) if !replaced.is_empty() => {
+            w.upload_documents(replaced.iter().cloned());
+            w.build_index().cost.total()
+        }
+        _ => Money::ZERO,
+    };
+    let projected_total = build_cost
+        + (run_cost + maintenance_per_run) * horizon.expected_runs as u64
+        + months_scaled(storage_per_month, horizon.months);
+    Ok(PlanEstimate {
+        strategy,
+        build_cost,
+        storage_per_month,
+        run_cost,
+        index_get_ops,
+        result_bytes,
+        maintenance_per_run,
+        projected_total,
+    })
 }
 
 /// Runs the advisor: scores the five flat layouts — [`Strategy::ALL`],
@@ -519,21 +213,20 @@ pub fn estimate_plan(
 ///
 /// * `sample` — representative documents `(uri, xml)`;
 /// * `workload` — the query families with their executions per run;
-/// * `churn` — the sample documents replaced per workload run and the
-///   shares of their items a next version drops and rewrites;
+/// * `replaced` — the next versions `(uri, xml)` of the sample documents
+///   one workload run replaces (`&[]` for none);
 /// * `horizon` — runs and months;
 /// * `base` — deployment parameters (pools, prices, store, work model).
 pub fn advise(
     sample: &[(String, String)],
     workload: &[FamilyLoad],
-    churn: &Churn,
+    replaced: &[(String, String)],
     horizon: &Horizon,
     base: &WarehouseConfig,
 ) -> Result<Vec<PlanEstimate>, AdviseError> {
-    let scenario = Scenario::new(sample, horizon, base)?;
     let layouts = Strategy::ALL.into_iter().map(Some).chain([None]);
     let mut ranked = layouts
-        .map(|s| scenario.estimate(s, workload, churn))
+        .map(|s| estimate_plan(sample, s, workload, replaced, horizon, base))
         .collect::<Result<Vec<_>, _>>()?;
     ranked.sort_by_key(|e| (e.projected_total, e.label()));
     Ok(ranked)
@@ -542,7 +235,7 @@ pub fn advise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::warehouse::Warehouse;
+    use crate::cost::CostModel;
     use amada_xmark::{generate_corpus, workload_query, CorpusConfig};
 
     /// Eighteen documents under three URI prefixes; every layout indexes
@@ -599,16 +292,10 @@ mod tests {
         }
     }
 
-    /// `documents` replaced per run, dropping the share of keys the
-    /// sample's next versions (the same slots under another seed — what
-    /// [`measured`] uploads) drop.
-    fn regenerated(documents: u64) -> Churn {
-        let (old, next) = (sample(), sample_seeded(0xC0DE));
-        let versions = old
-            .iter()
-            .zip(&next)
-            .map(|((uri, old), (_, next))| (uri.as_str(), old.as_str(), next.as_str()));
-        Churn::measured(documents, versions, &WarehouseConfig::default()).unwrap()
+    /// The next versions of the first `documents` sample documents: the
+    /// same slots under another seed.
+    fn regenerated(documents: usize) -> Vec<(String, String)> {
+        sample_seeded(0xC0DE).into_iter().take(documents).collect()
     }
 
     /// One measured deployment: build-phase bill, monthly storage, one
@@ -625,13 +312,12 @@ mod tests {
     }
 
     /// Measures a real deployment of `strategy` on `base` end to end,
-    /// `churn` read as the estimator reads it (the first so many documents
-    /// in sample order).
+    /// then rebuilds after the `replaced` versions.
     fn measured(
         base: &WarehouseConfig,
         strategy: Strategy,
         workload: &[FamilyLoad],
-        churn: &Churn,
+        replaced: &[(String, String)],
     ) -> Measured {
         let mut cfg = base.clone();
         cfg.strategy = strategy;
@@ -656,10 +342,7 @@ mod tests {
         // another seed), then the incremental rebuild alone: retraction
         // deletes, re-indexing writes, loader time and fetches — not the
         // upload, which an unindexed deployment pays identically.
-        let churned = sample_seeded(0xC0DE)
-            .into_iter()
-            .take(churn.documents as usize);
-        w.upload_documents(churned);
+        w.upload_documents(replaced.iter().cloned());
         let maintenance = w.build_index().cost.total();
         Measured {
             build,
@@ -671,21 +354,17 @@ mod tests {
         }
     }
 
-    /// The accuracy contract: micro-execution estimates agree with a
-    /// measured simulation within [`ESTIMATE_TOLERANCE`] on the build,
-    /// per-run and maintenance bills, storage (exact op-for-op on both
-    /// sides) agrees within 2%, and the index gets of a run are exact.
-    /// The churn round replaces the whole sample, 18 documents for the
-    /// default loader pool's 16 cores; the last assertion pins the other
-    /// side of that regime.
+    /// The projection is the deployment's bill: build, per-run,
+    /// maintenance and storage agree with a measured deployment to the
+    /// picodollar, as do the index gets of a run — both when the churn
+    /// round replaces the whole sample and in a two-document round, fewer
+    /// documents than the default loader pool has cores.
     #[test]
     fn estimates_track_measured_deployments() {
         let base = WarehouseConfig::default();
         let workload = workload();
-        let dropped = regenerated(0).dropped;
-        assert!(0.0 < dropped && dropped < 1.0, "{dropped}");
         let strategy = Strategy::Lup;
-        let whole = regenerated(sample().len() as u64);
+        let whole = regenerated(sample().len());
         let est = estimate_plan(
             &sample(),
             Some(strategy),
@@ -697,44 +376,33 @@ mod tests {
         .unwrap();
         assert_eq!(est.label(), "LUP");
         let m = measured(&base, strategy, &workload, &whole);
-        assert!(
-            rel_diff(est.storage_per_month, m.storage) <= 0.02,
-            "storage est {} vs measured {}",
-            est.storage_per_month,
-            m.storage
-        );
         for (what, est, measured) in [
+            ("storage", est.storage_per_month, m.storage),
             ("build", est.build_cost, m.build),
             ("run", est.run_cost, m.run),
             ("maintenance", est.maintenance_per_run, m.maintenance),
         ] {
-            assert!(
-                rel_diff(est, measured) <= ESTIMATE_TOLERANCE,
-                "{what} est {est} vs measured {measured}"
-            );
+            assert_eq!(est, measured, "{what}");
         }
         assert_eq!(est.index_get_ops, m.index_get_ops);
         // One function states the result payload for both sides.
         assert_eq!(est.result_bytes, m.result_bytes);
         assert!(est.result_bytes.iter().any(|&b| b > 0));
 
-        // The other side of the regime: a round smaller than the loader
-        // pool is under-estimated beyond the tolerance, because the
-        // deployment bills every loader instance for the whole rebuild
-        // phase while the estimate bills only the cores the work fills.
+        // A round smaller than the loader pool: the deployment bills every
+        // loader instance for the whole rebuild phase, and so does the
+        // projection.
         let few = regenerated(2);
         let est = estimate_plan(&sample(), Some(strategy), &[], &few, &horizon(10), &base);
         let est = est.unwrap().maintenance_per_run;
         let m = measured(&base, strategy, &[], &few).maintenance;
-        assert!(
-            est < m && rel_diff(est, m) > ESTIMATE_TOLERANCE,
-            "two-document round est {est} vs measured {m}"
-        );
+        assert!(est > Money::ZERO);
+        assert_eq!(est, m, "two-document round");
     }
 
-    /// The scratch index is the deployment's own store, so the storage
-    /// estimate follows the measured deployment wherever the service
-    /// takes it — and the default DynamoDB's estimate misses both. A
+    /// The deployment's own store prices the storage, so the estimate
+    /// follows the measured deployment wherever the service takes it — and
+    /// the default DynamoDB's estimate misses both. A
     /// string-only DynamoDB stores more (ID lists become base64 chunks
     /// under the same 100 B per item); SimpleDB stores *less* on a sample
     /// this small, where one-value items pay 45 B of overhead instead of
@@ -744,12 +412,11 @@ mod tests {
         let workload = workload();
         let strategy = Strategy::TwoLupi;
         let estimate = |base: &WarehouseConfig| {
-            let churn = Churn::default();
             estimate_plan(
                 &sample(),
                 Some(strategy),
                 &workload,
-                &churn,
+                &[],
                 &horizon(10),
                 base,
             )
@@ -765,7 +432,7 @@ mod tests {
         strings.kv_tuning.force_string_values = true;
         for (name, base) in [("SimpleDB", &simple), ("string-only DynamoDB", &strings)] {
             let est = estimate(base);
-            let storage = measured(base, strategy, &workload, &Churn::default()).storage;
+            let storage = measured(base, strategy, &workload, &[]).storage;
             assert!(
                 rel_diff(est, storage) <= 0.02,
                 "{name}: storage est {est} vs measured {storage}"
@@ -783,7 +450,12 @@ mod tests {
     /// corpus — over a sample of bare URIs, every query arriving once per
     /// run, a fraction of the sample replaced per run.
     fn static_sample() -> Vec<(String, String)> {
+        static_sample_seeded(CorpusConfig::default().seed)
+    }
+
+    fn static_sample_seeded(seed: u64) -> Vec<(String, String)> {
         let cfg = CorpusConfig {
+            seed,
             num_documents: 25,
             target_doc_bytes: 1200,
             ..Default::default()
@@ -803,10 +475,11 @@ mod tests {
                 arrivals: 1,
             })
             .collect();
-        let replaced = (sample.len() as f64 * churn_per_run).ceil() as u64;
-        let churn = regenerated(replaced);
+        let replaced = (sample.len() as f64 * churn_per_run).ceil() as usize;
+        let next = static_sample_seeded(0xC0DE);
+        let replaced = &next[..replaced];
         let base = WarehouseConfig::default();
-        advise(&sample, &workload, &churn, &horizon(runs), &base).unwrap()
+        advise(&sample, &workload, replaced, &horizon(runs), &base).unwrap()
     }
 
     fn indexing_pays_off(ranked: &[PlanEstimate]) -> bool {
@@ -827,9 +500,8 @@ mod tests {
         // Over enough runs, indexing must beat scanning (the sample corpus
         // is tiny, so break-even needs many more runs than at real scale).
         assert!(indexing_pays_off(&ranked));
-        // The scan row is the no-index baseline: no look-ups, no index
-        // bytes stored, nothing to maintain — its documents still pass
-        // through the loader, which is all its build phase bills.
+        // The scan row is the no-index baseline: nothing built, no
+        // look-ups, no index bytes stored, nothing to maintain.
         let scan = scans[0];
         assert_eq!(scan.label(), "scan");
         assert_eq!(scan.index_get_ops, 0);
@@ -843,9 +515,7 @@ mod tests {
             scan.projected_total,
             scan.build_cost + scan.run_cost * 500 + scan.storage_per_month
         );
-        for e in &ranked {
-            assert!(scan.build_cost <= e.build_cost, "{}", e.label());
-        }
+        assert_eq!(scan.build_cost, Money::ZERO);
     }
 
     #[test]
@@ -916,42 +586,43 @@ mod tests {
     /// zero months prices no storage at all.
     #[test]
     fn an_absurd_horizon_is_a_typed_error_instead_of_a_panic() {
-        let (sample, workload, churn) = (static_sample(), workload(), Churn::default());
+        let (sample, workload) = (static_sample(), workload());
         let base = WarehouseConfig::default();
         for months in [-1.0, f64::NAN, f64::INFINITY] {
             let horizon = Horizon {
                 expected_runs: 10,
                 months,
             };
-            let err = advise(&sample, &workload, &churn, &horizon, &base).unwrap_err();
+            let err = advise(&sample, &workload, &[], &horizon, &base).unwrap_err();
             assert!(matches!(err, AdviseError::Horizon(m) if m.to_bits() == months.to_bits()));
             assert!(err.to_string().contains(&months.to_string()), "{err}");
-            let one = estimate_plan(&sample, None, &workload, &churn, &horizon, &base);
+            let one = estimate_plan(&sample, None, &workload, &[], &horizon, &base);
             assert!(matches!(one, Err(AdviseError::Horizon(_))), "{one:?}");
         }
         let none = Horizon {
             expected_runs: 10,
             months: 0.0,
         };
-        let scan = estimate_plan(&sample, None, &workload, &churn, &none, &base).unwrap();
+        let scan = estimate_plan(&sample, None, &workload, &[], &none, &base).unwrap();
         assert_eq!(scan.projected_total, scan.build_cost + scan.run_cost * 10);
     }
 
     /// A sample the advisor cannot price is a typed error naming the
     /// document, never a panic and never a ranking without the layouts
-    /// that failed: truncated XML fails the parse, an element name over
-    /// the index store's key limit fails every indexed layout's
-    /// micro-build (the scan layout alone would have "won").
+    /// that failed: truncated XML fails the parse — in the sample or in a
+    /// replaced version — and an element name over the index store's key
+    /// limit fails every indexed layout (the scan layout alone would have
+    /// "won"). The deployment's loader would dead-letter each of them.
     #[test]
     fn malformed_sample_reports_a_typed_error_instead_of_panicking() {
         let workload = vec![FamilyLoad {
             query: workload_query("q1").unwrap(),
             arrivals: 1,
         }];
-        let churn = Churn::default();
         let base = WarehouseConfig::default();
-        let advice_for =
-            |docs: &[(String, String)]| advise(docs, &workload, &churn, &horizon(10), &base);
+        let advice_for = |docs: &[(String, String)], replaced: &[(String, String)]| {
+            advise(docs, &workload, replaced, &horizon(10), &base)
+        };
         let long_name = "n".repeat(3 * 1024);
         let poisons = [
             ("broken.xml", "<open><unclosed>".to_string()),
@@ -960,7 +631,7 @@ mod tests {
         for (uri, xml) in poisons {
             let mut docs = static_sample();
             docs.insert(1, (uri.into(), xml));
-            let err = advice_for(&docs).unwrap_err();
+            let err = advice_for(&docs, &[]).unwrap_err();
             assert!(err.to_string().contains(uri), "{err}");
             match (uri, &err) {
                 ("broken.xml", AdviseError::Parse(named, _))
@@ -971,9 +642,18 @@ mod tests {
             }
             // Scoring one layout reports the same error.
             let lup = Some(Strategy::Lup);
-            let one = estimate_plan(&docs, lup, &workload, &churn, &horizon(10), &base);
+            let one = estimate_plan(&docs, lup, &workload, &[], &horizon(10), &base);
             assert_eq!(one.unwrap_err(), err);
         }
+        // A truncated next version of a well-formed sample document.
+        let sample = static_sample();
+        let (uri, xml) = &sample[3];
+        let replaced = [(uri.clone(), xml[..xml.len() / 2].to_string())];
+        let err = advice_for(&sample, &replaced).unwrap_err();
+        assert!(
+            matches!(&err, AdviseError::Parse(named, _) if named == uri),
+            "{err:?}"
+        );
         // An over-long name in a *query* is only ever read, never stored:
         // the look-up finds nothing and the advice stands.
         let mut poison_query = amada_pattern::parse_query(&format!("//{long_name}")).unwrap();
@@ -982,9 +662,9 @@ mod tests {
             query: poison_query,
             arrivals: 1,
         }];
-        let advice = advise(&static_sample(), &families, &churn, &horizon(10), &base);
+        let advice = advise(&static_sample(), &families, &[], &horizon(10), &base);
         assert!(advice.is_ok(), "{advice:?}");
         // A clean sample still succeeds.
-        assert!(advice_for(&static_sample()).is_ok());
+        assert!(advice_for(&static_sample(), &[]).is_ok());
     }
 }

@@ -1,7 +1,6 @@
 //! Phase 3's clock: how long a query-processor instance takes to read and
-//! evaluate a query's candidates (architecture steps 13–14). The query
-//! processor runs it over live reads, the advisor's estimate over measured
-//! ones.
+//! evaluate a query's candidates (architecture steps 13–14), run by the
+//! query processor over live reads.
 
 use amada_cloud::{SimDuration, SimTime};
 

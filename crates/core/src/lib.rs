@@ -19,10 +19,7 @@ pub mod retry;
 pub mod warehouse;
 
 pub use actors::RetractionRegistry;
-pub use adaptive::{
-    advise, estimate_plan, AdviseError, Churn, FamilyLoad, Horizon, PlanEstimate,
-    ESTIMATE_TOLERANCE,
-};
+pub use adaptive::{advise, AdviseError, FamilyLoad, Horizon, PlanEstimate};
 pub use amortization::{Amortization, AmortizationPoint};
 pub use arrival::{ArrivalProcess, ArrivalSender};
 pub use config::{Module, Pool, WarehouseConfig, LOADER, QUERY};

@@ -10,10 +10,10 @@
 //! already), in which of the tables its entries name, cut into which calls,
 //! and which stale keys of a replaced version go after them. The
 //! warehouse's loader bursts the plan's calls concurrently; [`write_entries`]
-//! (the advisor's micro-builds and, through [`index_documents`], the
-//! oracles) issues them one after another. [`placed_item_keys`] (the front
-//! end's record of what a version left in the store) reads each item's key
-//! and [`ValueId`] off the write set.
+//! (through [`index_documents`], the oracles) issues them one after
+//! another. [`placed_item_keys`] (the front end's record of what a version
+//! left in the store) reads each item's key and [`ValueId`] off the write
+//! set.
 
 use crate::store::{encode_entry_into, UuidGen, ValueId};
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};

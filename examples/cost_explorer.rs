@@ -8,7 +8,7 @@
 
 use amada::cloud::{InstanceType, SimDuration};
 use amada::index::{explain, ExtractOptions, Strategy};
-use amada::warehouse::{advise, Churn, CostModel, FamilyLoad, Horizon, WarehouseConfig};
+use amada::warehouse::{advise, CostModel, FamilyLoad, Horizon, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
 
 fn main() {
@@ -87,7 +87,7 @@ fn main() {
         let ranked = advise(
             &sample,
             &families,
-            &Churn::default(),
+            &[],
             &horizon,
             &WarehouseConfig::default(),
         )
@@ -132,14 +132,8 @@ fn main() {
             query: q,
             arrivals: 1,
         }];
-        let ranked = advise(
-            &sample,
-            &family,
-            &Churn::default(),
-            &horizon,
-            &WarehouseConfig::default(),
-        )
-        .expect("sample corpus parses and fits the store's limits");
+        let ranked = advise(&sample, &family, &[], &horizon, &WarehouseConfig::default())
+            .expect("sample corpus parses and fits the store's limits");
         let scan = ranked
             .iter()
             .find(|e| e.strategy.is_none())

@@ -40,18 +40,20 @@ shared_uris_on_the_read_path() {
     test "$(grep -E '^crates/core/src/actors\.rs:' <<<"$src" | grep -c 'Vec<Vec<String>>')" -eq 0
 }
 
-# One advisor, `advise`, ranks the paper's five flat layouts from
-# micro-executions over the whole sample. The deployment-simulating
-# advisor's names, the per-partition plan search, its budget and SLO knobs,
-# the live re-advise and the attribution roll-up that fed it, a second
-# advisor module, or an advisor that stands up a warehouse per layout is
-# the fork coming back.
+# One advisor, `advise`, ranks the paper's five flat layouts by deploying
+# each on the sample and reading its bill. The old deployment-simulating
+# advisor's names, the per-partition plan search, its budget and SLO
+# knobs, the live re-advise and the attribution roll-up that fed it, a
+# second advisor module, or a model of the warehouse beside the warehouse
+# (its scenario, its tolerance, its own fetch clock, cost sums, index
+# writes or look-ups) is the fork coming back.
 one_advisor() {
     test "$(grep -cE 'advise_churn|StrategyEstimate' <<<"$src")" -eq 0
     test "$(grep -cE 'advise_adaptive|readvise|observed_families|AdaptiveAdvice|query_families|budget_per_month|response_slo' <<<"$src")" -eq 0
     test "$(grep -cE 'pub fn \w*(advise|recommend)' <<<"$src")" -eq 1
     test "$(grep -cE '^crates/core/src/lib\.rs:[0-9]+:(pub )?mod (adv|adaptive)' <<<"$src")" -eq 1
-    test "$(grep -E '^crates/core/src/adaptive\.rs:[0-9]+:' <<<"$src" | grep -vE ':[0-9]+:[[:space:]]*//' | grep -c 'Warehouse::new')" -eq 0
+    test "$(grep -cE 'struct Scenario|ESTIMATE_TOLERANCE' <<<"$src")" -eq 0
+    test "$(grep -E '^crates/core/src/adaptive\.rs:[0-9]+:' <<<"$src" | grep -cE 'fetch_timeline\(|CostModel|write_entries\(|lookup_pattern_in\(')" -eq 0
 }
 
 # Both module cores embed one `Worker` whose `receive` is the only place a
@@ -132,8 +134,9 @@ range_keys_name_the_entry() {
 # store, nor compare values (the front end records them, `plan_document`
 # alone reads them back), and there is no second map from URI to what the
 # store holds. Its three callers outside `loadutil.rs` are the loader, the
-# front end's delete (a plan of no entries) and `Churn::measured`, which
-# reads the advisor's churn shares off a plan instead of comparing values.
+# front end's delete (a plan of no entries) and the advisor's check that
+# the store can hold a sample document (a plan against nothing held), which
+# compares no values either.
 a_rebuild_writes_what_changed() {
     core=$(grep -E '^crates/core/src/(actors|warehouse)\.rs:' <<<"$src" | grep -vE ':[0-9]+:[[:space:]]*//')
     test "$(grep -cE '(puts|batch(es)?|items)\.(retain|drain|iter\(\)\.filter)|kv\.peek|peek_all\(\)|ValueId::|== Some\(value\)' <<<"$core")" -eq 0
@@ -165,26 +168,23 @@ each_decision_once() {
 # Phase 3's clock — candidates dealt round-robin to the instance's cores,
 # each core's reads back to back on its own connection, a document
 # evaluated once it has arrived — is one function, run by the query
-# processor over live reads (GETs and pushdown scans alike) and by the
-# advisor's estimate over measured ones. A second caller, or a fetch sum
-# divided by the core count, is the serial accounting coming back.
+# processor over live reads (GETs and pushdown scans alike). A second
+# caller, or a fetch sum divided by the core count, is the serial
+# accounting coming back.
 one_fetch_timeline() {
     test "$(grep -cF 'fn fetch_timeline' <<<"$src")" -eq 1
     callers=$(grep -F 'fetch_timeline(' <<<"$src" | grep -vF 'fn fetch_timeline' | grep -vE ':[0-9]+:[[:space:]]*//')
-    test "$(grep -c . <<<"$callers")" -eq 2
-    for caller in actors adaptive; do
-        test "$(grep -c "^crates/core/src/$caller\.rs:" <<<"$callers")" -eq 1
-    done
+    test "$(grep -c . <<<"$callers")" -eq 1
+    test "$(grep -c '^crates/core/src/actors\.rs:' <<<"$callers")" -eq 1
     test "$(grep -E '^crates/core/src/actors\.rs:' <<<"$src" | grep -cE '\bserial\b')" -eq 0
-    test "$(grep -E '^crates/core/src/adaptive\.rs:' <<<"$src" | grep -E '/ qcores' | grep -cvF 'join.micros()')" -eq 0
 }
 
 # A stored document version evaluates each pattern once on the host: the
 # memo is the document's `ExtractCache` entry (`evaluated`), asked by the
-# query core and the advisor alike, and its miss runs the one evaluator
-# built outside amada-pattern. An evaluation anywhere else — but the check
-# crate's oracles and pushdown's storage-side filter, which evaluate on
-# purpose — or the advisor's private memo is the second copy coming back.
+# query core — the advisor's deployments included — and its miss runs the
+# one evaluator built outside amada-pattern. An evaluation anywhere else —
+# but the check crate's oracles and pushdown's storage-side filter, which
+# evaluate on purpose — or a private memo is the second copy coming back.
 one_eval_memo() {
     calls=$(grep -E 'TwigEvaluator::new|evaluate_pattern_twig\(' <<<"$src" | grep -vE '^crates/pattern/src/' | grep -vE ':[0-9]+:[[:space:]]*//')
     test "$(grep -cvE '^crates/(index/src/(cache|pushdown)|check/src/oracles)\.rs:' <<<"$calls")" -eq 0
