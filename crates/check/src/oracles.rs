@@ -11,8 +11,7 @@ use crate::invariants;
 use crate::Mutation;
 use amada_cloud::ObjectPredicate;
 use amada_cloud::{
-    DynamoConfig, DynamoDb, KvBackend, KvError, KvItem, KvProfile, KvStore, KvTuning, KvValue,
-    SimTime, SimpleDb, SimpleDbConfig,
+    KvBackend, KvError, KvItem, KvProfile, KvStore, KvValue, SimTime, SimpleDbConfig,
 };
 use amada_core::{Warehouse, WarehouseConfig, DOC_BUCKET};
 use amada_index::lookup::{data_path_matches, lui_twig, pattern_keys, query_paths, QueryPath};
@@ -75,12 +74,12 @@ pub fn check_case(case: &Case, mutation: Mutation, billing: bool) -> Result<(), 
         .collect();
     let truth = canon_joined(&join_pattern_results(&query, &truth_tuples));
 
-    for backend in Backend::ALL {
+    for backend in &backends() {
         let candidates =
             strategy_candidates(&docs, &query, opts, backend, mutation).map_err(|e| {
                 violation(
                     "answers",
-                    format!("{} look-up failed: {e:?}", backend.name()),
+                    format!("{} look-up failed: {e:?}", backend.profile().name),
                 )
             })?;
         oracle_containment(backend, &query, &candidates)?;
@@ -139,30 +138,12 @@ fn oracle_twig_vs_naive(docs: &[Document], query: &Query) -> Result<(), Violatio
 // Per-strategy candidate sets
 // ---------------------------------------------------------------------------
 
-/// The two backend profiles the paper experiments with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    Dynamo,
-    Simple,
-}
-
-impl Backend {
-    pub const ALL: [Backend; 2] = [Backend::Dynamo, Backend::Simple];
-
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Dynamo => "DynamoDB",
-            Backend::Simple => "SimpleDB",
-        }
-    }
-
-    fn store(self) -> Box<dyn KvStore> {
-        let backend = match self {
-            Backend::Dynamo => KvBackend::Dynamo(DynamoConfig::default()),
-            Backend::Simple => KvBackend::Simple(SimpleDbConfig::default()),
-        };
-        backend.open(KvTuning::NONE)
-    }
+/// The two services the paper experiments with.
+fn backends() -> [KvBackend; 2] {
+    [
+        KvBackend::default(),
+        KvBackend::Simple(SimpleDbConfig::default()),
+    ]
 }
 
 /// Per-pattern candidate URI sets, per strategy (Strategy::ALL order).
@@ -172,22 +153,22 @@ fn strategy_candidates(
     docs: &[Document],
     query: &Query,
     opts: ExtractOptions,
-    backend: Backend,
+    backend: &KvBackend,
     mutation: Mutation,
 ) -> Result<Candidates, KvError> {
     let mut out = Vec::with_capacity(Strategy::ALL.len());
     for strategy in Strategy::ALL {
-        let mut store = backend.store();
-        index_documents(store.as_mut(), docs, strategy, opts);
+        let mut store = KvStore::new(backend.clone());
+        index_documents(&mut store, docs, strategy, opts);
         let per_pattern: Vec<BTreeSet<String>> =
             if strategy == Strategy::Lup && mutation == Mutation::SkipLupPathFilter {
                 query
                     .patterns
                     .iter()
-                    .map(|p| lup_candidates_without_path_filter(store.as_mut(), opts, p))
+                    .map(|p| lup_candidates_without_path_filter(&mut store, opts, p))
                     .collect::<Result<_, _>>()?
             } else {
-                lookup_query(store.as_mut(), SimTime::ZERO, strategy, opts, query)?
+                lookup_query(&mut store, SimTime::ZERO, strategy, opts, query)?
                     .per_pattern
                     .into_iter()
                     .map(|o| o.uris.iter().map(|u| u.to_string()).collect())
@@ -202,7 +183,7 @@ fn strategy_candidates(
 /// owning the *terminal key* of each query path, with `data_path_matches`
 /// never consulted — the structural filter of Section 5.2 is gone.
 fn lup_candidates_without_path_filter(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     opts: ExtractOptions,
     pattern: &TreePattern,
 ) -> Result<BTreeSet<String>, KvError> {
@@ -228,7 +209,7 @@ fn lup_candidates_without_path_filter(
 // ---------------------------------------------------------------------------
 
 fn oracle_containment(
-    backend: Backend,
+    backend: &KvBackend,
     query: &Query,
     candidates: &Candidates,
 ) -> Result<(), Violation> {
@@ -251,7 +232,7 @@ fn oracle_containment(
                     format!(
                         "{}, pattern {pi}: {small_name} ⊄ {big_name}; {small_name} has {extra:?} \
                          that {big_name} lacks\n{}",
-                        backend.name(),
+                        backend.profile().name,
                         render_candidates(pi, lu, lup, lui, two),
                     ),
                 ));
@@ -262,7 +243,7 @@ fn oracle_containment(
                 "containment",
                 format!(
                     "{}, pattern {pi}: LUI ≠ 2LUPI\n{}",
-                    backend.name(),
+                    backend.profile().name,
                     render_candidates(pi, lu, lup, lui, two),
                 ),
             ));
@@ -295,24 +276,24 @@ fn render_candidates(
 /// skips the chunk; on SimpleDB it spoils the blob, an empty list) and a
 /// document whose path list is a blob (marked, on DynamoDB).
 fn oracle_lookup_reference(
-    backend: Backend,
+    backend: &KvBackend,
     docs: &[Document],
     query: &Query,
     opts: ExtractOptions,
 ) -> Result<(), Violation> {
-    let fail = |e: KvError| violation("lookup", format!("{}: {e:?}", backend.name()));
+    let fail = |e: KvError| violation("lookup", format!("{}: {e:?}", backend.profile().name));
     for strategy in Strategy::ALL {
-        let mut store = backend.store();
-        index_documents(store.as_mut(), docs, strategy, opts);
+        let mut store = KvStore::new(backend.clone());
+        index_documents(&mut store, docs, strategy, opts);
         for (pi, pattern) in query.patterns.iter().enumerate() {
-            plant(store.as_mut(), strategy, docs, pattern, opts).map_err(fail)?;
-            let got = lookup_pattern_in(store.as_mut(), SimTime::ZERO, strategy, opts, pattern);
+            plant(&mut store, strategy, docs, pattern, opts).map_err(fail)?;
+            let got = lookup_pattern_in(&mut store, SimTime::ZERO, strategy, opts, pattern);
             let got = got
                 .map(|o| (o.uris, o.entries_processed, o.get_ops))
                 .map_err(fail)?;
-            let want = reference_lookup(store.as_mut(), strategy, opts, pattern).map_err(fail)?;
+            let want = reference_lookup(&mut store, strategy, opts, pattern).map_err(fail)?;
             if got != want {
-                let (name, strategy) = (backend.name(), strategy.name());
+                let (name, strategy) = (backend.profile().name, strategy.name());
                 let detail = format!("{name} / {strategy}, pattern {pi}: {got:?} vs {want:?}");
                 return Err(violation("lookup", detail));
             }
@@ -324,7 +305,7 @@ fn oracle_lookup_reference(
 /// Puts [`oracle_lookup_reference`]'s two planted items under `pattern`'s
 /// keys in `strategy`'s tables.
 fn plant(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     strategy: Strategy,
     docs: &[Document],
     pattern: &TreePattern,
@@ -383,7 +364,7 @@ fn terminal(qp: &QueryPath) -> &str {
 /// decoded in full ([`decode_presence_uris`], [`decode_path_lists`],
 /// [`decode_id_lists`]), a [`TwigJoin`] over [`SliceStream`]s per candidate.
 fn reference_lookup(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     strategy: Strategy,
     opts: ExtractOptions,
     pattern: &TreePattern,
@@ -463,7 +444,7 @@ fn reference_lookup(
 
 /// Each distinct key's items, got one key at a time.
 fn got(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     table: &str,
     keys: impl IntoIterator<Item = String>,
 ) -> Result<BTreeMap<String, Vec<KvItem>>, KvError> {
@@ -490,7 +471,7 @@ fn eval_pattern(docs: &[Document], only: Option<&BTreeSet<String>>, p: &TreePatt
 }
 
 fn oracle_answers(
-    backend: Backend,
+    backend: &KvBackend,
     docs: &[Document],
     query: &Query,
     truth: &[String],
@@ -510,7 +491,7 @@ fn oracle_answers(
                 format!(
                     "{} / {}: strategy answers differ from the no-index scan\n  \
                      no-index: {truth:?}\n  {}: {answers:?}\n  candidates: {:?}",
-                    backend.name(),
+                    backend.profile().name,
                     strategy.name(),
                     strategy.name(),
                     candidates[si],
@@ -531,20 +512,20 @@ fn oracle_answers(
 /// runs) and only the decoded tuples join. The answers must still equal
 /// the no-index scan.
 fn oracle_pushdown_answers(
-    backend: Backend,
+    backend: &KvBackend,
     case: &Case,
     docs: &[Document],
     query: &Query,
     opts: ExtractOptions,
     truth: &[String],
 ) -> Result<(), Violation> {
-    let mut store = backend.store();
-    index_documents(store.as_mut(), docs, Strategy::LupPd, opts);
-    let lookup = lookup_query(store.as_mut(), SimTime::ZERO, Strategy::LupPd, opts, query)
-        .map_err(|e| {
+    let mut store = KvStore::new(backend.clone());
+    index_documents(&mut store, docs, Strategy::LupPd, opts);
+    let lookup =
+        lookup_query(&mut store, SimTime::ZERO, Strategy::LupPd, opts, query).map_err(|e| {
             violation(
                 "answers",
-                format!("{} LUP-PD look-up failed: {e:?}", backend.name()),
+                format!("{} LUP-PD look-up failed: {e:?}", backend.profile().name),
             )
         })?;
     let per_pattern: Vec<Vec<Tuple>> = query
@@ -576,7 +557,7 @@ fn oracle_pushdown_answers(
             format!(
                 "{} / LUP-PD: pushdown answers differ from the no-index scan\n  \
                  no-index: {truth:?}\n  LUP-PD: {answers:?}",
-                backend.name(),
+                backend.profile().name,
             ),
         ));
     }
@@ -724,7 +705,7 @@ fn oracle_churn(case: &Case, query: &Query, mutation: Mutation) -> Result<(), Vi
 // ---------------------------------------------------------------------------
 
 fn oracle_round_trip(docs: &[Document], opts: ExtractOptions) -> Result<(), Violation> {
-    let profiles = [DynamoDb::default().profile(), SimpleDb::default().profile()];
+    let profiles = backends().map(|backend| backend.profile());
     for strategy in Strategy::ALL {
         for doc in docs {
             for entry in extract(doc, strategy, opts) {

@@ -6,7 +6,7 @@
 //! before is ready.
 
 use amada_check::generate_case;
-use amada_cloud::{DynamoDb, KvError, KvStore, SimTime, SimpleDb};
+use amada_cloud::{KvError, KvStore, SimTime, SimpleDbConfig};
 use amada_index::{
     index_documents, lookup_pattern_in, lookup_query, ExtractOptions, QueryLookup, Strategy,
 };
@@ -16,7 +16,7 @@ use amada_xml::Document;
 /// The reference chain: each pattern looked up over the global tables
 /// when the one before is ready.
 fn reference_chain(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     strategy: Strategy,
     opts: ExtractOptions,
     query: &Query,
@@ -51,15 +51,13 @@ fn lookup_query_answers_what_the_per_pattern_chain_answered() {
         };
         for strategy in FIVE {
             // Two stores built alike: a look-up moves a store's queues.
-            let stores = || -> [Box<dyn KvStore>; 2] {
-                [Box::<DynamoDb>::default(), Box::<SimpleDb>::default()]
-            };
+            let stores = || [KvStore::default(), KvStore::new(SimpleDbConfig::default())];
             for (mut chain, mut flat) in stores().into_iter().zip(stores()) {
                 let what = format!("case {index}, {strategy} on {}", chain.profile().name);
-                index_documents(chain.as_mut(), &docs, strategy, opts);
-                index_documents(flat.as_mut(), &docs, strategy, opts);
-                let a = reference_chain(chain.as_mut(), strategy, opts, &query).unwrap();
-                let b = lookup_query(flat.as_mut(), SimTime::ZERO, strategy, opts, &query);
+                index_documents(&mut chain, &docs, strategy, opts);
+                index_documents(&mut flat, &docs, strategy, opts);
+                let a = reference_chain(&mut chain, strategy, opts, &query).unwrap();
+                let b = lookup_query(&mut flat, SimTime::ZERO, strategy, opts, &query);
                 let b = b.unwrap();
                 assert_eq!(a.per_pattern.len(), b.per_pattern.len(), "{what}");
                 for (a, b) in a.per_pattern.iter().zip(&b.per_pattern) {

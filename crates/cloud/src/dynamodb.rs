@@ -1,6 +1,7 @@
-//! DynamoDB (paper Section 6), as a [`Service`] description of the one
-//! [`Store`]: composite-key items of up to 64 KB whose values may be
-//! **binary** (the feature the paper exploits "to store compressed
+//! DynamoDB (paper Section 6), the
+//! [`KvBackend::Dynamo`](crate::store::KvBackend::Dynamo) service of the
+//! one [`KvStore`]: composite-key items of up to 64 KB whose values may
+//! be **binary** (the feature the paper exploits "to store compressed
 //! (encoded) sets of IDs in a single DynamoDB value"), batch APIs, and
 //! *provisioned throughput* — reads and writes consume capacity units
 //! served by a rate-limited queue, the source of the saturation visible
@@ -10,7 +11,7 @@
 use crate::clock::SimDuration;
 use crate::kv::KvProfile;
 use crate::service::ServiceQueue;
-use crate::store::{Footprint, Lanes, Meter, Service, Store};
+use crate::store::{Footprint, KvStore, Lanes, Meter};
 
 /// Per-item storage overhead billed by DynamoDB.
 pub const ITEM_OVERHEAD_BYTES: u64 = 100;
@@ -46,79 +47,65 @@ fn capacity(units: f64) -> Meter {
     }
 }
 
-/// The simulated DynamoDB service.
-pub type DynamoDb = Store<Dynamo>;
+/// The store on DynamoDB: `DynamoDb::new(DynamoConfig::default())`.
+pub type DynamoDb = KvStore;
 
-/// DynamoDB, described.
-pub struct Dynamo;
+/// DynamoDB's limits and capabilities.
+pub const PROFILE: KvProfile = KvProfile {
+    name: "DynamoDB",
+    supports_binary: true,
+    max_value_bytes: 64 * 1024, // bounded by the item cap
+    max_item_bytes: 64 * 1024,
+    max_attrs_per_item: usize::MAX,
+    max_hash_key_bytes: 2048,
+    max_range_key_bytes: 1024,
+    batch_put_limit: 25,
+    batch_get_limit: 100,
+};
 
-impl Service for Dynamo {
-    type Config = DynamoConfig;
-
-    const PROFILE: KvProfile = KvProfile {
-        name: "DynamoDB",
-        supports_binary: true,
-        max_value_bytes: 64 * 1024, // bounded by the item cap
-        max_item_bytes: 64 * 1024,
-        max_attrs_per_item: usize::MAX,
-        max_hash_key_bytes: 2048,
-        max_range_key_bytes: 1024,
-        batch_put_limit: 25,
-        batch_get_limit: 100,
+/// Each lane is an independent slice of provisioned throughput at the
+/// configured rates.
+pub(crate) fn lanes(config: &DynamoConfig) -> Lanes {
+    let lane = |units_per_sec| {
+        ServiceQueue::new(SimDuration::from_micros(300), units_per_sec, config.latency)
     };
-    const BATCH_GET_IS_ONE_REQUEST: bool = true;
-    const SPANS_REPORT_BILLED_UNITS: bool = false;
-
-    /// Each lane is an independent slice of provisioned throughput at
-    /// the configured rates.
-    fn lanes(config: &DynamoConfig) -> Lanes {
-        let lane = |units_per_sec| {
-            ServiceQueue::new(SimDuration::from_micros(300), units_per_sec, config.latency)
-        };
-        Lanes {
-            writes: lane(config.write_units_per_sec),
-            reads: lane(config.read_units_per_sec),
-        }
+    Lanes {
+        writes: lane(config.write_units_per_sec),
+        reads: lane(config.read_units_per_sec),
     }
+}
 
-    /// Write capacity consumed by one item: a fixed per-item processing
-    /// share plus its size in KB. For service *time* the fractional-byte
-    /// model matches the paper's observation that DynamoDB throughput
-    /// was the indexing bottleneck — upload time tracks index bytes, with
-    /// a per-item floor (Figure 10).
-    ///
-    /// DynamoDB *bills* provisioned write capacity units, which is what
-    /// the cost model's `IDXput$ × |op(D, I)|` term multiplies — the
-    /// paper's Table 6 / Figure 12 DynamoDB charges track data volume,
-    /// not request counts. Billed capacity rounds up *per item* (min 1
-    /// unit), as real DynamoDB does: batching packs items into one API
-    /// round trip but never changes the provisioned capacity they
-    /// consume.
-    fn written(item: Footprint) -> Meter {
-        capacity(0.05 + item.bytes as f64 / 1024.0)
-    }
+/// Write capacity consumed by one item: a fixed per-item processing share
+/// plus its size in KB. For service *time* the fractional-byte model
+/// matches the paper's observation that DynamoDB throughput was the
+/// indexing bottleneck — upload time tracks index bytes, with a per-item
+/// floor (Figure 10).
+///
+/// DynamoDB *bills* provisioned write capacity units, which is what the
+/// cost model's `IDXput$ × |op(D, I)|` term multiplies — the paper's
+/// Table 6 / Figure 12 DynamoDB charges track data volume, not request
+/// counts. Billed capacity rounds up *per item* (min 1 unit), as real
+/// DynamoDB does: batching packs items into one API round trip but never
+/// changes the provisioned capacity they consume. Storage overhead is a
+/// fixed [`ITEM_OVERHEAD_BYTES`] per item — the paper's `ovh(D, I)`,
+/// "noticeable, especially if keywords are not indexed", because small
+/// items pay it relatively more.
+pub(crate) fn written(item: Footprint) -> Meter {
+    capacity(0.05 + item.bytes as f64 / 1024.0)
+}
 
-    /// Read capacity consumed by one key: a per-key share plus size in
-    /// 4 KB units, halved for eventually-consistent reads (what index
-    /// look-ups use). Billed read capacity rounds up *per key* (min 1
-    /// unit).
-    fn read(bytes: usize) -> Meter {
-        capacity(0.25 + bytes as f64 / 4096.0 / 2.0)
-    }
-
-    /// A fixed 100 bytes of index overhead per item — the paper's
-    /// `ovh(D, I)`, "noticeable, especially if keywords are not
-    /// indexed", because small items pay it relatively more.
-    fn overhead(_item: Footprint) -> u64 {
-        ITEM_OVERHEAD_BYTES
-    }
+/// Read capacity consumed by one key: a per-key share plus size in 4 KB
+/// units, halved for eventually-consistent reads (what index look-ups
+/// use). Billed read capacity rounds up *per key* (min 1 unit).
+pub(crate) fn read(bytes: usize) -> Meter {
+    capacity(0.25 + bytes as f64 / 4096.0 / 2.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::SimTime;
-    use crate::kv::{KvError, KvItem, KvStore, KvValue};
+    use crate::kv::{KvError, KvItem, KvValue};
 
     fn item(hash: &str, range: &str, uri: &str, val: KvValue) -> KvItem {
         KvItem::new(hash.into(), range, uri.into(), [val].into_iter())
@@ -147,7 +134,7 @@ mod tests {
             "k",
             "r",
             "doc",
-            KvValue::B(&vec![0; Dynamo::PROFILE.max_item_bytes + 1]),
+            KvValue::B(&vec![0; PROFILE.max_item_bytes + 1]),
         );
         assert!(matches!(
             db.batch_put(SimTime::ZERO, "t", vec![big]),
@@ -388,8 +375,8 @@ mod tests {
         // metering, associated differently.
         for k in [1usize, 2, 7, 100] {
             let total_bytes: usize = (0..k).map(|i| mix(7, i as u64)).sum();
-            let aggregate = Dynamo::read(total_bytes).service + 0.25 * (k.saturating_sub(1)) as f64;
-            let per_key: f64 = (0..k).map(|i| Dynamo::read(mix(7, i as u64)).service).sum();
+            let aggregate = read(total_bytes).service + 0.25 * (k.saturating_sub(1)) as f64;
+            let per_key: f64 = (0..k).map(|i| read(mix(7, i as u64)).service).sum();
             assert!(
                 (aggregate - per_key).abs() < 1e-9,
                 "k={k}: {aggregate} vs {per_key}"

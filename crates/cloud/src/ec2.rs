@@ -125,14 +125,6 @@ impl Ec2 {
             }
         }
     }
-
-    /// Total instance-hours (for reports).
-    pub fn total_hours(&self) -> f64 {
-        self.records
-            .iter()
-            .map(|r| r.uptime().as_secs_f64() / 3600.0)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +141,6 @@ mod tests {
         // Half an hour of a $0.34/h instance: exactly $0.17, compared in
         // picodollars so rounding regressions can't hide in f64.
         assert_eq!(ec2.total_cost(&prices).pico(), 170_000_000_000);
-        assert!((ec2.total_hours() - 0.5).abs() < 1e-9);
     }
 
     #[test]

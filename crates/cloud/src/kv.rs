@@ -1,4 +1,4 @@
-//! The key-value store abstraction behind the index store.
+//! The items, tables, limits and counters of the key-value index store.
 //!
 //! The paper's index runs on Amazon DynamoDB (current work) or Amazon
 //! SimpleDB (the \[8\] baseline it compares against in Tables 7–8). Both
@@ -30,13 +30,11 @@
 //! The binary-value capability is what lets the DynamoDB backend store the
 //! compressed structural-ID lists that make LUI/2LUPI competitive
 //! (Section 8.4 credits exactly this for the 1–2 order-of-magnitude
-//! speedup over \[8\]). Each column is one [`crate::store::Service`]
-//! description ([`crate::dynamodb::Dynamo`], [`crate::simpledb::Simple`]);
-//! the store they describe is written once, in [`crate::store`].
+//! speedup over \[8\]). Each column is one [`crate::store::KvBackend`]
+//! variant, its numbers in [`crate::dynamodb`] and [`crate::simpledb`];
+//! the store is written once, [`crate::store::KvStore`].
 
 use crate::clock::SimTime;
-use crate::fault::FaultInjector;
-use crate::obs::Recorder;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -549,81 +547,6 @@ impl crate::fault::RetryAfter for KvError {
             _ => None,
         }
     }
-}
-
-/// The index-store interface the warehouse codes against; implemented by
-/// [`crate::store::Store`], for every service.
-pub trait KvStore: Send {
-    /// Limits and capabilities, as narrowed by the tuning the store was
-    /// opened with — what the store advertises is what it enforces.
-    fn profile(&self) -> KvProfile;
-
-    /// Creates a table if it does not exist.
-    fn ensure_table(&mut self, table: &str);
-
-    /// Writes up to `batch_put_limit` items in one API call; an item with
-    /// an existing (hash, range) key is replaced wholesale (paper
-    /// Section 6). Returns the virtual completion time.
-    fn batch_put(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        items: Vec<KvItem>,
-    ) -> Result<SimTime, KvError>;
-
-    /// Deletes items by full `(hash, range)` primary key, up to
-    /// `batch_put_limit` keys per API call (deletes ride the write path
-    /// and consume write capacity, exactly like real DynamoDB's
-    /// `DeleteItem`). A delete bills as the write of the item it removed
-    /// did, and at least one unit — also when the key does not exist.
-    /// Deleting an absent key is an idempotent success — the property
-    /// that makes retraction retries and queue redeliveries safe without
-    /// tombstones. Returns the virtual completion time.
-    fn batch_delete(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        keys: &[(String, String)],
-    ) -> Result<SimTime, KvError>;
-
-    /// Retrieves all items with the given hash key.
-    fn get(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        hash_key: &str,
-    ) -> Result<(Vec<KvItem>, SimTime), KvError>;
-
-    /// Retrieves all items for up to `batch_get_limit` hash keys in one
-    /// API call. Results are concatenated in key order.
-    fn batch_get(
-        &mut self,
-        now: SimTime,
-        table: &str,
-        hash_keys: &[String],
-    ) -> Result<(Vec<KvItem>, SimTime), KvError>;
-
-    /// Usage counters.
-    fn stats(&self) -> KvStats;
-
-    /// Installs a fault injector: subsequent operations may fail with
-    /// [`KvError::Throttled`].
-    fn set_faults(&mut self, faults: FaultInjector);
-
-    /// Installs a span recorder: subsequent operations are recorded as
-    /// [`crate::obs::Span`]s.
-    fn set_recorder(&mut self, recorder: Recorder);
-
-    /// True when a fault injector is installed and active — callers that
-    /// must hand over owned data (e.g. `batch_put` payloads) use this to
-    /// decide whether to keep a retry copy.
-    fn faults_active(&self) -> bool;
-
-    /// Host-side snapshot of every item in every table, sorted by
-    /// `(table, hash_key, range_key)`. No request is billed and no
-    /// virtual time passes — this exists for tests that compare whole
-    /// index contents byte-for-byte.
-    fn peek_all(&self) -> Vec<(String, KvItem)>;
 }
 
 #[cfg(test)]

@@ -5,10 +5,12 @@
 //! behaviour the warehouse and its cost model depend on:
 //!
 //! * [`s3`] — the file store (documents and query results);
-//! * [`dynamodb`] — the key-value index store: composite keys,
-//!   multi-valued attributes, binary values, batch APIs, provisioned
+//! * [`store`] — the one key-value index store, [`KvStore`], opened on
+//!   a [`KvBackend`]: composite keys, multi-valued attributes, batch APIs,
+//!   throughput served by rate-limited lanes;
+//! * [`dynamodb`] — the DynamoDB service: binary values, provisioned
 //!   throughput with saturation;
-//! * [`simpledb`] — the older key-value store used by the paper's \[8\]
+//! * [`simpledb`] — the older service used by the paper's \[8\]
 //!   baseline: string-only ≤ 1 KB values, slower service;
 //! * [`sqs`] — queues with visibility timeouts (at-least-once delivery,
 //!   the architecture's crash-tolerance mechanism);
@@ -47,13 +49,14 @@ pub use clock::{SimDuration, SimTime};
 pub use dynamodb::{DynamoConfig, DynamoDb};
 pub use ec2::{Ec2, InstanceId, InstanceRecord};
 pub use fault::{FaultConfig, FaultInjector, RetryAfter};
-pub use kv::{KvError, KvField, KvItem, KvProfile, KvStats, KvStore, KvValue};
+pub use kv::{KvError, KvField, KvItem, KvProfile, KvStats, KvValue};
 pub use money::Money;
 pub use obs::{ActorTag, Ctx, Outcome, Phase, Recorder, ServiceKind, Span};
 pub use pricing::{InstanceType, PriceTable};
 pub use s3::{content_hash, Blob, ObjectPredicate, S3Error, S3Stats, S3};
-pub use sim::{Actor, CostReport, CostSnapshot, Engine, KvBackend, StepResult, StorageCost, World};
-pub use simpledb::{SimpleDb, SimpleDbConfig};
+pub use sim::{Actor, CostReport, CostSnapshot, Engine, StepResult, StorageCost, World};
+pub use simpledb::SimpleDbConfig;
 pub use sqs::{Message, Sqs, SqsError, SqsStats};
+pub use store::{KvBackend, KvStore};
 pub use tuning::KvTuning;
 pub use workmodel::WorkModel;

@@ -270,11 +270,6 @@ impl Recorder {
         }))))
     }
 
-    /// True when spans are being collected.
-    pub fn is_on(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Records the span built by `f`, which receives the price table and
     /// the current context. No-op (and `f` never runs) when disabled —
     /// instrumentation sites pay only an `Option` check.
@@ -329,7 +324,6 @@ mod tests {
     #[test]
     fn disabled_recorder_never_runs_the_closure() {
         let rec = Recorder::off();
-        assert!(!rec.is_on());
         rec.record(|_, _| unreachable!("off recorder must not build spans"));
         rec.with_ctx(|_| unreachable!("off recorder has no context"));
         assert_eq!(rec.span_count(), 0);

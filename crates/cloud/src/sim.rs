@@ -17,53 +17,26 @@
 //! the engine.
 
 use crate::clock::SimTime;
-use crate::dynamodb::{DynamoConfig, DynamoDb};
 use crate::ec2::Ec2;
 use crate::fault::FaultConfig;
-use crate::kv::{KvStats, KvStore};
+use crate::kv::KvStats;
 use crate::money::Money;
 use crate::obs::{Recorder, ServiceKind, Span};
 use crate::pricing::PriceTable;
 use crate::s3::{S3Stats, S3};
-use crate::simpledb::{SimpleDb, SimpleDbConfig};
 use crate::sqs::{Sqs, SqsStats};
+use crate::store::{KvBackend, KvStore};
 use crate::tuning::KvTuning;
 use crate::workmodel::WorkModel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Which key-value backend hosts the index store.
-#[derive(Debug, Clone)]
-pub enum KvBackend {
-    /// DynamoDB (this paper's system).
-    Dynamo(DynamoConfig),
-    /// SimpleDB (the baseline of \[8\], Tables 7–8).
-    Simple(SimpleDbConfig),
-}
-
-impl Default for KvBackend {
-    fn default() -> Self {
-        KvBackend::Dynamo(DynamoConfig::default())
-    }
-}
-
-impl KvBackend {
-    /// Opens the index store this backend describes, with `tuning`'s
-    /// capabilities withheld — the one way a store is opened.
-    pub fn open(self, tuning: KvTuning) -> Box<dyn KvStore> {
-        match self {
-            KvBackend::Dynamo(cfg) => Box::new(DynamoDb::open(cfg, tuning)),
-            KvBackend::Simple(cfg) => Box::new(SimpleDb::open(cfg, tuning)),
-        }
-    }
-}
 
 /// The simulated cloud: every service plus pricing and the work model.
 pub struct World {
     /// File store.
     pub s3: S3,
     /// Index store (DynamoDB or SimpleDB).
-    pub kv: Box<dyn KvStore>,
+    pub kv: KvStore,
     /// Queue service.
     pub sqs: Sqs,
     /// Instance registry.
@@ -91,7 +64,7 @@ impl World {
     pub fn open(backend: KvBackend, tuning: KvTuning) -> World {
         World {
             s3: S3::new(),
-            kv: backend.open(tuning),
+            kv: KvStore::open(backend, tuning),
             sqs: Sqs::new(),
             ec2: Ec2::new(),
             work: WorkModel::default(),

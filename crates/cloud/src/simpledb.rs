@@ -1,6 +1,7 @@
 //! SimpleDB — the index backend of the paper's preliminary work \[8\],
-//! kept as a baseline for the Tables 7–8 comparison — as a [`Service`]
-//! description of the one [`Store`]. Its two handicaps relative to
+//! kept as a baseline for the Tables 7–8 comparison — the
+//! [`KvBackend::Simple`](crate::store::KvBackend::Simple) service of the one
+//! [`KvStore`](crate::store::KvStore). Its two handicaps relative to
 //! DynamoDB, which the paper identifies as the source of its 1–2
 //! order-of-magnitude disadvantage (Section 8.4): **string-only values of
 //! at most 1 KB**, so the index layer must base64-encode ID lists and
@@ -13,7 +14,7 @@
 use crate::clock::SimDuration;
 use crate::kv::KvProfile;
 use crate::service::ServiceQueue;
-use crate::store::{Footprint, Lanes, Meter, Service, Store};
+use crate::store::{Footprint, Lanes, Meter};
 
 /// Storage overhead billed per attribute-value pair (45 bytes per name
 /// plus per value, per the SimpleDB pricing formula).
@@ -43,60 +44,45 @@ impl Default for SimpleDbConfig {
     }
 }
 
-/// The simulated SimpleDB service.
-pub type SimpleDb = Store<Simple>;
+/// SimpleDB's limits and capabilities.
+pub const PROFILE: KvProfile = KvProfile {
+    name: "SimpleDB",
+    supports_binary: false,
+    max_value_bytes: 1024,
+    max_item_bytes: 1024 * 256,
+    max_attrs_per_item: 256,
+    max_hash_key_bytes: 1024,
+    max_range_key_bytes: usize::MAX,
+    batch_put_limit: 25,
+    // No native batch get; one key per request.
+    batch_get_limit: 1,
+};
 
-/// SimpleDB, described.
-pub struct Simple;
-
-impl Service for Simple {
-    type Config = SimpleDbConfig;
-
-    const PROFILE: KvProfile = KvProfile {
-        name: "SimpleDB",
-        supports_binary: false,
-        max_value_bytes: 1024,
-        max_item_bytes: 1024 * 256,
-        max_attrs_per_item: 256,
-        max_hash_key_bytes: 1024,
-        max_range_key_bytes: usize::MAX,
-        batch_put_limit: 25,
-        // No native batch get; one key per request.
-        batch_get_limit: 1,
+pub(crate) fn lanes(config: &SimpleDbConfig) -> Lanes {
+    let lane = |bytes_per_sec| {
+        ServiceQueue::new(SimDuration::from_millis(4), bytes_per_sec, config.latency)
     };
-    const BATCH_GET_IS_ONE_REQUEST: bool = false;
-    const SPANS_REPORT_BILLED_UNITS: bool = true;
-
-    fn lanes(config: &SimpleDbConfig) -> Lanes {
-        let lane = |bytes_per_sec| {
-            ServiceQueue::new(SimDuration::from_millis(4), bytes_per_sec, config.latency)
-        };
-        Lanes {
-            writes: lane(config.write_bytes_per_sec),
-            reads: lane(config.read_bytes_per_sec),
-        }
+    Lanes {
+        writes: lane(config.write_bytes_per_sec),
+        reads: lane(config.read_bytes_per_sec),
     }
+}
 
-    /// Box-usage billing scales with the attribute-value pairs written,
-    /// not the item count — the billing-side half of the Tables 7–8
-    /// amplification (chunked values each pay their way). Service time
-    /// is by the byte.
-    fn written(item: Footprint) -> Meter {
-        Meter {
-            service: item.bytes as f64,
-            billed: item.values as u64,
-        }
+/// Box-usage billing scales with the attribute-value pairs written, not
+/// the item count — the billing-side half of the Tables 7–8
+/// amplification (chunked values each pay their way), as does storage
+/// overhead ([`ATTR_OVERHEAD_BYTES`] each). Service time is by the byte.
+pub(crate) fn written(item: Footprint) -> Meter {
+    Meter {
+        service: item.bytes as f64,
+        billed: item.values as u64,
     }
+}
 
-    fn read(bytes: usize) -> Meter {
-        Meter {
-            service: bytes as f64,
-            billed: 1,
-        }
-    }
-
-    fn overhead(item: Footprint) -> u64 {
-        ATTR_OVERHEAD_BYTES * item.values as u64
+pub(crate) fn read(bytes: usize) -> Meter {
+    Meter {
+        service: bytes as f64,
+        billed: 1,
     }
 }
 
@@ -104,7 +90,12 @@ impl Service for Simple {
 mod tests {
     use super::*;
     use crate::clock::SimTime;
-    use crate::kv::{KvError, KvItem, KvStore, KvValue};
+    use crate::kv::{KvError, KvItem, KvValue};
+    use crate::store::KvStore;
+
+    fn simpledb() -> KvStore {
+        KvStore::new(SimpleDbConfig::default())
+    }
 
     fn item(hash: &str, range: &str, val: KvValue) -> KvItem {
         KvItem::new(hash.into(), range, "doc.xml".into(), [val].into_iter())
@@ -112,7 +103,7 @@ mod tests {
 
     #[test]
     fn rejects_binary_values() {
-        let mut db = SimpleDb::default();
+        let mut db = simpledb();
         db.ensure_table("t");
         let err = db
             .batch_put(SimTime::ZERO, "t", vec![item("k", "r", KvValue::B(&[1]))])
@@ -122,7 +113,7 @@ mod tests {
 
     #[test]
     fn rejects_values_over_1kb() {
-        let mut db = SimpleDb::default();
+        let mut db = simpledb();
         db.ensure_table("t");
         let err = db
             .batch_put(
@@ -136,7 +127,7 @@ mod tests {
 
     #[test]
     fn rejects_too_many_attribute_values() {
-        let mut db = SimpleDb::default();
+        let mut db = simpledb();
         db.ensure_table("t");
         let vals = std::iter::repeat_n(KvValue::S("v"), 257);
         let it = KvItem::new("k".into(), "r", "a".into(), vals);
@@ -146,10 +137,8 @@ mod tests {
 
     #[test]
     fn slower_than_dynamodb_for_equal_work() {
-        use crate::dynamodb::DynamoDb;
-        use crate::kv::KvStore as _;
-        let mut sdb = SimpleDb::default();
-        let mut ddb = DynamoDb::default();
+        let mut sdb = simpledb();
+        let mut ddb = KvStore::default();
         sdb.ensure_table("t");
         ddb.ensure_table("t");
         let mk = |i: usize| item("k", &format!("r{i}"), KvValue::S(&"x".repeat(500)));
@@ -169,7 +158,7 @@ mod tests {
 
     #[test]
     fn batch_get_issues_sequential_requests() {
-        let mut db = SimpleDb::default();
+        let mut db = simpledb();
         db.ensure_table("t");
         db.batch_put(SimTime::ZERO, "t", vec![item("a", "r", KvValue::S(""))])
             .unwrap();

@@ -20,7 +20,7 @@
 use crate::clock::{SimDuration, SimTime};
 use crate::fault::FaultInjector;
 use crate::obs::{Outcome, Recorder, ServiceKind, Span};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A queued message.
@@ -71,7 +71,6 @@ impl crate::fault::RetryAfter for SqsError {
 
 #[derive(Debug, Clone)]
 struct Stored {
-    id: u64,
     body: String,
     /// Invisible until this time (lease), if any.
     invisible_until: Option<SimTime>,
@@ -108,25 +107,11 @@ pub struct Sqs {
 
 #[derive(Default)]
 struct Queue {
-    messages: Vec<Stored>,
-    /// Tombstones for deleted messages, purged lazily (keeps `delete`
-    /// amortized O(1) instead of scanning the whole backlog per call).
-    deleted: std::collections::HashSet<u64>,
+    /// The messages in the queue, visible or leased, by id: ids are
+    /// handed out in send order, so this is also FIFO order.
+    messages: BTreeMap<u64, Stored>,
     next_id: u64,
     closed: bool,
-}
-
-impl Queue {
-    fn live_len(&self) -> usize {
-        self.messages.len() - self.deleted.len()
-    }
-
-    fn compact_if_needed(&mut self) {
-        if self.deleted.len() > 64 && self.deleted.len() * 2 > self.messages.len() {
-            let deleted = std::mem::take(&mut self.deleted);
-            self.messages.retain(|m| !deleted.contains(&m.id));
-        }
-    }
 }
 
 impl Sqs {
@@ -213,12 +198,12 @@ impl Sqs {
         assert!(!q.closed, "send on closed queue {queue}");
         let id = q.next_id;
         q.next_id += 1;
-        q.messages.push(Stored {
-            id,
+        let stored = Stored {
             body,
             invisible_until: None,
             receive_count: 0,
-        });
+        };
+        q.messages.insert(id, stored);
         self.record_ok(now, "send", body_len);
         Ok(now + latency)
     }
@@ -240,16 +225,13 @@ impl Sqs {
         // still protects the message to an observer at exactly `t`, so a
         // renewal and a concurrent poll at the same instant cannot race the
         // message away from its healthy holder.
-        let deleted = &q.deleted;
-        let found = q
-            .messages
-            .iter_mut()
-            .find(|m| !deleted.contains(&m.id) && m.invisible_until.is_none_or(|t| t < now));
-        let msg = found.map(|m| {
+        let found =
+            (q.messages.iter_mut()).find(|(_, m)| m.invisible_until.is_none_or(|t| t < now));
+        let msg = found.map(|(&id, m)| {
             m.invisible_until = Some(now + visibility);
             m.receive_count += 1;
             Message {
-                id: m.id,
+                id,
                 body: m.body.clone(),
                 receive_count: m.receive_count,
             }
@@ -287,8 +269,7 @@ impl Sqs {
         self.billed_request(now, "delete")?;
         let latency = self.latency;
         let q = self.queue_mut(queue)?;
-        q.deleted.insert(id);
-        q.compact_if_needed();
+        q.messages.remove(&id);
         self.record_ok(now, "delete", 0);
         Ok(now + latency)
     }
@@ -307,10 +288,8 @@ impl Sqs {
         self.stats.renewals += 1;
         let latency = self.latency;
         let q = self.queue_mut(queue)?;
-        if !q.deleted.contains(&id) {
-            if let Some(m) = q.messages.iter_mut().find(|m| m.id == id) {
-                m.invisible_until = Some(now + visibility);
-            }
+        if let Some(m) = q.messages.get_mut(&id) {
+            m.invisible_until = Some(now + visibility);
         }
         self.record_ok(now, "renew", 0);
         Ok(now + latency)
@@ -339,20 +318,22 @@ impl Sqs {
     /// every other operation.
     pub fn drained(&self, queue: &str) -> Result<bool, SqsError> {
         let q = self.queue(queue)?;
-        Ok(q.closed && q.live_len() == 0)
+        Ok(q.closed && q.messages.is_empty())
     }
 
     /// Number of messages currently in the queue (visible or leased).
     pub fn len(&self, queue: &str) -> Result<usize, SqsError> {
-        Ok(self.queue(queue)?.live_len())
+        Ok(self.queue(queue)?.messages.len())
     }
 
     /// The bodies of the messages currently in the queue (visible or
     /// leased), oldest first. Unbilled host-side probe, like [`Sqs::len`].
     pub fn bodies(&self, queue: &str) -> Result<impl Iterator<Item = &str>, SqsError> {
-        let q = self.queue(queue)?;
-        let live = q.messages.iter().filter(|m| !q.deleted.contains(&m.id));
-        Ok(live.map(|m| m.body.as_str()))
+        Ok(self
+            .queue(queue)?
+            .messages
+            .values()
+            .map(|m| m.body.as_str()))
     }
 
     /// True if the queue holds no messages.

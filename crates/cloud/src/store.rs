@@ -2,9 +2,10 @@
 //!
 //! DynamoDB and SimpleDB hold the same tables ([`ItemTable`]) behind the
 //! same API and take every request through the same steps; what differs
-//! is the *service* — its limits, what it bills, how fast it serves —
-//! and that is all a backend is here: a [`Service`] description plugged
-//! into [`Store`]. Every request, on either backend, runs
+//! is the *service* — its limits, what it bills, how fast it serves — and
+//! [`KvBackend`] is all that names one: a variant per service, carrying
+//! its config. [`KvStore`] is the one store, opened on a backend. Every
+//! request, on either backend, runs
 //!
 //! ```text
 //! batch limit → item limits → table exists → fault roll
@@ -16,21 +17,22 @@
 //! the fault stream), and a throttled request has touched no data.
 
 use crate::clock::SimTime;
+use crate::dynamodb::{self, DynamoConfig};
 use crate::fault::FaultInjector;
-use crate::kv::{ItemTable, KvError, KvItem, KvProfile, KvStats, KvStore};
+use crate::kv::{ItemTable, KvError, KvItem, KvProfile, KvStats};
 use crate::money::Money;
 use crate::obs::{Outcome, Recorder, ServiceKind, Span};
 use crate::pricing::PriceTable;
 use crate::service::ServiceQueue;
+use crate::simpledb::{self, SimpleDbConfig};
 use crate::tuning::KvTuning;
 use std::collections::HashMap;
-use std::marker::PhantomData;
 
 /// What the services measure an item by: its payload size and how many
 /// attribute values it carries. The default is the item that is not
 /// there (what a delete of an absent key removes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Footprint {
+pub(crate) struct Footprint {
     /// [`KvItem::byte_size`].
     pub bytes: usize,
     /// Attribute values over all attribute names.
@@ -48,7 +50,7 @@ impl Footprint {
 
 /// What one item written, or one hash key read, costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Meter {
+pub(crate) struct Meter {
     /// Units of the lane's rate this occupies the service for. Stays
     /// fractional: service *time* tracks volume (the paper's Figure 10
     /// saturation), whatever the bill rounds to.
@@ -60,7 +62,7 @@ pub struct Meter {
 /// A write queue and a read queue: the service as a whole, shared by
 /// every table of the store.
 #[derive(Debug, Clone)]
-pub struct Lanes {
+pub(crate) struct Lanes {
     /// Serves `batch_put` and `batch_delete`.
     pub writes: ServiceQueue,
     /// Serves `get` and `batch_get`.
@@ -94,37 +96,96 @@ const READ: Dir = Dir {
     throttled_op: "get",
 };
 
-/// A key-value service, described: everything [`Store`] needs to know to
-/// behave as that service. The table in [`crate::kv`] lists both
-/// descriptions side by side.
-pub trait Service: Send + 'static {
-    /// Throughput and latency parameters.
-    type Config: Default + Send;
+/// Which key-value service hosts the index store, with its config: the
+/// one description of a service. The table in [`crate::kv`] lists both
+/// side by side.
+#[derive(Debug, Clone)]
+pub enum KvBackend {
+    /// DynamoDB (this paper's system).
+    Dynamo(DynamoConfig),
+    /// SimpleDB (the baseline of \[8\], Tables 7–8).
+    Simple(SimpleDbConfig),
+}
+
+impl Default for KvBackend {
+    fn default() -> Self {
+        KvBackend::Dynamo(DynamoConfig::default())
+    }
+}
+
+impl From<DynamoConfig> for KvBackend {
+    fn from(config: DynamoConfig) -> Self {
+        KvBackend::Dynamo(config)
+    }
+}
+
+impl From<SimpleDbConfig> for KvBackend {
+    fn from(config: SimpleDbConfig) -> Self {
+        KvBackend::Simple(config)
+    }
+}
+
+impl KvBackend {
     /// Limits and capabilities, before a [`KvTuning`] narrows them.
-    const PROFILE: KvProfile;
-    /// Whether `batch_get` is one request over up to
-    /// `PROFILE.batch_get_limit` keys; otherwise it is sequential `get`s.
-    const BATCH_GET_IS_ONE_REQUEST: bool;
-    /// Whether a span's `units` are the billed units; otherwise they are
-    /// the service units (capacity consumed).
-    const SPANS_REPORT_BILLED_UNITS: bool;
-    /// Idle lanes at `config`'s rates.
-    fn lanes(config: &Self::Config) -> Lanes;
+    pub fn profile(&self) -> KvProfile {
+        match self {
+            KvBackend::Dynamo(_) => dynamodb::PROFILE,
+            KvBackend::Simple(_) => simpledb::PROFILE,
+        }
+    }
+
+    /// Idle lanes at the config's rates.
+    fn lanes(&self) -> Lanes {
+        match self {
+            KvBackend::Dynamo(config) => dynamodb::lanes(config),
+            KvBackend::Simple(config) => simpledb::lanes(config),
+        }
+    }
+
     /// One item written. A delete is metered as the write of what it
     /// removed.
-    fn written(item: Footprint) -> Meter;
+    fn written(&self, item: Footprint) -> Meter {
+        match self {
+            KvBackend::Dynamo(_) => dynamodb::written(item),
+            KvBackend::Simple(_) => simpledb::written(item),
+        }
+    }
+
     /// One hash key read, `bytes` of items under it.
-    fn read(bytes: usize) -> Meter;
+    fn read(&self, bytes: usize) -> Meter {
+        match self {
+            KvBackend::Dynamo(_) => dynamodb::read(bytes),
+            KvBackend::Simple(_) => simpledb::read(bytes),
+        }
+    }
+
     /// Storage overhead billed for one stored item (the paper's
     /// `ovh(D, I)` is the sum over stored items).
-    fn overhead(item: Footprint) -> u64;
+    fn overhead(&self, item: Footprint) -> u64 {
+        match self {
+            KvBackend::Dynamo(_) => dynamodb::ITEM_OVERHEAD_BYTES,
+            KvBackend::Simple(_) => simpledb::ATTR_OVERHEAD_BYTES * item.values as u64,
+        }
+    }
+
+    /// Whether `batch_get` is one request over up to `batch_get_limit`
+    /// keys; otherwise it is sequential `get`s.
+    fn batch_get_is_one_request(&self) -> bool {
+        matches!(self, KvBackend::Dynamo(_))
+    }
+
+    /// Whether a span's `units` are the billed units; otherwise they are
+    /// the service units (capacity consumed).
+    fn spans_report_billed_units(&self) -> bool {
+        matches!(self, KvBackend::Simple(_))
+    }
 }
 
 /// What one request asks of its lane — service units, billed units and
 /// bytes moved, metered per item and per key — plus the change in stored
-/// bytes it caused.
-#[derive(Default)]
-struct Demand {
+/// bytes it caused, under the rules of `backend`.
+struct Demand<'a> {
+    backend: &'a KvBackend,
     service: f64,
     billed: u64,
     bytes: u64,
@@ -132,7 +193,7 @@ struct Demand {
     overhead_delta: i64,
 }
 
-impl Demand {
+impl Demand<'_> {
     fn add(&mut self, meter: Meter, bytes: usize) {
         self.service += meter.service;
         self.billed += meter.billed;
@@ -140,14 +201,15 @@ impl Demand {
     }
 
     /// Counts `item` into (`sign` 1) or out of (`sign` −1) storage.
-    fn stock<S: Service>(&mut self, sign: i64, item: Footprint) {
+    fn stock(&mut self, sign: i64, item: Footprint) {
         self.raw_delta += sign * item.bytes as i64;
-        self.overhead_delta += sign * S::overhead(item) as i64;
+        self.overhead_delta += sign * self.backend.overhead(item) as i64;
     }
 }
 
-/// The simulated index store of service `S`.
-pub struct Store<S: Service> {
+/// The simulated index store, on either service.
+pub struct KvStore {
+    backend: KvBackend,
     profile: KvProfile,
     tables: HashMap<String, ItemTable>,
     stats: KvStats,
@@ -155,26 +217,25 @@ pub struct Store<S: Service> {
     obs: Recorder,
     /// The service-wide lanes: they serve every request of every table.
     service: Lanes,
-    _kind: PhantomData<S>,
 }
 
-impl<S: Service> Store<S> {
+impl KvStore {
     /// A store with the service's full profile.
-    pub fn new(config: S::Config) -> Store<S> {
-        Store::open(config, KvTuning::NONE)
+    pub fn new(backend: impl Into<KvBackend>) -> KvStore {
+        KvStore::open(backend.into(), KvTuning::NONE)
     }
 
     /// A store whose profile — advertised *and* enforced — is the
     /// service's narrowed by `tuning`.
-    pub fn open(config: S::Config, tuning: KvTuning) -> Store<S> {
-        Store {
-            service: S::lanes(&config),
-            profile: tuning.narrow(S::PROFILE),
+    pub fn open(backend: KvBackend, tuning: KvTuning) -> KvStore {
+        KvStore {
+            service: backend.lanes(),
+            profile: tuning.narrow(backend.profile()),
+            backend,
             tables: HashMap::new(),
             stats: KvStats::default(),
             faults: FaultInjector::off(),
             obs: Recorder::off(),
-            _kind: PhantomData,
         }
     }
 
@@ -215,7 +276,14 @@ impl<S: Service> Store<S> {
             });
             return Err(KvError::Throttled { available_at });
         }
-        let mut demand = Demand::default();
+        let mut demand = Demand {
+            backend: &self.backend,
+            service: 0.0,
+            billed: 0,
+            bytes: 0,
+            raw_delta: 0,
+            overhead_delta: 0,
+        };
         let out = body(t, &mut demand);
         self.stats
             .adjust_stored(demand.raw_delta, demand.overhead_delta);
@@ -225,7 +293,7 @@ impl<S: Service> Store<S> {
         *(dir.billed_ops)(&mut self.stats) += demand.billed;
         (dir.count_bytes)(&mut self.stats, demand.bytes);
         self.obs.record(|p, ctx| {
-            let units = if S::SPANS_REPORT_BILLED_UNITS {
+            let units = if demand.backend.spans_report_billed_units() {
                 demand.billed as f64
             } else {
                 demand.service
@@ -257,7 +325,7 @@ impl<S: Service> Store<S> {
                 // same keys fetched one by one would — batching saves API
                 // round trips, not capacity.
                 let key_bytes: usize = items[first..].iter().map(KvItem::byte_size).sum();
-                demand.add(S::read(key_bytes), key_bytes);
+                demand.add(demand.backend.read(key_bytes), key_bytes);
             }
             // A k-key read occupies the lane for `read(B) + read(0)·(k−1)`
             // units, B its bytes: its whole volume plus an empty key's
@@ -265,31 +333,31 @@ impl<S: Service> Store<S> {
             // the per-key units up to floating-point association, and a
             // lane's clock is built from these bits, so this is the one
             // rule.
-            demand.service = S::read(demand.bytes as usize).service
-                + S::read(0).service * hash_keys.len().saturating_sub(1) as f64;
+            demand.service = demand.backend.read(demand.bytes as usize).service
+                + demand.backend.read(0).service * hash_keys.len().saturating_sub(1) as f64;
             items
         })
     }
-}
 
-impl<S: Service> Default for Store<S> {
-    fn default() -> Self {
-        Store::new(S::Config::default())
-    }
-}
-
-impl<S: Service> KvStore for Store<S> {
-    fn profile(&self) -> KvProfile {
+    /// Limits and capabilities, as narrowed by the tuning the store was
+    /// opened with — what the store advertises is what it enforces.
+    pub fn profile(&self) -> KvProfile {
         self.profile
     }
 
-    fn ensure_table(&mut self, table: &str) {
+    /// Creates a table if it does not exist: provisioning, a free,
+    /// idempotent host-side call. A request against a table never
+    /// created is [`KvError::NoSuchTable`].
+    pub fn ensure_table(&mut self, table: &str) {
         if !self.tables.contains_key(table) {
             self.tables.insert(table.to_string(), ItemTable::default());
         }
     }
 
-    fn batch_put(
+    /// Writes up to `batch_put_limit` items in one API call; an item with
+    /// an existing (hash, range) key is replaced wholesale (paper
+    /// Section 6). Returns the virtual completion time.
+    pub fn batch_put(
         &mut self,
         now: SimTime,
         table: &str,
@@ -302,19 +370,27 @@ impl<S: Service> KvStore for Store<S> {
         let ((), ready) = self.request(now, table, ("batch_put", &WRITE), |t, demand| {
             for item in items {
                 let new = Footprint::of(&item);
-                demand.add(S::written(new), new.bytes);
-                demand.stock::<S>(1, new);
+                demand.add(demand.backend.written(new), new.bytes);
+                demand.stock(1, new);
                 // An item with an existing (hash, range) key is replaced
                 // wholesale: the old item's bytes are no longer stored.
                 if let Some(old) = t.put(item) {
-                    demand.stock::<S>(-1, Footprint::of(&old));
+                    demand.stock(-1, Footprint::of(&old));
                 }
             }
         })?;
         Ok(ready)
     }
 
-    fn batch_delete(
+    /// Deletes items by full `(hash, range)` primary key, up to
+    /// `batch_put_limit` keys per API call (deletes ride the write path
+    /// and consume write capacity, exactly like real DynamoDB's
+    /// `DeleteItem`). A delete bills as the write of the item it removed
+    /// did, and at least one unit — also when the key does not exist.
+    /// Deleting an absent key is an idempotent success — the property
+    /// that makes retraction retries and queue redeliveries safe without
+    /// tombstones. Returns the virtual completion time.
+    pub fn batch_delete(
         &mut self,
         now: SimTime,
         table: &str,
@@ -329,18 +405,19 @@ impl<S: Service> KvStore for Store<S> {
                 // that item was — and a delete of an absent key still
                 // bills one unit, which is what keeps retried deletes
                 // billed (and idempotent) rather than free no-ops.
-                let mut meter = S::written(removed.unwrap_or_default());
+                let mut meter = demand.backend.written(removed.unwrap_or_default());
                 meter.billed = meter.billed.max(1);
                 demand.add(meter, 0);
                 if let Some(old) = removed {
-                    demand.stock::<S>(-1, old);
+                    demand.stock(-1, old);
                 }
             }
         })?;
         Ok(ready)
     }
 
-    fn get(
+    /// Retrieves all items with the given hash key.
+    pub fn get(
         &mut self,
         now: SimTime,
         table: &str,
@@ -349,13 +426,16 @@ impl<S: Service> KvStore for Store<S> {
         self.read(now, table, "get", &[hash_key])
     }
 
-    fn batch_get(
+    /// Retrieves all items for up to `batch_get_limit` hash keys in one
+    /// API call (sequential `get`s on a service without one). Results are
+    /// concatenated in key order.
+    pub fn batch_get(
         &mut self,
         now: SimTime,
         table: &str,
         hash_keys: &[String],
     ) -> Result<(Vec<KvItem>, SimTime), KvError> {
-        if S::BATCH_GET_IS_ONE_REQUEST {
+        if self.backend.batch_get_is_one_request() {
             Self::check_batch(hash_keys.len(), self.profile.batch_get_limit)?;
             return self.read(now, table, "batch_get", hash_keys);
         }
@@ -369,23 +449,35 @@ impl<S: Service> KvStore for Store<S> {
         Ok((items, ready))
     }
 
-    fn stats(&self) -> KvStats {
+    /// Usage counters.
+    pub fn stats(&self) -> KvStats {
         self.stats
     }
 
-    fn set_faults(&mut self, faults: FaultInjector) {
+    /// Installs a fault injector: subsequent operations may fail with
+    /// [`KvError::Throttled`].
+    pub fn set_faults(&mut self, faults: FaultInjector) {
         self.faults = faults;
     }
 
-    fn set_recorder(&mut self, recorder: Recorder) {
+    /// Installs a span recorder: subsequent operations are recorded as
+    /// [`crate::obs::Span`]s.
+    pub fn set_recorder(&mut self, recorder: Recorder) {
         self.obs = recorder;
     }
 
-    fn faults_active(&self) -> bool {
+    /// True when a fault injector is installed and active — callers that
+    /// must hand over owned data (e.g. `batch_put` payloads) use this to
+    /// decide whether to keep a retry copy.
+    pub fn faults_active(&self) -> bool {
         self.faults.is_active()
     }
 
-    fn peek_all(&self) -> Vec<(String, KvItem)> {
+    /// Host-side snapshot of every item in every table, sorted by
+    /// `(table, hash_key, range_key)`. No request is billed and no
+    /// virtual time passes — this exists for tests that compare whole
+    /// index contents byte-for-byte.
+    pub fn peek_all(&self) -> Vec<(String, KvItem)> {
         let mut names: Vec<&String> = self.tables.keys().collect();
         names.sort();
         let mut out = Vec::new();
@@ -396,13 +488,18 @@ impl<S: Service> KvStore for Store<S> {
     }
 }
 
+impl Default for KvStore {
+    fn default() -> Self {
+        KvStore::new(KvBackend::default())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamodb::{DynamoConfig, ITEM_OVERHEAD_BYTES};
+    use crate::dynamodb::ITEM_OVERHEAD_BYTES;
     use crate::kv::KvValue;
-    use crate::sim::KvBackend;
-    use crate::simpledb::{SimpleDbConfig, ATTR_OVERHEAD_BYTES};
+    use crate::simpledb::ATTR_OVERHEAD_BYTES;
     use amada_rng::StdRng;
 
     const STRINGS: KvTuning = KvTuning {
@@ -419,24 +516,40 @@ mod tests {
     /// of storage overhead.
     struct Opening {
         name: &'static str,
-        store: Box<dyn KvStore>,
+        store: KvStore,
         probe_units: u64,
         probe_overhead: u64,
     }
 
     /// Every opening of `tests/store_golden.rs`, table "t" created.
     fn openings() -> Vec<Opening> {
-        let dynamo = || KvBackend::Dynamo(DynamoConfig::default());
-        let simple = || KvBackend::Simple(SimpleDbConfig::default());
+        let dynamo = || KvBackend::Dynamo(Default::default());
+        let simple = || KvBackend::Simple(Default::default());
         // ⌈0.05 + 3.0 KB⌉ capacity units and 100 B for the item, against
         // one operation and 45 B for each of its three values.
         let on_dynamo = (4, ITEM_OVERHEAD_BYTES);
         let on_simple = (3, 3 * ATTR_OVERHEAD_BYTES);
         [
-            ("dynamodb", dynamo().open(KvTuning::NONE), on_dynamo),
-            ("simpledb", simple().open(KvTuning::NONE), on_simple),
-            ("dynamodb-strings", dynamo().open(STRINGS), on_dynamo),
-            ("dynamodb-unbatched", dynamo().open(UNBATCHED), on_dynamo),
+            (
+                "dynamodb",
+                KvStore::open(dynamo(), KvTuning::NONE),
+                on_dynamo,
+            ),
+            (
+                "simpledb",
+                KvStore::open(simple(), KvTuning::NONE),
+                on_simple,
+            ),
+            (
+                "dynamodb-strings",
+                KvStore::open(dynamo(), STRINGS),
+                on_dynamo,
+            ),
+            (
+                "dynamodb-unbatched",
+                KvStore::open(dynamo(), UNBATCHED),
+                on_dynamo,
+            ),
         ]
         .into_iter()
         .map(|(name, mut store, (probe_units, probe_overhead))| {
@@ -467,7 +580,7 @@ mod tests {
     }
 
     /// Puts `items` one request each (every opening's batch limit allows it).
-    fn put_each(store: &mut dyn KvStore, items: Vec<KvItem>) {
+    fn put_each(store: &mut KvStore, items: Vec<KvItem>) {
         for it in items {
             store.batch_put(SimTime::ZERO, "t", vec![it]).unwrap();
         }
@@ -480,7 +593,7 @@ mod tests {
         } in openings()
         {
             put_each(
-                store.as_mut(),
+                &mut store,
                 vec![
                     item("ename", "u1", "delacroix.xml", &[""]),
                     item("ename", "u2", "manet.xml", &["p2"]),
@@ -506,7 +619,7 @@ mod tests {
         } in openings()
         {
             put_each(
-                store.as_mut(),
+                &mut store,
                 vec![item("k", "r", "a", &["1", "2", "3", "4"]), probe()],
             );
             let (items, _) = store.get(SimTime::ZERO, "t", "k").unwrap();
@@ -527,7 +640,7 @@ mod tests {
             probe_overhead,
         } in openings()
         {
-            put_each(store.as_mut(), vec![probe()]);
+            put_each(&mut store, vec![probe()]);
             let st = store.stats();
             assert_eq!(st.put_ops, probe_units, "{name}");
             assert_eq!(st.raw_bytes, probe().byte_size() as u64, "{name}");
@@ -550,7 +663,7 @@ mod tests {
             name, mut store, ..
         } in openings()
         {
-            put_each(store.as_mut(), vec![probe()]);
+            put_each(&mut store, vec![probe()]);
             let before = store.stats();
             for _ in 0..2 {
                 store
@@ -656,7 +769,7 @@ mod tests {
 
     #[test]
     fn a_throttled_request_bills_one_unit_and_touches_nothing() {
-        type Request = fn(&mut dyn KvStore, usize) -> Result<SimTime, KvError>;
+        type Request = fn(&mut KvStore, usize) -> Result<SimTime, KvError>;
         let requests: [(&str, &Dir, Request); 4] = [
             ("put", &WRITE, |s, i| {
                 s.batch_put(
@@ -681,13 +794,13 @@ mod tests {
                 name, mut store, ..
             } in openings()
             {
-                put_each(store.as_mut(), vec![probe()]);
+                put_each(&mut store, vec![probe()]);
                 store.set_faults(FaultInjector::new(1.0, 11)); // clamped to 0.95
                 assert!(store.faults_active());
                 let (mut throttles, mut served) = (0, 0);
                 for i in 0..50 {
                     let before = (store.stats(), store.peek_all());
-                    let result = request(store.as_mut(), i);
+                    let result = request(&mut store, i);
                     let mut st = store.stats();
                     assert_eq!(st.api_requests, before.0.api_requests + 1, "{name} {kind}");
                     match result {
@@ -728,7 +841,7 @@ mod tests {
         {
             store.ensure_table("s");
             put_each(
-                store.as_mut(),
+                &mut store,
                 vec![
                     item("b", "r", "d", &[""]),
                     item("a", "r2", "d", &[""]),
@@ -766,14 +879,14 @@ mod tests {
         let tunings = [KvTuning::NONE, STRINGS, UNBATCHED];
         for seed in 0..6u64 {
             let backends = [
-                KvBackend::Dynamo(DynamoConfig::default()),
-                KvBackend::Simple(SimpleDbConfig::default()),
+                KvBackend::Dynamo(Default::default()),
+                KvBackend::Simple(Default::default()),
             ];
             for (backend, tuning) in backends
                 .into_iter()
                 .flat_map(|b| tunings.map(|t| (b.clone(), t)))
             {
-                let mut store = backend.open(tuning);
+                let mut store = KvStore::open(backend, tuning);
                 let name = store.profile().name;
                 let per_value = name == "SimpleDB";
                 store.ensure_table("t");

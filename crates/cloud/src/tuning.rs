@@ -54,11 +54,11 @@ impl KvTuning {
 mod tests {
     use super::*;
     use crate::clock::SimTime;
-    use crate::dynamodb::{DynamoConfig, DynamoDb};
-    use crate::kv::{KvError, KvItem, KvStore, KvValue};
+    use crate::kv::{KvError, KvItem, KvValue};
+    use crate::store::{KvBackend, KvStore};
 
-    fn tuned(tuning: KvTuning) -> DynamoDb {
-        DynamoDb::open(DynamoConfig::default(), tuning)
+    fn tuned(tuning: KvTuning) -> KvStore {
+        KvStore::open(KvBackend::default(), tuning)
     }
 
     fn one(hash: &str, range: &str, value: KvValue) -> KvItem {

@@ -210,7 +210,7 @@ fn items_digest((items, ready): &(Vec<KvItem>, SimTime)) -> String {
 }
 
 /// Runs the script against `store`; returns the op transcript.
-fn run_script(store: &mut dyn KvStore) -> String {
+fn run_script(store: &mut KvStore) -> String {
     let mut rng = StdRng::seed_from_u64(SCRIPT_SEED);
     let mut log = String::new();
     let mut now = SimTime::ZERO;
@@ -259,14 +259,14 @@ fn run_script(store: &mut dyn KvStore) -> String {
 }
 
 fn transcript(opening: &Opening) -> (String, String, String, String) {
-    let mut store = (opening.backend)().open(opening.tuning);
+    let mut store = KvStore::open((opening.backend)(), opening.tuning);
     let recorder = Recorder::enabled(PriceTable::default());
     store.ensure_table(TABLES[0]);
     store.ensure_table(TABLES[1]);
     store.set_recorder(recorder.clone());
     store.set_faults(FaultInjector::new(FAULT_RATE, FAULT_SEED));
     assert!(store.faults_active());
-    let ops = run_script(store.as_mut());
+    let ops = run_script(&mut store);
     let stats = format!("{:?}", store.stats());
     let contents: Vec<(String, KvItem)> = store.peek_all();
     let contents: Vec<(&String, Shown)> = contents.iter().map(|(t, i)| (t, Shown(i))).collect();

@@ -397,9 +397,6 @@ impl LoaderCore {
             let t = dead_letter(&mut world.sqs, retry, t, LOADER_QUEUE, lease.msg_id, &uri);
             return StepResult::NextAt(t);
         };
-        for table in &plan.tables {
-            world.kv.ensure_table(table);
-        }
         lease.keep_alive(&mut world.sqs, t);
         self.state = LoaderState::Uploading(Upload {
             lease,
@@ -695,14 +692,14 @@ impl QueryCore {
             // A throttle aborts the look-up mid-flight; the whole look-up is
             // retried (every aborted get stays billed).
             Some(strategy) if !self.no_documents => loop {
-                match lookup_query(world.kv.as_mut(), t, strategy, self.opts, &query) {
+                match lookup_query(&mut world.kv, t, strategy, self.opts, &query) {
                     Ok(lookup) => break lookup,
                     Err(KvError::Throttled { available_at }) => {
                         t = self.worker.retry.again(available_at).ok_or(available_at)?;
                         lease.keep_alive(&mut world.sqs, t);
                     }
-                    // `lookup_query` ensures its tables before its first get,
-                    // so a get can fail only with `Throttled`.
+                    // `Warehouse::new` provisions the strategy's tables with
+                    // the store, so a get can fail only with `Throttled`.
                     Err(e) => panic!("index look-up succeeds: {e}"),
                 }
             },

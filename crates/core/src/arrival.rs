@@ -175,11 +175,27 @@ impl ArrivalProcess {
             let rate = self.rate_at(amada_cloud::SimDuration::from_micros(t_micros));
             let u = rng.next_f64();
             let gap_secs = -(1.0 - u).ln() / rate;
-            t_micros += (gap_secs * 1e6) as u64;
+            // A near-zero rate makes a gap of ~10^15 µs: the schedule
+            // saturates at the end of time rather than wrapping.
+            t_micros = t_micros.saturating_add((gap_secs * 1e6) as u64);
             let pick = rng.next_f64();
             let idx = cdf.partition_point(|&c| c < pick).min(queries - 1);
             out.push((amada_cloud::SimDuration::from_micros(t_micros), idx));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_near_zero_rate_saturates_the_schedule_instead_of_overflowing() {
+        let offsets = ArrivalProcess::steady(7, 100_000, 0.0).offsets(1);
+        assert_eq!(offsets.len(), 100_000);
+        assert!(offsets.windows(2).all(|w| w[0].0 <= w[1].0));
+        let last = offsets.last().map(|(t, _)| t.micros());
+        assert_eq!(last, Some(u64::MAX));
     }
 }

@@ -109,8 +109,8 @@ pub struct DeleteReport {
 }
 
 impl Warehouse {
-    /// Provisions a warehouse: buckets and queues (an index table exists
-    /// from the first call that names it).
+    /// Provisions a warehouse: buckets, queues and the index tables of its
+    /// strategy.
     pub fn new(cfg: WarehouseConfig) -> Warehouse {
         let mut world = World::open(cfg.backend.clone(), cfg.kv_tuning);
         world.prices = cfg.prices.clone();
@@ -121,6 +121,9 @@ impl Warehouse {
         world.sqs.create_queue(QUERY_QUEUE);
         world.sqs.create_queue(RESPONSE_QUEUE);
         world.sqs.create_queue(DEAD_LETTER_QUEUE);
+        for table in cfg.strategy.tables() {
+            world.kv.ensure_table(table);
+        }
         world.install_faults(&cfg.faults);
         if cfg.host.record {
             world.enable_recording();
@@ -326,7 +329,6 @@ impl Warehouse {
             }
             for (table, chunk) in deletes {
                 removed += chunk.len() as u64;
-                self.engine.world.kv.ensure_table(table);
                 // Deletes are idempotent at the store, so an over-retry
                 // only costs money.
                 let what = format_args!("front-end delete from table {table}");

@@ -37,9 +37,7 @@
 
 use crate::loadutil::WriteSet;
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
-use amada_cloud::dynamodb::Dynamo;
-use amada_cloud::store::Service;
-use amada_cloud::{Blob, KvProfile};
+use amada_cloud::{dynamodb, Blob, KvProfile};
 use amada_pattern::{EvalStats, TreePattern, Tuple, TwigEvaluator};
 use amada_xml::{Document, Fnv, XmlError};
 use std::collections::{HashMap, HashSet};
@@ -56,7 +54,7 @@ pub use amada_cloud::content_hash;
 
 /// The profile the default-profile forms ([`ExtractCache::extracted`],
 /// [`crate::prewarm`]) encode for: DynamoDB's, the paper's backend.
-pub(crate) const DYNAMODB: &KvProfile = &Dynamo::PROFILE;
+pub(crate) const DYNAMODB: &KvProfile = &dynamodb::PROFILE;
 
 /// Document bytes that know their content hash.
 pub trait Content {
@@ -502,7 +500,7 @@ mod tests {
             .extracted("d.xml", XML_A, Strategy::Lu, no_words)
             .unwrap();
         assert!(!Arc::ptr_eq(&e1, &e4));
-        let simple = amada_cloud::KvStore::profile(&amada_cloud::SimpleDb::default());
+        let simple = amada_cloud::simpledb::PROFILE;
         let e5 = cache
             .write_set("d.xml", XML_A, Strategy::Lu, opts, &simple)
             .unwrap();
@@ -514,7 +512,7 @@ mod tests {
     #[test]
     fn a_memoized_write_set_is_the_encoding_of_a_fresh_extraction() {
         let cache = ExtractCache::default();
-        let simple = amada_cloud::KvStore::profile(&amada_cloud::SimpleDb::default());
+        let simple = amada_cloud::simpledb::PROFILE;
         for profile in [DYNAMODB, &simple] {
             for strategy in Strategy::ALL {
                 let opts = ExtractOptions::default();

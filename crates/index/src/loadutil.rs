@@ -109,10 +109,6 @@ pub struct WritePlan {
     /// `batch_delete` calls for what the store holds and the version does
     /// not, to issue once the puts have landed (every key stays readable).
     pub deletes: VecDeque<(&'static str, Vec<(String, String)>)>,
-    /// Every table a call names — the write set's own, then any other one
-    /// holding its stale keys. A write may be the first to name a table;
-    /// ensuring it is a free, idempotent host-side call.
-    pub tables: Vec<&'static str>,
     /// Items the store already holds, value and all: not put.
     pub unchanged: u64,
 }
@@ -182,7 +178,6 @@ pub fn plan_document(
         .collect();
     for (table, items) in per_table {
         items.iter().try_for_each(|item| profile.check(item))?;
-        plan.tables.push(table);
         plan.puts
             .extend(into_batches(items, profile.batch_put_limit).map(|batch| (table, batch)));
     }
@@ -196,13 +191,8 @@ pub fn plan_document(
     let mut stale: Vec<ItemKey> = stale.collect();
     stale.sort_unstable();
     let mut deletes = delete_batches(stale, profile.batch_put_limit);
-    let own = |table: &&'static str| plan.tables.iter().position(|t| t == table);
+    let own = |table: &&'static str| set.tables.iter().position(|(t, _)| t == table);
     deletes.sort_by_key(|(table, _)| own(table).unwrap_or(usize::MAX));
-    for (table, _) in &deletes {
-        if !plan.tables.contains(table) {
-            plan.tables.push(table);
-        }
-    }
     plan.deletes = deletes.into();
     Ok(plan)
 }
@@ -210,7 +200,7 @@ pub fn plan_document(
 /// Stores a write set: [`plan_document`]'s puts, issued one after another
 /// (each starts when the previous one is acknowledged).
 pub fn write_entries(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     now: SimTime,
     set: &WriteSet,
 ) -> Result<(DocIndexing, SimTime), KvError> {
@@ -220,9 +210,6 @@ pub fn write_entries(
         items: plan.items(),
         batches: plan.puts.len() as u64,
     };
-    for table in plan.tables {
-        store.ensure_table(table);
-    }
     let mut t = now;
     for (table, batch) in plan.puts {
         t = store.batch_put(t, table, batch)?;
@@ -231,15 +218,19 @@ pub fn write_entries(
 }
 
 /// Indexes a document set the paper's way — one strategy, the global
-/// tables — sequentially: each document's [`write_entries`] starts when
-/// the one before is stored (host-side convenience for the oracles and
-/// tests; the warehouse's loader pool bursts the same plans).
+/// tables — sequentially: the strategy's tables are provisioned, then each
+/// document's [`write_entries`] starts when the one before is stored
+/// (host-side convenience for the oracles and tests; the warehouse's
+/// loader pool bursts the same plans).
 pub fn index_documents(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     docs: &[Document],
     strategy: Strategy,
     opts: ExtractOptions,
 ) -> DocIndexing {
+    for table in strategy.tables() {
+        store.ensure_table(table);
+    }
     let mut total = DocIndexing::default();
     let mut t = SimTime::ZERO;
     for d in docs {
@@ -300,7 +291,7 @@ pub fn stale_keys(old: &[ItemKey], new: &[ItemKey]) -> Vec<ItemKey> {
 /// redelivered loader message — converges without tombstones. Returns the
 /// number of batches issued and the virtual completion time.
 pub fn retract_keys(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     now: SimTime,
     keys: &[ItemKey],
 ) -> Result<(u64, SimTime), KvError> {
@@ -308,7 +299,6 @@ pub fn retract_keys(
     let mut batches = 0;
     let mut t = now;
     for (table, chunk) in delete_batches(keys.iter().cloned(), limit) {
-        store.ensure_table(table);
         batches += 1;
         t = store.batch_delete(t, table, &chunk)?;
     }
@@ -334,16 +324,28 @@ fn delete_batches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amada_cloud::{DynamoDb, SimpleDb};
+    use amada_cloud::{dynamodb, simpledb, DynamoDb, KvBackend, SimpleDbConfig};
+
+    /// A store on `backend` with `strategy`'s tables provisioned.
+    fn provisioned(backend: impl Into<KvBackend>, strategy: Strategy) -> KvStore {
+        let mut store = KvStore::new(backend);
+        for table in strategy.tables() {
+            store.ensure_table(table);
+        }
+        store
+    }
 
     /// Extracts and stores one document's entries.
     fn index_document(
-        store: &mut dyn KvStore,
+        store: &mut KvStore,
         now: SimTime,
         doc: &Document,
         strategy: Strategy,
         opts: ExtractOptions,
     ) -> Result<(DocIndexing, SimTime), KvError> {
+        for table in strategy.tables() {
+            store.ensure_table(table);
+        }
         let entries = extract(doc, strategy, opts);
         let set = WriteSet::encode(&entries, &store.profile(), doc.uri());
         write_entries(store, now, &set)
@@ -485,12 +487,26 @@ mod tests {
         tables
     }
 
+    /// Every table a plan's calls name, once each: the puts' in call
+    /// order, then any other the deletes name.
+    fn plan_tables(plan: &WritePlan) -> Vec<&'static str> {
+        let mut tables = call_tables(&plan.puts);
+        for table in call_tables(&plan.deletes) {
+            if !tables.contains(&table) {
+                tables.push(table);
+            }
+        }
+        tables
+    }
+
     #[test]
     fn the_plan_is_what_write_entries_stores_and_entry_item_keys_names() {
         let d = wide_doc("wide.xml", 40);
         for strategy in FIVE {
-            let stores: [Box<dyn KvStore>; 2] =
-                [Box::<DynamoDb>::default(), Box::<SimpleDb>::default()];
+            let stores = [
+                provisioned(KvBackend::default(), strategy),
+                provisioned(SimpleDbConfig::default(), strategy),
+            ];
             for mut store in stores {
                 let profile = store.profile();
                 let what = format!("{strategy} on {}", profile.name);
@@ -499,7 +515,7 @@ mod tests {
                 let plan = plan_document(&set, &profile, None).unwrap();
                 assert!(plan.deletes.is_empty(), "{what}");
                 // One table order, the strategy's own: 2LUPI is [path, id].
-                assert_eq!(plan.tables, strategy.tables(), "{what}");
+                assert_eq!(plan_tables(&plan), strategy.tables(), "{what}");
                 assert_eq!(call_tables(&plan.puts), strategy.tables(), "{what}");
                 // Maximal batches: only a table's last one may be short.
                 for (i, (table, batch)) in plan.puts.iter().enumerate() {
@@ -511,7 +527,7 @@ mod tests {
                     );
                 }
                 assert!(
-                    plan.puts.len() > plan.tables.len(),
+                    plan.puts.len() > call_tables(&plan.puts).len(),
                     "{what}: several batches"
                 );
                 assert_eq!(
@@ -527,7 +543,7 @@ mod tests {
                 planned.sort_by(|(ta, a), (tb, b)| {
                     (ta, &a.hash_key, a.range_key()).cmp(&(tb, &b.hash_key, b.range_key()))
                 });
-                let (m, _) = write_entries(store.as_mut(), SimTime::ZERO, &set)
+                let (m, _) = write_entries(&mut store, SimTime::ZERO, &set)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(store.peek_all(), planned, "{what}");
                 // The store holds the set's own blocks: a stored item's bytes
@@ -548,11 +564,11 @@ mod tests {
     fn two_lupi_is_planned_path_table_first() {
         let d = doc();
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
-        let profile = DynamoDb::default().profile();
+        let profile = dynamodb::PROFILE;
         let set = WriteSet::encode(&entries, &profile, d.uri());
         let plan = plan_document(&set, &profile, None).unwrap();
         let path_then_id = [crate::strategy::TABLE_PATH, crate::strategy::TABLE_ID];
-        assert_eq!(plan.tables, path_then_id);
+        assert_eq!(plan_tables(&plan), path_then_id);
         assert_eq!(call_tables(&plan.puts), path_then_id);
     }
 
@@ -561,7 +577,7 @@ mod tests {
         let opts = ExtractOptions::default();
         let v1 = wide_doc("d.xml", 60);
         let v2 = wide_doc("d.xml", 20);
-        for profile in [DynamoDb::default().profile(), SimpleDb::default().profile()] {
+        for profile in [dynamodb::PROFILE, simpledb::PROFILE] {
             // The document is 2LUPI now; its replaced version was too, and
             // the store also holds LU keys for it in the main table, which
             // the new version's tables do not include.
@@ -602,7 +618,7 @@ mod tests {
                 crate::strategy::TABLE_MAIN,
             ];
             assert_eq!(call_tables(&plan.deletes), order, "{}", profile.name);
-            assert_eq!(plan.tables, order, "{}", profile.name);
+            assert_eq!(plan_tables(&plan), order, "{}", profile.name);
             assert!(plan
                 .deletes
                 .iter()
@@ -612,14 +628,19 @@ mod tests {
             let mut same = held(fresh.iter().cloned());
             let plan = plan_document(&new, &profile, Some(&mut same)).unwrap();
             assert!(plan.deletes.is_empty(), "{}", profile.name);
-            assert_eq!(plan.tables, Strategy::TwoLupi.tables(), "{}", profile.name);
+            assert_eq!(
+                plan_tables(&plan),
+                Strategy::TwoLupi.tables(),
+                "{}",
+                profile.name
+            );
         }
     }
 
     #[test]
     fn an_empty_write_set_plans_no_puts_and_retracts_everything_pending() {
         let d = doc();
-        let profile = DynamoDb::default().profile();
+        let profile = dynamodb::PROFILE;
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
         let set = WriteSet::encode(&entries, &profile, d.uri());
         let mut pending = recorded(placed_item_keys(&set));
@@ -635,10 +656,10 @@ mod tests {
         );
         // No table is the write set's own: all go in name order.
         let id_then_path = [crate::strategy::TABLE_ID, crate::strategy::TABLE_PATH];
-        assert_eq!(plan.tables, id_then_path);
+        assert_eq!(plan_tables(&plan), id_then_path);
         // And with nothing pending there is nothing to do at all.
         let idle = plan_document(&none, &profile, None).unwrap();
-        assert!(idle.puts.is_empty() && idle.deletes.is_empty() && idle.tables.is_empty());
+        assert!(idle.puts.is_empty() && idle.deletes.is_empty() && plan_tables(&idle).is_empty());
     }
 
     #[test]
@@ -647,7 +668,7 @@ mod tests {
         // key. SimpleDB's 1 KB limit rejects it too; a short name fits.
         let name = "n".repeat(3000);
         let long = Document::parse_str("d.xml", &format!("<r><{name}/></r>")).unwrap();
-        for profile in [DynamoDb::default().profile(), SimpleDb::default().profile()] {
+        for profile in [dynamodb::PROFILE, simpledb::PROFILE] {
             for strategy in FIVE {
                 let entries = extract(&long, strategy, ExtractOptions::default());
                 let set = WriteSet::encode(&entries, &profile, "d.xml");
@@ -679,7 +700,7 @@ mod tests {
     fn identical_versions_have_no_stale_keys() {
         let d = doc();
         let entries = extract(&d, Strategy::Lup, ExtractOptions::default());
-        let p = DynamoDb::default().profile();
+        let p = dynamodb::PROFILE;
         let keys = entry_item_keys(&entries, &p, d.uri());
         assert!(stale_keys(&keys, &keys).is_empty());
     }
@@ -705,7 +726,7 @@ mod tests {
             Strategy::TwoLupi,
         ] {
             // Churned store: index v1, overwrite with v2, retract stale keys.
-            let mut churned = DynamoDb::default();
+            let mut churned = provisioned(KvBackend::default(), strategy);
             let old = extract(&v1, strategy, opts);
             let new = extract(&v2, strategy, opts);
             let p = churned.profile();
@@ -725,11 +746,8 @@ mod tests {
             );
             retract_keys(&mut churned, SimTime::ZERO, &stale).unwrap();
             // Fresh store: index only v2.
-            let mut fresh = DynamoDb::default();
+            let mut fresh = provisioned(KvBackend::default(), strategy);
             write_entries(&mut fresh, SimTime::ZERO, &new_set).unwrap();
-            for t in strategy.tables() {
-                fresh.ensure_table(t);
-            }
             assert_eq!(
                 churned.peek_all(),
                 fresh.peek_all(),
@@ -740,7 +758,7 @@ mod tests {
 
     #[test]
     fn retraction_is_idempotent() {
-        let mut store = DynamoDb::default();
+        let mut store = provisioned(KvBackend::default(), Strategy::Lu);
         let d = doc();
         let entries = extract(&d, Strategy::Lu, ExtractOptions::default());
         let set = WriteSet::encode(&entries, &store.profile(), d.uri());
@@ -769,7 +787,7 @@ mod tests {
             Document::parse_str("big.xml", &x).unwrap()
         };
         let mut ddb = DynamoDb::default();
-        let mut sdb = SimpleDb::default();
+        let mut sdb = KvStore::new(SimpleDbConfig::default());
         let (md, _) = index_document(
             &mut ddb,
             SimTime::ZERO,

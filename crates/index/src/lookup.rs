@@ -102,18 +102,16 @@ impl QueryLookup {
 
 /// Looks up a full query the paper's way — one strategy over the global
 /// tables, each tree pattern independently (Section 5.5), the next when the
-/// one before is ready. The strategy's tables are ensured first: they may
-/// be empty (nothing indexed yet) but must exist for the look-up to run.
+/// one before is ready. The strategy's tables must have been provisioned
+/// (they may be empty): a get of a table never created is
+/// [`KvError::NoSuchTable`].
 pub fn lookup_query(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     now: SimTime,
     strategy: Strategy,
     opts: ExtractOptions,
     query: &Query,
 ) -> Result<QueryLookup, KvError> {
-    for table in strategy.tables() {
-        store.ensure_table(table);
-    }
     let mut per_pattern = Vec::with_capacity(query.patterns.len());
     let mut t = now;
     for p in &query.patterns {
@@ -126,7 +124,7 @@ pub fn lookup_query(
 
 /// Looks up a single tree pattern with `strategy` against its tables.
 pub fn lookup_pattern_in(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     now: SimTime,
     strategy: Strategy,
     opts: ExtractOptions,
@@ -246,7 +244,7 @@ impl Fetched {
 
 /// Fetches all `keys` (deduplicated) with batch gets.
 fn fetch_keys(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     now: SimTime,
     table: &str,
     mut keys: Vec<String>,
@@ -314,7 +312,7 @@ fn narrow<'a>(
 // ---------------------------------------------------------------------------
 
 fn lookup_lu(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     now: SimTime,
     opts: ExtractOptions,
     pattern: &TreePattern,
@@ -434,7 +432,7 @@ fn path_matches(query: &[(Axis, String)], data: &str, live: &mut Vec<bool>) -> b
 }
 
 fn lookup_lup(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     now: SimTime,
     opts: ExtractOptions,
     pattern: &TreePattern,
@@ -496,7 +494,7 @@ pub fn lui_twig(pattern: &TreePattern, opts: ExtractOptions) -> (TwigShape, Vec<
 }
 
 fn lookup_lui(
-    store: &mut dyn KvStore,
+    store: &mut KvStore,
     now: SimTime,
     opts: ExtractOptions,
     pattern: &TreePattern,
@@ -609,7 +607,6 @@ mod tests {
     use super::*;
     use crate::loadutil::index_documents;
     use crate::store::{decode_id_lists, decode_path_lists};
-    use amada_cloud::{DynamoDb, KvStore};
     use amada_pattern::parse_pattern;
     use amada_xml::Document;
     use std::collections::BTreeSet;
@@ -650,9 +647,9 @@ mod tests {
         ]
     }
 
-    fn store_with(strategy: Strategy) -> Box<dyn KvStore> {
-        let mut store: Box<dyn KvStore> = Box::new(DynamoDb::default());
-        index_documents(store.as_mut(), &docs(), strategy, ExtractOptions::default());
+    fn store_with(strategy: Strategy) -> KvStore {
+        let mut store = KvStore::default();
+        index_documents(&mut store, &docs(), strategy, ExtractOptions::default());
         store
     }
 
@@ -660,7 +657,7 @@ mod tests {
         let mut store = store_with(strategy);
         let p = parse_pattern(pattern).unwrap();
         lookup_pattern_in(
-            store.as_mut(),
+            &mut store,
             SimTime::ZERO,
             strategy,
             ExtractOptions::default(),
@@ -819,7 +816,7 @@ mod tests {
         // (the Figure 9b/9c plan-execution work metric).
         let repeated = parse_pattern("//painting[/name, //painter[/name]]").unwrap();
         let id_keys = ["epainting", "ename", "epainter"]; // distinct, name once
-        let sum_ids = |store: &mut dyn KvStore, table: &str, keys: &[&str]| -> u64 {
+        let sum_ids = |store: &mut KvStore, table: &str, keys: &[&str]| -> u64 {
             let profile = store.profile();
             keys.iter()
                 .map(|k| {
@@ -831,7 +828,7 @@ mod tests {
                 })
                 .sum()
         };
-        let run = |store: &mut dyn KvStore, strategy: Strategy| {
+        let run = |store: &mut KvStore, strategy: Strategy| {
             lookup_pattern_in(
                 store,
                 SimTime::ZERO,
@@ -844,8 +841,8 @@ mod tests {
         };
 
         let mut store = store_with(Strategy::Lui);
-        let expected = sum_ids(store.as_mut(), TABLE_MAIN, &id_keys);
-        assert_eq!(run(store.as_mut(), Strategy::Lui), expected);
+        let expected = sum_ids(&mut store, TABLE_MAIN, &id_keys);
+        assert_eq!(run(&mut store, Strategy::Lui), expected);
 
         // 2LUPI adds its path phase: both query paths end in `name`, so the
         // path table contributes the single distinct terminal `ename`.
@@ -856,8 +853,8 @@ mod tests {
             .values()
             .map(|v| v.len() as u64)
             .sum();
-        let expected = path_entries + sum_ids(store.as_mut(), TABLE_ID, &id_keys);
-        assert_eq!(run(store.as_mut(), Strategy::TwoLupi), expected);
+        let expected = path_entries + sum_ids(&mut store, TABLE_ID, &id_keys);
+        assert_eq!(run(&mut store, Strategy::TwoLupi), expected);
     }
 
     #[test]
@@ -887,7 +884,7 @@ mod tests {
         let mut store = store_with(Strategy::Lu);
         let p = parse_pattern("//nonexistent[/name]").unwrap();
         let out = lookup_pattern_in(
-            store.as_mut(),
+            &mut store,
             SimTime::ZERO,
             Strategy::Lu,
             ExtractOptions::default(),
@@ -906,7 +903,7 @@ mod tests {
         )
         .unwrap();
         let out = lookup_query(
-            store.as_mut(),
+            &mut store,
             SimTime::ZERO,
             Strategy::Lui,
             ExtractOptions::default(),

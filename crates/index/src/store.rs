@@ -412,14 +412,14 @@ fn reassemble_blob(run: &[KvItem]) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::strategy::TABLE_MAIN;
-    use amada_cloud::{DynamoDb, KvStore, SimpleDb};
+    use amada_cloud::{dynamodb, simpledb, KvBackend, KvStore};
 
     fn dynamo_profile() -> KvProfile {
-        DynamoDb::default().profile()
+        dynamodb::PROFILE
     }
 
     fn simple_profile() -> KvProfile {
-        SimpleDb::default().profile()
+        simpledb::PROFILE
     }
 
     fn entry(payload: Payload) -> IndexEntry {
@@ -707,12 +707,9 @@ mod tests {
     fn round_trip_through_real_stores() {
         use amada_cloud::SimTime;
         for (mut store, profile) in [
+            (KvStore::default(), dynamo_profile()),
             (
-                Box::new(DynamoDb::default()) as Box<dyn KvStore>,
-                dynamo_profile(),
-            ),
-            (
-                Box::new(SimpleDb::default()) as Box<dyn KvStore>,
+                KvStore::new(KvBackend::Simple(Default::default())),
                 simple_profile(),
             ),
         ] {

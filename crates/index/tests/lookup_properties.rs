@@ -9,7 +9,7 @@
 //! Cases derive deterministically from `(fixed master seed, case index)`
 //! via `amada-rng`, so failures reproduce exactly.
 
-use amada_cloud::{DynamoDb, KvStore, SimTime};
+use amada_cloud::{KvStore, SimTime};
 use amada_index::{index_documents, lookup_pattern_in, ExtractOptions, Strategy as IndexStrategy};
 use amada_pattern::ast::{Axis, NodeTest, Output, PatternNode, Predicate, TreePattern};
 use amada_pattern::eval::naive_has_match;
@@ -129,9 +129,9 @@ fn containment_and_no_false_negatives() {
         let opts = ExtractOptions::default();
         let mut per_strategy: Vec<BTreeSet<String>> = Vec::new();
         for s in IndexStrategy::ALL {
-            let mut store: Box<dyn KvStore> = Box::new(DynamoDb::default());
-            index_documents(store.as_mut(), &docs, s, opts);
-            let out = lookup_pattern_in(store.as_mut(), SimTime::ZERO, s, opts, &pattern).unwrap();
+            let mut store = KvStore::default();
+            index_documents(&mut store, &docs, s, opts);
+            let out = lookup_pattern_in(&mut store, SimTime::ZERO, s, opts, &pattern).unwrap();
             per_strategy.push(out.uris.iter().map(|u| u.to_string()).collect());
         }
         let (lu, lup, lui, lupi) = (

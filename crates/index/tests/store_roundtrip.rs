@@ -7,7 +7,7 @@
 //! key and value list round-trips, and the header's sizes are the values'.
 
 use amada_cloud::kv::ItemTable;
-use amada_cloud::{DynamoDb, KvItem, KvProfile, KvStore, KvValue, SimTime, SimpleDb};
+use amada_cloud::{KvBackend, KvItem, KvProfile, KvStore, KvValue, SimTime, SimpleDbConfig};
 use amada_index::store::{decode_id_lists, decode_path_lists, decode_presence_uris, encode_entry};
 use amada_index::{IndexEntry, Payload, UuidGen, TABLE_MAIN};
 use amada_rng::StdRng;
@@ -16,7 +16,8 @@ use std::collections::BTreeMap;
 
 /// The two real profiles plus shrunken-budget variants of each.
 fn profiles_under_test() -> Vec<KvProfile> {
-    let base = [DynamoDb::default().profile(), SimpleDb::default().profile()];
+    let base =
+        [KvBackend::default(), SimpleDbConfig::default().into()].map(|b: KvBackend| b.profile());
     let mut out = Vec::new();
     for p in base {
         out.push(p);
@@ -145,16 +146,8 @@ fn random_payloads_round_trip_through_real_stores() {
             uri: format!("{}.xml", random_label(&mut rng, 12)).into(),
             payload: random_payload(&mut rng),
         };
-        for (mut store, profile) in [
-            (
-                Box::new(DynamoDb::default()) as Box<dyn KvStore>,
-                DynamoDb::default().profile(),
-            ),
-            (
-                Box::new(SimpleDb::default()) as Box<dyn KvStore>,
-                SimpleDb::default().profile(),
-            ),
-        ] {
+        for mut store in [KvStore::default(), KvStore::new(SimpleDbConfig::default())] {
+            let profile = store.profile();
             store.ensure_table(TABLE_MAIN);
             let mut uuids = UuidGen::for_document(&entry.uri);
             let items = encode_entry(&entry, &profile, &mut uuids);

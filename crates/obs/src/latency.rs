@@ -84,12 +84,6 @@ impl LatencySummary {
             max: sample.last().copied().unwrap_or(SimDuration::ZERO),
         }
     }
-
-    /// Summarizes the per-query latencies of a recorded run (see
-    /// [`query_latencies`]).
-    pub fn from_spans(spans: &[Span]) -> LatencySummary {
-        LatencySummary::from_durations(query_latencies(spans).into_iter().map(|(_, d)| d).collect())
-    }
 }
 
 #[cfg(test)]

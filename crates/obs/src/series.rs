@@ -7,7 +7,7 @@
 //! fraction, and in-flight depth (how many requests overlap the bucket —
 //! the queueing view of saturation).
 
-use amada_cloud::{Money, ServiceKind, SimDuration, SimTime, Span};
+use amada_cloud::{Money, ServiceKind, SimDuration, Span};
 
 /// Aggregates for one `[start, start + width)` window of virtual time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -33,9 +33,8 @@ pub struct Bucket {
     /// window: span busy times are serialized one after another (a
     /// single server works on one request at a time) and the resulting
     /// disjoint intervals are clipped to the bucket. By construction at
-    /// most `width` fits, so [`ServiceSeries::spread_utilization`] never
-    /// exceeds 1.0 — unlike `busy`, which attributes a request's whole
-    /// busy time to its submission bucket.
+    /// most `width` fits — unlike `busy`, which attributes a request's
+    /// whole busy time to its submission bucket.
     pub busy_spread: SimDuration,
 }
 
@@ -121,25 +120,13 @@ impl ServiceSeries {
         }
     }
 
-    /// Start of bucket `i`.
-    pub fn bucket_start(&self, i: usize) -> SimTime {
-        SimTime(i as u64 * self.width.micros())
-    }
-
     /// Busy time over bucket width — the utilization fraction of bucket
     /// `i` (can exceed 1.0 when requests submitted in one bucket keep the
     /// server busy into later ones; the series attributes busy time to
-    /// the submission bucket). For a bounded single-server signal use
-    /// [`ServiceSeries::spread_utilization`].
+    /// the submission bucket). For a bounded single-server signal read
+    /// [`Bucket::busy_spread`].
     pub fn utilization(&self, i: usize) -> f64 {
         self.buckets[i].busy.micros() as f64 / self.width.micros() as f64
-    }
-
-    /// Fraction of bucket `i`'s window the single server was actually
-    /// busy — serialized busy time clipped to the bucket, so this is
-    /// always in `[0.0, 1.0]` however hard the service is saturated.
-    pub fn spread_utilization(&self, i: usize) -> f64 {
-        self.buckets[i].busy_spread.micros() as f64 / self.width.micros() as f64
     }
 
     /// Fraction of bucket `i`'s requests that were throttled (0.0 for an
@@ -157,17 +144,12 @@ impl ServiceSeries {
     pub fn total_requests(&self) -> u64 {
         self.buckets.iter().map(|b| b.requests).sum()
     }
-
-    /// Total billed money across the series.
-    pub fn total_billed(&self) -> Money {
-        self.buckets.iter().map(|b| b.billed).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amada_cloud::{Ctx, Outcome};
+    use amada_cloud::{Ctx, Outcome, SimTime};
 
     fn span(service: ServiceKind, start: u64, end: u64) -> Span {
         Span::new(service, "op", SimTime(start), SimTime(end), &Ctx::default())
@@ -188,7 +170,6 @@ mod tests {
         assert_eq!(s.buckets[0].bytes, 5);
         assert_eq!(s.buckets[1].requests, 1);
         assert_eq!(s.total_requests(), 2);
-        assert_eq!(s.bucket_start(1), SimTime(100));
     }
 
     #[test]
@@ -225,7 +206,6 @@ mod tests {
         let s = ServiceSeries::build(&[], ServiceKind::Ec2, SimDuration::from_secs(1));
         assert!(s.buckets.is_empty());
         assert_eq!(s.total_requests(), 0);
-        assert_eq!(s.total_billed(), Money::ZERO);
     }
 
     #[test]
@@ -282,13 +262,12 @@ mod tests {
             .collect();
         let s = ServiceSeries::build(&spans, ServiceKind::Kv, width);
         assert!(s.utilization(0) > 1.0, "naive view overshoots by design");
-        for i in 0..s.buckets.len() {
-            let u = s.spread_utilization(i);
-            assert!((0.0..=1.0).contains(&u), "bucket {i}: {u}");
+        for (i, b) in s.buckets.iter().enumerate() {
+            assert!(b.busy_spread <= width, "bucket {i}: {:?}", b.busy_spread);
         }
         // The early buckets are fully busy (back-to-back work).
-        assert!((s.spread_utilization(0) - 1.0).abs() < 1e-9);
-        assert!((s.spread_utilization(1) - 1.0).abs() < 1e-9);
+        assert_eq!(s.buckets[0].busy_spread, width);
+        assert_eq!(s.buckets[1].busy_spread, width);
         // Total spread busy time within the window never exceeds the
         // serialized total (here 800 µs fits entirely).
         let total: u64 = s.buckets.iter().map(|b| b.busy_spread.micros()).sum();

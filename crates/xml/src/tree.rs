@@ -221,15 +221,6 @@ impl Document {
             .map_or(&[], |s| self.attribute_postings[s.0 as usize].as_slice())
     }
 
-    /// Iterates `(name, nodes)` for every distinct element label.
-    pub fn element_labels(&self) -> impl Iterator<Item = (&str, &[NodeId])> {
-        self.element_postings
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(i, v)| (self.interner.resolve(Sym(i as u32)), v.as_slice()))
-    }
-
     /// The *string value* of a node (XQuery data model): for text and
     /// attribute nodes their content; for elements the concatenation of all
     /// descendant text, in document order. This is what a `val`-annotated
@@ -255,24 +246,6 @@ impl Document {
                 NodeKind::Attribute => {}
             }
         }
-    }
-
-    /// The label path from the root down to `id` — the paper's `inPath(n)`
-    /// (Section 5). Components are raw labels, outermost first; attribute
-    /// and text node information is carried by the node itself, so the path
-    /// of an attribute ends at the attribute name.
-    pub fn label_path(&self, id: NodeId) -> Vec<&str> {
-        let mut path: Vec<&str> = Vec::with_capacity(self.sid(id).depth as usize);
-        if let Some(n) = self.name(id) {
-            path.push(n);
-        }
-        for a in self.ancestors(id) {
-            if let Some(n) = self.name(a) {
-                path.push(n);
-            }
-        }
-        path.reverse();
-        path
     }
 }
 
@@ -372,15 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn label_path_is_in_path() {
-        let d = doc();
-        let last = d.elements_named("last")[0];
-        assert_eq!(d.label_path(last), ["painting", "painter", "name", "last"]);
-        let attr = d.attributes_named("id")[0];
-        assert_eq!(d.label_path(attr), ["painting", "id"]);
-    }
-
-    #[test]
     fn descendants_are_contiguous_preorder_range() {
         let d = doc();
         let painter = d.elements_named("painter")[0];
@@ -401,8 +365,8 @@ mod tests {
     #[test]
     fn postings_are_in_document_order() {
         let d = doc();
-        for (_, nodes) in d.element_labels() {
-            assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-        }
+        let name = d.elements_named("name");
+        assert_eq!(name.len(), 2);
+        assert!(name.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -13,11 +13,20 @@ cd "$(dirname "$0")/.."
 
 src=$(scripts/non_test_lines.sh --source)
 
-# DynamoDB and SimpleDB are two descriptions of one store: a second
-# `impl KvStore` outside tests, or the wrapper coming back, is a fork.
+# DynamoDB and SimpleDB are two services of one store: `KvBackend` names
+# which one and carries its config, and `KvStore` is the one concrete
+# store. A store trait, a service trait, a store generic over its service,
+# a boxed store, amada-check's own backend enum or the tuning wrapper is a
+# second description coming back. A table is provisioned where its store
+# is made — `Warehouse::new` and `index_documents` — not at each use.
 one_index_store() {
-    test "$(grep -cE 'impl(<[^>]*>)? KvStore for' <<<"$src")" -eq 1
+    test "$(grep -cE 'trait (KvStore|Service)\b' <<<"$src")" -eq 0
+    test "$(grep -cE 'dyn KvStore|Store<|PhantomData|KvBackend::open' <<<"$src")" -eq 0
+    test "$(grep -cE 'pub struct KvStore\b' <<<"$src")" -eq 1
+    test "$(grep -E '^crates/check/src/' <<<"$src" | grep -cE 'enum Backend\b')" -eq 0
     test "$(grep -c 'TunedKvStore' <<<"$src")" -eq 0
+    test "$(grep -cF 'ensure_table(' <<<"$src")" -eq 3
+    test "$(grep -F '.ensure_table(' <<<"$src" | grep -cE '^crates/(core/src/warehouse|index/src/loadutil)\.rs:')" -eq 2
 }
 
 # Beside the hash key and the URI it shares, a stored item is one heap

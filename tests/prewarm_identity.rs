@@ -9,7 +9,7 @@
 //! fields that should be *bit*-identical here, not approximately equal),
 //! so the comparison goes through their exhaustive `Debug` rendering.
 
-use amada_cloud::{KvBackend, KvItem, KvTuning, SimTime, SimpleDbConfig};
+use amada_cloud::{KvBackend, KvItem, KvStore, KvTuning, SimTime, SimpleDbConfig};
 use amada_core::{Warehouse, WarehouseConfig};
 use amada_index::store::encode_entry;
 use amada_index::{extract, write_entries, ExtractCache, ExtractOptions, Strategy, UuidGen};
@@ -103,13 +103,16 @@ fn the_process_wide_memo_keeps_store_profiles_apart() {
             let what = format!("{strategy} on {} ({tuning:?})", profile.name);
 
             let own = ExtractCache::default();
-            let mut kv = backend.clone().open(*tuning);
+            let mut kv = KvStore::open(backend.clone(), *tuning);
+            for table in strategy.tables() {
+                kv.ensure_table(table);
+            }
             let mut t = SimTime::ZERO;
             let mut encoded: Vec<(String, KvItem)> = Vec::new();
             for (uri, xml) in &docs {
                 let set = (own.write_set(uri, xml.as_bytes(), strategy, opts, &profile))
                     .expect("generated documents parse");
-                t = (write_entries(kv.as_mut(), t, &set))
+                t = (write_entries(&mut kv, t, &set))
                     .expect("generated documents fit the store")
                     .1;
                 let doc = Document::parse_str(uri, xml).expect("generated documents parse");

@@ -5,7 +5,7 @@
 //! the `(table, key, chunk)` triples its successor lacks — and writes
 //! exactly the items whose key is new or whose value changed.
 
-use amada::cloud::{DynamoDb, KvItem, KvProfile, KvStore, SimpleDb};
+use amada::cloud::{dynamodb, simpledb, KvItem, KvProfile};
 use amada::index::store::encode_entry;
 use amada::index::{
     extract, placed_item_keys, plan_document, ExtractOptions, Held, IndexEntry, Strategy, UuidGen,
@@ -25,7 +25,7 @@ const FIVE: [Strategy; 5] = [
 ];
 
 fn profiles() -> [KvProfile; 2] {
-    [DynamoDb::default().profile(), SimpleDb::default().profile()]
+    [dynamodb::PROFILE, simpledb::PROFILE]
 }
 
 /// The benchmark's corpus: 500 documents of about 8 KB, seed `0xA3ADA`,
