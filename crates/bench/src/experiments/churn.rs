@@ -20,7 +20,6 @@
 //! the same corpus and rebuilds it after the round's own new versions,
 //! flips its recommendation to the "index nothing" layout.
 
-pub use super::pushdown::STRATEGIES;
 use crate::{corpus, strategy_warehouse, Outcome, Scale, TextTable};
 use amada_cloud::{InstanceType, Money};
 use amada_core::{advise, FamilyLoad, Horizon, Pool, WarehouseConfig};
@@ -43,12 +42,12 @@ pub struct ChurnRow {
     /// Documents that rate replaces.
     pub replaced: usize,
     /// `(strategy name, maintenance $, net picodollars)` in
-    /// [`STRATEGIES`] order; net = query savings − maintenance, signed
+    /// [`Strategy::ALL`] order; net = query savings − maintenance, signed
     /// because maintenance overtakes the savings along the sweep.
     pub per_strategy: Vec<(&'static str, Money, i128)>,
     /// Items of the replaced documents this round's maintenance left as
     /// the store held them — written by no one, billed to no one — in
-    /// [`STRATEGIES`] order.
+    /// [`Strategy::ALL`] order.
     pub unchanged: Vec<u64>,
     /// Stale index items this round's maintenance retracted, all
     /// strategies together.
@@ -75,7 +74,7 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, [u64; 2]) {
 
     // Per strategy: a live warehouse and its per-run query savings.
     let mut fleet = Vec::new();
-    for strategy in STRATEGIES {
+    for strategy in Strategy::ALL {
         let (mut w, _) = strategy_warehouse(strategy, &docs);
         w.set_query_pool(Pool::new(1, InstanceType::Large));
         let indexed = w.run_workload(&queries, 1).cost.total();
@@ -174,7 +173,7 @@ pub fn churn_rows(scale: &Scale) -> (Vec<ChurnRow>, [u64; 2]) {
 /// did), and the items the closing identical re-upload retracted and
 /// wrote (CI fails the smoke run unless both are 0).
 pub fn outcome(rows: &[ChurnRow], [identical_retracted, identical_written]: [u64; 2]) -> Outcome {
-    let flips = (0..STRATEGIES.len())
+    let flips = (0..Strategy::ALL.len())
         .filter(|&si| {
             rows.first().is_some_and(|r| r.per_strategy[si].2 > 0)
                 && rows.last().is_some_and(|r| r.per_strategy[si].2 <= 0)
@@ -215,7 +214,6 @@ pub fn render(rows: &[ChurnRow]) -> TextTable {
         "LUP net ($)",
         "LUI net ($)",
         "2LUPI net ($)",
-        "LUP-PD net ($)",
         "LUP maint ($)",
         "unchanged items",
         "best",
@@ -230,7 +228,6 @@ pub fn render(rows: &[ChurnRow]) -> TextTable {
             net(1),
             net(2),
             net(3),
-            net(4),
             format!("${:.4}", r.per_strategy[1].1.dollars()),
             // In the net columns' order.
             r.unchanged
@@ -281,7 +278,7 @@ mod tests {
         // Maintenance only grows with the churn rate, so each strategy's
         // net crosses zero exactly once: the crossover is well defined
         // and every strategy has one inside the sweep.
-        for (si, strategy) in STRATEGIES.iter().enumerate() {
+        for (si, strategy) in Strategy::ALL.iter().enumerate() {
             for w in rows.windows(2) {
                 assert!(
                     w[0].per_strategy[si].1 <= w[1].per_strategy[si].1,
@@ -308,7 +305,7 @@ mod tests {
         assert_eq!(outcome.number("sweep_points"), Some(RATES.len() as f64));
         assert_eq!(
             outcome.number("strategy_flips"),
-            Some(STRATEGIES.len() as f64)
+            Some(Strategy::ALL.len() as f64)
         );
         assert!(outcome.number("retracted_items").unwrap() > 0.0);
         // The advisor, told how many documents a round replaces and the

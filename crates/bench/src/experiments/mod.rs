@@ -6,7 +6,6 @@ pub mod churn;
 pub mod comparison;
 pub mod fault;
 pub mod indexing;
-pub mod pushdown;
 pub mod querying;
 pub mod scaling;
 pub mod trace;

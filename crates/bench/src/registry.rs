@@ -152,7 +152,8 @@ pub const ARTIFACTS: &[Artifact] = &[
     },
     Artifact {
         name: "trace",
-        title: "Trace - recorded pipeline, Chrome trace export and span roll-ups (beyond the paper)",
+        title:
+            "Trace - recorded pipeline, Chrome trace export and span roll-ups (beyond the paper)",
         in_all: true,
         run: Run::Alone(trace::trace),
     },
@@ -161,12 +162,6 @@ pub const ARTIFACTS: &[Artifact] = &[
         title: "Fault injection - the pipeline under transient faults (beyond the paper)",
         in_all: false,
         run: Run::Alone(|s| Outcome::text(fault::fault(s))),
-    },
-    Artifact {
-        name: "pushdown",
-        title: "Pushdown - storage-side filtering vs. document shipping by selectivity (beyond the paper)",
-        in_all: false,
-        run: Run::Alone(pushdown::pushdown),
     },
     Artifact {
         name: "churn",

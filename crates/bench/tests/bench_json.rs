@@ -42,7 +42,7 @@ fn one_report_per_artifact_in_one_process_or_two() {
     let churn = report(&dir, "churn");
     for number in [
         "\"sweep_points\": 6",
-        "\"strategy_flips\": 5",
+        "\"strategy_flips\": 4",
         "\"retracted_items\": ",
         "\"advisor_flip_pct\": 25",
     ] {

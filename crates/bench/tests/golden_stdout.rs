@@ -67,11 +67,6 @@ fn churn_is_byte_identical() {
     assert_matches_golden("churn");
 }
 
-#[test]
-fn pushdown_is_byte_identical() {
-    assert_matches_golden("pushdown");
-}
-
 /// The one artifact whose numbers depend on the order of jitter draws, at
 /// the default fault seed (the harness removes `AMADA_FAULT_SEED`).
 #[test]

@@ -45,17 +45,9 @@ pub use oracles::{check_case, Violation};
 pub use shrink::{shrink_case, Reproducer};
 
 /// The strategy a case exercises in warehouse-level oracles (billing,
-/// churn): rotates through all five — the four paper strategies plus
-/// pushdown — with the case index.
+/// churn): rotates through the four with the case index.
 pub fn case_strategy(index: usize) -> Strategy {
-    const ROTATION: [Strategy; 5] = [
-        Strategy::Lu,
-        Strategy::Lup,
-        Strategy::Lui,
-        Strategy::TwoLupi,
-        Strategy::LupPd,
-    ];
-    ROTATION[index % ROTATION.len()]
+    Strategy::ALL[index % Strategy::ALL.len()]
 }
 
 /// A deliberate bug injected into the look-up path, used to validate that

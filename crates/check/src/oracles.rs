@@ -9,7 +9,6 @@
 use crate::gen::{final_docs, Case, ChurnOp};
 use crate::invariants;
 use crate::Mutation;
-use amada_cloud::ObjectPredicate;
 use amada_cloud::{
     KvBackend, KvError, KvItem, KvProfile, KvStore, KvValue, SimTime, SimpleDbConfig,
 };
@@ -19,9 +18,8 @@ use amada_index::store::{
     decode_id_lists, decode_id_postings, decode_path_lists, decode_presence_uris, encode_entry,
 };
 use amada_index::{
-    decode_tuples, extract, index_documents, lookup_pattern_in, lookup_query, placed_item_keys,
-    ExtractOptions, IndexEntry, Payload, ScanPredicate, Strategy, UuidGen, WriteSet, TABLE_ID,
-    TABLE_MAIN, TABLE_PATH,
+    extract, index_documents, lookup_pattern_in, lookup_query, placed_item_keys, ExtractOptions,
+    IndexEntry, Payload, Strategy, UuidGen, WriteSet, TABLE_ID, TABLE_MAIN, TABLE_PATH,
 };
 use amada_pattern::twig::evaluate_pattern_twig;
 use amada_pattern::{
@@ -85,7 +83,6 @@ pub fn check_case(case: &Case, mutation: Mutation, billing: bool) -> Result<(), 
         oracle_containment(backend, &query, &candidates)?;
         oracle_lookup_reference(backend, &docs, &query, opts)?;
         oracle_answers(backend, &docs, &query, &truth, &candidates)?;
-        oracle_pushdown_answers(backend, case, &docs, &query, opts, &truth)?;
     }
 
     oracle_round_trip(&docs, opts)?;
@@ -350,7 +347,7 @@ fn plant(
 fn tables(strategy: Strategy) -> (Option<&'static str>, Option<&'static str>) {
     match strategy {
         Strategy::Lu => (None, None),
-        Strategy::Lup | Strategy::LupPd => (None, Some(TABLE_MAIN)),
+        Strategy::Lup => (None, Some(TABLE_MAIN)),
         Strategy::Lui => (Some(TABLE_MAIN), None),
         Strategy::TwoLupi => (Some(TABLE_ID), Some(TABLE_PATH)),
     }
@@ -498,68 +495,6 @@ fn oracle_answers(
                 ),
             ));
         }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Oracle A, strategy #5 — pushdown answers identical to the no-index scan
-// ---------------------------------------------------------------------------
-
-/// LUP-PD: candidates from the index under [`Strategy::LupPd`], residual
-/// evaluation pushed to storage — each candidate is filtered by the
-/// wire-round-tripped [`ScanPredicate`] (exactly what the simulated store
-/// runs) and only the decoded tuples join. The answers must still equal
-/// the no-index scan.
-fn oracle_pushdown_answers(
-    backend: &KvBackend,
-    case: &Case,
-    docs: &[Document],
-    query: &Query,
-    opts: ExtractOptions,
-    truth: &[String],
-) -> Result<(), Violation> {
-    let mut store = KvStore::new(backend.clone());
-    index_documents(&mut store, docs, Strategy::LupPd, opts);
-    let lookup =
-        lookup_query(&mut store, SimTime::ZERO, Strategy::LupPd, opts, query).map_err(|e| {
-            violation(
-                "answers",
-                format!("{} LUP-PD look-up failed: {e:?}", backend.profile().name),
-            )
-        })?;
-    let per_pattern: Vec<Vec<Tuple>> = query
-        .patterns
-        .iter()
-        .zip(lookup.per_pattern)
-        .map(|(p, outcome)| {
-            let pred = ScanPredicate::from_wire(ScanPredicate::compile(p).wire())
-                .expect("compiled predicates round-trip their wire form");
-            let mut tuples = Vec::new();
-            for uri in &outcome.uris {
-                let (_, xml) = case
-                    .docs
-                    .iter()
-                    .find(|(u, _)| **u == **uri)
-                    .expect("candidate URIs come from the corpus");
-                tuples.extend(
-                    decode_tuples(&pred.filter(xml.as_bytes()), uri)
-                        .expect("store-encoded scan results decode"),
-                );
-            }
-            tuples
-        })
-        .collect();
-    let answers = canon_joined(&join_pattern_results(query, &per_pattern));
-    if answers != truth {
-        return Err(violation(
-            "answers",
-            format!(
-                "{} / LUP-PD: pushdown answers differ from the no-index scan\n  \
-                 no-index: {truth:?}\n  LUP-PD: {answers:?}",
-                backend.profile().name,
-            ),
-        ));
     }
     Ok(())
 }

@@ -33,13 +33,6 @@ fn reference_chain(
 
 #[test]
 fn lookup_query_answers_what_the_per_pattern_chain_answered() {
-    const FIVE: [Strategy; 5] = [
-        Strategy::Lu,
-        Strategy::Lup,
-        Strategy::Lui,
-        Strategy::TwoLupi,
-        Strategy::LupPd,
-    ];
     for index in 0..40 {
         let case = generate_case(0x100C_C4A1, index);
         let docs: Vec<Document> = (case.docs.iter())
@@ -49,7 +42,7 @@ fn lookup_query_answers_what_the_per_pattern_chain_answered() {
         let opts = ExtractOptions {
             index_words: case.index_words,
         };
-        for strategy in FIVE {
+        for strategy in Strategy::ALL {
             // Two stores built alike: a look-up moves a store's queues.
             let stores = || [KvStore::default(), KvStore::new(SimpleDbConfig::default())];
             for (mut chain, mut flat) in stores().into_iter().zip(stores()) {

@@ -62,11 +62,6 @@ pub struct PriceTable {
     pub qs_request: Money,
     /// `egress$_{GB}` — data transferred out of the cloud, per GB.
     pub egress_gb: Money,
-    /// `STscan$_{GB}` — server-side scan (the S3-Select analog), per GB
-    /// of stored object bytes *scanned*; the filtered result bytes are
-    /// additionally billed at `egress_gb`, and each scan request at
-    /// `st_get`.
-    pub st_scan_gb: Money,
 }
 
 impl PriceTable {
@@ -83,7 +78,6 @@ impl PriceTable {
             vm_hour_xlarge: Money::from_dollars(0.68),
             qs_request: Money::from_dollars(0.000001),
             egress_gb: Money::from_dollars(0.19),
-            st_scan_gb: Money::from_dollars(0.002),
         }
     }
 
@@ -112,10 +106,6 @@ mod tests {
         assert_eq!(p.st_month_gb.dollars(), 0.125);
         assert_eq!(p.idx_get.pico(), 32_000);
         assert_eq!(p.vm_hour(InstanceType::ExtraLarge).dollars(), 0.68);
-        // The S3-Select analog: $0.002 per GB scanned — less than
-        // egressing the GB, or pushdown could never pay off.
-        assert_eq!(p.st_scan_gb.pico(), 2_000_000_000);
-        assert!(p.st_scan_gb < p.egress_gb);
     }
 
     #[test]

@@ -111,20 +111,6 @@ impl std::ops::Deref for Blob {
     }
 }
 
-/// A compiled predicate the store can evaluate server-side (the
-/// S3-Select analog). The store stays format-agnostic: it hands the
-/// predicate the raw object bytes and ships back whatever bytes the
-/// predicate filters out of them.
-pub trait ObjectPredicate {
-    /// Evaluates against the raw object bytes, returning the filtered
-    /// result bytes (empty when nothing matches).
-    fn filter(&self, bytes: &[u8]) -> Vec<u8>;
-}
-
-/// Server-side scan rate: storage-local filtering runs at storage
-/// bandwidth, well above the 25 MB/s per-connection transfer pipe.
-const SCAN_BYTES_PER_SEC: f64 = 100.0 * 1024.0 * 1024.0;
-
 /// Usage counters (feed the `ST*` components of the cost model).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct S3Stats {
@@ -132,18 +118,13 @@ pub struct S3Stats {
     pub put_requests: u64,
     /// Get requests (billed `STget$` each).
     pub get_requests: u64,
-    /// Server-side scan requests (billed `STget$` each, plus
-    /// `STscan$_{GB}` on the bytes scanned).
+    /// Server-side scan requests. Nothing increments it: the store has
+    /// no scan. It stays for readers that sum every request kind.
     pub scan_requests: u64,
     /// Bytes uploaded.
     pub bytes_in: u64,
     /// Bytes downloaded.
     pub bytes_out: u64,
-    /// Object bytes scanned server-side (billed `STscan$_{GB}`).
-    pub bytes_scanned: u64,
-    /// Filtered bytes scans returned (billed `egress$_{GB}`; also
-    /// counted in `bytes_out` — they leave the storage tier).
-    pub scan_returned_bytes: u64,
     /// Bytes currently stored (the `s(D)` of the storage cost).
     pub stored_bytes: u64,
     /// Delete requests. Counted for observability but billed nothing:
@@ -346,60 +327,6 @@ impl S3 {
                 .billed(p.st_get)
         });
         Ok((data, ready))
-    }
-
-    /// Evaluates `predicate` server-side against a stored object (the
-    /// S3-Select analog): the whole object is scanned where it lives and
-    /// only the filtered result bytes travel back. Billed like a GET per
-    /// request, plus `st_scan_gb` per GB *scanned*, plus `egress_gb` on
-    /// the *returned* bytes (which also count toward `bytes_out`). A
-    /// missing key is a billed request that scans nothing, like a missing
-    /// GET; a throttled scan is billed, stateless, and moves no bytes.
-    pub fn scan(
-        &mut self,
-        now: SimTime,
-        bucket: &str,
-        key: &str,
-        predicate: &dyn ObjectPredicate,
-    ) -> Result<(Vec<u8>, SimTime), S3Error> {
-        self.admit(now, bucket, "scan", |s| &mut s.scan_requests, |p| p.st_get)?;
-        let b = self.buckets.get(bucket).expect("checked by admit");
-        let Some(data) = b.objects.get(key).cloned() else {
-            let end = now + self.transfer.latency;
-            self.obs.record(|p, ctx| {
-                Span::new(ServiceKind::S3, "scan", now, end, ctx)
-                    .billed(p.st_get)
-                    .outcome(Outcome::Missing)
-            });
-            return Err(S3Error::NoSuchKey {
-                bucket: bucket.into(),
-                key: key.into(),
-            });
-        };
-        let scanned = data.len() as u64;
-        let result = predicate.filter(&data);
-        let returned = result.len() as u64;
-        self.stats.bytes_scanned += scanned;
-        self.stats.scan_returned_bytes += returned;
-        self.stats.bytes_out += returned;
-        // Server-side filtering at storage bandwidth, then the filtered
-        // bytes ride the same per-connection pipe a GET uses.
-        let scan_time = SimDuration::from_secs_f64(scanned as f64 / SCAN_BYTES_PER_SEC);
-        let busy = scan_time + self.transfer.service_time(returned as f64);
-        let ready = now + busy + self.transfer.latency;
-        self.obs.record(|p, ctx| {
-            Span::new(ServiceKind::S3, "scan", now, ready, ctx)
-                .bytes(returned)
-                .units(scanned as f64)
-                .busy(busy)
-                .billed(p.st_get + p.st_scan_gb.per_gb(scanned))
-        });
-        self.obs.record(|p, ctx| {
-            Span::new(ServiceKind::Egress, "scan_return", now, ready, ctx)
-                .bytes(returned)
-                .billed(p.egress_gb.per_gb(returned))
-        });
-        Ok((result, ready))
     }
 
     /// Lists the keys of a bucket, in sorted order. Billed as one get-class
@@ -637,111 +564,6 @@ mod tests {
         assert_eq!(st.bytes_out, (50 - throttles) * 1024);
     }
 
-    /// A byte-level predicate for the tests: keeps the lines containing a
-    /// needle.
-    struct Needle(&'static str);
-    impl ObjectPredicate for Needle {
-        fn filter(&self, bytes: &[u8]) -> Vec<u8> {
-            let text = std::str::from_utf8(bytes).unwrap_or("");
-            let mut out = Vec::new();
-            for line in text.lines().filter(|l| l.contains(self.0)) {
-                out.extend_from_slice(line.as_bytes());
-                out.push(b'\n');
-            }
-            out
-        }
-    }
-
-    #[test]
-    fn scan_returns_filtered_bytes_and_accounts_them() {
-        let mut s3 = S3::new();
-        s3.create_bucket("b");
-        let body = b"red apple\ngreen pear\nred cherry\n".to_vec();
-        let len = body.len() as u64;
-        s3.put(SimTime::ZERO, "b", "k", body).unwrap();
-        let (result, ready) = s3.scan(SimTime(500), "b", "k", &Needle("red")).unwrap();
-        assert_eq!(result, b"red apple\nred cherry\n");
-        assert!(ready > SimTime(500));
-        let st = s3.stats();
-        assert_eq!(st.scan_requests, 1);
-        assert_eq!(st.get_requests, 0, "scans are counted apart from gets");
-        assert_eq!(st.bytes_scanned, len, "the whole object is scanned");
-        assert_eq!(st.scan_returned_bytes, result.len() as u64);
-        assert_eq!(
-            st.bytes_out,
-            result.len() as u64,
-            "only the filtered bytes leave the store"
-        );
-    }
-
-    #[test]
-    fn throttled_scans_are_billed_but_stateless() {
-        use crate::fault::FaultInjector;
-        let mut s3 = S3::new();
-        s3.create_bucket("b");
-        s3.put(SimTime::ZERO, "b", "k", vec![b'x'; 1024]).unwrap();
-        s3.set_faults(FaultInjector::new(1.0, 9)); // clamped to 0.95
-        let mut throttles = 0;
-        let mut served = 0;
-        for _ in 0..50 {
-            match s3.scan(SimTime(777), "b", "k", &Needle("x")) {
-                Ok(_) => served += 1,
-                Err(S3Error::SlowDown { available_at }) => {
-                    assert!(available_at > SimTime(777));
-                    throttles += 1;
-                }
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        assert!(throttles > 0, "a 95% rate throttles within 50 calls");
-        let st = s3.stats();
-        assert_eq!(st.scan_requests, 50, "throttled scans are still billed");
-        assert_eq!(st.throttled, throttles);
-        // Only the served scans touched or moved bytes.
-        assert_eq!(st.bytes_scanned, served * 1024);
-        assert_eq!(st.scan_returned_bytes, served * 1025);
-        assert_eq!(st.bytes_out, served * 1025);
-    }
-
-    #[test]
-    fn scanning_a_missing_key_is_a_billed_request_that_moves_nothing() {
-        let mut s3 = S3::new();
-        s3.create_bucket("b");
-        assert!(matches!(
-            s3.scan(SimTime::ZERO, "b", "ghost", &Needle("x")),
-            Err(S3Error::NoSuchKey { .. })
-        ));
-        let st = s3.stats();
-        assert_eq!(st.scan_requests, 1);
-        assert_eq!(st.bytes_scanned, 0);
-        assert_eq!(st.bytes_out, 0);
-        // And an unknown bucket never reaches the service.
-        assert!(matches!(
-            s3.scan(SimTime::ZERO, "nope", "k", &Needle("x")),
-            Err(S3Error::NoSuchBucket(_))
-        ));
-        assert_eq!(s3.stats().scan_requests, 1);
-    }
-
-    #[test]
-    fn selective_scans_respond_faster_than_gets() {
-        // 50 MB scanned at 100 MB/s with an empty result beats the same
-        // object GET at 25 MB/s.
-        let mut s3 = S3::new();
-        s3.create_bucket("b");
-        s3.put(SimTime::ZERO, "b", "big", vec![b'y'; 50 * 1024 * 1024])
-            .unwrap();
-        let (result, scan_done) = s3.scan(SimTime::ZERO, "b", "big", &Needle("z")).unwrap();
-        assert!(result.is_empty());
-        let (_, get_done) = s3.get(SimTime::ZERO, "b", "big").unwrap();
-        assert!(
-            scan_done.micros() < get_done.micros(),
-            "scan {scan_done:?} vs get {get_done:?}"
-        );
-        // ~0.5 s of server-side scanning dominates the scan response.
-        assert!((scan_done.as_secs_f64() - 0.5).abs() < 0.1);
-    }
-
     #[test]
     fn delete_frees_storage_and_bills_nothing() {
         let mut s3 = S3::new();
@@ -780,7 +602,7 @@ mod tests {
         use crate::fault::FaultInjector;
         let prices = PriceTable::default();
         type Call = fn(&mut S3, &str) -> Option<S3Error>;
-        let calls: [(&str, Call, Money); 4] = [
+        let calls: [(&str, Call, Money); 3] = [
             (
                 "put",
                 |s3, b| s3.put(SimTime(5), b, "k", vec![1]).err(),
@@ -789,11 +611,6 @@ mod tests {
             (
                 "get",
                 |s3, b| s3.get(SimTime(5), b, "k").err(),
-                prices.st_get,
-            ),
-            (
-                "scan",
-                |s3, b| s3.scan(SimTime(5), b, "k", &Needle("x")).err(),
                 prices.st_get,
             ),
             (
@@ -828,7 +645,7 @@ mod tests {
             assert!(throttles > 0, "{op}: a 95% rate throttles within 30 calls");
             let st = s3.stats();
             assert_eq!(st.throttled, throttles, "{op}");
-            let counted = st.put_requests + st.get_requests + st.scan_requests + st.delete_requests;
+            let counted = st.put_requests + st.get_requests + st.delete_requests;
             assert_eq!(counted, 30, "{op}: throttled requests are counted too");
             let spans = s3.obs.spans();
             let throttled: Vec<&Span> = spans

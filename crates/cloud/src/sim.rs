@@ -126,16 +126,11 @@ impl World {
         let sqs = self.sqs.stats();
         let p = &self.prices;
         let s3_cost = p.st_put * (s3.put_requests - since.s3.put_requests)
-            + p.st_get * (s3.get_requests - since.s3.get_requests)
-            + p.st_get * (s3.scan_requests - since.s3.scan_requests)
-            + p.st_scan_gb
-                .per_gb(s3.bytes_scanned - since.s3.bytes_scanned);
+            + p.st_get * (s3.get_requests - since.s3.get_requests);
         let kv_cost = p.idx_put * (kv.put_ops - since.kv.put_ops)
             + p.idx_get * (kv.get_ops - since.kv.get_ops);
         let sqs_cost = p.qs_request * (sqs.requests - since.sqs.requests);
-        let egress_cost = p.egress_gb.per_gb(self.egress_bytes - since.egress_bytes)
-            + p.egress_gb
-                .per_gb(s3.scan_returned_bytes - since.s3.scan_returned_bytes);
+        let egress_cost = p.egress_gb.per_gb(self.egress_bytes - since.egress_bytes);
         let ec2_cost = self.ec2.total_cost(p) - since.ec2_cost;
         CostReport {
             s3: s3_cost,
@@ -411,18 +406,12 @@ mod tests {
         assert_eq!(delta.s3, world.prices.st_put * 2);
     }
 
-    /// Satellite property: every byte-moving S3 op prices exactly from
-    /// its counters — the ledger's byte-based charges equal the
-    /// `per_gb`-priced counters to round-half-up pico precision, under
-    /// any interleaving of puts, gets, scans, egress and throttles.
+    /// Every byte-moving op prices exactly from its counters: the
+    /// ledger's charges equal the counters priced per request and
+    /// `per_gb`, to round-half-up pico precision, under any interleaving
+    /// of puts, gets, egress and throttles.
     #[test]
     fn ledger_transfer_charges_equal_per_gb_priced_counters_exactly() {
-        struct TakeHalf;
-        impl crate::s3::ObjectPredicate for TakeHalf {
-            fn filter(&self, bytes: &[u8]) -> Vec<u8> {
-                bytes[..bytes.len() / 2].to_vec()
-            }
-        }
         let mut world = World::new(KvBackend::default());
         world.s3.create_bucket("b");
         // A seeded xorshift drives the op mix; the property must hold for
@@ -437,10 +426,9 @@ mod tests {
         for round in 0u64..200 {
             let key = format!("k{}", rand() % 17);
             let size = (rand() % 50_000) as usize + 1;
-            match rand() % 4 {
+            match rand() % 3 {
                 0 => drop(world.s3.put(SimTime(round), "b", &key, vec![0; size])),
                 1 => drop(world.s3.get(SimTime(round), "b", &key)),
-                2 => drop(world.s3.scan(SimTime(round), "b", &key, &TakeHalf)),
                 _ => world.egress(SimTime(round), rand() % 100_000),
             }
             if round == 100 {
@@ -452,51 +440,16 @@ mod tests {
             }
         }
         let st = world.s3.stats();
-        assert!(st.scan_requests > 0 && st.get_requests > 0 && st.throttled > 0);
+        assert!(st.get_requests > 0 && st.throttled > 0);
         let p = world.prices.clone();
         let report = world.cost_report();
         assert_eq!(
             report.s3.pico(),
-            (p.st_put * st.put_requests
-                + p.st_get * (st.get_requests + st.scan_requests)
-                + p.st_scan_gb.per_gb(st.bytes_scanned))
-            .pico()
+            (p.st_put * st.put_requests + p.st_get * st.get_requests).pico()
         );
         assert_eq!(
             report.egress.pico(),
-            (p.egress_gb.per_gb(world.egress_bytes) + p.egress_gb.per_gb(st.scan_returned_bytes))
-                .pico()
-        );
-        // In a scan-only world every byte that left the store was scan
-        // output, so the egress side of the bill prices `bytes_out`
-        // itself, exactly.
-        let mut scans = World::new(KvBackend::default());
-        scans.s3.create_bucket("b");
-        for i in 0u64..40 {
-            let key = format!("k{i}");
-            scans
-                .s3
-                .put(
-                    SimTime(i),
-                    "b",
-                    &key,
-                    vec![0; 1 + (i as usize * 7919) % 9999],
-                )
-                .unwrap();
-        }
-        let before = scans.snapshot();
-        for i in 0u64..40 {
-            scans
-                .s3
-                .scan(SimTime(100 + i), "b", &format!("k{i}"), &TakeHalf)
-                .unwrap();
-        }
-        let st = scans.s3.stats();
-        let delta_out = st.bytes_out - before.s3.bytes_out;
-        assert_eq!(delta_out, st.scan_returned_bytes);
-        assert_eq!(
-            scans.cost_since(&before).egress.pico(),
-            p.egress_gb.per_gb(delta_out).pico()
+            p.egress_gb.per_gb(world.egress_bytes).pico()
         );
     }
 

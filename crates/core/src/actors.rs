@@ -55,14 +55,14 @@ use crate::fetch::fetch_timeline;
 use crate::metrics::{result_payload, QueryExecution, QueryPhases};
 use crate::retry::{dead_letter, put_object, Lease, Retry};
 use amada_cloud::{
-    Actor, ActorTag, InstanceId, KvError, KvItem, RetryAfter, S3Error, ServiceKind, SimDuration,
-    SimTime, Span, SqsError, StepResult, World, S3,
+    Actor, ActorTag, Blob, InstanceId, KvError, KvItem, RetryAfter, S3Error, ServiceKind,
+    SimDuration, SimTime, Span, SqsError, StepResult, World,
 };
 use amada_index::{
-    decode_tuples, lookup_query, plan_document, Evaluation, ExtractCache, ExtractOptions, Held,
-    LookupOutcome, PatternProbe, QueryLookup, ScanPredicate, Strategy,
+    lookup_query, plan_document, Evaluation, ExtractCache, ExtractOptions, Held, LookupOutcome,
+    PatternProbe, QueryLookup, Strategy,
 };
-use amada_pattern::{join_pattern_results, parse_query, EvalStats, Tuple};
+use amada_pattern::{join_pattern_results, parse_query, Tuple};
 use amada_rng::StdRng;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -364,6 +364,8 @@ impl LoaderCore {
                 self.state = LoaderState::Finishing { lease };
                 return StepResult::NextAt(now);
             }
+            // What is left is `NoSuchBucket`, and `Warehouse::new` creates
+            // the document bucket before any loader runs.
             Err(e) => panic!("loader messages reference stored documents: {e}"),
         };
         self.worker.retry.reset();
@@ -596,8 +598,7 @@ pub struct QueryCore {
     /// The strategy whose index a query looks up (the warehouse's
     /// `cfg.strategy`), or `None` for the no-index baseline: every query
     /// lists the corpus and every listed document is a candidate. What
-    /// executions report; `Some(LupPd)` also switches the fetch phase to
-    /// storage-side scans.
+    /// executions report.
     pub strategy: Option<Strategy>,
     /// Set by the front end when it stores no live document (its own
     /// upload records say so, free host-side metadata): an indexed query
@@ -633,22 +634,20 @@ impl QueryCore {
         }
     }
 
-    /// Reads candidate `uri` — a GET, or a storage-side scan — on its
-    /// core's connection, free from `at`: the first attempt goes out then,
-    /// the retry of each `SlowDown` at its backoff's resume time. The
-    /// read's spans carry the URI. Returns the payload and its arrival, or
-    /// `Err(resume time)` once the retry budget is spent (the caller
-    /// abandons the task).
-    fn read_candidate<T>(
+    /// GETs candidate `uri` on its core's connection, free from `at`: the
+    /// first attempt goes out then, the retry of each `SlowDown` at its
+    /// backoff's resume time. The read's spans carry the URI. Returns the
+    /// document and its arrival, or `Err(resume time)` once the retry
+    /// budget is spent (the caller abandons the task).
+    fn read_candidate(
         &mut self,
         world: &mut World,
         mut at: SimTime,
         uri: &Arc<str>,
-        mut read: impl FnMut(&mut S3, SimTime) -> Result<(T, SimTime), S3Error>,
-    ) -> Result<(T, SimTime), SimTime> {
+    ) -> Result<(Arc<Blob>, SimTime), SimTime> {
         world.obs.with_ctx(|c| c.doc = Some(uri.clone()));
         loop {
-            match read(&mut world.s3, at) {
+            match world.s3.get(at, DOC_BUCKET, uri) {
                 Ok(out) => {
                     self.worker.retry.reset();
                     return Ok(out);
@@ -656,6 +655,11 @@ impl QueryCore {
                 Err(S3Error::SlowDown { available_at }) => {
                     at = self.worker.retry.again(available_at).ok_or(available_at)?;
                 }
+                // `Warehouse::new` creates the document bucket, and a
+                // candidate is a URI the listing or the index named in this
+                // same step: the front end deletes a document only between
+                // engine runs, and retracts its index entries in the same
+                // call. So the object is there.
                 Err(e) => panic!("candidate documents exist: {e}"),
             }
         }
@@ -743,39 +747,16 @@ impl QueryCore {
 
         // Phase 3: transfer candidate documents and evaluate (steps 13–14)
         // on the instance's cores' pipelines, then divide the value join,
-        // its plan and the materialization across the cores. Pushdown scans
-        // each candidate per pattern (the predicate differs): the post-filter
-        // runs *inside* the store, only matching tuples travel back, and the
-        // instance parses and evaluates nothing — that is what the per-GB
-        // scan charge buys (each predicate compiled once, as it ships).
-        // Otherwise each document of `lookup.uris` is fetched once and billed
-        // an evaluation by every pattern naming it as it arrives (candidates
-        // share one order); the host asks the cache's memo, joins in place.
+        // its plan and the materialization across the cores. Each document
+        // of `lookup.uris` is fetched once and billed an evaluation by every
+        // pattern naming it as it arrives (candidates share one order); the
+        // host asks the cache's memo, joins in place.
         let (cores, latency) = (self.cores, world.s3.latency());
-        let pushdown = self.strategy == Some(Strategy::LupPd);
-        let preds: Vec<ScanPredicate> = (query.patterns.iter())
-            .filter(|_| pushdown)
-            .map(ScanPredicate::compile)
-            .collect();
-        let reads: Vec<(Option<usize>, &Arc<str>)> = match pushdown {
-            true => (lookup.per_pattern.iter().enumerate())
-                .flat_map(|(p, o)| o.uris.iter().map(move |uri| (Some(p), uri)))
-                .collect(),
-            false => lookup.uris.iter().map(|uri| (None, uri)).collect(),
-        };
         let mut per_pattern: Vec<Vec<Arc<Evaluation>>> = vec![Vec::new(); query.patterns.len()];
         let mut probes: Vec<PatternProbe> = query.patterns.iter().map(PatternProbe::new).collect();
-        let fetched = fetch_timeline(t, cores, latency, reads.len(), |i, at| {
-            let (scanned, uri) = reads[i];
-            if let Some(p) = scanned {
-                let scan = |s3: &mut S3, at| s3.scan(at, DOC_BUCKET, uri, &preds[p]);
-                let (bytes, arrived) = self.read_candidate(world, at, uri, scan)?;
-                let tuples = decode_tuples(&bytes, uri).expect("store-encoded scan results decode");
-                per_pattern[p].push(Arc::new((tuples, EvalStats::default())));
-                return Ok((arrived, SimDuration::ZERO));
-            }
-            let get = |s3: &mut S3, at| s3.get(at, DOC_BUCKET, uri);
-            let (bytes, arrived) = self.read_candidate(world, at, uri, get)?;
+        let fetched = fetch_timeline(t, cores, latency, lookup.uris.len(), |i, at| {
+            let uri = &lookup.uris[i];
+            let (bytes, arrived) = self.read_candidate(world, at, uri)?;
             let mut compute = world.work.parse(bytes.len() as u64, self.ecu);
             for (p, candidates) in lookup.per_pattern.iter().enumerate() {
                 if candidates.uris.binary_search(uri).is_ok() {
@@ -829,8 +810,7 @@ impl QueryCore {
         });
 
         // The rows share their URIs' `Arc`s, so most duplicates go by
-        // address; the few left (one URI under two `Arc`s, as pushdown's
-        // decoded tuples hold) by string.
+        // address; any left (one URI under two `Arc`s) by string.
         let mut docs_with_results: Vec<&Arc<str>> = results.iter().flat_map(|r| &r.uris).collect();
         docs_with_results.sort_unstable_by_key(|u| Arc::as_ptr(u).cast::<u8>());
         docs_with_results.dedup_by(|a, b| Arc::ptr_eq(a, b));

@@ -224,10 +224,16 @@ pub fn advise(
     horizon: &Horizon,
     base: &WarehouseConfig,
 ) -> Result<Vec<PlanEstimate>, AdviseError> {
-    let layouts = Strategy::ALL.into_iter().map(Some).chain([None]);
-    let mut ranked = layouts
-        .map(|s| estimate_plan(sample, s, workload, replaced, horizon, base))
-        .collect::<Result<Vec<_>, _>>()?;
+    // The deployments share only the thread-safe memo, so they run side
+    // by side; gathered in layout order, the first error is the one a
+    // sequential run would meet first.
+    let layouts: Vec<Option<Strategy>> =
+        Strategy::ALL.into_iter().map(Some).chain([None]).collect();
+    let mut ranked = amada_par::par_map(&layouts, |_, &s| {
+        estimate_plan(sample, s, workload, replaced, horizon, base)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     ranked.sort_by_key(|e| (e.projected_total, e.label()));
     Ok(ranked)
 }

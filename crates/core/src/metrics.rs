@@ -4,6 +4,7 @@
 use amada_cloud::{CostReport, InstanceType, SimDuration, StorageCost};
 use amada_index::Strategy;
 use amada_pattern::JoinedTuple;
+use std::fmt;
 
 /// Outcome of building the index over the uploaded corpus (Tables 4 and 6,
 /// Figures 7 and 8).
@@ -121,6 +122,35 @@ pub struct CostedQuery {
     pub exec: QueryExecution,
     /// Charges attributable to this query, by service.
     pub cost: CostReport,
+}
+
+/// `explain analyze` of the executed query: the index that answered it (or
+/// `scan`), what its look-up and fetch phase counted, and what each service
+/// charged, every value read off the execution and its bill.
+impl fmt::Display for CostedQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (e, c) = (&self.exec, &self.cost);
+        let path = e.strategy.map_or("scan", Strategy::name);
+        writeln!(f, "explain analyze {} [{path}]", e.name)?;
+        let total = c.total();
+        let rows: [(&str, &dyn fmt::Display); 11] = [
+            ("index gets", &e.index_get_ops),
+            ("doc IDs from index", &e.docs_from_index),
+            ("documents fetched", &e.docs_fetched),
+            ("with results", &e.docs_with_results),
+            ("result bytes", &e.result_bytes),
+            ("index store", &c.kv),
+            ("file store", &c.s3),
+            ("instances", &c.ec2),
+            ("queues", &c.sqs),
+            ("egress", &c.egress),
+            ("total", &total),
+        ];
+        for (label, value) in rows {
+            writeln!(f, "  {label:<20}{value}")?;
+        }
+        Ok(())
+    }
 }
 
 /// Outcome of a (possibly repeated) workload run (Figure 10).

@@ -708,7 +708,7 @@ mod tests {
 
     #[test]
     fn indexed_results_equal_no_index_results() {
-        for strategy in Strategy::ALL.into_iter().chain([Strategy::LupPd]) {
+        for strategy in Strategy::ALL {
             let mut w = warehouse(strategy);
             w.build_index();
             for qname in ["q1", "q3", "q4", "q8"] {
@@ -739,30 +739,6 @@ mod tests {
         );
         assert!(with.cost.total() < without.cost.total());
         assert!(with.exec.docs_fetched < without.exec.docs_fetched);
-    }
-
-    #[test]
-    fn pushdown_queries_scan_instead_of_fetching() {
-        let q = workload_query("q2").unwrap();
-        let mut lup = warehouse(Strategy::Lup);
-        lup.build_index();
-        let lup_run = lup.run_query(&q);
-        let mut pd = warehouse(Strategy::LupPd);
-        pd.build_index();
-        let gets_before = pd.world().s3.stats().get_requests;
-        let pd_run = pd.run_query(&q);
-        // Same candidates from the same index, same answers…
-        assert_eq!(pd_run.exec.results, lup_run.exec.results);
-        assert!(!pd_run.exec.results.is_empty());
-        assert_eq!(pd_run.exec.docs_from_index, lup_run.exec.docs_from_index);
-        // …but the documents themselves never travel: the query issued
-        // scans, not GETs (the remaining GET is the front end collecting
-        // the result object).
-        let s3 = pd.world().s3.stats();
-        assert!(s3.scan_requests > 0);
-        assert!(s3.bytes_scanned > 0);
-        assert!(s3.scan_returned_bytes < s3.bytes_scanned);
-        assert_eq!(s3.get_requests - gets_before, 1);
     }
 
     #[test]
@@ -838,7 +814,7 @@ mod tests {
     /// more, nothing less.
     #[test]
     fn reupload_retraction_matches_a_fresh_build() {
-        for strategy in Strategy::ALL.into_iter().chain([Strategy::LupPd]) {
+        for strategy in Strategy::ALL {
             let docs = small_corpus();
             let mut churned = Warehouse::new(WarehouseConfig::with_strategy(strategy));
             churned.upload_documents(docs.clone());

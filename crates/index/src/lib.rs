@@ -16,32 +16,24 @@
 //!   deletes), with its sequential and key-only uses;
 //! * [`lookup`] — the per-strategy look-up planners, including the LUP
 //!   query-path matcher and the 2LUPI semijoin + ID twig join plan of the
-//!   paper's Figure 5;
-//! * [`explain`] — textual look-up plans (the Figure 5 outline, for every
-//!   strategy);
-//! * [`pushdown`] — the wire-serializable scan predicate behind the
-//!   LUP-PD strategy (storage-side post-filtering, the S3-Select analog).
+//!   paper's Figure 5.
 
 pub mod cache;
 pub mod codec;
-pub mod explain;
 pub mod key;
 pub mod loadutil;
 pub mod lookup;
 pub mod parallel;
-pub mod pushdown;
 pub mod store;
 pub mod strategy;
 
 pub use cache::{content_hash, CacheStats, Content, Evaluation, ExtractCache, PatternProbe};
-pub use explain::explain;
 pub use loadutil::{
     entry_item_keys, index_documents, placed_item_keys, plan_document, retract_keys, stale_keys,
     write_entries, DocIndexing, Held, ItemKey, WritePlan, WriteSet,
 };
 pub use lookup::{lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup};
 pub use parallel::{prewarm, prewarm_for, PrewarmReport};
-pub use pushdown::{decode_tuples, encode_tuples, ScanPredicate};
 pub use store::{UuidGen, ValueId};
 pub use strategy::{extract, ExtractOptions, IndexEntry, Payload, Strategy};
 pub use strategy::{TABLE_ID, TABLE_MAIN, TABLE_PATH};

@@ -416,15 +416,6 @@ mod tests {
         assert!(store.stats().put_ops > 0);
     }
 
-    /// The paper's four strategies and the pushdown variant.
-    const FIVE: [Strategy; 5] = [
-        Strategy::Lu,
-        Strategy::Lup,
-        Strategy::Lui,
-        Strategy::TwoLupi,
-        Strategy::LupPd,
-    ];
-
     /// Enough distinct keys for several batches per table, and ID lists
     /// long enough to chunk under SimpleDB's 1 KB values.
     fn wide_doc(uri: &str, sections: usize) -> Document {
@@ -502,7 +493,7 @@ mod tests {
     #[test]
     fn the_plan_is_what_write_entries_stores_and_entry_item_keys_names() {
         let d = wide_doc("wide.xml", 40);
-        for strategy in FIVE {
+        for strategy in Strategy::ALL {
             let stores = [
                 provisioned(KvBackend::default(), strategy),
                 provisioned(SimpleDbConfig::default(), strategy),
@@ -669,7 +660,7 @@ mod tests {
         let name = "n".repeat(3000);
         let long = Document::parse_str("d.xml", &format!("<r><{name}/></r>")).unwrap();
         for profile in [dynamodb::PROFILE, simpledb::PROFILE] {
-            for strategy in FIVE {
+            for strategy in Strategy::ALL {
                 let entries = extract(&long, strategy, ExtractOptions::default());
                 let set = WriteSet::encode(&entries, &profile, "d.xml");
                 let mut pending = held([(crate::strategy::TABLE_MAIN, "k".into(), "r".into())]);

@@ -132,10 +132,7 @@ pub fn lookup_pattern_in(
 ) -> Result<LookupOutcome, KvError> {
     match strategy {
         Strategy::Lu => lookup_lu(store, now, opts, pattern, TABLE_MAIN),
-        // LUP-PD narrows candidates exactly like LUP; only the fetch side
-        // differs (the query core scans candidates server-side instead of
-        // GET-ing them).
-        Strategy::Lup | Strategy::LupPd => lookup_lup(store, now, opts, pattern, TABLE_MAIN),
+        Strategy::Lup => lookup_lup(store, now, opts, pattern, TABLE_MAIN),
         Strategy::Lui => lookup_lui(store, now, opts, pattern, TABLE_MAIN, None),
         Strategy::TwoLupi => {
             // Phase 1: LUP on the path table → R1(URI).

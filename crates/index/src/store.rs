@@ -344,7 +344,7 @@ pub fn decode_presence_uris(items: &[KvItem]) -> Vec<Arc<str>> {
         .collect()
 }
 
-/// Collects LUP items into per-URI path lists, read by [`PathList`].
+/// Collects LUP items into per-URI path lists, read by `PathList`.
 pub fn decode_path_lists(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Arc<str>, Vec<String>> {
     let paths = |run| {
         PathList::read(run, profile)
@@ -384,7 +384,7 @@ pub fn decode_id_lists(
 }
 
 /// Collects LUI items into per-URI block-structured postings, read by
-/// [`read_ids`].
+/// `read_ids`.
 pub fn decode_id_postings(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Arc<str>, BlockList> {
     let list = |run| {
         let mut list = BlockList::default();

@@ -33,18 +33,10 @@ pub enum Strategy {
     Lui,
     /// Label–URI–Path + Label–URI–ID (two materialized indexes).
     TwoLupi,
-    /// Label–URI–Path with the post-filter *pushed down to storage*:
-    /// the LUP index narrows candidates, then each candidate is resolved
-    /// with a server-side [`amada_cloud::s3::S3::scan`] instead of a GET —
-    /// billed per GB scanned plus egress on the filtered result only
-    /// (the S3-Select analog; beyond the paper).
-    LupPd,
 }
 
 impl Strategy {
-    /// The paper's four strategies, in its presentation order. LUP-PD is
-    /// deliberately *not* here: every existing experiment, oracle rotation
-    /// and report iterates `ALL`, and the pushdown strategy is opt-in.
+    /// The paper's four strategies, in its presentation order.
     pub const ALL: [Strategy; 4] = [
         Strategy::Lu,
         Strategy::Lup,
@@ -59,7 +51,6 @@ impl Strategy {
             Strategy::Lup => "LUP",
             Strategy::Lui => "LUI",
             Strategy::TwoLupi => "2LUPI",
-            Strategy::LupPd => "LUP-PD",
         }
     }
 
@@ -70,7 +61,6 @@ impl Strategy {
             "LUP" => Some(Strategy::Lup),
             "LUI" => Some(Strategy::Lui),
             "2LUPI" => Some(Strategy::TwoLupi),
-            "LUP-PD" | "LUPPD" => Some(Strategy::LupPd),
             _ => None,
         }
     }
@@ -80,7 +70,7 @@ impl Strategy {
     /// its two sub-indexes in two tables (paper Section 6).
     pub fn tables(self) -> &'static [&'static str] {
         match self {
-            Strategy::Lu | Strategy::Lup | Strategy::Lui | Strategy::LupPd => &[TABLE_MAIN],
+            Strategy::Lu | Strategy::Lup | Strategy::Lui => &[TABLE_MAIN],
             Strategy::TwoLupi => &[TABLE_PATH, TABLE_ID],
         }
     }
@@ -289,11 +279,9 @@ fn collect(doc: &Document, opts: ExtractOptions, want_paths: bool, want_ids: boo
 
 /// Runs a strategy's extraction function `I(d)` over one document.
 pub fn extract(doc: &Document, strategy: Strategy, opts: ExtractOptions) -> Vec<IndexEntry> {
-    // LUP-PD stores exactly the LUP index; only query execution differs
-    // (candidates resolve via storage-side scans).
     let (want_paths, want_ids) = match strategy {
         Strategy::Lu => (false, false),
-        Strategy::Lup | Strategy::LupPd => (true, false),
+        Strategy::Lup => (true, false),
         Strategy::Lui => (false, true),
         Strategy::TwoLupi => (true, true),
     };
@@ -310,9 +298,7 @@ pub fn extract(doc: &Document, strategy: Strategy, opts: ExtractOptions) -> Vec<
     for k in keys {
         match strategy {
             Strategy::Lu => out.push(entry(TABLE_MAIN, k.key, Payload::Presence)),
-            Strategy::Lup | Strategy::LupPd => {
-                out.push(entry(TABLE_MAIN, k.key, Payload::Paths(k.paths)))
-            }
+            Strategy::Lup => out.push(entry(TABLE_MAIN, k.key, Payload::Paths(k.paths))),
             Strategy::Lui => out.push(entry(TABLE_MAIN, k.key, Payload::Ids(k.ids))),
             Strategy::TwoLupi => {
                 out.push(entry(TABLE_PATH, k.key.clone(), Payload::Paths(k.paths)));
@@ -440,18 +426,6 @@ mod tests {
         }
         assert_eq!(Strategy::parse("2lupi"), Some(Strategy::TwoLupi));
         assert_eq!(Strategy::parse("nope"), None);
-        // The fifth (pushdown) strategy round-trips but stays outside ALL.
-        assert_eq!(Strategy::parse("LUP-PD"), Some(Strategy::LupPd));
-        assert_eq!(Strategy::parse("luppd"), Some(Strategy::LupPd));
-        assert_eq!(Strategy::LupPd.to_string(), "LUP-PD");
-        assert!(!Strategy::ALL.contains(&Strategy::LupPd));
-    }
-
-    #[test]
-    fn lup_pd_extraction_is_identical_to_lup() {
-        let lup = extract(&doc(), Strategy::Lup, ExtractOptions::default());
-        let pd = extract(&doc(), Strategy::LupPd, ExtractOptions::default());
-        assert_eq!(lup, pd, "LUP-PD stores exactly the LUP index");
     }
 
     /// The parent commit's extraction, kept as the reference: every key
@@ -554,7 +528,7 @@ mod tests {
                 let paths = || Payload::Paths(v.paths.keys().cloned().collect());
                 match strategy {
                     Strategy::Lu => entry(TABLE_MAIN, Payload::Presence),
-                    Strategy::Lup | Strategy::LupPd => entry(TABLE_MAIN, paths()),
+                    Strategy::Lup => entry(TABLE_MAIN, paths()),
                     Strategy::Lui => entry(TABLE_MAIN, Payload::Ids(v.ids.clone())),
                     Strategy::TwoLupi => {
                         entry(TABLE_PATH, paths());
@@ -567,7 +541,7 @@ mod tests {
     }
 
     /// The strategy-aware extraction produces exactly what the parent's
-    /// full-accumulation extraction did: all five strategies, words on and
+    /// full-accumulation extraction did: all four strategies, words on and
     /// off, over an XMark corpus and the checker's adversarial documents.
     #[test]
     fn extraction_equals_the_full_accumulation_reference() {
@@ -583,7 +557,7 @@ mod tests {
         for (uri, xml) in xmark.chain(generated) {
             let d = Document::parse_str(uri, &xml).unwrap();
             documents += 1;
-            for strategy in Strategy::ALL.into_iter().chain([Strategy::LupPd]) {
+            for strategy in Strategy::ALL {
                 for index_words in [true, false] {
                     let opts = ExtractOptions { index_words };
                     assert_eq!(

@@ -1,7 +1,7 @@
 //! Cost attribution: billed money decomposed by context tag.
 //!
-//! The span stream carries a [`Ctx`] on every event; summing billed
-//! amounts over those tags yields the paper's Figure 12-style
+//! The span stream carries a [`Ctx`](amada_cloud::Ctx) on every event;
+//! summing billed amounts over those tags yields the paper's Figure 12-style
 //! decompositions (cost per warehouse phase, per service within a phase)
 //! and the per-query / per-document views the paper's "who pays for
 //! what" analysis needs. `BTreeMap`s keep iteration order deterministic

@@ -43,7 +43,7 @@ pub mod valuejoin;
 
 pub use ast::{Axis, Bound, NodeTest, Output, PatternNode, Predicate, Query, TreePattern};
 pub use eval::{naive_matches, EvalStats, Tuple};
-pub use parser::{parse_pattern, parse_pattern_component, parse_query, ParseError};
+pub use parser::{parse_pattern, parse_query, ParseError};
 pub use stream::{SliceStream, TwigStream};
 pub use twig::{evaluate_pattern_twig, TwigEvaluator, TwigJoin, TwigShape};
 pub use valuejoin::{join_pattern_results, JoinedTuple};

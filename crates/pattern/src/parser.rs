@@ -86,7 +86,7 @@ pub fn parse_query(text: &str) -> Result<Query, ParseError> {
         patterns,
         name: None,
     };
-    validate(&q, true)?;
+    validate(&q)?;
     Ok(q)
 }
 
@@ -102,42 +102,15 @@ pub fn parse_pattern(text: &str) -> Result<TreePattern, ParseError> {
     Ok(q.patterns.into_iter().next().expect("checked length"))
 }
 
-/// Parses a single tree pattern *as a query component*: a join variable
-/// may appear only once, because its partner sites live in sibling
-/// patterns of the enclosing query. This is the entry the pushdown wire
-/// format uses — it ships one pattern of a query at a time, and that
-/// pattern must round-trip with its join annotations intact.
-pub fn parse_pattern_component(text: &str) -> Result<TreePattern, ParseError> {
-    let mut p = P {
-        s: text.as_bytes(),
-        pos: 0,
-    };
-    p.ws();
-    let pattern = p.pattern()?;
-    p.ws();
-    if !p.eof() {
-        return Err(p.error("expected a single pattern"));
-    }
-    let q = Query {
-        patterns: vec![pattern],
-        name: None,
-    };
-    validate(&q, false)?;
-    Ok(q.patterns.into_iter().next().expect("one pattern"))
-}
-
-fn validate(q: &Query, enforce_join_arity: bool) -> Result<(), ParseError> {
-    // Join variables must appear at least twice (unless the caller parses
-    // a lone component of a larger query); attribute pattern nodes cannot
-    // have children.
-    if enforce_join_arity {
-        for g in q.join_groups() {
-            if g.sites.len() < 2 {
-                return Err(ParseError {
-                    msg: format!("join variable ${} is used only once", g.var),
-                    offset: 0,
-                });
-            }
+fn validate(q: &Query) -> Result<(), ParseError> {
+    // Join variables must appear at least twice; attribute pattern nodes
+    // cannot have children.
+    for g in q.join_groups() {
+        if g.sites.len() < 2 {
+            return Err(ParseError {
+                msg: format!("join variable ${} is used only once", g.var),
+                offset: 0,
+            });
         }
     }
     for p in &q.patterns {

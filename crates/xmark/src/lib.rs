@@ -8,7 +8,8 @@
 //!   joins span documents;
 //! * [`museum`] — the paintings/museums running example of the paper's
 //!   Figures 2–3;
-//! * [`workload`] — the ten-query experimental workload of Section 8.2;
+//! * [`workload`](mod@workload) — the ten-query experimental workload of
+//!   Section 8.2;
 //! * [`words`] — the fixed vocabulary and marker words with controlled
 //!   document frequencies.
 //!

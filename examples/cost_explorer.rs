@@ -1,14 +1,14 @@
 //! Cost what-if explorer: the Section 7 cost model applied symbolically,
-//! the look-up plans, and the index advisor (the paper's future-work
-//! tool).
+//! `explain analyze` of the value-join queries, and the index advisor (the
+//! paper's future-work tool).
 //!
 //! ```text
 //! cargo run --release --example cost_explorer
 //! ```
 
 use amada::cloud::{InstanceType, SimDuration};
-use amada::index::{explain, ExtractOptions, Strategy};
-use amada::warehouse::{advise, CostModel, FamilyLoad, Horizon, WarehouseConfig};
+use amada::index::Strategy;
+use amada::warehouse::{advise, CostModel, FamilyLoad, Horizon, Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
 
 fn main() {
@@ -52,11 +52,24 @@ fn main() {
         )
     );
 
-    // ----- 2. Look-up plans (the paper's Figure 5, for each strategy).
-    println!("\n== Look-up plans for q2 ==");
-    let q2 = workload_query("q2").expect("q2 exists");
-    for s in Strategy::ALL {
-        println!("{}", explain(s, &q2, ExtractOptions::default()));
+    // ----- 2. `explain analyze` of the value-join queries on `repro`'s
+    // default corpus: one LUI warehouse, the no-index scan beside it.
+    println!("\n== explain analyze q8-q10: LUI and the scan, 2 000 x 8 KB documents ==");
+    let corpus_cfg = CorpusConfig {
+        num_documents: 2000,
+        target_doc_bytes: 8192,
+        ..Default::default()
+    };
+    let mut w = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lui));
+    w.upload_documents(
+        generate_corpus(&corpus_cfg)
+            .into_iter()
+            .map(|d| (d.uri, d.xml)),
+    );
+    w.build_index();
+    for name in ["q8", "q9", "q10"] {
+        let q = workload_query(name).expect("the workload names q8-q10");
+        print!("{}{}", w.run_query(&q), w.run_query_no_index(&q));
     }
 
     // ----- 3. The index advisor on a live sample.

@@ -19,11 +19,7 @@ fn main() {
     let strategy = match args.next() {
         None => Strategy::Lup,
         Some(name) => Strategy::parse(&name).unwrap_or_else(|| {
-            let valid: Vec<&str> = Strategy::ALL
-                .into_iter()
-                .chain([Strategy::LupPd])
-                .map(Strategy::name)
-                .collect();
+            let valid: Vec<&str> = Strategy::ALL.map(Strategy::name).to_vec();
             eprintln!(
                 "unknown strategy '{name}'; valid names: {}",
                 valid.join(", ")

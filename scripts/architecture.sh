@@ -177,7 +177,7 @@ each_decision_once() {
 # Phase 3's clock — candidates dealt round-robin to the instance's cores,
 # each core's reads back to back on its own connection, a document
 # evaluated once it has arrived — is one function, run by the query
-# processor over live reads (GETs and pushdown scans alike). A second
+# processor over its GETs. A second
 # caller, or a fetch sum divided by the core count, is the serial
 # accounting coming back.
 one_fetch_timeline() {
@@ -192,11 +192,11 @@ one_fetch_timeline() {
 # memo is the document's `ExtractCache` entry (`evaluated`), asked by the
 # query core — the advisor's deployments included — and its miss runs the
 # one evaluator built outside amada-pattern. An evaluation anywhere else —
-# but the check crate's oracles and pushdown's storage-side filter, which
-# evaluate on purpose — or a private memo is the second copy coming back.
+# but the check crate's oracles, which evaluate on purpose — or a private
+# memo is the second copy coming back.
 one_eval_memo() {
     calls=$(grep -E 'TwigEvaluator::new|evaluate_pattern_twig\(' <<<"$src" | grep -vE '^crates/pattern/src/' | grep -vE ':[0-9]+:[[:space:]]*//')
-    test "$(grep -cvE '^crates/(index/src/(cache|pushdown)|check/src/oracles)\.rs:' <<<"$calls")" -eq 0
+    test "$(grep -cvE '^crates/(index/src/cache|check/src/oracles)\.rs:' <<<"$calls")" -eq 0
     test "$(grep -c '^crates/index/src/cache\.rs:' <<<"$calls")" -eq 1
     test "$(grep -rl 'EvalMemo' crates src examples tests | wc -l)" -eq 0
 }
@@ -275,6 +275,15 @@ one_kv_lane() {
     test "$(grep -cE '^crates/[a-z]+/src/(lib|experiments/mod)\.rs:[0-9]+:(pub )?mod shard;' <<<"$src")" -eq 0
 }
 
+# A query reads each candidate whole with one GET and evaluates it on its
+# instance. A fifth strategy filtering inside the file store, an object
+# predicate, a scan request or its per-GB price is the storage-side fetch
+# mode coming back; a static look-up plan restated beside `lookup.rs` is
+# the old `explain` (what a query did is `CostedQuery`'s `Display`).
+one_fetch_mode() {
+    test "$(grep -cE 'LupPd|ObjectPredicate|ScanPredicate|fn scan\(|st_scan_gb|mod explain' <<<"$src")" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -294,6 +303,7 @@ rules=(
     one_write_set
     one_price_table
     one_kv_lane
+    one_fetch_mode
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do

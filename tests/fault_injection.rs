@@ -2,9 +2,7 @@
 //! injection, retry/backoff, lease renewal, mid-task crash recovery, and
 //! the faults-off identity guarantee.
 
-use amada::cloud::{
-    FaultConfig, InstanceType, Money, Outcome, ServiceKind, SimDuration, Sqs, SqsError,
-};
+use amada::cloud::{FaultConfig, InstanceType, Outcome, ServiceKind, SimDuration, Sqs, SqsError};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
@@ -281,75 +279,6 @@ fn faulty_pipeline_is_correct_and_costs_more() {
     }
 }
 
-/// Pushdown under injected faults: a throttled scan is billed like any
-/// other request but is *stateless* — it moves no bytes and leaves no
-/// partial result behind — so the LUP-PD pipeline retries its way to
-/// answers byte-identical to the fault-free run, paying strictly more
-/// for the re-billed requests along the way.
-#[test]
-fn throttled_scans_are_billed_stateless_and_answers_identical() {
-    let docs = corpus(12);
-    let queries = ["q2", "q4", "q5"];
-
-    let mut clean = Warehouse::new(WarehouseConfig::with_strategy(Strategy::LupPd));
-    upload(&mut clean, &docs);
-    clean.build_index();
-
-    let mut cfg = faulty_config(0.08);
-    cfg.strategy = Strategy::LupPd;
-    let mut faulty = Warehouse::new(cfg);
-    upload(&mut faulty, &docs);
-    faulty.build_index();
-
-    // Deltas from here on isolate the query phase (the builds above also
-    // touch S3, and the faulty build gets throttled on its own).
-    let clean_scans_before = clean.world().s3.stats().scan_requests;
-    let faulty_scans_before = faulty.world().s3.stats().scan_requests;
-    let faulty_bytes_before = faulty.world().s3.stats().bytes_scanned;
-    let clean_bytes_before = clean.world().s3.stats().bytes_scanned;
-    let throttled_before = faulty.world().s3.stats().throttled;
-
-    // Enough rounds that some scan is throttled under any seed the chaos
-    // matrix uses (three queries scan six candidates between them).
-    let (mut clean_cost, mut faulty_cost) = (Money::ZERO, Money::ZERO);
-    for name in queries.iter().cycle().take(25 * queries.len()) {
-        let q = workload_query(name).unwrap();
-        let a = clean.run_query(&q);
-        let b = faulty.run_query(&q);
-        clean_cost += a.cost.total();
-        faulty_cost += b.cost.total();
-        let mut ra = a.exec.results.clone();
-        let mut rb = b.exec.results.clone();
-        ra.sort_by(|x, y| x.columns.cmp(&y.columns));
-        rb.sort_by(|x, y| x.columns.cmp(&y.columns));
-        assert_eq!(ra, rb, "{name}: faults must not change pushdown answers");
-    }
-
-    let clean_scans = clean.world().s3.stats().scan_requests - clean_scans_before;
-    let faulty_scans = faulty.world().s3.stats().scan_requests - faulty_scans_before;
-    let throttled = faulty.world().s3.stats().throttled - throttled_before;
-    assert!(clean_scans > 0, "LUP-PD queries must answer through scans");
-    assert!(throttled > 0, "8% faults must throttle mid-query");
-    // Every throttle is re-billed as a fresh scan request, so the faulty
-    // run issues strictly more of them than the fault-free run (the
-    // throttled counter also covers the per-query result GET, hence <=).
-    assert!(
-        faulty_scans > clean_scans,
-        "retried scans must be re-billed: {faulty_scans} vs {clean_scans}"
-    );
-    assert!(faulty_scans - clean_scans <= throttled);
-    // Stateless: a throttle meters no scanned volume — only successful
-    // scans do, and a (rare) abandoned-and-retried query can only rescan,
-    // never partially scan.
-    let clean_bytes = clean.world().s3.stats().bytes_scanned - clean_bytes_before;
-    let faulty_bytes = faulty.world().s3.stats().bytes_scanned - faulty_bytes_before;
-    assert!(faulty_bytes >= clean_bytes);
-    assert!(
-        faulty_cost > clean_cost,
-        "billed throttles must surface in the bill: faulty {faulty_cost} vs clean {clean_cost}"
-    );
-}
-
 /// A throttled candidate read is retried at its backoff's resume time, on
 /// its core's connection: every query-core read of a document starts no
 /// earlier than the end of the throttled read of that document before it.
@@ -358,7 +287,7 @@ fn throttled_scans_are_billed_stateless_and_answers_identical() {
 #[test]
 fn a_throttled_candidate_read_is_retried_after_its_throttle() {
     let docs = corpus(12);
-    for strategy in [Strategy::Lu, Strategy::TwoLupi, Strategy::LupPd] {
+    for strategy in [Strategy::Lu, Strategy::TwoLupi] {
         let mut cfg = WarehouseConfig::with_strategy(strategy);
         cfg.faults = FaultConfig {
             seed: fault_seed(),
@@ -369,17 +298,14 @@ fn a_throttled_candidate_read_is_retried_after_its_throttle() {
         let mut w = Warehouse::new(cfg);
         upload(&mut w, &docs);
         w.build_index();
-        // Two patterns scan one document with two reads, each retried on
-        // its own: pushdown runs the single-pattern queries.
-        let mut queries = workload();
-        queries.retain(|q| strategy != Strategy::LupPd || q.patterns.len() == 1);
+        let queries = workload();
         let before = w.spans().len();
         w.run_workload(&queries, 4);
         let mut throttled = BTreeMap::new();
         let mut retries = 0;
         for s in &w.spans()[before..] {
             let by_query_core = s.ctx.actor.is_some_and(|a| a.kind == "query");
-            if !(by_query_core && s.service == ServiceKind::S3 && matches!(s.op, "get" | "scan")) {
+            if !(by_query_core && s.service == ServiceKind::S3 && s.op == "get") {
                 continue;
             }
             let key = (s.ctx.query.clone(), s.ctx.doc.clone());
@@ -414,26 +340,23 @@ const PINNED_SEED: u64 = 0xFA117;
 /// nothing; the last dead-letters on the first redelivery.
 const GIVE_UP_CASES: [(f64, u32, u32); 3] = [(0.3, 1, 5), (0.5, 1, 2), (0.4, 2, 1)];
 
-const GIVE_UP_STRATEGIES: [Strategy; 3] = [Strategy::Lup, Strategy::LupPd, Strategy::TwoLupi];
+const GIVE_UP_STRATEGIES: [Strategy; 2] = [Strategy::Lup, Strategy::TwoLupi];
 
 /// Both reports of each case x strategy at [`PINNED_SEED`], in
 /// [`give_up_digest`]'s rendering: the abandon and dead-letter branches'
 /// jitter draws are pinned like every other one. A change that moves
 /// virtual time or picodollars regenerates them and says so in CHANGES.md.
-const GIVE_UP_DIGESTS: [[&str; 3]; 3] = [
+const GIVE_UP_DIGESTS: [[&str; 2]; 3] = [
     [
         "build 8304179us 8853773421p thr=540 ren=0 red=17 docs=24 dead=0 | workload 7545560us 1345731600p thr=113 ren=0 red=7 done=20 dead=0",
-        "build 8304179us 8853773421p thr=540 ren=0 red=17 docs=24 dead=0 | workload 7540530us 1346536308p thr=113 ren=0 red=7 done=20 dead=0",
         "build 10333782us 11805264178p thr=735 ren=0 red=54 docs=15 dead=9 | workload 11309509us 1658194032p thr=117 ren=0 red=12 done=20 dead=0",
     ],
     [
         "build 4427740us 4919041330p thr=562 ren=0 red=33 docs=10 dead=14 | workload 9726106us 1681287676p thr=220 ren=0 red=12 done=17 dead=3",
-        "build 4427740us 4919041330p thr=562 ren=0 red=33 docs=10 dead=14 | workload 9723615us 1681809110p thr=220 ren=0 red=12 done=17 dead=3",
         "build 4460652us 5010488178p thr=578 ren=0 red=40 docs=6 dead=18 | workload 9362191us 1508200706p thr=206 ren=0 red=12 done=15 dead=5",
     ],
     [
         "build 2534000us 2985655554p thr=248 ren=0 red=10 docs=14 dead=10 | workload 5373300us 1242521991p thr=133 ren=0 red=1 done=19 dead=1",
-        "build 2534000us 2985655554p thr=248 ren=0 red=10 docs=14 dead=10 | workload 5368780us 1243100936p thr=133 ren=0 red=1 done=19 dead=1",
         "build 2626402us 3248610402p thr=263 ren=0 red=16 docs=8 dead=16 | workload 6958985us 1135194130p thr=133 ren=0 red=6 done=14 dead=6",
     ],
 ];

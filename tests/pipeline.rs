@@ -121,14 +121,13 @@ fn virtual_time_is_deterministic_across_runs() {
 }
 
 /// `queries` over `docs` on every access path `docs_with_results` is
-/// counted on — the four indexes, LUP-PD and the scan — each run labelled.
+/// counted on — the four indexes and the scan — each run labelled.
 fn on_every_access_path(
     docs: &[(String, String)],
     queries: &[Query],
 ) -> Vec<(String, CostedQuery)> {
-    let indexes = Strategy::ALL.into_iter().chain([Strategy::LupPd]);
     let mut runs = Vec::new();
-    for path in indexes.map(Some).chain([None]) {
+    for path in Strategy::ALL.into_iter().map(Some).chain([None]) {
         let strategy = path.unwrap_or(Strategy::Lu);
         let mut w = Warehouse::new(WarehouseConfig::with_strategy(strategy));
         w.upload_documents(docs.iter().cloned());
@@ -151,6 +150,64 @@ fn documents_with_results_are_counted_once_on_every_access_path() {
             .flat_map(|r| r.uris.iter().map(|u| &**u))
             .collect();
         assert_eq!(run.exec.docs_with_results, reference.len(), "{label}");
+    }
+}
+
+/// Picodollars of a printed `Money` (`$D.F`, up to twelve decimals).
+fn pico_of(printed: &str) -> u128 {
+    let (dollars, frac) = printed.trim_start_matches('$').split_once('.').unwrap();
+    format!("{dollars}{frac:0<12}").parse().unwrap()
+}
+
+/// `explain analyze` reads every value off the execution and its bill: on
+/// all ten queries, under each strategy and the scan, its counts are the
+/// execution's and its per-service charges are the query's and sum to the
+/// total it prints.
+#[test]
+fn explain_analyze_reports_the_execution_and_its_bill() {
+    for (label, run) in on_every_access_path(&corpus(20), &workload()) {
+        let (e, c) = (&run.exec, &run.cost);
+        let form = run.to_string();
+        let mut lines = form.lines();
+        let path = e.strategy.map_or("scan", Strategy::name);
+        let header = format!("explain analyze {} [{path}]", e.name);
+        assert_eq!(lines.next(), Some(&*header), "{label}");
+        let rows: Vec<(String, String)> = lines
+            .map(|l| {
+                let (name, value) = l.trim().rsplit_once(' ').unwrap();
+                (name.trim().to_string(), value.to_string())
+            })
+            .collect();
+        let value = |name: &str| &rows.iter().find(|(n, _)| n == name).unwrap().1;
+        let counts = [
+            ("index gets", e.index_get_ops),
+            ("doc IDs from index", e.docs_from_index as u64),
+            ("documents fetched", e.docs_fetched as u64),
+            ("with results", e.docs_with_results as u64),
+            ("result bytes", e.result_bytes),
+        ];
+        for (name, count) in counts {
+            assert_eq!(
+                value(name).parse::<u64>().unwrap(),
+                count,
+                "{label}: {name}"
+            );
+        }
+        let charges = [
+            ("index store", c.kv),
+            ("file store", c.s3),
+            ("instances", c.ec2),
+            ("queues", c.sqs),
+            ("egress", c.egress),
+        ];
+        let mut sum = 0;
+        for (name, charge) in charges {
+            assert_eq!(pico_of(value(name)), charge.pico(), "{label}: {name}");
+            sum += pico_of(value(name));
+        }
+        assert_eq!(sum, pico_of(value("total")), "{label}");
+        assert_eq!(sum, c.total().pico(), "{label}");
+        assert_eq!(rows.len(), counts.len() + charges.len() + 1, "{label}");
     }
 }
 

@@ -36,7 +36,6 @@ fn aws_scaled(numer: u64, denom: u64) -> PriceTable {
         vm_hour_xlarge: s(p.vm_hour_xlarge),
         qs_request: s(p.qs_request),
         egress_gb: s(p.egress_gb),
-        st_scan_gb: s(p.st_scan_gb),
     }
 }
 

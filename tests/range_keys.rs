@@ -16,14 +16,6 @@ use amada::xml::Document;
 use amada_check::{case_strategy, generate_case, ChurnOp};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-const FIVE: [Strategy; 5] = [
-    Strategy::Lu,
-    Strategy::Lup,
-    Strategy::Lui,
-    Strategy::TwoLupi,
-    Strategy::LupPd,
-];
-
 fn profiles() -> [KvProfile; 2] {
     [dynamodb::PROFILE, simpledb::PROFILE]
 }
@@ -43,7 +35,7 @@ fn no_two_items_of_a_build_share_a_primary_key() {
     .into_iter()
     .map(|d| Document::parse_str(&d.uri, &d.xml).expect("generated documents parse"))
     .collect();
-    for strategy in FIVE {
+    for strategy in Strategy::ALL {
         let per_doc: Vec<Vec<IndexEntry>> = docs
             .iter()
             .map(|d| extract(d, strategy, ExtractOptions::default()))
