@@ -146,10 +146,11 @@ pub fn billing_oracle(case: &Case, query: &Query) -> Result<(), String> {
         return Err(diverged("prewarm off", &base, &cold));
     }
 
-    // The runs above left the host's evaluation memo warm: empty it.
+    // The runs above left the host's evaluation and look-up memos warm:
+    // empty them.
     let (unmemoized, _, _) = run_pipeline(case, query, |_| ExtractCache::shared().clear());
     if unmemoized != base {
-        return Err(diverged("evaluation memo cold vs warm", &base, &unmemoized));
+        return Err(diverged("host memos cold vs warm", &base, &unmemoized));
     }
 
     // An explicit zero-rate fault config is identical to the default.

@@ -196,6 +196,12 @@ impl KvItem {
         }
     }
 
+    /// True when both are the one block: the same stored item, not merely
+    /// equal bytes. A write that changes an item replaces its block.
+    pub fn same_block(&self, other: &KvItem) -> bool {
+        Arc::ptr_eq(&self.block, &other.block)
+    }
+
     /// Range key.
     pub fn range_key(&self) -> &str {
         std::str::from_utf8(range_of(&self.block)).expect("written from a str")

@@ -1,5 +1,5 @@
-//! Thread-safe host-side cache of parsed documents, extraction results and
-//! twig evaluations.
+//! Thread-safe host-side cache of parsed documents, extraction results,
+//! twig evaluations and index look-ups.
 //!
 //! The discrete-event simulation charges *virtual* time for every parse,
 //! extraction and evaluation a cloud instance performs — instances are
@@ -34,10 +34,21 @@
 //!   hashed on the spot ([`Content`]). One version per URI is resident:
 //!   a probe for other bytes replaces it, memos and all. A [`PatternProbe`]
 //!   adopts the memo's `Arc` of its pattern and then matches by pointer.
+//! * **A fourth memo, of look-ups.** Beside the documents, one entry per
+//!   look-up key — (table, look-up step LU / LUP / LUI, options, store
+//!   profile, pattern) — holds the outcome of the last look-up under that
+//!   key and clones of the items it was computed from (for 2LUPI's ID
+//!   phase, also the `R₁` it was reduced to). A look-up still fetches, and
+//!   is billed for, every item; a hit needs the same items in the same
+//!   order, block for block ([`KvItem::same_block`]). A write that changes
+//!   an item replaces its block and a delete removes it, so any change to
+//!   what a look-up reads is a miss; the held clones keep a block from
+//!   being freed and its address reused. A miss replaces the key's entry;
+//!   `clear()` empties the memo.
 
 use crate::loadutil::WriteSet;
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
-use amada_cloud::{dynamodb, Blob, KvProfile};
+use amada_cloud::{dynamodb, Blob, KvItem, KvProfile};
 use amada_pattern::{EvalStats, TreePattern, Tuple, TwigEvaluator};
 use amada_xml::{Document, Fnv, XmlError};
 use std::collections::{HashMap, HashSet};
@@ -159,6 +170,61 @@ fn memo_of<'e>(evals: &'e [MemoEntry], probe: &mut PatternProbe) -> Option<&'e A
     Some(ev)
 }
 
+/// Which look-up an outcome is of: LU's, LUP's (2LUPI's path phase too)
+/// or LUI's (2LUPI's ID phase too).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum LookupStep {
+    Lu,
+    Lup,
+    Lui,
+}
+
+/// What a look-up's outcome is a function of, beside the items it read:
+/// the table, the step, the options and profile its keys and lists are
+/// read under, and the pattern.
+pub(crate) struct LookupKey<'p> {
+    pub table: &'static str,
+    pub step: LookupStep,
+    pub opts: ExtractOptions,
+    pub profile: KvProfile,
+    pub pattern: &'p TreePattern,
+}
+
+impl LookupKey<'_> {
+    fn hash(&self) -> u64 {
+        let key = (
+            self.table,
+            self.step,
+            self.opts,
+            self.profile.name,
+            self.pattern,
+        );
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(key)
+    }
+
+    fn is_of(&self, e: &LookupEntry) -> bool {
+        (self.table, self.step, self.opts, self.profile) == (e.table, e.step, e.opts, e.profile)
+            && *self.pattern == e.pattern
+    }
+}
+
+/// A memoized look-up: its key, the items it read in the order fetched,
+/// the `R₁` it was reduced to (2LUPI's ID phase), and what it found.
+struct LookupEntry {
+    table: &'static str,
+    step: LookupStep,
+    opts: ExtractOptions,
+    profile: KvProfile,
+    pattern: TreePattern,
+    items: Vec<KvItem>,
+    reduced_to: Option<Box<[Arc<str>]>>,
+    uris: Vec<Arc<str>>,
+    entries_processed: u64,
+}
+
+/// Look-up key hash → the entries under it, one per key.
+type LookupMemo = HashMap<u64, Vec<Arc<LookupEntry>>>;
+
 /// Cumulative cache statistics (monotonic counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -187,7 +253,9 @@ pub struct ExtractCache {
     shards: Box<[Mutex<Shard>; SHARDS]>,
     /// Every entry key a cached write set's items name, once.
     keys: Mutex<HashSet<Arc<str>, BuildHasherDefault<Fnv>>>,
+    lookups: Mutex<LookupMemo>,
     stats: [AtomicU64; 6],
+    lookup_stats: [AtomicU64; 2],
 }
 
 impl Default for ExtractCache {
@@ -195,7 +263,9 @@ impl Default for ExtractCache {
         ExtractCache {
             shards: Box::new(std::array::from_fn(|_| Mutex::new(Shard::default()))),
             keys: Mutex::default(),
+            lookups: Mutex::default(),
             stats: std::array::from_fn(|_| AtomicU64::new(0)),
+            lookup_stats: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
@@ -245,6 +315,13 @@ impl ExtractCache {
     /// The evaluation memo's `[hits, misses]` ([`CacheStats`] is built by name).
     pub fn eval_stats(&self) -> [u64; 2] {
         [4, 5].map(|i| self.stats[i].load(Ordering::Relaxed))
+    }
+
+    /// The look-up memo's `[hits, misses]`.
+    pub fn lookup_stats(&self) -> [u64; 2] {
+        self.lookup_stats
+            .each_ref()
+            .map(|n| n.load(Ordering::Relaxed))
     }
 
     /// Notes that `bytes` are now the content of `uri`: a cached parse of
@@ -381,6 +458,55 @@ impl ExtractCache {
         ev
     }
 
+    /// The memoized `(uris, entries_processed)` of the look-up `key` over
+    /// `items`, fetched in this order, reduced to `reduced_to`; `None`
+    /// (a miss) unless the last look-up under `key` read these very blocks.
+    pub(crate) fn looked_up(
+        &self,
+        key: &LookupKey,
+        items: &[KvItem],
+        reduced_to: Option<&[Arc<str>]>,
+    ) -> Option<(Vec<Arc<str>>, u64)> {
+        let entry = (self.lookups.lock().unwrap().get(&key.hash()))
+            .and_then(|bucket| bucket.iter().find(|e| key.is_of(e)).cloned());
+        // Compared outside the lock; `Arc<str>`'s `==` tries the pointer first.
+        let hit = entry.filter(|e| {
+            e.reduced_to.as_deref() == reduced_to
+                && e.items.len() == items.len()
+                && e.items.iter().zip(items).all(|(a, b)| a.same_block(b))
+        });
+        self.lookup_stats[usize::from(hit.is_none())].fetch_add(1, Ordering::Relaxed);
+        hit.map(|e| (e.uris.clone(), e.entries_processed))
+    }
+
+    /// Files what the look-up `key` found over `items` (in the order
+    /// fetched) as the key's one entry, replacing the one before.
+    pub(crate) fn memoize_lookup(
+        &self,
+        key: &LookupKey,
+        items: Vec<KvItem>,
+        reduced_to: Option<&[Arc<str>]>,
+        (uris, entries_processed): (&[Arc<str>], u64),
+    ) {
+        let entry = Arc::new(LookupEntry {
+            table: key.table,
+            step: key.step,
+            opts: key.opts,
+            profile: key.profile,
+            pattern: key.pattern.clone(),
+            items,
+            reduced_to: reduced_to.map(Box::from),
+            uris: uris.to_vec(),
+            entries_processed,
+        });
+        let mut memo = self.lookups.lock().unwrap();
+        let bucket = memo.entry(key.hash()).or_default();
+        match bucket.iter_mut().find(|e| key.is_of(e)) {
+            Some(resident) => *resident = entry,
+            None => bucket.push(entry),
+        }
+    }
+
     /// Number of cached documents.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
@@ -391,12 +517,14 @@ impl ExtractCache {
         self.len() == 0
     }
 
-    /// Drops every cached parse, write set, shared key and evaluation.
+    /// Drops every cached parse, write set, shared key, evaluation and
+    /// look-up.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             shard.lock().unwrap().clear();
         }
         self.keys.lock().unwrap().clear();
+        self.lookups.lock().unwrap().clear();
     }
 }
 

@@ -25,14 +25,24 @@
 //! `Arc<str>` the fetched items already hold, from `batch_get` to the
 //! [`LookupOutcome`]: candidate sets are ascending vectors of them,
 //! intersected by merging.
+//!
+//! Every get is issued and billed as the paper's look-up issues it; then
+//! the host asks the look-up memo ([`ExtractCache`]'s fourth) before it
+//! sorts a single run. When the last look-up of this pattern and step, on
+//! this table under these options and profile, read the very same items
+//! (block for block, in the order fetched; for 2LUPI's ID phase, reduced
+//! to the same `R₁`), its candidates and entry count are this one's; the
+//! gets' count and arrival time are always this fetch's own.
 
+use crate::cache::{ExtractCache, LookupKey, LookupStep};
 use crate::codec::{BlockCursor, BlockList};
 use crate::key;
 use crate::store::{documents, read_ids, sort_into_runs, PathList};
 use crate::strategy::{ExtractOptions, Strategy, TABLE_ID, TABLE_MAIN, TABLE_PATH};
-use amada_cloud::{KvError, KvItem, KvStore, SimTime};
+use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
 use amada_pattern::{Axis, Predicate, Query, TreePattern, TwigJoin, TwigShape, TwigStream};
 use amada_xml::{tokenize, StructuralId};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// The result of looking up one tree pattern.
@@ -65,13 +75,11 @@ pub struct QueryLookup {
 impl QueryLookup {
     /// The look-up of a query whose patterns had these outcomes.
     pub fn of(per_pattern: Vec<LookupOutcome>) -> QueryLookup {
-        let mut uris: Vec<Arc<str>> = per_pattern
-            .iter()
-            .flat_map(|o| o.uris.iter().cloned())
-            .collect();
-        // One pattern's candidates are already in order: a linear pass.
-        uris.sort_unstable();
-        uris.dedup();
+        // Each pattern's candidates are ascending: merge them in.
+        let mut uris: Vec<Arc<str>> = Vec::new();
+        for o in &per_pattern {
+            uris = union(&uris, &o.uris);
+        }
         let total_doc_ids = per_pattern.iter().map(|o| o.uris.len()).sum();
         QueryLookup {
             per_pattern,
@@ -97,6 +105,29 @@ impl QueryLookup {
             .map(|p| p.ready_at)
             .max()
             .unwrap_or(SimTime::ZERO)
+    }
+}
+
+/// The union of two ascending URI lists, ascending, each URI once; a URI
+/// both hold by one pointer is compared by that pointer alone.
+fn union(a: &[Arc<str>], b: &[Arc<str>]) -> Vec<Arc<str>> {
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if Arc::ptr_eq(x, y) => b.next().and(a.next()),
+            (Some(x), Some(y)) => match x.cmp(y) {
+                Ordering::Less => a.next(),
+                Ordering::Greater => b.next(),
+                Ordering::Equal => b.next().and(a.next()),
+            },
+            (Some(_), None) => a.next(),
+            (None, _) => b.next(),
+        };
+        match next {
+            Some(uri) => out.push(uri.clone()),
+            None => return out,
+        }
     }
 }
 
@@ -206,9 +237,15 @@ pub fn pattern_keys(pattern: &TreePattern, opts: ExtractOptions) -> Vec<NodeKeys
 
 /// What [`fetch_keys`] fetched.
 struct Fetched {
+    /// The table they were fetched from.
+    table: &'static str,
+    /// The profile of the store that answered.
+    profile: KvProfile,
     /// The distinct keys asked for, ascending.
     keys: Vec<String>,
-    /// Their items, keys ascending, each key's in runs, one per document.
+    /// Their items, keys ascending: each key's in the order the store
+    /// answered until [`Fetched::outcome`] sorts them into runs, one per
+    /// document.
     items: Vec<KvItem>,
     /// When the last response arrived.
     ready_at: SimTime,
@@ -228,8 +265,38 @@ impl Fetched {
         self.keys.iter().flat_map(|key| self.runs(key))
     }
 
-    /// The outcome of the look-up these fetches served.
-    fn outcome(&self, uris: Vec<Arc<str>>, entries_processed: u64) -> LookupOutcome {
+    /// The outcome of `step` for `pattern` over these items: the memo's
+    /// candidates and entry count when it holds a look-up of these very
+    /// items under the same key (and `reduced_to`), else `look`'s over the
+    /// items sorted into runs, memoized; the gets' count and time are these.
+    fn outcome(
+        mut self,
+        step: LookupStep,
+        opts: ExtractOptions,
+        pattern: &TreePattern,
+        reduced_to: Option<&[Arc<str>]>,
+        look: impl FnOnce(&Fetched) -> (Vec<Arc<str>>, u64),
+    ) -> LookupOutcome {
+        let key = &LookupKey {
+            table: self.table,
+            step,
+            opts,
+            profile: self.profile,
+            pattern,
+        };
+        let memo = ExtractCache::shared();
+        let (uris, entries_processed) = match memo.looked_up(key, &self.items, reduced_to) {
+            Some(hit) => hit,
+            None => {
+                let fetched = self.items.clone();
+                for key_items in self.items.chunk_by_mut(|a, b| a.hash_key == b.hash_key) {
+                    sort_into_runs(key_items);
+                }
+                let (uris, entries) = look(&self);
+                memo.memoize_lookup(key, fetched, reduced_to, (&uris, entries));
+                (uris, entries)
+            }
+        };
         LookupOutcome {
             uris,
             entries_processed,
@@ -243,7 +310,7 @@ impl Fetched {
 fn fetch_keys(
     store: &mut KvStore,
     now: SimTime,
-    table: &str,
+    table: &'static str,
     mut keys: Vec<String>,
 ) -> Result<Fetched, KvError> {
     keys.sort_unstable();
@@ -263,14 +330,13 @@ fn fetch_keys(
         }
     }
     debug_assert!(items.is_sorted_by(|a, b| a.hash_key <= b.hash_key));
-    for key_items in items.chunk_by_mut(|a, b| a.hash_key == b.hash_key) {
-        sort_into_runs(key_items);
-    }
     // Billed get operations, as the backend itself accounts them (capacity
     // units on DynamoDB, key look-ups on SimpleDB) — the cost model's
     // `|op(q, D, I)|`.
     let get_ops = store.stats().get_ops - ops_before;
     Ok(Fetched {
+        table,
+        profile: store.profile(),
         keys,
         items,
         ready_at: t,
@@ -313,22 +379,26 @@ fn lookup_lu(
     now: SimTime,
     opts: ExtractOptions,
     pattern: &TreePattern,
-    table: &str,
+    table: &'static str,
 ) -> Result<LookupOutcome, KvError> {
     let keys: Vec<String> = pattern_keys(pattern, opts)
         .into_iter()
         .flat_map(|nk| std::iter::once(nk.main_key).chain(nk.word_keys))
         .collect();
     let fetched = fetch_keys(store, now, table, keys)?;
-    let mut entries = 0u64;
-    let mut result: Option<Vec<Arc<str>>> = None;
-    for key in &fetched.keys {
-        entries += fetched.runs(key).count() as u64;
-        if narrow(&mut result, fetched.runs(key), |_| true) {
-            break;
-        }
-    }
-    Ok(fetched.outcome(result.unwrap_or_default(), entries))
+    Ok(
+        fetched.outcome(LookupStep::Lu, opts, pattern, None, |fetched| {
+            let mut entries = 0u64;
+            let mut result: Option<Vec<Arc<str>>> = None;
+            for key in &fetched.keys {
+                entries += fetched.runs(key).count() as u64;
+                if narrow(&mut result, fetched.runs(key), |_| true) {
+                    break;
+                }
+            }
+            (result.unwrap_or_default(), entries)
+        }),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +503,7 @@ fn lookup_lup(
     now: SimTime,
     opts: ExtractOptions,
     pattern: &TreePattern,
-    table: &str,
+    table: &'static str,
 ) -> Result<LookupOutcome, KvError> {
     let paths = query_paths(pattern, opts);
     fn terminal(qp: &QueryPath) -> &str {
@@ -442,24 +512,28 @@ fn lookup_lup(
     let terminals: Vec<String> = paths.iter().map(|qp| terminal(qp).to_string()).collect();
     let fetched = fetch_keys(store, now, table, terminals)?;
     let profile = store.profile();
-    // Each distinct terminal's paths count once, though several query paths
-    // may share it (e.g. two branches ending in the same label).
-    let entries = (fetched.all_runs())
-        .map(|run| PathList::read(run, &profile).paths().count() as u64)
-        .sum();
-    let mut result: Option<Vec<Arc<str>>> = None;
-    let mut live = Vec::new();
-    for qp in &paths {
-        let matches = |run| {
-            PathList::read(run, &profile)
-                .paths()
-                .any(|dp| path_matches(qp, dp, &mut live))
-        };
-        if narrow(&mut result, fetched.runs(terminal(qp)), matches) {
-            break;
-        }
-    }
-    Ok(fetched.outcome(result.unwrap_or_default(), entries))
+    Ok(
+        fetched.outcome(LookupStep::Lup, opts, pattern, None, |fetched| {
+            // Each distinct terminal's paths count once, though several query
+            // paths may share it (e.g. two branches ending in the same label).
+            let entries = (fetched.all_runs())
+                .map(|run| PathList::read(run, &profile).paths().count() as u64)
+                .sum();
+            let mut result: Option<Vec<Arc<str>>> = None;
+            let mut live = Vec::new();
+            for qp in &paths {
+                let matches = |run| {
+                    PathList::read(run, &profile)
+                        .paths()
+                        .any(|dp| path_matches(qp, dp, &mut live))
+                };
+                if narrow(&mut result, fetched.runs(terminal(qp)), matches) {
+                    break;
+                }
+            }
+            (result.unwrap_or_default(), entries)
+        }),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -495,60 +569,64 @@ fn lookup_lui(
     now: SimTime,
     opts: ExtractOptions,
     pattern: &TreePattern,
-    table: &str,
+    table: &'static str,
     reduce_to: Option<&[Arc<str>]>,
 ) -> Result<LookupOutcome, KvError> {
     let (shape, stream_keys) = lui_twig(pattern, opts);
     let fetched = fetch_keys(store, now, table, stream_keys.clone())?;
     let profile = store.profile();
-    // Each distinct key's IDs count once: a pattern with repeated labels
-    // feeds several twig nodes from the same key.
-    let mut entries = 0u64;
-    let mut ids = BlockList::default();
-    for run in fetched.all_runs() {
-        read_ids(run, &profile, &mut ids);
-        entries += ids.len() as u64;
-    }
-    // One join, one cursor per stream and one walk over each stream's
-    // documents (URIs ascending) serve every candidate.
-    let mut join: TwigJoin<()> = TwigJoin::new(shape);
-    let root_is_anchored = pattern.nodes[0].axis == Axis::Child;
-    let mut walks: Vec<_> = stream_keys
-        .iter()
-        .map(|k| fetched.runs(k).peekable())
-        .collect();
-    let mut streams: Vec<LuiStream> = (0..walks.len())
-        .map(|i| LuiStream {
-            cur: BlockCursor::default(),
-            depth1_only: root_is_anchored && i == 0,
-        })
-        .collect();
-    // Candidate URIs: documents contributing IDs to *every* stream,
-    // optionally reduced by the 2LUPI semijoin set. Only then are its
-    // chunks read into the streams' cursors, and the holistic twig join
-    // runs on them, decoding the blocks it lands in.
-    let candidates: Box<dyn Iterator<Item = &Arc<str>>> = match reduce_to {
-        Some(reduce_to) => Box::new(reduce_to.iter()),
-        None => Box::new(fetched.runs(&stream_keys[0]).map(|run| &run[0].uri)),
-    };
-    let mut uris = Vec::new();
-    for uri in candidates {
-        let in_every_stream = walks.iter_mut().all(|walk| {
-            while walk.next_if(|run| run[0].uri < *uri).is_some() {}
-            walk.peek().is_some_and(|run| run[0].uri == *uri)
-        });
-        if !in_every_stream {
-            continue;
-        }
-        for (walk, stream) in walks.iter_mut().zip(&mut streams) {
-            let run = walk.next().unwrap_or_default();
-            stream.cur.refill(|list| read_ids(run, &profile, list));
-        }
-        if join.join(&mut streams) > 0 {
-            uris.push(uri.clone());
-        }
-    }
-    Ok(fetched.outcome(uris, entries))
+    Ok(
+        fetched.outcome(LookupStep::Lui, opts, pattern, reduce_to, |fetched| {
+            // Each distinct key's IDs count once: a pattern with repeated
+            // labels feeds several twig nodes from the same key.
+            let mut entries = 0u64;
+            let mut ids = BlockList::default();
+            for run in fetched.all_runs() {
+                read_ids(run, &profile, &mut ids);
+                entries += ids.len() as u64;
+            }
+            // One join, one cursor per stream and one walk over each stream's
+            // documents (URIs ascending) serve every candidate.
+            let mut join: TwigJoin<()> = TwigJoin::new(shape);
+            let root_is_anchored = pattern.nodes[0].axis == Axis::Child;
+            let mut walks: Vec<_> = stream_keys
+                .iter()
+                .map(|k| fetched.runs(k).peekable())
+                .collect();
+            let mut streams: Vec<LuiStream> = (0..walks.len())
+                .map(|i| LuiStream {
+                    cur: BlockCursor::default(),
+                    depth1_only: root_is_anchored && i == 0,
+                })
+                .collect();
+            // Candidate URIs: documents contributing IDs to *every* stream,
+            // optionally reduced by the 2LUPI semijoin set. Only then are its
+            // chunks read into the streams' cursors, and the holistic twig
+            // join runs on them, decoding the blocks it lands in.
+            let candidates: Box<dyn Iterator<Item = &Arc<str>>> = match reduce_to {
+                Some(reduce_to) => Box::new(reduce_to.iter()),
+                None => Box::new(fetched.runs(&stream_keys[0]).map(|run| &run[0].uri)),
+            };
+            let mut uris = Vec::new();
+            for uri in candidates {
+                let in_every_stream = walks.iter_mut().all(|walk| {
+                    while walk.next_if(|run| run[0].uri < *uri).is_some() {}
+                    walk.peek().is_some_and(|run| run[0].uri == *uri)
+                });
+                if !in_every_stream {
+                    continue;
+                }
+                for (walk, stream) in walks.iter_mut().zip(&mut streams) {
+                    let run = walk.next().unwrap_or_default();
+                    stream.cur.refill(|list| read_ids(run, &profile, list));
+                }
+                if join.join(&mut streams) > 0 {
+                    uris.push(uri.clone());
+                }
+            }
+            (uris, entries)
+        }),
+    )
 }
 
 /// [`TwigStream`] over a lazy block cursor, optionally restricted to

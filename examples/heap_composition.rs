@@ -8,8 +8,8 @@
 //! while the warehouse still holds its items. Then the state of
 //! `query_indexed`'s set-up — one warehouse per strategy, built, and a
 //! warm-up pass of the ten queries — split into the cache's parses, the
-//! rest of the cache (write sets, evaluations, shared keys) and the
-//! warehouses.
+//! rest of the cache (write sets, evaluations, look-ups, shared keys) and
+//! the warehouses.
 //!
 //! ```text
 //! cargo run --release --example heap_composition

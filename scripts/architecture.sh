@@ -201,6 +201,22 @@ one_eval_memo() {
     test "$(grep -rl 'EvalMemo' crates src examples tests | wc -l)" -eq 0
 }
 
+# A look-up over the very items the last look-up of its pattern read is
+# computed once on the host: the memo is `ExtractCache`'s fourth
+# (`looked_up`, `memoize_lookup`), asked by `lookup.rs` once every get has
+# been issued and billed. A look-up memo outside `cache.rs`, a map, lock or
+# static in `lookup.rs`, or a per-thread memo is the second copy coming
+# back.
+one_lookup_memo() {
+    memo=$(grep -E 'struct LookupEntry|type LookupMemo|fn (looked_up|memoize_lookup)\(' <<<"$src")
+    test "$(grep -cv '^crates/index/src/cache\.rs:' <<<"$memo")" -eq 0
+    test "$(grep -c '^crates/index/src/cache\.rs:' <<<"$memo")" -eq 4
+    test "$(grep -c 'thread_local!' <<<"$src")" -eq 0
+    lookup=$(grep -E '^crates/index/src/lookup\.rs:' <<<"$src")
+    test "$(grep -cE 'HashMap|BTreeMap|HashSet|Mutex|RwLock|OnceLock|[^'"'"']static ' <<<"$lookup")" -eq 0
+    test "$(grep -cE '\.(looked_up|memoize_lookup)\(' <<<"$lookup")" -eq 2
+}
+
 # The query core reads its inputs where they already lie: a look-up walks
 # each key's fetched items as per-document runs through the one run reader
 # both backends share (`store.rs`: `PathList`, `read_ids`), and a joined
@@ -298,6 +314,7 @@ rules=(
     each_decision_once
     one_fetch_timeline
     one_eval_memo
+    one_lookup_memo
     read_in_place
     query_invariants_once
     one_write_set

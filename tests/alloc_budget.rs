@@ -10,8 +10,8 @@
 //! read path: heap allocations of the ten workload queries
 //! through `run_query` per strategy and through `run_query_no_index` —
 //! look-up, decode, twig join, fetch, evaluate, value join and the
-//! simulator around them — on the warehouse that build left, parse cache
-//! and evaluation memo warm; and one query run 200 times must cost the
+//! simulator around them — on the warehouse that build left, parse cache,
+//! evaluation and look-up memos warm; and one query run 200 times must cost the
 //! same every time.
 //!
 //! Who owns what (DESIGN.md §5l). Per stored item, at most three: the
@@ -199,11 +199,13 @@ fn ten_queries(w: &mut Warehouse, run: fn(&mut Warehouse, &Query) -> CostedQuery
 fn read_path_budget(w: &mut Warehouse, strategy: Strategy) {
     // The measured totals on this corpus, by `Strategy::ALL` position; with
     // a decoded map per look-up key and copied result cells the queries
-    // spent 1 845, 2 537, 4 338, 5 457 and 1 496 (no index), and each
-    // query evaluating its candidates afresh 3 619, 4 299, 6 082, 7 201
-    // and 3 228.
-    const MEASURED: [u64; 4] = [1_319, 1_531, 2_085, 2_521];
-    const MEASURED_NO_INDEX: u64 = 1_180;
+    // spent 1 845, 2 537, 4 338, 5 457 and 1 496 (no index), each query
+    // evaluating its candidates afresh 3 619, 4 299, 6 082, 7 201 and
+    // 3 228, and each look-up sorting and joining its fetched items afresh
+    // (and the query's candidates sorted, not merged) 1 319, 1 531, 2 085,
+    // 2 521 and 1 180.
+    const MEASURED: [u64; 4] = [1_191, 1_403, 1_405, 1_805];
+    const MEASURED_NO_INDEX: u64 = 1_055;
     let budget = |measured: u64| measured + measured / 10;
     let measured = MEASURED[Strategy::ALL
         .iter()
@@ -214,8 +216,8 @@ fn read_path_budget(w: &mut Warehouse, strategy: Strategy) {
     assert!(
         indexed <= budget(measured),
         "{strategy}: {indexed} allocations over the ten workload queries on a 40-document \
-         warehouse, budget {} — the {measured} measured plus a tenth (LU 1 319, LUP 1 531, \
-         LUI 2 085, 2LUPI 2 521, no index 1 180)",
+         warehouse, budget {} — the {measured} measured plus a tenth (LU 1 191, LUP 1 403, \
+         LUI 1 405, 2LUPI 1 805, no index 1 055)",
         budget(measured)
     );
     if strategy != Strategy::Lu {

@@ -1,9 +1,10 @@
 //! The read path keeps state between queries — the "parses are warm"
 //! flag — so stale state is a way to be wrong that the per-query rebuild
-//! never had. One warehouse lives through every kind of mutation with
-//! queries in between (each query re-populates the hoisted state the next
-//! mutation must drop), and after each one it must answer and bill exactly
-//! like a fresh warehouse built from the same final state.
+//! never had, and so is a stale look-up memo entry. One warehouse per
+//! strategy lives through every kind of mutation with queries in between
+//! (each query re-populates the hoisted state and the memo the next
+//! mutation must drop or miss), and after each one it must answer and bill
+//! exactly like a fresh warehouse built from the same final state.
 //!
 //! One test function on purpose (like `prewarm_identity.rs`): it sets the
 //! process-wide `AMADA_THREADS`, which concurrent tests would race on.
@@ -33,8 +34,8 @@ fn queries() -> Vec<Query> {
     .collect()
 }
 
-fn warehouse() -> Warehouse {
-    let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
+fn warehouse(strategy: Strategy) -> Warehouse {
+    let mut cfg = WarehouseConfig::with_strategy(strategy);
     cfg.host.record = true;
     Warehouse::new(cfg)
 }
@@ -50,7 +51,7 @@ fn batch_gets(spans: &[Span]) -> usize {
 /// built from `state`. Both must agree on everything a query reports and
 /// costs, with and without the index.
 fn assert_like_fresh(w: &mut Warehouse, state: &BTreeMap<String, String>, after: &str) {
-    let mut fresh = warehouse();
+    let mut fresh = warehouse(w.config().strategy);
     fresh.upload_documents(state.clone());
     fresh.build_index();
 
@@ -68,7 +69,8 @@ fn assert_like_fresh(w: &mut Warehouse, state: &BTreeMap<String, String>, after:
             };
             let (lived, lived_gets) = run(w);
             let (new, new_gets) = run(&mut fresh);
-            let what = format!("{name} (indexed: {indexed}) after {after}");
+            let strategy = w.config().strategy;
+            let what = format!("{name} (indexed: {indexed}, {strategy}) after {after}");
             assert_eq!(lived.exec.results, new.exec.results, "answers of {what}");
             assert_eq!(lived.cost, new.cost, "bill of {what}");
             assert_eq!(
@@ -100,51 +102,53 @@ fn every_mutation_drops_the_hoisted_read_path_state() {
     };
     for threads in ["1", "2"] {
         std::env::set_var("AMADA_THREADS", threads);
-        let mut w = warehouse();
-        let mut state: BTreeMap<String, String> = BTreeMap::from([
-            ("hot/lion.xml".into(), painting("Lion Hunt", 1854)),
-            ("hot/tiger.xml".into(), painting("Tiger Hunt", 1854)),
-            ("cold/david.xml".into(), sculpture("David", 1504)),
-            ("raft.xml".into(), painting("The Raft", 1819)),
-        ]);
-        w.upload_documents(state.clone());
-        w.build_index();
-        assert_like_fresh(&mut w, &state, "the first build");
+        for strategy in Strategy::ALL {
+            let mut w = warehouse(strategy);
+            let mut state: BTreeMap<String, String> = BTreeMap::from([
+                ("hot/lion.xml".into(), painting("Lion Hunt", 1854)),
+                ("hot/tiger.xml".into(), painting("Tiger Hunt", 1854)),
+                ("cold/david.xml".into(), sculpture("David", 1504)),
+                ("raft.xml".into(), painting("The Raft", 1819)),
+            ]);
+            w.upload_documents(state.clone());
+            w.build_index();
+            assert_like_fresh(&mut w, &state, "the first build");
 
-        // A new document.
-        let uri = "new/thinker.xml".to_string();
-        state.insert(uri.clone(), sculpture("The Thinker", 1854));
-        w.upload_documents([(uri.clone(), state[&uri].clone())]);
-        w.build_index();
-        assert_like_fresh(&mut w, &state, "an upload");
+            // A new document.
+            let uri = "new/thinker.xml".to_string();
+            state.insert(uri.clone(), sculpture("The Thinker", 1854));
+            w.upload_documents([(uri.clone(), state[&uri].clone())]);
+            w.build_index();
+            assert_like_fresh(&mut w, &state, "an upload");
 
-        // The same URI, different bytes.
-        let uri = "hot/lion.xml".to_string();
-        state.insert(uri.clone(), painting("Lion at Rest", 1504));
-        w.upload_documents([(uri.clone(), state[&uri].clone())]);
-        w.build_index();
-        assert_like_fresh(&mut w, &state, "a replace");
+            // The same URI, different bytes.
+            let uri = "hot/lion.xml".to_string();
+            state.insert(uri.clone(), painting("Lion at Rest", 1504));
+            w.upload_documents([(uri.clone(), state[&uri].clone())]);
+            w.build_index();
+            assert_like_fresh(&mut w, &state, "a replace");
 
-        // A document goes…
-        let uri = "cold/david.xml".to_string();
-        let david = state.remove(&uri).unwrap();
-        assert_eq!(w.delete_documents([uri.clone()]).documents, 1);
-        assert_like_fresh(&mut w, &state, "a delete");
+            // A document goes…
+            let uri = "cold/david.xml".to_string();
+            let david = state.remove(&uri).unwrap();
+            assert_eq!(w.delete_documents([uri.clone()]).documents, 1);
+            assert_like_fresh(&mut w, &state, "a delete");
 
-        // …and comes back.
-        state.insert(uri.clone(), david.clone());
-        w.upload_documents([(uri, david)]);
-        w.build_index();
-        assert_like_fresh(&mut w, &state, "a re-upload");
+            // …and comes back.
+            state.insert(uri.clone(), david.clone());
+            w.upload_documents([(uri, david)]);
+            w.build_index();
+            assert_like_fresh(&mut w, &state, "a re-upload");
 
-        // Every document goes, then all come back.
-        let all = std::mem::take(&mut state);
-        assert_eq!(w.delete_documents(all.keys()).documents, all.len() as u64);
-        assert_like_fresh(&mut w, &state, "deleting everything");
-        state = all;
-        w.upload_documents(state.clone());
-        w.build_index();
-        assert_like_fresh(&mut w, &state, "re-uploading everything");
+            // Every document goes, then all come back.
+            let all = std::mem::take(&mut state);
+            assert_eq!(w.delete_documents(all.keys()).documents, all.len() as u64);
+            assert_like_fresh(&mut w, &state, "deleting everything");
+            state = all;
+            w.upload_documents(state.clone());
+            w.build_index();
+            assert_like_fresh(&mut w, &state, "re-uploading everything");
+        }
     }
     std::env::remove_var("AMADA_THREADS");
 }

@@ -29,7 +29,7 @@ fn corpus() -> Vec<(String, String)> {
 fn neighbours_with_colliding_uris_match_their_own_fresh_builds() {
     let docs = corpus();
     let queries = workload();
-    for strategy in [Strategy::Lup, Strategy::TwoLupi] {
+    for strategy in Strategy::ALL {
         isolation_oracle(&docs, &WarehouseConfig::with_strategy(strategy), &queries)
             .unwrap_or_else(|why| panic!("{strategy}: {why}"));
     }
