@@ -4,7 +4,7 @@
 //! GB) and query-processing speed and cost (Table 8).
 
 use crate::{build_warehouse, corpus, Scale, TextTable};
-use amada_cloud::{InstanceType, KvBackend, SimpleDbConfig};
+use amada_cloud::{InstanceType, KvBackend};
 use amada_core::{Pool, WarehouseConfig};
 use amada_index::Strategy;
 use std::collections::HashMap;
@@ -39,18 +39,11 @@ pub fn comparison_suite(scale: &Scale) -> ComparisonSuite {
     let corpus_mb = corpus_bytes as f64 / (1024.0 * 1024.0);
     let queries = crate::workload();
     let units: Vec<(&'static str, KvBackend, Strategy)> = [
-        ("SimpleDB [8]", KvBackend::Simple(SimpleDbConfig::default())),
-        (
-            "DynamoDB (this work)",
-            KvBackend::Dynamo(Default::default()),
-        ),
+        ("SimpleDB [8]", KvBackend::Simple),
+        ("DynamoDB (this work)", KvBackend::Dynamo),
     ]
     .into_iter()
-    .flat_map(|(label, backend)| {
-        Strategy::ALL
-            .iter()
-            .map(move |&s| (label, backend.clone(), s))
-    })
+    .flat_map(|(label, backend)| Strategy::ALL.map(|s| (label, backend, s)))
     .collect();
     let rows: HashMap<(&'static str, Strategy), BackendRow> = amada_par::par_run(
         units

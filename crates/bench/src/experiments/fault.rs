@@ -67,12 +67,7 @@ pub fn fault_rows(scale: &Scale, seed: u64) -> Vec<FaultRow> {
         .iter()
         .map(|&rate| {
             let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
-            cfg.faults = FaultConfig {
-                seed,
-                s3_rate: rate,
-                kv_rate: rate,
-                sqs_rate: rate,
-            };
+            cfg.faults = FaultConfig { seed, rate };
             // Short enough that an expired lease (crash/abandonment) is
             // redelivered within the run, long enough that healthy tasks
             // rarely renew.

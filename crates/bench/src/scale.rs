@@ -50,7 +50,6 @@ impl Scale {
             seed: self.seed,
             num_documents: self.docs,
             target_doc_bytes: self.doc_bytes,
-            ..Default::default()
         }
     }
 }

@@ -113,7 +113,6 @@ fn gen_docs(rng: &mut StdRng, case_index: usize) -> Vec<(String, String)> {
                     seed: rng.next_u64(),
                     num_documents: 64,
                     target_doc_bytes: rng.gen_range(300..1500usize),
-                    ..Default::default()
                 };
                 generate_document(&cfg, rng.gen_range(0..64usize)).xml
             } else {

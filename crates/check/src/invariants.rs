@@ -157,9 +157,7 @@ pub fn billing_oracle(case: &Case, query: &Query) -> Result<(), String> {
     let (faultless, _, _) = run_pipeline(case, query, |cfg| {
         cfg.faults = FaultConfig {
             seed: case.seed ^ case.index as u64,
-            s3_rate: 0.0,
-            kv_rate: 0.0,
-            sqs_rate: 0.0,
+            rate: 0.0,
         }
     });
     if faultless != base {

@@ -9,9 +9,7 @@
 use crate::gen::{final_docs, Case, ChurnOp};
 use crate::invariants;
 use crate::Mutation;
-use amada_cloud::{
-    KvBackend, KvError, KvItem, KvProfile, KvStore, KvValue, SimTime, SimpleDbConfig,
-};
+use amada_cloud::{KvBackend, KvError, KvItem, KvProfile, KvStore, KvValue, SimTime};
 use amada_core::{Warehouse, WarehouseConfig, DOC_BUCKET};
 use amada_index::lookup::{data_path_matches, lui_twig, pattern_keys, query_paths, QueryPath};
 use amada_index::store::{
@@ -72,7 +70,7 @@ pub fn check_case(case: &Case, mutation: Mutation, billing: bool) -> Result<(), 
         .collect();
     let truth = canon_joined(&join_pattern_results(&query, &truth_tuples));
 
-    for backend in &backends() {
+    for backend in backends() {
         let candidates =
             strategy_candidates(&docs, &query, opts, backend, mutation).map_err(|e| {
                 violation(
@@ -137,10 +135,7 @@ fn oracle_twig_vs_naive(docs: &[Document], query: &Query) -> Result<(), Violatio
 
 /// The two services the paper experiments with.
 fn backends() -> [KvBackend; 2] {
-    [
-        KvBackend::default(),
-        KvBackend::Simple(SimpleDbConfig::default()),
-    ]
+    [KvBackend::Dynamo, KvBackend::Simple]
 }
 
 /// Per-pattern candidate URI sets, per strategy (Strategy::ALL order).
@@ -150,12 +145,12 @@ fn strategy_candidates(
     docs: &[Document],
     query: &Query,
     opts: ExtractOptions,
-    backend: &KvBackend,
+    backend: KvBackend,
     mutation: Mutation,
 ) -> Result<Candidates, KvError> {
     let mut out = Vec::with_capacity(Strategy::ALL.len());
     for strategy in Strategy::ALL {
-        let mut store = KvStore::new(backend.clone());
+        let mut store = KvStore::new(backend);
         index_documents(&mut store, docs, strategy, opts);
         let per_pattern: Vec<BTreeSet<String>> =
             if strategy == Strategy::Lup && mutation == Mutation::SkipLupPathFilter {
@@ -206,7 +201,7 @@ fn lup_candidates_without_path_filter(
 // ---------------------------------------------------------------------------
 
 fn oracle_containment(
-    backend: &KvBackend,
+    backend: KvBackend,
     query: &Query,
     candidates: &Candidates,
 ) -> Result<(), Violation> {
@@ -273,14 +268,14 @@ fn render_candidates(
 /// skips the chunk; on SimpleDB it spoils the blob, an empty list) and a
 /// document whose path list is a blob (marked, on DynamoDB).
 fn oracle_lookup_reference(
-    backend: &KvBackend,
+    backend: KvBackend,
     docs: &[Document],
     query: &Query,
     opts: ExtractOptions,
 ) -> Result<(), Violation> {
     let fail = |e: KvError| violation("lookup", format!("{}: {e:?}", backend.profile().name));
     for strategy in Strategy::ALL {
-        let mut store = KvStore::new(backend.clone());
+        let mut store = KvStore::new(backend);
         index_documents(&mut store, docs, strategy, opts);
         for (pi, pattern) in query.patterns.iter().enumerate() {
             plant(&mut store, strategy, docs, pattern, opts).map_err(fail)?;
@@ -468,7 +463,7 @@ fn eval_pattern(docs: &[Document], only: Option<&BTreeSet<String>>, p: &TreePatt
 }
 
 fn oracle_answers(
-    backend: &KvBackend,
+    backend: KvBackend,
     docs: &[Document],
     query: &Query,
     truth: &[String],

@@ -6,7 +6,7 @@
 //! before is ready.
 
 use amada_check::generate_case;
-use amada_cloud::{KvError, KvStore, SimTime, SimpleDbConfig};
+use amada_cloud::{KvBackend, KvError, KvStore, SimTime};
 use amada_index::{
     index_documents, lookup_pattern_in, lookup_query, ExtractOptions, QueryLookup, Strategy,
 };
@@ -44,7 +44,7 @@ fn lookup_query_answers_what_the_per_pattern_chain_answered() {
         };
         for strategy in Strategy::ALL {
             // Two stores built alike: a look-up moves a store's queues.
-            let stores = || [KvStore::default(), KvStore::new(SimpleDbConfig::default())];
+            let stores = || [KvStore::default(), KvStore::new(KvBackend::Simple)];
             for (mut chain, mut flat) in stores().into_iter().zip(stores()) {
                 let what = format!("case {index}, {strategy} on {}", chain.profile().name);
                 index_documents(&mut chain, &docs, strategy, opts);

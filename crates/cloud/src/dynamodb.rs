@@ -1,5 +1,4 @@
-//! DynamoDB (paper Section 6), the
-//! [`KvBackend::Dynamo`](crate::store::KvBackend::Dynamo) service of the
+//! DynamoDB (paper Section 6), the [`KvBackend::Dynamo`] service of the
 //! one [`KvStore`]: composite-key items of up to 64 KB whose values may
 //! be **binary** (the feature the paper exploits "to store compressed
 //! (encoded) sets of IDs in a single DynamoDB value"), batch APIs, and
@@ -11,30 +10,30 @@
 use crate::clock::SimDuration;
 use crate::kv::KvProfile;
 use crate::service::ServiceQueue;
-use crate::store::{Footprint, KvStore, Lanes, Meter};
+use crate::store::{Footprint, KvBackend, KvStore, Lanes, Meter};
 
 /// Per-item storage overhead billed by DynamoDB.
 pub const ITEM_OVERHEAD_BYTES: u64 = 100;
 
-/// Provisioned-throughput and latency parameters.
-#[derive(Debug, Clone)]
-pub struct DynamoConfig {
-    /// Write capacity units per second (1 unit = 1 KB written).
-    pub write_units_per_sec: f64,
-    /// Read capacity units per second (1 unit = 4 KB read,
-    /// eventually-consistent reads count half).
-    pub read_units_per_sec: f64,
-    /// Per-request latency.
-    pub latency: SimDuration,
-}
+/// Provisioned write capacity, units per second (1 unit = 1 KB written).
+const WRITE_UNITS_PER_SEC: f64 = 10_000.0;
+/// Provisioned read capacity, units per second (1 unit = 4 KB read,
+/// eventually-consistent reads count half).
+const READ_UNITS_PER_SEC: f64 = 20_000.0;
+/// Fixed share of the lane one request occupies.
+const REQUEST_OVERHEAD: SimDuration = SimDuration::from_micros(300);
+/// Per-request latency.
+const LATENCY: SimDuration = SimDuration::from_millis(8);
 
-impl Default for DynamoConfig {
-    fn default() -> Self {
-        DynamoConfig {
-            write_units_per_sec: 10_000.0,
-            read_units_per_sec: 20_000.0,
-            latency: SimDuration::from_millis(8),
-        }
+/// A field-less marker for DynamoDB that converts into
+/// [`KvBackend::Dynamo`]: `DynamoDb::new(DynamoConfig::default())` opens
+/// the store on it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DynamoConfig;
+
+impl From<DynamoConfig> for KvBackend {
+    fn from(_: DynamoConfig) -> Self {
+        KvBackend::Dynamo
     }
 }
 
@@ -47,7 +46,7 @@ fn capacity(units: f64) -> Meter {
     }
 }
 
-/// The store on DynamoDB: `DynamoDb::new(DynamoConfig::default())`.
+/// The one store, as it is opened on DynamoDB: `DynamoDb::default()`.
 pub type DynamoDb = KvStore;
 
 /// DynamoDB's limits and capabilities.
@@ -63,15 +62,12 @@ pub const PROFILE: KvProfile = KvProfile {
     batch_get_limit: 100,
 };
 
-/// Each lane is an independent slice of provisioned throughput at the
-/// configured rates.
-pub(crate) fn lanes(config: &DynamoConfig) -> Lanes {
-    let lane = |units_per_sec| {
-        ServiceQueue::new(SimDuration::from_micros(300), units_per_sec, config.latency)
-    };
+/// Each lane is an independent slice of provisioned throughput.
+pub(crate) fn lanes() -> Lanes {
+    let lane = |units_per_sec| ServiceQueue::new(REQUEST_OVERHEAD, units_per_sec, LATENCY);
     Lanes {
-        writes: lane(config.write_units_per_sec),
-        reads: lane(config.read_units_per_sec),
+        writes: lane(WRITE_UNITS_PER_SEC),
+        reads: lane(READ_UNITS_PER_SEC),
     }
 }
 
@@ -247,41 +243,30 @@ mod tests {
 
     #[test]
     fn saturation_grows_completion_times() {
-        // A provisioned write rate of 100 units/s given 1000 small items
-        // must take roughly a second (capacity + per-request overhead).
-        let mut db = DynamoDb::new(DynamoConfig {
-            write_units_per_sec: 100.0,
-            ..Default::default()
-        });
-        db.ensure_table("t");
-        let mut last = SimTime::ZERO;
-        for i in 0..1000 {
-            last = db
-                .batch_put(
-                    SimTime::ZERO,
-                    "t",
-                    vec![item("k", &format!("r{i}"), "d", KvValue::S(""))],
-                )
-                .unwrap();
-        }
-        assert!(last.as_secs_f64() > 0.8, "took {}", last.as_secs_f64());
-        // Larger items consume proportionally more capacity.
-        let mut db2 = DynamoDb::new(DynamoConfig {
-            write_units_per_sec: 100.0,
-            ..Default::default()
-        });
-        db2.ensure_table("t");
-        let mut last2 = SimTime::ZERO;
-        for i in 0..1000 {
-            last2 = db2
-                .batch_put(
-                    SimTime::ZERO,
-                    "t",
-                    vec![item("k", &format!("r{i}"), "d", KvValue::B(&vec![0; 2048]))],
-                )
-                .unwrap();
-        }
-        assert!(last2.micros() > 5 * last.micros());
+        // 1000 items put at the same instant queue on the write lane: the
+        // last completes no sooner than each request's overhead plus the
+        // capacity they consume takes at the provisioned rate.
+        let n = 1000u64;
+        let put_all = |value: &[u8]| {
+            let mut db = DynamoDb::default();
+            db.ensure_table("t");
+            let mut last = SimTime::ZERO;
+            for i in 0..n {
+                let it = item("k", &format!("r{i}"), "d", KvValue::B(value));
+                last = db.batch_put(SimTime::ZERO, "t", vec![it]).unwrap();
+            }
+            last.as_secs_f64()
+        };
+        let secs = |units: f64| n as f64 * units / WRITE_UNITS_PER_SEC;
+        let overhead = n as f64 * REQUEST_OVERHEAD.micros() as f64 / 1e6;
+        let small = put_all(&[]);
+        assert!(small >= overhead + secs(0.05), "took {small}");
+        // Larger items consume proportionally more capacity: 2 KB more
+        // per item is 2 units more each (less a microsecond of rounding
+        // per request).
+        let large = put_all(&[0; 2048]);
+        let extra = large - small;
+        assert!(extra >= secs(2.0) - n as f64 / 1e6, "took {extra} more");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! failed or not, is a billed request. This module makes those failures
 //! representable without giving up the simulation's bit-reproducibility:
 //! each service draws from its own seeded [`amada_rng::StdRng`] stream, so
-//! a `(seed, rates)` pair maps to exactly one fault schedule, on any host,
+//! a `(seed, rate)` pair maps to exactly one fault schedule, on any host,
 //! at any thread count (the engine is single-threaded; service calls
 //! happen in one deterministic order).
 //!
@@ -27,28 +27,23 @@ pub trait RetryAfter {
     fn retry_after(&self) -> Option<SimTime>;
 }
 
-/// Per-service transient-fault rates, plus the master seed deriving every
-/// service's fault stream. `Default` is all-off.
+/// The transient-fault rate every service throttles at, plus the master
+/// seed deriving each service's own fault stream. `Default` is off.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Master seed; each service derives its own independent stream.
     pub seed: u64,
-    /// Probability that an S3 put/get is throttled (503 SlowDown).
-    pub s3_rate: f64,
-    /// Probability that an index-store operation is throttled
-    /// (ProvisionedThroughputExceeded).
-    pub kv_rate: f64,
-    /// Probability that an SQS send/receive/delete/renew is throttled.
-    pub sqs_rate: f64,
+    /// Probability that a request is throttled: an S3 put/get (503
+    /// SlowDown), an index-store operation (ProvisionedThroughputExceeded),
+    /// an SQS send/receive/delete/renew.
+    pub rate: f64,
 }
 
 impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig {
             seed: 0xFA17,
-            s3_rate: 0.0,
-            kv_rate: 0.0,
-            sqs_rate: 0.0,
+            rate: 0.0,
         }
     }
 }
@@ -60,34 +55,10 @@ const KV_TAG: u64 = 0x4B56_5300;
 const SQS_TAG: u64 = 0x5351_5300;
 
 impl FaultConfig {
-    /// The same fault rate on every service.
-    pub fn uniform(seed: u64, rate: f64) -> FaultConfig {
-        FaultConfig {
-            seed,
-            s3_rate: rate,
-            kv_rate: rate,
-            sqs_rate: rate,
-        }
-    }
-
-    /// True when any service can fail.
-    pub fn is_active(&self) -> bool {
-        self.s3_rate > 0.0 || self.kv_rate > 0.0 || self.sqs_rate > 0.0
-    }
-
-    /// The injector for the file store.
-    pub fn s3_injector(&self) -> FaultInjector {
-        FaultInjector::new(self.s3_rate, self.seed ^ S3_TAG)
-    }
-
-    /// The injector for the index store.
-    pub fn kv_injector(&self) -> FaultInjector {
-        FaultInjector::new(self.kv_rate, self.seed ^ KV_TAG)
-    }
-
-    /// The injector for the queue service.
-    pub fn sqs_injector(&self) -> FaultInjector {
-        FaultInjector::new(self.sqs_rate, self.seed ^ SQS_TAG)
+    /// The injectors of the file store, the index store and the queue
+    /// service, in that order: one rate, each on its own stream.
+    pub(crate) fn injectors(&self) -> [FaultInjector; 3] {
+        [S3_TAG, KV_TAG, SQS_TAG].map(|tag| FaultInjector::new(self.rate, self.seed ^ tag))
     }
 }
 
@@ -170,20 +141,21 @@ mod tests {
 
     #[test]
     fn services_get_independent_streams() {
-        let cfg = FaultConfig::uniform(7, 0.5);
-        let mut s3 = cfg.s3_injector();
-        let mut kv = cfg.kv_injector();
-        let a: Vec<bool> = (0..64).map(|_| s3.roll()).collect();
-        let b: Vec<bool> = (0..64).map(|_| kv.roll()).collect();
-        assert_ne!(a, b, "per-service streams must differ");
+        let streams = FaultConfig { seed: 7, rate: 0.5 }
+            .injectors()
+            .map(|mut injector| (0..64).map(|_| injector.roll()).collect::<Vec<_>>());
+        for (i, a) in streams.iter().enumerate() {
+            for b in &streams[i + 1..] {
+                assert_ne!(a, b, "per-service streams must differ");
+            }
+        }
     }
 
     #[test]
     fn default_config_is_off() {
-        let cfg = FaultConfig::default();
-        assert!(!cfg.is_active());
-        assert!(!cfg.s3_injector().is_active());
-        assert!(FaultConfig::uniform(1, 0.1).is_active());
+        let active = |cfg: FaultConfig| cfg.injectors().map(|i| i.is_active());
+        assert_eq!(active(FaultConfig::default()), [false; 3]);
+        assert_eq!(active(FaultConfig { seed: 1, rate: 0.1 }), [true; 3]);
     }
 
     #[test]

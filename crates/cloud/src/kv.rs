@@ -23,16 +23,17 @@
 //! | storage overhead | 100 B per item   | 45 B per attribute-value |
 //! | service unit | capacity unit, fractional (0.05 + KB written, 0.25 + KB/8 read) | byte |
 //! | span `units` | service units         | billed units |
-//! | lane rate (default) | 10 000 write / 20 000 read units/s | 384 KB/s write, 1 536 KB/s read |
+//! | lane rate | 10 000 write / 20 000 read units/s | 384 KB/s write, 1 536 KB/s read |
 //! | lane overhead per request | 300 µs    | 4 ms |
-//! | latency (default) | 8 ms             | 60 ms |
+//! | latency | 8 ms             | 60 ms |
 //!
 //! The binary-value capability is what lets the DynamoDB backend store the
 //! compressed structural-ID lists that make LUI/2LUPI competitive
 //! (Section 8.4 credits exactly this for the 1–2 order-of-magnitude
 //! speedup over \[8\]). Each column is one [`crate::store::KvBackend`]
-//! variant, its numbers in [`crate::dynamodb`] and [`crate::simpledb`];
-//! the store is written once, [`crate::store::KvStore`].
+//! variant, its numbers constants in [`crate::dynamodb`] and
+//! [`crate::simpledb`]; the store is written once,
+//! [`crate::store::KvStore`].
 
 use crate::clock::SimTime;
 use std::borrow::Borrow;

@@ -55,7 +55,6 @@ pub use obs::{ActorTag, Ctx, Outcome, Phase, Recorder, ServiceKind, Span};
 pub use pricing::{InstanceType, PriceTable};
 pub use s3::{content_hash, Blob, S3Error, S3Stats, S3};
 pub use sim::{Actor, CostReport, CostSnapshot, Engine, StepResult, StorageCost, World};
-pub use simpledb::SimpleDbConfig;
 pub use sqs::{Message, Sqs, SqsError, SqsStats};
 pub use store::{KvBackend, KvStore};
 pub use tuning::KvTuning;

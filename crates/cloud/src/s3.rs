@@ -376,11 +376,6 @@ impl S3 {
         self.peek(bucket, key).is_some()
     }
 
-    /// Size in bytes of an object, if present.
-    pub fn object_size(&self, bucket: &str, key: &str) -> Option<u64> {
-        self.peek(bucket, key).map(|o| o.len() as u64)
-    }
-
     /// Usage counters.
     pub fn stats(&self) -> S3Stats {
         self.stats

@@ -102,9 +102,10 @@ impl World {
     /// one that never heard of fault injection: inactive injectors draw no
     /// randomness and fail no requests.
     pub fn install_faults(&mut self, cfg: &FaultConfig) {
-        self.s3.set_faults(cfg.s3_injector());
-        self.kv.set_faults(cfg.kv_injector());
-        self.sqs.set_faults(cfg.sqs_injector());
+        let [s3, kv, sqs] = cfg.injectors();
+        self.s3.set_faults(s3);
+        self.kv.set_faults(kv);
+        self.sqs.set_faults(sqs);
     }
 
     /// Captures the current billing counters (for per-phase cost deltas).
@@ -432,11 +433,7 @@ mod tests {
                 _ => world.egress(SimTime(round), rand() % 100_000),
             }
             if round == 100 {
-                world.install_faults(&FaultConfig {
-                    seed: 7,
-                    s3_rate: 0.3,
-                    ..FaultConfig::default()
-                });
+                world.install_faults(&FaultConfig { seed: 7, rate: 0.3 });
             }
         }
         let st = world.s3.stats();

@@ -20,29 +20,17 @@ use crate::store::{Footprint, Lanes, Meter};
 /// plus per value, per the SimpleDB pricing formula).
 pub const ATTR_OVERHEAD_BYTES: u64 = 45;
 
-/// Service-rate parameters.
-#[derive(Debug, Clone)]
-pub struct SimpleDbConfig {
-    /// Aggregate write throughput, bytes/second.
-    pub write_bytes_per_sec: f64,
-    /// Aggregate read throughput, bytes/second.
-    pub read_bytes_per_sec: f64,
-    /// Per-request latency.
-    pub latency: SimDuration,
-}
-
-impl Default for SimpleDbConfig {
-    fn default() -> Self {
-        // Roughly 1/20 of the DynamoDB defaults, with 5× the latency —
-        // producing the one-to-two order-of-magnitude indexing gap the
-        // paper measured (its Table 7: 196 ms/MB vs 7491 ms/MB for LU).
-        SimpleDbConfig {
-            write_bytes_per_sec: 384.0 * 1024.0,
-            read_bytes_per_sec: 1536.0 * 1024.0,
-            latency: SimDuration::from_millis(60),
-        }
-    }
-}
+// Roughly 1/20 of DynamoDB's rates, with a longer overhead and latency,
+// producing the one-to-two order-of-magnitude indexing gap the paper
+// measured (its Table 7: 196 ms/MB vs 7491 ms/MB for LU).
+/// Aggregate write throughput, bytes per second.
+const WRITE_BYTES_PER_SEC: f64 = 384.0 * 1024.0;
+/// Aggregate read throughput, bytes per second.
+const READ_BYTES_PER_SEC: f64 = 1536.0 * 1024.0;
+/// Fixed share of the lane one request occupies.
+const REQUEST_OVERHEAD: SimDuration = SimDuration::from_millis(4);
+/// Per-request latency.
+const LATENCY: SimDuration = SimDuration::from_millis(60);
 
 /// SimpleDB's limits and capabilities.
 pub const PROFILE: KvProfile = KvProfile {
@@ -58,13 +46,11 @@ pub const PROFILE: KvProfile = KvProfile {
     batch_get_limit: 1,
 };
 
-pub(crate) fn lanes(config: &SimpleDbConfig) -> Lanes {
-    let lane = |bytes_per_sec| {
-        ServiceQueue::new(SimDuration::from_millis(4), bytes_per_sec, config.latency)
-    };
+pub(crate) fn lanes() -> Lanes {
+    let lane = |bytes_per_sec| ServiceQueue::new(REQUEST_OVERHEAD, bytes_per_sec, LATENCY);
     Lanes {
-        writes: lane(config.write_bytes_per_sec),
-        reads: lane(config.read_bytes_per_sec),
+        writes: lane(WRITE_BYTES_PER_SEC),
+        reads: lane(READ_BYTES_PER_SEC),
     }
 }
 
@@ -88,13 +74,12 @@ pub(crate) fn read(bytes: usize) -> Meter {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::clock::SimTime;
     use crate::kv::{KvError, KvItem, KvValue};
-    use crate::store::KvStore;
+    use crate::store::{KvBackend, KvStore};
 
     fn simpledb() -> KvStore {
-        KvStore::new(SimpleDbConfig::default())
+        KvStore::new(KvBackend::Simple)
     }
 
     fn item(hash: &str, range: &str, val: KvValue) -> KvItem {

@@ -3,9 +3,9 @@
 //! DynamoDB and SimpleDB hold the same tables ([`ItemTable`]) behind the
 //! same API and take every request through the same steps; what differs
 //! is the *service* — its limits, what it bills, how fast it serves — and
-//! [`KvBackend`] is all that names one: a variant per service, carrying
-//! its config. [`KvStore`] is the one store, opened on a backend. Every
-//! request, on either backend, runs
+//! [`KvBackend`] is all that names one: a variant per service, its
+//! numbers constants of the service's module. [`KvStore`] is the one
+//! store, opened on a backend. Every request, on either backend, runs
 //!
 //! ```text
 //! batch limit → item limits → table exists → fault roll
@@ -17,14 +17,14 @@
 //! the fault stream), and a throttled request has touched no data.
 
 use crate::clock::SimTime;
-use crate::dynamodb::{self, DynamoConfig};
+use crate::dynamodb;
 use crate::fault::FaultInjector;
 use crate::kv::{ItemTable, KvError, KvItem, KvProfile, KvStats};
 use crate::money::Money;
 use crate::obs::{Outcome, Recorder, ServiceKind, Span};
 use crate::pricing::PriceTable;
 use crate::service::ServiceQueue;
-use crate::simpledb::{self, SimpleDbConfig};
+use crate::simpledb;
 use crate::tuning::KvTuning;
 use std::collections::HashMap;
 
@@ -96,49 +96,31 @@ const READ: Dir = Dir {
     throttled_op: "get",
 };
 
-/// Which key-value service hosts the index store, with its config: the
-/// one description of a service. The table in [`crate::kv`] lists both
-/// side by side.
-#[derive(Debug, Clone)]
+/// Which key-value service hosts the index store: the one description of
+/// a service. The table in [`crate::kv`] lists both side by side.
+#[derive(Debug, Clone, Copy, Default)]
 pub enum KvBackend {
     /// DynamoDB (this paper's system).
-    Dynamo(DynamoConfig),
+    #[default]
+    Dynamo,
     /// SimpleDB (the baseline of \[8\], Tables 7–8).
-    Simple(SimpleDbConfig),
-}
-
-impl Default for KvBackend {
-    fn default() -> Self {
-        KvBackend::Dynamo(DynamoConfig::default())
-    }
-}
-
-impl From<DynamoConfig> for KvBackend {
-    fn from(config: DynamoConfig) -> Self {
-        KvBackend::Dynamo(config)
-    }
-}
-
-impl From<SimpleDbConfig> for KvBackend {
-    fn from(config: SimpleDbConfig) -> Self {
-        KvBackend::Simple(config)
-    }
+    Simple,
 }
 
 impl KvBackend {
     /// Limits and capabilities, before a [`KvTuning`] narrows them.
     pub fn profile(&self) -> KvProfile {
         match self {
-            KvBackend::Dynamo(_) => dynamodb::PROFILE,
-            KvBackend::Simple(_) => simpledb::PROFILE,
+            KvBackend::Dynamo => dynamodb::PROFILE,
+            KvBackend::Simple => simpledb::PROFILE,
         }
     }
 
-    /// Idle lanes at the config's rates.
+    /// Idle lanes at the service's rates.
     fn lanes(&self) -> Lanes {
         match self {
-            KvBackend::Dynamo(config) => dynamodb::lanes(config),
-            KvBackend::Simple(config) => simpledb::lanes(config),
+            KvBackend::Dynamo => dynamodb::lanes(),
+            KvBackend::Simple => simpledb::lanes(),
         }
     }
 
@@ -146,16 +128,16 @@ impl KvBackend {
     /// removed.
     fn written(&self, item: Footprint) -> Meter {
         match self {
-            KvBackend::Dynamo(_) => dynamodb::written(item),
-            KvBackend::Simple(_) => simpledb::written(item),
+            KvBackend::Dynamo => dynamodb::written(item),
+            KvBackend::Simple => simpledb::written(item),
         }
     }
 
     /// One hash key read, `bytes` of items under it.
     fn read(&self, bytes: usize) -> Meter {
         match self {
-            KvBackend::Dynamo(_) => dynamodb::read(bytes),
-            KvBackend::Simple(_) => simpledb::read(bytes),
+            KvBackend::Dynamo => dynamodb::read(bytes),
+            KvBackend::Simple => simpledb::read(bytes),
         }
     }
 
@@ -163,29 +145,29 @@ impl KvBackend {
     /// `ovh(D, I)` is the sum over stored items).
     fn overhead(&self, item: Footprint) -> u64 {
         match self {
-            KvBackend::Dynamo(_) => dynamodb::ITEM_OVERHEAD_BYTES,
-            KvBackend::Simple(_) => simpledb::ATTR_OVERHEAD_BYTES * item.values as u64,
+            KvBackend::Dynamo => dynamodb::ITEM_OVERHEAD_BYTES,
+            KvBackend::Simple => simpledb::ATTR_OVERHEAD_BYTES * item.values as u64,
         }
     }
 
     /// Whether `batch_get` is one request over up to `batch_get_limit`
     /// keys; otherwise it is sequential `get`s.
     fn batch_get_is_one_request(&self) -> bool {
-        matches!(self, KvBackend::Dynamo(_))
+        matches!(self, KvBackend::Dynamo)
     }
 
     /// Whether a span's `units` are the billed units; otherwise they are
     /// the service units (capacity consumed).
     fn spans_report_billed_units(&self) -> bool {
-        matches!(self, KvBackend::Simple(_))
+        matches!(self, KvBackend::Simple)
     }
 }
 
 /// What one request asks of its lane — service units, billed units and
 /// bytes moved, metered per item and per key — plus the change in stored
 /// bytes it caused, under the rules of `backend`.
-struct Demand<'a> {
-    backend: &'a KvBackend,
+struct Demand {
+    backend: KvBackend,
     service: f64,
     billed: u64,
     bytes: u64,
@@ -193,7 +175,7 @@ struct Demand<'a> {
     overhead_delta: i64,
 }
 
-impl Demand<'_> {
+impl Demand {
     fn add(&mut self, meter: Meter, bytes: usize) {
         self.service += meter.service;
         self.billed += meter.billed;
@@ -277,7 +259,7 @@ impl KvStore {
             return Err(KvError::Throttled { available_at });
         }
         let mut demand = Demand {
-            backend: &self.backend,
+            backend: self.backend,
             service: 0.0,
             billed: 0,
             bytes: 0,
@@ -497,6 +479,7 @@ impl Default for KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::SimDuration;
     use crate::dynamodb::ITEM_OVERHEAD_BYTES;
     use crate::kv::KvValue;
     use crate::simpledb::ATTR_OVERHEAD_BYTES;
@@ -523,8 +506,6 @@ mod tests {
 
     /// Every opening of `tests/store_golden.rs`, table "t" created.
     fn openings() -> Vec<Opening> {
-        let dynamo = || KvBackend::Dynamo(Default::default());
-        let simple = || KvBackend::Simple(Default::default());
         // ⌈0.05 + 3.0 KB⌉ capacity units and 100 B for the item, against
         // one operation and 45 B for each of its three values.
         let on_dynamo = (4, ITEM_OVERHEAD_BYTES);
@@ -532,22 +513,22 @@ mod tests {
         [
             (
                 "dynamodb",
-                KvStore::open(dynamo(), KvTuning::NONE),
+                KvStore::open(KvBackend::Dynamo, KvTuning::NONE),
                 on_dynamo,
             ),
             (
                 "simpledb",
-                KvStore::open(simple(), KvTuning::NONE),
+                KvStore::open(KvBackend::Simple, KvTuning::NONE),
                 on_simple,
             ),
             (
                 "dynamodb-strings",
-                KvStore::open(dynamo(), STRINGS),
+                KvStore::open(KvBackend::Dynamo, STRINGS),
                 on_dynamo,
             ),
             (
                 "dynamodb-unbatched",
-                KvStore::open(dynamo(), UNBATCHED),
+                KvStore::open(KvBackend::Dynamo, UNBATCHED),
                 on_dynamo,
             ),
         ]
@@ -606,6 +587,55 @@ mod tests {
             assert!(ready > SimTime(5), "{name}");
             let (items, _) = store.get(SimTime::ZERO, "t", "missing").unwrap();
             assert!(items.is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn an_idle_store_answers_at_the_service_tables_figures() {
+        // Per service, the "lane rate", "lane overhead per request" and
+        // "latency" rows of the table in `crate::kv`, and its "service
+        // unit" row as the units one item written or one key read takes.
+        type Units = fn(f64) -> f64;
+        let rows: [(KvBackend, f64, f64, u64, u64, Units, Units); 2] = [
+            (
+                KvBackend::Dynamo,
+                10_000.0,
+                20_000.0,
+                300,
+                8_000,
+                |bytes| 0.05 + bytes / 1024.0,
+                |bytes| 0.25 + bytes / 8192.0,
+            ),
+            (
+                KvBackend::Simple,
+                384.0 * 1024.0,
+                1536.0 * 1024.0,
+                4_000,
+                60_000,
+                |bytes| bytes,
+                |bytes| bytes,
+            ),
+        ];
+        for (backend, write_rate, read_rate, overhead_us, latency_us, written, read) in rows {
+            let mut store = KvStore::new(backend);
+            store.ensure_table("t");
+            // 60 values of 1 000 B: large enough that a rate off by a
+            // tenth of a percent moves a completion by a microsecond.
+            let value = "x".repeat(1000);
+            let it = item("ename", "u1", "delacroix.xml", &[value.as_str(); 60]);
+            let bytes = it.byte_size() as f64;
+            // `overhead + units/rate + latency`, the service time rounded
+            // up to a microsecond.
+            let at = |units: f64, rate: f64| {
+                SimTime::ZERO
+                    + SimDuration::from_micros(overhead_us)
+                    + SimDuration::from_secs_f64(units / rate)
+                    + SimDuration::from_micros(latency_us)
+            };
+            let put = store.batch_put(SimTime::ZERO, "t", vec![it]).unwrap();
+            assert_eq!(put, at(written(bytes), write_rate), "{backend:?} put");
+            let (_, got) = store.get(SimTime::ZERO, "t", "ename").unwrap();
+            assert_eq!(got, at(read(bytes), read_rate), "{backend:?} get");
         }
     }
 
@@ -878,14 +908,8 @@ mod tests {
         // and `overhead_bytes` is the service's rule over the same items.
         let tunings = [KvTuning::NONE, STRINGS, UNBATCHED];
         for seed in 0..6u64 {
-            let backends = [
-                KvBackend::Dynamo(Default::default()),
-                KvBackend::Simple(Default::default()),
-            ];
-            for (backend, tuning) in backends
-                .into_iter()
-                .flat_map(|b| tunings.map(|t| (b.clone(), t)))
-            {
+            let backends = [KvBackend::Dynamo, KvBackend::Simple];
+            for (backend, tuning) in backends.into_iter().flat_map(|b| tunings.map(|t| (b, t))) {
                 let mut store = KvStore::open(backend, tuning);
                 let name = store.profile().name;
                 let per_value = name == "SimpleDB";

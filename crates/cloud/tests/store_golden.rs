@@ -16,7 +16,7 @@
 
 use amada_cloud::{
     content_hash, FaultInjector, KvBackend, KvError, KvField, KvItem, KvStore, KvTuning, KvValue,
-    PriceTable, Recorder, SimTime, SimpleDbConfig,
+    PriceTable, Recorder, SimTime,
 };
 use amada_rng::StdRng;
 use std::fmt::Write;
@@ -31,7 +31,7 @@ const FAULT_RATE: f64 = 0.30;
 /// One way of opening a store.
 struct Opening {
     name: &'static str,
-    backend: fn() -> KvBackend,
+    backend: KvBackend,
     tuning: KvTuning,
     golden: Golden<'static>,
 }
@@ -61,7 +61,7 @@ fn openings() -> [Opening; 4] {
     [
         Opening {
             name: "dynamodb",
-            backend: KvBackend::default,
+            backend: KvBackend::Dynamo,
             tuning: KvTuning::NONE,
             golden: Golden {
                 ops: 0x5484_f30a_1fd0_027d,
@@ -72,7 +72,7 @@ fn openings() -> [Opening; 4] {
         },
         Opening {
             name: "simpledb",
-            backend: || KvBackend::Simple(SimpleDbConfig::default()),
+            backend: KvBackend::Simple,
             tuning: KvTuning::NONE,
             golden: Golden {
                 ops: 0xf754_6fe4_5cf3_4b5b,
@@ -83,7 +83,7 @@ fn openings() -> [Opening; 4] {
         },
         Opening {
             name: "dynamodb-strings",
-            backend: KvBackend::default,
+            backend: KvBackend::Dynamo,
             tuning: strings,
             golden: Golden {
                 ops: 0xbba5_4399_5315_55d7,
@@ -94,7 +94,7 @@ fn openings() -> [Opening; 4] {
         },
         Opening {
             name: "dynamodb-unbatched",
-            backend: KvBackend::default,
+            backend: KvBackend::Dynamo,
             tuning: unbatched,
             golden: Golden {
                 ops: 0x84f3_6c6c_5aee_83cd,
@@ -259,7 +259,7 @@ fn run_script(store: &mut KvStore) -> String {
 }
 
 fn transcript(opening: &Opening) -> (String, String, String, String) {
-    let mut store = KvStore::open((opening.backend)(), opening.tuning);
+    let mut store = KvStore::open(opening.backend, opening.tuning);
     let recorder = Recorder::enabled(PriceTable::default());
     store.ensure_table(TABLES[0]);
     store.ensure_table(TABLES[1]);

@@ -69,15 +69,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Host-side cache of parsed documents and memoized extraction results,
-/// keyed by URI and content hash (the stored object's ETag), so that
-/// re-uploading a changed document under the same URI is re-parsed
-/// (virtual time still charges every parse and extraction — cloud
-/// instances are stateless across tasks; the cache only spares the
-/// simulation host). Sharded and `Send + Sync`: the warehouse prewarms it
-/// across all host cores before the single-threaded engine runs.
-pub type DocCache = Arc<ExtractCache>;
-
 /// What the index store holds for every URI whose rebuild is pending. The
 /// front end makes the entry — an empty one for a new document — with the
 /// first loader message it queues since the URI's last completed rebuild,
@@ -271,8 +262,6 @@ pub struct LoaderCore {
     pub opts: ExtractOptions,
     /// Shared totals.
     pub totals: Rc<RefCell<LoaderTotals>>,
-    /// Host document cache.
-    pub cache: DocCache,
     /// Fault injection: crash *mid-upload*, after writing this many index
     /// batches (across all documents) — the already-written batches stay
     /// in the store, the message lease expires, and the document is
@@ -300,7 +289,6 @@ impl LoaderCore {
         worker: Worker,
         retractions: RetractionRegistry,
         totals: Rc<RefCell<LoaderTotals>>,
-        cache: DocCache,
     ) -> LoaderCore {
         LoaderCore {
             worker,
@@ -308,7 +296,6 @@ impl LoaderCore {
             strategy: cfg.strategy,
             opts: cfg.extract,
             totals,
-            cache,
             crash_after_batches: None,
             batches_written: 0,
             retractions,
@@ -374,7 +361,8 @@ impl LoaderCore {
         // items stay in the cache, and the puts clone them. A document that
         // is not XML is charged its parse and parked at once.
         let profile = world.kv.profile();
-        let extracted = (self.cache).write_set(&uri, &bytes, self.strategy, self.opts, &profile);
+        let extracted =
+            ExtractCache::shared().write_set(&uri, &bytes, self.strategy, self.opts, &profile);
         let entry_bytes = extracted.as_ref().map_or(0, |set| set.raw_bytes);
         let extraction = world.work.parse(bytes.len() as u64, self.ecu)
             + world.work.extract(entry_bytes, self.ecu);
@@ -606,8 +594,6 @@ pub struct QueryCore {
     pub no_documents: bool,
     /// Extraction options (must match how the index was built).
     pub opts: ExtractOptions,
-    /// Host document cache.
-    pub cache: DocCache,
     /// Completed executions (shared with the warehouse).
     pub executions: Rc<RefCell<Vec<QueryExecution>>>,
 }
@@ -620,7 +606,6 @@ impl QueryCore {
         worker: Worker,
         strategy: Option<Strategy>,
         executions: Rc<RefCell<Vec<QueryExecution>>>,
-        cache: DocCache,
     ) -> QueryCore {
         QueryCore {
             worker,
@@ -629,7 +614,6 @@ impl QueryCore {
             strategy,
             no_documents: false,
             opts: cfg.extract,
-            cache,
             executions,
         }
     }
@@ -751,7 +735,7 @@ impl QueryCore {
         // of `lookup.uris` is fetched once and billed an evaluation by every
         // pattern naming it as it arrives (candidates share one order); the
         // host asks the cache's memo, joins in place.
-        let (cores, latency) = (self.cores, world.s3.latency());
+        let (cores, latency, cache) = (self.cores, world.s3.latency(), ExtractCache::shared());
         let mut per_pattern: Vec<Vec<Arc<Evaluation>>> = vec![Vec::new(); query.patterns.len()];
         let mut probes: Vec<PatternProbe> = query.patterns.iter().map(PatternProbe::new).collect();
         let fetched = fetch_timeline(t, cores, latency, lookup.uris.len(), |i, at| {
@@ -760,7 +744,7 @@ impl QueryCore {
             let mut compute = world.work.parse(bytes.len() as u64, self.ecu);
             for (p, candidates) in lookup.per_pattern.iter().enumerate() {
                 if candidates.uris.binary_search(uri).is_ok() {
-                    let evaluated = self.cache.evaluated(uri, &bytes, &mut probes[p]);
+                    let evaluated = cache.evaluated(uri, &bytes, &mut probes[p]);
                     compute += world.work.eval(evaluated.1.candidates, self.ecu);
                     per_pattern[p].push(evaluated);
                 }

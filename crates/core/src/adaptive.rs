@@ -255,7 +255,6 @@ mod tests {
             seed,
             num_documents: 18,
             target_doc_bytes: 1500,
-            ..Default::default()
         };
         generate_corpus(&cfg)
             .into_iter()
@@ -431,7 +430,7 @@ mod tests {
         };
         let on_default = estimate(&WarehouseConfig::default());
         let simple = WarehouseConfig {
-            backend: amada_cloud::KvBackend::Simple(Default::default()),
+            backend: amada_cloud::KvBackend::Simple,
             ..WarehouseConfig::default()
         };
         let mut strings = WarehouseConfig::default();
@@ -464,7 +463,6 @@ mod tests {
             seed,
             num_documents: 25,
             target_doc_bytes: 1200,
-            ..Default::default()
         };
         generate_corpus(&cfg)
             .into_iter()

@@ -44,6 +44,11 @@ use amada_cloud::{RetryAfter, SimDuration, SimTime, Sqs, SqsError, S3};
 use amada_rng::StdRng;
 use std::fmt;
 
+/// First backoff step.
+const BASE_BACKOFF: SimDuration = SimDuration::from_millis(50);
+/// Backoff ceiling.
+const MAX_BACKOFF: SimDuration = SimDuration::from_secs(5);
+
 /// How a warehouse component behaves when a service throttles it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
@@ -53,10 +58,6 @@ pub struct RetryPolicy {
     /// bound so a task completes exactly once; `max_attempts` still caps
     /// their backoff growth.
     pub max_attempts: u32,
-    /// First backoff step.
-    pub base_backoff: SimDuration,
-    /// Backoff ceiling.
-    pub max_backoff: SimDuration,
     /// Deliveries after which a message is dead-lettered instead of
     /// processed.
     pub max_receives: u32,
@@ -66,8 +67,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 8,
-            base_backoff: SimDuration::from_millis(50),
-            max_backoff: SimDuration::from_secs(5),
             max_receives: 5,
         }
     }
@@ -160,10 +159,7 @@ impl Retry {
 
     /// The wait before retry number `self.attempt` (1-based).
     fn backoff(&mut self) -> SimDuration {
-        let (base, cap) = (
-            self.policy.base_backoff.micros(),
-            self.policy.max_backoff.micros(),
-        );
+        let (base, cap) = (BASE_BACKOFF.micros(), MAX_BACKOFF.micros());
         let Some(rng) = &mut self.jitter else {
             // Linear (`base × attempt`, capped): the single-threaded front
             // end has nobody to decorrelate from.
@@ -292,13 +288,13 @@ mod tests {
         let mut retry = Retry::new(p, Some(StdRng::seed_from_u64(1)));
         // Equal-jitter: backoff(n) ∈ [exp/2, exp] for exp = min(base·2ⁿ⁻¹, cap).
         for attempt in 1..=12 {
-            let exp = (p.base_backoff.micros() << (attempt - 1)).min(p.max_backoff.micros());
+            let exp = (BASE_BACKOFF.micros() << (attempt - 1)).min(MAX_BACKOFF.micros());
             let b = backoff(&mut retry, attempt).micros();
             assert!(b >= exp / 2 && b <= exp, "attempt {attempt}: {b} vs {exp}");
         }
         // Huge attempt numbers must not overflow and stay capped.
         let b = backoff(&mut retry, 10_000);
-        assert!(b.micros() >= p.max_backoff.micros() / 2 && b <= p.max_backoff);
+        assert!(b.micros() >= MAX_BACKOFF.micros() / 2 && b <= MAX_BACKOFF);
     }
 
     #[test]
@@ -315,9 +311,9 @@ mod tests {
     fn linear_backoff_needs_no_rng() {
         let p = RetryPolicy::default();
         let mut retry = Retry::new(p, None);
-        assert_eq!(backoff(&mut retry, 1), p.base_backoff);
-        assert_eq!(backoff(&mut retry, 2).micros(), 2 * p.base_backoff.micros());
-        assert_eq!(backoff(&mut retry, 1_000_000), p.max_backoff);
+        assert_eq!(backoff(&mut retry, 1), BASE_BACKOFF);
+        assert_eq!(backoff(&mut retry, 2).micros(), 2 * BASE_BACKOFF.micros());
+        assert_eq!(backoff(&mut retry, 1_000_000), MAX_BACKOFF);
     }
 
     #[test]
@@ -356,7 +352,7 @@ mod tests {
         let at = SimTime(1_000_000);
         for round in 0..2 {
             for attempt in 1..=3 {
-                let exp = p.base_backoff.micros() << (attempt - 1);
+                let exp = BASE_BACKOFF.micros() << (attempt - 1);
                 let wait = (retry.again(at).expect("within the budget") - at).micros();
                 assert!(
                     wait >= exp / 2 && wait <= exp,
@@ -387,7 +383,7 @@ mod tests {
             None
         );
         // The capped step still waits: the budget bounds growth, not life.
-        assert_eq!(Retry::new(p, None).again_capped(at), at + p.base_backoff);
+        assert_eq!(Retry::new(p, None).again_capped(at), at + BASE_BACKOFF);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The warehouse façade: the full architecture of the paper's Figure 1,
 //! steps 1–18, over the simulated cloud.
 
-use crate::actors::{DocCache, LoaderCore, QueryCore, RetractionRegistry, Worker};
+use crate::actors::{LoaderCore, QueryCore, RetractionRegistry, Worker};
 use crate::arrival::{ArrivalProcess, ArrivalSender};
 use crate::config::{
     Module, Pool, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER, LOADER_QUEUE, QUERY,
@@ -26,7 +26,6 @@ use std::rc::Rc;
 pub struct Warehouse {
     cfg: WarehouseConfig,
     engine: Engine,
-    cache: DocCache,
     doc_uris: Vec<String>,
     corpus_bytes: u64,
     /// The front end's span lane (one logical front-end machine).
@@ -112,7 +111,7 @@ impl Warehouse {
     /// Provisions a warehouse: buckets, queues and the index tables of its
     /// strategy.
     pub fn new(cfg: WarehouseConfig) -> Warehouse {
-        let mut world = World::open(cfg.backend.clone(), cfg.kv_tuning);
+        let mut world = World::open(cfg.backend, cfg.kv_tuning);
         world.prices = cfg.prices.clone();
         world.work = cfg.work.clone();
         world.s3.create_bucket(DOC_BUCKET);
@@ -132,7 +131,6 @@ impl Warehouse {
             retry: Retry::new(cfg.retry, None),
             cfg,
             engine: Engine::new(world),
-            cache: ExtractCache::shared(),
             doc_uris: Vec::new(),
             corpus_bytes: 0,
             frontend: ActorTag {
@@ -283,7 +281,7 @@ impl Warehouse {
         };
         let (strategy, opts) = (self.cfg.strategy, self.cfg.extract);
         let profile = self.engine.world.kv.profile();
-        match self.cache.write_set(uri, bytes, strategy, opts, &profile) {
+        match ExtractCache::shared().write_set(uri, bytes, strategy, opts, &profile) {
             Ok(set) => placed_item_keys(&set),
             Err(_) => Vec::new(),
         }
@@ -363,7 +361,7 @@ impl Warehouse {
     fn prewarm_extractions(&self, docs: Vec<(String, std::sync::Arc<Blob>)>) -> PrewarmReport {
         let combos = [(self.cfg.strategy, self.cfg.extract)];
         let profile = self.engine.world.kv.profile();
-        amada_index::prewarm_for(&self.cache, &docs, &combos, &profile)
+        amada_index::prewarm_for(ExtractCache::shared(), &docs, &combos, &profile)
     }
 
     /// Like [`Warehouse::prewarm`] but parses only — what the query path
@@ -371,12 +369,12 @@ impl Warehouse {
     pub fn prewarm_parses(&self) -> PrewarmReport {
         let docs = self.engine.world.s3.peek_all(DOC_BUCKET);
         let profile = self.engine.world.kv.profile();
-        amada_index::prewarm_for(&self.cache, &docs, &[], &profile)
+        amada_index::prewarm_for(ExtractCache::shared(), &docs, &[], &profile)
     }
 
     /// Host-cache effectiveness counters (wall-clock diagnostics).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        ExtractCache::shared().stats()
     }
 
     /// Runs one module phase to completion, for either module: launches
@@ -433,10 +431,9 @@ impl Warehouse {
         let start = self.engine.now();
         self.engine.world.sqs.close(LOADER_QUEUE);
         let pool = self.cfg.loader_pool;
-        let (retractions, cache) = (self.retractions.clone(), self.cache.clone());
+        let retractions = self.retractions.clone();
         let core = move |cfg: &WarehouseConfig, worker, totals| -> Box<dyn Actor> {
-            let (retractions, cache) = (retractions.clone(), cache.clone());
-            Box::new(LoaderCore::new(cfg, worker, retractions, totals, cache))
+            Box::new(LoaderCore::new(cfg, worker, retractions.clone(), totals))
         };
         let (totals, end) = self.run_pool(LOADER, pool, pool.itype.cores(), core);
         let cost = self.engine.world.cost_since(&before);
@@ -578,9 +575,9 @@ impl Warehouse {
             sender.send_all(start, &mut self.engine.world);
         }
         // Steps 9–15: the query-processor pool, one actor per instance.
-        let (no_documents, cache) = (self.doc_uris.is_empty(), self.cache.clone());
+        let no_documents = self.doc_uris.is_empty();
         let core = move |cfg: &WarehouseConfig, worker, executions| -> Box<dyn Actor> {
-            let mut core = QueryCore::new(cfg, worker, strategy, executions, cache.clone());
+            let mut core = QueryCore::new(cfg, worker, strategy, executions);
             core.no_documents = no_documents;
             Box::new(core)
         };
@@ -639,9 +636,9 @@ impl Warehouse {
         &mut self.engine
     }
 
-    /// Shared host-side parse cache.
-    pub fn cache(&self) -> &DocCache {
-        &self.cache
+    /// The process-wide host cache, [`ExtractCache::shared`].
+    pub fn cache(&self) -> &'static ExtractCache {
+        ExtractCache::shared()
     }
 
     /// The shared retraction registry (test access — custom loader actors

@@ -279,23 +279,18 @@ impl std::fmt::Debug for ExtractCache {
 }
 
 impl ExtractCache {
-    /// The process-wide cache every [`shared`](Self::shared) caller gets a
-    /// handle to.
-    fn process_cache() -> &'static Arc<ExtractCache> {
-        static PROCESS: std::sync::OnceLock<Arc<ExtractCache>> = std::sync::OnceLock::new();
-        PROCESS.get_or_init(|| Arc::new(ExtractCache::default()))
-    }
-
-    /// A handle to the **process-wide** cache. Every warehouse in the
-    /// process shares it, so a harness that builds many warehouses over
-    /// the same corpus (e.g. `repro table4`, one warehouse per strategy)
-    /// parses each document once and extracts once per `(strategy, opts)`
-    /// — not once per warehouse. Safe because entries are validated by
-    /// content hash on every probe: a URI re-uploaded with different
-    /// bytes simply misses and replaces the stale entry. Tests that need
-    /// isolated statistics use [`ExtractCache::default`] directly.
-    pub fn shared() -> Arc<ExtractCache> {
-        Arc::clone(Self::process_cache())
+    /// The **process-wide** cache: every warehouse, look-up and advisor
+    /// in the process uses it, so a harness that builds many warehouses
+    /// over the same corpus (e.g. `repro table4`, one warehouse per
+    /// strategy) parses each document once and extracts once per
+    /// `(strategy, opts)` — not once per warehouse. Safe because entries
+    /// are validated by content hash on every probe: a URI re-uploaded
+    /// with different bytes simply misses and replaces the stale entry.
+    /// Tests that need isolated statistics use [`ExtractCache::default`]
+    /// directly.
+    pub fn shared() -> &'static ExtractCache {
+        static PROCESS: std::sync::OnceLock<ExtractCache> = std::sync::OnceLock::new();
+        PROCESS.get_or_init(ExtractCache::default)
     }
 
     fn bump(&self, i: usize) {

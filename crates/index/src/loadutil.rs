@@ -324,7 +324,7 @@ fn delete_batches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amada_cloud::{dynamodb, simpledb, DynamoDb, KvBackend, SimpleDbConfig};
+    use amada_cloud::{dynamodb, simpledb, DynamoDb, KvBackend};
 
     /// A store on `backend` with `strategy`'s tables provisioned.
     fn provisioned(backend: impl Into<KvBackend>, strategy: Strategy) -> KvStore {
@@ -496,7 +496,7 @@ mod tests {
         for strategy in Strategy::ALL {
             let stores = [
                 provisioned(KvBackend::default(), strategy),
-                provisioned(SimpleDbConfig::default(), strategy),
+                provisioned(KvBackend::Simple, strategy),
             ];
             for mut store in stores {
                 let profile = store.profile();
@@ -778,7 +778,7 @@ mod tests {
             Document::parse_str("big.xml", &x).unwrap()
         };
         let mut ddb = DynamoDb::default();
-        let mut sdb = KvStore::new(SimpleDbConfig::default());
+        let mut sdb = KvStore::new(KvBackend::Simple);
         let (md, _) = index_document(
             &mut ddb,
             SimTime::ZERO,

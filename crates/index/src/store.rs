@@ -708,10 +708,7 @@ mod tests {
         use amada_cloud::SimTime;
         for (mut store, profile) in [
             (KvStore::default(), dynamo_profile()),
-            (
-                KvStore::new(KvBackend::Simple(Default::default())),
-                simple_profile(),
-            ),
+            (KvStore::new(KvBackend::Simple), simple_profile()),
         ] {
             store.ensure_table(TABLE_MAIN);
             let list = ids(2000);

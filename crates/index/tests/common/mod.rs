@@ -97,7 +97,6 @@ pub fn corpus(seed: u64) -> Vec<Document> {
         seed,
         num_documents: 12,
         target_doc_bytes: 1200,
-        ..Default::default()
     };
     (0..cfg.num_documents)
         .map(|i| {

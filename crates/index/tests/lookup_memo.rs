@@ -16,7 +16,7 @@
 
 mod common;
 
-use amada_cloud::{DynamoConfig, KvBackend, KvItem, KvStore, SimTime, SimpleDbConfig};
+use amada_cloud::{KvBackend, KvItem, KvStore, SimTime};
 use amada_index::{
     extract, index_documents, lookup_pattern_in, write_entries, ExtractCache, ExtractOptions,
     LookupOutcome, Strategy, WriteSet,
@@ -36,10 +36,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn backends() -> [KvBackend; 2] {
-    [
-        KvBackend::Dynamo(DynamoConfig::default()),
-        KvBackend::Simple(SimpleDbConfig::default()),
-    ]
+    [KvBackend::Dynamo, KvBackend::Simple]
 }
 
 /// Everything a look-up reports.
@@ -62,8 +59,8 @@ fn since(before: [u64; 2]) -> [u64; 2] {
 
 /// Two stores built by the same writes of the same blocks, at the same
 /// times: what two warehouses sharing the cache's write sets hold.
-fn twins(backend: &KvBackend, docs: &[Document], strategy: Strategy) -> [KvStore; 2] {
-    let mut stores = [KvStore::new(backend.clone()), KvStore::new(backend.clone())];
+fn twins(backend: KvBackend, docs: &[Document], strategy: Strategy) -> [KvStore; 2] {
+    let mut stores = [KvStore::new(backend), KvStore::new(backend)];
     let profile = stores[0].profile();
     for store in &mut stores {
         for table in strategy.tables() {
@@ -94,7 +91,7 @@ fn a_warm_lookup_equals_a_cold_one() {
         let pattern = gen_pattern(&mut rng);
         for backend in backends() {
             for strategy in Strategy::ALL {
-                let [mut cold_store, mut warm_store] = twins(&backend, &docs, strategy);
+                let [mut cold_store, mut warm_store] = twins(backend, &docs, strategy);
                 ExtractCache::shared().clear();
                 let before = ExtractCache::shared().lookup_stats();
                 let cold = lookup(&mut cold_store, strategy, &pattern);
@@ -199,7 +196,7 @@ fn a_write_under_a_fetched_key_misses_only_the_lookups_that_read_it() {
                     // Both twins make the same calls at the same times; after
                     // the write, the memo is warm for the first and cleared
                     // for the second.
-                    let mut twins = twins(&backend, &gallery(), strategy);
+                    let mut twins = twins(backend, &gallery(), strategy);
                     let mut runs: Vec<[Fields; 2]> = Vec::new();
                     for (i, store) in twins.iter_mut().enumerate() {
                         ExtractCache::shared().clear();
@@ -252,7 +249,7 @@ fn stores_with_other_content_under_one_pattern_never_share_an_outcome() {
         for strategy in Strategy::ALL {
             let opts = ExtractOptions::default();
             let mut stores = [&docs, &shifted].map(|docs| {
-                let mut store = KvStore::new(backend.clone());
+                let mut store = KvStore::new(backend);
                 index_documents(&mut store, docs, strategy, opts);
                 store
             });

@@ -7,7 +7,7 @@
 //! key and value list round-trips, and the header's sizes are the values'.
 
 use amada_cloud::kv::ItemTable;
-use amada_cloud::{KvBackend, KvItem, KvProfile, KvStore, KvValue, SimTime, SimpleDbConfig};
+use amada_cloud::{KvBackend, KvItem, KvProfile, KvStore, KvValue, SimTime};
 use amada_index::store::{decode_id_lists, decode_path_lists, decode_presence_uris, encode_entry};
 use amada_index::{IndexEntry, Payload, UuidGen, TABLE_MAIN};
 use amada_rng::StdRng;
@@ -16,8 +16,7 @@ use std::collections::BTreeMap;
 
 /// The two real profiles plus shrunken-budget variants of each.
 fn profiles_under_test() -> Vec<KvProfile> {
-    let base =
-        [KvBackend::default(), SimpleDbConfig::default().into()].map(|b: KvBackend| b.profile());
+    let base = [KvBackend::Dynamo, KvBackend::Simple].map(|b| b.profile());
     let mut out = Vec::new();
     for p in base {
         out.push(p);
@@ -146,7 +145,7 @@ fn random_payloads_round_trip_through_real_stores() {
             uri: format!("{}.xml", random_label(&mut rng, 12)).into(),
             payload: random_payload(&mut rng),
         };
-        for mut store in [KvStore::default(), KvStore::new(SimpleDbConfig::default())] {
+        for mut store in [KvStore::default(), KvStore::new(KvBackend::Simple)] {
             let profile = store.profile();
             store.ensure_table(TABLE_MAIN);
             let mut uuids = UuidGen::for_document(&entry.uri);

@@ -266,11 +266,6 @@ impl Query {
     pub fn arity(&self) -> usize {
         self.patterns.iter().map(TreePattern::arity).sum()
     }
-
-    /// True when the query has exactly one pattern (no value join).
-    pub fn is_single_pattern(&self) -> bool {
-        self.patterns.len() == 1
-    }
 }
 
 #[cfg(test)]

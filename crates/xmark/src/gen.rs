@@ -53,11 +53,6 @@ pub struct CorpusConfig {
     pub num_documents: usize,
     /// Approximate size of each document in bytes.
     pub target_doc_bytes: usize,
-    /// Fraction of documents with altered path structure (variant B).
-    pub restructured_fraction: f64,
-    /// Fraction of documents with aggressively optional children
-    /// (variant C).
-    pub sparse_fraction: f64,
 }
 
 impl Default for CorpusConfig {
@@ -66,8 +61,6 @@ impl Default for CorpusConfig {
             seed: 0xA3ADA,
             num_documents: 200,
             target_doc_bytes: 2048,
-            restructured_fraction: 0.15,
-            sparse_fraction: 0.15,
         }
     }
 }
@@ -197,19 +190,21 @@ pub fn kind_for(idx: usize) -> DocKind {
     KIND_SLOTS[(idx + idx / 20) % 20]
 }
 
+/// Slots of every 20 whose documents have altered path structure
+/// (variant B, 15 %).
+const RESTRUCTURED_SLOTS: usize = 3;
+/// Slots of every 20 after those whose documents have aggressively
+/// optional children (variant C, 15 %).
+const SPARSE_SLOTS: usize = 3;
+
 /// Decides the variant of document `idx`. Variants are interleaved with a
-/// period of 20 so every corpus prefix holds all three in the configured
+/// period of 20 so every corpus prefix holds all three in the same
 /// proportions.
-pub fn variant_for(cfg: &CorpusConfig, idx: usize) -> DocVariant {
-    let slot = idx % 20;
-    let restructured = (cfg.restructured_fraction * 20.0).round() as usize;
-    let sparse = (cfg.sparse_fraction * 20.0).round() as usize;
-    if slot < restructured {
-        DocVariant::Restructured
-    } else if slot < restructured + sparse {
-        DocVariant::Sparse
-    } else {
-        DocVariant::Standard
+pub fn variant_for(idx: usize) -> DocVariant {
+    match idx % 20 {
+        slot if slot < RESTRUCTURED_SLOTS => DocVariant::Restructured,
+        slot if slot < RESTRUCTURED_SLOTS + SPARSE_SLOTS => DocVariant::Sparse,
+        _ => DocVariant::Standard,
     }
 }
 
@@ -254,7 +249,7 @@ impl Themes {
 
 /// Generates document `idx` of the corpus described by `cfg`.
 pub fn generate_document(cfg: &CorpusConfig, idx: usize) -> GeneratedDoc {
-    let variant = variant_for(cfg, idx);
+    let variant = variant_for(idx);
     let kind = kind_for(idx);
     let mut rng =
         StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(idx as u64));
@@ -774,13 +769,9 @@ mod tests {
 
     #[test]
     fn variants_appear_in_expected_proportions() {
-        let cfg = CorpusConfig {
-            num_documents: 200,
-            ..small_cfg()
-        };
         let mut counts = [0usize; 3];
-        for i in 0..cfg.num_documents {
-            match variant_for(&cfg, i) {
+        for i in 0..200 {
+            match variant_for(i) {
                 DocVariant::Restructured => counts[0] += 1,
                 DocVariant::Sparse => counts[1] += 1,
                 DocVariant::Standard => counts[2] += 1,
@@ -811,7 +802,7 @@ mod tests {
         assert!((15..=25).contains(&counts[&DocKind::Mixed]), "{counts:?}");
         // Document 6 is pinned for q1.
         assert_eq!(kind_for(6), DocKind::Items);
-        assert_eq!(variant_for(&small_cfg(), 6), DocVariant::Standard);
+        assert_eq!(variant_for(6), DocVariant::Standard);
     }
 
     #[test]

@@ -103,7 +103,7 @@ mod tests {
         assert_eq!(qs.len(), 10);
         // The last three feature value joins, the rest are single patterns.
         for q in &qs[..7] {
-            assert!(q.is_single_pattern(), "{:?}", q.name);
+            assert_eq!(q.patterns.len(), 1, "{:?}", q.name);
         }
         for q in &qs[7..] {
             assert_eq!(q.patterns.len(), 2, "{:?}", q.name);

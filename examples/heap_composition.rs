@@ -79,7 +79,6 @@ fn main() {
         seed: 0xA3ADA,
         num_documents: 500,
         target_doc_bytes: 8192,
-        ..Default::default()
     })
     .into_iter()
     .map(|d| (d.uri, d.xml))

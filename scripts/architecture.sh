@@ -14,11 +14,12 @@ cd "$(dirname "$0")/.."
 src=$(scripts/non_test_lines.sh --source)
 
 # DynamoDB and SimpleDB are two services of one store: `KvBackend` names
-# which one and carries its config, and `KvStore` is the one concrete
-# store. A store trait, a service trait, a store generic over its service,
-# a boxed store, amada-check's own backend enum or the tuning wrapper is a
-# second description coming back. A table is provisioned where its store
-# is made — `Warehouse::new` and `index_documents` — not at each use.
+# which one (its rates and latency are constants of the service's module),
+# and `KvStore` is the one concrete store. A store trait, a service trait,
+# a store generic over its service, a boxed store, amada-check's own
+# backend enum or the tuning wrapper is a second description coming back.
+# A table is provisioned where its store is made — `Warehouse::new` and
+# `index_documents` — not at each use.
 one_index_store() {
     test "$(grep -cE 'trait (KvStore|Service)\b' <<<"$src")" -eq 0
     test "$(grep -cE 'dyn KvStore|Store<|PhantomData|KvBackend::open' <<<"$src")" -eq 0
@@ -300,6 +301,18 @@ one_fetch_mode() {
     test "$(grep -cE 'LupPd|ObjectPredicate|ScanPredicate|fn scan\(|st_scan_gb|mod explain' <<<"$src")" -eq 0
 }
 
+# A value that every caller leaves at one setting is a constant of the
+# module that uses it: the services' rates, a fault rate per service, the
+# backoff bounds and the corpus variant mix. A field for one of them is a
+# setting nobody changes coming back. The host cache is reached one way,
+# `ExtractCache::shared()`, a `&'static`: a handle alias or an `Arc` of it
+# threaded through the warehouse and its cores is the second way back.
+settings_in_use_are_constants() {
+    test "$(grep -cE '(write|read)_(units|bytes)_per_sec|\b(s3|kv|sqs)_rate\b' <<<"$src")" -eq 0
+    test "$(grep -cE '\b(base|max)_backoff\b|\b(restructured|sparse)_fraction\b' <<<"$src")" -eq 0
+    test "$(grep -cE 'SimpleDbConfig|DocCache|Arc<ExtractCache>' <<<"$src")" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -321,6 +334,7 @@ rules=(
     one_price_table
     one_kv_lane
     one_fetch_mode
+    settings_in_use_are_constants
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do

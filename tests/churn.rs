@@ -9,7 +9,7 @@ use amada::index::Strategy;
 use amada::pattern::{evaluate_query_on_documents, parse_query};
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xml::Document;
-use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, Worker};
+use amada_core::actors::{LoaderCore, LoaderTotals, Worker};
 use amada_core::{DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER, LOADER_QUEUE};
 use amada_rng::StdRng;
 use std::cell::RefCell;
@@ -150,9 +150,7 @@ fn throttled_churn_converges_at_higher_cost() {
         let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
         cfg.faults = FaultConfig {
             seed: 0xFA117,
-            s3_rate: rate,
-            kv_rate: rate,
-            sqs_rate: rate,
+            rate,
         };
         let mut w = Warehouse::new(cfg);
         let docs: Vec<(String, String)> = (0..10)
@@ -384,7 +382,6 @@ fn skips_are_taken_against_the_last_indexed_version() {
 /// if asked for, a healthy one beside it.
 fn run_crashing_pool(w: &mut Warehouse, cfg: &WarehouseConfig, crash_after: u64, healthy: bool) {
     let totals = Rc::new(RefCell::new(LoaderTotals::default()));
-    let cache: DocCache = w.cache().clone();
     let (registry, start) = (w.retraction_registry(), w.now());
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
@@ -392,7 +389,7 @@ fn run_crashing_pool(w: &mut Warehouse, cfg: &WarehouseConfig, crash_after: u64,
         let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
         let worker = Worker::new(cfg, LOADER, instance, idx);
         let registry = registry.clone();
-        let mut core = LoaderCore::new(cfg, worker, registry, totals.clone(), cache.clone());
+        let mut core = LoaderCore::new(cfg, worker, registry, totals.clone());
         core.crash_after_batches = (idx == 1).then_some(crash_after);
         engine.spawn(Box::new(core), start);
     }
@@ -411,12 +408,7 @@ fn a_crashed_replace_converges_on_redelivery_at_the_chaos_seeds() {
         for (strategy, crash_after) in Strategy::ALL.into_iter().zip([1, 2, 3, 4]) {
             let mut cfg = WarehouseConfig::with_strategy(strategy);
             cfg.visibility = SimDuration::from_secs(30);
-            cfg.faults = FaultConfig {
-                seed,
-                s3_rate: 0.05,
-                kv_rate: 0.05,
-                sqs_rate: 0.05,
-            };
+            cfg.faults = FaultConfig { seed, rate: 0.05 };
             let mut w = Warehouse::new(cfg.clone());
             w.upload_documents(shaped_docs(0));
             w.build_index();

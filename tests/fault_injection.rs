@@ -6,7 +6,7 @@ use amada::cloud::{FaultConfig, InstanceType, Outcome, ServiceKind, SimDuration,
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
-use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, Worker};
+use amada_core::actors::{LoaderCore, LoaderTotals, Worker};
 use amada_core::config::LOADER;
 use amada_core::{IndexBuildReport, WorkloadReport, DEAD_LETTER_QUEUE, LOADER_QUEUE};
 use std::cell::RefCell;
@@ -43,9 +43,7 @@ fn faulty_config(rate: f64) -> WarehouseConfig {
     let mut cfg = WarehouseConfig::with_strategy(Strategy::Lup);
     cfg.faults = FaultConfig {
         seed: fault_seed(),
-        s3_rate: rate,
-        kv_rate: rate,
-        sqs_rate: rate,
+        rate,
     };
     cfg
 }
@@ -92,7 +90,6 @@ fn mid_upload_crash_rewrites_the_index_idempotently() {
     upload(&mut w, &docs);
 
     let totals = Rc::new(RefCell::new(LoaderTotals::default()));
-    let cache: DocCache = amada_index::ExtractCache::shared();
     let registry = w.retraction_registry();
     let start = w.now();
     let engine = w.engine_mut();
@@ -104,7 +101,6 @@ fn mid_upload_crash_rewrites_the_index_idempotently() {
             Worker::new(&vis_cfg, LOADER, instance, idx),
             registry.clone(),
             totals.clone(),
-            cache.clone(),
         )
     };
     let mut crashing = mk(engine, 1);
@@ -291,8 +287,7 @@ fn a_throttled_candidate_read_is_retried_after_its_throttle() {
         let mut cfg = WarehouseConfig::with_strategy(strategy);
         cfg.faults = FaultConfig {
             seed: fault_seed(),
-            s3_rate: 0.3,
-            ..FaultConfig::default()
+            rate: 0.3,
         };
         cfg.host.record = true;
         let mut w = Warehouse::new(cfg);

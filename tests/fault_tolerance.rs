@@ -6,7 +6,7 @@ use amada::cloud::{SimDuration, SimTime};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
-use amada_core::actors::{DocCache, LoaderCore, LoaderTotals, QueryCore, Worker};
+use amada_core::actors::{LoaderCore, LoaderTotals, QueryCore, Worker};
 use amada_core::{LOADER, LOADER_QUEUE, QUERY, QUERY_QUEUE};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -36,7 +36,6 @@ fn loader_crash_is_recovered_through_lease_expiry() {
 
     // Hand-build the loader pool: one crashing core, one healthy core.
     let totals = Rc::new(RefCell::new(LoaderTotals::default()));
-    let cache: DocCache = amada_index::ExtractCache::shared();
     let registry = w.retraction_registry();
     let start = w.now();
     let engine = w.engine_mut();
@@ -48,7 +47,6 @@ fn loader_crash_is_recovered_through_lease_expiry() {
             Worker::new(&cfg, LOADER, instance, idx),
             registry.clone(),
             totals.clone(),
-            cache.clone(),
         );
         core.worker.crash_after = crash;
         core
@@ -100,7 +98,6 @@ fn query_processor_crash_is_recovered() {
     let q = workload_query("q1").unwrap();
     let start = w.now();
     let executions = Rc::new(RefCell::new(Vec::new()));
-    let cache: DocCache = amada_index::ExtractCache::shared();
     let strategy = Some(w.config().strategy);
     let engine = w.engine_mut();
     let t = engine
@@ -116,7 +113,6 @@ fn query_processor_crash_is_recovered() {
             Worker::new(&cfg, QUERY, instance, idx),
             strategy,
             executions.clone(),
-            cache.clone(),
         );
         core.worker.crash_after = crash;
         core

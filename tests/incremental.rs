@@ -36,16 +36,13 @@ fn replacing_a_document_updates_answers_and_accounting() {
     )]);
     w.build_index();
     assert_eq!(w.documents().len(), docs_before, "no duplicate URI listing");
+    let stored = |uri| {
+        let blob = w.world().s3.peek(amada_core::DOC_BUCKET, uri);
+        blob.map(|b| b.len() as u64).unwrap()
+    };
     assert_eq!(
         w.corpus_bytes(),
-        w.world()
-            .s3
-            .object_size(amada_core::DOC_BUCKET, "p.xml")
-            .unwrap()
-            + w.world()
-                .s3
-                .object_size(amada_core::DOC_BUCKET, "q.xml")
-                .unwrap(),
+        stored("p.xml") + stored("q.xml"),
         "corpus bytes equal the stored bytes after replacement"
     );
     // The new content answers, and the rebuild retracted the stale 1863

@@ -43,7 +43,6 @@ fn stored_index_bytes_are_pinned_per_strategy() {
         seed: 0xA3ADA,
         num_documents: 50,
         target_doc_bytes: 8192,
-        ..Default::default()
     })
     .into_iter()
     .map(|d| (d.uri, d.xml))

@@ -24,7 +24,6 @@ fn corpus() -> Vec<(String, String)> {
         seed: 0x0B5E_2BED,
         num_documents: 14,
         target_doc_bytes: 1100,
-        ..Default::default()
     };
     generate_corpus(&cfg)
         .into_iter()

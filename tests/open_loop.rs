@@ -19,7 +19,6 @@ fn corpus() -> Vec<(String, String)> {
         seed: 0x0B5E55ED,
         num_documents: 16,
         target_doc_bytes: 900,
-        ..Default::default()
     };
     generate_corpus(&cfg)
         .into_iter()

@@ -2,7 +2,7 @@
 //! strategies and key-value backends, checked against direct in-memory
 //! evaluation of the same corpus.
 
-use amada::cloud::{KvBackend, SimpleDbConfig};
+use amada::cloud::KvBackend;
 use amada::index::Strategy;
 use amada::pattern::{evaluate_query_on_documents, parse_query, Query};
 use amada::warehouse::{CostedQuery, Warehouse, WarehouseConfig};
@@ -58,7 +58,7 @@ fn warehouse_works_on_simpledb_backend() {
     let docs = corpus(25);
     for strategy in [Strategy::Lu, Strategy::Lui] {
         let mut cfg = WarehouseConfig::with_strategy(strategy);
-        cfg.backend = KvBackend::Simple(SimpleDbConfig::default());
+        cfg.backend = KvBackend::Simple;
         let mut w = Warehouse::new(cfg);
         w.upload_documents(docs.iter().map(|(u, x)| (u.clone(), x.clone())));
         let build = w.build_index();

@@ -9,7 +9,7 @@
 //! fields that should be *bit*-identical here, not approximately equal),
 //! so the comparison goes through their exhaustive `Debug` rendering.
 
-use amada_cloud::{KvBackend, KvItem, KvStore, KvTuning, SimTime, SimpleDbConfig};
+use amada_cloud::{KvBackend, KvItem, KvStore, KvTuning, SimTime};
 use amada_core::{Warehouse, WarehouseConfig};
 use amada_index::store::encode_entry;
 use amada_index::{extract, write_entries, ExtractCache, ExtractOptions, Strategy, UuidGen};
@@ -21,7 +21,6 @@ fn corpus() -> Vec<(String, String)> {
         seed: 0x00AB_1DE5,
         num_documents: 16,
         target_doc_bytes: 1000,
-        ..Default::default()
     };
     generate_corpus(&cfg)
         .into_iter()
@@ -88,13 +87,13 @@ fn the_process_wide_memo_keeps_store_profiles_apart() {
     };
     let stores = [
         (KvBackend::default(), KvTuning::NONE),
-        (KvBackend::Simple(SimpleDbConfig::default()), KvTuning::NONE),
+        (KvBackend::Simple, KvTuning::NONE),
         (KvBackend::default(), strings),
     ];
     for strategy in [Strategy::Lui, Strategy::TwoLupi, Strategy::Lui] {
-        for (backend, tuning) in &stores {
+        for (backend, tuning) in stores {
             let mut cfg = WarehouseConfig::with_strategy(strategy);
-            (cfg.backend, cfg.kv_tuning) = (backend.clone(), *tuning);
+            (cfg.backend, cfg.kv_tuning) = (backend, tuning);
             let mut w = Warehouse::new(cfg);
             w.upload_documents(corpus());
             w.build_index();
@@ -103,7 +102,7 @@ fn the_process_wide_memo_keeps_store_profiles_apart() {
             let what = format!("{strategy} on {} ({tuning:?})", profile.name);
 
             let own = ExtractCache::default();
-            let mut kv = KvStore::open(backend.clone(), *tuning);
+            let mut kv = KvStore::open(backend, tuning);
             for table in strategy.tables() {
                 kv.ensure_table(table);
             }

@@ -28,7 +28,6 @@ fn corpus(seed: u64) -> Vec<(String, String)> {
         seed,
         num_documents: 40,
         target_doc_bytes: 1000,
-        ..Default::default()
     };
     generate_corpus(&cfg)
         .into_iter()
@@ -101,12 +100,12 @@ fn a_parked_message_leaves_nothing_to_prewarm() {
     // One loader core that dies after its first index batch, with its
     // document's message on its one allowed delivery.
     let totals = Rc::new(RefCell::new(LoaderTotals::default()));
-    let (cache, registry, start) = (w.cache().clone(), w.retraction_registry(), w.now());
+    let (registry, start) = (w.retraction_registry(), w.now());
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
     let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
     let worker = Worker::new(&cfg, LOADER, instance, 1);
-    let mut core = LoaderCore::new(&cfg, worker, registry, totals, cache);
+    let mut core = LoaderCore::new(&cfg, worker, registry, totals);
     core.crash_after_batches = Some(1);
     engine.spawn(Box::new(core), start);
     engine.run();

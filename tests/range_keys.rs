@@ -30,7 +30,6 @@ fn no_two_items_of_a_build_share_a_primary_key() {
         seed: 0xA3ADA,
         num_documents: 500,
         target_doc_bytes: 8192,
-        ..Default::default()
     })
     .into_iter()
     .map(|d| Document::parse_str(&d.uri, &d.xml).expect("generated documents parse"))
