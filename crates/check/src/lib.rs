@@ -67,11 +67,12 @@ pub enum Mutation {
     /// Breaks the churn oracle (churned index ≠ fresh build) on any
     /// key-changing re-upload.
     DropRetractions,
-    /// The registry vouches for every key a replaced document keeps:
-    /// before each index build it claims the store already holds the
-    /// stored version's value there, so the loader rewrites none of them.
-    /// Breaks the churn oracle on any re-upload that changes a value
-    /// under a key it keeps (a path list, an ID list).
+    /// The registry vouches for the stored version alone: before each
+    /// index build every pending entry holds just that version's write
+    /// set, as if the store held it, so the loader rewrites none of its
+    /// items and deletes no key only an earlier version has. Breaks the
+    /// churn oracle on any re-upload that changes a value under a key it
+    /// keeps (a path list, an ID list).
     VouchForKeptKeys,
 }
 

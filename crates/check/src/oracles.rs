@@ -16,8 +16,8 @@ use amada_index::store::{
     decode_id_lists, decode_id_postings, decode_path_lists, decode_presence_uris, encode_entry,
 };
 use amada_index::{
-    extract, index_documents, lookup_pattern_in, lookup_query, placed_item_keys, ExtractOptions,
-    IndexEntry, Payload, Strategy, UuidGen, WriteSet, TABLE_ID, TABLE_MAIN, TABLE_PATH,
+    extract, index_documents, lookup_pattern_in, lookup_query, ExtractOptions, IndexEntry, Payload,
+    Strategy, UuidGen, WriteSet, TABLE_ID, TABLE_MAIN, TABLE_PATH,
 };
 use amada_pattern::twig::evaluate_pattern_twig;
 use amada_pattern::{
@@ -515,9 +515,9 @@ fn oracle_churn(case: &Case, query: &Query, mutation: Mutation) -> Result<(), Vi
     };
     // The injected bugs. `DropRetractions`: pending retractions vanish
     // before every build, so stale entries survive any replace.
-    // `VouchForKeptKeys`: every key the registry holds that the stored
-    // version still has is recorded as holding that version's value, so
-    // a value that changed is never written.
+    // `VouchForKeptKeys`: every registry entry holds the stored version's
+    // write set alone, so a value that changed is never written and a key
+    // only an earlier version has is never deleted.
     let build = |w: &mut Warehouse| {
         if mutation == Mutation::DropRetractions {
             w.retraction_registry().borrow_mut().clear();
@@ -531,10 +531,7 @@ fn oracle_churn(case: &Case, query: &Query, mutation: Mutation) -> Result<(), Vi
                 };
                 let doc = Document::parse(&*uri, &bytes).expect("uploaded documents parse");
                 let entries = extract(&doc, strategy, w.config().extract);
-                let set = WriteSet::encode(&entries, &profile, &uri);
-                for (key, value) in placed_item_keys(&set) {
-                    held.items.entry(key).and_modify(|held| *held = Some(value));
-                }
+                *held = vec![Arc::new(WriteSet::encode(&entries, &profile, &uri))];
             }
         }
         w.build_index();

@@ -371,11 +371,6 @@ impl S3 {
         self.buckets.get(bucket)?.objects.get(key).cloned()
     }
 
-    /// True if the object exists.
-    pub fn exists(&self, bucket: &str, key: &str) -> bool {
-        self.peek(bucket, key).is_some()
-    }
-
     /// Usage counters.
     pub fn stats(&self) -> S3Stats {
         self.stats
@@ -573,7 +568,7 @@ mod tests {
         // Deletes never count toward the billed request classes.
         assert_eq!(st.put_requests, 1);
         assert_eq!(st.get_requests, 0);
-        assert!(!s3.exists("b", "k"));
+        assert!(s3.peek("b", "k").is_none());
     }
 
     #[test]
@@ -680,7 +675,7 @@ mod tests {
         assert_eq!(st.delete_requests, 50);
         assert_eq!(st.throttled, throttles);
         // At least one of the 50 attempts got through.
-        assert!(!s3.exists("b", "k"));
+        assert!(s3.peek("b", "k").is_none());
     }
 
     #[test]

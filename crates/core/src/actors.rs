@@ -69,16 +69,17 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// What the index store holds for every URI whose rebuild is pending. The
-/// front end makes the entry — an empty one for a new document — with the
-/// first loader message it queues since the URI's last completed rebuild,
-/// recording the stored version's index items *before* overwriting the
-/// object (the loader only ever sees the current bytes): recorded once,
-/// from a fully indexed version, and from then on only voided. The loader
-/// plans the current version against it, rewrites what changed, deletes
-/// what the version lost and drops the entry when the last call has
-/// landed. A crash, an abandon or a parked message leaves it in place, so
-/// the next message re-plans against it — rewrites and deletes are
+/// What the index store may hold for every URI whose rebuild is pending:
+/// the write sets of the versions that may have left items there. The
+/// front end makes the entry with the first upload or delete since the
+/// URI's last completed rebuild, recording the stored version's set — the
+/// indexed one; an empty set for a new document — *before* overwriting the
+/// object (the loader only ever sees the current bytes). The loader plans
+/// the current version against the entry, pushes that version's set onto
+/// it (the plan's calls may land from then on), rewrites what changed,
+/// deletes what no version claims and drops the entry when the last call
+/// has landed. A crash, an abandon or a parked message leaves it in place,
+/// so the next message re-plans against it — rewrites and deletes are
 /// idempotent, making the whole scheme exactly-once without tombstones.
 pub type RetractionRegistry = Rc<RefCell<BTreeMap<String, Held>>>;
 
@@ -270,8 +271,9 @@ pub struct LoaderCore {
     /// Index batches (puts *and* stale-key deletes) written so far by
     /// this core.
     pub batches_written: u64,
-    /// What the store holds for every pending URI, shared with the front
-    /// end (nothing for a new document: a cold build plans against that).
+    /// What the store may hold for every pending URI, shared with the front
+    /// end (an empty write set for a new document: a cold build plans
+    /// against no held key).
     pub retractions: RetractionRegistry,
     state: LoaderState,
     /// Whether this core has received a document yet (first receipt
@@ -379,7 +381,12 @@ impl LoaderCore {
         // limit) will not fit then either: its message is parked at once.
         let planned = extracted.ok().and_then(|set| {
             let mut pending = self.retractions.borrow_mut();
-            let plan = plan_document(&set, &profile, pending.get_mut(&uri));
+            let held = pending.get_mut(&uri);
+            let plan = plan_document(&set, &profile, held.as_deref().map_or(&[], |h| h));
+            // Refused or not, the plan went out: the entry holds its version.
+            if let Some(held) = held {
+                held.push(Arc::clone(&set));
+            }
             Some((set, plan.ok()?))
         });
         let Some((set, plan)) = planned else {

@@ -141,7 +141,7 @@ fn check(
             let opts = w.config().extract;
             let set = cache.write_set(uri, xml.as_bytes(), strategy, opts, &profile);
             let set = set.map_err(parse)?;
-            plan_document(&set, &profile, None).map_err(|e| AdviseError::Store(uri.clone(), e))?;
+            plan_document(&set, &profile, &[]).map_err(|e| AdviseError::Store(uri.clone(), e))?;
         }
     }
     Ok(())

@@ -13,10 +13,7 @@ use amada_cloud::{
     Actor, ActorTag, Blob, CostReport, CostSnapshot, Engine, InstanceId, Money, Phase, SimDuration,
     SimTime, Span, StorageCost, World,
 };
-use amada_index::{
-    placed_item_keys, plan_document, CacheStats, ExtractCache, ItemKey, PrewarmReport, Strategy,
-    ValueId, WriteSet,
-};
+use amada_index::{plan_document, CacheStats, ExtractCache, PrewarmReport, Strategy, WriteSet};
 use amada_pattern::Query;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
@@ -33,7 +30,7 @@ pub struct Warehouse {
     /// The front end's throttle handling: one client, so linear backoff
     /// and no jitter; every call it retries, it retries until it succeeds.
     retry: Retry,
-    /// What the index store holds for every URI whose rebuild has been
+    /// What the index store may hold for every URI whose rebuild has been
     /// queued and has not completed, shared with the loader cores (see
     /// [`RetractionRegistry`]).
     retractions: RetractionRegistry,
@@ -192,8 +189,8 @@ impl Warehouse {
     /// re-indexes it (a range key names its entry, so a key the new
     /// version keeps is overwritten in place). Index entries for keys that
     /// no longer occur in the new version *are* retracted: the front end
-    /// records the replaced version's item keys before overwriting the
-    /// object, and the loader deletes the stale ones right after writing
+    /// records the replaced version's write set before overwriting the
+    /// object, and the loader deletes the stale keys right after writing
     /// the new version — so a shrunk re-upload stops billing look-ups and
     /// document GETs for its removed keys as soon as the next
     /// [`Warehouse::build_index`] completes. See also
@@ -247,20 +244,22 @@ impl Warehouse {
         })
     }
 
-    /// Readies `uri`'s registry entry for a loader's or a delete's plan. The
-    /// first since its last completed rebuild records what the index holds:
-    /// the items the `stored` bytes index, each with its value. A later one
-    /// finds a version no loader finished, whose keys would be billed deletes
-    /// of nothing — unless one started: the store may hold any, value unknown.
+    /// Readies `uri`'s registry entry for a loader's or a delete's plan: the
+    /// first since its last completed rebuild records what the index holds,
+    /// the write set `cfg.strategy` makes of the `stored` bytes (host-side,
+    /// memoized — no requests, no virtual time) — an empty one when nothing
+    /// is stored or its bytes are not XML.
     fn mark_pending(&self, uri: &str, stored: Option<&Blob>) {
         let mut registry = self.retractions.borrow_mut();
-        let first = !registry.contains_key(uri);
-        let held = registry.entry(uri.to_string()).or_default();
-        if first || std::mem::take(&mut held.attempted) {
-            for (key, value) in self.item_keys(uri, stored) {
-                held.items.entry(key).or_insert(first.then_some(value));
-            }
+        if registry.contains_key(uri) {
+            return;
         }
+        let (strategy, opts) = (self.cfg.strategy, self.cfg.extract);
+        let profile = self.engine.world.kv.profile();
+        let set = stored
+            .map(|bytes| ExtractCache::shared().write_set(uri, bytes, strategy, opts, &profile));
+        let set = set.and_then(Result::ok).unwrap_or_default();
+        registry.insert(uri.to_string(), vec![set]);
     }
 
     /// The documents a loader message is out for, by a host-side look at
@@ -269,22 +268,6 @@ impl Warehouse {
         let bodies = self.engine.world.sqs.bodies(LOADER_QUEUE);
         let bodies = bodies.expect("module queues exist");
         bodies.map(String::from).collect()
-    }
-
-    /// The index items `cfg.strategy` derives for this document content,
-    /// read off the write set the loader puts (host-side, memoized — no
-    /// requests, no virtual time): none when nothing is stored or its bytes
-    /// are not XML.
-    fn item_keys(&self, uri: &str, stored: Option<&Blob>) -> Vec<(ItemKey, ValueId)> {
-        let Some(bytes) = stored else {
-            return Vec::new();
-        };
-        let (strategy, opts) = (self.cfg.strategy, self.cfg.extract);
-        let profile = self.engine.world.kv.profile();
-        match ExtractCache::shared().write_set(uri, bytes, strategy, opts, &profile) {
-            Ok(set) => placed_item_keys(&set),
-            Err(_) => Vec::new(),
-        }
     }
 
     /// Front end, churn maintenance: removes documents from the file
@@ -313,8 +296,9 @@ impl Warehouse {
             self.tag_frontend(Phase::Upload, None, Some(&uri));
             let stored = self.engine.world.s3.peek(DOC_BUCKET, &uri);
             self.mark_pending(&uri, stored.as_deref());
-            let mut held = self.retractions.borrow_mut().remove(&uri);
-            let plan = plan_document(&WriteSet::default(), &profile, held.as_mut());
+            let held = self.retractions.borrow_mut().remove(&uri);
+            let held = held.as_deref().unwrap_or_default();
+            let plan = plan_document(&WriteSet::default(), &profile, held);
             let deletes = plan.expect("a plan of no entries makes no item").deletes;
             if let Some(old) = stored {
                 bytes += old.len() as u64;

@@ -29,11 +29,11 @@ pub mod strategy;
 
 pub use cache::{content_hash, CacheStats, Content, Evaluation, ExtractCache, PatternProbe};
 pub use loadutil::{
-    entry_item_keys, index_documents, placed_item_keys, plan_document, retract_keys, stale_keys,
-    write_entries, DocIndexing, Held, ItemKey, WritePlan, WriteSet,
+    entry_item_keys, index_documents, plan_document, retract_keys, stale_keys, write_entries,
+    DocIndexing, Held, ItemKey, WritePlan, WriteSet,
 };
 pub use lookup::{lookup_pattern_in, lookup_query, LookupOutcome, QueryLookup};
 pub use parallel::{prewarm, prewarm_for, PrewarmReport};
-pub use store::{UuidGen, ValueId};
+pub use store::UuidGen;
 pub use strategy::{extract, ExtractOptions, IndexEntry, Payload, Strategy};
 pub use strategy::{TABLE_ID, TABLE_MAIN, TABLE_PATH};

@@ -8,18 +8,18 @@
 //! product). [`plan_document`] is the one statement of what a version asks
 //! of the store — which of its items (those the store does not hold
 //! already), in which of the tables its entries name, cut into which calls,
-//! and which stale keys of a replaced version go after them. The
-//! warehouse's loader bursts the plan's calls concurrently; [`write_entries`]
-//! (through [`index_documents`], the oracles) issues them one after
-//! another. [`placed_item_keys`] (the front end's record of what a version
-//! left in the store) reads each item's key and [`ValueId`] off the write
-//! set.
+//! and which stale keys of a replaced version go after them, planned
+//! against the write sets of the versions the store may hold ([`Held`]).
+//! The warehouse's loader bursts the plan's calls concurrently;
+//! [`write_entries`] (through [`index_documents`], the oracles) issues them
+//! one after another.
 
-use crate::store::{encode_entry_into, UuidGen, ValueId};
+use crate::store::{encode_entry_into, UuidGen};
 use crate::strategy::{extract, ExtractOptions, IndexEntry, Strategy};
 use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
 use amada_xml::Document;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// A full item primary key: `(table, hash_key, range_key)`.
 pub type ItemKey = (&'static str, String, String);
@@ -88,16 +88,11 @@ impl WriteSet {
     }
 }
 
-/// What the index store holds for one URI until a rebuild of it completes.
-#[derive(Debug, Default)]
-pub struct Held {
-    /// Every key it may hold, with the value it holds there *now* — `None`
-    /// once a write that may or may not have landed has made that unknown.
-    pub items: BTreeMap<ItemKey, Option<ValueId>>,
-    /// A plan for the stored version has gone out to a loader: the store
-    /// may also hold any key of *that* version, which only its bytes name.
-    pub attempted: bool,
-}
+/// What the index store may hold for one URI until a rebuild of it
+/// completes: the write sets of the versions that may have left items
+/// there — the indexed version first (an empty set when nothing indexed is
+/// stored), then every version a plan went out for, in plan order.
+pub type Held = Vec<Arc<WriteSet>>;
 
 /// The index-store calls that bring one document's index up to date, each
 /// queue in issue order.
@@ -121,16 +116,16 @@ impl WritePlan {
 }
 
 /// Plans the index-store calls for one document version: its write `set`
-/// (empty for a delete) against what the store `held` for its URI.
+/// (empty for a delete) against the versions the store may hold for its
+/// URI, `held` (none for a bare store).
 ///
 /// The set's items go, table by table in its order and each table's in
 /// entry order, into batches of clones — counter bumps: the store is put
-/// the set's own blocks. An item `held` records under its key with its
-/// value is left out; any other held key the version has is put, a held
-/// key no item claims is stale and deleted, and either's record is voided —
-/// the call may or may not land before the record is next read (a
-/// redelivered message plans the same calls). The deletes cover the set's
-/// own tables first, in that order, then any other, by name.
+/// the set's own blocks. An item is left out when every held version has
+/// its key with equal values; any other is put — a held version that lacks
+/// the key or differs there may have deleted or overwritten it. A held key
+/// no item claims is stale and deleted. The deletes cover the set's own
+/// tables first, in that order, then any other, by name.
 ///
 /// A plan is a promise the store keeps: an item `profile` would reject —
 /// an entry key longer than its hash-key limit, say — is the typed error
@@ -138,56 +133,42 @@ impl WritePlan {
 pub fn plan_document(
     set: &WriteSet,
     profile: &KvProfile,
-    held: Option<&mut Held>,
+    held: &[Arc<WriteSet>],
 ) -> Result<WritePlan, KvError> {
     let mut plan = WritePlan::default();
-    // What is held, by range key (2LUPI names an entry in two tables):
-    // what no item claims is stale.
-    let mut unclaimed: HashMap<&str, Vec<(&'static str, &str, _)>> = HashMap::new();
-    if let Some(held) = held {
-        held.attempted = true;
-        for ((table, hash, range), value) in &mut held.items {
-            let named = unclaimed.entry(range).or_default();
-            named.push((*table, hash.as_str(), value));
+    // Every held key, with its first holder's item and how many held
+    // versions have it with those values: what no item claims is stale.
+    let mut unclaimed: HashMap<(&str, &str, &str), (&KvItem, usize)> = HashMap::new();
+    for (table, items) in held.iter().flat_map(|version| &version.tables) {
+        for item in items.iter() {
+            let key = (*table, &*item.hash_key, item.range_key());
+            let (first, equal) = unclaimed.entry(key).or_insert((item, 0));
+            *equal += usize::from(std::ptr::eq(*first, item) || first.values().eq(item.values()));
         }
     }
     // With nothing held every item is new, and none is asked about.
     let compare = !unclaimed.is_empty();
-    let mut changed = |table: &'static str, item: &KvItem| {
-        let mine = |(t, h, _): &(_, &str, _)| *t == table && **h == *item.hash_key;
-        let named = unclaimed.get_mut(item.range_key());
-        let held = named.and_then(|n| Some(n.swap_remove(n.iter().position(mine)?)));
-        let Some((.., known)) = held else { return true };
-        let value = ValueId::of_item(item);
-        let same = *known == Some(value);
-        *known = same.then_some(value);
-        plan.unchanged += u64::from(same);
-        !same
-    };
-    let per_table: Vec<(&'static str, Vec<KvItem>)> = (set.tables.iter())
-        .map(|&(table, ref items)| {
-            let mut put = Vec::with_capacity(items.len());
-            put.extend(
-                items
-                    .iter()
-                    .filter(|i| !compare || changed(table, i))
-                    .cloned(),
-            );
-            (table, put)
-        })
-        .collect();
-    for (table, items) in per_table {
-        items.iter().try_for_each(|item| profile.check(item))?;
+    for &(table, ref items) in &set.tables {
+        let mut put = Vec::with_capacity(items.len());
+        for item in items.iter() {
+            if compare {
+                let key = (table, &*item.hash_key, item.range_key());
+                if let Some((first, equal)) = unclaimed.remove(&key) {
+                    if equal == held.len() && first.values().eq(item.values()) {
+                        plan.unchanged += 1;
+                        continue;
+                    }
+                }
+            }
+            profile.check(item)?;
+            put.push(item.clone());
+        }
         plan.puts
-            .extend(into_batches(items, profile.batch_put_limit).map(|batch| (table, batch)));
+            .extend(into_batches(put, profile.batch_put_limit).map(|batch| (table, batch)));
     }
-    let stale = unclaimed.into_iter().flat_map(|(range, held)| {
-        held.into_iter().map(move |(table, hash, known)| {
-            *known = None; // like a put, a delete may or may not land
-            (table, hash.to_string(), range.to_string())
-        })
-    });
     // Batches are cut in key order, whatever order the map gave.
+    let stale = (unclaimed.into_keys())
+        .map(|(table, hash, range)| (table, hash.to_string(), range.to_string()));
     let mut stale: Vec<ItemKey> = stale.collect();
     stale.sort_unstable();
     let mut deletes = delete_batches(stale, profile.batch_put_limit);
@@ -204,7 +185,7 @@ pub fn write_entries(
     now: SimTime,
     set: &WriteSet,
 ) -> Result<(DocIndexing, SimTime), KvError> {
-    let plan = plan_document(set, &store.profile(), None)?;
+    let plan = plan_document(set, &store.profile(), &[])?;
     let metrics = DocIndexing {
         entries: set.entries,
         items: plan.items(),
@@ -265,14 +246,6 @@ fn into_batches<T>(items: Vec<T>, limit: usize) -> impl Iterator<Item = Vec<T>> 
 pub fn entry_item_keys(entries: &[IndexEntry], profile: &KvProfile, uri: &str) -> Vec<ItemKey> {
     let set = WriteSet::encode(entries, profile, uri);
     set.placed().map(|(key, _)| key).collect()
-}
-
-/// The keys of a write set's items, each with what its item stores — read
-/// off the items, made once when the set was encoded.
-pub fn placed_item_keys(set: &WriteSet) -> Vec<(ItemKey, ValueId)> {
-    (set.placed())
-        .map(|(key, item)| (key, ValueId::of_item(item)))
-        .collect()
 }
 
 /// Keys present in `old` but not in `new` — the items a replaced
@@ -441,20 +414,13 @@ mod tests {
         sorted(keys.collect())
     }
 
-    /// A registry entry holding `keys`, their values unknown.
-    fn held(keys: impl IntoIterator<Item = ItemKey>) -> Held {
-        Held {
-            items: keys.into_iter().map(|key| (key, None)).collect(),
-            attempted: false,
-        }
+    /// A registry entry holding these versions' write sets, in order.
+    fn held<const N: usize>(versions: [WriteSet; N]) -> Held {
+        versions.into_iter().map(Arc::new).collect()
     }
 
-    /// A registry entry as the front end records it from an indexed version.
-    fn recorded(items: Vec<(ItemKey, ValueId)>) -> Held {
-        Held {
-            items: items.into_iter().map(|(k, v)| (k, Some(v))).collect(),
-            attempted: false,
-        }
+    fn keys(set: &WriteSet) -> Vec<ItemKey> {
+        set.placed().map(|(key, _)| key).collect()
     }
 
     fn sorted(mut keys: Vec<ItemKey>) -> Vec<ItemKey> {
@@ -503,7 +469,7 @@ mod tests {
                 let what = format!("{strategy} on {}", profile.name);
                 let entries = extract(&d, strategy, ExtractOptions::default());
                 let set = WriteSet::encode(&entries, &profile, d.uri());
-                let plan = plan_document(&set, &profile, None).unwrap();
+                let plan = plan_document(&set, &profile, &[]).unwrap();
                 assert!(plan.deletes.is_empty(), "{what}");
                 // One table order, the strategy's own: 2LUPI is [path, id].
                 assert_eq!(plan_tables(&plan), strategy.tables(), "{what}");
@@ -557,7 +523,7 @@ mod tests {
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
         let profile = dynamodb::PROFILE;
         let set = WriteSet::encode(&entries, &profile, d.uri());
-        let plan = plan_document(&set, &profile, None).unwrap();
+        let plan = plan_document(&set, &profile, &[]).unwrap();
         let path_then_id = [crate::strategy::TABLE_PATH, crate::strategy::TABLE_ID];
         assert_eq!(plan_tables(&plan), path_then_id);
         assert_eq!(call_tables(&plan.puts), path_then_id);
@@ -572,23 +538,19 @@ mod tests {
             // The document is 2LUPI now; its replaced version was too, and
             // the store also holds LU keys for it in the main table, which
             // the new version's tables do not include.
-            let new = extract(&v2, Strategy::TwoLupi, opts);
-            let mut old =
-                entry_item_keys(&extract(&v1, Strategy::TwoLupi, opts), &profile, "d.xml");
-            old.extend(entry_item_keys(
-                &extract(&v1, Strategy::Lu, opts),
-                &profile,
-                "d.xml",
-            ));
-            let mut pending = held(old.iter().cloned());
+            // The two held versions disagree on every key: neither has the
+            // other's tables.
+            let set = |strategy| WriteSet::encode(&extract(&v1, strategy, opts), &profile, "d.xml");
+            let pending = held([set(Strategy::TwoLupi), set(Strategy::Lu)]);
+            let old: Vec<ItemKey> = pending.iter().flat_map(|v| keys(v)).collect();
 
-            let fresh = entry_item_keys(&new, &profile, "d.xml");
-            let new = WriteSet::encode(&new, &profile, "d.xml");
-            let plan = plan_document(&new, &profile, Some(&mut pending)).unwrap();
+            let new = WriteSet::encode(&extract(&v2, Strategy::TwoLupi, opts), &profile, "d.xml");
+            let fresh = keys(&new);
+            let plan = plan_document(&new, &profile, &pending).unwrap();
             assert_eq!(
                 put_keys(&plan),
                 sorted(fresh.clone()),
-                "{}: a key of unknown value is rewritten",
+                "{}: a key the held versions disagree on is rewritten",
                 profile.name
             );
             assert_eq!(plan.unchanged, 0, "{}", profile.name);
@@ -615,10 +577,12 @@ mod tests {
                 .iter()
                 .all(|(_, batch)| batch.len() <= profile.batch_put_limit));
 
-            // Nothing pending that the new version does not hold: no deletes.
-            let mut same = held(fresh.iter().cloned());
-            let plan = plan_document(&new, &profile, Some(&mut same)).unwrap();
+            // Nothing pending that the new version does not hold: no deletes
+            // (and, the held versions disagreeing, no skip).
+            let same = [Arc::new(new), Arc::default()];
+            let plan = plan_document(&same[0], &profile, &same).unwrap();
             assert!(plan.deletes.is_empty(), "{}", profile.name);
+            assert_eq!(plan.unchanged, 0, "{}", profile.name);
             assert_eq!(
                 plan_tables(&plan),
                 Strategy::TwoLupi.tables(),
@@ -633,23 +597,17 @@ mod tests {
         let d = doc();
         let profile = dynamodb::PROFILE;
         let entries = extract(&d, Strategy::TwoLupi, ExtractOptions::default());
-        let set = WriteSet::encode(&entries, &profile, d.uri());
-        let mut pending = recorded(placed_item_keys(&set));
+        let pending = held([WriteSet::encode(&entries, &profile, d.uri())]);
         let none = WriteSet::default();
-        let plan = plan_document(&none, &profile, Some(&mut pending)).unwrap();
+        let plan = plan_document(&none, &profile, &pending).unwrap();
         assert!(plan.puts.is_empty());
         assert_eq!(plan.items(), 0);
-        // A delete that went out may have landed: no value is vouched for.
-        assert!(pending.items.values().all(Option::is_none));
-        assert_eq!(
-            delete_keys(&plan),
-            Vec::from_iter(pending.items.into_keys())
-        );
+        assert_eq!(delete_keys(&plan), sorted(keys(&pending[0])));
         // No table is the write set's own: all go in name order.
         let id_then_path = [crate::strategy::TABLE_ID, crate::strategy::TABLE_PATH];
         assert_eq!(plan_tables(&plan), id_then_path);
         // And with nothing pending there is nothing to do at all.
-        let idle = plan_document(&none, &profile, None).unwrap();
+        let idle = plan_document(&none, &profile, &[]).unwrap();
         assert!(idle.puts.is_empty() && idle.deletes.is_empty() && plan_tables(&idle).is_empty());
     }
 
@@ -663,8 +621,9 @@ mod tests {
             for strategy in Strategy::ALL {
                 let entries = extract(&long, strategy, ExtractOptions::default());
                 let set = WriteSet::encode(&entries, &profile, "d.xml");
-                let mut pending = held([(crate::strategy::TABLE_MAIN, "k".into(), "r".into())]);
-                for pending in [None, Some(&mut pending)] {
+                let short = extract(&doc(), strategy, ExtractOptions::default());
+                let pending = held([WriteSet::encode(&short, &profile, "d.xml")]);
+                for pending in [&[][..], &pending] {
                     assert_eq!(
                         plan_document(&set, &profile, pending).err(),
                         Some(KvError::KeyTooLarge {
@@ -682,7 +641,7 @@ mod tests {
                 assert!(store.peek_all().is_empty(), "{strategy}: nothing was put");
                 let entries = extract(&doc(), strategy, ExtractOptions::default());
                 let set = WriteSet::encode(&entries, &profile, "d.xml");
-                assert!(plan_document(&set, &profile, None).is_ok());
+                assert!(plan_document(&set, &profile, &[]).is_ok());
             }
         }
     }

@@ -126,34 +126,6 @@ pub fn encode_entry(entry: &IndexEntry, profile: &KvProfile, uuids: &mut UuidGen
     items
 }
 
-/// What an item stores, told without making it: 128 bits over its values'
-/// kinds, lengths and bytes, in order — two mixing lanes, because "the store
-/// already holds this" is more than one 64-bit hash can vouch for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ValueId(u64, u64);
-
-impl ValueId {
-    /// What `item` stores.
-    pub(crate) fn of_item(item: &KvItem) -> ValueId {
-        ValueId::of(item.values())
-    }
-
-    fn of<'v>(values: impl Iterator<Item = KvValue<'v>>) -> ValueId {
-        let mut id = ValueId(0, 0x9E37_79B9_7F4A_7C15);
-        let mut word = |w: u64| id = ValueId(mix(id.0, w), mix(id.1, w.rotate_left(32)));
-        for v in values {
-            // Kind and length first: a short last word is then unambiguous.
-            word((v.len() as u64) << 1 | u64::from(v.is_binary()));
-            for chunk in v.as_bytes().chunks(8) {
-                let mut w = [0; 8];
-                w[..chunk.len()].copy_from_slice(chunk);
-                word(u64::from_le_bytes(w));
-            }
-        }
-        id
-    }
-}
-
 /// Cuts `entry`'s values into items named by `uuids` and appends them to
 /// `items` (a write set encodes a whole document, its ID lists through one
 /// `scratch` buffer). An item shares its hash key and attribute name with
@@ -526,10 +498,9 @@ mod tests {
     }
 
     /// The encoder names an entry's items in chunk order, on both backends
-    /// and for chunked entries, and their identities tell them apart by
-    /// value: as many distinct identities as distinct value lists.
+    /// and for chunked entries.
     #[test]
-    fn items_are_named_in_chunk_order_and_told_apart_by_value() {
+    fn items_are_named_in_chunk_order() {
         let deep = format!("/e{}", "a/e".repeat(40_000));
         let payloads = [
             Payload::Presence,
@@ -544,39 +515,9 @@ mod tests {
                 let mut uuids = UuidGen::for_document("doc.xml");
                 let items = encode_entry(&e, &profile, &mut uuids);
                 let made: Vec<&str> = items.iter().map(KvItem::range_key).collect();
-                assert!(made.windows(2).all(|w| w[0] < w[1]), "chunk order");
-                let ids: Vec<ValueId> = items.iter().map(ValueId::of_item).collect();
-                let mut same_id = 0;
-                let mut same_values = 0;
-                for (i, a) in items.iter().enumerate() {
-                    for (j, b) in items.iter().enumerate().skip(i + 1) {
-                        same_id += usize::from(ids[i] == ids[j]);
-                        same_values += usize::from(a.values().eq(b.values()));
-                    }
-                }
-                assert_eq!(same_id, same_values, "{}", profile.name);
+                assert!(made.windows(2).all(|w| w[0] < w[1]), "{}", profile.name);
             }
         }
-    }
-
-    #[test]
-    fn a_value_identity_tells_kind_length_order_and_bytes() {
-        let id = |values: &[KvValue<'_>]| ValueId::of(values.iter().copied());
-        let base = id(&[KvValue::S("/ea/eb"), KvValue::S("/ea/ec")]);
-        assert_eq!(base, id(&[KvValue::S("/ea/eb"), KvValue::S("/ea/ec")]));
-        for other in [
-            id(&[KvValue::S("/ea/ec"), KvValue::S("/ea/eb")]),
-            id(&[KvValue::S("/ea/eb/ea/ec")]),
-            id(&[KvValue::S("/ea/eb"), KvValue::S("/ea/e")]),
-            id(&[KvValue::S("/ea/eb"), KvValue::B(b"/ea/ec")]),
-            id(&[KvValue::S("/ea/eb")]),
-            id(&[]),
-        ] {
-            assert_ne!(base, other);
-        }
-        // A short last word is not its zero-padded self.
-        assert_ne!(id(&[KvValue::B(b"ab")]), id(&[KvValue::B(b"ab\0")]));
-        assert_ne!(id(&[KvValue::S("")]), id(&[]));
     }
 
     #[test]

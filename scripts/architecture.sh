@@ -139,19 +139,22 @@ range_keys_name_the_entry() {
 }
 
 # Whether an item of a rebuilt document is written is decided once, in
-# `plan_document`, against the one registry entry the front end recorded:
-# the loader and the front end neither filter a batch, nor look into the
-# store, nor compare values (the front end records them, `plan_document`
-# alone reads them back), and there is no second map from URI to what the
-# store holds. Its three callers outside `loadutil.rs` are the loader, the
-# front end's delete (a plan of no entries) and the advisor's check that
-# the store can hold a sample document (a plan against nothing held), which
-# compares no values either.
+# `plan_document`, a pure function of the version's write set and the one
+# registry entry — the write sets of the versions the store may hold: the
+# loader and the front end neither filter a batch, nor look into the
+# store, nor compare values, and there is no second map from URI to what
+# the store holds. No per-key record of stored values comes back: no value
+# digest, no key list read off a write set, no replay flag, and no `&mut`
+# into the plan. Its three callers outside `loadutil.rs` are the loader,
+# the front end's delete (a plan of no entries) and the advisor's check
+# that the store can hold a sample document (a plan against nothing held),
+# which compares no values either.
 a_rebuild_writes_what_changed() {
     core=$(grep -E '^crates/core/src/(actors|warehouse)\.rs:' <<<"$src" | grep -vE ':[0-9]+:[[:space:]]*//')
-    test "$(grep -cE '(puts|batch(es)?|items)\.(retain|drain|iter\(\)\.filter)|kv\.peek|peek_all\(\)|ValueId::|== Some\(value\)' <<<"$core")" -eq 0
-    test "$(grep -cE 'value(s)? *[!=]= ' <<<"$core")" -eq 0
-    test "$(grep -F 'ValueId' <<<"$src" | grep -cvE '^crates/(index/src/(store|loadutil|lib)|core/src/warehouse)\.rs:')" -eq 0
+    test "$(grep -cE '(puts|batch(es)?|items)\.(retain|drain|iter\(\)\.filter)|kv\.peek|peek_all\(\)|== Some\(value\)' <<<"$core")" -eq 0
+    test "$(grep -cE 'value(s)? *[!=]= |values\(\)' <<<"$core")" -eq 0
+    test "$(grep -cE 'ValueId|placed_item_keys|attempted' <<<"$src")" -eq 0
+    test "$(sed -n '/^pub fn plan_document(/,/^) ->/p' crates/index/src/loadutil.rs | grep -c '&mut')" -eq 0
     test "$(grep -cE 'Map<String, (Held|BTree(Set|Map)<ItemKey)' <<<"$src")" -eq 1
     test "$(grep -cE 'pending_load|fn retract_later' <<<"$src")" -eq 0
     callers=$(grep -F 'plan_document(' <<<"$src" | grep -vE ':[0-9]+:[[:space:]]*//' | grep -vE '^crates/index/src/loadutil\.rs:')
@@ -255,18 +258,17 @@ query_invariants_once() {
 
 # A document version's items are encoded once, right after extraction,
 # into the write set the cache keeps and the store shares: the cache holds
-# no extracted entries, the planners read keys, values and items off a
-# write set instead of encoding them, and the warehouse hands the memo its
-# store's profile. An entry vector in the cache, an encoder call in the
-# planners or the DynamoDB-only forms in amada-core is the second copy of
-# every stored value coming back.
+# no extracted entries, the planner reads keys, values and items off the
+# write sets it is given instead of encoding them, and the warehouse hands
+# the memo its store's profile. An entry vector in the cache, an encoder
+# call in the planner or the DynamoDB-only forms in amada-core is the
+# second copy of every stored value coming back.
 one_write_set() {
     test "$(grep -E '^crates/index/src/cache\.rs:' <<<"$src" | grep -cF 'Vec<IndexEntry>')" -eq 0
-    for planner in plan_document placed_item_keys; do
-        body=$(sed -n "/^pub fn $planner(/,/^}/p" crates/index/src/loadutil.rs)
-        test "$(grep -c "fn $planner(" <<<"$body")" -eq 1
-        test "$(grep -cE 'encode_entry(_into)?\(|WriteSet::encode\(|UuidGen' <<<"$body")" -eq 0
-    done
+    body=$(sed -n "/^pub fn plan_document(/,/^}/p" crates/index/src/loadutil.rs)
+    test "$(grep -c "fn plan_document(" <<<"$body")" -eq 1
+    test "$(grep -c 'held: &\[Arc<WriteSet>\]' <<<"$body")" -eq 1
+    test "$(grep -cE 'encode_entry(_into)?\(|WriteSet::encode\(|UuidGen' <<<"$body")" -eq 0
     test "$(grep -E '^crates/core/' <<<"$src" | grep -cE '\.extracted\(|(parallel|amada_index)::prewarm\(')" -eq 0
 }
 

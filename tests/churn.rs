@@ -398,10 +398,10 @@ fn run_crashing_pool(w: &mut Warehouse, cfg: &WarehouseConfig, crash_after: u64,
 }
 
 /// A loader that crashes mid-upload of a replaced document leaves the
-/// registry entry in place, its to-be-written values voided; the
-/// redelivered message re-plans against it and the index converges on a
-/// fresh build's bytes — under throttling, at the chaos matrix's seeds,
-/// wherever in the burst the crash falls.
+/// registry entry in place, holding the version it planned beside the
+/// indexed one; the redelivered message re-plans against both and the
+/// index converges on a fresh build's bytes — under throttling, at the
+/// chaos matrix's seeds, wherever in the burst the crash falls.
 #[test]
 fn a_crashed_replace_converges_on_redelivery_at_the_chaos_seeds() {
     for seed in [1_025_299u64, 42, 7777] {
@@ -424,11 +424,11 @@ fn a_crashed_replace_converges_on_redelivery_at_the_chaos_seeds() {
 
 /// The crash nobody redelivers in time: the pool's only core dies having
 /// written shape 1 over shape 0, and before the message comes back the
-/// documents return to shape 0. The registry still says what shape 0
-/// stored — but the crashed plan voided every value it set out to write
-/// and the front end adds the keys shape 1 may have left, so the rebuild
-/// rewrites the former and deletes the latter: a wrong skip would keep
-/// shape 1's paths, a missing key its `wrap` entries.
+/// documents return to shape 0. The registry still holds shape 0, the
+/// indexed version — and beside it shape 1, whose plan went out, so the
+/// rebuild rewrites every key the two versions disagree on and deletes the
+/// keys shape 1 alone has: a wrong skip would keep shape 1's paths, a
+/// missing key its `wrap` entries.
 #[test]
 fn a_crashed_replace_then_the_old_bytes_again_skips_nothing_it_cannot_vouch_for() {
     for strategy in Strategy::ALL {
@@ -451,11 +451,12 @@ fn a_crashed_replace_then_the_old_bytes_again_skips_nothing_it_cannot_vouch_for(
 
 /// The same crash among the deletes: the only core dies going from shape 2
 /// to shape 0, with some of the keys shape 2 alone holds deleted (2LUPI plans
-/// a delete batch per table), and the documents return to shape 2. A delete
-/// that went out voids its record as a put does, so the rebuild puts those
-/// keys back: a wrong skip would leave the index without them — for good,
-/// when the crashed message is parked instead of delivered a second time
-/// (a second delivery finds no entry and rewrites everything).
+/// a delete batch per table), and the documents return to shape 2. Shape 0,
+/// held beside shape 2, lacks those keys, so the rebuild puts them back as
+/// it puts a key a plan may have overwritten: a wrong skip would leave the
+/// index without them — for good, when the crashed message is parked
+/// instead of delivered a second time (a second delivery finds no entry and
+/// rewrites everything).
 #[test]
 fn a_crash_among_the_deletes_then_the_old_bytes_again_puts_the_deleted_keys_back() {
     for strategy in Strategy::ALL {
@@ -605,5 +606,63 @@ fn deleting_a_queued_replace_deletes_what_the_indexed_version_stored() {
             "{strategy}"
         );
         commits_into_an_empty_index(&mut w, &strategy.to_string());
+    }
+}
+
+/// A version the store's limits refuse is parked with nothing written, but
+/// its plan went out: the next version's rebuild counts the refused
+/// version's keys among those the store may hold, and deletes the one it
+/// alone has (billed, and absent). Shape 0 of one document is indexed, shape
+/// 0 with an element name over the hash-key limit is refused and parked,
+/// then shape 1 is built: the index is a fresh build of shape 1, and the
+/// rebuild's counts and write units are pinned.
+#[test]
+fn a_refused_version_then_a_well_formed_one_rebuilds_against_both() {
+    let doc = |xml: String| [("doc0.xml".to_string(), xml)];
+    let name = "n".repeat(3000);
+    let over_limit = shaped(0, 0).replace("</item>", &format!("<{name}/></item>"));
+    // (items, unchanged_items, retracted_items, put_ops, dead letters)
+    for (strategy, pinned) in [
+        (Strategy::Lu, (1, 35, 1, 2, 1)),
+        (Strategy::TwoLupi, (71, 1, 2, 73, 1)),
+    ] {
+        let mut w = Warehouse::new(WarehouseConfig::with_strategy(strategy));
+        w.upload_documents(doc(shaped(0, 0)));
+        w.build_index();
+        let (index, kv) = (w.world().kv.peek_all(), w.world().kv.stats());
+        w.upload_documents(doc(over_limit.clone()));
+        w.build_index();
+        assert_eq!(
+            w.world().kv.peek_all(),
+            index,
+            "{strategy}: nothing written"
+        );
+        assert_eq!(
+            w.world().kv.stats(),
+            kv,
+            "{strategy}: not a unit, not a call"
+        );
+        w.upload_documents(doc(shaped(0, 1)));
+        let report = w.build_index();
+        let mut fresh = Warehouse::new(WarehouseConfig::with_strategy(strategy));
+        fresh.upload_documents(doc(shaped(0, 1)));
+        fresh.build_index();
+        assert_eq!(
+            w.world().kv.peek_all(),
+            fresh.world().kv.peek_all(),
+            "{strategy}"
+        );
+        assert_eq!(
+            (
+                report.items,
+                report.unchanged_items,
+                report.retracted_items,
+                w.world().kv.stats().put_ops - kv.put_ops,
+                w.world().sqs.len(DEAD_LETTER_QUEUE).unwrap(),
+            ),
+            pinned,
+            "{strategy}"
+        );
+        assert!(w.retraction_registry().borrow().is_empty(), "{strategy}");
     }
 }
