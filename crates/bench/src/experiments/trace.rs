@@ -39,7 +39,7 @@ pub fn trace_parts(scale: &Scale) -> (Outcome, String) {
 
     let spans = w.spans();
     let world = w.world();
-    let json = chrome_trace(&spans, world.ec2.records(), &world.prices);
+    let json = chrome_trace(&spans, world.ec2.records());
     validate_json(&json).expect("exported trace must be valid JSON");
 
     let mut body = String::new();

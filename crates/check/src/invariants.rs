@@ -18,7 +18,7 @@
 //!   end up exactly where a warehouse with no neighbour does.
 
 use crate::gen::Case;
-use amada_cloud::{FaultConfig, KvItem, Money, ServiceKind, Span, World};
+use amada_cloud::{FaultConfig, KvItem, Money, ServiceKind, Span, World, PRICES};
 use amada_core::{Warehouse, WarehouseConfig};
 use amada_index::{ExtractCache, ExtractOptions};
 use amada_pattern::Query;
@@ -30,7 +30,7 @@ use amada_pattern::Query;
 /// the ledger rounds the total once — they may differ by at most one
 /// picodollar per span.
 pub fn ledger_matches_spans(spans: &[Span], world: &World) -> Result<(), String> {
-    let p = &world.prices;
+    let p = &PRICES;
     let billed_for = |svc: ServiceKind| -> Money {
         spans
             .iter()

@@ -52,10 +52,9 @@ pub use fault::{FaultConfig, FaultInjector, RetryAfter};
 pub use kv::{KvError, KvField, KvItem, KvProfile, KvStats, KvValue};
 pub use money::Money;
 pub use obs::{ActorTag, Ctx, Outcome, Phase, Recorder, ServiceKind, Span};
-pub use pricing::{InstanceType, PriceTable};
+pub use pricing::{InstanceType, PriceTable, PRICES};
 pub use s3::{content_hash, Blob, S3Error, S3Stats, S3};
 pub use sim::{Actor, CostReport, CostSnapshot, Engine, StepResult, StorageCost, World};
 pub use sqs::{Message, Sqs, SqsError, SqsStats};
 pub use store::{KvBackend, KvStore};
 pub use tuning::KvTuning;
-pub use workmodel::WorkModel;

@@ -10,12 +10,11 @@
 //! service times or bills — it only *watches* them (identity-tested in
 //! `tests/observability.rs`).
 //!
-//! Billed amounts are computed inside the recorder from a [`PriceTable`]
-//! snapshot taken when recording was enabled; the services stay
-//! price-ignorant and keep reporting raw counters to the cost model, so
-//! the ledger and the spans are two independent views of the same
-//! requests — which is what makes the span/ledger reconciliation tests
-//! meaningful.
+//! Each span's bill is priced where the span is built, from the paper's
+//! constant [`crate::pricing::PRICES`], while the ledger prices the raw
+//! counters the services keep, so the ledger and the spans are two
+//! independent views of the same requests — which is what makes the
+//! span/ledger reconciliation tests meaningful.
 //!
 //! Context tags ([`Ctx`]) are set by whichever actor is currently being
 //! stepped (the engine is single-threaded, so the "current context" is
@@ -25,7 +24,6 @@
 
 use crate::clock::{SimDuration, SimTime};
 use crate::money::Money;
-use crate::pricing::PriceTable;
 use std::sync::{Arc, Mutex};
 
 /// Which simulated service a span belongs to.
@@ -170,7 +168,7 @@ pub struct Span {
     pub bytes: u64,
     /// Capacity units consumed (the fractional service-time model).
     pub units: f64,
-    /// What this request was billed, under the recorder's price table.
+    /// What this request was billed.
     pub billed: Money,
     /// How the request ended.
     pub outcome: Outcome,
@@ -242,7 +240,6 @@ impl Span {
 struct Inner {
     spans: Arc<Vec<Span>>,
     ctx: Ctx,
-    prices: PriceTable,
 }
 
 /// The span recorder handed to every service.
@@ -261,22 +258,21 @@ impl Recorder {
         Recorder(None)
     }
 
-    /// An enabled recorder billing spans under `prices`.
-    pub fn enabled(prices: PriceTable) -> Recorder {
+    /// An enabled recorder.
+    pub fn enabled() -> Recorder {
         Recorder(Some(Arc::new(Mutex::new(Inner {
             spans: Arc::default(),
             ctx: Ctx::default(),
-            prices,
         }))))
     }
 
-    /// Records the span built by `f`, which receives the price table and
-    /// the current context. No-op (and `f` never runs) when disabled —
-    /// instrumentation sites pay only an `Option` check.
-    pub fn record(&self, f: impl FnOnce(&PriceTable, &Ctx) -> Span) {
+    /// Records the span built by `f`, which receives the current context.
+    /// No-op (and `f` never runs) when disabled — instrumentation sites
+    /// pay only an `Option` check.
+    pub fn record(&self, f: impl FnOnce(&Ctx) -> Span) {
         if let Some(inner) = &self.0 {
             let mut g = inner.lock().expect("recorder lock");
-            let span = f(&g.prices, &g.ctx);
+            let span = f(&g.ctx);
             Arc::make_mut(&mut g.spans).push(span);
         }
     }
@@ -306,25 +302,17 @@ impl Recorder {
             None => 0,
         }
     }
-
-    /// The price table spans are billed under (the default table when
-    /// disabled).
-    pub fn prices(&self) -> PriceTable {
-        match &self.0 {
-            Some(inner) => inner.lock().expect("recorder lock").prices.clone(),
-            None => PriceTable::default(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pricing::PRICES;
 
     #[test]
     fn disabled_recorder_never_runs_the_closure() {
         let rec = Recorder::off();
-        rec.record(|_, _| unreachable!("off recorder must not build spans"));
+        rec.record(|_| unreachable!("off recorder must not build spans"));
         rec.with_ctx(|_| unreachable!("off recorder has no context"));
         assert_eq!(rec.span_count(), 0);
         assert!(rec.spans().is_empty());
@@ -332,26 +320,25 @@ mod tests {
 
     #[test]
     fn clones_share_the_span_buffer() {
-        let a = Recorder::enabled(PriceTable::default());
+        let a = Recorder::enabled();
         let b = a.clone();
-        b.record(|p, ctx| {
+        b.record(|ctx| {
             Span::new(ServiceKind::S3, "put", SimTime::ZERO, SimTime(12), ctx)
                 .bytes(42)
-                .billed(p.st_put)
+                .billed(PRICES.st_put)
         });
         assert_eq!(a.span_count(), 1);
         let spans = a.spans();
         assert_eq!(spans[0].bytes, 42);
-        assert_eq!(spans[0].billed, PriceTable::default().st_put);
+        assert_eq!(spans[0].billed, PRICES.st_put);
         assert_eq!(spans[0].duration(), SimDuration::from_micros(12));
     }
 
     #[test]
     fn a_snapshot_shares_the_buffer_and_never_changes() {
-        let rec = Recorder::enabled(PriceTable::default());
-        let put = |at| {
-            rec.record(|_, ctx| Span::new(ServiceKind::S3, "put", SimTime(at), SimTime(at), ctx))
-        };
+        let rec = Recorder::enabled();
+        let put =
+            |at| rec.record(|ctx| Span::new(ServiceKind::S3, "put", SimTime(at), SimTime(at), ctx));
         put(1);
         // Two snapshots with nothing recorded in between are one buffer…
         let (first, again) = (rec.spans(), rec.spans());
@@ -370,13 +357,13 @@ mod tests {
 
     #[test]
     fn context_tags_apply_to_later_spans_only() {
-        let rec = Recorder::enabled(PriceTable::default());
-        rec.record(|_, ctx| Span::new(ServiceKind::Sqs, "send", SimTime::ZERO, SimTime(1), ctx));
+        let rec = Recorder::enabled();
+        rec.record(|ctx| Span::new(ServiceKind::Sqs, "send", SimTime::ZERO, SimTime(1), ctx));
         rec.with_ctx(|c| {
             c.phase = Phase::Query;
             c.query = Some("q7".into());
         });
-        rec.record(|_, ctx| Span::new(ServiceKind::Kv, "get", SimTime(1), SimTime(2), ctx));
+        rec.record(|ctx| Span::new(ServiceKind::Kv, "get", SimTime(1), SimTime(2), ctx));
         let spans = rec.spans();
         assert_eq!(spans[0].ctx.phase, Phase::Other);
         assert!(spans[0].ctx.query.is_none());

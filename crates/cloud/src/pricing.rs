@@ -1,9 +1,9 @@
-//! Cloud price tables (paper Section 7.2, Table 3).
+//! The cloud price table (paper Section 7.2, Table 3).
 //!
-//! The one table is the paper's: AWS Asia Pacific (Singapore) as of
-//! September–October 2012. Prices are billing-only — a warehouse given
-//! other rates bills differently and runs the same virtual timeline — so
-//! re-pricing under another provider is a table with other constants.
+//! [`PRICES`] is the paper's table: AWS Asia Pacific (Singapore) as of
+//! September–October 2012, in exact picodollars. Prices are billing-only:
+//! the ledger, the spans' bills, the cost formulas and the trace's EC2
+//! lane read it, and nothing that sets a virtual time or an answer does.
 
 use crate::money::Money;
 
@@ -40,7 +40,7 @@ impl InstanceType {
 }
 
 /// A provider price table — the constants of Section 7.2.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PriceTable {
     /// `ST$_{m,GB}` — file store, per GB-month.
     pub st_month_gb: Money,
@@ -64,23 +64,21 @@ pub struct PriceTable {
     pub egress_gb: Money,
 }
 
-impl PriceTable {
-    /// The paper's Table 3: AWS Singapore, October 2012.
-    pub fn aws_singapore_2012() -> PriceTable {
-        PriceTable {
-            st_month_gb: Money::from_dollars(0.125),
-            st_put: Money::from_dollars(0.000011),
-            st_get: Money::from_dollars(0.0000011),
-            idx_month_gb: Money::from_dollars(1.14),
-            idx_put: Money::from_dollars(0.00000032),
-            idx_get: Money::from_dollars(0.000000032),
-            vm_hour_large: Money::from_dollars(0.34),
-            vm_hour_xlarge: Money::from_dollars(0.68),
-            qs_request: Money::from_dollars(0.000001),
-            egress_gb: Money::from_dollars(0.19),
-        }
-    }
+/// The paper's Table 3: AWS Singapore, October 2012.
+pub const PRICES: PriceTable = PriceTable {
+    st_month_gb: Money::from_pico(125_000_000_000),
+    st_put: Money::from_pico(11_000_000),
+    st_get: Money::from_pico(1_100_000),
+    idx_month_gb: Money::from_pico(1_140_000_000_000),
+    idx_put: Money::from_pico(320_000),
+    idx_get: Money::from_pico(32_000),
+    vm_hour_large: Money::from_pico(340_000_000_000),
+    vm_hour_xlarge: Money::from_pico(680_000_000_000),
+    qs_request: Money::from_pico(1_000_000),
+    egress_gb: Money::from_pico(190_000_000_000),
+};
 
+impl PriceTable {
     /// Hourly price of an instance type.
     pub fn vm_hour(&self, t: InstanceType) -> Money {
         match t {
@@ -90,30 +88,35 @@ impl PriceTable {
     }
 }
 
-impl Default for PriceTable {
-    fn default() -> Self {
-        PriceTable::aws_singapore_2012()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every constant is Table 3's decimal to the picodollar.
     #[test]
     fn table3_constants_are_exact() {
-        let p = PriceTable::aws_singapore_2012();
-        assert_eq!(p.st_month_gb.dollars(), 0.125);
-        assert_eq!(p.idx_get.pico(), 32_000);
-        assert_eq!(p.vm_hour(InstanceType::ExtraLarge).dollars(), 0.68);
+        let table3 = [
+            (PRICES.st_month_gb, 0.125),
+            (PRICES.st_put, 0.000011),
+            (PRICES.st_get, 0.0000011),
+            (PRICES.idx_month_gb, 1.14),
+            (PRICES.idx_put, 0.00000032),
+            (PRICES.idx_get, 0.000000032),
+            (PRICES.vm_hour_large, 0.34),
+            (PRICES.vm_hour_xlarge, 0.68),
+            (PRICES.qs_request, 0.000001),
+            (PRICES.egress_gb, 0.19),
+        ];
+        for (constant, dollars) in table3 {
+            assert_eq!(constant, Money::from_dollars(dollars), "${dollars}");
+        }
     }
 
     #[test]
     fn xl_costs_double_l() {
-        let p = PriceTable::default();
         assert_eq!(
-            p.vm_hour(InstanceType::ExtraLarge).pico(),
-            2 * p.vm_hour(InstanceType::Large).pico()
+            PRICES.vm_hour(InstanceType::ExtraLarge).pico(),
+            2 * PRICES.vm_hour(InstanceType::Large).pico()
         );
     }
 

@@ -15,7 +15,7 @@ use crate::clock::{SimDuration, SimTime};
 use crate::fault::FaultInjector;
 use crate::money::Money;
 use crate::obs::{Outcome, Recorder, ServiceKind, Span};
-use crate::pricing::PriceTable;
+use crate::pricing::PRICES;
 use crate::service::ServiceQueue;
 use std::collections::HashMap;
 use std::fmt;
@@ -205,7 +205,7 @@ impl S3 {
         bucket: &str,
         op: &'static str,
         count: fn(&mut S3Stats) -> &mut u64,
-        throttled_bill: fn(&PriceTable) -> Money,
+        throttled_bill: Money,
     ) -> Result<(), S3Error> {
         if !self.buckets.contains_key(bucket) {
             return Err(S3Error::NoSuchBucket(bucket.to_string()));
@@ -214,9 +214,9 @@ impl S3 {
         if self.faults.roll() {
             self.stats.throttled += 1;
             let available_at = now + self.transfer.latency;
-            self.obs.record(|p, ctx| {
+            self.obs.record(|ctx| {
                 Span::new(ServiceKind::S3, op, now, available_at, ctx)
-                    .billed(throttled_bill(p))
+                    .billed(throttled_bill)
                     .outcome(Outcome::Throttled)
             });
             return Err(S3Error::SlowDown { available_at });
@@ -237,7 +237,7 @@ impl S3 {
         key: &str,
         data: Vec<u8>,
     ) -> Result<SimTime, S3Error> {
-        self.admit(now, bucket, "put", |s| &mut s.put_requests, |p| p.st_put)?;
+        self.admit(now, bucket, "put", |s| &mut s.put_requests, PRICES.st_put)?;
         let b = self.buckets.get_mut(bucket).expect("checked by admit");
         let len = data.len() as u64;
         self.stats.bytes_in += len;
@@ -248,11 +248,11 @@ impl S3 {
         self.stats.stored_bytes += len;
         let ready = self.transfer.serve_unqueued(now, len as f64);
         let busy = self.transfer.service_time(len as f64);
-        self.obs.record(|p, ctx| {
+        self.obs.record(|ctx| {
             Span::new(ServiceKind::S3, "put", now, ready, ctx)
                 .bytes(len)
                 .busy(busy)
-                .billed(p.st_put)
+                .billed(PRICES.st_put)
         });
         Ok(ready)
     }
@@ -270,7 +270,7 @@ impl S3 {
             bucket,
             "delete",
             |s| &mut s.delete_requests,
-            |_| Money::ZERO,
+            Money::ZERO,
         )?;
         let b = self.buckets.get_mut(bucket).expect("checked by admit");
         let removed = b.objects.remove(key);
@@ -279,7 +279,7 @@ impl S3 {
             b.listing = None;
         }
         let end = now + self.transfer.latency;
-        self.obs.record(|_p, ctx| {
+        self.obs.record(|ctx| {
             let span = Span::new(ServiceKind::S3, "delete", now, end, ctx);
             match &removed {
                 Some(old) => span.bytes(old.len() as u64),
@@ -302,13 +302,13 @@ impl S3 {
         bucket: &str,
         key: &str,
     ) -> Result<(Arc<Blob>, SimTime), S3Error> {
-        self.admit(now, bucket, "get", |s| &mut s.get_requests, |p| p.st_get)?;
+        self.admit(now, bucket, "get", |s| &mut s.get_requests, PRICES.st_get)?;
         let b = self.buckets.get(bucket).expect("checked by admit");
         let Some(data) = b.objects.get(key).cloned() else {
             let end = now + self.transfer.latency;
-            self.obs.record(|p, ctx| {
+            self.obs.record(|ctx| {
                 Span::new(ServiceKind::S3, "get", now, end, ctx)
-                    .billed(p.st_get)
+                    .billed(PRICES.st_get)
                     .outcome(Outcome::Missing)
             });
             return Err(S3Error::NoSuchKey {
@@ -320,11 +320,11 @@ impl S3 {
         self.stats.bytes_out += len;
         let ready = self.transfer.serve_unqueued(now, len as f64);
         let busy = self.transfer.service_time(len as f64);
-        self.obs.record(|p, ctx| {
+        self.obs.record(|ctx| {
             Span::new(ServiceKind::S3, "get", now, ready, ctx)
                 .bytes(len)
                 .busy(busy)
-                .billed(p.st_get)
+                .billed(PRICES.st_get)
         });
         Ok((data, ready))
     }
@@ -346,7 +346,7 @@ impl S3 {
         self.stats.get_requests += 1;
         let end = now + self.transfer.latency;
         self.obs
-            .record(|p, ctx| Span::new(ServiceKind::S3, "list", now, end, ctx).billed(p.st_get));
+            .record(|ctx| Span::new(ServiceKind::S3, "list", now, end, ctx).billed(PRICES.st_get));
         Ok(keys)
     }
 
@@ -590,18 +590,17 @@ mod tests {
     #[test]
     fn every_request_kind_is_admitted_by_the_same_step() {
         use crate::fault::FaultInjector;
-        let prices = PriceTable::default();
         type Call = fn(&mut S3, &str) -> Option<S3Error>;
         let calls: [(&str, Call, Money); 3] = [
             (
                 "put",
                 |s3, b| s3.put(SimTime(5), b, "k", vec![1]).err(),
-                prices.st_put,
+                PRICES.st_put,
             ),
             (
                 "get",
                 |s3, b| s3.get(SimTime(5), b, "k").err(),
-                prices.st_get,
+                PRICES.st_get,
             ),
             (
                 "delete",
@@ -613,7 +612,7 @@ mod tests {
             let mut s3 = S3::new();
             s3.create_bucket("b");
             s3.set_faults(FaultInjector::new(1.0, 9)); // clamped to 0.95
-            s3.set_recorder(Recorder::enabled(prices.clone()));
+            s3.set_recorder(Recorder::enabled());
             // An unknown bucket bills nothing, counts nothing and draws
             // nothing from the fault stream…
             for _ in 0..20 {

@@ -22,16 +22,15 @@ use crate::fault::FaultConfig;
 use crate::kv::KvStats;
 use crate::money::Money;
 use crate::obs::{Recorder, ServiceKind, Span};
-use crate::pricing::PriceTable;
+use crate::pricing::PRICES;
 use crate::s3::{S3Stats, S3};
 use crate::sqs::{Sqs, SqsStats};
 use crate::store::{KvBackend, KvStore};
 use crate::tuning::KvTuning;
-use crate::workmodel::WorkModel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The simulated cloud: every service plus pricing and the work model.
+/// The simulated cloud: every service, the egress meter and the recorder.
 pub struct World {
     /// File store.
     pub s3: S3,
@@ -41,10 +40,6 @@ pub struct World {
     pub sqs: Sqs,
     /// Instance registry.
     pub ec2: Ec2,
-    /// Compute work model.
-    pub work: WorkModel,
-    /// Provider price table.
-    pub prices: PriceTable,
     /// Bytes transferred out of the cloud (billed `egress$_GB`).
     pub egress_bytes: u64,
     /// Span recorder (off unless [`World::enable_recording`] was called);
@@ -53,8 +48,7 @@ pub struct World {
 }
 
 impl World {
-    /// Creates a world with the given index backend and default pricing
-    /// (the paper's Table 3).
+    /// Creates a world with the given index backend.
     pub fn new(backend: KvBackend) -> World {
         World::open(backend, KvTuning::NONE)
     }
@@ -67,19 +61,15 @@ impl World {
             kv: KvStore::open(backend, tuning),
             sqs: Sqs::new(),
             ec2: Ec2::new(),
-            work: WorkModel::default(),
-            prices: PriceTable::default(),
             egress_bytes: 0,
             obs: Recorder::off(),
         }
     }
 
     /// Turns on span recording: every subsequent service call, throttle
-    /// and actor phase is recorded against the current price table. Must
-    /// be called after `prices` is set — the recorder bills spans under a
-    /// snapshot of the table taken here.
+    /// and actor phase is recorded.
     pub fn enable_recording(&mut self) {
-        let rec = Recorder::enabled(self.prices.clone());
+        let rec = Recorder::enabled();
         self.s3.set_recorder(rec.clone());
         self.kv.set_recorder(rec.clone());
         self.sqs.set_recorder(rec.clone());
@@ -90,10 +80,10 @@ impl World {
     /// to the user — the paper's `egress$_GB × |r(q)|` term).
     pub fn egress(&mut self, now: SimTime, bytes: u64) {
         self.egress_bytes += bytes;
-        self.obs.record(|p, ctx| {
+        self.obs.record(|ctx| {
             Span::new(ServiceKind::Egress, "egress", now, now, ctx)
                 .bytes(bytes)
-                .billed(p.egress_gb.per_gb(bytes))
+                .billed(PRICES.egress_gb.per_gb(bytes))
         });
     }
 
@@ -115,7 +105,7 @@ impl World {
             kv: self.kv.stats(),
             sqs: self.sqs.stats(),
             egress_bytes: self.egress_bytes,
-            ec2_cost: self.ec2.total_cost(&self.prices),
+            ec2_cost: self.ec2.total_cost(),
         }
     }
 
@@ -125,14 +115,14 @@ impl World {
         let s3 = self.s3.stats();
         let kv = self.kv.stats();
         let sqs = self.sqs.stats();
-        let p = &self.prices;
+        let p = &PRICES;
         let s3_cost = p.st_put * (s3.put_requests - since.s3.put_requests)
             + p.st_get * (s3.get_requests - since.s3.get_requests);
         let kv_cost = p.idx_put * (kv.put_ops - since.kv.put_ops)
             + p.idx_get * (kv.get_ops - since.kv.get_ops);
         let sqs_cost = p.qs_request * (sqs.requests - since.sqs.requests);
         let egress_cost = p.egress_gb.per_gb(self.egress_bytes - since.egress_bytes);
-        let ec2_cost = self.ec2.total_cost(p) - since.ec2_cost;
+        let ec2_cost = self.ec2.total_cost() - since.ec2_cost;
         CostReport {
             s3: s3_cost,
             kv: kv_cost,
@@ -151,11 +141,8 @@ impl World {
     /// `st$_m(D, I) = ST$_{m,GB} × s(D) + IDX$_{m,GB} × s(D, I)`.
     pub fn storage_cost_per_month(&self) -> StorageCost {
         StorageCost {
-            file_store: self.prices.st_month_gb.per_gb(self.s3.stats().stored_bytes),
-            index_store: self
-                .prices
-                .idx_month_gb
-                .per_gb(self.kv.stats().stored_bytes()),
+            file_store: PRICES.st_month_gb.per_gb(self.s3.stats().stored_bytes),
+            index_store: PRICES.idx_month_gb.per_gb(self.kv.stats().stored_bytes()),
         }
     }
 }
@@ -388,9 +375,9 @@ mod tests {
         world.sqs.send(SimTime::ZERO, "q", "m").unwrap();
         world.egress(SimTime::ZERO, 1_000_000_000);
         let report = world.cost_report();
-        assert_eq!(report.s3, world.prices.st_put);
-        assert_eq!(report.sqs, world.prices.qs_request);
-        assert_eq!(report.egress, world.prices.egress_gb);
+        assert_eq!(report.s3, PRICES.st_put);
+        assert_eq!(report.sqs, PRICES.qs_request);
+        assert_eq!(report.egress, PRICES.egress_gb);
         assert_eq!(report.kv, Money::ZERO);
         assert_eq!(report.total(), report.s3 + report.sqs + report.egress);
     }
@@ -404,7 +391,7 @@ mod tests {
         world.s3.put(SimTime::ZERO, "b", "k2", vec![0; 10]).unwrap();
         world.s3.put(SimTime::ZERO, "b", "k3", vec![0; 10]).unwrap();
         let delta = world.cost_since(&snap);
-        assert_eq!(delta.s3, world.prices.st_put * 2);
+        assert_eq!(delta.s3, PRICES.st_put * 2);
     }
 
     /// Every byte-moving op prices exactly from its counters: the
@@ -438,7 +425,7 @@ mod tests {
         }
         let st = world.s3.stats();
         assert!(st.get_requests > 0 && st.throttled > 0);
-        let p = world.prices.clone();
+        let p = PRICES;
         let report = world.cost_report();
         assert_eq!(
             report.s3.pico(),

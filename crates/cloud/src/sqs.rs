@@ -20,6 +20,7 @@
 use crate::clock::{SimDuration, SimTime};
 use crate::fault::FaultInjector;
 use crate::obs::{Outcome, Recorder, ServiceKind, Span};
+use crate::pricing::PRICES;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -161,9 +162,9 @@ impl Sqs {
         if self.faults.roll() {
             self.stats.throttled += 1;
             let available_at = now + self.latency;
-            self.obs.record(|p, ctx| {
+            self.obs.record(|ctx| {
                 Span::new(ServiceKind::Sqs, op, now, available_at, ctx)
-                    .billed(p.qs_request)
+                    .billed(PRICES.qs_request)
                     .outcome(Outcome::Throttled)
             });
             return Err(SqsError::Throttled { available_at });
@@ -174,10 +175,10 @@ impl Sqs {
     /// Records the span of a successfully served request (`Ok` outcome,
     /// one `QS$` charge, response at `now + latency`).
     fn record_ok(&self, now: SimTime, op: &'static str, bytes: u64) {
-        self.obs.record(|p, ctx| {
+        self.obs.record(|ctx| {
             Span::new(ServiceKind::Sqs, op, now, now + self.latency, ctx)
                 .bytes(bytes)
-                .billed(p.qs_request)
+                .billed(PRICES.qs_request)
         });
     }
 
@@ -244,9 +245,9 @@ impl Sqs {
         }
         // An empty receive is a billed request too; spans mark it Missing
         // so empty-poll cost shows up in the attribution tables.
-        self.obs.record(|p, ctx| {
+        self.obs.record(|ctx| {
             let mut span = Span::new(ServiceKind::Sqs, "receive", now, now + latency, ctx)
-                .billed(p.qs_request);
+                .billed(PRICES.qs_request);
             match &msg {
                 Some(m) => span.bytes = m.body.len() as u64,
                 None => span.outcome = Outcome::Missing,

@@ -22,7 +22,7 @@ use crate::fault::FaultInjector;
 use crate::kv::{ItemTable, KvError, KvItem, KvProfile, KvStats};
 use crate::money::Money;
 use crate::obs::{Outcome, Recorder, ServiceKind, Span};
-use crate::pricing::PriceTable;
+use crate::pricing::PRICES;
 use crate::service::ServiceQueue;
 use crate::simpledb;
 use crate::tuning::KvTuning;
@@ -74,7 +74,7 @@ pub(crate) struct Lanes {
 /// a throttled request is recorded as (whatever it was).
 struct Dir {
     lane: fn(&mut Lanes) -> &mut ServiceQueue,
-    price: fn(&PriceTable) -> Money,
+    price: Money,
     billed_ops: fn(&mut KvStats) -> &mut u64,
     count_bytes: fn(&mut KvStats, u64),
     throttled_op: &'static str,
@@ -82,7 +82,7 @@ struct Dir {
 
 const WRITE: Dir = Dir {
     lane: |lanes| &mut lanes.writes,
-    price: |p| p.idx_put,
+    price: PRICES.idx_put,
     billed_ops: |stats| &mut stats.put_ops,
     count_bytes: |_, _| {},
     throttled_op: "put",
@@ -90,7 +90,7 @@ const WRITE: Dir = Dir {
 
 const READ: Dir = Dir {
     lane: |lanes| &mut lanes.reads,
-    price: |p| p.idx_get,
+    price: PRICES.idx_get,
     billed_ops: |stats| &mut stats.get_ops,
     count_bytes: |stats, bytes| stats.bytes_read += bytes,
     throttled_op: "get",
@@ -250,10 +250,10 @@ impl KvStore {
             self.stats.throttled += 1;
             self.stats.api_requests += 1;
             *(dir.billed_ops)(&mut self.stats) += 1;
-            self.obs.record(|p, ctx| {
+            self.obs.record(|ctx| {
                 Span::new(ServiceKind::Kv, dir.throttled_op, now, available_at, ctx)
                     .units(1.0)
-                    .billed((dir.price)(p))
+                    .billed(dir.price)
                     .outcome(Outcome::Throttled)
             });
             return Err(KvError::Throttled { available_at });
@@ -274,7 +274,7 @@ impl KvStore {
         let done = lane.serve(now, demand.service);
         *(dir.billed_ops)(&mut self.stats) += demand.billed;
         (dir.count_bytes)(&mut self.stats, demand.bytes);
-        self.obs.record(|p, ctx| {
+        self.obs.record(|ctx| {
             let units = if demand.backend.spans_report_billed_units() {
                 demand.billed as f64
             } else {
@@ -284,7 +284,7 @@ impl KvStore {
                 .bytes(demand.bytes)
                 .units(units)
                 .busy(lane.service_time(demand.service))
-                .billed((dir.price)(p) * demand.billed)
+                .billed(dir.price * demand.billed)
         });
         Ok((out, done))
     }

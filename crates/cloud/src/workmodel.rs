@@ -5,73 +5,55 @@
 //! extraction, twig joins) on the host machine; the discrete-event clock
 //! never sees host wall-time. Instead, each computation reports a metric
 //! (bytes parsed, entry bytes emitted, candidate nodes processed, …) and
-//! this model converts it into virtual seconds on a core of a given ECU
-//! rating. That keeps every simulation deterministic while letting the
+//! one function here converts it into virtual seconds on a core of a given
+//! ECU rating. That keeps every simulation deterministic while letting the
 //! relative costs (and therefore every ratio the paper's evaluation is
 //! about) emerge from the real algorithms.
 //!
-//! Default throughputs are calibrated to the paper's setting — one EC2
-//! Compute Unit ≈ a 1.0–1.2 GHz 2007 Xeon running a Java XML stack — so
-//! the Table 4 / Table 7 magnitudes land in the right regime.
+//! The five per-ECU throughputs are constants calibrated to the paper's
+//! setting — one EC2 Compute Unit ≈ a 1.0–1.2 GHz 2007 Xeon running a Java
+//! XML stack — so the Table 4 / Table 7 magnitudes land in the right
+//! regime.
 
 use crate::clock::SimDuration;
 
-/// Per-ECU throughput constants.
-#[derive(Debug, Clone)]
-pub struct WorkModel {
-    /// XML parsing, MB of source per ECU-second.
-    pub parse_mb_per_ecu_sec: f64,
-    /// Index-entry extraction and encoding, MB of entry bytes per
-    /// ECU-second.
-    pub extract_mb_per_ecu_sec: f64,
-    /// Pattern evaluation, candidate nodes per ECU-second.
-    pub eval_nodes_per_ecu_sec: f64,
-    /// Look-up post-processing (intersections, path filtering, ID joins),
-    /// index entries per ECU-second.
-    pub plan_entries_per_ecu_sec: f64,
-    /// Result materialization / serialization, MB per ECU-second.
-    pub materialize_mb_per_ecu_sec: f64,
-}
-
-impl Default for WorkModel {
-    fn default() -> Self {
-        WorkModel {
-            parse_mb_per_ecu_sec: 3.0,
-            extract_mb_per_ecu_sec: 12.0,
-            eval_nodes_per_ecu_sec: 250_000.0,
-            plan_entries_per_ecu_sec: 400_000.0,
-            materialize_mb_per_ecu_sec: 25.0,
-        }
-    }
-}
+/// XML parsing, MB of source per ECU-second.
+const PARSE_MB_PER_ECU_SEC: f64 = 3.0;
+/// Index-entry extraction and encoding, MB of entry bytes per ECU-second.
+const EXTRACT_MB_PER_ECU_SEC: f64 = 12.0;
+/// Pattern evaluation, candidate nodes per ECU-second.
+const EVAL_NODES_PER_ECU_SEC: f64 = 250_000.0;
+/// Look-up post-processing (intersections, path filtering, ID joins),
+/// index entries per ECU-second.
+const PLAN_ENTRIES_PER_ECU_SEC: f64 = 400_000.0;
+/// Result materialization / serialization, MB per ECU-second.
+const MATERIALIZE_MB_PER_ECU_SEC: f64 = 25.0;
 
 const MB: f64 = 1024.0 * 1024.0;
 
-impl WorkModel {
-    /// Virtual time to parse `bytes` of XML on a core of `ecu` rating.
-    pub fn parse(&self, bytes: u64, ecu: f64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / MB / (self.parse_mb_per_ecu_sec * ecu))
-    }
+/// Virtual time to parse `bytes` of XML on a core of `ecu` rating.
+pub fn parse(bytes: u64, ecu: f64) -> SimDuration {
+    SimDuration::from_secs_f64(bytes as f64 / MB / (PARSE_MB_PER_ECU_SEC * ecu))
+}
 
-    /// Virtual time to extract and encode `entry_bytes` of index entries.
-    pub fn extract(&self, entry_bytes: u64, ecu: f64) -> SimDuration {
-        SimDuration::from_secs_f64(entry_bytes as f64 / MB / (self.extract_mb_per_ecu_sec * ecu))
-    }
+/// Virtual time to extract and encode `entry_bytes` of index entries.
+pub fn extract(entry_bytes: u64, ecu: f64) -> SimDuration {
+    SimDuration::from_secs_f64(entry_bytes as f64 / MB / (EXTRACT_MB_PER_ECU_SEC * ecu))
+}
 
-    /// Virtual time to evaluate a pattern that touched `nodes` candidates.
-    pub fn eval(&self, nodes: u64, ecu: f64) -> SimDuration {
-        SimDuration::from_secs_f64(nodes as f64 / (self.eval_nodes_per_ecu_sec * ecu))
-    }
+/// Virtual time to evaluate a pattern that touched `nodes` candidates.
+pub fn eval(nodes: u64, ecu: f64) -> SimDuration {
+    SimDuration::from_secs_f64(nodes as f64 / (EVAL_NODES_PER_ECU_SEC * ecu))
+}
 
-    /// Virtual time for look-up post-processing over `entries` entries.
-    pub fn plan(&self, entries: u64, ecu: f64) -> SimDuration {
-        SimDuration::from_secs_f64(entries as f64 / (self.plan_entries_per_ecu_sec * ecu))
-    }
+/// Virtual time for look-up post-processing over `entries` entries.
+pub fn plan(entries: u64, ecu: f64) -> SimDuration {
+    SimDuration::from_secs_f64(entries as f64 / (PLAN_ENTRIES_PER_ECU_SEC * ecu))
+}
 
-    /// Virtual time to materialize `bytes` of results.
-    pub fn materialize(&self, bytes: u64, ecu: f64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / MB / (self.materialize_mb_per_ecu_sec * ecu))
-    }
+/// Virtual time to materialize `bytes` of results.
+pub fn materialize(bytes: u64, ecu: f64) -> SimDuration {
+    SimDuration::from_secs_f64(bytes as f64 / MB / (MATERIALIZE_MB_PER_ECU_SEC * ecu))
 }
 
 #[cfg(test)]
@@ -80,9 +62,8 @@ mod tests {
 
     #[test]
     fn parse_scales_inversely_with_ecu() {
-        let m = WorkModel::default();
-        let slow = m.parse(3 * 1024 * 1024, 1.0);
-        let fast = m.parse(3 * 1024 * 1024, 2.0);
+        let slow = parse(3 * 1024 * 1024, 1.0);
+        let fast = parse(3 * 1024 * 1024, 2.0);
         assert_eq!(slow.micros(), 2 * fast.micros());
         // 3 MB at 3 MB/s/ECU on a 1-ECU core = 1 s.
         assert_eq!(slow.micros(), 1_000_000);
@@ -90,15 +71,13 @@ mod tests {
 
     #[test]
     fn zero_work_takes_zero_time() {
-        let m = WorkModel::default();
-        assert_eq!(m.parse(0, 2.0), SimDuration::ZERO);
-        assert_eq!(m.eval(0, 2.0), SimDuration::ZERO);
+        assert_eq!(parse(0, 2.0), SimDuration::ZERO);
+        assert_eq!(eval(0, 2.0), SimDuration::ZERO);
     }
 
     #[test]
     fn nonzero_work_advances_time() {
-        let m = WorkModel::default();
-        assert!(m.eval(1, 2.0).micros() >= 1);
-        assert!(m.plan(1, 2.0).micros() >= 1);
+        assert!(eval(1, 2.0).micros() >= 1);
+        assert!(plan(1, 2.0).micros() >= 1);
     }
 }

@@ -16,7 +16,7 @@
 
 use amada_cloud::{
     content_hash, FaultInjector, KvBackend, KvError, KvField, KvItem, KvStore, KvTuning, KvValue,
-    PriceTable, Recorder, SimTime,
+    Recorder, SimTime,
 };
 use amada_rng::StdRng;
 use std::fmt::Write;
@@ -260,7 +260,7 @@ fn run_script(store: &mut KvStore) -> String {
 
 fn transcript(opening: &Opening) -> (String, String, String, String) {
     let mut store = KvStore::open(opening.backend, opening.tuning);
-    let recorder = Recorder::enabled(PriceTable::default());
+    let recorder = Recorder::enabled();
     store.ensure_table(TABLES[0]);
     store.ensure_table(TABLES[1]);
     store.set_recorder(recorder.clone());

@@ -48,15 +48,15 @@
 //! until then.
 
 use crate::config::{
-    Module, WarehouseConfig, DOC_BUCKET, LOADER_QUEUE, POLL_INTERVAL, QUERY_QUEUE, RESPONSE_QUEUE,
-    RESULT_BUCKET,
+    Module, WarehouseConfig, DOC_BUCKET, LOADER_POOL, LOADER_QUEUE, POLL_INTERVAL, QUERY_QUEUE,
+    RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::fetch::fetch_timeline;
 use crate::metrics::{result_payload, QueryExecution, QueryPhases};
 use crate::retry::{dead_letter, put_object, Lease, Retry};
 use amada_cloud::{
-    Actor, ActorTag, Blob, InstanceId, KvError, KvItem, RetryAfter, S3Error, ServiceKind,
-    SimDuration, SimTime, Span, SqsError, StepResult, World,
+    workmodel, Actor, ActorTag, Blob, InstanceId, KvError, KvItem, RetryAfter, S3Error,
+    ServiceKind, SimDuration, SimTime, Span, SqsError, StepResult, World,
 };
 use amada_index::{
     lookup_query, plan_document, Evaluation, ExtractCache, ExtractOptions, Held, LookupOutcome,
@@ -76,7 +76,8 @@ use std::sync::Arc;
 /// indexed one; an empty set for a new document — *before* overwriting the
 /// object (the loader only ever sees the current bytes). The loader plans
 /// the current version against the entry, pushes that version's set onto
-/// it (the plan's calls may land from then on), rewrites what changed,
+/// it if the store accepts the plan (its calls may land from then on; a
+/// refused plan writes nothing), rewrites what changed,
 /// deletes what no version claims and drops the entry when the last call
 /// has landed. A crash, an abandon or a parked message leaves it in place,
 /// so the next message re-plans against it — rewrites and deletes are
@@ -189,7 +190,7 @@ impl Worker {
             world.ec2.extend(self.instance, t);
             world
                 .obs
-                .record(|_, ctx| Span::new(ServiceKind::Actor, "crash", now, t, ctx));
+                .record(|ctx| Span::new(ServiceKind::Actor, "crash", now, t, ctx));
             return Err(StepResult::Done);
         }
         if msg.receive_count > self.retry.policy.max_receives {
@@ -282,8 +283,9 @@ pub struct LoaderCore {
 }
 
 impl LoaderCore {
-    /// Creates an idle core of the loader pool `cfg` describes around
-    /// `worker`, a [`crate::config::LOADER`] one — the one place a loader core is built.
+    /// Creates an idle core of [`crate::config::LOADER_POOL`] indexing under
+    /// `cfg` around `worker`, a [`crate::config::LOADER`] one — the one place
+    /// a loader core is built.
     /// The handles are shared with the warehouse front end and the pool's
     /// other cores.
     pub fn new(
@@ -294,7 +296,7 @@ impl LoaderCore {
     ) -> LoaderCore {
         LoaderCore {
             worker,
-            ecu: cfg.loader_pool.itype.ecu_per_core(),
+            ecu: LOADER_POOL.itype.ecu_per_core(),
             strategy: cfg.strategy,
             opts: cfg.extract,
             totals,
@@ -366,10 +368,10 @@ impl LoaderCore {
         let extracted =
             ExtractCache::shared().write_set(&uri, &bytes, self.strategy, self.opts, &profile);
         let entry_bytes = extracted.as_ref().map_or(0, |set| set.raw_bytes);
-        let extraction = world.work.parse(bytes.len() as u64, self.ecu)
-            + world.work.extract(entry_bytes, self.ecu);
+        let extraction = workmodel::parse(bytes.len() as u64, self.ecu)
+            + workmodel::extract(entry_bytes, self.ecu);
         let (fetched_at, t) = (t, t + extraction);
-        world.obs.record(|_, ctx| {
+        world.obs.record(|ctx| {
             Span::new(ServiceKind::Actor, "extract", fetched_at, t, ctx).bytes(bytes.len() as u64)
         });
         self.totals.borrow_mut().extraction_micros += extraction.micros();
@@ -383,11 +385,11 @@ impl LoaderCore {
             let mut pending = self.retractions.borrow_mut();
             let held = pending.get_mut(&uri);
             let plan = plan_document(&set, &profile, held.as_deref().map_or(&[], |h| h));
-            // Refused or not, the plan went out: the entry holds its version.
+            let plan = plan.ok()?;
             if let Some(held) = held {
                 held.push(Arc::clone(&set));
             }
-            Some((set, plan.ok()?))
+            Some((set, plan))
         });
         let Some((set, plan)) = planned else {
             let retry = &mut self.worker.retry;
@@ -441,7 +443,7 @@ impl LoaderCore {
                 world.ec2.extend(self.worker.instance, last);
                 world
                     .obs
-                    .record(|_, ctx| Span::new(ServiceKind::Actor, "crash", now, last, ctx));
+                    .record(|ctx| Span::new(ServiceKind::Actor, "crash", now, last, ctx));
                 return Burst::Dropped(StepResult::Done);
             }
             match submit(world, table, batch) {
@@ -490,7 +492,7 @@ impl LoaderCore {
             }
             Burst::Dropped(result) => return result,
         };
-        world.obs.record(|_, ctx| {
+        world.obs.record(|ctx| {
             Span::new(ServiceKind::Actor, "upload", now, last, ctx).bytes(up.entry_bytes)
         });
         let mut tot = self.totals.borrow_mut();
@@ -539,7 +541,7 @@ impl LoaderCore {
         self.retractions.borrow_mut().remove(&up.uri);
         world
             .obs
-            .record(|_, ctx| Span::new(ServiceKind::Actor, "retract", now, last, ctx));
+            .record(|ctx| Span::new(ServiceKind::Actor, "retract", now, last, ctx));
         up.lease.keep_alive(&mut world.sqs, last);
         self.state = LoaderState::Finishing { lease: up.lease };
         StepResult::NextAt(last)
@@ -721,15 +723,15 @@ impl QueryCore {
         if self.strategy.is_some() {
             let t_get = lookup.ready_at();
             phases.lookup_get = t_get - t;
-            let plan = world.work.plan(lookup.entries_processed(), self.ecu);
+            let plan = workmodel::plan(lookup.entries_processed(), self.ecu);
             phases.plan = plan;
             let t_lookup = t;
             world
                 .obs
-                .record(|_, ctx| Span::new(ServiceKind::Actor, "lookup_get", t_lookup, t_get, ctx));
+                .record(|ctx| Span::new(ServiceKind::Actor, "lookup_get", t_lookup, t_get, ctx));
             world
                 .obs
-                .record(|_, ctx| Span::new(ServiceKind::Actor, "plan", t_get, t_get + plan, ctx));
+                .record(|ctx| Span::new(ServiceKind::Actor, "plan", t_get, t_get + plan, ctx));
             t = t_get + plan;
             docs_from_index = lookup.total_doc_ids;
         }
@@ -748,11 +750,11 @@ impl QueryCore {
         let fetched = fetch_timeline(t, cores, latency, lookup.uris.len(), |i, at| {
             let uri = &lookup.uris[i];
             let (bytes, arrived) = self.read_candidate(world, at, uri)?;
-            let mut compute = world.work.parse(bytes.len() as u64, self.ecu);
+            let mut compute = workmodel::parse(bytes.len() as u64, self.ecu);
             for (p, candidates) in lookup.per_pattern.iter().enumerate() {
                 if candidates.uris.binary_search(uri).is_ok() {
                     let evaluated = cache.evaluated(uri, &bytes, &mut probes[p]);
-                    compute += world.work.eval(evaluated.1.candidates, self.ecu);
+                    compute += workmodel::eval(evaluated.1.candidates, self.ecu);
                     per_pattern[p].push(evaluated);
                 }
             }
@@ -767,11 +769,11 @@ impl QueryCore {
         let payload = result_payload(&results);
         let result_bytes = payload.len() as u64;
         let join =
-            world.work.plan(tuple_count, self.ecu) + world.work.materialize(result_bytes, self.ecu);
+            workmodel::plan(tuple_count, self.ecu) + workmodel::materialize(result_bytes, self.ecu);
         let wall = (fetched - t) + SimDuration::from_micros(join.micros() / cores as u64);
         phases.transfer_eval = wall;
         let t_eval = t;
-        world.obs.record(|_, ctx| {
+        world.obs.record(|ctx| {
             Span::new(
                 ServiceKind::Actor,
                 "transfer_eval",

@@ -216,7 +216,8 @@ fn estimate_plan(
 /// * `replaced` — the next versions `(uri, xml)` of the sample documents
 ///   one workload run replaces (`&[]` for none);
 /// * `horizon` — runs and months;
-/// * `base` — deployment parameters (pools, prices, store, work model).
+/// * `base` — deployment parameters (query pool, store, extraction, faults,
+///   retries); every layout is deployed on it with its own strategy.
 pub fn advise(
     sample: &[(String, String)],
     workload: &[FamilyLoad],
@@ -241,7 +242,7 @@ pub fn advise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
+    use crate::cost;
     use amada_xmark::{generate_corpus, workload_query, CorpusConfig};
 
     /// Eighteen documents under three URI prefixes; every layout indexes
@@ -513,7 +514,7 @@ mod tests {
         let corpus_bytes = static_sample().iter().map(|(_, x)| x.len() as u64).sum();
         assert_eq!(
             scan.storage_per_month,
-            CostModel::default().monthly_storage(corpus_bytes, 0)
+            cost::monthly_storage(corpus_bytes, 0)
         );
         assert_eq!(
             scan.projected_total,

@@ -1,9 +1,7 @@
 //! Warehouse configuration.
 
 use crate::retry::RetryPolicy;
-use amada_cloud::{
-    FaultConfig, InstanceType, KvBackend, KvTuning, Phase, PriceTable, SimDuration, WorkModel,
-};
+use amada_cloud::{FaultConfig, InstanceType, KvBackend, KvTuning, Phase, SimDuration};
 use amada_index::{ExtractOptions, Strategy};
 
 /// S3 bucket holding the XML documents.
@@ -67,10 +65,14 @@ pub struct Pool {
 
 impl Pool {
     /// A pool of `count` instances of `itype`.
-    pub fn new(count: usize, itype: InstanceType) -> Pool {
+    pub const fn new(count: usize, itype: InstanceType) -> Pool {
         Pool { count, itype }
     }
 }
+
+/// Instances running the indexing module: the paper's 8 large (Section
+/// 8.1, Table 4).
+pub const LOADER_POOL: Pool = Pool::new(8, InstanceType::Large);
 
 /// Host-side execution knobs. Everything here shapes only the *wall
 /// clock* of the simulation host; no field can change virtual times,
@@ -114,14 +116,8 @@ pub struct WarehouseConfig {
     pub backend: KvBackend,
     /// Ablation switches on the index store (binary values, batching).
     pub kv_tuning: KvTuning,
-    /// Instances running the indexing module (paper: 8 large).
-    pub loader_pool: Pool,
     /// Instances running the query processor (paper: 1 unless stated).
     pub query_pool: Pool,
-    /// Provider price table (paper Table 3 by default).
-    pub prices: PriceTable,
-    /// Compute work model.
-    pub work: WorkModel,
     /// SQS visibility timeout for task leases. A module core renews its
     /// lease at the half-life while it works (the paper's Section 3
     /// crash-detection contract: a crashed core stops renewing, and the
@@ -148,10 +144,7 @@ impl Default for WarehouseConfig {
             extract: ExtractOptions::default(),
             backend: KvBackend::default(),
             kv_tuning: KvTuning::NONE,
-            loader_pool: Pool::new(8, InstanceType::Large),
             query_pool: Pool::new(1, InstanceType::Large),
-            prices: PriceTable::default(),
-            work: WorkModel::default(),
             visibility: SimDuration::from_secs(4 * 3600),
             faults: FaultConfig::default(),
             retry: RetryPolicy::default(),
@@ -177,8 +170,8 @@ mod tests {
     #[test]
     fn defaults_match_paper_setup() {
         let c = WarehouseConfig::default();
-        assert_eq!(c.loader_pool.count, 8);
-        assert_eq!(c.loader_pool.itype, InstanceType::Large);
+        assert_eq!(LOADER_POOL.count, 8);
+        assert_eq!(LOADER_POOL.itype, InstanceType::Large);
         assert_eq!(c.query_pool.count, 1);
     }
 }

@@ -1,9 +1,9 @@
 //! The paper's monetary cost model (Section 7.3), implemented
 //! symbolically.
 //!
-//! Given the data-, index- and query-determined metrics of Section 7.1 and
-//! a provider price table (Section 7.2), these functions compute the
-//! charges for uploading, indexing, storing and querying. The same
+//! Given the data-, index- and query-determined metrics of Section 7.1,
+//! these functions price them at the paper's table ([`PRICES`], Section
+//! 7.2): the charges for uploading, indexing, storing and querying. The same
 //! quantities are *also* metered live by the simulated services; the test
 //! suite cross-checks that the metered charges agree with these formulas,
 //! which is precisely the validation the paper performs in Section 8.3
@@ -18,118 +18,91 @@
 //! top, so metered charges exceed these formulas by exactly the
 //! fault-handling overhead the fault experiment reports.
 
-use amada_cloud::{InstanceType, Money, PriceTable, SimDuration};
+use amada_cloud::{InstanceType, Money, SimDuration, PRICES};
 
-/// The Section 7.3 cost formulas over a price table.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Provider prices.
-    pub prices: PriceTable,
+/// `ud$(D) = STput$ × |D| + QS$ × |D|` — uploading a document set.
+pub fn upload_documents(n_docs: u64) -> Money {
+    PRICES.st_put * n_docs + PRICES.qs_request * n_docs
 }
 
-impl CostModel {
-    /// Creates a model over a price table.
-    pub fn new(prices: PriceTable) -> CostModel {
-        CostModel { prices }
-    }
-
-    /// `ud$(D) = STput$ × |D| + QS$ × |D|` — uploading a document set.
-    pub fn upload_documents(&self, n_docs: u64) -> Money {
-        self.prices.st_put * n_docs + self.prices.qs_request * n_docs
-    }
-
-    /// `ci$(D, I) = ud$(D) + IDXput$ × |op(D, I)| + STget$ × |D|
-    ///  + VM$_h × t_idx + QS$ × 2|D|` — building the index.
-    ///
-    /// `t_idx` is wall-clock indexing time; with a pool of `instances`
-    /// machines the VM term bills each of them for the window (the paper's
-    /// Table 6 EC2 figures are pool-wide).
-    pub fn index_building(
-        &self,
-        n_docs: u64,
-        put_ops: u64,
-        t_idx: SimDuration,
-        instances: u64,
-        itype: InstanceType,
-    ) -> Money {
-        self.upload_documents(n_docs)
-            + self.prices.idx_put * put_ops
-            + self.prices.st_get * n_docs
-            + self.prices.vm_hour(itype).per_hour(t_idx.micros()) * instances
-            + self.prices.qs_request * (2 * n_docs)
-    }
-
-    /// `st$_m(D, I) = ST$_{m,GB} × s(D) + IDX$_{m,GB} × s(D, I)` —
-    /// storing the data and its index for one month.
-    pub fn monthly_storage(&self, data_bytes: u64, index_bytes: u64) -> Money {
-        self.prices.st_month_gb.per_gb(data_bytes) + self.prices.idx_month_gb.per_gb(index_bytes)
-    }
-
-    /// `rq$(q) = STget$ + egress$_{GB} × |r(q)| + QS$ × 3` — the front end
-    /// retrieving a query's results.
-    pub fn retrieve_results(&self, result_bytes: u64) -> Money {
-        self.prices.st_get + self.prices.egress_gb.per_gb(result_bytes) + self.prices.qs_request * 3
-    }
-
-    /// `cq$(q, D) = rq$(q) + STget$ × |D| + STput$ + VM$_h × pt(q, D)
-    ///  + QS$ × 3` — answering a query **without** an index.
-    pub fn query_no_index(
-        &self,
-        result_bytes: u64,
-        n_docs: u64,
-        pt: SimDuration,
-        itype: InstanceType,
-    ) -> Money {
-        self.retrieve_results(result_bytes)
-            + self.prices.st_get * n_docs
-            + self.prices.st_put
-            + self.prices.vm_hour(itype).per_hour(pt.micros())
-            + self.prices.qs_request * 3
-    }
-
-    /// `cq$(q, D, I, D_q) = rq$(q) + IDXget$ × |op(q, D, I)| + STget$ ×
-    ///  |D_q| + STput$ + VM$_h × ptq + QS$ × 3` — answering a query
-    /// **with** an index built by strategy `I`.
-    pub fn query_indexed(
-        &self,
-        result_bytes: u64,
-        index_get_ops: u64,
-        docs_fetched: u64,
-        ptq: SimDuration,
-        itype: InstanceType,
-    ) -> Money {
-        self.retrieve_results(result_bytes)
-            + self.prices.idx_get * index_get_ops
-            + self.prices.st_get * docs_fetched
-            + self.prices.st_put
-            + self.prices.vm_hour(itype).per_hour(ptq.micros())
-            + self.prices.qs_request * 3
-    }
+/// `ci$(D, I) = ud$(D) + IDXput$ × |op(D, I)| + STget$ × |D|
+///  + VM$_h × t_idx + QS$ × 2|D|` — building the index.
+///
+/// `t_idx` is wall-clock indexing time; with a pool of `instances`
+/// machines the VM term bills each of them for the window (the paper's
+/// Table 6 EC2 figures are pool-wide).
+pub fn index_building(
+    n_docs: u64,
+    put_ops: u64,
+    t_idx: SimDuration,
+    instances: u64,
+    itype: InstanceType,
+) -> Money {
+    upload_documents(n_docs)
+        + PRICES.idx_put * put_ops
+        + PRICES.st_get * n_docs
+        + PRICES.vm_hour(itype).per_hour(t_idx.micros()) * instances
+        + PRICES.qs_request * (2 * n_docs)
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::new(PriceTable::default())
-    }
+/// `st$_m(D, I) = ST$_{m,GB} × s(D) + IDX$_{m,GB} × s(D, I)` —
+/// storing the data and its index for one month.
+pub fn monthly_storage(data_bytes: u64, index_bytes: u64) -> Money {
+    PRICES.st_month_gb.per_gb(data_bytes) + PRICES.idx_month_gb.per_gb(index_bytes)
+}
+
+/// `rq$(q) = STget$ + egress$_{GB} × |r(q)| + QS$ × 3` — the front end
+/// retrieving a query's results.
+pub fn retrieve_results(result_bytes: u64) -> Money {
+    PRICES.st_get + PRICES.egress_gb.per_gb(result_bytes) + PRICES.qs_request * 3
+}
+
+/// `cq$(q, D) = rq$(q) + STget$ × |D| + STput$ + VM$_h × pt(q, D)
+///  + QS$ × 3` — answering a query **without** an index.
+pub fn query_no_index(
+    result_bytes: u64,
+    n_docs: u64,
+    pt: SimDuration,
+    itype: InstanceType,
+) -> Money {
+    retrieve_results(result_bytes)
+        + PRICES.st_get * n_docs
+        + PRICES.st_put
+        + PRICES.vm_hour(itype).per_hour(pt.micros())
+        + PRICES.qs_request * 3
+}
+
+/// `cq$(q, D, I, D_q) = rq$(q) + IDXget$ × |op(q, D, I)| + STget$ ×
+///  |D_q| + STput$ + VM$_h × ptq + QS$ × 3` — answering a query
+/// **with** an index built by strategy `I`.
+pub fn query_indexed(
+    result_bytes: u64,
+    index_get_ops: u64,
+    docs_fetched: u64,
+    ptq: SimDuration,
+    itype: InstanceType,
+) -> Money {
+    retrieve_results(result_bytes)
+        + PRICES.idx_get * index_get_ops
+        + PRICES.st_get * docs_fetched
+        + PRICES.st_put
+        + PRICES.vm_hour(itype).per_hour(ptq.micros())
+        + PRICES.qs_request * 3
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn m() -> CostModel {
-        CostModel::default()
-    }
-
     #[test]
     fn upload_formula() {
         // 1000 docs: 1000 × ($0.000011 + $0.000001) = $0.012.
-        assert_eq!(m().upload_documents(1000).dollars(), 0.012);
+        assert_eq!(upload_documents(1000).dollars(), 0.012);
     }
 
     #[test]
     fn indexing_formula_components() {
-        let c = m().index_building(
+        let c = index_building(
             100,
             1_000_000,
             SimDuration::from_secs(3600),
@@ -146,19 +119,19 @@ mod tests {
     #[test]
     fn storage_formula() {
         // 40 GB data + 60 GB index: 40 × 0.125 + 60 × 1.14 = $73.40.
-        let c = m().monthly_storage(40_000_000_000, 60_000_000_000);
+        let c = monthly_storage(40_000_000_000, 60_000_000_000);
         assert!((c.dollars() - 73.4).abs() < 1e-9);
     }
 
     #[test]
     fn indexed_query_cheaper_than_scan_when_selective() {
-        let scan = m().query_no_index(
+        let scan = query_no_index(
             1_000_000,
             20_000,
             SimDuration::from_secs(600),
             InstanceType::Large,
         );
-        let indexed = m().query_indexed(
+        let indexed = query_indexed(
             1_000_000,
             15,
             350,
@@ -173,8 +146,8 @@ mod tests {
 
     #[test]
     fn xl_and_l_instances_bill_proportionally() {
-        let l = m().query_no_index(0, 0, SimDuration::from_secs(3600), InstanceType::Large);
-        let xl = m().query_no_index(0, 0, SimDuration::from_secs(1800), InstanceType::ExtraLarge);
+        let l = query_no_index(0, 0, SimDuration::from_secs(3600), InstanceType::Large);
+        let xl = query_no_index(0, 0, SimDuration::from_secs(1800), InstanceType::ExtraLarge);
         // Twice the hourly rate for half the time: identical EC2 charge —
         // the paper's observation that indexed-query cost is practically
         // independent of the machine type.

@@ -22,11 +22,10 @@ pub use actors::RetractionRegistry;
 pub use adaptive::{advise, AdviseError, FamilyLoad, Horizon, PlanEstimate};
 pub use amortization::{Amortization, AmortizationPoint};
 pub use arrival::{ArrivalProcess, ArrivalSender};
-pub use config::{Module, Pool, WarehouseConfig, LOADER, QUERY};
+pub use config::{Module, Pool, WarehouseConfig, LOADER, LOADER_POOL, QUERY};
 pub use config::{
     DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER_QUEUE, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
-pub use cost::CostModel;
 pub use metrics::{CostedQuery, IndexBuildReport, QueryExecution, QueryPhases, WorkloadReport};
 pub use retry::{Lease, RetryPolicy};
 pub use warehouse::{DeleteReport, UploadReport, Warehouse};

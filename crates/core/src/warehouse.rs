@@ -4,8 +4,8 @@
 use crate::actors::{LoaderCore, QueryCore, RetractionRegistry, Worker};
 use crate::arrival::{ArrivalProcess, ArrivalSender};
 use crate::config::{
-    Module, Pool, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER, LOADER_QUEUE, QUERY,
-    QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
+    Module, Pool, WarehouseConfig, DEAD_LETTER_QUEUE, DOC_BUCKET, LOADER, LOADER_POOL,
+    LOADER_QUEUE, QUERY, QUERY_QUEUE, RESPONSE_QUEUE, RESULT_BUCKET,
 };
 use crate::metrics::{CostedQuery, IndexBuildReport, WorkloadReport};
 use crate::retry::{put_object, Retry};
@@ -109,8 +109,6 @@ impl Warehouse {
     /// strategy.
     pub fn new(cfg: WarehouseConfig) -> Warehouse {
         let mut world = World::open(cfg.backend, cfg.kv_tuning);
-        world.prices = cfg.prices.clone();
-        world.work = cfg.work.clone();
         world.s3.create_bucket(DOC_BUCKET);
         world.s3.create_bucket(RESULT_BUCKET);
         world.sqs.create_queue(LOADER_QUEUE);
@@ -414,7 +412,7 @@ impl Warehouse {
         let before = self.engine.world.snapshot();
         let start = self.engine.now();
         self.engine.world.sqs.close(LOADER_QUEUE);
-        let pool = self.cfg.loader_pool;
+        let pool = LOADER_POOL;
         let retractions = self.retractions.clone();
         let core = move |cfg: &WarehouseConfig, worker, totals| -> Box<dyn Actor> {
             Box::new(LoaderCore::new(cfg, worker, retractions.clone(), totals))
@@ -435,7 +433,7 @@ impl Warehouse {
         IndexBuildReport {
             strategy: self.cfg.strategy,
             instances: pool.count,
-            itype: self.cfg.loader_pool.itype,
+            itype: pool.itype,
             documents: totals.docs,
             corpus_bytes: self.corpus_bytes,
             entries: totals.entries,

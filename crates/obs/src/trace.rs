@@ -11,7 +11,7 @@
 //! [`crate::json::validate_json`] in tests and in the `repro trace`
 //! artifact pipeline.
 
-use amada_cloud::{InstanceRecord, PriceTable, ServiceKind, Span};
+use amada_cloud::{InstanceRecord, ServiceKind, Span, PRICES};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -34,9 +34,9 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Renders `spans` (plus EC2 lifetime lanes derived from `ec2` under
-/// `prices`) as a Chrome trace-event JSON document.
-pub fn chrome_trace(spans: &[Span], ec2: &[InstanceRecord], prices: &PriceTable) -> String {
+/// Renders `spans` (plus EC2 lifetime lanes derived from `ec2`, billed at
+/// [`PRICES`]) as a Chrome trace-event JSON document.
+pub fn chrome_trace(spans: &[Span], ec2: &[InstanceRecord]) -> String {
     // Lane (tid) assignment: 0 is the untagged lane, actor lanes follow in
     // sorted (kind, instance) order, then one lane per EC2 instance.
     let mut lanes: BTreeMap<(&str, usize), u64> = BTreeMap::new();
@@ -107,7 +107,7 @@ pub fn chrome_trace(spans: &[Span], ec2: &[InstanceRecord], prices: &PriceTable)
     }
 
     for (i, r) in ec2.iter().enumerate() {
-        let billed = prices.vm_hour(r.itype).per_hour(r.uptime().micros());
+        let billed = PRICES.vm_hour(r.itype).per_hour(r.uptime().micros());
         events.push(format!(
             "{{\"ph\":\"X\",\"name\":\"instance\",\"cat\":\"{}\",\"ts\":{},\"dur\":{},\
              \"pid\":1,\"tid\":{},\"args\":{{\"outcome\":\"ok\",\"itype\":\"{}\",\
@@ -199,13 +199,13 @@ mod tests {
 
     #[test]
     fn trace_is_valid_json() {
-        let t = chrome_trace(&spans(), &records(), &PriceTable::default());
+        let t = chrome_trace(&spans(), &records());
         validate_json(&t).expect("chrome trace must be valid JSON");
     }
 
     #[test]
     fn trace_contains_events_lanes_and_billing() {
-        let t = chrome_trace(&spans(), &records(), &PriceTable::default());
+        let t = chrome_trace(&spans(), &records());
         assert!(t.contains("\"name\":\"batch_put\""));
         assert!(t.contains("\"cat\":\"kv\""));
         assert!(t.contains("\"name\":\"loader 0\""));
@@ -217,17 +217,15 @@ mod tests {
         assert!(t.contains("q\\\"uoted"));
         // Missing outcome serialised.
         assert!(t.contains("\"outcome\":\"missing\""));
-        // EC2 lane: one hour of a Large instance at default prices.
-        let hour = PriceTable::default()
-            .vm_hour(InstanceType::Large)
-            .per_hour(3_600_000_000);
+        // EC2 lane: one hour of a Large instance at the paper's price.
+        let hour = PRICES.vm_hour(InstanceType::Large).per_hour(3_600_000_000);
         assert!(t.contains(&format!("\"billed_pico\":\"{}\"", hour.pico())));
         assert!(t.contains("\"dur\":3600000000"));
     }
 
     #[test]
     fn empty_trace_is_valid() {
-        let t = chrome_trace(&[], &[], &PriceTable::default());
+        let t = chrome_trace(&[], &[]);
         validate_json(&t).expect("empty trace must be valid JSON");
         assert!(t.contains("traceEvents"));
     }

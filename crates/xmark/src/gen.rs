@@ -303,19 +303,11 @@ pub fn generate_document(cfg: &CorpusConfig, idx: usize) -> GeneratedDoc {
 ///
 /// Document `i` is a pure function of `(cfg.seed, i)` (its generator is
 /// seeded per document), so the parallel result is byte-identical to
-/// [`generate_corpus_seq`] — asserted by the `parallel_generation_*`
-/// tests.
+/// [`generate_document`] over `0..n` in order — asserted by the
+/// `parallel_generation_*` test.
 pub fn generate_corpus(cfg: &CorpusConfig) -> Vec<GeneratedDoc> {
     let indices: Vec<usize> = (0..cfg.num_documents).collect();
     amada_par::par_map(&indices, |_, &i| generate_document(cfg, i))
-}
-
-/// Single-threaded corpus generation; the reference the parallel path is
-/// checked against.
-pub fn generate_corpus_seq(cfg: &CorpusConfig) -> Vec<GeneratedDoc> {
-    (0..cfg.num_documents)
-        .map(|i| generate_document(cfg, i))
-        .collect()
 }
 
 struct Gen {
@@ -748,7 +740,9 @@ mod tests {
             num_documents: 120,
             ..small_cfg()
         };
-        let seq = generate_corpus_seq(&cfg);
+        let seq: Vec<GeneratedDoc> = (0..cfg.num_documents)
+            .map(|i| generate_document(&cfg, i))
+            .collect();
         let par = generate_corpus(&cfg);
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(&par) {

@@ -23,8 +23,8 @@ pub mod words;
 pub mod workload;
 
 pub use gen::{
-    doc_uri, generate_corpus, generate_corpus_seq, generate_document, kind_for, variant_for,
-    CorpusConfig, DocKind, DocVariant, GeneratedDoc,
+    doc_uri, generate_corpus, generate_document, kind_for, variant_for, CorpusConfig, DocKind,
+    DocVariant, GeneratedDoc,
 };
 pub use museum::{delacroix_xml, figure2_queries, generate_gallery, manet_xml, GalleryDoc};
 pub use workload::{workload, workload_query, workload_texts};

@@ -8,19 +8,18 @@
 
 use amada::cloud::{InstanceType, SimDuration};
 use amada::index::Strategy;
-use amada::warehouse::{advise, CostModel, FamilyLoad, Horizon, Warehouse, WarehouseConfig};
+use amada::warehouse::{advise, cost, FamilyLoad, Horizon, Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
 
 fn main() {
-    // ----- 1. The paper's own scenario, through the symbolic cost model.
+    // ----- 1. The paper's own scenario, through the symbolic cost cost::
     // 20 000 documents, 40 GB, LUP index ≈ 55 GB with full text.
-    let model = CostModel::default();
     println!("== Section 7 cost model, paper-scale inputs ==");
     println!(
         "upload 20 000 documents:        {}",
-        model.upload_documents(20_000)
+        cost::upload_documents(20_000)
     );
-    let ci = model.index_building(
+    let ci = cost::index_building(
         20_000,
         140_000_000, // billed write units for a ~55 GB index
         SimDuration::from_secs(4 * 3600 + 25 * 60),
@@ -30,11 +29,11 @@ fn main() {
     println!("build LUP index (8 L, 4h25):    {ci}");
     println!(
         "store 40 GB data + 55 GB index: {} / month",
-        model.monthly_storage(40_000_000_000, 55_000_000_000)
+        cost::monthly_storage(40_000_000_000, 55_000_000_000)
     );
     println!(
         "selective query, indexed:       {}",
-        model.query_indexed(
+        cost::query_indexed(
             500_000,
             100,
             350,
@@ -44,7 +43,7 @@ fn main() {
     );
     println!(
         "same query, full scan:          {}",
-        model.query_no_index(
+        cost::query_no_index(
             500_000,
             20_000,
             SimDuration::from_secs(1800),

@@ -63,7 +63,7 @@ one_advisor() {
     test "$(grep -cE 'pub fn \w*(advise|recommend)' <<<"$src")" -eq 1
     test "$(grep -cE '^crates/core/src/lib\.rs:[0-9]+:(pub )?mod (adv|adaptive)' <<<"$src")" -eq 1
     test "$(grep -cE 'struct Scenario|ESTIMATE_TOLERANCE' <<<"$src")" -eq 0
-    test "$(grep -E '^crates/core/src/adaptive\.rs:[0-9]+:' <<<"$src" | grep -cE 'fetch_timeline\(|CostModel|write_entries\(|lookup_pattern_in\(')" -eq 0
+    test "$(grep -E '^crates/core/src/adaptive\.rs:[0-9]+:' <<<"$src" | grep -cE 'fetch_timeline\(|CostModel|crate::cost|cost::|PRICES|write_entries\(|lookup_pattern_in\(')" -eq 0
 }
 
 # Both module cores embed one `Worker` whose `receive` is the only place a
@@ -272,14 +272,31 @@ one_write_set() {
     test "$(grep -E '^crates/core/' <<<"$src" | grep -cE '\.extracted\(|(parallel|amada_index)::prewarm\(')" -eq 0
 }
 
-# The paper's Table 3 is the one price table: prices are billing-only, so
-# re-pricing is a table with other constants, not a provider catalog. The
-# unmeasured Google Cloud and Windows Azure tables, or a provider label to
-# tell tables apart, are the catalog coming back.
+# The paper's Table 3 is the one price table, a constant: prices are
+# billing-only, and no caller re-prices, so a constructor, a `Default`, a
+# table-typed field or parameter (a config field, the recorder's snapshot,
+# a price-picking function pointer) or a getter for the recorder's table is
+# a setting nobody changes coming back. The unmeasured Google Cloud and
+# Windows Azure tables, or a provider label to tell tables apart, are the
+# catalog coming back.
 one_price_table() {
-    test "$(grep -cF 'pub fn aws_singapore_2012' <<<"$src")" -eq 1
+    test "$(grep -cF 'pub const PRICES: PriceTable' <<<"$src")" -eq 1
+    test "$(grep -cE 'fn aws_singapore_2012|Default for PriceTable|fn prices\(' <<<"$src")" -eq 0
+    test "$(grep -vF 'pub const PRICES: PriceTable' <<<"$src" | grep -cE ':\s*&?PriceTable\b|\(&?PriceTable\)')" -eq 0
     test "$(grep -rlE 'google_cloud_2012|windows_azure_2012|prices\.provider' crates examples src tests | wc -l)" -eq 0
     test "$(sed -n '/^pub struct PriceTable/,/^}/p' crates/cloud/src/pricing.rs | grep -c 'provider')" -eq 0
+}
+
+# Prices reach the bill and nothing else (the paper's Table 1 portability
+# claim): the ledger, span bills, the cost formulas, the trace's EC2 lane
+# and the span/ledger oracle name the table, and nothing that sets a
+# virtual time or an answer does — not the service queues, the clock, the
+# work model, the fetch clock or the actors. The file store, the queues
+# and the key-value store name a price only as what a request bills.
+prices_are_billing_only() {
+    test "$(grep -E 'PRICES|PriceTable' <<<"$src" | grep -vcE '^crates/(cloud/src/(pricing|lib|ec2|sim|obs|s3|sqs|store)|core/src/cost|obs/src/trace|check/src/invariants)\.rs:')" -eq 0
+    test "$(grep -E '^crates/(cloud/src/(service|clock|workmodel)|core/src/(fetch|actors))\.rs:' <<<"$src" | grep -cE 'PRICES|PriceTable')" -eq 0
+    test "$(grep -E '^crates/cloud/src/(s3|sqs|store)\.rs:' <<<"$src" | grep -E 'PRICES|PriceTable|dir\.price|throttled_bill' | grep -vF 'use crate::pricing::PRICES;' | grep -vcE 'billed\((PRICES\.|dir\.price|throttled_bill)|price: PRICES\.|_requests, PRICES\.|throttled_bill: Money,|/// ')" -eq 0
 }
 
 # A key-value service serves every table on its one write lane and one
@@ -305,7 +322,8 @@ one_fetch_mode() {
 
 # A value that every caller leaves at one setting is a constant of the
 # module that uses it: the services' rates, a fault rate per service, the
-# backoff bounds and the corpus variant mix. A field for one of them is a
+# backoff bounds, the corpus variant mix, the loader pool and the per-ECU
+# compute rates (the price table is `one_price_table`'s). A field for one of them is a
 # setting nobody changes coming back. The host cache is reached one way,
 # `ExtractCache::shared()`, a `&'static`: a handle alias or an `Arc` of it
 # threaded through the warehouse and its cores is the second way back.
@@ -313,6 +331,7 @@ settings_in_use_are_constants() {
     test "$(grep -cE '(write|read)_(units|bytes)_per_sec|\b(s3|kv|sqs)_rate\b' <<<"$src")" -eq 0
     test "$(grep -cE '\b(base|max)_backoff\b|\b(restructured|sparse)_fraction\b' <<<"$src")" -eq 0
     test "$(grep -cE 'SimpleDbConfig|DocCache|Arc<ExtractCache>' <<<"$src")" -eq 0
+    test "$(grep -cE '\bloader_pool\b|\bWorkModel\b|\b[a-z_]+_per_ecu_sec\b|world\.work\b|cfg\.prices\b' <<<"$src")" -eq 0
 }
 
 rules=(
@@ -334,6 +353,7 @@ rules=(
     query_invariants_once
     one_write_set
     one_price_table
+    prices_are_billing_only
     one_kv_lane
     one_fetch_mode
     settings_in_use_are_constants

@@ -2,9 +2,9 @@
 //! charges metered live by the simulated services — the validation the
 //! paper performs in Section 8.3.
 
-use amada::cloud::Money;
+use amada::cloud::{Money, PRICES};
 use amada::index::Strategy;
-use amada::warehouse::{CostModel, Warehouse, WarehouseConfig};
+use amada::warehouse::{cost, Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
 
 fn corpus(n: usize) -> Vec<(String, String)> {
@@ -33,9 +33,9 @@ fn close(a: Money, b: Money, tolerance: f64, what: &str) {
 fn ec2_ledger_reconciles(w: &Warehouse) {
     let world = w.world();
     let summed: Money = (world.ec2.records().iter())
-        .map(|r| world.ec2.record_cost(r, &world.prices))
+        .map(|r| world.ec2.record_cost(r))
         .sum();
-    assert_eq!(summed, world.ec2.total_cost(&world.prices));
+    assert_eq!(summed, world.ec2.total_cost());
     assert_eq!(summed, world.cost_report().ec2);
 }
 
@@ -44,8 +44,7 @@ fn upload_cost_matches_formula_exactly() {
     let docs = corpus(30);
     let mut w = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lu));
     let up = w.upload_documents(docs);
-    let model = CostModel::default();
-    assert_eq!(up.cost, model.upload_documents(30));
+    assert_eq!(up.cost, cost::upload_documents(30));
 }
 
 #[test]
@@ -57,8 +56,7 @@ fn indexing_cost_matches_formula() {
         let up = w.upload_documents(docs.iter().map(|(u, x)| (u.clone(), x.clone())));
         let report = w.build_index();
         let put_ops = w.world().kv.stats().put_ops - before_kv;
-        let model = CostModel::default();
-        let formula = model.index_building(
+        let formula = cost::index_building(
             40,
             put_ops,
             report.total_time,
@@ -76,7 +74,7 @@ fn indexing_cost_matches_formula() {
             &format!("ci$ {strategy}"),
         );
         // The index-store component is exact by construction.
-        assert_eq!(report.cost.kv, model.prices.idx_put * put_ops);
+        assert_eq!(report.cost.kv, PRICES.idx_put * put_ops);
         ec2_ledger_reconciles(&w);
     }
 }
@@ -89,8 +87,7 @@ fn indexed_query_cost_matches_formula() {
     w.build_index();
     let q = workload_query("q4").unwrap();
     let run = w.run_query(&q);
-    let model = CostModel::default();
-    let formula = model.query_indexed(
+    let formula = cost::query_indexed(
         run.exec.result_bytes,
         run.exec.index_get_ops,
         run.exec.docs_fetched as u64,
@@ -103,10 +100,10 @@ fn indexed_query_cost_matches_formula() {
     // a fixed few-microdollar overhead that fades as queries grow.
     close(formula, run.cost.total(), 0.10, "cq$ indexed");
     // Component identities.
-    assert_eq!(run.cost.kv, model.prices.idx_get * run.exec.index_get_ops);
+    assert_eq!(run.cost.kv, PRICES.idx_get * run.exec.index_get_ops);
     assert_eq!(
         run.cost.egress,
-        model.prices.egress_gb.per_gb(run.exec.result_bytes)
+        PRICES.egress_gb.per_gb(run.exec.result_bytes)
     );
     // The loader pool's eight instances and the query pool's one.
     assert_eq!(w.world().ec2.records().len(), 9);
@@ -121,8 +118,7 @@ fn scan_query_cost_matches_formula() {
     w.build_index();
     let q = workload_query("q7").unwrap();
     let run = w.run_query_no_index(&q);
-    let model = CostModel::default();
-    let formula = model.query_no_index(
+    let formula = cost::query_no_index(
         run.exec.result_bytes,
         40,
         run.exec.response_time,
@@ -142,8 +138,7 @@ fn storage_cost_matches_formula_exactly() {
     let mut w = Warehouse::new(WarehouseConfig::with_strategy(Strategy::Lup));
     w.upload_documents(docs);
     w.build_index();
-    let model = CostModel::default();
     let kv = w.world().kv.stats();
-    let expected = model.monthly_storage(w.world().s3.stats().stored_bytes, kv.stored_bytes());
+    let expected = cost::monthly_storage(w.world().s3.stats().stored_bytes, kv.stored_bytes());
     assert_eq!(w.storage_cost().total(), expected);
 }

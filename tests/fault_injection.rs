@@ -2,12 +2,12 @@
 //! injection, retry/backoff, lease renewal, mid-task crash recovery, and
 //! the faults-off identity guarantee.
 
-use amada::cloud::{FaultConfig, InstanceType, Outcome, ServiceKind, SimDuration, Sqs, SqsError};
+use amada::cloud::{FaultConfig, Outcome, ServiceKind, SimDuration, Sqs, SqsError};
 use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload, workload_query, CorpusConfig};
 use amada_core::actors::{LoaderCore, LoaderTotals, Worker};
-use amada_core::config::LOADER;
+use amada_core::config::{LOADER, LOADER_POOL};
 use amada_core::{IndexBuildReport, WorkloadReport, DEAD_LETTER_QUEUE, LOADER_QUEUE};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -55,11 +55,9 @@ fn faulty_config(rate: f64) -> WarehouseConfig {
 #[test]
 fn tasks_longer_than_visibility_are_not_redelivered() {
     let mut cfg = WarehouseConfig::with_strategy(Strategy::Lu);
-    // Parsing a ~1.2 KB document takes ~0.3 ECU-seconds under this
-    // model — far longer than the 200 ms visibility window.
-    cfg.work.parse_mb_per_ecu_sec = 0.002;
-    cfg.visibility = SimDuration::from_millis(200);
-    cfg.loader_pool = amada_core::Pool::new(2, InstanceType::Large);
+    // A task — fetching a ~1.2 KB document, parsing and extracting it and
+    // writing its index items — takes longer than a 10 ms visibility window.
+    cfg.visibility = SimDuration::from_millis(10);
     let docs = corpus(8);
     let mut w = Warehouse::new(cfg);
     upload(&mut w, &docs);
@@ -95,7 +93,7 @@ fn mid_upload_crash_rewrites_the_index_idempotently() {
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
     let mk = |engine: &mut amada::cloud::Engine, idx: u64| {
-        let instance = engine.world.ec2.launch(vis_cfg.loader_pool.itype, start);
+        let instance = engine.world.ec2.launch(LOADER_POOL.itype, start);
         LoaderCore::new(
             &vis_cfg,
             Worker::new(&vis_cfg, LOADER, instance, idx),

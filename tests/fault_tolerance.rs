@@ -7,7 +7,7 @@ use amada::index::Strategy;
 use amada::warehouse::{Warehouse, WarehouseConfig};
 use amada::xmark::{generate_corpus, workload_query, CorpusConfig};
 use amada_core::actors::{LoaderCore, LoaderTotals, QueryCore, Worker};
-use amada_core::{LOADER, LOADER_QUEUE, QUERY, QUERY_QUEUE};
+use amada_core::{LOADER, LOADER_POOL, LOADER_QUEUE, QUERY, QUERY_QUEUE};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -41,7 +41,7 @@ fn loader_crash_is_recovered_through_lease_expiry() {
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
     let mk = |engine: &mut amada::cloud::Engine, crash: Option<u32>, idx: u64| {
-        let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
+        let instance = engine.world.ec2.launch(LOADER_POOL.itype, start);
         let mut core = LoaderCore::new(
             &cfg,
             Worker::new(&cfg, LOADER, instance, idx),

@@ -119,7 +119,7 @@ fn exported_trace_is_valid_chrome_json() {
     let (w, _, _) = run(true);
     let spans = w.spans();
     let world = w.world();
-    let json = chrome_trace(&spans, world.ec2.records(), &world.prices);
+    let json = chrome_trace(&spans, world.ec2.records());
     validate_json(&json).expect("trace must be valid JSON");
     assert!(json.contains("\"traceEvents\""));
     assert!(

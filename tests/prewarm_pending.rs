@@ -7,7 +7,9 @@
 
 use amada_cloud::SimDuration;
 use amada_core::actors::{LoaderCore, LoaderTotals, Worker};
-use amada_core::{Warehouse, WarehouseConfig, DEAD_LETTER_QUEUE, LOADER, LOADER_QUEUE};
+use amada_core::{
+    Warehouse, WarehouseConfig, DEAD_LETTER_QUEUE, LOADER, LOADER_POOL, LOADER_QUEUE,
+};
 use amada_index::Strategy;
 use amada_pattern::parse_query;
 use amada_xmark::{generate_corpus, CorpusConfig};
@@ -103,7 +105,7 @@ fn a_parked_message_leaves_nothing_to_prewarm() {
     let (registry, start) = (w.retraction_registry(), w.now());
     let engine = w.engine_mut();
     engine.world.sqs.close(LOADER_QUEUE);
-    let instance = engine.world.ec2.launch(cfg.loader_pool.itype, start);
+    let instance = engine.world.ec2.launch(LOADER_POOL.itype, start);
     let worker = Worker::new(&cfg, LOADER, instance, 1);
     let mut core = LoaderCore::new(&cfg, worker, registry, totals);
     core.crash_after_batches = Some(1);
