@@ -12,9 +12,7 @@ use crate::Mutation;
 use amada_cloud::{KvBackend, KvError, KvItem, KvProfile, KvStore, KvValue, SimTime};
 use amada_core::{Warehouse, WarehouseConfig, DOC_BUCKET};
 use amada_index::lookup::{data_path_matches, lui_twig, pattern_keys, query_paths, QueryPath};
-use amada_index::store::{
-    decode_id_lists, decode_id_postings, decode_path_lists, decode_presence_uris, encode_entry,
-};
+use amada_index::store::{decode_id_lists, decode_path_lists, decode_presence_uris, encode_entry};
 use amada_index::{
     extract, index_documents, lookup_pattern_in, lookup_query, ExtractOptions, IndexEntry, Payload,
     Strategy, UuidGen, WriteSet, TABLE_ID, TABLE_MAIN, TABLE_PATH,
@@ -646,10 +644,6 @@ fn oracle_round_trip(docs: &[Document], opts: ExtractOptions) -> Result<(), Viol
                             .is_some_and(|decoded| decoded == paths),
                         Payload::Ids(ids) => {
                             decode_id_lists(&items, profile).get(&*entry.uri) == Some(ids)
-                                && decode_id_postings(&items, profile)
-                                    .get(&*entry.uri)
-                                    .is_some_and(|l| l.decode_all() == *ids)
-                                && block_layer_agrees(ids)
                         }
                     };
                     if !ok {
@@ -671,36 +665,6 @@ fn oracle_round_trip(docs: &[Document], opts: ExtractOptions) -> Result<(), Viol
         }
     }
     Ok(())
-}
-
-/// The block layer over the same ID list agrees with the flat codec: a
-/// [`BlockList`] built from the flat bytes, or from the self-anchored
-/// chunks the store splits long lists into — the two formats look-ups
-/// actually read — replays the list in full through its lazy cursor.
-fn block_layer_agrees(ids: &[amada_xml::StructuralId]) -> bool {
-    use amada_index::codec::{encode_ids, encode_ids_chunked, BlockList};
-    let from_flat = match BlockList::from_flat(&encode_ids(ids)) {
-        Some(l) => l,
-        None => return false,
-    };
-    let chunks = encode_ids_chunked(ids, 64);
-    let from_chunks = BlockList::from_chunks(chunks.iter().map(Vec::as_slice));
-    for list in [&from_flat, &from_chunks] {
-        if list.len() != ids.len() || list.decode_all() != ids {
-            return false;
-        }
-        let mut cur = list.cursor();
-        for &id in ids {
-            if cur.peek() != Some(id) {
-                return false;
-            }
-            cur.advance();
-        }
-        if cur.peek().is_some() {
-            return false;
-        }
-    }
-    true
 }
 
 // ---------------------------------------------------------------------------

@@ -146,8 +146,11 @@ pub struct KvItem {
 
 impl KvItem {
     /// The item `(hash_key, range_key)` whose one attribute, `uri`, holds
-    /// `values`. The range key is a UUID at indexing time, so concurrent
-    /// writers never overwrite each other (Section 6).
+    /// `values`. An index entry's range key names what the item is — its
+    /// document's URI hash, table, entry key and chunk — so writers of
+    /// different documents never overwrite each other, as the paper's UUID
+    /// range keys ensure (Section 6), and a rebuild of a document
+    /// overwrites the items it keeps.
     pub fn new<'v>(
         hash_key: Arc<str>,
         range_key: &str,

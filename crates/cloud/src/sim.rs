@@ -11,10 +11,12 @@
 //! One deliberate relaxation: state mutation happens when an operation
 //! *starts*, while its completion time is modelled by the service; an
 //! actor observing the store between those instants could see the write
-//! "early". The warehouse's phases never race on the same keys (loading
-//! and querying are separate phases, and index items are written under
-//! fresh UUID range keys), so this cannot change results — only simplify
-//! the engine.
+//! "early". No query observes such a write, since loading and querying
+//! are separate phases; and within a load, an index item's range key names
+//! its document (URI hash, table, entry key, chunk), so loaders of
+//! different documents never write the same key — a rebuild overwrites
+//! only the keys its own document keeps. The relaxation simplifies the
+//! engine without changing results.
 
 use crate::clock::SimTime;
 use crate::ec2::Ec2;

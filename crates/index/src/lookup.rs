@@ -35,12 +35,11 @@
 //! gets' count and arrival time are always this fetch's own.
 
 use crate::cache::{ExtractCache, LookupKey, LookupStep};
-use crate::codec::{BlockCursor, BlockList};
 use crate::key;
 use crate::store::{documents, read_ids, sort_into_runs, PathList};
 use crate::strategy::{ExtractOptions, Strategy, TABLE_ID, TABLE_MAIN, TABLE_PATH};
 use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
-use amada_pattern::{Axis, Predicate, Query, TreePattern, TwigJoin, TwigShape, TwigStream};
+use amada_pattern::{Axis, Predicate, Query, SliceStream, TreePattern, TwigJoin, TwigShape};
 use amada_xml::{tokenize, StructuralId};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -578,31 +577,25 @@ fn lookup_lui(
     Ok(
         fetched.outcome(LookupStep::Lui, opts, pattern, reduce_to, |fetched| {
             // Each distinct key's IDs count once: a pattern with repeated
-            // labels feeds several twig nodes from the same key.
-            let mut entries = 0u64;
-            let mut ids = BlockList::default();
-            for run in fetched.all_runs() {
-                read_ids(run, &profile, &mut ids);
-                entries += ids.len() as u64;
-            }
-            // One join, one cursor per stream and one walk over each stream's
-            // documents (URIs ascending) serve every candidate.
+            // labels feeds several twig nodes from the same key. Counted,
+            // not kept.
+            let entries = (fetched.all_runs())
+                .map(|run| read_ids(run, &profile, &mut Vec::<()>::new(), |_| None) as u64)
+                .sum();
+            // One join, one ID buffer per stream and one walk over each
+            // stream's documents (URIs ascending) serve every candidate.
             let mut join: TwigJoin<()> = TwigJoin::new(shape);
             let root_is_anchored = pattern.nodes[0].axis == Axis::Child;
             let mut walks: Vec<_> = stream_keys
                 .iter()
                 .map(|k| fetched.runs(k).peekable())
                 .collect();
-            let mut streams: Vec<LuiStream> = (0..walks.len())
-                .map(|i| LuiStream {
-                    cur: BlockCursor::default(),
-                    depth1_only: root_is_anchored && i == 0,
-                })
-                .collect();
+            let mut lists: Vec<Vec<(StructuralId, ())>> = vec![Vec::new(); walks.len()];
             // Candidate URIs: documents contributing IDs to *every* stream,
             // optionally reduced by the 2LUPI semijoin set. Only then are its
-            // chunks read into the streams' cursors, and the holistic twig
-            // join runs on them, decoding the blocks it lands in.
+            // chunks decoded into the streams' buffers — an anchored root's
+            // (`/label`) keeping only document roots — and the holistic twig
+            // join runs over them.
             let candidates: Box<dyn Iterator<Item = &Arc<str>>> = match reduce_to {
                 Some(reduce_to) => Box::new(reduce_to.iter()),
                 None => Box::new(fetched.runs(&stream_keys[0]).map(|run| &run[0].uri)),
@@ -616,10 +609,14 @@ fn lookup_lui(
                 if !in_every_stream {
                     continue;
                 }
-                for (walk, stream) in walks.iter_mut().zip(&mut streams) {
+                for (i, (walk, list)) in walks.iter_mut().zip(&mut lists).enumerate() {
                     let run = walk.next().unwrap_or_default();
-                    stream.cur.refill(|list| read_ids(run, &profile, list));
+                    let at_root = root_is_anchored && i == 0;
+                    read_ids(run, &profile, list, |id| {
+                        (!at_root || id.depth == 1).then_some((id, ()))
+                    });
                 }
+                let mut streams: Vec<_> = lists.iter().map(|l| SliceStream::new(l)).collect();
                 if join.join(&mut streams) > 0 {
                     uris.push(uri.clone());
                 }
@@ -627,54 +624,6 @@ fn lookup_lui(
             (uris, entries)
         }),
     )
-}
-
-/// [`TwigStream`] over a lazy block cursor, optionally restricted to
-/// depth-1 IDs — the anchored-root case (`/label`), where the old path
-/// materialized the list and `retain`ed document roots.
-struct LuiStream {
-    cur: BlockCursor,
-    depth1_only: bool,
-}
-
-impl LuiStream {
-    /// Re-establishes the depth-1 invariant after any repositioning.
-    fn settle(&mut self) {
-        if self.depth1_only {
-            while let Some(id) = self.cur.peek() {
-                if id.depth == 1 {
-                    break;
-                }
-                self.cur.advance();
-            }
-        }
-    }
-}
-
-impl TwigStream<()> for LuiStream {
-    #[inline]
-    fn peek(&self) -> Option<(StructuralId, ())> {
-        self.cur.peek().map(|id| (id, ()))
-    }
-
-    fn advance(&mut self) {
-        self.cur.advance();
-        self.settle();
-    }
-
-    fn skip_to_pre(&mut self, min_pre: u32) {
-        self.cur.skip_to_pre(min_pre);
-        self.settle();
-    }
-
-    fn skip_to_end(&mut self) {
-        self.cur.skip_to_end();
-    }
-
-    fn reset(&mut self) {
-        self.cur.reset();
-        self.settle();
-    }
 }
 
 #[cfg(test)]

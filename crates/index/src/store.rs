@@ -19,9 +19,7 @@
 //! Chunk order is preserved by prefixing range keys with a zero-padded
 //! sequence number, so a plain `get` returns chunks in order per document.
 
-use crate::codec::{
-    base64_decode, base64_encode, decode_ids, encode_ids, for_each_id_chunk, BlockList,
-};
+use crate::codec::{base64_decode, base64_encode, decode_ids_into, encode_ids, for_each_id_chunk};
 use crate::strategy::{IndexEntry, Payload};
 use amada_cloud::{content_hash, KvItem, KvProfile, KvValue};
 use amada_xml::StructuralId;
@@ -284,22 +282,26 @@ impl<'a> PathList<'a> {
     }
 }
 
-/// Reads one document's ID list into `list`, where its items hold it: the
-/// binary chunks on a binary-capable backend (a malformed chunk is
-/// skipped), else the blob the string values spell (a malformed blob holds
-/// no ID). The IDs stay in their wire bytes behind [`BlockList`] skip
-/// metadata: a twig join decodes only the blocks it lands in.
-pub(crate) fn read_ids(run: &[KvItem], profile: &KvProfile, list: &mut BlockList) {
-    list.clear();
+/// Reads one document's ID list into `ids`, emptied first, where its items
+/// hold it: the binary chunks on a binary-capable backend (a malformed
+/// chunk contributes no ID), else the blob the string values spell (a
+/// malformed blob holds no ID). Each ID is decoded through `keep`, as by
+/// [`decode_ids_into`]; the number of IDs read, kept or not.
+pub(crate) fn read_ids<T>(
+    run: &[KvItem],
+    profile: &KvProfile,
+    ids: &mut Vec<T>,
+    mut keep: impl FnMut(StructuralId) -> Option<T>,
+) -> usize {
+    ids.clear();
     if !profile.supports_binary {
-        list.push_chunk(&reassemble_blob(run));
-        return;
+        return decode_ids_into(&reassemble_blob(run), ids, keep).unwrap_or(0);
     }
-    for v in values(run) {
-        if let KvValue::B(chunk) = v {
-            list.push_chunk(chunk);
-        }
-    }
+    let chunks = values(run).filter_map(|v| match v {
+        KvValue::B(chunk) => decode_ids_into(chunk, ids, &mut keep),
+        KvValue::S(_) => None,
+    });
+    chunks.sum()
 }
 
 /// A copy of `items` in runs, for the collectors below.
@@ -329,43 +331,28 @@ pub fn decode_path_lists(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Arc<
         .collect()
 }
 
-/// Decodes LUI items into per-URI, `pre`-sorted ID lists, value by value
-/// through [`decode_ids`] — the reference the block reader is checked
-/// against (a malformed binary chunk is dropped, a malformed string blob
-/// yields an empty list).
+/// Collects LUI items into per-URI, `pre`-sorted ID lists, read by
+/// `read_ids`.
 pub fn decode_id_lists(
     items: &[KvItem],
     profile: &KvProfile,
 ) -> BTreeMap<Arc<str>, Vec<StructuralId>> {
-    documents(&in_runs(items))
-        .map(|run| {
-            let ids: Vec<StructuralId> = if profile.supports_binary {
-                values(run)
-                    .filter_map(|v| match v {
-                        KvValue::B(b) => decode_ids(b),
-                        KvValue::S(_) => None,
-                    })
-                    .flatten()
-                    .collect()
-            } else {
-                decode_ids(&reassemble_blob(run)).unwrap_or_default()
-            };
-            (run[0].uri.clone(), ids)
-        })
-        .collect()
-}
-
-/// Collects LUI items into per-URI block-structured postings, read by
-/// `read_ids`.
-pub fn decode_id_postings(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Arc<str>, BlockList> {
     let list = |run| {
-        let mut list = BlockList::default();
-        read_ids(run, profile, &mut list);
-        list
+        let mut ids = Vec::new();
+        read_ids(run, profile, &mut ids, Some);
+        ids
     };
     documents(&in_runs(items))
         .map(|run| (run[0].uri.clone(), list(run)))
         .collect()
+}
+
+/// [`decode_id_lists`], under the name the benchmark's replay times.
+pub fn decode_id_postings(
+    items: &[KvItem],
+    profile: &KvProfile,
+) -> BTreeMap<Arc<str>, Vec<StructuralId>> {
+    decode_id_lists(items, profile)
 }
 
 /// The blob a chunk sequence's string values spell in base64 (less the

@@ -4,15 +4,12 @@
 //! sorted by `pre`. The original formulation advances each stream one
 //! element at a time; [`TwigStream`] generalizes the interface with a
 //! `skip_to_pre` operation so the join can *gallop* — skip runs of
-//! elements (or, with block-structured postings, whole undecoded blocks)
-//! that provably cannot take part in any solution.
+//! elements that provably cannot take part in any solution.
 //!
-//! Implementations in this crate and downstream:
-//!
-//! * [`SliceStream`] — over an in-memory sorted slice, with
-//!   exponential-probe + binary-search skipping;
-//! * `amada_index::codec::BlockCursor` — over block-compressed postings,
-//!   skipping whole blocks via their `max_pre` headers.
+//! [`SliceStream`] implements it over an in-memory sorted slice, with
+//! exponential-probe + binary-search skipping: the twig evaluator's
+//! streams, the LUI look-up's decoded ID lists and the reference look-up
+//! of `amada-check` all join through it.
 
 use amada_xml::StructuralId;
 

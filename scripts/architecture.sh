@@ -223,15 +223,17 @@ one_lookup_memo() {
 
 # The query core reads its inputs where they already lie: a look-up walks
 # each key's fetched items as per-document runs through the one run reader
-# both backends share (`store.rs`: `PathList`, `read_ids`), and a joined
-# row points at its tuples' `Arc<str>` cells, told apart by their digests.
-# The look-up calling a collector, a per-document postings map outside the
-# store, a backend branch in the look-up, `String` cells, or cell bytes
-# hashed in the join's emit loop is the per-query copy coming back.
+# both backends share (`store.rs`: `PathList`, `read_ids`, which decodes a
+# candidate's ID list into a buffer the join's `SliceStream` gallops over),
+# and a joined row points at its tuples' `Arc<str>` cells, told apart by
+# their digests. The look-up calling a collector, a second in-memory
+# postings format (the cut block layer's names), a backend branch in the
+# look-up, `String` cells, or cell bytes hashed in the join's emit loop is
+# the per-query copy coming back.
 read_in_place() {
     lookup=$(grep -E '^crates/index/src/lookup\.rs:' <<<"$src")
-    test "$(grep -cE 'decode_id_postings\(|decode_path_lists\(|supports_binary' <<<"$lookup")" -eq 0
-    test "$(grep -F 'BTreeMap<Arc<str>, BlockList>' <<<"$src" | grep -cvE '^crates/index/src/store\.rs:')" -eq 0
+    test "$(grep -cE 'decode_id_lists\(|decode_id_postings\(|decode_path_lists\(|supports_binary' <<<"$lookup")" -eq 0
+    test "$(grep -cE 'BlockList|BlockCursor|BLOCK_IDS|skip_varint' <<<"$src")" -eq 0
     test "$(grep -E '^crates/pattern/src/(eval|valuejoin)\.rs:' <<<"$src" | grep -cE 'columns: Vec<String>')" -eq 0
     test "$(sed -n '/Emit each distinct row once/,/^}/p' crates/pattern/src/valuejoin.rs | grep -cE '\.hash\(|build_hasher|hash_one')" -eq 0
 }
@@ -334,6 +336,26 @@ settings_in_use_are_constants() {
     test "$(grep -cE '\bloader_pool\b|\bWorkModel\b|\b[a-z_]+_per_ecu_sec\b|world\.work\b|cfg\.prices\b' <<<"$src")" -eq 0
 }
 
+# What only the frozen benchmark (`benchmark/`) keeps alive — DESIGN.md
+# lists it under "What only the benchmark keeps alive" — is named by no
+# non-test program code outside the item's own module (and its crate's
+# re-exports): `DynamoConfig`, `ExtractCache::{note_upload, extracted}`,
+# `entry_item_keys` / `stale_keys` / `retract_keys`, `amada_index::prewarm`,
+# `S3Stats::scan_requests`, `Warehouse::{prewarm, cache, cache_stats}` and
+# `store::decode_id_postings`. A program caller is a second path through
+# a surface that stays only for the benchmark's sake.
+benchmark_only() {
+    code=$(grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' <<<"$src")
+    test "$(grep -E '\bDynamoConfig\b' <<<"$code" | grep -cvE '^crates/cloud/src/(dynamodb|lib)\.rs:')" -eq 0
+    test "$(grep -E '\b(note_upload|extracted)\(' <<<"$code" | grep -cvE '^crates/index/src/cache\.rs:')" -eq 0
+    test "$(grep -E '\b(entry_item_keys|stale_keys|retract_keys)\b' <<<"$code" | grep -cvE '^crates/index/src/(loadutil|lib)\.rs:')" -eq 0
+    test "$(grep -E '\bprewarm\b' <<<"$code" | grep -E '\bprewarm\(|::prewarm\b|[{ ]prewarm[,}]' | grep -cvE '^crates/index/src/(parallel|lib)\.rs:|^crates/core/src/warehouse\.rs:')" -eq 0
+    test "$(grep -E '^crates/core/src/warehouse\.rs:' <<<"$code" | grep -cE '\b(prewarm|cache|cache_stats)\(')" -eq 3
+    test "$(grep -E '\b(cache|cache_stats)\(' <<<"$code" | grep -cvE '^crates/core/src/warehouse\.rs:')" -eq 0
+    test "$(grep -E '\bscan_requests\b' <<<"$code" | grep -cvE '^crates/cloud/src/s3\.rs:')" -eq 0
+    test "$(grep -E '\bdecode_id_postings\b' <<<"$code" | grep -cvE '^crates/index/src/store\.rs:')" -eq 0
+}
+
 rules=(
     one_index_store
     one_block_per_stored_item
@@ -357,6 +379,7 @@ rules=(
     one_kv_lane
     one_fetch_mode
     settings_in_use_are_constants
+    benchmark_only
 )
 trap 'test $? -eq 0 || echo "architecture rule broken: $rule" >&2' EXIT
 for rule in "${@:-${rules[@]}}"; do
