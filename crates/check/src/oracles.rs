@@ -19,8 +19,7 @@ use amada_index::{
 };
 use amada_pattern::twig::evaluate_pattern_twig;
 use amada_pattern::{
-    join_pattern_results, naive_matches, parse_query, Axis, Query, SliceStream, TreePattern, Tuple,
-    TwigJoin,
+    join_pattern_results, naive_matches, parse_query, Axis, Query, TreePattern, Tuple, TwigJoin,
 };
 use amada_xml::{Document, StructuralId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -352,7 +351,7 @@ fn terminal(qp: &QueryPath) -> &str {
 
 /// One pattern's look-up the long way: each key got on its own, every list
 /// decoded in full ([`decode_presence_uris`], [`decode_path_lists`],
-/// [`decode_id_lists`]), a [`TwigJoin`] over [`SliceStream`]s per candidate.
+/// [`decode_id_lists`]), a [`TwigJoin`] over each candidate's lists.
 fn reference_lookup(
     store: &mut KvStore,
     strategy: Strategy,
@@ -421,10 +420,7 @@ fn reference_lookup(
                     Some(ids.map(|&id| (id, ())).collect())
                 })
                 .collect();
-            streams.is_some_and(|s| {
-                let mut slices: Vec<_> = s.iter().map(|v| SliceStream::new(v)).collect();
-                join.join(&mut slices) > 0
-            })
+            streams.is_some_and(|s| join.join(&s) > 0)
         };
         result = Some(candidates.into_iter().filter(|uri| matches(uri)).collect());
     }

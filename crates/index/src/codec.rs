@@ -118,30 +118,24 @@ fn read_id(bytes: &[u8], pos: &mut usize, prev_pre: u32) -> Option<StructuralId>
 /// Decodes an ID list; `None` on malformed input.
 pub fn decode_ids(bytes: &[u8]) -> Option<Vec<StructuralId>> {
     let mut ids = Vec::new();
-    decode_ids_into(bytes, &mut ids, Some)?;
-    Some(ids)
+    decode_ids_into(bytes, &mut ids)?;
+    Some(ids.into_iter().map(|(id, ())| id).collect())
 }
 
-/// Decodes an ID list onto the end of `out`, appending what `keep` makes
-/// of each ID (`None`: nothing). The number of IDs the list holds, kept or
-/// not; `None` on malformed input, which leaves `out` as it was.
-pub fn decode_ids_into<T>(
-    bytes: &[u8],
-    out: &mut Vec<T>,
-    mut keep: impl FnMut(StructuralId) -> Option<T>,
-) -> Option<usize> {
+/// Decodes an ID list onto the end of `out`, in the form the twig join
+/// reads; `None` on malformed input, which leaves `out` as it was.
+pub fn decode_ids_into(bytes: &[u8], out: &mut Vec<(StructuralId, ())>) -> Option<()> {
     let start = out.len();
-    let (mut pos, mut prev_pre, mut count) = (0, 0u32, 0);
+    let (mut pos, mut prev_pre) = (0, 0u32);
     while pos < bytes.len() {
         let Some(id) = read_id(bytes, &mut pos, prev_pre) else {
             out.truncate(start);
             return None;
         };
         prev_pre = id.pre;
-        count += 1;
-        out.extend(keep(id));
+        out.push((id, ()));
     }
-    Some(count)
+    Some(())
 }
 
 /// Splits a `pre`-sorted ID list into chunks whose *encoded* size does not
@@ -354,21 +348,18 @@ mod tests {
     }
 
     #[test]
-    fn a_malformed_list_appends_nothing_and_keep_filters() {
+    fn a_malformed_list_appends_nothing() {
         let list = ids(&[(1, 10, 1), (3, 3, 2), (6, 8, 1)]);
-        let mut out = vec![(StructuralId::new(0, 0, 0), ())];
-        let depth1 = |id: StructuralId| (id.depth == 1).then_some((id, ()));
-        assert_eq!(
-            decode_ids_into(&encode_ids(&list), &mut out, depth1),
-            Some(3)
-        );
-        assert_eq!(out.len(), 3);
-        assert!(out[1..].iter().all(|(id, ())| id.depth == 1));
+        let first = (StructuralId::new(0, 0, 0), ());
+        let mut out = vec![first];
+        assert_eq!(decode_ids_into(&encode_ids(&list), &mut out), Some(()));
+        assert_eq!(out.len(), 4);
         // A valid ID followed by a truncated one: the whole list is refused.
         let mut bad = encode_ids(&list[..1]);
         bad.push(0x80);
-        assert_eq!(decode_ids_into(&bad, &mut out, depth1), None);
-        assert_eq!(out.len(), 3);
+        out.truncate(1);
+        assert_eq!(decode_ids_into(&bad, &mut out), None);
+        assert_eq!(out, [first]);
         // A delta that carries `pre` past u32::MAX is malformed too.
         let mut over = encode_ids(&ids(&[(u32::MAX, 1, 1)]));
         write_varint(1, &mut over);
@@ -387,10 +378,8 @@ mod tests {
             let list = random_adversarial_list(&mut rng);
             assert_eq!(decode_ids(&encode_ids(&list)).unwrap(), list, "seed {seed}");
             let chunks = encode_ids_chunked(&list, rng.gen_range(15..200usize));
-            let mut decoded = Vec::new();
-            for chunk in &chunks {
-                decode_ids_into(chunk, &mut decoded, Some).unwrap();
-            }
+            let decoded: Vec<StructuralId> =
+                chunks.iter().flat_map(|c| decode_ids(c).unwrap()).collect();
             assert_eq!(decoded, list, "seed {seed}");
         }
     }

@@ -39,7 +39,7 @@ use crate::key;
 use crate::store::{documents, read_ids, sort_into_runs, PathList};
 use crate::strategy::{ExtractOptions, Strategy, TABLE_ID, TABLE_MAIN, TABLE_PATH};
 use amada_cloud::{KvError, KvItem, KvProfile, KvStore, SimTime};
-use amada_pattern::{Axis, Predicate, Query, SliceStream, TreePattern, TwigJoin, TwigShape};
+use amada_pattern::{Axis, Predicate, Query, TreePattern, TwigJoin, TwigShape};
 use amada_xml::{tokenize, StructuralId};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -577,11 +577,13 @@ fn lookup_lui(
     Ok(
         fetched.outcome(LookupStep::Lui, opts, pattern, reduce_to, |fetched| {
             // Each distinct key's IDs count once: a pattern with repeated
-            // labels feeds several twig nodes from the same key. Counted,
-            // not kept.
-            let entries = (fetched.all_runs())
-                .map(|run| read_ids(run, &profile, &mut Vec::<()>::new(), |_| None) as u64)
-                .sum();
+            // labels feeds several twig nodes from the same key.
+            let mut ids = Vec::new();
+            let mut entries = 0u64;
+            for run in fetched.all_runs() {
+                read_ids(run, &profile, &mut ids);
+                entries += ids.len() as u64;
+            }
             // One join, one ID buffer per stream and one walk over each
             // stream's documents (URIs ascending) serve every candidate.
             let mut join: TwigJoin<()> = TwigJoin::new(shape);
@@ -609,15 +611,13 @@ fn lookup_lui(
                 if !in_every_stream {
                     continue;
                 }
-                for (i, (walk, list)) in walks.iter_mut().zip(&mut lists).enumerate() {
-                    let run = walk.next().unwrap_or_default();
-                    let at_root = root_is_anchored && i == 0;
-                    read_ids(run, &profile, list, |id| {
-                        (!at_root || id.depth == 1).then_some((id, ()))
-                    });
+                for (walk, list) in walks.iter_mut().zip(&mut lists) {
+                    read_ids(walk.next().unwrap_or_default(), &profile, list);
                 }
-                let mut streams: Vec<_> = lists.iter().map(|l| SliceStream::new(l)).collect();
-                if join.join(&mut streams) > 0 {
+                if root_is_anchored {
+                    lists[0].retain(|(id, ())| id.depth == 1);
+                }
+                if join.join(&lists) > 0 {
                     uris.push(uri.clone());
                 }
             }

@@ -19,7 +19,9 @@
 //! Chunk order is preserved by prefixing range keys with a zero-padded
 //! sequence number, so a plain `get` returns chunks in order per document.
 
-use crate::codec::{base64_decode, base64_encode, decode_ids_into, encode_ids, for_each_id_chunk};
+use crate::codec::{
+    base64_decode, base64_encode, decode_ids, decode_ids_into, encode_ids, for_each_id_chunk,
+};
 use crate::strategy::{IndexEntry, Payload};
 use amada_cloud::{content_hash, KvItem, KvProfile, KvValue};
 use amada_xml::StructuralId;
@@ -285,23 +287,18 @@ impl<'a> PathList<'a> {
 /// Reads one document's ID list into `ids`, emptied first, where its items
 /// hold it: the binary chunks on a binary-capable backend (a malformed
 /// chunk contributes no ID), else the blob the string values spell (a
-/// malformed blob holds no ID). Each ID is decoded through `keep`, as by
-/// [`decode_ids_into`]; the number of IDs read, kept or not.
-pub(crate) fn read_ids<T>(
-    run: &[KvItem],
-    profile: &KvProfile,
-    ids: &mut Vec<T>,
-    mut keep: impl FnMut(StructuralId) -> Option<T>,
-) -> usize {
+/// malformed blob holds no ID).
+pub(crate) fn read_ids(run: &[KvItem], profile: &KvProfile, ids: &mut Vec<(StructuralId, ())>) {
     ids.clear();
     if !profile.supports_binary {
-        return decode_ids_into(&reassemble_blob(run), ids, keep).unwrap_or(0);
+        decode_ids_into(&reassemble_blob(run), ids);
+        return;
     }
-    let chunks = values(run).filter_map(|v| match v {
-        KvValue::B(chunk) => decode_ids_into(chunk, ids, &mut keep),
-        KvValue::S(_) => None,
-    });
-    chunks.sum()
+    for v in values(run) {
+        if let KvValue::B(chunk) = v {
+            decode_ids_into(chunk, ids);
+        }
+    }
 }
 
 /// A copy of `items` in runs, for the collectors below.
@@ -331,19 +328,29 @@ pub fn decode_path_lists(items: &[KvItem], profile: &KvProfile) -> BTreeMap<Arc<
         .collect()
 }
 
-/// Collects LUI items into per-URI, `pre`-sorted ID lists, read by
-/// `read_ids`.
+/// Decodes LUI items into per-URI, `pre`-sorted ID lists, value by value
+/// through [`decode_ids`] — the reference `read_ids` is checked against (a
+/// malformed binary chunk is dropped, a malformed string blob yields an
+/// empty list).
 pub fn decode_id_lists(
     items: &[KvItem],
     profile: &KvProfile,
 ) -> BTreeMap<Arc<str>, Vec<StructuralId>> {
-    let list = |run| {
-        let mut ids = Vec::new();
-        read_ids(run, profile, &mut ids, Some);
-        ids
-    };
     documents(&in_runs(items))
-        .map(|run| (run[0].uri.clone(), list(run)))
+        .map(|run| {
+            let ids: Vec<StructuralId> = if profile.supports_binary {
+                values(run)
+                    .filter_map(|v| match v {
+                        KvValue::B(b) => decode_ids(b),
+                        KvValue::S(_) => None,
+                    })
+                    .flatten()
+                    .collect()
+            } else {
+                decode_ids(&reassemble_blob(run)).unwrap_or_default()
+            };
+            (run[0].uri.clone(), ids)
+        })
         .collect()
 }
 
@@ -669,5 +676,49 @@ mod tests {
         }
         let decoded = decode_id_lists(&items, &dynamo_profile());
         assert_eq!(decoded["doc.xml"], list);
+    }
+
+    /// A malformed chunk between two valid ones contributes no ID on a
+    /// binary backend; a blob spoiled by one bad byte holds none on a
+    /// string backend. The look-up's reader and the reference agree.
+    #[test]
+    fn a_malformed_id_chunk_is_dropped_and_a_spoiled_blob_holds_nothing() {
+        let (a, b, c) = (
+            StructuralId::new(2, 5, 2),
+            StructuralId::new(4, 1, 3),
+            StructuralId::new(9, 8, 2),
+        );
+        let item = |seq: usize, value: KvValue| {
+            let range_key = format!("{seq:06}-doc");
+            KvItem::new(
+                "ename".into(),
+                &range_key,
+                "doc.xml".into(),
+                [value].into_iter(),
+            )
+        };
+        let mut read = vec![(StructuralId::new(1, 1, 1), ())];
+
+        let (first, last) = (encode_ids(&[a, b]), encode_ids(&[c]));
+        let run = [
+            item(0, KvValue::B(&first)),
+            item(1, KvValue::B(&[0x80])),
+            item(2, KvValue::B(&last)),
+        ];
+        read_ids(&run, &dynamo_profile(), &mut read);
+        assert_eq!(read, [(a, ()), (b, ()), (c, ())]);
+        assert_eq!(
+            decode_id_lists(&run, &dynamo_profile())["doc.xml"],
+            [a, b, c]
+        );
+
+        let mut spoiled = encode_ids(&[a, b, c]);
+        spoiled.push(0x80);
+        let blob = base64_encode(&spoiled);
+        let (head, tail) = blob.split_at(blob.len() / 2);
+        let run = [item(0, KvValue::S(head)), item(1, KvValue::S(tail))];
+        read_ids(&run, &simple_profile(), &mut read);
+        assert_eq!(read, []);
+        assert_eq!(decode_id_lists(&run, &simple_profile())["doc.xml"], []);
     }
 }

@@ -9,8 +9,8 @@
 //!   notation (Figure 2);
 //! * [`eval`] — a naive backtracking evaluator (correctness oracle) and
 //!   tuple materialization (`val` = string value, `cont` = subtree);
-//! * [`stream`] — skippable sorted-stream inputs ([`TwigStream`]) the join
-//!   gallops over (exponential probe + binary search);
+//! * `stream` — the galloping skip (exponential probe + binary search)
+//!   the join reads its `pre`-sorted input slices with;
 //! * [`twig`] — the holistic twig join over *(pre, post, depth)* streams
 //!   (PathStack + path-solution merging), generic over stream payloads so
 //!   the index look-up layer can run it on bare ID lists, and built once
@@ -37,14 +37,13 @@
 pub mod ast;
 pub mod eval;
 pub mod parser;
-pub mod stream;
+mod stream;
 pub mod twig;
 pub mod valuejoin;
 
 pub use ast::{Axis, Bound, NodeTest, Output, PatternNode, Predicate, Query, TreePattern};
 pub use eval::{naive_matches, EvalStats, Tuple};
 pub use parser::{parse_pattern, parse_query, ParseError};
-pub use stream::{SliceStream, TwigStream};
 pub use twig::{evaluate_pattern_twig, TwigEvaluator, TwigJoin, TwigShape};
 pub use valuejoin::{join_pattern_results, JoinedTuple};
 

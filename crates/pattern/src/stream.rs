@@ -1,93 +1,34 @@
-//! Skippable input streams for the holistic twig join.
+//! Galloping reads of the holistic twig join's input streams.
 //!
-//! The PathStack join consumes, per query node, a stream of structural IDs
-//! sorted by `pre`. The original formulation advances each stream one
-//! element at a time; [`TwigStream`] generalizes the interface with a
-//! `skip_to_pre` operation so the join can *gallop* — skip runs of
-//! elements that provably cannot take part in any solution.
-//!
-//! [`SliceStream`] implements it over an in-memory sorted slice, with
-//! exponential-probe + binary-search skipping: the twig evaluator's
-//! streams, the LUI look-up's decoded ID lists and the reference look-up
-//! of `amada-check` all join through it.
+//! The PathStack join consumes, per query node, a slice of structural IDs
+//! sorted by `pre`, read forward from a head position. The original
+//! formulation advances each head one element at a time; [`skip_to_pre`]
+//! lets the join *gallop* — skip runs of elements that provably cannot
+//! take part in any solution.
 
 use amada_xml::StructuralId;
 
-/// A forward-only stream of `(StructuralId, payload)` pairs sorted by
-/// `pre`, with efficient forward skipping.
-///
-/// Contract: after `skip_to_pre(p)`, the head (if any) is the first
-/// element of the stream with `pre >= p` that the cursor had not already
-/// passed; skipping never moves backwards. `reset` rewinds to the first
-/// element (the join runs once per root-to-leaf path over the same
-/// streams).
-pub trait TwigStream<T: Copy> {
-    /// The element under the cursor, or `None` when exhausted.
-    fn peek(&self) -> Option<(StructuralId, T)>;
-    /// Moves past the current element.
-    fn advance(&mut self);
-    /// Positions the cursor at the first remaining element with
-    /// `pre >= min_pre`.
-    fn skip_to_pre(&mut self, min_pre: u32);
-    /// Exhausts the stream.
-    fn skip_to_end(&mut self);
-    /// Rewinds to the first element.
-    fn reset(&mut self);
-}
-
-/// [`TwigStream`] over a `pre`-sorted slice, skipping with an exponential
-/// probe followed by a binary search of the bracketed range — `O(log d)`
-/// for a skip of distance `d`, so short hops near the cursor stay cheap.
-#[derive(Debug)]
-pub struct SliceStream<'a, T> {
-    items: &'a [(StructuralId, T)],
-    pos: usize,
-}
-
-impl<'a, T: Copy> SliceStream<'a, T> {
-    /// A stream positioned at the first element of `items`.
-    pub fn new(items: &'a [(StructuralId, T)]) -> Self {
-        SliceStream { items, pos: 0 }
+/// The first position at or after `pos` whose element has `pre >=
+/// min_pre` (`items.len()` if none), found by an exponential probe
+/// followed by a binary search of the bracketed range — `O(log d)` for a
+/// skip of distance `d`, so short hops near the head stay cheap. Never
+/// moves backwards.
+pub(crate) fn skip_to_pre<T>(items: &[(StructuralId, T)], pos: usize, min_pre: u32) -> usize {
+    let rest = &items[pos.min(items.len())..];
+    match rest.first() {
+        None => return items.len(),
+        Some((sid, _)) if sid.pre >= min_pre => return pos,
+        Some(_) => {}
     }
-}
-
-impl<T: Copy> TwigStream<T> for SliceStream<'_, T> {
-    #[inline]
-    fn peek(&self) -> Option<(StructuralId, T)> {
-        self.items.get(self.pos).copied()
+    // Gallop: double the probe until it lands at or past the target,
+    // then binary-search the bracketed half-open range.
+    let mut probe = 1usize;
+    while probe < rest.len() && rest[probe].0.pre < min_pre {
+        probe *= 2;
     }
-
-    #[inline]
-    fn advance(&mut self) {
-        self.pos += 1;
-    }
-
-    fn skip_to_pre(&mut self, min_pre: u32) {
-        let rest = &self.items[self.pos.min(self.items.len())..];
-        match rest.first() {
-            None => return,
-            Some((sid, _)) if sid.pre >= min_pre => return,
-            Some(_) => {}
-        }
-        // Gallop: double the probe until it lands at or past the target,
-        // then binary-search the bracketed half-open range.
-        let mut probe = 1usize;
-        while probe < rest.len() && rest[probe].0.pre < min_pre {
-            probe *= 2;
-        }
-        let lo = probe / 2;
-        let hi = probe.min(rest.len());
-        let off = lo + rest[lo..hi].partition_point(|(sid, _)| sid.pre < min_pre);
-        self.pos += off;
-    }
-
-    fn skip_to_end(&mut self) {
-        self.pos = self.items.len();
-    }
-
-    fn reset(&mut self) {
-        self.pos = 0;
-    }
+    let lo = probe / 2;
+    let hi = probe.min(rest.len());
+    pos + lo + rest[lo..hi].partition_point(|(sid, _)| sid.pre < min_pre)
 }
 
 #[cfg(test)]
@@ -100,49 +41,44 @@ mod tests {
             .collect()
     }
 
+    fn pre_at(items: &[(StructuralId, ())], pos: usize) -> Option<u32> {
+        items.get(pos).map(|(sid, ())| sid.pre)
+    }
+
     #[test]
     fn skip_lands_on_first_ge() {
         let items = stream(&[1, 3, 5, 8, 13, 21, 34, 55]);
         for target in 0..60 {
-            let mut s = SliceStream::new(&items);
-            s.skip_to_pre(target);
-            let expect = items.iter().find(|(sid, _)| sid.pre >= target).copied();
-            assert_eq!(s.peek(), expect, "target {target}");
+            let expect = items.iter().position(|(sid, _)| sid.pre >= target);
+            let pos = skip_to_pre(&items, 0, target);
+            assert_eq!(pos, expect.unwrap_or(items.len()), "target {target}");
         }
     }
 
     #[test]
     fn skip_never_moves_backwards() {
         let items = stream(&[2, 4, 6, 8, 10]);
-        let mut s = SliceStream::new(&items);
-        s.skip_to_pre(7);
-        assert_eq!(s.peek().unwrap().0.pre, 8);
-        s.skip_to_pre(3); // earlier target: no-op
-        assert_eq!(s.peek().unwrap().0.pre, 8);
+        let pos = skip_to_pre(&items, 0, 7);
+        assert_eq!(pre_at(&items, pos), Some(8));
+        let pos = skip_to_pre(&items, pos, 3); // earlier target: no-op
+        assert_eq!(pre_at(&items, pos), Some(8));
     }
 
     #[test]
     fn skip_past_end_exhausts() {
         let items = stream(&[1, 2, 3]);
-        let mut s = SliceStream::new(&items);
-        s.skip_to_pre(100);
-        assert_eq!(s.peek(), None);
-        s.reset();
-        assert_eq!(s.peek().unwrap().0.pre, 1);
-        s.skip_to_end();
-        assert_eq!(s.peek(), None);
+        assert_eq!(skip_to_pre(&items, 0, 100), items.len());
+        assert_eq!(skip_to_pre(&items, items.len(), 0), items.len());
     }
 
     #[test]
     fn skip_handles_duplicate_pres() {
         // The same document node can feed several query levels.
         let items = stream(&[1, 5, 5, 5, 9]);
-        let mut s = SliceStream::new(&items);
-        s.skip_to_pre(5);
-        assert_eq!(s.peek().unwrap().0.pre, 5);
-        s.advance();
-        assert_eq!(s.peek().unwrap().0.pre, 5);
-        s.skip_to_pre(6);
-        assert_eq!(s.peek().unwrap().0.pre, 9);
+        let pos = skip_to_pre(&items, 0, 5);
+        assert_eq!(pre_at(&items, pos), Some(5));
+        assert_eq!(pre_at(&items, pos + 1), Some(5));
+        let pos = skip_to_pre(&items, pos + 1, 6);
+        assert_eq!(pre_at(&items, pos), Some(9));
     }
 }

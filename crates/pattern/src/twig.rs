@@ -28,7 +28,7 @@
 
 use crate::ast::{Axis, NodeTest, PatternNode, TreePattern};
 use crate::eval::{EvalStats, Materializer, Tuple};
-use crate::stream::{SliceStream, TwigStream};
+use crate::stream::skip_to_pre;
 use amada_xml::{Document, NodeId, StructuralId};
 
 /// The shape of a twig: a rooted tree of query nodes with edge axes.
@@ -114,6 +114,8 @@ pub struct TwigJoin<T> {
     merged: Vec<Elem<T>>,
     /// Row numbers ordered by merge key.
     order: Vec<u32>,
+    /// Per query node, the position of its stream's head.
+    heads: Vec<usize>,
 }
 
 impl<T: Copy> TwigJoin<T> {
@@ -122,6 +124,7 @@ impl<T: Copy> TwigJoin<T> {
         let paths = shape.paths();
         TwigJoin {
             stacks: vec![Vec::new(); paths.iter().map(Vec::len).max().unwrap_or(0)],
+            heads: vec![0; shape.len()],
             shape,
             paths,
             chain: Vec::new(),
@@ -137,21 +140,20 @@ impl<T: Copy> TwigJoin<T> {
     /// order). Returns the number of distinct assignments of query nodes
     /// to stream elements satisfying all edges; [`TwigJoin::matches`]
     /// reads them until the next run.
-    pub fn join<S: TwigStream<T>>(&mut self, streams: &mut [S]) -> usize {
+    pub fn join<S: AsRef<[(StructuralId, T)]>>(&mut self, streams: &[S]) -> usize {
         let n = self.shape.len();
         assert_eq!(n, streams.len(), "one stream per query node");
         self.rows.clear();
         // Empty stream on any node: no solutions.
-        for s in streams.iter_mut() {
-            s.reset();
-        }
-        if streams.iter().any(|s| s.peek().is_none()) {
+        let Some(&filler) = streams[0].as_ref().first() else {
+            return 0;
+        };
+        if streams.iter().any(|s| s.as_ref().is_empty()) {
             return 0;
         }
         // One row covering no node yet (any element fills it): the first
         // path shares nothing with it, so each of its solutions becomes a
         // row; the later paths merge on the nodes they share.
-        let filler = streams[0].peek().expect("no stream is empty");
         self.rows.resize(n, filler);
         for p in 0..self.paths.len() {
             self.path_stack(p, streams);
@@ -173,13 +175,14 @@ impl<T: Copy> TwigJoin<T> {
     /// popped, solution expansion applies exact structural checks, and a
     /// retained entry that would have been popped at a skipped element can
     /// never be an ancestor of anything arriving after it.
-    fn path_stack<S: TwigStream<T>>(&mut self, p: usize, streams: &mut [S]) {
+    fn path_stack<S: AsRef<[(StructuralId, T)]>>(&mut self, p: usize, streams: &[S]) {
         let (shape, path) = (&self.shape, &self.paths[p][..]);
-        let (chain, sols) = (&mut self.chain, &mut self.sols);
+        let (chain, sols, heads) = (&mut self.chain, &mut self.sols, &mut self.heads);
         let k = path.len();
         for &q in path {
-            streams[q].reset();
+            heads[q] = 0;
         }
+        let head = |heads: &[usize], q: usize| streams[q].as_ref().get(heads[q]).copied();
         let stacks = &mut self.stacks[..k];
         for st in stacks.iter_mut() {
             st.clear();
@@ -192,27 +195,27 @@ impl<T: Copy> TwigJoin<T> {
             // and any future parent-level element has `pre >=` that head's
             // `pre` while an ancestor needs strictly smaller `pre` — so every
             // element at this level with `pre <=` the head's can never gain an
-            // ancestor and is skipped (whole blocks at a time for block
-            // cursors). An exhausted parent stream with an empty parent stack
-            // kills the level outright; iterating root-to-leaf propagates
-            // death down the path in one pass.
+            // ancestor and is skipped. An exhausted parent stream with an
+            // empty parent stack kills the level outright; iterating
+            // root-to-leaf propagates death down the path in one pass.
             for level in 1..k {
                 if !stacks[level - 1].is_empty() {
                     continue;
                 }
-                match streams[path[level - 1]].peek() {
-                    None => streams[path[level]].skip_to_end(),
-                    Some((psid, _)) => match psid.pre.checked_add(1) {
-                        Some(after) => streams[path[level]].skip_to_pre(after),
-                        None => streams[path[level]].skip_to_end(),
-                    },
-                }
+                let q = path[level];
+                let items = streams[q].as_ref();
+                let after =
+                    head(heads, path[level - 1]).and_then(|(psid, _)| psid.pre.checked_add(1));
+                heads[q] = match after {
+                    Some(after) => skip_to_pre(items, heads[q], after),
+                    None => items.len(),
+                };
             }
 
             // qmin: the path level whose stream's next element has minimal pre.
             let mut qmin: Option<(usize, StructuralId, T)> = None;
             for (level, &q) in path.iter().enumerate() {
-                if let Some((sid, payload)) = streams[q].peek() {
+                if let Some((sid, payload)) = head(heads, q) {
                     // Ties (same document node feeding several query nodes) go
                     // to the level closest to the root, so ancestors are pushed
                     // before their descendants arrive.
@@ -224,7 +227,7 @@ impl<T: Copy> TwigJoin<T> {
             let Some((level, next, payload)) = qmin else {
                 break;
             };
-            streams[path[level]].advance();
+            heads[path[level]] += 1;
 
             // Pop, from every stack, elements that end before the incoming
             // element starts (disjoint predecessors — they can never be
@@ -399,9 +402,7 @@ impl<'p> TwigEvaluator<'p> {
             return (Vec::new(), stats);
         }
         // Payload = document node, to materialize values from.
-        let mut cursors: Vec<SliceStream<'_, NodeId>> =
-            self.streams.iter().map(|v| SliceStream::new(v)).collect();
-        stats.embeddings = self.join.join(&mut cursors) as u64;
+        stats.embeddings = self.join.join(&self.streams) as u64;
         let embeddings = self.join.matches().map(|row| move |i: usize| row[i].1);
         let tuples = self.materializer.run(doc, embeddings);
         stats.tuples = tuples.len() as u64;
@@ -589,9 +590,8 @@ mod tests {
         shape: &TwigShape,
         streams: &[Vec<(StructuralId, T)>],
     ) -> Vec<Assignment<T>> {
-        let mut s: Vec<SliceStream<'_, T>> = streams.iter().map(|v| SliceStream::new(v)).collect();
         let mut join = TwigJoin::new(shape.clone());
-        join.join(&mut s);
+        join.join(streams);
         join.matches().map(<[_]>::to_vec).collect()
     }
 

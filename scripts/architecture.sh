@@ -224,7 +224,7 @@ one_lookup_memo() {
 # The query core reads its inputs where they already lie: a look-up walks
 # each key's fetched items as per-document runs through the one run reader
 # both backends share (`store.rs`: `PathList`, `read_ids`, which decodes a
-# candidate's ID list into a buffer the join's `SliceStream` gallops over),
+# candidate's ID list into a buffer the twig join gallops over),
 # and a joined row points at its tuples' `Arc<str>` cells, told apart by
 # their digests. The look-up calling a collector, a second in-memory
 # postings format (the cut block layer's names), a backend branch in the

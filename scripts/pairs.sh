@@ -15,19 +15,16 @@
 # this checkout's BENCH_trajectory.jsonl); a per-metric table goes to
 # stderr.
 #
-# The protocol (every trajectory row uses it; a row that deviates records
-# how in its "protocol" object):
-#   seed 0xA3ADA, 15 s runs, ten pairs per workload, AMADA_THREADS=1,
-#   all five workloads.
+# The protocol, fixed for every trajectory row: seed 0xA3ADA, 15 s runs,
+# ten pairs per workload, AMADA_THREADS=1, the five workloads of
+# BENCHMARK.json. A row over fewer workloads records it in its "protocol"
+# object ("all_workloads": false).
 #
 # Options:
 #   --pr N            the row's "pr" field
 #   --note TEXT       the row's "measured" field
 #   --append          also append the row to BENCH_trajectory.jsonl
-#   --pairs N         pairs per workload (default 10)
-#   --seconds S       run length (default 15)
-#   --seed S          corpus seed (default 0xA3ADA)
-#   --workloads "A B" workloads (default: the five of BENCHMARK.json)
+#   --workloads "A B" run only these workloads
 #
 # Per (workload, metric) the row holds the median of the per-pair ratios
 # change/parent, the pairs the change led (ties count for neither side),
@@ -43,15 +40,13 @@
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 
-pr=null note="" append=0 pairs=10 seconds=15 seed=0xA3ADA workloads=""
+readonly pairs=10 seconds=15 seed=0xA3ADA
+pr=null note="" append=0 workloads=""
 while [ $# -gt 3 ]; do
     case "$1" in
         --pr) pr=$2; shift 2 ;;
         --note) note=$2; shift 2 ;;
         --append) append=1; shift ;;
-        --pairs) pairs=$2; shift 2 ;;
-        --seconds) seconds=$2; shift 2 ;;
-        --seed) seed=$2; shift 2 ;;
         --workloads) workloads=$2; shift 2 ;;
         *) echo "unknown option $1" >&2; exit 2 ;;
     esac
@@ -142,8 +137,7 @@ row = {
         "order": "odd pairs parent first, even pairs change first",
         "threads": "AMADA_THREADS=1",
         "workloads": workloads,
-        "deviates": not (seed.lower() == "0xa3ada" and float(seconds) == 15 and pairs == 10
-                         and sorted(workloads) == sorted(w["name"] for w in spec["workloads"])),
+        "all_workloads": sorted(workloads) == sorted(w["name"] for w in spec["workloads"]),
     },
     "runs_per_workload": {w: pairs for w in workloads},
     "paired": {},
